@@ -9,14 +9,14 @@ into data:
 * :mod:`~repro.campaign.grid` — cartesian sweep + seed-ensemble
   expansion with content-addressed (sha1) job identities,
 * :mod:`~repro.campaign.manifest` — the crash-safe resumable ledger
-  (atomic-rename updates; a killed campaign resumes where it stopped),
+  (an fsynced journal; a killed campaign resumes where it stopped),
 * :mod:`~repro.campaign.runner` — executes one concrete job against
   the existing scenario builders,
 * :mod:`~repro.campaign.store` — the byte-deterministic columnar
   JSONL/CSV result store,
 * :mod:`~repro.campaign.executor` — fan-out, persistence and resume,
-* :mod:`~repro.campaign.pool` — the fork/timeout process pool shared
-  with ``tools/run_bench.py``.
+* :mod:`~repro.campaign.pool` — the fork-once worker pool with
+  per-task timeouts, shared with ``tools/run_bench.py``.
 
 ``tools/run_campaign.py`` is the command-line face;
 :mod:`repro.analysis.campaign` aggregates the result store into

@@ -4,12 +4,12 @@ Orchestrates one campaign end-to-end:
 
 1. expand the validated spec into the ordered job grid,
 2. open (or resume) the content-addressed manifest,
-3. fan pending jobs across forked workers (``jobs``/``timeout`` ride
-   the same :mod:`repro.campaign.pool` machinery as
+3. fan pending jobs across ``jobs`` fork-once workers (``jobs``/
+   ``timeout`` ride the same :mod:`repro.campaign.pool` machinery as
    ``run_bench --jobs``),
-4. record every completion atomically in the manifest the instant it
-   arrives (crash-safe: a kill between two jobs loses at most the
-   in-flight ones),
+4. append every completion to the manifest journal, fsynced, the
+   instant it arrives while the workers compute on (crash-safe: a kill
+   at any instant loses at most the unacknowledged in-flight jobs),
 5. stream result rows into the columnar store **in grid order**, done
    rows from previous runs included, so an interrupted-and-resumed
    campaign produces a store byte-identical to an uninterrupted one.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -131,26 +132,28 @@ def run_campaign(spec: Dict[str, Any], out_dir: pathlib.Path, *,
     recorded = 0
     outcomes: Dict[str, Any] = {}
     tasks = [_task(job.spec) for job in pending]
-    for index, status, payload in iter_pooled(tasks, timeout=timeout,
-                                              jobs=jobs):
-        job = pending[index]
-        if status == "ok":
-            # Unwrap the task's own (status, payload) report.
-            status, payload = payload
-        if status == "ok":
-            manifest.record_done(job.key, payload)
-            say(f"{job.label:40s} ok")
-        else:
-            reason = (f"timed out after {timeout:g}s"
-                      if status == "timeout" else payload)
-            manifest.record_failed(job.key, reason)
-            say(f"{job.label:40s} FAILED: {reason}")
-        outcomes[job.key] = status
-        recorded += 1
-        if crash_after and recorded >= crash_after:
-            # Crash-safety test hook: die the hard way, mid-grid, with
-            # no flushing beyond what the manifest already guaranteed.
-            os._exit(23)
+    # closing(): an exception below must reap the workers now, not
+    # whenever its traceback lets go of the generator.
+    with closing(iter_pooled(tasks, timeout=timeout, jobs=jobs)) as pooled:
+        for index, status, payload in pooled:
+            job = pending[index]
+            if status == "ok":
+                # Unwrap the task's own (status, payload) report.
+                status, payload = payload
+            if status == "ok":
+                manifest.record_done(job.key, payload)
+                say(f"{job.label:40s} ok")
+            else:
+                reason = (f"timed out after {timeout:g}s"
+                          if status == "timeout" else payload)
+                manifest.record_failed(job.key, reason)
+                say(f"{job.label:40s} FAILED: {reason}")
+            outcomes[job.key] = status
+            recorded += 1
+            if crash_after and recorded >= crash_after:
+                # Crash-safety test hook: die the hard way, mid-grid, with
+                # no flushing beyond what the manifest already guaranteed.
+                os._exit(23)
 
     # Project the manifest into the store, in grid order.  Every job
     # gets a row: done rows carry stats, still-pending ones (filtered

@@ -1,23 +1,27 @@
-"""The crash-safe resumable campaign manifest.
+"""The crash-safe resumable campaign manifest: an append-only journal.
 
-One JSON file per campaign, keyed by content-addressed job sha1::
+One file per campaign, one JSON document per line — a header, then one
+record per finished job, keyed by content-addressed job sha1::
 
-    {
-      "format": 1,
-      "campaign": "hidden_terminal",
-      "grid_sha1": "…",             # fingerprint of the expanded grid
-      "jobs": {
-        "<job sha1>": {"status": "done",   "row": {…}},
-        "<job sha1>": {"status": "failed", "error": "…"}
-      }
-    }
+    {"campaign": "hidden_terminal", "format": 2, "grid_sha1": "…"}
+    {"key": "<job sha1>", "row": {…}, "status": "done"}
+    {"error": "…", "key": "<job sha1>", "status": "failed"}
 
-Every state change is persisted with the classic atomic-rename recipe:
-serialize to ``<path>.tmp`` in the same directory, fsync, then
-``os.replace`` over the manifest.  A campaign killed at *any* instant
-(including mid-write) therefore leaves either the previous manifest or
-the new one — never a torn file — and a resume picks up exactly the
-set of jobs whose completion reached the disk.
+The first record of a new campaign creates the header with the atomic-
+rename recipe (write ``<path>.tmp``, fsync, ``os.replace``); every
+record is then one appended line, flushed and fsynced before
+``record_done``/``record_failed`` returns, at the same cost whether the
+journal holds ten lines or a million.  A retried job appends again;
+replay keeps the last record per key.
+
+A campaign killed at *any* instant therefore leaves whole lines plus at
+most one torn final line.  A final line without its newline never had
+its fsync return, so it was never acknowledged to the executor:
+``Manifest.open`` drops it and truncates the file back to the line
+boundary, and a resume picks up exactly the jobs whose completion
+reached the disk.  Anything else that does not parse — a terminated
+garbage line, a missing header, the whole-file manifest of an earlier
+format — raises an error naming the path and line.
 
 The manifest is the campaign's source of truth; the JSONL/CSV result
 store is a *projection* of it (rewritten in grid order on every run),
@@ -37,20 +41,18 @@ from .spec import SpecError
 
 __all__ = ["Manifest", "MANIFEST_FORMAT"]
 
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
 DONE = "done"
 FAILED = "failed"
 
 
-def _atomic_write(path: pathlib.Path, text: str) -> None:
-    """Write-then-rename in the target's directory (same filesystem)."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write(text)
+def _write_synced(path: pathlib.Path, mode: str, document: Any) -> None:
+    """Write one journal line; return only once it is on disk."""
+    with open(path, mode) as handle:
+        handle.write(json.dumps(document, sort_keys=True) + "\n")
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class Manifest:
@@ -61,13 +63,16 @@ class Manifest:
         self.campaign = campaign
         self.grid_sha1 = grid_sha1
         self.jobs: Dict[str, Dict[str, Any]] = {}
+        #: Whether the file at ``path`` already starts with this
+        #: journal's header; until then the next record replaces it.
+        self._started = False
 
     # --- construction -----------------------------------------------------
 
     @classmethod
     def open(cls, path: pathlib.Path, campaign: str, grid_sha1: str,
              fresh: bool = False) -> "Manifest":
-        """Load the manifest at ``path``, or start an empty one.
+        """Replay the journal at ``path``, or start an empty one.
 
         ``fresh=True`` discards any previous state.  A manifest written
         for a *different* grid (edited spec: membership or order
@@ -78,24 +83,46 @@ class Manifest:
         manifest = cls(path, campaign, grid_sha1)
         if fresh or not manifest.path.exists():
             return manifest
-        try:
-            raw = json.loads(manifest.path.read_text())
-        except ValueError as exc:
+        data = manifest.path.read_bytes()
+        *lines, torn = data.split(b"\n")
+
+        def bad(number: int, why: str) -> SpecError:
+            return SpecError("(manifest)", f"{path} line {number} {why}; "
+                             f"remove it or rerun with fresh=True")
+
+        def parse(number: int, text: bytes) -> Any:
+            try:
+                return json.loads(text)
+            except ValueError as exc:
+                raise bad(number, f"is not valid JSON ({exc})")
+
+        if not lines:
+            raise bad(1, "is missing: no journal header")
+        # An earlier format is one indented document, not a journal:
+        # read it whole so the error can name its format.
+        header = parse(1, data if lines[0] == b"{" else lines[0])
+        found = header.get("format") if isinstance(header, dict) else None
+        if found != MANIFEST_FORMAT:
             raise SpecError("(manifest)",
-                            f"{path} is not valid JSON ({exc}); "
-                            f"remove it or rerun with fresh=True")
-        if raw.get("format") != MANIFEST_FORMAT:
-            raise SpecError("(manifest)",
-                            f"{path} has format {raw.get('format')!r}, "
+                            f"{path} has format {found!r}, "
                             f"this build reads {MANIFEST_FORMAT}")
-        if raw.get("grid_sha1") != grid_sha1:
+        if header.get("grid_sha1") != grid_sha1:
             raise SpecError("(manifest)",
                             f"{path} was written for a different grid "
-                            f"({raw.get('grid_sha1')!r:.14} vs "
+                            f"({header.get('grid_sha1')!r:.14} vs "
                             f"{grid_sha1!r:.14}): the spec changed since "
                             f"that run; rerun with fresh=True to discard "
                             f"the old state")
-        manifest.jobs = dict(raw.get("jobs", {}))
+        for number, line in enumerate(lines[1:], 2):
+            record = parse(number, line)
+            if not isinstance(record, dict) \
+                    or not isinstance(record.get("key"), str) \
+                    or record.get("status") not in (DONE, FAILED):
+                raise bad(number, "is not a job record")
+            manifest.jobs[record.pop("key")] = record
+        if torn:
+            os.truncate(manifest.path, len(data) - len(torn))
+        manifest._started = True
         return manifest
 
     # --- queries ----------------------------------------------------------
@@ -122,19 +149,20 @@ class Manifest:
     # --- updates ----------------------------------------------------------
 
     def record_done(self, key: str, row: Dict[str, Any]) -> None:
-        self.jobs[key] = {"status": DONE, "row": row}
-        self._persist()
+        self._append(key, {"status": DONE, "row": row})
 
     def record_failed(self, key: str, error: str) -> None:
-        self.jobs[key] = {"status": FAILED, "error": error}
-        self._persist()
+        self._append(key, {"status": FAILED, "error": error})
 
-    def _persist(self) -> None:
-        payload = {
-            "format": MANIFEST_FORMAT,
-            "campaign": self.campaign,
-            "grid_sha1": self.grid_sha1,
-            "jobs": self.jobs,
-        }
-        _atomic_write(self.path,
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def _append(self, key: str, entry: Dict[str, Any]) -> None:
+        if not self._started:
+            # Write-then-rename in the target's directory (same
+            # filesystem): the header is there whole or not at all.
+            tmp = self.path.with_name(self.path.name + ".tmp")
+            _write_synced(tmp, "w", {"format": MANIFEST_FORMAT,
+                                     "campaign": self.campaign,
+                                     "grid_sha1": self.grid_sha1})
+            os.replace(tmp, self.path)
+            self._started = True
+        _write_synced(self.path, "a", {"key": key, **entry})
+        self.jobs[key] = entry

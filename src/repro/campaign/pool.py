@@ -1,23 +1,29 @@
 """Shared harness plumbing: ``--only`` globs and the fork/timeout pool.
 
 Extracted from ``tools/run_bench.py`` so the bench harness and the
-campaign executor run on one copy of the tricky machinery: fork-based
-per-task isolation with wall-clock timeouts, and an N-way process pool
-whose output order is pinned to input order regardless of completion
-order.  ``run_bench`` keeps its public functions as thin adapters over
-these, byte-stable CLI contract included.
+campaign executor run on one copy of the tricky machinery: N fork-once
+workers, a wall-clock deadline per task, and output order pinned to
+input order regardless of completion order.  ``run_bench`` keeps its
+public functions as thin adapters over these, byte-stable CLI contract
+included.
 
 Tasks are zero-argument callables.  Workers are started with the
-``fork`` context on purpose: the child shares the parent's loaded
-modules — monkeypatches, registries and closures included — so a task
-needs no pickling and behaves exactly as it would in-process.
+``fork`` context on purpose, once the task list exists: a worker shares
+the parent's loaded modules — monkeypatches, registries and closures
+included — and the task list, so only a task *index* goes down its pipe
+and only the result is pickled back.  A worker runs many tasks, which
+share its process state exactly as they always have on the in-process
+``jobs=1`` path; one that dies or blows a deadline is killed, charged
+to the one task it was running, and replaced.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import gc
 import multiprocessing
 import multiprocessing.connection
+import multiprocessing.util
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, \
     Optional, Sequence, Tuple
@@ -57,14 +63,27 @@ def select_names(patterns: Optional[Sequence[str]],
     return names
 
 
-def _child_entry(conn, task: Task) -> None:
-    """Subprocess body: run the task, report, never hang the parent."""
+def _worker(conn, tasks: Sequence[Task], parent_ends) -> None:
+    """Worker body: run the task indices read off ``conn`` until EOF."""
+    # An inherited copy of a parent-side pipe end (its own, a sibling's)
+    # would hold that pipe open after the parent is gone; without one,
+    # a vanished parent is an EOF here and the worker exits.
+    for parent_end in parent_ends:
+        parent_end.close()
+    # The worker owns its process: it never scans the heap it inherited
+    # and collects its own garbage even if the parent had that disabled.
+    gc.freeze()
+    gc.enable()
     try:
-        conn.send(("ok", task()))
-    except BaseException as exc:  # report, don't hang the parent
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
+        while True:
+            index = conn.recv()
+            try:
+                outcome = ("ok", tasks[index]())
+            except BaseException as exc:  # report, don't hang the parent
+                outcome = ("error", f"{type(exc).__name__}: {exc}")
+            conn.send(outcome)
+    except (EOFError, OSError):  # the parent closed the pipe, or died
+        pass
 
 
 def call_guarded(task: Task, timeout: float = 0.0) -> Outcome:
@@ -72,30 +91,12 @@ def call_guarded(task: Task, timeout: float = 0.0) -> Outcome:
 
     With ``timeout`` <= 0, runs in-process exactly as a plain call
     (exceptions propagate to the caller).  With a timeout, the task
-    runs in a forked child and one that livelocks or blows its budget
+    runs in a forked worker and one that livelocks or blows its budget
     is killed — yielding a clean ``("timeout", None)`` instead of
     hanging the whole run.
     """
-    if timeout <= 0:
-        return "ok", task()
-    ctx = multiprocessing.get_context("fork")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child_entry, args=(child_conn, task))
-    proc.start()
-    child_conn.close()
-    try:
-        if parent_conn.poll(timeout):
-            status, payload = parent_conn.recv()
-            proc.join()
-            return status, payload
-    except EOFError:  # child died without reporting (segfault, kill)
-        proc.join()
-        return "error", f"worker exited with code {proc.exitcode}"
-    finally:
-        parent_conn.close()
-    proc.terminate()
-    proc.join()
-    return "timeout", None
+    (_index, status, payload), = iter_pooled([task], timeout=timeout)
+    return status, payload
 
 
 def iter_pooled(tasks: Sequence[Task], *, timeout: float = 0.0,
@@ -103,68 +104,90 @@ def iter_pooled(tasks: Sequence[Task], *, timeout: float = 0.0,
     """Yield ``(index, status, payload)`` for every task, **in input
     order** regardless of completion order.
 
-    ``jobs <= 1`` preserves the serial path (including the in-process
-    no-timeout mode of :func:`call_guarded`).  With ``jobs > 1`` every
-    task runs in its own forked child — the same isolation ``timeout``
-    already buys — with at most ``jobs`` children alive at once;
-    finished results are buffered until their turn so the output rows
-    (and failure ordering) are pinned to the input list.
+    ``jobs <= 1`` without a timeout runs the tasks in-process
+    (exceptions propagate to the caller).  Otherwise ``jobs`` workers
+    are forked once and fed task indices; a finished worker gets its
+    next index *before* its result is yielded, so workers compute while
+    the consumer handles rows, and results are buffered until their
+    turn.  A task past ``timeout`` yields ``("timeout", None)``, one
+    whose worker died ``("error", "worker exited with code N")``: only
+    that worker is killed, and a fresh one takes over.  However the
+    generator ends — exhausted, closed, interrupted — every worker is
+    reaped first.
     """
-    if jobs <= 1:
+    if jobs <= 1 and timeout <= 0:
         for index, task in enumerate(tasks):
-            status, payload = call_guarded(task, timeout)
-            yield index, status, payload
+            yield index, "ok", task()
         return
     ctx = multiprocessing.get_context("fork")
     # Everything is keyed by input *index*, never by any task-derived
     # name: the same work item may legitimately appear more than once
     # in the input list, and name-keyed buffering would collapse (and
     # lose) those rows.
-    queue = list(enumerate(tasks))
-    running: Dict[Any, Tuple[int, Any, Optional[float]]] = {}
+    workers: Dict[Any, Any] = {}  # parent-side pipe end -> process
+    busy: Dict[Any, Tuple[int, float]] = {}  # pipe end -> index, deadline
     results: Dict[int, Outcome] = {}
-    emitted = 0
+    issued = emitted = 0
     total = len(tasks)
-    while emitted < total:
-        while queue and len(running) < jobs:
-            index, task = queue.pop(0)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child_entry,
-                               args=(child_conn, task))
-            proc.start()
-            child_conn.close()
-            deadline = time.monotonic() + timeout if timeout > 0 else None
-            running[parent_conn] = (index, proc, deadline)
-        if running:
-            if timeout > 0:
-                horizon = min(deadline for _, _, deadline
-                              in running.values())
-                wait_s = max(0.0, horizon - time.monotonic())
-                ready = multiprocessing.connection.wait(list(running),
-                                                        timeout=wait_s)
-            else:
-                ready = multiprocessing.connection.wait(list(running))
-            for conn in ready:
-                index, proc, _deadline = running.pop(conn)
+
+    def dispatch(conn: Any = None) -> None:
+        """Hand the next index to ``conn`` (default: a new worker)."""
+        nonlocal issued
+        if issued == total:
+            return
+        if conn is None:
+            conn, child_end = ctx.Pipe()
+            workers[conn] = ctx.Process(
+                target=_worker, args=(child_end, tasks, [conn, *workers]))
+            workers[conn].start()
+            child_end.close()
+        conn.send(issued)
+        busy[conn] = (issued, time.monotonic() + timeout)
+        issued += 1
+
+    def retire(conn: Any) -> Optional[int]:
+        """Reap one worker — killed if mid-task, else by EOF — and
+        return its exit code."""
+        proc = workers.pop(conn)
+        conn.close()
+        if busy.pop(conn, None):
+            proc.kill()
+        proc.join()
+        return proc.exitcode
+
+    def reap_all() -> None:
+        for conn in list(workers):
+            retire(conn)
+
+    # Also run at interpreter exit, before multiprocessing joins its
+    # children: a generator left suspended (a traceback can hold one)
+    # would keep idle workers waiting for EOF, and the exit for them.
+    reap = multiprocessing.util.Finalize(None, reap_all, exitpriority=0)
+    try:
+        for _ in range(min(max(jobs, 1), total)):
+            dispatch()
+        while emitted < total:
+            wait_s = None if timeout <= 0 else max(0.0, min(
+                deadline for _, deadline in busy.values()) - time.monotonic())
+            for conn in multiprocessing.connection.wait(list(busy), wait_s):
+                index = busy[conn][0]
                 try:
-                    status, payload = conn.recv()
-                    proc.join()
-                except EOFError:
-                    proc.join()
-                    status = "error"
-                    payload = f"worker exited with code {proc.exitcode}"
-                conn.close()
-                results[index] = (status, payload)
-            if not ready:  # some child blew its deadline
-                now = time.monotonic()
-                for conn in [c for c, (_, _, d) in running.items()
-                             if d is not None and d <= now]:
-                    index, proc, _deadline = running.pop(conn)
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
-                    results[index] = ("timeout", None)
-        while emitted < total and emitted in results:
-            status, payload = results.pop(emitted)
-            yield emitted, status, payload
-            emitted += 1
+                    results[index] = conn.recv()
+                    del busy[conn]
+                except (EOFError, OSError):  # died without reporting
+                    results[index] = (
+                        "error", f"worker exited with code {retire(conn)}")
+                    conn = None
+                dispatch(conn)
+            now = time.monotonic()
+            for conn in [c for c, (_, deadline) in busy.items()
+                         if 0 < timeout and deadline <= now]:
+                results[busy[conn][0]] = ("timeout", None)
+                retire(conn)
+                dispatch()
+            while emitted in results:
+                status, payload = results.pop(emitted)
+                yield emitted, status, payload
+                emitted += 1
+    finally:
+        reap()

@@ -200,7 +200,7 @@ def time_scenario_guarded(name: str, scale: float, repeats: int,
     """``time_scenario`` with an optional wall-clock cap.
 
     With ``timeout`` <= 0, runs in-process exactly as before.  With a
-    timeout, the scenario runs in a forked child (fork: the child
+    timeout, the scenario runs in a forked worker (fork: the worker
     shares this process's loaded MACROS, monkeypatches included) and a
     scenario that livelocks or blows its budget is killed — yielding a
     clean ``("timeout", None)`` instead of hanging the whole bench run.
@@ -208,7 +208,7 @@ def time_scenario_guarded(name: str, scale: float, repeats: int,
     Returns ``(status, payload)``: ``("ok", record)``,
     ``("error", message)`` or ``("timeout", None)``.  The fork/timeout
     machinery itself lives in :mod:`repro.campaign.pool`, shared with
-    ``tools/run_campaign.py``.
+    ``tools/run_campaign.py``: this is a one-task pool call.
     """
     return call_guarded(_scenario_task(name, scale, repeats, profile,
                                        telemetry, profile_dir),
@@ -222,13 +222,16 @@ def iter_results(names, scale: float, repeats: int, profile: bool = False,
     """Yield ``(name, status, payload)`` for every scenario, **in input
     order** regardless of completion order.
 
-    ``jobs <= 1`` preserves the historical serial path byte-for-byte
-    (including the in-process no-timeout mode).  With ``jobs > 1``
-    every scenario runs in its own forked child — the same isolation
-    ``--timeout`` already buys — with at most ``jobs`` children alive at
-    once; finished results are buffered until their turn so the output
-    rows (and failure ordering) are pinned to the input list (the
-    shared :func:`repro.campaign.pool.iter_pooled` contract).
+    ``jobs <= 1`` without a timeout runs every scenario in-process,
+    the historical serial path byte-for-byte.  Otherwise the scenarios
+    are fed to ``jobs`` fork-once workers: scenarios that land on one
+    worker share its process state exactly as they always have on the
+    in-process path, and a scenario past ``timeout`` (or one that takes
+    its worker down) costs that worker only — it is killed, reported
+    for that scenario and replaced.  Finished results are buffered
+    until their turn so the output rows (and failure ordering) are
+    pinned to the input list (the shared
+    :func:`repro.campaign.pool.iter_pooled` contract).
     """
     order = list(names)
     tasks = [_scenario_task(name, scale, repeats, profile, telemetry,
@@ -397,8 +400,8 @@ def main(argv=None) -> int:
                              "under the (non-gated) 'telemetry' BENCH key; "
                              "incompatible with --check")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run up to N scenarios concurrently, each in "
-                             "its own forked worker (the --timeout "
+                        help="run up to N scenarios concurrently on N "
+                             "fork-once workers (the --timeout "
                              "isolation); output rows stay in input order "
                              "regardless of completion order (default 1 = "
                              "the historical serial path)")
