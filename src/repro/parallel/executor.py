@@ -31,6 +31,18 @@ Determinism is layered:
   canonical :class:`ArrivalLog`, whose SHA-1 is the two-runs-identical
   fingerprint CI byte-compares.
 
+The wire is one :class:`~repro.parallel.channel.Channel` per worker:
+each ``ready/advance/fence/finish/stats/error`` message is a 4-byte
+length plus a pickle over a pair of ``os.pipe()``s, one message in
+flight per direction.  The coordinator waits at most
+:data:`RECV_DEADLINE_S` for any one message.  A worker that raises,
+dies or stays silent past that deadline ends the run with a
+:class:`~repro.core.errors.SimulationError` naming the shard, the
+round, the shard's last fence ``(clock, events)`` and the boundary
+records pending for it — plus, when the worker could still speak, its
+traceback, clock, event count and outbox depth — and every worker is
+reaped before the error propagates.
+
 :func:`run_single` executes the same cell list on one kernel — the
 differential reference, and the ``workers=1`` baseline for scaling
 measurements.
@@ -42,6 +54,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import traceback
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -54,6 +67,7 @@ from ..phy.channel import Medium
 from ..phy.propagation import PropagationModel
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.probes import Telemetry
+from .channel import Channel, channel_pair
 from .partition import CellSpec, ShardPlan, partition_cells
 from .shard import BoundaryRecord, ShardMedium
 
@@ -63,6 +77,11 @@ from .shard import BoundaryRecord, ShardMedium
 #: so the blocks can never collide with :func:`allocate_address`'s
 #: low-serial range in mixed scenarios (< 65536 global devices).
 _CELL_ADDRESS_BASE = 0x02_00_00_00_00_00
+
+#: Longest the coordinator waits for any one worker message (a fence,
+#: or the final stats).  It bounds a single ``sim.run`` to the next
+#: bound — the whole horizon for a decoupled shard — not the run.
+RECV_DEADLINE_S = 900.0
 
 
 class CellBuild:
@@ -117,21 +136,28 @@ class ArrivalLog:
     def _dump(record: Dict) -> str:
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
-    def arrival(self, record: BoundaryRecord,
-                dests: Sequence[int]) -> None:
-        self._lines.append(self._dump({
-            "type": "arrival", "time": repr(record.start_time),
-            "shard": record.shard, "seq": record.seq,
-            "sender": record.sender, "channel": record.channel,
-            "power_watts": repr(record.power_watts),
-            "duration": repr(record.duration),
-            "dests": list(dests)}))
+    # ``arrival`` and ``fence`` are written once per boundary record
+    # and twice per round, so they format their line directly: exactly
+    # what ``_dump`` gives for the same dict (keys in sorted order; a
+    # float's repr needs no escaping), at a fraction of the cost.
+
+    def arrival(self, record: Tuple, dests: Sequence[int]) -> None:
+        """Log one boundary record (a :class:`BoundaryRecord` or the
+        plain tuple that crossed the pipe) and its live destinations."""
+        start, shard, seq, sender, _x, _y, _z, channel, power, duration \
+            = record
+        self._lines.append(
+            '{"channel":%d,"dests":[%s],"duration":"%r",'
+            '"power_watts":"%r","sender":%s,"seq":%d,"shard":%d,'
+            '"time":"%r","type":"arrival"}'
+            % (channel, ",".join(map(str, dests)), duration, power,
+               json.dumps(sender), seq, shard, start))
 
     def fence(self, round_index: int, shard: int, clock: float,
               events: int) -> None:
-        self._lines.append(self._dump({
-            "type": "fence", "round": round_index, "shard": shard,
-            "clock": repr(clock), "events": events}))
+        self._lines.append(
+            '{"clock":"%r","events":%d,"round":%d,"shard":%d,'
+            '"type":"fence"}' % (clock, events, round_index, shard))
 
     def final(self, shard: int, clock: float, events: int) -> None:
         self._lines.append(self._dump({
@@ -206,7 +232,8 @@ def run_single(cells, *, seed: int, horizon: float,
     return result
 
 
-def _worker_main(conn, shard_index: int, shard_cells, global_indices,
+def _worker_main(conn: Channel, parent_ends: Sequence[Channel],
+                 shard_index: int, shard_cells, global_indices,
                  export_channels, seed: int, horizon: float,
                  propagation_factory, reception_floor_dbm: float,
                  propagation_delay: bool, exact: bool,
@@ -221,7 +248,8 @@ def _worker_main(conn, shard_index: int, shard_cells, global_indices,
     send ``("stats", shard, {cell: stats}, events, telemetry)`` —
     where ``telemetry`` is ``None`` or a ``(sim_jsonl, wall_jsonl)``
     pair of this shard's exported streams — and exit.  Any exception
-    turns into ``("error", shard, message)``.
+    turns into ``("error", shard, traceback, clock, events, outbox
+    depth)``.
 
     With telemetry on, the worker instruments its own kernel/medium/
     radio fleet and additionally keeps per-shard round metrics in the
@@ -229,8 +257,14 @@ def _worker_main(conn, shard_index: int, shard_cells, global_indices,
     — both pure functions of the deterministic round schedule) and
     busy/idle wall seconds in the wall stream.
     """
+    # An inherited copy of a coordinator-side end (this worker's own,
+    # an earlier sibling's) would hold that pipe open after its owner
+    # is gone; without one, a dead process is an EOF to its peer.
+    for parent_end in parent_ends:
+        parent_end.close()
+    sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
+    medium = None
     try:
-        sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
         medium = ShardMedium(sim, propagation_factory(),
                              reception_floor_dbm=reception_floor_dbm,
                              propagation_delay=propagation_delay,
@@ -296,16 +330,19 @@ def _worker_main(conn, shard_index: int, shard_cells, global_indices,
                     payload = (hub.sim_jsonl(), hub.wall_jsonl())
                 conn.send(("stats", shard_index, stats,
                            sim.events_executed, payload))
-                conn.close()
                 return
             else:  # pragma: no cover - protocol guard
                 raise SimulationError(
                     f"shard {shard_index}: unknown message {kind!r}")
-    except BaseException as exc:
+    except Exception:
         try:
-            conn.send(("error", shard_index, f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - pipe already gone
+            conn.send(("error", shard_index, traceback.format_exc(),
+                       sim.now, sim.events_executed,
+                       len(medium.outbox) if medium is not None else 0))
+        except OSError:  # the coordinator is gone: nobody to tell
             pass
+    finally:
+        conn.close()
 
 
 def _merge_telemetry(stream: str, coordinator_text: str,
@@ -331,15 +368,45 @@ def _merge_telemetry(stream: str, coordinator_text: str,
     return "\n".join(lines) + "\n"
 
 
-def _recv(conn, shard: int):
-    """Receive one message, surfacing worker errors/death as ours."""
+def _send(channel: Channel, message: Tuple) -> None:
+    """Send one message to a worker.
+
+    A worker that is gone cannot take it; the :func:`_recv` that always
+    follows reports why (its queued ``error`` message, or its death).
+    """
     try:
-        message = conn.recv()
-    except EOFError:
+        channel.send(message)
+    except OSError:
+        pass
+
+
+def _recv(channel: Channel, process, shard: int,
+          context: Callable[[int], str]):
+    """Receive one worker message within :data:`RECV_DEADLINE_S`.
+
+    A reported error, a dead worker and a silent one all surface as a
+    :class:`SimulationError` naming the shard and ``context(shard)`` —
+    the round, the shard's last fence and its pending records.
+    """
+    try:
+        message = channel.recv(RECV_DEADLINE_S)
+    except TimeoutError:
         raise SimulationError(
-            f"shard {shard}: worker died without reporting an error")
+            f"shard {shard} timed out: no message for "
+            f"{RECV_DEADLINE_S:g} s ({context(shard)})") from None
+    except (EOFError, OSError):
+        process.join(timeout=5)
+        raise SimulationError(
+            f"shard {shard} died without reporting an error (exit code "
+            f"{process.exitcode}; {context(shard)})") from None
     if message[0] == "error":
-        raise SimulationError(f"shard {message[1]} failed: {message[2]}")
+        _, shard, trace, clock, executed, outbox = message
+        # The traceback's last line ("RuntimeError: ...") leads, so the
+        # first line of the report already says who failed and how.
+        summary = trace.rstrip().rsplit("\n", 1)[-1]
+        raise SimulationError(
+            f"shard {shard} failed: {summary} ({context(shard)}; worker "
+            f"clock={clock!r}, events={executed}, outbox={outbox})\n{trace}")
     return message
 
 
@@ -394,7 +461,7 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
             "exists)")
     shard_count = len(plan.shards)
     context = multiprocessing.get_context("fork")
-    connections = []
+    channels: List[Channel] = []
     processes = []
     log = ArrivalLog({
         "seed": seed, "horizon": repr(horizon), "workers": workers,
@@ -411,29 +478,41 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
         "parallel", "round_wall_seconds", wall=True,
         bounds=(0.0001, 0.001, 0.01, 0.1, 1.0, 10.0))
     coordinator_start = perf_counter()
+    clocks = [0.0] * shard_count
+    events = [0] * shard_count
+    done = [False] * shard_count
+    # Boundary records routed to each shard; a shard's list is emptied
+    # once the fence answering the advance that carried it is in.
+    pending: List[List[Tuple]] = [[] for _ in range(shard_count)]
+    rounds = 0
+
+    def context_of(shard: int) -> str:
+        """What a failure report says about where ``shard`` stood."""
+        return (f"round {rounds}, last fence (clock={clocks[shard]!r}, "
+                f"events={events[shard]}), {len(pending[shard])} boundary "
+                f"records pending")
+
     try:
         for index, shard_cells in enumerate(plan.shards):
-            parent_conn, child_conn = context.Pipe(duplex=True)
+            parent_end, child_end = channel_pair()
+            channels.append(parent_end)
             indices = [plan.index_of(cell.name) for cell in shard_cells]
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, index, shard_cells, indices,
-                      plan.export_channels[index], seed, horizon,
+                args=(child_end, list(channels), index, shard_cells,
+                      indices, plan.export_channels[index], seed, horizon,
                       propagation_factory, reception_floor_dbm,
                       propagation_delay, exact, check_invariants,
                       telemetry, telemetry_interval),
                 daemon=True)
-            process.start()
-            child_conn.close()
-            connections.append(parent_conn)
+            try:
+                process.start()
+            finally:
+                child_end.close()
             processes.append(process)
-        for index, conn in enumerate(connections):
-            _recv(conn, index)  # ("ready", index)
+        for index, channel in enumerate(channels):
+            _recv(channel, processes[index], index, context_of)  # "ready"
 
-        clocks = [0.0] * shard_count
-        events = [0] * shard_count
-        done = [False] * shard_count
-        pending: List[List[Tuple]] = [[] for _ in range(shard_count)]
         incoming = [plan.incoming(index) for index in range(shard_count)]
         if lookahead_override is not None:
             incoming = [{src: lookahead_override for src in sources}
@@ -446,7 +525,6 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                     coord.gauge("parallel", "lookahead_seconds",
                                 src=src, dst=dst).set(incoming[dst][src])
         merge_tail: Dict[int, Tuple[float, int]] = {}
-        rounds = 0
         boundary_records = 0
         while not all(done):
             rounds += 1
@@ -468,38 +546,42 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                     f"sharded run deadlocked at round {rounds}: no shard "
                     f"can advance (clocks={clocks!r})")
             for index, bound in advancing:
-                connections[index].send(("advance", bound, pending[index]))
-                pending[index] = []
-            batch: List[BoundaryRecord] = []
+                _send(channels[index], ("advance", bound, pending[index]))
+            # Records stay the plain tuples that crossed the pipe:
+            # (time, shard, seq) is their prefix and the merge key.
+            batch: List[Tuple] = []
             for index, _bound in advancing:
-                message = _recv(connections[index], index)
+                message = _recv(channels[index], processes[index], index,
+                                context_of)
                 _, shard, clock, executed, outbox = message
+                pending[shard] = []
                 clocks[shard] = clock
                 events[shard] = executed
                 log.fence(rounds, shard, clock, executed)
-                batch.extend(BoundaryRecord(*record) for record in outbox)
+                batch.extend(outbox)
                 if clock >= horizon:
                     done[shard] = True
-            batch.sort()  # (time, shard, seq) is the tuple prefix
+            batch.sort()
             InvariantChecker.check_merge_order(batch, merge_tail)
             batch_sizes.observe(float(len(batch)))
             record_counter.inc(len(batch))
             for record in batch:
                 boundary_records += 1
-                dests = plan.routes.get((record.shard, record.channel), ())
+                # record[1] is the source shard, record[7] the channel.
+                dests = plan.routes.get((record[1], record[7]), ())
                 live = [dest for dest in dests if not done[dest]]
                 log.arrival(record, live)
                 for dest in live:
-                    pending[dest].append(tuple(record))
+                    pending[dest].append(record)
             round_wall.observe(perf_counter() - round_start)
 
-        for index, conn in enumerate(connections):
-            conn.send(("finish",))
+        for channel in channels:
+            _send(channel, ("finish",))
         merged: Dict[str, Dict] = {}
         shard_streams: List[Optional[Tuple[str, str]]] = \
             [None] * shard_count
-        for index, conn in enumerate(connections):
-            message = _recv(conn, index)
+        for index, channel in enumerate(channels):
+            message = _recv(channel, processes[index], index, context_of)
             _, shard, stats, executed, shard_telemetry = message
             events[shard] = executed
             log.final(shard, clocks[shard], executed)
@@ -509,11 +591,11 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
             process.join(timeout=30)
     finally:
         for process in processes:
-            if process.is_alive():  # pragma: no cover - cleanup path
+            if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)
-        for conn in connections:
-            conn.close()
+        for channel in channels:
+            channel.close()
 
     result = {
         "cells": {name: merged[name] for name in sorted(merged)},

@@ -2,16 +2,21 @@
 medium, arrival log, coordinator protocol)."""
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
 from repro.core.engine import Simulator
-from repro.core.errors import ConfigurationError, InvariantViolation
+from repro.core.errors import (ConfigurationError, InvariantViolation,
+                               SimulationError)
 from repro.core.topology import Position
 from repro.core.trace import TraceLog
 from repro.mac.addresses import MacAddress
 from repro.parallel import (ArrivalLog, BoundaryRecord, CellSpec,
                             ShardMedium, run_sharded, run_single)
+from repro.parallel import executor
 from repro.parallel.executor import CellBuild
 from repro.phy.channel import ENERGY_ONLY
 from repro.phy.propagation import LogDistance
@@ -160,6 +165,50 @@ class TestArrivalLog:
             return log
         assert build().sha1() == build().sha1()
 
+    #: Floats whose repr is unusual (non-finite, subnormal, signed
+    #: zero, exponent form) and names json must escape.
+    FLOATS = [float("inf"), float("-inf"), 5e-324, -0.0, 1e22, 1e-7,
+              0.1 + 0.2, 123456789.125]
+    SENDERS = ["ap", 'quo"te', "back\\slash", "ctl\x01\n\ttab",
+               "caf\u00e9 \u96fb\u6ce2 \U0001f4e1", ""]
+
+    @staticmethod
+    def _canonical(record):
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("dests", [[], [3], [0, 1, 7]])
+    def test_arrival_lines_equal_canonical_json(self, dests):
+        log = ArrivalLog({})
+        expected = []
+        for index, sender in enumerate(self.SENDERS):
+            start, power, duration = (
+                self.FLOATS[(index + k) % len(self.FLOATS)] for k in range(3))
+            record = (start, index, 10 ** index, sender, 1.5, -2.5, 0.0,
+                      index + 1, power, duration)
+            log.arrival(record, dests)
+            log.arrival(BoundaryRecord(*record), tuple(dests))
+            expected += [self._canonical({
+                "type": "arrival", "time": repr(start), "shard": index,
+                "seq": 10 ** index, "sender": sender, "channel": index + 1,
+                "power_watts": repr(power), "duration": repr(duration),
+                "dests": dests})] * 2
+        assert log.to_jsonl().split("\n")[1:-1] == expected
+
+    def test_fence_and_final_lines_equal_canonical_json(self):
+        log = ArrivalLog({})
+        expected = []
+        for index, clock in enumerate(self.FLOATS):
+            log.fence(index, index + 1, clock, 10 ** index)
+            log.final(index, clock, 10 ** index)
+            expected += [
+                self._canonical({"type": "fence", "round": index,
+                                 "shard": index + 1, "clock": repr(clock),
+                                 "events": 10 ** index}),
+                self._canonical({"type": "final", "shard": index,
+                                 "clock": repr(clock),
+                                 "events": 10 ** index})]
+        assert log.to_jsonl().split("\n")[1:-1] == expected
+
 
 def _counting_build(ctx):
     """A tiny deterministic DES cell: periodic self-traffic."""
@@ -173,6 +222,25 @@ def _counting_build(ctx):
 
     sim.schedule(0.0, tick, 5)
     return lambda: {"draws": draws, "address": str(ctx.address())}
+
+
+def _bursting_build(ctx):
+    """A cell that radiates: seven energy bursts, each one a boundary
+    record when a co-channel cell sits on another shard."""
+    sim, cell = ctx.sim, ctx.cell
+    radio = Radio(f'tx"{cell.name}\\\u00e9', ctx.medium, DOT11B, cell.center,
+                  channel_id=cell.channel)
+    sent = []
+
+    def burst(remaining):
+        power = 0.05 + 0.05 * ctx.rng.stream("burst").random()
+        ctx.medium.transmit_energy(radio, duration=7e-7, power_watts=power)
+        sent.append(power)
+        if remaining > 0:
+            sim.schedule(1.3e-6, burst, remaining - 1)
+
+    sim.schedule(0.0, burst, 6)
+    return lambda: {"sent": sent}
 
 
 class TestExecutors:
@@ -217,11 +285,26 @@ class TestExecutors:
         # lookahead = 80 m / c ~ 267 ns; horizon 10 us => ~38 rounds.
         assert result["rounds"] > 10
 
+    def test_coupled_pair_log_is_pinned(self):
+        # Recorded on the commit before ArrivalLog formatted its own
+        # lines and the coordinator kept records as plain tuples: the
+        # log must not move by a byte.
+        cells = [spec("a", x=0.0, build=_bursting_build),
+                 spec("b", x=100.0, build=_bursting_build)]
+        result = run_sharded(cells, seed=2, horizon=1e-5, workers=2,
+                             propagation_factory=free_space,
+                             manual={"a": 0, "b": 1},
+                             check_invariants=True)
+        assert result["rounds"] == 38
+        assert result["boundary_records"] == 14
+        assert result["events"] == 42
+        assert result["arrival_log_sha1"] \
+            == "7106bd92017064432cf537a1f699e4fa014f6079"
+
     def test_worker_exception_surfaces_with_shard_id(self):
         def broken(ctx):
             raise RuntimeError("boom in builder")
         cells = [spec("a", build=broken)]
-        from repro.core.errors import SimulationError
         with pytest.raises(SimulationError, match="shard 0.*boom"):
             run_sharded(cells, seed=1, horizon=0.01, workers=1,
                         propagation_factory=free_space)
@@ -233,3 +316,66 @@ class TestExecutors:
                              propagation_factory=free_space,
                              check_invariants=True)
         assert result["shards"] == 2
+
+
+def _misbehaving(action):
+    """A bursting cell whose extra callback misbehaves at 2.8 us."""
+    def build(ctx):
+        collect = _bursting_build(ctx)
+        ctx.sim.schedule(2.8e-6, action)
+        return collect
+    return build
+
+
+def _exit_abruptly():
+    os._exit(3)
+
+
+def _spin_forever():
+    while True:
+        time.sleep(0.01)
+
+
+def _raise_in_callback():
+    raise ValueError("bad callback")
+
+
+class TestWorkerFailures:
+    """A crashed, hung or raising shard ends the run with a named
+    error in bounded time and leaves no child process behind."""
+
+    def _run_coupled(self, action):
+        cells = [spec("a", x=0.0, build=_bursting_build),
+                 spec("b", x=100.0, build=_misbehaving(action))]
+        started = time.monotonic()
+        with pytest.raises(SimulationError) as caught:
+            run_sharded(cells, seed=2, horizon=1e-5, workers=2,
+                        propagation_factory=free_space,
+                        manual={"a": 0, "b": 1})
+        assert multiprocessing.active_children() == []
+        return str(caught.value), time.monotonic() - started
+
+    def test_worker_that_exits_mid_run_is_named(self):
+        message, elapsed = self._run_coupled(_exit_abruptly)
+        assert elapsed < 2.0
+        assert "shard 1 died" in message and "exit code 3" in message
+        # 2.8e-6 falls in round 11 (lookahead 80 m / c), whose advance
+        # carried the other cell's 2.6e-6 burst.
+        assert "round 11, last fence (clock=2.6685127615852163e-06, " \
+            "events=7), 1 boundary records pending" in message
+
+    def test_hung_worker_times_out(self, monkeypatch):
+        monkeypatch.setattr(executor, "RECV_DEADLINE_S", 1.0)
+        message, elapsed = self._run_coupled(_spin_forever)
+        assert 1.0 <= elapsed < 5.0
+        assert "shard 1 timed out: no message for 1 s" in message
+        assert "round 11, last fence (clock=" in message
+
+    def test_raising_callback_carries_its_traceback(self):
+        message, elapsed = self._run_coupled(_raise_in_callback)
+        assert elapsed < 2.0
+        assert message.startswith(
+            "shard 1 failed: ValueError: bad callback (round 11, ")
+        assert "boundary records pending; worker clock=2.8e-06, " in message
+        assert "Traceback (most recent call last)" in message
+        assert "in _raise_in_callback" in message
