@@ -8,6 +8,9 @@ works without it — so the build must never be able to fail the install:
 missing headers, exotic platform) into a warning and a pure-Python
 install.  ``python tools/build_kernel.py`` is the convenience wrapper
 for building it in place.
+
+The library itself needs only the standard library.  ``networkx`` is the
+``mesh`` extra: only a mesh-topology ``repro.wpan.ZigbeePan`` imports it.
 """
 
 from setuptools import Extension, setup
@@ -47,4 +50,5 @@ setup(
         ),
     ],
     cmdclass={"build_ext": OptionalBuildExt},
+    extras_require={"mesh": ["networkx"]},
 )

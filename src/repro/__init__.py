@@ -20,28 +20,13 @@ families (``wpan``, ``wman``, ``wwan``), ``security``, ``adversary``,
 ``traffic``, ``mobility``, ``analysis`` and ``scenarios`` alongside.
 """
 
-from . import adversary, analysis, core, mac, mobility, net, parallel, phy
-from . import routing, scenarios, security, traffic, wman, wpan, wwan
-from .core import Simulator
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulator",
-    "__version__",
-    "adversary",
-    "analysis",
-    "core",
-    "mac",
-    "mobility",
-    "net",
-    "parallel",
-    "phy",
-    "routing",
-    "scenarios",
-    "security",
-    "traffic",
-    "wman",
-    "wpan",
-    "wwan",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__, {"core": ("Simulator",)},
+    submodules=("adversary", "analysis", "core", "mac", "mobility", "net",
+                "parallel", "phy", "routing", "scenarios", "security",
+                "traffic", "wman", "wpan", "wwan"))
+__all__.append("__version__")

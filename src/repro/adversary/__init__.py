@@ -22,40 +22,13 @@ grids) live in :mod:`repro.analysis.adversary`;
 perf suite.
 """
 
-from .attacks import (
-    CtsNavAttacker,
-    DeauthFlooder,
-    FrameInjector,
-    MAX_DURATION_US,
-    RogueAp,
-)
-from .emitters import (
-    BluetoothHopper,
-    ConstantJammer,
-    EnergySource,
-    Emitter,
-    MicrowaveOven,
-    PeriodicJammer,
-    ReactiveJammer,
-    SweepingJammer,
-)
-from .monitor import CaptureLog, CaptureRecord, MonitorRadio
+from .._lazy import attach
 
-__all__ = [
-    "BluetoothHopper",
-    "CaptureLog",
-    "CaptureRecord",
-    "ConstantJammer",
-    "CtsNavAttacker",
-    "DeauthFlooder",
-    "Emitter",
-    "EnergySource",
-    "FrameInjector",
-    "MAX_DURATION_US",
-    "MicrowaveOven",
-    "MonitorRadio",
-    "PeriodicJammer",
-    "ReactiveJammer",
-    "RogueAp",
-    "SweepingJammer",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "attacks": ("CtsNavAttacker", "DeauthFlooder", "FrameInjector",
+        "MAX_DURATION_US", "RogueAp"),
+    "emitters": ("BluetoothHopper", "ConstantJammer", "Emitter",
+        "EnergySource", "MicrowaveOven", "PeriodicJammer", "ReactiveJammer",
+        "SweepingJammer"),
+    "monitor": ("CaptureLog", "CaptureRecord", "MonitorRadio"),
+})

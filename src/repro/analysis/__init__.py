@@ -1,94 +1,22 @@
 """Metrics, airtime, mesh paths, adversarial impact, table rendering."""
 
-from .adversary import (
-    AttackImpact,
-    aggregate_impact,
-    duty_cycle_sweep,
-    per_station_impact,
-    render_duty_curve,
-    render_impact_table,
-    render_pdr_grid,
-    spatial_pdr_grid,
-)
-from .airtime import AirtimeReport, SourceAirtime
-from .campaign import (
-    EnsembleStat,
-    Mismatch,
-    compare_stats,
-    differential_gate,
-    ensemble,
-    ensemble_table,
-    group_rows,
-    render_ensemble_table,
-    render_sweep_curve,
-    sweep_curve,
-    t_critical,
-)
-from .mesh import (
-    aggregate_mesh_counters,
-    connectivity_graph,
-    mesh_hop_histogram,
-    path_stretch,
-    per_link_airtime,
-    per_link_load,
-    shortest_hop_count,
-)
-from .metrics import (
-    aggregate_throughput_bps,
-    bianchi_saturation_throughput,
-    bianchi_tau,
-    delay_percentiles,
-    jain_fairness,
-)
-from .resilience import (
-    ReassociationProbe,
-    pdr_timeline,
-    recovery_time,
-    route_repair_time,
-    steady_state_pdr,
-)
-from .tables import format_value, render_series, render_table
+from .._lazy import attach
 
-__all__ = [
-    "AirtimeReport",
-    "AttackImpact",
-    "EnsembleStat",
-    "Mismatch",
-    "ReassociationProbe",
-    "SourceAirtime",
-    "aggregate_impact",
-    "aggregate_mesh_counters",
-    "aggregate_throughput_bps",
-    "bianchi_saturation_throughput",
-    "bianchi_tau",
-    "compare_stats",
-    "connectivity_graph",
-    "delay_percentiles",
-    "differential_gate",
-    "duty_cycle_sweep",
-    "ensemble",
-    "ensemble_table",
-    "format_value",
-    "group_rows",
-    "jain_fairness",
-    "mesh_hop_histogram",
-    "path_stretch",
-    "pdr_timeline",
-    "per_link_airtime",
-    "per_link_load",
-    "per_station_impact",
-    "recovery_time",
-    "render_duty_curve",
-    "render_ensemble_table",
-    "render_impact_table",
-    "render_pdr_grid",
-    "render_series",
-    "render_sweep_curve",
-    "render_table",
-    "route_repair_time",
-    "shortest_hop_count",
-    "spatial_pdr_grid",
-    "steady_state_pdr",
-    "sweep_curve",
-    "t_critical",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "adversary": ("AttackImpact", "aggregate_impact", "duty_cycle_sweep",
+        "per_station_impact", "render_duty_curve", "render_impact_table",
+        "render_pdr_grid", "spatial_pdr_grid"),
+    "airtime": ("AirtimeReport", "SourceAirtime"),
+    "campaign": ("EnsembleStat", "Mismatch", "compare_stats",
+        "differential_gate", "ensemble", "ensemble_table", "group_rows",
+        "render_ensemble_table", "render_sweep_curve", "sweep_curve",
+        "t_critical"),
+    "mesh": ("aggregate_mesh_counters", "connectivity_graph",
+        "mesh_hop_histogram", "path_stretch", "per_link_airtime",
+        "per_link_load", "shortest_hop_count"),
+    "metrics": ("aggregate_throughput_bps", "bianchi_saturation_throughput",
+        "bianchi_tau", "delay_percentiles", "jain_fairness"),
+    "resilience": ("ReassociationProbe", "pdr_timeline", "recovery_time",
+        "route_repair_time", "steady_state_pdr"),
+    "tables": ("format_value", "render_series", "render_table"),
+})

@@ -23,31 +23,14 @@ into data:
 mean/CI ensemble tables and sweep curves.
 """
 
-from .executor import CampaignResult, run_campaign
-from .grid import Job, expand_grid, grid_sha1
-from .manifest import Manifest
-from .runner import BUILDERS, run_job
-from .spec import (SCHEMA_DOC, SpecError, canonical_json, load_spec,
-                   spec_sha1, validate_spec)
-from .store import StoreWriter, csv_text, read_store, row_line
+from .._lazy import attach
 
-__all__ = [
-    "BUILDERS",
-    "CampaignResult",
-    "Job",
-    "Manifest",
-    "SCHEMA_DOC",
-    "SpecError",
-    "StoreWriter",
-    "canonical_json",
-    "csv_text",
-    "expand_grid",
-    "grid_sha1",
-    "load_spec",
-    "read_store",
-    "row_line",
-    "run_campaign",
-    "run_job",
-    "spec_sha1",
-    "validate_spec",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "executor": ("CampaignResult", "run_campaign"),
+    "grid": ("Job", "expand_grid", "grid_sha1"),
+    "manifest": ("Manifest",),
+    "runner": ("BUILDERS", "run_job"),
+    "spec": ("SCHEMA_DOC", "SpecError", "canonical_json", "load_spec",
+        "spec_sha1", "validate_spec"),
+    "store": ("StoreWriter", "csv_text", "read_store", "row_line"),
+})

@@ -21,7 +21,6 @@ from .. import scenarios
 from ..adversary.emitters import (BluetoothHopper, ConstantJammer,
                                   MicrowaveOven, PeriodicJammer,
                                   ReactiveJammer)
-from ..analysis.mesh import aggregate_mesh_counters
 from ..core.engine import Simulator
 from ..core.topology import Position
 from ..core.trace import TraceLog
@@ -237,6 +236,9 @@ def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any]
 
 def _run_mesh(sim: Simulator, spec: Dict[str, Any],
               positions, chain: bool) -> Dict[str, Any]:
+    # Like DsdvRouting below and run_single under city_cells: what only
+    # one builder needs is imported when that builder starts building.
+    from ..analysis.mesh import aggregate_mesh_counters
     params = spec["scenario"]["params"]
     traffic = spec["traffic"]
     protocol = params.get("protocol", "dsdv")

@@ -1,78 +1,18 @@
 """Core discrete-event simulation kernel and shared utilities."""
 
-from .energy import EnergyMeter, PowerProfile
-from .engine import (
-    KERNELS,
-    EventHandle,
-    PeriodicTask,
-    Simulator,
-    ckernel_available,
-    default_kernel,
-    resolve_kernel,
-)
-from .errors import (
-    AuthenticationError,
-    ConfigurationError,
-    FrameError,
-    IntegrityError,
-    LinkError,
-    ProtocolError,
-    ReplayError,
-    ReproError,
-    SchedulingError,
-    SecurityError,
-    SimulationError,
-)
-from .rng import RngRegistry
-from .stats import Counter, SampleStat, TimeWeightedStat, jain_fairness
-from .topology import (
-    ORIGIN,
-    Position,
-    circle_layout,
-    grid_layout,
-    hexagonal_cell_centers,
-    line_layout,
-    nearest,
-    random_disc_layout,
-)
-from .trace import TraceLog, TraceRecord
-from . import units
+from .._lazy import attach
 
-__all__ = [
-    "AuthenticationError",
-    "ConfigurationError",
-    "Counter",
-    "EnergyMeter",
-    "EventHandle",
-    "FrameError",
-    "IntegrityError",
-    "KERNELS",
-    "LinkError",
-    "ORIGIN",
-    "PeriodicTask",
-    "Position",
-    "PowerProfile",
-    "ProtocolError",
-    "ReplayError",
-    "ReproError",
-    "RngRegistry",
-    "SampleStat",
-    "SchedulingError",
-    "SecurityError",
-    "SimulationError",
-    "Simulator",
-    "TimeWeightedStat",
-    "TraceLog",
-    "TraceRecord",
-    "ckernel_available",
-    "circle_layout",
-    "default_kernel",
-    "grid_layout",
-    "hexagonal_cell_centers",
-    "jain_fairness",
-    "line_layout",
-    "nearest",
-    "random_disc_layout",
-    "resolve_kernel",
-    "units",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "energy": ("EnergyMeter", "PowerProfile"),
+    "engine": ("EventHandle", "KERNELS", "PeriodicTask", "Simulator",
+        "ckernel_available", "default_kernel", "resolve_kernel"),
+    "errors": ("AuthenticationError", "ConfigurationError", "FrameError",
+        "IntegrityError", "LinkError", "ProtocolError", "ReplayError",
+        "ReproError", "SchedulingError", "SecurityError", "SimulationError"),
+    "rng": ("RngRegistry",),
+    "stats": ("Counter", "SampleStat", "TimeWeightedStat", "jain_fairness"),
+    "topology": ("ORIGIN", "Position", "circle_layout", "grid_layout",
+        "hexagonal_cell_centers", "line_layout", "nearest",
+        "random_disc_layout"),
+    "trace": ("TraceLog", "TraceRecord"),
+}, submodules=("units",))

@@ -20,19 +20,10 @@ dedicated named RNG streams, so adding a fault schedule never perturbs
 MAC backoff, PHY error, or routing jitter draws.
 """
 
-from .injectors import DegradedPropagation, LinkFader, inject_queue_pressure
-from .invariants import InvariantChecker, NAV_MAX_LEGAL, Violation
-from .schedule import ChaosMonkey, FaultLog, FaultRecord, FaultSchedule
+from .._lazy import attach
 
-__all__ = [
-    "ChaosMonkey",
-    "DegradedPropagation",
-    "FaultLog",
-    "FaultRecord",
-    "FaultSchedule",
-    "InvariantChecker",
-    "LinkFader",
-    "NAV_MAX_LEGAL",
-    "Violation",
-    "inject_queue_pressure",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "injectors": ("DegradedPropagation", "LinkFader", "inject_queue_pressure"),
+    "invariants": ("InvariantChecker", "NAV_MAX_LEGAL", "Violation"),
+    "schedule": ("ChaosMonkey", "FaultLog", "FaultRecord", "FaultSchedule"),
+})

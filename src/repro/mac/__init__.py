@@ -1,85 +1,23 @@
 """IEEE 802.11 MAC: frames, DCF, fragmentation, dedup, rate adaptation."""
 
-from .addresses import BROADCAST, MacAddress, allocate_address, reset_allocator
-from .backoff import BackoffWindow
-from .dcf import DcfConfig, DcfMac, MacListener
-from .dedup import DuplicateCache
-from .fcs import crc32, fcs_bytes, verify_fcs
-from .fragmentation import Fragment, Reassembler, fragment_payload
-from .frames import (
-    ACK_SIZE_BYTES,
-    CTS_SIZE_BYTES,
-    ControlSubtype,
-    DataSubtype,
-    Dot11Frame,
-    FrameControl,
-    FrameType,
-    MAX_FRAGMENTS,
-    ManagementSubtype,
-    RTS_SIZE_BYTES,
-    SEQUENCE_MODULO,
-    SequenceControl,
-    make_ack,
-    make_cts,
-    make_data,
-    make_management,
-    make_null,
-    make_ps_poll,
-    make_rts,
-)
-from .nav import Nav
-from .queueing import DropTailQueue, Msdu
-from .rate_adapt import (
-    Aarf,
-    Arf,
-    FixedRate,
-    IdealSnr,
-    RateController,
-    fixed_rate_factory,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ACK_SIZE_BYTES",
-    "Aarf",
-    "Arf",
-    "BROADCAST",
-    "BackoffWindow",
-    "CTS_SIZE_BYTES",
-    "ControlSubtype",
-    "DataSubtype",
-    "DcfConfig",
-    "DcfMac",
-    "Dot11Frame",
-    "DropTailQueue",
-    "DuplicateCache",
-    "FixedRate",
-    "Fragment",
-    "FrameControl",
-    "FrameType",
-    "IdealSnr",
-    "MAX_FRAGMENTS",
-    "MacAddress",
-    "MacListener",
-    "ManagementSubtype",
-    "Msdu",
-    "Nav",
-    "RTS_SIZE_BYTES",
-    "RateController",
-    "Reassembler",
-    "SEQUENCE_MODULO",
-    "SequenceControl",
-    "allocate_address",
-    "crc32",
-    "fcs_bytes",
-    "fixed_rate_factory",
-    "fragment_payload",
-    "make_ack",
-    "make_cts",
-    "make_data",
-    "make_management",
-    "make_null",
-    "make_ps_poll",
-    "make_rts",
-    "reset_allocator",
-    "verify_fcs",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "addresses": ("BROADCAST", "MacAddress", "allocate_address",
+        "reset_allocator"),
+    "backoff": ("BackoffWindow",),
+    "dcf": ("DcfConfig", "DcfMac", "MacListener"),
+    "dedup": ("DuplicateCache",),
+    "fcs": ("crc32", "fcs_bytes", "verify_fcs"),
+    "fragmentation": ("Fragment", "Reassembler", "fragment_payload"),
+    "frames": ("ACK_SIZE_BYTES", "CTS_SIZE_BYTES", "ControlSubtype",
+        "DataSubtype", "Dot11Frame", "FrameControl", "FrameType",
+        "MAX_FRAGMENTS", "ManagementSubtype", "RTS_SIZE_BYTES",
+        "SEQUENCE_MODULO", "SequenceControl", "make_ack", "make_cts",
+        "make_data", "make_management", "make_null", "make_ps_poll",
+        "make_rts"),
+    "nav": ("Nav",),
+    "queueing": ("DropTailQueue", "Msdu"),
+    "rate_adapt": ("Aarf", "Arf", "FixedRate", "IdealSnr", "RateController",
+        "fixed_rate_factory"),
+})

@@ -1,15 +1,8 @@
 """Mobility models: static, linear, random waypoint."""
 
-from .models import (
-    LinearMobility,
-    MobilityModel,
-    RandomWaypoint,
-    StaticMobility,
-)
+from .._lazy import attach
 
-__all__ = [
-    "LinearMobility",
-    "MobilityModel",
-    "RandomWaypoint",
-    "StaticMobility",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "models": ("LinearMobility", "MobilityModel", "RandomWaypoint",
+        "StaticMobility"),
+})

@@ -1,61 +1,18 @@
 """802.11 network architecture: devices, APs, stations, BSS/ESS, DS."""
 
-from .ap import AccessPoint, AssociationRecord, DEFAULT_BEACON_INTERVAL_TU, TU_SECONDS
-from .bss import (
-    BasicServiceSet,
-    ExtendedServiceSet,
-    IndependentBss,
-    generate_ibss_bssid,
-)
-from .device import WirelessDevice
-from .ds import DistributionSystem
-from .elements import (
-    AssocRequestBody,
-    AssocResponseBody,
-    AuthBody,
-    AUTH_OPEN_SYSTEM,
-    AUTH_SHARED_KEY,
-    BeaconBody,
-    CAP_ESS,
-    CAP_IBSS,
-    CAP_PRIVACY,
-    STATUS_REFUSED,
-    STATUS_SUCCESS,
-    decode_ies,
-    encode_ie,
-    find_ie,
-)
-from .roaming import BeaconObservation, BeaconTracker, RoamingPolicy
-from .station import Station, StationState
+from .._lazy import attach
 
-__all__ = [
-    "AUTH_OPEN_SYSTEM",
-    "AUTH_SHARED_KEY",
-    "AccessPoint",
-    "AssocRequestBody",
-    "AssocResponseBody",
-    "AssociationRecord",
-    "AuthBody",
-    "BasicServiceSet",
-    "BeaconBody",
-    "BeaconObservation",
-    "BeaconTracker",
-    "CAP_ESS",
-    "CAP_IBSS",
-    "CAP_PRIVACY",
-    "DEFAULT_BEACON_INTERVAL_TU",
-    "DistributionSystem",
-    "ExtendedServiceSet",
-    "IndependentBss",
-    "RoamingPolicy",
-    "STATUS_REFUSED",
-    "STATUS_SUCCESS",
-    "Station",
-    "StationState",
-    "TU_SECONDS",
-    "WirelessDevice",
-    "decode_ies",
-    "encode_ie",
-    "find_ie",
-    "generate_ibss_bssid",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "ap": ("AccessPoint", "AssociationRecord", "DEFAULT_BEACON_INTERVAL_TU",
+        "TU_SECONDS"),
+    "bss": ("BasicServiceSet", "ExtendedServiceSet", "IndependentBss",
+        "generate_ibss_bssid"),
+    "device": ("WirelessDevice",),
+    "ds": ("DistributionSystem",),
+    "elements": ("AUTH_OPEN_SYSTEM", "AUTH_SHARED_KEY", "AssocRequestBody",
+        "AssocResponseBody", "AuthBody", "BeaconBody", "CAP_ESS", "CAP_IBSS",
+        "CAP_PRIVACY", "STATUS_REFUSED", "STATUS_SUCCESS", "decode_ies",
+        "encode_ie", "find_ie"),
+    "roaming": ("BeaconObservation", "BeaconTracker", "RoamingPolicy"),
+    "station": ("Station", "StationState"),
+})

@@ -13,21 +13,11 @@ See README, "Sharded execution", for the determinism contract and the
 partitioning rules.
 """
 
-from .executor import ArrivalLog, CellBuild, run_sharded, run_single
-from .partition import (CellSpec, Coupling, ShardPlan, find_couplings,
-                        partition_cells)
-from .shard import BoundaryRecord, ShardMedium
+from .._lazy import attach
 
-__all__ = [
-    "ArrivalLog",
-    "BoundaryRecord",
-    "CellBuild",
-    "CellSpec",
-    "Coupling",
-    "ShardMedium",
-    "ShardPlan",
-    "find_couplings",
-    "partition_cells",
-    "run_sharded",
-    "run_single",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "executor": ("ArrivalLog", "CellBuild", "run_sharded", "run_single"),
+    "partition": ("CellSpec", "Coupling", "ShardPlan", "find_couplings",
+        "partition_cells"),
+    "shard": ("BoundaryRecord", "ShardMedium"),
+})

@@ -65,6 +65,7 @@ from ..faults.invariants import InvariantChecker
 from ..mac.addresses import MacAddress
 from ..phy.channel import Medium
 from ..phy.propagation import PropagationModel
+from ..telemetry.export import to_jsonl
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.probes import Telemetry
 from .channel import Channel, channel_pair
@@ -608,7 +609,6 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
         "plan": plan,
     }
     if telemetry:
-        from ..telemetry.export import to_jsonl
         coord.gauge("parallel", "coordinator_wall_seconds",
                     wall=True).set(perf_counter() - coordinator_start)
         result["telemetry_jsonl"] = _merge_telemetry(

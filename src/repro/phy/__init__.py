@@ -1,70 +1,17 @@
 """Physical layer: propagation, modulation, standards, medium, radios."""
 
-from .channel import ENERGY_ONLY, Medium, Transmission
-from .error_models import (
-    BerErrorModel,
-    ErrorModel,
-    FixedPerErrorModel,
-    SnrThresholdErrorModel,
-)
-from .interference import CaptureModel, SinrTracker
-from .modulation import Modulation, q_function
-from .propagation import (
-    FixedLoss,
-    FreeSpace,
-    LogDistance,
-    PropagationModel,
-    RangePropagation,
-    Shadowing,
-    TwoRayGround,
-    max_range_for_budget,
-)
-from .standards import (
-    DOT11A,
-    DOT11AC,
-    DOT11B,
-    DOT11G,
-    DOT11N,
-    DOT11_LEGACY,
-    PhyMode,
-    PhyStandard,
-    STANDARDS,
-    get_standard,
-)
-from .transceiver import PhyListener, Radio, RadioConfig, RadioState
+from .._lazy import attach
 
-__all__ = [
-    "BerErrorModel",
-    "ENERGY_ONLY",
-    "CaptureModel",
-    "DOT11A",
-    "DOT11AC",
-    "DOT11B",
-    "DOT11G",
-    "DOT11N",
-    "DOT11_LEGACY",
-    "ErrorModel",
-    "FixedLoss",
-    "FixedPerErrorModel",
-    "FreeSpace",
-    "LogDistance",
-    "Medium",
-    "Modulation",
-    "PhyListener",
-    "PhyMode",
-    "PhyStandard",
-    "PropagationModel",
-    "q_function",
-    "Radio",
-    "RadioConfig",
-    "RadioState",
-    "RangePropagation",
-    "STANDARDS",
-    "Shadowing",
-    "SinrTracker",
-    "SnrThresholdErrorModel",
-    "Transmission",
-    "TwoRayGround",
-    "get_standard",
-    "max_range_for_budget",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "channel": ("ENERGY_ONLY", "Medium", "Transmission"),
+    "error_models": ("BerErrorModel", "ErrorModel", "FixedPerErrorModel",
+        "SnrThresholdErrorModel"),
+    "interference": ("CaptureModel", "SinrTracker"),
+    "modulation": ("Modulation", "q_function"),
+    "propagation": ("FixedLoss", "FreeSpace", "LogDistance",
+        "PropagationModel", "RangePropagation", "Shadowing", "TwoRayGround",
+        "max_range_for_budget"),
+    "standards": ("DOT11A", "DOT11AC", "DOT11B", "DOT11G", "DOT11N",
+        "DOT11_LEGACY", "PhyMode", "PhyStandard", "STANDARDS", "get_standard"),
+    "transceiver": ("PhyListener", "Radio", "RadioConfig", "RadioState"),
+})

@@ -20,28 +20,14 @@ Topology builders live in :mod:`repro.scenarios`
 mesh-specific metrics in :mod:`repro.analysis.mesh`.
 """
 
-from .dsdv import DsdvConfig, DsdvRouting
-from .gateway import MeshGateway
-from .node import MeshConfig, MeshNode
-from .packet import (FLAG_FROM_DS, INFINITE_METRIC, MESH_HEADER_SIZE,
-                     MeshHeader, decode_dsdv_update, decode_mesh,
-                     encode_dsdv_update)
-from .protocol import RouteEntry, RoutingProtocol, StaticRouting
+from .._lazy import attach
 
-__all__ = [
-    "DsdvConfig",
-    "DsdvRouting",
-    "FLAG_FROM_DS",
-    "INFINITE_METRIC",
-    "MESH_HEADER_SIZE",
-    "MeshConfig",
-    "MeshGateway",
-    "MeshHeader",
-    "MeshNode",
-    "RouteEntry",
-    "RoutingProtocol",
-    "StaticRouting",
-    "decode_dsdv_update",
-    "decode_mesh",
-    "encode_dsdv_update",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "dsdv": ("DsdvConfig", "DsdvRouting"),
+    "gateway": ("MeshGateway",),
+    "node": ("MeshConfig", "MeshNode"),
+    "packet": ("FLAG_FROM_DS", "INFINITE_METRIC", "MESH_HEADER_SIZE",
+        "MeshHeader", "decode_dsdv_update", "decode_mesh",
+        "encode_dsdv_update"),
+    "protocol": ("RouteEntry", "RoutingProtocol", "StaticRouting"),
+})

@@ -1,114 +1,29 @@
 """Link-layer security: ciphers, suites, key management, attack harness."""
 
-from .aes import Aes128, BLOCK_SIZE, expand_key
-from .audit import (
-    AttackReport,
-    audit_ccmp,
-    audit_open,
-    audit_tkip,
-    audit_wep,
-    audit_wps,
-    ranking_reports,
-    verify_text_ranking,
-)
-from .ccmp import CCMP_OVERHEAD, CcmpCipher, ccm_decrypt, ccm_encrypt
-from .handshake import (
-    FourWayHandshake,
-    HandshakeResult,
-    PairwiseKeys,
-    WpsRegistrar,
-    derive_psk,
-    derive_ptk,
-    make_wps_pin,
-    prf,
-    wps_checksum_digit,
-    wps_pin_attack,
-)
-from .michael import MIC_LEN, MichaelCountermeasures, michael
-from .rc4 import crypt as rc4_crypt
-from .rc4 import keystream as rc4_keystream
-from .rc4 import ksa, prga
-from .shared_key_auth import (
-    CHALLENGE_LEN,
-    CapturedExchange,
-    KeystreamThief,
-    SharedKeyAuthenticator,
-    SharedKeyClient,
-    run_legitimate_exchange,
-)
-from .suites import (
-    LinkSecurity,
-    SUITE_OVERHEAD,
-    SecuritySuite,
-    build_link_security,
-)
-from .tkip import TKIP_OVERHEAD, TkipCipher, phase1_mix, phase2_mix
-from .wep import (
-    FmsAttack,
-    WEP_OVERHEAD,
-    WeakIvSample,
-    WeakIvTrafficOracle,
-    WepCipher,
-    crack_wep,
-    first_keystream_byte,
-    forge_bitflip,
-    is_weak_iv,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Aes128",
-    "AttackReport",
-    "BLOCK_SIZE",
-    "CHALLENGE_LEN",
-    "CapturedExchange",
-    "KeystreamThief",
-    "SharedKeyAuthenticator",
-    "SharedKeyClient",
-    "run_legitimate_exchange",
-    "CCMP_OVERHEAD",
-    "CcmpCipher",
-    "FmsAttack",
-    "FourWayHandshake",
-    "HandshakeResult",
-    "LinkSecurity",
-    "MIC_LEN",
-    "MichaelCountermeasures",
-    "PairwiseKeys",
-    "SUITE_OVERHEAD",
-    "SecuritySuite",
-    "TKIP_OVERHEAD",
-    "TkipCipher",
-    "WEP_OVERHEAD",
-    "WeakIvSample",
-    "WeakIvTrafficOracle",
-    "WepCipher",
-    "WpsRegistrar",
-    "audit_ccmp",
-    "audit_open",
-    "audit_tkip",
-    "audit_wep",
-    "audit_wps",
-    "build_link_security",
-    "ccm_decrypt",
-    "ccm_encrypt",
-    "crack_wep",
-    "derive_psk",
-    "derive_ptk",
-    "expand_key",
-    "first_keystream_byte",
-    "forge_bitflip",
-    "is_weak_iv",
-    "ksa",
-    "make_wps_pin",
-    "michael",
-    "phase1_mix",
-    "phase2_mix",
-    "prf",
-    "prga",
-    "ranking_reports",
-    "rc4_crypt",
-    "rc4_keystream",
-    "verify_text_ranking",
-    "wps_checksum_digit",
-    "wps_pin_attack",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "aes": ("Aes128", "BLOCK_SIZE", "expand_key"),
+    "audit": ("AttackReport", "audit_ccmp", "audit_open", "audit_tkip",
+        "audit_wep", "audit_wps", "ranking_reports", "verify_text_ranking"),
+    "ccmp": ("CCMP_OVERHEAD", "CcmpCipher", "ccm_decrypt", "ccm_encrypt"),
+    "handshake": ("FourWayHandshake", "HandshakeResult", "PairwiseKeys",
+        "WpsRegistrar", "derive_psk", "derive_ptk", "make_wps_pin", "prf",
+        "wps_checksum_digit", "wps_pin_attack"),
+    "michael": ("MIC_LEN", "MichaelCountermeasures", "michael"),
+    "rc4": ("ksa", "prga", "crypt as rc4_crypt", "keystream as rc4_keystream"),
+    "shared_key_auth": ("CHALLENGE_LEN", "CapturedExchange",
+        "KeystreamThief", "SharedKeyAuthenticator", "SharedKeyClient",
+        "run_legitimate_exchange"),
+    "suites": ("LinkSecurity", "SUITE_OVERHEAD", "SecuritySuite",
+        "build_link_security"),
+    "tkip": ("TKIP_OVERHEAD", "TkipCipher", "phase1_mix", "phase2_mix"),
+    "wep": ("FmsAttack", "WEP_OVERHEAD", "WeakIvSample",
+        "WeakIvTrafficOracle", "WepCipher", "crack_wep",
+        "first_keystream_byte", "forge_bitflip", "is_weak_iv"),
+})
+
+# The one export that shares its submodule's name.  Bound now: resolved
+# lazily, ``security.michael`` would be the function or the module
+# depending on whether anything had imported ``.michael`` first.
+from .michael import michael  # noqa: E402

@@ -20,19 +20,15 @@ wall-clock metrics (``wall=True``) live in a separate stream that
 ``tools/capture_golden.py`` and the perf regression gate never compare.
 """
 
-from .export import (parse_jsonl, render_table, summary_table, to_jsonl,
-                     to_prometheus)
-from .metrics import (CounterMetric, GaugeMetric, HistogramMetric,
-                      MetricsRegistry, NULL_METRIC, PeriodicSampler,
-                      format_key, make_key)
-from .probes import (KernelDispatchProbe, MacFleetProbe, MediumProbe,
-                     RadioFleetProbe, Telemetry, record_fault_spans)
-from .spans import FrameSpanTracker, Span, SpanLog
+from .._lazy import attach
 
-__all__ = [
-    "CounterMetric", "FrameSpanTracker", "GaugeMetric", "HistogramMetric",
-    "KernelDispatchProbe", "MacFleetProbe", "MediumProbe", "MetricsRegistry",
-    "NULL_METRIC", "PeriodicSampler", "RadioFleetProbe", "Span", "SpanLog",
-    "Telemetry", "format_key", "make_key", "parse_jsonl", "record_fault_spans",
-    "render_table", "summary_table", "to_jsonl", "to_prometheus",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "export": ("parse_jsonl", "render_table", "summary_table", "to_jsonl",
+        "to_prometheus"),
+    "metrics": ("CounterMetric", "GaugeMetric", "HistogramMetric",
+        "MetricsRegistry", "NULL_METRIC", "PeriodicSampler", "format_key",
+        "make_key"),
+    "probes": ("KernelDispatchProbe", "MacFleetProbe", "MediumProbe",
+        "RadioFleetProbe", "Telemetry", "record_fault_spans"),
+    "spans": ("FrameSpanTracker", "Span", "SpanLog"),
+})

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.engine import Simulator, Timer
 from ..core.errors import SimulationError
+from .export import summary_table, to_jsonl
 from .metrics import MetricsRegistry, PeriodicSampler
 from .spans import FrameSpanTracker, Span, SpanLog
 
@@ -429,14 +430,11 @@ class Telemetry:
 
     def sim_jsonl(self) -> str:
         """Canonical sim-time stream (byte-identical run-to-run)."""
-        from .export import to_jsonl
         return to_jsonl(self.registry, spans=self.spans, stream="sim")
 
     def wall_jsonl(self) -> str:
         """The wall-clock stream — machine noise, never gated."""
-        from .export import to_jsonl
         return to_jsonl(self.registry, spans=None, stream="wall")
 
     def summary(self) -> Dict[str, Any]:
-        from .export import summary_table
         return summary_table(self.registry, spans=self.spans)

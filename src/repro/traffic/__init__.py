@@ -1,24 +1,9 @@
 """Traffic generation and measurement sinks."""
 
-from .generators import (
-    BulkTransferSource,
-    CbrSource,
-    HEADER_SIZE,
-    OnOffSource,
-    PoissonSource,
-    decode_packet,
-    encode_packet,
-)
-from .sink import FlowStats, TrafficSink
+from .._lazy import attach
 
-__all__ = [
-    "BulkTransferSource",
-    "CbrSource",
-    "FlowStats",
-    "HEADER_SIZE",
-    "OnOffSource",
-    "PoissonSource",
-    "TrafficSink",
-    "decode_packet",
-    "encode_packet",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "generators": ("BulkTransferSource", "CbrSource", "HEADER_SIZE",
+        "OnOffSource", "PoissonSource", "decode_packet", "encode_packet"),
+    "sink": ("FlowStats", "TrafficSink"),
+})

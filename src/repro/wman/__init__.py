@@ -1,21 +1,9 @@
 """WMAN substrate: the WiMAX-like scheduled point-to-multipoint MAC."""
 
-from .wimax import (
-    BURST_PROFILES,
-    DL_FRACTION,
-    FRAME_TIME,
-    FRAMING_EFFICIENCY,
-    SubscriberStation,
-    WimaxBand,
-    WimaxBaseStation,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BURST_PROFILES",
-    "DL_FRACTION",
-    "FRAME_TIME",
-    "FRAMING_EFFICIENCY",
-    "SubscriberStation",
-    "WimaxBand",
-    "WimaxBaseStation",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "wimax": ("BURST_PROFILES", "DL_FRACTION", "FRAME_TIME",
+        "FRAMING_EFFICIENCY", "SubscriberStation", "WimaxBand",
+        "WimaxBaseStation"),
+})

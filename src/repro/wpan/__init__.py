@@ -1,73 +1,15 @@
 """WPAN substrates: Bluetooth, ZigBee, IrDA, UWB."""
 
-from .bluetooth import (
-    BluetoothDevice,
-    DH1,
-    DH3,
-    DH5,
-    DeviceClass,
-    HV3,
-    HV3_INTERVAL_PAIRS,
-    MAX_ACTIVE_SLAVES,
-    PacketType,
-    Piconet,
-    POLL,
-    SLOT_TIME,
-    ScatternetBridge,
-)
-from .irda import (
-    DISCOVERY_RATE_BPS,
-    HALF_ANGLE_RAD,
-    IRDA_RATES_BPS,
-    IrdaDevice,
-    IrdaLink,
-    MAX_RANGE_M,
-)
-from .uwb import (
-    EUROPE,
-    PSD_LIMIT_DBM_PER_MHZ,
-    USA,
-    UWB_RATE_LADDER,
-    UwbLink,
-    UwbRegulatoryDomain,
-)
-from .zigbee import (
-    DATA_RATE_BPS,
-    DeviceType,
-    Topology,
-    ZigbeeNode,
-    ZigbeePan,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BluetoothDevice",
-    "DATA_RATE_BPS",
-    "DH1",
-    "DH3",
-    "DH5",
-    "DISCOVERY_RATE_BPS",
-    "DeviceClass",
-    "DeviceType",
-    "EUROPE",
-    "HALF_ANGLE_RAD",
-    "HV3",
-    "HV3_INTERVAL_PAIRS",
-    "IRDA_RATES_BPS",
-    "IrdaDevice",
-    "IrdaLink",
-    "MAX_ACTIVE_SLAVES",
-    "MAX_RANGE_M",
-    "PSD_LIMIT_DBM_PER_MHZ",
-    "PacketType",
-    "Piconet",
-    "POLL",
-    "SLOT_TIME",
-    "ScatternetBridge",
-    "Topology",
-    "USA",
-    "UWB_RATE_LADDER",
-    "UwbLink",
-    "UwbRegulatoryDomain",
-    "ZigbeeNode",
-    "ZigbeePan",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "bluetooth": ("BluetoothDevice", "DH1", "DH3", "DH5", "DeviceClass",
+        "HV3", "HV3_INTERVAL_PAIRS", "MAX_ACTIVE_SLAVES", "POLL",
+        "PacketType", "Piconet", "SLOT_TIME", "ScatternetBridge"),
+    "irda": ("DISCOVERY_RATE_BPS", "HALF_ANGLE_RAD", "IRDA_RATES_BPS",
+        "IrdaDevice", "IrdaLink", "MAX_RANGE_M"),
+    "uwb": ("EUROPE", "PSD_LIMIT_DBM_PER_MHZ", "USA", "UWB_RATE_LADDER",
+        "UwbLink", "UwbRegulatoryDomain"),
+    "zigbee": ("DATA_RATE_BPS", "DeviceType", "Topology", "ZigbeeNode",
+        "ZigbeePan"),
+})

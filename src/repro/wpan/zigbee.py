@@ -19,6 +19,8 @@ transmissions overlapping in time at a receiver collide.
 Routing is computed on the connectivity graph (mesh: shortest path over
 FFDs via :mod:`networkx`; tree: up to the common ancestor and down) and
 frames hop node by node, each hop running its own CSMA-CA + ACK.
+:mod:`networkx` is an optional dependency (the ``mesh`` extra) that only
+a mesh-topology PAN needs; it is imported when one is constructed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError, ProtocolError
@@ -113,7 +113,19 @@ class ZigbeePan:
         self.hop_counts = SampleStat()
         self._rng = sim.rng.stream("zigbee")
         self._active: List[_Transmission] = []
-        self._graph: Optional[nx.Graph] = None
+        self._graph: Any = None  # networkx.Graph, mesh topology only
+        self._nx: Any = None
+        if topology == Topology.MESH:
+            # Here, in the build phase, not at the first route(): a run
+            # must not import, and a missing extra must not fail mid-run.
+            try:
+                import networkx
+            except ImportError as exc:
+                raise ConfigurationError(
+                    "a mesh-topology ZigbeePan routes over networkx, which "
+                    "is not installed; install the 'mesh' extra "
+                    "(pip install networkx)") from exc
+            self._nx = networkx
 
     # --- membership ------------------------------------------------------------
 
@@ -148,10 +160,10 @@ class ZigbeePan:
     def in_range(self, a: ZigbeeNode, b: ZigbeeNode) -> bool:
         return a.position.distance_to(b.position) <= self.range_m
 
-    def _connectivity(self) -> nx.Graph:
+    def _connectivity(self) -> Any:
         if self._graph is not None:
             return self._graph
-        graph = nx.Graph()
+        graph = self._nx.Graph()
         names = list(self.nodes)
         graph.add_nodes_from(names)
         for i, name_a in enumerate(names):
@@ -185,8 +197,8 @@ class ZigbeePan:
             return self._tree_route(source, destination)
         graph = self._connectivity()
         try:
-            return nx.shortest_path(graph, source, destination)
-        except nx.NetworkXNoPath:
+            return self._nx.shortest_path(graph, source, destination)
+        except self._nx.NetworkXNoPath:
             return None
 
     def _ancestors(self, node: ZigbeeNode) -> List[ZigbeeNode]:

@@ -1,31 +1,10 @@
 """WWAN substrates: cellular generations and GEO satellite links."""
 
-from .cellular import (
-    Cell,
-    CellularNetwork,
-    GENERATIONS,
-    Generation,
-    MobileDevice,
-)
-from .satellite import (
-    DVBS2_RATE_BPS,
-    GEO_ALTITUDE_M,
-    GeoSatellite,
-    GroundStation,
-    SatelliteLink,
-    Transponder,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Cell",
-    "CellularNetwork",
-    "DVBS2_RATE_BPS",
-    "GENERATIONS",
-    "GEO_ALTITUDE_M",
-    "Generation",
-    "GeoSatellite",
-    "GroundStation",
-    "MobileDevice",
-    "SatelliteLink",
-    "Transponder",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "cellular": ("Cell", "CellularNetwork", "GENERATIONS", "Generation",
+        "MobileDevice"),
+    "satellite": ("DVBS2_RATE_BPS", "GEO_ALTITUDE_M", "GeoSatellite",
+        "GroundStation", "SatelliteLink", "Transponder"),
+})

@@ -17,6 +17,7 @@ Two regimes, matching the partitioner's coupling classification:
 
 import pytest
 
+from repro.core.engine import ckernel_available
 from repro.parallel import run_sharded, run_single
 from repro.parallel.partition import CellSpec, partition_cells
 from repro.core.topology import Position
@@ -121,17 +122,13 @@ class TestWeaklyCoupledTolerances:
         assert first["cells"] == second["cells"]
 
 
+@pytest.mark.skipif(
+    not ckernel_available(),
+    reason="compiled kernel not built (run: python tools/build_kernel.py)")
 class TestKernelVariants:
     """The differential gate must hold when the forked shard workers
     run the compiled kernel: kernel choice is an implementation detail
     that may never show up in any byte of the results."""
-
-    @pytest.fixture(autouse=True)
-    def _needs_compiled_kernel(self):
-        from repro.core.engine import ckernel_available
-        if not ckernel_available():
-            pytest.skip("compiled kernel not built "
-                        "(run: python tools/build_kernel.py)")
 
     def test_c_workers_byte_equal_python_oracle(self, monkeypatch):
         cells = build_city_cells(bss_count=4, stations_per_bss=2,

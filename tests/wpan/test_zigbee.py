@@ -1,5 +1,7 @@
 """Tests for the ZigBee / 802.15.4 substrate."""
 
+import sys
+
 import pytest
 
 from repro.core import Position, Simulator
@@ -30,6 +32,7 @@ def star_pan(sim, device_count=4, radius=10.0):
 
 
 def line_mesh(sim, hops=3, spacing=20.0):
+    pytest.importorskip("networkx")  # the optional 'mesh' extra
     pan = ZigbeePan(sim, Topology.MESH, range_m=25.0)
     coordinator = pan.add_node(
         ZigbeeNode("c", Position(0, 0, 0), DeviceType.COORDINATOR))
@@ -73,6 +76,31 @@ class TestTopologyRules:
                                     DeviceType.ROUTER))
 
 
+class TestOptionalNetworkx:
+    """networkx is the 'mesh' extra: only a mesh-topology PAN needs it,
+    and says so when it is built, not at the first ``route()``."""
+
+    @pytest.fixture(autouse=True)
+    def _networkx_not_installed(self, monkeypatch):
+        # A None entry makes ``import networkx`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "networkx", None)
+
+    def test_mesh_pan_names_the_missing_extra(self, sim):
+        with pytest.raises(ConfigurationError, match="'mesh' extra"):
+            ZigbeePan(sim, Topology.MESH)
+
+    def test_star_and_tree_route_without_it(self, sim):
+        pan, _, devices = star_pan(sim)
+        assert pan.route(devices[0].name, devices[1].name) == \
+            [devices[0].name, "coord", devices[1].name]
+        tree = ZigbeePan(sim, Topology.CLUSTER_TREE, range_m=100.0)
+        root = tree.add_node(ZigbeeNode("root", Position(0, 0, 0),
+                                        DeviceType.COORDINATOR))
+        tree.add_node(ZigbeeNode("leaf", Position(10, 0, 0),
+                                 DeviceType.END_DEVICE), parent=root)
+        assert tree.route("leaf", "root") == ["leaf", "root"]
+
+
 class TestRouting:
     def test_star_routes_through_coordinator(self, sim):
         pan, coordinator, devices = star_pan(sim)
@@ -101,6 +129,7 @@ class TestRouting:
 
     def test_mesh_avoids_tree_detour_when_shortcut_exists(self, sim):
         """Mesh routing uses the connectivity graph, not the join tree."""
+        pytest.importorskip("networkx")
         pan = ZigbeePan(sim, Topology.MESH, range_m=25.0)
         root = pan.add_node(ZigbeeNode("root", Position(0, 0, 0),
                                        DeviceType.COORDINATOR))
