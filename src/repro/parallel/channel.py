@@ -9,10 +9,12 @@ round trip (PERFORMANCE.md, "PR 13").
 
 The channel assumes the executor's request/response discipline: at most
 one message is in flight per direction, so a read never has to split
-what it got between two messages.  A peer that is gone is an
-``EOFError`` on :meth:`Channel.recv` — provided no other process still
-holds a copy of the peer's ends, which is why every forked worker
-closes the coordinator-side ends it inherited.
+what it got between two messages; a read that does hold bytes of a
+second message raises :class:`~repro.core.errors.SimulationError`
+instead of dropping them.  A peer that is gone is an ``EOFError`` on
+:meth:`Channel.recv` — provided no other process still holds a copy of
+the peer's ends, which is why every forked worker closes the
+coordinator-side ends it inherited.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import select
 import struct
 import warnings
 from typing import Any, Optional, Tuple
+
+from ..core.errors import SimulationError
 
 _LENGTH = struct.Struct("!I")
 _CHUNK = 65536
@@ -52,14 +56,22 @@ class Channel:
     def recv(self, timeout: Optional[float] = None) -> Any:
         """Read one message.
 
-        Raises ``EOFError`` when the peer's write end is closed and
+        Raises ``EOFError`` when the peer's write end is closed,
         ``TimeoutError`` when ``timeout`` seconds pass without a byte
-        (``None`` waits forever).
+        (``None`` waits forever) and ``SimulationError`` when a second
+        message was already queued behind this one.
         """
         # The sender's single write into an empty pipe lands at least
         # PIPE_BUF bytes at once, so the first read holds the length.
         data = self._read(_CHUNK, timeout)
         end = _LENGTH.size + _LENGTH.unpack_from(data)[0]
+        if len(data) > end:
+            # Nothing is buffered between calls, so the next message
+            # would be lost without a trace: fail where it happens.
+            raise SimulationError(
+                f"{len(data) - end} bytes follow the message just read: "
+                f"the peer broke the one-message-in-flight rule (a second "
+                f"send before this recv)")
         if len(data) < end:  # longer than one pipe buffer
             parts = [data]
             missing = end - len(data)

@@ -1,12 +1,13 @@
 """The sharded executor: conservative-lookahead multi-process runs.
 
 :func:`run_sharded` partitions a cell list (see
-:mod:`repro.parallel.partition`), forks one worker process per shard,
-and drives the workers through coordinator-paced **rounds**: each round
-every shard receives a safe bound — the horizon capped by
-``min(coupled source clock + lookahead)`` — injects the boundary
-arrivals routed to it, runs its event loop to the bound, and fences
-back its clock, event count and outbox.  Nothing a coupled source will
+:mod:`repro.parallel.partition`) into *logical* shards, forks worker
+processes to host them, and drives the shards through
+coordinator-paced **rounds**: each round every shard receives a safe
+bound — the horizon capped by ``min(coupled source clock +
+lookahead)`` — injects the boundary arrivals routed to it, runs its
+event loop to the bound, and fences back its clock, event count and
+outbox.  Nothing a coupled source will
 ever transmit can arrive before ``source clock + lookahead`` (the
 lookahead *is* the minimum cross-shard propagation delay), so every
 shard executes exactly the events a single global heap would have given
@@ -31,17 +32,31 @@ Determinism is layered:
   canonical :class:`ArrivalLog`, whose SHA-1 is the two-runs-identical
   fingerprint CI byte-compares.
 
-The wire is one :class:`~repro.parallel.channel.Channel` per worker:
-each ``ready/advance/fence/finish/stats/error`` message is a 4-byte
-length plus a pickle over a pair of ``os.pipe()``s, one message in
-flight per direction.  The coordinator waits at most
-:data:`RECV_DEADLINE_S` for any one message.  A worker that raises,
-dies or stays silent past that deadline ends the run with a
-:class:`~repro.core.errors.SimulationError` naming the shard, the
-round, the shard's last fence ``(clock, events)`` and the boundary
-records pending for it — plus, when the worker could still speak, its
-traceback, clock, event count and outbox depth — and every worker is
-reaped before the error propagates.
+**Shards are not processes.**  ``workers`` asks for logical shards:
+each has its own kernel, boundary medium, collectors and telemetry hub,
+and the coordinator's round logic sees nothing else.  The shards are
+hosted by ``min(shards, usable CPUs)`` worker processes (the affinity
+mask of the calling process; :func:`_place` balances them by weight
+with the partitioner's LPT packing), and a process runs the shards it
+hosts in ascending shard order.  With a CPU per shard that is one
+process per shard; with fewer, shards share a process instead of
+fighting over a core, and a round costs one message per *process* per
+direction.  Nothing in the result — per-cell stats, event and round
+counts, the arrival log and its SHA-1, the merged sim telemetry —
+depends on the placement: only the transport batches by it.
+
+The wire is one :class:`~repro.parallel.channel.Channel` per worker
+process: each ``ready/advance/fence/finish/stats/error`` message is a
+4-byte length plus a pickle over a pair of ``os.pipe()``s, one message
+in flight per direction, and ``advance``/``fence``/``stats`` carry one
+entry per hosted shard.  The coordinator waits at most
+:data:`RECV_DEADLINE_S` for any one message.  A shard that raises ends
+the run with a :class:`~repro.core.errors.SimulationError` naming it,
+the round, its last fence ``(clock, events)`` and the boundary records
+pending for it, plus the worker's traceback, clock, event count and
+outbox depth; a process that dies or stays silent past the deadline
+names every shard it hosted, each with the same context — and every
+worker is reaped before the error propagates.
 
 :func:`run_single` executes the same cell list on one kernel — the
 differential reference, and the ``workers=1`` baseline for scaling
@@ -54,6 +69,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import traceback
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -69,7 +85,7 @@ from ..telemetry.export import to_jsonl
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.probes import Telemetry
 from .channel import Channel, channel_pair
-from .partition import CellSpec, ShardPlan, partition_cells
+from .partition import CellSpec, ShardPlan, pack_lpt, partition_cells
 from .shard import BoundaryRecord, ShardMedium
 
 #: Base of the deterministic per-cell address blocks: locally
@@ -80,8 +96,9 @@ from .shard import BoundaryRecord, ShardMedium
 _CELL_ADDRESS_BASE = 0x02_00_00_00_00_00
 
 #: Longest the coordinator waits for any one worker message (a fence,
-#: or the final stats).  It bounds a single ``sim.run`` to the next
-#: bound — the whole horizon for a decoupled shard — not the run.
+#: or the final stats).  It bounds one ``sim.run`` to the next bound —
+#: the whole horizon for a decoupled shard — of every shard the
+#: process hosts, not the run.
 RECV_DEADLINE_S = 900.0
 
 
@@ -233,112 +250,154 @@ def run_single(cells, *, seed: int, horizon: float,
     return result
 
 
+class _Shard:
+    """One logical shard inside a worker process: its own kernel,
+    boundary medium, cells, invariant checker and telemetry hub —
+    nothing is shared with a shard hosted next to it."""
+
+    def __init__(self, index: int, seed: int):
+        self.index = index
+        self.sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
+        self.medium: Optional[ShardMedium] = None
+        self.busy = 0.0
+
+    def build(self, shard_cells, global_indices, export_channels,
+              propagation_factory, reception_floor_dbm: float,
+              propagation_delay: bool, exact: bool,
+              check_invariants: bool, telemetry: bool,
+              telemetry_interval: float) -> None:
+        sim, index = self.sim, self.index
+        medium = self.medium = ShardMedium(
+            sim, propagation_factory(),
+            reception_floor_dbm=reception_floor_dbm,
+            propagation_delay=propagation_delay, exact=exact, shard=index,
+            export_channels=export_channels)
+        checker = None
+        if check_invariants:
+            checker = InvariantChecker(sim, shard=index)
+            checker.watch_medium(medium)
+        self.collectors = _build_cells(sim, medium, shard_cells,
+                                       global_indices, checker)
+        if checker is not None:
+            checker.install()
+        hub = self.hub = Telemetry(sim, enabled=telemetry,
+                                   sample_interval=telemetry_interval)
+        hub.instrument_kernel()
+        hub.instrument_medium(medium)
+        hub.instrument_radios(medium._radios)
+        # Disabled registry hands back null metrics: the per-round
+        # inc() calls in advance() are no-ops in benchmark posture.
+        self.advances = hub.registry.counter("parallel", "advances",
+                                             shard=index)
+        self.injected = hub.registry.counter(
+            "parallel", "boundary_injected", shard=index)
+        hub.sampler.add("parallel", "outbox_depth",
+                        lambda: float(len(medium.outbox)), shard=index)
+        hub.install()
+
+    def advance(self, bound: float, records: Sequence[Tuple]) -> Tuple:
+        """Inject, run to the bound, and return this shard's fence."""
+        sim, medium = self.sim, self.medium
+        for record in records:
+            medium.inject_boundary(BoundaryRecord(*record))
+        self.advances.inc()
+        self.injected.inc(len(records))
+        if self.hub.enabled:
+            segment_start = perf_counter()
+            sim.run(until=bound)
+            self.busy += perf_counter() - segment_start
+        else:
+            sim.run(until=bound)
+        return (self.index, sim.now, sim.events_executed,
+                [tuple(r) for r in medium.drain_outbox()])
+
+    def finish(self, idle: float) -> Tuple:
+        """Collect this shard's stats (and telemetry streams)."""
+        stats = {name: collector()
+                 for name, collector in self.collectors.items()}
+        payload = None
+        if self.hub.enabled:
+            hub = self.hub
+            hub.registry.gauge("parallel", "worker_busy_seconds", wall=True,
+                               shard=self.index).set(self.busy)
+            hub.registry.gauge("parallel", "worker_idle_seconds", wall=True,
+                               shard=self.index).set(idle)
+            hub.finish()
+            payload = (hub.sim_jsonl(), hub.wall_jsonl())
+        return (self.index, stats, self.sim.events_executed, payload)
+
+
 def _worker_main(conn: Channel, parent_ends: Sequence[Channel],
-                 shard_index: int, shard_cells, global_indices,
-                 export_channels, seed: int, horizon: float,
-                 propagation_factory, reception_floor_dbm: float,
-                 propagation_delay: bool, exact: bool,
-                 check_invariants: bool, telemetry: bool = False,
-                 telemetry_interval: float = 0.05) -> None:
-    """One shard's event loop, driven by coordinator messages.
+                 hosted: Sequence[Tuple], seed: int, *settings) -> None:
+    """The event loops of the shards one process hosts, driven by
+    coordinator messages.
 
-    Protocol (worker side): after building, send ``("ready", shard)``;
-    then for each ``("advance", bound, records)`` inject the records,
-    run to the bound, and fence back
-    ``("fence", shard, clock, events, outbox)``; on ``("finish",)``
-    send ``("stats", shard, {cell: stats}, events, telemetry)`` —
+    ``hosted`` lists ``(shard, cells, global indices, export channels)``
+    in ascending shard order — one entry when the machine has a CPU per
+    shard, several when shards are packed — and ``settings`` are the
+    remaining arguments of :meth:`_Shard.build`.  Protocol (worker side):
+    after building, send ``("ready", [shard, ...])``; then for each
+    ``("advance", [(shard, bound, records), ...])`` inject the records
+    and run each named shard to its bound, in the order given
+    (ascending), and fence back
+    ``("fence", [(shard, clock, events, outbox), ...])``; on
+    ``("finish",)`` send
+    ``("stats", [(shard, {cell: stats}, events, telemetry), ...])`` —
     where ``telemetry`` is ``None`` or a ``(sim_jsonl, wall_jsonl)``
-    pair of this shard's exported streams — and exit.  Any exception
+    pair of that shard's exported streams — and exit.  Any exception
     turns into ``("error", shard, traceback, clock, events, outbox
-    depth)``.
+    depth)`` for the shard that was being built or run.
 
-    With telemetry on, the worker instruments its own kernel/medium/
+    With telemetry on, every shard instruments its own kernel/medium/
     radio fleet and additionally keeps per-shard round metrics in the
     sim stream (``parallel/advances``, ``parallel/boundary_injected``
     — both pure functions of the deterministic round schedule) and
     busy/idle wall seconds in the wall stream.
+    ``worker_busy_seconds`` is the shard's own time inside ``sim.run``;
+    ``worker_idle_seconds`` belongs to the *process* — its wall time
+    minus the busy time of every shard it hosts — and is reported once,
+    on the lowest hosted shard (0.0 on the others), so the sum over
+    shards stays real idle time however the shards are placed.
     """
     # An inherited copy of a coordinator-side end (this worker's own,
     # an earlier sibling's) would hold that pipe open after its owner
     # is gone; without one, a dead process is an EOF to its peer.
     for parent_end in parent_ends:
         parent_end.close()
-    sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
-    medium = None
+    shards = {spec[0]: _Shard(spec[0], seed) for spec in hosted}
+    shard = shards[hosted[0][0]]  # the one at work: named if it raises
     try:
-        medium = ShardMedium(sim, propagation_factory(),
-                             reception_floor_dbm=reception_floor_dbm,
-                             propagation_delay=propagation_delay,
-                             exact=exact, shard=shard_index,
-                             export_channels=export_channels)
-        checker = None
-        if check_invariants:
-            checker = InvariantChecker(sim, shard=shard_index)
-            checker.watch_medium(medium)
-        collectors = _build_cells(sim, medium, shard_cells,
-                                  global_indices, checker)
-        if checker is not None:
-            checker.install()
-        hub = Telemetry(sim, enabled=telemetry,
-                        sample_interval=telemetry_interval)
-        hub.instrument_kernel()
-        hub.instrument_medium(medium)
-        hub.instrument_radios(medium._radios)
-        # Disabled registry hands back null metrics: the per-round
-        # inc() calls below are no-ops in benchmark posture.
-        advances = hub.registry.counter("parallel", "advances",
-                                        shard=shard_index)
-        injected = hub.registry.counter("parallel", "boundary_injected",
-                                        shard=shard_index)
-        hub.sampler.add("parallel", "outbox_depth",
-                        lambda: float(len(medium.outbox)),
-                        shard=shard_index)
-        hub.install()
-        busy = 0.0
+        for index, *spec in hosted:
+            shard = shards[index]
+            shard.build(*spec, *settings)
         wall_start = perf_counter()
-        conn.send(("ready", shard_index))
+        conn.send(("ready", list(shards)))
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "advance":
-                _, bound, records = message
-                for record in records:
-                    medium.inject_boundary(BoundaryRecord(*record))
-                advances.inc()
-                injected.inc(len(records))
-                if telemetry:
-                    segment_start = perf_counter()
-                    sim.run(until=bound)
-                    busy += perf_counter() - segment_start
-                else:
-                    sim.run(until=bound)
-                conn.send(("fence", shard_index, sim.now,
-                           sim.events_executed,
-                           [tuple(r) for r in medium.drain_outbox()]))
+                fences = []
+                for index, bound, records in message[1]:
+                    shard = shards[index]
+                    fences.append(shard.advance(bound, records))
+                conn.send(("fence", fences))
             elif kind == "finish":
-                stats = {name: collector()
-                         for name, collector in collectors.items()}
-                payload = None
-                if telemetry:
-                    registry = hub.registry
-                    registry.gauge("parallel", "worker_busy_seconds",
-                                   wall=True, shard=shard_index).set(busy)
-                    registry.gauge(
-                        "parallel", "worker_idle_seconds", wall=True,
-                        shard=shard_index).set(
-                            max(0.0, perf_counter() - wall_start - busy))
-                    hub.finish()
-                    payload = (hub.sim_jsonl(), hub.wall_jsonl())
-                conn.send(("stats", shard_index, stats,
-                           sim.events_executed, payload))
+                idle = max(0.0, perf_counter() - wall_start
+                           - sum(each.busy for each in shards.values()))
+                stats = []
+                for shard in shards.values():
+                    stats.append(shard.finish(idle))
+                    idle = 0.0
+                conn.send(("stats", stats))
                 return
             else:  # pragma: no cover - protocol guard
                 raise SimulationError(
-                    f"shard {shard_index}: unknown message {kind!r}")
+                    f"shards {list(shards)}: unknown message {kind!r}")
     except Exception:
         try:
-            conn.send(("error", shard_index, traceback.format_exc(),
-                       sim.now, sim.events_executed,
+            medium = shard.medium
+            conn.send(("error", shard.index, traceback.format_exc(),
+                       shard.sim.now, shard.sim.events_executed,
                        len(medium.outbox) if medium is not None else 0))
         except OSError:  # the coordinator is gone: nobody to tell
             pass
@@ -369,6 +428,31 @@ def _merge_telemetry(stream: str, coordinator_text: str,
     return "\n".join(lines) + "\n"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process (and so the workers it forks) may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _place(plan: ShardPlan) -> List[List[int]]:
+    """The shards each worker process hosts.
+
+    ``min(shards, usable CPUs)`` processes, balanced by shard weight
+    (the partitioner's LPT packing), every list ascending and the
+    processes ordered by their lowest shard — so with a CPU per shard,
+    process ``i`` hosts exactly shard ``i``.  The placement shows in no
+    result: only the transport batches by it.
+    """
+    weights = [sum(cell.weight for cell in shard) for shard in plan.shards]
+    hosted: List[List[int]] = [
+        [] for _ in range(min(len(weights), _usable_cpus()))]
+    for shard, process in enumerate(pack_lpt(weights, len(hosted))):
+        hosted[process].append(shard)
+    return sorted(shards for shards in hosted if shards)
+
+
 def _send(channel: Channel, message: Tuple) -> None:
     """Send one message to a worker.
 
@@ -381,25 +465,41 @@ def _send(channel: Channel, message: Tuple) -> None:
         pass
 
 
-def _recv(channel: Channel, process, shard: int,
+def _standing(shards: Sequence[int],
+              context: Callable[[int], str]) -> Tuple[str, str]:
+    """Who a failure of the process hosting ``shards`` names, and where
+    each of them stood."""
+    if len(shards) == 1:
+        return f"shard {shards[0]}", context(shards[0])
+    return ("shards " + ", ".join(map(str, shards)),
+            "; ".join(f"shard {shard}: {context(shard)}"
+                      for shard in shards))
+
+
+def _recv(channel: Channel, process, shards: Sequence[int],
           context: Callable[[int], str]):
-    """Receive one worker message within :data:`RECV_DEADLINE_S`.
+    """Receive one message from the process hosting ``shards`` within
+    :data:`RECV_DEADLINE_S`.
 
     A reported error, a dead worker and a silent one all surface as a
-    :class:`SimulationError` naming the shard and ``context(shard)`` —
-    the round, the shard's last fence and its pending records.
+    :class:`SimulationError`: an error names the shard that raised, a
+    death or a silence every shard the process hosts, each with its
+    ``context(shard)`` — the round, the shard's last fence and its
+    pending records.
     """
     try:
         message = channel.recv(RECV_DEADLINE_S)
     except TimeoutError:
+        who, where = _standing(shards, context)
         raise SimulationError(
-            f"shard {shard} timed out: no message for "
-            f"{RECV_DEADLINE_S:g} s ({context(shard)})") from None
+            f"{who} timed out: no message for "
+            f"{RECV_DEADLINE_S:g} s ({where})") from None
     except (EOFError, OSError):
         process.join(timeout=5)
+        who, where = _standing(shards, context)
         raise SimulationError(
-            f"shard {shard} died without reporting an error (exit code "
-            f"{process.exitcode}; {context(shard)})") from None
+            f"{who} died without reporting an error (exit code "
+            f"{process.exitcode}; {where})") from None
     if message[0] == "error":
         _, shard, trace, clock, executed, outbox = message
         # The traceback's last line ("RuntimeError: ...") leads, so the
@@ -421,7 +521,8 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 lookahead_override: Optional[float] = None,
                 telemetry: bool = False,
                 telemetry_interval: float = 0.05) -> Dict:
-    """Run the cells sharded across worker processes.
+    """Run the cells as ``workers`` logical shards, hosted by
+    ``min(shards, usable CPUs)`` worker processes.
 
     Returns the :func:`run_single` result shape plus the sharding
     diagnostics: shard count, synchronization round count, boundary
@@ -493,15 +594,20 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 f"events={events[shard]}), {len(pending[shard])} boundary "
                 f"records pending")
 
+    hosted = _place(plan)
+    host = {shard: index for index, shards in enumerate(hosted)
+            for shard in shards}
     try:
-        for index, shard_cells in enumerate(plan.shards):
+        for shards in hosted:
             parent_end, child_end = channel_pair()
             channels.append(parent_end)
-            indices = [plan.index_of(cell.name) for cell in shard_cells]
+            specs = [(shard, plan.shards[shard],
+                      [plan.index_of(cell.name)
+                       for cell in plan.shards[shard]],
+                      plan.export_channels[shard]) for shard in shards]
             process = context.Process(
                 target=_worker_main,
-                args=(child_end, list(channels), index, shard_cells,
-                      indices, plan.export_channels[index], seed, horizon,
+                args=(child_end, list(channels), specs, seed,
                       propagation_factory, reception_floor_dbm,
                       propagation_delay, exact, check_invariants,
                       telemetry, telemetry_interval),
@@ -511,8 +617,9 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
             finally:
                 child_end.close()
             processes.append(process)
-        for index, channel in enumerate(channels):
-            _recv(channel, processes[index], index, context_of)  # "ready"
+        links = list(zip(channels, processes, hosted))
+        for link in links:
+            _recv(*link, context_of)  # "ready"
 
         incoming = [plan.incoming(index) for index in range(shard_count)]
         if lookahead_override is not None:
@@ -546,15 +653,22 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 raise SimulationError(
                     f"sharded run deadlocked at round {rounds}: no shard "
                     f"can advance (clocks={clocks!r})")
+            # One message per process per direction, however many of
+            # its shards advance; the fences are then handled in
+            # ascending shard order, whichever process sent them.
+            requests: Dict[int, List[Tuple]] = {}
             for index, bound in advancing:
-                _send(channels[index], ("advance", bound, pending[index]))
+                requests.setdefault(host[index], []).append(
+                    (index, bound, pending[index]))
+            for worker, request in requests.items():
+                _send(channels[worker], ("advance", request))
+            fences = {fence[0]: fence for worker in requests
+                      for fence in _recv(*links[worker], context_of)[1]}
             # Records stay the plain tuples that crossed the pipe:
             # (time, shard, seq) is their prefix and the merge key.
             batch: List[Tuple] = []
             for index, _bound in advancing:
-                message = _recv(channels[index], processes[index], index,
-                                context_of)
-                _, shard, clock, executed, outbox = message
+                shard, clock, executed, outbox = fences[index]
                 pending[shard] = []
                 clocks[shard] = clock
                 events[shard] = executed
@@ -581,9 +695,10 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
         merged: Dict[str, Dict] = {}
         shard_streams: List[Optional[Tuple[str, str]]] = \
             [None] * shard_count
-        for index, channel in enumerate(channels):
-            message = _recv(channel, processes[index], index, context_of)
-            _, shard, stats, executed, shard_telemetry = message
+        finals = {final[0]: final for link in links
+                  for final in _recv(*link, context_of)[1]}
+        for shard in range(shard_count):
+            _, stats, executed, shard_telemetry = finals[shard]
             events[shard] = executed
             log.final(shard, clocks[shard], executed)
             merged.update(stats)

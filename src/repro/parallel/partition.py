@@ -31,7 +31,8 @@ instead of an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..core.errors import ConfigurationError
 from ..core.topology import Position
@@ -203,6 +204,20 @@ def _union_groups(cells: Tuple[CellSpec, ...],
     return [groups[root] for root in sorted(groups)]
 
 
+def pack_lpt(weights: Sequence[float], bins: int) -> List[int]:
+    """The bin of every item under LPT: heaviest item first, onto the
+    least-loaded bin.  Ties break on the lower item index, then the
+    lower bin index, so the packing is a pure function of its input."""
+    loads = [0.0] * bins
+    placement = [0] * len(weights)
+    for item in sorted(range(len(weights)),
+                       key=lambda i: (-weights[i], i)):
+        target = min(range(bins), key=lambda b: (loads[b], b))
+        placement[item] = target
+        loads[target] += weights[item]
+    return placement
+
+
 def partition_cells(cells, propagation: PropagationModel, *,
                     workers: int,
                     reception_floor_dbm: float = -110.0,
@@ -250,17 +265,13 @@ def partition_cells(cells, propagation: PropagationModel, *,
     else:
         groups = _union_groups(ordered, couplings)
         shard_count = min(workers, len(groups))
-        # LPT: heaviest group first, onto the least-loaded shard.
-        loads = [0.0] * shard_count
-        assignment = {}
-        order = sorted(range(len(groups)),
-                       key=lambda g: (-sum(c.weight for c in groups[g]),
-                                      groups[g][0].name))
-        for g in order:
-            shard = min(range(shard_count), key=lambda s: (loads[s], s))
-            for cell in groups[g]:
-                assignment[cell.name] = shard
-            loads[shard] += sum(c.weight for c in groups[g])
+        # Groups are ordered by their smallest cell name, so pack_lpt's
+        # index tie-break is the sorted-name tie-break.
+        placement = pack_lpt([sum(cell.weight for cell in group)
+                              for group in groups], shard_count)
+        assignment = {cell.name: shard
+                      for group, shard in zip(groups, placement)
+                      for cell in group}
 
     shards: List[List[CellSpec]] = [[] for _ in range(shard_count)]
     for cell in ordered:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.parallel.channel import channel_pair
 
 
@@ -74,6 +75,49 @@ class TestRoundTrip:
         finally:
             channel.close()
         assert os.waitpid(pid, 0)[1] == 0
+
+
+class TestOneMessageInFlight:
+    """Nothing is buffered between two ``recv`` calls, so a message
+    queued behind the one being read cannot be kept — and must not be
+    dropped in silence."""
+
+    FIRST = ("fence", [(0, 2.5e-6, 7, [])])
+
+    @pytest.mark.parametrize("queued", [
+        [None],
+        [("advance", [(1, 2.9e-6, [(2.6e-6, 0, 3, "tx", 0.0, 0.0, 0.0,
+                                   1, 0.07, 7e-7)])])],
+        [bytes(1000)],
+        [("finish",), ("finish",), {"third": 3.0}],
+    ])
+    def test_second_send_before_recv_is_a_named_error(self, queued):
+        left, right = channel_pair()
+        try:
+            left.send(self.FIRST)
+            for message in queued:
+                left.send(message)
+            extra = sum(4 + len(pickle.dumps(message,
+                                             pickle.HIGHEST_PROTOCOL))
+                        for message in queued)
+            with pytest.raises(SimulationError) as caught:
+                right.recv(timeout=1.0)
+            assert f"{extra} bytes follow the message just read" \
+                in str(caught.value)
+            assert "one-message-in-flight rule" in str(caught.value)
+        finally:
+            left.close()
+            right.close()
+
+    def test_a_send_after_each_recv_loses_nothing(self):
+        left, right = channel_pair()
+        try:
+            for message in [self.FIRST, None, bytes(1000), ("finish",)]:
+                left.send(message)
+                assert right.recv(timeout=1.0) == message
+        finally:
+            left.close()
+            right.close()
 
 
 class TestPeerLifetime:

@@ -15,7 +15,8 @@ from repro.core.topology import Position
 from repro.core.trace import TraceLog
 from repro.mac.addresses import MacAddress
 from repro.parallel import (ArrivalLog, BoundaryRecord, CellSpec,
-                            ShardMedium, run_sharded, run_single)
+                            ShardMedium, partition_cells, run_sharded,
+                            run_single)
 from repro.parallel import executor
 from repro.parallel.executor import CellBuild
 from repro.phy.channel import ENERGY_ONLY
@@ -344,6 +345,15 @@ class TestWorkerFailures:
     """A crashed, hung or raising shard ends the run with a named
     error in bounded time and leaves no child process behind."""
 
+    #: What the CPU probe answers: here a CPU per shard, whatever the
+    #: box running the tests offers.
+    USABLE_CPUS = 2
+
+    @pytest.fixture(autouse=True)
+    def _placement(self, monkeypatch):
+        monkeypatch.setattr(executor, "_usable_cpus",
+                            lambda: self.USABLE_CPUS)
+
     def _run_coupled(self, action):
         cells = [spec("a", x=0.0, build=_bursting_build),
                  spec("b", x=100.0, build=_misbehaving(action))]
@@ -379,3 +389,175 @@ class TestWorkerFailures:
         assert "boundary records pending; worker clock=2.8e-06, " in message
         assert "Traceback (most recent call last)" in message
         assert "in _raise_in_callback" in message
+
+
+class TestPackedWorkerFailures(TestWorkerFailures):
+    """The same failures with both shards in ONE worker process: a
+    raise still names the shard whose ``sim.run`` raised (the inherited
+    test passes as it stands); a death or a silence names every shard
+    the process hosted, each with its own context."""
+
+    USABLE_CPUS = 1
+
+    # Shard 0 had fenced round 11 inside the process before shard 1
+    # misbehaved, but that fence never left it: to the coordinator both
+    # stand at round 10's fence with round 11's records in flight.
+    BOTH = ("shard 0: round 11, last fence (clock=2.6685127615852163e-06, "
+            "events=7), 1 boundary records pending; "
+            "shard 1: round 11, last fence (clock=2.6685127615852163e-06, "
+            "events=7), 1 boundary records pending")
+
+    def test_worker_that_exits_mid_run_is_named(self):
+        message, elapsed = self._run_coupled(_exit_abruptly)
+        assert elapsed < 2.0
+        assert message == ("shards 0, 1 died without reporting an error "
+                           f"(exit code 3; {self.BOTH})")
+
+    def test_hung_worker_times_out(self, monkeypatch):
+        monkeypatch.setattr(executor, "RECV_DEADLINE_S", 1.0)
+        message, elapsed = self._run_coupled(_spin_forever)
+        assert 1.0 <= elapsed < 5.0
+        assert message == ("shards 0, 1 timed out: no message for 1 s "
+                           f"({self.BOTH})")
+
+    def test_raising_builder_names_its_shard(self):
+        def broken(ctx):
+            raise RuntimeError("boom in builder")
+        cells = [spec("a", x=0.0), spec("b", x=100.0, build=broken)]
+        with pytest.raises(SimulationError, match="shard 1 failed.*boom"):
+            run_sharded(cells, seed=1, horizon=1e-5, workers=2,
+                        propagation_factory=free_space,
+                        manual={"a": 0, "b": 1})
+        assert multiprocessing.active_children() == []
+
+
+def _pid_build(ctx):
+    return lambda: {"pid": os.getpid()}
+
+
+class TestPlacement:
+    """Shards are logical; ``min(shards, usable CPUs)`` processes host
+    them, and no result can tell how many that was."""
+
+    #: name -> (cells, manual): the coupled pair; a chain whose far end
+    #: has a 6 us lookahead and so reaches the horizon rounds before
+    #: the two near cells (``done`` with co-hosted shards); a decoupled
+    #: plan (one round).
+    PLANS = {
+        "coupled_pair": (
+            [spec("a", x=0.0, build=_bursting_build),
+             spec("b", x=100.0, build=_bursting_build)],
+            {"a": 0, "b": 1}),
+        "chain_with_early_finisher": (
+            [spec("a", x=0.0, build=_bursting_build),
+             spec("b", x=100.0, build=_bursting_build),
+             spec("c", x=2000.0, build=_bursting_build)],
+            {"a": 0, "b": 1, "c": 2}),
+        "decoupled": (
+            [spec(f"c{i}", x=i * 1e6, build=_counting_build)
+             for i in range(3)], None),
+    }
+    COMPARED = ("cells", "events", "shards", "rounds", "boundary_records",
+                "arrival_log", "arrival_log_sha1", "telemetry_jsonl")
+
+    @staticmethod
+    def _run(name, cpus, monkeypatch, **options):
+        cells, manual = TestPlacement.PLANS[name]
+        monkeypatch.setattr(executor, "_usable_cpus", lambda: cpus)
+        return run_sharded(cells, seed=2, horizon=1e-5, workers=len(cells),
+                           propagation_factory=free_space, manual=manual,
+                           **options)
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_results_do_not_depend_on_placement(self, name, telemetry,
+                                                monkeypatch):
+        shard_count = len(self.PLANS[name][0])
+        runs = [self._run(name, cpus, monkeypatch, telemetry=telemetry,
+                          telemetry_interval=2e-6, check_invariants=True)
+                for cpus in (shard_count, 2, 1)]
+        reference = runs[0]
+        assert reference["shards"] == shard_count
+        assert (reference["rounds"] == 1) == (name == "decoupled")
+        assert (reference["boundary_records"] > 0) == (name != "decoupled")
+        for run in runs[1:]:
+            for key in self.COMPARED:
+                assert run.get(key) == reference.get(key), key
+
+    def test_chain_far_end_is_done_early(self, monkeypatch):
+        log = self._run("chain_with_early_finisher", 1,
+                        monkeypatch)["arrival_log"]
+        lines = [json.loads(line) for line in log.splitlines()]
+        last_fence = {line["shard"]: position
+                      for position, line in enumerate(lines)
+                      if line["type"] == "fence"}
+        assert lines[last_fence[2]]["round"] \
+            < lines[last_fence[0]]["round"] == lines[last_fence[1]]["round"]
+        # It heard the near cells while it ran, and is no destination
+        # once it is done.
+        heard = [position for position, line in enumerate(lines)
+                 if line["type"] == "arrival" and 2 in line["dests"]]
+        assert heard and max(heard) < last_fence[2]
+        assert any(line["type"] == "arrival"
+                   for line in lines[last_fence[2]:])
+
+    @pytest.mark.parametrize("cpus, processes", [(1, 1), (2, 2), (3, 3),
+                                                 (64, 3)])
+    def test_process_count_is_min_of_shards_and_cpus(self, cpus, processes,
+                                                     monkeypatch):
+        cells = [spec(f"c{i}", x=i * 1e6, build=_pid_build)
+                 for i in range(3)]
+        monkeypatch.setattr(executor, "_usable_cpus", lambda: cpus)
+        result = run_sharded(cells, seed=1, horizon=1e-6, workers=3,
+                             propagation_factory=free_space)
+        pids = {stats["pid"] for stats in result["cells"].values()}
+        assert len(pids) == processes and os.getpid() not in pids
+
+    def test_hosting_is_weight_balanced_and_ordered(self, monkeypatch):
+        def hosted(weights, cpus):
+            cells = [CellSpec(f"c{i}", 1, Position(i * 1e6, 0.0, 0.0), 10.0,
+                              _noop_build, weight=weight)
+                     for i, weight in enumerate(weights)]
+            plan = partition_cells(
+                cells, free_space(), workers=len(cells),
+                manual={cell.name: i for i, cell in enumerate(cells)})
+            monkeypatch.setattr(executor, "_usable_cpus", lambda: cpus)
+            return executor._place(plan)
+
+        assert hosted([1, 1, 1], 1) == [[0, 1, 2]]
+        assert hosted([1, 1, 1], 2) == [[0, 2], [1]]
+        assert hosted([1, 1, 1], 3) == hosted([1, 1, 1], 8) \
+            == [[0], [1], [2]]
+        # The heavy shard gets a process to itself; a CPU per shard is
+        # the identity whatever the weights.
+        assert hosted([1, 1, 5], 2) == [[0, 1], [2]]
+        assert hosted([1, 9, 5], 3) == [[0], [1], [2]]
+        # Weightless shards all tie onto one bin: no empty process.
+        assert hosted([0, 0], 2) == [[0, 1]]
+
+    def test_probe_counts_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert executor._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert executor._usable_cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_idle_is_counted_once_per_process(self, cpus, monkeypatch):
+        result = self._run("coupled_pair", cpus, monkeypatch, telemetry=True)
+        gauges = {}
+        for line in result["telemetry_wall_jsonl"].splitlines():
+            record = json.loads(line)
+            if record.get("subsystem") == "parallel" \
+                    and record.get("kind") == "gauge":
+                gauges[record["name"], record["labels"].get("shard")] \
+                    = float(record["value"])
+        busy = [gauges["worker_busy_seconds", shard] for shard in "01"]
+        idle = [gauges["worker_idle_seconds", shard] for shard in "01"]
+        assert all(seconds > 0.0 for seconds in busy)
+        assert idle[0] > 0.0
+        assert (idle[1] == 0.0) == (cpus == 1)
+        # A process is busy or idle, never both: with one process the
+        # sums cannot exceed the coordinator's own wall time.
+        if cpus == 1:
+            assert sum(busy) + sum(idle) \
+                <= gauges["coordinator_wall_seconds", None]

@@ -6,6 +6,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.topology import Position
 from repro.core.units import SPEED_OF_LIGHT
 from repro.parallel import CellSpec, find_couplings, partition_cells
+from repro.parallel.partition import pack_lpt
 from repro.phy.propagation import LogDistance
 
 
@@ -84,6 +85,15 @@ class TestAutomaticPartition:
         # The three light cells all pack opposite the heavy one.
         assert {plan.shard_of[f"l{i}"] for i in (1, 2, 3)} \
             == {1 - heavy_shard}
+
+    def test_pack_lpt_ties_break_on_item_then_bin(self):
+        # Heaviest first (5 -> bin 0, 4 -> bin 1), then always the
+        # least-loaded bin; equal weights go in item order and equal
+        # loads to the lower bin.
+        assert pack_lpt([1.0, 4.0, 1.0, 5.0, 3.0], 2) == [0, 1, 0, 0, 1]
+        assert pack_lpt([2.0, 2.0, 2.0], 2) == [0, 1, 0]
+        assert pack_lpt([1.0, 2.0], 5) == [1, 0]
+        assert pack_lpt([], 3) == []
 
     def test_partition_is_deterministic(self):
         cells = [cell(f"c{i}", 1, 400.0 * i, weight=float(i % 3 + 1))
