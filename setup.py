@@ -46,6 +46,9 @@ setup(
         Extension(
             "repro.core._ckernel",
             sources=["src/repro/core/_ckernel.c"],
+            # Same flags as tools/build_kernel.py: no fused multiply-add.
+            extra_compile_args=["-ffp-contract=off"],
+            libraries=["m"],
             optional=True,
         ),
     ],

@@ -1,16 +1,31 @@
-/* Compiled event-kernel inner loop for repro.core.engine.
+/* Compiled event kernel for repro.core.engine.
  *
- * This module is the C twin of ``Simulator.run``: the tuple-heap
- * pop/push, the three-shape dispatch (raw ``schedule_fast`` entries,
- * version-checked ``Timer`` entries, ``EventHandle`` entries), and the
- * O(1) scheduled/executed/cancelled counter bookkeeping — nothing
- * else.  All simulation state stays where the pure-Python kernel keeps
- * it (``sim._heap`` is the same Python list the schedulers push into,
- * the counters are the same Python ints telemetry samples), so the two
- * kernels are interchangeable mid-suite and the pure-Python loop
- * remains the reference implementation.
+ * Three things live here, each the C twin of a Python reference that
+ * stays in the tree and runs whenever the extension is not built or
+ * ``kernel="python"`` is asked for:
  *
- * Bit-identity contract (KEEP IN SYNC with engine.Simulator.run):
+ * 1. ``run`` — ``Simulator.run``: the tuple-heap pop/push, the
+ *    three-shape dispatch (raw ``schedule_fast`` entries,
+ *    version-checked ``Timer`` entries, ``EventHandle`` entries) and
+ *    the O(1) scheduled/executed/cancelled counter bookkeeping.
+ * 2. ``arm`` / ``fan_out`` — ``engine._arm`` / ``engine._fan_out``: the
+ *    two places the layers above build heap entries (one timer arm;
+ *    two raw entries per receiver of a compiled fan-out plan).
+ * 3. ``arrival_begins`` / ``arrival_ends`` — the exact-mode receive
+ *    edges of ``repro.phy.transceiver.Radio`` (with ``_try_lock``, the
+ *    capture test, ``_refresh_interference`` and the CCA tail), working
+ *    on ``Radio``'s and ``SinrTracker``'s ``__slots__`` by offset, the
+ *    way the loop works on ``Timer``'s.  ``Medium`` binds them per
+ *    radio with ``types.MethodType`` (see ``bind_phy``).
+ *
+ * All simulation state stays where the pure-Python code keeps it
+ * (``sim._heap`` is the same Python list the schedulers push into, the
+ * counters are the same Python ints telemetry samples, a radio's table
+ * is the same dict), so compiled and interpreted pieces mix freely and
+ * the Python code remains the reference implementation.
+ *
+ * Bit-identity contract of the loop (KEEP IN SYNC with
+ * engine.Simulator.run):
  *
  * - Heap ordering is the exact heapq algorithm over the exact tuple
  *   comparison semantics: entries compare ``(time, seq)`` and never
@@ -27,7 +42,40 @@
  * - Lazy drops (cancelled handles, superseded timer versions) touch no
  *   counters; the clock is written before the callback fires; the
  *   clock snaps to ``until`` only on a clean non-stopped exit; the
- *   ``_running`` flag and counter flush survive a raising callback.
+ *   ``_running`` flag and counter flush survive a raising callback —
+ *   including one raised inside a compiled edge.
+ *
+ * Bit-identity contract of the primitives and the edges (KEEP IN SYNC
+ * with engine._arm / engine._fan_out and the Radio methods; held by
+ * tests/phy/test_edge_parity.py and tests/core/test_kernel_parity.py):
+ *
+ * - The same statements in the same order: one seq per entry, drawn
+ *   from ``sim._seq`` (the counter ``sim._next_seq`` is bound to) at
+ *   the point the Python code calls ``_next_seq()``; the same counter
+ *   increments; the same dict insertions and deletions, so table order
+ *   is the same.
+ * - The same floats: ``now + (delay + duration)`` parenthesized as
+ *   written, ``10.0 * log10(ratio)`` with libm's ``log10`` (what
+ *   ``math.log10`` calls), no fused multiply-add (the build passes
+ *   ``-ffp-contract=off``), and every table sum taken by calling
+ *   ``builtins.sum`` on ``arrivals.values()`` — CPython 3.12 made
+ *   ``sum()`` compensated, so a C fold would diverge from the
+ *   reference there.
+ * - C handles the canonical shapes only (an exact ``Radio``, exact
+ *   floats, an exact ``SinrTracker``/``CaptureModel``).  Anything else
+ *   is handed to the Python method *before* the step in question has
+ *   changed anything: the whole edge for a non-float power or a
+ *   foreign object, one step (``_try_lock``, ``_refresh_interference``,
+ *   ``should_capture``) for an off-type field; the rare
+ *   ``_abort_locked`` always runs in Python.  So the exception a
+ *   malformed input raises, and the state it leaves, are the
+ *   reference's own.
+ * - Upcalls (``on_cca_busy`` / ``on_cca_idle`` / ``on_state_change``)
+ *   fire at the same points with the same state already written; an
+ *   exception from one propagates unchanged.  No borrowed pointer is
+ *   used across a call that can run Python: slots are re-read after
+ *   it, and what must span it (the table, the upcall, the capture
+ *   object) is held by a strong reference.
  *
  * NaN event times are unrepresentable (every scheduler rejects them),
  * so the double comparison fast path is exact.
@@ -36,6 +84,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <math.h>
 
 /* ma_version_tag (a process-global monotone stamp bumped on every dict
  * mutation) lets the loop skip re-reading ``_stopped`` when no callback
@@ -56,9 +105,11 @@ static PyObject *simulation_error = NULL;
 
 /* Interned attribute keys for the Simulator instance dict. */
 static PyObject *s_now, *s_stopped, *s_running, *s_events_executed, *s_heap;
+static PyObject *s_seq, *s_scheduled, *s_cancelled_events;
 
 /* Slot offsets for Timer / EventHandle (__slots__ storage). */
 static Py_ssize_t off_t_version = -1, off_t_armed = -1, off_t_callback = -1;
+static Py_ssize_t off_t_sim = -1, off_t_time = -1;
 static Py_ssize_t off_h_cancelled = -1, off_h_fired = -1;
 static Py_ssize_t off_h_callback = -1, off_h_args = -1;
 
@@ -102,19 +153,12 @@ int_eq(PyObject *a, PyObject *b)
     if (a == b)
         return 1;
     if (PyLong_CheckExact(a) && PyLong_CheckExact(b)) {
-        /* Exact ints are normalized: equal value <=> equal digits. */
-        Py_ssize_t sa = Py_SIZE(a);
-        if (sa != Py_SIZE(b))
-            return 0;
-        {
-            const digit *da = ((PyLongObject *)a)->ob_digit;
-            const digit *db = ((PyLongObject *)b)->ob_digit;
-            Py_ssize_t i, n = sa < 0 ? -sa : sa;
-            for (i = 0; i < n; i++)
-                if (da[i] != db[i])
-                    return 0;
-            return 1;
-        }
+        int oa = 0, ob = 0;
+        /* Never raises for exact ints; overflow only sets the flag. */
+        long long la = PyLong_AsLongLongAndOverflow(a, &oa);
+        long long lb = PyLong_AsLongLongAndOverflow(b, &ob);
+        if (!oa && !ob)
+            return la == lb;
     }
     return PyObject_RichCompareBool(a, b, Py_EQ);
 }
@@ -340,19 +384,816 @@ ck_heappop_impl(PyObject *heap)
     return returnitem;
 }
 
-/* --- the run loop ------------------------------------------------------ */
+/* --- simulator state access ------------------------------------------ */
 
 /* Fetch a required attribute from the simulator's instance dict.
  * Returns a borrowed reference or NULL with AttributeError set. */
 static PyObject *
-sim_get(PyObject **dictptr, PyObject *key)
+sim_get(PyObject *dict, PyObject *key)
 {
-    PyObject *value = PyDict_GetItemWithError(*dictptr, key);
+    PyObject *value = PyDict_GetItemWithError(dict, key);
     if (value == NULL && !PyErr_Occurred())
         PyErr_Format(PyExc_AttributeError,
                      "Simulator has no attribute %R", key);
     return value;
 }
+
+/* The simulator's instance dict (borrowed), or NULL with TypeError. */
+static PyObject *
+sim_dict(PyObject *sim)
+{
+    PyObject **dictptr = _PyObject_GetDictPtr(sim);
+    if (dictptr == NULL || *dictptr == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "expected a Simulator with an instance dict");
+        return NULL;
+    }
+    return *dictptr;
+}
+
+/* ``sim.<counter> += n`` for the exact-int bookkeeping counters. */
+static int
+counter_add(PyObject *dict, PyObject *key, long long n)
+{
+    PyObject *old = sim_get(dict, key), *sum;
+    long long value;
+    int status;
+
+    if (old == NULL)
+        return -1;
+    value = PyLong_AsLongLong(old);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    sum = PyLong_FromLongLong(value + n);
+    if (sum == NULL)
+        return -1;
+    status = PyDict_SetItem(dict, key, sum);
+    Py_DECREF(sum);
+    return status;
+}
+
+/* The next tie-break sequence number (new reference): one draw from
+ * ``sim._seq``, the counter ``sim._next_seq`` is the bound ``__next__``
+ * of, so C and Python draws interleave in one stream. */
+static PyObject *
+next_seq(PyObject *dict)
+{
+    PyObject *seq = sim_get(dict, s_seq), *value;
+    if (seq == NULL)
+        return NULL;
+    if (!PyIter_Check(seq)) {
+        PyErr_SetString(PyExc_TypeError, "Simulator._seq must be an iterator");
+        return NULL;
+    }
+    value = (*Py_TYPE(seq)->tp_iternext)(seq);
+    if (value == NULL && !PyErr_Occurred())
+        PyErr_SetNone(PyExc_StopIteration);
+    return value;
+}
+
+/* Push ``(time, seq, a, b[, c])`` with a freshly drawn seq; steals
+ * ``time`` (which may be NULL: the error is then already set). */
+static int
+push_entry(PyObject *dict, PyObject *heap, PyObject *time, PyObject *a,
+           PyObject *b, PyObject *c)
+{
+    PyObject *seq, *entry;
+    int status;
+
+    if (time == NULL)
+        return -1;
+    seq = next_seq(dict);
+    if (seq == NULL) {
+        Py_DECREF(time);
+        return -1;
+    }
+    entry = PyTuple_New(c == NULL ? 4 : 5);
+    if (entry == NULL) {
+        Py_DECREF(time);
+        Py_DECREF(seq);
+        return -1;
+    }
+    PyTuple_SET_ITEM(entry, 0, time);
+    PyTuple_SET_ITEM(entry, 1, seq);
+    Py_INCREF(a);
+    PyTuple_SET_ITEM(entry, 2, a);
+    Py_INCREF(b);
+    PyTuple_SET_ITEM(entry, 3, b);
+    if (c != NULL) {
+        Py_INCREF(c);
+        PyTuple_SET_ITEM(entry, 4, c);
+    }
+    status = ck_heappush_impl(heap, entry);
+    Py_DECREF(entry);
+    return status;
+}
+
+static PyObject *
+sim_heap(PyObject *dict)
+{
+    PyObject *heap = sim_get(dict, s_heap);
+    if (heap != NULL && !PyList_CheckExact(heap)) {
+        PyErr_SetString(PyExc_TypeError, "Simulator._heap must be a list");
+        return NULL;
+    }
+    return heap;
+}
+
+/* --- scheduling primitives (C twins of engine._arm / engine._fan_out) -- */
+
+/* Arm (or re-anchor) ``timer`` at absolute ``time``: the statements of
+ * engine._arm in the same order — supersede-or-arm, bump the version,
+ * record the deadline, count, draw a seq, push. */
+static int
+arm_impl(PyObject *timer, PyObject *time)
+{
+    PyObject *sim, *dict, *heap, *armed, *version, *bumped;
+    long long v;
+    int is_armed, status;
+
+    if (Py_TYPE(timer) != timer_type) {
+        PyErr_SetString(PyExc_TypeError, "arm() needs an engine.Timer");
+        return -1;
+    }
+    if ((sim = slot_get(timer, off_t_sim, "_sim")) == NULL
+            || (dict = sim_dict(sim)) == NULL
+            || (armed = slot_get(timer, off_t_armed, "_armed")) == NULL)
+        return -1;
+    if ((is_armed = flag_is_true(armed)) < 0)
+        return -1;
+    if (is_armed) {
+        if (counter_add(dict, s_cancelled_events, 1) < 0)
+            return -1;
+    }
+    else
+        slot_set(timer, off_t_armed, Py_True);
+    if ((version = slot_get(timer, off_t_version, "_version")) == NULL)
+        return -1;
+    v = PyLong_AsLongLong(version);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if ((bumped = PyLong_FromLongLong(v + 1)) == NULL)
+        return -1;
+    slot_set(timer, off_t_version, bumped);
+    slot_set(timer, off_t_time, time);
+    if (counter_add(dict, s_scheduled, 1) < 0
+            || (heap = sim_heap(dict)) == NULL) {
+        Py_DECREF(bumped);
+        return -1;
+    }
+    Py_INCREF(time);
+    status = push_entry(dict, heap, time, timer, bumped, NULL);
+    Py_DECREF(bumped);
+    return status;
+}
+
+static PyObject *
+ck_arm(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "arm(timer, time)");
+        return NULL;
+    }
+    if (arm_impl(args[0], args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* ``a + b`` with the exact-float fast path (new reference). */
+static PyObject *
+num_add(PyObject *a, PyObject *b)
+{
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b))
+        return PyFloat_FromDouble(PyFloat_AS_DOUBLE(a) + PyFloat_AS_DOUBLE(b));
+    return PyNumber_Add(a, b);
+}
+
+static PyObject *
+ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *sim, *transmission, *duration;
+    PyObject *dict, *now, *heap, *entries = NULL, *ends_args = NULL;
+    Py_ssize_t i, n = 0;
+    int failed = 1;
+
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fan_out(sim, entries, transmission, duration)");
+        return NULL;
+    }
+    sim = args[0];
+    transmission = args[2];
+    duration = args[3];
+    if ((dict = sim_dict(sim)) == NULL
+            || (now = sim_get(dict, s_now)) == NULL
+            || (heap = sim_heap(dict)) == NULL)
+        return NULL;
+    Py_INCREF(now);
+    Py_INCREF(heap);
+    entries = PySequence_Fast(args[1], "fan_out() needs a sequence of "
+                              "(begins, ends, rx_power, delay) entries");
+    if (entries == NULL)
+        goto done;
+    /* Every arrival_ends call takes the same arguments; one tuple. */
+    if ((ends_args = PyTuple_Pack(1, transmission)) == NULL)
+        goto done;
+    n = PySequence_Fast_GET_SIZE(entries);
+    for (i = 0; i < n; i++) {
+        PyObject *entry = PySequence_Fast_GET_ITEM(entries, i);
+        PyObject *delay, *begins_args, *tail;
+        int status;
+
+        /* Plans hold tuples; anything else fails as unpacking would. */
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
+            PyErr_SetString(PyTuple_Check(entry) ? PyExc_ValueError
+                                                 : PyExc_TypeError,
+                            "fan-out entries are (begins, ends, rx_power, "
+                            "delay) tuples");
+            goto done;
+        }
+        delay = PyTuple_GET_ITEM(entry, 3);
+        begins_args = PyTuple_Pack(2, transmission,
+                                   PyTuple_GET_ITEM(entry, 2));
+        if (begins_args == NULL)
+            goto done;
+        status = push_entry(dict, heap, num_add(now, delay), Py_None,
+                            PyTuple_GET_ITEM(entry, 0), begins_args);
+        Py_DECREF(begins_args);
+        if (status < 0)
+            goto done;
+        /* now + (delay + duration), NOT (now + delay) + duration: the
+         * ulp between them reorders CCA edges. */
+        if ((tail = num_add(delay, duration)) == NULL)
+            goto done;
+        status = push_entry(dict, heap, num_add(now, tail), Py_None,
+                            PyTuple_GET_ITEM(entry, 1), ends_args);
+        Py_DECREF(tail);
+        if (status < 0)
+            goto done;
+    }
+    if (counter_add(dict, s_scheduled, 2 * n) == 0)
+        failed = 0;
+done:
+    Py_XDECREF(ends_args);
+    Py_XDECREF(entries);
+    Py_DECREF(heap);
+    Py_DECREF(now);
+    if (failed)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* --- PHY receive edges (C twins of Radio.arrival_begins / _ends) ------ */
+
+/* Bound by bind_phy() at the first Medium on a C-kernel simulator. */
+static PyTypeObject *radio_type = NULL, *sinr_type = NULL;
+static PyTypeObject *capture_type = NULL;
+static PyObject *st_idle, *st_rx, *st_tx, *st_sleep;  /* RadioState members */
+static PyObject *st_rx_value;                         /* RadioState.RX.value */
+static PyObject *py_arrival_begins, *py_arrival_ends; /* the reference edges */
+static PyObject *builtin_sum;
+static PyObject *float_zero;
+
+static PyObject *s_values, *s_mode, *s_name, *s_duration, *s_enabled;
+static PyObject *s_threshold_db, *s_should_capture, *s_preamble_snr;
+static PyObject *s_abort_locked, *s_try_lock, *s_refresh_interference;
+
+static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
+static Py_ssize_t off_r_locked_power, off_r_locked_tracker, off_r_cca_busy;
+static Py_ssize_t off_r_cca_threshold, off_r_capture, off_r_snr_cache;
+static Py_ssize_t off_r_noise, off_r_config, off_r_decodable, off_r_sim;
+static Py_ssize_t off_r_rx_timer, off_r_tracker, off_r_on_cca_busy;
+static Py_ssize_t off_r_on_cca_idle, off_r_on_state_change;
+static Py_ssize_t off_s_signal, off_s_noise, off_s_start, off_s_last;
+static Py_ssize_t off_s_current, off_s_energy;
+
+static inline int
+is_float(PyObject *value)
+{
+    return value != NULL && PyFloat_CheckExact(value);
+}
+
+/* Comparison with the exact-float fast path; 1/0/-1. */
+static int
+num_cmp(PyObject *a, PyObject *b, int op)
+{
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
+        double da = PyFloat_AS_DOUBLE(a), db = PyFloat_AS_DOUBLE(b);
+        return op == Py_GE ? da >= db : da < db;
+    }
+    return PyObject_RichCompareBool(a, b, op);
+}
+
+/* units.linear_to_db: libm's log10 is what math.log10 calls for a
+ * positive float, so the product is the reference's float. */
+static inline double
+linear_to_db(double ratio)
+{
+    return ratio <= 0.0 ? -Py_HUGE_VAL : 10.0 * log10(ratio);
+}
+
+/* Drop a call's result: 0, or -1 when the call raised. */
+static int
+discard(PyObject *result)
+{
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* A rare or off-type step runs its Python reference method instead
+ * (every call site is reached before the step mutates anything that
+ * the method would mutate again).  0 or -1. */
+static int
+run_reference(PyObject *self, PyObject *name, PyObject *a, PyObject *b)
+{
+    return discard(PyObject_CallMethodObjArgs(self, name, a, b, NULL));
+}
+
+/* Call a radio's upcall slot with a strong reference held (the slot
+ * may be rebound by what it calls).  0 or -1. */
+static int
+upcall(PyObject *self, Py_ssize_t offset, const char *name, PyObject *arg)
+{
+    PyObject *callable = slot_get(self, offset, name);
+    int status;
+
+    if (callable == NULL)
+        return -1;
+    if (callable == Py_None && arg != NULL)
+        return 0;  /* on_state_change is optional */
+    Py_INCREF(callable);
+    status = discard(arg != NULL ? PyObject_CallOneArg(callable, arg)
+                                 : PyObject_CallNoArgs(callable));
+    Py_DECREF(callable);
+    return status;
+}
+
+/* ``builtins.sum(arrivals.values())`` — the reference's own summation
+ * (Neumaier-compensated since CPython 3.12), never a C fold. */
+static PyObject *
+table_sum(PyObject *arrivals)
+{
+    PyObject *values = PyObject_CallMethodNoArgs(arrivals, s_values), *total;
+    if (values == NULL)
+        return NULL;
+    total = PyObject_CallOneArg(builtin_sum, values);
+    Py_DECREF(values);
+    return total;
+}
+
+/* ``sim._now`` of the radio's simulator (borrowed), or NULL. */
+static PyObject *
+radio_now(PyObject *self)
+{
+    PyObject *sim = slot_get(self, off_r_sim, "_sim"), *dict;
+    if (sim == NULL || (dict = sim_dict(sim)) == NULL)
+        return NULL;
+    return sim_get(dict, s_now);
+}
+
+/* The interference a locked radio sees: the table's sum less the
+ * locked signal, clamped at zero.  1 with *out set, 0 when the sum is
+ * not a float minus a float (the reference must do it), -1 on error. */
+static int
+table_interference(PyObject *self, PyObject *arrivals, PyObject *locked,
+                   double *out)
+{
+    PyObject *total, *locked_power;
+
+    *out = 0.0;
+    if (PyDict_GET_SIZE(arrivals) == 1) {
+        /* Only the locked signal on the air: sum([p]) - p is 0.0. */
+        int alone = PyDict_Contains(arrivals, locked);
+        if (alone != 0)
+            return alone;
+    }
+    if ((total = table_sum(arrivals)) == NULL)
+        return -1;
+    locked_power = SLOT(self, off_r_locked_power);
+    if (!PyFloat_CheckExact(total) || !is_float(locked_power)) {
+        Py_DECREF(total);
+        return 0;
+    }
+    *out = PyFloat_AS_DOUBLE(total) - PyFloat_AS_DOUBLE(locked_power);
+    Py_DECREF(total);
+    if (*out < 0.0)
+        *out = 0.0;  /* keeps -0.0, as the reference does */
+    return 1;
+}
+
+/* Radio._refresh_interference; 0 or -1. */
+static int
+refresh_interference(PyObject *self)
+{
+    PyObject *locked = SLOT(self, off_r_locked);
+    PyObject *arrivals = SLOT(self, off_r_arrivals);
+    PyObject *tracker, *now, *current, *last, *energy, *value;
+    double interference, now_d, last_d;
+    int known;
+
+    if (locked == Py_None)
+        return 0;
+    if (locked == NULL || arrivals == NULL || !PyDict_CheckExact(arrivals))
+        return run_reference(self, s_refresh_interference, NULL, NULL);
+    /* Hashing the frame and summing the table may run Python. */
+    Py_INCREF(locked);
+    Py_INCREF(arrivals);
+    known = table_interference(self, arrivals, locked, &interference);
+    Py_DECREF(arrivals);
+    Py_DECREF(locked);
+    if (known < 0)
+        return -1;
+    tracker = SLOT(self, off_r_locked_tracker);
+    if (!known || tracker == NULL || Py_TYPE(tracker) != sinr_type
+            || !is_float(current = SLOT(tracker, off_s_current))
+            || !is_float(last = SLOT(tracker, off_s_last))
+            || !is_float(energy = SLOT(tracker, off_s_energy)))
+        return run_reference(self, s_refresh_interference, NULL, NULL);
+    if (interference == 0.0 && PyFloat_AS_DOUBLE(current) == 0.0)
+        return 0;  /* zero-rate segment either way */
+    if ((now = radio_now(self)) == NULL)
+        return -1;
+    if (!PyFloat_CheckExact(now))
+        return run_reference(self, s_refresh_interference, NULL, NULL);
+    /* SinrTracker.set_interference(now, interference); nothing below
+     * can run Python, so the borrowed tracker and clock stay valid. */
+    now_d = PyFloat_AS_DOUBLE(now);
+    last_d = PyFloat_AS_DOUBLE(last);
+    if (now_d < last_d) {
+        PyErr_SetString(PyExc_ValueError,
+                        "time went backwards in SinrTracker");
+        return -1;
+    }
+    value = PyFloat_FromDouble(PyFloat_AS_DOUBLE(energy)
+                               + PyFloat_AS_DOUBLE(current) * (now_d - last_d));
+    if (value == NULL)
+        return -1;
+    slot_set(tracker, off_s_energy, value);
+    Py_DECREF(value);
+    if ((value = PyFloat_FromDouble(interference)) == NULL)
+        return -1;
+    slot_set(tracker, off_s_current, value);
+    Py_DECREF(value);
+    slot_set(tracker, off_s_last, now);
+    return 0;
+}
+
+/* CaptureModel.should_capture for an exact CaptureModel with float
+ * fields; 1/0, -1 on error, -2 when the method itself must be asked. */
+static int
+capture_verdict(PyObject *capture, PyObject *locked_power, PyObject *power)
+{
+    PyObject *field;
+    int result;
+
+    if (Py_TYPE(capture) != capture_type || !PyFloat_CheckExact(locked_power))
+        return -2;
+    if ((field = PyObject_GetAttr(capture, s_enabled)) == NULL)
+        return -1;
+    result = PyObject_IsTrue(field);
+    Py_DECREF(field);
+    if (result <= 0)
+        return result;
+    if (PyFloat_AS_DOUBLE(locked_power) <= 0.0)
+        return 1;
+    if ((field = PyObject_GetAttr(capture, s_threshold_db)) == NULL)
+        return -1;
+    result = !PyFloat_CheckExact(field) ? -2
+        : linear_to_db(PyFloat_AS_DOUBLE(power)
+                       / PyFloat_AS_DOUBLE(locked_power))
+          >= PyFloat_AS_DOUBLE(field);
+    Py_DECREF(field);
+    return result;
+}
+
+/* ``self._capture.should_capture(self._locked_power, power)``; 1/0/-1. */
+static int
+should_capture(PyObject *self, PyObject *power)
+{
+    PyObject *capture = slot_get(self, off_r_capture, "_capture");
+    PyObject *locked_power, *verdict;
+    int result;
+
+    if (capture == NULL
+            || (locked_power = slot_get(self, off_r_locked_power,
+                                        "_locked_power")) == NULL)
+        return -1;
+    Py_INCREF(capture);
+    Py_INCREF(locked_power);
+    result = capture_verdict(capture, locked_power, power);
+    if (result == -2) {
+        verdict = PyObject_CallMethodObjArgs(capture, s_should_capture,
+                                             locked_power, power, NULL);
+        result = verdict == NULL ? -1 : PyObject_IsTrue(verdict);
+        Py_XDECREF(verdict);
+    }
+    Py_DECREF(locked_power);
+    Py_DECREF(capture);
+    return result;
+}
+
+/* The first half of Radio._try_lock — a preamble this radio can see,
+ * of a PHY it decodes?  1/0, -1 on error, -2 when the reference must
+ * be asked (nothing has been touched yet). */
+static int
+preamble_decodable(PyObject *self, PyObject *transmission, PyObject *power)
+{
+    PyObject *cache = SLOT(self, off_r_snr_cache);
+    PyObject *noise = SLOT(self, off_r_noise);
+    PyObject *holder, *snr, *value;
+    int verdict;
+
+    if (cache == NULL || !PyDict_CheckExact(cache) || !is_float(noise))
+        return -2;
+    /* Preamble SNR, memoized on the exact receive power (float keys:
+     * no Python runs while the cache and the noise are borrowed). */
+    if ((snr = PyDict_GetItemWithError(cache, power)) != NULL)
+        Py_INCREF(snr);
+    else {
+        double noise_d = PyFloat_AS_DOUBLE(noise);
+        if (PyErr_Occurred())
+            return -1;
+        snr = PyFloat_FromDouble(
+            noise_d > 0 ? linear_to_db(PyFloat_AS_DOUBLE(power) / noise_d)
+                        : Py_HUGE_VAL);
+        if (snr == NULL)
+            return -1;
+        if (PyDict_GET_SIZE(cache) >= 4096)
+            PyDict_Clear(cache);
+        if (PyDict_SetItem(cache, power, snr) < 0) {
+            Py_DECREF(snr);
+            return -1;
+        }
+    }
+    /* snr_db < self.config.preamble_detection_snr_db */
+    if ((holder = slot_get(self, off_r_config, "config")) == NULL) {
+        Py_DECREF(snr);
+        return -1;
+    }
+    Py_INCREF(holder);
+    value = PyObject_GetAttr(holder, s_preamble_snr);
+    Py_DECREF(holder);
+    verdict = value == NULL ? -1 : num_cmp(snr, value, Py_LT);
+    Py_XDECREF(value);
+    Py_DECREF(snr);
+    if (verdict != 0)
+        return verdict < 0 ? -1 : 0;  /* too weak to see a preamble */
+    /* transmission.mode.name in self.decodable_modes */
+    if ((value = PyObject_GetAttr(transmission, s_mode)) == NULL)
+        return -1;
+    Py_SETREF(value, PyObject_GetAttr(value, s_name));
+    if (value == NULL)
+        return -1;
+    if ((holder = slot_get(self, off_r_decodable,
+                           "decodable_modes")) == NULL) {
+        Py_DECREF(value);
+        return -1;
+    }
+    Py_INCREF(holder);
+    verdict = PySequence_Contains(holder, value);  /* 0: foreign PHY */
+    Py_DECREF(holder);
+    Py_DECREF(value);
+    return verdict;
+}
+
+/* Radio._try_lock; 0 or -1.  ``arrivals`` is the edge's strong
+ * reference to the table the new arrival already sits in. */
+static int
+try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
+         PyObject *power)
+{
+    PyObject *value, *timer, *tracker, *noise, *now;
+    double interference = 0.0;
+    int status = preamble_decodable(self, transmission, power);
+
+    if (status == -2)
+        return run_reference(self, s_try_lock, transmission, power);
+    if (status <= 0)
+        return status;
+    if (PyDict_GET_SIZE(arrivals) != 1) {
+        /* sum(arrivals.values()) - power; alone, exactly 0.0. */
+        if ((value = table_sum(arrivals)) == NULL)
+            return -1;
+        if (!PyFloat_CheckExact(value)) {
+            Py_DECREF(value);
+            return run_reference(self, s_try_lock, transmission, power);
+        }
+        interference = PyFloat_AS_DOUBLE(value) - PyFloat_AS_DOUBLE(power);
+        Py_DECREF(value);
+    }
+    if ((value = PyObject_GetAttr(transmission, s_duration)) == NULL)
+        return -1;
+    /* Read after the last call that could run Python, and checked
+     * before the first statement the reference could not repeat. */
+    timer = SLOT(self, off_r_rx_timer);
+    tracker = SLOT(self, off_r_tracker);
+    noise = SLOT(self, off_r_noise);
+    now = radio_now(self);
+    if (now == NULL || !PyFloat_CheckExact(now) || !PyFloat_CheckExact(value)
+            || timer == NULL || tracker == NULL || noise == NULL
+            || Py_TYPE(tracker) != sinr_type) {
+        Py_DECREF(value);
+        if (now == NULL)
+            return -1;
+        return run_reference(self, s_try_lock, transmission, power);
+    }
+    /* Held across the arm: ordering the heap can, for exotic entry
+     * times, run Python. */
+    Py_INCREF(tracker);
+    Py_INCREF(noise);
+    Py_INCREF(now);
+    /* The tail lands one airtime after the energy started arriving. */
+    Py_SETREF(value, PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                                        + PyFloat_AS_DOUBLE(value)));
+    status = value == NULL ? -1 : arm_impl(timer, value);
+    Py_XDECREF(value);
+    if (status == 0
+            && (value = PyFloat_FromDouble(interference)) == NULL)
+        status = -1;
+    if (status == 0) {
+        slot_set(self, off_r_locked, transmission);
+        slot_set(self, off_r_locked_power, power);
+        /* SinrTracker.reset(power, noise, now, interference). */
+        slot_set(tracker, off_s_signal, power);
+        slot_set(tracker, off_s_noise, noise);
+        slot_set(tracker, off_s_start, now);
+        slot_set(tracker, off_s_last, now);
+        slot_set(tracker, off_s_current, value);
+        Py_DECREF(value);
+        slot_set(tracker, off_s_energy, float_zero);
+        slot_set(self, off_r_locked_tracker, tracker);
+        slot_set(self, off_r_state, st_rx);
+    }
+    Py_DECREF(now);
+    Py_DECREF(noise);
+    Py_DECREF(tracker);
+    if (status < 0)
+        return -1;
+    return upcall(self, off_r_on_state_change, "on_state_change",
+                  st_rx_value);
+}
+
+/* The `_update_cca` tail the two edges inline: the busy verdict from
+ * the state and the table, then the flag flip and its upcall.
+ * ``begun`` is arrival_begins' power (a table of one sums to exactly
+ * it) and NULL for arrival_ends (SLEEP senses nothing; an emptied
+ * table sums to exactly 0.0).  0 or -1. */
+static int
+cca_tail(PyObject *self, PyObject *arrivals, PyObject *begun)
+{
+    PyObject *state = SLOT(self, off_r_state), *was;
+    int busy, differs;
+
+    if (state == st_tx || state == st_rx)
+        busy = 1;
+    else if (begun == NULL && state == st_sleep)
+        busy = 0;
+    else {
+        Py_ssize_t size = PyDict_GET_SIZE(arrivals);
+        PyObject *total = NULL, *threshold;
+        if (!(begun != NULL ? size == 1 : size == 0)
+                && (total = table_sum(arrivals)) == NULL)
+            return -1;
+        threshold = slot_get(self, off_r_cca_threshold,
+                             "_cca_threshold_watts");
+        Py_XINCREF(threshold);
+        busy = threshold == NULL ? -1
+            : num_cmp(total != NULL ? total
+                      : begun != NULL ? begun : float_zero,
+                      threshold, Py_GE);
+        Py_XDECREF(threshold);
+        Py_XDECREF(total);
+        if (busy < 0)
+            return -1;
+    }
+    /* busy != self._cca_busy; identical objects — every edge that
+     * flips nothing — are answered without a call. */
+    if ((was = slot_get(self, off_r_cca_busy, "_cca_busy")) == NULL)
+        return -1;
+    Py_INCREF(was);
+    differs = PyObject_RichCompareBool(busy ? Py_True : Py_False, was, Py_NE);
+    Py_DECREF(was);
+    if (differs <= 0)
+        return differs;
+    slot_set(self, off_r_cca_busy, busy ? Py_True : Py_False);
+    return busy ? upcall(self, off_r_on_cca_busy, "on_cca_busy", NULL)
+                : upcall(self, off_r_on_cca_idle, "on_cca_idle", NULL);
+}
+
+/* The table (borrowed) when ``self`` is an exact Radio in the shape
+ * the C edges handle; NULL (no error set) sends the whole call to the
+ * Python reference edge, before anything was touched. */
+static PyObject *
+canonical_table(PyObject *self)
+{
+    PyObject *arrivals, *state;
+
+    if (radio_type == NULL || Py_TYPE(self) != radio_type)
+        return NULL;
+    arrivals = SLOT(self, off_r_arrivals);
+    state = SLOT(self, off_r_state);
+    if (arrivals == NULL || !PyDict_CheckExact(arrivals)
+            || SLOT(self, off_r_locked) == NULL
+            || (state != st_idle && state != st_rx && state != st_tx
+                && state != st_sleep))
+        return NULL;
+    return arrivals;
+}
+
+static PyObject *
+reference_edge(PyObject *edge, PyObject *self, PyObject *transmission,
+               PyObject *power)
+{
+    if (edge == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "_ckernel.bind_phy() has not been called");
+        return NULL;
+    }
+    return PyObject_CallFunctionObjArgs(edge, self, transmission, power, NULL);
+}
+
+static PyObject *
+ck_arrival_begins(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *self, *transmission, *power, *arrivals, *state;
+    int status = -1;
+
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "arrival_begins(radio, transmission, power_watts)");
+        return NULL;
+    }
+    self = args[0];
+    transmission = args[1];
+    power = args[2];
+    arrivals = canonical_table(self);
+    if (arrivals == NULL || !PyFloat_CheckExact(power))
+        return reference_edge(py_arrival_begins, self, transmission, power);
+    Py_INCREF(arrivals);
+    if (PyDict_SetItem(arrivals, transmission, power) < 0)
+        goto done;
+    state = SLOT(self, off_r_state);
+    if (state == st_sleep)
+        status = 0;  /* tracked, but a sleeping radio senses nothing */
+    else if (SLOT(self, off_r_locked) != Py_None) {
+        int capture = should_capture(self, power);
+        if (capture < 0)
+            goto done;
+        if (capture) {
+            if (run_reference(self, s_abort_locked, NULL, NULL) < 0
+                    || try_lock(self, arrivals, transmission, power) < 0)
+                goto done;
+        }
+        else if (refresh_interference(self) < 0)
+            goto done;
+        status = cca_tail(self, arrivals, power);
+    }
+    else if (state != st_idle
+             || try_lock(self, arrivals, transmission, power) == 0)
+        status = cca_tail(self, arrivals, power);
+done:
+    Py_DECREF(arrivals);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+ck_arrival_ends(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *self, *transmission, *arrivals, *locked;
+    int status = -1;
+
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "arrival_ends(radio, transmission)");
+        return NULL;
+    }
+    self = args[0];
+    transmission = args[1];
+    if ((arrivals = canonical_table(self)) == NULL)
+        return reference_edge(py_arrival_ends, self, transmission, NULL);
+    Py_INCREF(arrivals);
+    /* arrivals.pop(transmission, None) */
+    if (PyDict_DelItem(arrivals, transmission) < 0) {
+        if (!PyErr_ExceptionMatches(PyExc_KeyError))
+            goto done;
+        PyErr_Clear();
+    }
+    locked = SLOT(self, off_r_locked);
+    if (locked == Py_None || locked == transmission
+            || refresh_interference(self) == 0)
+        status = cca_tail(self, arrivals, NULL);
+done:
+    Py_DECREF(arrivals);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* --- the run loop ------------------------------------------------------ */
 
 static PyObject *
 ck_run(PyObject *module, PyObject *args)
@@ -382,7 +1223,7 @@ ck_run(PyObject *module, PyObject *args)
 
     /* Re-entrancy guard, before touching any state. */
     {
-        PyObject *running = sim_get(dictptr, s_running);
+        PyObject *running = sim_get(*dictptr, s_running);
         if (running == NULL)
             return NULL;
         int r = PyObject_IsTrue(running);
@@ -409,14 +1250,14 @@ ck_run(PyObject *module, PyObject *args)
     flush_per_event = !(budget_is_inf && !until_is_none);
 
     {
-        PyObject *exec_obj = sim_get(dictptr, s_events_executed);
+        PyObject *exec_obj = sim_get(*dictptr, s_events_executed);
         if (exec_obj == NULL)
             return NULL;
         executed = PyLong_AsLongLong(exec_obj);
         if (executed == -1 && PyErr_Occurred())
             return NULL;
     }
-    heap = sim_get(dictptr, s_heap);
+    heap = sim_get(*dictptr, s_heap);
     if (heap == NULL)
         return NULL;
     if (!PyList_CheckExact(heap)) {
@@ -451,7 +1292,7 @@ ck_run(PyObject *module, PyObject *args)
         else
 #endif
         {
-            PyObject *stopped = sim_get(dictptr, s_stopped);
+            PyObject *stopped = sim_get(*dictptr, s_stopped);
             if (stopped == NULL)
                 goto error;
             int st = flag_is_true(stopped);
@@ -687,14 +1528,14 @@ ck_run(PyObject *module, PyObject *args)
 
     /* Clean exit: snap the clock to the horizon. */
     if (!until_is_none) {
-        PyObject *stopped = sim_get(dictptr, s_stopped);
+        PyObject *stopped = sim_get(*dictptr, s_stopped);
         if (stopped == NULL)
             goto error;
         int st = PyObject_IsTrue(stopped);
         if (st < 0)
             goto error;
         if (!st) {
-            PyObject *now = sim_get(dictptr, s_now);
+            PyObject *now = sim_get(*dictptr, s_now);
             if (now == NULL)
                 goto error;
             int lt = PyObject_RichCompareBool(now, until, Py_LT);
@@ -729,7 +1570,7 @@ finish:
     Py_XDECREF(heap);
     if (failed)
         return NULL;
-    result = sim_get(dictptr, s_now);
+    result = sim_get(*dictptr, s_now);
     if (result == NULL)
         return NULL;
     Py_INCREF(result);
@@ -789,10 +1630,32 @@ resolve_slot(PyObject *type, const char *name)
     return offset;
 }
 
+/* Resolve a NULL-name-terminated table of slot offsets on ``type``. */
+struct slot_spec {
+    const char *name;
+    Py_ssize_t *offset;
+};
+
+static int
+resolve_slots(PyObject *type, const struct slot_spec *spec)
+{
+    for (; spec->name != NULL; spec++)
+        if ((*spec->offset = resolve_slot(type, spec->name)) < 0)
+            return -1;
+    return 0;
+}
+
 static PyObject *
 ck_install(PyObject *module, PyObject *args)
 {
     PyObject *timer, *handle, *error;
+    const struct slot_spec timer_slots[] = {
+        {"_version", &off_t_version}, {"_armed", &off_t_armed},
+        {"_callback", &off_t_callback}, {"_sim", &off_t_sim},
+        {"_time", &off_t_time}, {NULL, NULL}};
+    const struct slot_spec handle_slots[] = {
+        {"_cancelled", &off_h_cancelled}, {"_fired", &off_h_fired},
+        {"callback", &off_h_callback}, {"args", &off_h_args}, {NULL, NULL}};
 
     if (!PyArg_ParseTuple(args, "OOO:install", &timer, &handle, &error))
         return NULL;
@@ -801,19 +1664,8 @@ ck_install(PyObject *module, PyObject *args)
                         "install(Timer, EventHandle, SimulationError)");
         return NULL;
     }
-    if ((off_t_version = resolve_slot(timer, "_version")) < 0)
-        return NULL;
-    if ((off_t_armed = resolve_slot(timer, "_armed")) < 0)
-        return NULL;
-    if ((off_t_callback = resolve_slot(timer, "_callback")) < 0)
-        return NULL;
-    if ((off_h_cancelled = resolve_slot(handle, "_cancelled")) < 0)
-        return NULL;
-    if ((off_h_fired = resolve_slot(handle, "_fired")) < 0)
-        return NULL;
-    if ((off_h_callback = resolve_slot(handle, "callback")) < 0)
-        return NULL;
-    if ((off_h_args = resolve_slot(handle, "args")) < 0)
+    if (resolve_slots(timer, timer_slots) < 0
+            || resolve_slots(handle, handle_slots) < 0)
         return NULL;
 
     Py_INCREF(timer);
@@ -822,6 +1674,77 @@ ck_install(PyObject *module, PyObject *args)
     Py_XSETREF(handle_type, (PyTypeObject *)handle);
     Py_INCREF(error);
     Py_XSETREF(simulation_error, error);
+    Py_RETURN_NONE;
+}
+
+/* ``*target = getattr(owner, name)`` (replacing a previous binding). */
+static int
+bind_attr(PyObject **target, PyObject *owner, const char *name)
+{
+    PyObject *value = PyObject_GetAttrString(owner, name);
+    if (value == NULL)
+        return -1;
+    Py_XSETREF(*target, value);
+    return 0;
+}
+
+static PyObject *
+ck_bind_phy(PyObject *module, PyObject *args)
+{
+    PyObject *radio, *tracker, *state, *capture, *builtins;
+    const struct slot_spec radio_slots[] = {
+        {"_arrivals", &off_r_arrivals}, {"_state", &off_r_state},
+        {"_locked", &off_r_locked}, {"_locked_power", &off_r_locked_power},
+        {"_locked_tracker", &off_r_locked_tracker},
+        {"_cca_busy", &off_r_cca_busy},
+        {"_cca_threshold_watts", &off_r_cca_threshold},
+        {"_capture", &off_r_capture}, {"_snr_cache", &off_r_snr_cache},
+        {"_noise_watts", &off_r_noise}, {"config", &off_r_config},
+        {"decodable_modes", &off_r_decodable}, {"_sim", &off_r_sim},
+        {"_rx_timer", &off_r_rx_timer}, {"_tracker", &off_r_tracker},
+        {"on_cca_busy", &off_r_on_cca_busy},
+        {"on_cca_idle", &off_r_on_cca_idle},
+        {"on_state_change", &off_r_on_state_change}, {NULL, NULL}};
+    const struct slot_spec tracker_slots[] = {
+        {"signal_watts", &off_s_signal}, {"noise_watts", &off_s_noise},
+        {"_start", &off_s_start}, {"_last_time", &off_s_last},
+        {"_current_interference", &off_s_current},
+        {"_energy", &off_s_energy}, {NULL, NULL}};
+
+    if (!PyArg_ParseTuple(args, "OOOO:bind_phy", &radio, &tracker, &state,
+                          &capture))
+        return NULL;
+    if (!PyType_Check(radio) || !PyType_Check(tracker)
+            || !PyType_Check(capture)) {
+        PyErr_SetString(PyExc_TypeError, "bind_phy(Radio, SinrTracker, "
+                        "RadioState, CaptureModel)");
+        return NULL;
+    }
+    /* Unbind first: a half-resolved binding must not serve edges. */
+    Py_CLEAR(radio_type);
+    if (resolve_slots(radio, radio_slots) < 0
+            || resolve_slots(tracker, tracker_slots) < 0
+            || bind_attr(&py_arrival_begins, radio, "arrival_begins") < 0
+            || bind_attr(&py_arrival_ends, radio, "arrival_ends") < 0
+            || bind_attr(&st_idle, state, "IDLE") < 0
+            || bind_attr(&st_rx, state, "RX") < 0
+            || bind_attr(&st_tx, state, "TX") < 0
+            || bind_attr(&st_sleep, state, "SLEEP") < 0
+            || bind_attr(&st_rx_value, st_rx, "value") < 0)
+        return NULL;
+    if ((builtins = PyImport_ImportModule("builtins")) == NULL)
+        return NULL;
+    if (bind_attr(&builtin_sum, builtins, "sum") < 0) {
+        Py_DECREF(builtins);
+        return NULL;
+    }
+    Py_DECREF(builtins);
+    Py_INCREF(tracker);
+    Py_XSETREF(sinr_type, (PyTypeObject *)tracker);
+    Py_INCREF(capture);
+    Py_XSETREF(capture_type, (PyTypeObject *)capture);
+    Py_INCREF(radio);
+    radio_type = (PyTypeObject *)radio;
     Py_RETURN_NONE;
 }
 
@@ -835,6 +1758,23 @@ static PyMethodDef ck_methods[] = {
     {"run", ck_run, METH_VARARGS,
      "run(sim, until=None, max_events=None) -> float\n"
      "Compiled twin of Simulator.run(); byte-identical event sequence."},
+    {"bind_phy", ck_bind_phy, METH_VARARGS,
+     "bind_phy(Radio, SinrTracker, RadioState, CaptureModel): bind the\n"
+     "PHY classes the receive edges work on (slot offsets, the state\n"
+     "members, the Python reference edges). Idempotent."},
+    {"arm", (PyCFunction)(void (*)(void))ck_arm, METH_FASTCALL,
+     "arm(timer, time): compiled twin of engine._arm."},
+    {"fan_out", (PyCFunction)(void (*)(void))ck_fan_out, METH_FASTCALL,
+     "fan_out(sim, entries, transmission, duration): compiled twin of\n"
+     "engine._fan_out."},
+    {"arrival_begins", (PyCFunction)(void (*)(void))ck_arrival_begins,
+     METH_FASTCALL,
+     "arrival_begins(radio, transmission, power_watts): compiled twin of\n"
+     "Radio.arrival_begins (bind with types.MethodType)."},
+    {"arrival_ends", (PyCFunction)(void (*)(void))ck_arrival_ends,
+     METH_FASTCALL,
+     "arrival_ends(radio, transmission): compiled twin of\n"
+     "Radio.arrival_ends (bind with types.MethodType)."},
     {"heappush", ck_heappush, METH_VARARGS,
      "heappush(heap, entry): push with kernel-entry tuple ordering."},
     {"heappop", ck_heappop, METH_O,
@@ -855,20 +1795,34 @@ PyInit__ckernel(void)
 {
     PyObject *module;
 
-    s_now = PyUnicode_InternFromString("_now");
-    s_stopped = PyUnicode_InternFromString("_stopped");
-    s_running = PyUnicode_InternFromString("_running");
-    s_events_executed = PyUnicode_InternFromString("_events_executed");
-    s_heap = PyUnicode_InternFromString("_heap");
-    if (s_now == NULL || s_stopped == NULL || s_running == NULL
-            || s_events_executed == NULL || s_heap == NULL)
+    const struct {
+        PyObject **target;
+        const char *text;
+    } names[] = {
+        {&s_now, "_now"}, {&s_stopped, "_stopped"}, {&s_running, "_running"},
+        {&s_events_executed, "_events_executed"}, {&s_heap, "_heap"},
+        {&s_seq, "_seq"}, {&s_scheduled, "_scheduled"},
+        {&s_cancelled_events, "_cancelled_events"}, {&s_values, "values"},
+        {&s_mode, "mode"}, {&s_name, "name"}, {&s_duration, "duration"},
+        {&s_enabled, "enabled"}, {&s_threshold_db, "threshold_db"},
+        {&s_should_capture, "should_capture"},
+        {&s_preamble_snr, "preamble_detection_snr_db"},
+        {&s_abort_locked, "_abort_locked"}, {&s_try_lock, "_try_lock"},
+        {&s_refresh_interference, "_refresh_interference"}};
+    size_t i;
+
+    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
+        if ((*names[i].target
+                = PyUnicode_InternFromString(names[i].text)) == NULL)
+            return NULL;
+    if ((float_zero = PyFloat_FromDouble(0.0)) == NULL)
         return NULL;
 
     module = PyModule_Create(&ck_module);
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 1) < 0) {
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 2) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -32,6 +32,14 @@ Heap entries are therefore one of three shapes — ``(time, seq,
 handle)``, ``(time, seq, timer, version)`` or ``(time, seq, None,
 callback, args)`` — and ties never compare past ``seq``, which is
 unique, so entries of different shapes never compare element 2.
+
+The layers above build the last two shapes through two primitives, not
+by hand: :func:`_arm` (one unchecked timer arm) and :func:`_fan_out`
+(the medium's two raw entries per receiver).  A simulator picks each
+once, at construction, as ``sim._arm`` / ``sim._fan_out``: the Python
+functions below on ``kernel="python"``, their compiled twins on
+``kernel="c"`` — same statements in the same order, so seq draws,
+counters and floats are identical and the call sites never ask which.
 """
 
 from __future__ import annotations
@@ -52,6 +60,10 @@ _heappush = heapq.heappush
 #: Accepted values for ``Simulator(kernel=...)`` / ``REPRO_KERNEL``.
 KERNELS = ("auto", "python", "c")
 
+#: The extension interface this engine binds: bumped whenever
+#: ``_ckernel`` gains or changes an entry point the library calls.
+KERNEL_ABI = 2
+
 _ckernel: Optional[Any] = None
 _ckernel_checked = False
 
@@ -61,9 +73,11 @@ def _load_ckernel() -> Optional[Any]:
 
     Returns the installed :mod:`repro.core._ckernel` module, or ``None``
     when the extension is not built (the normal state on machines that
-    never ran ``tools/build_kernel.py``) or fails to bind against the
-    event classes.  The result is cached either way; a failed probe is
-    never retried within the process.
+    never ran ``tools/build_kernel.py``), was built from an older source
+    (another :data:`KERNEL_ABI`: one warning, then treated as not
+    built — never an ``AttributeError`` mid-run) or fails to bind
+    against the event classes.  The result is cached either way; a
+    failed probe is never retried within the process.
     """
     global _ckernel, _ckernel_checked
     if _ckernel_checked:
@@ -72,6 +86,16 @@ def _load_ckernel() -> Optional[Any]:
     try:
         from . import _ckernel as ext  # type: ignore[attr-defined]
     except ImportError:
+        return None
+    built_for = getattr(ext, "KERNEL_ABI", None)
+    if built_for != KERNEL_ABI:
+        import warnings
+        warnings.warn(
+            f"repro.core._ckernel was built for kernel ABI {built_for}, "
+            f"this engine needs {KERNEL_ABI}: ignoring the stale extension "
+            "and running the pure-Python kernel (rebuild it: "
+            "python tools/build_kernel.py --force)",
+            RuntimeWarning, stacklevel=2)
         return None
     try:
         ext.install(Timer, EventHandle, SimulationError)
@@ -115,8 +139,9 @@ def resolve_kernel(requested: Optional[str] = None) -> str:
         return "c"
     if requested == "c":
         raise SimulationError(
-            "kernel='c' requested but repro.core._ckernel is not built "
-            "(run: python tools/build_kernel.py)")
+            "kernel='c' requested but repro.core._ckernel is not built, or "
+            "was built from an older source "
+            "(run: python tools/build_kernel.py --force)")
     return "python"
 
 
@@ -210,23 +235,7 @@ class Timer:
 
     def schedule(self, delay: float) -> None:
         """Arm (or re-anchor) the timer ``delay`` seconds from now."""
-        # schedule_at inlined: this is the contention hot path (DIFS
-        # re-arms on every idle edge at every station).
-        sim = self._sim
-        time = sim._now + delay
-        if not sim._now <= time < _INF:
-            if time < sim._now:
-                raise SchedulingError(
-                    f"cannot schedule at t={time!r} before now={sim._now!r}")
-            raise SchedulingError(f"invalid time: {time!r}")
-        if self._armed:
-            sim._cancelled_events += 1
-        else:
-            self._armed = True
-        self._version += 1
-        self._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), self, self._version))
+        self.schedule_at(self._sim._now + delay)
 
     def schedule_at(self, time: float) -> None:
         """Arm (or re-anchor) the timer at absolute time ``time``."""
@@ -236,14 +245,7 @@ class Timer:
                 raise SchedulingError(
                     f"cannot schedule at t={time!r} before now={sim._now!r}")
             raise SchedulingError(f"invalid time: {time!r}")
-        if self._armed:
-            sim._cancelled_events += 1  # the live entry is superseded
-        else:
-            self._armed = True
-        self._version += 1
-        self._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), self, self._version))
+        sim._arm(self, time)
 
     def cancel(self) -> None:
         """Disarm; safe to call when idle.  The heap entry is dropped
@@ -251,6 +253,51 @@ class Timer:
         if self._armed:
             self._armed = False
             self._sim._cancelled_events += 1
+
+
+def _arm(timer: Timer, time: float) -> None:
+    """Arm (or re-anchor) ``timer`` at absolute ``time``, unchecked.
+
+    The one place a ``(time, seq, timer, version)`` entry is built.
+    :meth:`Timer.schedule_at` validates ``time`` first; the contention
+    hot paths (DIFS/EIFS wait, countdown, NAV, reception end) call this
+    directly as ``sim._arm`` because their deadlines are ``now`` plus a
+    non-negative finite float by construction.
+    """
+    sim = timer._sim
+    if timer._armed:
+        sim._cancelled_events += 1  # the live entry is superseded
+    else:
+        timer._armed = True
+    timer._version += 1
+    timer._time = time
+    sim._scheduled += 1
+    _heappush(sim._heap, (time, sim._next_seq(), timer, timer._version))
+
+
+def _fan_out(sim: "Simulator", entries: Any, transmission: Any,
+             duration: float) -> None:
+    """Push one frame's arrival edges: for each ``(begins, ends,
+    rx_power, delay)`` entry of a compiled fan-out plan, a raw
+    ``begins(transmission, rx_power)`` entry at ``now + delay`` and a
+    raw ``ends(transmission)`` entry at ``now + (delay + duration)``.
+
+    ``schedule_fast_at`` without the bounds checks (delays and airtimes
+    are non-negative by construction); entry shape and seq consumption
+    are identical to it.  The parenthesization is the historical
+    relative-delay arithmetic, NOT ``(now + delay) + duration`` — the
+    ulp between them is enough to reorder CCA edges and desynchronize a
+    seeded run.
+    """
+    now = sim._now
+    heap = sim._heap
+    next_seq = sim._next_seq
+    for begins, ends, rx_power, delay in entries:
+        _heappush(heap, (now + delay, next_seq(), None, begins,
+                         (transmission, rx_power)))
+        _heappush(heap, (now + (delay + duration), next_seq(), None, ends,
+                         (transmission,)))
+    sim._scheduled += 2 * len(entries)
 
 
 class Simulator:
@@ -278,8 +325,10 @@ class Simulator:
         Which run-loop implementation dispatches events.  ``"python"``
         is the pure-Python reference loop; ``"c"`` is the compiled
         :mod:`repro.core._ckernel` twin (bit-identical event sequence,
-        raises if the extension is not built); ``"auto"`` picks the
-        compiled loop when available.  ``None`` (the default) reads the
+        raises if the extension is not built) and, with it, the
+        compiled timer-arm and fan-out primitives and the compiled
+        receive edges of every exact-mode medium built on this
+        simulator; ``"auto"`` picks the compiled kernel when available.  ``None`` (the default) reads the
         ``REPRO_KERNEL`` environment variable, falling back to
         ``"auto"``.  The kernel choice never changes results — the two
         loops are byte-for-byte interchangeable (gated by
@@ -297,8 +346,12 @@ class Simulator:
                 f"unknown profile {profile!r}; expected one of {self.PROFILES}")
         self.profile = profile
         self._kernel = resolve_kernel(kernel)
-        self._ckernel_run = (_ckernel.run if self._kernel == "c"
-                             else None)
+        #: The bound extension on ``kernel="c"``, else None: whose
+        #: ``run`` this simulator's ``run`` is, and what a medium asks
+        #: for its receive edges (see phy.channel).
+        ext = self._ext = _ckernel if self._kernel == "c" else None
+        self._arm = ext.arm if ext is not None else _arm
+        self._fan_out = ext.fan_out if ext is not None else _fan_out
         self._now = 0.0
         self._heap: List[Tuple[Any, ...]] = []
         self._seq = itertools.count()
@@ -361,9 +414,16 @@ class Simulator:
         on any simulator, including one already on the Python kernel;
         there is deliberately no way back — a mid-suite kernel flip
         would make ``kernel`` lie to telemetry exports.
+
+        Only the *loop* changes hands.  The scheduling primitives and
+        the receive edges a medium already bound stay compiled: they
+        are functions of simulator and radio state, not of the loop
+        that dispatches them, and they build the same entries either
+        way, so the Python loop pops exactly what it would have.
+        Media constructed afterwards bind the Python edges.
         """
         self._kernel = "python"
-        self._ckernel_run = None
+        self._ext = None
 
     # --- scheduling ------------------------------------------------------
 
@@ -447,12 +507,12 @@ class Simulator:
         exactly ``until`` so that back-to-back ``run`` calls observe a
         continuous timeline.
         """
-        if self._ckernel_run is not None:
+        if self._ext is not None:
             # Compiled twin of everything below — identical event
             # sequence, counters and clock writes (see _ckernel.c's
             # bit-identity contract).  Instance-attribute shadows of
             # ``run`` (KernelDispatchProbe) bypass this automatically.
-            return self._ckernel_run(self, until, max_events)
+            return self._ext.run(self, until, max_events)
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as _dc_replace
-from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.engine import Simulator, Timer
@@ -164,8 +163,8 @@ class DcfMac:
                  "_backoff_remaining", "_ifs", "_countdown",
                  "_countdown_anchor", "_countdown_remaining", "_response",
                  "_pending_send", "_tx_continuation", "_awaiting",
-                 "_use_eifs", "_basic_mode", "_standard", "_slot_time",
-                 "_address_value", "_frame_probe")
+                 "_use_eifs", "_basic_mode", "_slot_time", "_difs",
+                 "_eifs", "_address_value", "_frame_probe")
 
     def __init__(self, sim: Simulator, radio: Radio, address: MacAddress,
                  config: Optional[DcfConfig] = None,
@@ -219,8 +218,11 @@ class DcfMac:
         self._basic_mode = standard.mode_for_rate(standard.basic_rate_bps)
         # Hot-path bindings: the contention machinery runs on every CCA
         # edge and received frame, so avoid repeated attribute chains.
-        self._standard = standard
         self._slot_time = standard.slot_time
+        # PhyStandard is frozen, so the two derived waits are constants:
+        # the cached floats are the outputs of the property expressions.
+        self._difs = standard.difs
+        self._eifs = standard.eifs
         self._address_value = address.value
 
     # ------------------------------------------------------------------ API
@@ -399,27 +401,17 @@ class DcfMac:
             incident = radio._incident_watts
         if incident >= radio._cca_threshold_watts:
             return
-        standard = self._standard
-        # Timer.schedule inlined (KEEP IN SYNC with engine.Timer): the
-        # DIFS/EIFS constants are positive finite floats, so the bounds
-        # check cannot fire; this arm runs on every idle edge at every
-        # contending station.
-        ifs = self._ifs
+        # Unchecked arm: the DIFS/EIFS constants are positive finite
+        # floats, and this runs on every idle edge at every contending
+        # station.
         sim = self.sim
-        if ifs._armed:
-            sim._cancelled_events += 1
-        else:
-            ifs._armed = True
-        ifs._version += 1
-        time = sim._now + (standard.eifs if self._use_eifs
-                           else standard.difs)
-        ifs._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), ifs, ifs._version))
+        sim._arm(self._ifs, sim._now + (self._eifs if self._use_eifs
+                                        else self._difs))
 
     def _cancel_access_timers(self) -> None:
-        # Timer.cancel inlined x2 (KEEP IN SYNC with engine.Timer);
-        # runs on every CCA-busy edge at every station.
+        # Timer.cancel inlined twice (the countdown branch needs the
+        # was-armed answer anyway); runs on every CCA-busy edge at
+        # every station.
         ifs = self._ifs
         if ifs._armed:
             ifs._armed = False
@@ -468,7 +460,7 @@ class DcfMac:
         expiry = anchor
         for _ in range(remaining):
             expiry += slot
-        self._countdown.schedule_at(expiry)
+        self.sim._arm(self._countdown, expiry)  # expiry >= now, finite
 
     def _access_won(self) -> None:
         self._backoff_remaining = None

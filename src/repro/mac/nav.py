@@ -13,7 +13,6 @@ truncates a longer reservation already in place.
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
 from typing import Callable, Optional
 
 from ..core.engine import Simulator, Timer
@@ -53,25 +52,14 @@ class Nav:
             return
         self._until = time
         if self._on_expire is not None:
-            # Timer.schedule inlined (KEEP IN SYNC with engine.Timer):
-            # this runs once per overheard frame in a busy cell.  The
-            # armed deadline is now + max(time - now, 0.0), the same
-            # floats schedule(delay) produced; frame duration fields
-            # are finite, so the bounds check cannot fire.
+            # Unchecked arm, once per overheard frame in a busy cell.
+            # The deadline is now + max(time - now, 0.0), the floats
+            # schedule(delay) historically produced (not `time`); frame
+            # duration fields are finite, so no bounds check is needed.
             sim = self._sim
             now = sim._now
             delay = time - now
-            deadline = now + (delay if delay > 0.0 else 0.0)
-            timer = self._timer
-            if timer._armed:
-                sim._cancelled_events += 1
-            else:
-                timer._armed = True
-            timer._version += 1
-            timer._time = deadline
-            sim._scheduled += 1
-            _heappush(sim._heap,
-                      (deadline, sim._next_seq(), timer, timer._version))
+            sim._arm(self._timer, now + (delay if delay > 0.0 else 0.0))
 
     def set_duration(self, duration: float) -> None:
         """Extend the NAV ``duration`` seconds from now."""

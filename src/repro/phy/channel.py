@@ -16,9 +16,10 @@ power and propagation delay.  On top of it, the medium compiles a
 **fan-out plan** per sender: the audible co-channel receiver set with
 the reception-floor cull done and the per-receiver upcalls, receive
 powers and propagation delays pre-resolved into flat tuples.
-``Medium.transmit`` then degenerates to iterating that flat list and
-pushing two raw heap entries per receiver — no cache lookup, no floor
-check, no per-receiver conditional.  Plans are rebuilt (through
+``Medium.transmit`` then degenerates to handing that flat list to the
+kernel's fan-out primitive (``sim._fan_out``: two raw heap entries per
+receiver) — no cache lookup, no floor check, no per-receiver
+conditional.  Plans are rebuilt (through
 :class:`LinkCache`, so the floats are bit-identical to the per-receiver
 loop) whenever the topology changes: every path that moves, attaches or
 retunes a radio funnels into :meth:`Medium.invalidate_links` /
@@ -28,21 +29,31 @@ which drops the compiled plans.  A plan additionally validates the
 sender mutated behind the hooks still recompiles.  When ``cache_links``
 is off the medium falls back to the historical per-receiver loop
 (fresh propagation evaluation per frame, still bit-identical).
+
+Receive edges follow the simulator's kernel: on ``kernel="c"`` an
+exact-mode medium fans out to the extension's ``arrival_begins`` /
+``arrival_ends`` bound to each plain :class:`Radio` (the compiled twins
+of the methods of those names — same table, same floats, same
+upcalls), and to the Python methods for everything else: any other
+kernel, a ``Radio`` subclass, fast mode.  There is no switch; the
+Python methods are the reference the twins are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heappush as _heappush
+from types import MethodType
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
 from ..core.units import SPEED_OF_LIGHT, dbm_to_watts, watts_to_dbm
+from .interference import CaptureModel, SinrTracker
 from .modulation import DBPSK_DSSS
 from .propagation import PropagationModel
 from .standards import PhyMode
-from .transceiver import Radio
+from .transceiver import Radio, RadioState
 
 #: Mode sentinel carried by energy-only transmissions (jammers,
 #: coexistence interferers, broadband noise bursts).  The name is not in
@@ -201,6 +212,13 @@ class Medium:
         self.propagation_delay = propagation_delay
         self.cache_links = cache_links
         self.exact = (sim.profile != "fast") if exact is None else bool(exact)
+        # The extension whose receive edges this medium binds (exact
+        # mode on a C-kernel simulator), else None.  Binding the PHY
+        # classes here, not at import, keeps the extension lazy.
+        self._edge_ext = sim._ext if self.exact else None
+        if self._edge_ext is not None:
+            self._edge_ext.bind_phy(Radio, SinrTracker, RadioState,
+                                    CaptureModel)
         self.links = LinkCache()
         self._radios: List[Radio] = []
         self._active: Dict[int, List[Transmission]] = {}
@@ -264,19 +282,24 @@ class Medium:
         self._plans.clear()
         self.plan_invalidations += 1
 
+    def _edges(self, radio: Radio) -> Tuple[Radio, Any, Any]:
+        """``(radio, arrival_begins, arrival_ends)`` as this medium
+        delivers them: compiled for a plain ``Radio`` on a C-kernel
+        simulator, the radio's own methods otherwise."""
+        ext = self._edge_ext
+        if ext is not None and type(radio) is Radio:
+            return (radio, MethodType(ext.arrival_begins, radio),
+                    MethodType(ext.arrival_ends, radio))
+        if self.exact:
+            return radio, radio.arrival_begins, radio.arrival_ends
+        return radio, radio.arrival_begins_fast, radio.arrival_ends_fast
+
     def _channel_members(self, channel_id: int) -> List[Tuple[Radio, Any, Any]]:
         members = self._by_channel.get(channel_id)
         if members is None:
-            if self.exact:
-                members = [(radio, radio.arrival_begins, radio.arrival_ends)
-                           for radio in self._radios
-                           if radio._channel_id == channel_id]
-            else:
-                members = [(radio, radio.arrival_begins_fast,
-                            radio.arrival_ends_fast)
-                           for radio in self._radios
-                           if radio._channel_id == channel_id]
-            self._by_channel[channel_id] = members
+            members = self._by_channel[channel_id] = [
+                self._edges(radio) for radio in self._radios
+                if radio._channel_id == channel_id]
         return members
 
     def invalidate_plan(self, sender: Any) -> None:
@@ -402,19 +425,13 @@ class Medium:
         self._gc_countdown -= 1
         if self._gc_countdown <= 0:
             self._gc_active()
-        heap = sim._heap
-        next_seq = sim._next_seq
         if self.cache_links:
             # Compiled fan-out: the floor cull and link-budget lookups
-            # happened at compile time, so the hot loop is a flat
-            # iteration with two raw heap pushes per audible receiver
-            # (schedule_fast_at inlined — the delays are nonnegative by
-            # construction, so the bounds checks are redundant here;
-            # entry shape and seq consumption are identical to the
-            # schedule_fast_at path).  The plan is validated against
-            # the sender's position identity and transmit power; every
-            # receiver-side topology change drops the plan via the
-            # invalidation hooks.
+            # happened at compile time, so the hot path is one call of
+            # the kernel's fan-out primitive over the flat plan.  The
+            # plan is validated against the sender's position identity
+            # and transmit power; every receiver-side topology change
+            # drops the plan via the invalidation hooks.
             plan = self._plans.get(sender)
             if plan is not None and plan[0] is sender._position \
                     and plan[1] == power_watts:
@@ -422,7 +439,6 @@ class Medium:
             else:
                 plan = self._compile_plan(sender, channel, power_watts)
                 self.plan_misses += 1
-            entries = plan[2]
             # NOTE: a fully fused fan-out (one begins sweep + one ends
             # sweep per frame) was prototyped for fast mode and
             # rejected: collapsing the per-receiver propagation-delay
@@ -431,20 +447,12 @@ class Medium:
             # genuine collisions — delivery dropped ~19% on the dense
             # macro.  The stagger is load-bearing contention physics,
             # not ulp noise, so both modes keep per-receiver edges.
-            for begins, ends, rx_power, delay in entries:
-                _heappush(heap, (now + delay, next_seq(), None, begins,
-                                 (transmission, rx_power)))
-                # Parenthesized to match the historical relative-delay
-                # float arithmetic exactly: now + (delay + duration),
-                # NOT (now + delay) + duration — the ulp difference is
-                # enough to reorder CCA edges and desynchronize seeded
-                # runs.
-                _heappush(heap, (now + (delay + duration), next_seq(),
-                                 None, ends, (transmission,)))
-            sim._scheduled += 2 * len(entries)
+            sim._fan_out(sim, plan[2], transmission, duration)
             return transmission
         # Uncached fallback: fresh propagation evaluation per receiver
         # per frame (bit-identical outcomes; see cache_links docs).
+        heap = sim._heap
+        next_seq = sim._next_seq
         floor = self.reception_floor_watts
         propagation = self.propagation
         model_delay = self.propagation_delay
@@ -462,6 +470,7 @@ class Medium:
                 if model_delay else 0.0
             _heappush(heap, (now + delay, next_seq(), None, begins,
                              (transmission, rx_power)))
+            # Same parenthesization as the fan-out primitive.
             _heappush(heap, (now + (delay + duration), next_seq(), None,
                              ends, (transmission,)))
             scheduled += 2

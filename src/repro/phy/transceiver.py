@@ -18,13 +18,21 @@ single attribute load and call instead of walking through a listener
 object.  The classic :class:`PhyListener` interface remains as the
 convenience surface: assigning :attr:`Radio.listener` rebinds all four
 slots from the listener's methods.
+
+:meth:`Radio.arrival_begins` and :meth:`Radio.arrival_ends` (with
+``_try_lock``, the capture test, ``_refresh_interference`` and the CCA
+tail) are the *reference* receive edges.  On a C-kernel simulator the
+medium delivers to their compiled twins in ``repro.core._ckernel``
+instead — the same statements over the same ``__slots__`` — and those
+hand any step they do not handle in C (an aborted lock, an off-type
+field) back to the method here, so every change to these methods is a
+change to the contract ``tests/phy/test_edge_parity.py`` holds both to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, Optional, Set, TYPE_CHECKING
 
 from ..core.engine import Timer
@@ -536,16 +544,7 @@ class Radio:
         if transmission.mode.name not in self.decodable_modes:
             return  # foreign PHY: energy only
         sim = self._sim
-        timer = self._rx_timer  # Timer.schedule inlined (see _try_lock)
-        if timer._armed:
-            sim._cancelled_events += 1
-        else:
-            timer._armed = True
-        timer._version += 1
-        time = sim._now + transmission.duration
-        timer._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), timer, timer._version))
+        sim._arm(self._rx_timer, sim._now + transmission.duration)
         self._locked = transmission
         self._locked_power = power_watts
         interference = self._incident_watts - power_watts
@@ -597,21 +596,11 @@ class Radio:
             interference = sum(arrivals.values()) - power_watts
         # _try_lock only ever runs at the instant the energy starts
         # arriving, so the frame's tail lands exactly one airtime later
-        # (the propagation delay shifted the whole frame, not its length).
-        # Timer.schedule inlined (KEEP IN SYNC with engine.Timer):
-        # airtime is a positive finite float so the bounds check cannot
-        # fire, and this runs once per lock at every receiver.
-        timer = self._rx_timer
-        if timer._armed:
-            sim._cancelled_events += 1
-        else:
-            timer._armed = True
-        timer._version += 1
+        # (the propagation delay shifted the whole frame, not its
+        # length); airtime is a positive finite float, so the unchecked
+        # arm is safe.
         now = sim._now
-        time = now + transmission.duration
-        timer._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), timer, timer._version))
+        sim._arm(self._rx_timer, now + transmission.duration)
         self._locked = transmission
         self._locked_power = power_watts
         # SinrTracker.reset inlined (KEEP IN SYNC): one lock per decoded

@@ -8,7 +8,11 @@ macros never hit — randomized interleavings of ``schedule`` /
 ``schedule_fast`` / ``Timer`` re-anchor / cancel, nested scheduling
 from inside callbacks, mid-run ``stop()``, every run-loop branch
 (until-only, budget-only, both, drain) — and requires the two kernels
-to produce byte-equal fingerprints.
+to produce byte-equal fingerprints.  Every ``Timer`` arm in it goes
+through ``sim._arm``, so the harness holds the compiled timer-arm
+primitive to the Python one as well; the last test does the same for
+``sim._fan_out`` directly.  (The compiled receive edges have their own
+harness: ``tests/phy/test_edge_parity.py``.)
 
 The whole module skips when the extension is not built (parity needs
 both kernels); CI's compiled-kernel lane builds it first.
@@ -196,3 +200,49 @@ def test_exotic_until_comparison_parity():
 
     for until in (3, Fraction(7, 2)):
         assert run("python", until) == run("c", until)
+
+
+def _heap_shape(sim):
+    """The raw heap list with callables replaced by their names."""
+    def plain(item):
+        if isinstance(item, Timer):
+            return "timer"
+        if isinstance(item, tuple):
+            return tuple(plain(part) for part in item)
+        return getattr(item, "__name__", None) or repr(item)
+    return [tuple(plain(part) for part in entry) for entry in sim._heap]
+
+
+def test_scheduling_primitives_build_identical_entries():
+    """``sim._arm`` / ``sim._fan_out`` are the Python functions on one
+    kernel and the extension's on the other: same entries, same seq
+    draws, same counters, for float and non-float times alike, and the
+    same partial state when a plan entry is malformed."""
+    def begins(transmission, power):
+        pass
+
+    def ends(transmission):
+        pass
+
+    def run(kernel):
+        sim = Simulator(kernel=kernel)
+        fired = []
+        timer = Timer(sim, lambda: fired.append(repr(sim.now)))
+        sim._arm(timer, 0.25)
+        sim._arm(timer, 0.5)            # re-anchor: supersedes 0.25
+        plan = ((begins, ends, 1e-9, 1e-7), (begins, ends, 2e-9, 0),
+                (begins, ends, 3e-9, 3.3e-7))
+        sim._fan_out(sim, plan, "frame", 1e-3)
+        sim._fan_out(sim, list(plan[:1]), "frame", 1)   # int airtime
+        with pytest.raises(ValueError):
+            sim._fan_out(sim, plan[:1] + ((begins, ends, 1e-9),), "x", 1e-3)
+        shape = (_heap_shape(sim), sim._scheduled, sim._cancelled_events,
+                 timer._version, repr(timer._time))
+        sim._arm(timer, 2)              # an int deadline
+        sim.run()
+        return shape, fired, repr(sim.now), sim._events_executed
+
+    assert run("c") == run("python")
+    shape, fired, now, executed = run("c")
+    assert fired == ["2"] and executed == 11
+    assert shape[1:4] == (10, 1, 2)     # the malformed plan counted nothing

@@ -1,10 +1,15 @@
 """Kernel selection semantics: ``Simulator(kernel=...)``, the
 ``REPRO_KERNEL`` environment override, the strict explicit-``"c"``
-contract, ``pin_python_kernel``, and the telemetry-probe bypass."""
+contract, a stale built extension, ``pin_python_kernel``, and the
+telemetry-probe bypass."""
+
+import sys
+import types
 
 import pytest
 
-from repro.core import Simulator
+import repro.core
+from repro.core import Simulator, engine
 from repro.core.engine import (KERNELS, ckernel_available, default_kernel,
                                resolve_kernel)
 from repro.core.errors import SimulationError
@@ -38,7 +43,7 @@ class TestResolveKernel:
     def test_explicit_c_selects_compiled_loop(self):
         sim = Simulator(kernel="c")
         assert sim.kernel == "c"
-        assert sim._ckernel_run is not None
+        assert sim._ext is not None
 
     @needs_no_c
     def test_explicit_c_without_extension_is_an_error(self):
@@ -47,6 +52,44 @@ class TestResolveKernel:
         # path actually executed.
         with pytest.raises(SimulationError, match="build_kernel"):
             resolve_kernel("c")
+
+
+class TestStaleExtension:
+    """A ``.so`` built from an older ``_ckernel.c`` lacks entry points
+    this engine calls; it must count as not built, loudly, once."""
+
+    @pytest.fixture
+    def stale(self, monkeypatch):
+        ext = types.ModuleType("repro.core._ckernel")
+        ext.KERNEL_ABI = engine.KERNEL_ABI - 1
+        ext.install = ext.run = lambda *args: pytest.fail(
+            "a stale extension must not be bound or run")
+        monkeypatch.setitem(sys.modules, "repro.core._ckernel", ext)
+        monkeypatch.setattr(repro.core, "_ckernel", ext, raising=False)
+        monkeypatch.setattr(engine, "_ckernel", None)
+        monkeypatch.setattr(engine, "_ckernel_checked", False)
+        return ext
+
+    def test_wrong_abi_is_not_built_with_one_warning(self, stale, recwarn):
+        with pytest.warns(
+                RuntimeWarning,
+                match=rf"ABI {engine.KERNEL_ABI - 1}.*needs "
+                      rf"{engine.KERNEL_ABI}.*build_kernel\.py --force"):
+            assert not ckernel_available()
+        recwarn.clear()
+        assert resolve_kernel("auto") == "python"      # and says it once
+        sim = Simulator(kernel="auto")
+        assert sim.kernel == "python" and sim._ext is None
+        sim.schedule(0.5, lambda: None)
+        assert sim.run() == 0.5
+        with pytest.raises(SimulationError, match="build_kernel.py --force"):
+            resolve_kernel("c")
+        assert not recwarn.list
+
+    def test_an_extension_without_an_abi_is_stale_too(self, stale):
+        del stale.KERNEL_ABI
+        with pytest.warns(RuntimeWarning, match="ABI None"):
+            assert not ckernel_available()
 
 
 class TestEnvOverride:
@@ -80,9 +123,36 @@ class TestPinPythonKernel:
         sim = Simulator(kernel="c")
         sim.pin_python_kernel()
         assert sim.kernel == "python"
-        assert sim._ckernel_run is None
+        assert sim._ext is None
         sim.schedule(0.5, lambda: None)
         assert sim.run() == 0.5
+
+    @needs_c
+    def test_pin_changes_the_loop_not_what_is_already_bound(self):
+        # Edges a medium bound and the scheduling primitives stay
+        # compiled (they build the same entries for either loop); a
+        # medium built after the pin binds the Python edges.
+        from repro.core import Position
+        from repro.phy.channel import Medium
+        from repro.phy.propagation import FixedLoss
+        from repro.phy.standards import DOT11B
+        from repro.phy.transceiver import Radio
+        sim = Simulator(kernel="c")
+        ext = sim._ext
+        before = Medium(sim, FixedLoss(50.0))
+        radio = Radio("a", before, DOT11B, Position(0, 0, 0))
+        bound = before._channel_members(1)[0][1]
+        sim.pin_python_kernel()
+        assert sim._ext is None and sim._arm is ext.arm
+        assert before._channel_members(1)[0][1] is bound
+        assert bound.__func__ is ext.arrival_begins
+        after = Medium(sim, FixedLoss(50.0))
+        other = Radio("b", after, DOT11B, Position(0, 0, 0))
+        assert after._channel_members(1)[0][1].__func__ \
+            is Radio.arrival_begins
+        radio.transmit_energy(1e-3)
+        other.transmit_energy(1e-3)
+        sim.run(until=0.01)
 
     @needs_c
     def test_dispatch_probe_shadows_past_the_c_kernel(self):
