@@ -1,6 +1,6 @@
 /* Compiled event kernel for repro.core.engine.
  *
- * Three things live here, each the C twin of a Python reference that
+ * Five things live here, each the C twin of a Python reference that
  * stays in the tree and runs whenever the extension is not built or
  * ``kernel="python"`` is asked for:
  *
@@ -17,6 +17,25 @@
  *    on ``Radio``'s and ``SinrTracker``'s ``__slots__`` by offset, the
  *    way the loop works on ``Timer``'s.  ``Medium`` binds them per
  *    radio with ``types.MethodType`` (see ``bind_phy``).
+ * 4. ``_reception_complete`` — the exact-mode reception tail of
+ *    ``Radio``: unlock, the SINR arithmetic of ``SinrTracker.sinr_db``,
+ *    the PER out of ``phy.error_models._per_cache`` (the dict, key and
+ *    limit rule ``BerErrorModel.frame_survives`` uses; a miss calls the
+ *    model's ``packet_error_rate``), one ``rng.random()``, the CCA tail
+ *    and ``on_rx_end``.  ``Medium`` hands it to a plain radio's
+ *    reception-end timer.
+ * 5. ``_maybe_start_ifs`` / ``_cancel_access_timers`` / ``_ifs_expired``
+ *    / ``_fire`` — the carrier-sense slots of ``repro.mac.dcf.DcfMac``
+ *    and ``repro.mac.nav.Nav`` that are pure functions of MAC, NAV,
+ *    radio and timer ``__slots__`` (see ``bind_mac``).  A plain
+ *    ``DcfMac`` hands them to its radio's CCA upcalls, its NAV and its
+ *    IFS timer.  The frame demux (``phy_rx_end``), ``_access_won`` and
+ *    the transmit path stay Python: C owns time and energy, Python owns
+ *    frames.
+ *
+ * 4 and 5 are exported under their references' ``__name__``: whatever
+ * labels a heap entry or an upcall by its callback must not learn which
+ * kernel ran.
  *
  * All simulation state stays where the pure-Python code keeps it
  * (``sim._heap`` is the same Python list the schedulers push into, the
@@ -43,39 +62,49 @@
  *   counters; the clock is written before the callback fires; the
  *   clock snaps to ``until`` only on a clean non-stopped exit; the
  *   ``_running`` flag and counter flush survive a raising callback —
- *   including one raised inside a compiled edge.
+ *   including one raised inside a compiled edge, tail or slot.
  *
- * Bit-identity contract of the primitives and the edges (KEEP IN SYNC
- * with engine._arm / engine._fan_out and the Radio methods; held by
- * tests/phy/test_edge_parity.py and tests/core/test_kernel_parity.py):
+ * Bit-identity contract of the primitives, the edges, the tail and the
+ * slots (KEEP IN SYNC with engine._arm / engine._fan_out and the Radio,
+ * DcfMac and Nav methods; held by tests/phy/test_edge_parity.py,
+ * tests/mac/test_access_parity.py and tests/core/test_kernel_parity.py):
  *
  * - The same statements in the same order: one seq per entry, drawn
  *   from ``sim._seq`` (the counter ``sim._next_seq`` is bound to) at
  *   the point the Python code calls ``_next_seq()``; the same counter
- *   increments; the same dict insertions and deletions, so table order
- *   is the same.
+ *   increments; the same dict insertions and deletions, so table and
+ *   memo order are the same; exactly one ``rng.random()`` per decoded
+ *   frame, drawn after the PER is known (a miss that raises draws
+ *   nothing).
  * - The same floats: ``now + (delay + duration)`` parenthesized as
  *   written, ``10.0 * log10(ratio)`` with libm's ``log10`` (what
- *   ``math.log10`` calls), no fused multiply-add (the build passes
- *   ``-ffp-contract=off``), and every table sum taken by calling
- *   ``builtins.sum`` on ``arrivals.values()`` — CPython 3.12 made
- *   ``sum()`` compensated, so a C fold would diverge from the
- *   reference there.
- * - C handles the canonical shapes only (an exact ``Radio``, exact
- *   floats, an exact ``SinrTracker``/``CaptureModel``).  Anything else
- *   is handed to the Python method *before* the step in question has
- *   changed anything: the whole edge for a non-float power or a
- *   foreign object, one step (``_try_lock``, ``_refresh_interference``,
- *   ``should_capture``) for an off-type field; the rare
- *   ``_abort_locked`` always runs in Python.  So the exception a
- *   malformed input raises, and the state it leaves, are the
- *   reference's own.
- * - Upcalls (``on_cca_busy`` / ``on_cca_idle`` / ``on_state_change``)
- *   fire at the same points with the same state already written; an
- *   exception from one propagates unchanged.  No borrowed pointer is
- *   used across a call that can run Python: slots are re-read after
- *   it, and what must span it (the table, the upcall, the capture
- *   object) is held by a strong reference.
+ *   ``math.log10`` calls), the countdown deadline as the left fold
+ *   ``anchor + slot + slot + ...`` in a loop of doubles, no fused
+ *   multiply-add (the build passes ``-ffp-contract=off``), and every
+ *   table sum taken by calling ``builtins.sum`` on
+ *   ``arrivals.values()`` — CPython 3.12 made ``sum()`` compensated,
+ *   so a C fold would diverge from the reference there.
+ * - C handles the canonical shapes only (an exact ``Radio`` /
+ *   ``DcfMac`` / ``Nav`` / ``Timer``, exact floats and machine-word
+ *   ints, canonical bools, an exact ``SinrTracker`` / ``CaptureModel``
+ *   / ``BerErrorModel``).  Anything else is handed to the Python method
+ *   *before* the step in question has changed anything: the whole call
+ *   for a non-float power, a foreign object or an off-type MAC field,
+ *   one step (``_try_lock``, ``_refresh_interference``,
+ *   ``should_capture``, ``sinr_db``, ``frame_survives``,
+ *   ``_update_cca``) for an off-type field met after the first write;
+ *   the rare ``_abort_locked``, a fresh backoff draw
+ *   (``_backoff_remaining is None``), ``_access_won`` and the trace
+ *   record always run in Python.  So the exception a malformed input
+ *   raises, and the state it leaves, are the reference's own.
+ * - Upcalls (``on_cca_busy`` / ``on_cca_idle`` / ``on_state_change`` /
+ *   ``on_rx_end`` / ``_on_expire``) fire at the same points with the
+ *   same state already written — the tail's idle edge *before*
+ *   ``on_rx_end``, as in the reference; an exception from one
+ *   propagates unchanged.  No borrowed pointer is used across a call
+ *   that can run Python: slots are re-read after it, and what must span
+ *   it (the table, the upcall, the capture object, the frame, the
+ *   tracker) is held by a strong reference.
  *
  * NaN event times are unrepresentable (every scheduler rejects them),
  * so the double comparison fast path is exact.
@@ -649,14 +678,24 @@ done:
 static PyTypeObject *radio_type = NULL, *sinr_type = NULL;
 static PyTypeObject *capture_type = NULL;
 static PyObject *st_idle, *st_rx, *st_tx, *st_sleep;  /* RadioState members */
-static PyObject *st_rx_value;                         /* RadioState.RX.value */
-static PyObject *py_arrival_begins, *py_arrival_ends; /* the reference edges */
+static PyObject *st_rx_value, *st_idle_value;         /* their .value */
 static PyObject *builtin_sum;
 static PyObject *float_zero;
+/* phy.error_models: the exact BerErrorModel class and the module's PER
+ * memo, which the reception tail shares with BerErrorModel.frame_survives
+ * (same dict, same key, same limit rule). */
+static PyTypeObject *ber_type = NULL;
+static PyObject *per_cache = NULL;
+static Py_ssize_t per_cache_limit = 0;
 
 static PyObject *s_values, *s_mode, *s_name, *s_duration, *s_enabled;
 static PyObject *s_threshold_db, *s_should_capture, *s_preamble_snr;
 static PyObject *s_abort_locked, *s_try_lock, *s_refresh_interference;
+static PyObject *s_reception_complete, *s_update_cca, *s_trace_rx_end;
+static PyObject *s_sinr_db, *s_frame_survives, *s_packet_error_rate;
+static PyObject *s_random, *s_size_bits, *s_modulation, *s_payload;
+static PyObject *s_maybe_start_ifs, *s_cancel_access_timers, *s_ifs_expired;
+static PyObject *s_access_won, *s_fire, *s_arrival_begins, *s_arrival_ends;
 
 static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
 static Py_ssize_t off_r_locked_power, off_r_locked_tracker, off_r_cca_busy;
@@ -664,6 +703,8 @@ static Py_ssize_t off_r_cca_threshold, off_r_capture, off_r_snr_cache;
 static Py_ssize_t off_r_noise, off_r_config, off_r_decodable, off_r_sim;
 static Py_ssize_t off_r_rx_timer, off_r_tracker, off_r_on_cca_busy;
 static Py_ssize_t off_r_on_cca_idle, off_r_on_state_change;
+static Py_ssize_t off_r_on_rx_end, off_r_error_model, off_r_rng, off_r_trace;
+static Py_ssize_t off_r_exact;
 static Py_ssize_t off_s_signal, off_s_noise, off_s_start, off_s_last;
 static Py_ssize_t off_s_current, off_s_energy;
 
@@ -1083,8 +1124,11 @@ cca_tail(PyObject *self, PyObject *arrivals, PyObject *begun)
 }
 
 /* The table (borrowed) when ``self`` is an exact Radio in the shape
- * the C edges handle; NULL (no error set) sends the whole call to the
- * Python reference edge, before anything was touched. */
+ * the C edges and tail handle; NULL (no error set) sends the whole call
+ * to the reference, before anything was touched.  Here and in the
+ * carrier-sense slots further down, that is the Python method of the
+ * same name looked up on the object (``PyObject_CallMethod*(self,
+ * name)``), so a subclass's override is what runs. */
 static PyObject *
 canonical_table(PyObject *self)
 {
@@ -1103,18 +1147,6 @@ canonical_table(PyObject *self)
 }
 
 static PyObject *
-reference_edge(PyObject *edge, PyObject *self, PyObject *transmission,
-               PyObject *power)
-{
-    if (edge == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_ckernel.bind_phy() has not been called");
-        return NULL;
-    }
-    return PyObject_CallFunctionObjArgs(edge, self, transmission, power, NULL);
-}
-
-static PyObject *
 ck_arrival_begins(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *self, *transmission, *power, *arrivals, *state;
@@ -1130,7 +1162,8 @@ ck_arrival_begins(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     power = args[2];
     arrivals = canonical_table(self);
     if (arrivals == NULL || !PyFloat_CheckExact(power))
-        return reference_edge(py_arrival_begins, self, transmission, power);
+        return PyObject_CallMethodObjArgs(self, s_arrival_begins, transmission,
+                                          power, NULL);
     Py_INCREF(arrivals);
     if (PyDict_SetItem(arrivals, transmission, power) < 0)
         goto done;
@@ -1174,7 +1207,7 @@ ck_arrival_ends(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     self = args[0];
     transmission = args[1];
     if ((arrivals = canonical_table(self)) == NULL)
-        return reference_edge(py_arrival_ends, self, transmission, NULL);
+        return PyObject_CallMethodOneArg(self, s_arrival_ends, transmission);
     Py_INCREF(arrivals);
     /* arrivals.pop(transmission, None) */
     if (PyDict_DelItem(arrivals, transmission) < 0) {
@@ -1188,6 +1221,486 @@ ck_arrival_ends(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         status = cca_tail(self, arrivals, NULL);
 done:
     Py_DECREF(arrivals);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* --- the reception tail (C twin of Radio._reception_complete) ---------- */
+
+/* SinrTracker.sinr_db(end) (new reference): the reference's expression
+ * order over its six float fields, the method itself for anything
+ * else. */
+static PyObject *
+sinr_db(PyObject *tracker, PyObject *end)
+{
+    PyObject *signal = SLOT(tracker, off_s_signal);
+    PyObject *noise = SLOT(tracker, off_s_noise);
+    PyObject *start = SLOT(tracker, off_s_start);
+    PyObject *last = SLOT(tracker, off_s_last);
+    PyObject *current = SLOT(tracker, off_s_current);
+    PyObject *energy = SLOT(tracker, off_s_energy);
+    double end_d, last_d, current_d, total_energy, duration, mean;
+    double denominator;
+
+    if (!PyFloat_CheckExact(end) || !is_float(signal) || !is_float(noise)
+            || !is_float(start) || !is_float(last) || !is_float(current)
+            || !is_float(energy))
+        return PyObject_CallMethodOneArg(tracker, s_sinr_db, end);
+    end_d = PyFloat_AS_DOUBLE(end);
+    last_d = PyFloat_AS_DOUBLE(last);
+    current_d = PyFloat_AS_DOUBLE(current);
+    if (end_d < last_d) {
+        PyErr_SetString(PyExc_ValueError,
+                        "reception cannot end before last update");
+        return NULL;
+    }
+    total_energy = PyFloat_AS_DOUBLE(energy) + current_d * (end_d - last_d);
+    duration = end_d - PyFloat_AS_DOUBLE(start);
+    mean = duration > 0 ? total_energy / duration : current_d;
+    denominator = PyFloat_AS_DOUBLE(noise) + mean;
+    if (denominator <= 0.0)
+        return PyFloat_FromDouble(Py_HUGE_VAL);  /* linear_to_db(inf) */
+    return PyFloat_FromDouble(
+        linear_to_db(PyFloat_AS_DOUBLE(signal) / denominator));
+}
+
+/* BerErrorModel.frame_survives for an exact BerErrorModel (new
+ * reference): the PER from the module's memo, a miss asking the
+ * model's own packet_error_rate, then — and only then — one draw. */
+static PyObject *
+ber_frame_survives(PyObject *model, PyObject *snr, PyObject *size_bits,
+                   PyObject *modulation, PyObject *rng)
+{
+    PyObject *key, *per, *draw, *verdict = NULL;
+
+    if ((key = PyTuple_Pack(3, snr, size_bits, modulation)) == NULL)
+        return NULL;
+    if ((per = PyDict_GetItemWithError(per_cache, key)) != NULL)
+        Py_INCREF(per);
+    else if (!PyErr_Occurred()) {
+        per = PyObject_CallMethodObjArgs(model, s_packet_error_rate, snr,
+                                         size_bits, modulation, NULL);
+        if (per != NULL) {
+            if (PyDict_GET_SIZE(per_cache) >= per_cache_limit)
+                PyDict_Clear(per_cache);
+            if (PyDict_SetItem(per_cache, key, per) < 0)
+                Py_CLEAR(per);
+        }
+    }
+    Py_DECREF(key);
+    if (per == NULL)
+        return NULL;  /* a miss that raises draws no random number */
+    if ((draw = PyObject_CallMethodNoArgs(rng, s_random)) != NULL) {
+        if (PyFloat_CheckExact(draw) && PyFloat_CheckExact(per)) {
+            verdict = PyFloat_AS_DOUBLE(draw) >= PyFloat_AS_DOUBLE(per)
+                ? Py_True : Py_False;
+            Py_INCREF(verdict);
+        }
+        else
+            verdict = PyObject_RichCompare(draw, per, Py_GE);
+        Py_DECREF(draw);
+    }
+    Py_DECREF(per);
+    return verdict;
+}
+
+/* ``self.error_model.frame_survives(snr_db, transmission.size_bits,
+ * transmission.mode.modulation, self._rng)`` (new reference), operands
+ * evaluated in the reference's order.  Only an exact BerErrorModel is
+ * answered here; any other model's own method is called. */
+static PyObject *
+frame_survives(PyObject *self, PyObject *transmission, PyObject *snr)
+{
+    PyObject *model, *method = NULL, *size_bits = NULL, *modulation = NULL;
+    PyObject *rng, *verdict = NULL;
+
+    if ((model = slot_get(self, off_r_error_model, "error_model")) == NULL)
+        return NULL;
+    Py_INCREF(model);
+    if (Py_TYPE(model) != ber_type
+            && (method = PyObject_GetAttr(model, s_frame_survives)) == NULL)
+        goto done;
+    if ((size_bits = PyObject_GetAttr(transmission, s_size_bits)) == NULL
+            || (modulation = PyObject_GetAttr(transmission, s_mode)) == NULL)
+        goto done;
+    Py_SETREF(modulation, PyObject_GetAttr(modulation, s_modulation));
+    if (modulation == NULL
+            || (rng = slot_get(self, off_r_rng, "_rng")) == NULL)
+        goto done;
+    Py_INCREF(rng);
+    verdict = method == NULL
+        ? ber_frame_survives(model, snr, size_bits, modulation, rng)
+        : PyObject_CallFunctionObjArgs(method, snr, size_bits, modulation,
+                                       rng, NULL);
+    Py_DECREF(rng);
+done:
+    Py_XDECREF(modulation);
+    Py_XDECREF(size_bits);
+    Py_XDECREF(method);
+    Py_DECREF(model);
+    return verdict;
+}
+
+/* ``if self._trace.enabled: self._trace_rx_end(...)``; 0 or -1. */
+static int
+trace_rx_end(PyObject *self, PyObject *now, PyObject *transmission,
+             PyObject *success, PyObject *snr)
+{
+    PyObject *trace = slot_get(self, off_r_trace, "_trace"), *enabled;
+    int traced;
+
+    if (trace == NULL)
+        return -1;
+    Py_INCREF(trace);
+    enabled = PyObject_GetAttr(trace, s_enabled);
+    Py_DECREF(trace);
+    if (enabled == NULL)
+        return -1;
+    traced = flag_is_true(enabled);
+    Py_DECREF(enabled);
+    if (traced <= 0)
+        return traced;
+    return discard(PyObject_CallMethodObjArgs(self, s_trace_rx_end, now,
+                                              transmission, success, snr,
+                                              NULL));
+}
+
+/* ``self.on_rx_end(transmission.payload, success, snr_db,
+ * transmission.mode)``; 0 or -1. */
+static int
+rx_end_upcall(PyObject *self, PyObject *transmission, PyObject *success,
+              PyObject *snr)
+{
+    PyObject *callable = slot_get(self, off_r_on_rx_end, "on_rx_end");
+    PyObject *args[4] = {NULL, success, snr, NULL};
+    int status = -1;
+
+    if (callable == NULL)
+        return -1;
+    Py_INCREF(callable);
+    if ((args[0] = PyObject_GetAttr(transmission, s_payload)) != NULL
+            && (args[3] = PyObject_GetAttr(transmission, s_mode)) != NULL)
+        status = discard(PyObject_Vectorcall(callable, args, 4, NULL));
+    Py_XDECREF(args[3]);
+    Py_XDECREF(args[0]);
+    Py_DECREF(callable);
+    return status;
+}
+
+static PyObject *
+ck_reception_complete(PyObject *module, PyObject *self)
+{
+    PyObject *transmission, *tracker, *arrivals;
+    PyObject *now = NULL, *snr = NULL, *success = NULL;
+    int status = -1;
+
+    if (canonical_table(self) == NULL || ber_type == NULL)
+        return PyObject_CallMethodNoArgs(self, s_reception_complete);
+    transmission = SLOT(self, off_r_locked);
+    if (transmission == Py_None)
+        Py_RETURN_NONE;  /* the lock was aborted meanwhile */
+    tracker = SLOT(self, off_r_locked_tracker);
+    if (tracker == NULL || Py_TYPE(tracker) != sinr_type)
+        return PyObject_CallMethodNoArgs(self, s_reception_complete);
+    /* Both outlive the slots that are about to let go of them. */
+    Py_INCREF(transmission);
+    Py_INCREF(tracker);
+    slot_set(self, off_r_locked, Py_None);
+    slot_set(self, off_r_locked_tracker, Py_None);
+    slot_set(self, off_r_state, st_idle);
+    if (upcall(self, off_r_on_state_change, "on_state_change",
+               st_idle_value) < 0
+            || (now = radio_now(self)) == NULL)
+        goto done;
+    Py_INCREF(now);
+    if ((snr = sinr_db(tracker, now)) == NULL
+            || (success = frame_survives(self, transmission, snr)) == NULL
+            || trace_rx_end(self, now, transmission, success, snr) < 0)
+        goto done;
+    /* Radio._update_cca: the state is IDLE, so the verdict comes from
+     * the table; its idle upcall fires before on_rx_end. */
+    arrivals = SLOT(self, off_r_arrivals);
+    if (arrivals == NULL || !PyDict_CheckExact(arrivals)) {
+        if (run_reference(self, s_update_cca, NULL, NULL) < 0)
+            goto done;
+    }
+    else {
+        int tail;
+        Py_INCREF(arrivals);
+        tail = cca_tail(self, arrivals, NULL);
+        Py_DECREF(arrivals);
+        if (tail < 0)
+            goto done;
+    }
+    status = rx_end_upcall(self, transmission, success, snr);
+done:
+    Py_XDECREF(success);
+    Py_XDECREF(snr);
+    Py_XDECREF(now);
+    Py_DECREF(tracker);
+    Py_DECREF(transmission);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* --- carrier-sense slots (C twins of DcfMac / Nav methods) ------------- */
+
+/* Bound by bind_mac() at the first DcfMac on a C-kernel simulator. */
+static PyTypeObject *mac_type = NULL, *nav_type = NULL;
+static Py_ssize_t off_m_sim, off_m_radio, off_m_nav, off_m_current;
+static Py_ssize_t off_m_backoff_remaining, off_m_ifs, off_m_countdown;
+static Py_ssize_t off_m_anchor, off_m_remaining, off_m_pending_send;
+static Py_ssize_t off_m_tx_continuation, off_m_awaiting, off_m_use_eifs;
+static Py_ssize_t off_m_slot_time, off_m_difs, off_m_eifs;
+static Py_ssize_t off_n_sim, off_n_until, off_n_on_expire;
+
+/* ``sim._now`` (borrowed) when it is an exact float, NULL — no error
+ * set — otherwise; *dict (optional) receives the simulator's instance
+ * dict whenever it has a clock at all. */
+static PyObject *
+float_now(PyObject *sim, PyObject **dict)
+{
+    PyObject **dictptr = sim == NULL ? NULL : _PyObject_GetDictPtr(sim);
+    PyObject *now;
+
+    if (dictptr == NULL || *dictptr == NULL)
+        return NULL;
+    if ((now = PyDict_GetItemWithError(*dictptr, s_now)) == NULL) {
+        PyErr_Clear();
+        return NULL;
+    }
+    if (dict != NULL)
+        *dict = *dictptr;
+    return PyFloat_CheckExact(now) ? now : NULL;
+}
+
+/* 1/0: ``timer._armed`` of an exact Timer holding a canonical bool;
+ * -1 (no error set): not that shape. */
+static inline int
+timer_armed(PyObject *timer)
+{
+    PyObject *armed;
+
+    if (timer == NULL || Py_TYPE(timer) != timer_type)
+        return -1;
+    armed = SLOT(timer, off_t_armed);
+    return armed == Py_True ? 1 : armed == Py_False ? 0 : -1;
+}
+
+/* An exact int that fits a machine word: 1 with *out set, else 0. */
+static inline int
+small_int(PyObject *value, long long *out)
+{
+    int overflow = 0;
+
+    if (value == NULL || !PyLong_CheckExact(value))
+        return 0;
+    *out = PyLong_AsLongLongAndOverflow(value, &overflow);
+    return !overflow;
+}
+
+/* Nav._fire: the expiry upcall unless the NAV was extended meanwhile. */
+static PyObject *
+ck_nav_fire(PyObject *module, PyObject *self)
+{
+    PyObject *until, *on_expire, *now;
+    int status;
+
+    /* nav_type is NULL until the first DcfMac binds the MAC classes: a
+     * free-standing Nav built before that runs its reference. */
+    if (nav_type == NULL || Py_TYPE(self) != nav_type
+            || !is_float(until = SLOT(self, off_n_until))
+            || (on_expire = SLOT(self, off_n_on_expire)) == NULL
+            || (now = float_now(SLOT(self, off_n_sim), NULL)) == NULL)
+        return PyObject_CallMethodNoArgs(self, s_fire);
+    if (PyFloat_AS_DOUBLE(now) < PyFloat_AS_DOUBLE(until)
+            || on_expire == Py_None)
+        Py_RETURN_NONE;
+    Py_INCREF(on_expire);
+    status = discard(PyObject_CallNoArgs(on_expire));
+    Py_DECREF(on_expire);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* DcfMac._maybe_start_ifs: reads, then one arm. */
+static PyObject *
+ck_maybe_start_ifs(PyObject *module, PyObject *self)
+{
+    PyObject *ifs, *current, *awaiting, *continuation, *nav, *until;
+    PyObject *radio, *state, *arrivals, *threshold, *use_eifs, *wait;
+    PyObject *now, *incident, *deadline;
+    int armed, pending, busy, status;
+
+    if (mac_type == NULL || Py_TYPE(self) != mac_type || radio_type == NULL)
+        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+    ifs = SLOT(self, off_m_ifs);
+    if ((armed = timer_armed(ifs)) < 0)
+        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+    if (!armed && (armed = timer_armed(SLOT(self, off_m_countdown))) < 0)
+        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+    if (armed)
+        Py_RETURN_NONE;  /* already contending */
+    current = SLOT(self, off_m_current);
+    awaiting = SLOT(self, off_m_awaiting);
+    continuation = SLOT(self, off_m_tx_continuation);
+    if (current == NULL || awaiting == NULL || continuation == NULL
+            || (pending = timer_armed(SLOT(self, off_m_pending_send))) < 0)
+        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+    if (current == Py_None || awaiting != Py_None
+            || continuation != Py_None || pending)
+        Py_RETURN_NONE;  /* nothing to send, or mid-exchange */
+    nav = SLOT(self, off_m_nav);
+    radio = SLOT(self, off_m_radio);
+    if ((now = float_now(SLOT(self, off_m_sim), NULL)) == NULL
+            || nav == NULL || Py_TYPE(nav) != nav_type
+            || !is_float(until = SLOT(nav, off_n_until))
+            || radio == NULL || Py_TYPE(radio) != radio_type
+            || SLOT(radio, off_r_exact) != Py_True
+            || (state = SLOT(radio, off_r_state)) == NULL)
+        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+    if (PyFloat_AS_DOUBLE(now) < PyFloat_AS_DOUBLE(until)
+            || state != st_idle)
+        Py_RETURN_NONE;  /* NAV reservation; TX/RX busy or asleep */
+    arrivals = SLOT(radio, off_r_arrivals);
+    threshold = SLOT(radio, off_r_cca_threshold);
+    use_eifs = SLOT(self, off_m_use_eifs);
+    if (arrivals == NULL || !PyDict_CheckExact(arrivals) || threshold == NULL
+            || (use_eifs != Py_True && use_eifs != Py_False)
+            || !is_float(wait = SLOT(self, use_eifs == Py_True ? off_m_eifs
+                                                               : off_m_difs)))
+        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+    /* Summing a table of foreign powers may run Python: what is used
+     * after it is held, and the deadline is taken first. */
+    deadline = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                                  + PyFloat_AS_DOUBLE(wait));
+    if (deadline == NULL)
+        return NULL;
+    Py_INCREF(ifs);
+    Py_INCREF(threshold);
+    if (PyDict_GET_SIZE(arrivals) == 0) {
+        incident = float_zero;
+        Py_INCREF(incident);
+    }
+    else {
+        Py_INCREF(arrivals);
+        incident = table_sum(arrivals);
+        Py_DECREF(arrivals);
+    }
+    busy = incident == NULL ? -1 : num_cmp(incident, threshold, Py_GE);
+    status = busy != 0 ? busy : arm_impl(ifs, deadline);
+    Py_XDECREF(incident);
+    Py_DECREF(threshold);
+    Py_DECREF(ifs);
+    Py_DECREF(deadline);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* DcfMac._cancel_access_timers: two disarms and, for a running
+ * countdown, the replay of the slot boundaries that elapsed. */
+static PyObject *
+ck_cancel_access_timers(PyObject *module, PyObject *self)
+{
+    PyObject *ifs, *countdown, *dict = NULL, *now = NULL, *frozen;
+    PyObject *slot = NULL, *anchor = NULL, *remaining_obj = NULL;
+    long long remaining = 0;
+    int ifs_armed, countdown_armed;
+
+    if (mac_type == NULL || Py_TYPE(self) != mac_type)
+        return PyObject_CallMethodNoArgs(self, s_cancel_access_timers);
+    ifs = SLOT(self, off_m_ifs);
+    countdown = SLOT(self, off_m_countdown);
+    if ((ifs_armed = timer_armed(ifs)) < 0
+            || (countdown_armed = timer_armed(countdown)) < 0)
+        return PyObject_CallMethodNoArgs(self, s_cancel_access_timers);
+    if (!ifs_armed && !countdown_armed)
+        Py_RETURN_NONE;
+    now = float_now(SLOT(self, off_m_sim), &dict);
+    if (dict == NULL || (countdown_armed
+            && (now == NULL
+                || !is_float(slot = SLOT(self, off_m_slot_time))
+                || !is_float(anchor = SLOT(self, off_m_anchor))
+                || !small_int(remaining_obj = SLOT(self, off_m_remaining),
+                              &remaining))))
+        return PyObject_CallMethodNoArgs(self, s_cancel_access_timers);
+    /* Nothing below runs Python: the borrowed fields stay valid. */
+    if (ifs_armed) {
+        slot_set(ifs, off_t_armed, Py_False);
+        if (counter_add(dict, s_cancelled_events, 1) < 0)
+            return NULL;
+    }
+    if (countdown_armed) {
+        double slot_d = PyFloat_AS_DOUBLE(slot);
+        double now_d = PyFloat_AS_DOUBLE(now);
+        double boundary = PyFloat_AS_DOUBLE(anchor) + slot_d;
+        long long counted = remaining;
+
+        slot_set(countdown, off_t_armed, Py_False);
+        if (counter_add(dict, s_cancelled_events, 1) < 0)
+            return NULL;
+        /* The left fold the slot-by-slot countdown performed; a
+         * boundary landing exactly on ``now`` was already counted. */
+        while (boundary <= now_d && remaining > 0) {
+            remaining -= 1;
+            boundary += slot_d;
+        }
+        if (remaining == counted)
+            slot_set(self, off_m_backoff_remaining, remaining_obj);
+        else {
+            if ((frozen = PyLong_FromLongLong(remaining)) == NULL)
+                return NULL;
+            slot_set(self, off_m_backoff_remaining, frozen);
+            Py_DECREF(frozen);
+        }
+    }
+    Py_RETURN_NONE;
+}
+
+/* DcfMac._ifs_expired: the countdown's one event at its last slot
+ * boundary.  A fresh draw (``_backoff_remaining is None``) is the
+ * reference's whole call; a spent counter goes to the Python
+ * ``_access_won``. */
+static PyObject *
+ck_ifs_expired(PyObject *module, PyObject *self)
+{
+    PyObject *countdown, *slot, *now, *expiry_obj, *remaining_obj;
+    long long remaining, i;
+    double expiry, slot_d;
+    int status;
+
+    if (mac_type == NULL || Py_TYPE(self) != mac_type
+            || !small_int(remaining_obj = SLOT(self, off_m_backoff_remaining),
+                          &remaining))
+        return PyObject_CallMethodNoArgs(self, s_ifs_expired);
+    if (remaining <= 0) {
+        slot_set(self, off_m_use_eifs, Py_False);
+        if (discard(PyObject_CallMethodNoArgs(self, s_access_won)) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    countdown = SLOT(self, off_m_countdown);
+    if (timer_armed(countdown) < 0
+            || !is_float(slot = SLOT(self, off_m_slot_time))
+            || (now = float_now(SLOT(self, off_m_sim), NULL)) == NULL)
+        return PyObject_CallMethodNoArgs(self, s_ifs_expired);
+    slot_set(self, off_m_use_eifs, Py_False);
+    slot_set(self, off_m_anchor, now);
+    slot_set(self, off_m_remaining, remaining_obj);
+    /* anchor + slot + slot + ...: the additions the per-slot chain
+     * made, in its order — not remaining * slot. */
+    expiry = PyFloat_AS_DOUBLE(now);
+    slot_d = PyFloat_AS_DOUBLE(slot);
+    for (i = 0; i < remaining; i++)
+        expiry += slot_d;
+    if ((expiry_obj = PyFloat_FromDouble(expiry)) == NULL)
+        return NULL;
+    status = arm_impl(countdown, expiry_obj);
+    Py_DECREF(expiry_obj);
     if (status < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1691,7 +2204,8 @@ bind_attr(PyObject **target, PyObject *owner, const char *name)
 static PyObject *
 ck_bind_phy(PyObject *module, PyObject *args)
 {
-    PyObject *radio, *tracker, *state, *capture, *builtins;
+    PyObject *radio, *tracker, *state, *capture, *models, *builtins;
+    PyObject *value;
     const struct slot_spec radio_slots[] = {
         {"_arrivals", &off_r_arrivals}, {"_state", &off_r_state},
         {"_locked", &off_r_locked}, {"_locked_power", &off_r_locked_power},
@@ -1704,33 +2218,49 @@ ck_bind_phy(PyObject *module, PyObject *args)
         {"_rx_timer", &off_r_rx_timer}, {"_tracker", &off_r_tracker},
         {"on_cca_busy", &off_r_on_cca_busy},
         {"on_cca_idle", &off_r_on_cca_idle},
-        {"on_state_change", &off_r_on_state_change}, {NULL, NULL}};
+        {"on_state_change", &off_r_on_state_change},
+        {"on_rx_end", &off_r_on_rx_end}, {"error_model", &off_r_error_model},
+        {"_rng", &off_r_rng}, {"_trace", &off_r_trace},
+        {"_exact", &off_r_exact}, {NULL, NULL}};
     const struct slot_spec tracker_slots[] = {
         {"signal_watts", &off_s_signal}, {"noise_watts", &off_s_noise},
         {"_start", &off_s_start}, {"_last_time", &off_s_last},
         {"_current_interference", &off_s_current},
         {"_energy", &off_s_energy}, {NULL, NULL}};
 
-    if (!PyArg_ParseTuple(args, "OOOO:bind_phy", &radio, &tracker, &state,
-                          &capture))
+    if (!PyArg_ParseTuple(args, "OOOOO:bind_phy", &radio, &tracker, &state,
+                          &capture, &models))
         return NULL;
     if (!PyType_Check(radio) || !PyType_Check(tracker)
             || !PyType_Check(capture)) {
         PyErr_SetString(PyExc_TypeError, "bind_phy(Radio, SinrTracker, "
-                        "RadioState, CaptureModel)");
+                        "RadioState, CaptureModel, error_models)");
         return NULL;
     }
     /* Unbind first: a half-resolved binding must not serve edges. */
     Py_CLEAR(radio_type);
     if (resolve_slots(radio, radio_slots) < 0
             || resolve_slots(tracker, tracker_slots) < 0
-            || bind_attr(&py_arrival_begins, radio, "arrival_begins") < 0
-            || bind_attr(&py_arrival_ends, radio, "arrival_ends") < 0
             || bind_attr(&st_idle, state, "IDLE") < 0
             || bind_attr(&st_rx, state, "RX") < 0
             || bind_attr(&st_tx, state, "TX") < 0
             || bind_attr(&st_sleep, state, "SLEEP") < 0
-            || bind_attr(&st_rx_value, st_rx, "value") < 0)
+            || bind_attr(&st_rx_value, st_rx, "value") < 0
+            || bind_attr(&st_idle_value, st_idle, "value") < 0
+            || bind_attr(&per_cache, models, "_per_cache") < 0
+            || bind_attr((PyObject **)&ber_type, models, "BerErrorModel") < 0)
+        return NULL;
+    if (!PyDict_CheckExact(per_cache) || !PyType_Check(ber_type)) {
+        Py_CLEAR(ber_type);
+        PyErr_SetString(PyExc_TypeError, "error_models must hold a "
+                        "_per_cache dict and the BerErrorModel class");
+        return NULL;
+    }
+    if ((value = PyObject_GetAttrString(models, "_PER_CACHE_LIMIT")) == NULL)
+        return NULL;
+    per_cache_limit = PyLong_AsSsize_t(value);
+    Py_DECREF(value);
+    if (per_cache_limit == -1 && PyErr_Occurred())
         return NULL;
     if ((builtins = PyImport_ImportModule("builtins")) == NULL)
         return NULL;
@@ -1748,6 +2278,48 @@ ck_bind_phy(PyObject *module, PyObject *args)
     Py_RETURN_NONE;
 }
 
+static PyObject *
+ck_bind_mac(PyObject *module, PyObject *args)
+{
+    PyObject *mac, *nav;
+    const struct slot_spec mac_slots[] = {
+        {"sim", &off_m_sim}, {"radio", &off_m_radio}, {"nav", &off_m_nav},
+        {"_current", &off_m_current},
+        {"_backoff_remaining", &off_m_backoff_remaining},
+        {"_ifs", &off_m_ifs}, {"_countdown", &off_m_countdown},
+        {"_countdown_anchor", &off_m_anchor},
+        {"_countdown_remaining", &off_m_remaining},
+        {"_pending_send", &off_m_pending_send},
+        {"_tx_continuation", &off_m_tx_continuation},
+        {"_awaiting", &off_m_awaiting}, {"_use_eifs", &off_m_use_eifs},
+        {"_slot_time", &off_m_slot_time}, {"_difs", &off_m_difs},
+        {"_eifs", &off_m_eifs}, {NULL, NULL}};
+    const struct slot_spec nav_slots[] = {
+        {"_sim", &off_n_sim}, {"_until", &off_n_until},
+        {"_on_expire", &off_n_on_expire}, {NULL, NULL}};
+
+    if (!PyArg_ParseTuple(args, "OO:bind_mac", &mac, &nav))
+        return NULL;
+    /* Every DcfMac constructor asks; only the first has work to do. */
+    if (mac_type != NULL && (PyObject *)mac_type == mac
+            && (PyObject *)nav_type == nav)
+        Py_RETURN_NONE;
+    if (!PyType_Check(mac) || !PyType_Check(nav)) {
+        PyErr_SetString(PyExc_TypeError, "bind_mac(DcfMac, Nav)");
+        return NULL;
+    }
+    /* Unbind first: a half-resolved binding must not serve slots. */
+    Py_CLEAR(mac_type);
+    Py_CLEAR(nav_type);
+    if (resolve_slots(mac, mac_slots) < 0 || resolve_slots(nav, nav_slots) < 0)
+        return NULL;
+    Py_INCREF(nav);
+    nav_type = (PyTypeObject *)nav;
+    Py_INCREF(mac);
+    mac_type = (PyTypeObject *)mac;
+    Py_RETURN_NONE;
+}
+
 /* --- module ------------------------------------------------------------ */
 
 static PyMethodDef ck_methods[] = {
@@ -1759,9 +2331,13 @@ static PyMethodDef ck_methods[] = {
      "run(sim, until=None, max_events=None) -> float\n"
      "Compiled twin of Simulator.run(); byte-identical event sequence."},
     {"bind_phy", ck_bind_phy, METH_VARARGS,
-     "bind_phy(Radio, SinrTracker, RadioState, CaptureModel): bind the\n"
-     "PHY classes the receive edges work on (slot offsets, the state\n"
-     "members, the Python reference edges). Idempotent."},
+     "bind_phy(Radio, SinrTracker, RadioState, CaptureModel,\n"
+     "error_models): bind the PHY classes the receive edges and the\n"
+     "reception tail work on (slot offsets, the state members, the\n"
+     "PER memo). Idempotent."},
+    {"bind_mac", ck_bind_mac, METH_VARARGS,
+     "bind_mac(DcfMac, Nav): bind the MAC classes the carrier-sense\n"
+     "slots work on (slot offsets). Resolves once per process."},
     {"arm", (PyCFunction)(void (*)(void))ck_arm, METH_FASTCALL,
      "arm(timer, time): compiled twin of engine._arm."},
     {"fan_out", (PyCFunction)(void (*)(void))ck_fan_out, METH_FASTCALL,
@@ -1775,6 +2351,20 @@ static PyMethodDef ck_methods[] = {
      METH_FASTCALL,
      "arrival_ends(radio, transmission): compiled twin of\n"
      "Radio.arrival_ends (bind with types.MethodType)."},
+    /* Named as their references are: whatever labels a heap entry or an
+     * upcall by its callback's __name__ must not learn which kernel ran. */
+    {"_reception_complete", ck_reception_complete, METH_O,
+     "_reception_complete(radio): compiled twin of\n"
+     "Radio._reception_complete (bind with types.MethodType)."},
+    {"_maybe_start_ifs", ck_maybe_start_ifs, METH_O,
+     "_maybe_start_ifs(mac): compiled twin of DcfMac._maybe_start_ifs."},
+    {"_cancel_access_timers", ck_cancel_access_timers, METH_O,
+     "_cancel_access_timers(mac): compiled twin of\n"
+     "DcfMac._cancel_access_timers."},
+    {"_ifs_expired", ck_ifs_expired, METH_O,
+     "_ifs_expired(mac): compiled twin of DcfMac._ifs_expired."},
+    {"_fire", ck_nav_fire, METH_O,
+     "_fire(nav): compiled twin of Nav._fire."},
     {"heappush", ck_heappush, METH_VARARGS,
      "heappush(heap, entry): push with kernel-entry tuple ordering."},
     {"heappop", ck_heappop, METH_O,
@@ -1808,7 +2398,17 @@ PyInit__ckernel(void)
         {&s_should_capture, "should_capture"},
         {&s_preamble_snr, "preamble_detection_snr_db"},
         {&s_abort_locked, "_abort_locked"}, {&s_try_lock, "_try_lock"},
-        {&s_refresh_interference, "_refresh_interference"}};
+        {&s_refresh_interference, "_refresh_interference"},
+        {&s_reception_complete, "_reception_complete"},
+        {&s_update_cca, "_update_cca"}, {&s_trace_rx_end, "_trace_rx_end"},
+        {&s_sinr_db, "sinr_db"}, {&s_frame_survives, "frame_survives"},
+        {&s_packet_error_rate, "packet_error_rate"}, {&s_random, "random"},
+        {&s_size_bits, "size_bits"}, {&s_modulation, "modulation"},
+        {&s_payload, "payload"}, {&s_maybe_start_ifs, "_maybe_start_ifs"},
+        {&s_cancel_access_timers, "_cancel_access_timers"},
+        {&s_ifs_expired, "_ifs_expired"}, {&s_access_won, "_access_won"},
+        {&s_fire, "_fire"}, {&s_arrival_begins, "arrival_begins"},
+        {&s_arrival_ends, "arrival_ends"}};
     size_t i;
 
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
@@ -1822,7 +2422,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 2) < 0) {
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 3) < 0) {
         Py_DECREF(module);
         return NULL;
     }

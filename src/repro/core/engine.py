@@ -62,7 +62,7 @@ KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False
@@ -326,11 +326,14 @@ class Simulator:
         is the pure-Python reference loop; ``"c"`` is the compiled
         :mod:`repro.core._ckernel` twin (bit-identical event sequence,
         raises if the extension is not built) and, with it, the
-        compiled timer-arm and fan-out primitives and the compiled
-        receive edges of every exact-mode medium built on this
-        simulator; ``"auto"`` picks the compiled kernel when available.  ``None`` (the default) reads the
-        ``REPRO_KERNEL`` environment variable, falling back to
-        ``"auto"``.  The kernel choice never changes results — the two
+        compiled timer-arm and fan-out primitives, the compiled receive
+        edges and reception tail of every plain ``Radio`` on an
+        exact-mode medium built on this simulator, and the compiled
+        carrier-sense slots (IFS arm, backoff freeze, IFS expiry, NAV
+        expiry) of every plain ``DcfMac`` on such a radio; ``"auto"``
+        picks the compiled kernel when available.  ``None`` (the
+        default) reads the ``REPRO_KERNEL`` environment variable,
+        falling back to ``"auto"``.  The kernel choice never changes results — the two
         loops are byte-for-byte interchangeable (gated by
         ``tools/capture_golden.py --kernel`` and the randomized parity
         harness) — only throughput.
@@ -347,8 +350,8 @@ class Simulator:
         self.profile = profile
         self._kernel = resolve_kernel(kernel)
         #: The bound extension on ``kernel="c"``, else None: whose
-        #: ``run`` this simulator's ``run`` is, and what a medium asks
-        #: for its receive edges (see phy.channel).
+        #: ``run`` this simulator's ``run`` is, and what a medium, a
+        #: ``DcfMac`` and a ``Nav`` ask for their compiled callables.
         ext = self._ext = _ckernel if self._kernel == "c" else None
         self._arm = ext.arm if ext is not None else _arm
         self._fan_out = ext.fan_out if ext is not None else _fan_out
@@ -416,11 +419,12 @@ class Simulator:
         would make ``kernel`` lie to telemetry exports.
 
         Only the *loop* changes hands.  The scheduling primitives and
-        the receive edges a medium already bound stay compiled: they
-        are functions of simulator and radio state, not of the loop
-        that dispatches them, and they build the same entries either
-        way, so the Python loop pops exactly what it would have.
-        Media constructed afterwards bind the Python edges.
+        whatever a medium, a radio or a MAC already bound (receive
+        edges, reception tail, carrier-sense slots) stay compiled: they
+        are functions of simulator, radio and MAC state, not of the
+        loop that dispatches them, and they build the same entries
+        either way, so the Python loop pops exactly what it would have.
+        Media and MACs constructed afterwards bind the Python methods.
         """
         self._kernel = "python"
         self._ext = None

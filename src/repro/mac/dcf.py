@@ -25,12 +25,20 @@ The implementation is callback-driven on the simulation kernel; all
 timing uses the PHY standard's slot/SIFS/DIFS constants, so the MAC's
 behaviour under contention matches the analytic (Bianchi) saturation
 model — which is exactly what benchmark E10 checks.
+
+``_maybe_start_ifs``, ``_cancel_access_timers`` and ``_ifs_expired`` are
+the *reference* for compiled twins in ``repro.core._ckernel``, which a
+plain :class:`DcfMac` on a plain exact-mode radio of a C-kernel simulator
+hands to the radio's CCA slots, the NAV and the IFS timer at construction
+(``tests/mac/test_access_parity.py``).  Python callers here, the frame
+demux and the transmit path use the methods on every kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as _dc_replace
+from types import MethodType
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.engine import Simulator, Timer
@@ -189,16 +197,27 @@ class DcfMac:
         #: When True, outgoing data frames carry the Power Management bit.
         self.power_management = False
 
-        # CCA edges bypass the phy_cca_* wrappers entirely: busy freezes
-        # the contention timers, idle (re-)arms the IFS wait.  The
-        # wrapper methods remain for listener-API compatibility.
-        radio.on_cca_busy = self._cancel_access_timers
-        radio.on_cca_idle = self._maybe_start_ifs
+        # What the radio's CCA slots (busy freezes the contention timers,
+        # idle (re-)arms the IFS wait; the phy_cca_* wrappers stay for the
+        # listener API), the NAV and the IFS timer call: twins or methods.
+        ext = sim._ext
+        if ext is not None and type(self) is DcfMac \
+                and type(radio) is Radio and radio._exact:
+            ext.bind_mac(DcfMac, Nav)  # resolves once per process
+            start_ifs = MethodType(ext._maybe_start_ifs, self)
+            freeze = MethodType(ext._cancel_access_timers, self)
+            ifs_expired = MethodType(ext._ifs_expired, self)
+        else:
+            start_ifs = self._maybe_start_ifs
+            freeze = self._cancel_access_timers
+            ifs_expired = self._ifs_expired
+        radio.on_cca_busy = freeze
+        radio.on_cca_idle = start_ifs
         standard = radio.standard
         rng = sim.rng.stream(f"mac.{address}")
         self.queue = DropTailQueue(sim, self.config.queue_capacity)
         self.backoff = BackoffWindow(standard.cw_min, standard.cw_max, rng)
-        self.nav = Nav(sim, on_expire=self._maybe_start_ifs)
+        self.nav = Nav(sim, on_expire=start_ifs)
         self.dedup = DuplicateCache()
         self.reassembler = Reassembler()
         self.counters = Counter()
@@ -206,7 +225,7 @@ class DcfMac:
         self._sequence = 0
         self._current: Optional[_TxContext] = None
         self._backoff_remaining: Optional[int] = None
-        self._ifs = Timer(sim, self._ifs_expired)
+        self._ifs = Timer(sim, ifs_expired)
         self._countdown = Timer(sim, self._access_won)
         self._countdown_anchor = 0.0
         self._countdown_remaining = 0

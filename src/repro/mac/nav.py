@@ -13,6 +13,7 @@ truncates a longer reservation already in place.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Callable, Optional
 
 from ..core.engine import Simulator, Timer
@@ -25,7 +26,8 @@ class Nav:
     expiry, so the timer churns on every overheard frame in a busy
     cell; it therefore rides on the kernel's reusable
     :class:`~repro.core.engine.Timer` (re-anchor without a fresh
-    :class:`~repro.core.engine.EventHandle` per update).
+    :class:`~repro.core.engine.EventHandle` per update); on a C-kernel
+    simulator it fires ``_ckernel._fire``, :meth:`_fire`'s compiled twin.
     """
 
     __slots__ = ("_sim", "_until", "_on_expire", "_timer")
@@ -35,7 +37,10 @@ class Nav:
         self._sim = sim
         self._until = 0.0
         self._on_expire = on_expire
-        self._timer = Timer(sim, self._fire)
+        ext = sim._ext
+        self._timer = Timer(sim, MethodType(ext._fire, self)
+                            if ext is not None and type(self) is Nav
+                            else self._fire)
 
     @property
     def busy(self) -> bool:

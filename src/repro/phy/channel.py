@@ -32,11 +32,11 @@ is off the medium falls back to the historical per-receiver loop
 
 Receive edges follow the simulator's kernel: on ``kernel="c"`` an
 exact-mode medium fans out to the extension's ``arrival_begins`` /
-``arrival_ends`` bound to each plain :class:`Radio` (the compiled twins
-of the methods of those names — same table, same floats, same
-upcalls), and to the Python methods for everything else: any other
-kernel, a ``Radio`` subclass, fast mode.  There is no switch; the
-Python methods are the reference the twins are tested against.
+``arrival_ends`` bound to each plain :class:`Radio` and gives its
+reception-end timer the extension's ``_reception_complete`` (the
+compiled twins of the methods of those names — same table, same floats,
+same upcalls); any other kernel, a ``Radio`` subclass and fast mode get
+the Python methods, the reference the twins are tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
 from ..core.units import SPEED_OF_LIGHT, dbm_to_watts, watts_to_dbm
+from . import error_models
 from .interference import CaptureModel, SinrTracker
 from .modulation import DBPSK_DSSS
 from .propagation import PropagationModel
@@ -212,13 +213,13 @@ class Medium:
         self.propagation_delay = propagation_delay
         self.cache_links = cache_links
         self.exact = (sim.profile != "fast") if exact is None else bool(exact)
-        # The extension whose receive edges this medium binds (exact
-        # mode on a C-kernel simulator), else None.  Binding the PHY
-        # classes here, not at import, keeps the extension lazy.
+        # The extension whose receive edges and reception tail this medium
+        # binds (exact mode on a C-kernel simulator), else None.  Binding
+        # the PHY classes here, not at import, keeps the extension lazy.
         self._edge_ext = sim._ext if self.exact else None
         if self._edge_ext is not None:
             self._edge_ext.bind_phy(Radio, SinrTracker, RadioState,
-                                    CaptureModel)
+                                    CaptureModel, error_models)
         self.links = LinkCache()
         self._radios: List[Radio] = []
         self._active: Dict[int, List[Transmission]] = {}
@@ -293,6 +294,13 @@ class Medium:
         if self.exact:
             return radio, radio.arrival_begins, radio.arrival_ends
         return radio, radio.arrival_begins_fast, radio.arrival_ends_fast
+
+    def _rx_tail(self, radio: Radio) -> Any:
+        """What ``radio``'s reception-end timer fires (see :meth:`_edges`)."""
+        ext = self._edge_ext
+        if ext is not None and type(radio) is Radio:
+            return MethodType(ext._reception_complete, radio)
+        return radio._reception_complete
 
     def _channel_members(self, channel_id: int) -> List[Tuple[Radio, Any, Any]]:
         members = self._by_channel.get(channel_id)

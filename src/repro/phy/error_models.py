@@ -57,29 +57,17 @@ class BerErrorModel(ErrorModel):
 
     def frame_survives(self, snr_db: float, size_bits: int,
                        modulation: Modulation, rng: random.Random) -> bool:
-        """Sample delivery success (this runs once per decoded frame per
-        receiver).  The PER is a pure function of the exact
-        ``(snr_db, size_bits, modulation)`` floats, and stationary
-        topologies hit the same handful of SINR values over and over,
-        so it is memoized — the cached value is the output of the very
-        same computation, so results are bit-identical to the uncached
-        path.  The RNG is always drawn exactly once, like the base
-        implementation, to keep seeded streams aligned."""
+        """Sample delivery success (once per decoded frame per receiver).
+        :meth:`packet_error_rate` is a pure function of its exact inputs
+        and stationary topologies repeat the same few SINRs, so it is
+        memoized — in a dict the compiled reception tail (``_ckernel``)
+        probes under the same key and limit rule.  The RNG is drawn once,
+        after the PER is known (a miss that raises draws nothing)."""
         key = (snr_db, size_bits, modulation)
         try:
-            # The PER lookup must complete before the RNG draw: putting
-            # the draw on the left of the comparison would evaluate it
-            # before a cache miss raises, double-drawing on misses and
-            # desynchronizing the seeded stream.
             per = _per_cache[key]
         except KeyError:
-            per = 0.0
-            if size_bits > 0:
-                ber = modulation.ber(snr_db)
-                if ber >= 1.0:
-                    per = 1.0
-                elif ber > 0.0:
-                    per = -math.expm1(size_bits * math.log1p(-ber))
+            per = self.packet_error_rate(snr_db, size_bits, modulation)
             if len(_per_cache) >= _PER_CACHE_LIMIT:
                 _per_cache.clear()
             _per_cache[key] = per

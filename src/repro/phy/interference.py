@@ -21,9 +21,6 @@ from ..core.units import linear_to_db
 _INF = math.inf
 _log10 = math.log10
 
-#: Memoized ratio -> dB conversions (pure function; see sinr_db).
-_db_cache: dict = {}
-
 
 class SinrTracker:
     """Integrates interference energy across one frame reception."""
@@ -83,22 +80,11 @@ class SinrTracker:
         denominator = self.noise_watts + mean_interference
         if denominator <= 0.0:
             return linear_to_db(float("inf"))
-        # linear_to_db inlined (one call per decoded frame per receiver),
-        # and memoized on the exact ratio: an interference-free
-        # reception over a static link reproduces the same handful of
-        # ratios run-long, so most decodes skip the log10 entirely.
-        # The cached value is the output of the identical computation —
-        # bit-identical results either way.
+        # linear_to_db inlined (one call per decoded frame per receiver).
         ratio = self.signal_watts / denominator
         if ratio <= 0.0:
             return -_INF
-        try:
-            return _db_cache[ratio]
-        except KeyError:
-            if len(_db_cache) >= 4096:
-                _db_cache.clear()
-            db = _db_cache[ratio] = 10.0 * _log10(ratio)
-            return db
+        return 10.0 * _log10(ratio)
 
 
 @dataclass(frozen=True)

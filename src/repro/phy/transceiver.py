@@ -19,14 +19,15 @@ object.  The classic :class:`PhyListener` interface remains as the
 convenience surface: assigning :attr:`Radio.listener` rebinds all four
 slots from the listener's methods.
 
-:meth:`Radio.arrival_begins` and :meth:`Radio.arrival_ends` (with
+:meth:`Radio.arrival_begins`, :meth:`Radio.arrival_ends` (with
 ``_try_lock``, the capture test, ``_refresh_interference`` and the CCA
-tail) are the *reference* receive edges.  On a C-kernel simulator the
-medium delivers to their compiled twins in ``repro.core._ckernel``
-instead — the same statements over the same ``__slots__`` — and those
-hand any step they do not handle in C (an aborted lock, an off-type
-field) back to the method here, so every change to these methods is a
-change to the contract ``tests/phy/test_edge_parity.py`` holds both to.
+tail) and :meth:`Radio._reception_complete` are the *reference* receive
+path.  On a C-kernel simulator an exact-mode medium binds a plain radio
+to their compiled twins in ``repro.core._ckernel`` — the same statements
+over the same ``__slots__`` — which hand any step they do not handle (an
+aborted lock, an off-type field, an error model that is not exactly
+``BerErrorModel``, the trace record) back to the method here: a change to
+these methods changes what ``tests/phy/test_edge_parity.py`` holds both to.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class Radio:
         self._sim = medium.sim
         self._rng = medium.sim.rng.stream(f"radio.{name}")
         self._trace = medium.sim.trace
-        self._rx_timer = Timer(medium.sim, self._reception_complete)
+        self._rx_timer = Timer(medium.sim, medium._rx_tail(self))
         self._capture = self.config.capture
         # Memoized preamble SNR per exact receive power (pure function
         # of power/noise; static links repeat the same few powers).
@@ -665,28 +666,21 @@ class Radio:
         success = self.error_model.frame_survives(
             snr_db, transmission.size_bits, transmission.mode.modulation,
             self._rng)
+        if self._trace.enabled:
+            self._trace_rx_end(now, transmission, success, snr_db)
+        # IDLE: the table decides.  The idle edge fires *before* on_rx_end
+        # (recorded defect: tests/mac/test_virtual_carrier_sense.py).
+        self._update_cca()
+        self.on_rx_end(transmission.payload, success, snr_db,
+                       transmission.mode)
+
+    def _trace_rx_end(self, now: float, transmission: "Transmission",
+                      success: bool, snr_db: float) -> None:
         trace = self._trace
-        if trace.enabled and trace.wants("phy-rx-end"):
+        if trace.wants("phy-rx-end"):
             trace.record(now, self.name, "phy-rx-end",
                          ok=success, snr=round(snr_db, 1),
                          mode=transmission.mode.name)
-        # _update_cca inlined (KEEP IN SYNC): the state was just set to
-        # IDLE above, so only the arrival-table branch remains.
-        arrivals = self._arrivals
-        if not arrivals:
-            busy = 0.0 >= self._cca_threshold_watts
-        elif self._exact:
-            busy = sum(arrivals.values()) >= self._cca_threshold_watts
-        else:
-            busy = self._incident_watts >= self._cca_threshold_watts
-        if busy != self._cca_busy:
-            self._cca_busy = busy
-            if busy:
-                self.on_cca_busy()
-            else:
-                self.on_cca_idle()
-        self.on_rx_end(transmission.payload, success, snr_db,
-                       transmission.mode)
 
     # --- CCA ---------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro import scenarios
 from repro.core import Position, Simulator
+from repro.core.engine import ckernel_available
 from repro.core.errors import InvariantViolation
 from repro.faults import InvariantChecker, NAV_MAX_LEGAL
 from repro.mac.addresses import allocate_address
@@ -325,3 +326,63 @@ class TestCounterParity:
         sim.clear()
         InvariantChecker(sim, strict=True).check_counter_parity()
         assert sim.pending_events == 0
+
+
+@pytest.mark.skipif(
+    not ckernel_available(),
+    reason="compiled kernel not built (run: python tools/build_kernel.py)")
+class TestCompiledSlotsUnderTheChecker:
+    """The checker's two independent oracles — the live-heap census and
+    the per-slot left fold — against the compiled carrier-sense slots,
+    which write the counters and the countdown deadline they audit."""
+
+    def _saturated_cell(self, stations=6):
+        sim = Simulator(seed=9, kernel="c")
+        medium = Medium(sim, FixedLoss(50.0))
+        macs = []
+        for index in range(stations):
+            radio = Radio(f"r{index}", medium, DOT11B,
+                          Position(float(index), 0, 0))
+            macs.append(DcfMac(sim, radio, allocate_address()))
+        for index, mac in enumerate(macs):
+            for _ in range(40):
+                mac.send(macs[(index + 1) % stations].address, bytes(200))
+        return sim, medium, macs
+
+    def test_a_saturated_cell_on_compiled_slots_stays_silent(self):
+        sim, medium, macs = self._saturated_cell()
+        ext = sim._ext
+        assert all(mac._ifs._callback.__func__ is ext._ifs_expired
+                   and mac.radio.on_cca_busy.__func__
+                   is ext._cancel_access_timers for mac in macs)
+        checker = InvariantChecker(sim, interval=2.5e-4, strict=True)
+        checker.watch_medium(medium).install()
+        folds = []
+        audit = checker._check_mac
+
+        def counting(mac):
+            if mac._countdown._armed and mac._countdown_remaining > 0:
+                folds.append(mac._countdown_remaining)
+            audit(mac)
+        checker._check_mac = counting
+        for _ in range(20):
+            sim.run(until=sim.now + 0.025)
+            checker.check_counter_parity()     # between runs only
+        assert checker.violations == []
+        assert len(folds) > 300 and max(folds) > 31   # grown windows too
+        assert sum(mac.counters.get("msdu_delivered") for mac in macs) > 50
+        assert sim._cancelled_events > 1000    # freezes and re-anchors
+
+    def test_a_deadline_off_the_fold_is_still_caught(self):
+        sim, medium, macs = self._saturated_cell(stations=2)
+        checker = InvariantChecker(sim, strict=True).watch_medium(medium)
+        waiting = None
+        while waiting is None:
+            sim.run(max_events=1)
+            waiting = next((mac for mac in macs if mac._countdown._armed
+                            and mac._countdown_remaining > 2), None)
+        checker.check_now()                    # the compiled fold passes
+        waiting._countdown._time = waiting._countdown_anchor \
+            + waiting._countdown_remaining * waiting._slot_time + 1e-9
+        with pytest.raises(InvariantViolation, match="backoff-left-fold"):
+            checker.check_now()

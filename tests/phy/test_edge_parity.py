@@ -1,27 +1,34 @@
-"""The compiled receive edges against their Python reference.
+"""The compiled receive edges and reception tail against their Python
+reference.
 
 On ``kernel="c"`` the medium delivers arrivals to
 ``_ckernel.arrival_begins`` / ``arrival_ends`` instead of the
-:class:`Radio` methods of those names, and timers and fan-outs are
-built by the extension's ``arm`` / ``fan_out``.  The claim is that
-nothing observable differs.  Two halves:
+:class:`Radio` methods of those names, a plain radio's reception-end
+timer fires ``_ckernel._reception_complete`` instead of
+``Radio._reception_complete``, and timers and fan-outs are built by the
+extension's ``arm`` / ``fan_out``.  The claim is that nothing
+observable differs — not an upcall, a float, a heap entry, a random
+draw or an entry of the shared PER memo.  Two halves:
 
 * a ``hypothesis`` schedule of direct edge deliveries, real
   transmissions, sleep/wake, power loss and retunes over 2-6 radios —
   receive powers drawn a few ulp around the three decisions that
   matter (preamble floor, CCA threshold, capture margin), foreign and
   energy-only modes, capture on/off, a capture object that is not a
-  ``CaptureModel``, a ``Radio`` subclass — run once per kernel and
-  compared upcall by upcall, slot by slot, heap entry by heap entry;
-* the failure path: an upcall that raises inside a compiled edge under
-  the compiled loop, and fields of the wrong type, leave the same
-  exception and the same state the Python edge leaves, and the
-  simulator runs on afterwards.
+  ``CaptureModel``, a ``Radio`` subclass, four error models (only an
+  exact ``BerErrorModel`` is answered in C), tracing on and off — run
+  once per kernel and compared upcall by upcall, slot by slot, heap
+  entry by heap entry, RNG state by RNG state;
+* the failure path: an upcall or an error model that raises inside a
+  compiled edge or tail under the compiled loop, and fields of the
+  wrong type, leave the same exception and the same state the Python
+  method leaves, and the simulator runs on afterwards.
 
 Skipped loudly without the extension (see ``conftest``); CI's
 compiled-kernel lane runs the file under ``-X dev``.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -30,9 +37,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Position, Simulator
 from repro.core.engine import ckernel_available
 from repro.core.errors import SimulationError
+from repro.core.trace import TraceLog
 from repro.core.units import dbm_to_watts
+from repro.phy import error_models
 from repro.phy.channel import ENERGY_ONLY, Medium, Transmission
+from repro.phy.error_models import (BerErrorModel, FixedPerErrorModel,
+                                    SnrThresholdErrorModel)
 from repro.phy.interference import CaptureModel
+from repro.phy.modulation import Modulation
 from repro.phy.propagation import FreeSpace
 from repro.phy.standards import DOT11B, DOT11G
 from repro.phy.transceiver import Radio, RadioConfig
@@ -51,6 +63,14 @@ def _ulps(value, steps):
     for _ in range(abs(steps)):
         value = math.nextafter(value, toward)
     return value
+
+
+class Boom(Exception):
+    pass
+
+
+def _boom(*_args):
+    raise Boom("upcall failed")
 
 
 class OddCapture:
@@ -100,11 +120,42 @@ class ListeningRadio(Radio):
         Radio.arrival_begins(self, transmission, power_watts)
 
 
+class LoggedBer(BerErrorModel):
+    """A ``BerErrorModel`` subclass: not the exact class, so the compiled
+    tail must call this method, not answer from the memo itself."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def frame_survives(self, snr_db, size_bits, modulation, rng):
+        self._log.append(("survives?", repr(snr_db), size_bits))
+        return super().frame_survives(snr_db, size_bits, modulation, rng)
+
+
+class DeafModulation(Modulation):
+    """A BER curve that raises: what a PER memo miss runs into."""
+
+    def ber(self, snr_db):
+        raise Boom("no curve")
+
+
+def _error_model(kind, log):
+    return {"ber": BerErrorModel, "fixed": lambda: FixedPerErrorModel(0.4),
+            "threshold": lambda: SnrThresholdErrorModel(14.0),
+            "subclass": lambda: LoggedBer(log)}[kind]()
+
+
 class World:
     """2-6 radios on one medium with every upcall logged."""
 
-    def __init__(self, kernel, radios, capture, subclass_at):
-        self.sim = sim = Simulator(seed=11, kernel=kernel)
+    def __init__(self, kernel, radios, capture, subclass_at,
+                 error_model="ber", traced=True):
+        # Every world starts from an empty PER memo, so both kernels
+        # take the same misses (the memo's insertion order is part of
+        # the snapshot).
+        error_models._per_cache.clear()
+        self.sim = sim = Simulator(seed=11, kernel=kernel,
+                                   trace=TraceLog(enabled=traced))
         self.medium = medium = Medium(sim, FreeSpace(2.4e9))
         self.log = log = []
         self.first_id = next(Transmission._ids) + 1
@@ -118,20 +169,23 @@ class World:
             cls = ListeningRadio if index == subclass_at else Radio
             radio = cls(f"r{index}", medium, DOT11B,
                         Position(3.0 * index, 1.0 * (index % 2), 0.0),
-                        config=RadioConfig(capture=capture_model))
+                        config=RadioConfig(capture=capture_model),
+                        error_model=_error_model(error_model, log))
             self._wire(radio)
             self.radios.append(radio)
         mode = DOT11B.modes[0]
         ghost = self.radios[0]
         #: Transmissions the schedule delivers by hand: decodable ones
-        #: of three airtimes, a foreign PHY's, and bare energy.
+        #: of three airtimes, a foreign PHY's, bare energy, and
+        #: decodable frames of no and of negative size (PER 0.0).
         self.pool = [
             Transmission(ghost, f"frame{index}", bits, tx_mode, 1e-3, 0.0,
                          duration)
             for index, (bits, tx_mode, duration) in enumerate((
                 (800, mode, 2e-4), (800, mode, 5e-4), (1600, mode, 9e-4),
                 (800, DOT11B.modes[1], 3e-4), (800, DOT11G.modes[0], 4e-4),
-                (0, ENERGY_ONLY, 6e-4), (0, ENERGY_ONLY, 1e-4)))]
+                (0, ENERGY_ONLY, 6e-4), (0, ENERGY_ONLY, 1e-4),
+                (0, mode, 2.5e-4), (-8, mode, 3.5e-4)))]
 
     def _wire(self, radio):
         log, sim, name = self.log, self.sim, radio.name
@@ -197,11 +251,20 @@ class World:
                 (radio._rx_timer._armed, radio._rx_timer._version,
                  repr(radio._rx_timer._time)),
                 sorted((repr(power), repr(snr))
-                       for power, snr in radio._snr_cache.items())))
+                       for power, snr in radio._snr_cache.items()),
+                hash(radio._rng.getstate())))
         return {"now": repr(sim._now), "scheduled": sim._scheduled,
                 "cancelled": sim._cancelled_events,
                 "executed": sim._events_executed, "heap": heap,
-                "radios": radios, "log": list(self.log)}
+                "radios": radios, "log": list(self.log),
+                "memo_size": len(error_models._per_cache),
+                "trace": [(repr(record.time), record.source, record.event,
+                           sorted(record.detail.items()))
+                          for record in sim.trace],
+                "per_memo": [(repr(snr), bits, modulation.name, repr(per))
+                             for (snr, bits, modulation), per
+                             in error_models._per_cache.items()
+                             if isinstance(modulation, Modulation)]}
 
 
 # --- the randomized schedule -------------------------------------------------
@@ -222,9 +285,9 @@ POWERS = st.one_of(
 
 RADIO = st.integers(min_value=0, max_value=5)
 OPS = st.one_of(
-    st.tuples(st.just("begins"), RADIO, st.integers(0, 6), POWERS),
-    st.tuples(st.just("begins"), RADIO, st.integers(0, 6), POWERS),
-    st.tuples(st.just("ends"), RADIO, st.integers(0, 6)),
+    st.tuples(st.just("begins"), RADIO, st.integers(0, 8), POWERS),
+    st.tuples(st.just("begins"), RADIO, st.integers(0, 8), POWERS),
+    st.tuples(st.just("ends"), RADIO, st.integers(0, 8)),
     st.tuples(st.just("transmit"), RADIO, st.integers(0, 3)),
     st.tuples(st.just("energy"), RADIO),
     st.tuples(st.just("run"), st.sampled_from([1e-7, 5e-5, 2.5e-4, 2e-3])),
@@ -232,14 +295,16 @@ OPS = st.one_of(
     st.tuples(st.just("retune"), RADIO, st.sampled_from([1, 6])))
 
 
-def _play(kernel, radios, capture, subclass_at, schedule):
-    world = World(kernel, radios, capture, subclass_at)
+def _play(kernel, radios, capture, subclass_at, schedule, **world_options):
+    world = World(kernel, radios, capture, subclass_at, **world_options)
     sim = world.sim
     frames = []
     for op in schedule:
         radio = world.radios[op[1] % radios] if op[0] != "run" else None
         try:
-            if op[0] == "begins":
+            if op[0] == "poke":
+                op[2](world, radio)
+            elif op[0] == "begins":
                 world.edges(radio)[0](world.pool[op[2]], op[3])
             elif op[0] == "ends":
                 world.edges(radio)[1](world.pool[op[2]])
@@ -266,11 +331,16 @@ def _play(kernel, radios, capture, subclass_at, schedule):
 @given(radios=st.integers(2, 6),
        capture=st.sampled_from(["on", "off", "odd"]),
        subclass_at=st.sampled_from([None, 0, 1]),
+       error_model=st.sampled_from(["ber", "ber", "fixed", "threshold",
+                                    "subclass"]),
+       traced=st.booleans(),
        schedule=st.lists(OPS, min_size=1, max_size=40))
 def test_schedules_leave_identical_state_on_both_kernels(
-        radios, capture, subclass_at, schedule):
-    _, reference = _play("python", radios, capture, subclass_at, schedule)
-    _, compiled = _play("c", radios, capture, subclass_at, schedule)
+        radios, capture, subclass_at, error_model, traced, schedule):
+    _, reference = _play("python", radios, capture, subclass_at, schedule,
+                         error_model=error_model, traced=traced)
+    _, compiled = _play("c", radios, capture, subclass_at, schedule,
+                        error_model=error_model, traced=traced)
     for step, (expected, got) in enumerate(zip(reference, compiled)):
         assert got == expected, f"diverged after step {step}: " \
             f"{schedule[min(step, len(schedule) - 1)]}"
@@ -284,9 +354,13 @@ def test_the_compiled_world_really_runs_compiled_edges():
     assert begins.__func__ is world.sim._ext.arrival_begins
     assert ends.__func__ is world.sim._ext.arrival_ends
     assert begins.__self__ is plain
+    tail = plain._rx_timer._callback
+    assert tail.__func__ is world.sim._ext._reception_complete
+    assert tail.__self__ is plain
     begins, ends = world.edges(subclass)
     assert begins.__func__ is ListeningRadio.arrival_begins
     assert ends.__func__ is Radio.arrival_ends
+    assert subclass._rx_timer._callback.__func__ is Radio._reception_complete
     assert world.sim._arm is world.sim._ext.arm
     assert world.sim._fan_out is world.sim._ext.fan_out
 
@@ -294,7 +368,19 @@ def test_the_compiled_world_really_runs_compiled_edges():
     begins, ends = reference.edges(reference.radios[0])
     assert begins.__func__ is Radio.arrival_begins
     assert ends.__func__ is Radio.arrival_ends
+    assert reference.radios[0]._rx_timer._callback.__func__ \
+        is Radio._reception_complete
     assert reference.sim._ext is None
+
+
+def test_compiled_callables_carry_their_references_names():
+    """Whatever labels a heap entry or an upcall by its callback's
+    ``__name__`` (these snapshots, a debugger) must not learn which
+    kernel ran."""
+    ext = Simulator(kernel="c")._ext
+    for name in ("_reception_complete", "_maybe_start_ifs",
+                 "_cancel_access_timers", "_ifs_expired", "_fire"):
+        assert getattr(ext, name).__name__ == name
 
 
 def _probe(kernel, lock_first, probe_index, power):
@@ -360,6 +446,33 @@ CORNERS = {
     # Arrivals at a sleeping radio are tracked; waking resumes CCA.
     "asleep, then awake under energy": [
         ("sleep", 1), ("begins", 1, 5, 1e-6), ("wake", 1), ("ends", 1, 5)],
+    # The tail under interference that outlasts the frame: the SINR
+    # integrates a partial overlap and the radio stays CCA-busy.
+    "a tail under lasting interference": [
+        ("begins", 1, 0, LOCKED), ("run", 1e-4), ("begins", 1, 5, 2e-10),
+        ("ends", 1, 0), ("run", 2e-4), ("ends", 1, 5)],
+    # Frames of no bits and of negative size survive whatever the SINR.
+    "frames of no and of negative size": [
+        ("begins", 1, 7, 5e-13), ("run", 1e-3), ("begins", 1, 8, 5e-13),
+        ("run", 1e-3)],
+    # No noise and no interference: the SINR is +inf; no signal: -inf.
+    "an infinite and a vanished SINR": [
+        ("poke", 1, lambda world, rx: setattr(rx, "noise_watts", 0.0)),
+        ("begins", 1, 0, LOCKED), ("run", 1e-3), ("begins", 1, 1, LOCKED),
+        ("poke", 1, lambda world, rx: setattr(rx._tracker, "signal_watts",
+                                              0.0)),
+        ("run", 1e-3)],
+    # A lock taken by the reference edge (an int power) leaves an int in
+    # the tracker: the compiled tail asks the tracker's own sinr_db.
+    "a tracker holding an int": [
+        ("begins", 1, 0, 1), ("run", 1e-4), ("begins", 1, 5, 2e-10),
+        ("run", 1e-3), ("ends", 1, 5)],
+    # A table that is a dict subclass: the whole tail is the reference's.
+    "a table that is not a plain dict": [
+        ("begins", 1, 0, LOCKED), ("begins", 1, 5, 1e-10),
+        ("poke", 1, lambda world, rx: setattr(
+            rx, "_arrivals", type("Table", (dict,), {})(rx._arrivals))),
+        ("run", 1e-3)],
 }
 
 
@@ -376,20 +489,44 @@ def test_corner_schedules(corner):
             ["cca-busy", "cca-idle"]
     if corner.startswith("capture"):
         assert compiled[2]["radios"][1][4] == "pool1"
-    if corner.startswith("a table"):
+    if corner.startswith("a table that does"):
         assert compiled[1]["radios"][1][4] == "pool0"      # it did lock
         assert compiled[3]["radios"][1][7][4] != "0.0"     # and refreshed
+    rx_ends = [entry for entry in compiled[-1]["log"] if entry[1] == "rx-end"]
+    if corner.startswith("a tail under"):
+        ((_, _, _, _, _ok, snr, _),) = rx_ends
+        assert 4.0 < float(snr) < 5.0     # 28.3 dB without the overlap
+        assert compiled[4]["radios"][1][1:3] == ("idle", True)
+    if corner.startswith("frames of"):
+        assert [entry[4] for entry in rx_ends] == [True, True]
+        assert [entry[1] for entry in compiled[-1]["per_memo"]] == [0, -8]
+    if corner.startswith("an infinite"):
+        assert [entry[5] for entry in rx_ends] == ["inf", "-inf"]
+    if corner.startswith("a tracker holding") or \
+            corner.startswith("a table that is not"):
+        assert len(rx_ends) == 1
+
+
+def test_the_per_memo_clears_at_its_limit_alike():
+    """One below the limit, three misses: the first fills the memo, the
+    second clears it and starts over — in the tail as in
+    ``BerErrorModel.frame_survives``."""
+    limit = error_models._PER_CACHE_LIMIT
+    fill = ("poke", 1, lambda world, rx: error_models._per_cache.update(
+        ((float(index), 0, None), 0.0) for index in range(limit - 1)))
+    schedule = [fill,
+                ("begins", 1, 0, LOCKED), ("run", 1e-3),
+                ("begins", 1, 0, LOCKED * 2.0), ("run", 1e-3),
+                ("begins", 1, 0, LOCKED * 3.0), ("run", 1e-3)]
+    _, reference = _play("python", 2, "on", None, schedule)
+    _, compiled = _play("c", 2, "on", None, schedule)
+    error_models._per_cache.clear()
+    assert compiled == reference
+    assert [frame["memo_size"] for frame in compiled] == \
+        [limit - 1, limit - 1, limit, limit, 1, 1, 2, 2]
 
 
 # --- the failure path --------------------------------------------------------
-
-class Boom(Exception):
-    pass
-
-
-def _boom(*_args):
-    raise Boom("upcall failed")
-
 
 def _failure(kernel, arrange):
     """Run ``arrange(world, rx, begins, ends)`` — it schedules the
@@ -401,56 +538,107 @@ def _failure(kernel, arrange):
     # Work that is due after the failure, for the second run to find.
     sim.schedule_fast(3e-3, begins, world.pool[6], 1e-6)
     sim.schedule_fast(4e-3, ends, world.pool[6])
+    before = world.snapshot()
     with pytest.raises(Exception) as caught:
         sim.run(until=1.0)
     after_raise = world.snapshot()
     running = sim._running
     # Mend the radio and carry on: the rest of the heap must drain.
     world._wire(rx)
-    if not hasattr(rx._locked_tracker, "set_interference"):
+    rx.error_model = BerErrorModel()
+    if rx._locked is not None and \
+            not hasattr(rx._locked_tracker, "set_interference"):
         rx._locked_tracker = rx._tracker
     sim.run(until=1.0)
-    return (type(caught.value), running, after_raise, world.snapshot())
+    return (type(caught.value), running, before, after_raise,
+            world.snapshot())
 
 
+class NotATracker:
+    def __repr__(self):
+        return "NotATracker()"
+
+
+class FailingModel(BerErrorModel):
+    def frame_survives(self, snr_db, size_bits, modulation, rng):
+        raise Boom("no verdict")
+
+
+def _lock_then(world, rx, begins, ends, *, frame=None, at_1100us=None):
+    """A frame locked at 1 ms whose tail (and whose arrival's end, which
+    is popped first) is due at 1.2 ms; ``at_1100us`` runs in between."""
+    frame = world.pool[0] if frame is None else frame
+    world.sim.schedule_fast(1e-3, begins, frame, LOCKED)
+    world.sim.schedule_fast(1.2e-3, ends, frame)
+    if at_1100us is not None:
+        world.sim.schedule_fast(1.1e-3, setattr, rx, *at_1100us)
+
+
+def _deaf_frame(world):
+    mode = dataclasses.replace(
+        DOT11B.modes[0], modulation=DeafModulation("deaf", 1.0))
+    return Transmission(world.radios[0], "deaf", 800, mode, 1e-3, 0.0, 2e-4)
+
+
+#: case -> (the exception, the table the raise leaves, the arrangement).
 FAILURES = {
     "on_cca_busy raises in arrival_begins": (
-        Boom, lambda world, rx, begins, ends: (
+        Boom, ["pool5"], lambda world, rx, begins, ends: (
             setattr(rx, "on_cca_busy", _boom),
             world.sim.schedule_fast(1e-3, begins, world.pool[5], 1e-6),
             world.sim.schedule_fast(2e-3, ends, world.pool[5]))),
     "on_cca_idle raises in arrival_ends": (
-        Boom, lambda world, rx, begins, ends: (
+        Boom, [], lambda world, rx, begins, ends: (
             setattr(rx, "on_cca_idle", _boom),
             world.sim.schedule_fast(1e-3, begins, world.pool[5], 1e-6),
             world.sim.schedule_fast(2e-3, ends, world.pool[5]))),
     "on_state_change raises while locking": (
-        Boom, lambda world, rx, begins, ends: (
+        Boom, ["pool0"], lambda world, rx, begins, ends: (
             setattr(rx, "on_state_change", _boom),
             world.sim.schedule_fast(1e-3, begins, world.pool[0], 1e-9),
             world.sim.schedule_fast(1.2e-3, ends, world.pool[0]))),
     "a power that is not a number": (
-        TypeError, lambda world, rx, begins, ends: (
+        TypeError, ["pool0"], lambda world, rx, begins, ends: (
             world.sim.schedule_fast(1e-3, begins, world.pool[0], "loud"),
             world.sim.schedule_fast(2e-3, ends, world.pool[0]))),
     "a tracker that is not a SinrTracker": (
-        AttributeError, lambda world, rx, begins, ends: (
+        AttributeError, ["pool2", "pool5"],
+        lambda world, rx, begins, ends: (
             world.sim.schedule_fast(1e-3, begins, world.pool[2], 1e-9),
             world.sim.schedule_fast(
-                1.1e-3, setattr, rx, "_locked_tracker", object()),
+                1.1e-3, setattr, rx, "_locked_tracker", NotATracker()),
             world.sim.schedule_fast(1.2e-3, begins, world.pool[5], 1e-10),
             world.sim.schedule_fast(1.8e-3, ends, world.pool[5]),
             world.sim.schedule_fast(1.9e-3, ends, world.pool[2]))),
+    # The reception tail: each raise leaves the lock released and the
+    # radio IDLE, as the reference's first statements do.
+    "on_state_change raises at the tail": (
+        Boom, [], lambda world, rx, begins, ends: _lock_then(
+            world, rx, begins, ends, at_1100us=("on_state_change", _boom))),
+    "the error model raises at the tail": (
+        Boom, [], lambda world, rx, begins, ends: _lock_then(
+            world, rx, begins, ends,
+            at_1100us=("error_model", FailingModel()))),
+    "a PER miss raises at the tail": (
+        Boom, [], lambda world, rx, begins, ends: _lock_then(
+            world, rx, begins, ends, frame=_deaf_frame(world))),
+    "on_rx_end raises at the tail": (
+        Boom, [], lambda world, rx, begins, ends: _lock_then(
+            world, rx, begins, ends, at_1100us=("on_rx_end", _boom))),
+    "a tracker swapped before the tail": (
+        AttributeError, [], lambda world, rx, begins, ends: _lock_then(
+            world, rx, begins, ends,
+            at_1100us=("_locked_tracker", NotATracker()))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAILURES))
 def test_a_failing_edge_fails_alike_and_the_run_continues(case):
-    expected_type, arrange = FAILURES[case]
+    expected_type, expected_table, arrange = FAILURES[case]
     reference = _failure("python", arrange)
     compiled = _failure("c", arrange)
     assert compiled == reference
-    raised, running, after_raise, drained = compiled
+    raised, running, before, after_raise, drained = compiled
     assert raised is expected_type
     assert running is False                       # _running was reset
     assert after_raise["executed"] >= 1           # the counter was flushed
@@ -458,10 +646,15 @@ def test_a_failing_edge_fails_alike_and_the_run_continues(case):
     # The arrival the failing delivery carried is accounted for exactly
     # as the reference leaves it: begins inserted it before anything
     # could raise, ends had removed it.
-    in_table = [label for label, _power in failing[3]]
-    assert in_table == ([] if "arrival_ends" in case else
-                        ["pool2", "pool5"] if "tracker" in case else
-                        [in_table[0]])
+    assert [label for label, _power in failing[3]] == expected_table
+    if case.endswith("the tail"):
+        assert failing[1] == "idle" and failing[4] is None
+        # Exactly one draw, taken after the PER is known: none when the
+        # model or the miss raised, one by the time on_rx_end runs.
+        drew = failing[-1] != before["radios"][1][-1]
+        assert drew == case.startswith("on_rx_end")
+        # The idle edge fires before on_rx_end, and only there.
+        assert failing[2] == (not case.startswith("on_rx_end"))
     assert drained["executed"] > after_raise["executed"]
     assert drained["radios"][1][3] == []          # the table drained
     assert drained["heap"] == []
