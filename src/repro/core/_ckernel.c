@@ -19,19 +19,25 @@
  *    radio with ``types.MethodType`` (see ``bind_phy``).
  * 4. ``_reception_complete`` — the exact-mode reception tail of
  *    ``Radio``: unlock, the SINR arithmetic of ``SinrTracker.sinr_db``,
- *    the PER out of ``phy.error_models._per_cache`` (the dict, key and
- *    limit rule ``BerErrorModel.frame_survives`` uses; a miss calls the
- *    model's ``packet_error_rate``), one ``rng.random()``, the CCA tail
- *    and ``on_rx_end``.  ``Medium`` hands it to a plain radio's
+ *    the PER out of ``phy.error_models._per_cache`` (the dict, the
+ *    ``(snr, bits, Modulation.memo_id)`` key and the limit rule
+ *    ``BerErrorModel.frame_survives`` uses; a miss calls the model's
+ *    ``packet_error_rate``), one ``rng.random()``, the CCA tail and
+ *    ``on_rx_end``.  ``Medium`` hands it to a plain radio's
  *    reception-end timer.
  * 5. ``_maybe_start_ifs`` / ``_cancel_access_timers`` / ``_ifs_expired``
- *    / ``_fire`` — the carrier-sense slots of ``repro.mac.dcf.DcfMac``
- *    and ``repro.mac.nav.Nav`` that are pure functions of MAC, NAV,
- *    radio and timer ``__slots__`` (see ``bind_mac``).  A plain
- *    ``DcfMac`` hands them to its radio's CCA upcalls, its NAV and its
- *    IFS timer.  The frame demux (``phy_rx_end``), ``_access_won`` and
- *    the transmit path stay Python: C owns time and energy, Python owns
- *    frames.
+ *    / ``_fire`` / ``phy_rx_end`` — the carrier-sense slots of
+ *    ``repro.mac.dcf.DcfMac`` and ``repro.mac.nav.Nav`` that are pure
+ *    functions of MAC, NAV, radio and timer ``__slots__``, and the frame
+ *    demux for the two verdicts that need nothing else: a corrupt frame
+ *    (EIFS flag, ``rx_corrupt``) and one overheard by a third party (the
+ *    transmitter's rate controller, the NAV, ``nav_updates``), read off
+ *    the per-frame ``Dot11Frame.rx_verdict`` (see ``bind_mac``).  A
+ *    plain ``DcfMac`` hands them to its radio's CCA and reception-end
+ *    upcalls, its NAV and its IFS timer.  A frame addressed to the
+ *    station or to a group, ``_access_won`` and the transmit path stay
+ *    Python: C owns time and energy, Python owns the frames addressed
+ *    to it.
  *
  * 4 and 5 are exported under their references' ``__name__``: whatever
  * labels a heap entry or an upcall by its callback must not learn which
@@ -85,23 +91,27 @@
  *   ``arrivals.values()`` — CPython 3.12 made ``sum()`` compensated,
  *   so a C fold would diverge from the reference there.
  * - C handles the canonical shapes only (an exact ``Radio`` /
- *   ``DcfMac`` / ``Nav`` / ``Timer``, exact floats and machine-word
- *   ints, canonical bools, an exact ``SinrTracker`` / ``CaptureModel``
- *   / ``BerErrorModel``).  Anything else is handed to the Python method
+ *   ``DcfMac`` / ``Nav`` / ``Timer`` / ``Dot11Frame`` / ``Counter``,
+ *   exact floats and machine-word ints, canonical bools, exact dicts,
+ *   an exact ``SinrTracker`` / ``CaptureModel`` / ``BerErrorModel``).  Anything else is handed to the Python method
  *   *before* the step in question has changed anything: the whole call
  *   for a non-float power, a foreign object or an off-type MAC field,
  *   one step (``_try_lock``, ``_refresh_interference``,
  *   ``should_capture``, ``sinr_db``, ``frame_survives``,
- *   ``_update_cca``) for an off-type field met after the first write;
+ *   ``_update_cca``, ``Nav.set_until``, ``Counter.incr``) for an
+ *   off-type field met after the first write;
  *   the rare ``_abort_locked``, a fresh backoff draw
  *   (``_backoff_remaining is None``), ``_access_won`` and the trace
  *   record always run in Python.  So the exception a malformed input
  *   raises, and the state it leaves, are the reference's own.
  * - Upcalls (``on_cca_busy`` / ``on_cca_idle`` / ``on_state_change`` /
- *   ``on_rx_end`` / ``_on_expire``) fire at the same points with the
- *   same state already written — the tail's idle edge *before*
- *   ``on_rx_end``, as in the reference; an exception from one
- *   propagates unchanged.  No borrowed pointer is used across a call
+ *   ``on_rx_end`` / ``_on_expire``, the demux's ``_rate_factory`` and
+ *   ``on_snr_measurement``) fire at the same points with the same state
+ *   already written — the tail's idle edge *before* ``on_rx_end``, as
+ *   in the reference; an exception from one propagates unchanged.  One
+ *   call is skipped by definition: a controller whose class inherits
+ *   ``RateController.on_snr_measurement`` — the documented no-op —
+ *   is not fed (``IdealSnr`` and every overriding class are).  No borrowed pointer is used across a call
  *   that can run Python: slots are re-read after it, and what must span
  *   it (the table, the upcall, the capture object, the frame, the
  *   tracker) is held by a strong reference.
@@ -696,6 +706,9 @@ static PyObject *s_sinr_db, *s_frame_survives, *s_packet_error_rate;
 static PyObject *s_random, *s_size_bits, *s_modulation, *s_payload;
 static PyObject *s_maybe_start_ifs, *s_cancel_access_timers, *s_ifs_expired;
 static PyObject *s_access_won, *s_fire, *s_arrival_begins, *s_arrival_ends;
+static PyObject *s_memo_id, *s_phy_rx_end, *s_rx_verdict, *s_counts, *s_incr;
+static PyObject *s_rx_corrupt, *s_nav_updates, *s_set_until, *s_until;
+static PyObject *s_standard, *s_on_snr_measurement;
 
 static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
 static Py_ssize_t off_r_locked_power, off_r_locked_tracker, off_r_cca_busy;
@@ -1274,7 +1287,12 @@ ber_frame_survives(PyObject *model, PyObject *snr, PyObject *size_bits,
 {
     PyObject *key, *per, *draw, *verdict = NULL;
 
-    if ((key = PyTuple_Pack(3, snr, size_bits, modulation)) == NULL)
+    /* (snr_db, size_bits, modulation.memo_id): a probe hashes two
+     * numbers and a small int, no Python object. */
+    if ((key = PyObject_GetAttr(modulation, s_memo_id)) == NULL)
+        return NULL;
+    Py_SETREF(key, PyTuple_Pack(3, snr, size_bits, key));
+    if (key == NULL)
         return NULL;
     if ((per = PyDict_GetItemWithError(per_cache, key)) != NULL)
         Py_INCREF(per);
@@ -1373,17 +1391,20 @@ rx_end_upcall(PyObject *self, PyObject *transmission, PyObject *success,
               PyObject *snr)
 {
     PyObject *callable = slot_get(self, off_r_on_rx_end, "on_rx_end");
-    PyObject *args[4] = {NULL, success, snr, NULL};
+    /* One spare slot in front: a bound method puts its self there
+     * instead of copying the arguments. */
+    PyObject *args[5] = {NULL, NULL, success, snr, NULL};
     int status = -1;
 
     if (callable == NULL)
         return -1;
     Py_INCREF(callable);
-    if ((args[0] = PyObject_GetAttr(transmission, s_payload)) != NULL
-            && (args[3] = PyObject_GetAttr(transmission, s_mode)) != NULL)
-        status = discard(PyObject_Vectorcall(callable, args, 4, NULL));
-    Py_XDECREF(args[3]);
-    Py_XDECREF(args[0]);
+    if ((args[1] = PyObject_GetAttr(transmission, s_payload)) != NULL
+            && (args[4] = PyObject_GetAttr(transmission, s_mode)) != NULL)
+        status = discard(PyObject_Vectorcall(
+            callable, args + 1, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL));
+    Py_XDECREF(args[4]);
+    Py_XDECREF(args[1]);
     Py_DECREF(callable);
     return status;
 }
@@ -1704,6 +1725,296 @@ ck_ifs_expired(PyObject *module, PyObject *self)
     if (status < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+/* --- the frame demux (C twin of DcfMac.phy_rx_end) ---------------------- */
+
+/* Bound by bind_mac() with the MAC classes. */
+static PyTypeObject *frame_type = NULL, *counter_type = NULL;
+static PyObject *unfed_snr = NULL;  /* RateController.on_snr_measurement */
+static Py_ssize_t off_m_sniffer, off_m_counters, off_m_controllers;
+static Py_ssize_t off_m_address_value, off_m_rate_factory, off_n_timer;
+
+/* ``counters._counts`` (new reference) when ``counters`` is an exact
+ * Counter over an exact dict holding a machine int, or nothing, under
+ * ``name`` (*count receives it, 0 for nothing); NULL — no error set —
+ * for any other shape. */
+static PyObject *
+counter_table(PyObject *counters, PyObject *name, long long *count)
+{
+    PyObject *counts, *held;
+
+    if (counters == NULL || Py_TYPE(counters) != counter_type)
+        return NULL;
+    if ((counts = PyObject_GetAttr(counters, s_counts)) == NULL) {
+        PyErr_Clear();
+        return NULL;
+    }
+    *count = 0;
+    if (PyDict_CheckExact(counts)
+            && ((held = PyDict_GetItemWithError(counts, name)) == NULL
+                ? !PyErr_Occurred()
+                : small_int(held, count) && *count < PY_LLONG_MAX))
+        return counts;
+    PyErr_Clear();
+    Py_DECREF(counts);
+    return NULL;
+}
+
+/* ``counts[name] = count + 1`` on what counter_table returned (the
+ * reference is stolen); 0 or -1. */
+static int
+counter_store(PyObject *counts, PyObject *name, long long count)
+{
+    PyObject *value = PyLong_FromLongLong(count + 1);
+    int status = value == NULL ? -1 : PyDict_SetItem(counts, name, value);
+
+    Py_XDECREF(value);
+    Py_DECREF(counts);
+    return status;
+}
+
+/* ``self.counters.incr(name)``; 0 or -1. */
+static int
+counter_incr(PyObject *self, PyObject *name)
+{
+    PyObject *counters = slot_get(self, off_m_counters, "counters"), *counts;
+    long long count;
+    int status;
+
+    if (counters == NULL)
+        return -1;
+    if ((counts = counter_table(counters, name, &count)) != NULL)
+        return counter_store(counts, name, count);
+    Py_INCREF(counters);
+    status = discard(PyObject_CallMethodOneArg(counters, s_incr, name));
+    Py_DECREF(counters);
+    return status;
+}
+
+/* 1 when ``nav`` is an exact Nav in the shape nav_set_until works on. */
+static int
+nav_canonical(PyObject *nav)
+{
+    return nav != NULL && Py_TYPE(nav) == nav_type
+        && is_float(SLOT(nav, off_n_until))
+        && SLOT(nav, off_n_on_expire) != NULL
+        && SLOT(nav, off_n_timer) != NULL
+        && float_now(SLOT(nav, off_n_sim), NULL) != NULL;
+}
+
+/* Nav.set_until(time) on a canonical Nav (held by the caller) for an
+ * exact-float ``time``; 0 or -1. */
+static int
+nav_set_until(PyObject *nav, PyObject *time)
+{
+    double now = PyFloat_AS_DOUBLE(float_now(SLOT(nav, off_n_sim), NULL));
+    double until = PyFloat_AS_DOUBLE(time), delay = until - now;
+    PyObject *timer, *deadline;
+    int status;
+
+    if (until <= PyFloat_AS_DOUBLE(SLOT(nav, off_n_until)))
+        return 0;  /* the NAV only ever moves forward */
+    slot_set(nav, off_n_until, time);
+    if (SLOT(nav, off_n_on_expire) == Py_None)
+        return 0;
+    /* now + max(time - now, 0.0), the float schedule(delay) produced:
+     * not ``time``. */
+    deadline = PyFloat_FromDouble(now + (delay > 0.0 ? delay : 0.0));
+    if (deadline == NULL)
+        return -1;
+    timer = SLOT(nav, off_n_timer);
+    Py_INCREF(timer);
+    status = arm_impl(timer, deadline);
+    Py_DECREF(timer);
+    Py_DECREF(deadline);
+    return status;
+}
+
+/* ``self.nav.set_until(self.sim._now + reservation)``; 0 or -1. */
+static int
+extend_nav(PyObject *self, PyObject *reservation)
+{
+    PyObject *sim = slot_get(self, off_m_sim, "sim"), *nav, *time;
+    int status;
+
+    if (sim == NULL || (time = PyObject_GetAttr(sim, s_now)) == NULL)
+        return -1;
+    Py_SETREF(time, num_add(time, reservation));
+    if (time == NULL || (nav = slot_get(self, off_m_nav, "nav")) == NULL) {
+        Py_XDECREF(time);
+        return -1;
+    }
+    Py_INCREF(nav);
+    status = PyFloat_CheckExact(time) && nav_canonical(nav)
+        ? nav_set_until(nav, time)
+        : discard(PyObject_CallMethodOneArg(nav, s_set_until, time));
+    Py_DECREF(nav);
+    Py_DECREF(time);
+    return status;
+}
+
+/* The transmitter's rate controller hears the frame: the probe of
+ * ``_controllers`` (an exact dict, keyed by address ints: no Python
+ * runs), a miss asking ``self._rate_factory(self.radio.standard)`` and
+ * inserting what it returns — a raising factory inserts nothing — then
+ * ``controller.on_snr_measurement(snr_db)``.  0 or -1. */
+static int
+feed_controller(PyObject *self, PyObject *transmitter, PyObject *snr)
+{
+    PyObject *controllers = SLOT(self, off_m_controllers);
+    PyObject *controller = PyDict_GetItemWithError(controllers, transmitter);
+    PyTypeObject *type;
+    int status;
+
+    if (controller != NULL)
+        Py_INCREF(controller);
+    else {
+        PyObject *factory, *radio, *standard;
+
+        if (PyErr_Occurred()
+                || (factory = slot_get(self, off_m_rate_factory,
+                                       "_rate_factory")) == NULL
+                || (radio = slot_get(self, off_m_radio, "radio")) == NULL)
+            return -1;
+        Py_INCREF(factory);
+        Py_INCREF(radio);
+        standard = PyObject_GetAttr(radio, s_standard);
+        Py_DECREF(radio);
+        controller = standard == NULL ? NULL
+            : PyObject_CallOneArg(factory, standard);
+        Py_XDECREF(standard);
+        Py_DECREF(factory);
+        /* The factory ran Python: the dict is read again. */
+        if (controller == NULL
+                || (controllers = slot_get(self, off_m_controllers,
+                                           "_controllers")) == NULL) {
+            Py_XDECREF(controller);
+            return -1;
+        }
+        Py_INCREF(controllers);
+        status = PyObject_SetItem(controllers, transmitter, controller);
+        Py_DECREF(controllers);
+        if (status < 0) {
+            Py_DECREF(controller);
+            return -1;
+        }
+    }
+    /* A class that inherits RateController's own on_snr_measurement —
+     * a no-op by definition — is not called; any other is. */
+    type = Py_TYPE(controller);
+    status = type->tp_getattro == PyObject_GenericGetAttr
+            && _PyType_Lookup(type, s_on_snr_measurement) == unfed_snr
+        ? 0 : discard(PyObject_CallMethodOneArg(
+                          controller, s_on_snr_measurement, snr));
+    Py_DECREF(controller);
+    return status;
+}
+
+/* DcfMac.phy_rx_end for the two verdicts that need no frame handling: a
+ * corrupt frame and a frame overheard by a third party.  A frame for
+ * this station or for a group, a sniffer, a foreign payload and every
+ * off-type field are the reference's whole call, decided before
+ * anything is written. */
+static PyObject *
+ck_phy_rx_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *self, *payload, *success, *verdict = NULL, *counts;
+    PyObject *group, *reservation, *transmitter, *nav, *now, *until;
+    long long count, receiver, address;
+    int idle;
+
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "phy_rx_end(mac, payload, success, snr_db, mode)");
+        return NULL;
+    }
+    self = args[0];
+    payload = args[1];
+    success = args[2];
+    if (mac_type == NULL || Py_TYPE(self) != mac_type
+            || Py_TYPE(payload) != frame_type
+            || (success != Py_True && success != Py_False))
+        goto reference;
+    if (success == Py_False) {
+        /* Undecodable frame: defer with EIFS next time. */
+        counts = counter_table(SLOT(self, off_m_counters), s_rx_corrupt,
+                               &count);
+        if (counts == NULL)
+            goto reference;
+        slot_set(self, off_m_use_eifs, Py_True);
+        if (counter_store(counts, s_rx_corrupt, count) < 0)
+            return NULL;
+        return ck_maybe_start_ifs(module, self);
+    }
+    if (SLOT(self, off_m_sniffer) != Py_None)
+        goto reference;
+    /* (receiver, group, NAV seconds, transmitter): derived in Python at
+     * the frame's first decode, an instance-dict hit ever after. */
+    if ((verdict = PyObject_GetAttr(payload, s_rx_verdict)) == NULL)
+        return NULL;
+    if (!PyTuple_CheckExact(verdict) || PyTuple_GET_SIZE(verdict) != 4
+            || !small_int(PyTuple_GET_ITEM(verdict, 0), &receiver)
+            || !small_int(SLOT(self, off_m_address_value), &address)
+            || ((group = PyTuple_GET_ITEM(verdict, 1)) != Py_True
+                && group != Py_False)
+            || !PyFloat_CheckExact(
+                    reservation = PyTuple_GET_ITEM(verdict, 2))
+            || ((transmitter = PyTuple_GET_ITEM(verdict, 3)) != Py_None
+                && !PyLong_CheckExact(transmitter))
+            || receiver == address || group == Py_True
+            || SLOT(self, off_m_controllers) == NULL
+            || !PyDict_CheckExact(SLOT(self, off_m_controllers))
+            || !nav_canonical(SLOT(self, off_m_nav))
+            || float_now(SLOT(self, off_m_sim), NULL) == NULL)
+        goto reference;
+    if (PyFloat_AS_DOUBLE(reservation) > 0.0) {
+        counts = counter_table(SLOT(self, off_m_counters), s_nav_updates,
+                               &count);
+        if (counts == NULL)
+            goto reference;
+        Py_DECREF(counts);
+    }
+    /* Overheard.  The controller may run Python, so every later step
+     * reads its slots afresh and has its method to fall back on. */
+    if (transmitter != Py_None
+            && feed_controller(self, transmitter, args[3]) < 0)
+        goto error;
+    /* The reservation counts even when it did not extend the NAV. */
+    if (PyFloat_AS_DOUBLE(reservation) > 0.0
+            && (extend_nav(self, reservation) < 0
+                || counter_incr(self, s_nav_updates) < 0))
+        goto error;
+    /* if self.sim._now >= self.nav._until: self._maybe_start_ifs() —
+     * under a live reservation the call is a guaranteed no-op. */
+    nav = SLOT(self, off_m_nav);
+    now = float_now(SLOT(self, off_m_sim), NULL);
+    if (now != NULL && nav != NULL && Py_TYPE(nav) == nav_type
+            && is_float(until = SLOT(nav, off_n_until)))
+        idle = PyFloat_AS_DOUBLE(now) >= PyFloat_AS_DOUBLE(until);
+    else {
+        PyObject *sim = slot_get(self, off_m_sim, "sim");
+
+        now = sim == NULL ? NULL : PyObject_GetAttr(sim, s_now);
+        nav = now == NULL ? NULL : slot_get(self, off_m_nav, "nav");
+        until = nav == NULL ? NULL : PyObject_GetAttr(nav, s_until);
+        idle = until == NULL ? -1
+            : PyObject_RichCompareBool(now, until, Py_GE);
+        Py_XDECREF(until);
+        Py_XDECREF(now);
+        if (idle < 0)
+            goto error;
+    }
+    Py_DECREF(verdict);
+    if (idle)
+        return ck_maybe_start_ifs(module, self);
+    Py_RETURN_NONE;
+error:
+    Py_DECREF(verdict);
+    return NULL;
+reference:
+    Py_XDECREF(verdict);
+    return PyObject_VectorcallMethod(s_phy_rx_end, args, 5, NULL);
 }
 
 /* --- the run loop ------------------------------------------------------ */
@@ -2281,7 +2592,7 @@ ck_bind_phy(PyObject *module, PyObject *args)
 static PyObject *
 ck_bind_mac(PyObject *module, PyObject *args)
 {
-    PyObject *mac, *nav;
+    PyObject *mac, *nav, *frame, *counter, *unfed;
     const struct slot_spec mac_slots[] = {
         {"sim", &off_m_sim}, {"radio", &off_m_radio}, {"nav", &off_m_nav},
         {"_current", &off_m_current},
@@ -2293,19 +2604,29 @@ ck_bind_mac(PyObject *module, PyObject *args)
         {"_tx_continuation", &off_m_tx_continuation},
         {"_awaiting", &off_m_awaiting}, {"_use_eifs", &off_m_use_eifs},
         {"_slot_time", &off_m_slot_time}, {"_difs", &off_m_difs},
-        {"_eifs", &off_m_eifs}, {NULL, NULL}};
+        {"_eifs", &off_m_eifs}, {"sniffer", &off_m_sniffer},
+        {"counters", &off_m_counters}, {"_controllers", &off_m_controllers},
+        {"_address_value", &off_m_address_value},
+        {"_rate_factory", &off_m_rate_factory}, {NULL, NULL}};
     const struct slot_spec nav_slots[] = {
         {"_sim", &off_n_sim}, {"_until", &off_n_until},
-        {"_on_expire", &off_n_on_expire}, {NULL, NULL}};
+        {"_on_expire", &off_n_on_expire}, {"_timer", &off_n_timer},
+        {NULL, NULL}};
 
-    if (!PyArg_ParseTuple(args, "OO:bind_mac", &mac, &nav))
+    if (!PyArg_ParseTuple(args, "OOOOO:bind_mac", &mac, &nav, &frame,
+                          &counter, &unfed))
         return NULL;
     /* Every DcfMac constructor asks; only the first has work to do. */
     if (mac_type != NULL && (PyObject *)mac_type == mac
-            && (PyObject *)nav_type == nav)
+            && (PyObject *)nav_type == nav
+            && (PyObject *)frame_type == frame
+            && (PyObject *)counter_type == counter && unfed_snr == unfed)
         Py_RETURN_NONE;
-    if (!PyType_Check(mac) || !PyType_Check(nav)) {
-        PyErr_SetString(PyExc_TypeError, "bind_mac(DcfMac, Nav)");
+    if (!PyType_Check(mac) || !PyType_Check(nav) || !PyType_Check(frame)
+            || !PyType_Check(counter)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind_mac(DcfMac, Nav, Dot11Frame, Counter, "
+                        "RateController.on_snr_measurement)");
         return NULL;
     }
     /* Unbind first: a half-resolved binding must not serve slots. */
@@ -2313,6 +2634,12 @@ ck_bind_mac(PyObject *module, PyObject *args)
     Py_CLEAR(nav_type);
     if (resolve_slots(mac, mac_slots) < 0 || resolve_slots(nav, nav_slots) < 0)
         return NULL;
+    Py_INCREF(frame);
+    Py_XSETREF(frame_type, (PyTypeObject *)frame);
+    Py_INCREF(counter);
+    Py_XSETREF(counter_type, (PyTypeObject *)counter);
+    Py_INCREF(unfed);
+    Py_XSETREF(unfed_snr, unfed);
     Py_INCREF(nav);
     nav_type = (PyTypeObject *)nav;
     Py_INCREF(mac);
@@ -2336,8 +2663,10 @@ static PyMethodDef ck_methods[] = {
      "reception tail work on (slot offsets, the state members, the\n"
      "PER memo). Idempotent."},
     {"bind_mac", ck_bind_mac, METH_VARARGS,
-     "bind_mac(DcfMac, Nav): bind the MAC classes the carrier-sense\n"
-     "slots work on (slot offsets). Resolves once per process."},
+     "bind_mac(DcfMac, Nav, Dot11Frame, Counter,\n"
+     "RateController.on_snr_measurement): bind the MAC classes the\n"
+     "carrier-sense slots and the frame demux work on (slot offsets, the\n"
+     "no-op a controller may inherit). Resolves once per process."},
     {"arm", (PyCFunction)(void (*)(void))ck_arm, METH_FASTCALL,
      "arm(timer, time): compiled twin of engine._arm."},
     {"fan_out", (PyCFunction)(void (*)(void))ck_fan_out, METH_FASTCALL,
@@ -2365,6 +2694,10 @@ static PyMethodDef ck_methods[] = {
      "_ifs_expired(mac): compiled twin of DcfMac._ifs_expired."},
     {"_fire", ck_nav_fire, METH_O,
      "_fire(nav): compiled twin of Nav._fire."},
+    {"phy_rx_end", (PyCFunction)(void (*)(void))ck_phy_rx_end, METH_FASTCALL,
+     "phy_rx_end(mac, payload, success, snr_db, mode): compiled twin of\n"
+     "DcfMac.phy_rx_end for corrupt and overheard frames; the method\n"
+     "itself for every other."},
     {"heappush", ck_heappush, METH_VARARGS,
      "heappush(heap, entry): push with kernel-entry tuple ordering."},
     {"heappop", ck_heappop, METH_O,
@@ -2408,7 +2741,13 @@ PyInit__ckernel(void)
         {&s_cancel_access_timers, "_cancel_access_timers"},
         {&s_ifs_expired, "_ifs_expired"}, {&s_access_won, "_access_won"},
         {&s_fire, "_fire"}, {&s_arrival_begins, "arrival_begins"},
-        {&s_arrival_ends, "arrival_ends"}};
+        {&s_arrival_ends, "arrival_ends"}, {&s_memo_id, "memo_id"},
+        {&s_phy_rx_end, "phy_rx_end"}, {&s_rx_verdict, "rx_verdict"},
+        {&s_counts, "_counts"}, {&s_incr, "incr"},
+        {&s_rx_corrupt, "rx_corrupt"}, {&s_nav_updates, "nav_updates"},
+        {&s_set_until, "set_until"}, {&s_until, "_until"},
+        {&s_standard, "standard"},
+        {&s_on_snr_measurement, "on_snr_measurement"}};
     size_t i;
 
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
@@ -2422,7 +2761,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 3) < 0) {
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 4) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -62,7 +62,7 @@ KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False

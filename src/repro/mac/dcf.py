@@ -26,18 +26,23 @@ timing uses the PHY standard's slot/SIFS/DIFS constants, so the MAC's
 behaviour under contention matches the analytic (Bianchi) saturation
 model — which is exactly what benchmark E10 checks.
 
-``_maybe_start_ifs``, ``_cancel_access_timers`` and ``_ifs_expired`` are
-the *reference* for compiled twins in ``repro.core._ckernel``, which a
-plain :class:`DcfMac` on a plain exact-mode radio of a C-kernel simulator
-hands to the radio's CCA slots, the NAV and the IFS timer at construction
-(``tests/mac/test_access_parity.py``).  Python callers here, the frame
-demux and the transmit path use the methods on every kernel.
+``_maybe_start_ifs``, ``_cancel_access_timers``, ``_ifs_expired`` and
+``phy_rx_end`` are the *reference* for compiled twins in
+``repro.core._ckernel``, which a plain :class:`DcfMac` on a plain
+exact-mode radio of a C-kernel simulator hands to the radio's CCA and
+reception-end slots, the NAV and the IFS timer at construction
+(``tests/mac/test_access_parity.py``).  The ``phy_rx_end`` twin answers
+the corrupt and the overheard frame itself — both read the per-frame
+:attr:`~repro.mac.frames.Dot11Frame.rx_verdict` — and is this method for
+every frame addressed to the station: Python owns the frames addressed
+to it.  Python callers here and the transmit path use the methods on
+every kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass
 from types import MethodType
 from typing import Any, Callable, Dict, List, Optional
 
@@ -46,10 +51,7 @@ from ..core.errors import ConfigurationError
 from ..core.stats import Counter
 from ..phy.standards import PhyMode
 from ..phy.transceiver import Radio, RadioState
-from .addresses import BROADCAST, MacAddress
-
-#: Broadcast address as a raw integer for the per-frame receive path.
-_BROADCAST_VALUE = BROADCAST.value
+from .addresses import MacAddress
 from .backoff import BackoffWindow
 from .dedup import DuplicateCache
 from .fragmentation import Fragment, Reassembler, fragment_payload
@@ -59,7 +61,6 @@ from .frames import (
     ControlSubtype,
     DataSubtype,
     Dot11Frame,
-    FrameType,
     ManagementSubtype,
     SEQUENCE_MODULO,
     make_ack,
@@ -73,6 +74,11 @@ from .frames import (
 from .nav import Nav
 from .queueing import DropTailQueue, Msdu
 from .rate_adapt import Arf, RateController, RateControllerFactory
+
+
+#: The no-op a rate controller inherits unless it listens to SNR, as
+#: defined: the one upcall the compiled ``phy_rx_end`` may leave out.
+_UNFED_SNR = RateController.on_snr_measurement
 
 
 @dataclass
@@ -199,14 +205,17 @@ class DcfMac:
 
         # What the radio's CCA slots (busy freezes the contention timers,
         # idle (re-)arms the IFS wait; the phy_cca_* wrappers stay for the
-        # listener API), the NAV and the IFS timer call: twins or methods.
+        # listener API) and reception-end slot, the NAV and the IFS timer
+        # call: twins or methods.
         ext = sim._ext
         if ext is not None and type(self) is DcfMac \
                 and type(radio) is Radio and radio._exact:
-            ext.bind_mac(DcfMac, Nav)  # resolves once per process
+            ext.bind_mac(DcfMac, Nav, Dot11Frame, Counter,
+                         _UNFED_SNR)  # resolves once per process
             start_ifs = MethodType(ext._maybe_start_ifs, self)
             freeze = MethodType(ext._cancel_access_timers, self)
             ifs_expired = MethodType(ext._ifs_expired, self)
+            radio.on_rx_end = MethodType(ext.phy_rx_end, self)
         else:
             start_ifs = self._maybe_start_ifs
             freeze = self._cancel_access_timers
@@ -221,7 +230,8 @@ class DcfMac:
         self.dedup = DuplicateCache()
         self.reassembler = Reassembler()
         self.counters = Counter()
-        self._controllers: Dict[MacAddress, RateController] = {}
+        #: Per-peer rate controllers, keyed by ``MacAddress.value``.
+        self._controllers: Dict[int, RateController] = {}
         self._sequence = 0
         self._current: Optional[_TxContext] = None
         self._backoff_remaining: Optional[int] = None
@@ -284,10 +294,10 @@ class DcfMac:
 
     def rate_controller_for(self, peer: MacAddress) -> RateController:
         """The (lazily created) rate controller for a destination."""
-        controller = self._controllers.get(peer)
+        controller = self._controllers.get(peer.value)
         if controller is None:
             controller = self._rate_factory(self.radio.standard)
-            self._controllers[peer] = controller
+            self._controllers[peer.value] = controller
         return controller
 
     @property
@@ -510,44 +520,42 @@ class DcfMac:
 
     def _frame_for(self, msdu: Msdu, mgmt: Optional[ManagementSubtype],
                    fragments: List[Fragment], index: int, sequence: int,
-                   retry: bool) -> Dot11Frame:
+                   retry: bool, duration_us: int = 0) -> Dot11Frame:
         fragment = fragments[index]
         if msdu.meta.get("ps_poll"):
-            frame = make_ps_poll(self.address, self.bssid,
-                                 aid=msdu.meta.get("aid", 0))
-            return frame.with_retry() if retry else frame
+            # The duration field carries the AID, not a reservation.
+            return make_ps_poll(self.address, self.bssid,
+                                aid=msdu.meta.get("aid", 0), retry=retry)
         if msdu.meta.get("null"):
-            frame = make_null(self.address, msdu.destination, self.bssid,
-                              sequence,
-                              power_management=bool(msdu.meta.get("pm")),
-                              to_ds=msdu.destination == self.bssid)
-            return frame.with_retry() if retry else frame
+            return make_null(self.address, msdu.destination, self.bssid,
+                             sequence,
+                             power_management=bool(msdu.meta.get("pm")),
+                             to_ds=msdu.destination == self.bssid,
+                             duration_us=duration_us, retry=retry)
+        more_data = bool(msdu.meta.get("more_data"))
         if mgmt is not None:
-            frame = make_management(mgmt, self.address, msdu.destination,
-                                    self.bssid, fragment.payload,
-                                    sequence=sequence)
+            return make_management(mgmt, self.address, msdu.destination,
+                                   self.bssid, fragment.payload,
+                                   sequence=sequence, duration_us=duration_us,
+                                   retry=retry,
+                                   power_management=self.power_management,
+                                   more_data=more_data)
+        to_ds = bool(msdu.meta.get("to_ds"))
+        from_ds = bool(msdu.meta.get("from_ds"))
+        if to_ds:
+            receiver, addr3 = self.bssid, msdu.destination
+        elif from_ds:
+            receiver = msdu.destination
+            addr3 = msdu.meta.get("source", self.address)
         else:
-            to_ds = bool(msdu.meta.get("to_ds"))
-            from_ds = bool(msdu.meta.get("from_ds"))
-            if to_ds:
-                receiver, addr3 = self.bssid, msdu.destination
-            elif from_ds:
-                receiver = msdu.destination
-                addr3 = msdu.meta.get("source", self.address)
-            else:
-                receiver, addr3 = msdu.destination, self.bssid
-            frame = make_data(self.address, receiver, addr3,
-                              fragment.payload, sequence,
-                              fragment=fragment.index,
-                              more_fragments=fragment.more_fragments,
-                              to_ds=to_ds, from_ds=from_ds,
-                              protected=msdu.protected)
-        if self.power_management or msdu.meta.get("more_data"):
-            frame = _dc_replace(frame, fc=_dc_replace(
-                frame.fc,
-                power_management=self.power_management,
-                more_data=bool(msdu.meta.get("more_data"))))
-        return frame.with_retry() if retry else frame
+            receiver, addr3 = msdu.destination, self.bssid
+        return make_data(self.address, receiver, addr3, fragment.payload,
+                         sequence, fragment=fragment.index,
+                         more_fragments=fragment.more_fragments,
+                         to_ds=to_ds, from_ds=from_ds,
+                         protected=msdu.protected, duration_us=duration_us,
+                         retry=retry, power_management=self.power_management,
+                         more_data=more_data)
 
     def _data_duration(self, ctx: _TxContext, mode: PhyMode) -> int:
         """Duration field of a data fragment: protect the ACK, and the
@@ -596,11 +604,8 @@ class DcfMac:
             mode = self._basic_mode
         frame = self._frame_for(ctx.msdu, ctx.mgmt_subtype, ctx.fragments,
                                 ctx.frag_index, ctx.sequence,
-                                retry=ctx.attempts > 0)
-        if not ctx.msdu.meta.get("ps_poll"):
-            # PS-Poll's duration field carries the AID, not a reservation.
-            frame = self._with_duration(frame,
-                                        self._data_duration(ctx, mode))
+                                retry=ctx.attempts > 0,
+                                duration_us=self._data_duration(ctx, mode))
         ctx.attempts += 1
         self.counters.incr("tx_data")
         self.counters.incr("tx_data_bytes", frame.wire_size_bytes())
@@ -613,10 +618,6 @@ class DcfMac:
         else:
             self._transmit_frame(frame, mode,
                                  continuation=self._after_data_tx)
-
-    @staticmethod
-    def _with_duration(frame: Dot11Frame, duration_us: int) -> Dot11Frame:
-        return _dc_replace(frame, duration_us=duration_us)
 
     def _after_data_tx(self) -> None:
         timeout = self.radio.standard.sifs + self._ack_time() + \
@@ -663,33 +664,18 @@ class DcfMac:
         frame = payload
         if self.sniffer is not None:
             self.sniffer(frame, snr_db)
-        addr1 = frame.addr1
-        addr1_value = addr1.value
-        addressed_to_us = addr1_value == self._address_value
-        # is_broadcast / is_multicast predicates inlined (per-frame path).
-        broadcast = addr1_value == _BROADCAST_VALUE or \
-            bool((addr1_value >> 40) & 0x01)
-        transmitter = frame.addr2  # .transmitter property inlined
+        receiver, broadcast, nav_seconds, transmitter = frame.rx_verdict
         if transmitter is not None:
             controller = self._controllers.get(transmitter)
             if controller is None:
                 controller = self._rate_factory(self.radio.standard)
                 self._controllers[transmitter] = controller
             controller.on_snr_measurement(snr_db)
-        if not addressed_to_us and not broadcast:
-            # Overheard frame: set the NAV from its duration field.
-            # This branch runs at every third-party station for every
-            # decoded frame, so it is fully inlined — cheapest test
-            # first: update the NAV iff the duration is positive and
-            # the frame is not a PS-Poll (whose duration field carries
-            # an AID, not time).
-            fc = frame.fc
-            duration_us = frame.duration_us
-            if duration_us > 0 and not (
-                    fc.type == FrameType.CONTROL
-                    and fc.subtype == ControlSubtype.PS_POLL):
-                # nav.set_duration inlined: same now + (us * 1e-6) float.
-                self.nav.set_until(self.sim._now + duration_us * 1e-6)
+        if receiver != self._address_value and not broadcast:
+            # Overheard frame — every third-party station, every decoded
+            # frame: take the reservation its duration field announces.
+            if nav_seconds > 0.0:
+                self.nav.set_until(self.sim._now + nav_seconds)
                 self.counters.incr("nav_updates")
             # While the NAV reservation we (may have) just set is in the
             # future, _maybe_start_ifs is a guaranteed no-op (its NAV

@@ -14,14 +14,18 @@ RA, FCS).  PS-Poll carries the association ID in the duration field.
 For simulation-speed the hot path uses :meth:`Dot11Frame.wire_size_bytes`
 (arithmetic) rather than serializing every frame; serialization and
 parsing exist for tests, the security layer, and trace dumps, and are
-exact inverses of each other.
+exact inverses of each other.  Likewise a frame is *judged* once, not
+once per receiver: :attr:`Dot11Frame.rx_verdict` derives what every
+station that decodes it asks — for whom, how long a reservation, from
+whom — at the first decode and caches it on the frame object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 from ..core.errors import FrameError
 from .addresses import BROADCAST, MacAddress
@@ -225,6 +229,26 @@ class Dot11Frame:
         """Copy with the Retry bit set (for retransmissions)."""
         return replace(self, fc=replace(self.fc, retry=True))
 
+    @cached_property
+    def rx_verdict(self) -> Tuple[int, bool, float, Optional[int]]:
+        """What every receiver's frame demux asks of this frame:
+        ``(receiver address as int, group-addressed, NAV seconds,
+        transmitter address as int or None)``.  NAV seconds is the
+        reservation a third party takes from the duration field —
+        ``duration_us * 1e-6`` — and 0.0 when the field is zero or, on a
+        PS-Poll, carries an AID.  A pure function of the fields, derived
+        at the first decode and cached in the instance ``__dict__``: not
+        a field, so ``==``, ``hash``, ``repr``, ``replace`` and
+        ``serialize`` never see it (a replaced frame derives its own).
+        """
+        receiver = self.addr1
+        reserves = self.duration_us > 0 and not (
+            self.is_control and self.fc.subtype == ControlSubtype.PS_POLL)
+        # The group bit covers broadcast: all ones has it set.
+        return (receiver.value, receiver.is_multicast,
+                self.duration_us * 1e-6 if reserves else 0.0,
+                None if self.addr2 is None else self.addr2.value)
+
     # --- sizes -----------------------------------------------------------------
 
     def header_size_bytes(self) -> int:
@@ -333,10 +357,14 @@ def make_data(transmitter: MacAddress, receiver: MacAddress,
               bssid: MacAddress, body: bytes, sequence: int,
               fragment: int = 0, more_fragments: bool = False,
               to_ds: bool = False, from_ds: bool = False,
-              protected: bool = False, duration_us: int = 0) -> Dot11Frame:
+              protected: bool = False, duration_us: int = 0,
+              retry: bool = False, power_management: bool = False,
+              more_data: bool = False) -> Dot11Frame:
     fc = FrameControl(type=FrameType.DATA, subtype=DataSubtype.DATA,
                       to_ds=to_ds, from_ds=from_ds,
-                      more_fragments=more_fragments, protected=protected)
+                      more_fragments=more_fragments, retry=retry,
+                      power_management=power_management,
+                      more_data=more_data, protected=protected)
     return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver,
                       addr2=transmitter, addr3=bssid,
                       seq=SequenceControl(sequence=sequence, fragment=fragment),
@@ -344,31 +372,38 @@ def make_data(transmitter: MacAddress, receiver: MacAddress,
 
 
 def make_ps_poll(transmitter: MacAddress, bssid: MacAddress,
-                 aid: int) -> Dot11Frame:
+                 aid: int, retry: bool = False) -> Dot11Frame:
     """PS-Poll: the duration/ID field carries the association ID
     (source text §4.2, 'When the sub-type is PS Poll, the field contains
     the association identity (AID) of the transmitting STA')."""
-    fc = FrameControl(type=FrameType.CONTROL, subtype=ControlSubtype.PS_POLL)
+    fc = FrameControl(type=FrameType.CONTROL, subtype=ControlSubtype.PS_POLL,
+                      retry=retry)
     return Dot11Frame(fc=fc, duration_us=aid, addr1=bssid,
                       addr2=transmitter)
 
 
 def make_null(transmitter: MacAddress, receiver: MacAddress,
               bssid: MacAddress, sequence: int,
-              power_management: bool, to_ds: bool = True) -> Dot11Frame:
+              power_management: bool, to_ds: bool = True,
+              duration_us: int = 0, retry: bool = False) -> Dot11Frame:
     """A null data frame: no payload, just the Power Management bit —
     how a station announces entering/leaving power-save mode."""
     fc = FrameControl(type=FrameType.DATA, subtype=DataSubtype.NULL,
-                      to_ds=to_ds, power_management=power_management)
-    return Dot11Frame(fc=fc, addr1=receiver, addr2=transmitter,
-                      addr3=bssid,
+                      to_ds=to_ds, retry=retry,
+                      power_management=power_management)
+    return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver,
+                      addr2=transmitter, addr3=bssid,
                       seq=SequenceControl(sequence=sequence), body=b"")
 
 
 def make_management(subtype: ManagementSubtype, transmitter: MacAddress,
                     receiver: MacAddress, bssid: MacAddress, body: bytes,
-                    sequence: int = 0, duration_us: int = 0) -> Dot11Frame:
-    fc = FrameControl(type=FrameType.MANAGEMENT, subtype=subtype)
+                    sequence: int = 0, duration_us: int = 0,
+                    retry: bool = False, power_management: bool = False,
+                    more_data: bool = False) -> Dot11Frame:
+    fc = FrameControl(type=FrameType.MANAGEMENT, subtype=subtype,
+                      retry=retry, power_management=power_management,
+                      more_data=more_data)
     return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver,
                       addr2=transmitter, addr3=bssid,
                       seq=SequenceControl(sequence=sequence), body=body)

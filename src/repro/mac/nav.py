@@ -27,7 +27,9 @@ class Nav:
     cell; it therefore rides on the kernel's reusable
     :class:`~repro.core.engine.Timer` (re-anchor without a fresh
     :class:`~repro.core.engine.EventHandle` per update); on a C-kernel
-    simulator it fires ``_ckernel._fire``, :meth:`_fire`'s compiled twin.
+    simulator it fires ``_ckernel._fire``, :meth:`_fire`'s compiled twin,
+    and the compiled frame demux repeats :meth:`set_until`'s statements
+    for an overheard reservation (``tests/mac/test_access_parity.py``).
     """
 
     __slots__ = ("_sim", "_until", "_on_expire", "_timer")

@@ -44,7 +44,9 @@ class RateController:
         """A frame sent at the current mode exhausted a retry (no ACK)."""
 
     def on_snr_measurement(self, snr_db: float) -> None:
-        """Optional feedback from received frames (used by IdealSnr)."""
+        """Optional feedback from received frames (used by IdealSnr).
+        Override it to listen: the compiled frame demux does not call a
+        class that inherits this no-op (``_ckernel.phy_rx_end``)."""
 
 
 class FixedRate(RateController):

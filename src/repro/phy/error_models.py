@@ -63,7 +63,7 @@ class BerErrorModel(ErrorModel):
         memoized — in a dict the compiled reception tail (``_ckernel``)
         probes under the same key and limit rule.  The RNG is drawn once,
         after the PER is known (a miss that raises draws nothing)."""
-        key = (snr_db, size_bits, modulation)
+        key = (snr_db, size_bits, modulation.memo_id)
         try:
             per = _per_cache[key]
         except KeyError:
@@ -74,9 +74,10 @@ class BerErrorModel(ErrorModel):
         return rng.random() >= per
 
 
-#: Memoized packet error rates keyed by the exact (snr, bits, modulation)
-#: inputs (Modulation is a frozen, hashable dataclass, so distinct
-#: parameter sets never share an entry even if their names collide);
+#: Memoized packet error rates keyed by the exact (snr, bits,
+#: Modulation.memo_id) inputs — the id is interned per parameter set, so
+#: distinct sets never share an entry even if their names collide, and a
+#: probe hashes two numbers and a small int, no Python object;
 #: pure-function cache, see BerErrorModel.frame_survives.
 _per_cache: dict = {}
 _PER_CACHE_LIMIT = 1 << 16

@@ -18,7 +18,8 @@ Eb/N0 uses the spectral efficiency of the mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Dict
 
 from ..core.units import db_to_linear
 
@@ -31,6 +32,10 @@ _SQRT2 = math.sqrt(2.0)
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
     return 0.5 * math.erfc(x / _SQRT2)
+
+
+#: Interned ``Modulation.memo_id`` values, keyed ``(class, field values)``.
+_memo_ids: Dict[tuple, int] = {}
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,12 @@ class Modulation:
         required Eb/N0 (0 for uncoded schemes).
     code_rate:
         FEC code rate (1.0 = uncoded); scales net throughput.
+    memo_id:
+        Not a field: a small int interned per distinct (class, parameter
+        set) in this process.  Equal modulations share it, unequal ones
+        (a subclass with another curve included) never do, so the PER
+        memo of :mod:`repro.phy.error_models` keys on it instead of
+        hashing the dataclass once per reception.
     """
 
     name: str
@@ -58,18 +69,16 @@ class Modulation:
     coding_gain_db: float = 0.0
     code_rate: float = 1.0
 
-    def __hash__(self) -> int:
-        # The dataclass-generated hash rebuilds and hashes the full
-        # field tuple on every call, and modulations are hashed once
-        # per delivered frame (the PER memo key).  Hash the same tuple
-        # once and cache it — equal modulations still hash equal, so
-        # dict semantics are unchanged.
-        return self._hash_cache
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash_cache", hash(
-            (self.name, self.bits_per_symbol, self.processing_gain_db,
-             self.coding_gain_db, self.code_rate)))
+        identity = self.__reduce__()         # (class, field values)
+        object.__setattr__(self, "memo_id",
+                           _memo_ids.setdefault(identity, len(_memo_ids)))
+
+    def __reduce__(self):
+        # Rebuilt from its fields: ids are per process, so a copy or an
+        # unpickled modulation interns its own, not the sender's.
+        return type(self), tuple(getattr(self, field.name)
+                                 for field in fields(self))
 
     def ber(self, snr_db: float) -> float:
         """Bit error probability at the given SNR (dB over signal bandwidth).

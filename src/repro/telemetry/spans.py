@@ -5,7 +5,10 @@ spans answer "what happened to *this* frame": one :class:`Span` covers
 an MSDU's whole life at its sender — enqueue, the contention wait,
 every transmit attempt and retry, and the terminal delivered/dropped
 edge — with repr-exact sim-time stamps, so a tail-latency outlier can
-be traced to the exact retry chain that produced it.
+be traced to the exact retry chain that produced it.  An MSDU that a
+crashed MAC discarded (``DcfMac.crash()`` notifies nobody) never sees a
+terminal edge: its span stays open and is exported with outcome
+``open`` at the horizon, like every frame still in flight then.
 
 The collection side follows the :class:`~repro.core.trace.TraceLog`
 philosophy: a :class:`SpanLog` is a bounded ring buffer
@@ -134,10 +137,13 @@ class FrameSpanTracker:
     bound dispatcher as the MAC's probe and remembers how to detach it.
     Open spans are keyed by MSDU identity (``id(msdu)`` — MSDUs are
     unhashable dataclasses, and an MSDU is in flight at exactly one
-    MAC; a queued/in-flight MSDU is referenced by its MAC, so its id
-    cannot be recycled while its span is open), so enqueue, the
-    transmit attempts, retries and the terminal edge all land on the
-    same span.
+    MAC), so enqueue, the transmit attempts, retries and the terminal
+    edge all land on the same span.  The tracker holds the MSDU beside
+    its open span: ``DcfMac.crash()`` drops the in-flight MSDU and the
+    queue without a ``dropped`` edge, and were the object freed a later
+    MSDU could reuse its id and overwrite the orphaned span — the
+    export would then depend on the allocator.  Spans orphaned by a
+    crash stay open and flush as ``open`` at :meth:`finish`.
 
     Per-span attrs: ``first_tx`` (sim time of the first on-air
     attempt; None if the frame died queued), ``attempts`` (data
@@ -149,7 +155,7 @@ class FrameSpanTracker:
 
     def __init__(self, spans: SpanLog):
         self.spans = spans
-        self._open: Dict[int, Span] = {}
+        self._open: Dict[int, Tuple[Any, Span]] = {}
         self._detach: List[Callable[[], None]] = []
         self.rx_frames: Dict[str, int] = {}
 
@@ -184,12 +190,13 @@ class FrameSpanTracker:
         if not self.spans.wants("frame"):
             return
         if event == FRAME_ENQUEUE:
-            self._open[id(msdu)] = Span("frame", label, now, attrs={
-                "first_tx": None, "attempts": 0, "retries": 0})
+            self._open[id(msdu)] = (msdu, Span("frame", label, now, attrs={
+                "first_tx": None, "attempts": 0, "retries": 0}))
             return
-        span = self._open.get(id(msdu))
-        if span is None:
+        held = self._open.get(id(msdu))
+        if held is None:
             return  # enqueued before the tracker attached, or masked
+        span = held[1]
         if event == FRAME_TX:
             attrs = span.attrs
             if attrs["first_tx"] is None:
@@ -214,7 +221,7 @@ class FrameSpanTracker:
         """
         if not self._open:
             return
-        for msdu, span in self._open.items():
+        for _msdu, span in self._open.values():
             span.end = now
             span.outcome = "open"
             self.spans.record(span)

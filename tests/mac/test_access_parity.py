@@ -1,25 +1,35 @@
-"""The compiled carrier-sense slots against their Python reference.
+"""The compiled carrier-sense slots and frame demux against their
+Python reference.
 
 On ``kernel="c"`` a plain :class:`DcfMac` on a plain exact-mode
 :class:`Radio` hands the radio, its NAV and its IFS timer the compiled
 twins of ``_maybe_start_ifs``, ``_cancel_access_timers``,
-``_ifs_expired`` and ``Nav._fire`` (``repro.core._ckernel``) instead of
-the methods of those names; the methods stay the reference, and what
-every Python caller inside the MAC keeps calling.  The claim is that
-nothing observable differs.  Three parts:
+``_ifs_expired``, ``phy_rx_end`` and ``Nav._fire``
+(``repro.core._ckernel``) instead of the methods of those names; the
+methods stay the reference, and what every Python caller inside the MAC
+keeps calling.  The claim is that nothing observable differs.  Three
+parts:
 
-* ``hypothesis`` schedules over 2-5 stations — sends, broadcasts,
-  energy bursts, sleep/wake, ``crash()``, run steps of 1 us to 2 ms,
-  with and without loss, RTS/CTS and fragmentation, one station a
-  ``DcfMac`` subclass — played once per kernel and compared per step on
-  every ``DcfMac`` / ``Nav`` / ``Timer`` slot (``repr``-exact), the raw
-  heap layout, the kernel's counters and every station's RNG state;
+* ``hypothesis`` schedules over 2-5 stations — sends, broadcasts and
+  multicasts, null frames and PS-Polls, energy bursts, sleep/wake,
+  ``crash()``, and from the bare radio third-party reservations that
+  nest, a foreign MAC's payload and a ``Dot11Frame`` subclass; run steps
+  of 1 us to 2 ms, with and without loss, RTS/CTS and fragmentation, one
+  station a ``DcfMac`` subclass, one on ``IdealSnr``, one on a
+  controller that logs its SNR feed, one with a sniffer — played once
+  per kernel and compared per step on every ``DcfMac`` / ``Nav`` /
+  ``Timer`` slot (``repr``-exact; ``_controllers`` in insertion order
+  with each controller's state), the raw heap layout, the kernel's
+  counters, every station's RNG state and the cached verdict of every
+  frame sent so far;
 * the corners by name: a slot boundary landing exactly on ``now`` in the
   freeze replay, a spent counter, a fresh draw, a NAV expiring exactly
-  at ``now``, EIFS after a corrupt frame, every reason not to arm;
+  at ``now``, EIFS after a corrupt frame, every reason not to arm, every
+  kind of frame a third party can overhear;
 * the failure path: whatever raises under a compiled slot surfaces from
   ``sim.run()`` as the reference's exception with the reference's state,
-  and fields of the wrong type are the reference's whole call.
+  and fields of the wrong type are the reference's whole call (the
+  demux's own: ``tests/mac/test_rx_demux.py``).
 
 Skipped loudly without the extension (see ``conftest``); CI's
 compiled-kernel lane runs the file under ``-X dev``.
@@ -38,14 +48,16 @@ from repro.core import Position, Simulator
 from repro.core.engine import EventHandle, Timer, ckernel_available
 from repro.core.errors import SimulationError
 from repro.core.stats import Counter
-from repro.mac.addresses import (BROADCAST, allocate_address,
+from repro.mac.addresses import (BROADCAST, MacAddress, allocate_address,
                                  reset_allocator)
 from repro.mac.backoff import BackoffWindow
 from repro.mac.dcf import DcfConfig, DcfMac, MacListener, _TxContext
-from repro.mac.frames import Dot11Frame
+from repro.mac.frames import (Dot11Frame, FrameControl, FrameType, make_ack,
+                              make_cts, make_ps_poll)
 from repro.mac.nav import Nav
 from repro.mac.queueing import DropTailQueue
-from repro.mac.rate_adapt import fixed_rate_factory
+from repro.mac.rate_adapt import (FixedRate, IdealSnr, RateController,
+                                  fixed_rate_factory)
 from repro.phy import error_models
 from repro.phy.channel import Medium, Transmission
 from repro.phy.error_models import FixedPerErrorModel
@@ -60,6 +72,10 @@ pytestmark = pytest.mark.skipif(
 SLOT = DOT11B.slot_time
 DIFS = DOT11B.difs
 EIFS = DOT11B.eifs
+BASIC = DOT11B.modes[0]
+MULTICAST = MacAddress(0x01005E000001)
+#: An address no station of a World holds: third-party traffic.
+STRANGER = MacAddress(0x020000000063)
 
 
 class Boom(Exception):
@@ -81,6 +97,34 @@ class WatchedRadio(Radio):
     __slots__ = ()
 
 
+class OddFrame(Dot11Frame):
+    """A subclass: the compiled demux hands it, whole, to the method."""
+
+
+class Listening(FixedRate):
+    """Overrides ``on_snr_measurement``: hears every frame its peer is
+    heard sending, whichever kernel feeds it."""
+
+    def __init__(self, standard, log, name):
+        super().__init__(standard, standard.modes[-1])
+        self._log, self._name = log, name
+
+    def on_snr_measurement(self, snr_db):
+        self._log.append((self._name, "snr", repr(snr_db)))
+
+
+class Air(Medium):
+    """Remembers every payload put on the air, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.payloads = []
+
+    def transmit(self, sender, payload, *rest):
+        self.payloads.append(payload)
+        return super().transmit(sender, payload, *rest)
+
+
 class Upper(MacListener):
     def __init__(self, log, sim, name):
         self._log, self._sim, self._name = log, sim, name
@@ -99,11 +143,12 @@ class World:
     only ever emits energy."""
 
     def __init__(self, kernel, stations, subclass_at=None, per=None,
-                 rts=False, exact=True, radio_class=Radio):
+                 rts=False, exact=True, radio_class=Radio, ideal_at=None,
+                 listening_at=None, sniffer_at=None):
         reset_allocator()                    # same RNG stream names
         error_models._per_cache.clear()      # same PER misses
         self.sim = sim = Simulator(seed=23, kernel=kernel)
-        self.medium = medium = Medium(sim, FixedLoss(50.0), exact=exact)
+        self.medium = medium = Air(sim, FixedLoss(50.0), exact=exact)
         self.first_id = next(Transmission._ids) + 1
         self.log = []
         config = DcfConfig(rts_threshold_bytes=200 if rts else 2347,
@@ -114,10 +159,23 @@ class World:
                 f"r{index}", medium, DOT11B, Position(float(index), 0.0, 0.0),
                 error_model=None if per is None else FixedPerErrorModel(per))
             cls = WatchedMac if index == subclass_at else DcfMac
+            name = f"mac{index}"
+            factory = fixed_rate_factory("CCK-11")
+            if index == ideal_at:
+                factory = IdealSnr
+            elif index == listening_at:
+                factory = lambda standard, name=name: Listening(
+                    standard, self.log, name)
             mac = cls(sim, radio, allocate_address(), config=config,
-                      rate_factory=fixed_rate_factory("CCK-11"))
-            mac.listener = Upper(self.log, sim, f"mac{index}")
+                      rate_factory=factory)
+            mac.listener = Upper(self.log, sim, name)
+            if index == sniffer_at:
+                mac.sniffer = lambda frame, snr_db, name=name: \
+                    self.log.append((name, "sniffed", repr(frame),
+                                     repr(snr_db), repr(sim.now)))
             self.macs.append(mac)
+        for mac in self.macs:
+            mac.bssid = self.macs[0].address     # where PS-Polls go
         self.jammer = Radio("jam", medium, DOT11B, Position(0.5, 1.0, 0.0))
 
     # --- what the two kernels must agree on, repr-exact -------------------
@@ -157,12 +215,17 @@ class World:
                 getattr(value, slot) for slot in (
                     "frag_index", "sequence", "use_rts", "attempts",
                     "rts_attempts", "cts_received", "is_broadcast"))
-        if isinstance(value, (DropTailQueue, dict)):
+        if isinstance(value, DropTailQueue):
             return len(value)
+        if isinstance(value, dict):          # _controllers, as inserted
+            return [(key, self.describe(item)) for key, item in value.items()]
+        if isinstance(value, RateController):
+            return (type(value).__name__, repr(getattr(value, "_snr_db", 0)))
         if isinstance(value, Transmission):
             return f"air{value.id - self.first_id}"
-        if isinstance(value, Dot11Frame):
-            return repr(value)
+        if isinstance(value, Dot11Frame):    # and its verdict, once judged
+            return (repr(value), tuple(map(self.describe, vars(value).get(
+                "rx_verdict", ("not judged",)))))
         if callable(value) and hasattr(value, "__name__"):
             return self.callback(value)
         return type(value).__name__
@@ -196,7 +259,9 @@ class World:
         return {"now": repr(sim._now), "scheduled": sim._scheduled,
                 "cancelled": sim._cancelled_events,
                 "executed": sim._events_executed, "heap": heap,
-                "macs": macs, "radios": radios, "log": list(self.log)}
+                "macs": macs, "radios": radios, "log": list(self.log),
+                "sent": [self.describe(payload)
+                         for payload in self.medium.payloads]}
 
 
 # --- the randomized schedule -------------------------------------------------
@@ -207,10 +272,17 @@ OPS = st.one_of(
               st.sampled_from([40, 300, 700])),
     st.tuples(st.just("send"), STATION, STATION,
               st.sampled_from([40, 300, 700])),
-    st.tuples(st.just("broadcast"), STATION),
+    st.tuples(st.sampled_from(["broadcast", "multicast", "ps_poll"]), STATION),
+    st.tuples(st.just("null"), STATION, STATION),
     # A burst every radio senses, and one under every CCA threshold.
     st.tuples(st.just("energy"), st.sampled_from([3e-5, 4e-4, 3e-3]),
               st.sampled_from([1e-3, 1e-8])),
+    # From the bare radio: another MAC's payload, a Dot11Frame subclass
+    # for a station, and third parties' reservations (none, short, long:
+    # they nest).
+    st.tuples(st.just("foreign")),
+    st.tuples(st.just("odd"), STATION, st.sampled_from([0, 900])),
+    st.tuples(st.just("cts"), st.sampled_from([0, 120, 900, 4000])),
     st.tuples(st.sampled_from(["sleep", "wake", "crash"]), STATION),
     st.tuples(st.just("run"),
               st.sampled_from([1e-6, 2e-5, 5e-5, 3e-4, 2e-3])),
@@ -225,10 +297,26 @@ def _apply(world, op):
         source = op[1] % count
         target = (source + 1 + op[2] % (count - 1)) % count
         macs[source].send(macs[target].address, bytes(op[3]))
-    elif op[0] == "broadcast":
-        macs[op[1] % count].send(BROADCAST, bytes(60))
+    elif op[0] in ("broadcast", "multicast"):
+        macs[op[1] % count].send(
+            BROADCAST if op[0] == "broadcast" else MULTICAST, bytes(60))
+    elif op[0] == "ps_poll":
+        macs[op[1] % count].send_ps_poll(aid=1 + op[1])
+    elif op[0] == "null":
+        source = op[1] % count
+        macs[source].send_null(
+            macs[(source + 1 + op[2] % (count - 1)) % count].address,
+            power_management=bool(op[2] % 2))
     elif op[0] == "energy":
         world.jammer.transmit_energy(op[1], op[2])
+    elif op[0] == "foreign":
+        world.jammer.transmit(("another", "MAC"), 400, BASIC)
+    elif op[0] in ("odd", "cts"):
+        frame = make_cts(STRANGER, op[1]) if op[0] == "cts" else OddFrame(
+            fc=FrameControl(type=FrameType.DATA), duration_us=op[2],
+            addr1=macs[op[1] % count].address, addr2=STRANGER,
+            addr3=STRANGER, body=bytes(30))
+        world.jammer.transmit(frame, frame.wire_size_bits(), BASIC)
     elif op[0] == "run":
         sim.run(until=sim.now + op[1])
     elif op[0] == "crash":
@@ -257,15 +345,21 @@ def _assert_same(reference, compiled, schedule):
             f"{schedule[min(step, len(schedule) - 1)]}"
 
 
+#: Where the special stations sit: all plain, or one of each kind.
+ROLES = st.sampled_from([
+    dict(), dict(subclass_at=0), dict(subclass_at=1, ideal_at=0),
+    dict(ideal_at=1, listening_at=0), dict(sniffer_at=0, ideal_at=2),
+    dict(subclass_at=3, ideal_at=2, listening_at=1, sniffer_at=0)])
+
+
 @settings(max_examples=120, deadline=None)
-@given(stations=st.integers(2, 5),
-       subclass_at=st.sampled_from([None, 0, 1]),
+@given(stations=st.integers(2, 5), roles=ROLES,
        per=st.sampled_from([None, None, 0.3]),
        rts=st.booleans(),
        schedule=st.lists(OPS, min_size=1, max_size=40))
 def test_schedules_leave_identical_state_on_both_kernels(
-        stations, subclass_at, per, rts, schedule):
-    options = dict(subclass_at=subclass_at, per=per, rts=rts)
+        stations, roles, per, rts, schedule):
+    options = dict(roles, per=per, rts=rts)
     _, reference = _play("python", stations, schedule, **options)
     _, compiled = _play("c", stations, schedule, **options)
     _assert_same(reference, compiled, schedule)
@@ -302,6 +396,9 @@ def test_the_compiled_world_really_runs_compiled_slots():
     assert radio.on_cca_idle.__func__ is ext._maybe_start_ifs
     assert radio.on_cca_idle.__self__ is plain
     assert radio.on_cca_busy.__func__ is ext._cancel_access_timers
+    assert radio.on_rx_end.__func__ is ext.phy_rx_end
+    assert radio.on_rx_end.__self__ is plain
+    assert radio.on_rx_end.__name__ == "phy_rx_end"
     assert plain.nav._on_expire is radio.on_cca_idle
     assert plain._ifs._callback.__func__ is ext._ifs_expired
     assert plain.nav._timer._callback.__func__ is ext._fire
@@ -313,6 +410,7 @@ def test_the_compiled_world_really_runs_compiled_slots():
     radio = subclass.radio
     assert radio.on_cca_idle.__func__ is DcfMac._maybe_start_ifs
     assert radio.on_cca_busy.__func__ is DcfMac._cancel_access_timers
+    assert radio.on_rx_end.__func__ is DcfMac.phy_rx_end
     assert subclass.nav._on_expire.__func__ is DcfMac._maybe_start_ifs
     assert subclass._ifs._callback.__func__ is DcfMac._ifs_expired
     # ... its NAV is a plain Nav all the same, and decides for itself.
@@ -321,11 +419,14 @@ def test_the_compiled_world_really_runs_compiled_slots():
 
 @pytest.mark.parametrize("options", [
     dict(kernel="python"), dict(kernel="c", exact=False),
-    dict(kernel="c", radio_class=WatchedRadio)])
+    dict(kernel="c", radio_class=WatchedRadio),
+    dict(kernel="c", subclass_at=0)])
 def test_everything_else_runs_the_python_methods(options):
     mac = World(stations=2, **options).macs[0]
     assert mac.radio.on_cca_idle.__func__ is DcfMac._maybe_start_ifs
     assert mac.radio.on_cca_busy.__func__ is DcfMac._cancel_access_timers
+    assert mac.radio.on_rx_end.__func__ is DcfMac.phy_rx_end
+    assert mac.radio.on_rx_end.__self__ is mac
     assert mac.nav._on_expire.__func__ is DcfMac._maybe_start_ifs
     assert mac._ifs._callback.__func__ is DcfMac._ifs_expired
     if options["kernel"] == "python":
@@ -528,6 +629,180 @@ def test_every_reason_not_to_arm(reason):
         assert ifs[3] == repr(1e-3 + EIFS)
     elif arms and "running" not in reason:
         assert ifs[3] == repr(1e-3 + DIFS)
+
+
+# --- what a third party overhears, by name ------------------------------------
+
+def _third_party(kernel, frames, poke=None, **world_options):
+    """The bare radio sends what ``frames()`` builds (afresh: a verdict
+    is cached on the frame) 1 ms apart to three stations that are none
+    of them the addressee; one snapshot per frame."""
+    world = World(kernel, 3, **world_options)
+    snapshots = []
+    for index, frame in enumerate(frames()):
+        if poke is not None:
+            poke(world, index)
+        bits = frame.wire_size_bits() if isinstance(frame, Dot11Frame) else 400
+        world.jammer.transmit(frame, bits, BASIC)
+        world.sim.run(until=world.sim.now + 1e-3)
+        snapshots.append(world.snapshot())
+    return snapshots
+
+
+def _rx_end_times(frames):
+    """When station 0 decodes each of ``frames`` (a dry run with a
+    sniffer: timing does not depend on who listens)."""
+    world = World("python", 3, sniffer_at=0)
+    for frame in frames():
+        world.jammer.transmit(frame, frame.wire_size_bits(), BASIC)
+        world.sim.run(until=world.sim.now + 1e-3)
+    return [float(entry[4]) for entry in world.log if entry[1] == "sniffed"]
+
+
+def _station(snapshot, index=0):
+    """(counters, NAV deadline, NAV timer armed, its version,
+    ``_controllers``) of one station in a snapshot."""
+    fields = dict(snapshot["macs"][index])
+    _, until, _, (_, armed, version, _, _) = fields["nav"]
+    return dict(fields["counters"]), float(until), armed, version, \
+        fields["_controllers"]
+
+
+def test_a_reservation_is_taken_and_counted():
+    frames = lambda: [make_cts(STRANGER, 900)]
+    (end,) = _rx_end_times(frames)
+    (after,) = _both(lambda kernel: _third_party(kernel, frames))
+    counters, until, _armed, version, controllers = _station(after)
+    assert counters == {"nav_updates": 1}
+    assert until == end + 900 * 1e-6 and version == 1
+    assert controllers == []                 # a CTS names no transmitter
+
+
+def test_a_shorter_reservation_inside_a_longer_one_counts_and_changes_nothing():
+    frames = lambda: [make_cts(STRANGER, 4000), make_cts(STRANGER, 120)]
+    first, _ = _rx_end_times(frames)
+    long, short = _both(lambda kernel: _third_party(kernel, frames))
+    assert _station(long)[:4] == ({"nav_updates": 1}, first + 4000 * 1e-6,
+                                  True, 1)
+    # Counted, the NAV where it was, the timer not armed a second time.
+    assert _station(short)[:4] == ({"nav_updates": 2}, first + 4000 * 1e-6,
+                                   True, 1)
+
+
+def test_a_reservation_ending_where_the_nav_ends_does_not_extend_it():
+    """``time <= _until``: equal is not an extension (no second arm)."""
+    frames = lambda: [make_cts(STRANGER, 120)]
+    (end,) = _rx_end_times(frames)
+
+    def poke(world, index):
+        for mac in world.macs:
+            mac.nav.set_until(end + 120 * 1e-6)
+
+    (after,) = _both(lambda kernel: _third_party(kernel, frames, poke))
+    assert _station(after)[:4] == ({"nav_updates": 1}, end + 120 * 1e-6,
+                                   False, 1)     # fired since, never re-armed
+
+
+def test_a_nav_ending_exactly_as_a_frame_is_overheard():
+    """``now >= _until`` holds at the boundary: the station, contending,
+    is waiting out DIFS from this very instant."""
+    frames = lambda: [make_ack(STRANGER)]
+    (end,) = _rx_end_times(frames)
+
+    def poke(world, index):
+        mac = world.macs[0]
+        mac.nav._until = end
+        mac.send(world.macs[1].address, bytes(40))
+        assert not mac._ifs._armed
+
+    def play(kernel):
+        world = World(kernel, 3)
+        poke(world, 0)
+        (ack,) = frames()
+        world.jammer.transmit(ack, ack.wire_size_bits(), BASIC)
+        world.sim.run(until=end)
+        assert world.sim.now == end
+        return world.snapshot()
+    ifs = dict(_both(play)["macs"][0])["_ifs"]
+    assert ifs[1] is True and ifs[3] == repr(end + DIFS)
+
+
+#: Frames that leave a third party's NAV alone, and what else they do.
+QUIET = {
+    "an ACK": (lambda: make_ack(STRANGER), 0),
+    "a CTS that reserves nothing": (lambda: make_cts(STRANGER, 0), 0),
+    # The duration field of a PS-Poll is an AID, however large.
+    "a PS-Poll": (lambda: make_ps_poll(
+        STRANGER, MacAddress(STRANGER.value + 1), aid=0x3FFF), 1),
+    "another MAC's payload": (lambda: ("another", "MAC"), 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUIET))
+def test_frames_that_reserve_nothing(kind):
+    frame, controllers = QUIET[kind]
+    (after,) = _both(lambda kernel: _third_party(kernel, lambda: [frame()]))
+    for index in range(3):
+        got = _station(after, index)
+        assert got[:4] == ({}, 0.0, False, 0)
+        assert len(got[4]) == controllers    # its transmitter, if it names one
+
+
+def test_a_frame_subclass_is_overheard_by_the_method():
+    odd = lambda: [OddFrame(
+        fc=FrameControl(type=FrameType.DATA), duration_us=900, addr1=STRANGER,
+        addr2=STRANGER, addr3=STRANGER, body=bytes(30))]
+    (after,) = _both(lambda kernel: _third_party(kernel, odd))
+    counters, until, _armed, _version, controllers = _station(after)
+    assert counters == {"nav_updates": 1} and until > 0.0
+    assert [key for key, _ in controllers] == [STRANGER.value]
+    assert after["sent"][0][1][0] == STRANGER.value      # judged, in Python
+
+
+def test_a_corrupt_frame_owes_eifs_and_is_counted():
+    frames = lambda: [make_cts(STRANGER, 900)]
+    (after,) = _both(lambda kernel: _third_party(kernel, frames, per=1.0))
+    assert _station(after)[:2] == ({"rx_corrupt": 1}, 0.0)
+    assert dict(after["macs"][0])["_use_eifs"] is True
+    assert after["sent"][0][1] == ("not judged",)
+
+
+@pytest.mark.parametrize("ideal_at, peer, fed_by", [
+    (2, 1, "the data frame it overheard"), (1, 0, "the ACK addressed to it"),
+    (0, 1, "the data frame addressed to it")])
+def test_an_ideal_snr_controller_hears_every_kind_of_frame(ideal_at, peer,
+                                                           fed_by):
+    def play(kernel):
+        world = World(kernel, 3, ideal_at=ideal_at)
+        world.macs[1].send(world.macs[0].address, bytes(40))
+        world.sim.run(until=2e-3)
+        return world.snapshot(), [mac.address.value for mac in world.macs]
+    after, addresses = _both(play)
+    fed = dict(dict(after["macs"][ideal_at])["_controllers"])
+    name, snr_db = fed[addresses[peer]]
+    assert name == "IdealSnr" and float(snr_db) > 20.0, fed_by
+    assert dict(dict(after["macs"][1])["counters"])["msdu_delivered"] == 1
+
+
+def test_a_listening_controller_and_a_sniffer_miss_nothing():
+    def play(kernel):
+        world = World(kernel, 3, listening_at=2, sniffer_at=2)
+        world.macs[1].send(world.macs[0].address, bytes(40))
+        world.sim.run(until=2e-3)
+        return world.snapshot()
+    log = _both(play)["log"]
+    # Station 2 decodes the data frame and its ACK; only the first names
+    # a transmitter to keep a controller for.
+    assert [entry[1] for entry in log if entry[0] == "mac2"] == [
+        "sniffed", "snr", "sniffed"]
+
+    def play(kernel):                        # ... and without the sniffer,
+        world = World(kernel, 3, listening_at=2)     # from the compiled demux
+        world.macs[1].send(world.macs[0].address, bytes(40))
+        world.sim.run(until=2e-3)
+        return world.snapshot()
+    assert [entry[1] for entry in _both(play)["log"]
+            if entry[0] == "mac2"] == ["snr"]
 
 
 # --- the failure path --------------------------------------------------------

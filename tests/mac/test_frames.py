@@ -1,5 +1,9 @@
 """Tests for 802.11 MAC frame encoding (source text §4.2)."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +23,8 @@ from repro.mac.frames import (
     make_cts,
     make_data,
     make_management,
+    make_null,
+    make_ps_poll,
     make_rts,
 )
 
@@ -180,3 +186,131 @@ class TestValidation:
         assert retried.fc.retry and not frame.fc.retry
         assert retried.body == frame.body
         assert retried.seq == frame.seq
+
+
+# --- the receive verdict -------------------------------------------------------
+
+MULTICAST = MacAddress(0x01005E000001)
+
+#: One frame of every constructor (built afresh per use: the verdict is
+#: cached on the object).
+FRAMES = {
+    "rts": lambda: make_rts(TA, RA, duration_us=300),
+    "cts": lambda: make_cts(RA, duration_us=250),
+    "ack": lambda: make_ack(RA),
+    "data": lambda: make_data(TA, RA, BSSID, b"x" * 40, sequence=3,
+                              duration_us=44, retry=True),
+    "broadcast data": lambda: make_data(TA, BROADCAST, BSSID, b"y", 4),
+    "multicast data": lambda: make_data(TA, MULTICAST, BSSID, b"z", 5),
+    "ps-poll": lambda: make_ps_poll(TA, BSSID, aid=7),
+    "null": lambda: make_null(TA, RA, BSSID, 6, power_management=True,
+                              duration_us=44),
+    "management": lambda: make_management(ManagementSubtype.BEACON, TA,
+                                          BROADCAST, BSSID, b"beacon", 9),
+    "unicast management": lambda: make_management(
+        ManagementSubtype.AUTHENTICATION, TA, RA, BSSID, b"auth", 10,
+        duration_us=44),
+}
+
+
+def _inline_verdict(frame):
+    """What ``DcfMac.phy_rx_end`` derived inline, once per receiver,
+    before the verdict existed."""
+    group = frame.addr1.is_broadcast or frame.addr1.is_multicast
+    reserves = frame.duration_us > 0 and not (
+        frame.is_control and frame.fc.subtype == ControlSubtype.PS_POLL)
+    return (frame.addr1.value, group,
+            frame.duration_us * 1e-6 if reserves else 0.0,
+            None if frame.transmitter is None else frame.transmitter.value)
+
+
+def _assert_verdict(frame):
+    verdict = frame.rx_verdict
+    assert verdict == _inline_verdict(frame)
+    assert repr(verdict[2]) == repr(_inline_verdict(frame)[2])
+    assert [type(item) for item in verdict[:3]] == [int, bool, float]
+    assert verdict[3] is None or type(verdict[3]) is int
+
+
+@pytest.mark.parametrize("kind", sorted(FRAMES))
+class TestReceiveVerdict:
+    def test_it_is_the_derivation_it_replaces(self, kind):
+        frame = FRAMES[kind]()
+        _assert_verdict(frame)
+        assert frame.rx_verdict[1] is (
+            kind in ("broadcast data", "multicast data", "management"))
+        assert (frame.rx_verdict[2] > 0.0) is (
+            kind in ("rts", "cts", "data", "null", "unicast management"))
+        assert (frame.rx_verdict[3] is None) is (kind in ("cts", "ack"))
+
+    def test_it_is_derived_once_and_kept_on_the_object(self, kind):
+        frame = FRAMES[kind]()
+        assert "rx_verdict" not in vars(frame)
+        assert frame.rx_verdict is frame.rx_verdict is vars(frame)["rx_verdict"]
+
+    def test_it_is_not_part_of_the_frames_value(self, kind):
+        cold, warm = FRAMES[kind](), FRAMES[kind]()
+        judged = warm.rx_verdict
+        assert "rx_verdict" not in vars(cold)
+        assert cold == warm and hash(cold) == hash(warm)
+        assert repr(cold) == repr(warm) and "verdict" not in repr(warm)
+        assert cold.serialize() == warm.serialize()
+        for frame in (cold, warm):           # before and after it is cached
+            for twin in (Dot11Frame.parse(frame.serialize()),
+                         copy.copy(frame),
+                         pickle.loads(pickle.dumps(frame))):
+                assert twin == frame and twin is not frame
+                _assert_verdict(twin)
+        # A replaced frame is a new frame with a verdict of its own.
+        longer = dataclasses.replace(warm, duration_us=warm.duration_us + 1)
+        assert "rx_verdict" not in vars(longer)
+        _assert_verdict(longer)
+        # (A PS-Poll's duration field is an AID: no reservation either way.)
+        assert (longer.rx_verdict != judged) is (kind != "ps-poll")
+        assert warm.rx_verdict is judged
+
+
+def test_the_verdict_adds_no_field():
+    assert [field.name for field in dataclasses.fields(Dot11Frame)] == [
+        "fc", "duration_us", "addr1", "addr2", "addr3", "addr4", "seq",
+        "body"]
+
+
+# --- a frame is built once ------------------------------------------------------
+
+@pytest.mark.parametrize("retry", [False, True])
+@pytest.mark.parametrize("power_management, more_data", [
+    (False, False), (True, False), (False, True), (True, True)])
+def test_constructor_keywords_build_what_the_copies_built(
+        retry, power_management, more_data):
+    """``DcfMac`` used to build a frame and copy it up to three times
+    (PM / More-Data bits, Retry bit, duration); the constructors now take
+    all of it, and the frames are the same."""
+    def copied(frame, duration_us):
+        frame = dataclasses.replace(frame, fc=dataclasses.replace(
+            frame.fc, power_management=power_management,
+            more_data=more_data))
+        if retry:
+            frame = frame.with_retry()
+        return dataclasses.replace(frame, duration_us=duration_us)
+
+    bits = dict(retry=retry, power_management=power_management,
+                more_data=more_data)
+    assert make_data(TA, RA, BSSID, b"body", 7, fragment=1,
+                     more_fragments=True, to_ds=True, protected=True,
+                     duration_us=314, **bits) == copied(
+        make_data(TA, RA, BSSID, b"body", 7, fragment=1, more_fragments=True,
+                  to_ds=True, protected=True), 314)
+    assert make_management(ManagementSubtype.AUTHENTICATION, TA, RA, BSSID,
+                           b"auth", sequence=8, duration_us=314,
+                           **bits) == copied(
+        make_management(ManagementSubtype.AUTHENTICATION, TA, RA, BSSID,
+                        b"auth", sequence=8), 314)
+    if not more_data:
+        null = make_null(TA, RA, BSSID, 9, power_management, duration_us=314,
+                         retry=retry)
+        assert null == copied(make_null(TA, RA, BSSID, 9, power_management),
+                              314)
+    if not (power_management or more_data):
+        assert make_ps_poll(TA, BSSID, aid=7, retry=retry) == copied(
+            make_ps_poll(TA, BSSID, aid=7), 7)

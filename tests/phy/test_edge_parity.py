@@ -132,6 +132,11 @@ class LoggedBer(BerErrorModel):
         return super().frame_survives(snr_db, size_bits, modulation, rng)
 
 
+#: The PER memo keys on ``Modulation.memo_id``; snapshots print the name.
+MEMO_NAMES = {mode.modulation.memo_id: mode.modulation.name
+              for mode in DOT11B.modes + DOT11G.modes}
+
+
 class DeafModulation(Modulation):
     """A BER curve that raises: what a PER memo miss runs into."""
 
@@ -261,10 +266,10 @@ class World:
                 "trace": [(repr(record.time), record.source, record.event,
                            sorted(record.detail.items()))
                           for record in sim.trace],
-                "per_memo": [(repr(snr), bits, modulation.name, repr(per))
-                             for (snr, bits, modulation), per
+                "per_memo": [(repr(snr), bits, MEMO_NAMES[memo_id], repr(per))
+                             for (snr, bits, memo_id), per
                              in error_models._per_cache.items()
-                             if isinstance(modulation, Modulation)]}
+                             if memo_id is not None]}
 
 
 # --- the randomized schedule -------------------------------------------------

@@ -122,7 +122,8 @@ class TestOnePerArithmetic:
         model.frame_survives(1.0, 800, OFDM_QPSK_12, rng)
         assert len(error_models._per_cache) == limit
         model.frame_survives(2.0, 800, OFDM_QPSK_12, rng)
-        assert list(error_models._per_cache) == [(2.0, 800, OFDM_QPSK_12)]
+        assert list(error_models._per_cache) == [
+            (2.0, 800, OFDM_QPSK_12.memo_id)]
 
     def test_a_miss_that_raises_draws_nothing_and_stores_nothing(self):
         model, rng = BerErrorModel(), random.Random(3)
