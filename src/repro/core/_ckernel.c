@@ -1,16 +1,22 @@
 /* Compiled event kernel for repro.core.engine.
  *
- * Five things live here, each the C twin of a Python reference that
+ * Six things live here, each the C twin of a Python reference that
  * stays in the tree and runs whenever the extension is not built or
  * ``kernel="python"`` is asked for:
  *
- * 1. ``run`` — ``Simulator.run``: the tuple-heap pop/push, the
- *    three-shape dispatch (raw ``schedule_fast`` entries,
- *    version-checked ``Timer`` entries, ``EventHandle`` entries) and
- *    the O(1) scheduled/executed/cancelled counter bookkeeping.
+ * 0. ``EventQueue`` — what ``sim._heap`` is on ``kernel="c"``, where the
+ *    reference keeps a list of tuples under the standard library's heap
+ *    functions: an array of ``{time, seq, time_obj, a, b, c}`` structs
+ *    ordered on ``(time, seq)``, and the seq counter.  ``push`` takes
+ *    and ``pop``, ``[0]`` and iteration give the reference's tuples.
+ * 1. ``run`` — ``Simulator.run``: the queue pop, the three-shape
+ *    dispatch (raw ``schedule_fast`` entries, version-checked ``Timer``
+ *    entries, ``EventHandle`` entries) and the O(1)
+ *    scheduled/executed/cancelled counter bookkeeping.
  * 2. ``arm`` / ``fan_out`` — ``engine._arm`` / ``engine._fan_out``: the
  *    two places the layers above build heap entries (one timer arm;
- *    two raw entries per receiver of a compiled fan-out plan).
+ *    two raw entries per receiver of a compiled fan-out plan), pushed
+ *    here as structs.
  * 3. ``arrival_begins`` / ``arrival_ends`` — the exact-mode receive
  *    edges of ``repro.phy.transceiver.Radio`` (with ``_try_lock``, the
  *    capture test, ``_refresh_interference`` and the CCA tail), working
@@ -43,20 +49,30 @@
  * labels a heap entry or an upcall by its callback must not learn which
  * kernel ran.
  *
- * All simulation state stays where the pure-Python code keeps it
- * (``sim._heap`` is the same Python list the schedulers push into, the
- * counters are the same Python ints telemetry samples, a radio's table
- * is the same dict), so compiled and interpreted pieces mix freely and
- * the Python code remains the reference implementation.
+ * The queue is the one piece of simulation state the extension owns.
+ * Everything else stays where the pure-Python code keeps it (the clock,
+ * the flags and the counters are the ``Simulator`` ``__slots__`` Python
+ * code reads and telemetry samples, reached here by offset; a radio's
+ * table is the same dict), and every Python scheduling site reaches the
+ * queue through ``sim._push`` / ``sim._pop`` / ``sim._next_seq``, so
+ * compiled and interpreted pieces mix freely — a ``pin_python_kernel``
+ * simulator runs the Python loop over this queue — and the Python code
+ * remains the reference implementation.
  *
- * Bit-identity contract of the loop (KEEP IN SYNC with
+ * Bit-identity contract of the queue and the loop (KEEP IN SYNC with
  * engine.Simulator.run):
  *
- * - Heap ordering is the exact heapq algorithm over the exact tuple
- *   comparison semantics: entries compare ``(time, seq)`` and never
- *   past ``seq`` (it is unique).  The float fast path is used only when
- *   both times are exact floats; anything else falls back to Python
- *   rich comparison, so mixed int/float times order identically.
+ * - Entries are ordered on ``(time, seq)`` and ``seq`` is unique, so the
+ *   order is total and any correct priority queue pops the reference's
+ *   sequence: layout is not part of the contract.  Pop order is, and so
+ *   is ``len()`` at every instant (telemetry samples it, goldens
+ *   byte-compare the series) — hence lazy deletion exactly as the
+ *   reference has it: a superseded timer entry rides until popped.
+ * - The key is ``float(time)``; the time *object* is kept and is what
+ *   ``_now`` receives, so an int deadline reads back as an int, and a
+ *   non-float ``until`` is compared with Python's rich comparison.  (A
+ *   time whose exact value differs from its float — a Fraction off the
+ *   binary grid, an int past 2**53 — is ordered as that float.)
  * - The run-until branch (``max_events is None and until is not
  *   None``) keeps the executed-events counter in a local flushed at
  *   loop exit, so a mid-run callback reads the same (stale) figure the
@@ -76,7 +92,7 @@
  * tests/mac/test_access_parity.py and tests/core/test_kernel_parity.py):
  *
  * - The same statements in the same order: one seq per entry, drawn
- *   from ``sim._seq`` (the counter ``sim._next_seq`` is bound to) at
+ *   from the queue's counter (the one ``sim._next_seq`` is bound to) at
  *   the point the Python code calls ``_next_seq()``; the same counter
  *   increments; the same dict insertions and deletions, so table and
  *   memo order are the same; exactly one ``rng.random()`` per decoded
@@ -116,8 +132,8 @@
  *   it (the table, the upcall, the capture object, the frame, the
  *   tracker) is held by a strong reference.
  *
- * NaN event times are unrepresentable (every scheduler rejects them),
- * so the double comparison fast path is exact.
+ * NaN event times are unrepresentable (every scheduler rejects them,
+ * and so does the queue), so comparing the keys as doubles is exact.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -125,32 +141,21 @@
 #include <structmember.h>
 #include <math.h>
 
-/* ma_version_tag (a process-global monotone stamp bumped on every dict
- * mutation) lets the loop skip re-reading ``_stopped`` when no callback
- * touched the simulator's dict since our own last write.  Deprecated
- * and slated for removal in 3.13+; the loop degrades to a per-event
- * lookup there. */
-#if PY_VERSION_HEX < 0x030D0000
-#define CK_HAVE_DICT_VERSION 1
-#else
-#define CK_HAVE_DICT_VERSION 0
-#endif
-
 /* --- module state (installed once from repro.core.engine) ------------- */
 
 static PyTypeObject *timer_type = NULL;
 static PyTypeObject *handle_type = NULL;
+static PyTypeObject *sim_type = NULL;
 static PyObject *simulation_error = NULL;
 
-/* Interned attribute keys for the Simulator instance dict. */
-static PyObject *s_now, *s_stopped, *s_running, *s_events_executed, *s_heap;
-static PyObject *s_seq, *s_scheduled, *s_cancelled_events;
-
-/* Slot offsets for Timer / EventHandle (__slots__ storage). */
+/* Slot offsets for Timer / EventHandle / Simulator (__slots__ storage). */
 static Py_ssize_t off_t_version = -1, off_t_armed = -1, off_t_callback = -1;
 static Py_ssize_t off_t_sim = -1, off_t_time = -1;
 static Py_ssize_t off_h_cancelled = -1, off_h_fired = -1;
 static Py_ssize_t off_h_callback = -1, off_h_args = -1;
+static Py_ssize_t off_sim_now = -1, off_sim_heap = -1, off_sim_stopped = -1;
+static Py_ssize_t off_sim_running = -1, off_sim_executed = -1;
+static Py_ssize_t off_sim_scheduled = -1, off_sim_cancelled = -1;
 
 #define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 
@@ -170,6 +175,18 @@ slot_set(PyObject *obj, Py_ssize_t off, PyObject *value)
     Py_INCREF(value);
     SLOT(obj, off) = value;
     Py_XDECREF(old);
+}
+
+/* ``obj.<slot> = n``; 0 or -1. */
+static int
+slot_set_int(PyObject *obj, Py_ssize_t off, long long n)
+{
+    PyObject *value = PyLong_FromLongLong(n);
+    if (value == NULL)
+        return -1;
+    slot_set(obj, off, value);
+    Py_DECREF(value);
+    return 0;
 }
 
 /* Truthiness with a bool identity fast path (the engine only ever
@@ -202,351 +219,385 @@ int_eq(PyObject *a, PyObject *b)
     return PyObject_RichCompareBool(a, b, Py_EQ);
 }
 
-/* --- heap entry comparison -------------------------------------------- */
+/* --- the event queue --------------------------------------------------- */
 
-/* Pure-C comparison attempt: decides ``a < b`` without the possibility
- * of running Python code (no allocation, no refcounting, no
- * callbacks).  Returns 1 with *out set when decided — the caller may
- * then skip the mutation guards — or 0 when the operands need the
- * general path.  Covers the kernel's canonical entries: exact-float
- * times with machine-word exact-int seqs.
- */
+typedef struct {
+    double time;         /* float(time_obj): the ordering key */
+    long long seq;       /* unique, so (time, seq) is a total order */
+    PyObject *time_obj;  /* what ``sim._now`` receives: an int stays one */
+    PyObject *a, *b, *c; /* entry[2:]; b and c NULL on the shorter shapes */
+} ck_entry;
+
+typedef struct {
+    PyObject_HEAD
+    ck_entry *items;     /* a binary heap on (time, seq) */
+    Py_ssize_t size, capacity;
+    long long next_seq;  /* the tie-break counter ``next_seq()`` draws from */
+} EventQueue;
+
+static PyTypeObject EventQueue_Type;
+
 static inline int
-entry_lt_fast(PyObject *a, PyObject *b, int *out)
+entry_before(const ck_entry *x, const ck_entry *y)
 {
-    PyObject *ta, *tb, *sa, *sb;
-
-    if (!PyTuple_CheckExact(a) || !PyTuple_CheckExact(b)
-            || PyTuple_GET_SIZE(a) < 2 || PyTuple_GET_SIZE(b) < 2)
-        return 0;
-    ta = PyTuple_GET_ITEM(a, 0);
-    tb = PyTuple_GET_ITEM(b, 0);
-    if (!PyFloat_CheckExact(ta) || !PyFloat_CheckExact(tb))
-        return 0;
-    {
-        double da = PyFloat_AS_DOUBLE(ta), db = PyFloat_AS_DOUBLE(tb);
-        if (da < db) {
-            *out = 1;
-            return 1;
-        }
-        if (db < da) {
-            *out = 0;
-            return 1;
-        }
-    }
-    sa = PyTuple_GET_ITEM(a, 1);
-    sb = PyTuple_GET_ITEM(b, 1);
-    if (!PyLong_CheckExact(sa) || !PyLong_CheckExact(sb))
-        return 0;
-    {
-        int oa = 0, ob = 0;
-        /* Never raises for exact ints; overflow only sets the flag. */
-        long long la = PyLong_AsLongLongAndOverflow(sa, &oa);
-        long long lb = PyLong_AsLongLongAndOverflow(sb, &ob);
-        if (oa || ob)
-            return 0;
-        *out = la < lb;
+    if (x->time < y->time)
         return 1;
-    }
+    if (y->time < x->time)
+        return 0;
+    return x->seq < y->seq;
 }
 
-/* Returns 1 if a < b, 0 if not, -1 on error.  Matches Python tuple
- * comparison for every entry shape the kernel produces: ``(time, seq,
- * ...)`` with unique integer seq, so comparison never inspects element
- * 2 and shapes of different arity never compare element 2. */
-static int
-entry_lt(PyObject *a, PyObject *b)
+static void
+entry_hold(const ck_entry *e)
 {
-    if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b)
-            && PyTuple_GET_SIZE(a) >= 2 && PyTuple_GET_SIZE(b) >= 2) {
-        PyObject *ta = PyTuple_GET_ITEM(a, 0);
-        PyObject *tb = PyTuple_GET_ITEM(b, 0);
-        if (PyFloat_CheckExact(ta) && PyFloat_CheckExact(tb)) {
-            double da = PyFloat_AS_DOUBLE(ta), db = PyFloat_AS_DOUBLE(tb);
-            if (da < db)
-                return 1;
-            if (db < da)
-                return 0;
-            /* equal: fall through to seq */
-        }
-        else {
-            int r = PyObject_RichCompareBool(ta, tb, Py_LT);
-            if (r != 0)
-                return r;  /* 1 (less) or -1 (error) */
-            r = PyObject_RichCompareBool(tb, ta, Py_LT);
-            if (r < 0)
-                return -1;
-            if (r)
-                return 0;
-            /* equal: fall through to seq */
-        }
-        {
-            PyObject *sa = PyTuple_GET_ITEM(a, 1);
-            PyObject *sb = PyTuple_GET_ITEM(b, 1);
-            if (PyLong_CheckExact(sa) && PyLong_CheckExact(sb)) {
-                int oa = 0, ob = 0;
-                long long la = PyLong_AsLongLongAndOverflow(sa, &oa);
-                long long lb = PyLong_AsLongLongAndOverflow(sb, &ob);
-                if (!oa && !ob && !PyErr_Occurred())
-                    return la < lb;
-                PyErr_Clear();
-            }
-            return PyObject_RichCompareBool(sa, sb, Py_LT);
-        }
-    }
-    return PyObject_RichCompareBool(a, b, Py_LT);
+    Py_INCREF(e->time_obj);
+    Py_INCREF(e->a);
+    Py_XINCREF(e->b);
+    Py_XINCREF(e->c);
 }
 
-/* --- heapq core (ported from CPython's _heapqmodule algorithm) -------- */
-
-static int
-ck_siftdown(PyListObject *heap, Py_ssize_t startpos, Py_ssize_t pos)
+static void
+entry_clear(ck_entry *e)
 {
-    PyObject *newitem, *parent, **arr;
-    Py_ssize_t parentpos, size;
+    Py_DECREF(e->time_obj);
+    Py_DECREF(e->a);
+    Py_XDECREF(e->b);
+    Py_XDECREF(e->c);
+}
 
-    size = PyList_GET_SIZE(heap);
-    /* Follow the path to the root, swapping the new item up until it
-     * fits.  The canonical-entry comparison is pure C; only the
-     * general fallback can run arbitrary Python, so only it guards
-     * against the list changing size underneath us. */
-    while (pos > startpos) {
-        int cmp;
-        parentpos = (pos - 1) >> 1;
-        arr = ((PyListObject *)heap)->ob_item;
-        if (!entry_lt_fast(arr[pos], arr[parentpos], &cmp)) {
-            newitem = arr[pos];
-            parent = arr[parentpos];
-            Py_INCREF(newitem);
-            Py_INCREF(parent);
-            cmp = entry_lt(newitem, parent);
-            Py_DECREF(parent);
-            Py_DECREF(newitem);
-            if (cmp < 0)
-                return -1;
-            if (size != PyList_GET_SIZE(heap)) {
-                PyErr_SetString(PyExc_RuntimeError,
-                                "list changed size during iteration");
-                return -1;
-            }
-        }
-        if (cmp == 0)
+/* ``float(time)``, the ordering key; -1 for a time that is no real
+ * number, or NaN, which orders against nothing.  The one step of a push
+ * that can run Python (a non-float's ``__float__``): callers take it
+ * before they read or write anything else. */
+static int
+entry_key(PyObject *time, double *key)
+{
+    *key = PyFloat_CheckExact(time) ? PyFloat_AS_DOUBLE(time)
+                                    : PyFloat_AsDouble(time);
+    if (*key == -1.0 && PyErr_Occurred())
+        return -1;
+    if (*key != *key) {
+        PyErr_SetString(PyExc_ValueError, "event time is NaN");
+        return -1;
+    }
+    return 0;
+}
+
+/* Settle ``*item`` at the hole ``pos`` or above it. */
+static void
+sift_up(ck_entry *items, Py_ssize_t pos, const ck_entry *item)
+{
+    while (pos > 0) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!entry_before(item, &items[parent]))
             break;
-        arr = ((PyListObject *)heap)->ob_item;
-        parent = arr[parentpos];
-        newitem = arr[pos];
-        arr[parentpos] = newitem;
-        arr[pos] = parent;
-        pos = parentpos;
+        items[pos] = items[parent];
+        pos = parent;
+    }
+    items[pos] = *item;
+}
+
+/* Move ``*item`` into the queue, its references with it; -1 with
+ * MemoryError, the item still the caller's.  Runs no Python. */
+static int
+queue_insert(EventQueue *q, const ck_entry *item)
+{
+    if (q->size == q->capacity) {
+        Py_ssize_t capacity = q->capacity ? 2 * q->capacity : 64;
+        ck_entry *items = (size_t)capacity > PY_SSIZE_T_MAX / sizeof(ck_entry)
+            ? NULL : PyMem_Realloc(q->items, capacity * sizeof(ck_entry));
+        if (items == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        q->items = items;
+        q->capacity = capacity;
+    }
+    sift_up(q->items, q->size++, item);
+    return 0;
+}
+
+/* Move the minimum out into ``*out``, its references with it; the queue
+ * must not be empty.  The hole walks down the smaller children to a
+ * leaf — one comparison a level — and the last entry is lifted from
+ * there.  Runs no Python. */
+static void
+queue_pop(EventQueue *q, ck_entry *out)
+{
+    ck_entry *items = q->items, last;
+    Py_ssize_t pos = 0, size = --q->size, limit = size >> 1;
+
+    *out = items[0];
+    if (size == 0)
+        return;
+    last = items[size];
+    while (pos < limit) {
+        Py_ssize_t child = 2 * pos + 1;
+        if (child + 1 < size
+                && !entry_before(&items[child], &items[child + 1]))
+            child += 1;
+        items[pos] = items[child];
+        pos = child;
+    }
+    sift_up(items, pos, &last);
+}
+
+/* Push ``(time, seq, a[, b[, c]])`` under a freshly drawn seq, ``key``
+ * being entry_key(time); 0, or -1 with MemoryError. */
+static int
+queue_push(EventQueue *q, double key, PyObject *time, PyObject *a,
+           PyObject *b, PyObject *c)
+{
+    ck_entry item = {key, q->next_seq, time, a, b, c};
+
+    if (queue_insert(q, &item) < 0)
+        return -1;
+    q->next_seq += 1;
+    entry_hold(&item);
+    return 0;
+}
+
+/* ``(time, seq, a[, b[, c]])`` out of ``*e``, whose references move into
+ * the tuple: ``*e`` is spent afterwards, on failure too. */
+static PyObject *
+entry_as_tuple(ck_entry *e)
+{
+    PyObject *seq = PyLong_FromLongLong(e->seq), *entry = NULL;
+
+    if (seq != NULL)
+        entry = PyTuple_New(3 + (e->b != NULL) + (e->c != NULL));
+    if (entry == NULL) {
+        Py_XDECREF(seq);
+        entry_clear(e);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(entry, 0, e->time_obj);
+    PyTuple_SET_ITEM(entry, 1, seq);
+    PyTuple_SET_ITEM(entry, 2, e->a);
+    if (e->b != NULL)
+        PyTuple_SET_ITEM(entry, 3, e->b);
+    if (e->c != NULL)
+        PyTuple_SET_ITEM(entry, 4, e->c);
+    return entry;
+}
+
+static PyObject *
+eq_push(EventQueue *q, PyObject *entry)
+{
+    ck_entry item;
+    Py_ssize_t n;
+    PyObject *seq;
+    int overflow = 0;
+
+    /* Shape, seq and time are judged before the queue is touched. */
+    if (!PyTuple_Check(entry) || (n = PyTuple_GET_SIZE(entry)) < 3 || n > 5) {
+        PyErr_SetString(PyTuple_Check(entry) ? PyExc_ValueError
+                                             : PyExc_TypeError,
+                        "an event entry is a (time, seq, ...) tuple of 3 "
+                        "to 5 items");
+        return NULL;
+    }
+    if (!PyLong_CheckExact(seq = PyTuple_GET_ITEM(entry, 1))) {
+        PyErr_SetString(PyExc_TypeError, "an event seq is an int");
+        return NULL;
+    }
+    item.seq = PyLong_AsLongLongAndOverflow(seq, &overflow);
+    if (overflow) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "event seq does not fit a machine word");
+        return NULL;
+    }
+    item.time_obj = PyTuple_GET_ITEM(entry, 0);
+    if (entry_key(item.time_obj, &item.time) < 0)
+        return NULL;
+    item.a = PyTuple_GET_ITEM(entry, 2);
+    item.b = n > 3 ? PyTuple_GET_ITEM(entry, 3) : NULL;
+    item.c = n > 4 ? PyTuple_GET_ITEM(entry, 4) : NULL;
+    if (queue_insert(q, &item) < 0)
+        return NULL;
+    entry_hold(&item);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+eq_pop(EventQueue *q, PyObject *unused)
+{
+    ck_entry e;
+
+    if (q->size == 0) {
+        PyErr_SetString(PyExc_IndexError, "pop from an empty EventQueue");
+        return NULL;
+    }
+    /* Out of the array first: building the tuple can run a collection,
+     * and a finalizer may push. */
+    queue_pop(q, &e);
+    return entry_as_tuple(&e);
+}
+
+static PyObject *
+eq_next_seq(EventQueue *q, PyObject *unused)
+{
+    return PyLong_FromLongLong(q->next_seq++);
+}
+
+static Py_ssize_t
+eq_length(EventQueue *q)
+{
+    return q->size;
+}
+
+/* ``queue[i]`` in array order: ``[0]`` is the minimum, the rest is what
+ * iteration walks (a heap's layout — no order a caller may rely on). */
+static PyObject *
+eq_item(EventQueue *q, Py_ssize_t i)
+{
+    ck_entry e;
+
+    if (i < 0 || i >= q->size) {
+        PyErr_SetString(PyExc_IndexError, "EventQueue index out of range");
+        return NULL;
+    }
+    e = q->items[i];
+    entry_hold(&e);
+    return entry_as_tuple(&e);
+}
+
+/* An entry holds its Timer, the Timer its Simulator, the Simulator this
+ * queue: without these two the collector cannot break that cycle. */
+static int
+eq_traverse(EventQueue *q, visitproc visit, void *arg)
+{
+    Py_ssize_t i;
+
+    for (i = 0; i < q->size; i++) {
+        Py_VISIT(q->items[i].time_obj);
+        Py_VISIT(q->items[i].a);
+        Py_VISIT(q->items[i].b);
+        Py_VISIT(q->items[i].c);
     }
     return 0;
 }
 
 static int
-ck_siftup(PyListObject *heap, Py_ssize_t pos)
+eq_clear(EventQueue *q)
 {
-    Py_ssize_t startpos = pos, endpos, childpos, limit;
-    PyObject *tmp1, *tmp2, **arr;
+    ck_entry *items = q->items;
+    Py_ssize_t size = q->size;
 
-    endpos = PyList_GET_SIZE(heap);
-    /* Bubble the smaller child up until hitting a leaf. */
-    limit = endpos >> 1;
-    while (pos < limit) {
-        childpos = 2 * pos + 1;
-        if (childpos + 1 < endpos) {
-            int cmp;
-            arr = ((PyListObject *)heap)->ob_item;
-            if (!entry_lt_fast(arr[childpos], arr[childpos + 1], &cmp)) {
-                PyObject *a = arr[childpos];
-                PyObject *b = arr[childpos + 1];
-                Py_INCREF(a);
-                Py_INCREF(b);
-                cmp = entry_lt(a, b);
-                Py_DECREF(b);
-                Py_DECREF(a);
-                if (cmp < 0)
-                    return -1;
-                if (endpos != PyList_GET_SIZE(heap)) {
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "list changed size during iteration");
-                    return -1;
-                }
-            }
-            if (cmp == 0)
-                childpos += 1;
-        }
-        arr = ((PyListObject *)heap)->ob_item;
-        tmp1 = arr[childpos];
-        tmp2 = arr[pos];
-        arr[childpos] = tmp2;
-        arr[pos] = tmp1;
-        pos = childpos;
-    }
-    /* The leaf at pos may be out of place; move it up to its spot. */
-    return ck_siftdown(heap, startpos, pos);
+    /* Detached first: dropping an entry can run Python that pushes. */
+    q->items = NULL;
+    q->size = q->capacity = 0;
+    while (size > 0)
+        entry_clear(&items[--size]);
+    PyMem_Free(items);
+    return 0;
 }
 
-static int
-ck_heappush_impl(PyObject *heap, PyObject *item)
-{
-    if (PyList_Append(heap, item) < 0)
-        return -1;
-    return ck_siftdown((PyListObject *)heap, 0, PyList_GET_SIZE(heap) - 1);
-}
-
-/* Pop the smallest entry; returns a new reference or NULL. */
 static PyObject *
-ck_heappop_impl(PyObject *heap)
+eq_clear_method(EventQueue *q, PyObject *unused)
 {
-    PyObject *lastelt, *returnitem;
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-
-    if (n == 0) {
-        PyErr_SetString(PyExc_IndexError, "index out of range");
-        return NULL;
-    }
-    lastelt = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(lastelt);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(lastelt);
-        return NULL;
-    }
-    n -= 1;
-    if (n == 0)
-        return lastelt;
-    returnitem = PyList_GET_ITEM(heap, 0);
-    PyList_SET_ITEM(heap, 0, lastelt);  /* we now own returnitem's ref */
-    if (ck_siftup((PyListObject *)heap, 0) < 0) {
-        Py_DECREF(returnitem);
-        return NULL;
-    }
-    return returnitem;
+    eq_clear(q);
+    Py_RETURN_NONE;
 }
+
+static void
+eq_dealloc(EventQueue *q)
+{
+    PyObject_GC_UnTrack(q);
+    eq_clear(q);
+    Py_TYPE(q)->tp_free((PyObject *)q);
+}
+
+static PyMethodDef eq_methods[] = {
+    {"push", (PyCFunction)eq_push, METH_O,
+     "push(entry): add a (time, seq, handle) / (time, seq, timer, version)\n"
+     "/ (time, seq, None, callback, args) tuple under its own seq."},
+    {"pop", (PyCFunction)eq_pop, METH_NOARGS,
+     "pop() -> entry: remove the (time, seq)-smallest entry, as a tuple."},
+    {"next_seq", (PyCFunction)eq_next_seq, METH_NOARGS,
+     "next_seq() -> int: draw the next tie-break sequence number."},
+    {"clear", (PyCFunction)eq_clear_method, METH_NOARGS,
+     "clear(): drop every entry (the seq counter keeps counting)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods eq_as_sequence = {
+    .sq_length = (lenfunc)eq_length,
+    .sq_item = (ssizeargfunc)eq_item,
+};
+
+static PyTypeObject EventQueue_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core._ckernel.EventQueue",
+    .tp_basicsize = sizeof(EventQueue),
+    .tp_dealloc = (destructor)eq_dealloc,
+    .tp_as_sequence = &eq_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "The pending-event queue of a kernel='c' Simulator: entries\n"
+              "kept as structs ordered on (float(time), seq). len(), bool(),\n"
+              "[0] (the minimum) and iteration read it; entries come back as\n"
+              "the tuples push() takes.",
+    .tp_traverse = (traverseproc)eq_traverse,
+    .tp_clear = (inquiry)eq_clear,
+    .tp_methods = eq_methods,
+    .tp_new = PyType_GenericNew,
+};
 
 /* --- simulator state access ------------------------------------------ */
 
-/* Fetch a required attribute from the simulator's instance dict.
- * Returns a borrowed reference or NULL with AttributeError set. */
-static PyObject *
-sim_get(PyObject *dict, PyObject *key)
+/* A Simulator (a subclass keeps the slot layout)?  Asked before any of
+ * its state is read by offset. */
+static inline int
+is_sim(PyObject *sim)
 {
-    PyObject *value = PyDict_GetItemWithError(dict, key);
-    if (value == NULL && !PyErr_Occurred())
-        PyErr_Format(PyExc_AttributeError,
-                     "Simulator has no attribute %R", key);
-    return value;
+    return sim != NULL && sim_type != NULL
+        && PyObject_TypeCheck(sim, sim_type);
 }
 
-/* The simulator's instance dict (borrowed), or NULL with TypeError. */
-static PyObject *
-sim_dict(PyObject *sim)
+/* ``sim._heap`` (borrowed) of a simulator this kernel serves; NULL with
+ * TypeError for any other — a ``kernel="python"`` simulator keeps the
+ * reference list, which only Python code pushes into. */
+static EventQueue *
+sim_queue(PyObject *sim)
 {
-    PyObject **dictptr = _PyObject_GetDictPtr(sim);
-    if (dictptr == NULL || *dictptr == NULL) {
-        PyErr_SetString(PyExc_TypeError,
-                        "expected a Simulator with an instance dict");
+    PyObject *heap = is_sim(sim) ? SLOT(sim, off_sim_heap) : NULL;
+
+    if (heap == NULL || Py_TYPE(heap) != &EventQueue_Type) {
+        PyErr_SetString(PyExc_TypeError, "expected a kernel='c' Simulator "
+                        "(one whose _heap is a _ckernel.EventQueue)");
         return NULL;
     }
-    return *dictptr;
+    return (EventQueue *)heap;
 }
 
 /* ``sim.<counter> += n`` for the exact-int bookkeeping counters. */
 static int
-counter_add(PyObject *dict, PyObject *key, long long n)
+counter_add(PyObject *sim, Py_ssize_t off, const char *name, long long n)
 {
-    PyObject *old = sim_get(dict, key), *sum;
+    PyObject *old = slot_get(sim, off, name);
     long long value;
-    int status;
 
     if (old == NULL)
         return -1;
     value = PyLong_AsLongLong(old);
     if (value == -1 && PyErr_Occurred())
         return -1;
-    sum = PyLong_FromLongLong(value + n);
-    if (sum == NULL)
-        return -1;
-    status = PyDict_SetItem(dict, key, sum);
-    Py_DECREF(sum);
-    return status;
-}
-
-/* The next tie-break sequence number (new reference): one draw from
- * ``sim._seq``, the counter ``sim._next_seq`` is the bound ``__next__``
- * of, so C and Python draws interleave in one stream. */
-static PyObject *
-next_seq(PyObject *dict)
-{
-    PyObject *seq = sim_get(dict, s_seq), *value;
-    if (seq == NULL)
-        return NULL;
-    if (!PyIter_Check(seq)) {
-        PyErr_SetString(PyExc_TypeError, "Simulator._seq must be an iterator");
-        return NULL;
-    }
-    value = (*Py_TYPE(seq)->tp_iternext)(seq);
-    if (value == NULL && !PyErr_Occurred())
-        PyErr_SetNone(PyExc_StopIteration);
-    return value;
-}
-
-/* Push ``(time, seq, a, b[, c])`` with a freshly drawn seq; steals
- * ``time`` (which may be NULL: the error is then already set). */
-static int
-push_entry(PyObject *dict, PyObject *heap, PyObject *time, PyObject *a,
-           PyObject *b, PyObject *c)
-{
-    PyObject *seq, *entry;
-    int status;
-
-    if (time == NULL)
-        return -1;
-    seq = next_seq(dict);
-    if (seq == NULL) {
-        Py_DECREF(time);
-        return -1;
-    }
-    entry = PyTuple_New(c == NULL ? 4 : 5);
-    if (entry == NULL) {
-        Py_DECREF(time);
-        Py_DECREF(seq);
-        return -1;
-    }
-    PyTuple_SET_ITEM(entry, 0, time);
-    PyTuple_SET_ITEM(entry, 1, seq);
-    Py_INCREF(a);
-    PyTuple_SET_ITEM(entry, 2, a);
-    Py_INCREF(b);
-    PyTuple_SET_ITEM(entry, 3, b);
-    if (c != NULL) {
-        Py_INCREF(c);
-        PyTuple_SET_ITEM(entry, 4, c);
-    }
-    status = ck_heappush_impl(heap, entry);
-    Py_DECREF(entry);
-    return status;
-}
-
-static PyObject *
-sim_heap(PyObject *dict)
-{
-    PyObject *heap = sim_get(dict, s_heap);
-    if (heap != NULL && !PyList_CheckExact(heap)) {
-        PyErr_SetString(PyExc_TypeError, "Simulator._heap must be a list");
-        return NULL;
-    }
-    return heap;
+    return slot_set_int(sim, off, value + n);
 }
 
 /* --- scheduling primitives (C twins of engine._arm / engine._fan_out) -- */
 
 /* Arm (or re-anchor) ``timer`` at absolute ``time``: the statements of
  * engine._arm in the same order — supersede-or-arm, bump the version,
- * record the deadline, count, draw a seq, push. */
+ * record the deadline, count, draw a seq, push.  The key is taken
+ * first: past it nothing here runs Python, so a caller's borrowed
+ * pointers survive an arm. */
 static int
 arm_impl(PyObject *timer, PyObject *time)
 {
-    PyObject *sim, *dict, *heap, *armed, *version, *bumped;
+    PyObject *sim, *armed, *version, *bumped;
+    EventQueue *queue;
+    double key;
     long long v;
     int is_armed, status;
 
@@ -554,14 +605,14 @@ arm_impl(PyObject *timer, PyObject *time)
         PyErr_SetString(PyExc_TypeError, "arm() needs an engine.Timer");
         return -1;
     }
-    if ((sim = slot_get(timer, off_t_sim, "_sim")) == NULL
-            || (dict = sim_dict(sim)) == NULL
-            || (armed = slot_get(timer, off_t_armed, "_armed")) == NULL)
-        return -1;
-    if ((is_armed = flag_is_true(armed)) < 0)
+    if (entry_key(time, &key) < 0
+            || (sim = slot_get(timer, off_t_sim, "_sim")) == NULL
+            || (queue = sim_queue(sim)) == NULL
+            || (armed = slot_get(timer, off_t_armed, "_armed")) == NULL
+            || (is_armed = flag_is_true(armed)) < 0)
         return -1;
     if (is_armed) {
-        if (counter_add(dict, s_cancelled_events, 1) < 0)
+        if (counter_add(sim, off_sim_cancelled, "_cancelled_events", 1) < 0)
             return -1;
     }
     else
@@ -575,13 +626,8 @@ arm_impl(PyObject *timer, PyObject *time)
         return -1;
     slot_set(timer, off_t_version, bumped);
     slot_set(timer, off_t_time, time);
-    if (counter_add(dict, s_scheduled, 1) < 0
-            || (heap = sim_heap(dict)) == NULL) {
-        Py_DECREF(bumped);
-        return -1;
-    }
-    Py_INCREF(time);
-    status = push_entry(dict, heap, time, timer, bumped, NULL);
+    status = counter_add(sim, off_sim_scheduled, "_scheduled", 1) < 0 ? -1
+        : queue_push(queue, key, time, timer, bumped, NULL);
     Py_DECREF(bumped);
     return status;
 }
@@ -607,11 +653,30 @@ num_add(PyObject *a, PyObject *b)
     return PyNumber_Add(a, b);
 }
 
+/* Push the raw entry ``(time, seq, None, callback, args)``; steals
+ * ``time`` (which may be NULL: the error is then already set).  The
+ * caller holds the queue: an exotic time's key can run Python. */
+static int
+push_raw(EventQueue *queue, PyObject *time, PyObject *callback,
+         PyObject *args)
+{
+    double key;
+    int status;
+
+    if (time == NULL)
+        return -1;
+    status = entry_key(time, &key) < 0 ? -1
+        : queue_push(queue, key, time, Py_None, callback, args);
+    Py_DECREF(time);
+    return status;
+}
+
 static PyObject *
 ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *sim, *transmission, *duration;
-    PyObject *dict, *now, *heap, *entries = NULL, *ends_args = NULL;
+    PyObject *now, *entries = NULL, *ends_args = NULL;
+    EventQueue *queue;
     Py_ssize_t i, n = 0;
     int failed = 1;
 
@@ -623,12 +688,11 @@ ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     sim = args[0];
     transmission = args[2];
     duration = args[3];
-    if ((dict = sim_dict(sim)) == NULL
-            || (now = sim_get(dict, s_now)) == NULL
-            || (heap = sim_heap(dict)) == NULL)
+    if ((queue = sim_queue(sim)) == NULL
+            || (now = slot_get(sim, off_sim_now, "_now")) == NULL)
         return NULL;
     Py_INCREF(now);
-    Py_INCREF(heap);
+    Py_INCREF(queue);
     entries = PySequence_Fast(args[1], "fan_out() needs a sequence of "
                               "(begins, ends, rx_power, delay) entries");
     if (entries == NULL)
@@ -655,8 +719,8 @@ ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                                    PyTuple_GET_ITEM(entry, 2));
         if (begins_args == NULL)
             goto done;
-        status = push_entry(dict, heap, num_add(now, delay), Py_None,
-                            PyTuple_GET_ITEM(entry, 0), begins_args);
+        status = push_raw(queue, num_add(now, delay),
+                          PyTuple_GET_ITEM(entry, 0), begins_args);
         Py_DECREF(begins_args);
         if (status < 0)
             goto done;
@@ -664,18 +728,18 @@ ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
          * ulp between them reorders CCA edges. */
         if ((tail = num_add(delay, duration)) == NULL)
             goto done;
-        status = push_entry(dict, heap, num_add(now, tail), Py_None,
-                            PyTuple_GET_ITEM(entry, 1), ends_args);
+        status = push_raw(queue, num_add(now, tail),
+                          PyTuple_GET_ITEM(entry, 1), ends_args);
         Py_DECREF(tail);
         if (status < 0)
             goto done;
     }
-    if (counter_add(dict, s_scheduled, 2 * n) == 0)
+    if (counter_add(sim, off_sim_scheduled, "_scheduled", 2 * n) == 0)
         failed = 0;
 done:
     Py_XDECREF(ends_args);
     Py_XDECREF(entries);
-    Py_DECREF(heap);
+    Py_DECREF(queue);
     Py_DECREF(now);
     if (failed)
         return NULL;
@@ -698,7 +762,7 @@ static PyTypeObject *ber_type = NULL;
 static PyObject *per_cache = NULL;
 static Py_ssize_t per_cache_limit = 0;
 
-static PyObject *s_values, *s_mode, *s_name, *s_duration, *s_enabled;
+static PyObject *s_now, *s_values, *s_mode, *s_name, *s_duration, *s_enabled;
 static PyObject *s_threshold_db, *s_should_capture, *s_preamble_snr;
 static PyObject *s_abort_locked, *s_try_lock, *s_refresh_interference;
 static PyObject *s_reception_complete, *s_update_cca, *s_trace_rx_end;
@@ -801,10 +865,15 @@ table_sum(PyObject *arrivals)
 static PyObject *
 radio_now(PyObject *self)
 {
-    PyObject *sim = slot_get(self, off_r_sim, "_sim"), *dict;
-    if (sim == NULL || (dict = sim_dict(sim)) == NULL)
+    PyObject *sim = slot_get(self, off_r_sim, "_sim");
+
+    if (sim == NULL)
         return NULL;
-    return sim_get(dict, s_now);
+    if (!is_sim(sim)) {
+        PyErr_SetString(PyExc_TypeError, "Radio._sim must be a Simulator");
+        return NULL;
+    }
+    return slot_get(sim, off_sim_now, "_now");
 }
 
 /* The interference a locked radio sees: the table's sum less the
@@ -1053,12 +1122,9 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
             return -1;
         return run_reference(self, s_try_lock, transmission, power);
     }
-    /* Held across the arm: ordering the heap can, for exotic entry
-     * times, run Python. */
-    Py_INCREF(tracker);
-    Py_INCREF(noise);
-    Py_INCREF(now);
-    /* The tail lands one airtime after the energy started arriving. */
+    /* The tail lands one airtime after the energy started arriving;
+     * arming an exact float runs no Python, so the borrowed tracker,
+     * noise and clock are still good below. */
     Py_SETREF(value, PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
                                         + PyFloat_AS_DOUBLE(value)));
     status = value == NULL ? -1 : arm_impl(timer, value);
@@ -1080,9 +1146,6 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
         slot_set(self, off_r_locked_tracker, tracker);
         slot_set(self, off_r_state, st_rx);
     }
-    Py_DECREF(now);
-    Py_DECREF(noise);
-    Py_DECREF(tracker);
     if (status < 0)
         return -1;
     return upcall(self, off_r_on_state_change, "on_state_change",
@@ -1477,24 +1540,14 @@ static Py_ssize_t off_m_tx_continuation, off_m_awaiting, off_m_use_eifs;
 static Py_ssize_t off_m_slot_time, off_m_difs, off_m_eifs;
 static Py_ssize_t off_n_sim, off_n_until, off_n_on_expire;
 
-/* ``sim._now`` (borrowed) when it is an exact float, NULL — no error
- * set — otherwise; *dict (optional) receives the simulator's instance
- * dict whenever it has a clock at all. */
+/* ``sim._now`` (borrowed) when ``sim`` is a Simulator whose clock is an
+ * exact float, NULL — no error set — otherwise. */
 static PyObject *
-float_now(PyObject *sim, PyObject **dict)
+float_now(PyObject *sim)
 {
-    PyObject **dictptr = sim == NULL ? NULL : _PyObject_GetDictPtr(sim);
-    PyObject *now;
+    PyObject *now = is_sim(sim) ? SLOT(sim, off_sim_now) : NULL;
 
-    if (dictptr == NULL || *dictptr == NULL)
-        return NULL;
-    if ((now = PyDict_GetItemWithError(*dictptr, s_now)) == NULL) {
-        PyErr_Clear();
-        return NULL;
-    }
-    if (dict != NULL)
-        *dict = *dictptr;
-    return PyFloat_CheckExact(now) ? now : NULL;
+    return is_float(now) ? now : NULL;
 }
 
 /* 1/0: ``timer._armed`` of an exact Timer holding a canonical bool;
@@ -1534,7 +1587,7 @@ ck_nav_fire(PyObject *module, PyObject *self)
     if (nav_type == NULL || Py_TYPE(self) != nav_type
             || !is_float(until = SLOT(self, off_n_until))
             || (on_expire = SLOT(self, off_n_on_expire)) == NULL
-            || (now = float_now(SLOT(self, off_n_sim), NULL)) == NULL)
+            || (now = float_now(SLOT(self, off_n_sim))) == NULL)
         return PyObject_CallMethodNoArgs(self, s_fire);
     if (PyFloat_AS_DOUBLE(now) < PyFloat_AS_DOUBLE(until)
             || on_expire == Py_None)
@@ -1576,7 +1629,7 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
         Py_RETURN_NONE;  /* nothing to send, or mid-exchange */
     nav = SLOT(self, off_m_nav);
     radio = SLOT(self, off_m_radio);
-    if ((now = float_now(SLOT(self, off_m_sim), NULL)) == NULL
+    if ((now = float_now(SLOT(self, off_m_sim))) == NULL
             || nav == NULL || Py_TYPE(nav) != nav_type
             || !is_float(until = SLOT(nav, off_n_until))
             || radio == NULL || Py_TYPE(radio) != radio_type
@@ -1627,7 +1680,7 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
 static PyObject *
 ck_cancel_access_timers(PyObject *module, PyObject *self)
 {
-    PyObject *ifs, *countdown, *dict = NULL, *now = NULL, *frozen;
+    PyObject *ifs, *countdown, *sim, *now;
     PyObject *slot = NULL, *anchor = NULL, *remaining_obj = NULL;
     long long remaining = 0;
     int ifs_armed, countdown_armed;
@@ -1641,8 +1694,8 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
         return PyObject_CallMethodNoArgs(self, s_cancel_access_timers);
     if (!ifs_armed && !countdown_armed)
         Py_RETURN_NONE;
-    now = float_now(SLOT(self, off_m_sim), &dict);
-    if (dict == NULL || (countdown_armed
+    now = float_now(sim = SLOT(self, off_m_sim));
+    if (!is_sim(sim) || (countdown_armed
             && (now == NULL
                 || !is_float(slot = SLOT(self, off_m_slot_time))
                 || !is_float(anchor = SLOT(self, off_m_anchor))
@@ -1652,7 +1705,7 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
     /* Nothing below runs Python: the borrowed fields stay valid. */
     if (ifs_armed) {
         slot_set(ifs, off_t_armed, Py_False);
-        if (counter_add(dict, s_cancelled_events, 1) < 0)
+        if (counter_add(sim, off_sim_cancelled, "_cancelled_events", 1) < 0)
             return NULL;
     }
     if (countdown_armed) {
@@ -1662,7 +1715,7 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
         long long counted = remaining;
 
         slot_set(countdown, off_t_armed, Py_False);
-        if (counter_add(dict, s_cancelled_events, 1) < 0)
+        if (counter_add(sim, off_sim_cancelled, "_cancelled_events", 1) < 0)
             return NULL;
         /* The left fold the slot-by-slot countdown performed; a
          * boundary landing exactly on ``now`` was already counted. */
@@ -1672,12 +1725,8 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
         }
         if (remaining == counted)
             slot_set(self, off_m_backoff_remaining, remaining_obj);
-        else {
-            if ((frozen = PyLong_FromLongLong(remaining)) == NULL)
-                return NULL;
-            slot_set(self, off_m_backoff_remaining, frozen);
-            Py_DECREF(frozen);
-        }
+        else if (slot_set_int(self, off_m_backoff_remaining, remaining) < 0)
+            return NULL;
     }
     Py_RETURN_NONE;
 }
@@ -1707,7 +1756,7 @@ ck_ifs_expired(PyObject *module, PyObject *self)
     countdown = SLOT(self, off_m_countdown);
     if (timer_armed(countdown) < 0
             || !is_float(slot = SLOT(self, off_m_slot_time))
-            || (now = float_now(SLOT(self, off_m_sim), NULL)) == NULL)
+            || (now = float_now(SLOT(self, off_m_sim))) == NULL)
         return PyObject_CallMethodNoArgs(self, s_ifs_expired);
     slot_set(self, off_m_use_eifs, Py_False);
     slot_set(self, off_m_anchor, now);
@@ -1800,7 +1849,7 @@ nav_canonical(PyObject *nav)
         && is_float(SLOT(nav, off_n_until))
         && SLOT(nav, off_n_on_expire) != NULL
         && SLOT(nav, off_n_timer) != NULL
-        && float_now(SLOT(nav, off_n_sim), NULL) != NULL;
+        && float_now(SLOT(nav, off_n_sim)) != NULL;
 }
 
 /* Nav.set_until(time) on a canonical Nav (held by the caller) for an
@@ -1808,7 +1857,7 @@ nav_canonical(PyObject *nav)
 static int
 nav_set_until(PyObject *nav, PyObject *time)
 {
-    double now = PyFloat_AS_DOUBLE(float_now(SLOT(nav, off_n_sim), NULL));
+    double now = PyFloat_AS_DOUBLE(float_now(SLOT(nav, off_n_sim)));
     double until = PyFloat_AS_DOUBLE(time), delay = until - now;
     PyObject *timer, *deadline;
     int status;
@@ -1966,7 +2015,7 @@ ck_phy_rx_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             || SLOT(self, off_m_controllers) == NULL
             || !PyDict_CheckExact(SLOT(self, off_m_controllers))
             || !nav_canonical(SLOT(self, off_m_nav))
-            || float_now(SLOT(self, off_m_sim), NULL) == NULL)
+            || float_now(SLOT(self, off_m_sim)) == NULL)
         goto reference;
     if (PyFloat_AS_DOUBLE(reservation) > 0.0) {
         counts = counter_table(SLOT(self, off_m_counters), s_nav_updates,
@@ -1988,7 +2037,7 @@ ck_phy_rx_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     /* if self.sim._now >= self.nav._until: self._maybe_start_ifs() —
      * under a live reservation the call is a guaranteed no-op. */
     nav = SLOT(self, off_m_nav);
-    now = float_now(SLOT(self, off_m_sim), NULL);
+    now = float_now(SLOT(self, off_m_sim));
     if (now != NULL && nav != NULL && Py_TYPE(nav) == nav_type
             && is_float(until = SLOT(nav, off_n_until)))
         idle = PyFloat_AS_DOUBLE(now) >= PyFloat_AS_DOUBLE(until);
@@ -2019,44 +2068,118 @@ reference:
 
 /* --- the run loop ------------------------------------------------------ */
 
+static int
+index_error(void)
+{
+    /* What ``entry[3]`` / ``entry[4]`` of too short a tuple raises. */
+    PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+    return -1;
+}
+
+/* What the popped entry ``*e`` fires — the three shapes and the
+ * duck-typed handle, told apart as Simulator.run tells them.  1 with
+ * ``*callback`` and ``*cargs`` set (new references; ``*cargs`` NULL for
+ * a call without arguments), 0 for a lazy drop (a cancelled handle, a
+ * superseded or disarmed timer), -1 on error. */
+static int
+entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
+{
+    PyObject *ev = e->a, *flag;
+    int set;
+
+    *cargs = NULL;
+    if (ev == Py_None) {
+        /* (time, seq, None, callback, args): fire-and-forget. */
+        if (e->c == NULL)
+            return index_error();
+        Py_INCREF(*callback = e->b);
+        Py_INCREF(*cargs = e->c);
+    }
+    else if (Py_TYPE(ev) == timer_type) {
+        /* (time, seq, timer, version): version-checked Timer. */
+        PyObject *version;
+        int live;
+
+        if (e->b == NULL)
+            return index_error();
+        if ((version = slot_get(ev, off_t_version, "_version")) == NULL
+                || (live = int_eq(version, e->b)) < 0
+                || (flag = slot_get(ev, off_t_armed, "_armed")) == NULL
+                || (set = flag_is_true(flag)) < 0)
+            return -1;
+        if (!live || !set)
+            return 0;  /* superseded/cancelled: lazy drop */
+        slot_set(ev, off_t_armed, Py_False);
+        if ((*callback = slot_get(ev, off_t_callback, "_callback")) == NULL)
+            return -1;
+        Py_INCREF(*callback);
+    }
+    else if (Py_TYPE(ev) == handle_type) {
+        /* (time, seq, handle): cancellable EventHandle. */
+        if ((flag = slot_get(ev, off_h_cancelled, "_cancelled")) == NULL
+                || (set = flag_is_true(flag)) < 0)
+            return -1;
+        if (set)
+            return 0;  /* lazy drop */
+        slot_set(ev, off_h_fired, Py_True);
+        if ((*callback = slot_get(ev, off_h_callback, "callback")) == NULL
+                || (*cargs = slot_get(ev, off_h_args, "args")) == NULL)
+            return -1;
+        Py_INCREF(*callback);
+        Py_INCREF(*cargs);
+    }
+    else {
+        /* Exotic handle-like object: mirror the Python loop's
+         * attribute protocol exactly (used by nothing in-tree, but
+         * duck-typed handles must behave identically). */
+        if ((flag = PyObject_GetAttrString(ev, "_cancelled")) == NULL)
+            return -1;
+        set = PyObject_IsTrue(flag);
+        Py_DECREF(flag);
+        if (set != 0)
+            return set < 0 ? -1 : 0;
+        if (PyObject_SetAttrString(ev, "_fired", Py_True) < 0
+                || (*callback = PyObject_GetAttrString(ev, "callback")) == NULL)
+            return -1;
+        if ((*cargs = PyObject_GetAttrString(ev, "args")) == NULL) {
+            Py_DECREF(*callback);
+            return -1;
+        }
+    }
+    if (*cargs != NULL && !PyTuple_Check(*cargs)) {
+        /* callback(*args) accepts any iterable; normalize. */
+        Py_SETREF(*cargs, PySequence_Tuple(*cargs));
+        if (*cargs == NULL) {
+            Py_DECREF(*callback);
+            return -1;
+        }
+    }
+    return 1;
+}
+
 static PyObject *
 ck_run(PyObject *module, PyObject *args)
 {
-    PyObject *sim, *until = Py_None, *max_events = Py_None;
-    PyObject *heap = NULL, *result = NULL;
-    PyObject **dictptr;
+    PyObject *sim, *until = Py_None, *max_events = Py_None, *value;
+    EventQueue *queue;
     double until_d = 0.0, budget = 0.0;
     int until_is_none, until_is_float, budget_is_inf, flush_per_event;
-    long long executed = 0;
-    int started = 0, failed = 0;
+    long long executed;
+    int status;
 
-    if (timer_type == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_ckernel.install() has not been called");
-        return NULL;
-    }
     if (!PyArg_ParseTuple(args, "O|OO:run", &sim, &until, &max_events))
         return NULL;
-
-    dictptr = _PyObject_GetDictPtr(sim);
-    if (dictptr == NULL || *dictptr == NULL) {
-        PyErr_SetString(PyExc_TypeError,
-                        "run() needs a Simulator with an instance dict");
+    /* Not a kernel='c' Simulator — or install() never ran. */
+    if ((queue = sim_queue(sim)) == NULL)
         return NULL;
-    }
 
     /* Re-entrancy guard, before touching any state. */
-    {
-        PyObject *running = sim_get(*dictptr, s_running);
-        if (running == NULL)
-            return NULL;
-        int r = PyObject_IsTrue(running);
-        if (r < 0)
-            return NULL;
-        if (r) {
-            PyErr_SetString(simulation_error, "run() called re-entrantly");
-            return NULL;
-        }
+    if ((value = slot_get(sim, off_sim_running, "_running")) == NULL
+            || (status = PyObject_IsTrue(value)) < 0)
+        return NULL;
+    if (status) {
+        PyErr_SetString(simulation_error, "run() called re-entrantly");
+        return NULL;
     }
 
     until_is_none = (until == Py_None);
@@ -2073,355 +2196,105 @@ ck_run(PyObject *module, PyObject *args)
      * a local flushed at exit; every other branch flushes per event. */
     flush_per_event = !(budget_is_inf && !until_is_none);
 
-    {
-        PyObject *exec_obj = sim_get(*dictptr, s_events_executed);
-        if (exec_obj == NULL)
-            return NULL;
-        executed = PyLong_AsLongLong(exec_obj);
-        if (executed == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    heap = sim_get(*dictptr, s_heap);
-    if (heap == NULL)
+    if ((value = slot_get(sim, off_sim_executed, "_events_executed")) == NULL)
         return NULL;
-    if (!PyList_CheckExact(heap)) {
-        PyErr_SetString(PyExc_TypeError, "Simulator._heap must be a list");
+    executed = PyLong_AsLongLong(value);
+    if (executed == -1 && PyErr_Occurred())
         return NULL;
-    }
-    Py_INCREF(heap);
+    Py_INCREF(queue);
+    slot_set(sim, off_sim_running, Py_True);
+    slot_set(sim, off_sim_stopped, Py_False);
 
-    if (PyDict_SetItem(*dictptr, s_running, Py_True) < 0)
-        goto error;
-    started = 1;
-    if (PyDict_SetItem(*dictptr, s_stopped, Py_False) < 0)
-        goto error;
+    /* Entries leave the queue by value: a callback may push, clear()
+     * or run the guard above, so no pointer into the array is held
+     * across anything that can run Python. */
+    for (status = 0; status == 0 && queue->size > 0;) {
+        PyObject *callback, *cargs;
+        ck_entry e;
 
-#if CK_HAVE_DICT_VERSION
-    {
-    uint64_t dict_ver = 0;
-    int stopped_cache = -1;
-#endif
-    for (;;) {
-        PyObject *entry, *time_obj, *ev, *callback, *cargs, *res;
-        int owns_cargs;
-
-        if (PyList_GET_SIZE(heap) == 0)
-            break;
-#if CK_HAVE_DICT_VERSION
-        if (stopped_cache >= 0
-                && ((PyDictObject *)*dictptr)->ma_version_tag == dict_ver) {
-            if (stopped_cache)
-                break;
-        }
-        else
-#endif
-        {
-            PyObject *stopped = sim_get(*dictptr, s_stopped);
-            if (stopped == NULL)
-                goto error;
-            int st = flag_is_true(stopped);
-            if (st < 0)
-                goto error;
-            if (st)
-                break;
-#if CK_HAVE_DICT_VERSION
-            stopped_cache = 0;
-#endif
+        /* One pointer compare per event; the rest serves a flag that
+         * holds some other truth, or was deleted. */
+        if ((value = SLOT(sim, off_sim_stopped)) != Py_False) {
+            status = slot_get(sim, off_sim_stopped, "_stopped") == NULL ? -1
+                : flag_is_true(value);
+            if (status != 0)
+                break;  /* stopped (1), or reading the flag raised (-1) */
         }
         if (!budget_is_inf && !(budget > 0.0))
             break;
-
-        entry = ck_heappop_impl(heap);
-        if (entry == NULL)
-            goto error;
-        if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) < 3) {
-            Py_DECREF(entry);
-            PyErr_SetString(PyExc_TypeError,
-                            "malformed kernel heap entry (expected a "
-                            "(time, seq, ...) tuple)");
-            goto error;
-        }
-        time_obj = PyTuple_GET_ITEM(entry, 0);
         if (!until_is_none) {
+            PyObject *head = queue->items[0].time_obj;
             int later;
             /* Exact-float fast path; otherwise defer to Python rich
              * comparison so mixed int/float horizons order exactly as
              * the pure-Python loop's ``time > until``. */
-            if (until_is_float && PyFloat_CheckExact(time_obj))
-                later = PyFloat_AS_DOUBLE(time_obj) > until_d;
+            if (until_is_float && PyFloat_CheckExact(head))
+                later = queue->items[0].time > until_d;
             else {
-                later = PyObject_RichCompareBool(time_obj, until, Py_GT);
-                if (later < 0) {
-                    Py_DECREF(entry);
-                    goto error;
-                }
+                Py_INCREF(head);
+                later = PyObject_RichCompareBool(head, until, Py_GT);
+                Py_DECREF(head);
+                if (later >= 0 && queue->size == 0)
+                    continue;  /* the comparison ran Python */
             }
-            if (later) {
-                int pushed = ck_heappush_impl(heap, entry);
-                Py_DECREF(entry);
-                if (pushed < 0)
-                    goto error;
+            if (later != 0) {
+                status = later < 0 ? -1 : 0;
                 break;
             }
         }
 
-        ev = PyTuple_GET_ITEM(entry, 2);
-        if (ev == Py_None) {
-            /* (time, seq, None, callback, args): fire-and-forget. */
-            if (PyTuple_GET_SIZE(entry) < 5) {
-                Py_DECREF(entry);
-                PyErr_SetString(PyExc_IndexError,
-                                "tuple index out of range");
-                goto error;
-            }
-            callback = PyTuple_GET_ITEM(entry, 3);
-            Py_INCREF(callback);
-            cargs = PyTuple_GET_ITEM(entry, 4);
-            Py_INCREF(cargs);
-            owns_cargs = 1;
-        }
-        else if (Py_TYPE(ev) == timer_type) {
-            /* (time, seq, timer, version): version-checked Timer. */
-            PyObject *version, *live_version, *armed;
-            if (PyTuple_GET_SIZE(entry) < 4) {
-                Py_DECREF(entry);
-                PyErr_SetString(PyExc_IndexError,
-                                "tuple index out of range");
-                goto error;
-            }
-            version = PyTuple_GET_ITEM(entry, 3);
-            live_version = slot_get(ev, off_t_version, "_version");
-            if (live_version == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            int eq = int_eq(live_version, version);
-            if (eq < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            armed = slot_get(ev, off_t_armed, "_armed");
-            if (armed == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            int is_armed = flag_is_true(armed);
-            if (is_armed < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            if (!eq || !is_armed) {
-                Py_DECREF(entry);
-                continue;  /* superseded/cancelled: lazy drop */
-            }
-            slot_set(ev, off_t_armed, Py_False);
-            callback = slot_get(ev, off_t_callback, "_callback");
-            if (callback == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            Py_INCREF(callback);
-            cargs = NULL;  /* no-arg call */
-            owns_cargs = 0;
-        }
-        else if (Py_TYPE(ev) == handle_type) {
-            /* (time, seq, handle): cancellable EventHandle. */
-            PyObject *cancelled = slot_get(ev, off_h_cancelled, "_cancelled");
-            if (cancelled == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            int is_cancelled = flag_is_true(cancelled);
-            if (is_cancelled < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            if (is_cancelled) {
-                Py_DECREF(entry);
-                continue;  /* lazy drop */
-            }
-            slot_set(ev, off_h_fired, Py_True);
-            callback = slot_get(ev, off_h_callback, "callback");
-            if (callback == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            Py_INCREF(callback);
-            cargs = slot_get(ev, off_h_args, "args");
-            if (cargs == NULL) {
-                Py_DECREF(callback);
-                Py_DECREF(entry);
-                goto error;
-            }
-            Py_INCREF(cargs);
-            owns_cargs = 1;
-        }
-        else {
-            /* Exotic handle-like object: mirror the Python loop's
-             * attribute protocol exactly (used by nothing in-tree, but
-             * duck-typed handles must behave identically). */
-            PyObject *cancelled = PyObject_GetAttrString(ev, "_cancelled");
-            if (cancelled == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            int is_cancelled = PyObject_IsTrue(cancelled);
-            Py_DECREF(cancelled);
-            if (is_cancelled < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            if (is_cancelled) {
-                Py_DECREF(entry);
-                continue;
-            }
-            if (PyObject_SetAttrString(ev, "_fired", Py_True) < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            callback = PyObject_GetAttrString(ev, "callback");
-            if (callback == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            cargs = PyObject_GetAttrString(ev, "args");
-            if (cargs == NULL) {
-                Py_DECREF(callback);
-                Py_DECREF(entry);
-                goto error;
-            }
-            owns_cargs = 1;
-        }
-
-        if (owns_cargs && !PyTuple_Check(cargs)) {
-            /* callback(*args) accepts any iterable; normalize. */
-            PyObject *as_tuple = PySequence_Tuple(cargs);
-            Py_DECREF(cargs);
-            if (as_tuple == NULL) {
-                Py_DECREF(callback);
-                Py_DECREF(entry);
-                goto error;
-            }
-            cargs = as_tuple;
-        }
-
-        /* Advance the clock, count, fire. */
-        if (PyDict_SetItem(*dictptr, s_now, time_obj) < 0) {
+        queue_pop(queue, &e);
+        status = entry_target(&e, &callback, &cargs);
+        if (status > 0) {
+            /* Advance the clock, count, fire. */
+            slot_set(sim, off_sim_now, e.time_obj);
+            executed += 1;
+            if (!budget_is_inf)
+                budget -= 1.0;
+            status = !flush_per_event ? 0
+                : slot_set_int(sim, off_sim_executed, executed);
+            if (status == 0)
+                status = discard(cargs == NULL
+                                 ? PyObject_CallNoArgs(callback)
+                                 : PyObject_Call(callback, cargs, NULL));
             Py_DECREF(callback);
             Py_XDECREF(cargs);
-            Py_DECREF(entry);
-            goto error;
         }
-        executed += 1;
-        if (flush_per_event) {
-            PyObject *exec_obj = PyLong_FromLongLong(executed);
-            if (exec_obj == NULL
-                    || PyDict_SetItem(*dictptr, s_events_executed,
-                                      exec_obj) < 0) {
-                Py_XDECREF(exec_obj);
-                Py_DECREF(callback);
-                Py_XDECREF(cargs);
-                Py_DECREF(entry);
-                goto error;
-            }
-            Py_DECREF(exec_obj);
-        }
-        if (!budget_is_inf)
-            budget -= 1.0;
-#if CK_HAVE_DICT_VERSION
-        /* Snapshot after our own writes, before the callback runs:
-         * an unchanged tag at the next loop top proves no callback
-         * touched the simulator dict, so _stopped is still False. */
-        dict_ver = ((PyDictObject *)*dictptr)->ma_version_tag;
-#endif
-
-        if (cargs == NULL)
-            res = PyObject_CallNoArgs(callback);
-        else
-            res = PyObject_Call(callback, cargs, NULL);
-        Py_DECREF(callback);
-        Py_XDECREF(cargs);
-        Py_DECREF(entry);
-        if (res == NULL)
-            goto error;
-        Py_DECREF(res);
+        entry_clear(&e);
     }
-#if CK_HAVE_DICT_VERSION
-    }
-#endif
 
     /* Clean exit: snap the clock to the horizon. */
-    if (!until_is_none) {
-        PyObject *stopped = sim_get(*dictptr, s_stopped);
-        if (stopped == NULL)
-            goto error;
-        int st = PyObject_IsTrue(stopped);
-        if (st < 0)
-            goto error;
-        if (!st) {
-            PyObject *now = sim_get(*dictptr, s_now);
-            if (now == NULL)
-                goto error;
-            int lt = PyObject_RichCompareBool(now, until, Py_LT);
-            if (lt < 0)
-                goto error;
-            if (lt && PyDict_SetItem(*dictptr, s_now, until) < 0)
-                goto error;
+    if (status >= 0 && !until_is_none) {
+        value = slot_get(sim, off_sim_stopped, "_stopped");
+        status = value == NULL ? -1 : PyObject_IsTrue(value);
+        if (status == 0) {
+            if ((value = slot_get(sim, off_sim_now, "_now")) == NULL)
+                status = -1;
+            else {
+                Py_INCREF(value);
+                status = PyObject_RichCompareBool(value, until, Py_LT);
+                Py_DECREF(value);
+                if (status > 0)
+                    slot_set(sim, off_sim_now, until);
+            }
         }
     }
-    goto finish;
 
-error:
-    failed = 1;
-finish:
     /* The Python loop's try/finally: flush the executed counter and
      * drop the running flag even when a callback raised. */
-    if (started) {
+    {
         PyObject *exc_type, *exc_value, *exc_tb;
         PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
-        PyObject *exec_obj = PyLong_FromLongLong(executed);
-        if (exec_obj != NULL) {
-            if (PyDict_SetItem(*dictptr, s_events_executed, exec_obj) < 0)
-                PyErr_Clear();
-            Py_DECREF(exec_obj);
-        }
-        else
+        if (slot_set_int(sim, off_sim_executed, executed) < 0)
             PyErr_Clear();
-        if (PyDict_SetItem(*dictptr, s_running, Py_False) < 0)
-            PyErr_Clear();
+        slot_set(sim, off_sim_running, Py_False);
         PyErr_Restore(exc_type, exc_value, exc_tb);
     }
-    Py_XDECREF(heap);
-    if (failed)
+    Py_DECREF(queue);
+    if (status < 0 || (value = slot_get(sim, off_sim_now, "_now")) == NULL)
         return NULL;
-    result = sim_get(*dictptr, s_now);
-    if (result == NULL)
-        return NULL;
-    Py_INCREF(result);
-    return result;
-}
-
-/* --- exported heap helpers (parity tests exercise these directly) ----- */
-
-static PyObject *
-ck_heappush(PyObject *module, PyObject *args)
-{
-    PyObject *heap, *item;
-    if (!PyArg_ParseTuple(args, "O!O:heappush", &PyList_Type, &heap, &item))
-        return NULL;
-    if (ck_heappush_impl(heap, item) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-ck_heappop(PyObject *module, PyObject *heap)
-{
-    if (!PyList_Check(heap)) {
-        PyErr_SetString(PyExc_TypeError, "heap argument must be a list");
-        return NULL;
-    }
-    return ck_heappop_impl(heap);
+    Py_INCREF(value);
+    return value;
 }
 
 /* --- installation ------------------------------------------------------ */
@@ -2472,7 +2345,7 @@ resolve_slots(PyObject *type, const struct slot_spec *spec)
 static PyObject *
 ck_install(PyObject *module, PyObject *args)
 {
-    PyObject *timer, *handle, *error;
+    PyObject *timer, *handle, *error, *sim;
     const struct slot_spec timer_slots[] = {
         {"_version", &off_t_version}, {"_armed", &off_t_armed},
         {"_callback", &off_t_callback}, {"_sim", &off_t_sim},
@@ -2480,22 +2353,32 @@ ck_install(PyObject *module, PyObject *args)
     const struct slot_spec handle_slots[] = {
         {"_cancelled", &off_h_cancelled}, {"_fired", &off_h_fired},
         {"callback", &off_h_callback}, {"args", &off_h_args}, {NULL, NULL}};
+    const struct slot_spec sim_slots[] = {
+        {"_now", &off_sim_now}, {"_heap", &off_sim_heap},
+        {"_stopped", &off_sim_stopped}, {"_running", &off_sim_running},
+        {"_events_executed", &off_sim_executed},
+        {"_scheduled", &off_sim_scheduled},
+        {"_cancelled_events", &off_sim_cancelled}, {NULL, NULL}};
 
-    if (!PyArg_ParseTuple(args, "OOO:install", &timer, &handle, &error))
+    if (!PyArg_ParseTuple(args, "OOOO:install", &timer, &handle, &error,
+                          &sim))
         return NULL;
-    if (!PyType_Check(timer) || !PyType_Check(handle)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "install(Timer, EventHandle, SimulationError)");
+    if (!PyType_Check(timer) || !PyType_Check(handle) || !PyType_Check(sim)) {
+        PyErr_SetString(PyExc_TypeError, "install(Timer, EventHandle, "
+                        "SimulationError, Simulator)");
         return NULL;
     }
     if (resolve_slots(timer, timer_slots) < 0
-            || resolve_slots(handle, handle_slots) < 0)
+            || resolve_slots(handle, handle_slots) < 0
+            || resolve_slots(sim, sim_slots) < 0)
         return NULL;
 
     Py_INCREF(timer);
     Py_XSETREF(timer_type, (PyTypeObject *)timer);
     Py_INCREF(handle);
     Py_XSETREF(handle_type, (PyTypeObject *)handle);
+    Py_INCREF(sim);
+    Py_XSETREF(sim_type, (PyTypeObject *)sim);
     Py_INCREF(error);
     Py_XSETREF(simulation_error, error);
     Py_RETURN_NONE;
@@ -2651,9 +2534,9 @@ ck_bind_mac(PyObject *module, PyObject *args)
 
 static PyMethodDef ck_methods[] = {
     {"install", ck_install, METH_VARARGS,
-     "install(Timer, EventHandle, SimulationError): bind the engine's\n"
-     "event classes (resolves their __slots__ offsets). Must be called\n"
-     "before run()."},
+     "install(Timer, EventHandle, SimulationError, Simulator): bind the\n"
+     "engine's classes (resolves their __slots__ offsets). Must be called\n"
+     "before anything else here."},
     {"run", ck_run, METH_VARARGS,
      "run(sim, until=None, max_events=None) -> float\n"
      "Compiled twin of Simulator.run(); byte-identical event sequence."},
@@ -2698,10 +2581,6 @@ static PyMethodDef ck_methods[] = {
      "phy_rx_end(mac, payload, success, snr_db, mode): compiled twin of\n"
      "DcfMac.phy_rx_end for corrupt and overheard frames; the method\n"
      "itself for every other."},
-    {"heappush", ck_heappush, METH_VARARGS,
-     "heappush(heap, entry): push with kernel-entry tuple ordering."},
-    {"heappop", ck_heappop, METH_O,
-     "heappop(heap) -> entry: pop with kernel-entry tuple ordering."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2722,10 +2601,7 @@ PyInit__ckernel(void)
         PyObject **target;
         const char *text;
     } names[] = {
-        {&s_now, "_now"}, {&s_stopped, "_stopped"}, {&s_running, "_running"},
-        {&s_events_executed, "_events_executed"}, {&s_heap, "_heap"},
-        {&s_seq, "_seq"}, {&s_scheduled, "_scheduled"},
-        {&s_cancelled_events, "_cancelled_events"}, {&s_values, "values"},
+        {&s_now, "_now"}, {&s_values, "values"},
         {&s_mode, "mode"}, {&s_name, "name"}, {&s_duration, "duration"},
         {&s_enabled, "enabled"}, {&s_threshold_db, "threshold_db"},
         {&s_should_capture, "should_capture"},
@@ -2757,11 +2633,15 @@ PyInit__ckernel(void)
     if ((float_zero = PyFloat_FromDouble(0.0)) == NULL)
         return NULL;
 
+    if (PyType_Ready(&EventQueue_Type) < 0)
+        return NULL;
     module = PyModule_Create(&ck_module);
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 4) < 0) {
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 5) < 0
+            || PyModule_AddObjectRef(module, "EventQueue",
+                                     (PyObject *)&EventQueue_Type) < 0) {
         Py_DECREF(module);
         return NULL;
     }

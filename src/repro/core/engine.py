@@ -14,9 +14,9 @@ Protocol code in this library is written in *callback style*: components
 schedule plain callables.  That keeps the kernel tiny, easy to reason
 about, and fast enough to run thousands of stations on a laptop.
 
-Hot-path notes: the heap stores tuples rather than bare handles so
-ordering uses C-level tuple comparison instead of
-``EventHandle.__lt__`` (the single biggest cost in large runs);
+Hot-path notes: heap entries are ``(time, seq, ...)`` records rather
+than bare handles, so ordering never calls ``EventHandle.__lt__`` (the
+single biggest cost in large runs);
 :attr:`Simulator.pending_events` is a counter maintained by
 ``schedule``/``cancel``/``run`` instead of an O(N) heap scan; and
 fire-and-forget callers (the medium's per-receiver arrival fan-out —
@@ -30,39 +30,50 @@ allocation with a version check on a pre-allocated object.
 
 Heap entries are therefore one of three shapes — ``(time, seq,
 handle)``, ``(time, seq, timer, version)`` or ``(time, seq, None,
-callback, args)`` — and ties never compare past ``seq``, which is
-unique, so entries of different shapes never compare element 2.
+callback, args)`` — ordered on ``(time, seq)`` alone: ``seq`` is
+unique, so the order is total and nothing ever compares element 2.
+Those tuples are what ``sim._push`` takes and what ``sim._pop`` and
+iterating ``sim._heap`` *yield*, not necessarily what is stored: on
+``kernel="python"`` ``sim._heap`` is a list under :mod:`heapq` (the
+reference), on ``kernel="c"`` it is the extension's ``EventQueue``, an
+array of structs keyed on ``(float(time), seq)``.  Because the order is
+total, every correct priority queue pops the identical sequence; the
+contract between the two is pop order and ``len()`` at every instant
+(lazy deletion included — telemetry samples the depth), never layout.
 
-The layers above build the last two shapes through two primitives, not
-by hand: :func:`_arm` (one unchecked timer arm) and :func:`_fan_out`
-(the medium's two raw entries per receiver).  A simulator picks each
-once, at construction, as ``sim._arm`` / ``sim._fan_out``: the Python
-functions below on ``kernel="python"``, their compiled twins on
+A simulator binds its queue once, at construction, together with the
+five callables every scheduling site goes through — ``sim._push`` /
+``sim._pop`` / ``sim._next_seq`` and the two primitives the layers
+above build the last two shapes with, :func:`_arm` (one unchecked
+timer arm) and :func:`_fan_out` (the medium's two raw entries per
+receiver), as ``sim._arm`` / ``sim._fan_out``: ``heapq`` partials, an
+``itertools.count`` and the Python functions below on
+``kernel="python"``, the queue's methods and the compiled twins on
 ``kernel="c"`` — same statements in the same order, so seq draws,
 counters and floats are identical and the call sites never ask which.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
-from typing import Any, Callable, List, Optional, Tuple
+from functools import partial
+from heapq import heappop, heappush
+from typing import Any, Callable, Optional, Tuple
 
 from .errors import SchedulingError, SimulationError
 from .rng import RngRegistry
 from .trace import TraceLog
 
 _INF = math.inf
-_heappush = heapq.heappush
 
 #: Accepted values for ``Simulator(kernel=...)`` / ``REPRO_KERNEL``.
 KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 4
+KERNEL_ABI = 5
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False
@@ -98,7 +109,7 @@ def _load_ckernel() -> Optional[Any]:
             RuntimeWarning, stacklevel=2)
         return None
     try:
-        ext.install(Timer, EventHandle, SimulationError)
+        ext.install(Timer, EventHandle, SimulationError, Simulator)
     except Exception:
         # A built-but-incompatible extension (stale ABI, renamed slots)
         # must degrade to the reference loop, not poison every run.
@@ -272,7 +283,7 @@ def _arm(timer: Timer, time: float) -> None:
     timer._version += 1
     timer._time = time
     sim._scheduled += 1
-    _heappush(sim._heap, (time, sim._next_seq(), timer, timer._version))
+    sim._push((time, sim._next_seq(), timer, timer._version))
 
 
 def _fan_out(sim: "Simulator", entries: Any, transmission: Any,
@@ -290,13 +301,13 @@ def _fan_out(sim: "Simulator", entries: Any, transmission: Any,
     seeded run.
     """
     now = sim._now
-    heap = sim._heap
+    push = sim._push
     next_seq = sim._next_seq
     for begins, ends, rx_power, delay in entries:
-        _heappush(heap, (now + delay, next_seq(), None, begins,
-                         (transmission, rx_power)))
-        _heappush(heap, (now + (delay + duration), next_seq(), None, ends,
-                         (transmission,)))
+        push((now + delay, next_seq(), None, begins,
+              (transmission, rx_power)))
+        push((now + (delay + duration), next_seq(), None, ends,
+              (transmission,)))
     sim._scheduled += 2 * len(entries)
 
 
@@ -323,11 +334,11 @@ class Simulator:
         both profiles; only component-level float math is relaxed.
     kernel:
         Which run-loop implementation dispatches events.  ``"python"``
-        is the pure-Python reference loop; ``"c"`` is the compiled
-        :mod:`repro.core._ckernel` twin (bit-identical event sequence,
-        raises if the extension is not built) and, with it, the
-        compiled timer-arm and fan-out primitives, the compiled receive
-        edges and reception tail of every plain ``Radio`` on an
+        is the pure-Python reference loop over a ``heapq`` list; ``"c"``
+        is the compiled :mod:`repro.core._ckernel` twin (bit-identical
+        event sequence, raises if the extension is not built) and, with
+        it, the extension's event queue, the compiled timer-arm and
+        fan-out primitives, the compiled receive edges and reception tail of every plain ``Radio`` on an
         exact-mode medium built on this simulator, and the compiled
         carrier-sense slots (IFS arm, backoff freeze, IFS expiry, NAV
         expiry) of every plain ``DcfMac`` on such a radio; ``"auto"``
@@ -342,6 +353,12 @@ class Simulator:
     PROFILES = ("exact", "fast")
     KERNELS = KERNELS
 
+    # What the compiled kernel reads and writes per event, by offset (as
+    # it does a Timer's fields); everything else lives in ``__dict__``.
+    __slots__ = ("_now", "_heap", "_stopped", "_running",
+                 "_events_executed", "_scheduled", "_cancelled_events",
+                 "__dict__", "__weakref__")
+
     def __init__(self, seed: int = 0, trace: Optional[TraceLog] = None,
                  profile: str = "exact", kernel: Optional[str] = None):
         if profile not in self.PROFILES:
@@ -353,12 +370,21 @@ class Simulator:
         #: ``run`` this simulator's ``run`` is, and what a medium, a
         #: ``DcfMac`` and a ``Nav`` ask for their compiled callables.
         ext = self._ext = _ckernel if self._kernel == "c" else None
-        self._arm = ext.arm if ext is not None else _arm
-        self._fan_out = ext.fan_out if ext is not None else _fan_out
+        # The one binding decision: the queue and the five callables
+        # every scheduling site goes through (module docstring).
+        if ext is not None:
+            heap = ext.EventQueue()
+            self._push, self._pop = heap.push, heap.pop
+            self._next_seq = heap.next_seq
+            self._arm, self._fan_out = ext.arm, ext.fan_out
+        else:
+            heap = []
+            self._push = partial(heappush, heap)
+            self._pop = partial(heappop, heap)
+            self._next_seq = itertools.count().__next__
+            self._arm, self._fan_out = _arm, _fan_out
+        self._heap = heap
         self._now = 0.0
-        self._heap: List[Tuple[Any, ...]] = []
-        self._seq = itertools.count()
-        self._next_seq = self._seq.__next__
         self._running = False
         self._stopped = False
         self._events_executed = 0
@@ -391,11 +417,11 @@ class Simulator:
 
     @property
     def heap_depth(self) -> int:
-        """Raw heap length, lazily-deleted entries included.
+        """Raw queue length, lazily-deleted entries included.
 
         Differs from :attr:`pending_events` by the cancelled/superseded
         entries still awaiting lazy deletion — the figure that matters
-        when heap memory or heappush cost is the question (telemetry
+        when queue memory or push cost is the question (telemetry
         samples it as ``kernel/heap_depth``).
         """
         return len(self._heap)
@@ -418,13 +444,15 @@ class Simulator:
         there is deliberately no way back — a mid-suite kernel flip
         would make ``kernel`` lie to telemetry exports.
 
-        Only the *loop* changes hands.  The scheduling primitives and
-        whatever a medium, a radio or a MAC already bound (receive
-        edges, reception tail, carrier-sense slots) stay compiled: they
-        are functions of simulator, radio and MAC state, not of the
-        loop that dispatches them, and they build the same entries
-        either way, so the Python loop pops exactly what it would have.
-        Media and MACs constructed afterwards bind the Python methods.
+        Only the *loop* changes hands.  The queue (populated or not),
+        the scheduling primitives and whatever a medium, a radio or a
+        MAC already bound (receive edges, reception tail, carrier-sense
+        slots) stay compiled: they are functions of simulator, radio
+        and MAC state, not of the loop that dispatches them, and
+        ``_pop()`` hands the Python loop the same tuples in the same
+        order whatever stores them, so it pops exactly what it would
+        have.  Media and MACs constructed afterwards bind the Python
+        methods.
         """
         self._kernel = "python"
         self._ext = None
@@ -441,7 +469,7 @@ class Simulator:
             seq = self._next_seq()
             event = EventHandle(time, seq, callback, args, self)
             self._scheduled += 1
-            _heappush(self._heap, (time, seq, event))
+            self._push((time, seq, event))
             return event
         if delay < 0:
             raise SchedulingError(
@@ -455,7 +483,7 @@ class Simulator:
             seq = self._next_seq()
             event = EventHandle(time, seq, callback, args, self)
             self._scheduled += 1
-            _heappush(self._heap, (time, seq, event))
+            self._push((time, seq, event))
             return event
         if time < self._now:
             raise SchedulingError(
@@ -484,8 +512,8 @@ class Simulator:
                     f"(now={self._now!r})")
             raise SchedulingError(f"invalid delay: {delay!r}")
         self._scheduled += 1
-        _heappush(self._heap, (self._now + delay, self._next_seq(),
-                               None, callback, args))
+        self._push((self._now + delay, self._next_seq(),
+                    None, callback, args))
 
     def schedule_fast_at(self, time: float, callback: Callable[..., None],
                          *args: Any) -> None:
@@ -496,8 +524,7 @@ class Simulator:
                     f"cannot schedule at t={time!r} before now={self._now!r}")
             raise SchedulingError(f"invalid time: {time!r}")
         self._scheduled += 1
-        _heappush(self._heap, (time, self._next_seq(),
-                               None, callback, args))
+        self._push((time, self._next_seq(), None, callback, args))
 
     # --- execution --------------------------------------------------------
 
@@ -522,8 +549,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        pop = self._pop
         timer_class = Timer
         try:
             if max_events is None and until is not None:
@@ -539,10 +565,10 @@ class Simulator:
                 executed = self._events_executed
                 try:
                     while heap and not self._stopped:
-                        entry = heappop(heap)
+                        entry = pop()
                         time = entry[0]
                         if time > until:
-                            heappush(heap, entry)
+                            self._push(entry)
                             break
                         event = entry[2]
                         if event is None:
@@ -574,10 +600,10 @@ class Simulator:
             else:
                 budget = max_events if max_events is not None else _INF
                 while heap and not self._stopped and budget > 0:
-                    entry = heappop(heap)
+                    entry = pop()
                     time = entry[0]
                     if until is not None and time > until:
-                        heappush(heap, entry)
+                        self._push(entry)
                         break
                     event = entry[2]
                     if event is None:

@@ -31,7 +31,6 @@ declared-tolerance regime (see README, "Sharded execution").
 from __future__ import annotations
 
 import itertools
-from heapq import heappush as _heappush
 from typing import Any, FrozenSet, List, NamedTuple, Optional
 
 from ..core.errors import InvariantViolation
@@ -155,7 +154,7 @@ class ShardMedium(Medium):
         model_delay = self.propagation_delay
         exact = self.exact
         tx_pos = ghost._position
-        heap = sim._heap
+        push = sim._push
         next_seq = sim._next_seq
         duration = record.duration
         power = record.power_watts
@@ -181,10 +180,10 @@ class ShardMedium(Medium):
                     f"shard {self.shard}: boundary arrival from "
                     f"{record.sender!r} at t={arrival!r} is behind the "
                     f"local clock t={now!r} (lookahead violation)")
-            _heappush(heap, (arrival, next_seq(), None, begins,
-                             (transmission, rx_power)))
-            _heappush(heap, (start + (delay + duration), next_seq(), None,
-                             ends, (transmission,)))
+            push((arrival, next_seq(), None, begins,
+                  (transmission, rx_power)))
+            push((start + (delay + duration), next_seq(), None, ends,
+                  (transmission,)))
             scheduled += 2
         sim._scheduled += scheduled
         self.boundary_injected += 1

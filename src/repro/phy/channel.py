@@ -42,7 +42,6 @@ the Python methods, the reference the twins are tested against.
 from __future__ import annotations
 
 import itertools
-from heapq import heappush as _heappush
 from types import MethodType
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -458,13 +457,13 @@ class Medium:
             sim._fan_out(sim, plan[2], transmission, duration)
             return transmission
         # Uncached fallback: fresh propagation evaluation per receiver
-        # per frame (bit-identical outcomes; see cache_links docs).
-        heap = sim._heap
-        next_seq = sim._next_seq
+        # per frame (bit-identical outcomes; see cache_links docs) — a
+        # plan compiled for this one frame, pushed by the same
+        # primitive.
         floor = self.reception_floor_watts
         propagation = self.propagation
         model_delay = self.propagation_delay
-        scheduled = 0
+        entries = []
         for receiver, begins, ends in self._channel_members(channel):
             if receiver is sender:
                 continue
@@ -476,13 +475,8 @@ class Medium:
                 continue
             delay = tx_pos.distance_to(rx_pos) / SPEED_OF_LIGHT \
                 if model_delay else 0.0
-            _heappush(heap, (now + delay, next_seq(), None, begins,
-                             (transmission, rx_power)))
-            # Same parenthesization as the fan-out primitive.
-            _heappush(heap, (now + (delay + duration), next_seq(), None,
-                             ends, (transmission,)))
-            scheduled += 2
-        sim._scheduled += scheduled
+            entries.append((begins, ends, rx_power, delay))
+        sim._fan_out(sim, entries, transmission, duration)
         return transmission
 
     # --- energy-only path (adversary / coexistence emitters) ----------------

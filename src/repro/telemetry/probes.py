@@ -19,7 +19,6 @@ construct exactly this.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -86,8 +85,7 @@ class KernelDispatchProbe:
         sim._running = True
         sim._stopped = False
         heap = sim._heap
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        pop = sim._pop
         timer_class = Timer
         d_handle = self.dispatch_handle
         d_timer = self.dispatch_timer
@@ -97,10 +95,10 @@ class KernelDispatchProbe:
         budget = max_events if max_events is not None else math.inf
         try:
             while heap and not sim._stopped and budget > 0:
-                entry = heappop(heap)
+                entry = pop()
                 time = entry[0]
                 if until is not None and time > until:
-                    heappush(heap, entry)
+                    sim._push(entry)
                     break
                 event = entry[2]
                 if event is None:
@@ -138,7 +136,7 @@ def _install_kernel_sampling(sim: Simulator,
                              sampler: PeriodicSampler) -> None:
     """Heap/pending/cancellation gauges (cancellations are dominated by
     timer re-arms: every Timer re-anchor supersedes its live entry)."""
-    sampler.add("kernel", "heap_depth", lambda: float(len(sim._heap)))
+    sampler.add("kernel", "heap_depth", lambda: float(sim.heap_depth))
     sampler.add("kernel", "pending_events",
                 lambda: float(sim._scheduled - sim._events_executed
                               - sim._cancelled_events))

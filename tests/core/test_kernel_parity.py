@@ -203,14 +203,18 @@ def test_exotic_until_comparison_parity():
 
 
 def _heap_shape(sim):
-    """The raw heap list with callables replaced by their names."""
+    """Every queued entry, callables replaced by their names, in pop
+    order: ``(time, seq)`` is a total order, so pop order and depth are
+    what the two queues owe each other — array layout is not (the
+    ``kernel="c"`` queue keeps structs in a heap of its own)."""
     def plain(item):
         if isinstance(item, Timer):
             return "timer"
         if isinstance(item, tuple):
             return tuple(plain(part) for part in item)
         return getattr(item, "__name__", None) or repr(item)
-    return [tuple(plain(part) for part in entry) for entry in sim._heap]
+    return [tuple(plain(part) for part in entry)
+            for entry in sorted(sim._heap, key=lambda entry: entry[:2])]
 
 
 def test_scheduling_primitives_build_identical_entries():

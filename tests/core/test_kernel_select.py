@@ -155,6 +155,29 @@ class TestPinPythonKernel:
         sim.run(until=0.01)
 
     @needs_c
+    def test_pin_midlife_pops_a_populated_c_queue_in_the_same_order(
+            self, midlife_schedule):
+        # The pinned Python loop takes tuples out of the C queue the
+        # compiled loop filled, while ``sim._arm`` / ``sim._fan_out``
+        # keep pushing structs into it: same firing order, same
+        # counters as the schedule run on either kernel untouched.
+        from repro.core import _ckernel
+
+        def pin(sim):
+            assert type(sim._heap) is _ckernel.EventQueue
+            sim.pin_python_kernel()
+            assert sim._ext is None and sim._arm is _ckernel.arm
+            assert type(sim._heap) is _ckernel.EventQueue    # kept, full
+
+        reference = midlife_schedule("python")
+        assert midlife_schedule("c") == reference
+        assert midlife_schedule("c", pin) == reference
+        fired, counters = reference
+        assert {name for _now, name in fired} >= {
+            "handle", "raw", "timer0", "begins", "ends"}
+        assert counters[3:5] == (0, 0)          # drained, nothing pending
+
+    @needs_c
     def test_dispatch_probe_shadows_past_the_c_kernel(self):
         # Telemetry's instrumented dispatch loop is an instance-attribute
         # shadow of ``run``; callers reach it before the class method's

@@ -1,8 +1,6 @@
 """The strict-mode InvariantChecker: clean runs stay silent, forged
 state trips the exact check that guards it."""
 
-import heapq
-
 import pytest
 
 from repro import scenarios
@@ -145,7 +143,7 @@ class TestKernelCheck:
     def test_event_behind_the_clock_is_caught(self, sim):
         sim.run(until=1.0)
         checker = InvariantChecker(sim, strict=True)
-        heapq.heappush(sim._heap, (0.5, -1, lambda: None, ()))
+        sim._push((0.5, -1, lambda: None, ()))
         with pytest.raises(InvariantViolation, match="heap-monotonic"):
             checker.check_now()
 
@@ -211,7 +209,7 @@ class TestShardMode:
     def test_shard_prefix_appears_in_violation_subject(self, sim):
         sim.run(until=1.0)
         checker = InvariantChecker(sim, strict=False, shard=3)
-        heapq.heappush(sim._heap, (0.5, -1, lambda: None, ()))
+        sim._push((0.5, -1, lambda: None, ()))
         checker.check_now()
         (violation,) = checker.violations
         assert violation.subject.startswith("shard3:")
@@ -219,7 +217,7 @@ class TestShardMode:
     def test_no_shard_keeps_historical_subjects(self, sim):
         sim.run(until=1.0)
         checker = InvariantChecker(sim, strict=False)
-        heapq.heappush(sim._heap, (0.5, -1, lambda: None, ()))
+        sim._push((0.5, -1, lambda: None, ()))
         checker.check_now()
         (violation,) = checker.violations
         assert not violation.subject.startswith("shard")

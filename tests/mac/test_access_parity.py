@@ -233,7 +233,10 @@ class World:
     def snapshot(self):
         sim = self.sim
         heap = []
-        for entry in sim._heap:              # raw layout, not sorted
+        # Every entry, in pop order: (time, seq) is a total order, so pop
+        # order and depth are the queue contract — array layout is not
+        # (kernel="c" keeps structs in its own heap, not this list's).
+        for entry in sorted(sim._heap, key=lambda entry: entry[:2]):
             time, seq, event = entry[:3]
             if event is None:
                 heap.append((repr(time), seq, self.callback(entry[3]),

@@ -3,7 +3,7 @@ fleet gauges, downtime spans, and the Telemetry hub's null path."""
 
 import pytest
 
-from repro.core.engine import Simulator, Timer
+from repro.core.engine import Simulator, Timer, ckernel_available
 from repro.core.topology import Position
 from repro.core.trace import TraceLog
 from repro.faults import FaultLog
@@ -77,6 +77,32 @@ class TestKernelDispatchProbe:
         assert probe.dispatch_timer.value == 1
         assert probe.drops_timer.value == 1
         assert probe.drops_handle.value == 1
+
+    @pytest.mark.skipif(not ckernel_available(),
+                        reason="compiled kernel not built")
+    def test_probed_midlife_pops_a_populated_c_queue_in_the_same_order(
+            self, midlife_schedule):
+        # Arming the probe on a kernel="c" simulator that already holds
+        # >= 100 entries swaps the loop, not the queue: the probe's
+        # Python loop pops the C queue through ``sim._pop`` while the
+        # compiled primitives keep pushing structs into it.
+        probes = []
+
+        def probe(sim):
+            probes.append(
+                KernelDispatchProbe(sim, MetricsRegistry()).install())
+
+        reference = midlife_schedule("python")
+        assert midlife_schedule("c", probe) == reference
+        assert midlife_schedule("python", probe) == reference
+        assert [type(armed.sim._heap) is list for armed in probes] \
+            == [False, True]
+        for armed in probes:        # every shape went through the probe
+            assert armed.dispatch_fast.value > 0
+            assert armed.dispatch_timer.value > 0
+            assert armed.dispatch_handle.value > 0
+            assert armed.drops_timer.value > 0
+            assert armed.drops_handle.value > 0
 
     def test_uninstall_restores_class_method(self):
         sim = Simulator(seed=3)

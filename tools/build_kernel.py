@@ -76,7 +76,9 @@ def build(force=False):
         print("fresh:", os.path.relpath(target, REPO))
         return 0
 
-    cc = sysconfig.get_config_var("CC") or "cc"
+    # $CC first, as setup.py's build_ext honours it: CC=/bin/false is
+    # how CI proves the no-compiler fallback.
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     include = sysconfig.get_path("include")
     # -ffp-contract=off: the receive edges repeat the reference's float
     # expressions operation by operation; a fused multiply-add (the
