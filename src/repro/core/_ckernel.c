@@ -103,9 +103,11 @@
  *   ``math.log10`` calls), the countdown deadline as the left fold
  *   ``anchor + slot + slot + ...`` in a loop of doubles, no fused
  *   multiply-add (the build passes ``-ffp-contract=off``), and every
- *   table sum taken by calling ``builtins.sum`` on
- *   ``arrivals.values()`` — CPython 3.12 made ``sum()`` compensated,
- *   so a C fold would diverge from the reference there.
+ *   table sum as ``builtins.sum`` takes it: a left fold in C doubles,
+ *   plain (CPython 3.11) or Neumaier-compensated (3.12 on), whichever
+ *   ``sum()`` itself — asked once, as the module loads: ``select_fold``
+ *   — returns the bits of.  Where neither does, a table is empty or
+ *   holds more than floats, ``sum()`` is called: speed lost, never bits.
  * - C handles the canonical shapes only (an exact ``Radio`` /
  *   ``DcfMac`` / ``Nav`` / ``Timer`` / ``Dot11Frame`` / ``Counter``,
  *   exact floats and machine-word ints, canonical bools, exact dicts,
@@ -848,17 +850,45 @@ upcall(PyObject *self, Py_ssize_t offset, const char *name, PyObject *arg)
     return status;
 }
 
-/* ``builtins.sum(arrivals.values())`` — the reference's own summation
- * (Neumaier-compensated since CPython 3.12), never a C fold. */
+/* The fold that is ``builtins.sum`` bit for bit: select_fold()'s answer. */
+static enum { FOLD_BUILTIN, FOLD_PLAIN, FOLD_COMPENSATED } table_fold;
+static const char *const fold_names[] = {"builtin", "plain", "compensated"};
+
+/* ``sum(arrivals.values())`` of an exact dict, as ``fold``: the float
+ * path of ``sum()`` over the values in insertion order the way CPython
+ * 3.11 takes it (``f = 0.0 + v0; f += v``) or, compensated, 3.12 does
+ * (Neumaier: what each later addition rounds away is kept in ``c`` and
+ * added once at the end).  Where that is not the reference — no fold
+ * agreed, an empty table (the int 0), anything but exact floats — no
+ * Python has run yet and ``sum()`` itself is called: the result or the
+ * exception is then the reference's own. */
 static PyObject *
-table_sum(PyObject *arrivals)
+table_sum(PyObject *arrivals, int fold)
 {
-    PyObject *values = PyObject_CallMethodNoArgs(arrivals, s_values), *total;
-    if (values == NULL)
+    Py_ssize_t pos = 0;
+    PyObject *value, *values;
+    double f = 0.0, c = 0.0, x, t;
+    int folded = 0;
+
+    while (fold != FOLD_BUILTIN && PyDict_Next(arrivals, &pos, NULL, &value)) {
+        if (!PyFloat_CheckExact(value))
+            goto reference;
+        x = PyFloat_AS_DOUBLE(value);
+        t = f + x;
+        if (fold == FOLD_COMPENSATED && folded)
+            c += fabs(f) >= fabs(x) ? (f - t) + x : (x - t) + f;
+        f = t;
+        folded = 1;
+    }
+    /* An infinite or NaN error term would turn an overflowed inf to NaN. */
+    if (folded)
+        return PyFloat_FromDouble(c != 0.0 && isfinite(c) ? f + c : f);
+reference:
+    if ((values = PyObject_CallMethodNoArgs(arrivals, s_values)) == NULL)
         return NULL;
-    total = PyObject_CallOneArg(builtin_sum, values);
+    value = PyObject_CallOneArg(builtin_sum, values);
     Py_DECREF(values);
-    return total;
+    return value;
 }
 
 /* ``sim._now`` of the radio's simulator (borrowed), or NULL. */
@@ -892,7 +922,7 @@ table_interference(PyObject *self, PyObject *arrivals, PyObject *locked,
         if (alone != 0)
             return alone;
     }
-    if ((total = table_sum(arrivals)) == NULL)
+    if ((total = table_sum(arrivals, table_fold)) == NULL)
         return -1;
     locked_power = SLOT(self, off_r_locked_power);
     if (!PyFloat_CheckExact(total) || !is_float(locked_power)) {
@@ -1097,7 +1127,7 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
         return status;
     if (PyDict_GET_SIZE(arrivals) != 1) {
         /* sum(arrivals.values()) - power; alone, exactly 0.0. */
-        if ((value = table_sum(arrivals)) == NULL)
+        if ((value = table_sum(arrivals, table_fold)) == NULL)
             return -1;
         if (!PyFloat_CheckExact(value)) {
             Py_DECREF(value);
@@ -1171,7 +1201,7 @@ cca_tail(PyObject *self, PyObject *arrivals, PyObject *begun)
         Py_ssize_t size = PyDict_GET_SIZE(arrivals);
         PyObject *total = NULL, *threshold;
         if (!(begun != NULL ? size == 1 : size == 0)
-                && (total = table_sum(arrivals)) == NULL)
+                && (total = table_sum(arrivals, table_fold)) == NULL)
             return -1;
         threshold = slot_get(self, off_r_cca_threshold,
                              "_cca_threshold_watts");
@@ -1661,7 +1691,7 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
     }
     else {
         Py_INCREF(arrivals);
-        incident = table_sum(arrivals);
+        incident = table_sum(arrivals, table_fold);
         Py_DECREF(arrivals);
     }
     busy = incident == NULL ? -1 : num_cmp(incident, threshold, Py_GE);
@@ -2395,11 +2425,70 @@ bind_attr(PyObject **target, PyObject *owner, const char *name)
     return 0;
 }
 
+/* Set and name ``table_fold``: the fold that returns ``summation``'s
+ * 8 bytes (so NaN and -0.0 count) on tables that tell the two apart and
+ * walk their corners: 0.0 plain / 2.0 compensated, ten tenths, a one-ulp
+ * cancellation, -0.0 (it enters as 0.0 + -0.0), a NaN, an overflow that
+ * stays inf, subnormals.  "builtin" when neither does. */
+static PyObject *
+ck_select_fold(PyObject *module, PyObject *summation)
+{
+    PyObject *total, *mine, *probes = Py_BuildValue(
+        "({i:d,i:d,i:d,i:d}{i:d,i:d,i:d,i:d,i:d,i:d,i:d,i:d,i:d,i:d}"
+        "{i:d,i:d,i:d}{i:d}{i:d,i:d}{i:d,i:d,i:d}{i:d,i:d,i:d,i:d})",
+        0, 1.0, 1, 1e100, 2, 1.0, 3, -1e100,
+        0, .1, 1, .1, 2, .1, 3, .1, 4, .1, 5, .1, 6, .1, 7, .1, 8, .1, 9, .1,
+        0, 1.0, 1, 0x1p-53, 2, -1.0,  0, -0.0,  0, Py_HUGE_VAL, 1, -Py_HUGE_VAL,
+        0, 1e308, 1, 1e308, 2, -1e308,
+        0, 5e-324, 1, -1e-323, 2, 3e-308, 3, -2.5e-308);
+    int agrees[] = {0, 1, 1}, fold;
+    Py_ssize_t i;
+
+    for (i = 0; probes != NULL && i < PyTuple_GET_SIZE(probes)
+            && !PyErr_Occurred(); i++) {
+        PyObject *table = PyTuple_GET_ITEM(probes, i);
+        total = PyObject_CallFunction(summation, "N", PyDict_Values(table));
+        /* Raising where the folds answer agrees with neither. */
+        if (total == NULL && PyErr_ExceptionMatches(PyExc_Exception))
+            PyErr_Clear();
+        for (fold = FOLD_PLAIN; fold <= FOLD_COMPENSATED; fold++) {
+            mine = table_sum(table, fold);  /* runs no Python here */
+            if (mine == NULL || total == NULL || !PyFloat_CheckExact(total)
+                    || memcmp(&((PyFloatObject *)mine)->ob_fval,
+                              &((PyFloatObject *)total)->ob_fval,
+                              sizeof(double)) != 0)
+                agrees[fold] = 0;
+            Py_XDECREF(mine);
+        }
+        Py_XDECREF(total);
+    }
+    Py_XDECREF(probes);
+    if (PyErr_Occurred())
+        return NULL;
+    table_fold = agrees[FOLD_PLAIN] ? FOLD_PLAIN
+        : agrees[FOLD_COMPENSATED] ? FOLD_COMPENSATED : FOLD_BUILTIN;
+    return PyModule_AddStringConstant(module, "table_fold",
+                                      fold_names[table_fold]) < 0
+        ? NULL : PyUnicode_FromString(fold_names[table_fold]);
+}
+
+/* For tests: table_sum() as one fold, whichever is selected. */
+static PyObject *
+ck_table_sum(PyObject *module, PyObject *args)
+{
+    PyObject *table;
+    int compensated;
+
+    if (!PyArg_ParseTuple(args, "O!p:table_sum", &PyDict_Type, &table,
+                          &compensated))
+        return NULL;
+    return table_sum(table, compensated ? FOLD_COMPENSATED : FOLD_PLAIN);
+}
+
 static PyObject *
 ck_bind_phy(PyObject *module, PyObject *args)
 {
-    PyObject *radio, *tracker, *state, *capture, *models, *builtins;
-    PyObject *value;
+    PyObject *radio, *tracker, *state, *capture, *models, *value;
     const struct slot_spec radio_slots[] = {
         {"_arrivals", &off_r_arrivals}, {"_state", &off_r_state},
         {"_locked", &off_r_locked}, {"_locked_power", &off_r_locked_power},
@@ -2456,13 +2545,6 @@ ck_bind_phy(PyObject *module, PyObject *args)
     Py_DECREF(value);
     if (per_cache_limit == -1 && PyErr_Occurred())
         return NULL;
-    if ((builtins = PyImport_ImportModule("builtins")) == NULL)
-        return NULL;
-    if (bind_attr(&builtin_sum, builtins, "sum") < 0) {
-        Py_DECREF(builtins);
-        return NULL;
-    }
-    Py_DECREF(builtins);
     Py_INCREF(tracker);
     Py_XSETREF(sinr_type, (PyTypeObject *)tracker);
     Py_INCREF(capture);
@@ -2550,6 +2632,11 @@ static PyMethodDef ck_methods[] = {
      "RateController.on_snr_measurement): bind the MAC classes the\n"
      "carrier-sense slots and the frame demux work on (slot offsets, the\n"
      "no-op a controller may inherit). Resolves once per process."},
+    {"select_fold", ck_select_fold, METH_O,
+     "select_fold(summation) -> name: set table_fold to the C fold that\n"
+     "returns summation's bits (builtins.sum's, when the module loads)."},
+    {"table_sum", ck_table_sum, METH_VARARGS,
+     "table_sum(dict, compensated): the edges' table sum as one fold (tests)."},
     {"arm", (PyCFunction)(void (*)(void))ck_arm, METH_FASTCALL,
      "arm(timer, time): compiled twin of engine._arm."},
     {"fan_out", (PyCFunction)(void (*)(void))ck_fan_out, METH_FASTCALL,
@@ -2630,7 +2717,9 @@ PyInit__ckernel(void)
         if ((*names[i].target
                 = PyUnicode_InternFromString(names[i].text)) == NULL)
             return NULL;
-    if ((float_zero = PyFloat_FromDouble(0.0)) == NULL)
+    if ((float_zero = PyFloat_FromDouble(0.0)) == NULL
+            || (builtin_sum = PyMapping_GetItemString(PyEval_GetBuiltins(),
+                                                      "sum")) == NULL)
         return NULL;
 
     if (PyType_Ready(&EventQueue_Type) < 0)
@@ -2641,7 +2730,8 @@ PyInit__ckernel(void)
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
             || PyModule_AddIntConstant(module, "KERNEL_ABI", 5) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
-                                     (PyObject *)&EventQueue_Type) < 0) {
+                                     (PyObject *)&EventQueue_Type) < 0
+            || discard(ck_select_fold(module, builtin_sum)) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -36,7 +36,10 @@ the corrupt and the overheard frame itself — both read the per-frame
 :attr:`~repro.mac.frames.Dot11Frame.rx_verdict` — and is this method for
 every frame addressed to the station: Python owns the frames addressed
 to it.  Python callers here and the transmit path use the methods on
-every kernel.
+every kernel; ``sum(arrivals.values())`` in ``_maybe_start_ifs`` is what
+the twin's C fold is held to (``_ckernel.table_fold``).  The transmit
+path sizes a frame by arithmetic (``_frame_size``) and builds it once,
+to be sent; what the frozen standard fixes is computed at construction.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from types import MethodType
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.engine import Simulator, Timer
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, FrameError
 from ..core.stats import Counter
 from ..phy.standards import PhyMode
 from ..phy.transceiver import Radio, RadioState
@@ -61,8 +64,10 @@ from .frames import (
     ControlSubtype,
     DataSubtype,
     Dot11Frame,
+    FrameType,
     ManagementSubtype,
     SEQUENCE_MODULO,
+    frame_size_bytes,
     make_ack,
     make_cts,
     make_data,
@@ -178,7 +183,8 @@ class DcfMac:
                  "_countdown_anchor", "_countdown_remaining", "_response",
                  "_pending_send", "_tx_continuation", "_awaiting",
                  "_use_eifs", "_basic_mode", "_slot_time", "_difs",
-                 "_eifs", "_address_value", "_frame_probe")
+                 "_eifs", "_address_value", "_frame_probe", "_ack_airtime",
+                 "_cts_airtime", "_ack_wait", "_cts_wait", "_ack_reserve_us")
 
     def __init__(self, sim: Simulator, radio: Radio, address: MacAddress,
                  config: Optional[DcfConfig] = None,
@@ -252,6 +258,16 @@ class DcfMac:
         # the cached floats are the outputs of the property expressions.
         self._difs = standard.difs
         self._eifs = standard.eifs
+        # So are the control responses' airtimes at the basic mode, the
+        # two response waits short of the (live) timeout margin and the
+        # reservation a lone data fragment announces.
+        ack = self._ack_airtime = self._airtime(ACK_SIZE_BYTES,
+                                                self._basic_mode)
+        cts = self._cts_airtime = self._airtime(CTS_SIZE_BYTES,
+                                                self._basic_mode)
+        self._ack_wait = standard.sifs + ack + standard.slot_time
+        self._cts_wait = standard.sifs + cts + standard.slot_time
+        self._ack_reserve_us = self._us(standard.sifs + ack)
         self._address_value = address.value
 
     # ------------------------------------------------------------------ API
@@ -370,12 +386,11 @@ class DcfMac:
         sequence = self._sequence
         self._sequence = (self._sequence + 1) % SEQUENCE_MODULO
         controller = self.rate_controller_for(msdu.destination)
-        first = self._frame_for(msdu, mgmt, fragments, 0, sequence,
-                                retry=False)
+        first_size = self._frame_size(msdu, mgmt, fragments[0])
         use_rts = (mgmt is None
                    and not msdu.destination.is_broadcast
                    and not msdu.destination.is_multicast
-                   and first.wire_size_bytes() > self.config.rts_threshold_bytes)
+                   and first_size > self.config.rts_threshold_bytes)
         return _TxContext(msdu, mgmt, fragments, sequence, use_rts, controller)
 
     # ----------------------------------------------------------- carrier sense
@@ -506,17 +521,28 @@ class DcfMac:
     def _airtime(self, size_bytes: int, mode: PhyMode) -> float:
         return self.radio.standard.frame_airtime(size_bytes * 8, mode)
 
-    def _ack_time(self) -> float:
-        return self._airtime(ACK_SIZE_BYTES, self._basic_mode)
-
-    def _cts_time(self) -> float:
-        return self._airtime(CTS_SIZE_BYTES, self._basic_mode)
-
     @staticmethod
     def _us(seconds: float) -> int:
         return min(int(math.ceil(seconds * 1e6)), 0xFFFF)
 
     # --------------------------------------------------------------- transmit
+
+    def _frame_size(self, msdu: Msdu, mgmt: Optional[ManagementSubtype],
+                    fragment: Fragment) -> int:
+        """``_frame_for(...).wire_size_bytes()`` of that fragment without
+        the frame: a size decides RTS and fills duration fields before,
+        and more often than, a frame is built to be sent."""
+        meta = msdu.meta
+        if meta.get("ps_poll"):
+            return frame_size_bytes(FrameType.CONTROL,
+                                    ControlSubtype.PS_POLL, 0)
+        if meta.get("null"):
+            return frame_size_bytes(FrameType.DATA, DataSubtype.NULL, 0)
+        if mgmt is None and meta.get("to_ds") and meta.get("from_ds"):
+            raise FrameError("wireless-DS data frames require addr4")
+        # Management and data frames share the three-address header.
+        return frame_size_bytes(FrameType.DATA, DataSubtype.DATA,
+                                len(fragment.payload))
 
     def _frame_for(self, msdu: Msdu, mgmt: Optional[ManagementSubtype],
                    fragments: List[Fragment], index: int, sequence: int,
@@ -562,38 +588,30 @@ class DcfMac:
         next fragment + its ACK when the burst continues."""
         if ctx.is_broadcast:
             return 0
+        if not ctx.has_more_fragments:
+            return self._ack_reserve_us
         sifs = self.radio.standard.sifs
-        total = sifs + self._ack_time()
-        if ctx.has_more_fragments:
-            next_frame = self._frame_for(ctx.msdu, ctx.mgmt_subtype,
-                                         ctx.fragments, ctx.frag_index + 1,
-                                         ctx.sequence, retry=False)
-            total += 2 * sifs + \
-                self._airtime(next_frame.wire_size_bytes(), mode) + \
-                self._ack_time()
-        return self._us(total)
+        next_size = self._frame_size(ctx.msdu, ctx.mgmt_subtype,
+                                     ctx.fragments[ctx.frag_index + 1])
+        return self._us(sifs + self._ack_airtime + (
+            2 * sifs + self._airtime(next_size, mode) + self._ack_airtime))
 
     def _send_rts(self) -> None:
         ctx = self._current
         assert ctx is not None
         mode = ctx.controller.current_mode()
-        data_frame = self._frame_for(ctx.msdu, ctx.mgmt_subtype,
-                                     ctx.fragments, ctx.frag_index,
-                                     ctx.sequence, retry=ctx.attempts > 0)
-        sifs = self.radio.standard.sifs
-        duration = 3 * sifs + self._cts_time() + \
-            self._airtime(data_frame.wire_size_bytes(), mode) + \
-            self._ack_time()
+        data_size = self._frame_size(ctx.msdu, ctx.mgmt_subtype,
+                                     ctx.fragments[ctx.frag_index])
+        duration = 3 * self.radio.standard.sifs + self._cts_airtime + \
+            self._airtime(data_size, mode) + self._ack_airtime
         rts = make_rts(self.address, ctx.msdu.destination, self._us(duration))
         self.counters.incr("tx_rts")
         self._transmit_frame(rts, self._basic_mode,
                              continuation=self._after_rts_tx)
 
     def _after_rts_tx(self) -> None:
-        timeout = self.radio.standard.sifs + self._cts_time() + \
-            self.radio.standard.slot_time + self.config.timeout_margin
         self._awaiting = "cts"
-        self._response.schedule(timeout)
+        self._response.schedule(self._cts_wait + self.config.timeout_margin)
 
     def _send_data_fragment(self) -> None:
         ctx = self._current
@@ -620,10 +638,8 @@ class DcfMac:
                                  continuation=self._after_data_tx)
 
     def _after_data_tx(self) -> None:
-        timeout = self.radio.standard.sifs + self._ack_time() + \
-            self.radio.standard.slot_time + self.config.timeout_margin
         self._awaiting = "ack"
-        self._response.schedule(timeout)
+        self._response.schedule(self._ack_wait + self.config.timeout_margin)
 
     def _after_broadcast_tx(self) -> None:
         self._complete_current(success=True)
@@ -712,7 +728,7 @@ class DcfMac:
             if not self.nav.busy:
                 duration = max(
                     frame.duration_us
-                    - self._us(self.radio.standard.sifs + self._cts_time()),
+                    - self._us(self.radio.standard.sifs + self._cts_airtime),
                     0)
                 cts = make_cts(frame.transmitter, duration)
                 self._schedule_response(cts)
@@ -746,7 +762,8 @@ class DcfMac:
                                self._transmit_response, frame)
 
     def _transmit_response(self, frame: Dot11Frame) -> None:
-        if self.radio.state.value in ("tx", "sleep"):
+        state = self.radio._state
+        if state is RadioState.TX or state is RadioState.SLEEP:
             return  # mid-transmission or dozed off: drop the response
         self._cancel_access_timers()
         self._tx_continuation = None

@@ -12,20 +12,23 @@ Control frames use their special short formats: RTS is 20 bytes
 RA, FCS).  PS-Poll carries the association ID in the duration field.
 
 For simulation-speed the hot path uses :meth:`Dot11Frame.wire_size_bytes`
-(arithmetic) rather than serializing every frame; serialization and
-parsing exist for tests, the security layer, and trace dumps, and are
-exact inverses of each other.  Likewise a frame is *judged* once, not
-once per receiver: :attr:`Dot11Frame.rx_verdict` derives what every
-station that decodes it asks — for whom, how long a reservation, from
-whom — at the first decode and caches it on the frame object.
+(arithmetic) rather than serializing every frame — and
+:func:`frame_size_bytes`, the same arithmetic, where the MAC sizes a frame
+it has not built yet; serialization and parsing exist for tests, the
+security layer, and trace dumps, and are exact inverses of each other.
+Likewise a frame is *judged* once, not once per receiver:
+:attr:`Dot11Frame.rx_verdict` derives what every station that decodes it
+asks — for whom, how long a reservation, from whom — at the first decode
+and caches it on the frame object.  What is immutable is shared: the
+``make_*`` constructors intern their :class:`FrameControl`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from functools import cached_property
-from typing import Optional, Tuple
+from operator import is_
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.errors import FrameError
 from .addresses import BROADCAST, MacAddress
@@ -78,6 +81,38 @@ RTS_SIZE_BYTES = 20
 #: CTS and ACK: FC(2) dur(2) RA(6) FCS(4).
 CTS_SIZE_BYTES = 14
 ACK_SIZE_BYTES = 14
+
+
+def frame_size_bytes(frame_type: FrameType, subtype: int, body_bytes: int,
+                     four_address: bool = False) -> int:
+    """Total on-air size including FCS of a frame of that type, from its
+    body length alone — what :meth:`Dot11Frame.wire_size_bytes` answers."""
+    if frame_type != FrameType.CONTROL:
+        header = _HEADER_4ADDR if four_address else _HEADER_3ADDR
+    elif subtype in (ControlSubtype.RTS, ControlSubtype.PS_POLL):
+        header = RTS_SIZE_BYTES - _FCS_LEN  # both carry RA and TA
+    elif subtype in (ControlSubtype.CTS, ControlSubtype.ACK):
+        header = CTS_SIZE_BYTES - _FCS_LEN
+    else:
+        raise FrameError(f"unknown control subtype {subtype}")
+    return header + body_bytes + _FCS_LEN
+
+
+class _cached:
+    """``functools.cached_property`` as 3.12 has it — a non-data
+    descriptor whose first read stores the value in the instance
+    ``__dict__`` — without the lock 3.11 takes on every miss."""
+
+    def __init__(self, function: Callable[[Any], Any]):
+        self.function = function
+        self.__doc__ = function.__doc__
+
+    def __get__(self, instance: Any, owner: Any = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.function.__name__] = \
+            self.function(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -229,7 +264,7 @@ class Dot11Frame:
         """Copy with the Retry bit set (for retransmissions)."""
         return replace(self, fc=replace(self.fc, retry=True))
 
-    @cached_property
+    @_cached
     def rx_verdict(self) -> Tuple[int, bool, float, Optional[int]]:
         """What every receiver's frame demux asks of this frame:
         ``(receiver address as int, group-addressed, NAV seconds,
@@ -252,20 +287,12 @@ class Dot11Frame:
     # --- sizes -----------------------------------------------------------------
 
     def header_size_bytes(self) -> int:
-        if self.is_control:
-            if self.is_rts or self.fc.subtype == ControlSubtype.PS_POLL:
-                # Both carry RA and TA: 20 bytes on the air.
-                return RTS_SIZE_BYTES - _FCS_LEN
-            if self.is_cts or self.is_ack:
-                return CTS_SIZE_BYTES - _FCS_LEN
-            raise FrameError(f"unknown control subtype {self.fc.subtype}")
-        if self.addr4 is not None:
-            return _HEADER_4ADDR
-        return _HEADER_3ADDR
+        return self.wire_size_bytes() - len(self.body) - _FCS_LEN
 
     def wire_size_bytes(self) -> int:
         """Total on-air size including FCS, without serializing."""
-        return self.header_size_bytes() + len(self.body) + _FCS_LEN
+        return frame_size_bytes(self.fc.type, self.fc.subtype, len(self.body),
+                                self.addr4 is not None)
 
     def wire_size_bits(self) -> int:
         return self.wire_size_bytes() * 8
@@ -336,20 +363,39 @@ class Dot11Frame:
 
 # --- constructors for the common frames --------------------------------------
 
+_frame_controls: Dict[tuple, Tuple[tuple, FrameControl]] = {}
+
+
+def _frame_control(*fields: Any) -> FrameControl:
+    """``FrameControl(0, *fields)`` (type, subtype, then the flags in
+    field order), interned: frozen, so one object serves every frame
+    with those bits.  A hit must hold the very objects asked for —
+    ``1 == True`` as a key, but a frame built with ``1`` stores ``1`` —
+    and only real ``bool`` flags are kept, so the memo is bounded by the
+    flag combinations in use."""
+    hit = _frame_controls.get(fields)
+    if hit is not None and all(map(is_, hit[0], fields)):
+        return hit[1]
+    fc = FrameControl(0, *fields)
+    if all(type(flag) is bool for flag in fields[2:]):
+        _frame_controls.setdefault(fields, (fields, fc))
+    return fc
+
+
 def make_rts(transmitter: MacAddress, receiver: MacAddress,
              duration_us: int) -> Dot11Frame:
-    fc = FrameControl(type=FrameType.CONTROL, subtype=ControlSubtype.RTS)
+    fc = _frame_control(FrameType.CONTROL, ControlSubtype.RTS)
     return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver,
                       addr2=transmitter)
 
 
 def make_cts(receiver: MacAddress, duration_us: int) -> Dot11Frame:
-    fc = FrameControl(type=FrameType.CONTROL, subtype=ControlSubtype.CTS)
+    fc = _frame_control(FrameType.CONTROL, ControlSubtype.CTS)
     return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver)
 
 
 def make_ack(receiver: MacAddress) -> Dot11Frame:
-    fc = FrameControl(type=FrameType.CONTROL, subtype=ControlSubtype.ACK)
+    fc = _frame_control(FrameType.CONTROL, ControlSubtype.ACK)
     return Dot11Frame(fc=fc, duration_us=0, addr1=receiver)
 
 
@@ -360,11 +406,9 @@ def make_data(transmitter: MacAddress, receiver: MacAddress,
               protected: bool = False, duration_us: int = 0,
               retry: bool = False, power_management: bool = False,
               more_data: bool = False) -> Dot11Frame:
-    fc = FrameControl(type=FrameType.DATA, subtype=DataSubtype.DATA,
-                      to_ds=to_ds, from_ds=from_ds,
-                      more_fragments=more_fragments, retry=retry,
-                      power_management=power_management,
-                      more_data=more_data, protected=protected)
+    fc = _frame_control(FrameType.DATA, DataSubtype.DATA, to_ds, from_ds,
+                        more_fragments, retry, power_management, more_data,
+                        protected)
     return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver,
                       addr2=transmitter, addr3=bssid,
                       seq=SequenceControl(sequence=sequence, fragment=fragment),
@@ -376,8 +420,8 @@ def make_ps_poll(transmitter: MacAddress, bssid: MacAddress,
     """PS-Poll: the duration/ID field carries the association ID
     (source text §4.2, 'When the sub-type is PS Poll, the field contains
     the association identity (AID) of the transmitting STA')."""
-    fc = FrameControl(type=FrameType.CONTROL, subtype=ControlSubtype.PS_POLL,
-                      retry=retry)
+    fc = _frame_control(FrameType.CONTROL, ControlSubtype.PS_POLL,
+                        False, False, False, retry)
     return Dot11Frame(fc=fc, duration_us=aid, addr1=bssid,
                       addr2=transmitter)
 
@@ -388,9 +432,8 @@ def make_null(transmitter: MacAddress, receiver: MacAddress,
               duration_us: int = 0, retry: bool = False) -> Dot11Frame:
     """A null data frame: no payload, just the Power Management bit —
     how a station announces entering/leaving power-save mode."""
-    fc = FrameControl(type=FrameType.DATA, subtype=DataSubtype.NULL,
-                      to_ds=to_ds, retry=retry,
-                      power_management=power_management)
+    fc = _frame_control(FrameType.DATA, DataSubtype.NULL, to_ds, False,
+                        False, retry, power_management)
     return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver,
                       addr2=transmitter, addr3=bssid,
                       seq=SequenceControl(sequence=sequence), body=b"")
@@ -401,9 +444,8 @@ def make_management(subtype: ManagementSubtype, transmitter: MacAddress,
                     sequence: int = 0, duration_us: int = 0,
                     retry: bool = False, power_management: bool = False,
                     more_data: bool = False) -> Dot11Frame:
-    fc = FrameControl(type=FrameType.MANAGEMENT, subtype=subtype,
-                      retry=retry, power_management=power_management,
-                      more_data=more_data)
+    fc = _frame_control(FrameType.MANAGEMENT, subtype, False, False, False,
+                        retry, power_management, more_data)
     return Dot11Frame(fc=fc, duration_us=duration_us, addr1=receiver,
                       addr2=transmitter, addr3=bssid,
                       seq=SequenceControl(sequence=sequence), body=body)

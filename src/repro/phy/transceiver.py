@@ -28,6 +28,10 @@ over the same ``__slots__`` — which hand any step they do not handle (an
 aborted lock, an off-type field, an error model that is not exactly
 ``BerErrorModel``, the trace record) back to the method here: a change to
 these methods changes what ``tests/phy/test_edge_parity.py`` holds both to.
+``sum(self._arrivals.values())`` here is the reference for every table
+sum there: the twins fold the values in C, in whichever way returns this
+interpreter's ``sum()`` bit for bit (``_ckernel.table_fold``;
+``tests/phy/test_table_fold.py``), and call ``sum()`` where none does.
 """
 
 from __future__ import annotations
@@ -260,9 +264,10 @@ class Radio:
 
     def transmit(self, payload: Any, size_bits: int, mode: PhyMode) -> float:
         """Send a frame; returns its airtime.  MAC must be idle/decided."""
-        if self.state == RadioState.TX:
+        state = self._state
+        if state is RadioState.TX:
             raise SimulationError(f"{self.name}: transmit while already in TX")
-        if self.state == RadioState.SLEEP:
+        if state is RadioState.SLEEP:
             raise SimulationError(f"{self.name}: transmit while asleep")
         if mode.name not in self._tx_mode_names:
             raise SimulationError(
@@ -298,10 +303,11 @@ class Radio:
         it cannot carrier-sense while jamming, exactly like a frame
         transmission — and fires :attr:`on_tx_end` when done.
         """
-        if self.state == RadioState.TX:
+        state = self._state
+        if state is RadioState.TX:
             raise SimulationError(
                 f"{self.name}: transmit_energy while already in TX")
-        if self.state == RadioState.SLEEP:
+        if state is RadioState.SLEEP:
             raise SimulationError(
                 f"{self.name}: transmit_energy while asleep")
         if duration <= 0.0:

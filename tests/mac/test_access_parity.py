@@ -388,6 +388,52 @@ def test_a_saturated_cell_runs_alike_and_does_contend():
     assert compiled[-1]["cancelled"] > 100        # freezes and re-anchors
 
 
+def test_a_field_of_emitters_keeps_every_table_deep_and_runs_alike():
+    """Eight duty-cycled emitters, each near the noise floor and all of
+    them together under the CCA threshold: every table is six to nine
+    deep for the whole run, so the IFS arm, the locks taken under them,
+    the refreshes at their edges and the CCA verdicts all take sums that
+    no single-arrival shortcut answers — and stations still deliver."""
+    def play(kernel):
+        world = World(kernel, 3, per=0.3)
+        sim, frames, depths = world.sim, [], []
+        for index in range(8):
+            emitter = Radio(f"e{index}", world.medium, DOT11B,
+                            Position(0.4 * index, 2.0, 0.0))
+            # Received at about 1e-13 W apiece (FixedLoss: 50 dB).
+            burst = MethodType(Radio.transmit_energy, emitter)
+            args = ((9.0 + 0.13 * index) * 1e-4, (1.1 + 0.37 * index) * 1e-8)
+            emitter.on_tx_end = lambda burst=burst, args=args, index=index: \
+                sim.schedule_fast(1e-5 * (1 + index), burst, *args)
+            sim.schedule_fast(1.3e-5 * index, burst, *args)
+        sim.run(until=2e-4)                       # the field is up
+        for source in range(3):
+            for size in (700, 40, 300):
+                world.macs[source].send(
+                    world.macs[(source + 1) % 3].address, bytes(size))
+        for _ in range(60):
+            sim.run(until=sim.now + 2.5e-4)
+            frames.append(world.snapshot())
+            depths.extend(
+                (len(mac.radio._arrivals), mac.radio._locked is not None,
+                 mac._ifs._armed or mac._countdown._armed)
+                for mac in world.macs)
+        return world, frames, depths
+
+    _, reference, _ = play("python")
+    world, compiled, depths = play("c")
+    assert compiled == reference
+    assert min(depth for depth, _locked, _contending in depths) >= 6
+    assert any(locked and depth >= 7 for depth, locked, _c in depths)
+    assert any(contending for _depth, _locked, contending in depths)
+    totals = Counter()
+    for mac in world.macs:
+        totals.merge(mac.counters)
+    for name in ("msdu_delivered", "fragments_sent", "rx_corrupt",
+                 "ack_timeouts", "nav_updates"):
+        assert totals.get(name) > 0, name
+
+
 # --- who runs what -----------------------------------------------------------
 
 def test_the_compiled_world_really_runs_compiled_slots():

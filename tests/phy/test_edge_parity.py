@@ -451,6 +451,19 @@ CORNERS = {
         ("begins", 1, 5, OddWatts(1e-10)), ("begins", 1, 0, 3e-10),
         ("begins", 1, 6, OddWatts(2e-10)), ("ends", 1, 5), ("run", 1e-3),
         ("begins", 1, 4, 1e-6), ("ends", 1, 4), ("ends", 1, 6)],
+    # A field of emitters under every threshold: the table is six deep
+    # before a frame locks under it, seven deep through its reception,
+    # and still six deep at its tail — the lock, the refreshes, the CCA
+    # verdicts all take sums no shortcut answers.
+    "a lock under six emitters": [
+        ("begins", 1, 4, NOISE * 0.31), ("begins", 1, 5, NOISE * 0.17),
+        ("begins", 1, 6, NOISE * 0.23), ("begins", 1, 3, NOISE * 0.11),
+        ("begins", 1, 7, NOISE * 0.13), ("begins", 1, 8, NOISE * 0.19),
+        ("begins", 1, 0, LOCKED), ("run", 5e-5), ("ends", 1, 5),
+        ("begins", 1, 5, NOISE * 0.7), ("run", 5e-5), ("ends", 1, 4),
+        ("begins", 1, 4, CCA), ("run", 9e-5), ("ends", 1, 0), ("run", 1e-3),
+        ("ends", 1, 4), ("ends", 1, 6), ("ends", 1, 3), ("ends", 1, 7),
+        ("ends", 1, 8), ("ends", 1, 5)],
     # Arrivals at a sleeping radio are tracked; waking resumes CCA.
     "asleep, then awake under energy": [
         ("sleep", 1), ("begins", 1, 5, 1e-6), ("wake", 1), ("ends", 1, 5)],
@@ -497,6 +510,20 @@ def test_corner_schedules(corner):
             ["cca-busy", "cca-idle"]
     if corner.startswith("capture"):
         assert compiled[2]["radios"][1][4] == "pool1"
+    if corner.startswith("a lock under"):
+        emitters = [NOISE * share for share in (.31, .17, .23, .11, .13, .19)]
+        tables = [radios[1][3] for radios in
+                  (frame["radios"] for frame in compiled)]
+        assert [len(table) for table in tables[5:16]] == \
+            [6, 7, 7, 6, 7, 7, 6, 7, 7, 6, 6]
+        locked = compiled[6]["radios"][1]
+        assert locked[4] == "pool0"               # locked under all six
+        assert locked[7][4] == repr(sum(emitters + [LOCKED]) - LOCKED)
+        assert compiled[15]["radios"][1][1:3] == ("idle", True)  # the tail
+        assert compiled[16]["radios"][1][2] is False  # five left: under CCA
+        (_, _, _, _, ok, snr, _), = [entry for entry in compiled[-1]["log"]
+                                      if entry[1] == "rx-end"]
+        assert ok is True and 15.0 < float(snr) < 20.0  # 28.3 dB alone
     if corner.startswith("a table that does"):
         assert compiled[1]["radios"][1][4] == "pool0"      # it did lock
         assert compiled[3]["radios"][1][7][4] != "0.0"     # and refreshed
