@@ -38,8 +38,12 @@ every frame addressed to the station: Python owns the frames addressed
 to it.  Python callers here and the transmit path use the methods on
 every kernel; ``sum(arrivals.values())`` in ``_maybe_start_ifs`` is what
 the twin's C fold is held to (``_ckernel.table_fold``).  The transmit
-path sizes a frame by arithmetic (``_frame_size``) and builds it once,
-to be sent; what the frozen standard fixes is computed at construction.
+path sizes every fragment of an MSDU once, by arithmetic, as its context
+is prepared (``_TxContext.sizes`` feeds the RTS decision, the duration
+fields, the byte counter and the bits transmitted) and builds a frame
+only to send it; what the frozen standard fixes is computed at
+construction, and each peer is acknowledged with one frozen ACK, built
+on first use.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from .frames import (
     Dot11Frame,
     FrameType,
     ManagementSubtype,
+    RTS_SIZE_BYTES,
     SEQUENCE_MODULO,
     frame_size_bytes,
     make_ack,
@@ -134,29 +139,26 @@ class MacListener:
 class _TxContext:
     """State of the MSDU currently being transmitted."""
 
-    __slots__ = ("msdu", "mgmt_subtype", "fragments", "frag_index",
+    __slots__ = ("msdu", "mgmt_subtype", "fragments", "sizes", "frag_index",
                  "sequence", "use_rts", "attempts", "rts_attempts",
                  "cts_received", "is_broadcast", "controller")
 
     def __init__(self, msdu: Msdu, mgmt_subtype: Optional[ManagementSubtype],
-                 fragments: List[Fragment], sequence: int, use_rts: bool,
-                 controller: RateController):
+                 fragments: List[Fragment], sizes: List[int], sequence: int,
+                 use_rts: bool, controller: RateController):
         self.msdu = msdu
         self.mgmt_subtype = mgmt_subtype
         self.fragments = fragments
+        self.sizes = sizes
         self.frag_index = 0
         self.sequence = sequence
         self.use_rts = use_rts
         self.attempts = 0
         self.rts_attempts = 0
         self.cts_received = False
-        self.is_broadcast = msdu.destination.is_broadcast or \
-            msdu.destination.is_multicast
+        # The group bit covers broadcast: all ones has it set.
+        self.is_broadcast = msdu.destination.is_multicast
         self.controller = controller
-
-    @property
-    def current_fragment(self) -> Fragment:
-        return self.fragments[self.frag_index]
 
     @property
     def has_more_fragments(self) -> bool:
@@ -184,7 +186,8 @@ class DcfMac:
                  "_pending_send", "_tx_continuation", "_awaiting",
                  "_use_eifs", "_basic_mode", "_slot_time", "_difs",
                  "_eifs", "_address_value", "_frame_probe", "_ack_airtime",
-                 "_cts_airtime", "_ack_wait", "_cts_wait", "_ack_reserve_us")
+                 "_cts_airtime", "_ack_wait", "_cts_wait", "_ack_reserve_us",
+                 "_acks")
 
     def __init__(self, sim: Simulator, radio: Radio, address: MacAddress,
                  config: Optional[DcfConfig] = None,
@@ -238,6 +241,8 @@ class DcfMac:
         self.counters = Counter()
         #: Per-peer rate controllers, keyed by ``MacAddress.value``.
         self._controllers: Dict[int, RateController] = {}
+        #: The ACK this MAC sends each peer, keyed by ``MacAddress.value``.
+        self._acks: Dict[int, Dot11Frame] = {}
         self._sequence = 0
         self._current: Optional[_TxContext] = None
         self._backoff_remaining: Optional[int] = None
@@ -378,20 +383,20 @@ class DcfMac:
 
     def _prepare_context(self, msdu: Msdu) -> _TxContext:
         mgmt = msdu.meta.get("mgmt")
-        if mgmt is not None:
+        threshold = self.config.fragmentation_threshold_bytes
+        if mgmt is not None or len(msdu.payload) <= threshold:
             fragments = [Fragment(0, False, msdu.payload)]
         else:
-            fragments = fragment_payload(
-                msdu.payload, self.config.fragmentation_threshold_bytes)
+            fragments = fragment_payload(msdu.payload, threshold)
         sequence = self._sequence
         self._sequence = (self._sequence + 1) % SEQUENCE_MODULO
         controller = self.rate_controller_for(msdu.destination)
-        first_size = self._frame_size(msdu, mgmt, fragments[0])
-        use_rts = (mgmt is None
-                   and not msdu.destination.is_broadcast
-                   and not msdu.destination.is_multicast
-                   and first_size > self.config.rts_threshold_bytes)
-        return _TxContext(msdu, mgmt, fragments, sequence, use_rts, controller)
+        sizes = [self._frame_size(msdu, mgmt, fragment)
+                 for fragment in fragments]
+        use_rts = (mgmt is None and not msdu.destination.is_multicast
+                   and sizes[0] > self.config.rts_threshold_bytes)
+        return _TxContext(msdu, mgmt, fragments, sizes, sequence, use_rts,
+                          controller)
 
     # ----------------------------------------------------------- carrier sense
 
@@ -591,8 +596,7 @@ class DcfMac:
         if not ctx.has_more_fragments:
             return self._ack_reserve_us
         sifs = self.radio.standard.sifs
-        next_size = self._frame_size(ctx.msdu, ctx.mgmt_subtype,
-                                     ctx.fragments[ctx.frag_index + 1])
+        next_size = ctx.sizes[ctx.frag_index + 1]
         return self._us(sifs + self._ack_airtime + (
             2 * sifs + self._airtime(next_size, mode) + self._ack_airtime))
 
@@ -600,13 +604,12 @@ class DcfMac:
         ctx = self._current
         assert ctx is not None
         mode = ctx.controller.current_mode()
-        data_size = self._frame_size(ctx.msdu, ctx.mgmt_subtype,
-                                     ctx.fragments[ctx.frag_index])
+        data_size = ctx.sizes[ctx.frag_index]
         duration = 3 * self.radio.standard.sifs + self._cts_airtime + \
             self._airtime(data_size, mode) + self._ack_airtime
         rts = make_rts(self.address, ctx.msdu.destination, self._us(duration))
         self.counters.incr("tx_rts")
-        self._transmit_frame(rts, self._basic_mode,
+        self._transmit_frame(rts, RTS_SIZE_BYTES * 8, self._basic_mode,
                              continuation=self._after_rts_tx)
 
     def _after_rts_tx(self) -> None:
@@ -624,17 +627,18 @@ class DcfMac:
                                 ctx.frag_index, ctx.sequence,
                                 retry=ctx.attempts > 0,
                                 duration_us=self._data_duration(ctx, mode))
+        size = ctx.sizes[ctx.frag_index]
         ctx.attempts += 1
         self.counters.incr("tx_data")
-        self.counters.incr("tx_data_bytes", frame.wire_size_bytes())
+        self.counters.incr("tx_data_bytes", size)
         probe = self._frame_probe
         if probe is not None:
             probe("tx", ctx.msdu)
         if ctx.is_broadcast:
-            self._transmit_frame(frame, mode,
+            self._transmit_frame(frame, size * 8, mode,
                                  continuation=self._after_broadcast_tx)
         else:
-            self._transmit_frame(frame, mode,
+            self._transmit_frame(frame, size * 8, mode,
                                  continuation=self._after_data_tx)
 
     def _after_data_tx(self) -> None:
@@ -644,11 +648,11 @@ class DcfMac:
     def _after_broadcast_tx(self) -> None:
         self._complete_current(success=True)
 
-    def _transmit_frame(self, frame: Dot11Frame, mode: PhyMode,
+    def _transmit_frame(self, frame: Dot11Frame, bits: int, mode: PhyMode,
                         continuation: Callable[[], None]) -> None:
         self._cancel_access_timers()
         self._tx_continuation = continuation
-        self.radio.transmit(frame, frame.wire_size_bits(), mode)
+        self.radio.transmit(frame, bits, mode)
 
     # ------------------------------------------------------- PHY upcalls
 
@@ -700,9 +704,10 @@ class DcfMac:
             if self.sim._now >= self.nav._until:
                 self._maybe_start_ifs()
             return
-        if frame.is_control:
+        kind = frame.fc.type
+        if kind == FrameType.CONTROL:
             self._receive_control(frame, snr_db)
-        elif frame.is_data:
+        elif kind == FrameType.DATA:
             self._receive_data(frame, snr_db, broadcast)
         else:
             self._receive_management(frame, snr_db, broadcast)
@@ -711,18 +716,20 @@ class DcfMac:
     # ------------------------------------------------------------- control rx
 
     def _receive_control(self, frame: Dot11Frame, snr_db: float) -> None:
+        subtype = frame.fc.subtype
         # ACK/CTS carry no transmitter address, but while we await one we
         # know who it is from: feed its SNR to the link's rate controller
         # (the "ACK RSSI" estimate real drivers use).
-        if (frame.is_ack or frame.is_cts) and self._current is not None:
+        if (subtype == ControlSubtype.ACK or subtype == ControlSubtype.CTS) \
+                and self._current is not None:
             self._current.controller.on_snr_measurement(snr_db)
-        if frame.fc.subtype == ControlSubtype.PS_POLL:
+        if subtype == ControlSubtype.PS_POLL:
             self.counters.incr("rx_ps_poll")
-            if frame.transmitter is not None:
-                self._schedule_response(make_ack(frame.transmitter))
-                self.listener.mac_ps_poll(frame.transmitter,
-                                          frame.duration_us)
-        elif frame.is_rts:
+            transmitter = frame.addr2
+            if transmitter is not None:
+                self._acknowledge(transmitter)
+                self.listener.mac_ps_poll(transmitter, frame.duration_us)
+        elif subtype == ControlSubtype.RTS:
             self.counters.incr("rx_rts")
             # Respond with CTS only if our NAV is clear (standard rule).
             if not self.nav.busy:
@@ -730,9 +737,9 @@ class DcfMac:
                     frame.duration_us
                     - self._us(self.radio.standard.sifs + self._cts_airtime),
                     0)
-                cts = make_cts(frame.transmitter, duration)
+                cts = make_cts(frame.addr2, duration)
                 self._schedule_response(cts)
-        elif frame.is_cts:
+        elif subtype == ControlSubtype.CTS:
             if self._awaiting == "cts":
                 self._cancel_response_timer()
                 self._awaiting = None
@@ -742,7 +749,7 @@ class DcfMac:
                 ctx.rts_attempts = 0
                 self.counters.incr("rx_cts")
                 self._pending_send.schedule(self.radio.standard.sifs)
-        elif frame.is_ack:
+        elif subtype == ControlSubtype.ACK:
             if self._awaiting == "ack":
                 self._cancel_response_timer()
                 self._awaiting = None
@@ -761,6 +768,13 @@ class DcfMac:
         self.sim.schedule_fast(self.radio.standard.sifs,
                                self._transmit_response, frame)
 
+    def _acknowledge(self, peer: MacAddress) -> None:
+        """ACK ``peer`` one SIFS from now with this MAC's one ACK to it."""
+        ack = self._acks.get(peer.value)
+        if ack is None:
+            ack = self._acks[peer.value] = make_ack(peer)
+        self._schedule_response(ack)
+
     def _transmit_response(self, frame: Dot11Frame) -> None:
         state = self.radio._state
         if state is RadioState.TX or state is RadioState.SLEEP:
@@ -777,35 +791,38 @@ class DcfMac:
         probe = self._frame_probe
         if probe is not None:
             probe("rx", frame)
+        transmitter = frame.addr2
         if not broadcast:
-            self._schedule_response(make_ack(frame.transmitter))
-        if frame.transmitter is None:
+            self._acknowledge(transmitter)
+        if transmitter is None:
             return
+        fc = frame.fc
+        seq = frame.seq
         # Every data frame announces its sender's power-management state.
-        self.listener.mac_power_state(frame.transmitter,
-                                      frame.fc.power_management)
-        if self.dedup.is_duplicate(frame.transmitter, frame.seq.sequence,
-                                   frame.seq.fragment, frame.fc.retry):
+        self.listener.mac_power_state(transmitter, fc.power_management)
+        if self.dedup.is_duplicate(transmitter, seq.sequence, seq.fragment,
+                                   fc.retry):
             self.counters.incr("rx_duplicates")
             return
-        if frame.fc.subtype == DataSubtype.NULL:
+        if fc.subtype == DataSubtype.NULL:
             self.counters.incr("rx_null")
             return  # PM signalling only; nothing to deliver
+        now = self.sim._now
         msdu = self.reassembler.add_fragment(
-            self.sim.now, frame.transmitter, frame.seq.sequence,
-            frame.seq.fragment, frame.fc.more_fragments, frame.body)
+            now, transmitter, seq.sequence, seq.fragment, fc.more_fragments,
+            frame.body)
         if msdu is None:
             return  # waiting for more fragments
-        if frame.fc.to_ds:
-            source, destination = frame.addr2, frame.addr3
-        elif frame.fc.from_ds:
+        if fc.to_ds:
+            source, destination = transmitter, frame.addr3
+        elif fc.from_ds:
             source, destination = frame.addr3, frame.addr1
         else:
-            source, destination = frame.addr2, frame.addr1
-        meta = {"snr_db": snr_db, "protected": frame.fc.protected,
-                "to_ds": frame.fc.to_ds, "from_ds": frame.fc.from_ds,
-                "transmitter": frame.transmitter, "rx_time": self.sim.now,
-                "more_data": frame.fc.more_data}
+            source, destination = transmitter, frame.addr1
+        meta = {"snr_db": snr_db, "protected": fc.protected,
+                "to_ds": fc.to_ds, "from_ds": fc.from_ds,
+                "transmitter": transmitter, "rx_time": now,
+                "more_data": fc.more_data}
         if source is None or destination is None:
             return
         self.listener.mac_receive(source, destination, msdu, meta)
@@ -813,9 +830,10 @@ class DcfMac:
     def _receive_management(self, frame: Dot11Frame, snr_db: float,
                             broadcast: bool) -> None:
         self.counters.incr("rx_mgmt")
-        if not broadcast and frame.transmitter is not None:
-            self._schedule_response(make_ack(frame.transmitter))
-            if self.dedup.is_duplicate(frame.transmitter, frame.seq.sequence,
+        transmitter = frame.addr2
+        if not broadcast and transmitter is not None:
+            self._acknowledge(transmitter)
+            if self.dedup.is_duplicate(transmitter, frame.seq.sequence,
                                        frame.seq.fragment, frame.fc.retry):
                 self.counters.incr("rx_duplicates")
                 return

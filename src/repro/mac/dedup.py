@@ -28,7 +28,7 @@ class DuplicateCache:
             raise ValueError("history_per_sender must be >= 1")
         self._history = history_per_sender
         self._max_senders = max_senders
-        self._caches: "OrderedDict[MacAddress, OrderedDict[Tuple[int, int], None]]" = \
+        self._caches: "OrderedDict[int, OrderedDict[Tuple[int, int], None]]" = \
             OrderedDict()
         self.duplicates_dropped = 0
 
@@ -40,10 +40,11 @@ class DuplicateCache:
         a repeated tuple on a fresh (non-retry) frame means the sender's
         counter wrapped, which is legitimate traffic.
         """
-        cache = self._caches.get(transmitter)
+        sender = transmitter.value
+        cache = self._caches.get(sender)
         if cache is None:
             cache = OrderedDict()
-            self._caches[transmitter] = cache
+            self._caches[sender] = cache
             if len(self._caches) > self._max_senders:
                 self._caches.popitem(last=False)
         key = (sequence, fragment)
@@ -56,9 +57,9 @@ class DuplicateCache:
             if len(cache) > self._history:
                 cache.popitem(last=False)
         # Keep the sender LRU fresh.
-        self._caches.move_to_end(transmitter)
+        self._caches.move_to_end(sender)
         return duplicate
 
     def forget(self, transmitter: MacAddress) -> None:
         """Drop state for a sender (station left the BSS)."""
-        self._caches.pop(transmitter, None)
+        self._caches.pop(transmitter.value, None)

@@ -83,7 +83,8 @@ class Reassembler:
                      more_fragments: bool, payload: bytes
                      ) -> Optional[bytes]:
         """Feed one fragment in; returns the full MSDU when complete."""
-        self._expire(now)
+        if self._partials:
+            self._expire(now)
         if fragment_index == 0 and not more_fragments:
             return payload  # unfragmented fast path
         key = (transmitter, sequence)

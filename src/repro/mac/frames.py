@@ -20,7 +20,9 @@ Likewise a frame is *judged* once, not once per receiver:
 :attr:`Dot11Frame.rx_verdict` derives what every station that decodes it
 asks — for whom, how long a reservation, from whom — at the first decode
 and caches it on the frame object.  What is immutable is shared: the
-``make_*`` constructors intern their :class:`FrameControl`.
+``make_*`` constructors intern their :class:`FrameControl`, and a
+:class:`~repro.mac.dcf.DcfMac` sends each peer one ACK object, so even an
+ACK's verdict is derived once per (MAC, peer), not once per exchange.
 """
 
 from __future__ import annotations

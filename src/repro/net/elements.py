@@ -8,6 +8,13 @@ the association machinery needs, byte-exact enough to round-trip:
   capability field (with the privacy bit), SSID IE, supported-rates IE,
 * authentication body: algorithm, transaction sequence, status,
 * association request/response bodies.
+
+:meth:`BeaconBody.decode` remembers its last ``(raw, body)`` pair: every
+station in range of a beacon decodes the very same ``bytes`` object, and
+all but the first get the remembered, frozen body.  A hit is the identity
+of the raw bytes, and identity is enough: ``bytes`` are immutable and the
+memo keeps them alive, so their id cannot pass to other bytes.  Only
+``bytes`` are remembered, and only by a decode that returns.
 """
 
 from __future__ import annotations
@@ -118,6 +125,17 @@ class BeaconBody:
 
     @classmethod
     def decode(cls, raw: bytes) -> "BeaconBody":
+        global _last_beacon
+        last_raw, last_body = _last_beacon
+        if raw is last_raw and type(last_body) is cls:
+            return last_body
+        body = cls._decode(raw)
+        if type(raw) is bytes:
+            _last_beacon = (raw, body)
+        return body
+
+    @classmethod
+    def _decode(cls, raw: bytes) -> "BeaconBody":
         if len(raw) < 12:
             raise FrameError("beacon body too short")
         timestamp = int.from_bytes(raw[0:8], "little")
@@ -135,6 +153,10 @@ class BeaconBody:
                    supported_rates_mbps=tuple(unit / 2.0 for unit in rates_raw),
                    channel=channel_raw[0] if channel_raw else None,
                    tim_aids=tuple(tim_raw))
+
+
+#: The last beacon body decoded, with the ``bytes`` it was decoded from.
+_last_beacon: Tuple[Optional[bytes], Optional[BeaconBody]] = (None, None)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.engine import PeriodicTask, Timer
-from ..core.errors import ProtocolError
+from ..core.errors import FrameError, ProtocolError
 from ..core.stats import Counter
 from ..mac.addresses import BROADCAST, MacAddress
 from ..mac.frames import Dot11Frame, ManagementSubtype
@@ -401,7 +401,8 @@ class Station(WirelessDevice):
             return
         try:
             body = BeaconBody.decode(frame.body)
-        except Exception:
+        except (FrameError, UnicodeDecodeError):
+            # A truncated element or an SSID that is not UTF-8.
             self.sta_counters.incr("bad_beacons")
             return
         entry = self.tracker.observe(

@@ -49,7 +49,8 @@ class Probe(DcfMac):
 
     __slots__ = ("sent",)
 
-    def _transmit_frame(self, frame, mode, continuation):
+    def _transmit_frame(self, frame, bits, mode, continuation):
+        assert bits == frame.wire_size_bits()   # the size it was sent with
         self.sent.append((frame, mode))
 
 

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import Position, Simulator
 from repro.core.errors import FrameError
+from repro.mac.addresses import BROADCAST, MacAddress
+from repro.mac.frames import ManagementSubtype, make_management
+from repro.net import elements
 from repro.net.elements import (
     AssocRequestBody,
     AssocResponseBody,
@@ -17,6 +21,10 @@ from repro.net.elements import (
     encode_ie,
     find_ie,
 )
+from repro.net.station import Station
+from repro.phy.channel import Medium
+from repro.phy.propagation import FixedLoss
+from repro.phy.standards import DOT11G
 
 
 class TestIes:
@@ -109,3 +117,40 @@ class TestAssocBodies:
     def test_request_without_ssid_rejected(self):
         with pytest.raises(FrameError):
             AssocRequestBody.decode(bytes(4))
+
+
+class TestBadBeaconsAtAStation:
+    """A station counts what the decoder rejects and nothing else."""
+
+    BAD = {"truncated IE": bytes(12) + b"\x00\x05ab",
+           "SSID not UTF-8": bytes(12) + b"\x00\x02\xff\xfe"}
+
+    @staticmethod
+    def _station_and_beacon(body):
+        sim = Simulator(seed=1)
+        medium = Medium(sim, FixedLoss(50.0))
+        station = Station(sim, medium, DOT11G, Position(0, 0, 0))
+        ap = MacAddress(0x020000000099)
+        return station, make_management(ManagementSubtype.BEACON, ap,
+                                        BROADCAST, ap, body)
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_a_malformed_body_is_counted_once_and_not_remembered(self, name):
+        good = BeaconBody(0, 100, CAP_ESS, "fine").encode()
+        remembered = (good, BeaconBody.decode(good))
+        station, beacon = self._station_and_beacon(self.BAD[name])
+        station.mac_management(beacon, 30.0)
+        assert station.sta_counters.get("bad_beacons") == 1
+        assert elements._last_beacon == remembered
+        assert elements._last_beacon[1] is remembered[1]
+
+    def test_a_bug_in_the_decoder_is_not_a_bad_beacon(self, monkeypatch):
+        def broken(cls, raw):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(BeaconBody, "_decode", classmethod(broken))
+        station, beacon = self._station_and_beacon(
+            BeaconBody(0, 100, CAP_ESS, "fresh").encode())
+        with pytest.raises(RuntimeError, match="decoder bug"):
+            station.mac_management(beacon, 30.0)
+        assert station.sta_counters.get("bad_beacons") == 0
