@@ -122,14 +122,6 @@ def downtime_windows(fault_log, horizon: float
             for target, start, end in spans]
 
 
-def total_downtime(fault_log, horizon: float) -> dict:
-    """Summed downtime seconds per target over the run."""
-    totals: dict = {}
-    for target, start, end in downtime_windows(fault_log, horizon):
-        totals[target] = totals.get(target, 0.0) + (end - start)
-    return totals
-
-
 class ReassociationProbe:
     """Record one station's association/disassociation edge times.
 

@@ -27,36 +27,42 @@ Determinism is layered:
   cell a block of locally-administered MACs from its *global* cell
   index, independent of shard placement and build order.
 * **Pinned merge order**: boundary records merge by
-  ``(time, shard, seq)`` everywhere — in the coordinator's round batch
+  ``(time, shard, seq)`` everywhere — in the round loop's batch
   (audited by ``InvariantChecker.check_merge_order``) and in the
   canonical :class:`ArrivalLog`, whose SHA-1 is the two-runs-identical
   fingerprint CI byte-compares.
 
 **Shards are not processes.**  ``workers`` asks for logical shards:
 each has its own kernel, boundary medium, collectors and telemetry hub,
-and the coordinator's round logic sees nothing else.  The shards are
+and the round loop sees nothing else.  The shards are
 hosted by ``min(shards, usable CPUs)`` worker processes (the affinity
 mask of the calling process; :func:`_place` balances them by weight
 with the partitioner's LPT packing), and a process runs the shards it
 hosts in ascending shard order.  With a CPU per shard that is one
 process per shard; with fewer, shards share a process instead of
 fighting over a core, and a round costs one message per *process* per
-direction.  Nothing in the result — per-cell stats, event and round
-counts, the arrival log and its SHA-1, the merged sim telemetry —
-depends on the placement: only the transport batches by it.
+direction.  When one process hosts every shard — one usable CPU, or one
+shard — there is nobody to pace: that process runs the round loop
+itself, advances its shards by direct call, and the coordinator
+exchanges a constant number of messages per run, plus one acknowledged
+piece per :data:`LOG_PIECE_LINES` arrival-log lines.  Both placements
+run the one loop body, :func:`_run_rounds`.  Nothing in the result —
+per-cell stats, event and round counts, the arrival log and its SHA-1,
+the merged sim telemetry — depends on the placement: only the transport
+batches by it.
 
 The wire is one :class:`~repro.parallel.channel.Channel` per worker
-process: each ``ready/advance/fence/finish/stats/error`` message is a
-4-byte length plus a pickle over a pair of ``os.pipe()``s, one message
-in flight per direction, and ``advance``/``fence``/``stats`` carry one
-entry per hosted shard.  The coordinator waits at most
-:data:`RECV_DEADLINE_S` for any one message.  A shard that raises ends
-the run with a :class:`~repro.core.errors.SimulationError` naming it,
-the round, its last fence ``(clock, events)`` and the boundary records
-pending for it, plus the worker's traceback, clock, event count and
-outbox depth; a process that dies or stays silent past the deadline
-names every shard it hosted, each with the same context — and every
-worker is reaped before the error propagates.
+process: each message (see :func:`_worker_main`) is a 4-byte length
+plus a pickle over a pair of ``os.pipe()``s, one message in flight per
+direction.  A shard that raises ends the run with a
+:class:`~repro.core.errors.SimulationError` naming it, the round, its
+last fence ``(clock, events)`` and the boundary records pending for it,
+plus the worker's traceback, clock, event count and outbox depth; a
+process that dies, or stays silent for :data:`RECV_DEADLINE_S` while
+the round does not move, names every shard it hosted, each with the
+same context — and every worker is reaped before the error propagates.
+The context comes from a :class:`_Board` the loop posts once per round,
+wherever it runs.
 
 :func:`run_single` executes the same cell list on one kernel — the
 differential reference, and the ``workers=1`` baseline for scaling
@@ -68,8 +74,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import mmap
 import multiprocessing
 import os
+import struct
 import traceback
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -95,9 +103,9 @@ from .shard import BoundaryRecord, ShardMedium
 #: low-serial range in mixed scenarios (< 65536 global devices).
 _CELL_ADDRESS_BASE = 0x02_00_00_00_00_00
 
-#: Longest the coordinator waits for any one worker message (a fence,
-#: or the final stats).  It bounds one ``sim.run`` to the next bound —
-#: the whole horizon for a decoupled shard — of every shard the
+#: Longest the coordinator waits for a worker message while the round
+#: loop posts no new round.  It bounds one ``sim.run`` to the next
+#: bound — the whole horizon for a decoupled shard — of every shard the
 #: process hosts, not the run.
 RECV_DEADLINE_S = 900.0
 
@@ -147,8 +155,11 @@ class ArrivalLog:
     hashes exactly this text.
     """
 
-    def __init__(self, header: Dict):
-        self._lines: List[str] = [self._dump({"type": "header", **header})]
+    def __init__(self, header: Optional[Dict] = None):
+        # Lines not yet joined, behind the text of earlier pieces.
+        self._lines: List[str] = [] if header is None \
+            else [self._dump({"type": "header", **header})]
+        self._pieces: List[str] = []
 
     @staticmethod
     def _dump(record: Dict) -> str:
@@ -182,8 +193,25 @@ class ArrivalLog:
             "type": "final", "shard": shard, "clock": repr(clock),
             "events": events}))
 
+    def __len__(self) -> int:
+        """Lines written since the last :meth:`take`."""
+        return len(self._lines)
+
+    def take(self) -> str:
+        """The lines written since the last call, as JSONL text that no
+        longer stays here: a piece for another log's :meth:`extend`."""
+        lines, self._lines = self._lines, []
+        return "\n".join(lines) + "\n" if lines else ""
+
+    def extend(self, text: str) -> None:
+        """Append a piece :meth:`take` cut from another log."""
+        self._pieces += (self.take(), text)
+
     def to_jsonl(self) -> str:
-        return "\n".join(self._lines) + "\n"
+        self._pieces.append(self.take())
+        text = "".join(self._pieces)
+        self._pieces = [text]
+        return text
 
     def sha1(self) -> str:
         return hashlib.sha1(self.to_jsonl().encode()).hexdigest()
@@ -327,26 +355,164 @@ class _Shard:
         return (self.index, stats, self.sim.events_executed, payload)
 
 
+#: Arrival-log lines a one-host worker holds before it streams them to
+#: the coordinator as one piece: the log never sits whole in both
+#: processes.
+LOG_PIECE_LINES = 4096
+
+
+class _Board:
+    """Where the round loop stands, readable from another process.
+
+    An anonymous shared ``mmap``, made before the fork: the loop posts
+    the round and every shard's last fence and pending record count
+    once per round, wherever it runs, and the coordinator reads it when
+    it reports a failure — and to tell a slow run from a hung one.
+    """
+
+    def __init__(self, shard_count: int):
+        self._shards = shard_count
+        self._layout = struct.Struct(
+            f"=q{shard_count}d{shard_count}q{shard_count}q")
+        self._map = mmap.mmap(-1, self._layout.size)
+
+    def post(self, round_index: int, clocks: Sequence[float],
+             events: Sequence[int], pending: Sequence[Sequence]) -> None:
+        self._layout.pack_into(self._map, 0, round_index, *clocks,
+                               *events, *map(len, pending))
+
+    @property
+    def round(self) -> int:
+        return self._layout.unpack_from(self._map)[0]
+
+    def context(self, shard: int) -> str:
+        """What a failure report says about where ``shard`` stood."""
+        posted, count = self._layout.unpack_from(self._map), self._shards
+        return (f"round {posted[0]}, last fence (clock="
+                f"{posted[1 + shard]!r}, events={posted[1 + count + shard]}), "
+                f"{posted[1 + 2 * count + shard]} boundary records pending")
+
+    def close(self) -> None:
+        self._map.close()
+
+
+def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
+                horizon: float, coord: MetricsRegistry, board: _Board,
+                advance: Callable[[List[Tuple]], List[Tuple]],
+                log: ArrivalLog) -> Tuple[int, int, List[float]]:
+    """The conservative round loop, wherever it runs.
+
+    ``advance`` takes ``[(shard, bound, records), ...]`` in ascending
+    shard order and returns the fences ``(shard, clock, events,
+    outbox)`` in the same order: by direct call in a process that hosts
+    every shard, over the wire otherwise.  Writes the fence and arrival
+    lines to ``log`` and the round metrics to ``coord``; returns the
+    round count, the boundary record count and the final clocks.
+    """
+    shard_count = len(plan.shards)
+    # Disabled registry = null metrics, so the per-round updates below
+    # cost nothing in benchmark posture.
+    round_counter = coord.counter("parallel", "rounds")
+    record_counter = coord.counter("parallel", "boundary_records")
+    batch_sizes = coord.histogram("parallel", "boundary_batch")
+    round_wall = coord.histogram(
+        "parallel", "round_wall_seconds", wall=True,
+        bounds=(0.0001, 0.001, 0.01, 0.1, 1.0, 10.0))
+    if coord.enabled:
+        # The lookahead windows are part of the partition, hence of the
+        # sim-deterministic stream.
+        for dst in range(shard_count):
+            for src in sorted(incoming[dst]):
+                coord.gauge("parallel", "lookahead_seconds",
+                            src=src, dst=dst).set(incoming[dst][src])
+    clocks = [0.0] * shard_count
+    events = [0] * shard_count
+    done = [False] * shard_count
+    # Boundary records routed to each shard; a shard's list is emptied
+    # once the fence answering the advance that carried it is in.
+    pending: List[List[Tuple]] = [[] for _ in range(shard_count)]
+    merge_tail: Dict[int, Tuple[float, int]] = {}
+    rounds = boundary_records = 0
+    while not all(done):
+        rounds += 1
+        round_counter.inc()
+        round_start = perf_counter()
+        requests = []
+        for index in range(shard_count):
+            if done[index]:
+                continue
+            bound = horizon
+            for src, delay in incoming[index].items():
+                if not done[src]:
+                    bound = min(bound, clocks[src] + delay)
+            if bound <= clocks[index]:
+                continue  # cannot safely advance this round
+            requests.append((index, bound, pending[index]))
+        if not requests:
+            raise SimulationError(
+                f"sharded run deadlocked at round {rounds}: no shard "
+                f"can advance (clocks={clocks!r})")
+        board.post(rounds, clocks, events, pending)
+        # Records stay plain tuples: (time, shard, seq) is their prefix
+        # and the merge key.
+        batch: List[Tuple] = []
+        for shard, clock, executed, outbox in advance(requests):
+            pending[shard] = []
+            clocks[shard] = clock
+            events[shard] = executed
+            log.fence(rounds, shard, clock, executed)
+            batch.extend(outbox)
+            if clock >= horizon:
+                done[shard] = True
+        batch.sort()
+        InvariantChecker.check_merge_order(batch, merge_tail)
+        batch_sizes.observe(float(len(batch)))
+        record_counter.inc(len(batch))
+        for record in batch:
+            boundary_records += 1
+            # record[1] is the source shard, record[7] the channel.
+            dests = plan.routes.get((record[1], record[7]), ())
+            live = [dest for dest in dests if not done[dest]]
+            log.arrival(record, live)
+            for dest in live:
+                pending[dest].append(record)
+        round_wall.observe(perf_counter() - round_start)
+    board.post(rounds, clocks, events, pending)
+    return rounds, boundary_records, clocks
+
+
 def _worker_main(conn: Channel, parent_ends: Sequence[Channel],
-                 hosted: Sequence[Tuple], seed: int, *settings) -> None:
-    """The event loops of the shards one process hosts, driven by
-    coordinator messages.
+                 hosted: Sequence[Tuple], loop: Optional[Tuple], seed: int,
+                 *settings) -> None:
+    """The event loops of the shards one process hosts.
 
     ``hosted`` lists ``(shard, cells, global indices, export channels)``
     in ascending shard order — one entry when the machine has a CPU per
     shard, several when shards are packed — and ``settings`` are the
-    remaining arguments of :meth:`_Shard.build`.  Protocol (worker side):
-    after building, send ``("ready", [shard, ...])``; then for each
-    ``("advance", [(shard, bound, records), ...])`` inject the records
+    remaining arguments of :meth:`_Shard.build`.
+
+    ``loop`` is ``None`` when the coordinator paces the rounds.  Then,
+    after building, send ``("ready", [shard, ...])``; for each
+    ``("advance", [(shard, bound, records), ...])``, inject the records
     and run each named shard to its bound, in the order given
-    (ascending), and fence back
-    ``("fence", [(shard, clock, events, outbox), ...])``; on
-    ``("finish",)`` send
-    ``("stats", [(shard, {cell: stats}, events, telemetry), ...])`` —
-    where ``telemetry`` is ``None`` or a ``(sim_jsonl, wall_jsonl)``
-    pair of that shard's exported streams — and exit.  Any exception
-    turns into ``("error", shard, traceback, clock, events, outbox
-    depth)`` for the shard that was being built or run.
+    (ascending), and fence back ``("fence", [(shard, clock, events,
+    outbox), ...])``; on ``("finish",)`` send ``("stats", [(shard,
+    {cell: stats}, events, telemetry), ...])`` — where ``telemetry`` is
+    ``None`` or a ``(sim_jsonl, wall_jsonl)`` pair of that shard's
+    exported streams — and exit.
+
+    When this process hosts every shard, ``loop`` holds the leading
+    arguments of :func:`_run_rounds` and the process runs the rounds
+    itself, advancing its shards by direct call.  It streams the arrival
+    log as ``("log", text)`` pieces of :data:`LOG_PIECE_LINES` lines,
+    each acknowledged with ``("ack",)`` before the next is sent, and
+    ends with ``("result", text, rounds, boundary records, clocks,
+    coordinator metrics, stats)``.
+
+    A shard that raises turns into ``("error", shard, traceback, clock,
+    events, outbox depth)`` for the shard that was being built, run or
+    finished; an error of the round loop itself is sent as ``("raise",
+    exception)``.
 
     With telemetry on, every shard instruments its own kernel/medium/
     radio fleet and additionally keeps per-shard round metrics in the
@@ -365,41 +531,79 @@ def _worker_main(conn: Channel, parent_ends: Sequence[Channel],
     for parent_end in parent_ends:
         parent_end.close()
     shards = {spec[0]: _Shard(spec[0], seed) for spec in hosted}
-    shard = shards[hosted[0][0]]  # the one at work: named if it raises
+    # The shard at work, named if it raises; None while the round loop
+    # itself works.
+    shard: Optional[_Shard] = shards[hosted[0][0]]
+    unacked = False  # a log piece the coordinator has not acknowledged
+
+    def send(message: Tuple) -> None:
+        nonlocal unacked
+        if unacked:
+            conn.recv()  # ("ack",): one message in flight per direction
+        conn.send(message)
+        unacked = message[0] == "log"
+
+    def advance(requests: List[Tuple]) -> List[Tuple]:
+        nonlocal shard
+        fences = []
+        for index, bound, records in requests:
+            shard = shards[index]
+            fences.append(shard.advance(bound, records))
+        shard = None
+        return fences
+
+    def finish() -> List[Tuple]:
+        nonlocal shard
+        idle = max(0.0, perf_counter() - wall_start
+                   - sum(each.busy for each in shards.values()))
+        stats = []
+        for shard in shards.values():
+            stats.append(shard.finish(idle))
+            idle = 0.0
+        return stats
+
     try:
         for index, *spec in hosted:
             shard = shards[index]
             shard.build(*spec, *settings)
+        shard = None
         wall_start = perf_counter()
-        conn.send(("ready", list(shards)))
+        if loop is not None:
+            log = ArrivalLog()
+
+            def advance_here(requests: List[Tuple]) -> List[Tuple]:
+                if len(log) >= LOG_PIECE_LINES:
+                    send(("log", log.take()))
+                return advance(requests)
+
+            plan, incoming, horizon, coord, board = loop
+            outcome = _run_rounds(plan, incoming, horizon, coord, board,
+                                  advance_here, log)
+            stats = finish()
+            send(("result", log.take(), *outcome, coord, stats))
+            return
+        send(("ready", list(shards)))
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "advance":
-                fences = []
-                for index, bound, records in message[1]:
-                    shard = shards[index]
-                    fences.append(shard.advance(bound, records))
-                conn.send(("fence", fences))
+                send(("fence", advance(message[1])))
             elif kind == "finish":
-                idle = max(0.0, perf_counter() - wall_start
-                           - sum(each.busy for each in shards.values()))
-                stats = []
-                for shard in shards.values():
-                    stats.append(shard.finish(idle))
-                    idle = 0.0
-                conn.send(("stats", stats))
+                send(("stats", finish()))
                 return
             else:  # pragma: no cover - protocol guard
                 raise SimulationError(
                     f"shards {list(shards)}: unknown message {kind!r}")
-    except Exception:
+    except Exception as error:
         try:
-            medium = shard.medium
-            conn.send(("error", shard.index, traceback.format_exc(),
-                       shard.sim.now, shard.sim.events_executed,
-                       len(medium.outbox) if medium is not None else 0))
-        except OSError:  # the coordinator is gone: nobody to tell
+            if shard is None:
+                send(("raise", error))
+            else:
+                medium = shard.medium
+                send(("error", shard.index, traceback.format_exc(),
+                      shard.sim.now, shard.sim.events_executed,
+                      len(medium.outbox) if medium is not None else 0))
+        except (OSError, EOFError):  # the coordinator is gone
             pass
     finally:
         conn.close()
@@ -476,38 +680,47 @@ def _standing(shards: Sequence[int],
                       for shard in shards))
 
 
-def _recv(channel: Channel, process, shards: Sequence[int],
-          context: Callable[[int], str]):
-    """Receive one message from the process hosting ``shards`` within
-    :data:`RECV_DEADLINE_S`.
+def _recv(channel: Channel, process, shards: Sequence[int], board: _Board):
+    """Receive one message from the process hosting ``shards``.
 
     A reported error, a dead worker and a silent one all surface as a
     :class:`SimulationError`: an error names the shard that raised, a
-    death or a silence every shard the process hosts, each with its
-    ``context(shard)`` — the round, the shard's last fence and its
-    pending records.
+    death or a silence every shard the process hosts, each with where
+    the board says it stood — the round, the shard's last fence and its
+    pending records.  Silence means :data:`RECV_DEADLINE_S` without a
+    message *and* without a new round on the board.  An error of the
+    round loop itself is raised as it was raised in the worker.
     """
-    try:
-        message = channel.recv(RECV_DEADLINE_S)
-    except TimeoutError:
-        who, where = _standing(shards, context)
-        raise SimulationError(
-            f"{who} timed out: no message for "
-            f"{RECV_DEADLINE_S:g} s ({where})") from None
-    except (EOFError, OSError):
-        process.join(timeout=5)
-        who, where = _standing(shards, context)
-        raise SimulationError(
-            f"{who} died without reporting an error (exit code "
-            f"{process.exitcode}; {where})") from None
+    seen = board.round
+    while True:
+        try:
+            message = channel.recv(RECV_DEADLINE_S)
+            break
+        except TimeoutError:
+            if board.round != seen:  # slow, but the rounds still move
+                seen = board.round
+                continue
+            who, where = _standing(shards, board.context)
+            raise SimulationError(
+                f"{who} timed out: no message for "
+                f"{RECV_DEADLINE_S:g} s ({where})") from None
+        except (EOFError, OSError):
+            process.join(timeout=5)
+            who, where = _standing(shards, board.context)
+            raise SimulationError(
+                f"{who} died without reporting an error (exit code "
+                f"{process.exitcode}; {where})") from None
     if message[0] == "error":
         _, shard, trace, clock, executed, outbox = message
         # The traceback's last line ("RuntimeError: ...") leads, so the
         # first line of the report already says who failed and how.
         summary = trace.rstrip().rsplit("\n", 1)[-1]
         raise SimulationError(
-            f"shard {shard} failed: {summary} ({context(shard)}; worker "
-            f"clock={clock!r}, events={executed}, outbox={outbox})\n{trace}")
+            f"shard {shard} failed: {summary} ({board.context(shard)}; "
+            f"worker clock={clock!r}, events={executed}, "
+            f"outbox={outbox})\n{trace}")
+    if message[0] == "raise":
+        raise message[1]
     return message
 
 
@@ -534,13 +747,14 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
     lookahead-violation guard, which is exactly what its test does).
 
     ``telemetry=True`` instruments every worker (kernel/medium/radio
-    probes plus per-shard round metrics) and the coordinator itself
+    probes plus per-shard round metrics) and the round loop itself
     (round count, boundary-batch sizes, lookahead windows in the sim
-    stream; per-round and per-worker wall seconds in the wall stream),
+    stream; per-round and coordinator wall seconds in the wall stream),
     then merges the per-shard sim streams in pinned shard-index order
     — ``telemetry_jsonl`` is byte-identical across runs of the same
-    seed and partition.  Wall streams merge into
-    ``telemetry_wall_jsonl``, which is machine noise and never gated.
+    seed and partition, however the shards are placed.  Wall streams
+    merge into ``telemetry_wall_jsonl``, which is machine noise and
+    never gated.
 
     Note the sampler's events are real kernel events: per-shard event
     counts (and therefore the arrival log's fences and its SHA-1)
@@ -551,10 +765,7 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
     plan = partition_cells(cells, propagation_factory(), workers=workers,
                            reception_floor_dbm=reception_floor_dbm,
                            manual=manual)
-    lookahead = dict(plan.lookahead)
-    if lookahead_override is not None:
-        lookahead = {key: lookahead_override for key in lookahead}
-    if lookahead and not propagation_delay:
+    if plan.lookahead and not propagation_delay:
         raise ConfigurationError(
             "coupled shards require propagation_delay=True: the "
             "conservative lookahead IS the minimum cross-shard "
@@ -562,6 +773,10 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
             "arrivals would be instantaneous (no positive lookahead "
             "exists)")
     shard_count = len(plan.shards)
+    incoming = [plan.incoming(index) for index in range(shard_count)]
+    if lookahead_override is not None:
+        incoming = [{src: lookahead_override for src in sources}
+                    for sources in incoming]
     context = multiprocessing.get_context("fork")
     channels: List[Channel] = []
     processes = []
@@ -570,33 +785,13 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
         "shard_count": shard_count, "exact": exact,
         "partition": plan.describe(),
     })
-    # Coordinator-side metrics.  Disabled registry = null metrics, so
-    # the per-round updates below cost nothing in benchmark posture.
     coord = MetricsRegistry(enabled=telemetry)
-    round_counter = coord.counter("parallel", "rounds")
-    record_counter = coord.counter("parallel", "boundary_records")
-    batch_sizes = coord.histogram("parallel", "boundary_batch")
-    round_wall = coord.histogram(
-        "parallel", "round_wall_seconds", wall=True,
-        bounds=(0.0001, 0.001, 0.01, 0.1, 1.0, 10.0))
     coordinator_start = perf_counter()
-    clocks = [0.0] * shard_count
-    events = [0] * shard_count
-    done = [False] * shard_count
-    # Boundary records routed to each shard; a shard's list is emptied
-    # once the fence answering the advance that carried it is in.
-    pending: List[List[Tuple]] = [[] for _ in range(shard_count)]
-    rounds = 0
-
-    def context_of(shard: int) -> str:
-        """What a failure report says about where ``shard`` stood."""
-        return (f"round {rounds}, last fence (clock={clocks[shard]!r}, "
-                f"events={events[shard]}), {len(pending[shard])} boundary "
-                f"records pending")
-
+    board = _Board(shard_count)
+    loop = (plan, incoming, horizon, coord, board)
     hosted = _place(plan)
-    host = {shard: index for index, shards in enumerate(hosted)
-            for shard in shards}
+    # One host runs the rounds itself: no message per round at all.
+    one_host = len(hosted) == 1
     try:
         for shards in hosted:
             parent_end, child_end = channel_pair()
@@ -607,7 +802,8 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                       plan.export_channels[shard]) for shard in shards]
             process = context.Process(
                 target=_worker_main,
-                args=(child_end, list(channels), specs, seed,
+                args=(child_end, list(channels), specs,
+                      loop if one_host else None, seed,
                       propagation_factory, reception_floor_dbm,
                       propagation_delay, exact, check_invariants,
                       telemetry, telemetry_interval),
@@ -617,92 +813,49 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
             finally:
                 child_end.close()
             processes.append(process)
-        links = list(zip(channels, processes, hosted))
-        for link in links:
-            _recv(*link, context_of)  # "ready"
+        links = [(channel, process, shards, board) for channel, process,
+                 shards in zip(channels, processes, hosted)]
+        if one_host:
+            (link,) = links
+            message = _recv(*link)
+            while message[0] == "log":
+                log.extend(message[1])
+                _send(link[0], ("ack",))
+                message = _recv(*link)
+            _, tail, rounds, boundary_records, clocks, coord, stats = message
+            log.extend(tail)
+        else:
+            for link in links:
+                _recv(*link)  # "ready"
+            host = {shard: index for index, shards in enumerate(hosted)
+                    for shard in shards}
 
-        incoming = [plan.incoming(index) for index in range(shard_count)]
-        if lookahead_override is not None:
-            incoming = [{src: lookahead_override for src in sources}
-                        for sources in incoming]
-        if telemetry:
-            # The lookahead windows are part of the partition, hence
-            # of the sim-deterministic stream.
-            for dst in range(shard_count):
-                for src in sorted(incoming[dst]):
-                    coord.gauge("parallel", "lookahead_seconds",
-                                src=src, dst=dst).set(incoming[dst][src])
-        merge_tail: Dict[int, Tuple[float, int]] = {}
-        boundary_records = 0
-        while not all(done):
-            rounds += 1
-            round_counter.inc()
-            round_start = perf_counter()
-            advancing = []
-            for index in range(shard_count):
-                if done[index]:
-                    continue
-                bound = horizon
-                for src, delay in incoming[index].items():
-                    if not done[src]:
-                        bound = min(bound, clocks[src] + delay)
-                if bound <= clocks[index]:
-                    continue  # cannot safely advance this round
-                advancing.append((index, bound))
-            if not advancing:
-                raise SimulationError(
-                    f"sharded run deadlocked at round {rounds}: no shard "
-                    f"can advance (clocks={clocks!r})")
-            # One message per process per direction, however many of
-            # its shards advance; the fences are then handled in
-            # ascending shard order, whichever process sent them.
-            requests: Dict[int, List[Tuple]] = {}
-            for index, bound in advancing:
-                requests.setdefault(host[index], []).append(
-                    (index, bound, pending[index]))
-            for worker, request in requests.items():
-                _send(channels[worker], ("advance", request))
-            fences = {fence[0]: fence for worker in requests
-                      for fence in _recv(*links[worker], context_of)[1]}
-            # Records stay the plain tuples that crossed the pipe:
-            # (time, shard, seq) is their prefix and the merge key.
-            batch: List[Tuple] = []
-            for index, _bound in advancing:
-                shard, clock, executed, outbox = fences[index]
-                pending[shard] = []
-                clocks[shard] = clock
-                events[shard] = executed
-                log.fence(rounds, shard, clock, executed)
-                batch.extend(outbox)
-                if clock >= horizon:
-                    done[shard] = True
-            batch.sort()
-            InvariantChecker.check_merge_order(batch, merge_tail)
-            batch_sizes.observe(float(len(batch)))
-            record_counter.inc(len(batch))
-            for record in batch:
-                boundary_records += 1
-                # record[1] is the source shard, record[7] the channel.
-                dests = plan.routes.get((record[1], record[7]), ())
-                live = [dest for dest in dests if not done[dest]]
-                log.arrival(record, live)
-                for dest in live:
-                    pending[dest].append(record)
-            round_wall.observe(perf_counter() - round_start)
+            def advance(requests: List[Tuple]) -> List[Tuple]:
+                # One message per process per direction, however many
+                # of its shards advance.
+                batches: Dict[int, List[Tuple]] = {}
+                for request in requests:
+                    batches.setdefault(host[request[0]], []).append(request)
+                for worker, batch in batches.items():
+                    _send(channels[worker], ("advance", batch))
+                return sorted(fence for worker in batches
+                              for fence in _recv(*links[worker])[1])
 
-        for channel in channels:
-            _send(channel, ("finish",))
+            rounds, boundary_records, clocks = _run_rounds(
+                *loop, advance, log)
+            for channel in channels:
+                _send(channel, ("finish",))
+            stats = [final for link in links for final in _recv(*link)[1]]
+        finals = {final[0]: final for final in stats}
         merged: Dict[str, Dict] = {}
-        shard_streams: List[Optional[Tuple[str, str]]] = \
-            [None] * shard_count
-        finals = {final[0]: final for link in links
-                  for final in _recv(*link, context_of)[1]}
+        events = 0
+        shard_streams: List[Optional[Tuple[str, str]]] = []
         for shard in range(shard_count):
-            _, stats, executed, shard_telemetry = finals[shard]
-            events[shard] = executed
+            _, cell_stats, executed, shard_telemetry = finals[shard]
+            events += executed
             log.final(shard, clocks[shard], executed)
-            merged.update(stats)
-            shard_streams[shard] = shard_telemetry
+            merged.update(cell_stats)
+            shard_streams.append(shard_telemetry)
         for process in processes:
             process.join(timeout=30)
     finally:
@@ -712,15 +865,17 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 process.join(timeout=5)
         for channel in channels:
             channel.close()
+        board.close()
 
+    arrival_log = log.to_jsonl()
     result = {
         "cells": {name: merged[name] for name in sorted(merged)},
-        "events": sum(events),
+        "events": events,
         "shards": shard_count,
         "rounds": rounds,
         "boundary_records": boundary_records,
-        "arrival_log": log.to_jsonl(),
-        "arrival_log_sha1": log.sha1(),
+        "arrival_log": arrival_log,
+        "arrival_log_sha1": hashlib.sha1(arrival_log.encode()).hexdigest(),
         "plan": plan,
     }
     if telemetry:

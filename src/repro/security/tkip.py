@@ -24,7 +24,7 @@ overhead — is preserved.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.errors import IntegrityError, ReplayError, SecurityError
 from ..mac.fcs import crc32
@@ -145,11 +145,3 @@ class TkipCipher:
     @property
     def tsc(self) -> int:
         return self._tsc
-
-
-def make_link_pair(temporal_key: bytes, mic_key_tx: bytes,
-                   mic_key_rx: bytes, addr_a: bytes, addr_b: bytes
-                   ) -> Tuple[TkipCipher, TkipCipher]:
-    """Ciphers for the two directions of a link A->B / B->A."""
-    return (TkipCipher(temporal_key, mic_key_tx, addr_a),
-            TkipCipher(temporal_key, mic_key_rx, addr_b))

@@ -7,6 +7,7 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import Simulator
 from repro.core.errors import (ConfigurationError, InvariantViolation,
@@ -18,6 +19,7 @@ from repro.parallel import (ArrivalLog, BoundaryRecord, CellSpec,
                             ShardMedium, partition_cells, run_sharded,
                             run_single)
 from repro.parallel import executor
+from repro.parallel.channel import Channel
 from repro.parallel.executor import CellBuild
 from repro.phy.channel import ENERGY_ONLY
 from repro.phy.propagation import LogDistance
@@ -561,3 +563,146 @@ class TestPlacement:
         if cpus == 1:
             assert sum(busy) + sum(idle) \
                 <= gauges["coordinator_wall_seconds", None]
+
+
+@st.composite
+def _placement_inputs(draw):
+    """2-4 cells on a line, each gap coupled (100 m), coupled across a
+    6 us lookahead (2 km) or decoupled (1000 km), and any manual map
+    that leaves no shard empty."""
+    count = draw(st.integers(2, 4))
+    gaps = draw(st.lists(st.sampled_from([100.0, 2000.0, 1e6]),
+                         min_size=count - 1, max_size=count - 1))
+    builds = draw(st.lists(st.sampled_from([_bursting_build,
+                                            _counting_build]),
+                           min_size=count, max_size=count))
+    channels = draw(st.lists(st.sampled_from([1, 1, 6]),
+                             min_size=count, max_size=count))
+    xs = [0.0]
+    for gap in gaps:
+        xs.append(xs[-1] + gap)
+    cells = [spec(f"c{i}", channel=channel, x=x, build=build)
+             for i, (x, build, channel) in enumerate(zip(xs, builds,
+                                                         channels))]
+    # Shard indices relabelled by first use: every index in range(k)
+    # names at least one cell.
+    drawn = draw(st.lists(st.integers(0, count - 1), min_size=count,
+                          max_size=count))
+    labels = {}
+    manual = {cell.name: labels.setdefault(shard, len(labels))
+              for cell, shard in zip(cells, drawn)}
+    return (cells, manual, draw(st.integers(0, 2 ** 16)),
+            draw(st.sampled_from([2e-6, 5e-6, 1e-5])), draw(st.booleans()))
+
+
+class TestPlacementDifferential:
+    """The same comparison as :class:`TestPlacement`, on plans nobody
+    chose: one host runs the rounds itself, several are paced over the
+    wire, and no compared byte may tell which."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(inputs=_placement_inputs())
+    def test_results_do_not_depend_on_placement(self, inputs):
+        cells, manual, seed, horizon, telemetry = inputs
+        shard_count = max(manual.values()) + 1
+        runs = []
+        for cpus in sorted({1, 2, shard_count}):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(executor, "_usable_cpus", lambda: cpus)
+                runs.append(run_sharded(
+                    cells, seed=seed, horizon=horizon, workers=len(cells),
+                    propagation_factory=free_space, manual=manual,
+                    check_invariants=True, telemetry=telemetry,
+                    telemetry_interval=2e-6))
+        reference = runs[0]
+        assert reference["shards"] == shard_count
+        for run in runs[1:]:
+            for key in TestPlacement.COMPARED:
+                assert run.get(key) == reference.get(key), key
+
+
+def _sleepy_build(ctx):
+    """A bursting cell that also spends 40 ms of wall time every 0.5 us
+    of simulated time: a slow run, never a stuck one."""
+    collect = _bursting_build(ctx)
+
+    def nap():
+        time.sleep(0.04)
+        ctx.sim.schedule(5e-7, nap)
+
+    ctx.sim.schedule(5e-7, nap)
+    return collect
+
+
+class TestWire:
+    """What crosses the coordinator's end of the wire: a constant per
+    run when one process hosts every shard, one message per process
+    per direction per round otherwise."""
+
+    CELLS = [spec("a", x=0.0, build=_bursting_build),
+             spec("b", x=100.0, build=_bursting_build)]
+
+    def _counted(self, monkeypatch, cpus, horizon):
+        counts = {"send": 0, "recv": 0}
+        send, recv = Channel.send, Channel.recv
+
+        def counting_send(channel, message):
+            counts["send"] += 1
+            send(channel, message)
+
+        def counting_recv(channel, timeout=None):
+            counts["recv"] += 1
+            return recv(channel, timeout)
+
+        monkeypatch.setattr(Channel, "send", counting_send)
+        monkeypatch.setattr(Channel, "recv", counting_recv)
+        monkeypatch.setattr(executor, "_usable_cpus", lambda: cpus)
+        result = run_sharded(self.CELLS, seed=2, horizon=horizon, workers=2,
+                             propagation_factory=free_space,
+                             manual={"a": 0, "b": 1})
+        monkeypatch.undo()
+        return counts, result
+
+    def test_one_host_exchanges_a_constant_per_run(self, monkeypatch):
+        short, short_run = self._counted(monkeypatch, 1, 1e-5)
+        long, long_run = self._counted(monkeypatch, 1, 3e-5)
+        assert long_run["rounds"] > 2 * short_run["rounds"]
+        # No message in; the result (stats, log, round metrics) out.
+        assert short == long == {"send": 0, "recv": 1}
+
+    def test_a_cpu_per_shard_pays_a_message_per_process_per_round(
+            self, monkeypatch):
+        counts, result = self._counted(monkeypatch, 2, 1e-5)
+        # With one shard per process, every fence is one advance out and
+        # one fence back; then "ready" and "stats" in, "finish" out, per
+        # process.
+        fences = result["arrival_log"].count('"type":"fence"')
+        assert fences >= result["rounds"]
+        assert counts == {"send": fences + 2, "recv": fences + 4}
+
+    def test_the_log_streams_in_acknowledged_pieces(self, monkeypatch):
+        whole = run_sharded(self.CELLS, seed=2, horizon=1e-5, workers=2,
+                            propagation_factory=free_space,
+                            manual={"a": 0, "b": 1})
+        monkeypatch.setattr(executor, "LOG_PIECE_LINES", 8)
+        counts, pieces = self._counted(monkeypatch, 1, 1e-5)
+        assert pieces["arrival_log"] == whole["arrival_log"]
+        # A piece per eight lines or more, not a message per round; each
+        # piece is acknowledged, the result's tail is not.
+        assert 4 < counts["send"] < pieces["rounds"] / 2
+        assert counts["recv"] == counts["send"] + 1
+
+    def test_a_slow_run_that_still_advances_is_not_hung(self, monkeypatch):
+        monkeypatch.setattr(executor, "RECV_DEADLINE_S", 0.25)
+        monkeypatch.setattr(executor, "_usable_cpus", lambda: 1)
+        cells = [spec("a", x=0.0, build=_bursting_build),
+                 spec("b", x=100.0, build=_sleepy_build)]
+        started = time.monotonic()
+        result = run_sharded(cells, seed=2, horizon=1e-5, workers=2,
+                             propagation_factory=free_space,
+                             manual={"a": 0, "b": 1})
+        # Twenty naps: no round outlasts the deadline, the run does
+        # several times over.
+        assert time.monotonic() - started > 2 * 0.25
+        assert result["rounds"] == 38
+        assert multiprocessing.active_children() == []
