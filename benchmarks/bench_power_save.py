@@ -1,4 +1,4 @@
-"""E13 — power-save mode ablation (design-choice bench from DESIGN.md).
+"""E13 — power-save mode ablation (a design-choice bench).
 
 The §4.2 Power Management machinery (PM bit, AP buffering, TIM,
 PS-Poll, More Data) exists to trade **downlink latency for battery

@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark/experiment harness.
 
-Every benchmark regenerates one table or figure from the source text
-(see DESIGN.md §2 and EXPERIMENTS.md).  Rendered tables are printed and
-also written to ``benchmarks/results/<experiment>.txt`` so the numbers
-quoted in EXPERIMENTS.md can be regenerated verbatim.
+Every benchmark regenerates one table or figure from the source text.
+Rendered tables are printed and also written to
+``benchmarks/results/<experiment>.txt`` so the numbers can be
+regenerated verbatim.
 """
 
 import pathlib

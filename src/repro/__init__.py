@@ -2,8 +2,8 @@
 
 Reproduction of "Wireless Networks": an IEEE 802.11 MAC/PHY simulator
 with WPAN/WMAN/WWAN substrates and link-layer security, built on a
-deterministic discrete-event kernel.  See DESIGN.md for the system
-inventory and EXPERIMENTS.md for the experiment index.
+deterministic discrete-event kernel.  README.md is the system
+inventory; ``benchmarks/bench_*.py`` are the experiments (E1-E13).
 
 Quickstart::
 
@@ -14,7 +14,7 @@ Quickstart::
     bss.stations[0].send(bss.stations[1].address, b"hello")
     sim.run(until=1.0)
 
-The subpackages follow the layering described in DESIGN.md:
+The subpackages follow the layering of README.md, "Architecture":
 ``core`` (kernel) -> ``phy`` -> ``mac`` -> ``net``, with technology
 families (``wpan``, ``wman``, ``wwan``), ``security``, ``adversary``,
 ``traffic``, ``mobility``, ``analysis`` and ``scenarios`` alongside.

@@ -1,7 +1,7 @@
 """ASCII table rendering for benchmark output.
 
 Every benchmark regenerates a table or figure from the source text;
-this module renders them uniformly so EXPERIMENTS.md can quote the
+this module renders them uniformly so a write-up can quote the
 output verbatim.  Numeric cells can carry per-column formatting.
 """
 

@@ -682,16 +682,17 @@ ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t i, n = 0;
     int failed = 1;
 
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fan_out(sim, entries, transmission, duration)");
+    if (nargs != 4 && nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "fan_out(sim, entries, "
+                        "transmission, duration[, start])");
         return NULL;
     }
     sim = args[0];
     transmission = args[2];
     duration = args[3];
     if ((queue = sim_queue(sim)) == NULL
-            || (now = slot_get(sim, off_sim_now, "_now")) == NULL)
+            || (now = nargs == 5 && args[4] != Py_None ? args[4]
+                : slot_get(sim, off_sim_now, "_now")) == NULL)
         return NULL;
     Py_INCREF(now);
     Py_INCREF(queue);
@@ -2640,8 +2641,8 @@ static PyMethodDef ck_methods[] = {
     {"arm", (PyCFunction)(void (*)(void))ck_arm, METH_FASTCALL,
      "arm(timer, time): compiled twin of engine._arm."},
     {"fan_out", (PyCFunction)(void (*)(void))ck_fan_out, METH_FASTCALL,
-     "fan_out(sim, entries, transmission, duration): compiled twin of\n"
-     "engine._fan_out."},
+     "fan_out(sim, entries, transmission, duration[, start]): compiled\n"
+     "twin of engine._fan_out."},
     {"arrival_begins", (PyCFunction)(void (*)(void))ck_arrival_begins,
      METH_FASTCALL,
      "arrival_begins(radio, transmission, power_watts): compiled twin of\n"
@@ -2728,7 +2729,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 5) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 6) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

@@ -73,7 +73,7 @@ KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 5
+KERNEL_ABI = 6
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False
@@ -287,11 +287,13 @@ def _arm(timer: Timer, time: float) -> None:
 
 
 def _fan_out(sim: "Simulator", entries: Any, transmission: Any,
-             duration: float) -> None:
+             duration: float, start: Any = None) -> None:
     """Push one frame's arrival edges: for each ``(begins, ends,
     rx_power, delay)`` entry of a compiled fan-out plan, a raw
     ``begins(transmission, rx_power)`` entry at ``now + delay`` and a
     raw ``ends(transmission)`` entry at ``now + (delay + duration)``.
+    ``start``, when given, replaces ``now`` as the base time: a boundary
+    ghost's edges count from its record's start, not from this clock.
 
     ``schedule_fast_at`` without the bounds checks (delays and airtimes
     are non-negative by construction); entry shape and seq consumption
@@ -300,7 +302,7 @@ def _fan_out(sim: "Simulator", entries: Any, transmission: Any,
     ulp between them is enough to reorder CCA edges and desynchronize a
     seeded run.
     """
-    now = sim._now
+    now = sim._now if start is None else start
     push = sim._push
     next_seq = sim._next_seq
     for begins, ends, rx_power, delay in entries:

@@ -54,7 +54,8 @@ batches by it.
 The wire is one :class:`~repro.parallel.channel.Channel` per worker
 process: each message (see :func:`_worker_main`) is a 4-byte length
 plus a pickle over a pair of ``os.pipe()``s, one message in flight per
-direction.  A shard that raises ends the run with a
+direction; boundary records cross it as the :class:`BoundaryRecord`
+namedtuples they are.  A shard that raises ends the run with a
 :class:`~repro.core.errors.SimulationError` naming it, the round, its
 last fence ``(clock, events)`` and the boundary records pending for it,
 plus the worker's traceback, clock, event count and outbox depth; a
@@ -171,8 +172,8 @@ class ArrivalLog:
     # float's repr needs no escaping), at a fraction of the cost.
 
     def arrival(self, record: Tuple, dests: Sequence[int]) -> None:
-        """Log one boundary record (a :class:`BoundaryRecord` or the
-        plain tuple that crossed the pipe) and its live destinations."""
+        """Log one boundary record (a :class:`BoundaryRecord`, or any
+        tuple of its fields) and its live destinations."""
         start, shard, seq, sender, _x, _y, _z, channel, power, duration \
             = record
         self._lines.append(
@@ -313,8 +314,6 @@ class _Shard:
         hub.instrument_kernel()
         hub.instrument_medium(medium)
         hub.instrument_radios(medium._radios)
-        # Disabled registry hands back null metrics: the per-round
-        # inc() calls in advance() are no-ops in benchmark posture.
         self.advances = hub.registry.counter("parallel", "advances",
                                              shard=index)
         self.injected = hub.registry.counter(
@@ -324,20 +323,21 @@ class _Shard:
         hub.install()
 
     def advance(self, bound: float, records: Sequence[Tuple]) -> Tuple:
-        """Inject, run to the bound, and return this shard's fence."""
+        """Inject, run to the bound, and return this shard's fence: the
+        outbox drained, or ``()`` when nothing was exported."""
         sim, medium = self.sim, self.medium
         for record in records:
-            medium.inject_boundary(BoundaryRecord(*record))
-        self.advances.inc()
-        self.injected.inc(len(records))
+            medium.inject_boundary(record)
         if self.hub.enabled:
+            self.advances.inc()
+            self.injected.inc(len(records))
             segment_start = perf_counter()
-            sim.run(until=bound)
+            clock = sim.run(until=bound)
             self.busy += perf_counter() - segment_start
         else:
-            sim.run(until=bound)
-        return (self.index, sim.now, sim.events_executed,
-                [tuple(r) for r in medium.drain_outbox()])
+            clock = sim.run(until=bound)
+        return (self.index, clock, sim._events_executed,
+                medium.drain_outbox() if medium.outbox else ())
 
     def finish(self, idle: float) -> Tuple:
         """Collect this shard's stats (and telemetry streams)."""
@@ -410,8 +410,6 @@ def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
     round count, the boundary record count and the final clocks.
     """
     shard_count = len(plan.shards)
-    # Disabled registry = null metrics, so the per-round updates below
-    # cost nothing in benchmark posture.
     round_counter = coord.counter("parallel", "rounds")
     record_counter = coord.counter("parallel", "boundary_records")
     batch_sizes = coord.histogram("parallel", "boundary_batch")
@@ -430,21 +428,22 @@ def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
     done = [False] * shard_count
     # Boundary records routed to each shard; a shard's list is emptied
     # once the fence answering the advance that carried it is in.
-    pending: List[List[Tuple]] = [[] for _ in range(shard_count)]
+    pending: List[List[BoundaryRecord]] = [[] for _ in range(shard_count)]
     merge_tail: Dict[int, Tuple[float, int]] = {}
     rounds = boundary_records = 0
     while not all(done):
         rounds += 1
-        round_counter.inc()
-        round_start = perf_counter()
+        if coord.enabled:
+            round_counter.inc()
+            round_start = perf_counter()
         requests = []
         for index in range(shard_count):
             if done[index]:
                 continue
             bound = horizon
             for src, delay in incoming[index].items():
-                if not done[src]:
-                    bound = min(bound, clocks[src] + delay)
+                if not done[src] and clocks[src] + delay < bound:
+                    bound = clocks[src] + delay
             if bound <= clocks[index]:
                 continue  # cannot safely advance this round
             requests.append((index, bound, pending[index]))
@@ -453,30 +452,31 @@ def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
                 f"sharded run deadlocked at round {rounds}: no shard "
                 f"can advance (clocks={clocks!r})")
         board.post(rounds, clocks, events, pending)
-        # Records stay plain tuples: (time, shard, seq) is their prefix
-        # and the merge key.
-        batch: List[Tuple] = []
+        # (time, shard, seq) is a record's prefix and the merge key.
+        batch: List[BoundaryRecord] = []
         for shard, clock, executed, outbox in advance(requests):
             pending[shard] = []
             clocks[shard] = clock
             events[shard] = executed
             log.fence(rounds, shard, clock, executed)
-            batch.extend(outbox)
+            batch += outbox
             if clock >= horizon:
                 done[shard] = True
-        batch.sort()
-        InvariantChecker.check_merge_order(batch, merge_tail)
-        batch_sizes.observe(float(len(batch)))
-        record_counter.inc(len(batch))
-        for record in batch:
-            boundary_records += 1
-            # record[1] is the source shard, record[7] the channel.
-            dests = plan.routes.get((record[1], record[7]), ())
-            live = [dest for dest in dests if not done[dest]]
-            log.arrival(record, live)
-            for dest in live:
-                pending[dest].append(record)
-        round_wall.observe(perf_counter() - round_start)
+        if batch:
+            batch.sort()
+            InvariantChecker.check_merge_order(batch, merge_tail)
+            boundary_records += len(batch)
+            for record in batch:
+                # record[1] is the source shard, record[7] the channel.
+                dests = plan.routes.get((record[1], record[7]), ())
+                live = [dest for dest in dests if not done[dest]]
+                log.arrival(record, live)
+                for dest in live:
+                    pending[dest].append(record)
+        if coord.enabled:
+            batch_sizes.observe(float(len(batch)))
+            record_counter.inc(len(batch))
+            round_wall.observe(perf_counter() - round_start)
     board.post(rounds, clocks, events, pending)
     return rounds, boundary_records, clocks
 

@@ -10,13 +10,16 @@ plus two extra duties at the shard boundary:
   coordinator drains outboxes at each fence and routes the records to
   the coupled destination shards.
 * **Inject**: records arriving from other shards are fanned out to the
-  local co-channel radios as **energy-only ghost transmissions** — the
-  receive power is computed through the same
-  ``received_power_watts`` call the single-process medium uses (so the
-  floats are bit-identical), but the arrival rides the
-  :data:`~repro.phy.channel.ENERGY_ONLY` mode: it drives CCA, capture
-  and SINR accounting exactly like the real frame's energy would, and
-  no local radio ever locks onto it.
+  local co-channel radios as **energy-only ghost transmissions**.  A
+  ghost is a planned transmission like any local one: one
+  :class:`_GhostSender` per remote ``(sender, channel)``, whose fan-out
+  plan :meth:`Medium._compile_plan` builds through the same
+  ``received_power_watts`` / ``link_gain`` calls, floor cull and
+  propagation delay the single-process medium uses (so the floats are
+  bit-identical), and every invalidation hook drops.  The arrival rides
+  the :data:`~repro.phy.channel.ENERGY_ONLY` mode: it drives CCA,
+  capture and SINR accounting exactly like the real frame's energy
+  would, and no local radio ever locks onto it.
 
 The energy-faithful (not frame-faithful) boundary is the executor's
 declared contract: when cross-shard power stays below every receiver's
@@ -31,11 +34,11 @@ declared-tolerance regime (see README, "Sharded execution").
 from __future__ import annotations
 
 import itertools
-from typing import Any, FrozenSet, List, NamedTuple, Optional
+import math
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from ..core.errors import InvariantViolation
 from ..core.topology import Position
-from ..core.units import SPEED_OF_LIGHT
 from ..phy.channel import ENERGY_ONLY, Medium, Transmission
 
 
@@ -64,18 +67,23 @@ class _GhostSender:
     """Stand-in for a remote transmitter during boundary injection.
 
     Quacks like the transmit-only senders the energy path already
-    accepts (``name``/``position``/``_position``/``_channel_id``); it
-    exists so injected :class:`Transmission` objects carry an honest
-    sender identity for tracing without the remote Radio being present
-    in this process.
+    accepts (``name``/``position``/``_position``/``_channel_id``), so it
+    keys a compiled fan-out plan and :class:`LinkCache` entries like
+    any sender, and injected :class:`Transmission` objects carry an
+    honest sender identity without the remote Radio being present in
+    this process.  A move *replaces* ``_position`` (never mutates it):
+    the plan's and the link cache's identity checks then recompile.
+    ``earliest`` is the smallest propagation delay of the plan it was
+    last compiled with.
     """
 
-    __slots__ = ("name", "_position", "_channel_id")
+    __slots__ = ("name", "_position", "_channel_id", "earliest")
 
     def __init__(self, name: str, position: Position, channel_id: int):
         self.name = name
         self._position = position
         self._channel_id = channel_id
+        self.earliest = math.inf
 
     @property
     def position(self) -> Position:
@@ -103,6 +111,7 @@ class ShardMedium(Medium):
         self.export_channels = frozenset(export_channels)
         self.outbox: List[BoundaryRecord] = []
         self._export_seq = itertools.count()
+        self._ghosts: Dict[Tuple[str, int], _GhostSender] = {}
         self.boundary_injected = 0
 
     def transmit(self, sender, payload, size_bits, mode, duration,
@@ -126,65 +135,51 @@ class ShardMedium(Medium):
     def inject_boundary(self, record: BoundaryRecord) -> Transmission:
         """Fan a remote transmission out to the local co-channel radios.
 
-        Mirrors the uncached :meth:`Medium.transmit` loop — fresh
-        ``received_power_watts`` per receiver in exact mode (the same
-        pure function the remote shard's LinkCache memoizes, so the
-        receive powers are bit-identical to the single-process run),
-        ``link_gain`` in fast mode, floor cull, and the exact
-        ``start + delay`` / ``start + (delay + duration)``
-        parenthesization the in-process fan-out uses.  Injection does
-        not go through compiled plans: boundary traffic is sparse by
-        construction, and ghost senders are transient objects.
+        The record's ghost sender transmits through its compiled plan:
+        a hit when neither it nor any local radio moved, retuned,
+        attached or detached and its power is unchanged, else one
+        :meth:`Medium._compile_plan` (``plan_hits`` / ``plan_misses``
+        and ``links`` count ghosts too).  The plan's entries are pushed
+        by the kernel's ``fan_out`` from the record's start time — the
+        exact ``start + delay`` / ``start + (delay + duration)``
+        parenthesization of the in-process fan-out.
         """
+        start, _shard, _seq, name, x, y, z, channel, power, duration \
+            = record
+        ghost = self._ghosts.get((name, channel))
+        if ghost is None:
+            ghost = self._ghosts[name, channel] = _GhostSender(
+                name, Position(x, y, z), channel)
+        else:
+            position = ghost._position
+            if position.x != x or position.y != y or position.z != z:
+                ghost._position = Position(x, y, z)
+        plan = self._plans.get(ghost)
+        if plan is not None and plan[0] is ghost._position \
+                and plan[1] == power:
+            self.plan_hits += 1
+        else:
+            plan = self._compile_plan(ghost, channel, power)
+            self.plan_misses += 1
+            ghost.earliest = min((entry[3] for entry in plan[2]),
+                                 default=math.inf)
         sim = self.sim
-        now = sim._now
-        start = record.start_time
-        ghost = _GhostSender(record.sender,
-                             Position(record.x, record.y, record.z),
-                             record.channel)
-        transmission = Transmission(ghost, None, 0, ENERGY_ONLY,
-                                    record.power_watts, start,
-                                    record.duration)
-        active = self._active.get(record.channel)
+        # Addition is monotone, so no arrival precedes the earliest one.
+        if start + ghost.earliest < sim._now:
+            # A conservative-lookahead executor must never deliver into
+            # the past; this firing means the synchronization bound was
+            # wrong (or a lookahead override lied), so it is always
+            # fatal, not an opt-in invariant.
+            raise InvariantViolation(
+                f"shard {self.shard}: boundary arrival from {name!r} at "
+                f"t={start + ghost.earliest!r} is behind the local clock "
+                f"t={sim._now!r} (lookahead violation)")
+        transmission = Transmission(ghost, None, 0, ENERGY_ONLY, power,
+                                    start, duration)
+        active = self._active.get(channel)
         if active is None:
-            active = self._active[record.channel] = []
+            active = self._active[channel] = []
         active.append(transmission)
-        floor = self.reception_floor_watts
-        propagation = self.propagation
-        model_delay = self.propagation_delay
-        exact = self.exact
-        tx_pos = ghost._position
-        push = sim._push
-        next_seq = sim._next_seq
-        duration = record.duration
-        power = record.power_watts
-        scheduled = 0
-        for receiver, begins, ends in self._channel_members(record.channel):
-            rx_pos = receiver.position
-            if exact:
-                rx_power = propagation.received_power_watts(power, tx_pos,
-                                                            rx_pos)
-            else:
-                rx_power = power * propagation.link_gain(tx_pos, rx_pos)
-            if rx_power < floor:
-                continue
-            delay = tx_pos.distance_to(rx_pos) / SPEED_OF_LIGHT \
-                if model_delay else 0.0
-            arrival = start + delay
-            if arrival < now:
-                # A conservative-lookahead executor must never deliver
-                # into the past; this firing means the synchronization
-                # bound was wrong (or a lookahead override lied), so it
-                # is always fatal, not an opt-in invariant.
-                raise InvariantViolation(
-                    f"shard {self.shard}: boundary arrival from "
-                    f"{record.sender!r} at t={arrival!r} is behind the "
-                    f"local clock t={now!r} (lookahead violation)")
-            push((arrival, next_seq(), None, begins,
-                  (transmission, rx_power)))
-            push((start + (delay + duration), next_seq(), None, ends,
-                  (transmission,)))
-            scheduled += 2
-        sim._scheduled += scheduled
+        sim._fan_out(sim, plan[2], transmission, duration, start)
         self.boundary_injected += 1
         return transmission

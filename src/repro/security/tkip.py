@@ -11,7 +11,7 @@ TKIP wraps the WEP hardware path with (source text §5.2):
 * **TSC replay enforcement**: receivers drop frames whose counter does
   not increase.
 
-Substitution note (documented in DESIGN.md): the reference TKIP mixing
+Substitution note: the reference TKIP mixing
 function is an S-box Feistel network; we implement the same two-phase
 structure (phase 1 over TK/TA/high-TSC cached across 65536 frames,
 phase 2 over low-TSC per frame, first RC4 key bytes derived from the

@@ -250,3 +250,52 @@ def test_scheduling_primitives_build_identical_entries():
     shape, fired, now, executed = run("c")
     assert fired == ["2"] and executed == 11
     assert shape[1:4] == (10, 1, 2)     # the malformed plan counted nothing
+
+
+def test_fan_out_from_a_given_start_builds_identical_entries():
+    """``sim._fan_out``'s fifth argument, the base time a boundary ghost
+    fans out from: the same entries on both kernels whether it is given
+    or omitted (``None``), ``start + delay`` and ``start + (delay +
+    duration)`` parenthesized as from ``now``, for a non-float start as
+    for a float one; and a wrong arity is a ``TypeError`` on both."""
+    from fractions import Fraction
+
+    def begins(transmission, power):
+        pass
+
+    def ends(transmission):
+        pass
+
+    # 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3: the grouping shows.
+    plan = ((begins, ends, 1e-9, 0.2), (begins, ends, 2e-9, 0))
+
+    def run(kernel):
+        sim = Simulator(kernel=kernel)
+        sim.schedule(0.05, lambda: None)
+        sim.run(until=0.05)
+        sim._fan_out(sim, plan, "now", 0.3)
+        sim._fan_out(sim, plan, "omitted", 0.3, None)
+        sim._fan_out(sim, plan, "float", 0.3, 0.1)
+        sim._fan_out(sim, plan[:1], "int", 0.3, 1)
+        sim._fan_out(sim, plan[:1], "fraction", 0.3, Fraction(1, 3))
+        for args in ((sim, plan, "x"), (sim, plan, "x", 0.3, 0.1, 0.0)):
+            with pytest.raises(TypeError):
+                sim._fan_out(*args)
+        entries = [(repr(entry[0]), entry[1], entry[4][0])
+                   for entry in sorted(sim._heap, key=lambda e: e[:2])]
+        return entries, sim._scheduled
+
+    assert run("c") == run("python")
+    entries, scheduled = run("c")
+    assert scheduled == 1 + 2 * (2 + 2 + 2 + 1 + 1)
+    times = {tag: [time for time, _seq, owner in entries if owner == tag]
+             for tag in ("now", "omitted", "float", "int", "fraction")}
+    assert times["now"] == times["omitted"] == [
+        repr(0.05 + 0), repr(0.05 + 0.2), repr(0.05 + (0 + 0.3)),
+        repr(0.05 + (0.2 + 0.3))]
+    assert times["float"] == [repr(0.1 + 0), repr(0.1 + 0.2),
+                              repr(0.1 + (0 + 0.3)), repr(0.1 + (0.2 + 0.3))]
+    assert repr(0.1 + (0.2 + 0.3)) != repr((0.1 + 0.2) + 0.3)
+    assert times["int"] == [repr(1 + 0.2), repr(1 + (0.2 + 0.3))]
+    assert times["fraction"] == [repr(Fraction(1, 3) + 0.2),
+                                 repr(Fraction(1, 3) + (0.2 + 0.3))]

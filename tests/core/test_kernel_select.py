@@ -86,6 +86,14 @@ class TestStaleExtension:
             resolve_kernel("c")
         assert not recwarn.list
 
+    def test_an_extension_from_before_fan_out_start_is_stale(self, stale):
+        # ABI 6 added fan_out's base time; a build without it would turn
+        # every boundary ghost into a TypeError mid-run.
+        assert engine.KERNEL_ABI == 6
+        stale.KERNEL_ABI = 5
+        with pytest.warns(RuntimeWarning, match="ABI 5.*needs 6"):
+            assert not ckernel_available()
+
     def test_an_extension_without_an_abi_is_stale_too(self, stale):
         del stale.KERNEL_ABI
         with pytest.warns(RuntimeWarning, match="ABI None"):

@@ -2,6 +2,7 @@
 medium, arrival log, coordinator protocol)."""
 
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -9,11 +10,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import Simulator
+from repro.core.engine import Simulator, ckernel_available
 from repro.core.errors import (ConfigurationError, InvariantViolation,
                                SimulationError)
 from repro.core.topology import Position
 from repro.core.trace import TraceLog
+from repro.core.units import SPEED_OF_LIGHT
 from repro.mac.addresses import MacAddress
 from repro.parallel import (ArrivalLog, BoundaryRecord, CellSpec,
                             ShardMedium, partition_cells, run_sharded,
@@ -21,10 +23,12 @@ from repro.parallel import (ArrivalLog, BoundaryRecord, CellSpec,
 from repro.parallel import executor
 from repro.parallel.channel import Channel
 from repro.parallel.executor import CellBuild
-from repro.phy.channel import ENERGY_ONLY
+from repro.parallel.shard import _GhostSender
+from repro.phy.channel import ENERGY_ONLY, Transmission
 from repro.phy.propagation import LogDistance
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def free_space():
@@ -144,6 +148,280 @@ class TestShardMedium:
                                 1, 0.5, 2e-4)
         with pytest.raises(InvariantViolation, match="lookahead"):
             medium.inject_boundary(record)
+
+
+KERNELS = [pytest.param("python"), pytest.param("c", marks=pytest.mark.skipif(
+    not ckernel_available(), reason="compiled kernel not built"))]
+
+
+def _per_receiver_inject(medium, record):
+    """What ``ShardMedium.inject_boundary`` did before ghosts had plans —
+    a fresh link budget per receiver per record, a lookahead check per
+    arrival, a Python ``push`` per edge.  The oracle of the plan path."""
+    sim = medium.sim
+    now = sim._now
+    start = record.start_time
+    tx_pos = Position(record.x, record.y, record.z)
+    transmission = Transmission(
+        _GhostSender(record.sender, tx_pos, record.channel), None, 0,
+        ENERGY_ONLY, record.power_watts, start, record.duration)
+    for receiver, begins, ends in medium._channel_members(record.channel):
+        rx_pos = receiver.position
+        if medium.exact:
+            rx_power = medium.propagation.received_power_watts(
+                record.power_watts, tx_pos, rx_pos)
+        else:
+            rx_power = record.power_watts \
+                * medium.propagation.link_gain(tx_pos, rx_pos)
+        if rx_power < medium.reception_floor_watts:
+            continue
+        delay = tx_pos.distance_to(rx_pos) / SPEED_OF_LIGHT \
+            if medium.propagation_delay else 0.0
+        if start + delay < now:
+            raise InvariantViolation("lookahead violation")
+        sim._push((start + delay, sim._next_seq(), None, begins,
+                   (transmission, rx_power)))
+        sim._push((start + (delay + record.duration), sim._next_seq(), None,
+                   ends, (transmission,)))
+        sim._scheduled += 2
+    return transmission
+
+
+def _entry(entry):
+    """A raw fan-out heap entry, with its objects named."""
+    time, seq, _none, callback, args = entry
+    sent = args[0]
+    return (repr(time), seq, callback.__self__.name, callback.__name__,
+            tuple(map(repr, args[1:])), sent.sender.name, sent.mode.name,
+            repr(sent.power_watts), repr(sent.start_time),
+            repr(sent.duration))
+
+
+#: Remote sender spots: near, mid, and one 50 km out that only the
+#: 1 W records clear the floor from.
+_REMOTE_SPOTS = [(0.0, 0.0), (25.5, 3.0), (-40.0, 10.0), (5e4, 0.0)]
+_LOCAL_SPOTS = [(0.0, 1.0), (10.0, 0.0), (50.0, 5.0), (-3e4, 0.0)]
+_CHANNELS = st.sampled_from([1, 6])
+_SLOT = st.integers(0, 7)
+
+
+@st.composite
+def _ghost_scripts(draw):
+    """Boundary records whose remote senders move, change power, switch
+    channel or share a name, interleaved with local radios attaching,
+    detaching, moving and retuning."""
+    inject = st.tuples(
+        st.just("inject"), st.sampled_from(["r0", "r1"]),
+        st.sampled_from(_REMOTE_SPOTS), _CHANNELS,
+        st.sampled_from([0.05, 0.1, 1.0]), st.sampled_from([1e-4, 2.5e-4]),
+        st.sampled_from([0.0, 1e-3, 2.7e-3]))
+    local = st.one_of(
+        st.tuples(st.just("attach"), st.sampled_from(_LOCAL_SPOTS), _CHANNELS),
+        st.tuples(st.just("detach"), _SLOT),
+        st.tuples(st.just("move"), _SLOT, st.sampled_from(_LOCAL_SPOTS)),
+        st.tuples(st.just("retune"), _SLOT, _CHANNELS))
+    return draw(st.lists(st.one_of(inject, inject, local), min_size=1,
+                         max_size=30))
+
+
+class TestGhostPlans:
+    """A boundary ghost fans out through its compiled plan and the
+    kernel's ``fan_out``: every entry it pushes — time, seq, callback,
+    receive power — equals what the per-receiver loop pushed."""
+
+    @staticmethod
+    def _world(kernel, exact):
+        sim = Simulator(seed=1, trace=TraceLog(enabled=False), kernel=kernel)
+        medium = ShardMedium(sim, free_space(), exact=exact, shard=1)
+        Radio("rx0", medium, DOT11B, Position(5.0, 0.0, 0.0), channel_id=1)
+        return sim, medium
+
+    @staticmethod
+    def _apply(medium, op, serial):
+        radios = medium._radios
+        if op[0] == "attach":
+            (x, y), channel = op[1], op[2]
+            Radio(f"rx{serial}", medium, DOT11B, Position(x, y, 0.0),
+                  channel_id=channel)
+        elif radios:
+            radio = radios[op[1] % len(radios)]
+            if op[0] == "detach":
+                medium.detach(radio)
+            elif op[0] == "move":
+                radio.position = Position(op[2][0], op[2][1], 0.0)
+            else:
+                radio.channel_id = op[2]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=60, deadline=None)
+    @given(script=_ghost_scripts())
+    def test_plan_path_pushes_what_the_loop_pushed(self, kernel, exact,
+                                                   script):
+        planned, reference = (self._world(kernel, exact),
+                              self._world(kernel, exact))
+        for serial, op in enumerate(script):
+            if op[0] != "inject":
+                self._apply(planned[1], op, serial)
+                self._apply(reference[1], op, serial)
+                continue
+            _, name, (x, y), channel, power, duration, start = op
+            record = BoundaryRecord(start, 0, serial, name, x, y, 0.0,
+                                    channel, power, duration)
+            pushed = []
+            for (sim, medium), inject in (
+                    (planned, ShardMedium.inject_boundary),
+                    (reference, _per_receiver_inject)):
+                before = {entry[1] for entry in sim._heap}
+                inject(medium, record)
+                pushed.append(sorted(_entry(entry) for entry in sim._heap
+                                     if entry[1] not in before))
+            assert pushed[0] == pushed[1]
+        assert planned[0]._scheduled == reference[0]._scheduled
+        assert planned[1].boundary_injected \
+            == sum(op[0] == "inject" for op in script)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_an_arrival_at_the_clock_passes_one_ulp_earlier_raises(
+            self, kernel):
+        start = 1e-3
+        near, far = Position(30.0, 0.0, 0.0), Position(90.0, 0.0, 0.0)
+        earliest = start + Position(0.0, 0.0, 0.0).distance_to(near) \
+            / SPEED_OF_LIGHT
+        record = BoundaryRecord(start, 0, 0, "remote", 0.0, 0.0, 0.0,
+                                1, 0.1, 1e-4)
+        for clock, fails in ((earliest, False),
+                             (math.nextafter(earliest, math.inf), True)):
+            sim = Simulator(seed=1, trace=TraceLog(enabled=False),
+                            kernel=kernel)
+            medium = ShardMedium(sim, free_space(), shard=1)
+            # The far radio's arrival is after both clocks: only the
+            # earliest arrival may decide.
+            Radio("far", medium, DOT11B, far, channel_id=1)
+            Radio("near", medium, DOT11B, near, channel_id=1)
+            sim.schedule_fast_at(clock, lambda: None)
+            sim.run(until=clock)
+            assert sim.now == clock
+            if fails:
+                with pytest.raises(InvariantViolation,
+                                   match=rf"at t={earliest!r} is behind "
+                                         rf"the local clock t={clock!r}"):
+                    medium.inject_boundary(record)
+                assert sim.pending_events == 0
+            else:
+                medium.inject_boundary(record)
+                assert sim.pending_events == 4
+
+
+def _steady_build(ctx):
+    """A sender of constant-power bursts every 1.3 us, and a listener."""
+    sim, cell, medium = ctx.sim, ctx.cell, ctx.medium
+    radio = Radio(f"tx-{cell.name}", medium, DOT11B, cell.center,
+                  channel_id=cell.channel)
+    Radio(f"rx-{cell.name}", medium, DOT11B, cell.center.translated(dx=5.0),
+          channel_id=cell.channel)
+
+    def burst():
+        medium.transmit_energy(radio, duration=7e-7, power_watts=0.1)
+        sim.schedule(1.3e-6, burst)
+
+    sim.schedule(0.0, burst)
+    return lambda: {}
+
+
+class TestBoundaryCosts:
+    """What the boundary path costs, counted on an in-process coupled
+    run (the shards advanced by direct call, as a one-host worker does):
+    ghost link budgets are paid once per ghost, not once per record;
+    ghost edges are pushed by the kernel's ``fan_out``, never by a
+    Python ``push``; a record is built once, where it is exported."""
+
+    CELLS = [spec("a", x=0.0, build=_steady_build),
+             spec("b", x=100.0, build=_steady_build)]
+
+    def _run(self, horizon):
+        plan = partition_cells(self.CELLS, free_space(), workers=2,
+                               manual={"a": 0, "b": 1})
+        counts = {"link_budgets": 0, "pushes": 0, "fan_outs": 0,
+                  "injections": 0, "records": 0}
+        built = BoundaryRecord.__new__
+
+        def counted_record(cls, *fields):
+            counts["records"] += 1
+            return built(cls, *fields)
+
+        shards = []
+        for index, cells in enumerate(plan.shards):
+            shard = executor._Shard(index, seed=4)
+            shard.build(cells, [plan.index_of(cell.name) for cell in cells],
+                        plan.export_channels[index], free_space, -110.0,
+                        True, True, False, False, 0.05)
+            self._count_injection(shard, counts)
+            shards.append(shard)
+        board = executor._Board(len(shards))
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(BoundaryRecord, "__new__", counted_record)
+                rounds, records, _ = executor._run_rounds(
+                    plan, [plan.incoming(index) for index in range(2)],
+                    horizon, MetricsRegistry(enabled=False), board,
+                    lambda requests: [shards[index].advance(bound, batch)
+                                      for index, bound, batch in requests],
+                    ArrivalLog())
+        finally:
+            board.close()
+        return rounds, records, counts
+
+    @staticmethod
+    def _count_injection(shard, counts):
+        """Count, while a record is injected, the link budgets evaluated,
+        the ``fan_out`` calls and the pushes made outside them."""
+        sim, medium = shard.sim, shard.medium
+        inside = {"inject": False, "fan_out": False}
+        inject, fan_out, push = medium.inject_boundary, sim._fan_out, sim._push
+        evaluate = medium.propagation.received_power_watts
+
+        def counted_inject(record):
+            counts["injections"] += 1
+            inside["inject"] = True
+            try:
+                return inject(record)
+            finally:
+                inside["inject"] = False
+
+        def counted_fan_out(*args):
+            counts["fan_outs"] += inside["inject"]
+            inside["fan_out"] = True
+            try:
+                return fan_out(*args)
+            finally:
+                inside["fan_out"] = False
+
+        def counted_push(entry):
+            counts["pushes"] += inside["inject"] and not inside["fan_out"]
+            return push(entry)
+
+        def counted_evaluate(*args):
+            counts["link_budgets"] += inside["inject"]
+            return evaluate(*args)
+
+        medium.inject_boundary = counted_inject
+        sim._fan_out, sim._push = counted_fan_out, counted_push
+        medium.propagation.received_power_watts = counted_evaluate
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_ghost_costs_do_not_grow_with_the_horizon(self, kernel,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        short, long = self._run(2e-5), self._run(6e-5)
+        assert long[0] > 2 * short[0] and long[1] > 2 * short[1]
+        for rounds, records, counts in (short, long):
+            # Each record reaches the other shard's two radios; each
+            # shard compiled its one ghost's plan once.
+            assert counts["link_budgets"] == 2 * 2
+            assert counts["pushes"] == 0
+            assert counts["fan_outs"] == counts["injections"] > 0
+            assert counts["records"] == records
 
 
 class TestArrivalLog:
