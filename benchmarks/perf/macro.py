@@ -158,23 +158,16 @@ def _telemetry_extras(hubs: List[Any]) -> Dict[str, Any]:
 def dcf_saturation(scale: float = 1.0, *, seed: int = 5,
                    stations: int = 20,
                    cache_links: bool = True,
-                   exact: bool = True,
                    check_invariants: bool = False,
                    telemetry: bool = False) -> Dict[str, Any]:
     """20 saturated stations sending 800-byte MSDUs to one receiver.
 
     The headline macro-benchmark: dominated by arrival fan-out, CCA
     edges, slot-by-slot backoff, and frame delivery decisions.
-
-    ``exact=False`` runs the medium's relaxed-ulp fast mode (the
-    ``*_fast`` macro variants); its stats are seed-deterministic but
-    deliberately NOT comparable to exact-mode stats — see
-    PERFORMANCE.md, "Exact vs fast mode".
     """
     reset_allocator()
     sim = _perf_simulator(seed)
-    medium = Medium(sim, FixedLoss(50.0), cache_links=cache_links,
-                    exact=exact)
+    medium = Medium(sim, FixedLoss(50.0), cache_links=cache_links)
     config = DcfConfig()
     factory = fixed_rate_factory("CCK-11")
     receiver_radio = Radio("rx", medium, DOT11B, Position(0, 0, 0))
@@ -215,30 +208,6 @@ def dcf_saturation(scale: float = 1.0, *, seed: int = 5,
     if telemetry:
         result.update(_telemetry_extras([hub]))
     return result
-
-
-def dcf_saturation_fast(scale: float = 1.0, *, seed: int = 5,
-                        check_invariants: bool = False,
-                        telemetry: bool = False) -> Dict[str, Any]:
-    """`dcf_saturation` in the relaxed-ulp fast mode (exact=False).
-
-    Committed side-by-side with the exact macro so every PR's BENCH
-    trajectory shows both figures.  The stats fingerprint is still a
-    pure function of the seed (the determinism gates apply), but it is
-    bit-INcompatible with exact mode by design.
-    """
-    return dcf_saturation(scale, seed=seed, exact=False,
-                          check_invariants=check_invariants,
-                          telemetry=telemetry)
-
-
-def dcf_saturation_100_fast(scale: float = 1.0, *, seed: int = 17,
-                            check_invariants: bool = False,
-                            telemetry: bool = False) -> Dict[str, Any]:
-    """`dcf_saturation_100` in the relaxed-ulp fast mode (exact=False)."""
-    return dcf_saturation(scale, seed=seed, stations=100, exact=False,
-                          check_invariants=check_invariants,
-                          telemetry=telemetry)
 
 
 def dcf_saturation_100(scale: float = 1.0, *, seed: int = 17,
@@ -322,7 +291,6 @@ def multi_bss(scale: float = 1.0, *, seed: int = 23,
 
 
 def interference_field(scale: float = 1.0, *, seed: int = 29,
-                       exact: bool = True,
                        check_invariants: bool = False,
                        telemetry: bool = False) -> Dict[str, Any]:
     """A saturated BSS drowning in 26 overlapping energy emitters.
@@ -334,10 +302,8 @@ def interference_field(scale: float = 1.0, *, seed: int = 29,
 
     * 20 *weak* emitters (below the preamble floor, above the
       reception floor) — pure arrival-table depth: at any instant ~7
-      of them are on the air, so every exact-mode CCA edge re-sums an
-      8-deep table while fast mode's O(1) accumulator does one add.
-      This is the regime where the PR-4 fast mode was predicted to
-      win, and the first committed macro that measures it.
+      of them are on the air, so every CCA edge re-sums an 8-deep
+      table.
     * 4 *strong* emitters (above the CCA threshold) — airtime thieves:
       the DCF freezes during their bursts, so contention re-anchoring
       churns on top of the deep table.
@@ -350,7 +316,7 @@ def interference_field(scale: float = 1.0, *, seed: int = 29,
     """
     reset_allocator()
     sim = _perf_simulator(seed)
-    medium = Medium(sim, FixedLoss(50.0), exact=exact)
+    medium = Medium(sim, FixedLoss(50.0))
     config = DcfConfig()
     factory = fixed_rate_factory("CCK-11")
     receiver_radio = Radio("rx", medium, DOT11B, Position(0, 0, 0))
@@ -417,24 +383,6 @@ def interference_field(scale: float = 1.0, *, seed: int = 29,
     if telemetry:
         result.update(_telemetry_extras([hub]))
     return result
-
-
-def interference_field_fast(scale: float = 1.0, *, seed: int = 29,
-                            check_invariants: bool = False,
-                            telemetry: bool = False) -> Dict[str, Any]:
-    """`interference_field` in the relaxed-ulp fast mode (exact=False).
-
-    The workload fast mode exists for: with an ~8-deep arrival table at
-    every radio, the exact path's provably-exact short-circuits never
-    apply and every energy edge pays an O(depth) re-sum that the
-    accumulator replaces with O(1).  Committed side-by-side so the
-    BENCH trajectory shows the exact-vs-fast gap in its winning regime
-    (stats seed-deterministic, bit-incompatible with exact — see
-    PERFORMANCE.md).
-    """
-    return interference_field(scale, seed=seed, exact=False,
-                              check_invariants=check_invariants,
-                              telemetry=telemetry)
 
 
 def hidden_terminal(scale: float = 1.0, *, seed: int = 11,
@@ -944,13 +892,10 @@ def city_scale_1p(scale: float = 1.0, *, seed: int = 41,
 
 MACROS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "dcf_saturation": dcf_saturation,
-    "dcf_saturation_fast": dcf_saturation_fast,
     "dcf_saturation_100": dcf_saturation_100,
-    "dcf_saturation_100_fast": dcf_saturation_100_fast,
     "multi_bss": multi_bss,
     "hidden_terminal": hidden_terminal,
     "interference_field": interference_field,
-    "interference_field_fast": interference_field_fast,
     "mesh_backhaul": mesh_backhaul,
     "roaming_ess": roaming_ess,
     "fault_storm": fault_storm,

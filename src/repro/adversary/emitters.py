@@ -3,8 +3,8 @@
 Every emitter here drives the medium's energy-only transmission path
 (:meth:`~repro.phy.channel.Medium.transmit_energy`): its bursts carry
 power but no frame, so co-channel radios integrate them into CCA and
-interference accounting — in both exact and fast mode — without ever
-locking onto them.  Emitters are *transmit-only* senders by default
+interference accounting without ever locking onto them.  Emitters
+are *transmit-only* senders by default
 (an :class:`EnergySource`, not an attached
 :class:`~repro.phy.transceiver.Radio`), so the medium never fans frames
 out **to** them: a field of twenty jammers adds zero per-frame receive

@@ -9,9 +9,10 @@ the two shapes papers report:
 * sweep curves — one axis on x, mean±CI of one statistic on y
   (:func:`sweep_curve`, :func:`render_sweep_curve`) — the
   generalisation of ``duty_cycle_sweep`` to arbitrary spec axes,
-* exact-vs-fast differential gates (:func:`compare_stats`,
-  :func:`differential_gate`): match two stores job-by-job and check
-  every statistic against per-stat tolerances.
+* differential gates (:func:`compare_stats`,
+  :func:`differential_gate`): match two stores job-by-job — the same
+  grid run two ways, e.g. on both kernels — and check every statistic
+  against per-stat tolerances.
 
 Pure data-in/data-out, stdlib only: the t critical values for small
 ensembles are a built-in table (95% two-sided, the textbook column), so
@@ -280,8 +281,8 @@ def compare_stats(reference_rows: Sequence[Mapping[str, Any]],
     """Match two stores job-by-job; return every tolerance violation.
 
     Rows are matched by ``(axes, seed)`` — the job identity minus the
-    execution mode, which is exactly what differs between an exact and
-    a fast campaign built from the same spec.  Only statistics named in
+    execution mode, which is exactly what differs between two campaigns
+    built from the same spec on different kernels.  Only statistics named in
     ``tolerances`` are compared; a statistic missing from either side,
     or an unmatched job, is itself a mismatch (silent shrinkage must
     not pass the gate).

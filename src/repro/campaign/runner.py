@@ -360,8 +360,8 @@ def _run_city_cells(sim: Simulator, spec: Dict[str, Any]
     single-process oracle — the bulk-sweep face of ``city_scale``.
 
     ``run_single`` owns its own kernel, so the ``sim`` built by
-    :func:`run_job` is unused here (its seed/profile were already
-    consumed into the call below).
+    :func:`run_job` is unused here (its seed was already consumed into
+    the call below).
     """
     from ..parallel import run_single
     params = spec["scenario"]["params"]
@@ -372,8 +372,7 @@ def _run_city_cells(sim: Simulator, spec: Dict[str, Any]
         payload_size=params.get("payload_size", 800))
     result = run_single(cells, seed=spec["scenario"]["seed"],
                         horizon=spec["scenario"]["horizon"],
-                        propagation_factory=scenarios.city_propagation,
-                        exact=spec["mode"]["profile"] == "exact")
+                        propagation_factory=scenarios.city_propagation)
     rx_bytes = sum(cell["rx_bytes"] for cell in result["cells"].values())
     rx_frames = sum(cell["rx_frames"] for cell in result["cells"].values())
     return {"rx_bytes": rx_bytes, "rx_frames": rx_frames,
@@ -405,7 +404,6 @@ def run_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     reset_allocator()
     sim = Simulator(seed=spec["scenario"]["seed"],
                     trace=TraceLog(enabled=False),
-                    profile=mode["profile"],
                     kernel=None if mode["kernel"] == "auto"
                     else mode["kernel"])
     # Subsystems that build their own Simulator (run_single under

@@ -19,7 +19,6 @@ file) that describes one experiment family as data::
     payload_bytes = 1000
 
     [mode]
-    profile = "exact"               # exact | fast
     kernel = "auto"                 # auto | python | c
 
     [sweep]                         # cartesian axes, by spec path
@@ -49,7 +48,7 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.engine import KERNELS, Simulator
+from ..core.engine import KERNELS
 from ..core.errors import ConfigurationError
 
 __all__ = ["SpecError", "load_spec", "validate_spec", "canonical_json",
@@ -133,7 +132,7 @@ TRAFFIC_PARAMS: Dict[str, type] = {
 }
 
 _TOP_LEVEL = ("campaign", "scenario", "traffic", "adversaries", "mode",
-              "sweep", "seeds", "differential")
+              "sweep", "seeds")
 
 SCHEMA_DOC = """\
 campaign.name        str   campaign identity (store/manifest file stem)
@@ -146,13 +145,10 @@ traffic.payload_bytes int  per-packet payload
 traffic.interval     float cbr inter-packet gap (cbr only)
 traffic.depth        int   saturate prime depth (saturate only)
 adversaries          list  [{kind, position=[x,y,z], start, ...params}]
-mode.profile         str   exact | fast
 mode.kernel          str   auto | python | c
 sweep.<spec.path>    list  cartesian axis over any scalar spec path
 seeds.count          int   seed ensemble: seed .. seed+count-1
 seeds.list           list  explicit seed ensemble (overrides count)
-differential.reference   str  campaign name this one is compared against
-differential.tolerances  {stat = {rel=..} or {abs=..}} equivalence gate
 """ % ", ".join(sorted(BUILDER_PARAMS))
 
 
@@ -292,6 +288,10 @@ def validate_spec(raw: Any, source: Optional[str] = None) -> Dict[str, Any]:
     problem found.
     """
     raw = _typed(raw, "(root)", dict, source)
+    if "differential" in raw:
+        raise SpecError("differential", "section removed: compare two "
+                        "stores with repro.analysis.campaign."
+                        "differential_gate", source=source)
     _check_unknown(raw, "(root)", _TOP_LEVEL, source)
 
     campaign = _typed(raw.get("campaign", {}), "campaign", dict, source)
@@ -329,13 +329,10 @@ def validate_spec(raw: Any, source: Optional[str] = None) -> Dict[str, Any]:
                    for index, entry in enumerate(adversaries_raw)]
 
     mode = _typed(raw.get("mode", {}), "mode", dict, source)
-    _check_unknown(mode, "mode", ("profile", "kernel"), source)
-    profile = _typed(mode.get("profile", "exact"), "mode.profile", str,
-                     source)
-    if profile not in Simulator.PROFILES:
-        raise SpecError("mode.profile",
-                        f"unknown profile {profile!r}; expected one of "
-                        f"{list(Simulator.PROFILES)}", source=source)
+    if "profile" in mode:
+        raise SpecError("mode.profile", "key removed: every run uses the "
+                        "one medium arithmetic", source=source)
+    _check_unknown(mode, "mode", ("kernel",), source)
     kernel = _typed(mode.get("kernel", "auto"), "mode.kernel", str, source)
     if kernel not in KERNELS:
         raise SpecError("mode.kernel",
@@ -369,7 +366,7 @@ def validate_spec(raw: Any, source: Optional[str] = None) -> Dict[str, Any]:
                      "params": params},
         "traffic": traffic,
         "adversaries": adversaries,
-        "mode": {"profile": profile, "kernel": kernel},
+        "mode": {"kernel": kernel},
         "seeds": {"list": seed_list},
         "sweep": {},
     }
@@ -390,26 +387,6 @@ def validate_spec(raw: Any, source: Optional[str] = None) -> Dict[str, Any]:
                             "is not meaningful", source=source)
         normalized["sweep"][axis_path] = list(values)
 
-    if "differential" in raw:
-        diff = _typed(raw["differential"], "differential", dict, source)
-        _check_unknown(diff, "differential", ("reference", "tolerances"),
-                       source)
-        reference = _require(diff, "differential", "reference", str, source)
-        tolerances_raw = _typed(diff.get("tolerances", {}),
-                                "differential.tolerances", dict, source)
-        tolerances = {}
-        for stat, tol in tolerances_raw.items():
-            tol_path = f"differential.tolerances.{stat}"
-            tol = _typed(tol, tol_path, dict, source)
-            _check_unknown(tol, tol_path, ("rel", "abs"), source)
-            if not tol:
-                raise SpecError(tol_path, "needs a rel or abs bound",
-                                source=source)
-            tolerances[stat] = {key: _typed(value, f"{tol_path}.{key}",
-                                            float, source)
-                                for key, value in tol.items()}
-        normalized["differential"] = {"reference": reference,
-                                      "tolerances": tolerances}
     return normalized
 
 
@@ -497,7 +474,6 @@ def concrete_job_spec(spec: Dict[str, Any], axes: Dict[str, Any],
     job = copy.deepcopy(spec)
     job.pop("sweep", None)
     job.pop("seeds", None)
-    job.pop("differential", None)
     for path, value in axes.items():
         set_path(job, path, value)
     job["scenario"]["seed"] = seed

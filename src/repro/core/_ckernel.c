@@ -17,13 +17,13 @@
  *    two places the layers above build heap entries (one timer arm;
  *    two raw entries per receiver of a compiled fan-out plan), pushed
  *    here as structs.
- * 3. ``arrival_begins`` / ``arrival_ends`` — the exact-mode receive
+ * 3. ``arrival_begins`` / ``arrival_ends`` — the receive
  *    edges of ``repro.phy.transceiver.Radio`` (with ``_try_lock``, the
  *    capture test, ``_refresh_interference`` and the CCA tail), working
  *    on ``Radio``'s and ``SinrTracker``'s ``__slots__`` by offset, the
  *    way the loop works on ``Timer``'s.  ``Medium`` binds them per
  *    radio with ``types.MethodType`` (see ``bind_phy``).
- * 4. ``_reception_complete`` — the exact-mode reception tail of
+ * 4. ``_reception_complete`` — the reception tail of
  *    ``Radio``: unlock, the SINR arithmetic of ``SinrTracker.sinr_db``,
  *    the PER out of ``phy.error_models._per_cache`` (the dict, the
  *    ``(snr, bits, Modulation.memo_id)`` key and the limit rule
@@ -784,7 +784,6 @@ static Py_ssize_t off_r_noise, off_r_config, off_r_decodable, off_r_sim;
 static Py_ssize_t off_r_rx_timer, off_r_tracker, off_r_on_cca_busy;
 static Py_ssize_t off_r_on_cca_idle, off_r_on_state_change;
 static Py_ssize_t off_r_on_rx_end, off_r_error_model, off_r_rng, off_r_trace;
-static Py_ssize_t off_r_exact;
 static Py_ssize_t off_s_signal, off_s_noise, off_s_start, off_s_last;
 static Py_ssize_t off_s_current, off_s_energy;
 
@@ -1166,7 +1165,7 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
     if (status == 0) {
         slot_set(self, off_r_locked, transmission);
         slot_set(self, off_r_locked_power, power);
-        /* SinrTracker.reset(power, noise, now, interference). */
+        /* The tracker re-initialized as SinrTracker.__init__ sets it. */
         slot_set(tracker, off_s_signal, power);
         slot_set(tracker, off_s_noise, noise);
         slot_set(tracker, off_s_start, now);
@@ -1664,7 +1663,6 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
             || nav == NULL || Py_TYPE(nav) != nav_type
             || !is_float(until = SLOT(nav, off_n_until))
             || radio == NULL || Py_TYPE(radio) != radio_type
-            || SLOT(radio, off_r_exact) != Py_True
             || (state = SLOT(radio, off_r_state)) == NULL)
         return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
     if (PyFloat_AS_DOUBLE(now) < PyFloat_AS_DOUBLE(until)
@@ -2504,8 +2502,7 @@ ck_bind_phy(PyObject *module, PyObject *args)
         {"on_cca_idle", &off_r_on_cca_idle},
         {"on_state_change", &off_r_on_state_change},
         {"on_rx_end", &off_r_on_rx_end}, {"error_model", &off_r_error_model},
-        {"_rng", &off_r_rng}, {"_trace", &off_r_trace},
-        {"_exact", &off_r_exact}, {NULL, NULL}};
+        {"_rng", &off_r_rng}, {"_trace", &off_r_trace}, {NULL, NULL}};
     const struct slot_spec tracker_slots[] = {
         {"signal_watts", &off_s_signal}, {"noise_watts", &off_s_noise},
         {"_start", &off_s_start}, {"_last_time", &off_s_last},
@@ -2729,7 +2726,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 6) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 7) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

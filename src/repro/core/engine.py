@@ -73,7 +73,7 @@ KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 6
+KERNEL_ABI = 7
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False
@@ -323,27 +323,17 @@ class Simulator:
     trace:
         Optional :class:`~repro.core.trace.TraceLog`; a fresh one is
         created when omitted so tracing is always available.
-    profile:
-        Numeric-fidelity profile inherited by components built on this
-        simulator.  ``"exact"`` (the default) demands bit-identical
-        floating-point behavior from every subsystem — the determinism
-        contract all golden traces and seeded fixtures rely on.
-        ``"fast"`` lets subsystems that offer a relaxed-ulp fast path
-        (currently :class:`~repro.phy.channel.Medium`, see its ``exact``
-        parameter) default to it: protocol semantics are preserved but
-        results are NOT bit-compatible with exact mode.  The kernel
-        itself (event ordering, tie-breaks, RNG streams) is identical in
-        both profiles; only component-level float math is relaxed.
     kernel:
         Which run-loop implementation dispatches events.  ``"python"``
         is the pure-Python reference loop over a ``heapq`` list; ``"c"``
         is the compiled :mod:`repro.core._ckernel` twin (bit-identical
         event sequence, raises if the extension is not built) and, with
         it, the extension's event queue, the compiled timer-arm and
-        fan-out primitives, the compiled receive edges and reception tail of every plain ``Radio`` on an
-        exact-mode medium built on this simulator, and the compiled
-        carrier-sense slots (IFS arm, backoff freeze, IFS expiry, NAV
-        expiry) of every plain ``DcfMac`` on such a radio; ``"auto"``
+        fan-out primitives, the compiled receive edges and reception tail
+        of every plain ``Radio`` on a medium built on this simulator,
+        and the compiled carrier-sense slots (IFS arm, backoff freeze,
+        IFS expiry, NAV expiry) of every plain ``DcfMac`` on such a
+        radio; ``"auto"``
         picks the compiled kernel when available.  ``None`` (the
         default) reads the ``REPRO_KERNEL`` environment variable,
         falling back to ``"auto"``.  The kernel choice never changes results — the two
@@ -352,7 +342,6 @@ class Simulator:
         harness) — only throughput.
     """
 
-    PROFILES = ("exact", "fast")
     KERNELS = KERNELS
 
     # What the compiled kernel reads and writes per event, by offset (as
@@ -362,11 +351,7 @@ class Simulator:
                  "__dict__", "__weakref__")
 
     def __init__(self, seed: int = 0, trace: Optional[TraceLog] = None,
-                 profile: str = "exact", kernel: Optional[str] = None):
-        if profile not in self.PROFILES:
-            raise SimulationError(
-                f"unknown profile {profile!r}; expected one of {self.PROFILES}")
-        self.profile = profile
+                 kernel: Optional[str] = None):
         self._kernel = resolve_kernel(kernel)
         #: The bound extension on ``kernel="c"``, else None: whose
         #: ``run`` this simulator's ``run`` is, and what a medium, a

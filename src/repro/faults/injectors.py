@@ -38,7 +38,7 @@ class DegradedPropagation(PropagationModel):
     link whose transmitter *or* receiver sits at a faded position loses
     the configured dB on top of the base model (both ends faded: the
     losses add).  A global fade applies to every link.  With no fades
-    active, both domains return the base model's floats **unchanged**
+    active, it returns the base model's floats **unchanged**
     (not multiplied by 1.0), so wrapping a medium costs nothing and
     stays bit-identical until the first fade lands.
 
@@ -60,11 +60,6 @@ class DegradedPropagation(PropagationModel):
 
     def path_loss_db(self, tx: Position, rx: Position) -> float:
         return self.base.path_loss_db(tx, rx) + self._extra_db(tx, rx)
-
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        gain = self.base.link_gain(tx, rx)
-        extra = self._extra_db(tx, rx)
-        return gain if extra == 0.0 else gain * 10.0 ** (-0.1 * extra)
 
     def received_power_watts(self, tx_power_watts: float,
                              tx: Position, rx: Position) -> float:

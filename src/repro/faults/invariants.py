@@ -4,10 +4,9 @@ The simulator's correctness rests on a handful of properties that no
 single unit test can pin down across every scenario: the kernel clock
 never runs backward, NAV reservations never exceed the longest legal
 frame duration, the batched backoff countdown lands on exactly the
-instant the per-slot reference would, the relaxed-math interference
-accumulator never drifts negative or sticks above zero on quiet air,
-converged routing tables are loop-free, and — at quiescence — the
-``pending_events`` counter agrees with a literal census of the heap.
+instant the per-slot reference would, converged routing tables are
+loop-free, and — at quiescence — the ``pending_events`` counter agrees
+with a literal census of the heap.
 
 :class:`InvariantChecker` sweeps all of them periodically from inside
 the event loop.  It is **opt-in** (strict mode): the checks cost real
@@ -97,8 +96,7 @@ class InvariantChecker:
     # --- registration ------------------------------------------------------
 
     def watch_medium(self, medium) -> "InvariantChecker":
-        """Audit every DCF MAC riding a radio on ``medium``, plus the
-        medium's fast-mode interference accumulators."""
+        """Audit every DCF MAC riding a radio on ``medium``."""
         self._media.append(medium)
         return self
 
@@ -178,9 +176,6 @@ class InvariantChecker:
         self._check_kernel()
         for mac in self._iter_macs():
             self._check_mac(mac)
-        for medium in self._media:
-            if not medium.exact:
-                self._check_fast_accumulators(medium)
         for nodes in self._meshes:
             self._check_loop_free(nodes)
 
@@ -280,19 +275,6 @@ class InvariantChecker:
                     f"reference {expiry!r} (anchor="
                     f"{mac._countdown_anchor!r}, "
                     f"remaining={mac._countdown_remaining})")
-
-    # PHY fast mode: the incident-power accumulator may carry bounded
-    # float dust while arrivals overlap, but must never go negative and
-    # must read exactly 0.0 on quiet air (the empty-table snap).
-    def _check_fast_accumulators(self, medium) -> None:
-        for radio in medium._radios:
-            watts = radio._incident_watts
-            if watts < 0.0:
-                self._fail("fast-accumulator-nonnegative", radio.name,
-                           f"_incident_watts={watts!r}")
-            if not radio._arrivals and watts != 0.0:
-                self._fail("fast-accumulator-zero-snap", radio.name,
-                           f"_incident_watts={watts!r} with no arrivals")
 
     # Routing: once quiescent, following next hops from any node toward
     # any destination must terminate (no forwarding loops).

@@ -29,7 +29,7 @@ model — which is exactly what benchmark E10 checks.
 ``_maybe_start_ifs``, ``_cancel_access_timers``, ``_ifs_expired`` and
 ``phy_rx_end`` are the *reference* for compiled twins in
 ``repro.core._ckernel``, which a plain :class:`DcfMac` on a plain
-exact-mode radio of a C-kernel simulator hands to the radio's CCA and
+radio of a C-kernel simulator hands to the radio's CCA and
 reception-end slots, the NAV and the IFS timer at construction
 (``tests/mac/test_access_parity.py``).  The ``phy_rx_end`` twin answers
 the corrupt and the overheard frame itself — both read the per-frame
@@ -218,7 +218,7 @@ class DcfMac:
         # call: twins or methods.
         ext = sim._ext
         if ext is not None and type(self) is DcfMac \
-                and type(radio) is Radio and radio._exact:
+                and type(radio) is Radio:
             ext.bind_mac(DcfMac, Nav, Dot11Frame, Counter,
                          _UNFED_SNR)  # resolves once per process
             start_ifs = MethodType(ext._maybe_start_ifs, self)
@@ -413,15 +413,10 @@ class DcfMac:
         state = radio._state
         if state is not RadioState.IDLE:
             return False
-        # Exact mode re-sums the arrival table (sum([]) == 0.0, so the
-        # empty fast path is bit-identical); fast mode reads the
-        # radio's incident-power accumulator — the same figure its CCA
-        # edges used, so the two can never disagree across a threshold.
+        # Re-sums the arrival table (sum([]) == 0.0, so the empty
+        # shortcut is bit-identical).
         arrivals = radio._arrivals
-        if radio._exact:
-            incident = sum(arrivals.values()) if arrivals else 0.0
-        else:
-            incident = radio._incident_watts
+        incident = sum(arrivals.values()) if arrivals else 0.0
         if incident >= radio._cca_threshold_watts:
             return False
         return self.sim._now >= self.nav._until
@@ -444,10 +439,7 @@ class DcfMac:
         if radio._state is not RadioState.IDLE:
             return  # TX/RX: busy; SLEEP: cannot contend until woken
         arrivals = radio._arrivals
-        if radio._exact:
-            incident = sum(arrivals.values()) if arrivals else 0.0
-        else:
-            incident = radio._incident_watts
+        incident = sum(arrivals.values()) if arrivals else 0.0
         if incident >= radio._cca_threshold_watts:
             return
         # Unchecked arm: the DIFS/EIFS constants are positive finite

@@ -233,7 +233,6 @@ def run_single(cells, *, seed: int, horizon: float,
                propagation_factory: Callable[[], PropagationModel],
                reception_floor_dbm: float = -110.0,
                propagation_delay: bool = True,
-               exact: bool = True,
                check_invariants: bool = False,
                telemetry: bool = False,
                telemetry_interval: float = 0.05) -> Dict:
@@ -252,7 +251,7 @@ def run_single(cells, *, seed: int, horizon: float,
     sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
     medium = Medium(sim, propagation_factory(),
                     reception_floor_dbm=reception_floor_dbm,
-                    propagation_delay=propagation_delay, exact=exact)
+                    propagation_delay=propagation_delay)
     checker = None
     if check_invariants:
         checker = InvariantChecker(sim)
@@ -292,14 +291,13 @@ class _Shard:
 
     def build(self, shard_cells, global_indices, export_channels,
               propagation_factory, reception_floor_dbm: float,
-              propagation_delay: bool, exact: bool,
-              check_invariants: bool, telemetry: bool,
-              telemetry_interval: float) -> None:
+              propagation_delay: bool, check_invariants: bool,
+              telemetry: bool, telemetry_interval: float) -> None:
         sim, index = self.sim, self.index
         medium = self.medium = ShardMedium(
             sim, propagation_factory(),
             reception_floor_dbm=reception_floor_dbm,
-            propagation_delay=propagation_delay, exact=exact, shard=index,
+            propagation_delay=propagation_delay, shard=index,
             export_channels=export_channels)
         checker = None
         if check_invariants:
@@ -728,7 +726,6 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 propagation_factory: Callable[[], PropagationModel],
                 reception_floor_dbm: float = -110.0,
                 propagation_delay: bool = True,
-                exact: bool = True,
                 check_invariants: bool = False,
                 manual: Optional[Mapping[str, int]] = None,
                 lookahead_override: Optional[float] = None,
@@ -782,7 +779,9 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
     processes = []
     log = ArrivalLog({
         "seed": seed, "horizon": repr(horizon), "workers": workers,
-        "shard_count": shard_count, "exact": exact,
+        # ``exact`` names a medium option since removed; it stays in
+        # the header so every arrival log keeps its bytes and SHA-1.
+        "shard_count": shard_count, "exact": True,
         "partition": plan.describe(),
     })
     coord = MetricsRegistry(enabled=telemetry)
@@ -805,7 +804,7 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 args=(child_end, list(channels), specs,
                       loop if one_host else None, seed,
                       propagation_factory, reception_floor_dbm,
-                      propagation_delay, exact, check_invariants,
+                      propagation_delay, check_invariants,
                       telemetry, telemetry_interval),
                 daemon=True)
             try:

@@ -14,9 +14,9 @@ plus two extra duties at the shard boundary:
   ghost is a planned transmission like any local one: one
   :class:`_GhostSender` per remote ``(sender, channel)``, whose fan-out
   plan :meth:`Medium._compile_plan` builds through the same
-  ``received_power_watts`` / ``link_gain`` calls, floor cull and
-  propagation delay the single-process medium uses (so the floats are
-  bit-identical), and every invalidation hook drops.  The arrival rides
+  ``received_power_watts`` calls, floor cull and propagation delay the
+  single-process medium uses (so the floats are bit-identical), and
+  every invalidation hook drops.  The arrival rides
   the :data:`~repro.phy.channel.ENERGY_ONLY` mode: it drives CCA,
   capture and SINR accounting exactly like the real frame's energy
   would, and no local radio ever locks onto it.

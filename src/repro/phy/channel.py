@@ -30,13 +30,13 @@ sender mutated behind the hooks still recompiles.  When ``cache_links``
 is off the medium falls back to the historical per-receiver loop
 (fresh propagation evaluation per frame, still bit-identical).
 
-Receive edges follow the simulator's kernel: on ``kernel="c"`` an
-exact-mode medium fans out to the extension's ``arrival_begins`` /
+Receive edges follow the simulator's kernel: on ``kernel="c"`` the
+medium fans out to the extension's ``arrival_begins`` /
 ``arrival_ends`` bound to each plain :class:`Radio` and gives its
 reception-end timer the extension's ``_reception_complete`` (the
 compiled twins of the methods of those names — same table, same floats,
-same upcalls); any other kernel, a ``Radio`` subclass and fast mode get
-the Python methods, the reference the twins are tested against.
+same upcalls); any other kernel and a ``Radio`` subclass get the Python
+methods, the reference the twins are tested against.
 """
 
 from __future__ import annotations
@@ -179,21 +179,6 @@ class Medium:
         ``received_power_watts``); the knob exists for the determinism
         tests and for exotic models whose loss varies with something
         other than geometry.
-    exact:
-        ``True`` (default): bit-exact float behavior — the historical
-        dB-space preamble/capture decisions and full re-sums of the
-        arrival table, guaranteed identical to every committed golden
-        trace.  ``False``: the **relaxed-ulp fast mode** — receivers
-        keep a running incident-power accumulator (drift-rebased) and
-        decide preamble detection and capture with precomputed
-        linear-domain thresholds, and fan-out plans compute receive
-        power via the propagation model's ``link_gain``.  Protocol
-        *semantics* are unchanged but results are documented as
-        bit-INcompatible with exact mode: seeded stats may drift by the
-        odd frame whenever a decision lands within a few ulp of a
-        threshold.  ``None`` inherits from the simulator's ``profile``
-        (``Simulator(profile="fast")`` => relaxed).  See
-        PERFORMANCE.md, "Exact vs fast mode".
     """
 
     #: Every N-th transmit prunes expired entries from the per-channel
@@ -204,21 +189,18 @@ class Medium:
     def __init__(self, sim: Simulator, propagation: PropagationModel,
                  reception_floor_dbm: float = -110.0,
                  propagation_delay: bool = True,
-                 cache_links: bool = True,
-                 exact: Optional[bool] = None):
+                 cache_links: bool = True):
         self.sim = sim
         self.propagation = propagation
         self.reception_floor_watts = dbm_to_watts(reception_floor_dbm)
         self.propagation_delay = propagation_delay
         self.cache_links = cache_links
-        self.exact = (sim.profile != "fast") if exact is None else bool(exact)
-        # The extension whose receive edges and reception tail this medium
-        # binds (exact mode on a C-kernel simulator), else None.  Binding
+        # A C-kernel simulator's extension supplies the receive edges
+        # and reception tail (:meth:`_edges`, :meth:`_rx_tail`).  Binding
         # the PHY classes here, not at import, keeps the extension lazy.
-        self._edge_ext = sim._ext if self.exact else None
-        if self._edge_ext is not None:
-            self._edge_ext.bind_phy(Radio, SinrTracker, RadioState,
-                                    CaptureModel, error_models)
+        if sim._ext is not None:
+            sim._ext.bind_phy(Radio, SinrTracker, RadioState,
+                              CaptureModel, error_models)
         self.links = LinkCache()
         self._radios: List[Radio] = []
         self._active: Dict[int, List[Transmission]] = {}
@@ -286,17 +268,15 @@ class Medium:
         """``(radio, arrival_begins, arrival_ends)`` as this medium
         delivers them: compiled for a plain ``Radio`` on a C-kernel
         simulator, the radio's own methods otherwise."""
-        ext = self._edge_ext
+        ext = self.sim._ext
         if ext is not None and type(radio) is Radio:
             return (radio, MethodType(ext.arrival_begins, radio),
                     MethodType(ext.arrival_ends, radio))
-        if self.exact:
-            return radio, radio.arrival_begins, radio.arrival_ends
-        return radio, radio.arrival_begins_fast, radio.arrival_ends_fast
+        return radio, radio.arrival_begins, radio.arrival_ends
 
     def _rx_tail(self, radio: Radio) -> Any:
         """What ``radio``'s reception-end timer fires (see :meth:`_edges`)."""
-        ext = self._edge_ext
+        ext = self.sim._ext
         if ext is not None and type(radio) is Radio:
             return MethodType(ext._reception_complete, radio)
         return radio._reception_complete
@@ -381,35 +361,24 @@ class Medium:
         stored in ``_plans`` — callers index ``[2]`` for the flat
         per-receiver entries tuple.
 
-        Exact mode resolves receive powers through :class:`LinkCache`
-        (bit-identical to the per-receiver loop, and warm pairs stay
-        warm across recompiles); fast mode computes them in linear
-        domain via the propagation model's ``link_gain`` — cheaper, but
-        only ulp-compatible, which is fast mode's documented contract.
+        Receive powers come through :class:`LinkCache` (bit-identical to
+        the per-receiver loop, and warm pairs stay warm across
+        recompiles).
         """
         floor = self.reception_floor_watts
         propagation = self.propagation
         model_delay = self.propagation_delay
-        exact = self.exact
         lookup = self.links.lookup
         tx_pos = sender.position
         entries = []
         for receiver, begins, ends in self._channel_members(channel):
             if receiver is sender:
                 continue
-            if exact:
-                cached = lookup(propagation, sender, receiver, power_watts)
-                rx_power = cached[0]
-                if rx_power < floor:
-                    continue
-                delay = cached[1] if model_delay else 0.0
-            else:
-                rx_pos = receiver.position
-                rx_power = power_watts * propagation.link_gain(tx_pos, rx_pos)
-                if rx_power < floor:
-                    continue
-                delay = tx_pos.distance_to(rx_pos) / SPEED_OF_LIGHT \
-                    if model_delay else 0.0
+            cached = lookup(propagation, sender, receiver, power_watts)
+            rx_power = cached[0]
+            if rx_power < floor:
+                continue
+            delay = cached[1] if model_delay else 0.0
             entries.append((begins, ends, rx_power, delay))
         plan = tuple(entries)
         record = (tx_pos, power_watts, plan)
@@ -447,13 +416,13 @@ class Medium:
                 plan = self._compile_plan(sender, channel, power_watts)
                 self.plan_misses += 1
             # NOTE: a fully fused fan-out (one begins sweep + one ends
-            # sweep per frame) was prototyped for fast mode and
-            # rejected: collapsing the per-receiver propagation-delay
-            # stagger onto a common instant aligns every contender's
-            # slot grid, which turns nanosecond-resolved near-ties into
-            # genuine collisions — delivery dropped ~19% on the dense
-            # macro.  The stagger is load-bearing contention physics,
-            # not ulp noise, so both modes keep per-receiver edges.
+            # sweep per frame) was prototyped and rejected: collapsing
+            # the per-receiver propagation-delay stagger onto a common
+            # instant aligns every contender's slot grid, which turns
+            # nanosecond-resolved near-ties into genuine collisions —
+            # delivery dropped ~19% on the dense macro.  The stagger is
+            # load-bearing contention physics, not ulp noise, so every
+            # receiver keeps its own edges.
             sim._fan_out(sim, plan[2], transmission, duration)
             return transmission
         # Uncached fallback: fresh propagation evaluation per receiver
@@ -487,13 +456,13 @@ class Medium:
         """Fan out a burst of non-decodable energy.
 
         The arrival carries power but no frame: receivers integrate it
-        into CCA and interference accounting (exact and fast mode
-        alike) but never lock onto it, because the transmission rides
+        into CCA and interference accounting but never lock onto it,
+        because the transmission rides
         the :data:`ENERGY_ONLY` mode whose name no radio decodes.  The
         burst goes through :meth:`transmit` unchanged, so it composes
         with the compiled fan-out plans, the LinkCache and the
         per-channel receiver lists — and costs *nothing* when no
-        emitter exists, which is the exact-mode bit-identity guarantee.
+        emitter exists, which is the bit-identity guarantee.
 
         ``sender`` may be a full :class:`~repro.phy.transceiver.Radio`
         (e.g. a reactive jammer that also carrier-senses) or any

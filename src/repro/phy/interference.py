@@ -42,25 +42,6 @@ class SinrTracker:
         self._current_interference = interference_watts
         self._energy = 0.0  # watt-seconds of interference so far
 
-    def reset(self, signal_watts: float, noise_watts: float, start: float,
-              interference_watts: float = 0.0) -> "SinrTracker":
-        """Re-initialize in place (no validation — hot-path reuse).
-
-        A radio locks onto at most one frame at a time, so it can keep a
-        single pre-allocated tracker and ``reset`` it per lock instead
-        of constructing a new one (the per-lock allocation showed up in
-        saturation profiles).  The field assignments are the same as
-        ``__init__``'s, so a reset tracker is bit-identical to a fresh
-        one; callers guarantee non-negative powers.
-        """
-        self.signal_watts = signal_watts
-        self.noise_watts = noise_watts
-        self._start = start
-        self._last_time = start
-        self._current_interference = interference_watts
-        self._energy = 0.0
-        return self
-
     def set_interference(self, now: float, power_watts: float) -> None:
         """Record that aggregate interference changed to ``power_watts``."""
         if now < self._last_time:
@@ -109,16 +90,3 @@ class CaptureModel:
             return True
         ratio_db = linear_to_db(new_power_watts / locked_power_watts)
         return ratio_db >= self.threshold_db
-
-    def threshold_ratio(self) -> float:
-        """The capture threshold as a linear power ratio.
-
-        Used by the relaxed-math fast mode: ``new >= locked * ratio`` is
-        one multiply and a compare instead of a division and a ``log10``.
-        Within a few ulp of the dB-space decision, so exact mode must
-        keep calling :meth:`should_capture`.  Disabled capture maps to
-        ``inf`` (the comparison can never pass for finite powers).
-        """
-        if not self.enabled:
-            return _INF
-        return 10.0 ** (self.threshold_db / 10.0)

@@ -7,20 +7,12 @@ exponent, and two-ray ground reflection — plus a log-normal shadowing
 decorator that adds a per-link random (but frozen, hence reproducible)
 offset.
 
-Models expose two domains:
-
-* :meth:`path_loss_db(tx, rx)` — loss in dB (reporting/introspection),
-* :meth:`link_gain(tx, rx)` — the *linear* power gain of the link.
-
-Every subclass overrides :meth:`link_gain` with a form that avoids
-``log10`` entirely (Friis as ``(λ/4πd)²``, log-distance as a single
-``pow``, the disc/fixed models as precomputed constants).  The frame
-hot loop itself does **not** call either method per frame — the
+Every model implements :meth:`path_loss_db(tx, rx)`, the loss in dB;
+:meth:`received_power_watts` applies it to a transmit power in dB space.
+The frame hot loop does **not** call either per frame — the
 :class:`~repro.phy.channel.LinkCache` memoizes
-:meth:`received_power_watts`, which stays in dB space so cached,
-uncached and historical seeded runs are bit-identical.  ``link_gain``
-is for analysis code and new subsystems that work in the linear domain
-and don't need ulp-compatibility with the dB pipeline.
+:meth:`received_power_watts` per radio pair, so cached, uncached and
+historical seeded runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -39,15 +31,10 @@ from ..core.units import (
 
 
 class PropagationModel:
-    """Abstract base: subclasses implement :meth:`path_loss_db` and may
-    override :meth:`link_gain` with a ``log10``-free fast path."""
+    """Abstract base: subclasses implement :meth:`path_loss_db`."""
 
     def path_loss_db(self, tx: Position, rx: Position) -> float:
         raise NotImplementedError
-
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        """Linear power gain (rx power / tx power) of the link."""
-        return 10.0 ** (-0.1 * self.path_loss_db(tx, rx))
 
     def received_power_watts(self, tx_power_watts: float,
                              tx: Position, rx: Position) -> float:
@@ -57,9 +44,7 @@ class PropagationModel:
         results: the hot path never calls this per frame — the
         :class:`~repro.phy.channel.LinkCache` memoizes its value per
         radio pair, so the transcendental round-trip is paid once per
-        link, not once per frame.  Use :meth:`link_gain` directly when
-        working in the linear domain and ulp-level compatibility with
-        the dB pipeline is not required.
+        link, not once per frame.
         """
         tx_dbm = watts_to_dbm(tx_power_watts)
         rx_dbm = tx_dbm - self.path_loss_db(tx, rx)
@@ -82,16 +67,10 @@ class FreeSpace(PropagationModel):
         self.frequency_hz = frequency_hz
         self.min_distance = min_distance
         self._wavelength = frequency_to_wavelength(frequency_hz)
-        # Friis in linear form: gain(d) = (lambda / 4 pi d)^2.
-        self._gain_numerator = (self._wavelength / (4.0 * math.pi)) ** 2
 
     def path_loss_db(self, tx: Position, rx: Position) -> float:
         distance = max(tx.distance_to(rx), self.min_distance)
         return 20.0 * math.log10(4.0 * math.pi * distance / self._wavelength)
-
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        distance = max(tx.distance_to(rx), self.min_distance)
-        return self._gain_numerator / (distance * distance)
 
 
 class LogDistance(PropagationModel):
@@ -114,7 +93,6 @@ class LogDistance(PropagationModel):
         self._free_space = FreeSpace(frequency_hz, min_distance=reference_distance)
         self._reference_loss = self._free_space.path_loss_db(
             Position(0, 0, 0), Position(reference_distance, 0, 0))
-        self._reference_gain = 10.0 ** (-0.1 * self._reference_loss)
 
     def path_loss_db(self, tx: Position, rx: Position) -> float:
         distance = tx.distance_to(rx)
@@ -122,14 +100,6 @@ class LogDistance(PropagationModel):
             return self._free_space.path_loss_db(tx, rx)
         return self._reference_loss + 10.0 * self.exponent * math.log10(
             distance / self.reference_distance)
-
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        distance = tx.distance_to(rx)
-        if distance <= self.reference_distance:
-            return self._free_space.link_gain(tx, rx)
-        # One pow instead of a log10 + pow round-trip through dB space.
-        return self._reference_gain * (
-            self.reference_distance / distance) ** self.exponent
 
 
 class TwoRayGround(PropagationModel):
@@ -149,7 +119,6 @@ class TwoRayGround(PropagationModel):
         self._free_space = FreeSpace(frequency_hz, min_distance=min_distance)
         wavelength = frequency_to_wavelength(frequency_hz)
         self.crossover = 4.0 * math.pi * tx_height * rx_height / wavelength
-        self._height_product_sq = (tx_height * rx_height) ** 2
 
     def path_loss_db(self, tx: Position, rx: Position) -> float:
         distance = tx.distance_to(rx)
@@ -159,12 +128,6 @@ class TwoRayGround(PropagationModel):
         loss_linear = (distance ** 4) / (
             (self.tx_height * self.rx_height) ** 2)
         return 10.0 * math.log10(loss_linear)
-
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        distance = tx.distance_to(rx)
-        if distance <= self.crossover:
-            return self._free_space.link_gain(tx, rx)
-        return self._height_product_sq / (distance ** 4)
 
 
 class Shadowing(PropagationModel):
@@ -185,9 +148,6 @@ class Shadowing(PropagationModel):
         self.sigma_db = sigma_db
         self._rng = rng
         self._offsets: Dict[Tuple[Position, Position], float] = {}
-        # Linear-domain factor 10^(-offset/10), frozen alongside each
-        # offset so the fast path never re-runs pow for a known link.
-        self._factors: Dict[Tuple[Position, Position], float] = {}
 
     def _link_key(self, tx: Position, rx: Position) -> Tuple[Position, Position]:
         first = (tx.x, tx.y, tx.z)
@@ -205,14 +165,6 @@ class Shadowing(PropagationModel):
         key = self._link_key(tx, rx)
         return self.base.path_loss_db(tx, rx) + self._offset_for(key)
 
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        key = self._link_key(tx, rx)
-        factor = self._factors.get(key)
-        if factor is None:
-            factor = 10.0 ** (-0.1 * self._offset_for(key))
-            self._factors[key] = factor
-        return self.base.link_gain(tx, rx) * factor
-
 
 class FixedLoss(PropagationModel):
     """A constant path loss regardless of geometry.
@@ -223,13 +175,9 @@ class FixedLoss(PropagationModel):
 
     def __init__(self, loss_db: float):
         self.loss_db = loss_db
-        self._gain = 10.0 ** (-0.1 * loss_db)
 
     def path_loss_db(self, tx: Position, rx: Position) -> float:
         return self.loss_db
-
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        return self._gain
 
 
 class RangePropagation(PropagationModel):
@@ -244,17 +192,11 @@ class RangePropagation(PropagationModel):
             raise ConfigurationError(f"range must be positive: {range_m}")
         self.range_m = range_m
         self.in_range_loss_db = in_range_loss_db
-        self._in_range_gain = 10.0 ** (-0.1 * in_range_loss_db)
 
     def path_loss_db(self, tx: Position, rx: Position) -> float:
         if tx.distance_to(rx) <= self.range_m:
             return self.in_range_loss_db
         return math.inf
-
-    def link_gain(self, tx: Position, rx: Position) -> float:
-        if tx.distance_to(rx) <= self.range_m:
-            return self._in_range_gain
-        return 0.0
 
 
 def max_range_for_budget(model: PropagationModel, tx_power_dbm: float,

@@ -22,7 +22,7 @@ slots from the listener's methods.
 :meth:`Radio.arrival_begins`, :meth:`Radio.arrival_ends` (with
 ``_try_lock``, the capture test, ``_refresh_interference`` and the CCA
 tail) and :meth:`Radio._reception_complete` are the *reference* receive
-path.  On a C-kernel simulator an exact-mode medium binds a plain radio
+path.  On a C-kernel simulator the medium binds a plain radio
 to their compiled twins in ``repro.core._ckernel`` — the same statements
 over the same ``__slots__`` — which hand any step they do not handle (an
 aborted lock, an off-type field, an error model that is not exactly
@@ -104,9 +104,7 @@ class Radio:
                  "_noise_watts", "_cca_threshold_watts", "decodable_modes",
                  "_tx_mode_names", "_arrivals", "_locked", "_locked_power",
                  "_locked_tracker", "_cca_busy", "_sim", "_rng", "_trace",
-                 "_rx_timer", "_capture", "_snr_cache", "_exact",
-                 "_tracker", "_incident_watts", "_edges_since_rebase",
-                 "_rebases", "_preamble_floor_watts", "_capture_ratio",
+                 "_rx_timer", "_capture", "_snr_cache", "_tracker",
                  "_tx_epoch")
 
     def __init__(self, name: str, medium: "Medium", standard: PhyStandard,
@@ -163,21 +161,7 @@ class Radio:
         # most one frame at a time; the per-lock allocation showed up
         # in saturation profiles).
         self._tracker = SinrTracker(0.0, 0.0, 0.0)
-        # Relaxed-math (fast mode) state; maintained only when the
-        # medium binds the *_fast arrival methods.  _incident_watts is
-        # the running incident-power accumulator (drift-rebased);
-        # _preamble_floor_watts / _capture_ratio are the linear-domain
-        # decision thresholds fast mode uses in place of the dB math.
-        self._exact = medium.exact
-        self._incident_watts = 0.0
         self._tx_epoch = 0
-        self._edges_since_rebase = 0
-        #: Cumulative drift-rebase count (telemetry: the fast-mode
-        #: accumulator health figure; `_edges_since_rebase` resets).
-        self._rebases = 0
-        self._preamble_floor_watts = self._noise_watts * \
-            10.0 ** (self.config.preamble_detection_snr_db / 10.0)
-        self._capture_ratio = self._capture.threshold_ratio()
         medium.attach(self)
 
     # --- helpers ----------------------------------------------------------
@@ -216,14 +200,11 @@ class Radio:
     @noise_watts.setter
     def noise_watts(self, value: float) -> None:
         """Change the noise floor; invalidates the memoized preamble
-        SNRs (which are pure functions of power / noise) and refreshes
-        the fast mode's linear-domain preamble floor."""
+        SNRs (which are pure functions of power / noise)."""
         if value == self._noise_watts:
             return
         self._noise_watts = value
         self._snr_cache.clear()
-        self._preamble_floor_watts = value * \
-            10.0 ** (self.config.preamble_detection_snr_db / 10.0)
 
     @property
     def channel_id(self) -> int:
@@ -400,7 +381,7 @@ class Radio:
         radio); ``_update_cca`` is inlined at the tail (KEEP IN SYNC).
         Single-arrival edges skip the full table re-sum: ``sum([x])``
         is ``0.0 + x``, which is bit-identical to ``x`` for the
-        non-negative powers the medium delivers, so the fast path is
+        non-negative powers the medium delivers, so the shortcut is
         exact, not approximate.
         """
         arrivals = self._arrivals
@@ -459,120 +440,6 @@ class Radio:
             else:
                 self.on_cca_idle()
 
-    # --- relaxed-math receive path (fast mode; medium binds these) ----------
-
-    def arrival_begins_fast(self, transmission: "Transmission",
-                            power_watts: float) -> None:
-        """Fast-mode twin of :meth:`arrival_begins`.
-
-        Maintains the running incident-power accumulator instead of
-        re-summing the arrival table, and decides capture with the
-        precomputed linear threshold ratio.  Semantics match the exact
-        path; float results may differ by a few ulp (see the medium's
-        ``exact`` parameter).
-        """
-        self._arrivals[transmission] = power_watts
-        self._incident_watts += power_watts
-        state = self._state
-        if state is RadioState.SLEEP:
-            return
-        if self._locked is not None:
-            # Linear capture check: with capture disabled the ratio is
-            # +inf, so the comparison is False for every finite power
-            # (0 * inf -> nan also compares False) — one multiply
-            # replaces CaptureModel.should_capture's branchy dB math.
-            if power_watts >= self._locked_power * self._capture_ratio:
-                self._abort_locked()
-                self._try_lock_fast(transmission, power_watts)
-            else:
-                self._refresh_interference_fast()
-        elif state is RadioState.IDLE:
-            self._try_lock_fast(transmission, power_watts)
-        state = self._state
-        if state is RadioState.TX or state is RadioState.RX:
-            busy = True
-        else:
-            busy = self._incident_watts >= self._cca_threshold_watts
-        if busy != self._cca_busy:
-            self._cca_busy = busy
-            if busy:
-                self.on_cca_busy()
-            else:
-                self.on_cca_idle()
-
-    def arrival_ends_fast(self, transmission: "Transmission") -> None:
-        """Fast-mode twin of :meth:`arrival_ends`.
-
-        Decrements the accumulator and rebases it against the exact
-        table sum every 256 departures (and exactly to ``0.0`` whenever
-        the table empties), so float residue from the running
-        add/subtract stream cannot drift the CCA decision over a long
-        run.
-        """
-        arrivals = self._arrivals
-        power = arrivals.pop(transmission, None)
-        if power is not None:
-            if arrivals:
-                self._edges_since_rebase += 1
-                if self._edges_since_rebase >= 256:
-                    self._edges_since_rebase = 0
-                    self._rebases += 1
-                    self._incident_watts = sum(arrivals.values())
-                else:
-                    total = self._incident_watts - power
-                    self._incident_watts = total if total > 0.0 else 0.0
-            else:
-                self._incident_watts = 0.0
-                self._edges_since_rebase = 0
-        locked = self._locked
-        if locked is not None and locked is not transmission:
-            self._refresh_interference_fast()
-        state = self._state
-        if state is RadioState.TX or state is RadioState.RX:
-            busy = True
-        elif state is RadioState.SLEEP:
-            busy = False
-        else:
-            busy = self._incident_watts >= self._cca_threshold_watts
-        if busy != self._cca_busy:
-            self._cca_busy = busy
-            if busy:
-                self.on_cca_busy()
-            else:
-                self.on_cca_idle()
-
-    def _try_lock_fast(self, transmission: "Transmission",
-                       power_watts: float) -> None:
-        """Fast-mode preamble detection: one linear-domain compare
-        against the precomputed ``noise * 10^(snr/10)`` floor instead of
-        a memoized ``log10`` — within ulp of the dB decision."""
-        if power_watts < self._preamble_floor_watts:
-            return  # too weak to even see a preamble: pure noise
-        if transmission.mode.name not in self.decodable_modes:
-            return  # foreign PHY: energy only
-        sim = self._sim
-        sim._arm(self._rx_timer, sim._now + transmission.duration)
-        self._locked = transmission
-        self._locked_power = power_watts
-        interference = self._incident_watts - power_watts
-        self._locked_tracker = self._tracker.reset(
-            power_watts, self._noise_watts, sim._now,
-            interference if interference > 0.0 else 0.0)
-        self._state = RadioState.RX  # state setter inlined (IDLE -> RX)
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.RX.value)
-
-    def _refresh_interference_fast(self) -> None:
-        if self._locked is None:
-            return
-        interference = self._incident_watts - self._locked_power
-        if interference < 0.0:
-            interference = 0.0
-        tracker = self._locked_tracker
-        if interference == 0.0 and tracker._current_interference == 0.0:
-            return  # zero-rate segment either way; skip the bookkeeping
-        tracker.set_interference(self._sim._now, interference)
-
     def _try_lock(self, transmission: "Transmission",
                   power_watts: float) -> None:
         # Kept as the historical dB-space comparison deliberately: a
@@ -610,8 +477,9 @@ class Radio:
         sim._arm(self._rx_timer, now + transmission.duration)
         self._locked = transmission
         self._locked_power = power_watts
-        # SinrTracker.reset inlined (KEEP IN SYNC): one lock per decoded
-        # frame per receiver, and the field stores are all there is.
+        # The pre-allocated tracker re-initialized in place, field for
+        # field as SinrTracker.__init__ sets it (KEEP IN SYNC): one lock
+        # per decoded frame per receiver, and the stores are all there is.
         tracker = self._tracker
         tracker.signal_watts = power_watts
         tracker.noise_watts = self._noise_watts
@@ -695,19 +563,13 @@ class Radio:
 
         KEEP IN SYNC with the flattened copies of this predicate in
         :meth:`_update_cca` below and ``DcfMac._medium_idle`` — they
-        avoid the method-call layers on the per-arrival hot path.  In
-        fast mode the incident-power accumulator is the single source
-        of truth (matching the decisions the ``*_fast`` arrival edges
-        made), so threshold-straddling float residue cannot disagree
-        with an already-delivered CCA edge.
+        avoid the method-call layers on the per-arrival hot path.
         """
         state = self._state
         if state is RadioState.TX or state is RadioState.RX:
             return True
         if state is RadioState.SLEEP:
             return False
-        if not self._exact:
-            return self._incident_watts >= self._cca_threshold_watts
         return sum(self._arrivals.values()) >= self._cca_threshold_watts
 
     def _update_cca(self) -> None:
@@ -722,10 +584,8 @@ class Radio:
             arrivals = self._arrivals
             if not arrivals:
                 busy = 0.0 >= self._cca_threshold_watts
-            elif self._exact:
-                busy = sum(arrivals.values()) >= self._cca_threshold_watts
             else:
-                busy = self._incident_watts >= self._cca_threshold_watts
+                busy = sum(arrivals.values()) >= self._cca_threshold_watts
         if busy == self._cca_busy:
             return
         self._cca_busy = busy

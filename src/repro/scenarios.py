@@ -342,8 +342,8 @@ def build_interference_field(sim: Simulator, station_count: int = 10,
     sources sit on a circle of ``emitter_ring_m`` around the AP, their
     pulse phases staggered across one period so at any instant roughly
     ``emitter_count * duty`` bursts genuinely overlap — the
-    deep-arrival-table regime where the fast mode's O(1) interference
-    accumulator pays off (ROADMAP: the interference-field workload).
+    deep-arrival-table regime (ROADMAP: the interference-field
+    workload).
     Emitters are built stopped; call :meth:`InterferenceField.\
 start_emitters` once the BSS is associated and traffic is primed.
     """

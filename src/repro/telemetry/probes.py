@@ -283,8 +283,7 @@ class MacFleetProbe:
 
 
 class RadioFleetProbe:
-    """Aggregate PHY-fleet gauges: incident arrivals and the fast-mode
-    accumulator rebase count (cumulative ``Radio._rebases``)."""
+    """Aggregate PHY-fleet gauge: incident arrivals."""
 
     def __init__(self, radios: Iterable[Any], registry: MetricsRegistry,
                  sampler: PeriodicSampler):
@@ -292,13 +291,9 @@ class RadioFleetProbe:
         if not registry.enabled or not self.radios:
             return
         sampler.add("phy", "arrivals_incident", self._arrivals)
-        sampler.add("phy", "accumulator_rebases", self._rebases)
 
     def _arrivals(self) -> float:
         return float(sum(len(radio._arrivals) for radio in self.radios))
-
-    def _rebases(self) -> float:
-        return float(sum(radio._rebases for radio in self.radios))
 
 
 def record_fault_spans(fault_log: Any, spans: SpanLog,

@@ -134,8 +134,9 @@ class TestDifferential:
         assert "pdr (absent)" in kinds
 
     def test_matching_ignores_mode_difference(self):
-        # Identity is (axes, seed): rows from an exact and a fast
-        # campaign pair up even though their specs differ in profile.
+        # Identity is (axes, seed): rows from a python-kernel and a
+        # c-kernel campaign pair up even though their specs differ in
+        # mode.
         ref = [row({"p": 1}, 3, {"x": 1.0}), row({"p": 2}, 3, {"x": 2.0})]
         cand = [row({"p": 2}, 3, {"x": 2.0}), row({"p": 1}, 3, {"x": 1.0})]
         assert compare_stats(ref, cand, {"x": 0.0}) == []

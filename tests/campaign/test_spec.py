@@ -19,7 +19,7 @@ class TestValidation:
     def test_minimal_spec_normalizes(self):
         spec = validate_spec(small_spec())
         assert spec["campaign"]["name"] == "unit"
-        assert spec["mode"] == {"profile": "exact", "kernel": "auto"}
+        assert spec["mode"] == {"kernel": "auto"}
         assert spec["seeds"]["list"] == [3, 4]
         assert spec["traffic"]["kind"] == "saturate"
 
@@ -97,16 +97,21 @@ class TestValidation:
     def test_seed_count_must_be_positive(self):
         assert err(small_spec(seeds={"count": 0})).path == "seeds.count"
 
-    def test_unknown_profile_and_kernel(self):
-        assert err(small_spec(mode={"profile": "warp"})).path \
-            == "mode.profile"
+    def test_unknown_kernel(self):
         assert err(small_spec(mode={"kernel": "rust"})).path \
             == "mode.kernel"
 
-    def test_differential_tolerance_needs_a_bound(self):
+    @pytest.mark.parametrize("profile", ["exact", "fast"])
+    def test_retired_profile_is_refused_by_path(self, profile):
+        error = err(small_spec(mode={"profile": profile}),
+                    source="old.toml")
+        assert error.path == "mode.profile"
+        assert str(error).startswith("old.toml: mode.profile: ")
+
+    def test_retired_differential_section_is_refused_by_path(self):
         spec = small_spec(differential={
-            "reference": "other", "tolerances": {"pdr": {}}})
-        assert err(spec).path == "differential.tolerances.pdr"
+            "reference": "other", "tolerances": {"pdr": {"abs": 0.0}}})
+        assert err(spec).path == "differential"
 
     def test_source_prefixes_message(self):
         error = err({"campaign": {"name": "x"}}, source="bad.toml")

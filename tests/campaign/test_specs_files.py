@@ -1,20 +1,20 @@
 """The committed spec files under specs/ executed verbatim.
 
 These are the declarative conversions of the worked examples
-(hidden_terminal, the jamming duty sweep, the mesh-backhaul chain) plus
-the exact-vs-fast differential pair — run here exactly as committed, so
-the files can never rot.
+(hidden_terminal, the jamming duty sweep, the mesh-backhaul chain) —
+run here exactly as committed, so the files can never rot.
 """
 
 import pytest
 
 from repro.analysis.campaign import (differential_gate, ensemble_table,
                                      sweep_curve)
-from repro.campaign import expand_grid, load_spec, run_campaign
+from repro.campaign import expand_grid, load_spec, run_campaign, runner
+from repro.campaign.spec import set_path
+from repro.core.engine import ckernel_available
 
 ALL_SPECS = ["hidden_terminal.toml", "jamming_duty.toml",
-             "mesh_chain.toml", "differential_exact.toml",
-             "differential_fast.toml"]
+             "mesh_chain.toml"]
 
 
 @pytest.mark.parametrize("name", ALL_SPECS)
@@ -61,16 +61,29 @@ def test_mesh_chain_campaign(specs_dir, tmp_path):
     assert summary["converged"].mean == 4.0  # every node has full routes
 
 
-def test_differential_pair_passes_its_gate(specs_dir, tmp_path):
-    exact = run_campaign(load_spec(specs_dir / "differential_exact.toml"),
-                         tmp_path / "exact")
-    fast_spec = load_spec(specs_dir / "differential_fast.toml")
-    fast = run_campaign(fast_spec, tmp_path / "fast")
-    assert exact.ok and fast.ok
-    tolerances = fast_spec["differential"]["tolerances"]
-    assert fast_spec["differential"]["reference"] == "differential_exact"
-    differential_gate(exact.rows, fast.rows, tolerances)
-    # The operating point must actually exercise loss — a clean cell
-    # would make the equivalence claim vacuous.
-    pdrs = [float(row["stats"]["pdr"]) for row in exact.rows]
-    assert all(0.0 < pdr < 1.0 for pdr in pdrs)
+@pytest.mark.skipif(
+    not ckernel_available(),
+    reason="compiled kernel not built (run: python tools/build_kernel.py)")
+def test_jamming_duty_is_identical_on_both_kernels(specs_dir, tmp_path,
+                                                  monkeypatch):
+    """The whole committed campaign, composition and all, run once per
+    kernel: every statistic of every job agrees exactly."""
+    simulator_class, kernels = runner.Simulator, []
+
+    def simulator(*args, **kwargs):
+        sim = simulator_class(*args, **kwargs)
+        kernels.append(sim.kernel)
+        return sim
+    monkeypatch.setattr(runner, "Simulator", simulator)
+    results = {}
+    for kernel in ("python", "c"):
+        spec = load_spec(specs_dir / "jamming_duty.toml")
+        set_path(spec, "mode.kernel", kernel)
+        results[kernel] = run_campaign(spec, tmp_path / kernel)
+        assert results[kernel].ok and results[kernel].ran == 6
+    # Each half really ran on the kernel its spec names.
+    assert kernels == ["python"] * 6 + ["c"] * 6
+    reference, candidate = results["python"].rows, results["c"].rows
+    tolerances = {stat: {"abs": 0.0} for stat in reference[0]["stats"]}
+    assert "events" in tolerances
+    differential_gate(reference, candidate, tolerances)

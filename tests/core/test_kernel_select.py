@@ -86,12 +86,13 @@ class TestStaleExtension:
             resolve_kernel("c")
         assert not recwarn.list
 
-    def test_an_extension_from_before_fan_out_start_is_stale(self, stale):
-        # ABI 6 added fan_out's base time; a build without it would turn
-        # every boundary ghost into a TypeError mid-run.
-        assert engine.KERNEL_ABI == 6
-        stale.KERNEL_ABI = 5
-        with pytest.warns(RuntimeWarning, match="ABI 5.*needs 6"):
+    def test_an_extension_that_binds_the_exact_slot_is_stale(self, stale):
+        # ABI 7 dropped the radio's ``_exact`` slot from bind_phy; a
+        # build that still looks it up would fail every medium built on
+        # a C-kernel simulator.
+        assert engine.KERNEL_ABI == 7
+        stale.KERNEL_ABI = 6
+        with pytest.warns(RuntimeWarning, match="ABI 6.*needs 7"):
             assert not ckernel_available()
 
     def test_an_extension_without_an_abi_is_stale_too(self, stale):

@@ -9,6 +9,7 @@ to a corpse).
 import pytest
 
 from repro.core import Position, Simulator
+from repro.core.engine import ckernel_available
 from repro.core.errors import ConfigurationError
 from repro.mac.addresses import allocate_address
 from repro.mac.dcf import DcfMac, MacListener
@@ -20,6 +21,10 @@ from repro.phy.transceiver import Radio, RadioState
 A = Position(0, 0, 0)
 B = Position(10, 0, 0)
 
+KERNELS = ["python", pytest.param("c", marks=pytest.mark.skipif(
+    not ckernel_available(),
+    reason="compiled kernel not built (run: python tools/build_kernel.py)"))]
+
 
 class _Count(MacListener):
     def __init__(self):
@@ -29,8 +34,8 @@ class _Count(MacListener):
         self.frames += 1
 
 
-def _pair(sim, exact=False):
-    medium = Medium(sim, FixedLoss(50.0), exact=exact)
+def _pair(sim):
+    medium = Medium(sim, FixedLoss(50.0))
     tx_radio = Radio("tx", medium, DOT11B, A)
     tx = DcfMac(sim, tx_radio, allocate_address())
     rx_radio = Radio("rx", medium, DOT11B, B)
@@ -41,8 +46,9 @@ def _pair(sim, exact=False):
 
 
 class TestDetach:
-    def test_transmit_with_plan_compiled_against_dead_receiver(self):
-        sim = Simulator(seed=3)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_transmit_with_plan_compiled_against_dead_receiver(self, kernel):
+        sim = Simulator(seed=3, kernel=kernel)
         medium, tx, rx, counter = _pair(sim)
         tx.send(rx.address, bytes(200))
         sim.run(until=0.05)
@@ -86,12 +92,12 @@ class TestDetach:
         sim.run(until=0.6)
         assert counter.frames == 2
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_inflight_arrival_drains_after_detach(self, exact):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_inflight_arrival_drains_after_detach(self, kernel):
         """Detaching mid-reception: the arrival edges already in the
         heap still fire and the energy drains to exactly zero."""
-        sim = Simulator(seed=3)
-        medium, tx, rx, counter = _pair(sim, exact=exact)
+        sim = Simulator(seed=3, kernel=kernel)
+        medium, tx, rx, counter = _pair(sim)
         tx.send(rx.address, bytes(1500))
         sim.run(until=0.0007)               # mid-burst (see crash_drain)
         assert tx.radio.state is RadioState.TX
@@ -99,4 +105,4 @@ class TestDetach:
         medium.detach(rx.radio)
         sim.run(until=0.5)
         assert not rx.radio._arrivals
-        assert rx.radio._incident_watts == 0.0
+        assert rx.radio.cca_busy() is False

@@ -41,7 +41,6 @@ class TestDegradedPropagation:
         wrapped = DegradedPropagation(base)
         assert wrapped.received_power_watts(0.1, A, B) == \
             base.received_power_watts(0.1, A, B)
-        assert wrapped.link_gain(A, B) == base.link_gain(A, B)
         assert wrapped.path_loss_db(A, B) == base.path_loss_db(A, B)
 
     def test_fade_attenuates_both_directions(self):

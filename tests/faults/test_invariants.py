@@ -17,8 +17,8 @@ from repro.phy.transceiver import Radio
 from repro.routing import RouteEntry
 
 
-def _mac(sim, exact=False):
-    medium = Medium(sim, FixedLoss(50.0), exact=exact)
+def _mac(sim):
+    medium = Medium(sim, FixedLoss(50.0))
     radio = Radio("r0", medium, DOT11B, Position(0, 0, 0))
     return medium, DcfMac(sim, radio, allocate_address())
 
@@ -111,32 +111,6 @@ class TestBackoffLeftFold:
                 found = True
                 break
         assert found, "no slot count distinguishes multiply from fold"
-
-
-class TestFastAccumulators:
-    def test_negative_accumulator_is_caught(self, sim):
-        medium, mac = _mac(sim, exact=False)
-        checker = InvariantChecker(sim, strict=True).watch_medium(medium)
-        mac.radio._incident_watts = -1e-12
-        with pytest.raises(InvariantViolation,
-                           match="fast-accumulator-nonnegative"):
-            checker.check_now()
-
-    def test_stuck_accumulator_on_quiet_air_is_caught(self, sim):
-        medium, mac = _mac(sim, exact=False)
-        checker = InvariantChecker(sim, strict=True).watch_medium(medium)
-        assert not mac.radio._arrivals
-        mac.radio._incident_watts = 1e-15
-        with pytest.raises(InvariantViolation,
-                           match="fast-accumulator-zero-snap"):
-            checker.check_now()
-
-    def test_exact_mode_skips_the_accumulator_check(self, sim):
-        medium, mac = _mac(sim, exact=True)
-        checker = InvariantChecker(sim, strict=True).watch_medium(medium)
-        mac.radio._incident_watts = -1.0   # unused state in exact mode
-        checker.check_now()
-        assert checker.violations == []
 
 
 class TestKernelCheck:

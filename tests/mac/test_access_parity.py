@@ -1,7 +1,7 @@
 """The compiled carrier-sense slots and frame demux against their
 Python reference.
 
-On ``kernel="c"`` a plain :class:`DcfMac` on a plain exact-mode
+On ``kernel="c"`` a plain :class:`DcfMac` on a plain
 :class:`Radio` hands the radio, its NAV and its IFS timer the compiled
 twins of ``_maybe_start_ifs``, ``_cancel_access_timers``,
 ``_ifs_expired``, ``phy_rx_end`` and ``Nav._fire``
@@ -143,12 +143,12 @@ class World:
     only ever emits energy."""
 
     def __init__(self, kernel, stations, subclass_at=None, per=None,
-                 rts=False, exact=True, radio_class=Radio, ideal_at=None,
+                 rts=False, radio_class=Radio, ideal_at=None,
                  listening_at=None, sniffer_at=None):
         reset_allocator()                    # same RNG stream names
         error_models._per_cache.clear()      # same PER misses
         self.sim = sim = Simulator(seed=23, kernel=kernel)
-        self.medium = medium = Air(sim, FixedLoss(50.0), exact=exact)
+        self.medium = medium = Air(sim, FixedLoss(50.0))
         self.first_id = next(Transmission._ids) + 1
         self.log = []
         config = DcfConfig(rts_threshold_bytes=200 if rts else 2347,
@@ -467,8 +467,7 @@ def test_the_compiled_world_really_runs_compiled_slots():
 
 
 @pytest.mark.parametrize("options", [
-    dict(kernel="python"), dict(kernel="c", exact=False),
-    dict(kernel="c", radio_class=WatchedRadio),
+    dict(kernel="python"), dict(kernel="c", radio_class=WatchedRadio),
     dict(kernel="c", subclass_at=0)])
 def test_everything_else_runs_the_python_methods(options):
     mac = World(stations=2, **options).macs[0]

@@ -167,12 +167,8 @@ def _per_receiver_inject(medium, record):
         ENERGY_ONLY, record.power_watts, start, record.duration)
     for receiver, begins, ends in medium._channel_members(record.channel):
         rx_pos = receiver.position
-        if medium.exact:
-            rx_power = medium.propagation.received_power_watts(
-                record.power_watts, tx_pos, rx_pos)
-        else:
-            rx_power = record.power_watts \
-                * medium.propagation.link_gain(tx_pos, rx_pos)
+        rx_power = medium.propagation.received_power_watts(
+            record.power_watts, tx_pos, rx_pos)
         if rx_power < medium.reception_floor_watts:
             continue
         delay = tx_pos.distance_to(rx_pos) / SPEED_OF_LIGHT \
@@ -230,9 +226,9 @@ class TestGhostPlans:
     receive power — equals what the per-receiver loop pushed."""
 
     @staticmethod
-    def _world(kernel, exact):
+    def _world(kernel):
         sim = Simulator(seed=1, trace=TraceLog(enabled=False), kernel=kernel)
-        medium = ShardMedium(sim, free_space(), exact=exact, shard=1)
+        medium = ShardMedium(sim, free_space(), shard=1)
         Radio("rx0", medium, DOT11B, Position(5.0, 0.0, 0.0), channel_id=1)
         return sim, medium
 
@@ -252,14 +248,11 @@ class TestGhostPlans:
             else:
                 radio.channel_id = op[2]
 
-    @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=60, deadline=None)
     @given(script=_ghost_scripts())
-    def test_plan_path_pushes_what_the_loop_pushed(self, kernel, exact,
-                                                   script):
-        planned, reference = (self._world(kernel, exact),
-                              self._world(kernel, exact))
+    def test_plan_path_pushes_what_the_loop_pushed(self, kernel, script):
+        planned, reference = self._world(kernel), self._world(kernel)
         for serial, op in enumerate(script):
             if op[0] != "inject":
                 self._apply(planned[1], op, serial)
@@ -355,7 +348,7 @@ class TestBoundaryCosts:
             shard = executor._Shard(index, seed=4)
             shard.build(cells, [plan.index_of(cell.name) for cell in cells],
                         plan.export_channels[index], free_space, -110.0,
-                        True, True, False, False, 0.05)
+                        True, False, False, 0.05)
             self._count_injection(shard, counts)
             shards.append(shard)
         board = executor._Board(len(shards))

@@ -1,14 +1,30 @@
-"""Tests for the shared medium and radio interplay."""
+"""Tests for the shared medium and radio interplay.
+
+Every test runs on both kernels: on ``kernel="c"`` the medium binds the
+compiled receive edges, so delivery, carrier sense, capture and sleep
+are checked on each of the two implementations.
+"""
 
 import pytest
 
 from repro.core import Position, Simulator
+from repro.core.engine import ckernel_available
 from repro.core.errors import SimulationError
 from repro.phy.channel import Medium
 from repro.phy.error_models import SnrThresholdErrorModel
 from repro.phy.propagation import FixedLoss, LogDistance
 from repro.phy.standards import DOT11B, DOT11G
 from repro.phy.transceiver import PhyListener, Radio, RadioState
+
+KERNELS = ["python", pytest.param("c", marks=pytest.mark.skipif(
+    not ckernel_available(),
+    reason="compiled kernel not built (run: python tools/build_kernel.py)"))]
+
+
+@pytest.fixture(params=KERNELS)
+def sim(request):
+    """A deterministic simulator with a fixed seed, on each kernel."""
+    return Simulator(seed=42, kernel=request.param)
 
 
 class Collector(PhyListener):

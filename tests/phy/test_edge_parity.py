@@ -85,9 +85,6 @@ class OddCapture:
                           repr(new_power_watts)))
         return new_power_watts >= 4.0 * locked_power_watts
 
-    def threshold_ratio(self):
-        return 4.0
-
 
 class OddWatts:
     """A power that is not a float and keeps its type under ``sum``:

@@ -2,11 +2,8 @@
 
 After thousands of overlapping arrivals and departures, a radio's
 residual interference figures must return *exactly* to the no-arrival
-value — in exact mode because the arrival table empties (``sum([])``
-is 0.0), and in fast mode because the incident-power accumulator
-rebases to exactly 0.0 whenever the table empties (and re-sums every
-256 departures in between).  Also guards the negative-residue clamp in
-``_refresh_interference``.
+value, because the arrival table empties (``sum([])`` is 0.0).  Also
+guards the negative-residue clamp in ``_refresh_interference``.
 """
 
 import itertools
@@ -35,10 +32,10 @@ class _Carrier:
         return self is other
 
 
-def _deaf_radio(sim, exact=True, name="rx"):
+def _deaf_radio(sim, name="rx"):
     """A radio that never locks (infinite preamble threshold), so the
     arrival churn below is pure energy accounting."""
-    medium = Medium(sim, FixedLoss(50.0), exact=exact)
+    medium = Medium(sim, FixedLoss(50.0))
     config = RadioConfig(preamble_detection_snr_db=float("inf"))
     return Radio(name, medium, DOT11B, Position(0, 0, 0), config=config)
 
@@ -52,7 +49,7 @@ def _churn(radio, begins, ends, overlap=7):
     for round_index in range(CHURN_ROUNDS):
         carrier = _Carrier()
         # Ragged, non-representable powers: summing and un-summing these
-        # in float accumulates residue unless the implementation rebases.
+        # in float accumulates residue unless the table is re-summed.
         power = 1e-9 * (1.0 + 0.1 * (round_index % 13)) / 3.0
         begins(carrier, power)
         live.append(carrier)
@@ -64,38 +61,11 @@ def _churn(radio, begins, ends, overlap=7):
 
 class TestExactModeDrift:
     def test_residual_returns_exactly_to_zero(self, sim):
-        radio = _deaf_radio(sim, exact=True)
+        radio = _deaf_radio(sim)
         _churn(radio, radio.arrival_begins, radio.arrival_ends)
         assert radio.total_incident_power_watts() == 0.0
         assert not radio._arrivals
         assert not radio.cca_busy()
-
-
-class TestFastModeDrift:
-    def test_accumulator_returns_exactly_to_zero(self, sim):
-        radio = _deaf_radio(sim, exact=False)
-        _churn(radio, radio.arrival_begins_fast, radio.arrival_ends_fast)
-        assert radio._incident_watts == 0.0  # rebased, not residue
-        assert not radio._arrivals
-        assert not radio.cca_busy()
-
-    def test_accumulator_is_rebased_mid_run(self, sim):
-        """The running accumulator must be periodically re-anchored to
-        the exact table sum, not just clamped at zero."""
-        radio = _deaf_radio(sim, exact=False)
-        live = []
-        for index in range(2000):
-            carrier = _Carrier()
-            radio.arrival_begins_fast(carrier, 1e-9 / 3.0 * (1 + index % 5))
-            live.append(carrier)
-            if len(live) > 9:
-                radio.arrival_ends_fast(live.pop(0))
-        exact_sum = sum(radio._arrivals.values())
-        drift = abs(radio._incident_watts - exact_sum)
-        # Within a handful of ulps of the true sum thanks to the
-        # 256-departure rebase (an unrebased accumulator drifts orders
-        # of magnitude further over 2000 ragged edges).
-        assert drift <= 1e-22
 
 
 class TestClampPath:

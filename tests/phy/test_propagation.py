@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.topology import Position
+from repro.core.units import dbm_to_watts, watts_to_dbm
 from repro.phy.propagation import (
     FixedLoss,
     FreeSpace,
@@ -135,10 +136,10 @@ class TestFixedLoss:
         assert model.path_loss_db(A, at(1e6)) == 42.0
 
 
-class TestLinkGain:
-    """The linear-domain fast path must agree with the dB curve for
-    every model (to float tolerance — it avoids the log10 round-trip
-    by design, so exact equality is not promised)."""
+class TestReceivedPower:
+    """``received_power_watts`` is the one link-power arithmetic: every
+    model reaches it through the same dB round-trip of its own
+    ``path_loss_db``, bit for bit, and an infinite loss is no power."""
 
     @pytest.mark.parametrize("model", [
         FreeSpace(2.4e9),
@@ -149,28 +150,32 @@ class TestLinkGain:
     ], ids=lambda m: type(m).__name__)
     @pytest.mark.parametrize("distance", [0.5, 1.0, 10.0, 99.0, 500.0])
     def test_matches_db_curve(self, model, distance):
+        tx_power = 0.1
         loss_db = model.path_loss_db(A, at(distance))
-        gain = model.link_gain(A, at(distance))
+        watts = model.received_power_watts(tx_power, A, at(distance))
         if math.isinf(loss_db):
-            assert gain == 0.0
+            assert watts == 0.0
         else:
-            assert gain == pytest.approx(10.0 ** (-loss_db / 10.0),
-                                         rel=1e-12)
+            assert watts == dbm_to_watts(watts_to_dbm(tx_power) - loss_db)
+            assert watts == pytest.approx(
+                tx_power * 10.0 ** (-loss_db / 10.0), rel=1e-12)
 
-    def test_shadowing_gain_includes_frozen_offset(self):
+    def test_shadowing_power_includes_frozen_offset(self):
         model = Shadowing(FreeSpace(2.4e9), sigma_db=8.0,
                           rng=random.Random(1))
         loss_db = model.path_loss_db(A, at(50.0))
-        gain = model.link_gain(A, at(50.0))
-        assert gain == pytest.approx(10.0 ** (-loss_db / 10.0), rel=1e-12)
-        # The linear factor is frozen alongside the dB offset.
-        assert model.link_gain(A, at(50.0)) == gain
-        assert model.link_gain(at(50.0), A) == gain
+        watts = model.received_power_watts(0.1, A, at(50.0))
+        assert watts == pytest.approx(0.1 * 10.0 ** (-loss_db / 10.0),
+                                      rel=1e-12)
+        # The offset is frozen per unordered link: same value again,
+        # and the same in the other direction.
+        assert model.received_power_watts(0.1, A, at(50.0)) == watts
+        assert model.received_power_watts(0.1, at(50.0), A) == watts
 
     def test_received_power_uses_db_pipeline(self):
         # The cached/uncached contract: received_power_watts stays in
         # dB space (bit-identical with historical runs), so it is the
-        # dB round-trip of path_loss_db, not tx_power * link_gain.
+        # dB round-trip of path_loss_db.
         model = LogDistance(2.4e9)
         tx_power = 0.1
         expected = 10.0 ** ((10.0 * math.log10(tx_power * 1000.0)

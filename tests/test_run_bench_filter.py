@@ -37,10 +37,10 @@ class TestOnlyFilter:
         code, names = select(["--only", "dcf_saturation"])
         assert code == 0 and names == ["dcf_saturation"]
 
-    def test_glob_matches_both_profiles(self):
-        code, names = select(["--only", "interference_field*"])
+    def test_glob_matches_every_variant(self):
+        code, names = select(["--only", "city_scale*"])
         assert code == 0
-        assert names == ["interference_field", "interference_field_fast"]
+        assert names == ["city_scale", "city_scale_1p"]
 
     def test_patterns_accumulate_without_duplicates(self):
         code, names = select(["--only", "dcf_saturation*",

@@ -38,11 +38,9 @@ FIXTURE_PATH = REPO_ROOT / "tests" / "mac" / "fixtures" / "tiebreak_trace.json"
 #: Macros whose runs are DES-driven: every in-process simulator they
 #: build is captured with full tracing (multi-simulator macros emit one
 #: ``# sim N`` section per simulator, in construction order).
-TRACED_MACROS = ("dcf_saturation", "dcf_saturation_fast",
-                 "dcf_saturation_100", "dcf_saturation_100_fast",
-                 "multi_bss", "hidden_terminal", "interference_field",
-                 "interference_field_fast", "mesh_backhaul", "roaming_ess",
-                 "fault_storm")
+TRACED_MACROS = ("dcf_saturation", "dcf_saturation_100", "multi_bss",
+                 "hidden_terminal", "interference_field", "mesh_backhaul",
+                 "roaming_ess", "fault_storm")
 #: Macros captured by seeded stats fingerprint only: wep_audit is pure
 #: computation (no event trace), and the city_scale pair runs its
 #: simulators inside forked shard workers where the parent cannot reach

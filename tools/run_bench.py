@@ -8,7 +8,7 @@ Usage::
     PYTHONPATH=src python tools/run_bench.py
 
     # Subset / tuning: --only filters by exact name or glob pattern, so
-    # a heavyweight macro (interference_field and its fast twin) can be
+    # a heavyweight macro (the interference_field family) can be
     # iterated on without re-running the full suite:
     PYTHONPATH=src python tools/run_bench.py --only dcf_saturation --repeat 7
     PYTHONPATH=src python tools/run_bench.py --only 'interference_field*'
