@@ -19,34 +19,13 @@ from repro.analysis.metrics import bianchi_saturation_throughput
 from repro.analysis.tables import render_table
 from repro.core import Position, Simulator
 from repro.mac.addresses import allocate_address
-from repro.mac.dcf import DcfConfig, DcfMac, MacListener
+from repro.mac.dcf import DcfConfig, DcfMac
 from repro.mac.rate_adapt import fixed_rate_factory
 from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
-
-
-class _Refill(MacListener):
-    def __init__(self, mac, destination, payload):
-        self.mac = mac
-        self.destination = destination
-        self.payload = payload
-
-    def prime(self, depth=4):
-        for _ in range(depth):
-            self.mac.send(self.destination, self.payload)
-
-    def mac_tx_complete(self, msdu, success):
-        self.mac.send(self.destination, self.payload)
-
-
-class _Count(MacListener):
-    def __init__(self):
-        self.bytes = 0
-
-    def mac_receive(self, source, destination, payload, meta):
-        self.bytes += len(payload)
+from repro.traffic import DeliveryCounter, SaturatingSource
 
 
 def run_saturation(n, payload_bytes=800, rate_mode="CCK-11",
@@ -58,17 +37,14 @@ def run_saturation(n, payload_bytes=800, rate_mode="CCK-11",
     receiver = DcfMac(sim, receiver_radio, allocate_address(),
                       config=config,
                       rate_factory=fixed_rate_factory(rate_mode))
-    counter = _Count()
-    receiver.listener = counter
+    counter = receiver.listener = DeliveryCounter()
     payload = bytes(payload_bytes)
     for index in range(n):
         radio = Radio(f"tx{index}", medium, DOT11B,
                       Position(1.0 + index * 0.1, 0, 0))
         mac = DcfMac(sim, radio, allocate_address(), config=config,
                      rate_factory=fixed_rate_factory(rate_mode))
-        refill = _Refill(mac, receiver.address, payload)
-        mac.listener = refill
-        refill.prime()
+        mac.listener = SaturatingSource(mac, receiver.address, payload)
     warmup = 0.4
     sim.run(until=warmup)
     counter.bytes = 0

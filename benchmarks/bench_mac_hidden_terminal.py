@@ -15,27 +15,13 @@ import pytest
 
 from repro.analysis.tables import render_table
 from repro.core import Position, Simulator
-from repro.mac.dcf import DcfConfig, MacListener
+from repro.mac.dcf import DcfConfig
 from repro.mac.rate_adapt import fixed_rate_factory
 from repro.phy.error_models import FixedPerErrorModel
 from repro.scenarios import build_hidden_terminal
+from repro.traffic import DeliveryCounter, SaturatingSource
 
 HORIZON = 4.0
-
-
-class _Refill(MacListener):
-    def __init__(self, station, destination, payload):
-        self.station = station
-        self.destination = destination
-        self.payload = payload
-
-    def prime(self, depth=3):
-        for _ in range(depth):
-            self.station.mac.send(self.destination, self.payload)
-
-    def mac_tx_complete(self, msdu, success):
-        self.station.mac.send(self.destination, self.payload)
-
 
 def run_hidden(rts_threshold, payload_bytes=2000, seed=11):
     sim = Simulator(seed=seed)
@@ -48,19 +34,13 @@ def run_hidden(rts_threshold, payload_bytes=2000, seed=11):
     scenario = build_hidden_terminal(
         sim, mac_config=config,
         rate_factory=fixed_rate_factory("DSSS-2"))
-    received = {"bytes": 0}
-
-    def on_receive(source, payload, meta):
-        received["bytes"] += len(payload)
-
-    scenario.receiver.on_receive(on_receive)
+    received = DeliveryCounter()
+    scenario.receiver.on_receive(received)
     payload = bytes(payload_bytes)
     for sender in (scenario.sender_a, scenario.sender_b):
-        refill = _Refill(sender, scenario.receiver.address, payload)
-        # Chain the refill behind the device's own listener plumbing.
-        sender.on_tx_complete(lambda msdu, ok, r=refill:
-                              r.mac_tx_complete(msdu, ok))
-        refill.prime()
+        # Chain the source behind the device's own listener plumbing.
+        sender.on_tx_complete(SaturatingSource(
+            sender.mac, scenario.receiver.address, payload, depth=3))
     sim.run(until=HORIZON)
     drops = (scenario.sender_a.mac.counters.get("msdu_dropped")
              + scenario.sender_b.mac.counters.get("msdu_dropped"))
@@ -68,7 +48,7 @@ def run_hidden(rts_threshold, payload_bytes=2000, seed=11):
                 + scenario.sender_b.mac.counters.get("ack_timeouts")
                 + scenario.sender_a.mac.counters.get("cts_timeouts")
                 + scenario.sender_b.mac.counters.get("cts_timeouts"))
-    return received["bytes"] * 8 / HORIZON, drops, timeouts
+    return received.bytes * 8 / HORIZON, drops, timeouts
 
 
 def run_comparison():
@@ -126,13 +106,7 @@ def run_fragmentation_sweep():
                          error_model=error_model_for(threshold))
         rx = DcfMac(sim, rx_radio, allocate_address(), config=config,
                     rate_factory=fixed_rate_factory("CCK-11"))
-        delivered = {"count": 0}
-
-        class _Sink(MacListener):
-            def mac_receive(self, source, destination, payload, meta):
-                delivered["count"] += 1
-
-        rx.listener = _Sink()
+        delivered = rx.listener = DeliveryCounter()
         tx_radio = Radio("tx", medium, DOT11B, Position(1, 0, 0))
         tx = DcfMac(sim, tx_radio, allocate_address(), config=config,
                     rate_factory=fixed_rate_factory("CCK-11"))
@@ -140,7 +114,7 @@ def run_fragmentation_sweep():
         for _ in range(attempts):
             tx.send(rx.address, bytes(2000))
         sim.run(until=20.0)
-        rows.append([label, delivered["count"] / attempts])
+        rows.append([label, delivered.frames / attempts])
     return rows
 
 

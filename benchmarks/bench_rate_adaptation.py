@@ -16,13 +16,14 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.core import Position, Simulator
 from repro.mac.addresses import allocate_address
-from repro.mac.dcf import DcfMac, MacListener
+from repro.mac.dcf import DcfMac
 from repro.mac.rate_adapt import Aarf, Arf, IdealSnr, fixed_rate_factory
 from repro.mobility.models import LinearMobility
 from repro.phy.channel import Medium
 from repro.phy.propagation import LogDistance
 from repro.phy.standards import DOT11A
 from repro.phy.transceiver import Radio
+from repro.traffic import DeliveryCounter, SaturatingSource
 
 CONTROLLERS = {
     "ARF": Arf,
@@ -34,53 +35,22 @@ CONTROLLERS = {
 }
 
 
-class _Refill(MacListener):
-    def __init__(self, mac, destination, payload):
-        self.mac = mac
-        self.destination = destination
-        self.payload = payload
-        self.delivered = 0
-        self.dropped = 0
-
-    def prime(self, depth=3):
-        for _ in range(depth):
-            self.mac.send(self.destination, self.payload)
-
-    def mac_tx_complete(self, msdu, success):
-        if success:
-            self.delivered += 1
-        else:
-            self.dropped += 1
-        self.mac.send(self.destination, self.payload)
-
-
-class _Count(MacListener):
-    def __init__(self):
-        self.bytes = 0
-
-    def mac_receive(self, source, destination, payload, meta):
-        self.bytes += len(payload)
-
-
 def run_walk(controller_name, horizon=25.0, speed=1.5, seed=21):
     sim = Simulator(seed=seed)
     medium = Medium(sim, LogDistance(DOT11A.band_hz, exponent=3.2))
     factory = CONTROLLERS[controller_name]
     rx_radio = Radio("rx", medium, DOT11A, Position(0, 0, 0))
     rx = DcfMac(sim, rx_radio, allocate_address(), rate_factory=factory)
-    counter = _Count()
-    rx.listener = counter
+    counter = rx.listener = DeliveryCounter()
     tx_radio = Radio("tx", medium, DOT11A, Position(3, 0, 0))
     tx = DcfMac(sim, tx_radio, allocate_address(), rate_factory=factory)
-    refill = _Refill(tx, rx.address, bytes(1000))
-    tx.listener = refill
-    refill.prime()
+    tx.listener = SaturatingSource(tx, rx.address, bytes(1000), depth=3)
     LinearMobility(sim, tx_radio, Position(3 + speed * horizon, 0, 0),
                    speed_mps=speed, tick=0.2).start()
     sim.run(until=horizon)
     goodput = counter.bytes * 8 / horizon
     retries = tx.counters.get("ack_timeouts")
-    return goodput, retries, refill.dropped
+    return goodput, retries, tx.counters.get("msdu_dropped")
 
 
 def run_static(controller_name, horizon=6.0, seed=22):
@@ -89,15 +59,12 @@ def run_static(controller_name, horizon=6.0, seed=22):
     factory = CONTROLLERS[controller_name]
     rx_radio = Radio("rx", medium, DOT11A, Position(0, 0, 0))
     rx = DcfMac(sim, rx_radio, allocate_address(), rate_factory=factory)
-    counter = _Count()
-    rx.listener = counter
+    counter = rx.listener = DeliveryCounter()
     # ~15 dB of SNR: OFDM-24 is stable, OFDM-36 is doomed — the channel
     # where ARF's periodic up-probes burn frames.
     tx_radio = Radio("tx", medium, DOT11A, Position(56.0, 0, 0))
     tx = DcfMac(sim, tx_radio, allocate_address(), rate_factory=factory)
-    refill = _Refill(tx, rx.address, bytes(1000))
-    tx.listener = refill
-    refill.prime()
+    tx.listener = SaturatingSource(tx, rx.address, bytes(1000), depth=3)
     sim.run(until=horizon)
     goodput = counter.bytes * 8 / horizon
     retries = tx.counters.get("ack_timeouts")

@@ -1,34 +1,28 @@
-"""Macro-scenario definitions for the performance harness.
+"""The eleven macro-scenarios and their seeded-stats pins.
 
 Each scenario is a function ``(scale: float) -> dict`` that builds a
-representative workload, runs it, and returns::
+representative workload, runs it, and returns at least::
 
-    {
-        "work": <int>,          # events executed (or frames audited)
-        "work_unit": "events",  # what `work` counts
-        "sim_seconds": <float>, # simulated horizon (0 for non-DES work)
-        "stats": {...},         # seed-deterministic outcome fingerprint
-    }
+    {"stats": {...}}    # seed-deterministic outcome fingerprint
 
-``scale`` stretches the workload (1.0 = the reference size); the
-``--check`` mode runs at a reduced scale so CI stays fast.  ``stats``
-must be a pure function of the seed and the scenario — the harness (and
-``pytest -m perf``) assert that repeated runs and cached-vs-uncached
-runs produce identical values, which is the determinism contract of the
-fast-path core.
+``scale`` stretches the workload (1.0 = the reference size).  ``stats``
+must be a pure function of the seed and the scenario:
+``tools/run_bench.py --check`` runs every macro at ``CHECK_SCALE`` and
+compares its stats with the pin committed in ``baseline.json``, and
+``tests/test_macro_pins.py`` runs that check in tier-1.  Extra keys
+(``fault_trace``, ``arrival_log``, ``telemetry_*``) carry whole
+canonical streams for the determinism tests.
 
-Timing happens in :mod:`tools.run_bench`, around the ``run`` phase only
-(topology construction is excluded).  Tracing is explicitly disabled —
-the zero-overhead path — because a perf benchmark measures the
-simulator's production posture; the trace-cost delta is covered by unit
-benchmarks, not here.
+Nothing here reads a clock; ``bench/`` measures time.  Tracing is
+disabled (``_perf_simulator``) unless a caller swaps the factory, as
+``tools/capture_golden.py`` does to capture the event traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.adversary.emitters import PeriodicJammer
 from repro.core import Position, Simulator
@@ -36,7 +30,7 @@ from repro.core.trace import TraceLog
 from repro.faults import (ChaosMonkey, FaultLog, FaultSchedule,
                           InvariantChecker, LinkFader)
 from repro.mac.addresses import BROADCAST, allocate_address, reset_allocator
-from repro.mac.dcf import DcfConfig, DcfMac, MacListener
+from repro.mac.dcf import DcfConfig, DcfMac
 from repro.mac.rate_adapt import fixed_rate_factory
 from repro.mobility.models import LinearMobility
 from repro.net.roaming import RoamingPolicy
@@ -49,35 +43,8 @@ from repro.phy.transceiver import Radio
 from repro.routing import DsdvRouting, StaticRouting
 from repro.security.wep import WepCipher, crack_wep
 from repro import scenarios
-from repro.traffic.generators import CbrSource
-from repro.traffic.sink import TrafficSink
-
-
-class _Refill(MacListener):
-    """Keeps a MAC's queue non-empty: the saturation workload."""
-
-    def __init__(self, mac: DcfMac, destination: Any, payload: bytes):
-        self.mac = mac
-        self.destination = destination
-        self.payload = payload
-
-    def prime(self, depth: int = 4) -> None:
-        for _ in range(depth):
-            self.mac.send(self.destination, self.payload)
-
-    def mac_tx_complete(self, msdu: Any, success: bool) -> None:
-        self.mac.send(self.destination, self.payload)
-
-
-class _Count(MacListener):
-    def __init__(self) -> None:
-        self.bytes = 0
-        self.frames = 0
-
-    def mac_receive(self, source: Any, destination: Any, payload: bytes,
-                    meta: Dict[str, Any]) -> None:
-        self.bytes += len(payload)
-        self.frames += 1
+from repro.traffic.generators import CbrSource, SaturatingSource
+from repro.traffic.sink import DeliveryCounter, TrafficSink
 
 
 def _perf_simulator(seed: int) -> Simulator:
@@ -90,9 +57,8 @@ def _install_checker(sim: Simulator, medium: Medium,
     """Strict-mode invariant sweeps for a macro run (opt-in).
 
     Every DES macro takes ``check_invariants=True`` to run under the
-    checker; the default stays off so BENCH numbers measure the
-    production posture (the checker's periodic events would perturb
-    ``events`` counts).  The macro-invariants test sweeps all of them.
+    checker; the default stays off because the checker's periodic
+    events would perturb the pinned ``events`` counts.  The macro-invariants test sweeps all of them.
     """
     checker = InvariantChecker(sim, interval=0.05, strict=True)
     checker.watch_medium(medium)
@@ -107,9 +73,9 @@ def _install_telemetry(sim: Simulator, medium: Medium, *, enabled: bool,
     """Build + arm a :class:`repro.telemetry.Telemetry` hub (opt-in).
 
     Mirrors ``_install_checker``: every DES macro takes
-    ``telemetry=True``; the default stays off so BENCH numbers measure
-    the production posture (the sampler's events would perturb the
-    ``events`` count, never the protocol outcomes).  A disabled hub is
+    ``telemetry=True``; the default stays off because the sampler's
+    events would perturb the pinned ``events`` count (never the
+    protocol outcomes).  A disabled hub is
     a null object — every ``instrument_*`` call short-circuits.
     """
     from repro.telemetry import Telemetry
@@ -125,11 +91,10 @@ def _install_telemetry(sim: Simulator, medium: Medium, *, enabled: bool,
 
 
 def _telemetry_extras(hubs: List[Any]) -> Dict[str, Any]:
-    """Finish the hubs and assemble the extra (non-BENCH) result keys.
+    """Finish the hubs and assemble the extra result keys.
 
-    ``time_scenario`` ignores keys outside the BENCH schema, so these
-    never land in committed BENCH records; the telemetry determinism
-    tests byte-compare ``telemetry_jsonl`` across seeded runs.
+    The pin check reads ``stats`` only; the telemetry determinism tests
+    byte-compare ``telemetry_jsonl`` across seeded runs.
     Multi-kernel macros concatenate per-part streams behind ``part``
     marker lines, in part order — still canonical, still byte-stable.
     """
@@ -173,8 +138,7 @@ def dcf_saturation(scale: float = 1.0, *, seed: int = 5,
     receiver_radio = Radio("rx", medium, DOT11B, Position(0, 0, 0))
     receiver = DcfMac(sim, receiver_radio, allocate_address(), config=config,
                       rate_factory=factory)
-    counter = _Count()
-    receiver.listener = counter
+    counter = receiver.listener = DeliveryCounter()
     payload = bytes(800)
     macs = [receiver]
     for index in range(stations):
@@ -182,9 +146,7 @@ def dcf_saturation(scale: float = 1.0, *, seed: int = 5,
                       Position(1.0 + index * 0.1, 0, 0))
         mac = DcfMac(sim, radio, allocate_address(), config=config,
                      rate_factory=factory)
-        refill = _Refill(mac, receiver.address, payload)
-        mac.listener = refill
-        refill.prime()
+        mac.listener = SaturatingSource(mac, receiver.address, payload)
         macs.append(mac)
     if check_invariants:
         _install_checker(sim, medium)
@@ -192,9 +154,6 @@ def dcf_saturation(scale: float = 1.0, *, seed: int = 5,
     horizon = 0.4 + 1.0 * scale
     sim.run(until=horizon)
     result = {
-        "work": sim.events_executed,
-        "work_unit": "events",
-        "sim_seconds": horizon,
         "stats": {
             "rx_bytes": counter.bytes,
             "rx_frames": counter.frames,
@@ -217,10 +176,7 @@ def dcf_saturation_100(scale: float = 1.0, *, seed: int = 17,
 
     Everything that grows with N concentrates here — arrival fan-out
     (101 radios hear every frame), CCA-edge storms, and simultaneous
-    batched-countdown re-anchoring across the whole cell.  Cache and
-    batching wins grow with N, so this macro is the trajectory's
-    scaling check: its speedup relative to the seed core should be at
-    least the 20-station macro's.
+    batched-countdown re-anchoring across the whole cell.
     """
     return dcf_saturation(scale, seed=seed, stations=100,
                           check_invariants=check_invariants,
@@ -255,8 +211,7 @@ def multi_bss(scale: float = 1.0, *, seed: int = 23,
                                channel_id=channel)
         receiver = DcfMac(sim, receiver_radio, allocate_address(),
                           config=config, rate_factory=factory)
-        counter = _Count()
-        receiver.listener = counter
+        counter = receiver.listener = DeliveryCounter()
         counters.append(counter)
         macs.append(receiver)
         for index in range(stations_per_bss):
@@ -265,9 +220,7 @@ def multi_bss(scale: float = 1.0, *, seed: int = 23,
                           channel_id=channel)
             mac = DcfMac(sim, radio, allocate_address(), config=config,
                          rate_factory=factory)
-            refill = _Refill(mac, receiver.address, payload)
-            mac.listener = refill
-            refill.prime()
+            mac.listener = SaturatingSource(mac, receiver.address, payload)
             macs.append(mac)
     if check_invariants:
         _install_checker(sim, medium)
@@ -275,9 +228,6 @@ def multi_bss(scale: float = 1.0, *, seed: int = 23,
     horizon = 0.4 + 1.0 * scale
     sim.run(until=horizon)
     result = {
-        "work": sim.events_executed,
-        "work_unit": "events",
-        "sim_seconds": horizon,
         "stats": {
             "rx_bytes": sum(counter.bytes for counter in counters),
             "rx_frames": sum(counter.frames for counter in counters),
@@ -322,8 +272,7 @@ def interference_field(scale: float = 1.0, *, seed: int = 29,
     receiver_radio = Radio("rx", medium, DOT11B, Position(0, 0, 0))
     receiver = DcfMac(sim, receiver_radio, allocate_address(), config=config,
                       rate_factory=factory)
-    counter = _Count()
-    receiver.listener = counter
+    counter = receiver.listener = DeliveryCounter()
     payload = bytes(800)
     macs = []
     for index in range(20):
@@ -331,9 +280,7 @@ def interference_field(scale: float = 1.0, *, seed: int = 29,
                       Position(1.0 + index * 0.1, 0, 0))
         mac = DcfMac(sim, radio, allocate_address(), config=config,
                      rate_factory=factory)
-        refill = _Refill(mac, receiver.address, payload)
-        mac.listener = refill
-        refill.prime()
+        mac.listener = SaturatingSource(mac, receiver.address, payload)
         macs.append(mac)
     # With FixedLoss(50) every emitter arrives at power_dbm - 50 at
     # every victim.  DOT11B's noise floor is ~-93.6 dBm, CCA -82 dBm,
@@ -364,9 +311,6 @@ def interference_field(scale: float = 1.0, *, seed: int = 29,
     horizon = 0.4 + 1.0 * scale
     sim.run(until=horizon)
     result = {
-        "work": sim.events_executed,
-        "work_unit": "events",
-        "sim_seconds": horizon,
         "stats": {
             "rx_bytes": counter.bytes,
             "rx_frames": counter.frames,
@@ -397,23 +341,14 @@ def hidden_terminal(scale: float = 1.0, *, seed: int = 11,
     sim = _perf_simulator(seed)
     config = DcfConfig(rts_threshold_bytes=400)
     scenario = scenarios.build_hidden_terminal(sim, mac_config=config)
-    counter = _Count()
-
-    def _count(source: Any, payload: bytes, meta: Dict[str, Any]) -> None:
-        counter.bytes += len(payload)
-        counter.frames += 1
-
-    scenario.receiver.on_receive(_count)
+    counter = DeliveryCounter()
+    scenario.receiver.on_receive(counter)
     payload = bytes(1000)
-    destination = scenario.receiver.address
     for sender in (scenario.sender_a, scenario.sender_b):
-        mac = sender.mac
         # Stations route tx-complete through the device listener; hook
-        # the refill at the device layer to keep the queue saturated.
-        sender.on_tx_complete(
-            lambda msdu, ok, _m=mac: _m.send(destination, payload))
-        for _ in range(4):
-            mac.send(destination, payload)
+        # the source at the device layer to keep the queue saturated.
+        sender.on_tx_complete(SaturatingSource(
+            sender.mac, scenario.receiver.address, payload))
     if check_invariants:
         _install_checker(sim, scenario.medium)
     hub = _install_telemetry(
@@ -423,9 +358,6 @@ def hidden_terminal(scale: float = 1.0, *, seed: int = 11,
     horizon = 2.0 * scale
     sim.run(until=horizon)
     result = {
-        "work": sim.events_executed,
-        "work_unit": "events",
-        "sim_seconds": horizon,
         "stats": {
             "rx_bytes": counter.bytes,
             "rx_frames": counter.frames,
@@ -474,9 +406,6 @@ def roaming_ess(scale: float = 1.0, *, seed: int = 7,
     horizon = sim.now + 20.0 * scale
     sim.run(until=horizon)
     result = {
-        "work": sim.events_executed,
-        "work_unit": "events",
-        "sim_seconds": horizon,
         "stats": {
             "rx_packets": sink.total_received,
             "roams": walker.sta_counters.get("roams"),
@@ -583,9 +512,6 @@ def mesh_backhaul(scale: float = 1.0, *, seed: int = 31,
     broken = sum(node.counters.get("routes_broken") for node in grid.nodes)
 
     result = {
-        "work": static_events + dsdv_events + grid_events,
-        "work_unit": "events",
-        "sim_seconds": static_horizon + dsdv_horizon + grid_horizon,
         "stats": {
             "static_delivered": static_flow.received,
             "static_generated": static_source.generated,
@@ -631,7 +557,7 @@ def fault_storm(scale: float = 1.0, *, seed: int = 37,
 
     Every fault fires through the :mod:`repro.faults` machinery into a
     shared :class:`~repro.faults.FaultLog`; its canonical JSONL trace
-    is returned (``fault_trace``, not part of the BENCH record) and its
+    is returned (``fault_trace``, outside the stats) and its
     SHA-1 is committed in the stats, so the determinism gates pin the
     *entire* fault timeline, not just the outcome counts.
     """
@@ -732,9 +658,6 @@ def fault_storm(scale: float = 1.0, *, seed: int = 37,
 
     trace = log.to_jsonl()
     result = {
-        "work": bss_events + mesh_events,
-        "work_unit": "events",
-        "sim_seconds": bss_horizon + mesh_horizon,
         "stats": {
             "bss_pre_rate": bss_pre_rate,
             "bss_post_rate": bss_post_rate,
@@ -753,9 +676,8 @@ def fault_storm(scale: float = 1.0, *, seed: int = 37,
             "trace_sha1": hashlib.sha1(trace.encode()).hexdigest(),
             "events": bss_events + mesh_events,
         },
-        # Full canonical fault timeline; time_scenario ignores extra
-        # keys, so this never lands in BENCH records — the determinism
-        # tests byte-compare it across seeded runs.
+        # Full canonical fault timeline, outside the pinned stats: the
+        # determinism tests byte-compare it across seeded runs.
         "fault_trace": trace,
     }
     if telemetry:
@@ -776,9 +698,6 @@ def wep_audit(scale: float = 1.0, *, seed: int = 0,
     recovered, frames = crack_wep(WepCipher(key), max_frames=budget,
                                   check_every=1 << 21)
     result = {
-        "work": frames,
-        "work_unit": "frames",
-        "sim_seconds": 0.0,
         "stats": {
             "recovered": recovered == key,
             "frames_needed": frames,
@@ -799,7 +718,6 @@ def wep_audit(scale: float = 1.0, *, seed: int = 0,
     return result
 
 
-#: name -> scenario callable; the harness and the perf tests iterate this.
 def city_scale(scale: float = 1.0, *, seed: int = 41,
                bss_count: int = 24, stations_per_bss: int = 8,
                workers: int = 4,
@@ -815,9 +733,8 @@ def city_scale(scale: float = 1.0, *, seed: int = 41,
     Stats include the sharding fingerprint (shard count, rounds,
     boundary records, arrival-log SHA-1); the full canonical arrival
     log rides the result as an extra key for the determinism tests,
-    outside the BENCH record.  ``city_scale_1p`` is the identical
-    scenario single-process: the differential reference and the
-    speedup denominator for PERFORMANCE.md's scaling table.
+    outside the stats.  ``city_scale_1p`` is the identical scenario
+    single-process: the differential reference.
     """
     cells = scenarios.build_city_cells(bss_count=bss_count,
                                        stations_per_bss=stations_per_bss)
@@ -829,9 +746,6 @@ def city_scale(scale: float = 1.0, *, seed: int = 41,
                          telemetry=telemetry)
     per_cell = result["cells"]
     out = {
-        "work": result["events"],
-        "work_unit": "events",
-        "sim_seconds": horizon,
         "stats": {
             "rx_bytes": sum(c["rx_bytes"] for c in per_cell.values()),
             "rx_frames": sum(c["rx_frames"] for c in per_cell.values()),
@@ -869,9 +783,6 @@ def city_scale_1p(scale: float = 1.0, *, seed: int = 41,
                         telemetry=telemetry)
     per_cell = result["cells"]
     out = {
-        "work": result["events"],
-        "work_unit": "events",
-        "sim_seconds": horizon,
         "stats": {
             "rx_bytes": sum(c["rx_bytes"] for c in per_cell.values()),
             "rx_frames": sum(c["rx_frames"] for c in per_cell.values()),
@@ -890,6 +801,7 @@ def city_scale_1p(scale: float = 1.0, *, seed: int = 41,
     return out
 
 
+#: name -> scenario callable; ``run_bench.py`` and the tests iterate this.
 MACROS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "dcf_saturation": dcf_saturation,
     "dcf_saturation_100": dcf_saturation_100,

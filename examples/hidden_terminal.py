@@ -11,25 +11,8 @@ Run:  python examples/hidden_terminal.py
 """
 
 from repro import Simulator, scenarios
-from repro.mac.dcf import DcfConfig, MacListener
-
-
-class Saturator(MacListener):
-    """Keeps a station's queue non-empty."""
-
-    def __init__(self, station, destination, payload_bytes=800):
-        self.station = station
-        self.destination = destination
-        self.payload = bytes(payload_bytes)
-        station.on_tx_complete(lambda msdu, ok: self._refill())
-
-    def prime(self, depth=3):
-        for _ in range(depth):
-            self.station.mac.send(self.destination, self.payload)
-
-    def _refill(self):
-        self.station.mac.send(self.destination, self.payload)
-
+from repro.mac.dcf import DcfConfig
+from repro.traffic import DeliveryCounter, SaturatingSource
 
 def run(rts_threshold: int, label: str) -> float:
     sim = Simulator(seed=11)
@@ -37,15 +20,15 @@ def run(rts_threshold: int, label: str) -> float:
         sim, mac_config=DcfConfig(rts_threshold_bytes=rts_threshold))
     a_hears_b = scenario.medium.link_rx_power_dbm(
         scenario.sender_a.radio, scenario.sender_b.radio)
-    received = {"bytes": 0}
-    scenario.receiver.on_receive(
-        lambda src, payload, meta: received.__setitem__(
-            "bytes", received["bytes"] + len(payload)))
+    received = DeliveryCounter()
+    scenario.receiver.on_receive(received)
     for sender in (scenario.sender_a, scenario.sender_b):
-        Saturator(sender, scenario.receiver.address).prime()
+        # Keeps the sender's queue non-empty: saturation traffic.
+        sender.on_tx_complete(SaturatingSource(
+            sender.mac, scenario.receiver.address, bytes(800), depth=3))
     horizon = 4.0
     sim.run(until=horizon)
-    goodput = received["bytes"] * 8 / horizon
+    goodput = received.bytes * 8 / horizon
     drops = (scenario.sender_a.mac.counters.get("msdu_dropped")
              + scenario.sender_b.mac.counters.get("msdu_dropped"))
     print(f"{label:>14}: {goodput / 1e3:7.0f} kb/s, "

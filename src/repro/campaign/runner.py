@@ -25,11 +25,11 @@ from ..core.engine import Simulator
 from ..core.topology import Position
 from ..core.trace import TraceLog
 from ..mac.addresses import reset_allocator
-from ..mac.dcf import DcfConfig, MacListener
+from ..mac.dcf import DcfConfig
 from ..phy.standards import DOT11B, DOT11G
 from ..routing.protocol import StaticRouting
-from ..traffic.generators import CbrSource
-from ..traffic.sink import TrafficSink
+from ..traffic.generators import CbrSource, SaturatingSource
+from ..traffic.sink import DeliveryCounter, TrafficSink
 from .spec import SpecError
 
 __all__ = ["run_job", "BUILDERS"]
@@ -38,18 +38,6 @@ _STANDARDS = {"b": DOT11B, "g": DOT11G}
 
 
 # --- shared wiring ----------------------------------------------------------
-
-class _RxCount(MacListener):
-    """Receiver-side byte/frame counter (the saturation workloads)."""
-
-    def __init__(self) -> None:
-        self.bytes = 0
-        self.frames = 0
-
-    def count(self, payload: bytes) -> None:
-        self.bytes += len(payload)
-        self.frames += 1
-
 
 def _mac_config(params: Dict[str, Any]) -> Optional[DcfConfig]:
     threshold = params.get("rts_threshold_bytes")
@@ -123,23 +111,17 @@ def _cbr_uplink(sim: Simulator, bss, traffic: Dict[str, Any]):
     return sink, sources
 
 
-def _saturate_uplink(sim: Simulator, bss, traffic: Dict[str, Any]
-                     ) -> _RxCount:
-    """Keep every station's queue non-empty; count delivery at the AP."""
-    counter = _RxCount()
-    bss.ap.on_receive(lambda source, payload, meta: counter.count(payload))
+def _saturate(receiver, senders, traffic: Dict[str, Any]
+              ) -> DeliveryCounter:
+    """Keep every sender's queue non-empty toward ``receiver``; count
+    delivery there."""
+    counter = DeliveryCounter()
+    receiver.on_receive(counter)
     payload = bytes(traffic.get("payload_bytes", 800))
     depth = traffic.get("depth", 3)
-    for station in bss.stations:
-        mac = station.mac
-        destination = bss.ap.address
-
-        def _refill(msdu, ok, _mac=mac, _dst=destination) -> None:
-            _mac.send(_dst, payload)
-
-        station.on_tx_complete(_refill)
-        for _ in range(depth):
-            mac.send(destination, payload)
+    for sender in senders:
+        sender.on_tx_complete(SaturatingSource(
+            sender.mac, receiver.address, payload, depth))
     return counter
 
 
@@ -188,7 +170,7 @@ def _run_infrastructure_bss(sim: Simulator, spec: Dict[str, Any]
         sim.run(until=sim.now + horizon)
         stats = _flow_stats(sink, sources)
     elif traffic["kind"] == "saturate":
-        counter = _saturate_uplink(sim, bss, traffic)
+        counter = _saturate(bss.ap, bss.stations, traffic)
         sim.run(until=sim.now + horizon)
         stats = {"rx_bytes": counter.bytes, "rx_frames": counter.frames}
     else:  # none: association + adversaries only (a control row)
@@ -214,18 +196,8 @@ def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any]
     _attach_adversaries(sim, scenario.medium,
                         scenario.receiver.radio.standard,
                         spec["adversaries"])
-    counter = _RxCount()
-    scenario.receiver.on_receive(
-        lambda source, payload, meta: counter.count(payload))
-    payload = bytes(traffic.get("payload_bytes", 800))
-    depth = traffic.get("depth", 3)
-    destination = scenario.receiver.address
-    for sender in (scenario.sender_a, scenario.sender_b):
-        mac = sender.mac
-        sender.on_tx_complete(
-            lambda msdu, ok, _m=mac: _m.send(destination, payload))
-        for _ in range(depth):
-            mac.send(destination, payload)
+    counter = _saturate(scenario.receiver,
+                        (scenario.sender_a, scenario.sender_b), traffic)
     sim.run(until=sim.now + spec["scenario"]["horizon"])
     return {
         "rx_bytes": counter.bytes,

@@ -10,10 +10,9 @@ with a literal census of the heap.
 
 :class:`InvariantChecker` sweeps all of them periodically from inside
 the event loop.  It is **opt-in** (strict mode): the checks cost real
-time — see PERFORMANCE.md — and a default-off checker guarantees that
-enabling it can never perturb a baseline run's event stream, because it
-only *reads* simulation state and schedules its own independent
-periodic event.
+time, and a default-off checker guarantees that enabling it can never
+perturb a pinned run's event stream, because it only *reads* simulation
+state and schedules its own independent periodic event.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ One message is a 4-byte big-endian body length followed by
 ``os.write`` and — in the common case of a body under 64 KiB — read
 with a single ``os.read``.  That is all a coordinator round needs, and
 it costs about a third of ``multiprocessing.Connection.send/recv`` per
-round trip (PERFORMANCE.md, "PR 13").
+round trip (PERFORMANCE.md, "The wire").
 
 The channel assumes the executor's request/response discipline: at most
 one message is in flight per direction, so a read never has to split

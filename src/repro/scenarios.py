@@ -19,7 +19,7 @@ from .core.errors import AssociationTimeoutError, ConfigurationError, \
     SimulationError
 from .core.topology import ORIGIN, Position, circle_layout, grid_layout, \
     line_layout
-from .mac.dcf import DcfConfig, DcfMac, MacListener
+from .mac.dcf import DcfConfig, DcfMac
 from .mac.rate_adapt import RateControllerFactory, fixed_rate_factory
 from .net.ap import AccessPoint
 from .net.bss import ExtendedServiceSet, IndependentBss
@@ -31,6 +31,8 @@ from .phy.standards import DOT11B, DOT11G, PhyStandard
 from .phy.transceiver import Radio
 from .routing.node import MeshConfig, MeshNode
 from .routing.protocol import RoutingProtocol, StaticRouting
+from .traffic.generators import SaturatingSource
+from .traffic.sink import DeliveryCounter
 
 
 @dataclass
@@ -386,34 +388,6 @@ def build_ess(sim: Simulator, ap_count: int, spacing_m: float = 60.0,
 
 # --- partition-aware city-scale builders (sharded executor) -----------------
 
-class _CellFrameCounter(MacListener):
-    """Receiver-side stats for one saturated cell."""
-
-    def __init__(self) -> None:
-        self.bytes = 0
-        self.frames = 0
-
-    def mac_receive(self, source, destination, payload: bytes, meta) -> None:
-        self.bytes += len(payload)
-        self.frames += 1
-
-
-class _CellRefill(MacListener):
-    """Keeps a cell station's queue non-empty (saturation traffic)."""
-
-    def __init__(self, mac: DcfMac, destination, payload: bytes):
-        self.mac = mac
-        self.destination = destination
-        self.payload = payload
-
-    def prime(self, depth: int = 4) -> None:
-        for _ in range(depth):
-            self.mac.send(self.destination, self.payload)
-
-    def mac_tx_complete(self, msdu, success: bool) -> None:
-        self.mac.send(self.destination, self.payload)
-
-
 def city_propagation() -> PropagationModel:
     """The city grid's path-loss model: urban log-distance, exponent 4.
 
@@ -446,17 +420,14 @@ def saturated_cell(stations: int, payload_size: int = 800):
                                center, channel_id=cell.channel)
         receiver = DcfMac(ctx.sim, receiver_radio, ctx.address(),
                           config=config, rate_factory=factory)
-        counter = _CellFrameCounter()
-        receiver.listener = counter
+        counter = receiver.listener = DeliveryCounter()
         for index, position in enumerate(
                 circle_layout(stations, 10.0, center)):
             radio = Radio(f"{cell.name}-tx{index}", ctx.medium, DOT11B,
                           position, channel_id=cell.channel)
             mac = DcfMac(ctx.sim, radio, ctx.address(), config=config,
                          rate_factory=factory)
-            refill = _CellRefill(mac, receiver.address, payload)
-            mac.listener = refill
-            refill.prime()
+            mac.listener = SaturatingSource(mac, receiver.address, payload)
         return lambda: {"rx_bytes": counter.bytes,
                         "rx_frames": counter.frames}
 

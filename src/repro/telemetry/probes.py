@@ -13,8 +13,8 @@ only observable difference in an instrumented run is the sampler's own
 (read-only) events on the kernel heap.
 
 :class:`Telemetry` bundles the whole layer behind one object — the
-perf macros, ``run_bench --telemetry`` and the parallel executor all
-construct exactly this.
+perf macros, the benchmark's ``telemetry.*`` service metrics and the
+parallel executor all construct exactly this.
 """
 
 from __future__ import annotations

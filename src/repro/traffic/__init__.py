@@ -4,6 +4,7 @@ from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "generators": ("BulkTransferSource", "CbrSource", "HEADER_SIZE",
-        "OnOffSource", "PoissonSource", "decode_packet", "encode_packet"),
-    "sink": ("FlowStats", "TrafficSink"),
+        "OnOffSource", "PoissonSource", "SaturatingSource", "decode_packet",
+        "encode_packet"),
+    "sink": ("DeliveryCounter", "FlowStats", "TrafficSink"),
 })

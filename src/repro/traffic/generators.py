@@ -13,15 +13,19 @@ compute delay, jitter, and loss without side channels.
 * :class:`BulkTransferSource` — "send N bytes as fast as the MAC
   accepts them" (a saturating FTP-like source with window-limited
   outstanding packets).
+* :class:`SaturatingSource` — keeps one MAC's queue non-empty forever
+  (the saturation workload); it sends fixed payloads, not measurement
+  packets.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..core.engine import EventHandle, Simulator
 from ..core.errors import ConfigurationError
+from ..mac.dcf import MacListener
 
 #: Signature expected of the transmit hook: send(payload) -> accepted?
 SendHook = Callable[[bytes], bool]
@@ -246,3 +250,28 @@ class BulkTransferSource(_SourceBase):
         if elapsed <= 0:
             return float("inf")
         return self.total_packets * self.packet_bytes * 8 / elapsed
+
+
+class SaturatingSource(MacListener):
+    """Saturation traffic: queues ``depth`` MSDUs on construction and one
+    more on every completion, delivered or dropped.
+
+    Install it as the ``DcfMac``'s listener, or register it with
+    ``Station.on_tx_complete``: both call it with ``(msdu, success)``.
+    Construction sends, so build it where the MAC's first MSDUs belong
+    in the scenario's order (sequence numbers and backoff draws follow
+    it).
+    """
+
+    def __init__(self, mac: Any, destination: Any, payload: bytes,
+                 depth: int = 4):
+        self.mac = mac
+        self.destination = destination
+        self.payload = payload
+        for _ in range(depth):
+            mac.send(destination, payload)
+
+    def mac_tx_complete(self, msdu: Any, success: bool) -> None:
+        self.mac.send(self.destination, self.payload)
+
+    __call__ = mac_tx_complete

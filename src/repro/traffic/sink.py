@@ -8,16 +8,20 @@ written by the generators and tracks, per flow and in aggregate:
 * one-way delay (mean / percentiles, via :class:`SampleStat`),
 * RFC3550-style smoothed jitter,
 * loss, inferred from sequence-number gaps.
+
+:class:`DeliveryCounter` is the sink of saturation traffic: it counts
+frames and bytes of any payload, without decoding a header.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..core.engine import Simulator
 from ..core.stats import SampleStat
+from ..mac.dcf import MacListener
 from .generators import decode_packet
 
 
@@ -141,3 +145,24 @@ class TrafficSink:
 
     def flow(self, flow_id: int) -> Optional[FlowStats]:
         return self.flows.get(flow_id)
+
+
+class DeliveryCounter(MacListener):
+    """Counts delivered MSDUs (``frames``) and their payload ``bytes``.
+
+    Install it as a ``DcfMac``'s listener, or register it with
+    ``Station.on_receive``.
+    """
+
+    def __init__(self) -> None:
+        self.frames = 0
+        self.bytes = 0
+
+    def mac_receive(self, source: Any, destination: Any, payload: bytes,
+                    meta: Any) -> None:
+        self.frames += 1
+        self.bytes += len(payload)
+
+    def __call__(self, source: Any, payload: bytes, meta: Any = None) -> None:
+        self.frames += 1
+        self.bytes += len(payload)

@@ -12,11 +12,12 @@ from repro.core import Position, Simulator
 from repro.core.engine import ckernel_available
 from repro.mac.addresses import reset_allocator
 from repro.mac.addresses import allocate_address
-from repro.mac.dcf import DcfMac, MacListener
+from repro.mac.dcf import DcfMac
 from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio, RadioState
+from repro.traffic import DeliveryCounter
 
 A = Position(0, 0, 0)
 B = Position(10, 0, 0)
@@ -28,21 +29,13 @@ KERNELS = ["python", pytest.param("c", marks=pytest.mark.skipif(
     reason="compiled kernel not built (run: python tools/build_kernel.py)"))]
 
 
-class _Count(MacListener):
-    def __init__(self):
-        self.frames = 0
-
-    def mac_receive(self, source, destination, payload, meta):
-        self.frames += 1
-
-
 def _pair(sim):
     medium = Medium(sim, FixedLoss(50.0))
     tx_radio = Radio("crasher", medium, DOT11B, A)
     tx = DcfMac(sim, tx_radio, allocate_address())
     rx_radio = Radio("peer", medium, DOT11B, B)
     rx = DcfMac(sim, rx_radio, allocate_address())
-    counter = _Count()
+    counter = DeliveryCounter()
     rx.listener = counter
     return medium, tx, rx, counter
 
@@ -147,7 +140,7 @@ class TestCrashDuringTx:
         medium, tx, rx, counter = _pair(sim)
         third_radio = Radio("third", medium, DOT11B, Position(5, 5, 0))
         third = DcfMac(sim, third_radio, allocate_address())
-        third_counter = _Count()
+        third_counter = DeliveryCounter()
         third.listener = third_counter
         _start_long_tx(sim, tx, rx)
         _crash(tx)

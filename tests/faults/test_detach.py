@@ -12,11 +12,12 @@ from repro.core import Position, Simulator
 from repro.core.engine import ckernel_available
 from repro.core.errors import ConfigurationError
 from repro.mac.addresses import allocate_address
-from repro.mac.dcf import DcfMac, MacListener
+from repro.mac.dcf import DcfMac
 from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio, RadioState
+from repro.traffic import DeliveryCounter
 
 A = Position(0, 0, 0)
 B = Position(10, 0, 0)
@@ -26,21 +27,13 @@ KERNELS = ["python", pytest.param("c", marks=pytest.mark.skipif(
     reason="compiled kernel not built (run: python tools/build_kernel.py)"))]
 
 
-class _Count(MacListener):
-    def __init__(self):
-        self.frames = 0
-
-    def mac_receive(self, source, destination, payload, meta):
-        self.frames += 1
-
-
 def _pair(sim):
     medium = Medium(sim, FixedLoss(50.0))
     tx_radio = Radio("tx", medium, DOT11B, A)
     tx = DcfMac(sim, tx_radio, allocate_address())
     rx_radio = Radio("rx", medium, DOT11B, B)
     rx = DcfMac(sim, rx_radio, allocate_address())
-    counter = _Count()
+    counter = DeliveryCounter()
     rx.listener = counter
     return medium, tx, rx, counter
 

@@ -63,6 +63,6 @@ class TestStrictInvariants:
     @pytest.mark.parametrize("name", ["dcf_saturation", "hidden_terminal",
                                       "mesh_backhaul"])
     def test_des_macros_clean_under_checker(self, name):
-        # The full sweep runs in the perf gate; here a representative
-        # subset (pure DCF, NAV-heavy, and routing) at a small scale.
+        # A representative subset (pure DCF, NAV-heavy, and routing)
+        # at a small scale.
         MACROS[name](scale=0.05, check_invariants=True)

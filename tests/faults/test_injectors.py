@@ -6,29 +6,22 @@ from repro.core import Position, Simulator
 from repro.core.errors import ConfigurationError
 from repro.faults import DegradedPropagation, LinkFader, inject_queue_pressure
 from repro.mac.addresses import allocate_address
-from repro.mac.dcf import DcfMac, MacListener
+from repro.mac.dcf import DcfMac
 from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss, FreeSpace
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
+from repro.traffic import DeliveryCounter
 
 A = Position(0, 0, 0)
 B = Position(10, 0, 0)
-
-
-class _Count(MacListener):
-    def __init__(self):
-        self.frames = 0
-
-    def mac_receive(self, source, destination, payload, meta):
-        self.frames += 1
 
 
 def _pair(sim, medium):
     """Two MACs in range of each other."""
     rx_radio = Radio("rx", medium, DOT11B, A)
     rx = DcfMac(sim, rx_radio, allocate_address())
-    counter = _Count()
+    counter = DeliveryCounter()
     rx.listener = counter
     tx_radio = Radio("tx", medium, DOT11B, B)
     tx = DcfMac(sim, tx_radio, allocate_address())

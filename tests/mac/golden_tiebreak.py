@@ -22,12 +22,13 @@ from typing import Any, Dict, List, Tuple
 from repro.core import Position, Simulator
 from repro.core.trace import TraceLog
 from repro.mac.addresses import allocate_address, reset_allocator
-from repro.mac.dcf import DcfConfig, DcfMac, MacListener
+from repro.mac.dcf import DcfConfig, DcfMac
 from repro.mac.rate_adapt import fixed_rate_factory
 from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
+from repro.traffic import DeliveryCounter, SaturatingSource
 
 #: Bump only when the scenario itself changes (forces fixture regen).
 SCENARIO_VERSION = 1
@@ -42,22 +43,6 @@ POSITIONS = (
     Position(0.0, 12.0, 0.0),
     Position(0.0, -12.0, 0.0),
 )
-
-
-class _Refill(MacListener):
-    """Keeps the MAC queue non-empty so every station always contends."""
-
-    def __init__(self, mac: DcfMac, destination: Any, payload: bytes):
-        self.mac = mac
-        self.destination = destination
-        self.payload = payload
-
-    def prime(self, depth: int = 4) -> None:
-        for _ in range(depth):
-            self.mac.send(self.destination, self.payload)
-
-    def mac_tx_complete(self, msdu: Any, success: bool) -> None:
-        self.mac.send(self.destination, self.payload)
 
 
 def run_tiebreak_scenario() -> Tuple[List[str], Dict[str, Any]]:
@@ -76,24 +61,15 @@ def run_tiebreak_scenario() -> Tuple[List[str], Dict[str, Any]]:
     receiver_radio = Radio("rx", medium, DOT11B, Position(0.0, 0.0, 0.0))
     receiver = DcfMac(sim, receiver_radio, allocate_address(), config=config,
                       rate_factory=factory)
-    rx_stats = {"frames": 0, "bytes": 0}
-
-    class _Count(MacListener):
-        def mac_receive(self, source: Any, destination: Any, payload: bytes,
-                        meta: Dict[str, Any]) -> None:
-            rx_stats["frames"] += 1
-            rx_stats["bytes"] += len(payload)
-
-    receiver.listener = _Count()
+    counter = receiver.listener = DeliveryCounter()
     payload = bytes(600)
     macs = []
     for index, position in enumerate(POSITIONS):
         radio = Radio(f"tx{index}", medium, DOT11B, position)
         mac = DcfMac(sim, radio, allocate_address(), config=config,
                      rate_factory=factory)
-        refill = _Refill(mac, receiver.address, payload)
-        mac.listener = refill
-        refill.prime()
+        # Keeps the queue non-empty so every station always contends.
+        mac.listener = SaturatingSource(mac, receiver.address, payload)
         macs.append(mac)
     sim.run(until=HORIZON)
     lines = [
@@ -103,8 +79,8 @@ def run_tiebreak_scenario() -> Tuple[List[str], Dict[str, Any]]:
         for record in trace
     ]
     stats = {
-        "rx_frames": rx_stats["frames"],
-        "rx_bytes": rx_stats["bytes"],
+        "rx_frames": counter.frames,
+        "rx_bytes": counter.bytes,
         "tx_data": sum(mac.counters.get("tx_data") for mac in macs),
         "ack_timeouts": sum(mac.counters.get("ack_timeouts")
                             for mac in macs),

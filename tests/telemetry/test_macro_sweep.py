@@ -25,8 +25,7 @@ class TestMacroSweep:
             assert records, f"{name} exported an empty stream"
             header = records[0]
             assert header["type"] in ("header", "merged", "part"), name
-            # The BENCH contract keys survive untouched.
-            assert result["work"] > 0, name
+            # The pinned stats survive untouched.
             assert isinstance(result["stats"], dict), name
 
     def test_macros_without_telemetry_stay_bare(self):

@@ -3,8 +3,7 @@
 Two claims, both best-of-N wall-clock with the A and B runs
 *interleaved* (A, B, A, B, ...): min-of-repeats discards scheduler
 noise, and interleaving cancels slow load/thermal drift that would
-bias two sequential timing blocks — this test often runs right after
-the bench gate has been hammering the machine.
+bias two sequential timing blocks.
 
 * The *disabled* path is free: a macro carrying its (disabled) hub must
   run within 5% of the same macro with the hub construction stubbed out
@@ -13,11 +12,10 @@ the bench gate has been hammering the machine.
   measurable.
 * The *enabled* path at the default 50 ms sampling interval is cheap:
   instrumentation (wraps, probes, sampling, span bookkeeping, the
-  final edge sample) within 15% (PERFORMANCE.md documents the ~0.1%
-  measured figure; the assertion is loose because CI machines are
-  noisy).  The final JSONL serialization is deliberately excluded —
-  it is O(records exported), not O(events simulated), and
-  PERFORMANCE.md documents it separately.
+  final edge sample) within 15% (loose because CI machines are
+  noisy; ``python3 -m bench``'s ``telemetry.armed_ratio`` measures
+  it).  The final JSONL serialization is deliberately excluded — it
+  is O(records exported), not O(events simulated).
 """
 
 import pathlib

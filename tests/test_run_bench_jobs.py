@@ -1,9 +1,9 @@
-"""The perf harness's --jobs process-pool fan-out.
+"""The pin check's --jobs process-pool fan-out.
 
 The contract: ``--jobs N`` may overlap macro runs across N forked
-children, but the emitted rows (and therefore the BENCH files, the
-console table, and the --check verdicts) appear in exactly the same
-order as the serial path — parallelism must never reorder output.
+children, but the rows (and therefore the console table and the
+verdicts) appear in exactly the same order as the serial path —
+parallelism must never reorder output.
 """
 
 import pathlib
@@ -21,17 +21,17 @@ from perf import macro  # noqa: E402
 
 
 def _fast_macro(scale=1.0, **kwargs):
-    return {"work": 10, "work_unit": "events", "stats": {"x": 1}}
+    return {"stats": {"x": 1}}
 
 
 def _slow_macro(scale=1.0, **kwargs):
     time.sleep(0.3)
-    return {"work": 10, "work_unit": "events", "stats": {"x": 2}}
+    return {"stats": {"x": 2}}
 
 
 def _sleepy_macro(scale=1.0, **kwargs):
     time.sleep(0.6)
-    return {"work": 10, "work_unit": "events", "stats": {"x": 3}}
+    return {"stats": {"x": 3}}
 
 
 def _hanging_macro(scale=1.0, **kwargs):
@@ -53,8 +53,7 @@ def stub_macros(monkeypatch):
 
 
 def collect(names, jobs, timeout=30.0):
-    return list(run_bench.iter_results(names, 1.0, 1, timeout=timeout,
-                                       jobs=jobs))
+    return list(run_bench.iter_results(names, timeout=timeout, jobs=jobs))
 
 
 class TestJobsOrdering:
@@ -70,8 +69,7 @@ class TestJobsOrdering:
         names = ["stub_fast", "stub_slow", "stub_fast"]
         serial = collect(names, jobs=1)
         parallel = collect(names, jobs=3)
-        assert [(n, s, r["stats"]) for n, s, r in serial] \
-            == [(n, s, r["stats"]) for n, s, r in parallel]
+        assert serial == parallel
 
     def test_duplicate_names_each_get_their_own_row(self, stub_macros):
         # Regression: results are buffered by input index, not name.
@@ -107,19 +105,13 @@ class TestJobsFailureRows:
         assert "synthetic macro failure" in message
         assert ok_row[1] == "ok"
 
-    def test_run_full_parallel_writes_only_ok_benchfiles(
-            self, stub_macros, tmp_path, capsys):
-        code = run_bench.run_full(["stub_fast", "stub_hang"], 1.0, 1,
-                                  tmp_path, timeout=0.5, jobs=2)
-        out = capsys.readouterr().out
+    def test_check_rows_keep_input_order_with_a_hung_macro(
+            self, stub_macros, monkeypatch, capsys):
+        monkeypatch.setattr(run_bench, "load_pins",
+                            lambda: {"stub_fast": {"x": 1}})
+        code = run_bench.run_check(["stub_hang", "stub_fast"], timeout=0.5,
+                                   jobs=2)
+        rows = capsys.readouterr().out.splitlines()
         assert code == 1
-        assert "FAILED" in out
-        assert (tmp_path / "BENCH_stub_fast.json").exists()
-        assert not (tmp_path / "BENCH_stub_hang.json").exists()
-
-
-class TestJobsValidation:
-    def test_jobs_zero_is_an_argument_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run_bench.main(["--only", "dcf_saturation", "--jobs", "0"])
-        assert excinfo.value.code == 2
+        assert rows[0].startswith("stub_hang") and "FAILED" in rows[0]
+        assert rows[1].split() == ["stub_fast", "ok"]

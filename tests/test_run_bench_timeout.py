@@ -1,5 +1,7 @@
-"""The perf harness's per-macro wall-clock timeout guard."""
+"""The pin check's verdicts: a hung macro, a macro without a pin, a
+drifted stat, and re-recording the pins."""
 
+import json
 import pathlib
 import sys
 import time
@@ -15,7 +17,7 @@ from perf import macro  # noqa: E402
 
 
 def _fast_macro(scale=1.0, **kwargs):
-    return {"work": 10, "work_unit": "events", "stats": {"x": 1}}
+    return {"stats": {"x": 1, "y": [2, 3]}}
 
 
 def _hanging_macro(scale=1.0, **kwargs):
@@ -28,56 +30,74 @@ def _crashing_macro(scale=1.0, **kwargs):
 
 
 @pytest.fixture
-def stub_macros(monkeypatch):
-    # Fork-based children inherit these monkeypatches: the guarded
-    # runner sees the same MACROS dict this process does.
+def pins(monkeypatch, tmp_path):
+    """Stub macros (forked workers inherit the monkeypatches) and a
+    pin file of their own."""
     monkeypatch.setitem(macro.MACROS, "stub_fast", _fast_macro)
     monkeypatch.setitem(macro.MACROS, "stub_hang", _hanging_macro)
     monkeypatch.setitem(macro.MACROS, "stub_crash", _crashing_macro)
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(
+        {"stub_fast": {"stats": {"x": 1, "y": [2, 3]}}}))
+    monkeypatch.setattr(run_bench, "BASELINE_PATH", path)
+    return path
 
 
-class TestTimeoutGuard:
-    def test_fast_macro_completes_within_timeout(self, stub_macros):
-        status, record = run_bench.time_scenario_guarded(
-            "stub_fast", 1.0, 1, timeout=30.0)
-        assert status == "ok"
-        assert record["name"] == "stub_fast"
-        assert record["stats"] == {"x": 1}
+def check(names, capsys, **kwargs):
+    code = run_bench.run_check(names, **kwargs)
+    return code, capsys.readouterr().out
 
-    def test_hanging_macro_is_killed(self, stub_macros):
+
+class TestVerdicts:
+    def test_matching_pin_passes(self, pins, capsys):
+        code, out = check(["stub_fast"], capsys)
+        assert code == 0 and "stub_fast            ok" in out
+
+    def test_hung_macro_is_a_failed_row_within_the_timeout(self, pins,
+                                                           capsys):
         start = time.monotonic()
-        status, payload = run_bench.time_scenario_guarded(
-            "stub_hang", 1.0, 1, timeout=0.5)
-        assert status == "timeout"
-        assert payload is None
+        code, out = check(["stub_hang", "stub_fast"], capsys, timeout=0.5)
         assert time.monotonic() - start < 30.0
-
-    def test_crashing_macro_reports_error(self, stub_macros):
-        status, message = run_bench.time_scenario_guarded(
-            "stub_crash", 1.0, 1, timeout=30.0)
-        assert status == "error"
-        assert "synthetic macro failure" in message
-
-    def test_zero_timeout_runs_in_process(self, stub_macros):
-        status, record = run_bench.time_scenario_guarded(
-            "stub_fast", 1.0, 1, timeout=0.0)
-        assert status == "ok"
-        assert record["stats"] == {"x": 1}
-
-
-class TestRunFullFailureRows:
-    def test_timeout_yields_failed_row_and_nonzero_exit(
-            self, stub_macros, tmp_path, capsys):
-        code = run_bench.run_full(["stub_fast", "stub_hang"], 1.0, 1,
-                                  tmp_path, timeout=0.5)
-        out = capsys.readouterr().out
         assert code == 1
-        assert "stub_hang" in out and "FAILED" in out
-        assert (tmp_path / "BENCH_stub_fast.json").exists()
-        assert not (tmp_path / "BENCH_stub_hang.json").exists()
+        assert "stub_hang            FAILED: timed out after 0.5s" in out
+        assert "stub_fast            ok" in out
 
-    def test_all_ok_exits_zero(self, stub_macros, tmp_path):
-        code = run_bench.run_full(["stub_fast"], 1.0, 1, tmp_path,
-                                  timeout=10.0)
+    def test_crashing_macro_is_a_failed_row(self, pins, capsys):
+        code, out = check(["stub_crash"], capsys, timeout=30.0)
+        assert code == 1 and "synthetic macro failure" in out
+
+    def test_macro_without_a_pin_fails(self, pins, capsys, monkeypatch):
+        monkeypatch.setitem(macro.MACROS, "stub_new", _fast_macro)
+        code, out = check(["stub_new"], capsys)
+        assert code == 1 and "stub_new             NO PIN" in out
+
+    def test_drift_names_the_macro_and_each_key(self, pins, capsys):
+        pins.write_text(json.dumps(
+            {"stub_fast": {"stats": {"x": 2, "y": [2, 3], "z": 0}}}))
+        code, out = check(["stub_fast"], capsys)
+        assert code == 1
+        assert "stub_fast            DRIFT x: 2 -> 1" in out
+        assert "stub_fast            DRIFT z: 0 -> <absent>" in out
+        assert "DRIFT y" not in out
+
+
+class TestUpdateBaseline:
+    def test_rerecords_merges_and_prunes(self, pins, capsys, monkeypatch):
+        monkeypatch.setitem(macro.MACROS, "stub_new", _fast_macro)
+        pins.write_text(json.dumps(
+            {"stub_fast": {"stats": {"x": 9}},
+             "stub_gone": {"stats": {"x": 0}},
+             "stub_crash": {"stats": {"x": 5}}}))
+        code, _ = check(["stub_fast", "stub_new"], capsys,
+                        update_baseline=True)
         assert code == 0
-        assert (tmp_path / "BENCH_stub_fast.json").exists()
+        assert json.loads(pins.read_text()) == {
+            "stub_crash": {"stats": {"x": 5}},
+            "stub_fast": {"stats": {"x": 1, "y": [2, 3]}},
+            "stub_new": {"stats": {"x": 1, "y": [2, 3]}}}
+
+    def test_a_failed_macro_writes_nothing(self, pins, capsys):
+        before = pins.read_text()
+        code, _ = check(["stub_fast", "stub_crash"], capsys,
+                        update_baseline=True, timeout=30.0)
+        assert code == 1 and pins.read_text() == before
