@@ -17,9 +17,8 @@ deployments live in, on top of the existing PHY/MAC layers:
 
 Impact metrics (PDR deltas, duty-cycle/goodput curves, spatial PDR
 grids) live in :mod:`repro.analysis.adversary`;
-``examples/jamming_study.py`` runs the full story and the
-``interference_field`` macro pins the dense-emitter workload in the
-perf suite.
+``examples/jamming_study.py`` runs the full story and
+``specs/interference_field.toml`` pins the dense-emitter workload.
 """
 
 from .._lazy import attach

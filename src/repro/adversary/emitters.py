@@ -211,7 +211,7 @@ class PeriodicJammer(Emitter):
 
     ``offset`` staggers the first pulse so a field of identical jammers
     interleaves instead of pulsing in lockstep — the knob the
-    interference-field macro uses to keep many bursts genuinely
+    interference-field spec uses to keep many bursts genuinely
     overlapping.
     """
 

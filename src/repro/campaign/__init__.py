@@ -16,7 +16,7 @@ into data:
   JSONL/CSV result store,
 * :mod:`~repro.campaign.executor` — fan-out, persistence and resume,
 * :mod:`~repro.campaign.pool` — the fork-once worker pool with
-  per-task timeouts, shared with ``tools/run_bench.py``.
+  per-task timeouts.
 
 ``tools/run_campaign.py`` is the command-line face;
 :mod:`repro.analysis.campaign` aggregates the result store into

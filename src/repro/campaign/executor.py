@@ -5,8 +5,7 @@ Orchestrates one campaign end-to-end:
 1. expand the validated spec into the ordered job grid,
 2. open (or resume) the content-addressed manifest,
 3. fan pending jobs across ``jobs`` fork-once workers (``jobs``/
-   ``timeout`` ride the same :mod:`repro.campaign.pool` machinery as
-   ``run_bench --jobs``),
+   ``timeout`` ride the :mod:`repro.campaign.pool` machinery),
 4. append every completion to the manifest journal, fsynced, the
    instant it arrives while the workers compute on (crash-safe: a kill
    at any instant loses at most the unacknowledged in-flight jobs),
@@ -120,7 +119,7 @@ def run_campaign(spec: Dict[str, Any], out_dir: pathlib.Path, *,
         # One job as a self-reporting task: a job that raises becomes a
         # failure *row*, never an exception that poisons the rest of
         # the grid (the pool's in-process mode would otherwise let it
-        # propagate, which is right for run_bench but not here).
+        # propagate).
         def run():
             try:
                 return "ok", run_job(_spec)

@@ -1,11 +1,9 @@
 """Shared harness plumbing: ``--only`` globs and the fork/timeout pool.
 
-Extracted from ``tools/run_bench.py`` so the bench harness and the
-campaign executor run on one copy of the tricky machinery: N fork-once
-workers, a wall-clock deadline per task, and output order pinned to
-input order regardless of completion order.  ``run_bench`` keeps its
-public functions as thin adapters over these, byte-stable CLI contract
-included.
+The campaign executor and ``tools/capture_golden.py`` run on this one
+copy of the tricky machinery: N fork-once workers, a wall-clock
+deadline per task, and output order pinned to input order regardless
+of completion order.
 
 Tasks are zero-argument callables.  Workers are started with the
 ``fork`` context on purpose, once the task list exists: a worker shares

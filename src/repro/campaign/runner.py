@@ -9,13 +9,17 @@ determinism contract the content-addressed manifest and the
 byte-compared result store rely on.
 
 Builders never print and never read the wall clock; everything
-machine- or time-dependent lives in the executor layer.
+machine- or time-dependent lives in the executor layer.  Whole streams
+a run can produce besides its stats (``fault_trace``, ``arrival_log``,
+``telemetry_*``) go to the optional ``streams`` dict of
+:func:`run_job`, never into a store row.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import scenarios
 from ..adversary.emitters import (BluetoothHopper, ConstantJammer,
@@ -24,9 +28,13 @@ from ..adversary.emitters import (BluetoothHopper, ConstantJammer,
 from ..core.engine import Simulator
 from ..core.topology import Position
 from ..core.trace import TraceLog
-from ..mac.addresses import reset_allocator
-from ..mac.dcf import DcfConfig
+from ..mac.addresses import allocate_address, reset_allocator
+from ..mac.dcf import DcfConfig, DcfMac
+from ..mac.rate_adapt import fixed_rate_factory
+from ..phy.channel import Medium
+from ..phy.propagation import FixedLoss
 from ..phy.standards import DOT11B, DOT11G
+from ..phy.transceiver import Radio
 from ..routing.protocol import StaticRouting
 from ..traffic.generators import CbrSource, SaturatingSource
 from ..traffic.sink import DeliveryCounter, TrafficSink
@@ -35,9 +43,82 @@ from .spec import SpecError
 __all__ = ["run_job", "BUILDERS"]
 
 _STANDARDS = {"b": DOT11B, "g": DOT11G}
+#: The orthogonal channels ``saturated_cells`` puts its cells on.
+_CHANNELS = (1, 6, 11, 14)
+
+Streams = Dict[str, Any]
 
 
 # --- shared wiring ----------------------------------------------------------
+
+def _simulator(spec: Dict[str, Any], seed: int) -> Simulator:
+    """A tracing-off simulator on the spec's kernel.
+
+    Every simulator a job builds comes from here, through the module's
+    ``Simulator`` name, so the spec's kernel — and a caller that swaps
+    that name for a tracing factory — reaches every part of a
+    multi-simulator builder.
+    """
+    kernel = spec["mode"]["kernel"]
+    return Simulator(seed=seed, trace=TraceLog(enabled=False),
+                     kernel=None if kernel == "auto" else kernel)
+
+
+def _arm(sim: Simulator, spec: Dict[str, Any], streams: Streams, medium,
+         macs: Sequence[Any] = (), meshes: Sequence[Any] = (),
+         fault_log: Any = None) -> None:
+    """Arm ``mode.invariants`` and ``mode.telemetry`` on one simulator,
+    just before it runs.
+
+    Both default off, and both are part of the job identity: the
+    checker's sweeps and the sampler's ticks are heap events, so they
+    move ``events`` (never a protocol outcome).  A telemetry hub waits
+    in ``streams`` until :func:`run_job` finishes it.
+    """
+    mode = spec["mode"]
+    if mode["invariants"]:
+        from ..faults.invariants import InvariantChecker
+        checker = InvariantChecker(sim, interval=0.05, strict=True)
+        checker.watch_medium(medium)
+        for nodes in meshes:
+            checker.watch_mesh(nodes)
+        checker.install()
+    if mode["telemetry"]:
+        from ..telemetry import Telemetry
+        hub = Telemetry(sim, sample_interval=0.05)
+        hub.instrument_kernel()
+        hub.instrument_medium(medium)
+        hub.instrument_macs(macs)
+        hub.instrument_radios(medium._radios)
+        if fault_log is not None:
+            hub.instrument_faults(fault_log)
+        streams.setdefault("_hubs", []).append(hub.install())
+
+
+def _telemetry_streams(hubs: List[Any]) -> Streams:
+    """Finish the hubs; return the ``telemetry_*`` streams.
+
+    A multi-simulator job concatenates its per-part streams behind
+    ``part`` marker lines, in part order — still canonical, still
+    byte-stable.
+    """
+    for hub in hubs:
+        hub.finish()
+    if len(hubs) == 1:
+        return {"telemetry_jsonl": hubs[0].sim_jsonl(),
+                "telemetry_wall_jsonl": hubs[0].wall_jsonl(),
+                "telemetry_summary": hubs[0].summary()}
+
+    def joined(stream: Callable[[Any], str]) -> str:
+        return "\n".join(
+            line for index, hub in enumerate(hubs)
+            for line in (json.dumps({"part": index, "type": "part"},
+                                    sort_keys=True, separators=(",", ":")),
+                         stream(hub).rstrip("\n"))) + "\n"
+    return {"telemetry_jsonl": joined(lambda hub: hub.sim_jsonl()),
+            "telemetry_wall_jsonl": joined(lambda hub: hub.wall_jsonl()),
+            "telemetry_summary": [hub.summary() for hub in hubs]}
+
 
 def _mac_config(params: Dict[str, Any]) -> Optional[DcfConfig]:
     threshold = params.get("rts_threshold_bytes")
@@ -55,6 +136,13 @@ def _standard(params: Dict[str, Any], default: str = "g"):
     return _STANDARDS[name]
 
 
+def _require_traffic(spec: Dict[str, Any], kind: str, why: str) -> None:
+    if spec["traffic"]["kind"] != kind:
+        raise SpecError("traffic.kind",
+                        f"{spec['scenario']['builder']} {why}; "
+                        f"use kind = {kind!r}")
+
+
 ADVERSARY_KINDS: Dict[str, Any] = {
     "periodic_jammer": PeriodicJammer,
     "constant_jammer": ConstantJammer,
@@ -65,14 +153,16 @@ ADVERSARY_KINDS: Dict[str, Any] = {
 
 
 def _attach_adversaries(sim: Simulator, medium, standard,
-                        entries: List[Dict[str, Any]]) -> None:
-    """Instantiate + start every declared adversary on ``medium``.
+                        entries: List[Dict[str, Any]]) -> List[Any]:
+    """Instantiate + start every declared adversary on ``medium``;
+    return the emitters.
 
     Each entry was validated by the spec layer; here the declarative
     form turns into the concrete emitter objects.  ``start`` delays
     the switch-on (an attack-phase study: baseline first, jam later);
     the default is on-from-the-start.
     """
+    emitters = []
     for index, entry in enumerate(entries):
         kind = entry["kind"]
         cls = ADVERSARY_KINDS[kind]
@@ -93,6 +183,8 @@ def _attach_adversaries(sim: Simulator, medium, standard,
             sim.schedule(start, emitter.start)
         else:
             emitter.start()
+        emitters.append(emitter)
+    return emitters
 
 
 def _cbr_uplink(sim: Simulator, bss, traffic: Dict[str, Any]):
@@ -150,8 +242,8 @@ def _mac_drops(stations) -> int:
 
 # --- builders ---------------------------------------------------------------
 
-def _run_infrastructure_bss(sim: Simulator, spec: Dict[str, Any]
-                            ) -> Dict[str, Any]:
+def _run_infrastructure_bss(sim: Simulator, spec: Dict[str, Any],
+                            streams: Streams) -> Dict[str, Any]:
     """An AP-centred cell (``build_infrastructure_bss``) under CBR or
     saturation uplink, with optional adversaries on the same medium."""
     params = spec["scenario"]["params"]
@@ -164,6 +256,8 @@ def _run_infrastructure_bss(sim: Simulator, spec: Dict[str, Any]
         mac_config=_mac_config(params))
     _attach_adversaries(sim, bss.medium, bss.ap.radio.standard,
                         spec["adversaries"])
+    _arm(sim, spec, streams, bss.medium,
+         [bss.ap.mac] + [station.mac for station in bss.stations])
     horizon = spec["scenario"]["horizon"]
     if traffic["kind"] == "cbr":
         sink, sources = _cbr_uplink(sim, bss, traffic)
@@ -180,16 +274,13 @@ def _run_infrastructure_bss(sim: Simulator, spec: Dict[str, Any]
     return stats
 
 
-def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any]
-                         ) -> Dict[str, Any]:
+def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any],
+                         streams: Streams) -> Dict[str, Any]:
     """Two mutually hidden saturated senders, one receiver
     (``build_hidden_terminal``) — the RTS/CTS study as data."""
     params = spec["scenario"]["params"]
     traffic = spec["traffic"]
-    if traffic["kind"] != "saturate":
-        raise SpecError("traffic.kind",
-                        "hidden_terminal is a saturation scenario; "
-                        "use kind = 'saturate'")
+    _require_traffic(spec, "saturate", "is a saturation scenario")
     scenario = scenarios.build_hidden_terminal(
         sim, carrier_range_m=params.get("carrier_range_m", 250.0),
         mac_config=_mac_config(params))
@@ -198,6 +289,9 @@ def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any]
                         spec["adversaries"])
     counter = _saturate(scenario.receiver,
                         (scenario.sender_a, scenario.sender_b), traffic)
+    _arm(sim, spec, streams, scenario.medium,
+         [scenario.sender_a.mac, scenario.sender_b.mac,
+          scenario.receiver.mac])
     sim.run(until=sim.now + spec["scenario"]["horizon"])
     return {
         "rx_bytes": counter.bytes,
@@ -206,7 +300,72 @@ def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any]
     }
 
 
-def _run_mesh(sim: Simulator, spec: Dict[str, Any],
+def _run_saturated_cells(sim: Simulator, spec: Dict[str, Any],
+                         streams: Streams) -> Dict[str, Any]:
+    """``bss_count`` co-located cells on orthogonal channels, each a
+    receiver and ``stations_per_bss`` saturated bare-DCF senders, under
+    ``FixedLoss(50)`` at CCK-11; declared adversaries join after the
+    stations.  One cell of 20 is the contention baseline, of 100 the
+    dense cell, and one under 26 duty-cycled jammers the interference
+    field."""
+    params = spec["scenario"]["params"]
+    traffic = spec["traffic"]
+    _require_traffic(spec, "saturate", "is a saturation scenario")
+    bss_count = params.get("bss_count", 1)
+    if not 1 <= bss_count <= len(_CHANNELS):
+        raise SpecError("scenario.params.bss_count",
+                        f"1 to {len(_CHANNELS)} orthogonal cells, "
+                        f"got {bss_count}")
+    medium = Medium(sim, FixedLoss(50.0))
+    config = DcfConfig()
+    factory = fixed_rate_factory("CCK-11")
+    payload = bytes(traffic.get("payload_bytes", 800))
+    depth = traffic.get("depth", 3)
+    counters, receivers, senders, macs = [], [], [], []
+    for cell, channel in enumerate(_CHANNELS[:bss_count]):
+        # A lone cell keeps the bare radio names its traces carry.
+        prefix = f"bss{cell}-" if bss_count > 1 else ""
+        receiver = DcfMac(sim, Radio(f"{prefix}rx", medium, DOT11B,
+                                     Position(0, 100.0 * cell, 0),
+                                     channel_id=channel),
+                          allocate_address(), config=config,
+                          rate_factory=factory)
+        counters.append(DeliveryCounter())
+        receiver.listener = counters[-1]
+        receivers.append(receiver)
+        macs.append(receiver)
+        for index in range(params.get("stations_per_bss", 20)):
+            mac = DcfMac(sim, Radio(f"{prefix}tx{index}", medium, DOT11B,
+                                    Position(1.0 + index * 0.1,
+                                             100.0 * cell, 0),
+                                    channel_id=channel),
+                         allocate_address(), config=config,
+                         rate_factory=factory)
+            mac.listener = SaturatingSource(mac, receiver.address, payload,
+                                            depth)
+            senders.append(mac)
+            macs.append(mac)
+    emitters = _attach_adversaries(sim, medium, DOT11B, spec["adversaries"])
+    _arm(sim, spec, streams, medium, macs)
+    sim.run(until=sim.now + spec["scenario"]["horizon"])
+    return {
+        "rx_bytes": sum(counter.bytes for counter in counters),
+        "rx_frames": sum(counter.frames for counter in counters),
+        "per_bss_frames": [counter.frames for counter in counters],
+        "bursts": sum(emitter.counters.get("bursts")
+                      for emitter in emitters),
+        "rx_corrupt": sum(receiver.counters.get("rx_corrupt")
+                          for receiver in receivers),
+        "ack_timeouts": sum(mac.counters.get("ack_timeouts")
+                            for mac in senders),
+        "link_cache_hits": medium.links.hits,
+        "link_cache_misses": medium.links.misses,
+        "fanout_plan_hits": medium.plan_hits,
+        "fanout_plan_misses": medium.plan_misses,
+    }
+
+
+def _run_mesh(sim: Simulator, spec: Dict[str, Any], streams: Streams,
               positions, chain: bool) -> Dict[str, Any]:
     # Like DsdvRouting below and run_single under city_cells: what only
     # one builder needs is imported when that builder starts building.
@@ -233,6 +392,8 @@ def _run_mesh(sim: Simulator, spec: Dict[str, Any],
     if protocol == "static":
         scenarios.install_chain_routes(mesh.nodes)
     _attach_adversaries(sim, mesh.medium, DOT11B, spec["adversaries"])
+    _arm(sim, spec, streams, mesh.medium,
+         [node.station.mac for node in mesh.nodes], meshes=(mesh.nodes,))
     mesh.start_routing()
     warmup = params.get("warmup", 1.0)
     if warmup > 0:
@@ -245,58 +406,77 @@ def _run_mesh(sim: Simulator, spec: Dict[str, Any],
             raise SpecError(f"scenario.params.{name}",
                             f"node index {index} out of range "
                             f"(mesh has {len(mesh.nodes)} nodes)")
-    if traffic["kind"] != "cbr":
-        raise SpecError("traffic.kind",
-                        "mesh scenarios carry an end-to-end CBR flow; "
-                        "use kind = 'cbr'")
+    _require_traffic(spec, "cbr", "carries an end-to-end CBR flow")
+    source_node, dest_node = mesh.nodes[source_index], mesh.nodes[dest_index]
     sink = TrafficSink(sim)
-    mesh.nodes[dest_index].on_receive(sink)
+    dest_node.on_receive(sink)
     source = CbrSource(
-        sim, mesh.nodes[source_index].sender(
-            mesh.nodes[dest_index].address),
+        sim, source_node.sender(dest_node.address),
         packet_bytes=traffic.get("payload_bytes", 200),
         interval=traffic.get("interval", 0.02))
+    pre_break: List[int] = []
+    if "relay_break_at" in params:
+        def _break_active_relay() -> None:
+            # Move the source's current first hop out of everyone's
+            # range: the break must be detected, poisoned and repaired.
+            entry = source_node.protocol.routes().get(dest_node.address)
+            if entry is not None:
+                relay = next(node for node in mesh.nodes
+                             if node.address == entry.next_hop)
+                relay.station.position = Position(10_000.0, 10_000.0, 0.0)
+            pre_break.append(sink.total_received)
+        sim.schedule_at(params["relay_break_at"], _break_active_relay)
     sim.run(until=sim.now + spec["scenario"]["horizon"])
     totals = aggregate_mesh_counters(mesh.nodes)
     delivered = sink.total_received
     flow = sink.flow(source.flow_id)
-    return {
+    received = flow is not None and flow.received
+    stats = {
         "offered": source.generated,
         "delivered": delivered,
         "delivered_bytes": sink.total_bytes,
         "pdr": (delivered / source.generated) if source.generated else 0.0,
-        "mean_delay_ms": (flow.delay.mean * 1e3
-                          if flow is not None and flow.received else 0.0),
+        "mean_delay_ms": flow.delay.mean * 1e3 if received else 0.0,
+        "hops": [flow.hops.minimum, flow.hops.maximum] if received else [],
+        "route_misses": source_node.counters.get("route_misses"),
         "forwarded": totals.get("forwarded"),
         "link_failures": totals.get("link_failures"),
+        "routes_broken": sum(node.counters.get("routes_broken")
+                             for node in mesh.nodes),
         "converged": sum(
             1 for node in mesh.nodes
             if len(node.protocol.routes()) >= len(mesh.nodes) - 1),
     }
+    if pre_break:
+        stats["pre_break_delivered"] = pre_break[0]
+        stats["post_break_delivered"] = delivered - pre_break[0]
+    return stats
 
 
-def _run_mesh_chain(sim: Simulator, spec: Dict[str, Any]
-                    ) -> Dict[str, Any]:
+def _run_mesh_chain(sim: Simulator, spec: Dict[str, Any],
+                    streams: Streams) -> Dict[str, Any]:
     """A relay chain (``chain_topology`` + ``build_mesh_network``) with
     an end-to-end CBR flow over static or DSDV routing."""
     params = spec["scenario"]["params"]
     positions = scenarios.chain_topology(params.get("nodes", 4),
                                          params.get("spacing_m", 30.0))
-    return _run_mesh(sim, spec, positions, chain=True)
+    return _run_mesh(sim, spec, streams, positions, chain=True)
 
 
-def _run_mesh_grid(sim: Simulator, spec: Dict[str, Any]) -> Dict[str, Any]:
+def _run_mesh_grid(sim: Simulator, spec: Dict[str, Any],
+                   streams: Streams) -> Dict[str, Any]:
     """A rows x cols mesh grid (``grid_topology``) with an end-to-end
-    CBR flow — the redundant-path topology."""
+    CBR flow — the redundant-path topology; ``relay_break_at`` knocks
+    the source's active first-hop relay out at that sim-time."""
     params = spec["scenario"]["params"]
     positions = scenarios.grid_topology(params.get("rows", 2),
                                         params.get("cols", 4),
                                         params.get("spacing_m", 30.0))
-    return _run_mesh(sim, spec, positions, chain=False)
+    return _run_mesh(sim, spec, streams, positions, chain=False)
 
 
-def _run_interference_field(sim: Simulator, spec: Dict[str, Any]
-                            ) -> Dict[str, Any]:
+def _run_interference_field(sim: Simulator, spec: Dict[str, Any],
+                            streams: Streams) -> Dict[str, Any]:
     """A CBR-uplink BSS ringed by duty-cycled emitters
     (``build_interference_field``), plus any declared adversaries."""
     params = spec["scenario"]["params"]
@@ -314,55 +494,255 @@ def _run_interference_field(sim: Simulator, spec: Dict[str, Any]
     bss = field.bss
     _attach_adversaries(sim, bss.medium, bss.ap.radio.standard,
                         spec["adversaries"])
-    if traffic["kind"] != "cbr":
-        raise SpecError("traffic.kind",
-                        "interference_field measures delivery under "
-                        "interference; use kind = 'cbr'")
+    _require_traffic(spec, "cbr", "measures delivery under interference")
     sink, sources = _cbr_uplink(sim, bss, traffic)
     field.start_emitters()
+    _arm(sim, spec, streams, bss.medium,
+         [bss.ap.mac] + [station.mac for station in bss.stations])
     sim.run(until=sim.now + spec["scenario"]["horizon"])
     stats = _flow_stats(sink, sources)
     stats["mac_drops"] = _mac_drops(bss.stations)
     return stats
 
 
-def _run_city_cells(sim: Simulator, spec: Dict[str, Any]
-                    ) -> Dict[str, Any]:
-    """The sharded-executor city grid (``build_city_cells``) through the
-    single-process oracle — the bulk-sweep face of ``city_scale``.
+def _run_roaming_ess(sim: Simulator, spec: Dict[str, Any],
+                     streams: Streams) -> Dict[str, Any]:
+    """A station walks a 3-AP corridor (``build_ess``) at 8 m/s under a
+    downlink CBR flow from a wired server: scanning, reassociation,
+    the DS location table and link-cache invalidation on every move."""
+    from ..mac.addresses import MacAddress
+    from ..mobility.models import LinearMobility
+    from ..net.roaming import RoamingPolicy
+    from ..net.station import Station
+    traffic = spec["traffic"]
+    _require_traffic(spec, "cbr", "carries a downlink CBR flow")
+    corridor = scenarios.build_ess(sim, ap_count=3, spacing_m=80.0)
+    walker = Station(sim, corridor.medium, corridor.aps[0].radio.standard,
+                     Position(2, 0, 0), name="walker",
+                     roaming_policy=RoamingPolicy(
+                         low_snr_threshold_db=28.0, hysteresis_db=3.0,
+                         min_dwell=0.5))
+    walker.associate("repro-ess")
+    scenarios.associate_all(sim, [walker], timeout=5.0)
+    sink = TrafficSink(sim)
+    walker.on_receive(sink)
+    server = MacAddress.from_string("00:10:20:30:40:50")
+    CbrSource(
+        sim,
+        lambda p: (corridor.ess.ds.inject_from_portal(server, walker.address,
+                                                      p), True)[1],
+        packet_bytes=traffic.get("payload_bytes", 800),
+        interval=traffic.get("interval", 0.02))
+    LinearMobility(sim, walker, Position(170, 0, 0), speed_mps=8.0,
+                   tick=0.1).start()
+    _arm(sim, spec, streams, corridor.medium,
+         [walker.mac] + [ap.mac for ap in corridor.aps])
+    sim.run(until=sim.now + spec["scenario"]["horizon"])
+    return {
+        "rx_packets": sink.total_received,
+        "roams": walker.sta_counters.get("roams"),
+    }
 
-    ``run_single`` owns its own kernel, so the ``sim`` built by
-    :func:`run_job` is unused here (its seed was already consumed into
-    the call below).
+
+def _run_fault_storm(sim: Simulator, spec: Dict[str, Any],
+                     streams: Streams) -> Dict[str, Any]:
+    """Crash/restart + fade storm over a BSS and a DSDV mesh; the
+    horizon is the measured window after each half's storm.
+
+    * An infrastructure BSS with six uplink CBR stations: one station
+      crashes and reboots (AP-side stale-station reaping), then the AP
+      crashes for 300 ms — every station rides beacon loss into
+      rescans and reassociates when the AP reboots.
+    * A 3x3 DSDV grid (a second simulator, seed + 1) under a
+      :class:`~repro.faults.ChaosMonkey` crash/restart storm across
+      all seven relays, a 120 dB fade on the centre relay and a
+      queue-pressure flood at the source.
+
+    Post-storm delivery rates are compared with the pre-fault steady
+    state (``pdr_recovery``, the min over both halves).  Every fault
+    goes to one shared :class:`~repro.faults.FaultLog`: its canonical
+    JSONL is the ``fault_trace`` stream and its SHA-1 a stat, so the
+    pins hold the whole fault timeline, not just the outcome counts.
     """
-    from ..parallel import run_single
+    import hashlib
+
+    from ..faults import ChaosMonkey, FaultLog, FaultSchedule, LinkFader
+    from ..mac.addresses import BROADCAST
+    from ..routing.dsdv import DsdvRouting
+    traffic = spec["traffic"]
+    _require_traffic(spec, "cbr", "carries CBR flows through the storm")
+    payload_bytes = traffic.get("payload_bytes", 200)
+    interval = traffic.get("interval", 0.02)
+    window = spec["scenario"]["horizon"]
+
+    # --- BSS half: station + AP crash/restart under uplink CBR -------------
+    bss = scenarios.build_infrastructure_bss(sim, station_count=6)
+    log = FaultLog()
+    sink = TrafficSink(sim)
+    bss.ap.on_receive(sink)
+    bss.ap.start_reaping(idle_timeout=0.25, interval=0.1)
+    ap_address = bss.ap.address
+    for station in bss.stations:
+        def _uplink(payload: bytes, _station=station) -> bool:
+            # Guarded sender: an unassociated station (crashed, or its
+            # AP is down) rejects the offer instead of raising.
+            if not _station.associated:
+                return False
+            return _station.send(ap_address, payload)
+        CbrSource(sim, _uplink, packet_bytes=payload_bytes,
+                  interval=interval, start=0.2)
+    schedule = FaultSchedule(sim, log=log)
+    schedule.crash(bss.stations[0], at=0.6, down_for=0.5)
+    schedule.crash(bss.ap, at=1.0, down_for=0.3)
+    schedule.install()
+    marks: Dict[str, int] = {}
+
+    def _mark_bss(key: str) -> None:
+        marks[key] = sink.total_received
+
+    sim.schedule_at(0.3, _mark_bss, "bss_pre_lo")
+    sim.schedule_at(0.6, _mark_bss, "bss_pre_hi")
+    sim.schedule_at(2.0, _mark_bss, "bss_post_lo")
+    _arm(sim, spec, streams, bss.medium,
+         [bss.ap.mac] + [station.mac for station in bss.stations])
+    sim.run(until=2.0 + window)
+    bss_events = sim.events_executed
+    bss_pre_rate = (marks["bss_pre_hi"] - marks["bss_pre_lo"]) / 0.3
+    bss_post_rate = (sink.total_received - marks["bss_post_lo"]) / window
+    reassociations = sum(s.sta_counters.get("associations")
+                         for s in bss.stations)
+
+    # --- mesh half: chaos-monkey storm + fade over a DSDV grid -------------
+    reset_allocator()
+    sim = _simulator(spec, spec["scenario"]["seed"] + 1)
+    grid = scenarios.build_mesh_network(
+        sim, scenarios.grid_topology(3, 3, 30.0), DsdvRouting, range_m=40.0)
+    grid.start_routing()
+    mesh_sink = TrafficSink(sim)
+    grid.nodes[8].on_receive(mesh_sink)
+    CbrSource(sim, grid.nodes[0].sender(grid.nodes[8].address),
+              packet_bytes=payload_bytes, interval=interval, start=0.3)
+    fader = LinkFader(grid.medium)
+    monkey = ChaosMonkey(sim, targets=grid.nodes[1:8],
+                         mean_interval=0.12, mean_downtime=0.2,
+                         name="grid", log=log)
+    schedule = FaultSchedule(sim, name="mesh-faults", log=log)
+    schedule.fade(fader, grid.nodes[4].station.position, 120.0,
+                  at=0.9, duration=0.4, target=grid.nodes[4].station.name)
+    # Broadcast junk: drains at one (unacknowledged) transmission per
+    # frame, so the flood's damage is contention + drops, not a queue
+    # wedged for seconds behind retry-limited unicasts to a dead peer.
+    schedule.queue_pressure(grid.nodes[0].station.mac, at=1.0, fill=1.0,
+                            destination=BROADCAST)
+    schedule.install()
+    sim.schedule_at(0.8, monkey.start)
+
+    def _end_storm() -> None:
+        monkey.stop()
+        monkey.restore_all()
+
+    sim.schedule_at(1.6, _end_storm)
+
+    def _mark_mesh(key: str) -> None:
+        marks[key] = mesh_sink.total_received
+
+    sim.schedule_at(0.5, _mark_mesh, "mesh_pre_lo")
+    sim.schedule_at(0.8, _mark_mesh, "mesh_pre_hi")
+    sim.schedule_at(2.2, _mark_mesh, "mesh_post_lo")
+    # The shared fault log rides the mesh hub (complete by the time it
+    # finishes), folding the whole storm into ``downtime`` spans.
+    _arm(sim, spec, streams, grid.medium,
+         [node.station.mac for node in grid.nodes], meshes=(grid.nodes,),
+         fault_log=log)
+    sim.run(until=2.2 + window)
+    mesh_pre_rate = (marks["mesh_pre_hi"] - marks["mesh_pre_lo"]) / 0.3
+    mesh_post_rate = (mesh_sink.total_received - marks["mesh_post_lo"]) \
+        / window
+
+    trace = streams["fault_trace"] = log.to_jsonl()
+    return {
+        "bss_pre_rate": bss_pre_rate,
+        "bss_post_rate": bss_post_rate,
+        "bss_reassociations": reassociations,
+        "ap_reaped": bss.ap.ap_counters.get("removed_stale"),
+        "mesh_pre_rate": mesh_pre_rate,
+        "mesh_post_rate": mesh_post_rate,
+        "mesh_strikes": monkey.counters.get("strikes"),
+        "mesh_restores": monkey.counters.get("restores"),
+        "mesh_routes_broken": sum(node.counters.get("routes_broken")
+                                  for node in grid.nodes),
+        "pdr_recovery": min(
+            bss_post_rate / bss_pre_rate if bss_pre_rate else 0.0,
+            mesh_post_rate / mesh_pre_rate if mesh_pre_rate else 0.0),
+        "faults_injected": len(log),
+        "trace_sha1": hashlib.sha1(trace.encode()).hexdigest(),
+        "events": bss_events + sim.events_executed,
+    }
+
+
+def _run_city_cells(sim: Simulator, spec: Dict[str, Any],
+                    streams: Streams) -> Dict[str, Any]:
+    """The sharded-executor city grid (``build_city_cells``): through
+    the single-process oracle, or — with ``workers`` set — as that many
+    shards under ``run_sharded``, whose fingerprint (shards, rounds,
+    boundary records, arrival-log SHA-1) joins the stats and whose
+    canonical arrival log is the ``arrival_log`` stream.
+
+    ``run_single`` and the shards own their kernels, so the ``sim``
+    built by :func:`run_job` is unused here (its seed was already
+    consumed into the call below).
+    """
+    from ..parallel import run_sharded, run_single
     params = spec["scenario"]["params"]
+    mode = spec["mode"]
     cells = scenarios.build_city_cells(
         bss_count=params.get("bss_count", 4),
         stations_per_bss=params.get("stations_per_bss", 4),
         spacing_m=params.get("spacing_m", 120.0),
         payload_size=params.get("payload_size", 800))
-    result = run_single(cells, seed=spec["scenario"]["seed"],
-                        horizon=spec["scenario"]["horizon"],
-                        propagation_factory=scenarios.city_propagation)
-    rx_bytes = sum(cell["rx_bytes"] for cell in result["cells"].values())
-    rx_frames = sum(cell["rx_frames"] for cell in result["cells"].values())
-    return {"rx_bytes": rx_bytes, "rx_frames": rx_frames,
-            "cells": len(result["cells"]),
-            "events": result["events"]}
+    options = dict(seed=spec["scenario"]["seed"],
+                   horizon=spec["scenario"]["horizon"],
+                   propagation_factory=scenarios.city_propagation,
+                   check_invariants=mode["invariants"],
+                   telemetry=mode["telemetry"])
+    if "workers" in params:
+        result = run_sharded(cells, workers=params["workers"], **options)
+    else:
+        result = run_single(cells, **options)
+    per_cell = result["cells"]
+    stats = {"rx_bytes": sum(cell["rx_bytes"] for cell in per_cell.values()),
+             "rx_frames": sum(cell["rx_frames"]
+                              for cell in per_cell.values()),
+             "per_bss_frames": [per_cell[name]["rx_frames"]
+                                for name in sorted(per_cell)],
+             "cells": len(per_cell),
+             "events": result["events"]}
+    if "workers" in params:
+        stats.update({key: result[key] for key in (
+            "shards", "rounds", "boundary_records", "arrival_log_sha1")})
+        streams["arrival_log"] = result["arrival_log"]
+    for key in ("telemetry_jsonl", "telemetry_wall_jsonl"):
+        if key in result:
+            streams[key] = result[key]
+    return stats
 
 
-BUILDERS: Dict[str, Callable[[Simulator, Dict[str, Any]], Dict[str, Any]]] = {
+BUILDERS: Dict[str, Callable[[Simulator, Dict[str, Any], Streams],
+                             Dict[str, Any]]] = {
     "infrastructure_bss": _run_infrastructure_bss,
     "hidden_terminal": _run_hidden_terminal,
+    "saturated_cells": _run_saturated_cells,
     "mesh_chain": _run_mesh_chain,
     "mesh_grid": _run_mesh_grid,
     "interference_field": _run_interference_field,
+    "roaming_ess": _run_roaming_ess,
+    "fault_storm": _run_fault_storm,
     "city_cells": _run_city_cells,
 }
 
 
-def run_job(spec: Dict[str, Any]) -> Dict[str, Any]:
+def run_job(spec: Dict[str, Any],
+            streams: Optional[Streams] = None) -> Dict[str, Any]:
     """Execute one concrete job spec; return its ``stats`` dict.
 
     The returned stats always include ``events`` (total kernel events
@@ -370,14 +750,18 @@ def run_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     the global MAC address allocator and builds a fresh tracing-off
     simulator per job, so jobs are independent whether they run
     in-process, serially, or fanned out across forked workers.
+
+    ``streams``, when given, receives the whole streams a job produces
+    besides its stats: ``fault_trace`` (``fault_storm``),
+    ``arrival_log`` (sharded ``city_cells``) and, under
+    ``mode.telemetry``, ``telemetry_jsonl`` / ``telemetry_wall_jsonl``
+    (and ``telemetry_summary`` where a hub ran in this process).
     """
     builder = spec["scenario"]["builder"]
     mode = spec["mode"]
+    streams = {} if streams is None else streams
     reset_allocator()
-    sim = Simulator(seed=spec["scenario"]["seed"],
-                    trace=TraceLog(enabled=False),
-                    kernel=None if mode["kernel"] == "auto"
-                    else mode["kernel"])
+    sim = _simulator(spec, spec["scenario"]["seed"])
     # Subsystems that build their own Simulator (run_single under
     # city_cells) resolve the kernel from REPRO_KERNEL; pin it for the
     # duration of the job so an explicit spec kernel reaches them too.
@@ -385,12 +769,15 @@ def run_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     if mode["kernel"] != "auto":
         os.environ["REPRO_KERNEL"] = mode["kernel"]
     try:
-        stats = BUILDERS[builder](sim, spec)
+        stats = BUILDERS[builder](sim, spec, streams)
     finally:
         if mode["kernel"] != "auto":
             if saved is None:
                 os.environ.pop("REPRO_KERNEL", None)
             else:
                 os.environ["REPRO_KERNEL"] = saved
+    hubs = streams.pop("_hubs", None)
+    if hubs:
+        streams.update(_telemetry_streams(hubs))
     stats.setdefault("events", sim.events_executed)
     return stats

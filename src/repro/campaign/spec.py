@@ -86,6 +86,7 @@ BUILDER_PARAMS: Dict[str, Dict[str, type]] = {
     "hidden_terminal": {
         "rts_threshold_bytes": int, "carrier_range_m": float,
     },
+    "saturated_cells": {"bss_count": int, "stations_per_bss": int},
     "mesh_chain": {
         "nodes": int, "spacing_m": float, "range_m": float,
         "protocol": str, "warmup": float, "source": int,
@@ -94,7 +95,7 @@ BUILDER_PARAMS: Dict[str, Dict[str, type]] = {
     "mesh_grid": {
         "rows": int, "cols": int, "spacing_m": float, "range_m": float,
         "protocol": str, "warmup": float, "source": int,
-        "destination": int,
+        "destination": int, "relay_break_at": float,
     },
     "interference_field": {
         "stations": int, "emitters": int, "radius_m": float,
@@ -104,8 +105,10 @@ BUILDER_PARAMS: Dict[str, Dict[str, type]] = {
     },
     "city_cells": {
         "bss_count": int, "stations_per_bss": int, "spacing_m": float,
-        "payload_size": int,
+        "payload_size": int, "workers": int,
     },
+    "roaming_ess": {},
+    "fault_storm": {},
 }
 
 #: Adversary kinds attachable to any medium-bearing scenario, with
@@ -139,13 +142,23 @@ campaign.name        str   campaign identity (store/manifest file stem)
 scenario.builder     str   one of: %s
 scenario.horizon     float measured sim-seconds (> 0)
 scenario.seed        int   base seed
-scenario.params.*          builder-specific knobs (validated per builder)
+scenario.params.*          builder-specific knobs (validated per builder), e.g.
+  saturated_cells.bss_count        int   cells on orthogonal channels (1-4)
+  saturated_cells.stations_per_bss int   saturated senders per cell
+  mesh_grid.relay_break_at         float sim-time the source's active
+                                         first-hop relay is moved away
+  city_cells.workers               int   shards under run_sharded (unset:
+                                         the single-process oracle)
 traffic.kind         str   saturate | cbr | none
 traffic.payload_bytes int  per-packet payload
 traffic.interval     float cbr inter-packet gap (cbr only)
 traffic.depth        int   saturate prime depth (saturate only)
 adversaries          list  [{kind, position=[x,y,z], start, ...params}]
 mode.kernel          str   auto | python | c
+mode.telemetry       bool  arm the telemetry hub (default false; its
+                           sampler ticks are heap events: part of identity)
+mode.invariants      bool  arm the strict invariant checker (default false;
+                           its sweeps are heap events: part of identity)
 sweep.<spec.path>    list  cartesian axis over any scalar spec path
 seeds.count          int   seed ensemble: seed .. seed+count-1
 seeds.list           list  explicit seed ensemble (overrides count)
@@ -332,12 +345,14 @@ def validate_spec(raw: Any, source: Optional[str] = None) -> Dict[str, Any]:
     if "profile" in mode:
         raise SpecError("mode.profile", "key removed: every run uses the "
                         "one medium arithmetic", source=source)
-    _check_unknown(mode, "mode", ("kernel",), source)
+    _check_unknown(mode, "mode", ("kernel", "telemetry", "invariants"), source)
     kernel = _typed(mode.get("kernel", "auto"), "mode.kernel", str, source)
     if kernel not in KERNELS:
         raise SpecError("mode.kernel",
                         f"unknown kernel {kernel!r}; expected one of "
                         f"{list(KERNELS)}", source=source)
+    switches = {key: _typed(mode.get(key, False), f"mode.{key}", bool, source)
+                for key in ("telemetry", "invariants")}
 
     seeds = _typed(raw.get("seeds", {}), "seeds", dict, source)
     _check_unknown(seeds, "seeds", ("count", "list"), source)
@@ -366,7 +381,7 @@ def validate_spec(raw: Any, source: Optional[str] = None) -> Dict[str, Any]:
                      "params": params},
         "traffic": traffic,
         "adversaries": adversaries,
-        "mode": {"kernel": kernel},
+        "mode": {"kernel": kernel, **switches},
         "seeds": {"list": seed_list},
         "sweep": {},
     }

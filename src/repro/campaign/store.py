@@ -7,8 +7,8 @@ runs of the same campaign on any machine with any ``--jobs`` produce
 byte-identical stores; that is the CI gate.
 
 The JSONL stream is written *incrementally in row order*: a row is
-flushed the moment every earlier row is known (exactly the buffering
-discipline ``run_bench --jobs`` uses for its console table), so a
+flushed the moment every earlier row is known (the pool already
+yields results in input order), so a
 long-running sweep can be tailed while it runs.  The CSV twin is a
 projection of the same rows with a flat, deterministic column order —
 the spreadsheet-facing view — written when the run finishes.

@@ -225,7 +225,7 @@ class InvariantChecker:
         the until-only fast branch batches the executed counter in a
         run-loop local, so mid-run the stored counter is legitimately
         stale.  Call it after ``run()`` returns (e.g. from a test or a
-        macro epilogue), not from the periodic :meth:`check_now` sweep.
+        builder's epilogue), not from the periodic :meth:`check_now` sweep.
         """
         self.checks_run += 1
         sim = self.sim

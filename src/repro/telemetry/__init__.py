@@ -17,7 +17,7 @@ byte-identically — the zero-overhead contract inherited from
 
 Sim-time metrics (the default) are part of the determinism contract;
 wall-clock metrics (``wall=True``) live in a separate stream that
-``tools/capture_golden.py`` and the macro pin check never compare.
+``tools/capture_golden.py`` and the spec pin check never compare.
 """
 
 from .._lazy import attach

@@ -12,9 +12,9 @@ hook.  Probes therefore cannot perturb seeded protocol outcomes; the
 only observable difference in an instrumented run is the sampler's own
 (read-only) events on the kernel heap.
 
-:class:`Telemetry` bundles the whole layer behind one object — the
-perf macros, the benchmark's ``telemetry.*`` service metrics and the
-parallel executor all construct exactly this.
+:class:`Telemetry` bundles the whole layer behind one object — a
+campaign job under ``mode.telemetry``, the benchmark's ``telemetry.*``
+service metrics and the parallel executor all construct exactly this.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ class TestValidation:
     def test_minimal_spec_normalizes(self):
         spec = validate_spec(small_spec())
         assert spec["campaign"]["name"] == "unit"
-        assert spec["mode"] == {"kernel": "auto"}
+        assert spec["mode"] == {"kernel": "auto", "telemetry": False,
+                                "invariants": False}
         assert spec["seeds"]["list"] == [3, 4]
         assert spec["traffic"]["kind"] == "saturate"
 
@@ -96,6 +97,13 @@ class TestValidation:
 
     def test_seed_count_must_be_positive(self):
         assert err(small_spec(seeds={"count": 0})).path == "seeds.count"
+
+    @pytest.mark.parametrize("switch", ["telemetry", "invariants"])
+    def test_mode_switches_are_booleans_and_part_of_identity(self, switch):
+        assert err(small_spec(mode={switch: 1})).path == f"mode.{switch}"
+        armed = validate_spec(small_spec(mode={switch: True}))
+        assert armed["mode"][switch] is True
+        assert spec_sha1(armed) != spec_sha1(validate_spec(small_spec()))
 
     def test_unknown_kernel(self):
         assert err(small_spec(mode={"kernel": "rust"})).path \

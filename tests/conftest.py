@@ -12,6 +12,8 @@ from repro.core.engine import (ckernel_available, default_kernel,
 from repro.mac.addresses import reset_allocator
 from repro.traffic.generators import _SourceBase
 
+SPECS_DIR = pathlib.Path(__file__).resolve().parents[1] / "specs"
+
 
 def _build_kernel():
     """Bring ``repro.core._ckernel`` up to date with its source (a
@@ -75,6 +77,23 @@ def _fresh_addresses():
 def sim():
     """A deterministic simulator with a fixed seed."""
     return Simulator(seed=42)
+
+
+@pytest.fixture
+def spec_job():
+    """``spec_job(name, {spec path: value, ...})``: the concrete job of
+    the one-job spec ``specs/<name>.toml``, each override then applied
+    with ``set_path`` (``{"scenario.seed": 38}``,
+    ``{"mode.telemetry": True}``)."""
+    from repro.campaign import expand_grid, load_spec
+    from repro.campaign.spec import set_path
+
+    def job(name, overrides=None):
+        only, = expand_grid(load_spec(SPECS_DIR / f"{name}.toml"))
+        for path, value in (overrides or {}).items():
+            set_path(only.spec, path, value)
+        return only.spec
+    return job
 
 
 def _midlife_schedule(kernel, midlife=None):

@@ -3,8 +3,8 @@
 The compiled kernel (``repro.core._ckernel``) claims bit-identity with
 the pure-Python reference loop: identical pop order, identical clock
 and counter writes, identical exception/stop behaviour.  The golden
-captures prove that on the 14 macros; this harness probes the corners
-macros never hit — randomized interleavings of ``schedule`` /
+captures prove that on every committed spec; this harness probes the
+corners specs never hit — randomized interleavings of ``schedule`` /
 ``schedule_fast`` / ``Timer`` re-anchor / cancel, nested scheduling
 from inside callbacks, mid-run ``stop()``, every run-loop branch
 (until-only, budget-only, both, drain) — and requires the two kernels

@@ -1,4 +1,4 @@
-"""Sharded determinism contract for the city_scale macro family.
+"""Sharded determinism contract for the city_scale spec family.
 
 Two sharded runs of a reduced city grid with the same seed must agree
 to the byte: identical canonical arrival logs (hence identical sha1)

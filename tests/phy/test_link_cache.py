@@ -1,21 +1,16 @@
 """Tests for the PHY link-budget cache and its invalidation paths."""
 
-import pathlib
-import sys
+import functools
 
 import pytest
 
+from repro.campaign import run_job, runner
 from repro.core import Position, Simulator
 from repro.mobility.models import LinearMobility
 from repro.phy.channel import LinkCache, Medium
 from repro.phy.propagation import LogDistance
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]
-                       / "benchmarks"))
-
-from perf.macro import dcf_saturation  # noqa: E402
 
 
 def _medium(sim, **kwargs):
@@ -139,12 +134,15 @@ class TestCachedVersusUncachedDeterminism:
 
         assert run(True) == run(False)
 
-    def test_whole_saturated_run_is_the_same_without_the_cache(self):
+    def test_whole_saturated_run_is_the_same_without_the_cache(
+            self, spec_job, monkeypatch):
         """The LinkCache is a pure memoization: disabling it must not
         change a single delivered byte or executed event of a whole
-        20-station saturation run."""
-        cached = dcf_saturation(0.25, cache_links=True)["stats"]
-        uncached = dcf_saturation(0.25, cache_links=False)["stats"]
+        20-station saturation run (``specs/dcf_saturation.toml``)."""
+        cached = run_job(spec_job("dcf_saturation"))
+        monkeypatch.setattr(runner, "Medium",
+                            functools.partial(Medium, cache_links=False))
+        uncached = run_job(spec_job("dcf_saturation"))
 
         def outcome(stats):
             return {key: value for key, value in stats.items()

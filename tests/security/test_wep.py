@@ -119,6 +119,13 @@ class TestFmsAttack:
         attack.observe(WeakIvSample(b"\x03\xff\x01", 0x42))
         assert attack.recover_key() is None
 
+    def test_recovers_a_40_bit_key_at_the_first_check(self):
+        """The pinned FMS outcome, in tier-1: the arithmetic weak-IV
+        oracle yields enough votes for this key by 2**21 frames."""
+        key = b"\x13\x37\xbe\xef\x42"
+        assert crack_wep(WepCipher(key), max_frames=1 << 21,
+                         check_every=1 << 21) == (key, 2_097_152)
+
     @pytest.mark.slow
     def test_recovers_40_bit_key(self):
         key = b"\x13\x37\xbe\xef\x42"

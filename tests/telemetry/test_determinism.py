@@ -1,7 +1,7 @@
 """The telemetry determinism contract.
 
 Two seeded runs must produce byte-identical sim-time JSONL streams —
-single-process (a DES macro) and sharded (workers=2, merged streams in
+single-process (a committed spec's job) and sharded (workers=2, merged streams in
 pinned shard order).  And arming telemetry must leave every seeded
 protocol outcome untouched: same stats modulo the kernel event count
 (the sampler's own events are real heap events) and, for sharded runs,
@@ -11,17 +11,10 @@ CI runs this module via ``-k SeededDeterminism`` like the other
 subsystem determinism gates.
 """
 
-import pathlib
-import sys
-
+from repro.campaign import run_job
 from repro.parallel import run_sharded
 from repro.scenarios import build_city_cells, city_propagation
 from repro.telemetry.export import parse_jsonl
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-
-from perf.macro import MACROS  # noqa: E402
 
 #: Stats keys legitimately perturbed by the sampler's own heap events.
 INSTRUMENTATION_KEYS = ("events", "arrival_log_sha1")
@@ -41,31 +34,39 @@ def _sharded_city(seed, telemetry):
                        telemetry=telemetry)
 
 
+def _saturation(spec_job, telemetry):
+    """``dcf_saturation`` over 0.45 s: ``(stats, streams)``."""
+    streams = {}
+    stats = run_job(spec_job("dcf_saturation", {
+        "scenario.horizon": 0.45, "mode.telemetry": telemetry}), streams)
+    return stats, streams
+
+
 class TestSeededDeterminismSingle:
-    def test_two_macro_runs_byte_identical(self):
-        first = MACROS["dcf_saturation"](0.05, telemetry=True)
+    def test_two_spec_runs_byte_identical(self, spec_job):
+        first_stats, first = _saturation(spec_job, telemetry=True)
         # The second run sees another heap (half of these stay allocated):
         # an export keyed by a recycled id() would differ.
         ballast = [[index] for index in range(5000)]
         del ballast[::2]
-        second = MACROS["dcf_saturation"](0.05, telemetry=True)
+        second_stats, second = _saturation(spec_job, telemetry=True)
         assert first["telemetry_jsonl"] == second["telemetry_jsonl"]
-        assert first["stats"] == second["stats"]
+        assert first_stats == second_stats
         # The stream is non-trivial: samples AND frame spans present.
         types = {record["type"]
                  for record in parse_jsonl(first["telemetry_jsonl"])}
         assert {"header", "metric", "sample", "span"} <= types
 
-    def test_macro_stats_inert_under_telemetry(self):
-        plain = MACROS["dcf_saturation"](0.05)
-        armed = MACROS["dcf_saturation"](0.05, telemetry=True)
+    def test_spec_stats_inert_under_telemetry(self, spec_job):
+        plain_stats, plain = _saturation(spec_job, telemetry=False)
+        armed_stats, _ = _saturation(spec_job, telemetry=True)
         assert "telemetry_jsonl" not in plain
-        assert _strip(plain["stats"]) == _strip(armed["stats"])
+        assert _strip(plain_stats) == _strip(armed_stats)
 
-    def test_wall_stream_is_separate(self):
-        result = MACROS["dcf_saturation"](0.05, telemetry=True)
-        sim_records = parse_jsonl(result["telemetry_jsonl"])
-        wall_records = parse_jsonl(result["telemetry_wall_jsonl"])
+    def test_wall_stream_is_separate(self, spec_job):
+        _, streams = _saturation(spec_job, telemetry=True)
+        sim_records = parse_jsonl(streams["telemetry_jsonl"])
+        wall_records = parse_jsonl(streams["telemetry_wall_jsonl"])
         assert sim_records[0]["stream"] == "sim"
         assert wall_records[0]["stream"] == "wall"
 

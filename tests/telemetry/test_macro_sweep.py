@@ -1,35 +1,44 @@
-"""Every committed perf macro runs clean with telemetry armed, exports
-all three telemetry keys, and keeps its seeded protocol stats."""
+"""Every job of every committed spec runs clean with telemetry armed,
+exports both telemetry streams, and keeps a stats dict."""
 
 import pathlib
-import sys
 
+import pytest
+
+from repro.campaign import expand_grid, load_spec, run_job
+from repro.campaign.spec import set_path
 from repro.telemetry.export import parse_jsonl
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-
-from perf.macro import MACROS  # noqa: E402
-
-SCALE = 0.02
+SPECS_DIR = pathlib.Path(__file__).resolve().parents[2] / "specs"
+SPECS = sorted(SPECS_DIR.glob("*.toml"))
 
 
-class TestMacroSweep:
-    def test_all_macros_run_clean_with_telemetry(self):
-        for name in sorted(MACROS):
-            result = MACROS[name](SCALE, telemetry=True)
-            for key in ("telemetry_jsonl", "telemetry_wall_jsonl",
-                        "telemetry_summary"):
-                assert key in result, f"{name} missing {key}"
-            records = parse_jsonl(result["telemetry_jsonl"])
-            assert records, f"{name} exported an empty stream"
-            header = records[0]
-            assert header["type"] in ("header", "merged", "part"), name
-            # The pinned stats survive untouched.
-            assert isinstance(result["stats"], dict), name
+def _jobs(path, telemetry):
+    """The spec's jobs over a tenth of the committed horizon."""
+    spec = load_spec(path)
+    set_path(spec, "scenario.horizon", spec["scenario"]["horizon"] / 10)
+    set_path(spec, "mode.telemetry", telemetry)
+    return [job.spec for job in expand_grid(spec)]
 
-    def test_macros_without_telemetry_stay_bare(self):
-        for name in ("dcf_saturation", "wep_audit", "city_scale_1p"):
-            result = MACROS[name](SCALE)
-            assert "telemetry_jsonl" not in result, name
-            assert "telemetry_summary" not in result, name
+
+class TestSpecSweep:
+    @pytest.mark.parametrize("path", SPECS, ids=lambda path: path.stem)
+    def test_every_job_runs_clean_with_telemetry(self, path):
+        for job in _jobs(path, telemetry=True):
+            streams = {}
+            assert isinstance(run_job(job, streams), dict)
+            for key in ("telemetry_jsonl", "telemetry_wall_jsonl"):
+                assert key in streams, f"{path.stem} missing {key}"
+            records = parse_jsonl(streams["telemetry_jsonl"])
+            assert records, f"{path.stem} exported an empty stream"
+            assert records[0]["type"] in ("header", "merged", "part"), \
+                path.stem
+
+    @pytest.mark.parametrize("name", ["dcf_saturation", "fault_storm",
+                                      "city_scale_1p"])
+    def test_jobs_without_telemetry_stay_bare(self, name):
+        for job in _jobs(SPECS_DIR / f"{name}.toml", telemetry=False):
+            streams = {}
+            run_job(job, streams)
+            assert not [key for key in streams
+                        if key.startswith("telemetry")], name

@@ -5,33 +5,30 @@ Two claims, both best-of-N wall-clock with the A and B runs
 noise, and interleaving cancels slow load/thermal drift that would
 bias two sequential timing blocks.
 
-* The *disabled* path is free: a macro carrying its (disabled) hub must
-  run within 5% of the same macro with the hub construction stubbed out
-  entirely.  This is the production posture CI smokes — the null
+* The *disabled* path is free: the single-process city oracle
+  (``specs/city_scale_1p.toml``), which always builds a (disabled) hub,
+  must run within 5% of the same job with the hub construction stubbed
+  out entirely.  This is the production posture CI smokes — the null
   registry, null metrics and refusing sampler must cost nothing
   measurable.
 * The *enabled* path at the default 50 ms sampling interval is cheap:
-  instrumentation (wraps, probes, sampling, span bookkeeping, the
-  final edge sample) within 15% (loose because CI machines are
-  noisy; ``python3 -m bench``'s ``telemetry.armed_ratio`` measures
-  it).  The final JSONL serialization is deliberately excluded — it
-  is O(records exported), not O(events simulated).
+  ``dcf_saturation`` under ``mode.telemetry`` — wraps, probes,
+  sampling, span bookkeeping, the final edge sample — within 15% of
+  the unarmed job (loose because CI machines are noisy;
+  ``python3 -m bench``'s ``telemetry.armed_ratio`` measures it).  The
+  final JSONL serialization is deliberately excluded — it is
+  O(records exported), not O(events simulated).
 """
 
-import pathlib
-import sys
 import time
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]
-                       / "benchmarks"))
-
-from perf import macro as macro_mod  # noqa: E402
+from repro.campaign import run_job, runner
+from repro.parallel import executor
 
 pytestmark = pytest.mark.perf
 
-SCALE = 0.25
 REPEATS = 5
 
 
@@ -53,56 +50,49 @@ def _interleaved_best(fn_a, fn_b, repeats=REPEATS):
 
 
 class _NullHub:
-    def finish(self):
+    """The hub with every call stubbed out: what the run costs without
+    one."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def _self(self, *args, **kwargs):
         return self
 
+    instrument_kernel = instrument_medium = instrument_radios = _self
+    install = finish = _self
 
-def test_disabled_telemetry_is_free():
-    original = macro_mod._install_telemetry
+
+def test_disabled_telemetry_is_free(spec_job, monkeypatch):
+    job = spec_job("city_scale_1p")
+    hub_class = executor.Telemetry
 
     def _with_hub():
-        macro_mod._install_telemetry = original
-        macro_mod.dcf_saturation(SCALE)
+        monkeypatch.setattr(executor, "Telemetry", hub_class)
+        run_job(job)
 
     def _hub_free():
-        macro_mod._install_telemetry = lambda *args, **kwargs: _NullHub()
-        try:
-            macro_mod.dcf_saturation(SCALE)
-        finally:
-            macro_mod._install_telemetry = original
+        monkeypatch.setattr(executor, "Telemetry", _NullHub)
+        run_job(job)
 
-    try:
-        baseline, stubbed = _interleaved_best(_with_hub, _hub_free)
-    finally:
-        macro_mod._install_telemetry = original
+    baseline, stubbed = _interleaved_best(_with_hub, _hub_free)
     assert baseline <= stubbed * 1.05, \
         (f"disabled-telemetry path costs "
          f"{(baseline / stubbed - 1) * 100:.1f}% over the "
          f"hub-free run (budget 5%)")
 
 
-def test_enabled_telemetry_overhead_is_bounded():
-    original = macro_mod._telemetry_extras
-
+def test_enabled_telemetry_overhead_is_bounded(spec_job, monkeypatch):
     def _no_export(hubs):
         for hub in hubs:
             hub.finish()  # final sample + span closure still timed
         return {}
 
-    def _disabled():
-        macro_mod.dcf_saturation(SCALE)
-
-    def _enabled():
-        macro_mod._telemetry_extras = _no_export
-        try:
-            macro_mod.dcf_saturation(SCALE, telemetry=True)
-        finally:
-            macro_mod._telemetry_extras = original
-
-    try:
-        disabled, enabled = _interleaved_best(_disabled, _enabled)
-    finally:
-        macro_mod._telemetry_extras = original
+    monkeypatch.setattr(runner, "_telemetry_streams", _no_export)
+    disabled_job = spec_job("dcf_saturation")
+    enabled_job = spec_job("dcf_saturation", {"mode.telemetry": True})
+    disabled, enabled = _interleaved_best(lambda: run_job(disabled_job),
+                                          lambda: run_job(enabled_job))
     assert enabled <= disabled * 1.15, \
         (f"enabled-telemetry instrumentation costs "
          f"{(enabled / disabled - 1) * 100:.1f}% at the default "

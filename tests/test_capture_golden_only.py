@@ -1,45 +1,68 @@
-"""capture_golden's --only macro filter (run_bench --only contract)."""
+"""capture_golden over the committed specs: ``--only`` and what a
+capture writes."""
 
+import json
 import pathlib
 import sys
 
 import pytest
 
+from repro.campaign import runner
+from repro.campaign.pool import select_names
+from repro.core.engine import Simulator
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import capture_golden  # noqa: E402
 
 
-def _error(message):
-    raise SystemExit(message)
+def _files(root):
+    return sorted(str(path.relative_to(root))
+                  for path in root.rglob("*") if path.is_file())
 
 
-class TestSelectMacros:
-    def test_no_patterns_selects_everything(self):
-        assert capture_golden.select_macros(None, _error) \
-            == list(capture_golden.CAPTURABLE_MACROS)
-        assert capture_golden.select_macros([], _error) \
-            == list(capture_golden.CAPTURABLE_MACROS)
+class TestOnly:
+    def test_the_choices_are_the_committed_specs(self):
+        assert capture_golden.spec_names() == sorted(
+            path.stem for path in (REPO_ROOT / "specs").glob("*.toml"))
 
-    def test_exact_name(self):
-        assert capture_golden.select_macros(["multi_bss"], _error) \
-            == ["multi_bss"]
+    def test_globs_expand_and_duplicates_collapse_in_command_line_order(
+            self):
+        names = select_names(["mesh_chain", "mesh_backhaul_*", "mesh_chain"],
+                             capture_golden.spec_names(), what="spec")
+        assert names == ["mesh_chain", "mesh_backhaul_dsdv",
+                         "mesh_backhaul_grid", "mesh_backhaul_static"]
 
-    def test_glob_expands_in_declared_order(self):
-        assert capture_golden.select_macros(["dcf_saturation*"], _error) \
-            == ["dcf_saturation", "dcf_saturation_100"]
+    def test_unmatched_pattern_is_an_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            capture_golden.main([str(tmp_path), "--only", "no_such*"])
+        assert "no_such" in capsys.readouterr().err
+        assert _files(tmp_path) == []
 
-    def test_duplicates_collapse_but_order_follows_command_line(self):
-        names = capture_golden.select_macros(
-            ["wep_audit", "dcf_saturation_1*", "wep_audit"], _error)
-        assert names == ["wep_audit", "dcf_saturation_100"]
 
-    def test_unmatched_pattern_is_an_error(self):
-        with pytest.raises(SystemExit, match="no_such"):
-            capture_golden.select_macros(["no_such*"], _error)
+class TestCapture:
+    def test_a_one_job_spec_is_traced_under_its_campaign_name(self,
+                                                              tmp_path):
+        capture_golden.main([str(tmp_path), "--only", "hidden_terminal_rts"])
+        assert _files(tmp_path) == ["hidden_terminal_rts.stats.json",
+                                    "hidden_terminal_rts.trace"]
+        stats = json.loads(
+            (tmp_path / "hidden_terminal_rts.stats.json").read_text())
+        trace = (tmp_path / "hidden_terminal_rts.trace").read_text()
+        assert stats["protocol_events"] == trace.count("\n") > 0
+        assert "events" not in stats
+        assert runner.Simulator is Simulator  # the tracing swap is undone
 
-    def test_stats_only_macro_is_capturable(self):
-        assert "wep_audit" in capture_golden.CAPTURABLE_MACROS
-        assert "wep_audit" not in capture_golden.TRACED_MACROS
+    def test_a_sweep_is_captured_job_by_job(self, tmp_path):
+        capture_golden.main([str(tmp_path), "--only", "mesh_chain"])
+        assert _files(tmp_path) == [
+            f"mesh_chain/seed={seed}.{kind}"
+            for seed in (5, 6, 7) for kind in ("stats.json", "trace")]
+
+    def test_a_job_that_traced_nothing_is_stats_only(self, tmp_path):
+        # city_cells runs on the executor's own simulators: nothing the
+        # runner built records an event.
+        capture_golden.main([str(tmp_path), "--only", "city_scale_1p"])
+        assert _files(tmp_path) == ["city_scale_1p.stats.json"]
+

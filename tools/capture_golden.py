@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Capture seeded golden traces for the determinism contract.
 
-Runs the DES macro-scenarios with full tracing enabled and dumps each
-protocol event trace (repr-exact timestamps) plus the seeded stats to a
-directory.  Used two ways:
+Runs every job of the committed specs (``specs/*.toml``) with full
+tracing enabled and dumps each protocol event trace (repr-exact
+timestamps) plus the seeded stats to a directory: ``<campaign>.trace``
+and ``<campaign>.stats.json`` for a one-job spec, ``<campaign>/<job
+label>.*`` for a sweep.  Used two ways:
 
 * Around a refactor: capture before, capture after, ``diff -r`` — the
   byte-identical-traces acceptance check.
 
-      PYTHONPATH=src:benchmarks:tests python tools/capture_golden.py /tmp/before
+      PYTHONPATH=src python tools/capture_golden.py /tmp/before
       ... refactor ...
-      PYTHONPATH=src:benchmarks:tests python tools/capture_golden.py /tmp/after
+      PYTHONPATH=src python tools/capture_golden.py /tmp/after
       diff -r /tmp/before /tmp/after
 
 * ``--fixture``: regenerate the committed backoff tie-break fixture
@@ -22,7 +24,6 @@ directory.  Used two ways:
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import json
 import pathlib
 import sys
@@ -30,51 +31,15 @@ from typing import Any, Dict, List, Optional, Sequence
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
+SPECS_DIR = REPO_ROOT / "specs"
 FIXTURE_PATH = REPO_ROOT / "tests" / "mac" / "fixtures" / "tiebreak_trace.json"
 
-#: Macros whose runs are DES-driven: every in-process simulator they
-#: build is captured with full tracing (multi-simulator macros emit one
-#: ``# sim N`` section per simulator, in construction order).
-TRACED_MACROS = ("dcf_saturation", "dcf_saturation_100", "multi_bss",
-                 "hidden_terminal", "interference_field", "mesh_backhaul",
-                 "roaming_ess", "fault_storm")
-#: Macros captured by seeded stats fingerprint only: wep_audit is pure
-#: computation (no event trace), and the city_scale pair runs its
-#: simulators inside forked shard workers where the parent cannot reach
-#: their trace logs — their canonical arrival-log sha1 in the stats is
-#: the equivalent byte-level pin.
-STATS_ONLY_MACROS = ("wep_audit", "city_scale", "city_scale_1p")
-#: Everything capture-able: the traced set plus the stats-only macros.
-CAPTURABLE_MACROS = TRACED_MACROS + STATS_ONLY_MACROS
 
-
-def select_macros(patterns: Optional[Sequence[str]],
-                  error) -> List[str]:
-    """Resolve ``--only`` patterns against the capturable macro set.
-
-    Same contract as ``run_bench.py --only``: each entry is an exact
-    name or a glob, order follows the command line, duplicates
-    collapse, and a pattern matching nothing is an error — a typo must
-    not silently capture zero macros and report success.  ``error`` is
-    the parser's error callback (or any ``str -> NoReturn``).
-    """
-    if not patterns:
-        return list(CAPTURABLE_MACROS)
-    names: List[str] = []
-    unmatched = []
-    for pattern in patterns:
-        matched = [name for name in CAPTURABLE_MACROS
-                   if fnmatch.fnmatch(name, pattern)]
-        if not matched:
-            unmatched.append(pattern)
-        names.extend(name for name in matched if name not in names)
-    if unmatched:
-        error(f"unknown macro(s)/pattern(s): {unmatched}; "
-              f"capturable: {list(CAPTURABLE_MACROS)}")
-    return names
+def spec_names() -> List[str]:
+    """Every committed spec, by file stem (== its campaign name)."""
+    return sorted(path.stem for path in SPECS_DIR.glob("*.toml"))
 
 
 def _strip_stats(stats: Dict[str, Any]) -> Dict[str, Any]:
@@ -89,70 +54,74 @@ def _strip_stats(stats: Dict[str, Any]) -> Dict[str, Any]:
                                     "telemetry"))}
 
 
-def capture_macros(out_dir: pathlib.Path, scale: float,
-                   names: Optional[Sequence[str]] = None,
-                   telemetry: bool = False) -> None:
-    from perf import macro as macro_mod
-    from repro.core.engine import Simulator
+def capture_specs(out_dir: pathlib.Path,
+                  names: Optional[Sequence[str]] = None,
+                  telemetry: bool = False) -> None:
+    """Run the named specs' jobs in-process, every simulator traced.
+
+    The runner's ``Simulator`` name is swapped for a tracing factory,
+    so every simulator a job builds is captured: a job with several
+    emits one ``# sim N`` section per simulator, in construction
+    order.  A job that traced nothing here — its simulators live in
+    shard workers, or in an executor that builds its own — is captured
+    by its stats only (``city_scale``'s arrival-log SHA-1 in them is
+    the byte-level pin).
+    """
+    from repro.campaign import expand_grid, load_spec, runner
+    from repro.campaign.spec import set_path
     from repro.core.trace import TraceLog
 
-    captured: List[Simulator] = []
+    captured: List[Any] = []
+    simulator_class = runner.Simulator
 
-    def traced_simulator(seed: int) -> Simulator:
-        trace = TraceLog(capacity=None, enabled=True)
-        sim = Simulator(seed=seed, trace=trace)
+    def traced_simulator(*args, **kwargs):
+        kwargs["trace"] = TraceLog(capacity=None, enabled=True)
+        sim = simulator_class(*args, **kwargs)
         captured.append(sim)
         return sim
 
-    if names is None:
-        names = CAPTURABLE_MACROS
-    macro_mod._perf_simulator = traced_simulator
-    for name in [n for n in names if n in TRACED_MACROS]:
-        captured.clear()
-        result = macro_mod.MACROS[name](scale, telemetry=telemetry)
-        # One section per simulator, in construction order.  The
-        # single-simulator format (no section marker) is unchanged from
-        # before multi-simulator macros were capturable, so historical
-        # before/after diffs stay line-for-line comparable.
-        sections: List[str] = []
-        total = 0
-        for index, sim in enumerate(captured):
-            lines = [
-                f"{record.time!r} {record.source} {record.event} "
-                + " ".join(f"{key}={value!r}"
-                           for key, value in sorted(record.detail.items()))
-                for record in sim.trace
-            ]
-            total += len(lines)
-            if len(captured) > 1:
-                sections.append(f"# sim {index}")
-            sections.extend(lines)
-        (out_dir / f"{name}.trace").write_text("\n".join(sections) + "\n")
-        stats = _strip_stats(result["stats"])
-        stats["protocol_events"] = total
-        (out_dir / f"{name}.stats.json").write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n")
-        if telemetry:
-            # Sim-time stream only: it's part of the determinism
-            # contract and diffs byte-for-byte; the wall stream is
-            # machine noise and would break ``diff -r``.
-            (out_dir / f"{name}.telemetry.jsonl").write_text(
-                result["telemetry_jsonl"])
-        print(f"{name:24s} {total:8d} trace lines -> {out_dir}")
-    for name in [n for n in names if n in STATS_ONLY_MACROS]:
-        captured.clear()
-        # Stats only: wep_audit is pure computation; the city_scale
-        # pair's simulators live in forked shard workers (their
-        # canonical arrival-log sha1 inside the stats is the byte pin).
-        if name == "wep_audit":
-            result = macro_mod.MACROS[name](min(scale, 1.0))
-            stats = result["stats"]
-        else:
-            result = macro_mod.MACROS[name](scale)
-            stats = _strip_stats(result["stats"])
-        (out_dir / f"{name}.stats.json").write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n")
-        print(f"{name:24s} stats only -> {out_dir}")
+    runner.Simulator = traced_simulator
+    try:
+        for name in spec_names() if names is None else names:
+            spec = load_spec(SPECS_DIR / f"{name}.toml")
+            set_path(spec, "mode.telemetry", telemetry)
+            jobs = expand_grid(spec)
+            for job in jobs:
+                stem = name if len(jobs) == 1 else f"{name}/{job.label}"
+                captured.clear()
+                streams: Dict[str, Any] = {}
+                stats = _strip_stats(runner.run_job(job.spec, streams))
+                sections = [[
+                    f"{record.time!r} {record.source} {record.event} "
+                    + " ".join(f"{key}={value!r}" for key, value
+                               in sorted(record.detail.items()))
+                    for record in sim.trace] for sim in captured]
+                total = sum(map(len, sections))
+                (out_dir / stem).parent.mkdir(parents=True, exist_ok=True)
+                if total:
+                    # The single-simulator format has no section marker.
+                    lines: List[str] = []
+                    for index, section in enumerate(sections):
+                        if len(sections) > 1:
+                            lines.append(f"# sim {index}")
+                        lines.extend(section)
+                    (out_dir / f"{stem}.trace").write_text(
+                        "\n".join(lines) + "\n")
+                    stats["protocol_events"] = total
+                    if telemetry:
+                        # Sim-time stream only: it's part of the
+                        # determinism contract and diffs byte-for-byte;
+                        # the wall stream is machine noise and would
+                        # break ``diff -r``.
+                        (out_dir / f"{stem}.telemetry.jsonl").write_text(
+                            streams["telemetry_jsonl"])
+                (out_dir / f"{stem}.stats.json").write_text(
+                    json.dumps(stats, indent=2, sort_keys=True) + "\n")
+                print(f"{stem:48s} "
+                      + (f"{total:8d} trace lines" if total else
+                         "stats only") + f" -> {out_dir}")
+    finally:
+        runner.Simulator = simulator_class
 
 
 def capture_fixture() -> None:
@@ -177,18 +146,15 @@ def capture_fixture() -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out_dir", nargs="?", type=pathlib.Path,
-                        help="directory for <macro>.trace / .stats.json")
-    parser.add_argument("--scale", type=float, default=0.5,
-                        help="macro workload scale (default 0.5)")
+                        help="directory for <campaign>.trace / .stats.json")
     parser.add_argument("--only", action="append", metavar="NAME",
-                        help="capture only this macro (repeatable; accepts "
-                             "glob patterns, same contract as "
-                             "run_bench.py --only; a pattern matching "
-                             "nothing is an error)")
+                        help="capture only this spec (repeatable; accepts "
+                             "glob patterns over the specs/*.toml stems; a "
+                             "pattern matching nothing is an error)")
     parser.add_argument("--kernel", default=None,
                         metavar="{auto,python,c}",
                         help="run-loop implementation for every captured "
-                             "macro (exported as REPRO_KERNEL so forked "
+                             "job (exported as REPRO_KERNEL so forked "
                              "shard workers inherit it).  The cross-kernel "
                              "gate is two captures + diff -r:\n"
                              "  capture_golden.py /tmp/py --kernel python\n"
@@ -199,10 +165,11 @@ def main(argv=None) -> int:
     parser.add_argument("--fixture", action="store_true",
                         help="regenerate the committed tie-break fixture")
     parser.add_argument("--telemetry", action="store_true",
-                        help="run the traced macros with telemetry armed and "
-                             "additionally capture each sim-time stream as "
-                             "<macro>.telemetry.jsonl (the wall stream is "
-                             "machine noise and is never captured)")
+                        help="run the jobs with mode.telemetry armed and "
+                             "additionally capture each traced job's "
+                             "sim-time stream as <campaign>.telemetry.jsonl "
+                             "(the wall stream is machine noise and is "
+                             "never captured)")
     args = parser.parse_args(argv)
     if args.kernel is not None:
         import os
@@ -219,10 +186,13 @@ def main(argv=None) -> int:
     if not args.fixture and args.out_dir is None:
         parser.error("need an out_dir (or --fixture)")
     if args.out_dir is not None:
-        names = select_macros(args.only, parser.error)
+        from repro.campaign.pool import select_names
+        try:
+            names = select_names(args.only, spec_names(), what="spec")
+        except ValueError as exc:
+            parser.error(str(exc))
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        capture_macros(args.out_dir, args.scale, names,
-                       telemetry=args.telemetry)
+        capture_specs(args.out_dir, names, telemetry=args.telemetry)
     if args.fixture:
         capture_fixture()
     return 0

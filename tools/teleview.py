@@ -2,8 +2,8 @@
 """ASCII viewer for exported telemetry streams.
 
 Renders a ``*.telemetry.jsonl`` file (from ``run_sharded``,
-``capture_golden.py --telemetry``, or any macro run with
-``telemetry=True``) as aligned tables and character timelines — no
+``capture_golden.py --telemetry``, or any campaign job run with
+``mode.telemetry = true``) as aligned tables and character timelines — no
 plotting stack, no web UI, just a terminal:
 
     PYTHONPATH=src python tools/teleview.py /tmp/cap/dcf_saturation.telemetry.jsonl
