@@ -101,27 +101,6 @@ def route_repair_time(delivered_times: Sequence[float],
     return min(after) - fault_at if after else None
 
 
-def downtime_windows(fault_log, horizon: float
-                     ) -> List[Tuple[str, float, float]]:
-    """Closed per-target downtime windows from a fault log.
-
-    Thin bridge from :meth:`repro.faults.schedule.FaultLog.downtime_spans`
-    (or a telemetry JSONL's ``downtime`` span records — anything
-    yielding ``(target, start, end_or_None)``) to the closed
-    ``(target, start, end)`` windows the recovery metrics consume:
-    still-open windows are clamped to ``horizon``, so summing
-    ``end - start`` per target gives total downtime and the windows
-    align with :func:`pdr_timeline` bins for dip attribution.
-    """
-    if horizon < 0:
-        raise ConfigurationError(f"horizon must be >= 0: {horizon}")
-    spans = fault_log.downtime_spans() if hasattr(fault_log,
-                                                  "downtime_spans") \
-        else list(fault_log)
-    return [(target, start, horizon if end is None else end)
-            for target, start, end in spans]
-
-
 class ReassociationProbe:
     """Record one station's association/disassociation edge times.
 

@@ -475,36 +475,6 @@ def _run_mesh_grid(sim: Simulator, spec: Dict[str, Any],
     return _run_mesh(sim, spec, streams, positions, chain=False)
 
 
-def _run_interference_field(sim: Simulator, spec: Dict[str, Any],
-                            streams: Streams) -> Dict[str, Any]:
-    """A CBR-uplink BSS ringed by duty-cycled emitters
-    (``build_interference_field``), plus any declared adversaries."""
-    params = spec["scenario"]["params"]
-    traffic = spec["traffic"]
-    field = scenarios.build_interference_field(
-        sim,
-        station_count=params.get("stations", 6),
-        emitter_count=params.get("emitters", 8),
-        radius_m=params.get("radius_m", 20.0),
-        emitter_ring_m=params.get("emitter_ring_m", 35.0),
-        emitter_power_dbm=params.get("emitter_power_dbm", 0.0),
-        emitter_on_time=params.get("emitter_on_time", 300e-6),
-        emitter_period=params.get("emitter_period", 900e-6),
-        path_loss_exponent=params.get("path_loss_exponent", 3.0))
-    bss = field.bss
-    _attach_adversaries(sim, bss.medium, bss.ap.radio.standard,
-                        spec["adversaries"])
-    _require_traffic(spec, "cbr", "measures delivery under interference")
-    sink, sources = _cbr_uplink(sim, bss, traffic)
-    field.start_emitters()
-    _arm(sim, spec, streams, bss.medium,
-         [bss.ap.mac] + [station.mac for station in bss.stations])
-    sim.run(until=sim.now + spec["scenario"]["horizon"])
-    stats = _flow_stats(sink, sources)
-    stats["mac_drops"] = _mac_drops(bss.stations)
-    return stats
-
-
 def _run_roaming_ess(sim: Simulator, spec: Dict[str, Any],
                      streams: Streams) -> Dict[str, Any]:
     """A station walks a 3-AP corridor (``build_ess``) at 8 m/s under a
@@ -734,7 +704,6 @@ BUILDERS: Dict[str, Callable[[Simulator, Dict[str, Any], Streams],
     "saturated_cells": _run_saturated_cells,
     "mesh_chain": _run_mesh_chain,
     "mesh_grid": _run_mesh_grid,
-    "interference_field": _run_interference_field,
     "roaming_ess": _run_roaming_ess,
     "fault_storm": _run_fault_storm,
     "city_cells": _run_city_cells,

@@ -97,12 +97,6 @@ BUILDER_PARAMS: Dict[str, Dict[str, type]] = {
         "protocol": str, "warmup": float, "source": int,
         "destination": int, "relay_break_at": float,
     },
-    "interference_field": {
-        "stations": int, "emitters": int, "radius_m": float,
-        "emitter_ring_m": float, "emitter_power_dbm": float,
-        "emitter_on_time": float, "emitter_period": float,
-        "path_loss_exponent": float,
-    },
     "city_cells": {
         "bss_count": int, "stations_per_bss": int, "spacing_m": float,
         "payload_size": int, "workers": int,

@@ -16,14 +16,31 @@ lazily (only once the event passes the enable mask), and hot call sites
 can pre-check :meth:`TraceLog.wants` to skip even building the keyword
 detail dict.  Retention uses ``collections.deque(maxlen=...)`` so
 eviction at capacity is O(1) per record instead of a slice-delete.
+
+A :class:`TraceDigest` is the sink that keeps nothing: it hashes every
+record's :func:`render` line into a running SHA-1, so a whole run's
+trace can be pinned (``tests/fixtures/pins.json``) without holding it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable,
-                    Iterator, List, Optional)
+                    Iterator, List, Optional, Tuple)
+
+#: Records between two :attr:`TraceDigest.checkpoints`.
+CHECKPOINT_EVERY = 4096
+
+
+def render(time: float, source: str, event: str,
+           detail: Dict[str, Any]) -> str:
+    """One record as a repr-exact line: the golden-trace format of
+    ``tools/capture_golden.py`` and the line a :class:`TraceDigest`
+    hashes."""
+    return f"{time!r} {source} {event} " + " ".join(
+        f"{key}={value!r}" for key, value in sorted(detail.items()))
 
 
 @dataclass(frozen=True)
@@ -150,3 +167,39 @@ class TraceLog:
         if limit is not None:
             records = list(self._records)[-limit:]
         return "\n".join(record.format() for record in records)
+
+
+class TraceDigest:
+    """A trace sink that keeps no records, only their running SHA-1.
+
+    It takes a :class:`TraceLog`'s place as a simulator's ``trace`` and
+    records every event type.  Each record's :func:`render` line plus a
+    newline goes into the hash, so a lone simulator's digest is the
+    SHA-1 of its ``capture_golden`` trace file.  Every
+    :data:`CHECKPOINT_EVERY` records it appends ``(records so far,
+    sim-time, digest so far)`` to :attr:`checkpoints`: two runs whose
+    digests differ first differ between the last checkpoint they share
+    and the next one.
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self._sha1 = hashlib.sha1()
+        self.records = 0
+        self.checkpoints: List[Tuple[int, float, str]] = []
+
+    def wants(self, event: str) -> bool:
+        return True
+
+    def record(self, time: float, source: str, event: str,
+               **detail: Any) -> None:
+        self._sha1.update(
+            (render(time, source, event, detail) + "\n").encode())
+        self.records += 1
+        if not self.records % CHECKPOINT_EVERY:
+            self.checkpoints.append(
+                (self.records, time, self._sha1.hexdigest()))
+
+    def hexdigest(self) -> str:
+        return self._sha1.hexdigest()

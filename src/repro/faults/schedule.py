@@ -72,7 +72,6 @@ class FaultLog:
         with the analysis helpers but unrestored windows stay open
         (``end=None``) so consumers can distinguish "restored at t" from
         "still down at the horizon"; pass the figure on to
-        :func:`repro.analysis.resilience.downtime_windows` or
         :func:`repro.telemetry.probes.record_fault_spans` to close them.
         """
         del horizon  # see docstring: open windows stay open here

@@ -84,9 +84,8 @@ class Modulation:
         """Bit error probability at the given SNR (dB over signal bandwidth).
 
         This is the innermost loop of every frame delivery decision, so
-        the Eb/N0 conversion and the Q-function are fused inline (same
-        float operations in the same order as the reference formulas in
-        :meth:`_ber_from_ebno` / :func:`q_function`).
+        the Eb/N0 conversion and the Q-function (:func:`q_function`) are
+        fused inline.
         """
         effective_snr_db = snr_db + self.processing_gain_db + self.coding_gain_db
         snr = 10.0 ** (effective_snr_db / 10.0)
@@ -106,23 +105,6 @@ class Modulation:
         coefficient = (4.0 / bits) * (1.0 - 1.0 / math.sqrt(m))
         argument = math.sqrt(max(3.0 * bits * ebno / (m - 1.0), 0.0))
         return min(coefficient * (0.5 * math.erfc(argument / _SQRT2)), 0.5)
-
-    def _ber_from_ebno(self, ebno: float) -> float:
-        """Reference BER-from-Eb/N0 curve (kept for tests/documentation;
-        :meth:`ber` inlines the same arithmetic)."""
-        bits = self.bits_per_symbol
-        if bits <= 1.0:
-            # BPSK (and DBPSK, within a dB): Q(sqrt(2 Eb/N0)).
-            return q_function(math.sqrt(max(2.0 * ebno, 0.0)))
-        if bits <= 2.0:
-            # QPSK has the same per-bit error rate as BPSK.
-            return q_function(math.sqrt(max(2.0 * ebno, 0.0)))
-        # Square M-QAM with Gray mapping (approximate):
-        # BER ~= (4/k)(1 - 1/sqrt(M)) Q( sqrt(3 k Eb/N0 / (M - 1)) ).
-        m = 2.0 ** bits
-        coefficient = (4.0 / bits) * (1.0 - 1.0 / math.sqrt(m))
-        argument = math.sqrt(max(3.0 * bits * ebno / (m - 1.0), 0.0))
-        return min(coefficient * q_function(argument), 0.5)
 
 
 # --- the modulations used by the standards catalogue ------------------------

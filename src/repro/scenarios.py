@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin
 from typing import Callable, List, Optional
 
-from .adversary.emitters import Emitter, PeriodicJammer
 from .core.engine import Simulator
 from .core.errors import AssociationTimeoutError, ConfigurationError, \
     SimulationError
@@ -305,65 +303,6 @@ def install_chain_routes(nodes: List[MeshNode]) -> None:
             protocol.set_route(target.address,
                                nodes[index + step].address,
                                metric=abs(target_index - index))
-
-
-@dataclass
-class InterferenceField:
-    """A saturated BSS ringed by energy emitters — the jamming workload."""
-
-    sim: Simulator
-    medium: Medium
-    bss: InfrastructureBss
-    emitters: List[Emitter]
-
-    def start_emitters(self) -> None:
-        for emitter in self.emitters:
-            emitter.start()
-
-    def stop_emitters(self) -> None:
-        for emitter in self.emitters:
-            emitter.stop()
-
-
-def build_interference_field(sim: Simulator, station_count: int = 10,
-                             emitter_count: int = 20,
-                             standard: PhyStandard = DOT11G,
-                             radius_m: float = 20.0,
-                             emitter_ring_m: float = 35.0,
-                             emitter_power_dbm: float = 0.0,
-                             emitter_on_time: float = 300e-6,
-                             emitter_period: float = 900e-6,
-                             path_loss_exponent: float = 3.0,
-                             mac_config: Optional[DcfConfig] = None,
-                             rate_factory: Optional[RateControllerFactory]
-                             = None,
-                             associate: bool = True) -> InterferenceField:
-    """An infrastructure BSS ringed by duty-cycled energy emitters.
-
-    ``emitter_count`` :class:`~repro.adversary.emitters.PeriodicJammer`
-    sources sit on a circle of ``emitter_ring_m`` around the AP, their
-    pulse phases staggered across one period so at any instant roughly
-    ``emitter_count * duty`` bursts genuinely overlap — the
-    deep-arrival-table regime (ROADMAP: the interference-field
-    workload).
-    Emitters are built stopped; call :meth:`InterferenceField.\
-start_emitters` once the BSS is associated and traffic is primed.
-    """
-    bss = build_infrastructure_bss(
-        sim, station_count, standard=standard, radius_m=radius_m,
-        path_loss_exponent=path_loss_exponent, mac_config=mac_config,
-        rate_factory=rate_factory, associate=associate)
-    emitters: List[Emitter] = []
-    for index in range(emitter_count):
-        angle = 2.0 * pi * index / emitter_count
-        position = Position(emitter_ring_m * cos(angle),
-                            emitter_ring_m * sin(angle), 0.0)
-        emitters.append(PeriodicJammer(
-            sim, bss.medium, position, power_dbm=emitter_power_dbm,
-            on_time=emitter_on_time, period=emitter_period,
-            offset=emitter_period * index / emitter_count,
-            name=f"field{index}"))
-    return InterferenceField(sim, bss.medium, bss, emitters)
 
 
 def build_ess(sim: Simulator, ap_count: int, spacing_m: float = 60.0,

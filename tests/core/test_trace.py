@@ -1,6 +1,9 @@
 """Tests for the trace log."""
 
-from repro.core.trace import TraceLog, TraceRecord
+import hashlib
+
+from repro.core.trace import (CHECKPOINT_EVERY, TraceDigest, TraceLog,
+                              TraceRecord, render)
 
 
 class TestTraceLog:
@@ -122,3 +125,31 @@ class TestTraceRecord:
     def test_format_microseconds(self):
         record = TraceRecord(1.5e-6, "x", "y")
         assert "1.500us" in record.format()
+
+
+class TestTraceDigest:
+    def test_digest_is_the_sha1_of_the_rendered_lines(self):
+        digest = TraceDigest()
+        digest.record(0.1, "tx0", "phy-tx-start", mode="CCK-11", bits=800)
+        digest.record(0.25, "rx", "phy-power-off")
+        lines = "0.1 tx0 phy-tx-start bits=800 mode='CCK-11'\n" \
+                "0.25 rx phy-power-off \n"
+        assert render(0.25, "rx", "phy-power-off", {}) + "\n" \
+            == lines.splitlines(keepends=True)[1]
+        assert digest.hexdigest() == hashlib.sha1(lines.encode()).hexdigest()
+        assert digest.records == 2 and digest.checkpoints == []
+
+    def test_a_checkpoint_every_block_of_records(self):
+        digest = TraceDigest()
+        prefix = hashlib.sha1()
+        for index in range(2 * CHECKPOINT_EVERY + 1):
+            digest.record(index * 1e-3, "s", "e", n=index)
+            prefix.update((render(index * 1e-3, "s", "e", {"n": index})
+                           + "\n").encode())
+            if index + 1 == CHECKPOINT_EVERY:
+                first = prefix.hexdigest()
+        assert [(index, time) for index, time, _ in digest.checkpoints] == [
+            (CHECKPOINT_EVERY, (CHECKPOINT_EVERY - 1) * 1e-3),
+            (2 * CHECKPOINT_EVERY, (2 * CHECKPOINT_EVERY - 1) * 1e-3)]
+        assert digest.checkpoints[0][2] == first
+        assert digest.hexdigest() == prefix.hexdigest()

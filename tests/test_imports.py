@@ -104,7 +104,7 @@ class TestImportBudget:
         assert not loaded["networkx"]
 
     @pytest.mark.parametrize("statement, count", [
-        ("import repro.scenarios", 54),
+        ("import repro.scenarios", 50),
         ("from repro.campaign import run_job", 57),
     ])
     def test_build_paths_skip_the_unused_families(self, statement, count):

@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Capture seeded golden traces for the determinism contract.
+"""Capture seeded golden traces: the records behind a trace pin.
 
 Runs every job of the committed specs (``specs/*.toml``) with full
 tracing enabled and dumps each protocol event trace (repr-exact
-timestamps) plus the seeded stats to a directory: ``<campaign>.trace``
-and ``<campaign>.stats.json`` for a one-job spec, ``<campaign>/<job
+timestamps, one :func:`repro.core.trace.render` line per record) plus
+the seeded stats to a directory: ``<campaign>.trace`` and
+``<campaign>.stats.json`` for a one-job spec, ``<campaign>/<job
 label>.*`` for a sweep.  Used two ways:
 
-* Around a refactor: capture before, capture after, ``diff -r`` — the
-  byte-identical-traces acceptance check.
+* To explain a drift.  ``tests/test_macro_pins.py`` is the acceptance
+  check: it pins every job's trace digest (a lone simulator's is the
+  SHA-1 of its ``.trace`` file here) and names the first divergent
+  window of records.  Capture that spec at both commits and read those
+  records:
 
-      PYTHONPATH=src python tools/capture_golden.py /tmp/before
-      ... refactor ...
-      PYTHONPATH=src python tools/capture_golden.py /tmp/after
+      PYTHONPATH=src python tools/capture_golden.py /tmp/before --only NAME
+      ... the change ...
+      PYTHONPATH=src python tools/capture_golden.py /tmp/after --only NAME
       diff -r /tmp/before /tmp/after
 
 * ``--fixture``: regenerate the committed backoff tie-break fixture
@@ -69,7 +73,7 @@ def capture_specs(out_dir: pathlib.Path,
     """
     from repro.campaign import expand_grid, load_spec, runner
     from repro.campaign.spec import set_path
-    from repro.core.trace import TraceLog
+    from repro.core.trace import TraceLog, render
 
     captured: List[Any] = []
     simulator_class = runner.Simulator
@@ -91,11 +95,9 @@ def capture_specs(out_dir: pathlib.Path,
                 captured.clear()
                 streams: Dict[str, Any] = {}
                 stats = _strip_stats(runner.run_job(job.spec, streams))
-                sections = [[
-                    f"{record.time!r} {record.source} {record.event} "
-                    + " ".join(f"{key}={value!r}" for key, value
-                               in sorted(record.detail.items()))
-                    for record in sim.trace] for sim in captured]
+                sections = [[render(record.time, record.source,
+                                    record.event, record.detail)
+                             for record in sim.trace] for sim in captured]
                 total = sum(map(len, sections))
                 (out_dir / stem).parent.mkdir(parents=True, exist_ok=True)
                 if total:
@@ -155,13 +157,9 @@ def main(argv=None) -> int:
                         metavar="{auto,python,c}",
                         help="run-loop implementation for every captured "
                              "job (exported as REPRO_KERNEL so forked "
-                             "shard workers inherit it).  The cross-kernel "
-                             "gate is two captures + diff -r:\n"
-                             "  capture_golden.py /tmp/py --kernel python\n"
-                             "  capture_golden.py /tmp/c  --kernel c\n"
-                             "  diff -r /tmp/py /tmp/c\n"
-                             "'c' errors out if the extension is not built "
-                             "(default: honor REPRO_KERNEL, else auto)")
+                             "shard workers inherit it); 'c' errors out "
+                             "if the extension is not built (default: "
+                             "honor REPRO_KERNEL, else auto)")
     parser.add_argument("--fixture", action="store_true",
                         help="regenerate the committed tie-break fixture")
     parser.add_argument("--telemetry", action="store_true",

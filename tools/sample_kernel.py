@@ -6,7 +6,8 @@ ledger books them all to ``core.self_s``.  This copies ``src/`` to a temporary
 directory, patches a ``SIGPROF`` + ``backtrace()`` sampler into *that* copy of
 ``_ckernel.c`` (the committed file never holds it), builds it as
 ``tools/build_kernel.py`` does plus ``-g -fno-inline``, runs the workload's
-set-up and run in a child interpreter on that tree (a warm-up, then
+set-up and run in a child interpreter on that tree, under
+``REPRO_KERNEL=c`` whatever the caller's environment says (a warm-up, then
 ``--repeats`` sampled runs), resolves the PCs with ``nm`` and prints three
 tables of sampled CPU time.  The box decides the tick rate (asked for 2 kHz,
 it gave 250 Hz here) and ``-fno-inline`` is slower than the measured build:
@@ -81,11 +82,14 @@ sk_dump(PyObject *module, PyObject *arg)
 }
 """
 CHILD = """\
-import sys, time
+import os, sys, time
 sys.path[:0] = [{repo!r}, {src!r}]
 from bench.workloads import WORKLOADS
 from repro.core.engine import Simulator
 ext = Simulator(kernel="c")._ext
+if Simulator()._ext is not ext:     # the default kernel the workload gets
+    sys.exit("sampling needs the compiled kernel; REPRO_KERNEL="
+             + os.environ.get("REPRO_KERNEL", "") + " is set")
 workload = WORKLOADS[{name!r}]
 workload.run(workload.setup({seed}, {scale}))    # warm memos, as the bench's
 cpu = 0.0
@@ -188,7 +192,10 @@ def main(argv=None):
                 repo=REPO, src=os.path.join(tmp, "src"), name=args.workload,
                 seed=args.seed, scale=args.scale, repeats=args.repeats,
                 period_us=1000000 // HZ, out=out)],
-            cwd=REPO, stdout=subprocess.PIPE, text=True, check=True)
+            cwd=REPO, env={**os.environ, "REPRO_KERNEL": "c"},
+            stdout=subprocess.PIPE, text=True)
+        if child.returncode:            # its stderr says why
+            raise SystemExit(child.returncode)
         count, cpu = map(float, child.stdout.split()[-2:])
         print(f"{args.workload} seed {args.seed}: {count:.0f} stacks in "
               f"{cpu:.3f} cpu-s, {count / max(cpu, 1e-9):.0f} of {HZ} Hz")
