@@ -21,16 +21,16 @@
  *    edges of ``repro.phy.transceiver.Radio`` (with ``_try_lock``, the
  *    capture test, ``_refresh_interference`` and the CCA tail), working
  *    on ``Radio``'s and ``SinrTracker``'s ``__slots__`` by offset, the
- *    way the loop works on ``Timer``'s.  ``Medium`` binds them per
- *    radio with ``types.MethodType`` (see ``bind_phy``).
+ *    way the loop works on ``Timer``'s.  A plain radio binds them for
+ *    its medium's fan-out (``repro.core.binding``, ``transceiver.RADIO``).
  * 4. ``_reception_complete`` — the reception tail of
  *    ``Radio``: unlock, the SINR arithmetic of ``SinrTracker.sinr_db``,
  *    the PER out of ``phy.error_models._per_cache`` (the dict, the
  *    ``(snr, bits, Modulation.memo_id)`` key and the limit rule
  *    ``BerErrorModel.frame_survives`` uses; a miss calls the model's
  *    ``packet_error_rate``), one ``rng.random()``, the CCA tail and
- *    ``on_rx_end``.  ``Medium`` hands it to a plain radio's
- *    reception-end timer.
+ *    ``on_rx_end``.  A plain radio binds it to its reception-end
+ *    timer.
  * 5. ``_maybe_start_ifs`` / ``_cancel_access_timers`` / ``_ifs_expired``
  *    / ``_fire`` / ``phy_rx_end`` — the carrier-sense slots of
  *    ``repro.mac.dcf.DcfMac`` and ``repro.mac.nav.Nav`` that are pure
@@ -38,7 +38,7 @@
  *    demux for the two verdicts that need nothing else: a corrupt frame
  *    (EIFS flag, ``rx_corrupt``) and one overheard by a third party (the
  *    transmitter's rate controller, the NAV, ``nav_updates``), read off
- *    the per-frame ``Dot11Frame.rx_verdict`` (see ``bind_mac``).  A
+ *    the per-frame ``Dot11Frame.rx_verdict`` (``dcf.MAC``, ``nav.NAV``).  A
  *    plain ``DcfMac`` hands them to its radio's CCA and reception-end
  *    upcalls, its NAV and its IFS timer.  A frame addressed to the
  *    station or to a group, ``_access_won`` and the transmit path stay
@@ -88,8 +88,10 @@
  *
  * Bit-identity contract of the primitives, the edges, the tail and the
  * slots (KEEP IN SYNC with engine._arm / engine._fan_out and the Radio,
- * DcfMac and Nav methods; held by tests/phy/test_edge_parity.py,
- * tests/mac/test_access_parity.py and tests/core/test_kernel_parity.py):
+ * DcfMac and Nav methods; held slot by slot by
+ * tests/test_slot_differential.py and scenario by scenario by
+ * tests/phy/test_edge_parity.py, tests/mac/test_access_parity.py and
+ * tests/core/test_kernel_parity.py):
  *
  * - The same statements in the same order: one seq per entry, drawn
  *   from the queue's counter (the one ``sim._next_seq`` is bound to) at
@@ -143,7 +145,7 @@
 #include <structmember.h>
 #include <math.h>
 
-/* --- module state (installed once from repro.core.engine) ------------- */
+/* --- module state (the "kernel" class set, see resolve) ---------------- */
 
 static PyTypeObject *timer_type = NULL;
 static PyTypeObject *handle_type = NULL;
@@ -751,7 +753,7 @@ done:
 
 /* --- PHY receive edges (C twins of Radio.arrival_begins / _ends) ------ */
 
-/* Bound by bind_phy() at the first Medium on a C-kernel simulator. */
+/* The "phy" class set (see resolve), NULL until the first radio binds. */
 static PyTypeObject *radio_type = NULL, *sinr_type = NULL;
 static PyTypeObject *capture_type = NULL;
 static PyObject *st_idle, *st_rx, *st_tx, *st_sleep;  /* RadioState members */
@@ -775,6 +777,7 @@ static PyObject *s_maybe_start_ifs, *s_cancel_access_timers, *s_ifs_expired;
 static PyObject *s_access_won, *s_fire, *s_arrival_begins, *s_arrival_ends;
 static PyObject *s_memo_id, *s_phy_rx_end, *s_rx_verdict, *s_counts, *s_incr;
 static PyObject *s_rx_corrupt, *s_nav_updates, *s_set_until, *s_until;
+static PyObject *s_push, *s_pop, *s_next_seq, *s_arm, *s_fan_out;
 static PyObject *s_standard, *s_on_snr_measurement;
 
 static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
@@ -1561,7 +1564,7 @@ done:
 
 /* --- carrier-sense slots (C twins of DcfMac / Nav methods) ------------- */
 
-/* Bound by bind_mac() at the first DcfMac on a C-kernel simulator. */
+/* The "mac" and "nav" class sets (see resolve). */
 static PyTypeObject *mac_type = NULL, *nav_type = NULL;
 static Py_ssize_t off_m_sim, off_m_radio, off_m_nav, off_m_current;
 static Py_ssize_t off_m_backoff_remaining, off_m_ifs, off_m_countdown;
@@ -1612,8 +1615,8 @@ ck_nav_fire(PyObject *module, PyObject *self)
     PyObject *until, *on_expire, *now;
     int status;
 
-    /* nav_type is NULL until the first DcfMac binds the MAC classes: a
-     * free-standing Nav built before that runs its reference. */
+    /* nav_type is NULL until the "nav" class set resolves: a twin
+     * called before that runs its reference. */
     if (nav_type == NULL || Py_TYPE(self) != nav_type
             || !is_float(until = SLOT(self, off_n_until))
             || (on_expire = SLOT(self, off_n_on_expire)) == NULL
@@ -1807,7 +1810,7 @@ ck_ifs_expired(PyObject *module, PyObject *self)
 
 /* --- the frame demux (C twin of DcfMac.phy_rx_end) ---------------------- */
 
-/* Bound by bind_mac() with the MAC classes. */
+/* The rest of the "mac" class set. */
 static PyTypeObject *frame_type = NULL, *counter_type = NULL;
 static PyObject *unfed_snr = NULL;  /* RateController.on_snr_measurement */
 static Py_ssize_t off_m_sniffer, off_m_counters, off_m_controllers;
@@ -2198,7 +2201,7 @@ ck_run(PyObject *module, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "O|OO:run", &sim, &until, &max_events))
         return NULL;
-    /* Not a kernel='c' Simulator — or install() never ran. */
+    /* Not a kernel='c' Simulator — or its class set never resolved. */
     if ((queue = sim_queue(sim)) == NULL)
         return NULL;
 
@@ -2326,7 +2329,7 @@ ck_run(PyObject *module, PyObject *args)
     return value;
 }
 
-/* --- installation ------------------------------------------------------ */
+/* --- slot offsets ------------------------------------------------------ */
 
 static Py_ssize_t
 resolve_slot(PyObject *type, const char *name)
@@ -2368,59 +2371,6 @@ resolve_slots(PyObject *type, const struct slot_spec *spec)
     for (; spec->name != NULL; spec++)
         if ((*spec->offset = resolve_slot(type, spec->name)) < 0)
             return -1;
-    return 0;
-}
-
-static PyObject *
-ck_install(PyObject *module, PyObject *args)
-{
-    PyObject *timer, *handle, *error, *sim;
-    const struct slot_spec timer_slots[] = {
-        {"_version", &off_t_version}, {"_armed", &off_t_armed},
-        {"_callback", &off_t_callback}, {"_sim", &off_t_sim},
-        {"_time", &off_t_time}, {NULL, NULL}};
-    const struct slot_spec handle_slots[] = {
-        {"_cancelled", &off_h_cancelled}, {"_fired", &off_h_fired},
-        {"callback", &off_h_callback}, {"args", &off_h_args}, {NULL, NULL}};
-    const struct slot_spec sim_slots[] = {
-        {"_now", &off_sim_now}, {"_heap", &off_sim_heap},
-        {"_stopped", &off_sim_stopped}, {"_running", &off_sim_running},
-        {"_events_executed", &off_sim_executed},
-        {"_scheduled", &off_sim_scheduled},
-        {"_cancelled_events", &off_sim_cancelled}, {NULL, NULL}};
-
-    if (!PyArg_ParseTuple(args, "OOOO:install", &timer, &handle, &error,
-                          &sim))
-        return NULL;
-    if (!PyType_Check(timer) || !PyType_Check(handle) || !PyType_Check(sim)) {
-        PyErr_SetString(PyExc_TypeError, "install(Timer, EventHandle, "
-                        "SimulationError, Simulator)");
-        return NULL;
-    }
-    if (resolve_slots(timer, timer_slots) < 0
-            || resolve_slots(handle, handle_slots) < 0
-            || resolve_slots(sim, sim_slots) < 0)
-        return NULL;
-
-    Py_INCREF(timer);
-    Py_XSETREF(timer_type, (PyTypeObject *)timer);
-    Py_INCREF(handle);
-    Py_XSETREF(handle_type, (PyTypeObject *)handle);
-    Py_INCREF(sim);
-    Py_XSETREF(sim_type, (PyTypeObject *)sim);
-    Py_INCREF(error);
-    Py_XSETREF(simulation_error, error);
-    Py_RETURN_NONE;
-}
-
-/* ``*target = getattr(owner, name)`` (replacing a previous binding). */
-static int
-bind_attr(PyObject **target, PyObject *owner, const char *name)
-{
-    PyObject *value = PyObject_GetAttrString(owner, name);
-    if (value == NULL)
-        return -1;
-    Py_XSETREF(*target, value);
     return 0;
 }
 
@@ -2484,152 +2434,198 @@ ck_table_sum(PyObject *module, PyObject *args)
     return table_sum(table, compensated ? FOLD_COMPENSATED : FOLD_PLAIN);
 }
 
-static PyObject *
-ck_bind_phy(PyObject *module, PyObject *args)
-{
-    PyObject *radio, *tracker, *state, *capture, *models, *value;
-    const struct slot_spec radio_slots[] = {
-        {"_arrivals", &off_r_arrivals}, {"_state", &off_r_state},
-        {"_locked", &off_r_locked}, {"_locked_power", &off_r_locked_power},
-        {"_locked_tracker", &off_r_locked_tracker},
-        {"_cca_busy", &off_r_cca_busy},
-        {"_cca_threshold_watts", &off_r_cca_threshold},
-        {"_capture", &off_r_capture}, {"_snr_cache", &off_r_snr_cache},
-        {"_noise_watts", &off_r_noise}, {"config", &off_r_config},
-        {"decodable_modes", &off_r_decodable}, {"_sim", &off_r_sim},
-        {"_rx_timer", &off_r_rx_timer}, {"_tracker", &off_r_tracker},
-        {"on_cca_busy", &off_r_on_cca_busy},
-        {"on_cca_idle", &off_r_on_cca_idle},
-        {"on_state_change", &off_r_on_state_change},
-        {"on_rx_end", &off_r_on_rx_end}, {"error_model", &off_r_error_model},
-        {"_rng", &off_r_rng}, {"_trace", &off_r_trace}, {NULL, NULL}};
-    const struct slot_spec tracker_slots[] = {
-        {"signal_watts", &off_s_signal}, {"noise_watts", &off_s_noise},
-        {"_start", &off_s_start}, {"_last_time", &off_s_last},
-        {"_current_interference", &off_s_current},
-        {"_energy", &off_s_energy}, {NULL, NULL}};
+/* --- the class sets: one resolver ---------------------------------------
+ *
+ * Each layer of twins works on one class set: the classes whose
+ * ``__slots__`` it reads by offset and whose instances it serves, and
+ * the objects it compares by identity or shares with the reference.
+ * ``repro.core.binding`` hands a table's set to ``resolve``, by name,
+ * before the table's first twin; once per process. */
 
-    if (!PyArg_ParseTuple(args, "OOOOO:bind_phy", &radio, &tracker, &state,
-                          &capture, &models))
-        return NULL;
-    if (!PyType_Check(radio) || !PyType_Check(tracker)
-            || !PyType_Check(capture)) {
-        PyErr_SetString(PyExc_TypeError, "bind_phy(Radio, SinrTracker, "
-                        "RadioState, CaptureModel, error_models)");
-        return NULL;
+static const struct slot_spec timer_slots[] = {
+    {"_version", &off_t_version}, {"_armed", &off_t_armed},
+    {"_callback", &off_t_callback}, {"_sim", &off_t_sim},
+    {"_time", &off_t_time}, {NULL, NULL}};
+static const struct slot_spec handle_slots[] = {
+    {"_cancelled", &off_h_cancelled}, {"_fired", &off_h_fired},
+    {"callback", &off_h_callback}, {"args", &off_h_args}, {NULL, NULL}};
+static const struct slot_spec sim_slots[] = {
+    {"_now", &off_sim_now}, {"_heap", &off_sim_heap},
+    {"_stopped", &off_sim_stopped}, {"_running", &off_sim_running},
+    {"_events_executed", &off_sim_executed},
+    {"_scheduled", &off_sim_scheduled},
+    {"_cancelled_events", &off_sim_cancelled}, {NULL, NULL}};
+static const struct slot_spec radio_slots[] = {
+    {"_arrivals", &off_r_arrivals}, {"_state", &off_r_state},
+    {"_locked", &off_r_locked}, {"_locked_power", &off_r_locked_power},
+    {"_locked_tracker", &off_r_locked_tracker},
+    {"_cca_busy", &off_r_cca_busy},
+    {"_cca_threshold_watts", &off_r_cca_threshold},
+    {"_capture", &off_r_capture}, {"_snr_cache", &off_r_snr_cache},
+    {"_noise_watts", &off_r_noise}, {"config", &off_r_config},
+    {"decodable_modes", &off_r_decodable}, {"_sim", &off_r_sim},
+    {"_rx_timer", &off_r_rx_timer}, {"_tracker", &off_r_tracker},
+    {"on_cca_busy", &off_r_on_cca_busy},
+    {"on_cca_idle", &off_r_on_cca_idle},
+    {"on_state_change", &off_r_on_state_change},
+    {"on_rx_end", &off_r_on_rx_end}, {"error_model", &off_r_error_model},
+    {"_rng", &off_r_rng}, {"_trace", &off_r_trace}, {NULL, NULL}};
+static const struct slot_spec tracker_slots[] = {
+    {"signal_watts", &off_s_signal}, {"noise_watts", &off_s_noise},
+    {"_start", &off_s_start}, {"_last_time", &off_s_last},
+    {"_current_interference", &off_s_current},
+    {"_energy", &off_s_energy}, {NULL, NULL}};
+static const struct slot_spec mac_slots[] = {
+    {"sim", &off_m_sim}, {"radio", &off_m_radio}, {"nav", &off_m_nav},
+    {"_current", &off_m_current},
+    {"_backoff_remaining", &off_m_backoff_remaining},
+    {"_ifs", &off_m_ifs}, {"_countdown", &off_m_countdown},
+    {"_countdown_anchor", &off_m_anchor},
+    {"_countdown_remaining", &off_m_remaining},
+    {"_pending_send", &off_m_pending_send},
+    {"_tx_continuation", &off_m_tx_continuation},
+    {"_awaiting", &off_m_awaiting}, {"_use_eifs", &off_m_use_eifs},
+    {"_slot_time", &off_m_slot_time}, {"_difs", &off_m_difs},
+    {"_eifs", &off_m_eifs}, {"sniffer", &off_m_sniffer},
+    {"counters", &off_m_counters}, {"_controllers", &off_m_controllers},
+    {"_address_value", &off_m_address_value},
+    {"_rate_factory", &off_m_rate_factory}, {NULL, NULL}};
+static const struct slot_spec nav_slots[] = {
+    {"_sim", &off_n_sim}, {"_until", &off_n_until},
+    {"_on_expire", &off_n_on_expire}, {"_timer", &off_n_timer},
+    {NULL, NULL}};
+
+/* One member of a class set: the name ``resolve`` finds it by, where
+ * the twins read it, and its check. */
+struct member {
+    const char *name;
+    PyObject **keep;                /* a strong reference, NULL unbound */
+    enum { M_TYPE, M_OBJECT, M_DICT, M_INDEX } kind;
+    const struct slot_spec *slots;  /* M_TYPE: offsets resolved on it */
+    Py_ssize_t *index;              /* M_INDEX: where its value goes */
+};
+
+static PyObject *per_cache_limit_obj = NULL;
+
+#define KEEP(target) ((PyObject **)&(target))
+static const struct member kernel_set[] = {
+    {"Timer", KEEP(timer_type), M_TYPE, timer_slots, NULL},
+    {"EventHandle", KEEP(handle_type), M_TYPE, handle_slots, NULL},
+    {"SimulationError", &simulation_error, M_OBJECT, NULL, NULL},
+    {"Simulator", KEEP(sim_type), M_TYPE, sim_slots, NULL},
+    {NULL, NULL, 0, NULL, NULL}};
+static const struct member phy_set[] = {
+    {"Radio", KEEP(radio_type), M_TYPE, radio_slots, NULL},
+    {"SinrTracker", KEEP(sinr_type), M_TYPE, tracker_slots, NULL},
+    {"CaptureModel", KEEP(capture_type), M_TYPE, NULL, NULL},
+    {"BerErrorModel", KEEP(ber_type), M_TYPE, NULL, NULL},
+    {"IDLE", &st_idle, M_OBJECT, NULL, NULL},
+    {"RX", &st_rx, M_OBJECT, NULL, NULL}, {"TX", &st_tx, M_OBJECT, NULL, NULL},
+    {"SLEEP", &st_sleep, M_OBJECT, NULL, NULL},
+    {"RX.value", &st_rx_value, M_OBJECT, NULL, NULL},
+    {"IDLE.value", &st_idle_value, M_OBJECT, NULL, NULL},
+    {"_per_cache", &per_cache, M_DICT, NULL, NULL},
+    {"_PER_CACHE_LIMIT", &per_cache_limit_obj, M_INDEX, NULL,
+     &per_cache_limit},
+    {NULL, NULL, 0, NULL, NULL}};
+static const struct member mac_set[] = {
+    {"DcfMac", KEEP(mac_type), M_TYPE, mac_slots, NULL},
+    {"Dot11Frame", KEEP(frame_type), M_TYPE, NULL, NULL},
+    {"Counter", KEEP(counter_type), M_TYPE, NULL, NULL},
+    {"_UNFED_SNR", &unfed_snr, M_OBJECT, NULL, NULL},
+    {NULL, NULL, 0, NULL, NULL}};
+static const struct member nav_set[] = {
+    {"Nav", KEEP(nav_type), M_TYPE, nav_slots, NULL},
+    {NULL, NULL, 0, NULL, NULL}};
+#undef KEEP
+
+static const struct {
+    const char *name;
+    const struct member *members;
+} class_sets[] = {{"kernel", kernel_set}, {"phy", phy_set},
+                  {"mac", mac_set}, {"nav", nav_set}};
+
+/* Check ``value`` as ``m`` and resolve what it carries; 0 or -1. */
+static int
+resolve_member(const struct member *m, PyObject *value)
+{
+    if ((m->kind == M_TYPE && !PyType_Check(value))
+            || (m->kind == M_DICT && !PyDict_CheckExact(value))) {
+        PyErr_Format(PyExc_TypeError, "%s is %R, not a %s", m->name, value,
+                     m->kind == M_TYPE ? "class" : "dict");
+        return -1;
     }
-    /* Unbind first: a half-resolved binding must not serve edges. */
-    Py_CLEAR(radio_type);
-    if (resolve_slots(radio, radio_slots) < 0
-            || resolve_slots(tracker, tracker_slots) < 0
-            || bind_attr(&st_idle, state, "IDLE") < 0
-            || bind_attr(&st_rx, state, "RX") < 0
-            || bind_attr(&st_tx, state, "TX") < 0
-            || bind_attr(&st_sleep, state, "SLEEP") < 0
-            || bind_attr(&st_rx_value, st_rx, "value") < 0
-            || bind_attr(&st_idle_value, st_idle, "value") < 0
-            || bind_attr(&per_cache, models, "_per_cache") < 0
-            || bind_attr((PyObject **)&ber_type, models, "BerErrorModel") < 0)
-        return NULL;
-    if (!PyDict_CheckExact(per_cache) || !PyType_Check(ber_type)) {
-        Py_CLEAR(ber_type);
-        PyErr_SetString(PyExc_TypeError, "error_models must hold a "
-                        "_per_cache dict and the BerErrorModel class");
-        return NULL;
-    }
-    if ((value = PyObject_GetAttrString(models, "_PER_CACHE_LIMIT")) == NULL)
-        return NULL;
-    per_cache_limit = PyLong_AsSsize_t(value);
-    Py_DECREF(value);
-    if (per_cache_limit == -1 && PyErr_Occurred())
-        return NULL;
-    Py_INCREF(tracker);
-    Py_XSETREF(sinr_type, (PyTypeObject *)tracker);
-    Py_INCREF(capture);
-    Py_XSETREF(capture_type, (PyTypeObject *)capture);
-    Py_INCREF(radio);
-    radio_type = (PyTypeObject *)radio;
-    Py_RETURN_NONE;
+    if (m->slots != NULL && resolve_slots(value, m->slots) < 0)
+        return -1;
+    if (m->kind == M_INDEX
+            && (*m->index = PyLong_AsSsize_t(value)) == -1 && PyErr_Occurred())
+        return -1;
+    return 0;
 }
 
 static PyObject *
-ck_bind_mac(PyObject *module, PyObject *args)
+ck_resolve(PyObject *module, PyObject *args)
 {
-    PyObject *mac, *nav, *frame, *counter, *unfed;
-    const struct slot_spec mac_slots[] = {
-        {"sim", &off_m_sim}, {"radio", &off_m_radio}, {"nav", &off_m_nav},
-        {"_current", &off_m_current},
-        {"_backoff_remaining", &off_m_backoff_remaining},
-        {"_ifs", &off_m_ifs}, {"_countdown", &off_m_countdown},
-        {"_countdown_anchor", &off_m_anchor},
-        {"_countdown_remaining", &off_m_remaining},
-        {"_pending_send", &off_m_pending_send},
-        {"_tx_continuation", &off_m_tx_continuation},
-        {"_awaiting", &off_m_awaiting}, {"_use_eifs", &off_m_use_eifs},
-        {"_slot_time", &off_m_slot_time}, {"_difs", &off_m_difs},
-        {"_eifs", &off_m_eifs}, {"sniffer", &off_m_sniffer},
-        {"counters", &off_m_counters}, {"_controllers", &off_m_controllers},
-        {"_address_value", &off_m_address_value},
-        {"_rate_factory", &off_m_rate_factory}, {NULL, NULL}};
-    const struct slot_spec nav_slots[] = {
-        {"_sim", &off_n_sim}, {"_until", &off_n_until},
-        {"_on_expire", &off_n_on_expire}, {"_timer", &off_n_timer},
-        {NULL, NULL}};
+    const size_t sets = sizeof(class_sets) / sizeof(class_sets[0]);
+    const char *name;
+    PyObject *members, *value;
+    const struct member *m;
+    size_t i = 0;
 
-    if (!PyArg_ParseTuple(args, "OOOOO:bind_mac", &mac, &nav, &frame,
-                          &counter, &unfed))
+    if (!PyArg_ParseTuple(args, "sO!:resolve", &name, &PyDict_Type,
+                          &members))
         return NULL;
-    /* Every DcfMac constructor asks; only the first has work to do. */
-    if (mac_type != NULL && (PyObject *)mac_type == mac
-            && (PyObject *)nav_type == nav
-            && (PyObject *)frame_type == frame
-            && (PyObject *)counter_type == counter && unfed_snr == unfed)
-        Py_RETURN_NONE;
-    if (!PyType_Check(mac) || !PyType_Check(nav) || !PyType_Check(frame)
-            || !PyType_Check(counter)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "bind_mac(DcfMac, Nav, Dot11Frame, Counter, "
-                        "RateController.on_snr_measurement)");
+    while (i < sets && strcmp(class_sets[i].name, name) != 0)
+        i++;
+    if (i == sets) {
+        PyErr_Format(PyExc_ValueError, "no class set named '%s'", name);
         return NULL;
     }
-    /* Unbind first: a half-resolved binding must not serve slots. */
-    Py_CLEAR(mac_type);
-    Py_CLEAR(nav_type);
-    if (resolve_slots(mac, mac_slots) < 0 || resolve_slots(nav, nav_slots) < 0)
-        return NULL;
-    Py_INCREF(frame);
-    Py_XSETREF(frame_type, (PyTypeObject *)frame);
-    Py_INCREF(counter);
-    Py_XSETREF(counter_type, (PyTypeObject *)counter);
-    Py_INCREF(unfed);
-    Py_XSETREF(unfed_snr, unfed);
-    Py_INCREF(nav);
-    nav_type = (PyTypeObject *)nav;
-    Py_INCREF(mac);
-    mac_type = (PyTypeObject *)mac;
+    /* Unbind first: a half-resolved set must not serve a twin. */
+    for (m = class_sets[i].members; m->name != NULL; m++)
+        Py_CLEAR(*m->keep);
+    for (m = class_sets[i].members; m->name != NULL; m++) {
+        if ((value = PyDict_GetItemString(members, m->name)) == NULL) {
+            PyErr_Format(PyExc_KeyError, "the %s class set needs '%s'",
+                         name, m->name);
+            return NULL;
+        }
+        if (resolve_member(m, value) < 0)
+            return NULL;
+    }
+    for (m = class_sets[i].members; m->name != NULL; m++)
+        *m->keep = Py_NewRef(PyDict_GetItemString(members, m->name));
     Py_RETURN_NONE;
+}
+
+/* Simulator._queue's twin: an EventQueue, its push / pop / next_seq,
+ * and the compiled arm and fan_out. */
+static PyObject *
+ck_queue(PyObject *module, PyObject *sim)
+{
+    PyObject *q = PyObject_CallNoArgs((PyObject *)&EventQueue_Type);
+
+    /* Interned names: a fresh string per lookup would be kept by the
+     * type attribute cache, a few blocks per simulator. */
+    return q == NULL ? NULL : Py_BuildValue(
+        "(NNNNNN)", q, PyObject_GetAttr(q, s_push), PyObject_GetAttr(q, s_pop),
+        PyObject_GetAttr(q, s_next_seq), PyObject_GetAttr(module, s_arm),
+        PyObject_GetAttr(module, s_fan_out));
 }
 
 /* --- module ------------------------------------------------------------ */
 
 static PyMethodDef ck_methods[] = {
-    {"install", ck_install, METH_VARARGS,
-     "install(Timer, EventHandle, SimulationError, Simulator): bind the\n"
-     "engine's classes (resolves their __slots__ offsets). Must be called\n"
-     "before anything else here."},
+    {"resolve", ck_resolve, METH_VARARGS,
+     "resolve(name, members): resolve the class set a table's twins work\n"
+     "on (\"kernel\", \"phy\", \"mac\" or \"nav\"; members by the names\n"
+     "the twins read them by): slot offsets, the objects compared by\n"
+     "identity. repro.core.binding calls it once per set."},
+    {"_queue", ck_queue, METH_O,
+     "_queue(sim): compiled twin of Simulator._queue."},
     {"run", ck_run, METH_VARARGS,
      "run(sim, until=None, max_events=None) -> float\n"
      "Compiled twin of Simulator.run(); byte-identical event sequence."},
-    {"bind_phy", ck_bind_phy, METH_VARARGS,
-     "bind_phy(Radio, SinrTracker, RadioState, CaptureModel,\n"
-     "error_models): bind the PHY classes the receive edges and the\n"
-     "reception tail work on (slot offsets, the state members, the\n"
-     "PER memo). Idempotent."},
-    {"bind_mac", ck_bind_mac, METH_VARARGS,
-     "bind_mac(DcfMac, Nav, Dot11Frame, Counter,\n"
-     "RateController.on_snr_measurement): bind the MAC classes the\n"
-     "carrier-sense slots and the frame demux work on (slot offsets, the\n"
-     "no-op a controller may inherit). Resolves once per process."},
     {"select_fold", ck_select_fold, METH_O,
      "select_fold(summation) -> name: set table_fold to the C fold that\n"
      "returns summation's bits (builtins.sum's, when the module loads)."},
@@ -2643,16 +2639,16 @@ static PyMethodDef ck_methods[] = {
     {"arrival_begins", (PyCFunction)(void (*)(void))ck_arrival_begins,
      METH_FASTCALL,
      "arrival_begins(radio, transmission, power_watts): compiled twin of\n"
-     "Radio.arrival_begins (bind with types.MethodType)."},
+     "Radio.arrival_begins (repro.core.binding binds it)."},
     {"arrival_ends", (PyCFunction)(void (*)(void))ck_arrival_ends,
      METH_FASTCALL,
      "arrival_ends(radio, transmission): compiled twin of\n"
-     "Radio.arrival_ends (bind with types.MethodType)."},
+     "Radio.arrival_ends (repro.core.binding binds it)."},
     /* Named as their references are: whatever labels a heap entry or an
      * upcall by its callback's __name__ must not learn which kernel ran. */
     {"_reception_complete", ck_reception_complete, METH_O,
      "_reception_complete(radio): compiled twin of\n"
-     "Radio._reception_complete (bind with types.MethodType)."},
+     "Radio._reception_complete (repro.core.binding binds it)."},
     {"_maybe_start_ifs", ck_maybe_start_ifs, METH_O,
      "_maybe_start_ifs(mac): compiled twin of DcfMac._maybe_start_ifs."},
     {"_cancel_access_timers", ck_cancel_access_timers, METH_O,
@@ -2708,7 +2704,9 @@ PyInit__ckernel(void)
         {&s_rx_corrupt, "rx_corrupt"}, {&s_nav_updates, "nav_updates"},
         {&s_set_until, "set_until"}, {&s_until, "_until"},
         {&s_standard, "standard"},
-        {&s_on_snr_measurement, "on_snr_measurement"}};
+        {&s_on_snr_measurement, "on_snr_measurement"}, {&s_push, "push"},
+        {&s_pop, "pop"}, {&s_next_seq, "next_seq"}, {&s_arm, "arm"},
+        {&s_fan_out, "fan_out"}};
     size_t i;
 
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
@@ -2726,7 +2724,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 7) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 8) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

@@ -41,16 +41,15 @@ total, every correct priority queue pops the identical sequence; the
 contract between the two is pop order and ``len()`` at every instant
 (lazy deletion included — telemetry samples the depth), never layout.
 
-A simulator binds its queue once, at construction, together with the
-five callables every scheduling site goes through — ``sim._push`` /
-``sim._pop`` / ``sim._next_seq`` and the two primitives the layers
-above build the last two shapes with, :func:`_arm` (one unchecked
-timer arm) and :func:`_fan_out` (the medium's two raw entries per
-receiver), as ``sim._arm`` / ``sim._fan_out``: ``heapq`` partials, an
-``itertools.count`` and the Python functions below on
-``kernel="python"``, the queue's methods and the compiled twins on
-``kernel="c"`` — same statements in the same order, so seq draws,
-counters and floats are identical and the call sites never ask which.
+A simulator binds (:data:`SIMULATOR`) its queue once, at construction,
+with the five callables every scheduling site goes through:
+``sim._push`` / ``sim._pop`` / ``sim._next_seq`` and the primitives
+that build the last two shapes, :func:`_arm` (one unchecked timer arm)
+and :func:`_fan_out` (the medium's two raw entries per receiver), as
+``sim._arm`` / ``sim._fan_out`` — all six from one slot,
+:meth:`Simulator._queue` (``heapq`` and the functions here) or its
+compiled twin (the queue's methods and the compiled primitives), same
+statements in the same order, so the call sites never ask which.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
+from .binding import Table, bind, resolve
 from .errors import SchedulingError, SimulationError
 from .rng import RngRegistry
 from .trace import TraceLog
@@ -73,7 +73,7 @@ KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 7
+KERNEL_ABI = 8
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False
@@ -109,7 +109,7 @@ def _load_ckernel() -> Optional[Any]:
             RuntimeWarning, stacklevel=2)
         return None
     try:
-        ext.install(Timer, EventHandle, SimulationError, Simulator)
+        resolve(ext, SIMULATOR)
     except Exception:
         # A built-but-incompatible extension (stale ABI, renamed slots)
         # must degrade to the reference loop, not poison every run.
@@ -328,18 +328,15 @@ class Simulator:
         is the pure-Python reference loop over a ``heapq`` list; ``"c"``
         is the compiled :mod:`repro.core._ckernel` twin (bit-identical
         event sequence, raises if the extension is not built) and, with
-        it, the extension's event queue, the compiled timer-arm and
-        fan-out primitives, the compiled receive edges and reception tail
-        of every plain ``Radio`` on a medium built on this simulator,
-        and the compiled carrier-sense slots (IFS arm, backoff freeze,
-        IFS expiry, NAV expiry) of every plain ``DcfMac`` on such a
-        radio; ``"auto"``
-        picks the compiled kernel when available.  ``None`` (the
+        it, every compiled twin ``repro.core.binding`` hands out (the
+        queue and primitives; a plain ``Radio``'s, ``DcfMac``'s and
+        ``Nav``'s slots); ``"auto"`` picks the compiled kernel when
+        available.  ``None`` (the
         default) reads the ``REPRO_KERNEL`` environment variable,
-        falling back to ``"auto"``.  The kernel choice never changes results — the two
-        loops are byte-for-byte interchangeable (gated by
-        ``tools/capture_golden.py --kernel`` and the randomized parity
-        harness) — only throughput.
+        falling back to ``"auto"``.  The kernel choice never changes
+        results — the two are byte-for-byte interchangeable (gated by
+        ``tests/test_macro_pins.py`` on each kernel and the parity
+        suites) — only throughput.
     """
 
     KERNELS = KERNELS
@@ -353,24 +350,11 @@ class Simulator:
     def __init__(self, seed: int = 0, trace: Optional[TraceLog] = None,
                  kernel: Optional[str] = None):
         self._kernel = resolve_kernel(kernel)
-        #: The bound extension on ``kernel="c"``, else None: whose
-        #: ``run`` this simulator's ``run`` is, and what a medium, a
-        #: ``DcfMac`` and a ``Nav`` ask for their compiled callables.
-        ext = self._ext = _ckernel if self._kernel == "c" else None
-        # The one binding decision: the queue and the five callables
-        # every scheduling site goes through (module docstring).
-        if ext is not None:
-            heap = ext.EventQueue()
-            self._push, self._pop = heap.push, heap.pop
-            self._next_seq = heap.next_seq
-            self._arm, self._fan_out = ext.arm, ext.fan_out
-        else:
-            heap = []
-            self._push = partial(heappush, heap)
-            self._pop = partial(heappop, heap)
-            self._next_seq = itertools.count().__next__
-            self._arm, self._fan_out = _arm, _fan_out
-        self._heap = heap
+        #: The extension on ``kernel="c"``, else None: whose ``run``
+        #: this ``run`` is, and what ``bind`` hands twins out of.
+        self._ext = _ckernel if self._kernel == "c" else None
+        (self._heap, self._push, self._pop, self._next_seq, self._arm,
+         self._fan_out) = bind(self, SIMULATOR, self)["_queue"]()
         self._now = 0.0
         self._running = False
         self._stopped = False
@@ -379,6 +363,14 @@ class Simulator:
         self._cancelled_events = 0
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else TraceLog()
+
+    def _queue(self) -> Tuple[Any, ...]:
+        """A fresh queue, its ``push`` / ``pop`` / ``next_seq`` and the
+        ``arm`` / ``fan_out`` primitives (module docstring): ``heapq``'s
+        and the Python functions here; the compiled ones in the twin."""
+        heap: list = []
+        return (heap, partial(heappush, heap), partial(heappop, heap),
+                itertools.count().__next__, _arm, _fan_out)
 
     # --- clock ---------------------------------------------------------
 
@@ -431,14 +423,11 @@ class Simulator:
         there is deliberately no way back — a mid-suite kernel flip
         would make ``kernel`` lie to telemetry exports.
 
-        Only the *loop* changes hands.  The queue (populated or not),
-        the scheduling primitives and whatever a medium, a radio or a
-        MAC already bound (receive edges, reception tail, carrier-sense
-        slots) stay compiled: they are functions of simulator, radio
-        and MAC state, not of the loop that dispatches them, and
-        ``_pop()`` hands the Python loop the same tuples in the same
-        order whatever stores them, so it pops exactly what it would
-        have.  Media and MACs constructed afterwards bind the Python
+        Only the *loop* changes hands: whatever ``bind`` already handed
+        out — the queue, the primitives, edges, tails and slots — stays
+        compiled (functions of state, not of the loop that dispatches
+        them; ``_pop()`` hands the Python loop the same tuples in the
+        same order), and what is built afterwards binds the Python
         methods.
         """
         self._kernel = "python"
@@ -643,6 +632,13 @@ class Simulator:
         # Re-baseline so pending_events reads zero (raw fire-and-forget
         # entries were dropped without passing through cancel()).
         self._scheduled = self._events_executed + self._cancelled_events
+
+
+#: The queue and its callables: ``Simulator._queue`` or its twin.
+SIMULATOR = Table("Simulator", "kernel", {
+    "Timer": Timer, "EventHandle": EventHandle,
+    "SimulationError": SimulationError, "Simulator": Simulator},
+    lambda sim: (), (), ("_queue",))
 
 
 class PeriodicTask:

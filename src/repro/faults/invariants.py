@@ -186,10 +186,10 @@ class InvariantChecker:
                 yield mac
         for medium in self._media:
             for radio in medium._radios:
-                listener = radio._listener
-                if isinstance(listener, DcfMac) and id(listener) not in seen:
-                    seen.add(id(listener))
-                    yield listener
+                mac = getattr(radio.on_tx_end, "__self__", None)
+                if isinstance(mac, DcfMac) and id(mac) not in seen:
+                    seen.add(id(mac))
+                    yield mac
 
     # Kernel: the clock is monotone and the heap never holds the past.
     def _check_kernel(self) -> None:

@@ -28,10 +28,10 @@ model — which is exactly what benchmark E10 checks.
 
 ``_maybe_start_ifs``, ``_cancel_access_timers``, ``_ifs_expired`` and
 ``phy_rx_end`` are the *reference* for compiled twins in
-``repro.core._ckernel``, which a plain :class:`DcfMac` on a plain
-radio of a C-kernel simulator hands to the radio's CCA and
-reception-end slots, the NAV and the IFS timer at construction
-(``tests/mac/test_access_parity.py``).  The ``phy_rx_end`` twin answers
+``repro.core._ckernel``, which a plain :class:`DcfMac` on a plain radio
+of a C-kernel simulator binds (:data:`MAC`) into its radio's upcalls,
+its NAV and its IFS timer (``tests/test_slot_differential.py``).  The
+``phy_rx_end`` twin answers
 the corrupt and the overheard frame itself — both read the per-frame
 :attr:`~repro.mac.frames.Dot11Frame.rx_verdict` — and is this method for
 every frame addressed to the station: Python owns the frames addressed
@@ -50,9 +50,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MethodType
 from typing import Any, Callable, Dict, List, Optional
 
+from ..core.binding import Table, bind
 from ..core.engine import Simulator, Timer
 from ..core.errors import ConfigurationError, FrameError
 from ..core.stats import Counter
@@ -197,7 +197,6 @@ class DcfMac:
         self.address = address
         self.config = config if config is not None else DcfConfig()
         self._rate_factory = rate_factory if rate_factory is not None else Arf
-        radio.listener = self
         self.listener: MacListener = MacListener()
         #: Promiscuous tap: called with every successfully decoded frame.
         self.sniffer: Optional[Callable[[Dot11Frame, float], None]] = None
@@ -212,24 +211,11 @@ class DcfMac:
         #: When True, outgoing data frames carry the Power Management bit.
         self.power_management = False
 
-        # What the radio's CCA slots (busy freezes the contention timers,
-        # idle (re-)arms the IFS wait; the phy_cca_* wrappers stay for the
-        # listener API) and reception-end slot, the NAV and the IFS timer
-        # call: twins or methods.
-        ext = sim._ext
-        if ext is not None and type(self) is DcfMac \
-                and type(radio) is Radio:
-            ext.bind_mac(DcfMac, Nav, Dot11Frame, Counter,
-                         _UNFED_SNR)  # resolves once per process
-            start_ifs = MethodType(ext._maybe_start_ifs, self)
-            freeze = MethodType(ext._cancel_access_timers, self)
-            ifs_expired = MethodType(ext._ifs_expired, self)
-            radio.on_rx_end = MethodType(ext.phy_rx_end, self)
-        else:
-            start_ifs = self._maybe_start_ifs
-            freeze = self._cancel_access_timers
-            ifs_expired = self._ifs_expired
-        radio.on_cca_busy = freeze
+        slots = bind(self, MAC, sim)
+        start_ifs = slots["_maybe_start_ifs"]
+        radio.on_rx_end = slots["phy_rx_end"]
+        radio.on_tx_end = self.phy_tx_end
+        radio.on_cca_busy = slots["_cancel_access_timers"]
         radio.on_cca_idle = start_ifs
         standard = radio.standard
         rng = sim.rng.stream(f"mac.{address}")
@@ -246,7 +232,7 @@ class DcfMac:
         self._sequence = 0
         self._current: Optional[_TxContext] = None
         self._backoff_remaining: Optional[int] = None
-        self._ifs = Timer(sim, ifs_expired)
+        self._ifs = Timer(sim, slots["_ifs_expired"])
         self._countdown = Timer(sim, self._access_won)
         self._countdown_anchor = 0.0
         self._countdown_remaining = 0
@@ -657,12 +643,6 @@ class DcfMac:
         # resume contention if we were in the middle of it.
         self._maybe_start_ifs()
 
-    def phy_cca_busy(self) -> None:
-        self._cancel_access_timers()
-
-    def phy_cca_idle(self) -> None:
-        self._maybe_start_ifs()
-
     def phy_rx_end(self, payload: Any, success: bool, snr_db: float,
                    mode: PhyMode) -> None:
         if not isinstance(payload, Dot11Frame):
@@ -891,3 +871,13 @@ class DcfMac:
             self.listener.mac_tx_complete(ctx.msdu, success)
         # Post-transmission backoff before the next queued MSDU.
         self._begin_contention(draw_backoff=True)
+
+
+#: What a MAC hands its radio's CCA and reception-end upcalls, its NAV
+#: and its IFS timer.
+MAC = Table("DcfMac", "mac", {
+    "DcfMac": DcfMac, "Dot11Frame": Dot11Frame, "Counter": Counter,
+    "_UNFED_SNR": _UNFED_SNR},
+    lambda mac: (mac, mac.radio), (DcfMac, Radio),
+    ("_maybe_start_ifs", "_cancel_access_timers", "_ifs_expired",
+     "phy_rx_end"))

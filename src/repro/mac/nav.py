@@ -13,9 +13,9 @@ truncates a longer reservation already in place.
 
 from __future__ import annotations
 
-from types import MethodType
 from typing import Callable, Optional
 
+from ..core.binding import Table, bind
 from ..core.engine import Simulator, Timer
 
 
@@ -27,9 +27,9 @@ class Nav:
     cell; it therefore rides on the kernel's reusable
     :class:`~repro.core.engine.Timer` (re-anchor without a fresh
     :class:`~repro.core.engine.EventHandle` per update); on a C-kernel
-    simulator it fires ``_ckernel._fire``, :meth:`_fire`'s compiled twin,
-    and the compiled frame demux repeats :meth:`set_until`'s statements
-    for an overheard reservation (``tests/mac/test_access_parity.py``).
+    simulator it fires ``_ckernel._fire`` (:data:`NAV`), :meth:`_fire`'s
+    twin, and the compiled frame demux repeats :meth:`set_until` for an
+    overheard reservation (``tests/test_slot_differential.py``).
     """
 
     __slots__ = ("_sim", "_until", "_on_expire", "_timer")
@@ -39,10 +39,7 @@ class Nav:
         self._sim = sim
         self._until = 0.0
         self._on_expire = on_expire
-        ext = sim._ext
-        self._timer = Timer(sim, MethodType(ext._fire, self)
-                            if ext is not None and type(self) is Nav
-                            else self._fire)
+        self._timer = Timer(sim, bind(self, NAV, sim)["_fire"])
 
     @property
     def busy(self) -> bool:
@@ -80,3 +77,8 @@ class Nav:
     def _fire(self) -> None:
         if not self.busy and self._on_expire is not None:
             self._on_expire()
+
+
+#: What a NAV's timer fires.
+NAV = Table("Nav", "nav", {"Nav": Nav}, lambda nav: (nav,), (Nav,),
+            ("_fire",))

@@ -13,5 +13,5 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "max_range_for_budget"),
     "standards": ("DOT11A", "DOT11AC", "DOT11B", "DOT11G", "DOT11N",
         "DOT11_LEGACY", "PhyMode", "PhyStandard", "STANDARDS", "get_standard"),
-    "transceiver": ("PhyListener", "Radio", "RadioConfig", "RadioState"),
+    "transceiver": ("Radio", "RadioConfig", "RadioState"),
 })

@@ -30,30 +30,26 @@ sender mutated behind the hooks still recompiles.  When ``cache_links``
 is off the medium falls back to the historical per-receiver loop
 (fresh propagation evaluation per frame, still bit-identical).
 
-Receive edges follow the simulator's kernel: on ``kernel="c"`` the
-medium fans out to the extension's ``arrival_begins`` /
-``arrival_ends`` bound to each plain :class:`Radio` and gives its
-reception-end timer the extension's ``_reception_complete`` (the
-compiled twins of the methods of those names — same table, same floats,
-same upcalls); any other kernel and a ``Radio`` subclass get the Python
-methods, the reference the twins are tested against.
+Receive edges follow the simulator's kernel: each radio binds its
+``transceiver.RADIO`` slots once (``repro.core.binding``), so on
+``kernel="c"`` a plain :class:`Radio`'s fan-out entries (its ``_edges``)
+and reception-end timer fire the compiled twins of ``arrival_begins`` /
+``arrival_ends`` / ``_reception_complete``; otherwise the Python
+methods, their reference.
 """
 
 from __future__ import annotations
 
 import itertools
-from types import MethodType
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
 from ..core.units import SPEED_OF_LIGHT, dbm_to_watts, watts_to_dbm
-from . import error_models
-from .interference import CaptureModel, SinrTracker
 from .modulation import DBPSK_DSSS
 from .propagation import PropagationModel
 from .standards import PhyMode
-from .transceiver import Radio, RadioState
+from .transceiver import Radio
 
 #: Mode sentinel carried by energy-only transmissions (jammers,
 #: coexistence interferers, broadband noise bursts).  The name is not in
@@ -195,12 +191,6 @@ class Medium:
         self.reception_floor_watts = dbm_to_watts(reception_floor_dbm)
         self.propagation_delay = propagation_delay
         self.cache_links = cache_links
-        # A C-kernel simulator's extension supplies the receive edges
-        # and reception tail (:meth:`_edges`, :meth:`_rx_tail`).  Binding
-        # the PHY classes here, not at import, keeps the extension lazy.
-        if sim._ext is not None:
-            sim._ext.bind_phy(Radio, SinrTracker, RadioState,
-                              CaptureModel, error_models)
         self.links = LinkCache()
         self._radios: List[Radio] = []
         self._active: Dict[int, List[Transmission]] = {}
@@ -264,28 +254,11 @@ class Medium:
         self._plans.clear()
         self.plan_invalidations += 1
 
-    def _edges(self, radio: Radio) -> Tuple[Radio, Any, Any]:
-        """``(radio, arrival_begins, arrival_ends)`` as this medium
-        delivers them: compiled for a plain ``Radio`` on a C-kernel
-        simulator, the radio's own methods otherwise."""
-        ext = self.sim._ext
-        if ext is not None and type(radio) is Radio:
-            return (radio, MethodType(ext.arrival_begins, radio),
-                    MethodType(ext.arrival_ends, radio))
-        return radio, radio.arrival_begins, radio.arrival_ends
-
-    def _rx_tail(self, radio: Radio) -> Any:
-        """What ``radio``'s reception-end timer fires (see :meth:`_edges`)."""
-        ext = self.sim._ext
-        if ext is not None and type(radio) is Radio:
-            return MethodType(ext._reception_complete, radio)
-        return radio._reception_complete
-
     def _channel_members(self, channel_id: int) -> List[Tuple[Radio, Any, Any]]:
         members = self._by_channel.get(channel_id)
         if members is None:
             members = self._by_channel[channel_id] = [
-                self._edges(radio) for radio in self._radios
+                radio._edges for radio in self._radios
                 if radio._channel_id == channel_id]
         return members
 

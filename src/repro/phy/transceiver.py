@@ -10,19 +10,17 @@ and a MAC.  Its responsibilities:
   medium turns busy or idle — the DCF backoff freezes on these edges,
 * decide frame delivery with the error model on the integrated SINR.
 
-Upcalls to the MAC go through four direct bound-method slots —
+Upcalls to the MAC go through four direct slots —
 :attr:`Radio.on_rx_end`, :attr:`Radio.on_tx_end`,
-:attr:`Radio.on_cca_busy`, :attr:`Radio.on_cca_idle` — so the hot path
-(every arrival edge of every frame, at every co-channel radio) does a
-single attribute load and call instead of walking through a listener
-object.  The classic :class:`PhyListener` interface remains as the
-convenience surface: assigning :attr:`Radio.listener` rebinds all four
-slots from the listener's methods.
+:attr:`Radio.on_cca_busy`, :attr:`Radio.on_cca_idle` — that the MAC
+sets, so the hot path (every arrival edge of every frame, at every
+co-channel radio) does a single attribute load and call.
 
 :meth:`Radio.arrival_begins`, :meth:`Radio.arrival_ends` (with
 ``_try_lock``, the capture test, ``_refresh_interference`` and the CCA
 tail) and :meth:`Radio._reception_complete` are the *reference* receive
-path.  On a C-kernel simulator the medium binds a plain radio
+path; :data:`RADIO` is their binding table.  On a C-kernel simulator a
+plain radio binds itself through ``repro.core.binding.bind``
 to their compiled twins in ``repro.core._ckernel`` — the same statements
 over the same ``__slots__`` — which hand any step they do not handle (an
 aborted lock, an off-type field, an error model that is not exactly
@@ -40,10 +38,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Optional, Set, TYPE_CHECKING
 
+from ..core.binding import Table, bind
 from ..core.engine import Timer
 from ..core.errors import SimulationError
 from ..core.topology import Position
 from ..core.units import dbm_to_watts, linear_to_db, watts_to_dbm
+from . import error_models
 from .error_models import BerErrorModel, ErrorModel
 from .interference import CaptureModel, SinrTracker
 from .standards import PhyMode, PhyStandard
@@ -59,27 +59,8 @@ class RadioState(Enum):
     SLEEP = "sleep"
 
 
-class PhyListener:
-    """Upcall interface the MAC implements.  Default methods are no-ops
-    so simple listeners only override what they need.
-
-    Assigning an instance to :attr:`Radio.listener` copies its four
-    bound methods into the radio's direct upcall slots; overriding a
-    listener method *after* assignment therefore requires re-assigning
-    the listener (or setting the slot directly)."""
-
-    def phy_rx_end(self, payload: Any, success: bool, snr_db: float,
-                   mode: PhyMode) -> None:
-        """A locked reception finished; ``success`` reflects the error model."""
-
-    def phy_tx_end(self) -> None:
-        """Our own transmission left the antenna completely."""
-
-    def phy_cca_busy(self) -> None:
-        """Medium transitioned idle -> busy."""
-
-    def phy_cca_idle(self) -> None:
-        """Medium transitioned busy -> idle."""
+def _ignore(*_args: Any) -> None:
+    """What an upcall slot holds until a MAC sets it."""
 
 
 @dataclass
@@ -98,7 +79,7 @@ class Radio:
     """Half-duplex radio bound to one medium, one standard, one channel."""
 
     __slots__ = ("name", "medium", "standard", "_position", "_channel_id",
-                 "config", "error_model", "_listener", "on_rx_end",
+                 "config", "error_model", "on_rx_end", "_edges",
                  "on_tx_end", "on_cca_busy", "on_cca_idle",
                  "on_state_change", "_state", "tx_power_watts",
                  "_noise_watts", "_cca_threshold_watts", "decodable_modes",
@@ -118,14 +99,12 @@ class Radio:
         self._channel_id = channel_id
         self.config = config if config is not None else RadioConfig()
         self.error_model = error_model if error_model is not None else BerErrorModel()
-        # Direct upcall slots — the flattened hot path.  `listener`
-        # below rebinds all four from a PhyListener-style object.
-        self._listener: PhyListener = PhyListener()
-        self.on_rx_end: Callable[[Any, bool, float, PhyMode], None] = \
-            self._listener.phy_rx_end
-        self.on_tx_end: Callable[[], None] = self._listener.phy_tx_end
-        self.on_cca_busy: Callable[[], None] = self._listener.phy_cca_busy
-        self.on_cca_idle: Callable[[], None] = self._listener.phy_cca_idle
+        # A reception finished (payload, success, snr_db, mode), our
+        # transmission left the antenna, the medium turned busy / idle.
+        self.on_rx_end: Callable[[Any, bool, float, PhyMode], None] = _ignore
+        self.on_tx_end: Callable[[], None] = _ignore
+        self.on_cca_busy: Callable[[], None] = _ignore
+        self.on_cca_idle: Callable[[], None] = _ignore
         #: Optional hook fired with the new state name on every radio
         #: state transition (used by the energy meter).
         self.on_state_change = None
@@ -152,7 +131,10 @@ class Radio:
         self._sim = medium.sim
         self._rng = medium.sim.rng.stream(f"radio.{name}")
         self._trace = medium.sim.trace
-        self._rx_timer = Timer(medium.sim, medium._rx_tail(self))
+        slots = bind(self, RADIO, medium.sim)
+        #: ``(radio, arrival_begins, arrival_ends)``: the medium's fan-out.
+        self._edges = (self, slots["arrival_begins"], slots["arrival_ends"])
+        self._rx_timer = Timer(medium.sim, slots["_reception_complete"])
         self._capture = self.config.capture
         # Memoized preamble SNR per exact receive power (pure function
         # of power/noise; static links repeat the same few powers).
@@ -165,21 +147,6 @@ class Radio:
         medium.attach(self)
 
     # --- helpers ----------------------------------------------------------
-
-    @property
-    def listener(self) -> PhyListener:
-        """The registered upcall object (compatibility surface)."""
-        return self._listener
-
-    @listener.setter
-    def listener(self, value: PhyListener) -> None:
-        """Register a listener by copying its methods into the direct
-        upcall slots (the hot path never touches the listener object)."""
-        self._listener = value
-        self.on_rx_end = value.phy_rx_end
-        self.on_tx_end = value.phy_tx_end
-        self.on_cca_busy = value.phy_cca_busy
-        self.on_cca_idle = value.phy_cca_idle
 
     @property
     def position(self) -> Position:
@@ -603,3 +570,15 @@ class Radio:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Radio {self.name} {self.standard.name} ch={self.channel_id} "
                 f"state={self.state.value}>")
+
+
+#: What a medium delivers to a radio: receive edges and reception tail.
+RADIO = Table("Radio", "phy", {
+    "Radio": Radio, "SinrTracker": SinrTracker, "CaptureModel": CaptureModel,
+    "BerErrorModel": BerErrorModel,
+    **{state.name: state for state in RadioState},
+    "RX.value": RadioState.RX.value, "IDLE.value": RadioState.IDLE.value,
+    "_per_cache": error_models._per_cache,
+    "_PER_CACHE_LIMIT": error_models._PER_CACHE_LIMIT},
+    lambda radio: (radio,), (Radio,),
+    ("arrival_begins", "arrival_ends", "_reception_complete"))

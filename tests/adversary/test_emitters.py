@@ -16,10 +16,10 @@ from repro.adversary.emitters import (
 from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
-from repro.phy.transceiver import PhyListener, Radio
+from repro.phy.transceiver import Radio
 
 
-class Edges(PhyListener):
+class Edges:
     def __init__(self):
         self.busy = 0
         self.idle = 0
@@ -30,12 +30,23 @@ class Edges(PhyListener):
     def phy_cca_idle(self):
         self.idle += 1
 
+    def plug(self, radio):
+        """Fill ``radio``'s two CCA upcall slots."""
+        radio.on_cca_busy = self.phy_cca_busy
+        radio.on_cca_idle = self.phy_cca_idle
+        return self
+
+
+def edges(radio):
+    """The :class:`Edges` plugged into ``radio``."""
+    return radio.on_cca_busy.__self__
+
 
 def build(sim, channel_id=1):
     medium = Medium(sim, FixedLoss(50.0))
     victim = Radio("victim", medium, DOT11B, Position(0, 0, 0),
                    channel_id=channel_id)
-    victim.listener = Edges()
+    Edges().plug(victim)
     return medium, victim
 
 
@@ -47,7 +58,7 @@ class TestConstantJammer:
         jammer.start()
         sim.run(until=0.1)
         # Chained bursts leave no idle gap: one busy edge, no idle edge.
-        assert victim.listener.busy == 1 and victim.listener.idle == 0
+        assert edges(victim).busy == 1 and edges(victim).idle == 0
         assert victim.cca_busy()
         assert jammer.counters.get("bursts") in (20, 21)  # ~0.1 / 5e-3
         assert jammer.duty_cycle() == pytest.approx(1.0, abs=0.06)
@@ -60,7 +71,7 @@ class TestConstantJammer:
         sim.schedule_at(0.05, jammer.stop)
         sim.run(until=0.1)
         assert not victim.cca_busy()
-        assert victim.listener.idle == 1
+        assert edges(victim).idle == 1
 
 
 class TestPeriodicJammer:
@@ -73,8 +84,8 @@ class TestPeriodicJammer:
         assert jammer.duty == 0.25
         assert jammer.duty_cycle() == pytest.approx(0.25, rel=0.05)
         # One busy+idle pair per pulse.
-        assert victim.listener.busy == victim.listener.idle
-        assert victim.listener.busy == jammer.counters.get("bursts")
+        assert edges(victim).busy == edges(victim).idle
+        assert edges(victim).busy == jammer.counters.get("bursts")
 
     def test_stop_start_toggle_does_not_double_the_chain(self, sim):
         # Regression: stop() must cancel the pending tick — a stale
@@ -107,13 +118,13 @@ class TestSweepingJammer:
         for channel in (1, 6, 11):
             radio = Radio(f"v{channel}", medium, DOT11B, Position(0, 0, 0),
                           channel_id=channel)
-            radio.listener = Edges()
+            Edges().plug(radio)
             victims[channel] = radio
         jammer = SweepingJammer(sim, medium, Position(1, 0, 0),
                                 channels=(1, 6, 11), dwell=1e-3)
         jammer.start()
         sim.run(until=0.3)
-        per_channel = [victims[ch].listener.busy for ch in (1, 6, 11)]
+        per_channel = [edges(victims[ch]).busy for ch in (1, 6, 11)]
         # 300 dwells over 3 channels: 100 visits each.
         assert per_channel == [100, 100, 100]
         assert jammer.counters.get("sweeps") == 100
@@ -149,7 +160,7 @@ class TestBluetoothHopper:
         assert slots == int(2.0 / BT_SLOT_TIME)
         # 22/79 ~ 0.278 of hops land in-band.
         assert hits / slots == pytest.approx(22 / 79, rel=0.15)
-        assert victim.listener.busy == hits
+        assert edges(victim).busy == hits
 
     def test_seeded_hop_pattern_is_deterministic(self):
         def run():
@@ -158,7 +169,7 @@ class TestBluetoothHopper:
             hopper = BluetoothHopper(sim, medium, Position(1, 0, 0))
             hopper.start()
             sim.run(until=0.5)
-            return (hopper.counters.get("hits"), victim.listener.busy)
+            return (hopper.counters.get("hits"), edges(victim).busy)
 
         assert run() == run()
 
@@ -170,7 +181,7 @@ class TestMicrowaveOven:
         for channel in (1, 6):
             radio = Radio(f"v{channel}", medium, DOT11B, Position(0, 0, 0),
                           channel_id=channel)
-            radio.listener = Edges()
+            Edges().plug(radio)
             victims[channel] = radio
         oven = MicrowaveOven(sim, medium, Position(1, 0, 0),
                              channels=(1, 6), mains_hz=50.0)
@@ -178,6 +189,6 @@ class TestMicrowaveOven:
         sim.run(until=0.205)  # past the 11th burst's begin edges
         assert oven.counters.get("bursts") == 11
         for channel in (1, 6):
-            assert victims[channel].listener.busy == 11
+            assert edges(victims[channel]).busy == 11
         # Half-duty mains cycle.
         assert oven.airtime_seconds() == pytest.approx(0.11)

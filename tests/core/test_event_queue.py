@@ -136,50 +136,6 @@ TestQueueAgainstHeapq.settings = settings(
     max_examples=60, stateful_step_count=60, deadline=None)
 
 
-def test_equal_times_pop_in_seq_order_whatever_the_push_order():
-    queue = _queue()
-    seqs = list(range(200))
-    random.Random(5).shuffle(seqs)
-    for seq in seqs:
-        queue.push((0.25, seq, None, print, ()))
-    assert [queue.pop()[1] for _ in seqs] == sorted(seqs)
-
-
-def test_mixed_type_times_order_by_value_and_come_back_as_pushed():
-    queue = _queue()
-    times = [2, 0.5, Fraction(3, 4), True, 0.0, -0.0, 3.0, 1]
-    for seq, time in enumerate(times):
-        queue.push((time, seq, None, print, ()))
-    popped = [queue.pop()[0] for _ in times]
-    # Ties (0.0 / -0.0, True / 1) fall to the seq, as tuples do.
-    assert [repr(time) for time in popped] == [
-        "0.0", "-0.0", "0.5", "Fraction(3, 4)", "True", "1", "2", "3.0"]
-
-
-def test_next_seq_counts_from_zero_and_survives_clear():
-    queue = _queue()
-    count = itertools.count()
-    for _ in range(5):
-        assert queue.next_seq() == next(count)
-    queue.push((1.0, queue.next_seq(), None, print, ()))
-    next(count)
-    queue.clear()
-    assert queue.next_seq() == next(count) == 6
-
-
-def test_pop_and_head_of_an_empty_queue_raise_index_error():
-    queue = _queue()
-    assert len(queue) == 0 and not queue and list(queue) == []
-    with pytest.raises(IndexError):
-        queue.pop()
-    with pytest.raises(IndexError):
-        queue[0]
-    queue.push((1.0, 0, None, print, ()))
-    queue.pop()
-    with pytest.raises(IndexError):
-        queue.pop()
-
-
 @pytest.mark.parametrize("entry, error", [
     ([1.0, 0, None, print, ()], TypeError),             # not a tuple
     ((1.0, 0), ValueError),                              # 2 items

@@ -62,7 +62,7 @@ class TestStaleExtension:
     def stale(self, monkeypatch):
         ext = types.ModuleType("repro.core._ckernel")
         ext.KERNEL_ABI = engine.KERNEL_ABI - 1
-        ext.install = ext.run = lambda *args: pytest.fail(
+        ext.resolve = ext.run = lambda *args: pytest.fail(
             "a stale extension must not be bound or run")
         monkeypatch.setitem(sys.modules, "repro.core._ckernel", ext)
         monkeypatch.setattr(repro.core, "_ckernel", ext, raising=False)
@@ -86,13 +86,13 @@ class TestStaleExtension:
             resolve_kernel("c")
         assert not recwarn.list
 
-    def test_an_extension_that_binds_the_exact_slot_is_stale(self, stale):
-        # ABI 7 dropped the radio's ``_exact`` slot from bind_phy; a
-        # build that still looks it up would fail every medium built on
-        # a C-kernel simulator.
-        assert engine.KERNEL_ABI == 7
-        stale.KERNEL_ABI = 6
-        with pytest.warns(RuntimeWarning, match="ABI 6.*needs 7"):
+    def test_an_extension_from_before_the_one_resolver_is_stale(self, stale):
+        # ABI 8 replaced ``install`` / ``bind_phy`` / ``bind_mac`` with
+        # the one ``resolve``; a build that lacks it could resolve no
+        # class set at all.
+        assert engine.KERNEL_ABI == 8
+        stale.KERNEL_ABI = 7
+        with pytest.warns(RuntimeWarning, match="ABI 7.*needs 8"):
             assert not ckernel_available()
 
     def test_an_extension_without_an_abi_is_stale_too(self, stale):
@@ -140,7 +140,7 @@ class TestPinPythonKernel:
     def test_pin_changes_the_loop_not_what_is_already_bound(self):
         # Edges a medium bound and the scheduling primitives stay
         # compiled (they build the same entries for either loop); a
-        # medium built after the pin binds the Python edges.
+        # radio built after the pin binds the Python edges.
         from repro.core import Position
         from repro.phy.channel import Medium
         from repro.phy.propagation import FixedLoss

@@ -5,7 +5,8 @@ On ``kernel="c"`` a plain :class:`DcfMac` on a plain
 :class:`Radio` hands the radio, its NAV and its IFS timer the compiled
 twins of ``_maybe_start_ifs``, ``_cancel_access_timers``,
 ``_ifs_expired``, ``phy_rx_end`` and ``Nav._fire``
-(``repro.core._ckernel``) instead of the methods of those names; the
+(``repro.core._ckernel``, as ``dcf.MAC`` and ``nav.NAV`` bind them)
+instead of the methods of those names; the
 methods stay the reference, and what every Python caller inside the MAC
 keeps calling.  The claim is that nothing observable differs.  Three
 parts:
@@ -22,28 +23,25 @@ parts:
   with each controller's state), the raw heap layout, the kernel's
   counters, every station's RNG state and the cached verdict of every
   frame sent so far;
-* the corners by name: a slot boundary landing exactly on ``now`` in the
-  freeze replay, a spent counter, a fresh draw, a NAV expiring exactly
-  at ``now``, EIFS after a corrupt frame, every reason not to arm, every
-  kind of frame a third party can overhear;
+* the corners by name: the freeze replaying the elapsed slot
+  boundaries, EIFS after a corrupt frame, every kind of frame a third
+  party can overhear;
 * the failure path: whatever raises under a compiled slot surfaces from
-  ``sim.run()`` as the reference's exception with the reference's state,
-  and fields of the wrong type are the reference's whole call (the
-  demux's own: ``tests/mac/test_rx_demux.py``).
+  ``sim.run()`` as the reference's exception with the reference's state.
+
+Each slot called alone — from every reason not to arm, every boundary
+met exactly and every field of the wrong type — is
+``tests/test_slot_differential.py``'s, which reuses this file's world.
 
 Skipped loudly without the extension (see ``conftest``); CI's
 compiled-kernel lane runs the file under ``-X dev``.
 """
 
-import os
-import subprocess
-import sys
 from types import MethodType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro.core import Position, Simulator
 from repro.core.engine import EventHandle, Timer, ckernel_available
 from repro.core.errors import SimulationError
@@ -434,73 +432,6 @@ def test_a_field_of_emitters_keeps_every_table_deep_and_runs_alike():
         assert totals.get(name) > 0, name
 
 
-# --- who runs what -----------------------------------------------------------
-
-def test_the_compiled_world_really_runs_compiled_slots():
-    """The parity claim is empty if both sides ran the same code."""
-    world = World("c", 3, subclass_at=1)
-    ext = world.sim._ext
-    plain, subclass = world.macs[0], world.macs[1]
-    radio = plain.radio
-    assert radio.on_cca_idle.__func__ is ext._maybe_start_ifs
-    assert radio.on_cca_idle.__self__ is plain
-    assert radio.on_cca_busy.__func__ is ext._cancel_access_timers
-    assert radio.on_rx_end.__func__ is ext.phy_rx_end
-    assert radio.on_rx_end.__self__ is plain
-    assert radio.on_rx_end.__name__ == "phy_rx_end"
-    assert plain.nav._on_expire is radio.on_cca_idle
-    assert plain._ifs._callback.__func__ is ext._ifs_expired
-    assert plain.nav._timer._callback.__func__ is ext._fire
-    assert plain.nav._timer._callback.__self__ is plain.nav
-    # Out of scope stays Python: the access win, the response timer.
-    assert plain._countdown._callback.__func__ is DcfMac._access_won
-    assert plain._response._callback.__func__ is DcfMac._response_timeout
-    # A subclass keeps every slot on its own methods ...
-    radio = subclass.radio
-    assert radio.on_cca_idle.__func__ is DcfMac._maybe_start_ifs
-    assert radio.on_cca_busy.__func__ is DcfMac._cancel_access_timers
-    assert radio.on_rx_end.__func__ is DcfMac.phy_rx_end
-    assert subclass.nav._on_expire.__func__ is DcfMac._maybe_start_ifs
-    assert subclass._ifs._callback.__func__ is DcfMac._ifs_expired
-    # ... its NAV is a plain Nav all the same, and decides for itself.
-    assert subclass.nav._timer._callback.__func__ is ext._fire
-
-
-@pytest.mark.parametrize("options", [
-    dict(kernel="python"), dict(kernel="c", radio_class=WatchedRadio),
-    dict(kernel="c", subclass_at=0)])
-def test_everything_else_runs_the_python_methods(options):
-    mac = World(stations=2, **options).macs[0]
-    assert mac.radio.on_cca_idle.__func__ is DcfMac._maybe_start_ifs
-    assert mac.radio.on_cca_busy.__func__ is DcfMac._cancel_access_timers
-    assert mac.radio.on_rx_end.__func__ is DcfMac.phy_rx_end
-    assert mac.radio.on_rx_end.__self__ is mac
-    assert mac.nav._on_expire.__func__ is DcfMac._maybe_start_ifs
-    assert mac._ifs._callback.__func__ is DcfMac._ifs_expired
-    if options["kernel"] == "python":
-        assert mac.nav._timer._callback.__func__ is Nav._fire
-
-
-def test_a_nav_built_before_any_mac_runs_its_reference():
-    """The MAC classes are bound into the extension by the first
-    ``DcfMac`` of the process; a free-standing ``Nav`` built before that
-    (nothing in this process can be: some test always came first) must
-    work all the same."""
-    script = (
-        "from repro.core import Simulator\n"
-        "from repro.mac.nav import Nav\n"
-        "sim = Simulator(kernel='c')\n"
-        "fired = []\n"
-        "nav = Nav(sim, on_expire=lambda: fired.append(sim.now))\n"
-        "assert nav._timer._callback.__func__ is sim._ext._fire\n"
-        "nav.set_until(0.25)\n"
-        "sim.run(until=1.0)\n"
-        "assert fired == [0.25], fired\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    subprocess.run([sys.executable, "-X", "dev", "-c", script], check=True,
-                   timeout=60, env={**os.environ, "PYTHONPATH": src})
-
-
 # --- the corners, by name ----------------------------------------------------
 
 def _contending(kernel, remaining=7, **world_options):
@@ -516,29 +447,10 @@ def _contending(kernel, remaining=7, **world_options):
     return world, mac
 
 
-def _fold(anchor, slots):
-    for _ in range(slots):
-        anchor += SLOT
-    return anchor
-
-
 def _both(play):
     reference, compiled = play("python"), play("c")
     assert compiled == reference
     return compiled
-
-
-def test_a_slot_boundary_landing_exactly_on_now_was_counted():
-    def play(kernel):
-        world, mac = _contending(kernel)
-        boundary = _fold(mac._countdown_anchor, 3)
-        world.sim.run(until=boundary)
-        assert world.sim.now == boundary
-        mac.radio.on_cca_busy()              # the freeze, as the radio calls it
-        return world.snapshot()
-    frozen = dict(_both(play)["macs"][0])
-    assert frozen["_backoff_remaining"] == 4      # 7 - 3: `<=`, not `<`
-    assert frozen["_countdown"][1] is False
 
 
 @pytest.mark.parametrize("elapsed, left", [
@@ -557,53 +469,6 @@ def test_the_freeze_replays_the_elapsed_boundaries(elapsed, left):
     assert dict(_both(play)["macs"][0])["_backoff_remaining"] == left
 
 
-def test_a_spent_counter_goes_straight_to_access_won():
-    def play(kernel):
-        world = World(kernel, 2)
-        world.macs[0].send(world.macs[1].address, bytes(40))
-        assert world.macs[0]._backoff_remaining == 0   # fresh, idle medium
-        world.sim.run(until=DIFS)
-        return world.snapshot()
-    won = _both(play)
-    assert dict(won["macs"][0])["counters"] == [("tx_data", 1),
-                                                ("tx_data_bytes", 68)]
-    assert won["radios"][0][1] == "tx"
-
-
-def test_no_counter_means_a_fresh_draw():
-    def play(kernel):
-        world = World(kernel, 2)
-        mac = world.macs[0]
-        mac.send(world.macs[1].address, bytes(40))
-        mac._backoff_remaining = None
-        before = hash(mac.backoff._rng.getstate())
-        world.sim.run(until=DIFS)
-        assert hash(mac.backoff._rng.getstate()) != before
-        return world.snapshot()
-    drawn = dict(_both(play)["macs"][0])
-    assert drawn["_countdown_remaining"] == drawn["_backoff_remaining"] > 0
-    assert drawn["_countdown"][1] is True
-
-
-@pytest.mark.parametrize("extended", [False, True])
-def test_a_nav_expiring_exactly_at_now(extended):
-    def play(kernel):
-        world = World(kernel, 2)
-        mac = world.macs[0]
-        mac.nav.set_until(1e-3)
-        mac.send(world.macs[1].address, bytes(40))
-        assert not mac._ifs._armed           # virtual carrier sense holds
-        if extended:
-            mac.nav._until += 1e-4           # busy when the expiry fires
-        world.sim.run(until=1e-3)
-        assert world.sim.now == 1e-3 and not mac.nav._timer._armed
-        return world.snapshot()
-    ifs = dict(_both(play)["macs"][0])["_ifs"]
-    assert ifs[1] is (not extended)
-    if not extended:
-        assert ifs[3] == repr(1e-3 + DIFS)
-
-
 def test_eifs_follows_a_corrupt_frame_once_the_air_clears():
     # Station 0's frame reaches station 1 corrupt (PER 1) while a burst
     # keeps the medium busy past the frame's end, so the wait is armed
@@ -618,65 +483,6 @@ def test_eifs_follows_a_corrupt_frame_once_the_air_clears():
     assert waiting["_use_eifs"] is True
     armed, at = waiting["_ifs"][1], float(waiting["_ifs"][3])
     assert armed and at == pytest.approx(1e-4 + 4e-4 + EIFS, abs=1e-6)
-
-
-def _asleep(world):
-    world.macs[0].radio.sleep()
-
-
-#: Every reason `_maybe_start_ifs` has not to arm, and the one to.
-REASONS = {
-    "nothing holds it back": (lambda world: None, True),
-    "the IFS wait is running": (
-        lambda world: world.macs[0]._ifs.schedule(1e-5), True),
-    "the countdown is running": (
-        lambda world: world.macs[0]._countdown.schedule(1e-4), False),
-    "nothing to send": (
-        lambda world: setattr(world.macs[0], "_current", None), False),
-    "awaiting a response": (
-        lambda world: setattr(world.macs[0], "_awaiting", "ack"), False),
-    "a transmission is in hand": (
-        lambda world: setattr(world.macs[0], "_tx_continuation", _boom),
-        False),
-    "_pending_send is armed": (
-        lambda world: world.macs[0]._pending_send.schedule(1e-5), False),
-    "the NAV holds": (
-        lambda world: setattr(world.macs[0].nav, "_until", 1.0), False),
-    "the NAV ends exactly now": (
-        lambda world: setattr(world.macs[0].nav, "_until", world.sim.now),
-        True),
-    "the radio is asleep": (_asleep, False),
-    "energy on the CCA threshold": (
-        lambda world: world.macs[0].radio._arrivals.update(
-            {"a": world.macs[0].radio._cca_threshold_watts / 2.0,
-             "b": world.macs[0].radio._cca_threshold_watts / 2.0}), False),
-    "energy under the CCA threshold": (
-        lambda world: world.macs[0].radio._arrivals.update(
-            {"a": world.macs[0].radio._cca_threshold_watts / 4.0}), True),
-    "EIFS is owed": (
-        lambda world: setattr(world.macs[0], "_use_eifs", True), True),
-}
-
-
-@pytest.mark.parametrize("reason", sorted(REASONS))
-def test_every_reason_not_to_arm(reason):
-    poke, arms = REASONS[reason]
-
-    def play(kernel):
-        world = World(kernel, 2)
-        mac = world.macs[0]
-        world.sim.run(until=1e-3)
-        mac.send(world.macs[1].address, bytes(40))
-        mac._ifs.cancel()                    # contending, wait not yet armed
-        poke(world)
-        mac.radio.on_cca_idle()              # the idle edge, as the radio calls it
-        return world.snapshot()
-    ifs = dict(_both(play)["macs"][0])["_ifs"]
-    assert ifs[1] is arms
-    if reason == "EIFS is owed":
-        assert ifs[3] == repr(1e-3 + EIFS)
-    elif arms and "running" not in reason:
-        assert ifs[3] == repr(1e-3 + DIFS)
 
 
 # --- what a third party overhears, by name ------------------------------------
@@ -921,69 +727,3 @@ def test_a_failing_slot_fails_alike_and_the_run_continues(arrange,
     assert drained["executed"] > after_raise["executed"]
     assert dict(drained["macs"][0])["counters"][:1] == [
         ("msdu_delivered", 1)]
-
-
-class OddFloat(float):
-    """A float that is not exactly a float: the compiled slots do no
-    arithmetic on it."""
-
-
-class OddTimer(Timer):
-    __slots__ = ()
-
-
-class OddTable(dict):
-    pass
-
-
-#: A field of the wrong type, set on a station that is counting down.
-OFF_TYPE = {
-    "_slot_time is a float subclass": lambda world, mac: setattr(
-        mac, "_slot_time", OddFloat(mac._slot_time)),
-    "_countdown_anchor is a float subclass": lambda world, mac: setattr(
-        mac, "_countdown_anchor", OddFloat(mac._countdown_anchor)),
-    "_countdown_remaining is a bool": lambda world, mac: setattr(
-        mac, "_countdown_remaining", True),
-    "_countdown_remaining overflows a word": lambda world, mac: setattr(
-        mac, "_countdown_remaining", 2 ** 70),
-    "_backoff_remaining is a bool": lambda world, mac: setattr(
-        mac, "_backoff_remaining", True),
-    "_ifs is a Timer subclass": lambda world, mac: setattr(
-        mac, "_ifs", OddTimer(world.sim, mac._ifs._callback)),
-    "_use_eifs is an int": lambda world, mac: setattr(mac, "_use_eifs", 1),
-    "_difs is a float subclass": lambda world, mac: setattr(
-        mac, "_difs", OddFloat(mac._difs)),
-    "the NAV is a float subclass": lambda world, mac: setattr(
-        mac.nav, "_until", OddFloat(mac.nav._until)),
-    "the clock is a float subclass": lambda world, mac: setattr(
-        world.sim, "_now", OddFloat(world.sim._now)),
-    "the table is a dict subclass": lambda world, mac: setattr(
-        mac.radio, "_arrivals", OddTable(a=1e-13)),
-    "the threshold is an int": lambda world, mac: setattr(
-        mac.radio, "_cca_threshold_watts", 1),
-}
-
-
-@pytest.mark.parametrize("slot", ["_cancel_access_timers", "_ifs_expired",
-                                  "_maybe_start_ifs", "_fire"])
-@pytest.mark.parametrize("field", sorted(OFF_TYPE))
-def test_off_type_fields_are_the_references_whole_call(field, slot):
-    """Both sides run on the C kernel here: the compiled slot against
-    the method it must have handed the whole call to.  Had it written
-    anything first, the reference would have written it again — a
-    counter bumped twice, a timer armed twice."""
-    def play(compiled):
-        world, mac = _contending("c")
-        world.sim.run(until=DIFS + 2.5 * SLOT)
-        if slot == "_maybe_start_ifs":
-            mac._countdown.cancel()          # or it returns at once
-        OFF_TYPE[field](world, mac)
-        target = mac.nav if slot == "_fire" else mac
-        call = MethodType(getattr(world.sim._ext, slot), target) \
-            if compiled else getattr(target, slot)
-        try:
-            call()
-        except TypeError as exc:             # arm() refuses an OddTimer
-            world.log.append(("raised", str(exc)))
-        return world.snapshot()
-    assert play(compiled=True) == play(compiled=False)

@@ -13,16 +13,15 @@ the contract:
   interpreter fails here by name, not by 15 % on a noisy box;
 * the failure path: a raising rate factory, a raising SNR feed and a
   frame whose verdict cannot be derived surface from ``sim.run()`` as the
-  reference's exception with the reference's state, and a field of the
+  reference's exception with the reference's state (a field of the
   wrong type is the reference's whole call, decided before anything is
-  written.
+  written: ``tests/test_slot_differential.py``).
 
 Skipped loudly without the extension (see ``conftest``); CI's
 compiled-kernel lane runs the file under ``-X dev``.
 """
 
 import sys
-from types import MethodType
 
 import pytest
 
@@ -31,11 +30,9 @@ from repro.core.stats import Counter
 from repro.mac.addresses import BROADCAST, MacAddress
 from repro.mac.dcf import DcfMac
 from repro.mac.frames import Dot11Frame, make_cts, make_rts
-from repro.mac.nav import Nav
 from repro.mac.rate_adapt import FixedRate
 
-from test_access_parity import (BASIC, STRANGER, Boom, OddFloat, OddTable,
-                                OddTimer, World, _boom)
+from test_access_parity import BASIC, STRANGER, Boom, World, _boom
 
 pytestmark = pytest.mark.skipif(
     not ckernel_available(),
@@ -178,102 +175,11 @@ def test_a_failing_demux_fails_alike_and_the_run_continues(arrange):
                 "nav_updates"] >= 1
 
 
-class SlimCounter:
-    """What a ``Counter`` does, without an instance dict."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self):
-        self._counts = {}
-
-    def incr(self, name, amount=1):
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def as_dict(self):
-        return dict(self._counts)
-
-
-class OddNav(Nav):
-    __slots__ = ()
-
-
-def _plant(verdict):
-    return lambda world, mac, frame: vars(frame).__setitem__(
-        "rx_verdict", verdict)
-
-
-#: A field of the wrong type, met by a third-party frame at station 0.
-OFF_TYPE = {
-    "counters has no instance dict": lambda world, mac, frame: setattr(
-        mac, "counters", SlimCounter()),
-    "_counts is a dict subclass": lambda world, mac, frame: setattr(
-        mac.counters, "_counts", OddTable()),
-    "_counts holds a float": lambda world, mac, frame:
-        mac.counters._counts.update(nav_updates=1.5, rx_corrupt=2.5),
-    "_counts holds a bool": lambda world, mac, frame:
-        mac.counters._counts.update(nav_updates=True, rx_corrupt=True),
-    "_controllers is a dict subclass": lambda world, mac, frame: setattr(
-        mac, "_controllers", OddTable()),
-    "the NAV is a Nav subclass": lambda world, mac, frame: setattr(
-        mac, "nav", OddNav(world.sim, on_expire=mac.nav._on_expire)),
-    "nav._until is an int": lambda world, mac, frame: setattr(
-        mac.nav, "_until", 0),
-    "nav._timer is a Timer subclass": lambda world, mac, frame: setattr(
-        mac.nav, "_timer", OddTimer(world.sim, mac.nav._timer._callback)),
-    "_address_value is a bool": lambda world, mac, frame: setattr(
-        mac, "_address_value", True),
-    "the clock is a float subclass": lambda world, mac, frame: setattr(
-        world.sim, "_now", OddFloat(world.sim._now)),
-    "_use_eifs is an int": lambda world, mac, frame: setattr(
-        mac, "_use_eifs", 0),
-    "a sniffer listens": lambda world, mac, frame: setattr(
-        mac, "sniffer", lambda frame, snr_db: world.log.append(
-            ("sniffed", repr(frame)))),
-    "a verdict too short": _plant((STRANGER.value, False, 9e-4)),
-    "a verdict that is a list": _plant(
-        [BYSTANDER.value, False, 9e-4, STRANGER.value]),
-    "a verdict with an int reservation": _plant(
-        (BYSTANDER.value, False, 1, STRANGER.value)),
-    "a verdict with an int for the group bit": _plant(
-        (BYSTANDER.value, 0, 9e-4, STRANGER.value)),
-    "a verdict with a float address": _plant(
-        (float(BYSTANDER.value), False, 9e-4, STRANGER.value)),
-    "a verdict naming a transmitter by its address": _plant(
-        (BYSTANDER.value, False, 9e-4, STRANGER)),
-}
-
-
-@pytest.mark.parametrize("success", [True, False, 1, 0],
-                         ids=lambda success: f"success={success!r}")
-@pytest.mark.parametrize("field", sorted(OFF_TYPE))
-def test_off_type_fields_are_the_references_whole_call(field, success):
-    """Both sides run on the C kernel here: the compiled demux against
-    the method it must have handed the whole call to.  Had it written
-    anything first, the reference would have written it again — a
-    counter bumped twice."""
-    def play(compiled):
-        world = World("c", 3)
-        mac = world.macs[0]
-        world.sim.run(until=1e-3)
-        mac.send(world.macs[1].address, bytes(40))
-        mac._ifs.cancel()                    # contending, wait not yet armed
-        frame = _reserving()
-        OFF_TYPE[field](world, mac, frame)
-        call = MethodType(world.sim._ext.phy_rx_end, mac) if compiled \
-            else mac.phy_rx_end
-        try:
-            call(frame, success, 25.0, BASIC)
-        except (TypeError, ValueError, AttributeError) as exc:
-            world.log.append(("raised", type(exc).__name__, str(exc)))
-        return (world.snapshot(), sorted(mac.counters.as_dict().items()),
-                world.describe(frame), world.describe(mac.nav._timer),
-                repr(mac.nav._until))
-    assert play(compiled=True) == play(compiled=False)
-
-
-def test_the_canonical_case_of_that_table_is_compiled_work():
-    """The off-type table is only worth its name if the same call, with
-    nothing planted, is answered without the method."""
+def test_the_canonical_case_is_compiled_work():
+    """The differential's fields of the wrong type
+    (``tests/test_slot_differential.py``) are only worth their names if
+    the same call, with nothing planted, is answered without the
+    method."""
     world = World("c", 3)
     mac = world.macs[0]
     calls = []

@@ -1,6 +1,6 @@
 """Tests for the shared medium and radio interplay.
 
-Every test runs on both kernels: on ``kernel="c"`` the medium binds the
+Every test runs on both kernels: on ``kernel="c"`` each radio binds the
 compiled receive edges, so delivery, carrier sense, capture and sleep
 are checked on each of the two implementations.
 """
@@ -14,7 +14,7 @@ from repro.phy.channel import Medium
 from repro.phy.error_models import SnrThresholdErrorModel
 from repro.phy.propagation import FixedLoss, LogDistance
 from repro.phy.standards import DOT11B, DOT11G
-from repro.phy.transceiver import PhyListener, Radio, RadioState
+from repro.phy.transceiver import Radio, RadioState
 
 KERNELS = ["python", pytest.param("c", marks=pytest.mark.skipif(
     not ckernel_available(),
@@ -27,7 +27,7 @@ def sim(request):
     return Simulator(seed=42, kernel=request.param)
 
 
-class Collector(PhyListener):
+class Collector:
     def __init__(self):
         self.received = []
         self.busy_edges = 0
@@ -46,13 +46,19 @@ class Collector(PhyListener):
     def phy_tx_end(self):
         self.tx_done += 1
 
+    def plug(self, radio):
+        """Fill ``radio``'s four upcall slots with these methods."""
+        radio.on_rx_end, radio.on_tx_end = self.phy_rx_end, self.phy_tx_end
+        radio.on_cca_busy = self.phy_cca_busy
+        radio.on_cca_idle = self.phy_cca_idle
+        return self
+
 
 def make_pair(sim, distance=20.0, standard=DOT11B, exponent=3.0):
     medium = Medium(sim, LogDistance(standard.band_hz, exponent=exponent))
     tx = Radio("tx", medium, standard, Position(0, 0, 0))
     rx = Radio("rx", medium, standard, Position(distance, 0, 0))
-    listener = Collector()
-    rx.listener = listener
+    listener = Collector().plug(rx)
     return medium, tx, rx, listener
 
 
@@ -69,8 +75,7 @@ class TestDelivery:
 
     def test_tx_end_callback(self, sim):
         medium, tx, rx, _ = make_pair(sim)
-        sender_listener = Collector()
-        tx.listener = sender_listener
+        sender_listener = Collector().plug(tx)
         tx.transmit("x", 800, DOT11B.modes[0])
         sim.run(until=0.1)
         assert sender_listener.tx_done == 1
@@ -93,8 +98,7 @@ class TestDelivery:
         medium = Medium(sim, FixedLoss(50.0))
         tx = Radio("tx", medium, DOT11B, Position(0, 0, 0), channel_id=1)
         rx = Radio("rx", medium, DOT11B, Position(5, 0, 0), channel_id=6)
-        listener = Collector()
-        rx.listener = listener
+        listener = Collector().plug(rx)
         tx.transmit("x", 800, DOT11B.modes[0])
         sim.run(until=0.1)
         assert listener.received == []
@@ -104,8 +108,7 @@ class TestDelivery:
         medium = Medium(sim, FixedLoss(50.0))
         tx = Radio("tx", medium, DOT11G, Position(0, 0, 0))
         rx = Radio("rx", medium, DOT11B, Position(5, 0, 0))
-        listener = Collector()
-        rx.listener = listener
+        listener = Collector().plug(rx)
         tx.transmit("x", 800, DOT11G.modes[0])
         sim.run(until=0.1)
         assert listener.received == []
@@ -117,8 +120,7 @@ class TestDelivery:
         tx_b = Radio("txb", medium, DOT11B, Position(0, 0, 0))
         rx = Radio("rx", medium, DOT11G, Position(5, 0, 0))
         rx.allow_decoding(DOT11B)
-        listener = Collector()
-        rx.listener = listener
+        listener = Collector().plug(rx)
         tx_b.transmit("legacy", 800, DOT11B.modes[0])
         sim.run(until=0.1)
         assert [entry[0] for entry in listener.received] == ["legacy"]
@@ -145,8 +147,7 @@ class TestCollisions:
         a = Radio("a", medium, DOT11B, Position(0, 0, 0))
         b = Radio("b", medium, DOT11B, Position(10, 0, 0))
         rx = Radio("rx", medium, DOT11B, Position(5, 0, 0))
-        listener = Collector()
-        rx.listener = listener
+        listener = Collector().plug(rx)
         # CCK-11 carries 8 bits/symbol: no spreading margin to ride out a
         # 0 dB SINR overlap (DSSS-1's Barker gain can survive it).
         mode = DOT11B.mode_for_rate(11e6)
@@ -163,8 +164,7 @@ class TestCollisions:
         weak = Radio("weak", medium, DOT11B, Position(200, 0, 0))
         strong = Radio("strong", medium, DOT11B, Position(2, 0, 0))
         rx = Radio("rx", medium, DOT11B, Position(0, 0, 0))
-        listener = Collector()
-        rx.listener = listener
+        listener = Collector().plug(rx)
         mode = DOT11B.modes[0]
         sim.schedule(0.0, lambda: weak.transmit("weak", 8000, mode))
         sim.schedule(0.0005, lambda: strong.transmit("strong", 8000, mode))
@@ -177,8 +177,7 @@ class TestCollisions:
         medium = Medium(sim, FixedLoss(50.0))
         peer = Radio("peer", medium, DOT11B, Position(1, 0, 0))
         me = Radio("me", medium, DOT11B, Position(0, 0, 0))
-        listener = Collector()
-        me.listener = listener
+        listener = Collector().plug(me)
         mode = DOT11B.modes[0]
         sim.schedule(0.0, lambda: peer.transmit("in", 80000, mode))
         # Start transmitting mid-reception: the reception must be dropped.

@@ -300,32 +300,39 @@ OPS = st.one_of(
     st.tuples(st.just("retune"), RADIO, st.sampled_from([1, 6])))
 
 
+def _apply(world, op, step):
+    """Play one schedule op (the ``step``-th) on ``world``."""
+    sim = world.sim
+    radio = world.radios[op[1] % len(world.radios)] if op[0] != "run" \
+        else None
+    try:
+        if op[0] == "poke":
+            op[2](world, radio)
+        elif op[0] == "begins":
+            world.edges(radio)[0](world.pool[op[2]], op[3])
+        elif op[0] == "ends":
+            world.edges(radio)[1](world.pool[op[2]])
+        elif op[0] == "transmit":
+            radio.transmit(f"data{step}", 400 * (1 + op[2]),
+                           DOT11B.modes[op[2]])
+        elif op[0] == "energy":
+            radio.transmit_energy(3e-4)
+        elif op[0] == "run":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "retune":
+            radio.channel_id = op[2]
+        else:
+            getattr(radio, op[0])()
+    except (SimulationError, TypeError, ValueError) as exc:
+        world.log.append(("raised", type(exc).__name__))
+
+
 def _play(kernel, radios, capture, subclass_at, schedule, **world_options):
     world = World(kernel, radios, capture, subclass_at, **world_options)
     sim = world.sim
     frames = []
-    for op in schedule:
-        radio = world.radios[op[1] % radios] if op[0] != "run" else None
-        try:
-            if op[0] == "poke":
-                op[2](world, radio)
-            elif op[0] == "begins":
-                world.edges(radio)[0](world.pool[op[2]], op[3])
-            elif op[0] == "ends":
-                world.edges(radio)[1](world.pool[op[2]])
-            elif op[0] == "transmit":
-                radio.transmit(f"data{len(frames)}", 400 * (1 + op[2]),
-                               DOT11B.modes[op[2]])
-            elif op[0] == "energy":
-                radio.transmit_energy(3e-4)
-            elif op[0] == "run":
-                sim.run(until=sim.now + op[1])
-            elif op[0] == "retune":
-                radio.channel_id = op[2]
-            else:
-                getattr(radio, op[0])()
-        except (SimulationError, TypeError, ValueError) as exc:
-            world.log.append(("raised", type(exc).__name__))
+    for step, op in enumerate(schedule):
+        _apply(world, op, step)
         frames.append(world.snapshot())
     sim.run(until=sim.now + 5e-3)       # drain what is in flight
     frames.append(world.snapshot())
@@ -349,43 +356,6 @@ def test_schedules_leave_identical_state_on_both_kernels(
     for step, (expected, got) in enumerate(zip(reference, compiled)):
         assert got == expected, f"diverged after step {step}: " \
             f"{schedule[min(step, len(schedule) - 1)]}"
-
-
-def test_the_compiled_world_really_runs_compiled_edges():
-    """The parity claim is empty if both sides ran the same code."""
-    world = World("c", 3, "on", subclass_at=1)
-    plain, subclass = world.radios[0], world.radios[1]
-    begins, ends = world.edges(plain)
-    assert begins.__func__ is world.sim._ext.arrival_begins
-    assert ends.__func__ is world.sim._ext.arrival_ends
-    assert begins.__self__ is plain
-    tail = plain._rx_timer._callback
-    assert tail.__func__ is world.sim._ext._reception_complete
-    assert tail.__self__ is plain
-    begins, ends = world.edges(subclass)
-    assert begins.__func__ is ListeningRadio.arrival_begins
-    assert ends.__func__ is Radio.arrival_ends
-    assert subclass._rx_timer._callback.__func__ is Radio._reception_complete
-    assert world.sim._arm is world.sim._ext.arm
-    assert world.sim._fan_out is world.sim._ext.fan_out
-
-    reference = World("python", 3, "on", subclass_at=1)
-    begins, ends = reference.edges(reference.radios[0])
-    assert begins.__func__ is Radio.arrival_begins
-    assert ends.__func__ is Radio.arrival_ends
-    assert reference.radios[0]._rx_timer._callback.__func__ \
-        is Radio._reception_complete
-    assert reference.sim._ext is None
-
-
-def test_compiled_callables_carry_their_references_names():
-    """Whatever labels a heap entry or an upcall by its callback's
-    ``__name__`` (these snapshots, a debugger) must not learn which
-    kernel ran."""
-    ext = Simulator(kernel="c")._ext
-    for name in ("_reception_complete", "_maybe_start_ifs",
-                 "_cancel_access_timers", "_ifs_expired", "_fire"):
-        assert getattr(ext, name).__name__ == name
 
 
 def _probe(kernel, lock_first, probe_index, power):

@@ -16,7 +16,7 @@ from repro.adversary.emitters import EnergySource
 from repro.phy.channel import ENERGY_ONLY, Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B, DOT11G
-from repro.phy.transceiver import PhyListener, Radio, RadioState
+from repro.phy.transceiver import Radio, RadioState
 
 # The drain checks run on both kernels: the compiled receive edges keep
 # their own arrival-table bookkeeping.
@@ -25,7 +25,7 @@ KERNELS = ["python", pytest.param("c", marks=pytest.mark.skipif(
     reason="compiled kernel not built (run: python tools/build_kernel.py)"))]
 
 
-class Collector(PhyListener):
+class Collector:
     def __init__(self):
         self.received = []
         self.busy_edges = 0
@@ -40,6 +40,18 @@ class Collector(PhyListener):
     def phy_cca_idle(self):
         self.idle_edges += 1
 
+    def plug(self, radio):
+        """Fill ``radio``'s receive and CCA upcall slots."""
+        radio.on_rx_end = self.phy_rx_end
+        radio.on_cca_busy, radio.on_cca_idle = (self.phy_cca_busy,
+                                                self.phy_cca_idle)
+        return self
+
+
+def collector(radio):
+    """The :class:`Collector` plugged into ``radio``."""
+    return radio.on_rx_end.__self__
+
 
 def build(sim, rx_count=1, channel_id=1):
     medium = Medium(sim, FixedLoss(50.0))
@@ -49,7 +61,7 @@ def build(sim, rx_count=1, channel_id=1):
     for index in range(rx_count):
         radio = Radio(f"rx{index}", medium, DOT11B,
                       Position(1.0 + index, 0, 0), channel_id=channel_id)
-        radio.listener = Collector()
+        Collector().plug(radio)
         receivers.append(radio)
     return medium, tx, receivers
 
@@ -61,7 +73,7 @@ class TestEnergyOnlyArrivals:
         _medium, tx, (rx,) = build(sim)
         tx.transmit_energy(1e-3)
         sim.run(until=0.01)
-        listener = rx.listener
+        listener = collector(rx)
         assert listener.busy_edges == 1 and listener.idle_edges == 1
         assert listener.received == []  # no lock, no upcall, ever
         assert not rx._arrivals and rx.state is RadioState.IDLE
@@ -89,7 +101,7 @@ class TestEnergyOnlyArrivals:
             medium = Medium(sim, FixedLoss(50.0))
             sender = Radio("s", medium, DOT11B, Position(0, 0, 0))
             victim = Radio("v", medium, DOT11B, Position(1, 0, 0))
-            victim.listener = Collector()
+            Collector().plug(victim)
             # 25 dBm -> -25 dBm at the victim: 5 dB above the locked
             # frame, below the 10 dB capture threshold, so it stays
             # pure interference instead of stealing the lock.
@@ -102,7 +114,7 @@ class TestEnergyOnlyArrivals:
                 sim.schedule_at(airtime * 0.25,
                                 lambda: jammer.emit(airtime))
             sim.run(until=0.1)
-            return victim.listener.received
+            return collector(victim).received
 
         assert run(jam=False) == [("frame", True)]
         assert run(jam=True) == [("frame", False)]
@@ -131,7 +143,7 @@ class TestEnergySourcePlans:
     def test_plan_reuse_and_surgical_retune(self, sim):
         medium, _tx, receivers = build(sim, rx_count=2)
         ch6 = Radio("ch6", medium, DOT11B, Position(0, 5, 0), channel_id=6)
-        ch6.listener = Collector()
+        Collector().plug(ch6)
         source = EnergySource("emitter", medium, Position(0, 2, 0),
                               power_dbm=20.0)
         source.emit(1e-4)
@@ -148,9 +160,9 @@ class TestEnergySourcePlans:
                 assert medium._plans.get(sender) is plan
         source.emit(1e-4)
         sim.run(until=0.01)
-        assert ch6.listener.busy_edges == 1
+        assert collector(ch6).busy_edges == 1
         # Channel-1 victims saw exactly the first two bursts.
-        assert receivers[0].listener.busy_edges == 1  # merged overlap
+        assert collector(receivers[0]).busy_edges == 1  # merged overlap
 
     def test_moving_source_invalidates_links(self, sim):
         medium, _tx, (rx,) = build(sim)
@@ -184,12 +196,12 @@ class TestRetuneMidBurstRegression:
         # ...but its end edge fires regardless of the retune, so the
         # table drains and CCA recovers (no stuck-busy radio).
         assert not rx._arrivals and not rx.cca_busy()
-        assert rx.listener.idle_edges == rx.listener.busy_edges == 1
+        assert collector(rx).idle_edges == collector(rx).busy_edges == 1
         # New bursts on the old channel no longer reach it: the retune
         # dropped the compiled plan and the channel member lists.
         tx.transmit_energy(1e-3)
         sim.run(until=8e-3)
-        assert not rx._arrivals and rx.listener.busy_edges == 1
+        assert not rx._arrivals and collector(rx).busy_edges == 1
 
     def test_retune_back_mid_burst_catches_next_burst(self, sim):
         medium, tx, (rx,) = build(sim)
@@ -200,10 +212,10 @@ class TestRetuneMidBurstRegression:
         rx.channel_id = 1  # retune back while the burst is in flight
         sim.run(until=5e-3)
         # Missed the begins edge: physically it heard only silence.
-        assert not rx._arrivals and rx.listener.busy_edges == 0
+        assert not rx._arrivals and collector(rx).busy_edges == 0
         tx.transmit_energy(1e-3)
         sim.run(until=8e-3)
-        assert rx.listener.busy_edges == 1 and rx.listener.idle_edges == 1
+        assert collector(rx).busy_edges == 1 and collector(rx).idle_edges == 1
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_arrival_table_survives_detune(self, kernel):
@@ -220,7 +232,7 @@ class TestRetuneMidBurstRegression:
     def test_sender_radio_retune_mid_burst_recompiles_plan(self, sim):
         medium, tx, receivers = build(sim, rx_count=2)
         ch6 = Radio("ch6", medium, DOT11B, Position(0, 5, 0), channel_id=6)
-        ch6.listener = Collector()
+        Collector().plug(ch6)
         tx.transmit_energy(2e-3)
         misses = medium.plan_misses
         sim.run(until=1e-3)
@@ -229,10 +241,10 @@ class TestRetuneMidBurstRegression:
         tx.transmit_energy(1e-3)
         assert medium.plan_misses == misses + 1  # recompiled, not reused
         sim.run(until=0.01)
-        assert ch6.listener.busy_edges == 1
+        assert collector(ch6).busy_edges == 1
         for radio in receivers:
             # Exactly one busy period from the first burst; the second
             # landed on channel 6.
-            assert radio.listener.busy_edges == 1
-            assert radio.listener.idle_edges == 1
+            assert collector(radio).busy_edges == 1
+            assert collector(radio).idle_edges == 1
             assert not radio._arrivals

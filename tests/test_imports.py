@@ -67,7 +67,7 @@ WORKLOAD_MODULES = set("""
     repro repro._lazy repro.adversary repro.adversary.emitters
     repro.campaign repro.campaign.executor repro.campaign.grid
     repro.campaign.manifest repro.campaign.pool repro.campaign.runner
-    repro.campaign.spec repro.campaign.store repro.core
+    repro.campaign.spec repro.campaign.store repro.core repro.core.binding
     repro.core.engine repro.core.errors repro.core.rng repro.core.stats
     repro.core.topology repro.core.trace repro.core.units repro.faults
     repro.faults.invariants repro.mac repro.mac.addresses
@@ -104,8 +104,8 @@ class TestImportBudget:
         assert not loaded["networkx"]
 
     @pytest.mark.parametrize("statement, count", [
-        ("import repro.scenarios", 50),
-        ("from repro.campaign import run_job", 57),
+        ("import repro.scenarios", 51),
+        ("from repro.campaign import run_job", 58),
     ])
     def test_build_paths_skip_the_unused_families(self, statement, count):
         loaded = loaded_by(statement)
@@ -273,7 +273,7 @@ PUBLIC = {package: names.split() for package, names in {
     "repro.phy": """
         BerErrorModel CaptureModel DOT11A DOT11AC DOT11B DOT11G DOT11N
         DOT11_LEGACY ENERGY_ONLY ErrorModel FixedLoss FixedPerErrorModel
-        FreeSpace LogDistance Medium Modulation PhyListener PhyMode
+        FreeSpace LogDistance Medium Modulation PhyMode
         PhyStandard PropagationModel Radio RadioConfig RadioState
         RangePropagation STANDARDS Shadowing SinrTracker
         SnrThresholdErrorModel Transmission TwoRayGround get_standard

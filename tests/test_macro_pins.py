@@ -24,6 +24,14 @@ same check.  Simulators that live in shard workers or in
 ``city_scale_1p`` pin 0 records, and ``city_scale``'s byte-level pin is
 its ``arrival_log_sha1`` stat.
 
+The untraced run also reports ``core.binding.tally``: which side —
+compiled twin or Python reference — every slot of every object bound.
+The reference is bit-identical to its twin, so no pin can see an object
+that quietly bound the reference on the compiled kernel; a job whose
+kernel is ``c`` must bind every slot to its twin, one on ``python``
+every slot to its reference, and an object that did not fails as
+``FALLBACK <key> <class>.<slot>: <n> bound to the <side>``.
+
 Re-record them on purpose, after a deliberate behaviour change, with
 ``PYTHONPATH=src python tests/test_macro_pins.py [SPEC_NAME ...]``
 (no names: every spec; the other pins are kept).
@@ -39,6 +47,8 @@ import pytest
 
 from repro.campaign import expand_grid, load_spec, runner
 from repro.campaign.pool import iter_pooled
+from repro.core import binding
+from repro.core.engine import resolve_kernel
 from repro.core.trace import TraceDigest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -69,7 +79,10 @@ def observe(spec: Dict[str, Any]) -> Dict[str, Any]:
     """One job run untraced and traced: its would-be pin, plus the
     traced run's stats under ``traced_stats``."""
     streams: Dict[str, Any] = {}
-    seen = {"stats": runner.run_job(spec, streams)}
+    binding.tally.clear()
+    seen = {"stats": runner.run_job(spec, streams),
+            "bindings": [[*key, count] for key, count
+                         in sorted(binding.tally.items())]}
     if "telemetry_jsonl" in streams:
         seen["telemetry"] = hashlib.sha1(
             streams["telemetry_jsonl"].encode()).hexdigest()
@@ -160,13 +173,25 @@ def check(outcomes: Dict[str, Any],
     return problems
 
 
+def fallbacks(key: str, spec: Dict[str, Any],
+              bindings: List[List[Any]]) -> List[str]:
+    """One line per class and slot the job bound to the other side
+    than its kernel's."""
+    kernel = spec["mode"]["kernel"]
+    side = "twin" if resolve_kernel(
+        None if kernel == "auto" else kernel) == "c" else "reference"
+    return [f"FALLBACK {key} {owner}.{slot}: {count} bound to the {bound}"
+            for owner, slot, bound, count in bindings if bound != side]
+
+
 @pytest.fixture(scope="module")
 def observed(request) -> Dict[str, Any]:
     """The jobs of every selected spec, observed in one pool (``-k
     city_scale`` runs just that family)."""
     selected = {item.callspec.params["path"] for item in request.session.items
                 if getattr(item, "originalname", None)
-                == "test_spec_matches_its_pins"}
+                in ("test_spec_matches_its_pins",
+                    "test_spec_binds_its_kernel_s_side")}
     return observe_all(jobs_of([path for path in SPECS if path in selected]))
 
 
@@ -175,6 +200,24 @@ def test_spec_matches_its_pins(path, observed):
     outcomes = {key: observed[key] for key in jobs_of([path])}
     problems = check(outcomes, load_pins())
     assert problems == [], "\n".join(problems)
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda path: path.stem)
+def test_spec_binds_its_kernel_s_side(path, observed):
+    problems = []
+    for key, spec in jobs_of([path]).items():
+        status, seen = observed[key]
+        if status == "ok":
+            problems.extend(fallbacks(key, spec, seen["bindings"]))
+    assert problems == [], "\n".join(problems)
+
+
+def test_a_fallback_names_the_job_the_class_and_the_slot():
+    spec = {"mode": {"kernel": "python"}}
+    assert fallbacks("demo/seed=1", spec, [
+        ["DcfMac", "phy_rx_end", "reference", 3],
+        ["Radio", "arrival_ends", "twin", 2]]) == [
+        "FALLBACK demo/seed=1 Radio.arrival_ends: 2 bound to the twin"]
 
 
 def _trace(records: int, sha1: str, *checkpoints) -> Dict[str, Any]:

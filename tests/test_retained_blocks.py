@@ -65,8 +65,6 @@ def test_the_python_kernel_retains_nothing_per_simulation():
 @pytest.mark.skipif(not ckernel_available(),
                     reason="compiled kernel not built "
                            "(run: python tools/build_kernel.py)")
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the compiled kernel "
-                   "retains 15-58 blocks per constructed simulation")
 def test_the_compiled_kernel_retains_nothing_per_simulation():
     growth, blocks = _growth("c")
     assert growth <= TOLERANCE, blocks
