@@ -25,11 +25,11 @@
  *    its medium's fan-out (``repro.core.binding``, ``transceiver.RADIO``).
  * 4. ``_reception_complete`` — the reception tail of
  *    ``Radio``: unlock, the SINR arithmetic of ``SinrTracker.sinr_db``,
- *    the PER out of ``phy.error_models._per_cache`` (the dict, the
- *    ``(snr, bits, Modulation.memo_id)`` key and the limit rule
- *    ``BerErrorModel.frame_survives`` uses; a miss calls the model's
- *    ``packet_error_rate``), one ``rng.random()``, the CCA tail and
- *    ``on_rx_end``.  A plain radio binds it to its reception-end
+ *    the arithmetic of ``BerErrorModel.packet_error_rate`` and
+ *    ``Modulation.ber`` over an exact ``Modulation``'s float fields
+ *    (anything else, and an input the reference raises on, calls the
+ *    model's ``packet_error_rate``), one ``rng.random()``, the CCA tail
+ *    and ``on_rx_end``.  A plain radio binds it to its reception-end
  *    timer.
  * 5. ``_maybe_start_ifs`` / ``_cancel_access_timers`` / ``_ifs_expired``
  *    / ``_fire`` / ``phy_rx_end`` — the carrier-sense slots of
@@ -96,14 +96,15 @@
  * - The same statements in the same order: one seq per entry, drawn
  *   from the queue's counter (the one ``sim._next_seq`` is bound to) at
  *   the point the Python code calls ``_next_seq()``; the same counter
- *   increments; the same dict insertions and deletions, so table and
- *   memo order are the same; exactly one ``rng.random()`` per decoded
- *   frame, drawn after the PER is known (a miss that raises draws
- *   nothing).
+ *   increments; the same dict insertions and deletions, so table order
+ *   is the same; exactly one ``rng.random()`` per decoded frame, drawn
+ *   after the PER is known (a PER that raises draws nothing).
  * - The same floats: ``now + (delay + duration)`` parenthesized as
  *   written, ``10.0 * log10(ratio)`` with libm's ``log10`` (what
- *   ``math.log10`` calls), the countdown deadline as the left fold
- *   ``anchor + slot + slot + ...`` in a loop of doubles, no fused
+ *   ``math.log10`` calls), the BER curve and the PER with libm's
+ *   ``pow`` / ``sqrt`` / ``erfc`` / ``log1p`` / ``expm1`` (what
+ *   ``float.__pow__`` and ``math`` call), the countdown deadline as the
+ *   left fold ``anchor + slot + slot + ...`` in a loop of doubles, no fused
  *   multiply-add (the build passes ``-ffp-contract=off``), and every
  *   table sum as ``builtins.sum`` takes it: a left fold in C doubles,
  *   plain (CPython 3.11) or Neumaier-compensated (3.12 on), whichever
@@ -113,13 +114,14 @@
  * - C handles the canonical shapes only (an exact ``Radio`` /
  *   ``DcfMac`` / ``Nav`` / ``Timer`` / ``Dot11Frame`` / ``Counter``,
  *   exact floats and machine-word ints, canonical bools, exact dicts,
- *   an exact ``SinrTracker`` / ``CaptureModel`` / ``BerErrorModel``).  Anything else is handed to the Python method
+ *   an exact ``SinrTracker`` / ``CaptureModel`` / ``BerErrorModel`` /
+ *   ``Modulation``).  Anything else is handed to the Python method
  *   *before* the step in question has changed anything: the whole call
  *   for a non-float power, a foreign object or an off-type MAC field,
  *   one step (``_try_lock``, ``_refresh_interference``,
  *   ``should_capture``, ``sinr_db``, ``frame_survives``,
- *   ``_update_cca``, ``Nav.set_until``, ``Counter.incr``) for an
- *   off-type field met after the first write;
+ *   ``packet_error_rate``, ``_update_cca``, ``Nav.set_until``,
+ *   ``Counter.incr``) for an off-type field met after the first write;
  *   the rare ``_abort_locked``, a fresh backoff draw
  *   (``_backoff_remaining is None``), ``_access_won`` and the trace
  *   record always run in Python.  So the exception a malformed input
@@ -143,6 +145,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <errno.h>
 #include <math.h>
 
 /* --- module state (the "kernel" class set, see resolve) ---------------- */
@@ -760,12 +763,8 @@ static PyObject *st_idle, *st_rx, *st_tx, *st_sleep;  /* RadioState members */
 static PyObject *st_rx_value, *st_idle_value;         /* their .value */
 static PyObject *builtin_sum;
 static PyObject *float_zero;
-/* phy.error_models: the exact BerErrorModel class and the module's PER
- * memo, which the reception tail shares with BerErrorModel.frame_survives
- * (same dict, same key, same limit rule). */
-static PyTypeObject *ber_type = NULL;
-static PyObject *per_cache = NULL;
-static Py_ssize_t per_cache_limit = 0;
+/* The exact classes whose PER the reception tail computes itself. */
+static PyTypeObject *ber_type = NULL, *modulation_type = NULL;
 
 static PyObject *s_now, *s_values, *s_mode, *s_name, *s_duration, *s_enabled;
 static PyObject *s_threshold_db, *s_should_capture, *s_preamble_snr;
@@ -775,14 +774,16 @@ static PyObject *s_sinr_db, *s_frame_survives, *s_packet_error_rate;
 static PyObject *s_random, *s_size_bits, *s_modulation, *s_payload;
 static PyObject *s_maybe_start_ifs, *s_cancel_access_timers, *s_ifs_expired;
 static PyObject *s_access_won, *s_fire, *s_arrival_begins, *s_arrival_ends;
-static PyObject *s_memo_id, *s_phy_rx_end, *s_rx_verdict, *s_counts, *s_incr;
+static PyObject *s_phy_rx_end, *s_rx_verdict, *s_counts, *s_incr;
 static PyObject *s_rx_corrupt, *s_nav_updates, *s_set_until, *s_until;
 static PyObject *s_push, *s_pop, *s_next_seq, *s_arm, *s_fan_out;
 static PyObject *s_standard, *s_on_snr_measurement;
+static PyObject *s_processing_gain, *s_coding_gain, *s_bits_per_symbol;
+static PyObject *s_code_rate;
 
 static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
 static Py_ssize_t off_r_locked_power, off_r_locked_tracker, off_r_cca_busy;
-static Py_ssize_t off_r_cca_threshold, off_r_capture, off_r_snr_cache;
+static Py_ssize_t off_r_cca_threshold, off_r_capture;
 static Py_ssize_t off_r_noise, off_r_config, off_r_decodable, off_r_sim;
 static Py_ssize_t off_r_rx_timer, off_r_tracker, off_r_on_cca_busy;
 static Py_ssize_t off_r_on_cca_idle, off_r_on_state_change;
@@ -1056,33 +1057,19 @@ should_capture(PyObject *self, PyObject *power)
 static int
 preamble_decodable(PyObject *self, PyObject *transmission, PyObject *power)
 {
-    PyObject *cache = SLOT(self, off_r_snr_cache);
     PyObject *noise = SLOT(self, off_r_noise);
     PyObject *holder, *snr, *value;
+    double noise_d;
     int verdict;
 
-    if (cache == NULL || !PyDict_CheckExact(cache) || !is_float(noise))
+    if (!is_float(noise))
         return -2;
-    /* Preamble SNR, memoized on the exact receive power (float keys:
-     * no Python runs while the cache and the noise are borrowed). */
-    if ((snr = PyDict_GetItemWithError(cache, power)) != NULL)
-        Py_INCREF(snr);
-    else {
-        double noise_d = PyFloat_AS_DOUBLE(noise);
-        if (PyErr_Occurred())
-            return -1;
-        snr = PyFloat_FromDouble(
-            noise_d > 0 ? linear_to_db(PyFloat_AS_DOUBLE(power) / noise_d)
-                        : Py_HUGE_VAL);
-        if (snr == NULL)
-            return -1;
-        if (PyDict_GET_SIZE(cache) >= 4096)
-            PyDict_Clear(cache);
-        if (PyDict_SetItem(cache, power, snr) < 0) {
-            Py_DECREF(snr);
-            return -1;
-        }
-    }
+    noise_d = PyFloat_AS_DOUBLE(noise);
+    snr = PyFloat_FromDouble(
+        noise_d > 0 ? linear_to_db(PyFloat_AS_DOUBLE(power) / noise_d)
+                    : Py_HUGE_VAL);
+    if (snr == NULL)
+        return -1;
     /* snr_db < self.config.preamble_detection_snr_db */
     if ((holder = slot_get(self, off_r_config, "config")) == NULL) {
         Py_DECREF(snr);
@@ -1374,37 +1361,111 @@ sinr_db(PyObject *tracker, PyObject *end)
         linear_to_db(PyFloat_AS_DOUBLE(signal) / denominator));
 }
 
+/* ``base ** exponent`` as float.__pow__ takes it for a positive base
+ * other than 1: the non-finite and zero exponents it answers itself
+ * are libm's answers too; otherwise libm's pow and the interpreter's
+ * errno test.  0, or -1 where the interpreter raises OverflowError. */
+static int
+float_pow(double base, double exponent, double *result)
+{
+    errno = 0;
+    *result = pow(base, exponent);
+    if (!isfinite(exponent) || exponent == 0.0)
+        return 0;
+    return errno == 0 ? (isinf(*result) ? -1 : 0)
+                      : (errno == ERANGE && *result == 0.0 ? 0 : -1);
+}
+
+/* Modulation.ber(snr_db) over the fields ``(processing_gain_db,
+ * coding_gain_db, bits_per_symbol, code_rate)``, statement for
+ * statement; 0, or -1 where the method raises (it must be asked).
+ * ``max(x, 0.0)`` and ``min(x, 0.5)`` keep x unless the constant
+ * compares past it: a NaN stays NaN, -0.0 stays -0.0. */
+static int
+modulation_ber(double snr_db, const double field[4], double *ber)
+{
+    double bits = field[2], snr, efficiency, ebno, m, x;
+
+    if (float_pow(10.0, (snr_db + field[0] + field[1]) / 10.0, &snr) < 0)
+        return -1;
+    efficiency = bits * field[3];
+    if (efficiency <= 0)
+        return -1;  /* ValueError: non-positive spectral efficiency */
+    ebno = snr / efficiency;
+    if (bits <= 2.0) {
+        x = 2.0 * ebno;
+        *ber = 0.5 * erfc(sqrt(0.0 > x ? 0.0 : x) / sqrt(2.0));
+        return 0;
+    }
+    if (float_pow(2.0, bits, &m) < 0)
+        return -1;
+    x = 3.0 * bits * ebno / (m - 1.0);
+    x = (4.0 / bits) * (1.0 - 1.0 / sqrt(m))
+        * (0.5 * erfc(sqrt(0.0 > x ? 0.0 : x) / sqrt(2.0)));
+    *ber = 0.5 < x ? 0.5 : x;
+    return 0;
+}
+
+/* BerErrorModel.packet_error_rate(snr, size_bits, modulation) for an
+ * exact Modulation whose fields are floats and an int size_bits up to
+ * 2**53 (where ``size_bits * log1p(-ber)`` is the double product):
+ * 0 with the PER, -1 on error, 1 where the method must be asked —
+ * any other input, and one it raises on. */
+static int
+packet_error_rate(PyObject *snr, PyObject *size_bits, PyObject *modulation,
+                  double *per)
+{
+    PyObject **const names[4] = {&s_processing_gain, &s_coding_gain,
+                                 &s_bits_per_symbol, &s_code_rate};
+    PyObject *value;
+    double field[4], ber;
+    long long bits;
+    int overflow, exact, i;
+
+    if (!PyLong_CheckExact(size_bits))
+        return 1;
+    bits = PyLong_AsLongLongAndOverflow(size_bits, &overflow);
+    if (overflow > 0 || bits > (1LL << 53))
+        return 1;
+    if (overflow < 0 || bits <= 0) {
+        *per = 0.0;
+        return 0;
+    }
+    if (Py_TYPE(modulation) != modulation_type || !PyFloat_CheckExact(snr))
+        return 1;
+    for (i = 0; i < 4; i++) {
+        if ((value = PyObject_GetAttr(modulation, *names[i])) == NULL)
+            return -1;
+        exact = PyFloat_CheckExact(value);
+        field[i] = exact ? PyFloat_AS_DOUBLE(value) : 0.0;
+        Py_DECREF(value);
+        if (!exact)
+            return 1;
+    }
+    if (modulation_ber(PyFloat_AS_DOUBLE(snr), field, &ber) < 0)
+        return 1;
+    *per = ber <= 0.0 ? 0.0
+        : ber >= 1.0 ? 1.0 : -expm1((double)bits * log1p(-ber));
+    return 0;
+}
+
 /* BerErrorModel.frame_survives for an exact BerErrorModel (new
- * reference): the PER from the module's memo, a miss asking the
- * model's own packet_error_rate, then — and only then — one draw. */
+ * reference): the PER, then — and only then — one draw. */
 static PyObject *
 ber_frame_survives(PyObject *model, PyObject *snr, PyObject *size_bits,
                    PyObject *modulation, PyObject *rng)
 {
-    PyObject *key, *per, *draw, *verdict = NULL;
+    PyObject *per, *draw, *verdict = NULL;
+    double computed;
+    int status = packet_error_rate(snr, size_bits, modulation, &computed);
 
-    /* (snr_db, size_bits, modulation.memo_id): a probe hashes two
-     * numbers and a small int, no Python object. */
-    if ((key = PyObject_GetAttr(modulation, s_memo_id)) == NULL)
+    if (status < 0)
         return NULL;
-    Py_SETREF(key, PyTuple_Pack(3, snr, size_bits, key));
-    if (key == NULL)
-        return NULL;
-    if ((per = PyDict_GetItemWithError(per_cache, key)) != NULL)
-        Py_INCREF(per);
-    else if (!PyErr_Occurred()) {
-        per = PyObject_CallMethodObjArgs(model, s_packet_error_rate, snr,
-                                         size_bits, modulation, NULL);
-        if (per != NULL) {
-            if (PyDict_GET_SIZE(per_cache) >= per_cache_limit)
-                PyDict_Clear(per_cache);
-            if (PyDict_SetItem(per_cache, key, per) < 0)
-                Py_CLEAR(per);
-        }
-    }
-    Py_DECREF(key);
+    per = status == 0 ? PyFloat_FromDouble(computed)
+        : PyObject_CallMethodObjArgs(model, s_packet_error_rate, snr,
+                                     size_bits, modulation, NULL);
     if (per == NULL)
-        return NULL;  /* a miss that raises draws no random number */
+        return NULL;  /* a PER that raises draws no random number */
     if ((draw = PyObject_CallMethodNoArgs(rng, s_random)) != NULL) {
         if (PyFloat_CheckExact(draw) && PyFloat_CheckExact(per)) {
             verdict = PyFloat_AS_DOUBLE(draw) >= PyFloat_AS_DOUBLE(per)
@@ -2438,7 +2499,7 @@ ck_table_sum(PyObject *module, PyObject *args)
  *
  * Each layer of twins works on one class set: the classes whose
  * ``__slots__`` it reads by offset and whose instances it serves, and
- * the objects it compares by identity or shares with the reference.
+ * the objects it compares by identity.
  * ``repro.core.binding`` hands a table's set to ``resolve``, by name,
  * before the table's first twin; once per process. */
 
@@ -2461,8 +2522,8 @@ static const struct slot_spec radio_slots[] = {
     {"_locked_tracker", &off_r_locked_tracker},
     {"_cca_busy", &off_r_cca_busy},
     {"_cca_threshold_watts", &off_r_cca_threshold},
-    {"_capture", &off_r_capture}, {"_snr_cache", &off_r_snr_cache},
-    {"_noise_watts", &off_r_noise}, {"config", &off_r_config},
+    {"_capture", &off_r_capture}, {"_noise_watts", &off_r_noise},
+    {"config", &off_r_config},
     {"decodable_modes", &off_r_decodable}, {"_sim", &off_r_sim},
     {"_rx_timer", &off_r_rx_timer}, {"_tracker", &off_r_tracker},
     {"on_cca_busy", &off_r_on_cca_busy},
@@ -2500,43 +2561,38 @@ static const struct slot_spec nav_slots[] = {
 struct member {
     const char *name;
     PyObject **keep;                /* a strong reference, NULL unbound */
-    enum { M_TYPE, M_OBJECT, M_DICT, M_INDEX } kind;
+    enum { M_TYPE, M_OBJECT } kind;
     const struct slot_spec *slots;  /* M_TYPE: offsets resolved on it */
-    Py_ssize_t *index;              /* M_INDEX: where its value goes */
 };
-
-static PyObject *per_cache_limit_obj = NULL;
 
 #define KEEP(target) ((PyObject **)&(target))
 static const struct member kernel_set[] = {
-    {"Timer", KEEP(timer_type), M_TYPE, timer_slots, NULL},
-    {"EventHandle", KEEP(handle_type), M_TYPE, handle_slots, NULL},
-    {"SimulationError", &simulation_error, M_OBJECT, NULL, NULL},
-    {"Simulator", KEEP(sim_type), M_TYPE, sim_slots, NULL},
-    {NULL, NULL, 0, NULL, NULL}};
+    {"Timer", KEEP(timer_type), M_TYPE, timer_slots},
+    {"EventHandle", KEEP(handle_type), M_TYPE, handle_slots},
+    {"SimulationError", &simulation_error, M_OBJECT, NULL},
+    {"Simulator", KEEP(sim_type), M_TYPE, sim_slots},
+    {NULL, NULL, 0, NULL}};
 static const struct member phy_set[] = {
-    {"Radio", KEEP(radio_type), M_TYPE, radio_slots, NULL},
-    {"SinrTracker", KEEP(sinr_type), M_TYPE, tracker_slots, NULL},
-    {"CaptureModel", KEEP(capture_type), M_TYPE, NULL, NULL},
-    {"BerErrorModel", KEEP(ber_type), M_TYPE, NULL, NULL},
-    {"IDLE", &st_idle, M_OBJECT, NULL, NULL},
-    {"RX", &st_rx, M_OBJECT, NULL, NULL}, {"TX", &st_tx, M_OBJECT, NULL, NULL},
-    {"SLEEP", &st_sleep, M_OBJECT, NULL, NULL},
-    {"RX.value", &st_rx_value, M_OBJECT, NULL, NULL},
-    {"IDLE.value", &st_idle_value, M_OBJECT, NULL, NULL},
-    {"_per_cache", &per_cache, M_DICT, NULL, NULL},
-    {"_PER_CACHE_LIMIT", &per_cache_limit_obj, M_INDEX, NULL,
-     &per_cache_limit},
-    {NULL, NULL, 0, NULL, NULL}};
+    {"Radio", KEEP(radio_type), M_TYPE, radio_slots},
+    {"SinrTracker", KEEP(sinr_type), M_TYPE, tracker_slots},
+    {"CaptureModel", KEEP(capture_type), M_TYPE, NULL},
+    {"BerErrorModel", KEEP(ber_type), M_TYPE, NULL},
+    {"Modulation", KEEP(modulation_type), M_TYPE, NULL},
+    {"IDLE", &st_idle, M_OBJECT, NULL},
+    {"RX", &st_rx, M_OBJECT, NULL}, {"TX", &st_tx, M_OBJECT, NULL},
+    {"SLEEP", &st_sleep, M_OBJECT, NULL},
+    {"RX.value", &st_rx_value, M_OBJECT, NULL},
+    {"IDLE.value", &st_idle_value, M_OBJECT, NULL},
+    {NULL, NULL, 0, NULL}};
 static const struct member mac_set[] = {
-    {"DcfMac", KEEP(mac_type), M_TYPE, mac_slots, NULL},
-    {"Dot11Frame", KEEP(frame_type), M_TYPE, NULL, NULL},
-    {"Counter", KEEP(counter_type), M_TYPE, NULL, NULL},
-    {"_UNFED_SNR", &unfed_snr, M_OBJECT, NULL, NULL},
-    {NULL, NULL, 0, NULL, NULL}};
+    {"DcfMac", KEEP(mac_type), M_TYPE, mac_slots},
+    {"Dot11Frame", KEEP(frame_type), M_TYPE, NULL},
+    {"Counter", KEEP(counter_type), M_TYPE, NULL},
+    {"_UNFED_SNR", &unfed_snr, M_OBJECT, NULL},
+    {NULL, NULL, 0, NULL}};
 static const struct member nav_set[] = {
-    {"Nav", KEEP(nav_type), M_TYPE, nav_slots, NULL},
-    {NULL, NULL, 0, NULL, NULL}};
+    {"Nav", KEEP(nav_type), M_TYPE, nav_slots},
+    {NULL, NULL, 0, NULL}};
 #undef KEEP
 
 static const struct {
@@ -2549,16 +2605,12 @@ static const struct {
 static int
 resolve_member(const struct member *m, PyObject *value)
 {
-    if ((m->kind == M_TYPE && !PyType_Check(value))
-            || (m->kind == M_DICT && !PyDict_CheckExact(value))) {
-        PyErr_Format(PyExc_TypeError, "%s is %R, not a %s", m->name, value,
-                     m->kind == M_TYPE ? "class" : "dict");
+    if (m->kind == M_TYPE && !PyType_Check(value)) {
+        PyErr_Format(PyExc_TypeError, "%s is %R, not a class", m->name,
+                     value);
         return -1;
     }
     if (m->slots != NULL && resolve_slots(value, m->slots) < 0)
-        return -1;
-    if (m->kind == M_INDEX
-            && (*m->index = PyLong_AsSsize_t(value)) == -1 && PyErr_Occurred())
         return -1;
     return 0;
 }
@@ -2698,7 +2750,7 @@ PyInit__ckernel(void)
         {&s_cancel_access_timers, "_cancel_access_timers"},
         {&s_ifs_expired, "_ifs_expired"}, {&s_access_won, "_access_won"},
         {&s_fire, "_fire"}, {&s_arrival_begins, "arrival_begins"},
-        {&s_arrival_ends, "arrival_ends"}, {&s_memo_id, "memo_id"},
+        {&s_arrival_ends, "arrival_ends"},
         {&s_phy_rx_end, "phy_rx_end"}, {&s_rx_verdict, "rx_verdict"},
         {&s_counts, "_counts"}, {&s_incr, "incr"},
         {&s_rx_corrupt, "rx_corrupt"}, {&s_nav_updates, "nav_updates"},
@@ -2706,7 +2758,11 @@ PyInit__ckernel(void)
         {&s_standard, "standard"},
         {&s_on_snr_measurement, "on_snr_measurement"}, {&s_push, "push"},
         {&s_pop, "pop"}, {&s_next_seq, "next_seq"}, {&s_arm, "arm"},
-        {&s_fan_out, "fan_out"}};
+        {&s_fan_out, "fan_out"},
+        {&s_processing_gain, "processing_gain_db"},
+        {&s_coding_gain, "coding_gain_db"},
+        {&s_bits_per_symbol, "bits_per_symbol"},
+        {&s_code_rate, "code_rate"}};
     size_t i;
 
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
@@ -2724,7 +2780,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 8) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 9) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

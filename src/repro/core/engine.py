@@ -73,7 +73,7 @@ KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 8
+KERNEL_ABI = 9
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False

@@ -41,6 +41,11 @@ class BerErrorModel(ErrorModel):
 
     ``per = 1 - (1 - ber)^bits``, computed in log space with
     ``log1p``/``expm1`` so tiny BERs don't underflow to "perfect link".
+    The compiled reception tail (``_ckernel``) computes this method, and
+    :meth:`Modulation.ber`, itself for an exact ``BerErrorModel`` and
+    ``Modulation`` with float fields — the same statements over the same
+    libm functions, one ``rng.random()`` after the PER as in
+    :meth:`ErrorModel.frame_survives` — and calls it for anything else.
     """
 
     def packet_error_rate(self, snr_db: float, size_bits: int,
@@ -54,33 +59,6 @@ class BerErrorModel(ErrorModel):
             return 1.0
         log_success = size_bits * math.log1p(-ber)
         return -math.expm1(log_success)
-
-    def frame_survives(self, snr_db: float, size_bits: int,
-                       modulation: Modulation, rng: random.Random) -> bool:
-        """Sample delivery success (once per decoded frame per receiver).
-        :meth:`packet_error_rate` is a pure function of its exact inputs
-        and stationary topologies repeat the same few SINRs, so it is
-        memoized — in a dict the compiled reception tail (``_ckernel``)
-        probes under the same key and limit rule.  The RNG is drawn once,
-        after the PER is known (a miss that raises draws nothing)."""
-        key = (snr_db, size_bits, modulation.memo_id)
-        try:
-            per = _per_cache[key]
-        except KeyError:
-            per = self.packet_error_rate(snr_db, size_bits, modulation)
-            if len(_per_cache) >= _PER_CACHE_LIMIT:
-                _per_cache.clear()
-            _per_cache[key] = per
-        return rng.random() >= per
-
-
-#: Memoized packet error rates keyed by the exact (snr, bits,
-#: Modulation.memo_id) inputs — the id is interned per parameter set, so
-#: distinct sets never share an entry even if their names collide, and a
-#: probe hashes two numbers and a small int, no Python object;
-#: pure-function cache, see BerErrorModel.frame_survives.
-_per_cache: dict = {}
-_PER_CACHE_LIMIT = 1 << 16
 
 
 @dataclass

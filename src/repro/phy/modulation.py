@@ -18,8 +18,7 @@ Eb/N0 uses the spectral efficiency of the mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Dict
+from dataclasses import dataclass
 
 from ..core.units import db_to_linear
 
@@ -32,10 +31,6 @@ _SQRT2 = math.sqrt(2.0)
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-#: Interned ``Modulation.memo_id`` values, keyed ``(class, field values)``.
-_memo_ids: Dict[tuple, int] = {}
 
 
 @dataclass(frozen=True)
@@ -55,12 +50,9 @@ class Modulation:
         required Eb/N0 (0 for uncoded schemes).
     code_rate:
         FEC code rate (1.0 = uncoded); scales net throughput.
-    memo_id:
-        Not a field: a small int interned per distinct (class, parameter
-        set) in this process.  Equal modulations share it, unequal ones
-        (a subclass with another curve included) never do, so the PER
-        memo of :mod:`repro.phy.error_models` keys on it instead of
-        hashing the dataclass once per reception.
+
+    The compiled reception tail computes :meth:`ber` itself for an exact
+    ``Modulation`` with float fields (see ``BerErrorModel``).
     """
 
     name: str
@@ -68,17 +60,6 @@ class Modulation:
     processing_gain_db: float = 0.0
     coding_gain_db: float = 0.0
     code_rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        identity = self.__reduce__()         # (class, field values)
-        object.__setattr__(self, "memo_id",
-                           _memo_ids.setdefault(identity, len(_memo_ids)))
-
-    def __reduce__(self):
-        # Rebuilt from its fields: ids are per process, so a copy or an
-        # unpickled modulation interns its own, not the sender's.
-        return type(self), tuple(getattr(self, field.name)
-                                 for field in fields(self))
 
     def ber(self, snr_db: float) -> float:
         """Bit error probability at the given SNR (dB over signal bandwidth).

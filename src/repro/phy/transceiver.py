@@ -23,9 +23,10 @@ path; :data:`RADIO` is their binding table.  On a C-kernel simulator a
 plain radio binds itself through ``repro.core.binding.bind``
 to their compiled twins in ``repro.core._ckernel`` — the same statements
 over the same ``__slots__`` — which hand any step they do not handle (an
-aborted lock, an off-type field, an error model that is not exactly
-``BerErrorModel``, the trace record) back to the method here: a change to
-these methods changes what ``tests/phy/test_edge_parity.py`` holds both to.
+aborted lock, an off-type field, an error model or modulation not exactly
+``BerErrorModel`` / ``Modulation``, the trace record) back to the method
+here: a change to these methods changes what ``tests/phy/test_edge_parity.py``
+and ``tests/phy/test_per_twin.py`` hold both to.
 ``sum(self._arrivals.values())`` here is the reference for every table
 sum there: the twins fold the values in C, in whichever way returns this
 interpreter's ``sum()`` bit for bit (``_ckernel.table_fold``;
@@ -43,9 +44,9 @@ from ..core.engine import Timer
 from ..core.errors import SimulationError
 from ..core.topology import Position
 from ..core.units import dbm_to_watts, linear_to_db, watts_to_dbm
-from . import error_models
 from .error_models import BerErrorModel, ErrorModel
 from .interference import CaptureModel, SinrTracker
+from .modulation import Modulation
 from .standards import PhyMode, PhyStandard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -85,8 +86,7 @@ class Radio:
                  "_noise_watts", "_cca_threshold_watts", "decodable_modes",
                  "_tx_mode_names", "_arrivals", "_locked", "_locked_power",
                  "_locked_tracker", "_cca_busy", "_sim", "_rng", "_trace",
-                 "_rx_timer", "_capture", "_snr_cache", "_tracker",
-                 "_tx_epoch")
+                 "_rx_timer", "_capture", "_tracker", "_tx_epoch")
 
     def __init__(self, name: str, medium: "Medium", standard: PhyStandard,
                  position: Position, channel_id: int = 1,
@@ -136,9 +136,6 @@ class Radio:
         self._edges = (self, slots["arrival_begins"], slots["arrival_ends"])
         self._rx_timer = Timer(medium.sim, slots["_reception_complete"])
         self._capture = self.config.capture
-        # Memoized preamble SNR per exact receive power (pure function
-        # of power/noise; static links repeat the same few powers).
-        self._snr_cache: Dict[float, float] = {}
         # Pre-allocated SINR tracker, reset per lock (a radio locks at
         # most one frame at a time; the per-lock allocation showed up
         # in saturation profiles).
@@ -166,12 +163,7 @@ class Radio:
 
     @noise_watts.setter
     def noise_watts(self, value: float) -> None:
-        """Change the noise floor; invalidates the memoized preamble
-        SNRs (which are pure functions of power / noise)."""
-        if value == self._noise_watts:
-            return
         self._noise_watts = value
-        self._snr_cache.clear()
 
     @property
     def channel_id(self) -> int:
@@ -412,16 +404,9 @@ class Radio:
         # Kept as the historical dB-space comparison deliberately: a
         # linear-domain rewrite disagrees within a few ulp of the
         # threshold, which is enough to desynchronize a seeded run.
-        # Memoized on the exact receive power (one log10 per distinct
-        # link budget instead of one per arrival).
-        try:
-            snr_db = self._snr_cache[power_watts]
-        except KeyError:
-            snr_db = linear_to_db(power_watts / self.noise_watts) \
-                if self.noise_watts > 0 else float("inf")
-            if len(self._snr_cache) >= 4096:
-                self._snr_cache.clear()
-            self._snr_cache[power_watts] = snr_db
+        noise = self._noise_watts
+        snr_db = linear_to_db(power_watts / noise) if noise > 0 \
+            else float("inf")
         if snr_db < self.config.preamble_detection_snr_db:
             return  # too weak to even see a preamble: pure noise
         if transmission.mode.name not in self.decodable_modes:
@@ -575,10 +560,8 @@ class Radio:
 #: What a medium delivers to a radio: receive edges and reception tail.
 RADIO = Table("Radio", "phy", {
     "Radio": Radio, "SinrTracker": SinrTracker, "CaptureModel": CaptureModel,
-    "BerErrorModel": BerErrorModel,
+    "BerErrorModel": BerErrorModel, "Modulation": Modulation,
     **{state.name: state for state in RadioState},
-    "RX.value": RadioState.RX.value, "IDLE.value": RadioState.IDLE.value,
-    "_per_cache": error_models._per_cache,
-    "_PER_CACHE_LIMIT": error_models._PER_CACHE_LIMIT},
+    "RX.value": RadioState.RX.value, "IDLE.value": RadioState.IDLE.value},
     lambda radio: (radio,), (Radio,),
     ("arrival_begins", "arrival_ends", "_reception_complete"))

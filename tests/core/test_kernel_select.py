@@ -86,13 +86,12 @@ class TestStaleExtension:
             resolve_kernel("c")
         assert not recwarn.list
 
-    def test_an_extension_from_before_the_one_resolver_is_stale(self, stale):
-        # ABI 8 replaced ``install`` / ``bind_phy`` / ``bind_mac`` with
-        # the one ``resolve``; a build that lacks it could resolve no
-        # class set at all.
-        assert engine.KERNEL_ABI == 8
-        stale.KERNEL_ABI = 7
-        with pytest.warns(RuntimeWarning, match="ABI 7.*needs 8"):
+    def test_an_extension_from_before_the_computed_per_is_stale(self, stale):
+        # ABI 9's "phy" class set carries ``Modulation`` and no PER memo;
+        # an ABI 8 build would ask ``resolve`` for the memo it probes.
+        assert engine.KERNEL_ABI == 9
+        stale.KERNEL_ABI = 8
+        with pytest.warns(RuntimeWarning, match="ABI 8.*needs 9"):
             assert not ckernel_available()
 
     def test_an_extension_without_an_abi_is_stale_too(self, stale):

@@ -56,7 +56,6 @@ from repro.mac.nav import Nav
 from repro.mac.queueing import DropTailQueue
 from repro.mac.rate_adapt import (FixedRate, IdealSnr, RateController,
                                   fixed_rate_factory)
-from repro.phy import error_models
 from repro.phy.channel import Medium, Transmission
 from repro.phy.error_models import FixedPerErrorModel
 from repro.phy.propagation import FixedLoss
@@ -144,7 +143,6 @@ class World:
                  rts=False, radio_class=Radio, ideal_at=None,
                  listening_at=None, sniffer_at=None):
         reset_allocator()                    # same RNG stream names
-        error_models._per_cache.clear()      # same PER misses
         self.sim = sim = Simulator(seed=23, kernel=kernel)
         self.medium = medium = Air(sim, FixedLoss(50.0))
         self.first_id = next(Transmission._ids) + 1

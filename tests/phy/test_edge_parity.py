@@ -7,8 +7,8 @@ On ``kernel="c"`` the medium delivers arrivals to
 timer fires ``_ckernel._reception_complete`` instead of
 ``Radio._reception_complete``, and timers and fan-outs are built by the
 extension's ``arm`` / ``fan_out``.  The claim is that nothing
-observable differs — not an upcall, a float, a heap entry, a random
-draw or an entry of the shared PER memo.  Two halves:
+observable differs — not an upcall, a float, a heap entry or a random
+draw.  Two halves:
 
 * a ``hypothesis`` schedule of direct edge deliveries, real
   transmissions, sleep/wake, power loss and retunes over 2-6 radios —
@@ -16,7 +16,9 @@ draw or an entry of the shared PER memo.  Two halves:
   matter (preamble floor, CCA threshold, capture margin), foreign and
   energy-only modes, capture on/off, a capture object that is not a
   ``CaptureModel``, a ``Radio`` subclass, four error models (only an
-  exact ``BerErrorModel`` is answered in C), tracing on and off — run
+  exact ``BerErrorModel`` is answered in C; its arithmetic is held to
+  the reference input by input in ``tests/phy/test_per_twin.py``),
+  tracing on and off — run
   once per kernel and compared upcall by upcall, slot by slot, heap
   entry by heap entry, RNG state by RNG state;
 * the failure path: an upcall or an error model that raises inside a
@@ -39,7 +41,6 @@ from repro.core.engine import ckernel_available
 from repro.core.errors import SimulationError
 from repro.core.trace import TraceLog
 from repro.core.units import dbm_to_watts
-from repro.phy import error_models
 from repro.phy.channel import ENERGY_ONLY, Medium, Transmission
 from repro.phy.error_models import (BerErrorModel, FixedPerErrorModel,
                                     SnrThresholdErrorModel)
@@ -119,7 +120,7 @@ class ListeningRadio(Radio):
 
 class LoggedBer(BerErrorModel):
     """A ``BerErrorModel`` subclass: not the exact class, so the compiled
-    tail must call this method, not answer from the memo itself."""
+    tail must call this method, not compute the PER itself."""
 
     def __init__(self, log):
         self._log = log
@@ -129,13 +130,9 @@ class LoggedBer(BerErrorModel):
         return super().frame_survives(snr_db, size_bits, modulation, rng)
 
 
-#: The PER memo keys on ``Modulation.memo_id``; snapshots print the name.
-MEMO_NAMES = {mode.modulation.memo_id: mode.modulation.name
-              for mode in DOT11B.modes + DOT11G.modes}
-
-
 class DeafModulation(Modulation):
-    """A BER curve that raises: what a PER memo miss runs into."""
+    """A subclass whose BER curve raises: the compiled tail hands its
+    PER to ``packet_error_rate``, which raises."""
 
     def ber(self, snr_db):
         raise Boom("no curve")
@@ -152,10 +149,6 @@ class World:
 
     def __init__(self, kernel, radios, capture, subclass_at,
                  error_model="ber", traced=True):
-        # Every world starts from an empty PER memo, so both kernels
-        # take the same misses (the memo's insertion order is part of
-        # the snapshot).
-        error_models._per_cache.clear()
         self.sim = sim = Simulator(seed=11, kernel=kernel,
                                    trace=TraceLog(enabled=traced))
         self.medium = medium = Medium(sim, FreeSpace(2.4e9))
@@ -255,21 +248,14 @@ class World:
                       for slot in type(tracker).__slots__),
                 (radio._rx_timer._armed, radio._rx_timer._version,
                  repr(radio._rx_timer._time)),
-                sorted((repr(power), repr(snr))
-                       for power, snr in radio._snr_cache.items()),
                 hash(radio._rng.getstate())))
         return {"now": repr(sim._now), "scheduled": sim._scheduled,
                 "cancelled": sim._cancelled_events,
                 "executed": sim._events_executed, "heap": heap,
                 "radios": radios, "log": list(self.log),
-                "memo_size": len(error_models._per_cache),
                 "trace": [(repr(record.time), record.source, record.event,
                            sorted(record.detail.items()))
-                          for record in sim.trace],
-                "per_memo": [(repr(snr), bits, MEMO_NAMES[memo_id], repr(per))
-                             for (snr, bits, memo_id), per
-                             in error_models._per_cache.items()
-                             if memo_id is not None]}
+                          for record in sim.trace]}
 
 
 # --- the randomized schedule -------------------------------------------------
@@ -501,31 +487,11 @@ def test_corner_schedules(corner):
         assert compiled[4]["radios"][1][1:3] == ("idle", True)
     if corner.startswith("frames of"):
         assert [entry[4] for entry in rx_ends] == [True, True]
-        assert [entry[1] for entry in compiled[-1]["per_memo"]] == [0, -8]
     if corner.startswith("an infinite"):
         assert [entry[5] for entry in rx_ends] == ["inf", "-inf"]
     if corner.startswith("a tracker holding") or \
             corner.startswith("a table that is not"):
         assert len(rx_ends) == 1
-
-
-def test_the_per_memo_clears_at_its_limit_alike():
-    """One below the limit, three misses: the first fills the memo, the
-    second clears it and starts over — in the tail as in
-    ``BerErrorModel.frame_survives``."""
-    limit = error_models._PER_CACHE_LIMIT
-    fill = ("poke", 1, lambda world, rx: error_models._per_cache.update(
-        ((float(index), 0, None), 0.0) for index in range(limit - 1)))
-    schedule = [fill,
-                ("begins", 1, 0, LOCKED), ("run", 1e-3),
-                ("begins", 1, 0, LOCKED * 2.0), ("run", 1e-3),
-                ("begins", 1, 0, LOCKED * 3.0), ("run", 1e-3)]
-    _, reference = _play("python", 2, "on", None, schedule)
-    _, compiled = _play("c", 2, "on", None, schedule)
-    error_models._per_cache.clear()
-    assert compiled == reference
-    assert [frame["memo_size"] for frame in compiled] == \
-        [limit - 1, limit - 1, limit, limit, 1, 1, 2, 2]
 
 
 # --- the failure path --------------------------------------------------------
@@ -621,7 +587,7 @@ FAILURES = {
         Boom, [], lambda world, rx, begins, ends: _lock_then(
             world, rx, begins, ends,
             at_1100us=("error_model", FailingModel()))),
-    "a PER miss raises at the tail": (
+    "a handed-off PER raises at the tail": (
         Boom, [], lambda world, rx, begins, ends: _lock_then(
             world, rx, begins, ends, frame=_deaf_frame(world))),
     "on_rx_end raises at the tail": (
@@ -652,7 +618,8 @@ def test_a_failing_edge_fails_alike_and_the_run_continues(case):
     if case.endswith("the tail"):
         assert failing[1] == "idle" and failing[4] is None
         # Exactly one draw, taken after the PER is known: none when the
-        # model or the miss raised, one by the time on_rx_end runs.
+        # model or the handed-off PER raised, one by the time on_rx_end
+        # runs.
         drew = failing[-1] != before["radios"][1][-1]
         assert drew == case.startswith("on_rx_end")
         # The idle edge fires before on_rx_end, and only there.

@@ -6,7 +6,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.phy import error_models
 from repro.phy.error_models import (
     BerErrorModel,
     FixedPerErrorModel,
@@ -69,15 +68,9 @@ class DeafModulation(Modulation):
 
 
 class TestOnePerArithmetic:
-    """``frame_survives`` memoizes ``packet_error_rate``; it has no
-    arithmetic of its own (the compiled reception tail shares the memo,
-    see tests/phy/test_edge_parity.py)."""
-
-    @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        error_models._per_cache.clear()
-        yield
-        error_models._per_cache.clear()
+    """``frame_survives`` draws once against ``packet_error_rate``; it
+    has no arithmetic of its own (the compiled reception tail's copy of
+    that arithmetic is held to it in tests/phy/test_per_twin.py)."""
 
     @pytest.mark.parametrize("snr_db, size_bits, modulation", [
         (math.inf, 12000, OFDM_QPSK_12), (-math.inf, 12000, OFDM_QPSK_12),
@@ -90,13 +83,10 @@ class TestOnePerArithmetic:
                                                     modulation):
         model = BerErrorModel()
         per = model.packet_error_rate(snr_db, size_bits, modulation)
-        for _attempt in ("miss", "hit"):
-            rng, twin = random.Random(7), random.Random(7)
-            verdict = model.frame_survives(snr_db, size_bits, modulation, rng)
-            assert verdict is (twin.random() >= per)
-            assert rng.getstate() == twin.getstate()       # one draw
-        (memoized,) = error_models._per_cache.values()
-        assert repr(memoized) == repr(per)
+        rng, twin = random.Random(7), random.Random(7)
+        verdict = model.frame_survives(snr_db, size_bits, modulation, rng)
+        assert verdict is (twin.random() >= per)
+        assert rng.getstate() == twin.getstate()       # one draw
 
     def test_a_nan_ber_never_delivers(self):
         # The two arithmetics used to disagree here (inline: PER 0.0,
@@ -107,31 +97,12 @@ class TestOnePerArithmetic:
         assert not any(model.frame_survives(9.0, 800, deaf, rng)
                        for _ in range(50))
 
-    def test_signed_zeros_share_an_entry(self):
-        model, rng = BerErrorModel(), random.Random(3)
-        model.frame_survives(0.0, 800, OFDM_QPSK_12, rng)
-        model.frame_survives(-0.0, 800, OFDM_QPSK_12, rng)
-        assert len(error_models._per_cache) == 1
-
-    def test_a_full_memo_is_cleared_not_grown(self):
-        limit = error_models._PER_CACHE_LIMIT
-        assert limit == 65536
-        error_models._per_cache.update(
-            ((float(index), 0, None), 0.0) for index in range(limit - 1))
-        model, rng = BerErrorModel(), random.Random(3)
-        model.frame_survives(1.0, 800, OFDM_QPSK_12, rng)
-        assert len(error_models._per_cache) == limit
-        model.frame_survives(2.0, 800, OFDM_QPSK_12, rng)
-        assert list(error_models._per_cache) == [
-            (2.0, 800, OFDM_QPSK_12.memo_id)]
-
-    def test_a_miss_that_raises_draws_nothing_and_stores_nothing(self):
+    def test_a_per_that_raises_draws_nothing(self):
         model, rng = BerErrorModel(), random.Random(3)
         state = rng.getstate()
         with pytest.raises(ValueError, match="no curve"):
             model.frame_survives(9.0, 800, DeafModulation("deaf", 1.0), rng)
         assert rng.getstate() == state
-        assert not error_models._per_cache
 
 
 class TestSnrThreshold:

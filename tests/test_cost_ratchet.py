@@ -9,8 +9,7 @@ For ``dense_cell``, ``emitter_field``, ``mesh_roam`` and
 * the calls per layer of ``bench.ledger.profile_ledger`` over the
   workload's ``ledger_run`` (or ``run``), keyed by kernel and Python
   minor version.  They come from a second repeat, as in the benchmark's
-  traced pass: the first fills module caches (``dense_cell`` reads
-  79 979 ``phy.models`` calls on repeat 1 and 340 from repeat 2 on).
+  traced pass: the first fills module caches.
 
 They are measured in a fresh interpreter, so module caches filled by
 other tests cannot move them.  Any change, in either direction, fails
@@ -48,7 +47,12 @@ def measure_all():
     from bench.workloads import WORKLOADS
     from repro.core.engine import resolve_kernel
 
-    result = {"environment": f"{resolve_kernel()}/py"
+    kernel = resolve_kernel()
+    # Name the kernel, so no simulator built while profiled asks
+    # "auto" again: on a tree without the extension that question is
+    # one more ``core`` call per simulator than ``python`` costs.
+    os.environ["REPRO_KERNEL"] = kernel
+    result = {"environment": f"{kernel}/py"
                              f"{sys.version_info[0]}.{sys.version_info[1]}",
               "counters": {}, "calls": {}}
     for name in NAMES:

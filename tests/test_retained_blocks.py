@@ -8,7 +8,7 @@ benchmark's ``mesh_roam`` workload (small scale) — the workload through
 the MAC's per-peer ACKs and the shared beacon decode — run back to back
 in a fresh interpreter; after each, ``gc.collect()`` and
 ``sys.getallocatedblocks()``.  The first repeats fill the process-wide
-memos (PER table, interned frame controls, the last beacon); from the
+memos (interned frame controls, the last beacon); from the
 third on the count must stay flat.  A fresh interpreter, because what a
 process has already run decides what is left to fill.
 """

@@ -6,7 +6,7 @@
 twice, the slot's twin is called on one copy and its reference on the
 other, and everything either could touch is compared, repr-exact: every
 slot of every object, the upcalls, the heap entry by entry, RNG states,
-the PER memo, what was raised.  Where a named state has one right
+what was raised.  Where a named state has one right
 outcome (arm the IFS wait or not, and when; win access; draw a counter)
 the reference is held to it as well, so a change that moves both sides
 alike fails too.
