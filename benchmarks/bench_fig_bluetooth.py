@@ -70,9 +70,8 @@ def run_experiment():
     return piconet_rows, relay_rate
 
 
-def test_fig_bluetooth(benchmark, record_result):
-    piconet_rows, relay_rate = benchmark.pedantic(run_experiment,
-                                                  rounds=1, iterations=1)
+def test_fig_bluetooth(record_result):
+    piconet_rows, relay_rate = run_experiment()
     text = render_table(
         "E3: Bluetooth piconet capacity sharing (Fig 1.2)",
         ["active slaves", "aggregate kb/s", "min slave kb/s",

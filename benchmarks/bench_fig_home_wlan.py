@@ -62,17 +62,13 @@ def run_home_bss(standard, seed=1, interferer=False):
     return sink.total_goodput_bps(HORIZON)
 
 
-def run_all():
-    return {
+def test_fig_home_wlan(record_result):
+    results = {
         "802.11b BSS": run_home_bss(DOT11B),
         "802.11g BSS": run_home_bss(DOT11G),
         "802.11g BSS + 802.11b interferer": run_home_bss(DOT11G,
                                                          interferer=True),
     }
-
-
-def test_fig_home_wlan(benchmark, record_result):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = [[name, goodput / 1e6]
             for name, goodput in results.items()]
     text = render_table(

@@ -37,8 +37,8 @@ def sweep_all():
     return series
 
 
-def test_fig_phy_rates(benchmark, record_result):
-    series = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+def test_fig_phy_rates(record_result):
+    series = sweep_all()
     points = []
     for index, distance in enumerate(DISTANCES_M):
         points.append([distance] + [to_mbps(series[name][index])

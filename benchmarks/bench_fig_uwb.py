@@ -29,8 +29,8 @@ def sweep(domain, seed=1):
     return rows
 
 
-def test_fig_uwb(benchmark, record_result):
-    us_rows = benchmark.pedantic(sweep, args=(USA,), rounds=1, iterations=1)
+def test_fig_uwb(record_result):
+    us_rows = sweep(USA)
     text = render_table(
         "E5: UWB rate vs distance, US allocation (Fig 1.5)",
         ["distance m", "rate Mb/s", "SNR dB", "100MB transfer s"],
@@ -50,19 +50,15 @@ def test_fig_uwb(benchmark, record_result):
     assert transfer_at_2m < 5.0
 
 
-def test_uwb_regulatory_domains(benchmark, record_result):
-    def run():
-        sim = Simulator(seed=2)
-        rows = []
-        for domain in (USA, EUROPE):
-            link = UwbLink(sim, Position(0, 0, 0), Position(2, 0, 0),
-                           domain=domain)
-            rows.append([domain.name, domain.total_bandwidth_hz / 1e9,
-                         to_mbps(link.rate_bps()),
-                         link.max_range_for_rate(mbps(110.0))])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_uwb_regulatory_domains(record_result):
+    sim = Simulator(seed=2)
+    rows = []
+    for domain in (USA, EUROPE):
+        link = UwbLink(sim, Position(0, 0, 0), Position(2, 0, 0),
+                       domain=domain)
+        rows.append([domain.name, domain.total_bandwidth_hz / 1e9,
+                     to_mbps(link.rate_bps()),
+                     link.max_range_for_rate(mbps(110.0))])
     text = render_table(
         "E5b: UWB regulatory allocations (text §2.1)",
         ["domain", "allocation GHz", "rate @2m Mb/s", "110Mb/s range m"],

@@ -48,8 +48,8 @@ def run_sweep():
     return rows
 
 
-def test_fig_wimax_subscriber_sweep(benchmark, record_result):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_fig_wimax_subscriber_sweep(record_result):
+    rows = run_sweep()
     text = render_table(
         "E7: WiMAX point-to-multipoint cell (Fig 1.7), saturated downlink",
         ["subscribers", "aggregate Mb/s", "min SS Mb/s", "max SS Mb/s"],
@@ -70,29 +70,22 @@ def test_fig_wimax_subscriber_sweep(benchmark, record_result):
     assert rows[-1][3] < rows[0][3] / 10
 
 
-def test_fig_wimax_bands(benchmark, record_result):
+def test_fig_wimax_bands(record_result):
     """LOS vs NLOS band behaviour (§2.3)."""
-
-    def run():
-        sim = Simulator(seed=3)
-        nlos_bs = WimaxBaseStation(sim, Position(0, 0, 0),
-                                   band=WimaxBand.NLOS)
-        los_bs = WimaxBaseStation(sim, Position(0, 0, 0),
-                                  band=WimaxBand.LOS)
-        rows = []
-        for distance in (1_000.0, 5_000.0, 20_000.0, 40_000.0):
-            nlos_probe = SubscriberStation("p", Position(distance, 0, 0))
-            los_probe = SubscriberStation("p", Position(distance, 0, 0),
-                                          line_of_sight=True)
-            nlos_profile = nlos_bs.link_profile(nlos_probe)
-            los_profile = los_bs.link_profile(los_probe)
-            rows.append([distance / 1e3,
-                         nlos_profile[0] if nlos_profile else "no link",
-                         los_profile[0] if los_profile else "no link"])
-        return rows, nlos_bs.max_range_m(), los_bs.max_range_m()
-
-    rows, nlos_range, los_range = benchmark.pedantic(run, rounds=1,
-                                                     iterations=1)
+    sim = Simulator(seed=3)
+    nlos_bs = WimaxBaseStation(sim, Position(0, 0, 0), band=WimaxBand.NLOS)
+    los_bs = WimaxBaseStation(sim, Position(0, 0, 0), band=WimaxBand.LOS)
+    rows = []
+    for distance in (1_000.0, 5_000.0, 20_000.0, 40_000.0):
+        nlos_probe = SubscriberStation("p", Position(distance, 0, 0))
+        los_probe = SubscriberStation("p", Position(distance, 0, 0),
+                                      line_of_sight=True)
+        nlos_profile = nlos_bs.link_profile(nlos_probe)
+        los_profile = los_bs.link_profile(los_probe)
+        rows.append([distance / 1e3,
+                     nlos_profile[0] if nlos_profile else "no link",
+                     los_profile[0] if los_profile else "no link"])
+    nlos_range, los_range = nlos_bs.max_range_m(), los_bs.max_range_m()
     text = render_table(
         "E7b: WiMAX bands: 2-11 GHz NLOS vs 10-66 GHz LOS (text §2.3)",
         ["distance km", "NLOS profile", "LOS profile"], rows)

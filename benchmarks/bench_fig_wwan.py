@@ -78,8 +78,8 @@ def run_satellite_profile():
     return link.rtt(), rows
 
 
-def test_fig_wwan_generations(benchmark, record_result):
-    rows = benchmark.pedantic(run_generation_ladder, rounds=1, iterations=1)
+def test_fig_wwan_generations(record_result):
+    rows = run_generation_ladder()
     text = render_table(
         "E8: Cellular generations (text §2.4)",
         ["generation", "year", "description", "measured kb/s"],
@@ -91,11 +91,8 @@ def test_fig_wwan_generations(benchmark, record_result):
     assert rates[-1] == pytest.approx(1e6)  # 1 Gb/s in kb/s
 
 
-def test_fig_wwan_reuse_and_handoff(benchmark, record_result):
-    def run():
-        return run_reuse_comparison(), run_drive_test()
-
-    reuse_rows, mobile = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig_wwan_reuse_and_handoff(record_result):
+    reuse_rows, mobile = run_reuse_comparison(), run_drive_test()
     text = render_table(
         "E8b: Frequency reuse capacity (19 cells, 84 channels)",
         ["reuse factor", "channels/cell", "total sessions"],
@@ -113,9 +110,8 @@ def test_fig_wwan_reuse_and_handoff(benchmark, record_result):
     assert mobile.counters.get("dropped") == 0
 
 
-def test_fig_wwan_satellite(benchmark, record_result):
-    rtt, rows = benchmark.pedantic(run_satellite_profile, rounds=1,
-                                   iterations=1)
+def test_fig_wwan_satellite(record_result):
+    rtt, rows = run_satellite_profile()
     text = render_table(
         "E8c: GEO satellite link: window-limited throughput vs RTT "
         f"(RTT = {rtt * 1e3:.0f} ms, channel = "

@@ -68,16 +68,11 @@ def run_workload(topology, kind, rounds=15, seed=7):
     }
 
 
-def run_all():
-    results = {}
-    for topology in (Topology.STAR, Topology.MESH, Topology.CLUSTER_TREE):
-        for kind in ("adjacent", "cross"):
-            results[(topology, kind)] = run_workload(topology, kind)
-    return results
-
-
-def test_fig_zigbee_topologies(benchmark, record_result):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_fig_zigbee_topologies(record_result):
+    results = {(topology, kind): run_workload(topology, kind)
+               for topology in (Topology.STAR, Topology.MESH,
+                                Topology.CLUSTER_TREE)
+               for kind in ("adjacent", "cross")}
     rows = []
     for (topology, kind), result in results.items():
         rows.append([topology.value, kind, result["delivery"],
@@ -107,27 +102,21 @@ def test_fig_zigbee_topologies(benchmark, record_result):
         assert result["delivery"] > 0.9
 
 
-def test_rfd_leaf_constraint(benchmark):
+def test_rfd_leaf_constraint():
     """The text: 'a RFD may connect to a cluster-tree network as a leaf
     node at the end of a branch' — RFDs never relay."""
-
-    def run():
-        sim = Simulator(seed=9)
-        pan, _c, routers = build_pan(sim, Topology.MESH)
-        leaves = []
-        for index, router in enumerate(routers):
-            angle = 2 * math.pi * index / ROUTERS
-            leaf = pan.add_node(
-                ZigbeeNode(f"leaf{index}",
-                           Position(32 * math.cos(angle),
-                                    32 * math.sin(angle)),
-                           DeviceType.END_DEVICE), parent=router)
-            leaves.append(leaf)
-        for leaf in leaves:
-            pan.send(leaf.name, "c", b"report")
-        sim.run(until=5.0)
-        return pan, leaves
-
-    pan, leaves = benchmark.pedantic(run, rounds=1, iterations=1)
+    sim = Simulator(seed=9)
+    pan, _c, routers = build_pan(sim, Topology.MESH)
+    leaves = []
+    for index, router in enumerate(routers):
+        angle = 2 * math.pi * index / ROUTERS
+        leaf = pan.add_node(
+            ZigbeeNode(f"leaf{index}",
+                       Position(32 * math.cos(angle), 32 * math.sin(angle)),
+                       DeviceType.END_DEVICE), parent=router)
+        leaves.append(leaf)
+    for leaf in leaves:
+        pan.send(leaf.name, "c", b"report")
+    sim.run(until=5.0)
     assert all(leaf.counters.get("relayed") == 0 for leaf in leaves)
     assert pan.counters.get("received") == len(leaves)

@@ -11,51 +11,50 @@ model.
 A second series compares basic access against RTS/CTS on a 1 Mb/s
 channel with 1500-byte payloads — Bianchi's classic configuration where
 reservation wins once the collision cost dwarfs the RTS overhead.
+
+Both series sweep the campaign runner's ``saturated_cells`` builder,
+and measure each job over its horizon after a warm-up.
 """
 
 import pytest
 
 from repro.analysis.metrics import bianchi_saturation_throughput
 from repro.analysis.tables import render_table
-from repro.core import Position, Simulator
-from repro.mac.addresses import allocate_address
-from repro.mac.dcf import DcfConfig, DcfMac
-from repro.mac.rate_adapt import fixed_rate_factory
-from repro.phy.channel import Medium
-from repro.phy.propagation import FixedLoss
+from repro.campaign import build_job, expand_grid, validate_spec
 from repro.phy.standards import DOT11B
-from repro.phy.transceiver import Radio
-from repro.traffic import DeliveryCounter, SaturatingSource
+
+WARMUP = 0.4
+STATIONS = "scenario.params.stations_per_bss"
+RTS = "scenario.params.rts_threshold_bytes"
 
 
-def run_saturation(n, payload_bytes=800, rate_mode="CCK-11",
-                   rts_threshold=2347, horizon=3.0, seed=5):
-    sim = Simulator(seed=seed)
-    medium = Medium(sim, FixedLoss(50.0))
-    config = DcfConfig(rts_threshold_bytes=rts_threshold)
-    receiver_radio = Radio("rx", medium, DOT11B, Position(0, 0, 0))
-    receiver = DcfMac(sim, receiver_radio, allocate_address(),
-                      config=config,
-                      rate_factory=fixed_rate_factory(rate_mode))
-    counter = receiver.listener = DeliveryCounter()
-    payload = bytes(payload_bytes)
-    for index in range(n):
-        radio = Radio(f"tx{index}", medium, DOT11B,
-                      Position(1.0 + index * 0.1, 0, 0))
-        mac = DcfMac(sim, radio, allocate_address(), config=config,
-                     rate_factory=fixed_rate_factory(rate_mode))
-        mac.listener = SaturatingSource(mac, receiver.address, payload)
-    warmup = 0.4
-    sim.run(until=warmup)
-    counter.bytes = 0
-    sim.run(until=warmup + horizon)
-    return counter.bytes * 8 / horizon
+def saturated_cell(horizon, payload_bytes, sweep, **params):
+    """A ``saturated_cells`` sweep: one cell, seed 5, 4-deep queues."""
+    return validate_spec({
+        "campaign": {"name": "e10"},
+        "scenario": {"builder": "saturated_cells", "horizon": horizon,
+                     "seed": 5, "params": params},
+        "traffic": {"kind": "saturate", "payload_bytes": payload_bytes,
+                    "depth": 4},
+        "sweep": sweep})
+
+
+def goodput_bps(spec):
+    """Receiver goodput over the job's horizon, after a WARMUP."""
+    horizon = spec["scenario"]["horizon"]
+    job = build_job(spec)
+    job.run(WARMUP)
+    warm = job.stats()["rx_bytes"]
+    job.run(WARMUP + horizon)
+    return (job.stats()["rx_bytes"] - warm) * 8 / horizon
 
 
 def run_population_sweep():
     rows = []
-    for n in (1, 2, 5, 10, 20):
-        simulated = run_saturation(n)
+    for job in expand_grid(saturated_cell(3.0, 800, {
+            STATIONS: [1, 2, 5, 10, 20]})):
+        n = job.axes[STATIONS]
+        simulated = goodput_bps(job.spec)
         analytic = bianchi_saturation_throughput(
             n, DOT11B, payload_bytes=800, data_rate_bps=11e6)
         rows.append([n, simulated / 1e6, analytic / 1e6,
@@ -63,8 +62,8 @@ def run_population_sweep():
     return rows
 
 
-def test_dcf_saturation_vs_bianchi(benchmark, record_result):
-    rows = benchmark.pedantic(run_population_sweep, rounds=1, iterations=1)
+def test_dcf_saturation_vs_bianchi(record_result):
+    rows = run_population_sweep()
     text = render_table(
         "E10: DCF saturation throughput vs stations "
         "(802.11b, 800B payload, 11 Mb/s)",
@@ -81,23 +80,23 @@ def test_dcf_saturation_vs_bianchi(benchmark, record_result):
 
 
 def run_rts_comparison():
+    simulated = {(job.axes[STATIONS], job.axes[RTS]): goodput_bps(job.spec)
+                 for job in expand_grid(saturated_cell(
+                     6.0, 1500, {STATIONS: [2, 5, 10], RTS: [2347, 400]},
+                     rate="DSSS-1"))}
     rows = []
     for n in (2, 5, 10):
-        basic = run_saturation(n, payload_bytes=1500, rate_mode="DSSS-1",
-                               rts_threshold=2347, horizon=6.0)
-        rts = run_saturation(n, payload_bytes=1500, rate_mode="DSSS-1",
-                             rts_threshold=400, horizon=6.0)
         analytic_basic = bianchi_saturation_throughput(
             n, DOT11B, 1500, 1e6, use_rts=False)
         analytic_rts = bianchi_saturation_throughput(
             n, DOT11B, 1500, 1e6, use_rts=True)
-        rows.append([n, basic / 1e3, rts / 1e3,
+        rows.append([n, simulated[n, 2347] / 1e3, simulated[n, 400] / 1e3,
                      analytic_basic / 1e3, analytic_rts / 1e3])
     return rows
 
 
-def test_dcf_basic_vs_rts(benchmark, record_result):
-    rows = benchmark.pedantic(run_rts_comparison, rounds=1, iterations=1)
+def test_dcf_basic_vs_rts(record_result):
+    rows = run_rts_comparison()
     text = render_table(
         "E10b: basic access vs RTS/CTS (1500B payload, 1 Mb/s channel)",
         ["stations", "basic kb/s", "RTS kb/s", "Bianchi basic kb/s",

@@ -11,55 +11,46 @@ Second series: fragmentation as the §4.2 error-control knob — under a
 harsh per-frame error floor, smaller fragments raise delivery.
 """
 
-import pytest
-
 from repro.analysis.tables import render_table
+from repro.campaign import build_job, expand_grid, validate_spec
 from repro.core import Position, Simulator
-from repro.mac.dcf import DcfConfig
+from repro.mac.addresses import allocate_address
+from repro.mac.dcf import DcfConfig, DcfMac
 from repro.mac.rate_adapt import fixed_rate_factory
+from repro.phy.channel import Medium
 from repro.phy.error_models import FixedPerErrorModel
-from repro.scenarios import build_hidden_terminal
-from repro.traffic import DeliveryCounter, SaturatingSource
+from repro.phy.propagation import FixedLoss
+from repro.phy.standards import DOT11B
+from repro.phy.transceiver import Radio
+from repro.traffic import DeliveryCounter
 
 HORIZON = 4.0
 
-def run_hidden(rts_threshold, payload_bytes=2000, seed=11):
-    sim = Simulator(seed=seed)
-    config = DcfConfig(rts_threshold_bytes=rts_threshold)
-    # Pin DSSS-2 for data: a collided 2000-byte frame then wastes ~8 ms
-    # of air, dwarfing the ~1 ms RTS/CTS overhead — the classic regime
-    # where reservation pays.  (DSSS-1 would mask collisions entirely
-    # behind its Barker spreading gain; CCK-11 makes data frames so
-    # short that the 1 Mb/s control overhead eats the gain.)
-    scenario = build_hidden_terminal(
-        sim, mac_config=config,
-        rate_factory=fixed_rate_factory("DSSS-2"))
-    received = DeliveryCounter()
-    scenario.receiver.on_receive(received)
-    payload = bytes(payload_bytes)
-    for sender in (scenario.sender_a, scenario.sender_b):
-        # Chain the source behind the device's own listener plumbing.
-        sender.on_tx_complete(SaturatingSource(
-            sender.mac, scenario.receiver.address, payload, depth=3))
-    sim.run(until=HORIZON)
-    drops = (scenario.sender_a.mac.counters.get("msdu_dropped")
-             + scenario.sender_b.mac.counters.get("msdu_dropped"))
-    timeouts = (scenario.sender_a.mac.counters.get("ack_timeouts")
-                + scenario.sender_b.mac.counters.get("ack_timeouts")
-                + scenario.sender_a.mac.counters.get("cts_timeouts")
-                + scenario.sender_b.mac.counters.get("cts_timeouts"))
-    return received.bytes * 8 / HORIZON, drops, timeouts
+#: The campaign runner's ``hidden_terminal`` builder, with and without
+#: RTS/CTS.  Data goes at DSSS-2: a collided 2000-byte frame then wastes
+#: ~8 ms of air, dwarfing the ~1 ms RTS/CTS overhead — the classic
+#: regime where reservation pays.  (DSSS-1 would mask collisions
+#: entirely behind its Barker spreading gain; CCK-11 makes data frames
+#: so short that the 1 Mb/s control overhead eats the gain.)
+HIDDEN = validate_spec({
+    "campaign": {"name": "e11"},
+    "scenario": {"builder": "hidden_terminal", "horizon": HORIZON,
+                 "seed": 11, "params": {"rate": "DSSS-2"}},
+    "traffic": {"kind": "saturate", "payload_bytes": 2000, "depth": 3},
+    "sweep": {"scenario.params.rts_threshold_bytes": [2347, 300]}})
 
 
-def run_comparison():
-    basic = run_hidden(rts_threshold=2347)
-    rts = run_hidden(rts_threshold=300)
-    return basic, rts
+def run_hidden(spec):
+    job = build_job(spec)
+    job.run(HORIZON)
+    stats = job.stats()
+    timeouts = sum(mac.counters.get("ack_timeouts")
+                   + mac.counters.get("cts_timeouts") for mac in job.macs)
+    return stats["rx_bytes"] * 8 / HORIZON, stats["mac_drops"], timeouts
 
 
-def test_hidden_terminal_rts_rescue(benchmark, record_result):
-    (basic, rts) = benchmark.pedantic(run_comparison, rounds=1,
-                                      iterations=1)
+def test_hidden_terminal_rts_rescue(record_result):
+    basic, rts = [run_hidden(job.spec) for job in expand_grid(HIDDEN)]
     rows = [
         ["basic access", basic[0] / 1e3, basic[1], basic[2]],
         ["RTS/CTS", rts[0] / 1e3, rts[1], rts[2]],
@@ -89,13 +80,6 @@ def run_fragmentation_sweep():
                            short_retry_limit=4)
         # A clean (non-hidden) link with a harsh error floor that scales
         # with frame airtime via a fixed per-frame PER on full frames.
-        from repro.mac.addresses import allocate_address
-        from repro.mac.dcf import DcfMac
-        from repro.phy.channel import Medium
-        from repro.phy.propagation import FixedLoss
-        from repro.phy.standards import DOT11B
-        from repro.phy.transceiver import Radio
-
         medium = Medium(sim, FixedLoss(50.0))
         # PER grows with fragment size: model a burst-noise channel where
         # a 2000-byte frame almost always dies but a 256-byte one lives.
@@ -118,9 +102,8 @@ def run_fragmentation_sweep():
     return rows
 
 
-def test_fragmentation_under_errors(benchmark, record_result):
-    rows = benchmark.pedantic(run_fragmentation_sweep, rounds=1,
-                              iterations=1)
+def test_fragmentation_under_errors(record_result):
+    rows = run_fragmentation_sweep()
     text = render_table(
         "E11b: fragmentation vs a size-dependent error floor "
         "(2000B MSDUs)",

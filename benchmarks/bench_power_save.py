@@ -68,12 +68,8 @@ def run_mode(power_save, seed=5):
     }
 
 
-def run_both():
-    return {"PS off": run_mode(False), "PS on": run_mode(True)}
-
-
-def test_power_save_tradeoff(benchmark, record_result):
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_power_save_tradeoff(record_result):
+    results = {"PS off": run_mode(False), "PS on": run_mode(True)}
     rows = [[name,
              result["mean_power_w"] * 1e3,
              result["sleep_fraction"],

@@ -9,7 +9,7 @@ list into numbers along three axes:
    the WPS side channel runs live too,
 2. **per-frame overhead** — bytes each suite adds to an MSDU,
 3. **crypto cost** — protect+unprotect wall time per KiB of payload
-   (this is also what pytest-benchmark times).
+   (a wall clock: the one column that differs run to run).
 """
 
 import time
@@ -57,9 +57,8 @@ def run_ranking():
     return reports, rows, wps
 
 
-def test_security_ranking(benchmark, record_result):
-    reports, rows, wps = benchmark.pedantic(run_ranking, rounds=1,
-                                            iterations=1)
+def test_security_ranking(record_result):
+    reports, rows, wps = run_ranking()
     text = render_table(
         "E9: Wi-Fi security methods, best to worst (text §5.2 list)",
         ["rank", "suite", "attack", "effort", "attack s",

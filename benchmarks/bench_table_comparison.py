@@ -121,8 +121,8 @@ def build_comparison_rows():
     return rows
 
 
-def test_table_comparison(benchmark, record_result):
-    rows = benchmark.pedantic(build_comparison_rows, rounds=1, iterations=1)
+def test_table_comparison(record_result):
+    rows = build_comparison_rows()
     text = render_table(
         "E1: Comparison of wireless network types (text ch.8 table)",
         ["type", "name", "standard", "range(text)", "range(measured)",

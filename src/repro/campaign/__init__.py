@@ -10,8 +10,8 @@ into data:
   expansion with content-addressed (sha1) job identities,
 * :mod:`~repro.campaign.manifest` — the crash-safe resumable ledger
   (an fsynced journal; a killed campaign resumes where it stopped),
-* :mod:`~repro.campaign.runner` — executes one concrete job against
-  the existing scenario builders,
+* :mod:`~repro.campaign.runner` — builds one concrete job on the
+  existing scenario builders, then runs it and reads its stats,
 * :mod:`~repro.campaign.store` — the byte-deterministic columnar
   JSONL/CSV result store,
 * :mod:`~repro.campaign.executor` — fan-out, persistence and resume,
@@ -29,7 +29,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "executor": ("CampaignResult", "run_campaign"),
     "grid": ("Job", "expand_grid", "grid_sha1"),
     "manifest": ("Manifest",),
-    "runner": ("BUILDERS", "run_job"),
+    "runner": ("BUILDERS", "build_job", "run_job"),
     "spec": ("SCHEMA_DOC", "SpecError", "canonical_json", "load_spec",
         "spec_sha1", "validate_spec"),
     "store": ("StoreWriter", "csv_text", "read_store", "row_line"),

@@ -1,12 +1,14 @@
 """Execute one concrete campaign job: spec in, protocol-stats row out.
 
 The runner is the bridge between the declarative layer and the
-existing scenario builders (:mod:`repro.scenarios`): every builder
-registered here wires a complete topology, primes traffic, attaches
-any declared adversaries, runs to the spec's horizon, and returns a
-flat ``stats`` dict that is a **pure function of the seed** — the
-determinism contract the content-addressed manifest and the
-byte-compared result store rely on.
+existing scenario builders (:mod:`repro.scenarios`).  :func:`build_job`
+hands a fresh simulator to the spec's builder, which wires a complete
+topology, primes traffic, attaches any declared adversaries, runs what
+comes before its measured window (association, a mesh ``warmup``) and
+returns a :class:`BuiltJob`: ``run(until)`` advances it, ``stats()``
+reads a flat dict that is a **pure function of the seed** — the
+determinism contract the manifest and the result store rely on.
+:func:`run_job` is build, run to the spec's horizon, stats.
 
 Builders never print and never read the wall clock; everything
 machine- or time-dependent lives in the executor layer.  Whole streams
@@ -40,7 +42,7 @@ from ..traffic.generators import CbrSource, SaturatingSource
 from ..traffic.sink import DeliveryCounter, TrafficSink
 from .spec import SpecError
 
-__all__ = ["run_job", "BUILDERS"]
+__all__ = ["build_job", "run_job", "BuiltJob", "BUILDERS"]
 
 _STANDARDS = {"b": DOT11B, "g": DOT11G}
 #: The orthogonal channels ``saturated_cells`` puts its cells on.
@@ -127,13 +129,24 @@ def _mac_config(params: Dict[str, Any]) -> Optional[DcfConfig]:
     return DcfConfig(rts_threshold_bytes=threshold)
 
 
-def _standard(params: Dict[str, Any], default: str = "g"):
-    name = params.get("standard", default)
-    if name not in _STANDARDS:
-        raise SpecError("scenario.params.standard",
-                        f"unknown standard {name!r}; available: "
-                        f"{sorted(_STANDARDS)}")
-    return _STANDARDS[name]
+def _choice(params: Dict[str, Any], key: str, choices,
+            default: Optional[str]) -> str:
+    """``params[key]`` (or ``default``), which must be one of ``choices``."""
+    name = params.get(key, default)
+    if name not in choices:
+        raise SpecError(f"scenario.params.{key}",
+                        f"unknown {key} {name!r}; available: "
+                        f"{sorted(choices)}")
+    return name
+
+
+def _rate(params: Dict[str, Any], default: Optional[str] = None):
+    """A fixed-rate factory for the 802.11b mode ``rate`` (or ``default``)
+    names; ``None``, the MAC's own ARF, when neither does."""
+    if "rate" not in params and default is None:
+        return None
+    return fixed_rate_factory(_choice(
+        params, "rate", [mode.name for mode in DOT11B.modes], default))
 
 
 def _require_traffic(spec: Dict[str, Any], kind: str, why: str) -> None:
@@ -187,26 +200,37 @@ def _attach_adversaries(sim: Simulator, medium, standard,
     return emitters
 
 
-def _cbr_uplink(sim: Simulator, bss, traffic: Dict[str, Any]):
+def _cbr_uplink(sim: Simulator, bss, traffic: Dict[str, Any]
+                ) -> Callable[[], Dict[str, Any]]:
     """Per-station CBR uplink into a sink on the AP (the jamming-study
-    wiring).  Returns ``(sink, sources)``."""
+    wiring).  Returns the reader of its flow stats."""
     sink = TrafficSink(sim)
     bss.ap.on_receive(lambda source, payload, meta: sink.consume(payload))
     payload_bytes = traffic.get("payload_bytes", 400)
     interval = traffic.get("interval", 4e-3)
-    sources = {}
-    for station in bss.stations:
-        sources[station.name] = CbrSource(
-            sim,
-            lambda p, s=station: s.associated and s.send(bss.ap.address, p),
-            packet_bytes=payload_bytes, interval=interval)
-    return sink, sources
+    sources = [CbrSource(
+        sim, lambda p, s=station: s.associated and s.send(bss.ap.address, p),
+        packet_bytes=payload_bytes, interval=interval)
+        for station in bss.stations]
+
+    def read() -> Dict[str, Any]:
+        offered = sum(source.generated for source in sources)
+        flows = [sink.flow(source.flow_id) for source in sources]
+        flows = [flow for flow in flows if flow is not None]
+        delivered = sum(flow.received for flow in flows)
+        return {
+            "offered": offered,
+            "delivered": delivered,
+            "delivered_bytes": sum(flow.bytes_received for flow in flows),
+            "pdr": (delivered / offered) if offered else 0.0,
+        }
+    return read
 
 
 def _saturate(receiver, senders, traffic: Dict[str, Any]
-              ) -> DeliveryCounter:
+              ) -> Callable[[], Dict[str, Any]]:
     """Keep every sender's queue non-empty toward ``receiver``; count
-    delivery there."""
+    delivery there.  Returns the reader of that count."""
     counter = DeliveryCounter()
     receiver.on_receive(counter)
     payload = bytes(traffic.get("payload_bytes", 800))
@@ -214,25 +238,7 @@ def _saturate(receiver, senders, traffic: Dict[str, Any]
     for sender in senders:
         sender.on_tx_complete(SaturatingSource(
             sender.mac, receiver.address, payload, depth))
-    return counter
-
-
-def _flow_stats(sink: TrafficSink, sources: Dict[str, Any]
-                ) -> Dict[str, Any]:
-    offered = sum(source.generated for source in sources.values())
-    delivered = 0
-    delivered_bytes = 0
-    for source in sources.values():
-        flow = sink.flow(source.flow_id)
-        if flow is not None:
-            delivered += flow.received
-            delivered_bytes += flow.bytes_received
-    return {
-        "offered": offered,
-        "delivered": delivered,
-        "delivered_bytes": delivered_bytes,
-        "pdr": (delivered / offered) if offered else 0.0,
-    }
+    return lambda: {"rx_bytes": counter.bytes, "rx_frames": counter.frames}
 
 
 def _mac_drops(stations) -> int:
@@ -242,40 +248,63 @@ def _mac_drops(stations) -> int:
 
 # --- builders ---------------------------------------------------------------
 
-def _run_infrastructure_bss(sim: Simulator, spec: Dict[str, Any],
-                            streams: Streams) -> Dict[str, Any]:
+class BuiltJob:
+    """A wired job, stopped at the end of its build: ``run(until)``
+    advances it to ``until`` sim-seconds past that point, again and
+    again; ``stats()`` is a pure read; ``macs`` are the MACs it armed.
+    ``whole`` runs a job that is not one simulator's (``fault_storm``,
+    ``city_cells``) to ``until`` in one leg."""
+
+    def __init__(self, sim: Simulator, read: Callable[[], Dict[str, Any]],
+                 macs: Sequence[Any] = (),
+                 whole: Optional[Callable[[float], None]] = None):
+        self.sim, self.macs, self._read, self._whole = sim, macs, read, whole
+        self._start, self._ran = sim.now, False
+
+    def run(self, until: float) -> None:
+        if self._whole is None:
+            self.sim.run(until=self._start + until)
+        elif self._ran:
+            raise RuntimeError("this job runs in one leg; build it again")
+        else:
+            self._ran = True
+            self._whole(until)
+
+    def stats(self) -> Dict[str, Any]:
+        stats = self._read()
+        stats.setdefault("events", self.sim.events_executed)
+        return stats
+
+
+def _build_infrastructure_bss(sim: Simulator, spec: Dict[str, Any],
+                              streams: Streams) -> BuiltJob:
     """An AP-centred cell (``build_infrastructure_bss``) under CBR or
     saturation uplink, with optional adversaries on the same medium."""
     params = spec["scenario"]["params"]
     traffic = spec["traffic"]
     bss = scenarios.build_infrastructure_bss(
         sim, params.get("stations", 6),
-        standard=_standard(params),
+        standard=_STANDARDS[_choice(params, "standard", _STANDARDS, "g")],
         radius_m=params.get("radius_m", 15.0),
         path_loss_exponent=params.get("path_loss_exponent", 3.0),
         mac_config=_mac_config(params))
     _attach_adversaries(sim, bss.medium, bss.ap.radio.standard,
                         spec["adversaries"])
-    _arm(sim, spec, streams, bss.medium,
-         [bss.ap.mac] + [station.mac for station in bss.stations])
-    horizon = spec["scenario"]["horizon"]
+    macs = [bss.ap.mac] + [station.mac for station in bss.stations]
+    _arm(sim, spec, streams, bss.medium, macs)
     if traffic["kind"] == "cbr":
-        sink, sources = _cbr_uplink(sim, bss, traffic)
-        sim.run(until=sim.now + horizon)
-        stats = _flow_stats(sink, sources)
+        read = _cbr_uplink(sim, bss, traffic)
     elif traffic["kind"] == "saturate":
-        counter = _saturate(bss.ap, bss.stations, traffic)
-        sim.run(until=sim.now + horizon)
-        stats = {"rx_bytes": counter.bytes, "rx_frames": counter.frames}
+        read = _saturate(bss.ap, bss.stations, traffic)
     else:  # none: association + adversaries only (a control row)
-        sim.run(until=sim.now + horizon)
-        stats = {}
-    stats["mac_drops"] = _mac_drops(bss.stations)
-    return stats
+        read = dict
+    return BuiltJob(sim, lambda: {**read(),
+                                  "mac_drops": _mac_drops(bss.stations)},
+                    macs)
 
 
-def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any],
-                         streams: Streams) -> Dict[str, Any]:
+def _build_hidden_terminal(sim: Simulator, spec: Dict[str, Any],
+                           streams: Streams) -> BuiltJob:
     """Two mutually hidden saturated senders, one receiver
     (``build_hidden_terminal``) — the RTS/CTS study as data."""
     params = spec["scenario"]["params"]
@@ -283,31 +312,27 @@ def _run_hidden_terminal(sim: Simulator, spec: Dict[str, Any],
     _require_traffic(spec, "saturate", "is a saturation scenario")
     scenario = scenarios.build_hidden_terminal(
         sim, carrier_range_m=params.get("carrier_range_m", 250.0),
-        mac_config=_mac_config(params))
+        mac_config=_mac_config(params),
+        rate_factory=_rate(params))
     _attach_adversaries(sim, scenario.medium,
                         scenario.receiver.radio.standard,
                         spec["adversaries"])
-    counter = _saturate(scenario.receiver,
-                        (scenario.sender_a, scenario.sender_b), traffic)
-    _arm(sim, spec, streams, scenario.medium,
-         [scenario.sender_a.mac, scenario.sender_b.mac,
-          scenario.receiver.mac])
-    sim.run(until=sim.now + spec["scenario"]["horizon"])
-    return {
-        "rx_bytes": counter.bytes,
-        "rx_frames": counter.frames,
-        "mac_drops": _mac_drops([scenario.sender_a, scenario.sender_b]),
-    }
+    senders = (scenario.sender_a, scenario.sender_b)
+    read = _saturate(scenario.receiver, senders, traffic)
+    macs = [sender.mac for sender in senders] + [scenario.receiver.mac]
+    _arm(sim, spec, streams, scenario.medium, macs)
+    return BuiltJob(sim, lambda: {**read(), "mac_drops": _mac_drops(senders)},
+                    macs)
 
 
-def _run_saturated_cells(sim: Simulator, spec: Dict[str, Any],
-                         streams: Streams) -> Dict[str, Any]:
+def _build_saturated_cells(sim: Simulator, spec: Dict[str, Any],
+                           streams: Streams) -> BuiltJob:
     """``bss_count`` co-located cells on orthogonal channels, each a
     receiver and ``stations_per_bss`` saturated bare-DCF senders, under
-    ``FixedLoss(50)`` at CCK-11; declared adversaries join after the
-    stations.  One cell of 20 is the contention baseline, of 100 the
-    dense cell, and one under 26 duty-cycled jammers the interference
-    field."""
+    ``FixedLoss(50)`` at ``rate`` (CCK-11); declared adversaries join
+    after the stations.  One cell of 20 is the contention baseline, of
+    100 the dense cell, and one under 26 duty-cycled jammers the
+    interference field."""
     params = spec["scenario"]["params"]
     traffic = spec["traffic"]
     _require_traffic(spec, "saturate", "is a saturation scenario")
@@ -317,8 +342,8 @@ def _run_saturated_cells(sim: Simulator, spec: Dict[str, Any],
                         f"1 to {len(_CHANNELS)} orthogonal cells, "
                         f"got {bss_count}")
     medium = Medium(sim, FixedLoss(50.0))
-    config = DcfConfig()
-    factory = fixed_rate_factory("CCK-11")
+    config = _mac_config(params) or DcfConfig()
+    factory = _rate(params, "CCK-11")
     payload = bytes(traffic.get("payload_bytes", 800))
     depth = traffic.get("depth", 3)
     counters, receivers, senders, macs = [], [], [], []
@@ -347,8 +372,7 @@ def _run_saturated_cells(sim: Simulator, spec: Dict[str, Any],
             macs.append(mac)
     emitters = _attach_adversaries(sim, medium, DOT11B, spec["adversaries"])
     _arm(sim, spec, streams, medium, macs)
-    sim.run(until=sim.now + spec["scenario"]["horizon"])
-    return {
+    return BuiltJob(sim, lambda: {
         "rx_bytes": sum(counter.bytes for counter in counters),
         "rx_frames": sum(counter.frames for counter in counters),
         "per_bss_frames": [counter.frames for counter in counters],
@@ -362,38 +386,34 @@ def _run_saturated_cells(sim: Simulator, spec: Dict[str, Any],
         "link_cache_misses": medium.links.misses,
         "fanout_plan_hits": medium.plan_hits,
         "fanout_plan_misses": medium.plan_misses,
-    }
+    }, macs)
 
 
-def _run_mesh(sim: Simulator, spec: Dict[str, Any], streams: Streams,
-              positions, chain: bool) -> Dict[str, Any]:
+def _build_mesh(sim: Simulator, spec: Dict[str, Any], streams: Streams,
+                positions, chain: bool) -> BuiltJob:
     # Like DsdvRouting below and run_single under city_cells: what only
     # one builder needs is imported when that builder starts building.
     from ..analysis.mesh import aggregate_mesh_counters
     params = spec["scenario"]["params"]
     traffic = spec["traffic"]
-    protocol = params.get("protocol", "dsdv")
+    protocol = _choice(params, "protocol", ("dsdv", "static"), "dsdv")
     if protocol == "static":
         if not chain:
             raise SpecError("scenario.params.protocol",
                             "static routing is only wired for chains "
                             "(install_chain_routes); use 'dsdv'")
         factory = StaticRouting
-    elif protocol == "dsdv":
+    else:
         from ..routing.dsdv import DsdvRouting
         factory = DsdvRouting
-    else:
-        raise SpecError("scenario.params.protocol",
-                        f"unknown protocol {protocol!r}; available: "
-                        f"['dsdv', 'static']")
     mesh = scenarios.build_mesh_network(
         sim, positions, factory,
         range_m=params.get("range_m", 45.0))
     if protocol == "static":
         scenarios.install_chain_routes(mesh.nodes)
     _attach_adversaries(sim, mesh.medium, DOT11B, spec["adversaries"])
-    _arm(sim, spec, streams, mesh.medium,
-         [node.station.mac for node in mesh.nodes], meshes=(mesh.nodes,))
+    macs = [node.station.mac for node in mesh.nodes]
+    _arm(sim, spec, streams, mesh.medium, macs, meshes=(mesh.nodes,))
     mesh.start_routing()
     warmup = params.get("warmup", 1.0)
     if warmup > 0:
@@ -426,45 +446,48 @@ def _run_mesh(sim: Simulator, spec: Dict[str, Any], streams: Streams,
                 relay.station.position = Position(10_000.0, 10_000.0, 0.0)
             pre_break.append(sink.total_received)
         sim.schedule_at(params["relay_break_at"], _break_active_relay)
-    sim.run(until=sim.now + spec["scenario"]["horizon"])
-    totals = aggregate_mesh_counters(mesh.nodes)
-    delivered = sink.total_received
-    flow = sink.flow(source.flow_id)
-    received = flow is not None and flow.received
-    stats = {
-        "offered": source.generated,
-        "delivered": delivered,
-        "delivered_bytes": sink.total_bytes,
-        "pdr": (delivered / source.generated) if source.generated else 0.0,
-        "mean_delay_ms": flow.delay.mean * 1e3 if received else 0.0,
-        "hops": [flow.hops.minimum, flow.hops.maximum] if received else [],
-        "route_misses": source_node.counters.get("route_misses"),
-        "forwarded": totals.get("forwarded"),
-        "link_failures": totals.get("link_failures"),
-        "routes_broken": sum(node.counters.get("routes_broken")
-                             for node in mesh.nodes),
-        "converged": sum(
-            1 for node in mesh.nodes
-            if len(node.protocol.routes()) >= len(mesh.nodes) - 1),
-    }
-    if pre_break:
-        stats["pre_break_delivered"] = pre_break[0]
-        stats["post_break_delivered"] = delivered - pre_break[0]
-    return stats
+
+    def read() -> Dict[str, Any]:
+        totals = aggregate_mesh_counters(mesh.nodes)
+        offered, delivered = source.generated, sink.total_received
+        flow = sink.flow(source.flow_id)
+        received = flow is not None and flow.received
+        hops = [flow.hops.minimum, flow.hops.maximum] if received else []
+        stats = {
+            "offered": offered,
+            "delivered": delivered,
+            "delivered_bytes": sink.total_bytes,
+            "pdr": (delivered / offered) if offered else 0.0,
+            "mean_delay_ms": flow.delay.mean * 1e3 if received else 0.0,
+            "hops": hops,
+            "route_misses": source_node.counters.get("route_misses"),
+            "forwarded": totals.get("forwarded"),
+            "link_failures": totals.get("link_failures"),
+            "routes_broken": sum(node.counters.get("routes_broken")
+                                 for node in mesh.nodes),
+            "converged": sum(
+                1 for node in mesh.nodes
+                if len(node.protocol.routes()) >= len(mesh.nodes) - 1),
+        }
+        if pre_break:
+            stats["pre_break_delivered"] = pre_break[0]
+            stats["post_break_delivered"] = delivered - pre_break[0]
+        return stats
+    return BuiltJob(sim, read, macs)
 
 
-def _run_mesh_chain(sim: Simulator, spec: Dict[str, Any],
-                    streams: Streams) -> Dict[str, Any]:
+def _build_mesh_chain(sim: Simulator, spec: Dict[str, Any],
+                      streams: Streams) -> BuiltJob:
     """A relay chain (``chain_topology`` + ``build_mesh_network``) with
     an end-to-end CBR flow over static or DSDV routing."""
     params = spec["scenario"]["params"]
     positions = scenarios.chain_topology(params.get("nodes", 4),
                                          params.get("spacing_m", 30.0))
-    return _run_mesh(sim, spec, streams, positions, chain=True)
+    return _build_mesh(sim, spec, streams, positions, chain=True)
 
 
-def _run_mesh_grid(sim: Simulator, spec: Dict[str, Any],
-                   streams: Streams) -> Dict[str, Any]:
+def _build_mesh_grid(sim: Simulator, spec: Dict[str, Any],
+                     streams: Streams) -> BuiltJob:
     """A rows x cols mesh grid (``grid_topology``) with an end-to-end
     CBR flow — the redundant-path topology; ``relay_break_at`` knocks
     the source's active first-hop relay out at that sim-time."""
@@ -472,11 +495,11 @@ def _run_mesh_grid(sim: Simulator, spec: Dict[str, Any],
     positions = scenarios.grid_topology(params.get("rows", 2),
                                         params.get("cols", 4),
                                         params.get("spacing_m", 30.0))
-    return _run_mesh(sim, spec, streams, positions, chain=False)
+    return _build_mesh(sim, spec, streams, positions, chain=False)
 
 
-def _run_roaming_ess(sim: Simulator, spec: Dict[str, Any],
-                     streams: Streams) -> Dict[str, Any]:
+def _build_roaming_ess(sim: Simulator, spec: Dict[str, Any],
+                       streams: Streams) -> BuiltJob:
     """A station walks a 3-AP corridor (``build_ess``) at 8 m/s under a
     downlink CBR flow from a wired server: scanning, reassociation,
     the DS location table and link-cache invalidation on every move."""
@@ -505,17 +528,16 @@ def _run_roaming_ess(sim: Simulator, spec: Dict[str, Any],
         interval=traffic.get("interval", 0.02))
     LinearMobility(sim, walker, Position(170, 0, 0), speed_mps=8.0,
                    tick=0.1).start()
-    _arm(sim, spec, streams, corridor.medium,
-         [walker.mac] + [ap.mac for ap in corridor.aps])
-    sim.run(until=sim.now + spec["scenario"]["horizon"])
-    return {
+    macs = [walker.mac] + [ap.mac for ap in corridor.aps]
+    _arm(sim, spec, streams, corridor.medium, macs)
+    return BuiltJob(sim, lambda: {
         "rx_packets": sink.total_received,
         "roams": walker.sta_counters.get("roams"),
-    }
+    }, macs)
 
 
-def _run_fault_storm(sim: Simulator, spec: Dict[str, Any],
-                     streams: Streams) -> Dict[str, Any]:
+def _build_fault_storm(sim: Simulator, spec: Dict[str, Any],
+                       streams: Streams) -> BuiltJob:
     """Crash/restart + fade storm over a BSS and a DSDV mesh; the
     horizon is the measured window after each half's storm.
 
@@ -533,6 +555,9 @@ def _run_fault_storm(sim: Simulator, spec: Dict[str, Any],
     goes to one shared :class:`~repro.faults.FaultLog`: its canonical
     JSONL is the ``fault_trace`` stream and its SHA-1 a stat, so the
     pins hold the whole fault timeline, not just the outcome counts.
+
+    The build wires the BSS half; the run, one leg, runs it out and
+    then builds and runs the mesh half.
     """
     import hashlib
 
@@ -543,7 +568,6 @@ def _run_fault_storm(sim: Simulator, spec: Dict[str, Any],
     _require_traffic(spec, "cbr", "carries CBR flows through the storm")
     payload_bytes = traffic.get("payload_bytes", 200)
     interval = traffic.get("interval", 0.02)
-    window = spec["scenario"]["horizon"]
 
     # --- BSS half: station + AP crash/restart under uplink CBR -------------
     bss = scenarios.build_infrastructure_bss(sim, station_count=6)
@@ -573,85 +597,88 @@ def _run_fault_storm(sim: Simulator, spec: Dict[str, Any],
     sim.schedule_at(0.3, _mark_bss, "bss_pre_lo")
     sim.schedule_at(0.6, _mark_bss, "bss_pre_hi")
     sim.schedule_at(2.0, _mark_bss, "bss_post_lo")
-    _arm(sim, spec, streams, bss.medium,
-         [bss.ap.mac] + [station.mac for station in bss.stations])
-    sim.run(until=2.0 + window)
-    bss_events = sim.events_executed
-    bss_pre_rate = (marks["bss_pre_hi"] - marks["bss_pre_lo"]) / 0.3
-    bss_post_rate = (sink.total_received - marks["bss_post_lo"]) / window
-    reassociations = sum(s.sta_counters.get("associations")
-                         for s in bss.stations)
+    macs = [bss.ap.mac] + [station.mac for station in bss.stations]
+    _arm(sim, spec, streams, bss.medium, macs)
+    stats: Dict[str, Any] = {}
 
-    # --- mesh half: chaos-monkey storm + fade over a DSDV grid -------------
-    reset_allocator()
-    sim = _simulator(spec, spec["scenario"]["seed"] + 1)
-    grid = scenarios.build_mesh_network(
-        sim, scenarios.grid_topology(3, 3, 30.0), DsdvRouting, range_m=40.0)
-    grid.start_routing()
-    mesh_sink = TrafficSink(sim)
-    grid.nodes[8].on_receive(mesh_sink)
-    CbrSource(sim, grid.nodes[0].sender(grid.nodes[8].address),
-              packet_bytes=payload_bytes, interval=interval, start=0.3)
-    fader = LinkFader(grid.medium)
-    monkey = ChaosMonkey(sim, targets=grid.nodes[1:8],
-                         mean_interval=0.12, mean_downtime=0.2,
-                         name="grid", log=log)
-    schedule = FaultSchedule(sim, name="mesh-faults", log=log)
-    schedule.fade(fader, grid.nodes[4].station.position, 120.0,
-                  at=0.9, duration=0.4, target=grid.nodes[4].station.name)
-    # Broadcast junk: drains at one (unacknowledged) transmission per
-    # frame, so the flood's damage is contention + drops, not a queue
-    # wedged for seconds behind retry-limited unicasts to a dead peer.
-    schedule.queue_pressure(grid.nodes[0].station.mac, at=1.0, fill=1.0,
-                            destination=BROADCAST)
-    schedule.install()
-    sim.schedule_at(0.8, monkey.start)
+    def run(window: float) -> None:
+        sim.run(until=2.0 + window)
+        bss_pre_rate = (marks["bss_pre_hi"] - marks["bss_pre_lo"]) / 0.3
+        bss_post_rate = (sink.total_received - marks["bss_post_lo"]) / window
 
-    def _end_storm() -> None:
-        monkey.stop()
-        monkey.restore_all()
+        # --- mesh half: chaos-monkey storm + fade over a DSDV grid ---------
+        reset_allocator()
+        mesh_sim = _simulator(spec, spec["scenario"]["seed"] + 1)
+        grid = scenarios.build_mesh_network(
+            mesh_sim, scenarios.grid_topology(3, 3, 30.0), DsdvRouting,
+            range_m=40.0)
+        grid.start_routing()
+        mesh_sink = TrafficSink(mesh_sim)
+        grid.nodes[8].on_receive(mesh_sink)
+        CbrSource(mesh_sim, grid.nodes[0].sender(grid.nodes[8].address),
+                  packet_bytes=payload_bytes, interval=interval, start=0.3)
+        fader = LinkFader(grid.medium)
+        monkey = ChaosMonkey(mesh_sim, targets=grid.nodes[1:8],
+                             mean_interval=0.12, mean_downtime=0.2,
+                             name="grid", log=log)
+        schedule = FaultSchedule(mesh_sim, name="mesh-faults", log=log)
+        schedule.fade(fader, grid.nodes[4].station.position, 120.0, at=0.9,
+                      duration=0.4, target=grid.nodes[4].station.name)
+        # Broadcast junk: drains at one (unacknowledged) transmission per
+        # frame, so the flood's damage is contention + drops, not a queue
+        # wedged for seconds behind retry-limited unicasts to a dead peer.
+        schedule.queue_pressure(grid.nodes[0].station.mac, at=1.0,
+                                fill=1.0, destination=BROADCAST)
+        schedule.install()
+        mesh_sim.schedule_at(0.8, monkey.start)
 
-    sim.schedule_at(1.6, _end_storm)
+        def _end_storm() -> None:
+            monkey.stop()
+            monkey.restore_all()
 
-    def _mark_mesh(key: str) -> None:
-        marks[key] = mesh_sink.total_received
+        mesh_sim.schedule_at(1.6, _end_storm)
 
-    sim.schedule_at(0.5, _mark_mesh, "mesh_pre_lo")
-    sim.schedule_at(0.8, _mark_mesh, "mesh_pre_hi")
-    sim.schedule_at(2.2, _mark_mesh, "mesh_post_lo")
-    # The shared fault log rides the mesh hub (complete by the time it
-    # finishes), folding the whole storm into ``downtime`` spans.
-    _arm(sim, spec, streams, grid.medium,
-         [node.station.mac for node in grid.nodes], meshes=(grid.nodes,),
-         fault_log=log)
-    sim.run(until=2.2 + window)
-    mesh_pre_rate = (marks["mesh_pre_hi"] - marks["mesh_pre_lo"]) / 0.3
-    mesh_post_rate = (mesh_sink.total_received - marks["mesh_post_lo"]) \
-        / window
+        def _mark_mesh(key: str) -> None:
+            marks[key] = mesh_sink.total_received
 
-    trace = streams["fault_trace"] = log.to_jsonl()
-    return {
-        "bss_pre_rate": bss_pre_rate,
-        "bss_post_rate": bss_post_rate,
-        "bss_reassociations": reassociations,
-        "ap_reaped": bss.ap.ap_counters.get("removed_stale"),
-        "mesh_pre_rate": mesh_pre_rate,
-        "mesh_post_rate": mesh_post_rate,
-        "mesh_strikes": monkey.counters.get("strikes"),
-        "mesh_restores": monkey.counters.get("restores"),
-        "mesh_routes_broken": sum(node.counters.get("routes_broken")
-                                  for node in grid.nodes),
-        "pdr_recovery": min(
-            bss_post_rate / bss_pre_rate if bss_pre_rate else 0.0,
-            mesh_post_rate / mesh_pre_rate if mesh_pre_rate else 0.0),
-        "faults_injected": len(log),
-        "trace_sha1": hashlib.sha1(trace.encode()).hexdigest(),
-        "events": bss_events + sim.events_executed,
-    }
+        mesh_sim.schedule_at(0.5, _mark_mesh, "mesh_pre_lo")
+        mesh_sim.schedule_at(0.8, _mark_mesh, "mesh_pre_hi")
+        mesh_sim.schedule_at(2.2, _mark_mesh, "mesh_post_lo")
+        # The shared fault log rides the mesh hub (complete by the time
+        # it finishes), folding the whole storm into ``downtime`` spans.
+        _arm(mesh_sim, spec, streams, grid.medium,
+             [node.station.mac for node in grid.nodes],
+             meshes=(grid.nodes,), fault_log=log)
+        mesh_sim.run(until=2.2 + window)
+        mesh_pre_rate = (marks["mesh_pre_hi"] - marks["mesh_pre_lo"]) / 0.3
+        mesh_post_rate = (mesh_sink.total_received - marks["mesh_post_lo"]) \
+            / window
+
+        trace = streams["fault_trace"] = log.to_jsonl()
+        stats.update({
+            "bss_pre_rate": bss_pre_rate,
+            "bss_post_rate": bss_post_rate,
+            "bss_reassociations": sum(s.sta_counters.get("associations")
+                                      for s in bss.stations),
+            "ap_reaped": bss.ap.ap_counters.get("removed_stale"),
+            "mesh_pre_rate": mesh_pre_rate,
+            "mesh_post_rate": mesh_post_rate,
+            "mesh_strikes": monkey.counters.get("strikes"),
+            "mesh_restores": monkey.counters.get("restores"),
+            "mesh_routes_broken": sum(node.counters.get("routes_broken")
+                                      for node in grid.nodes),
+            "pdr_recovery": min(
+                bss_post_rate / bss_pre_rate if bss_pre_rate else 0.0,
+                mesh_post_rate / mesh_pre_rate if mesh_pre_rate else 0.0),
+            "faults_injected": len(log),
+            "trace_sha1": hashlib.sha1(trace.encode()).hexdigest(),
+            "events": sim.events_executed + mesh_sim.events_executed,
+        })
+    return BuiltJob(sim, lambda: dict(stats), macs, whole=run)
 
 
-def _run_city_cells(sim: Simulator, spec: Dict[str, Any],
-                    streams: Streams) -> Dict[str, Any]:
+def _build_city_cells(sim: Simulator, spec: Dict[str, Any],
+                      streams: Streams) -> BuiltJob:
     """The sharded-executor city grid (``build_city_cells``): through
     the single-process oracle, or — with ``workers`` set — as that many
     shards under ``run_sharded``, whose fingerprint (shards, rounds,
@@ -659,8 +686,8 @@ def _run_city_cells(sim: Simulator, spec: Dict[str, Any],
     canonical arrival log is the ``arrival_log`` stream.
 
     ``run_single`` and the shards own their kernels, so the ``sim``
-    built by :func:`run_job` is unused here (its seed was already
-    consumed into the call below).
+    built by :func:`build_job` is unused here (its seed was already
+    consumed into the run below), and the job runs in one leg.
     """
     from ..parallel import run_sharded, run_single
     params = spec["scenario"]["params"]
@@ -670,55 +697,84 @@ def _run_city_cells(sim: Simulator, spec: Dict[str, Any],
         stations_per_bss=params.get("stations_per_bss", 4),
         spacing_m=params.get("spacing_m", 120.0),
         payload_size=params.get("payload_size", 800))
-    options = dict(seed=spec["scenario"]["seed"],
-                   horizon=spec["scenario"]["horizon"],
-                   propagation_factory=scenarios.city_propagation,
-                   check_invariants=mode["invariants"],
-                   telemetry=mode["telemetry"])
-    if "workers" in params:
-        result = run_sharded(cells, workers=params["workers"], **options)
-    else:
-        result = run_single(cells, **options)
-    per_cell = result["cells"]
-    stats = {"rx_bytes": sum(cell["rx_bytes"] for cell in per_cell.values()),
-             "rx_frames": sum(cell["rx_frames"]
-                              for cell in per_cell.values()),
-             "per_bss_frames": [per_cell[name]["rx_frames"]
-                                for name in sorted(per_cell)],
-             "cells": len(per_cell),
-             "events": result["events"]}
-    if "workers" in params:
-        stats.update({key: result[key] for key in (
-            "shards", "rounds", "boundary_records", "arrival_log_sha1")})
-        streams["arrival_log"] = result["arrival_log"]
-    for key in ("telemetry_jsonl", "telemetry_wall_jsonl"):
-        if key in result:
-            streams[key] = result[key]
-    return stats
+    stats: Dict[str, Any] = {}
+
+    def run(horizon: float) -> None:
+        options = dict(seed=spec["scenario"]["seed"], horizon=horizon,
+                       propagation_factory=scenarios.city_propagation,
+                       check_invariants=mode["invariants"],
+                       telemetry=mode["telemetry"])
+        # The executors build their own simulators, which resolve the
+        # kernel from REPRO_KERNEL: pin it for the run so an explicit
+        # spec kernel reaches them too.
+        saved = os.environ.get("REPRO_KERNEL")
+        if mode["kernel"] != "auto":
+            os.environ["REPRO_KERNEL"] = mode["kernel"]
+        try:
+            if "workers" in params:
+                result = run_sharded(cells, workers=params["workers"],
+                                     **options)
+            else:
+                result = run_single(cells, **options)
+        finally:
+            if mode["kernel"] != "auto":
+                if saved is None:
+                    os.environ.pop("REPRO_KERNEL", None)
+                else:
+                    os.environ["REPRO_KERNEL"] = saved
+        per_cell = result["cells"]
+        stats.update({
+            "rx_bytes": sum(cell["rx_bytes"] for cell in per_cell.values()),
+            "rx_frames": sum(cell["rx_frames"]
+                             for cell in per_cell.values()),
+            "per_bss_frames": [per_cell[name]["rx_frames"]
+                               for name in sorted(per_cell)],
+            "cells": len(per_cell),
+            "events": result["events"]})
+        if "workers" in params:
+            stats.update({key: result[key] for key in (
+                "shards", "rounds", "boundary_records", "arrival_log_sha1")})
+            streams["arrival_log"] = result["arrival_log"]
+        for key in ("telemetry_jsonl", "telemetry_wall_jsonl"):
+            if key in result:
+                streams[key] = result[key]
+    return BuiltJob(sim, lambda: dict(stats), whole=run)
 
 
 BUILDERS: Dict[str, Callable[[Simulator, Dict[str, Any], Streams],
-                             Dict[str, Any]]] = {
-    "infrastructure_bss": _run_infrastructure_bss,
-    "hidden_terminal": _run_hidden_terminal,
-    "saturated_cells": _run_saturated_cells,
-    "mesh_chain": _run_mesh_chain,
-    "mesh_grid": _run_mesh_grid,
-    "roaming_ess": _run_roaming_ess,
-    "fault_storm": _run_fault_storm,
-    "city_cells": _run_city_cells,
+                             BuiltJob]] = {
+    "infrastructure_bss": _build_infrastructure_bss,
+    "hidden_terminal": _build_hidden_terminal,
+    "saturated_cells": _build_saturated_cells,
+    "mesh_chain": _build_mesh_chain,
+    "mesh_grid": _build_mesh_grid,
+    "roaming_ess": _build_roaming_ess,
+    "fault_storm": _build_fault_storm,
+    "city_cells": _build_city_cells,
 }
+
+
+def build_job(spec: Dict[str, Any],
+              streams: Optional[Streams] = None) -> BuiltJob:
+    """Build one concrete job spec, on a reset MAC address allocator and
+    a fresh tracing-off simulator, so that its stats are a pure function
+    of the spec whatever ran before it in the process.  ``streams`` is
+    as for :func:`run_job`; telemetry hubs wait in it until
+    :func:`run_job` finishes them."""
+    reset_allocator()
+    sim = _simulator(spec, spec["scenario"]["seed"])
+    return BUILDERS[spec["scenario"]["builder"]](
+        sim, spec, {} if streams is None else streams)
 
 
 def run_job(spec: Dict[str, Any],
             streams: Optional[Streams] = None) -> Dict[str, Any]:
     """Execute one concrete job spec; return its ``stats`` dict.
 
-    The returned stats always include ``events`` (total kernel events
-    executed) and are a pure function of the spec — the runner resets
-    the global MAC address allocator and builds a fresh tracing-off
-    simulator per job, so jobs are independent whether they run
-    in-process, serially, or fanned out across forked workers.
+    The stats always include ``events`` (total kernel events executed)
+    and, built by :func:`build_job`, are a pure function of the spec —
+    so jobs are independent whether they run in-process, serially, or
+    fanned out across forked workers.
 
     ``streams``, when given, receives the whole streams a job produces
     besides its stats: ``fault_trace`` (``fault_storm``),
@@ -726,27 +782,11 @@ def run_job(spec: Dict[str, Any],
     ``mode.telemetry``, ``telemetry_jsonl`` / ``telemetry_wall_jsonl``
     (and ``telemetry_summary`` where a hub ran in this process).
     """
-    builder = spec["scenario"]["builder"]
-    mode = spec["mode"]
     streams = {} if streams is None else streams
-    reset_allocator()
-    sim = _simulator(spec, spec["scenario"]["seed"])
-    # Subsystems that build their own Simulator (run_single under
-    # city_cells) resolve the kernel from REPRO_KERNEL; pin it for the
-    # duration of the job so an explicit spec kernel reaches them too.
-    saved = os.environ.get("REPRO_KERNEL")
-    if mode["kernel"] != "auto":
-        os.environ["REPRO_KERNEL"] = mode["kernel"]
-    try:
-        stats = BUILDERS[builder](sim, spec, streams)
-    finally:
-        if mode["kernel"] != "auto":
-            if saved is None:
-                os.environ.pop("REPRO_KERNEL", None)
-            else:
-                os.environ["REPRO_KERNEL"] = saved
+    job = build_job(spec, streams)
+    job.run(spec["scenario"]["horizon"])
+    stats = job.stats()
     hubs = streams.pop("_hubs", None)
     if hubs:
         streams.update(_telemetry_streams(hubs))
-    stats.setdefault("events", sim.events_executed)
     return stats

@@ -84,9 +84,10 @@ BUILDER_PARAMS: Dict[str, Dict[str, type]] = {
         "rts_threshold_bytes": int, "standard": str,
     },
     "hidden_terminal": {
-        "rts_threshold_bytes": int, "carrier_range_m": float,
+        "rts_threshold_bytes": int, "carrier_range_m": float, "rate": str,
     },
-    "saturated_cells": {"bss_count": int, "stations_per_bss": int},
+    "saturated_cells": {"bss_count": int, "stations_per_bss": int,
+                        "rate": str, "rts_threshold_bytes": int},
     "mesh_chain": {
         "nodes": int, "spacing_m": float, "range_m": float,
         "protocol": str, "warmup": float, "source": int,
@@ -139,6 +140,9 @@ scenario.seed        int   base seed
 scenario.params.*          builder-specific knobs (validated per builder), e.g.
   saturated_cells.bss_count        int   cells on orthogonal channels (1-4)
   saturated_cells.stations_per_bss int   saturated senders per cell
+  saturated_cells.rate             str   802.11b mode (default "CCK-11")
+  saturated_cells.rts_threshold_bytes int RTS above it (default 2347: off)
+  hidden_terminal.rate             str   802.11b mode (default: ARF)
   mesh_grid.relay_break_at         float sim-time the source's active
                                          first-hop relay is moved away
   city_cells.workers               int   shards under run_sharded (unset:

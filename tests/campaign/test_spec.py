@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.campaign import (SpecError, canonical_json, load_spec, spec_sha1,
-                            validate_spec)
+from repro.campaign import (SpecError, build_job, canonical_json,
+                            expand_grid, load_spec, spec_sha1, validate_spec)
 from repro.campaign.spec import concrete_job_spec, get_path, set_path
 
 from .conftest import small_spec
@@ -120,6 +120,16 @@ class TestValidation:
         spec = small_spec(differential={
             "reference": "other", "tolerances": {"pdr": {"abs": 0.0}}})
         assert err(spec).path == "differential"
+
+    @pytest.mark.parametrize("builder", ["saturated_cells",
+                                         "hidden_terminal"])
+    def test_unknown_rate_names_path_and_the_standard_s_modes(self, builder):
+        spec = validate_spec(small_spec(sweep={}, scenario={
+            "builder": builder, "horizon": 0.01, "params": {"rate": "x"}}))
+        with pytest.raises(SpecError, match=r"scenario\.params\.rate: .*'x'; "
+                           r"available: \['CCK-11', 'CCK-5.5', 'DSSS-1', "
+                           r"'DSSS-2'\]"):
+            build_job(expand_grid(spec)[0].spec)
 
     def test_source_prefixes_message(self):
         error = err({"campaign": {"name": "x"}}, source="bad.toml")

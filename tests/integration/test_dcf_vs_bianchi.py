@@ -2,42 +2,34 @@
 
 This is the credibility check for experiment E10 — the simulated MAC,
 run to saturation, should land near the analytic prediction computed
-from the *same* timing constants.
+from the *same* timing constants.  Each population is a job of the
+campaign runner's ``saturated_cells`` builder, measured after a warm-up.
 """
 
 import pytest
 
 from repro.analysis.metrics import bianchi_saturation_throughput
-from repro.core import Position, Simulator
-from repro.mac.addresses import allocate_address
-from repro.mac.dcf import DcfMac
-from repro.mac.rate_adapt import fixed_rate_factory
-from repro.phy.channel import Medium
-from repro.phy.propagation import FixedLoss
+from repro.campaign import build_job, expand_grid, validate_spec
 from repro.phy.standards import DOT11B
-from repro.phy.transceiver import Radio
-from repro.traffic import DeliveryCounter, SaturatingSource
+
+WARMUP = 0.5
+STATIONS = "scenario.params.stations_per_bss"
+JOBS = {job.axes[STATIONS]: job.spec for job in expand_grid(validate_spec({
+    "campaign": {"name": "bianchi"},
+    "scenario": {"builder": "saturated_cells", "horizon": 4.0, "seed": 5},
+    "traffic": {"kind": "saturate", "payload_bytes": 800, "depth": 4},
+    "sweep": {STATIONS: [1, 2, 5, 10, 12]}}))}
 
 
-def run_saturation(n, payload_bytes=800, horizon=4.0, seed=5):
-    sim = Simulator(seed=seed)
-    medium = Medium(sim, FixedLoss(50.0))
-    receiver_radio = Radio("rx", medium, DOT11B, Position(0, 0, 0))
-    receiver = DcfMac(sim, receiver_radio, allocate_address(),
-                      rate_factory=fixed_rate_factory("CCK-11"))
-    counter = receiver.listener = DeliveryCounter()
-    payload = bytes(payload_bytes)
-    for index in range(n):
-        radio = Radio(f"tx{index}", medium, DOT11B,
-                      Position(1.0 + index * 0.1, 0, 0))
-        mac = DcfMac(sim, radio, allocate_address(),
-                     rate_factory=fixed_rate_factory("CCK-11"))
-        mac.listener = SaturatingSource(mac, receiver.address, payload)
-    warmup = 0.5
-    sim.run(until=warmup)
-    counter.bytes = 0
-    sim.run(until=warmup + horizon)
-    return counter.bytes * 8 / horizon
+def run_saturation(n):
+    """Receiver goodput of ``n`` saturated stations over the horizon."""
+    spec = JOBS[n]
+    horizon = spec["scenario"]["horizon"]
+    job = build_job(spec)
+    job.run(WARMUP)
+    warm = job.stats()["rx_bytes"]
+    job.run(WARMUP + horizon)
+    return (job.stats()["rx_bytes"] - warm) * 8 / horizon
 
 
 class TestDcfMatchesBianchi:

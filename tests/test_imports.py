@@ -226,8 +226,9 @@ PUBLIC = {package: names.split() for package, names in {
     """,
     "repro.campaign": """
         BUILDERS CampaignResult Job Manifest SCHEMA_DOC SpecError
-        StoreWriter canonical_json csv_text expand_grid grid_sha1 load_spec
-        read_store row_line run_campaign run_job spec_sha1 validate_spec
+        StoreWriter build_job canonical_json csv_text expand_grid grid_sha1
+        load_spec read_store row_line run_campaign run_job spec_sha1
+        validate_spec
     """,
     "repro.core": """
         AuthenticationError ConfigurationError Counter EnergyMeter

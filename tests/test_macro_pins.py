@@ -6,7 +6,9 @@ and each task runs its job twice: untraced, for its stats and, where
 ``mode.telemetry`` is armed, the SHA-1 of its sim-time telemetry
 stream; then with the runner's ``Simulator`` name swapped for a factory
 that gives every simulator a :class:`~repro.core.trace.TraceDigest`, in
-construction order.  ``tests/fixtures/pins.json`` holds, keyed
+construction order, and stepped through ``runner.build_job`` in two
+legs: half the horizon, then the rest (``ONE_LEG`` jobs run in one).
+``tests/fixtures/pins.json`` holds, keyed
 ``<campaign>/<job label>``, each job's ``stats``, ``trace`` (per
 simulator: record count, digest and checkpoints) and ``telemetry``.
 
@@ -16,13 +18,13 @@ sim-time t0–t1`` (``tools/capture_golden.py --only <campaign>`` at both
 commits shows the records); a drifted telemetry stream as
 ``TELEMETRY <key>: old -> new``.  A traced run whose stats differ from
 the untraced run's fails as ``OBSERVER <key> <stat>: untraced ->
-traced``: observing a run must not change it.  A job without a pin, a
-pin without a job and a job that failed or outran its timeout fail by
-name too.  The pins hold on every kernel, so each kernel lane runs the
-same check.  Simulators that live in shard workers or in
-``run_single`` are not traced here: ``city_scale`` and
-``city_scale_1p`` pin 0 records, and ``city_scale``'s byte-level pin is
-its ``arrival_log_sha1`` stat.
+traced``: observing a run, or running it in legs, must not change it.
+A job without a pin, a pin without a job and a job that failed or
+outran its timeout fail by name too.  The pins hold on every kernel,
+so each kernel lane runs the same check.  Simulators that live in
+shard workers or in ``run_single`` are not traced here: ``city_scale``
+and ``city_scale_1p`` pin 0 records, and ``city_scale``'s byte-level
+pin is its ``arrival_log_sha1`` stat.
 
 The untraced run also reports ``core.binding.tally``: which side —
 compiled twin or Python reference — every slot of every object bound.
@@ -75,9 +77,14 @@ def jobs_of(paths: List[pathlib.Path]) -> Dict[str, Dict[str, Any]]:
             for spec in map(load_spec, paths) for job in expand_grid(spec)}
 
 
+#: One-leg builders: ``fault_storm`` builds its mesh half after its BSS
+#: half has run, ``city_cells``' executors take the horizon in one call.
+ONE_LEG = ("fault_storm", "city_cells")
+
+
 def observe(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """One job run untraced and traced: its would-be pin, plus the
-    traced run's stats under ``traced_stats``."""
+    """One job run untraced in one leg and traced in two: its would-be
+    pin, plus the traced run's stats under ``traced_stats``."""
     streams: Dict[str, Any] = {}
     binding.tally.clear()
     seen = {"stats": runner.run_job(spec, streams),
@@ -96,7 +103,14 @@ def observe(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     runner.Simulator = traced_simulator
     try:
-        seen["traced_stats"] = runner.run_job(spec)
+        # In two legs, half the horizon and then the rest: a job run in
+        # legs must be the job run whole.
+        horizon = spec["scenario"]["horizon"]
+        job = runner.build_job(spec)
+        if spec["scenario"]["builder"] not in ONE_LEG:
+            job.run(horizon / 2)
+        job.run(horizon)
+        seen["traced_stats"] = job.stats()
     finally:
         runner.Simulator = simulator_class
     seen["trace"] = [{"records": digest.records,
