@@ -19,6 +19,7 @@ import pytest
 from repro import scenarios
 from repro.analysis.tables import render_table
 from repro.core import Position, Simulator
+from repro.mac.addresses import reset_allocator
 from repro.mac.dcf import DcfMac
 from repro.mac.rate_adapt import fixed_rate_factory
 from repro.net.bss import IndependentBss
@@ -32,6 +33,7 @@ HORIZON = 3.0
 
 
 def run_home_bss(standard, seed=1, interferer=False):
+    reset_allocator()  # backoff streams are keyed by address: rows apart
     sim = Simulator(seed=seed)
     bss = scenarios.build_infrastructure_bss(
         sim, station_count=STATIONS, standard=standard, radius_m=12.0)

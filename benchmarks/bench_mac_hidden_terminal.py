@@ -14,7 +14,7 @@ harsh per-frame error floor, smaller fragments raise delivery.
 from repro.analysis.tables import render_table
 from repro.campaign import build_job, expand_grid, validate_spec
 from repro.core import Position, Simulator
-from repro.mac.addresses import allocate_address
+from repro.mac.addresses import allocate_address, reset_allocator
 from repro.mac.dcf import DcfConfig, DcfMac
 from repro.mac.rate_adapt import fixed_rate_factory
 from repro.phy.channel import Medium
@@ -75,6 +75,7 @@ def run_fragmentation_sweep():
     rows = []
     for threshold, label in ((2346, "off"), (1024, "1024"), (512, "512"),
                              (256, "256")):
+        reset_allocator()  # backoff streams are keyed by address
         sim = Simulator(seed=13)
         config = DcfConfig(fragmentation_threshold_bytes=threshold,
                            short_retry_limit=4)

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.core import Position, Simulator
 from repro.core.energy import EnergyMeter
+from repro.mac.addresses import reset_allocator
 from repro.net.ap import AccessPoint, TU_SECONDS
 from repro.net.station import Station
 from repro.phy.channel import Medium
@@ -26,6 +27,7 @@ DOWNLINK_FRAMES = 12
 
 
 def run_mode(power_save, seed=5):
+    reset_allocator()  # backoff streams are keyed by address: rows apart
     sim = Simulator(seed=seed)
     medium = Medium(sim, LogDistance(2.4e9, exponent=3.0))
     ap = AccessPoint(sim, medium, DOT11G, Position(0, 0, 0), name="ap",

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.tables import render_table
 from repro.core import Position, Simulator
-from repro.mac.addresses import allocate_address
+from repro.mac.addresses import allocate_address, reset_allocator
 from repro.mac.dcf import DcfMac
 from repro.mac.rate_adapt import Aarf, Arf, IdealSnr, fixed_rate_factory
 from repro.mobility.models import LinearMobility
@@ -36,6 +36,7 @@ CONTROLLERS = {
 
 
 def run_walk(controller_name, horizon=25.0, speed=1.5, seed=21):
+    reset_allocator()  # backoff streams are keyed by address: rows apart
     sim = Simulator(seed=seed)
     medium = Medium(sim, LogDistance(DOT11A.band_hz, exponent=3.2))
     factory = CONTROLLERS[controller_name]
@@ -54,6 +55,7 @@ def run_walk(controller_name, horizon=25.0, speed=1.5, seed=21):
 
 
 def run_static(controller_name, horizon=6.0, seed=22):
+    reset_allocator()  # backoff streams are keyed by address: rows apart
     sim = Simulator(seed=seed)
     medium = Medium(sim, LogDistance(DOT11A.band_hz, exponent=3.0))
     factory = CONTROLLERS[controller_name]

@@ -20,17 +20,20 @@
  * 3. ``arrival_begins`` / ``arrival_ends`` — the receive
  *    edges of ``repro.phy.transceiver.Radio`` (with ``_try_lock``, the
  *    capture test, ``_refresh_interference`` and the CCA tail), working
- *    on ``Radio``'s and ``SinrTracker``'s ``__slots__`` by offset, the
- *    way the loop works on ``Timer``'s.  A plain radio binds them for
- *    its medium's fan-out (``repro.core.binding``, ``transceiver.RADIO``).
+ *    by offset on the ``__slots__`` of ``Radio``, ``SinrTracker``, the
+ *    frame (``Transmission``), its ``PhyMode``, the ``RadioConfig`` and
+ *    the ``CaptureModel``, the way the loop works on ``Timer``'s.  A
+ *    plain radio binds them for its medium's fan-out
+ *    (``repro.core.binding``, ``transceiver.RADIO``).
  * 4. ``_reception_complete`` — the reception tail of
  *    ``Radio``: unlock, the SINR arithmetic of ``SinrTracker.sinr_db``,
  *    the arithmetic of ``BerErrorModel.packet_error_rate`` and
  *    ``Modulation.ber`` over an exact ``Modulation``'s float fields
  *    (anything else, and an input the reference raises on, calls the
- *    model's ``packet_error_rate``), one ``rng.random()``, the CCA tail
- *    and ``on_rx_end``.  A plain radio binds it to its reception-end
- *    timer.
+ *    model's ``packet_error_rate``), one ``rng.random()``, the trace
+ *    check on the ``TraceLog`` or ``TraceDigest``, the CCA tail and
+ *    ``on_rx_end`` — frame, mode, modulation and trace sink read by
+ *    offset too.  A plain radio binds it to its reception-end timer.
  * 5. ``_maybe_start_ifs`` / ``_cancel_access_timers`` / ``_ifs_expired``
  *    / ``_fire`` / ``phy_rx_end`` — the carrier-sense slots of
  *    ``repro.mac.dcf.DcfMac`` and ``repro.mac.nav.Nav`` that are pure
@@ -38,7 +41,10 @@
  *    demux for the two verdicts that need nothing else: a corrupt frame
  *    (EIFS flag, ``rx_corrupt``) and one overheard by a third party (the
  *    transmitter's rate controller, the NAV, ``nav_updates``), read off
- *    the per-frame ``Dot11Frame.rx_verdict`` (``dcf.MAC``, ``nav.NAV``).  A
+ *    the per-frame ``Dot11Frame.rx_verdict`` — the one field still read
+ *    by name, a derivation cached in the frame's instance dict — and
+ *    counted in the ``Counter``'s ``_counts`` by offset (``dcf.MAC``,
+ *    ``nav.NAV``).  A
  *    plain ``DcfMac`` hands them to its radio's CCA and reception-end
  *    upcalls, its NAV and its IFS timer.  A frame addressed to the
  *    station or to a group, ``_access_won`` and the transmit path stay
@@ -115,10 +121,14 @@
  *   ``DcfMac`` / ``Nav`` / ``Timer`` / ``Dot11Frame`` / ``Counter``,
  *   exact floats and machine-word ints, canonical bools, exact dicts,
  *   an exact ``SinrTracker`` / ``CaptureModel`` / ``BerErrorModel`` /
- *   ``Modulation``).  Anything else is handed to the Python method
- *   *before* the step in question has changed anything: the whole call
- *   for a non-float power, a foreign object or an off-type MAC field,
- *   one step (``_try_lock``, ``_refresh_interference``,
+ *   ``Modulation`` / ``Transmission`` / ``PhyMode`` / ``RadioConfig`` /
+ *   ``TraceLog`` / ``TraceDigest``), and reads every field it reads on
+ *   them by offset — no field by name beside it.  Anything else is handed to the Python
+ *   method *before* the step in question has changed anything: the
+ *   whole call for a non-float power, a foreign object, an off-type MAC
+ *   field or a tail whose frame, mode or trace sink is not exactly its
+ *   class, one step (``_try_lock`` — also for a frame, mode or config
+ *   not exactly its class —, ``_refresh_interference``,
  *   ``should_capture``, ``sinr_db``, ``frame_survives``,
  *   ``packet_error_rate``, ``_update_cca``, ``Nav.set_until``,
  *   ``Counter.incr``) for an off-type field met after the first write;
@@ -136,7 +146,11 @@
  *   is not fed (``IdealSnr`` and every overriding class are).  No borrowed pointer is used across a call
  *   that can run Python: slots are re-read after it, and what must span
  *   it (the table, the upcall, the capture object, the frame, the
- *   tracker) is held by a strong reference.
+ *   tracker) is held by a strong reference.  A holder the tail re-reads
+ *   after Python ran (the frame's mode, the trace sink) is checked again;
+ *   one rebound meanwhile to another class is a TypeError, as a
+ *   ``Radio._sim`` that is no ``Simulator`` is: the step is past handing
+ *   off.
  *
  * NaN event times are unrepresentable (every scheduler rejects them,
  * and so does the queue), so comparing the keys as doubles is exact.
@@ -756,9 +770,12 @@ done:
 
 /* --- PHY receive edges (C twins of Radio.arrival_begins / _ends) ------ */
 
-/* The "phy" class set (see resolve), NULL until the first radio binds. */
+/* The "phy" class set (see resolve), NULL until the first radio binds:
+ * the radio, the frames and mode it receives, and its holders. */
 static PyTypeObject *radio_type = NULL, *sinr_type = NULL;
-static PyTypeObject *capture_type = NULL;
+static PyTypeObject *capture_type = NULL, *config_type = NULL;
+static PyTypeObject *tx_type = NULL, *phymode_type = NULL;
+static PyTypeObject *trace_type = NULL, *digest_type = NULL;
 static PyObject *st_idle, *st_rx, *st_tx, *st_sleep;  /* RadioState members */
 static PyObject *st_rx_value, *st_idle_value;         /* their .value */
 static PyObject *builtin_sum;
@@ -766,20 +783,17 @@ static PyObject *float_zero;
 /* The exact classes whose PER the reception tail computes itself. */
 static PyTypeObject *ber_type = NULL, *modulation_type = NULL;
 
-static PyObject *s_now, *s_values, *s_mode, *s_name, *s_duration, *s_enabled;
-static PyObject *s_threshold_db, *s_should_capture, *s_preamble_snr;
+static PyObject *s_now, *s_values, *s_should_capture;
 static PyObject *s_abort_locked, *s_try_lock, *s_refresh_interference;
 static PyObject *s_reception_complete, *s_update_cca, *s_trace_rx_end;
 static PyObject *s_sinr_db, *s_frame_survives, *s_packet_error_rate;
-static PyObject *s_random, *s_size_bits, *s_modulation, *s_payload;
+static PyObject *s_random;
 static PyObject *s_maybe_start_ifs, *s_cancel_access_timers, *s_ifs_expired;
 static PyObject *s_access_won, *s_fire, *s_arrival_begins, *s_arrival_ends;
-static PyObject *s_phy_rx_end, *s_rx_verdict, *s_counts, *s_incr;
+static PyObject *s_phy_rx_end, *s_rx_verdict, *s_incr;
 static PyObject *s_rx_corrupt, *s_nav_updates, *s_set_until, *s_until;
 static PyObject *s_push, *s_pop, *s_next_seq, *s_arm, *s_fan_out;
 static PyObject *s_standard, *s_on_snr_measurement;
-static PyObject *s_processing_gain, *s_coding_gain, *s_bits_per_symbol;
-static PyObject *s_code_rate;
 
 static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
 static Py_ssize_t off_r_locked_power, off_r_locked_tracker, off_r_cca_busy;
@@ -790,6 +804,35 @@ static Py_ssize_t off_r_on_cca_idle, off_r_on_state_change;
 static Py_ssize_t off_r_on_rx_end, off_r_error_model, off_r_rng, off_r_trace;
 static Py_ssize_t off_s_signal, off_s_noise, off_s_start, off_s_last;
 static Py_ssize_t off_s_current, off_s_energy;
+static Py_ssize_t off_tx_mode, off_tx_duration, off_tx_size_bits;
+static Py_ssize_t off_tx_payload, off_pm_name, off_pm_modulation;
+static Py_ssize_t off_cap_enabled, off_cap_threshold, off_cfg_preamble;
+static Py_ssize_t off_tl_enabled, off_td_enabled;
+/* Modulation's (processing_gain_db, coding_gain_db, bits_per_symbol,
+ * code_rate), in the order modulation_ber takes them. */
+static Py_ssize_t off_mod_field[4];
+
+/* ``obj``'s slot at ``off`` (borrowed) when it is exactly ``type``, NULL
+ * (no error set) otherwise. */
+static inline PyObject *
+exact_slot(PyObject *obj, Py_ssize_t off, PyTypeObject *type)
+{
+    PyObject *value = SLOT(obj, off);
+
+    return value != NULL && Py_TYPE(value) == type ? value : NULL;
+}
+
+/* Where ``sink.enabled`` sits when ``sink`` is exactly a TraceLog or a
+ * TraceDigest — the two trace sinks the tail reads by offset —, 0 (no
+ * error set) otherwise: an offset past the object header is never 0. */
+static inline Py_ssize_t
+sink_enabled(PyObject *sink)
+{
+    PyTypeObject *type = sink == NULL ? NULL : Py_TYPE(sink);
+
+    return type == trace_type ? off_tl_enabled
+        : type == digest_type ? off_td_enabled : 0;
+}
 
 static inline int
 is_float(PyObject *value)
@@ -997,32 +1040,26 @@ refresh_interference(PyObject *self)
     return 0;
 }
 
-/* CaptureModel.should_capture for an exact CaptureModel with float
- * fields; 1/0, -1 on error, -2 when the method itself must be asked. */
+/* CaptureModel.should_capture for an exact CaptureModel with a bool
+ * ``enabled`` and a float ``threshold_db``; 1/0, -2 when the method
+ * itself must be asked.  Runs no Python. */
 static int
 capture_verdict(PyObject *capture, PyObject *locked_power, PyObject *power)
 {
-    PyObject *field;
-    int result;
+    PyObject *enabled, *threshold;
 
-    if (Py_TYPE(capture) != capture_type || !PyFloat_CheckExact(locked_power))
+    if (Py_TYPE(capture) != capture_type || !PyFloat_CheckExact(locked_power)
+            || ((enabled = SLOT(capture, off_cap_enabled)) != Py_True
+                && enabled != Py_False)
+            || !is_float(threshold = SLOT(capture, off_cap_threshold)))
         return -2;
-    if ((field = PyObject_GetAttr(capture, s_enabled)) == NULL)
-        return -1;
-    result = PyObject_IsTrue(field);
-    Py_DECREF(field);
-    if (result <= 0)
-        return result;
+    if (enabled == Py_False)
+        return 0;
     if (PyFloat_AS_DOUBLE(locked_power) <= 0.0)
         return 1;
-    if ((field = PyObject_GetAttr(capture, s_threshold_db)) == NULL)
-        return -1;
-    result = !PyFloat_CheckExact(field) ? -2
-        : linear_to_db(PyFloat_AS_DOUBLE(power)
-                       / PyFloat_AS_DOUBLE(locked_power))
-          >= PyFloat_AS_DOUBLE(field);
-    Py_DECREF(field);
-    return result;
+    return linear_to_db(PyFloat_AS_DOUBLE(power)
+                        / PyFloat_AS_DOUBLE(locked_power))
+        >= PyFloat_AS_DOUBLE(threshold);
 }
 
 /* ``self._capture.should_capture(self._locked_power, power)``; 1/0/-1. */
@@ -1053,51 +1090,38 @@ should_capture(PyObject *self, PyObject *power)
 
 /* The first half of Radio._try_lock — a preamble this radio can see,
  * of a PHY it decodes?  1/0, -1 on error, -2 when the reference must
- * be asked (nothing has been touched yet). */
+ * be asked (nothing has been touched yet): a config, frame or mode not
+ * exactly its class, a noise floor or a threshold that is not a float.
+ * Runs no Python until the mode name is looked up. */
 static int
 preamble_decodable(PyObject *self, PyObject *transmission, PyObject *power)
 {
     PyObject *noise = SLOT(self, off_r_noise);
-    PyObject *holder, *snr, *value;
+    PyObject *config = exact_slot(self, off_r_config, config_type);
+    PyObject *mode = Py_TYPE(transmission) != tx_type ? NULL
+        : exact_slot(transmission, off_tx_mode, phymode_type);
+    PyObject *threshold, *name, *decodable;
     double noise_d;
     int verdict;
 
-    if (!is_float(noise))
+    if (!is_float(noise) || config == NULL || mode == NULL
+            || !is_float(threshold = SLOT(config, off_cfg_preamble))
+            || (name = SLOT(mode, off_pm_name)) == NULL)
         return -2;
     noise_d = PyFloat_AS_DOUBLE(noise);
-    snr = PyFloat_FromDouble(
-        noise_d > 0 ? linear_to_db(PyFloat_AS_DOUBLE(power) / noise_d)
-                    : Py_HUGE_VAL);
-    if (snr == NULL)
-        return -1;
     /* snr_db < self.config.preamble_detection_snr_db */
-    if ((holder = slot_get(self, off_r_config, "config")) == NULL) {
-        Py_DECREF(snr);
-        return -1;
-    }
-    Py_INCREF(holder);
-    value = PyObject_GetAttr(holder, s_preamble_snr);
-    Py_DECREF(holder);
-    verdict = value == NULL ? -1 : num_cmp(snr, value, Py_LT);
-    Py_XDECREF(value);
-    Py_DECREF(snr);
-    if (verdict != 0)
-        return verdict < 0 ? -1 : 0;  /* too weak to see a preamble */
+    if ((noise_d > 0 ? linear_to_db(PyFloat_AS_DOUBLE(power) / noise_d)
+                     : Py_HUGE_VAL) < PyFloat_AS_DOUBLE(threshold))
+        return 0;  /* too weak to see a preamble */
     /* transmission.mode.name in self.decodable_modes */
-    if ((value = PyObject_GetAttr(transmission, s_mode)) == NULL)
+    if ((decodable = slot_get(self, off_r_decodable,
+                              "decodable_modes")) == NULL)
         return -1;
-    Py_SETREF(value, PyObject_GetAttr(value, s_name));
-    if (value == NULL)
-        return -1;
-    if ((holder = slot_get(self, off_r_decodable,
-                           "decodable_modes")) == NULL) {
-        Py_DECREF(value);
-        return -1;
-    }
-    Py_INCREF(holder);
-    verdict = PySequence_Contains(holder, value);  /* 0: foreign PHY */
-    Py_DECREF(holder);
-    Py_DECREF(value);
+    Py_INCREF(decodable);
+    Py_INCREF(name);
+    verdict = PySequence_Contains(decodable, name);  /* 0: foreign PHY */
+    Py_DECREF(name);
+    Py_DECREF(decodable);
     return verdict;
 }
 
@@ -1107,7 +1131,7 @@ static int
 try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
          PyObject *power)
 {
-    PyObject *value, *timer, *tracker, *noise, *now;
+    PyObject *value, *duration, *timer, *tracker, *noise, *now;
     double interference = 0.0;
     int status = preamble_decodable(self, transmission, power);
 
@@ -1126,18 +1150,17 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
         interference = PyFloat_AS_DOUBLE(value) - PyFloat_AS_DOUBLE(power);
         Py_DECREF(value);
     }
-    if ((value = PyObject_GetAttr(transmission, s_duration)) == NULL)
-        return -1;
     /* Read after the last call that could run Python, and checked
-     * before the first statement the reference could not repeat. */
+     * before the first statement the reference could not repeat (the
+     * frame is the caller's and exactly a Transmission). */
+    duration = SLOT(transmission, off_tx_duration);
     timer = SLOT(self, off_r_rx_timer);
     tracker = SLOT(self, off_r_tracker);
     noise = SLOT(self, off_r_noise);
     now = radio_now(self);
-    if (now == NULL || !PyFloat_CheckExact(now) || !PyFloat_CheckExact(value)
+    if (now == NULL || !PyFloat_CheckExact(now) || !is_float(duration)
             || timer == NULL || tracker == NULL || noise == NULL
             || Py_TYPE(tracker) != sinr_type) {
-        Py_DECREF(value);
         if (now == NULL)
             return -1;
         return run_reference(self, s_try_lock, transmission, power);
@@ -1145,8 +1168,8 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
     /* The tail lands one airtime after the energy started arriving;
      * arming an exact float runs no Python, so the borrowed tracker,
      * noise and clock are still good below. */
-    Py_SETREF(value, PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
-                                        + PyFloat_AS_DOUBLE(value)));
+    value = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                               + PyFloat_AS_DOUBLE(duration));
     status = value == NULL ? -1 : arm_impl(timer, value);
     Py_XDECREF(value);
     if (status == 0
@@ -1415,12 +1438,10 @@ static int
 packet_error_rate(PyObject *snr, PyObject *size_bits, PyObject *modulation,
                   double *per)
 {
-    PyObject **const names[4] = {&s_processing_gain, &s_coding_gain,
-                                 &s_bits_per_symbol, &s_code_rate};
     PyObject *value;
     double field[4], ber;
     long long bits;
-    int overflow, exact, i;
+    int overflow, i;
 
     if (!PyLong_CheckExact(size_bits))
         return 1;
@@ -1434,13 +1455,9 @@ packet_error_rate(PyObject *snr, PyObject *size_bits, PyObject *modulation,
     if (Py_TYPE(modulation) != modulation_type || !PyFloat_CheckExact(snr))
         return 1;
     for (i = 0; i < 4; i++) {
-        if ((value = PyObject_GetAttr(modulation, *names[i])) == NULL)
-            return -1;
-        exact = PyFloat_CheckExact(value);
-        field[i] = exact ? PyFloat_AS_DOUBLE(value) : 0.0;
-        Py_DECREF(value);
-        if (!exact)
+        if (!is_float(value = SLOT(modulation, off_mod_field[i])))
             return 1;
+        field[i] = PyFloat_AS_DOUBLE(value);
     }
     if (modulation_ber(PyFloat_AS_DOUBLE(snr), field, &ber) < 0)
         return 1;
@@ -1480,6 +1497,23 @@ ber_frame_survives(PyObject *model, PyObject *snr, PyObject *size_bits,
     return verdict;
 }
 
+/* What the tail reads by offset after Python may have run — the
+ * frame's mode — checked again: ``obj``'s slot at ``off`` (borrowed),
+ * or NULL with TypeError when an upcall, a model or a draw rebound it
+ * to an object of another class since the step began (nothing can hand
+ * the step to the reference any more). */
+static PyObject *
+still_exact(PyObject *obj, Py_ssize_t off, PyTypeObject *type,
+            const char *name)
+{
+    PyObject *value = exact_slot(obj, off, type);
+
+    if (value == NULL)
+        PyErr_Format(PyExc_TypeError, "%s was rebound during a reception "
+                     "tail; it must stay a %s", name, type->tp_name);
+    return value;
+}
+
 /* ``self.error_model.frame_survives(snr_db, transmission.size_bits,
  * transmission.mode.modulation, self._rng)`` (new reference), operands
  * evaluated in the reference's order.  Only an exact BerErrorModel is
@@ -1487,31 +1521,33 @@ ber_frame_survives(PyObject *model, PyObject *snr, PyObject *size_bits,
 static PyObject *
 frame_survives(PyObject *self, PyObject *transmission, PyObject *snr)
 {
-    PyObject *model, *method = NULL, *size_bits = NULL, *modulation = NULL;
-    PyObject *rng, *verdict = NULL;
+    PyObject *model, *method = NULL, *size_bits, *mode, *modulation, *rng;
+    PyObject *verdict = NULL;
 
     if ((model = slot_get(self, off_r_error_model, "error_model")) == NULL)
         return NULL;
     Py_INCREF(model);
-    if (Py_TYPE(model) != ber_type
-            && (method = PyObject_GetAttr(model, s_frame_survives)) == NULL)
-        goto done;
-    if ((size_bits = PyObject_GetAttr(transmission, s_size_bits)) == NULL
-            || (modulation = PyObject_GetAttr(transmission, s_mode)) == NULL)
-        goto done;
-    Py_SETREF(modulation, PyObject_GetAttr(modulation, s_modulation));
-    if (modulation == NULL
-            || (rng = slot_get(self, off_r_rng, "_rng")) == NULL)
-        goto done;
-    Py_INCREF(rng);
-    verdict = method == NULL
-        ? ber_frame_survives(model, snr, size_bits, modulation, rng)
-        : PyObject_CallFunctionObjArgs(method, snr, size_bits, modulation,
-                                       rng, NULL);
-    Py_DECREF(rng);
-done:
-    Py_XDECREF(modulation);
-    Py_XDECREF(size_bits);
+    if ((Py_TYPE(model) == ber_type
+         || (method = PyObject_GetAttr(model, s_frame_survives)) != NULL)
+            && (size_bits = slot_get(transmission, off_tx_size_bits,
+                                     "size_bits")) != NULL
+            && (mode = still_exact(transmission, off_tx_mode, phymode_type,
+                                   "Transmission.mode")) != NULL
+            && (modulation = slot_get(mode, off_pm_modulation,
+                                      "modulation")) != NULL
+            && (rng = slot_get(self, off_r_rng, "_rng")) != NULL) {
+        /* Held: the PER's hand-off, a model and a draw can run Python. */
+        Py_INCREF(size_bits);
+        Py_INCREF(modulation);
+        Py_INCREF(rng);
+        verdict = method == NULL
+            ? ber_frame_survives(model, snr, size_bits, modulation, rng)
+            : PyObject_CallFunctionObjArgs(method, snr, size_bits,
+                                           modulation, rng, NULL);
+        Py_DECREF(rng);
+        Py_DECREF(modulation);
+        Py_DECREF(size_bits);
+    }
     Py_XDECREF(method);
     Py_DECREF(model);
     return verdict;
@@ -1522,16 +1558,21 @@ static int
 trace_rx_end(PyObject *self, PyObject *now, PyObject *transmission,
              PyObject *success, PyObject *snr)
 {
-    PyObject *trace = slot_get(self, off_r_trace, "_trace"), *enabled;
+    Py_ssize_t off = sink_enabled(SLOT(self, off_r_trace));
+    PyObject *enabled;
     int traced;
 
-    if (trace == NULL)
+    /* As ``still_exact``: a sink rebound since the step began. */
+    if (off == 0) {
+        PyErr_SetString(PyExc_TypeError, "Radio._trace was rebound during "
+                        "a reception tail; it must stay a TraceLog or a "
+                        "TraceDigest");
         return -1;
-    Py_INCREF(trace);
-    enabled = PyObject_GetAttr(trace, s_enabled);
-    Py_DECREF(trace);
-    if (enabled == NULL)
+    }
+    if ((enabled = slot_get(SLOT(self, off_r_trace), off, "enabled"))
+            == NULL)
         return -1;
+    Py_INCREF(enabled);
     traced = flag_is_true(enabled);
     Py_DECREF(enabled);
     if (traced <= 0)
@@ -1553,15 +1594,19 @@ rx_end_upcall(PyObject *self, PyObject *transmission, PyObject *success,
     PyObject *args[5] = {NULL, NULL, success, snr, NULL};
     int status = -1;
 
-    if (callable == NULL)
+    if (callable == NULL
+            || (args[1] = slot_get(transmission, off_tx_payload,
+                                   "payload")) == NULL
+            || (args[4] = slot_get(transmission, off_tx_mode,
+                                   "mode")) == NULL)
         return -1;
     Py_INCREF(callable);
-    if ((args[1] = PyObject_GetAttr(transmission, s_payload)) != NULL
-            && (args[4] = PyObject_GetAttr(transmission, s_mode)) != NULL)
-        status = discard(PyObject_Vectorcall(
-            callable, args + 1, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL));
-    Py_XDECREF(args[4]);
-    Py_XDECREF(args[1]);
+    Py_INCREF(args[1]);
+    Py_INCREF(args[4]);
+    status = discard(PyObject_Vectorcall(
+        callable, args + 1, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL));
+    Py_DECREF(args[4]);
+    Py_DECREF(args[1]);
     Py_DECREF(callable);
     return status;
 }
@@ -1578,8 +1623,14 @@ ck_reception_complete(PyObject *module, PyObject *self)
     transmission = SLOT(self, off_r_locked);
     if (transmission == Py_None)
         Py_RETURN_NONE;  /* the lock was aborted meanwhile */
+    /* What the tail reads by offset: the tracker, the frame, its mode
+     * and the trace sink, each exactly its class, or the whole call is
+     * the reference's. */
     tracker = SLOT(self, off_r_locked_tracker);
-    if (tracker == NULL || Py_TYPE(tracker) != sinr_type)
+    if (tracker == NULL || Py_TYPE(tracker) != sinr_type
+            || Py_TYPE(transmission) != tx_type
+            || exact_slot(transmission, off_tx_mode, phymode_type) == NULL
+            || sink_enabled(SLOT(self, off_r_trace)) == 0)
         return PyObject_CallMethodNoArgs(self, s_reception_complete);
     /* Both outlive the slots that are about to let go of them. */
     Py_INCREF(transmission);
@@ -1876,6 +1927,7 @@ static PyTypeObject *frame_type = NULL, *counter_type = NULL;
 static PyObject *unfed_snr = NULL;  /* RateController.on_snr_measurement */
 static Py_ssize_t off_m_sniffer, off_m_counters, off_m_controllers;
 static Py_ssize_t off_m_address_value, off_m_rate_factory, off_n_timer;
+static Py_ssize_t off_c_counts;
 
 /* ``counters._counts`` (new reference) when ``counters`` is an exact
  * Counter over an exact dict holding a machine int, or nothing, under
@@ -1886,20 +1938,16 @@ counter_table(PyObject *counters, PyObject *name, long long *count)
 {
     PyObject *counts, *held;
 
-    if (counters == NULL || Py_TYPE(counters) != counter_type)
+    if (counters == NULL || Py_TYPE(counters) != counter_type
+            || (counts = SLOT(counters, off_c_counts)) == NULL
+            || !PyDict_CheckExact(counts))
         return NULL;
-    if ((counts = PyObject_GetAttr(counters, s_counts)) == NULL) {
-        PyErr_Clear();
-        return NULL;
-    }
     *count = 0;
-    if (PyDict_CheckExact(counts)
-            && ((held = PyDict_GetItemWithError(counts, name)) == NULL
-                ? !PyErr_Occurred()
-                : small_int(held, count) && *count < PY_LLONG_MAX))
-        return counts;
+    if ((held = PyDict_GetItemWithError(counts, name)) == NULL
+            ? !PyErr_Occurred()
+            : small_int(held, count) && *count < PY_LLONG_MAX)
+        return Py_NewRef(counts);
     PyErr_Clear();
-    Py_DECREF(counts);
     return NULL;
 }
 
@@ -1973,16 +2021,26 @@ nav_set_until(PyObject *nav, PyObject *time)
     return status;
 }
 
-/* ``self.nav.set_until(self.sim._now + reservation)``; 0 or -1. */
+/* ``self.nav.set_until(self.sim._now + reservation)`` for an exact-float
+ * reservation; 0 or -1. */
 static int
 extend_nav(PyObject *self, PyObject *reservation)
 {
-    PyObject *sim = slot_get(self, off_m_sim, "sim"), *nav, *time;
+    PyObject *sim = slot_get(self, off_m_sim, "sim"), *now, *nav, *time;
     int status;
 
-    if (sim == NULL || (time = PyObject_GetAttr(sim, s_now)) == NULL)
+    if (sim == NULL)
         return -1;
-    Py_SETREF(time, num_add(time, reservation));
+    /* ck_phy_rx_end checked the clock before it wrote anything; only a
+     * rate controller run since can have rebound it. */
+    if ((now = float_now(sim)) == NULL) {
+        PyErr_SetString(PyExc_TypeError, "DcfMac.sim._now was rebound "
+                        "during a frame demux; it must stay a float on a "
+                        "Simulator");
+        return -1;
+    }
+    time = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                              + PyFloat_AS_DOUBLE(reservation));
     if (time == NULL || (nav = slot_get(self, off_m_nav, "nav")) == NULL) {
         Py_XDECREF(time);
         return -1;
@@ -2501,7 +2559,10 @@ ck_table_sum(PyObject *module, PyObject *args)
  * ``__slots__`` it reads by offset and whose instances it serves, and
  * the objects it compares by identity.
  * ``repro.core.binding`` hands a table's set to ``resolve``, by name,
- * before the table's first twin; once per process. */
+ * before the table's first twin; once per process.  An instance is read
+ * by offset only once it is known to be exactly its class: at bind for
+ * the object bound, per step for the frames, modes and holders a step
+ * meets (``exact_slot``). */
 
 static const struct slot_spec timer_slots[] = {
     {"_version", &off_t_version}, {"_armed", &off_t_armed},
@@ -2536,6 +2597,27 @@ static const struct slot_spec tracker_slots[] = {
     {"_start", &off_s_start}, {"_last_time", &off_s_last},
     {"_current_interference", &off_s_current},
     {"_energy", &off_s_energy}, {NULL, NULL}};
+static const struct slot_spec transmission_slots[] = {
+    {"mode", &off_tx_mode}, {"duration", &off_tx_duration},
+    {"size_bits", &off_tx_size_bits}, {"payload", &off_tx_payload},
+    {NULL, NULL}};
+static const struct slot_spec mode_slots[] = {
+    {"name", &off_pm_name}, {"modulation", &off_pm_modulation},
+    {NULL, NULL}};
+static const struct slot_spec modulation_slots[] = {
+    {"processing_gain_db", &off_mod_field[0]},
+    {"coding_gain_db", &off_mod_field[1]},
+    {"bits_per_symbol", &off_mod_field[2]},
+    {"code_rate", &off_mod_field[3]}, {NULL, NULL}};
+static const struct slot_spec capture_slots[] = {
+    {"enabled", &off_cap_enabled}, {"threshold_db", &off_cap_threshold},
+    {NULL, NULL}};
+static const struct slot_spec config_slots[] = {
+    {"preamble_detection_snr_db", &off_cfg_preamble}, {NULL, NULL}};
+static const struct slot_spec tracelog_slots[] = {
+    {"enabled", &off_tl_enabled}, {NULL, NULL}};
+static const struct slot_spec digest_slots[] = {
+    {"enabled", &off_td_enabled}, {NULL, NULL}};
 static const struct slot_spec mac_slots[] = {
     {"sim", &off_m_sim}, {"radio", &off_m_radio}, {"nav", &off_m_nav},
     {"_current", &off_m_current},
@@ -2551,6 +2633,8 @@ static const struct slot_spec mac_slots[] = {
     {"counters", &off_m_counters}, {"_controllers", &off_m_controllers},
     {"_address_value", &off_m_address_value},
     {"_rate_factory", &off_m_rate_factory}, {NULL, NULL}};
+static const struct slot_spec counter_slots[] = {
+    {"_counts", &off_c_counts}, {NULL, NULL}};
 static const struct slot_spec nav_slots[] = {
     {"_sim", &off_n_sim}, {"_until", &off_n_until},
     {"_on_expire", &off_n_on_expire}, {"_timer", &off_n_timer},
@@ -2575,9 +2659,14 @@ static const struct member kernel_set[] = {
 static const struct member phy_set[] = {
     {"Radio", KEEP(radio_type), M_TYPE, radio_slots},
     {"SinrTracker", KEEP(sinr_type), M_TYPE, tracker_slots},
-    {"CaptureModel", KEEP(capture_type), M_TYPE, NULL},
+    {"CaptureModel", KEEP(capture_type), M_TYPE, capture_slots},
     {"BerErrorModel", KEEP(ber_type), M_TYPE, NULL},
-    {"Modulation", KEEP(modulation_type), M_TYPE, NULL},
+    {"Modulation", KEEP(modulation_type), M_TYPE, modulation_slots},
+    {"Transmission", KEEP(tx_type), M_TYPE, transmission_slots},
+    {"PhyMode", KEEP(phymode_type), M_TYPE, mode_slots},
+    {"RadioConfig", KEEP(config_type), M_TYPE, config_slots},
+    {"TraceLog", KEEP(trace_type), M_TYPE, tracelog_slots},
+    {"TraceDigest", KEEP(digest_type), M_TYPE, digest_slots},
     {"IDLE", &st_idle, M_OBJECT, NULL},
     {"RX", &st_rx, M_OBJECT, NULL}, {"TX", &st_tx, M_OBJECT, NULL},
     {"SLEEP", &st_sleep, M_OBJECT, NULL},
@@ -2587,7 +2676,7 @@ static const struct member phy_set[] = {
 static const struct member mac_set[] = {
     {"DcfMac", KEEP(mac_type), M_TYPE, mac_slots},
     {"Dot11Frame", KEEP(frame_type), M_TYPE, NULL},
-    {"Counter", KEEP(counter_type), M_TYPE, NULL},
+    {"Counter", KEEP(counter_type), M_TYPE, counter_slots},
     {"_UNFED_SNR", &unfed_snr, M_OBJECT, NULL},
     {NULL, NULL, 0, NULL}};
 static const struct member nav_set[] = {
@@ -2735,34 +2824,26 @@ PyInit__ckernel(void)
         const char *text;
     } names[] = {
         {&s_now, "_now"}, {&s_values, "values"},
-        {&s_mode, "mode"}, {&s_name, "name"}, {&s_duration, "duration"},
-        {&s_enabled, "enabled"}, {&s_threshold_db, "threshold_db"},
         {&s_should_capture, "should_capture"},
-        {&s_preamble_snr, "preamble_detection_snr_db"},
         {&s_abort_locked, "_abort_locked"}, {&s_try_lock, "_try_lock"},
         {&s_refresh_interference, "_refresh_interference"},
         {&s_reception_complete, "_reception_complete"},
         {&s_update_cca, "_update_cca"}, {&s_trace_rx_end, "_trace_rx_end"},
         {&s_sinr_db, "sinr_db"}, {&s_frame_survives, "frame_survives"},
         {&s_packet_error_rate, "packet_error_rate"}, {&s_random, "random"},
-        {&s_size_bits, "size_bits"}, {&s_modulation, "modulation"},
-        {&s_payload, "payload"}, {&s_maybe_start_ifs, "_maybe_start_ifs"},
+        {&s_maybe_start_ifs, "_maybe_start_ifs"},
         {&s_cancel_access_timers, "_cancel_access_timers"},
         {&s_ifs_expired, "_ifs_expired"}, {&s_access_won, "_access_won"},
         {&s_fire, "_fire"}, {&s_arrival_begins, "arrival_begins"},
         {&s_arrival_ends, "arrival_ends"},
         {&s_phy_rx_end, "phy_rx_end"}, {&s_rx_verdict, "rx_verdict"},
-        {&s_counts, "_counts"}, {&s_incr, "incr"},
+        {&s_incr, "incr"},
         {&s_rx_corrupt, "rx_corrupt"}, {&s_nav_updates, "nav_updates"},
         {&s_set_until, "set_until"}, {&s_until, "_until"},
         {&s_standard, "standard"},
         {&s_on_snr_measurement, "on_snr_measurement"}, {&s_push, "push"},
         {&s_pop, "pop"}, {&s_next_seq, "next_seq"}, {&s_arm, "arm"},
-        {&s_fan_out, "fan_out"},
-        {&s_processing_gain, "processing_gain_db"},
-        {&s_coding_gain, "coding_gain_db"},
-        {&s_bits_per_symbol, "bits_per_symbol"},
-        {&s_code_rate, "code_rate"}};
+        {&s_fan_out, "fan_out"}};
     size_t i;
 
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
@@ -2780,7 +2861,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 9) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 10) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

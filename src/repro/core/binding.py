@@ -5,8 +5,13 @@ Each layer declares the methods :mod:`repro.core._ckernel` can serve in a
 ``nav.NAV``); :func:`bind` alone picks a side, by one rule: the twin
 only on a ``kernel="c"`` simulator, and only while every object the
 twins read by offset is of exactly its class (a subclass may override
-anything).  The first twin of a table hands the extension its class set
-(:func:`resolve`), once per process.  :data:`tally` counts the sides, so
+anything).  Exactness is checked here, at bind, for the bound object and
+what it holds for life (``Table.reads``); what a step reads off frames
+and per-radio holders (the frame, its mode and modulation, the config,
+capture model and trace sink, the MAC's counters) the twin checks per
+step, handing the step to the reference on a miss.  The first twin of a
+table hands the extension its class set (:func:`resolve`), once per
+process.  :data:`tally` counts the sides, so
 a silent fallback fails by name (``tests/test_macro_pins.py``) where
 bit-identical pins cannot see it.
 """

@@ -72,8 +72,9 @@ _INF = math.inf
 KERNELS = ("auto", "python", "c")
 
 #: The extension interface this engine binds: bumped whenever
-#: ``_ckernel`` gains or changes an entry point the library calls.
-KERNEL_ABI = 9
+#: ``_ckernel`` gains or changes an entry point the library calls, or a
+#: class set its ``resolve`` takes gains a member.
+KERNEL_ABI = 10
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False

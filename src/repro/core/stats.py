@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Tuple
 class Counter:
     """A named bundle of integer counters."""
 
+    __slots__ = ("_counts",)
+
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
 

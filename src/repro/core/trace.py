@@ -74,6 +74,8 @@ class TraceLog:
         benchmark runs; :meth:`record` then becomes a cheap no-op.
     """
 
+    __slots__ = ("_records", "_dropped", "enabled", "_event_mask")
+
     def __init__(self, capacity: Optional[int] = 100_000, enabled: bool = True):
         self._records: Deque[TraceRecord] = deque(maxlen=capacity)
         self._dropped = 0
@@ -182,9 +184,10 @@ class TraceDigest:
     and the next one.
     """
 
-    enabled = True
+    __slots__ = ("_sha1", "records", "checkpoints", "enabled")
 
     def __init__(self) -> None:
+        self.enabled = True
         self._sha1 = hashlib.sha1()
         self.records = 0
         self.checkpoints: List[Tuple[int, float, str]] = []

@@ -41,7 +41,7 @@ methods, their reference.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
@@ -49,7 +49,9 @@ from ..core.units import SPEED_OF_LIGHT, dbm_to_watts, watts_to_dbm
 from .modulation import DBPSK_DSSS
 from .propagation import PropagationModel
 from .standards import PhyMode
-from .transceiver import Radio
+
+if TYPE_CHECKING:  # pragma: no cover - the radio module imports this one
+    from .transceiver import Radio
 
 #: Mode sentinel carried by energy-only transmissions (jammers,
 #: coexistence interferers, broadband noise bursts).  The name is not in

@@ -68,7 +68,7 @@ class SinrTracker:
         return 10.0 * _log10(ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptureModel:
     """Physical-layer capture configuration.
 

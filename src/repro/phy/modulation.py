@@ -33,7 +33,7 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Modulation:
     """A named modulation with an AWGN BER curve.
 

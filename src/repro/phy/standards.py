@@ -53,7 +53,7 @@ from .modulation import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhyMode:
     """One entry in a standard's rate ladder."""
 

@@ -22,11 +22,17 @@ tail) and :meth:`Radio._reception_complete` are the *reference* receive
 path; :data:`RADIO` is their binding table.  On a C-kernel simulator a
 plain radio binds itself through ``repro.core.binding.bind``
 to their compiled twins in ``repro.core._ckernel`` — the same statements
-over the same ``__slots__`` — which hand any step they do not handle (an
-aborted lock, an off-type field, an error model or modulation not exactly
-``BerErrorModel`` / ``Modulation``, the trace record) back to the method
-here: a change to these methods changes what ``tests/phy/test_edge_parity.py``
-and ``tests/phy/test_per_twin.py`` hold both to.
+over the same ``__slots__``, the frame's (:class:`~repro.phy.channel.Transmission`),
+its ``PhyMode``'s and ``Modulation``'s and this radio's ``RadioConfig``,
+``CaptureModel`` and trace sink (``TraceLog`` or ``TraceDigest``)
+included, all read by offset — which hand any step they do not handle
+back to the method here: an aborted lock, an off-type field, an error
+model not exactly ``BerErrorModel``, the trace record, and any of those
+frames, modes or holders not exactly its class (``_try_lock`` for the
+frame, mode or config, the capture test for the capture model, the PER
+for the modulation, the whole tail for the frame, mode or trace sink).  A change to these methods changes what
+``tests/phy/test_edge_parity.py``, ``tests/phy/test_per_twin.py`` and
+``tests/test_slot_differential.py`` hold both to.
 ``sum(self._arrivals.values())`` here is the reference for every table
 sum there: the twins fold the values in C, in whichever way returns this
 interpreter's ``sum()`` bit for bit (``_ckernel.table_fold``;
@@ -37,20 +43,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Optional, Set, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, Set
 
 from ..core.binding import Table, bind
 from ..core.engine import Timer
 from ..core.errors import SimulationError
 from ..core.topology import Position
+from ..core.trace import TraceDigest, TraceLog
 from ..core.units import dbm_to_watts, linear_to_db, watts_to_dbm
+from .channel import Medium, Transmission
 from .error_models import BerErrorModel, ErrorModel
 from .interference import CaptureModel, SinrTracker
 from .modulation import Modulation
 from .standards import PhyMode, PhyStandard
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .channel import Medium, Transmission
 
 
 class RadioState(Enum):
@@ -64,7 +69,7 @@ def _ignore(*_args: Any) -> None:
     """What an upcall slot holds until a MAC sets it."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RadioConfig:
     """Tunable radio parameters (defaults follow common 802.11 practice)."""
 
@@ -561,6 +566,9 @@ class Radio:
 RADIO = Table("Radio", "phy", {
     "Radio": Radio, "SinrTracker": SinrTracker, "CaptureModel": CaptureModel,
     "BerErrorModel": BerErrorModel, "Modulation": Modulation,
+    "Transmission": Transmission, "PhyMode": PhyMode,
+    "RadioConfig": RadioConfig, "TraceLog": TraceLog,
+    "TraceDigest": TraceDigest,
     **{state.name: state for state in RadioState},
     "RX.value": RadioState.RX.value, "IDLE.value": RadioState.IDLE.value},
     lambda radio: (radio,), (Radio,),

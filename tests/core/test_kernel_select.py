@@ -86,12 +86,13 @@ class TestStaleExtension:
             resolve_kernel("c")
         assert not recwarn.list
 
-    def test_an_extension_from_before_the_computed_per_is_stale(self, stale):
-        # ABI 9's "phy" class set carries ``Modulation`` and no PER memo;
-        # an ABI 8 build would ask ``resolve`` for the memo it probes.
-        assert engine.KERNEL_ABI == 9
-        stale.KERNEL_ABI = 8
-        with pytest.warns(RuntimeWarning, match="ABI 8.*needs 9"):
+    def test_an_extension_from_before_the_offset_reads_is_stale(self, stale):
+        # ABI 10's class sets carry ``Transmission``, ``PhyMode``,
+        # ``RadioConfig`` and ``TraceLog`` and the slots read on them; an
+        # ABI 9 build would resolve the old sets and read them by name.
+        assert engine.KERNEL_ABI == 10
+        stale.KERNEL_ABI = 9
+        with pytest.warns(RuntimeWarning, match="ABI 9.*needs 10"):
             assert not ckernel_available()
 
     def test_an_extension_without_an_abi_is_stale_too(self, stale):

@@ -21,11 +21,19 @@ alike fails too.
 * A simulator's one slot, ``_queue``, is compared part by part across
   kernels: a ``kernel="python"`` simulator binds the reference, a
   ``kernel="c"`` one the twin.
+* Every class a twin reads by offset off a frame or a holder —
+  ``Transmission``, ``PhyMode``, ``Modulation``, ``CaptureModel``,
+  ``RadioConfig``, ``TraceLog``, ``Counter`` — has a row whose world
+  holds a subclass instance instead (``ODD``, and the MAC's
+  ``STATES``).  Each subclass logs every by-name read of those fields
+  (``READS``), so a twin that read one by offset instead of handing the
+  step to the reference leaves a different log, not just equal state.
 
 Skipped loudly without the extension (see ``conftest``); CI's
 compiled-kernel lane runs the file under ``-X dev``.
 """
 
+import dataclasses
 import pathlib
 import sys
 from fractions import Fraction
@@ -38,12 +46,18 @@ from repro.core import Simulator
 from repro.core.binding import bind, tally
 from repro.core.engine import SIMULATOR, Timer, ckernel_available
 from repro.core.errors import SimulationError
+from repro.core.stats import Counter
+from repro.core.trace import TraceLog
 from repro.mac.addresses import MacAddress
 from repro.mac.dcf import MAC, DcfMac
 from repro.mac.frames import (FrameControl, FrameType, make_ack, make_cts,
                               make_ps_poll, make_rts)
 from repro.mac.nav import NAV, Nav
-from repro.phy.transceiver import RADIO
+from repro.phy.channel import Transmission
+from repro.phy.interference import CaptureModel
+from repro.phy.modulation import Modulation
+from repro.phy.standards import PhyMode
+from repro.phy.transceiver import RADIO, RadioConfig
 
 sys.path[:0] = [str(pathlib.Path(__file__).resolve().parent / part)
                 for part in ("phy", "mac")]
@@ -57,6 +71,81 @@ pytestmark = pytest.mark.skipif(
     reason="compiled kernel not built (run: python tools/build_kernel.py)")
 
 BYSTANDER = MacAddress(STRANGER.value + 1)
+
+#: By-name reads of the fields the twins read by offset, on the logged
+#: subclasses below; emptied at the start of every case.
+READS = []
+
+
+def _logged(cls, *fields):
+    """A subclass of ``cls`` whose ``fields`` log each by-name read."""
+    def field(name):
+        member = vars(cls)[name]      # the __slots__ member descriptor
+
+        def read(self):
+            READS.append(f"{cls.__name__}.{name}")
+            return member.__get__(self, cls)
+        return property(read, member.__set__)
+    return type(f"Logged{cls.__name__}", (cls,),
+                {"__slots__": (), **{name: field(name) for name in fields}})
+
+
+LoggedTransmission = _logged(Transmission, "mode", "duration", "size_bits",
+                             "payload")
+LoggedPhyMode = _logged(PhyMode, "name", "modulation")
+LoggedModulation = _logged(Modulation, "processing_gain_db",
+                           "coding_gain_db", "bits_per_symbol", "code_rate")
+LoggedCaptureModel = _logged(CaptureModel, "enabled", "threshold_db")
+LoggedRadioConfig = _logged(RadioConfig, "preamble_detection_snr_db")
+LoggedTraceLog = _logged(TraceLog, "enabled")
+LoggedCounter = _logged(Counter, "_counts")
+
+
+def _recast(cls, value):
+    """``value``'s fields in an instance of ``cls``."""
+    return cls(**{field.name: getattr(value, field.name)
+                  for field in dataclasses.fields(value)})
+
+
+def _frames(world, remake):
+    for index, frame in enumerate(world.pool):
+        world.pool[index] = remake(frame)
+
+
+def _modes(world, remake):
+    for frame in world.pool:
+        frame.mode = remake(frame.mode)
+
+
+def _radios(world, slot, remake):
+    for radio in world.radios:
+        setattr(radio, slot, remake(getattr(radio, slot)))
+
+
+def _trace_log(world):
+    world.sim.trace = LoggedTraceLog(enabled=world.sim.trace.enabled)
+    _radios(world, "_trace", lambda _old: world.sim.trace)
+
+
+#: A world whose frames, modes or radio holders are subclass instances of
+#: what the radio twins read by offset: name -> (world -> None).
+ODD = {
+    "the frames are a Transmission subclass": lambda world: _frames(
+        world, lambda frame: LoggedTransmission(
+            frame.sender, frame.payload, frame.size_bits, frame.mode,
+            frame.power_watts, frame.start_time, frame.duration)),
+    "the modes are a PhyMode subclass": lambda world: _modes(
+        world, lambda mode: _recast(LoggedPhyMode, mode)),
+    "the modulations are a Modulation subclass": lambda world: _modes(
+        world, lambda mode: dataclasses.replace(
+            mode, modulation=_recast(LoggedModulation, mode.modulation))),
+    "the capture model is a CaptureModel subclass": lambda world: _radios(
+        world, "_capture", lambda capture: _recast(LoggedCaptureModel, capture)
+        if type(capture) is CaptureModel else capture),
+    "the config is a RadioConfig subclass": lambda world: _radios(
+        world, "config", lambda config: _recast(LoggedRadioConfig, config)),
+    "the trace log is a TraceLog subclass": _trace_log,
+}
 
 
 def _call(name, side, obj, sim, args, log):
@@ -222,7 +311,12 @@ def test_every_simulator_slot_is_its_reference(name, data):
 # --- a radio: two copies of one compiled world -------------------------------
 
 def _radio_case(side, name, world_options, schedule, index, tx, power):
-    world = phy_parity.World("c", **world_options)
+    del READS[:]
+    options = dict(world_options)
+    odd = options.pop("odd", None)
+    world = phy_parity.World("c", **options)
+    if odd is not None:
+        ODD[odd](world)
     for step, op in enumerate(schedule):
         phy_parity._apply(world, op, step)
     radio = world.radios[index % len(world.radios)]
@@ -230,7 +324,7 @@ def _radio_case(side, name, world_options, schedule, index, tx, power):
             "arrival_ends": (world.pool[tx],),
             "_reception_complete": ()}[name]
     _call(name, side, radio, world.sim, args, world.log)
-    return world.snapshot()
+    return world.snapshot(), list(READS)
 
 
 @pytest.mark.parametrize("name", list(RADIO.slots))
@@ -239,7 +333,8 @@ def _radio_case(side, name, world_options, schedule, index, tx, power):
            "radios": st.integers(2, 4), "subclass_at": st.sampled_from(
                [None, 1]), "capture": st.sampled_from(["on", "off", "odd"]),
            "error_model": st.sampled_from(["ber", "fixed", "subclass"]),
-           "traced": st.booleans()}),
+           "traced": st.booleans(),
+           "odd": st.sampled_from([None, None, *sorted(ODD)])}),
        schedule=st.lists(phy_parity.OPS, max_size=12),
        index=st.sampled_from([0, 0, 2]), tx=st.integers(0, 8),
        power=phy_parity.POWERS)
@@ -265,6 +360,29 @@ def test_each_edge_of_each_corner_schedule_is_the_reference_s(corner):
                 == _radio_case("reference", *case), (step, name)
 
 
+@pytest.mark.parametrize("odd", sorted(ODD))
+@pytest.mark.parametrize("corner", ["capture relocks",
+                                    "a tail under lasting interference"])
+def test_a_subclass_holder_hands_each_step_to_the_reference(corner, odd):
+    """A corner schedule that locks, captures, refreshes and ends a
+    reception, with one class the twins read by offset subclassed: each
+    edge and tail, called alone, is the reference's, its reads too."""
+    schedule = phy_parity.CORNERS[corner]
+    options = {"radios": 2, "capture": "on", "subclass_at": None,
+               "odd": odd}
+    read = set()
+    for step, op in enumerate(schedule):
+        calls = [("_reception_complete", 0, None)]
+        if op[0] in ("begins", "ends"):
+            calls.append((f"arrival_{op[0]}", op[2], (op + (None,))[3]))
+        for name, tx, power in calls:
+            case = (name, options, schedule[:step], 1, tx, power)
+            twin = _radio_case("twin", *case)
+            assert twin == _radio_case("reference", *case), (step, name)
+            read.update(twin[1])
+    assert read, "the subclass was never read: the row tests nothing"
+
+
 # --- a MAC and its NAV: two copies of one compiled world ---------------------
 
 class OddFloat(float):
@@ -284,7 +402,7 @@ class OddNav(Nav):
 
 
 class SlimCounter:
-    """What a ``Counter`` does, without an instance dict."""
+    """What a ``Counter`` does, in a class that is not one."""
 
     __slots__ = ("_counts",)
 
@@ -412,8 +530,11 @@ STATES = {
                                lambda _old: OddTable(a=1e-13))),
     "the threshold is an int": (
         "counting down", _set("mac.radio._cca_threshold_watts", 1)),
-    "counters has no instance dict": (
+    "counters is a look-alike, not a Counter": (
         "waiting", _swap("mac.counters", lambda _old: SlimCounter())),
+    "counters is a Counter subclass": (
+        "waiting", _swap("mac.counters",
+                         lambda old: LoggedCounter().merge(old))),
     "_counts is a dict subclass": (
         "waiting", _swap("mac.counters._counts", lambda _old: OddTable())),
     "_counts holds a float": (
@@ -535,6 +656,7 @@ MAC_SLOTS = [(MAC, name) for name in MAC.slots] + [(NAV, "_fire")]
 
 def _mac_case(side, table, name, schedule, base, pokes, frame, success,
               snr, world_options=None):
+    del READS[:]
     world = World("c", 3, **(world_options or {}))
     mac, frame = world.macs[0], FRAMES[frame](world)
     steps = [lambda world, mac, frame, op=op: mac_parity._apply(world, op)
@@ -551,7 +673,7 @@ def _mac_case(side, table, name, schedule, base, pokes, frame, success,
           world.log)
     return (world.snapshot(), sorted(mac.counters._counts.items()),
             world.describe(frame), world.describe(mac.nav),
-            repr(mac.nav._until))
+            repr(mac.nav._until), list(READS))
 
 
 def _both(*case, **options):

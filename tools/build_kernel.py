@@ -13,6 +13,19 @@ Usage:
     python tools/build_kernel.py --force    # rebuild even if fresh
     python tools/build_kernel.py --check    # report kernel availability
     python tools/build_kernel.py --clean    # remove built artifacts
+    python tools/build_kernel.py --sanitize # ASan + UBSan build, apart
+
+``--sanitize`` copies ``src/repro`` to ``build/sanitize/repro`` and
+compiles that copy's extension with ``-fsanitize=address,undefined``; the
+in-place ``.so`` is never touched.  The interpreter is not instrumented,
+so a run loads the ASan runtime first and allocates objects with
+``malloc``, where ASan sees their bounds (a slot read by offset on an
+object of the wrong class lands past its end)::
+
+    LD_PRELOAD=$(cc -print-file-name=libasan.so) ASAN_OPTIONS=detect_leaks=0 \
+        PYTHONMALLOC=malloc PYTHONPATH=build/sanitize python -m pytest ...
+
+``tests/test_sanitized_kernel.py`` runs the parity suites that way.
 
 Exit status: 0 on success (or --clean), 1 when the build fails or
 --check finds no usable extension.
@@ -30,15 +43,41 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 C_SOURCE = os.path.join(SRC, "repro", "core", "_ckernel.c")
 EXT_GLOB = os.path.join(SRC, "repro", "core", "_ckernel.*.so")
+SANITIZED = os.path.join(REPO, "build", "sanitize")
 
 
 def _built_paths():
     return sorted(glob.glob(EXT_GLOB))
 
 
-def _ext_path():
+def _ext_path(src=SRC):
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    return os.path.join(SRC, "repro", "core", "_ckernel" + suffix)
+    return os.path.join(src, "repro", "core", "_ckernel" + suffix)
+
+
+def _compiler():
+    # $CC first, as setup.py's build_ext honours it: CC=/bin/false is
+    # how CI proves the no-compiler fallback.
+    return (os.environ.get("CC") or sysconfig.get_config_var("CC")
+            or "cc").split()
+
+
+def sanitizer_runtime():
+    """The compiler's ASan runtime (a path), or None when it has none."""
+    try:
+        path = subprocess.run(
+            _compiler() + ["-print-file-name=libasan.so"], text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL).stdout.strip()
+    except OSError:
+        return None
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+def sanitized_env(env):
+    """``env`` set up to import the sanitized build: its copy of the
+    package, the ASan runtime preloaded, objects from ``malloc``."""
+    return dict(env, PYTHONPATH=SANITIZED, LD_PRELOAD=sanitizer_runtime(),
+                ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc")
 
 
 def clean():
@@ -56,9 +95,10 @@ def clean():
         print("nothing to clean")
 
 
-def check():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+def check(env=None):
+    if env is None:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     probe = (
         "from repro.core.engine import ckernel_available, resolve_kernel\n"
         "ok = ckernel_available()\n"
@@ -69,24 +109,34 @@ def check():
     return subprocess.call([sys.executable, "-c", probe], env=env)
 
 
-def build(force=False):
-    target = _ext_path()
-    if (not force and os.path.exists(target)
+def build(force=False, sanitize=False):
+    src = SRC
+    if sanitize:
+        # A fresh copy of the Python side each time, so the sanitized
+        # extension always runs beside the package it was built with.
+        src = SANITIZED
+        shutil.rmtree(os.path.join(src, "repro"), ignore_errors=True)
+        shutil.copytree(os.path.join(SRC, "repro"), os.path.join(src, "repro"),
+                        ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    target = _ext_path(src)
+    if (not force and not sanitize and os.path.exists(target)
             and os.path.getmtime(target) >= os.path.getmtime(C_SOURCE)):
         print("fresh:", os.path.relpath(target, REPO))
         return 0
 
-    # $CC first, as setup.py's build_ext honours it: CC=/bin/false is
-    # how CI proves the no-compiler fallback.
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     include = sysconfig.get_path("include")
     # -ffp-contract=off: the receive edges repeat the reference's float
     # expressions operation by operation; a fused multiply-add (the
     # compiler's default where the target has one) rounds once, not twice.
     cflags = ["-O2", "-fPIC", "-shared", "-fno-strict-aliasing",
               "-ffp-contract=off"]
-    cmd = cc.split() + cflags + ["-I", include, C_SOURCE, "-o", target,
-                                 "-lm"]
+    if sanitize:
+        # Any report aborts the process: a test cannot pass over one.
+        cflags += ["-g", "-fno-omit-frame-pointer",
+                   "-fsanitize=address,undefined",
+                   "-fno-sanitize-recover=all"]
+    cmd = _compiler() + cflags + ["-I", include, C_SOURCE, "-o", target,
+                                  "-lm"]
     print(" ".join(cmd))
     try:
         subprocess.check_call(cmd)
@@ -98,7 +148,7 @@ def build(force=False):
         return 1
     print("built:", os.path.relpath(target, REPO))
     # Import-smoke the fresh extension in a clean interpreter.
-    rc = check()
+    rc = check(sanitized_env(os.environ) if sanitize else None)
     if rc != 0:
         print("built extension failed its import probe; removing it.",
               file=sys.stderr)
@@ -114,6 +164,8 @@ def main(argv=None):
                         help="report whether the compiled kernel is usable")
     parser.add_argument("--clean", action="store_true",
                         help="remove built artifacts")
+    parser.add_argument("--sanitize", action="store_true",
+                        help="build an ASan + UBSan copy in build/sanitize")
     args = parser.parse_args(argv)
 
     if args.clean:
@@ -121,7 +173,11 @@ def main(argv=None):
         return 0
     if args.check:
         return check()
-    return build(force=args.force)
+    if args.sanitize and sanitizer_runtime() is None:
+        print("the compiler has no libasan: no sanitized build",
+              file=sys.stderr)
+        return 1
+    return build(force=args.force, sanitize=args.sanitize)
 
 
 if __name__ == "__main__":
