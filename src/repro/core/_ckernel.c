@@ -11,8 +11,9 @@
  *    and ``pop``, ``[0]`` and iteration give the reference's tuples.
  * 1. ``run`` — ``Simulator.run``: the queue pop, the three-shape
  *    dispatch (raw ``schedule_fast`` entries, version-checked ``Timer``
- *    entries, ``EventHandle`` entries) and the O(1)
- *    scheduled/executed/cancelled counter bookkeeping.
+ *    entries, ``EventHandle`` entries), the O(1)
+ *    scheduled/executed/cancelled counter bookkeeping and the per-shape
+ *    fired / lazily-dropped tallies telemetry's dispatch probe reads.
  * 2. ``arm`` / ``fan_out`` — ``engine._arm`` / ``engine._fan_out``: the
  *    two places the layers above build heap entries (one timer arm;
  *    two raw entries per receiver of a compiled fan-out plan), pushed
@@ -61,8 +62,7 @@
  * code reads and telemetry samples, reached here by offset; a radio's
  * table is the same dict), and every Python scheduling site reaches the
  * queue through ``sim._push`` / ``sim._pop`` / ``sim._next_seq``, so
- * compiled and interpreted pieces mix freely — a ``pin_python_kernel``
- * simulator runs the Python loop over this queue — and the Python code
+ * compiled and interpreted pieces mix freely and the Python code
  * remains the reference implementation.
  *
  * Bit-identity contract of the queue and the loop (KEEP IN SYNC with
@@ -79,18 +79,19 @@
  *   non-float ``until`` is compared with Python's rich comparison.  (A
  *   time whose exact value differs from its float — a Fraction off the
  *   binary grid, an int past 2**53 — is ordered as that float.)
- * - The run-until branch (``max_events is None and until is not
- *   None``) keeps the executed-events counter in a local flushed at
- *   loop exit, so a mid-run callback reads the same (stale) figure the
- *   Python fast branch exposes — telemetry's sampled
- *   ``kernel/events_executed`` series byte-compares across kernels
- *   because of this, not despite it.  Every other branch flushes the
- *   counter per event, exactly like the Python generic branch.
+ * - One loop for every signature (``until``, ``max_events``, both,
+ *   neither).  The executed-events counter and the five shape tallies
+ *   (``engine.SHAPE_COUNTS``: fired fast / timer / handle, dropped
+ *   timer / handle — a duck-typed handle counts as a handle) live in
+ *   locals and are stored once, at loop exit: a mid-run callback reads
+ *   the figures of the run's start, as under the Python loop.  No slot
+ *   is stored per event (ROADMAP item 7 records what that cost).
  * - Lazy drops (cancelled handles, superseded timer versions) touch no
- *   counters; the clock is written before the callback fires; the
- *   clock snaps to ``until`` only on a clean non-stopped exit; the
- *   ``_running`` flag and counter flush survive a raising callback —
- *   including one raised inside a compiled edge, tail or slot.
+ *   scheduling counters; the clock is written before the callback
+ *   fires; the clock snaps to ``until`` only on a clean non-stopped
+ *   exit; the ``_running`` flag and the counter write-back survive a
+ *   raising callback — including one raised inside a compiled edge,
+ *   tail or slot.
  *
  * Bit-identity contract of the primitives, the edges, the tail and the
  * slots (KEEP IN SYNC with engine._arm / engine._fan_out and the Radio,
@@ -177,6 +178,15 @@ static Py_ssize_t off_h_callback = -1, off_h_args = -1;
 static Py_ssize_t off_sim_now = -1, off_sim_heap = -1, off_sim_stopped = -1;
 static Py_ssize_t off_sim_running = -1, off_sim_executed = -1;
 static Py_ssize_t off_sim_scheduled = -1, off_sim_cancelled = -1;
+
+/* What the run loop tallies per popped entry (engine.SHAPE_COUNTS, in
+ * its order): fired per shape, then dropped lazily. */
+enum { FIRED_FAST, FIRED_TIMER, FIRED_HANDLE, DROPPED_TIMER, DROPPED_HANDLE,
+       N_SHAPES };
+static const char *const shape_names[N_SHAPES] = {
+    "_fast_fired", "_timers_fired", "_handles_fired", "_timers_dropped",
+    "_handles_dropped"};
+static Py_ssize_t off_sim_shape[N_SHAPES] = {-1, -1, -1, -1, -1};
 
 #define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 
@@ -2046,7 +2056,7 @@ extend_nav(PyObject *self, PyObject *reservation)
         return -1;
     }
     Py_INCREF(nav);
-    status = PyFloat_CheckExact(time) && nav_canonical(nav)
+    status = nav_canonical(nav)
         ? nav_set_until(nav, time)
         : discard(PyObject_CallMethodOneArg(nav, s_set_until, time));
     Py_DECREF(nav);
@@ -2228,15 +2238,16 @@ index_error(void)
 }
 
 /* What the popped entry ``*e`` fires — the three shapes and the
- * duck-typed handle, told apart as Simulator.run tells them.  1 with
- * ``*callback`` and ``*cargs`` set (new references; ``*cargs`` NULL for
- * a call without arguments), 0 for a lazy drop (a cancelled handle, a
- * superseded or disarmed timer), -1 on error. */
+ * duck-typed handle (counted as a handle), told apart as Simulator.run
+ * tells them.  Its shape: a ``FIRED_*`` with ``*callback`` and
+ * ``*cargs`` set (new references; ``*cargs`` NULL for a call without
+ * arguments), a ``DROPPED_*`` for a lazy drop (a cancelled handle, a
+ * superseded or disarmed timer), or -1 on error. */
 static int
 entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
 {
     PyObject *ev = e->a, *flag;
-    int set;
+    int set, shape = FIRED_HANDLE;
 
     *cargs = NULL;
     if (ev == Py_None) {
@@ -2245,6 +2256,7 @@ entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
             return index_error();
         Py_INCREF(*callback = e->b);
         Py_INCREF(*cargs = e->c);
+        shape = FIRED_FAST;
     }
     else if (Py_TYPE(ev) == timer_type) {
         /* (time, seq, timer, version): version-checked Timer. */
@@ -2259,11 +2271,12 @@ entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
                 || (set = flag_is_true(flag)) < 0)
             return -1;
         if (!live || !set)
-            return 0;  /* superseded/cancelled: lazy drop */
+            return DROPPED_TIMER;  /* superseded/cancelled: lazy drop */
         slot_set(ev, off_t_armed, Py_False);
         if ((*callback = slot_get(ev, off_t_callback, "_callback")) == NULL)
             return -1;
         Py_INCREF(*callback);
+        return FIRED_TIMER;
     }
     else if (Py_TYPE(ev) == handle_type) {
         /* (time, seq, handle): cancellable EventHandle. */
@@ -2271,7 +2284,7 @@ entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
                 || (set = flag_is_true(flag)) < 0)
             return -1;
         if (set)
-            return 0;  /* lazy drop */
+            return DROPPED_HANDLE;  /* lazy drop */
         slot_set(ev, off_h_fired, Py_True);
         if ((*callback = slot_get(ev, off_h_callback, "callback")) == NULL
                 || (*cargs = slot_get(ev, off_h_args, "args")) == NULL)
@@ -2288,7 +2301,7 @@ entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
         set = PyObject_IsTrue(flag);
         Py_DECREF(flag);
         if (set != 0)
-            return set < 0 ? -1 : 0;
+            return set < 0 ? -1 : DROPPED_HANDLE;
         if (PyObject_SetAttrString(ev, "_fired", Py_True) < 0
                 || (*callback = PyObject_GetAttrString(ev, "callback")) == NULL)
             return -1;
@@ -2305,7 +2318,7 @@ entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
             return -1;
         }
     }
-    return 1;
+    return shape;
 }
 
 static PyObject *
@@ -2314,9 +2327,9 @@ ck_run(PyObject *module, PyObject *args)
     PyObject *sim, *until = Py_None, *max_events = Py_None, *value;
     EventQueue *queue;
     double until_d = 0.0, budget = 0.0;
-    int until_is_none, until_is_float, budget_is_inf, flush_per_event;
-    long long executed;
-    int status;
+    int until_is_none, until_is_float, budget_is_inf;
+    long long executed, counts[N_SHAPES] = {0};
+    int status, shape, i;
 
     if (!PyArg_ParseTuple(args, "O|OO:run", &sim, &until, &max_events))
         return NULL;
@@ -2343,10 +2356,6 @@ ck_run(PyObject *module, PyObject *args)
         if (budget == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    /* The Python fast branch (until-only) holds the executed counter in
-     * a local flushed at exit; every other branch flushes per event. */
-    flush_per_event = !(budget_is_inf && !until_is_none);
-
     if ((value = slot_get(sim, off_sim_executed, "_events_executed")) == NULL)
         return NULL;
     executed = PyLong_AsLongLong(value);
@@ -2395,19 +2404,18 @@ ck_run(PyObject *module, PyObject *args)
         }
 
         queue_pop(queue, &e);
-        status = entry_target(&e, &callback, &cargs);
-        if (status > 0) {
-            /* Advance the clock, count, fire. */
+        shape = entry_target(&e, &callback, &cargs);
+        status = shape < 0 ? -1 : 0;
+        if (shape >= 0)
+            counts[shape] += 1;
+        if (shape >= 0 && shape < DROPPED_TIMER) {
+            /* Advance the clock, fire. */
             slot_set(sim, off_sim_now, e.time_obj);
-            executed += 1;
             if (!budget_is_inf)
                 budget -= 1.0;
-            status = !flush_per_event ? 0
-                : slot_set_int(sim, off_sim_executed, executed);
-            if (status == 0)
-                status = discard(cargs == NULL
-                                 ? PyObject_CallNoArgs(callback)
-                                 : PyObject_Call(callback, cargs, NULL));
+            status = discard(cargs == NULL
+                             ? PyObject_CallNoArgs(callback)
+                             : PyObject_Call(callback, cargs, NULL));
             Py_DECREF(callback);
             Py_XDECREF(cargs);
         }
@@ -2431,14 +2439,21 @@ ck_run(PyObject *module, PyObject *args)
         }
     }
 
-    /* The Python loop's try/finally: flush the executed counter and
-     * drop the running flag even when a callback raised. */
+    /* The Python loop's try/finally: drop the running flag and write
+     * the executed counter and the shape tallies back — the one store
+     * of each per run — even when a callback raised. */
     {
         PyObject *exc_type, *exc_value, *exc_tb;
         PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
+        slot_set(sim, off_sim_running, Py_False);
+        for (i = 0; i < N_SHAPES; i++)
+            if (counter_add(sim, off_sim_shape[i], shape_names[i],
+                            counts[i]) < 0)
+                PyErr_Clear();
+        executed += counts[FIRED_FAST] + counts[FIRED_TIMER]
+            + counts[FIRED_HANDLE];
         if (slot_set_int(sim, off_sim_executed, executed) < 0)
             PyErr_Clear();
-        slot_set(sim, off_sim_running, Py_False);
         PyErr_Restore(exc_type, exc_value, exc_tb);
     }
     Py_DECREF(queue);
@@ -2576,7 +2591,12 @@ static const struct slot_spec sim_slots[] = {
     {"_stopped", &off_sim_stopped}, {"_running", &off_sim_running},
     {"_events_executed", &off_sim_executed},
     {"_scheduled", &off_sim_scheduled},
-    {"_cancelled_events", &off_sim_cancelled}, {NULL, NULL}};
+    {"_cancelled_events", &off_sim_cancelled},
+    {"_fast_fired", &off_sim_shape[FIRED_FAST]},
+    {"_timers_fired", &off_sim_shape[FIRED_TIMER]},
+    {"_handles_fired", &off_sim_shape[FIRED_HANDLE]},
+    {"_timers_dropped", &off_sim_shape[DROPPED_TIMER]},
+    {"_handles_dropped", &off_sim_shape[DROPPED_HANDLE]}, {NULL, NULL}};
 static const struct slot_spec radio_slots[] = {
     {"_arrivals", &off_r_arrivals}, {"_state", &off_r_state},
     {"_locked", &off_r_locked}, {"_locked_power", &off_r_locked_power},
@@ -2861,7 +2881,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 10) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 11) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

@@ -74,7 +74,14 @@ KERNELS = ("auto", "python", "c")
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls, or a
 #: class set its ``resolve`` takes gains a member.
-KERNEL_ABI = 10
+KERNEL_ABI = 11
+
+#: What every run loop tallies per entry shape, one ``Simulator`` slot
+#: each: raw ``schedule_fast`` entries, timers and handles fired, then
+#: timers (superseded or disarmed) and handles (cancelled) dropped
+#: lazily.  Written back with ``_events_executed`` when ``run`` exits.
+SHAPE_COUNTS = ("_fast_fired", "_timers_fired", "_handles_fired",
+                "_timers_dropped", "_handles_dropped")
 
 _ckernel: Optional[Any] = None
 _ckernel_checked = False
@@ -342,11 +349,11 @@ class Simulator:
 
     KERNELS = KERNELS
 
-    # What the compiled kernel reads and writes per event, by offset (as
-    # it does a Timer's fields); everything else lives in ``__dict__``.
+    # What the compiled kernel reads and writes by offset (as it does a
+    # Timer's fields); everything else lives in ``__dict__``.
     __slots__ = ("_now", "_heap", "_stopped", "_running",
                  "_events_executed", "_scheduled", "_cancelled_events",
-                 "__dict__", "__weakref__")
+                 *SHAPE_COUNTS, "__dict__", "__weakref__")
 
     def __init__(self, seed: int = 0, trace: Optional[TraceLog] = None,
                  kernel: Optional[str] = None):
@@ -362,6 +369,8 @@ class Simulator:
         self._events_executed = 0
         self._scheduled = 0
         self._cancelled_events = 0
+        self._fast_fired = self._timers_fired = self._handles_fired = 0
+        self._timers_dropped = self._handles_dropped = 0
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else TraceLog()
 
@@ -412,27 +421,6 @@ class Simulator:
     def kernel(self) -> str:
         """The concrete run-loop implementation: ``"python"`` or ``"c"``."""
         return self._kernel
-
-    def pin_python_kernel(self) -> None:
-        """Permanently select the pure-Python reference loop.
-
-        For hooks that must observe the interpreted dispatch loop
-        itself (telemetry's :class:`KernelDispatchProbe` shadows
-        ``run`` directly and needs the shapes counted in Python;
-        debuggers stepping callbacks want Python frames).  Safe to call
-        on any simulator, including one already on the Python kernel;
-        there is deliberately no way back — a mid-suite kernel flip
-        would make ``kernel`` lie to telemetry exports.
-
-        Only the *loop* changes hands: whatever ``bind`` already handed
-        out — the queue, the primitives, edges, tails and slots — stays
-        compiled (functions of state, not of the loop that dispatches
-        them; ``_pop()`` hands the Python loop the same tuples in the
-        same order), and what is built afterwards binds the Python
-        methods.
-        """
-        self._kernel = "python"
-        self._ext = None
 
     # --- scheduling ------------------------------------------------------
 
@@ -514,12 +502,18 @@ class Simulator:
         When the run stops because of ``until``, the clock is advanced to
         exactly ``until`` so that back-to-back ``run`` calls observe a
         continuous timeline.
+
+        The executed-events counter and the per-shape tallies
+        (:data:`SHAPE_COUNTS`) are held in locals and written back once,
+        when the run returns or raises: mid-run, ``events_executed``
+        reads the figure of the run's start and ``pending_events``
+        over-counts by what ran since (:func:`live_entries` counts the
+        queue instead).
         """
         if self._ext is not None:
             # Compiled twin of everything below — identical event
             # sequence, counters and clock writes (see _ckernel.c's
-            # bit-identity contract).  Instance-attribute shadows of
-            # ``run`` (KernelDispatchProbe) bypass this automatically.
+            # bit-identity contract).
             return self._ext.run(self, until, max_events)
         if self._running:
             raise SimulationError("run() called re-entrantly")
@@ -528,89 +522,55 @@ class Simulator:
         heap = self._heap
         pop = self._pop
         timer_class = Timer
+        horizon = _INF if until is None else until
+        executed = start = self._events_executed
+        limit = _INF if max_events is None else start + max_events
+        fast = timers = timer_drops = handle_drops = 0
         try:
-            if max_events is None and until is not None:
-                # Dominant case (run-until): no budget bookkeeping, and
-                # the executed-events counter lives in a local that is
-                # flushed after every callback *assignment-free* region:
-                # the attribute store happens once per loop exit instead
-                # of once per event.  Callbacks observing
-                # ``events_executed`` mid-run would read a stale figure;
-                # nothing in the library does (the counter is
-                # diagnostics), and ``finally`` keeps it correct across
-                # stop()/exception exits.
-                executed = self._events_executed
-                try:
-                    while heap and not self._stopped:
-                        entry = pop()
-                        time = entry[0]
-                        if time > until:
-                            self._push(entry)
-                            break
-                        event = entry[2]
-                        if event is None:
-                            callback = entry[3]
-                            args = entry[4]
-                        elif event.__class__ is timer_class:
-                            # Timer entry: (time, seq, timer, version).
-                            # Checked before the handle shape —
-                            # re-anchoring timers outnumber EventHandles
-                            # in contention-heavy runs, so the common
-                            # case pays one class test, not two.
-                            if event._version != entry[3] \
-                                    or not event._armed:
-                                continue  # superseded: lazy drop
-                            event._armed = False
-                            callback = event._callback
-                            args = ()
-                        else:
-                            if event._cancelled:
-                                continue
-                            event._fired = True
-                            callback = event.callback
-                            args = event.args
-                        self._now = time
-                        executed += 1
-                        callback(*args)
-                finally:
-                    self._events_executed = executed
-            else:
-                budget = max_events if max_events is not None else _INF
-                while heap and not self._stopped and budget > 0:
-                    entry = pop()
-                    time = entry[0]
-                    if until is not None and time > until:
-                        self._push(entry)
-                        break
-                    event = entry[2]
-                    if event is None:
-                        callback = entry[3]
-                        args = entry[4]
-                    elif event.__class__ is timer_class:
-                        # Timer entry: (time, seq, timer, version).
-                        # Checked before the handle shape — re-anchoring
-                        # timers outnumber EventHandles in contention-
-                        # heavy runs, so the common case pays one class
-                        # test, not two.
-                        if event._version != entry[3] or not event._armed:
-                            continue  # superseded/cancelled: lazy drop
-                        event._armed = False
-                        callback = event._callback
-                        args = ()
-                    else:
-                        if event._cancelled:
-                            continue
-                        event._fired = True
-                        callback = event.callback
-                        args = event.args
-                    self._now = time
-                    self._events_executed += 1
-                    budget -= 1
-                    callback(*args)
+            while heap and not self._stopped and executed < limit:
+                entry = pop()
+                time = entry[0]
+                if time > horizon:
+                    self._push(entry)
+                    break
+                event = entry[2]
+                if event is None:
+                    callback = entry[3]
+                    args = entry[4]
+                    fast += 1
+                elif event.__class__ is timer_class:
+                    # Timer entry: (time, seq, timer, version).  Checked
+                    # before the handle shape — re-anchoring timers
+                    # outnumber EventHandles in contention-heavy runs,
+                    # so the common case pays one class test, not two.
+                    if event._version != entry[3] or not event._armed:
+                        timer_drops += 1
+                        continue  # superseded/cancelled: lazy drop
+                    event._armed = False
+                    callback = event._callback
+                    args = ()
+                    timers += 1
+                else:
+                    # An EventHandle, or any object with its attributes.
+                    if event._cancelled:
+                        handle_drops += 1
+                        continue
+                    event._fired = True
+                    callback = event.callback
+                    args = event.args
+                self._now = time
+                executed += 1
+                callback(*args)
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
             self._running = False
+            self._fast_fired += fast
+            self._timers_fired += timers
+            self._handles_fired += executed - start - fast - timers
+            self._timers_dropped += timer_drops
+            self._handles_dropped += handle_drops
+            self._events_executed = executed
         return self._now
 
     def stop(self) -> None:
@@ -618,12 +578,13 @@ class Simulator:
         self._stopped = True
 
     def clear(self) -> None:
-        """Cancel every pending event (used between experiment phases).
+        """Cancel every pending event (used between experiment phases)
+        and zero the per-shape tallies (:data:`SHAPE_COUNTS`).
 
         Call it between runs, not from inside a callback: mid-run the
-        executed-events counter is held in a run-loop local (flushed on
-        exit), so a mid-callback clear would re-baseline the
-        diagnostics-only ``pending_events`` figure from a stale value.
+        run loop holds the executed-events counter in a local, so a
+        mid-callback clear would re-baseline the diagnostics-only
+        ``pending_events`` figure from a stale value.
         """
         for entry in self._heap:
             event = entry[2]
@@ -633,6 +594,33 @@ class Simulator:
         # Re-baseline so pending_events reads zero (raw fire-and-forget
         # entries were dropped without passing through cancel()).
         self._scheduled = self._events_executed + self._cancelled_events
+        self._fast_fired = self._timers_fired = self._handles_fired = 0
+        self._timers_dropped = self._handles_dropped = 0
+
+
+def live_entries(sim: Simulator) -> int:
+    """A census of the entries in ``sim``'s queue that will still fire.
+
+    A live entry is a fire-and-forget ``schedule_fast`` record (live
+    until popped), a :class:`Timer` entry that carries its armed
+    deadline's version, or a pending :class:`EventHandle`; superseded
+    and cancelled entries are lazy trash.  Exact at any instant, mid-run
+    included (the entry being fired has left the queue), where
+    :attr:`Simulator.pending_events` still subtracts the executed
+    counter of the run's start; O(queue length), so for samplers and
+    audits, not the loop.
+    """
+    live = 0
+    for entry in sim._heap:
+        event = entry[2]
+        if event is None:
+            live += 1
+        elif len(entry) == 4:
+            if event._armed and event._version == entry[3]:
+                live += 1
+        elif not event._cancelled and not event._fired:
+            live += 1
+    return live
 
 
 #: The queue and its callables: ``Simulator._queue`` or its twin.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..core.engine import PeriodicTask, Simulator
+from ..core.engine import PeriodicTask, Simulator, live_entries
 from ..core.errors import InvariantViolation
 from ..mac.dcf import DcfMac
 
@@ -204,43 +204,27 @@ class InvariantChecker:
                        f"heap head at {heap[0][0]!r} behind now={now!r}")
 
     # Kernel bookkeeping: scheduled - executed - cancelled must equal a
-    # literal census of live heap entries.  NOT part of the periodic
-    # sweep: the run loop's until-only fast branch keeps the executed
-    # counter in a local flushed at exit, so a mid-run sweep would read
-    # a stale figure and false-positive.  Call it between runs.
+    # literal census of live heap entries, between runs.
     def check_counter_parity(self) -> None:
         """Audit ``pending_events`` against the live heap, at quiescence.
 
         ``Simulator.pending_events`` is derived bookkeeping
         (``scheduled - executed - cancelled``); the heap is ground
-        truth.  A live entry is a fire-and-forget ``schedule_fast``
-        record (always live until popped), a :class:`Timer` entry whose
-        version matches the timer's current armed deadline, or a
-        pending :class:`EventHandle`.  Any disagreement means a kernel
-        implementation (the pure-Python reference or the compiled
-        ``repro.core._ckernel``) dropped or double-counted an event —
-        exactly the drift a kernel swap could otherwise leak silently.
+        truth (:func:`~repro.core.engine.live_entries`).  Any
+        disagreement means a kernel implementation (the pure-Python
+        reference or the compiled ``repro.core._ckernel``) dropped or
+        double-counted an event — exactly the drift a kernel swap could
+        otherwise leak silently.
 
         Only meaningful while no :meth:`Simulator.run` is in flight:
-        the until-only fast branch batches the executed counter in a
-        run-loop local, so mid-run the stored counter is legitimately
-        stale.  Call it after ``run()`` returns (e.g. from a test or a
-        builder's epilogue), not from the periodic :meth:`check_now` sweep.
+        every run loop holds the executed counter in a local until it
+        exits, so mid-run the stored counter is legitimately stale.
+        Call it after ``run()`` returns (e.g. from a test or a builder's
+        epilogue), not from the periodic :meth:`check_now` sweep.
         """
         self.checks_run += 1
         sim = self.sim
-        live = 0
-        for entry in sim._heap:
-            event = entry[2]
-            if event is None:
-                live += 1       # fire-and-forget: live until popped
-            elif len(entry) == 4:
-                # Timer entry: live iff it carries the armed deadline's
-                # version; superseded/cancelled versions are lazy trash.
-                if event._armed and event._version == entry[3]:
-                    live += 1
-            elif not event._cancelled and not event._fired:
-                live += 1       # pending EventHandle
+        live = live_entries(sim)
         pending = sim.pending_events
         if pending != live:
             self._fail(

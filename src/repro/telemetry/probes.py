@@ -19,11 +19,9 @@ service metrics and the parallel executor all construct exactly this.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..core.engine import Simulator, Timer
-from ..core.errors import SimulationError
+from ..core.engine import SHAPE_COUNTS, Simulator, live_entries
 from .export import summary_table, to_jsonl
 from .metrics import MetricsRegistry, PeriodicSampler
 from .spans import FrameSpanTracker, Span, SpanLog
@@ -35,22 +33,22 @@ __all__ = ["KernelDispatchProbe", "MediumProbe", "MacFleetProbe",
 class KernelDispatchProbe:
     """Dispatch-by-shape counting for the kernel run loop.
 
-    The production loop is untouched: :meth:`install` shadows
-    ``sim.run`` with an instrumented twin *as an instance attribute*
-    (the class method stays pristine for uninstrumented simulators).
-    The twin executes the identical event sequence — same heap, same
-    lazy-drop rules, same clock/counter semantics — and additionally
-    counts dispatches per entry shape (handle / timer / fast) and lazy
-    drops (cancelled handles, superseded timer versions).  It folds the
-    fast until-only branch and the budget branch into one generic loop,
-    so instrumented runs trade a little dispatch speed for visibility;
-    that is the telemetry bargain, and exactly why install is opt-in.
+    Every run loop, compiled or Python, already tallies what it
+    dispatched per entry shape (handle / timer / fast) and what it
+    dropped lazily (cancelled handles, superseded timer versions) into
+    the simulator's :data:`~repro.core.engine.SHAPE_COUNTS` slots.  The
+    probe runs nothing of its own: :meth:`install` takes a snapshot of
+    those slots and :meth:`uninstall` (which :meth:`Telemetry.finish`
+    calls) books what they gained since into its registry counters.  So
+    an observed simulator runs on the loop an unobserved one would, and
+    the counters read their totals once the probe is uninstalled.
+    ``Simulator.clear()`` zeroes the slots: arm the probe after it.
     """
 
     def __init__(self, sim: Simulator, registry: MetricsRegistry):
         self.sim = sim
         self._enabled = registry.enabled
-        self._installed = False
+        self._baseline: Optional[Tuple[int, ...]] = None
         self.dispatch_handle = registry.counter("kernel", "dispatch",
                                                 shape="handle")
         self.dispatch_timer = registry.counter("kernel", "dispatch",
@@ -62,86 +60,38 @@ class KernelDispatchProbe:
         self.drops_timer = registry.counter("kernel", "lazy_drops",
                                             shape="timer")
 
+    def _counts(self) -> Tuple[int, ...]:
+        return tuple(getattr(self.sim, name) for name in SHAPE_COUNTS)
+
     def install(self) -> "KernelDispatchProbe":
-        if self._enabled and not self._installed:
-            self.sim.run = self._run  # shadow the class method
-            self._installed = True
+        if self._enabled and self._baseline is None:
+            self._baseline = self._counts()
         return self
 
     def uninstall(self) -> None:
-        if self._installed:
-            del self.sim.run  # the class method resurfaces
-            self._installed = False
-
-    def _run(self, until: Optional[float] = None,
-             max_events: Optional[int] = None) -> float:
-        # Semantics mirror Simulator.run's generic branch exactly
-        # (KEEP IN SYNC with engine.Simulator.run): identical event
-        # sequence, clock behaviour and counter updates — plus the
-        # per-shape counting.
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        sim._stopped = False
-        heap = sim._heap
-        pop = sim._pop
-        timer_class = Timer
-        d_handle = self.dispatch_handle
-        d_timer = self.dispatch_timer
-        d_fast = self.dispatch_fast
-        drop_handle = self.drops_handle
-        drop_timer = self.drops_timer
-        budget = max_events if max_events is not None else math.inf
-        try:
-            while heap and not sim._stopped and budget > 0:
-                entry = pop()
-                time = entry[0]
-                if until is not None and time > until:
-                    sim._push(entry)
-                    break
-                event = entry[2]
-                if event is None:
-                    callback = entry[3]
-                    args = entry[4]
-                    d_fast.value += 1
-                elif event.__class__ is timer_class:
-                    if event._version != entry[3] or not event._armed:
-                        drop_timer.value += 1
-                        continue  # superseded/cancelled: lazy drop
-                    event._armed = False
-                    callback = event._callback
-                    args = ()
-                    d_timer.value += 1
-                else:
-                    if event._cancelled:
-                        drop_handle.value += 1
-                        continue
-                    event._fired = True
-                    callback = event.callback
-                    args = event.args
-                    d_handle.value += 1
-                sim._now = time
-                sim._events_executed += 1
-                budget -= 1
-                callback(*args)
-            if until is not None and not sim._stopped and sim._now < until:
-                sim._now = until
-        finally:
-            sim._running = False
-        return sim._now
+        if self._baseline is not None:
+            counters = (self.dispatch_fast, self.dispatch_timer,
+                        self.dispatch_handle, self.drops_timer,
+                        self.drops_handle)
+            for counter, now, then in zip(counters, self._counts(),
+                                          self._baseline):
+                counter.inc(now - then)
+            self._baseline = None
 
 
 def _install_kernel_sampling(sim: Simulator,
                              sampler: PeriodicSampler) -> None:
     """Heap/pending/cancellation gauges (cancellations are dominated by
-    timer re-arms: every Timer re-anchor supersedes its live entry)."""
+    timer re-arms: every Timer re-anchor supersedes its live entry).
+    The sampler fires inside ``run``, where the executed counter still
+    holds the run's start, so the pending and executed figures come
+    from a census of the queue instead."""
     sampler.add("kernel", "heap_depth", lambda: float(sim.heap_depth))
     sampler.add("kernel", "pending_events",
-                lambda: float(sim._scheduled - sim._events_executed
-                              - sim._cancelled_events))
+                lambda: float(live_entries(sim)))
     sampler.add("kernel", "events_executed",
-                lambda: float(sim._events_executed))
+                lambda: float(sim._scheduled - sim._cancelled_events
+                              - live_entries(sim)))
     sampler.add("kernel", "cancelled_events",
                 lambda: float(sim._cancelled_events))
 
@@ -331,9 +281,9 @@ class Telemetry:
     :meth:`finish` takes the final edge sample, closes still-open frame
     spans and (optionally) folds a fault log into downtime spans.
 
-    ``dispatch=True`` additionally swaps in the instrumented kernel run
-    loop — the one probe with measurable enabled-path cost, so it is a
-    separate opt-in.
+    ``dispatch=True`` additionally books the run loop's per-shape
+    dispatch and lazy-drop tallies (:class:`KernelDispatchProbe`) at
+    :meth:`finish`; the simulator keeps its own run loop either way.
     """
 
     def __init__(self, sim: Simulator, enabled: bool = True,

@@ -94,56 +94,3 @@ def spec_job():
             set_path(only.spec, path, value)
         return only.spec
     return job
-
-
-def _midlife_schedule(kernel, midlife=None):
-    """One fixed schedule of all three entry shapes, run to t=0.1, handed
-    to ``midlife(sim)`` with at least 100 entries queued (superseded
-    timer trash among them), then run out.  Returns what fired as
-    ``(repr(now), callback name)`` and the closing counters: the same
-    for every ``kernel`` and every loop ``midlife`` switches to."""
-    from repro.core.engine import Timer
-    sim = Simulator(kernel=kernel)
-    fired = []
-
-    def named(name):
-        def callback(*_args):
-            fired.append((repr(sim.now), name))
-        callback.__name__ = name
-        return callback
-
-    begins, ends = named("begins"), named("ends")
-    timers = [Timer(sim, named(f"timer{index}")) for index in range(60)]
-
-    def rearm():
-        # What edges bound before the switch keep doing after it: arm
-        # and fan out through the primitives the constructor chose.
-        sim._arm(timers[0], sim.now + 0.05)
-        sim._fan_out(sim, [(begins, ends, 1e-9, 1e-7)] * 3, "frame", 1e-3)
-
-    for index, timer in enumerate(timers):
-        sim.schedule(0.01 * (index + 1), named("handle"))
-        sim.schedule_fast(0.005 + 0.01 * index, named("raw"))
-        timer.schedule(0.02 + 0.007 * index)
-        timer.schedule(0.021 + 0.007 * index)   # supersedes the first
-        if index % 7 == 0:
-            sim.schedule(0.3 + 0.01 * index, named("cancelled")).cancel()
-    for moment in (0.15, 0.35, 0.55):
-        sim.schedule_fast(moment, rearm)
-    sim.run(until=0.1)
-    assert len(sim._heap) >= 100
-    if midlife is not None:
-        midlife(sim)
-    sim.run(until=0.3)
-    sim.run(max_events=50)
-    sim.run()
-    return fired, (sim._scheduled, sim._events_executed,
-                   sim._cancelled_events, sim.pending_events,
-                   len(sim._heap), repr(sim.now))
-
-
-@pytest.fixture
-def midlife_schedule():
-    """:func:`_midlife_schedule`, for the suites that switch a populated
-    ``kernel="c"`` simulator to another dispatch loop mid-life."""
-    return _midlife_schedule

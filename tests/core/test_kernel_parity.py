@@ -6,12 +6,15 @@ and counter writes, identical exception/stop behaviour.  The golden
 captures prove that on every committed spec; this harness probes the
 corners specs never hit — randomized interleavings of ``schedule`` /
 ``schedule_fast`` / ``Timer`` re-anchor / cancel, nested scheduling
-from inside callbacks, mid-run ``stop()``, every run-loop branch
+from inside callbacks, mid-run ``stop()``, every ``run`` signature
 (until-only, budget-only, both, drain) — and requires the two kernels
-to produce byte-equal fingerprints.  Every ``Timer`` arm in it goes
-through ``sim._arm``, so the harness holds the compiled timer-arm
-primitive to the Python one as well; the last test holds
-``sim._fan_out``'s grouping from a given start.  (Each scheduling slot
+to produce byte-equal fingerprints, the per-shape dispatch and
+lazy-drop tallies (``engine.SHAPE_COUNTS``) included.  Every ``Timer``
+arm in it goes through ``sim._arm``, so the harness holds the compiled
+timer-arm primitive to the Python one as well; one test holds
+``sim._fan_out``'s grouping from a given start, one both primitives
+pushing into a populated queue, and one that telemetry's dispatch probe
+leaves the compiled loop in place.  (Each scheduling slot
 called alone is ``tests/test_slot_differential.py``'s; the compiled
 receive edges have their own harness: ``tests/phy/test_edge_parity.py``.)
 
@@ -24,9 +27,10 @@ import random
 import pytest
 
 from repro.core import Simulator
-from repro.core.engine import Timer, ckernel_available
+from repro.core.engine import SHAPE_COUNTS, Timer, ckernel_available
 from repro.core.trace import TraceLog
 from repro.faults import InvariantChecker
+from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.skipif(
     not ckernel_available(),
@@ -37,10 +41,10 @@ def _drive(kernel: str, seed: int):
     """Run one randomized mixed workload on ``kernel``; return its
     full observable fingerprint.
 
-    Every callback logs the repr-exact clock AND the live executed
-    counter — the latter pins the until-only fast branch's documented
-    stale-counter semantics (the local is flushed at exit), which the
-    compiled kernel must reproduce exactly for telemetry byte-identity.
+    Every callback logs the repr-exact clock AND the stored executed
+    counter — the latter pins the documented stale-counter semantics
+    (every loop holds it in a local written back at exit), which the
+    compiled kernel must reproduce exactly.
     """
     rng = random.Random(seed)
     trace = TraceLog(capacity=None, enabled=True)
@@ -83,8 +87,8 @@ def _drive(kernel: str, seed: int):
     for victim in rng.sample(handles, len(handles) // 5):
         victim.cancel()
 
-    # One segment per run-loop branch: until-only (the stale-counter
-    # fast path), budget-only, both, then drain.
+    # One segment per ``run`` signature: until-only, budget-only, both,
+    # then drain.
     marks = [sim.run(until=0.15),
              sim.run(max_events=25),
              sim.run(until=0.45, max_events=10_000),
@@ -100,35 +104,39 @@ def _drive(kernel: str, seed: int):
         "cancelled": sim._cancelled_events,
         "pending": sim.pending_events,
         "heap_len": len(sim._heap),
-        "kernel": None,   # overwritten below; keep keys identical
+        "counts": _counts(sim),
     }
+
+
+def _counts(sim):
+    return tuple(getattr(sim, name) for name in SHAPE_COUNTS)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_workload_parity(seed):
     reference = _drive("python", seed)
-    compiled = _drive("c", seed)
-    for result in (reference, compiled):
-        result.pop("kernel")
-    assert reference == compiled
+    assert _drive("c", seed) == reference
     assert reference["executed"] > 20   # the workload actually ran
+    fast, timers, handles, _, _ = reference["counts"]
+    assert fast + timers + handles == reference["executed"]
 
 
 def test_randomized_workloads_are_not_degenerate():
     # Across the parametrized seeds the harness must exercise every
     # ingredient at least once: timer fires and cancels would silently
     # vanish from the parity claim if the distribution drifted.
-    saw_timer = saw_cancel = False
+    totals = [0] * len(SHAPE_COUNTS)
     for seed in range(8):
         result = _drive("python", seed)
-        if any(entry[0] == "timer" for entry in result["log"]):
-            saw_timer = True
-        if result["cancelled"] > 0:
-            saw_cancel = True
-    assert saw_timer and saw_cancel
+        totals = [a + b for a, b in zip(totals, result["counts"])]
+    assert all(totals), dict(zip(SHAPE_COUNTS, totals))
 
 
-def test_midrun_exception_leaves_identical_state():
+@pytest.mark.parametrize("shape", ["fast", "timer", "handle"])
+@pytest.mark.parametrize("signature", [
+    {"until": 1.0}, {"max_events": 10}, {"until": 1.0, "max_events": 10}, {}],
+    ids=["until", "max_events", "both", "neither"])
+def test_midrun_exception_leaves_identical_state(signature, shape):
     def run(kernel):
         sim = Simulator(kernel=kernel)
         log = []
@@ -136,20 +144,33 @@ def test_midrun_exception_leaves_identical_state():
         def boom():
             raise ValueError("boom")
 
-        sim.schedule(0.1, log.append, "a")
-        sim.schedule_fast(0.2, boom)
-        sim.schedule(0.3, log.append, "c")
+        other = Timer(sim, lambda: log.append("timer"))
+        other.schedule(0.05)
+        other.schedule(0.12)            # supersedes: one lazy timer drop
+        sim.schedule(0.1, log.append, "handle")
+        sim.schedule_fast(0.11, log.append, "fast")
+        sim.schedule(0.15, log.append, "never").cancel()   # a handle drop
+        if shape == "fast":
+            sim.schedule_fast(0.2, boom)
+        elif shape == "timer":
+            Timer(sim, boom).schedule(0.2)
+        else:
+            sim.schedule(0.2, boom)
+        sim.schedule(0.3, log.append, "survivor")
         with pytest.raises(ValueError, match="boom"):
-            sim.run(until=1.0)   # the executed-in-a-local fast branch
-        # The finally block must flush counters and clear _running even
-        # on the exception path; the survivor event is still live.
-        assert not sim._running
+            sim.run(**signature)
+        # The loop's exit must write the counters back and clear
+        # _running even on the exception path; the survivor is live.
         InvariantChecker(sim, strict=True).check_counter_parity()
-        return log, repr(sim.now), sim._events_executed, sim.pending_events
+        return (log, repr(sim.now), sim._events_executed, sim.pending_events,
+                _counts(sim), sim._running)
 
     assert run("python") == run("c")
-    log, now, executed, pending = run("c")
-    assert log == ["a"] and executed == 2 and pending == 1
+    log, now, executed, pending, counts, running = run("c")
+    assert log == ["handle", "fast", "timer"] and now == "0.2"
+    assert (executed, pending, running) == (4, 1, False)
+    fired = tuple(1 + (shape == name) for name in ("fast", "timer", "handle"))
+    assert counts == fired + (1, 1)
 
 
 def test_stop_from_callback_parity():
@@ -233,3 +254,75 @@ def test_fan_out_from_a_given_start_builds_identical_entries():
     assert times["int"] == [repr(1 + 0.2), repr(1 + (0.2 + 0.3))]
     assert times["fraction"] == [repr(Fraction(1, 3) + 0.2),
                                  repr(Fraction(1, 3) + (0.2 + 0.3))]
+
+
+def _midlife_schedule(sim):
+    """One fixed schedule of all three entry shapes on ``sim``, run to
+    t=0.1 with at least 100 entries left queued (superseded timer trash
+    among them), then run out over the other ``run`` signatures while
+    ``sim._arm`` / ``sim._fan_out`` keep pushing into the populated
+    queue.  Returns what fired as ``(repr(now), callback name)``, the
+    closing counters and the shape tallies."""
+    fired = []
+
+    def named(name):
+        def callback(*_args):
+            fired.append((repr(sim.now), name))
+        callback.__name__ = name
+        return callback
+
+    begins, ends = named("begins"), named("ends")
+    timers = [Timer(sim, named(f"timer{index}")) for index in range(60)]
+
+    def rearm():
+        sim._arm(timers[0], sim.now + 0.05)
+        sim._fan_out(sim, [(begins, ends, 1e-9, 1e-7)] * 3, "frame", 1e-3)
+
+    for index, timer in enumerate(timers):
+        sim.schedule(0.01 * (index + 1), named("handle"))
+        sim.schedule_fast(0.005 + 0.01 * index, named("raw"))
+        timer.schedule(0.02 + 0.007 * index)
+        timer.schedule(0.021 + 0.007 * index)   # supersedes the first
+        if index % 7 == 0:
+            sim.schedule(0.3 + 0.01 * index, named("cancelled")).cancel()
+    for moment in (0.15, 0.35, 0.55):
+        sim.schedule_fast(moment, rearm)
+    sim.run(until=0.1)
+    assert len(sim._heap) >= 100
+    sim.run(until=0.3)
+    sim.run(max_events=50)
+    sim.run()
+    return fired, (sim._scheduled, sim._events_executed,
+                   sim._cancelled_events, sim.pending_events,
+                   len(sim._heap), repr(sim.now)), _counts(sim)
+
+
+def test_midlife_pushes_into_a_populated_queue_identically():
+    reference = _midlife_schedule(Simulator(kernel="python"))
+    assert _midlife_schedule(Simulator(kernel="c")) == reference
+    fired, counters, counts = reference
+    assert {name for _now, name in fired} >= {
+        "handle", "raw", "timer0", "begins", "ends"}
+    assert counters[3:5] == (0, 0)          # drained, nothing pending
+    assert all(counts)                       # every shape fired and dropped
+
+
+def test_dispatch_probe_keeps_the_compiled_loop():
+    """Arming the dispatch probe changes nothing about which loop runs:
+    ``sim.run`` stays the class method on the compiled kernel, and the
+    probe's counters, booked at ``finish()``, are the tallies the Python
+    kernel keeps for the same schedule."""
+    def probed(kernel):
+        sim = Simulator(kernel=kernel)
+        hub = Telemetry(sim).instrument_kernel(dispatch=True)
+        _midlife_schedule(sim)
+        assert "run" not in vars(sim) and sim.kernel == kernel
+        hub.finish()
+        return tuple(hub.registry.get("kernel", metric, shape=shape).value
+                     for metric, shape in (
+                         ("dispatch", "fast"), ("dispatch", "timer"),
+                         ("dispatch", "handle"), ("lazy_drops", "timer"),
+                         ("lazy_drops", "handle")))
+
+    python_counts = _midlife_schedule(Simulator(kernel="python"))[2]
+    assert probed("c") == probed("python") == python_counts

@@ -1,4 +1,4 @@
-"""Probe layer: the instrumented kernel loop, the medium transmit wrap,
+"""Probe layer: the kernel dispatch tallies and gauges, the medium transmit wrap,
 fleet gauges, downtime spans, and the Telemetry hub's null path."""
 
 import pytest
@@ -70,6 +70,7 @@ class TestKernelDispatchProbe:
 
         plain_sim, _none, plain_fired = _run(instrumented=False)
         sim, probe, fired = _run(instrumented=True)
+        probe.uninstall()
         assert fired == plain_fired == ["fast", "timer"]
         assert sim._now == plain_sim._now
         assert sim._events_executed == plain_sim._events_executed
@@ -78,43 +79,51 @@ class TestKernelDispatchProbe:
         assert probe.drops_timer.value == 1
         assert probe.drops_handle.value == 1
 
-    @pytest.mark.skipif(not ckernel_available(),
-                        reason="compiled kernel not built")
-    def test_probed_midlife_pops_a_populated_c_queue_in_the_same_order(
-            self, midlife_schedule):
-        # Arming the probe on a kernel="c" simulator that already holds
-        # >= 100 entries swaps the loop, not the queue: the probe's
-        # Python loop pops the C queue through ``sim._pop`` while the
-        # compiled primitives keep pushing structs into it.
-        probes = []
-
-        def probe(sim):
-            probes.append(
-                KernelDispatchProbe(sim, MetricsRegistry()).install())
-
-        reference = midlife_schedule("python")
-        assert midlife_schedule("c", probe) == reference
-        assert midlife_schedule("python", probe) == reference
-        assert [type(armed.sim._heap) is list for armed in probes] \
-            == [False, True]
-        for armed in probes:        # every shape went through the probe
-            assert armed.dispatch_fast.value > 0
-            assert armed.dispatch_timer.value > 0
-            assert armed.dispatch_handle.value > 0
-            assert armed.drops_timer.value > 0
-            assert armed.drops_handle.value > 0
-
-    def test_uninstall_restores_class_method(self):
+    def test_install_never_shadows_run(self):
         sim = Simulator(seed=3)
         probe = KernelDispatchProbe(sim, MetricsRegistry()).install()
-        assert "run" in sim.__dict__
-        probe.uninstall()
+        sim.schedule(0.1, lambda: None)
+        sim.run()
         assert "run" not in sim.__dict__
+        assert probe.dispatch_handle.value == 0     # booked at uninstall
+        probe.uninstall()
+        assert probe.dispatch_handle.value == 1
+        probe.uninstall()                           # idempotent
+        assert probe.dispatch_handle.value == 1
 
     def test_disabled_registry_never_installs(self):
         sim = Simulator(seed=3)
-        KernelDispatchProbe(sim, MetricsRegistry(enabled=False)).install()
+        probe = KernelDispatchProbe(sim, MetricsRegistry(enabled=False))
+        probe.install()
+        sim.schedule(0.1, lambda: None)
+        sim.run()
+        probe.uninstall()
         assert "run" not in sim.__dict__
+        assert probe.dispatch_handle.value == 0
+
+    @pytest.mark.parametrize("kernel", [
+        "python", pytest.param("c", marks=pytest.mark.skipif(
+            not ckernel_available(), reason="compiled kernel not built"))])
+    def test_kernel_gauges_read_the_live_queue_mid_run(self, kernel):
+        # The sampler fires inside run(until=...), where the stored
+        # executed counter still holds the run's start: the gauges must
+        # count the queue instead.  Hub first, so each sample precedes
+        # the raw entry due at its instant.
+        sim = Simulator(kernel=kernel)
+        hub = Telemetry(sim, sample_interval=0.1)
+        hub.instrument_kernel()
+        hub.install()
+        for index in range(100):
+            sim.schedule_fast(index * 0.005, lambda: None)
+        sim.run(until=0.5)
+
+        def values(name):
+            key, = [key for key in hub.registry.series_keys()
+                    if key[:2] == ("kernel", name)]
+            return [value for _time, value in hub.registry.series(key)]
+
+        assert values("events_executed") == [21, 43, 64, 85, 105]
+        assert values("pending_events") == [80, 59, 39, 19, 0]
 
 
 class TestInstrumentedRun:
