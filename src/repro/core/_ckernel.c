@@ -20,7 +20,7 @@
  *    here as structs.
  * 3. ``arrival_begins`` / ``arrival_ends`` — the receive
  *    edges of ``repro.phy.transceiver.Radio`` (with ``_try_lock``, the
- *    capture test, ``_refresh_interference`` and the CCA tail), working
+ *    capture test, ``_refresh_interference`` and ``_update_cca``), working
  *    by offset on the ``__slots__`` of ``Radio``, ``SinrTracker``, the
  *    frame (``Transmission``), its ``PhyMode``, the ``RadioConfig`` and
  *    the ``CaptureModel``, the way the loop works on ``Timer``'s.  A
@@ -32,7 +32,7 @@
  *    ``Modulation.ber`` over an exact ``Modulation``'s float fields
  *    (anything else, and an input the reference raises on, calls the
  *    model's ``packet_error_rate``), one ``rng.random()``, the trace
- *    check on the ``TraceLog`` or ``TraceDigest``, the CCA tail and
+ *    check on the ``TraceLog`` or ``TraceDigest``, ``_update_cca`` and
  *    ``on_rx_end`` — frame, mode, modulation and trace sink read by
  *    offset too.  A plain radio binds it to its reception-end timer.
  * 5. ``_maybe_start_ifs`` / ``_cancel_access_timers`` / ``_ifs_expired``
@@ -66,7 +66,8 @@
  * remains the reference implementation.
  *
  * Bit-identity contract of the queue and the loop (KEEP IN SYNC with
- * engine.Simulator.run):
+ * engine.Simulator.run; held by ``tests/core/test_kernel_parity.py``
+ * and ``tests/core/test_event_queue.py``):
  *
  * - Entries are ordered on ``(time, seq)`` and ``seq`` is unique, so the
  *   order is total and any correct priority queue pops the reference's
@@ -96,9 +97,9 @@
  * Bit-identity contract of the primitives, the edges, the tail and the
  * slots (KEEP IN SYNC with engine._arm / engine._fan_out and the Radio,
  * DcfMac and Nav methods; held slot by slot by
- * tests/test_slot_differential.py and scenario by scenario by
- * tests/phy/test_edge_parity.py, tests/mac/test_access_parity.py and
- * tests/core/test_kernel_parity.py):
+ * ``tests/test_slot_differential.py`` and scenario by scenario by
+ * ``tests/phy/test_edge_parity.py``, ``tests/mac/test_access_parity.py``
+ * and ``tests/core/test_kernel_parity.py``):
  *
  * - The same statements in the same order: one seq per entry, drawn
  *   from the queue's counter (the one ``sim._next_seq`` is bound to) at
@@ -907,6 +908,18 @@ upcall(PyObject *self, Py_ssize_t offset, const char *name, PyObject *arg)
     return status;
 }
 
+/* The Radio.state setter: a new state is stored and reported to
+ * on_state_change with its value; the current one changes nothing.
+ * 0 or -1. */
+static int
+set_state(PyObject *self, PyObject *state, PyObject *value)
+{
+    if (SLOT(self, off_r_state) == state)
+        return 0;
+    slot_set(self, off_r_state, state);
+    return upcall(self, off_r_on_state_change, "on_state_change", value);
+}
+
 /* The fold that is ``builtins.sum`` bit for bit: select_fold()'s answer. */
 static enum { FOLD_BUILTIN, FOLD_PLAIN, FOLD_COMPENSATED } table_fold;
 static const char *const fold_names[] = {"builtin", "plain", "compensated"};
@@ -1188,7 +1201,7 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
     if (status == 0) {
         slot_set(self, off_r_locked, transmission);
         slot_set(self, off_r_locked_power, power);
-        /* The tracker re-initialized as SinrTracker.__init__ sets it. */
+        /* The tracker re-initialized as SinrTracker.reset sets it. */
         slot_set(tracker, off_s_signal, power);
         slot_set(tracker, off_s_noise, noise);
         slot_set(tracker, off_s_start, now);
@@ -1197,47 +1210,52 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
         Py_DECREF(value);
         slot_set(tracker, off_s_energy, float_zero);
         slot_set(self, off_r_locked_tracker, tracker);
-        slot_set(self, off_r_state, st_rx);
     }
-    if (status < 0)
-        return -1;
-    return upcall(self, off_r_on_state_change, "on_state_change",
-                  st_rx_value);
+    return status < 0 ? -1 : set_state(self, st_rx, st_rx_value);
 }
 
-/* The `_update_cca` tail the two edges inline: the busy verdict from
- * the state and the table, then the flag flip and its upcall.
- * ``begun`` is arrival_begins' power (a table of one sums to exactly
- * it) and NULL for arrival_ends (SLEEP senses nothing; an emptied
- * table sums to exactly 0.0).  0 or -1. */
+/* Radio.cca_busy's verdict on the table:
+ * ``sum(arrivals.values()) >= radio._cca_threshold_watts``, the sum
+ * taken first (an empty table is exactly 0.0, not folded).  Summing
+ * foreign powers may run Python, so the radio and the table are held
+ * across it.  1/0, -1 on error. */
 static int
-cca_tail(PyObject *self, PyObject *arrivals, PyObject *begun)
+table_busy(PyObject *radio, PyObject *arrivals)
+{
+    PyObject *incident, *threshold;
+    int busy = -1;
+
+    Py_INCREF(radio);
+    Py_INCREF(arrivals);
+    incident = PyDict_GET_SIZE(arrivals) == 0 ? Py_NewRef(float_zero)
+        : table_sum(arrivals, table_fold);
+    if (incident != NULL && (threshold = slot_get(
+            radio, off_r_cca_threshold, "_cca_threshold_watts")) != NULL) {
+        Py_INCREF(threshold);
+        busy = num_cmp(incident, threshold, Py_GE);
+        Py_DECREF(threshold);
+    }
+    Py_XDECREF(incident);
+    Py_DECREF(arrivals);
+    Py_DECREF(radio);
+    return busy;
+}
+
+/* Radio._update_cca: the verdict of Radio.cca_busy — TX and RX are
+ * busy, a sleeping radio senses nothing, any other state asks the
+ * table — then the flag flip and its upcall.  0 or -1. */
+static int
+cca_tail(PyObject *self, PyObject *arrivals)
 {
     PyObject *state = SLOT(self, off_r_state), *was;
     int busy, differs;
 
     if (state == st_tx || state == st_rx)
         busy = 1;
-    else if (begun == NULL && state == st_sleep)
+    else if (state == st_sleep)
         busy = 0;
-    else {
-        Py_ssize_t size = PyDict_GET_SIZE(arrivals);
-        PyObject *total = NULL, *threshold;
-        if (!(begun != NULL ? size == 1 : size == 0)
-                && (total = table_sum(arrivals, table_fold)) == NULL)
-            return -1;
-        threshold = slot_get(self, off_r_cca_threshold,
-                             "_cca_threshold_watts");
-        Py_XINCREF(threshold);
-        busy = threshold == NULL ? -1
-            : num_cmp(total != NULL ? total
-                      : begun != NULL ? begun : float_zero,
-                      threshold, Py_GE);
-        Py_XDECREF(threshold);
-        Py_XDECREF(total);
-        if (busy < 0)
-            return -1;
-    }
+    else if ((busy = table_busy(self, arrivals)) < 0)
+        return -1;
     /* busy != self._cca_busy; identical objects — every edge that
      * flips nothing — are answered without a call. */
     if ((was = slot_get(self, off_r_cca_busy, "_cca_busy")) == NULL)
@@ -1310,11 +1328,11 @@ ck_arrival_begins(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         else if (refresh_interference(self) < 0)
             goto done;
-        status = cca_tail(self, arrivals, power);
+        status = cca_tail(self, arrivals);
     }
     else if (state != st_idle
              || try_lock(self, arrivals, transmission, power) == 0)
-        status = cca_tail(self, arrivals, power);
+        status = cca_tail(self, arrivals);
 done:
     Py_DECREF(arrivals);
     if (status < 0)
@@ -1347,7 +1365,7 @@ ck_arrival_ends(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     locked = SLOT(self, off_r_locked);
     if (locked == Py_None || locked == transmission
             || refresh_interference(self) == 0)
-        status = cca_tail(self, arrivals, NULL);
+        status = cca_tail(self, arrivals);
 done:
     Py_DECREF(arrivals);
     if (status < 0)
@@ -1647,9 +1665,7 @@ ck_reception_complete(PyObject *module, PyObject *self)
     Py_INCREF(tracker);
     slot_set(self, off_r_locked, Py_None);
     slot_set(self, off_r_locked_tracker, Py_None);
-    slot_set(self, off_r_state, st_idle);
-    if (upcall(self, off_r_on_state_change, "on_state_change",
-               st_idle_value) < 0
+    if (set_state(self, st_idle, st_idle_value) < 0
             || (now = radio_now(self)) == NULL)
         goto done;
     Py_INCREF(now);
@@ -1657,21 +1673,12 @@ ck_reception_complete(PyObject *module, PyObject *self)
             || (success = frame_survives(self, transmission, snr)) == NULL
             || trace_rx_end(self, now, transmission, success, snr) < 0)
         goto done;
-    /* Radio._update_cca: the state is IDLE, so the verdict comes from
-     * the table; its idle upcall fires before on_rx_end. */
+    /* Radio._update_cca: its idle upcall fires before on_rx_end. */
     arrivals = SLOT(self, off_r_arrivals);
-    if (arrivals == NULL || !PyDict_CheckExact(arrivals)) {
-        if (run_reference(self, s_update_cca, NULL, NULL) < 0)
-            goto done;
-    }
-    else {
-        int tail;
-        Py_INCREF(arrivals);
-        tail = cca_tail(self, arrivals, NULL);
-        Py_DECREF(arrivals);
-        if (tail < 0)
-            goto done;
-    }
+    if ((arrivals == NULL || !PyDict_CheckExact(arrivals)
+            ? run_reference(self, s_update_cca, NULL, NULL)
+            : cca_tail(self, arrivals)) < 0)
+        goto done;
     status = rx_end_upcall(self, transmission, success, snr);
 done:
     Py_XDECREF(success);
@@ -1760,8 +1767,7 @@ static PyObject *
 ck_maybe_start_ifs(PyObject *module, PyObject *self)
 {
     PyObject *ifs, *current, *awaiting, *continuation, *nav, *until;
-    PyObject *radio, *state, *arrivals, *threshold, *use_eifs, *wait;
-    PyObject *now, *incident, *deadline;
+    PyObject *radio, *state, *arrivals, *use_eifs, *wait, *now, *deadline;
     int armed, pending, busy, status;
 
     if (mac_type == NULL || Py_TYPE(self) != mac_type || radio_type == NULL)
@@ -1794,34 +1800,22 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
             || state != st_idle)
         Py_RETURN_NONE;  /* NAV reservation; TX/RX busy or asleep */
     arrivals = SLOT(radio, off_r_arrivals);
-    threshold = SLOT(radio, off_r_cca_threshold);
     use_eifs = SLOT(self, off_m_use_eifs);
-    if (arrivals == NULL || !PyDict_CheckExact(arrivals) || threshold == NULL
+    if (arrivals == NULL || !PyDict_CheckExact(arrivals)
+            || SLOT(radio, off_r_cca_threshold) == NULL
             || (use_eifs != Py_True && use_eifs != Py_False)
             || !is_float(wait = SLOT(self, use_eifs == Py_True ? off_m_eifs
                                                                : off_m_difs)))
         return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
-    /* Summing a table of foreign powers may run Python: what is used
-     * after it is held, and the deadline is taken first. */
+    /* Summing a table of foreign powers may run Python: the deadline
+     * is taken first and the timer is held. */
     deadline = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
                                   + PyFloat_AS_DOUBLE(wait));
     if (deadline == NULL)
         return NULL;
     Py_INCREF(ifs);
-    Py_INCREF(threshold);
-    if (PyDict_GET_SIZE(arrivals) == 0) {
-        incident = float_zero;
-        Py_INCREF(incident);
-    }
-    else {
-        Py_INCREF(arrivals);
-        incident = table_sum(arrivals, table_fold);
-        Py_DECREF(arrivals);
-    }
-    busy = incident == NULL ? -1 : num_cmp(incident, threshold, Py_GE);
+    busy = table_busy(radio, arrivals);
     status = busy != 0 ? busy : arm_impl(ifs, deadline);
-    Py_XDECREF(incident);
-    Py_DECREF(threshold);
     Py_DECREF(ifs);
     Py_DECREF(deadline);
     if (status < 0)
@@ -1849,7 +1843,9 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
     if (!ifs_armed && !countdown_armed)
         Py_RETURN_NONE;
     now = float_now(sim = SLOT(self, off_m_sim));
-    if (!is_sim(sim) || (countdown_armed
+    /* Timer.cancel counts on the timer's own simulator. */
+    if (!is_sim(sim) || SLOT(ifs, off_t_sim) != sim
+            || SLOT(countdown, off_t_sim) != sim || (countdown_armed
             && (now == NULL
                 || !is_float(slot = SLOT(self, off_m_slot_time))
                 || !is_float(anchor = SLOT(self, off_m_anchor))

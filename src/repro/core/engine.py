@@ -266,12 +266,15 @@ class Timer:
             raise SchedulingError(f"invalid time: {time!r}")
         sim._arm(self, time)
 
-    def cancel(self) -> None:
-        """Disarm; safe to call when idle.  The heap entry is dropped
-        lazily when it surfaces."""
+    def cancel(self) -> bool:
+        """Disarm; safe to call when idle.  Returns whether a deadline
+        was pending.  The heap entry is dropped lazily when it
+        surfaces."""
         if self._armed:
             self._armed = False
             self._sim._cancelled_events += 1
+            return True
+        return False
 
 
 def _arm(timer: Timer, time: float) -> None:

@@ -246,7 +246,9 @@ class InvariantChecker:
         if countdown._armed and mac._countdown_remaining > 0:
             # KEEP IN SYNC with DcfMac._ifs_expired: the reference
             # expiry is the same left-fold (anchor + slot + slot ...)
-            # the per-slot countdown would have produced.
+            # the per-slot countdown would have produced.  An
+            # independent check, not a call into the MAC; held by
+            # `tests/faults/test_invariants.py`.
             expiry = mac._countdown_anchor
             slot = mac._slot_time
             for _ in range(mac._countdown_remaining):

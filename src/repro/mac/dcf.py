@@ -30,14 +30,14 @@ model — which is exactly what benchmark E10 checks.
 ``phy_rx_end`` are the *reference* for compiled twins in
 ``repro.core._ckernel``, which a plain :class:`DcfMac` on a plain radio
 of a C-kernel simulator binds (:data:`MAC`) into its radio's upcalls,
-its NAV and its IFS timer (``tests/test_slot_differential.py``).  The
-``phy_rx_end`` twin answers
+its NAV, its IFS timer and its own call sites
+(``tests/test_slot_differential.py``).  The ``phy_rx_end`` twin answers
 the corrupt and the overheard frame itself — both read the per-frame
 :attr:`~repro.mac.frames.Dot11Frame.rx_verdict` — and is this method for
 every frame addressed to the station: Python owns the frames addressed
-to it.  Python callers here and the transmit path use the methods on
-every kernel; ``sum(arrivals.values())`` in ``_maybe_start_ifs`` is what
-the twin's C fold is held to (``_ckernel.table_fold``).  The transmit
+to it.  The busy verdict is :meth:`Radio.cca_busy
+<repro.phy.transceiver.Radio.cca_busy>`: its ``sum(arrivals.values())``
+is what the twins' C fold is held to (``_ckernel.table_fold``).  The transmit
 path sizes every fragment of an MSDU once, by arithmetic, as its context
 is prepared (``_TxContext.sizes`` feeds the RTS decision, the duration
 fields, the byte counter and the bits transmitted) and builds a frame
@@ -187,7 +187,7 @@ class DcfMac:
                  "_use_eifs", "_basic_mode", "_slot_time", "_difs",
                  "_eifs", "_address_value", "_frame_probe", "_ack_airtime",
                  "_cts_airtime", "_ack_wait", "_cts_wait", "_ack_reserve_us",
-                 "_acks")
+                 "_acks", "_start_ifs", "_freeze")
 
     def __init__(self, sim: Simulator, radio: Radio, address: MacAddress,
                  config: Optional[DcfConfig] = None,
@@ -213,9 +213,18 @@ class DcfMac:
 
         slots = bind(self, MAC, sim)
         start_ifs = slots["_maybe_start_ifs"]
+        cancel_timers = slots["_cancel_access_timers"]
+        # The MAC's own call sites take the same side as its radio's
+        # upcalls: ``self._start_ifs(self)`` / ``self._freeze(self)`` run
+        # the compiled twin or the method.  Held unbound and called with
+        # the MAC, so a profiler sees a plain function call (Python
+        # 3.12's cProfile loses the caller's frame on a method object
+        # that wraps a builtin).
+        self._start_ifs = start_ifs.__func__
+        self._freeze = cancel_timers.__func__
         radio.on_rx_end = slots["phy_rx_end"]
         radio.on_tx_end = self.phy_tx_end
-        radio.on_cca_busy = slots["_cancel_access_timers"]
+        radio.on_cca_busy = cancel_timers
         radio.on_cca_idle = start_ifs
         standard = radio.standard
         rng = sim.rng.stream(f"mac.{address}")
@@ -365,7 +374,7 @@ class DcfMac:
                 # is idle right now, otherwise contend with a full draw.
                 self._backoff_remaining = 0 if self._medium_idle() \
                     else self.backoff.draw()
-        self._maybe_start_ifs()
+        self._start_ifs(self)
 
     def _prepare_context(self, msdu: Msdu) -> _TxContext:
         mgmt = msdu.meta.get("mgmt")
@@ -387,31 +396,25 @@ class DcfMac:
     # ----------------------------------------------------------- carrier sense
 
     def _medium_idle(self) -> bool:
-        # Equivalent to ``not radio.cca_busy() and not nav.busy`` with
-        # the call layers flattened — this predicate runs on every CCA
-        # edge and decoded frame in a saturated cell.
-        # KEEP IN SYNC with Radio.cca_busy / Radio._update_cca and the
-        # inlined copy in _maybe_start_ifs.
-        # A sleeping radio senses nothing but also cannot transmit, so
-        # for *contention* purposes it is never "idle" — the wake-up
-        # CCA kick (Radio.wake) resumes channel access.
+        """May this station count down: radio idle, NAV expired, no
+        energy above the CCA threshold?
+
+        A sleeping radio senses nothing but also cannot transmit, so
+        for contention it is never idle; the wake-up CCA kick
+        (``Radio.wake``) resumes channel access.  The NAV is read
+        before the table is summed, as the compiled
+        ``_maybe_start_ifs`` reads it.
+        """
         radio = self.radio
-        state = radio._state
-        if state is not RadioState.IDLE:
-            return False
-        # Re-sums the arrival table (sum([]) == 0.0, so the empty
-        # shortcut is bit-identical).
-        arrivals = radio._arrivals
-        incident = sum(arrivals.values()) if arrivals else 0.0
-        if incident >= radio._cca_threshold_watts:
-            return False
-        return self.sim._now >= self.nav._until
+        return (radio._state is RadioState.IDLE
+                and self.sim._now >= self.nav._until
+                and not radio.cca_busy())
 
     def _maybe_start_ifs(self) -> None:
         """Arm the DIFS/EIFS wait if we are contending and all is quiet.
 
-        Runs on every CCA-idle edge, TX completion and decoded frame;
-        the ``_medium_idle`` predicate is inlined (KEEP IN SYNC).
+        Runs on every CCA-idle edge, TX completion and decoded frame:
+        the cheap rejects come first, then :meth:`_medium_idle`.
         """
         if self._ifs._armed or self._countdown._armed:
             return  # already contending (most common reject: checked first)
@@ -419,15 +422,8 @@ class DcfMac:
             return
         if self._tx_continuation is not None or self._pending_send._armed:
             return  # mid-exchange (about to transmit / SIFS response)
-        if self.sim._now < self.nav._until:
-            return  # NAV reservation: rejects every overheard-frame call
-        radio = self.radio
-        if radio._state is not RadioState.IDLE:
-            return  # TX/RX: busy; SLEEP: cannot contend until woken
-        arrivals = radio._arrivals
-        incident = sum(arrivals.values()) if arrivals else 0.0
-        if incident >= radio._cca_threshold_watts:
-            return
+        if not self._medium_idle():
+            return  # NAV, TX/RX, asleep, or energy on the air
         # Unchecked arm: the DIFS/EIFS constants are positive finite
         # floats, and this runs on every idle edge at every contending
         # station.
@@ -436,17 +432,8 @@ class DcfMac:
                                         else self._difs))
 
     def _cancel_access_timers(self) -> None:
-        # Timer.cancel inlined twice (the countdown branch needs the
-        # was-armed answer anyway); runs on every CCA-busy edge at
-        # every station.
-        ifs = self._ifs
-        if ifs._armed:
-            ifs._armed = False
-            self.sim._cancelled_events += 1
-        countdown = self._countdown
-        if countdown._armed:
-            countdown._armed = False
-            self.sim._cancelled_events += 1
+        self._ifs.cancel()
+        if self._countdown.cancel():
             # Freeze: replay the slot boundaries that elapsed since the
             # anchor with the exact float fold the slot-by-slot
             # countdown performed (anchor + slot + slot + ...), so the
@@ -628,7 +615,7 @@ class DcfMac:
 
     def _transmit_frame(self, frame: Dot11Frame, bits: int, mode: PhyMode,
                         continuation: Callable[[], None]) -> None:
-        self._cancel_access_timers()
+        self._freeze(self)
         self._tx_continuation = continuation
         self.radio.transmit(frame, bits, mode)
 
@@ -641,7 +628,7 @@ class DcfMac:
             continuation()
         # Responses (ACK/CTS we sent) have no continuation state change;
         # resume contention if we were in the middle of it.
-        self._maybe_start_ifs()
+        self._start_ifs(self)
 
     def phy_rx_end(self, payload: Any, success: bool, snr_db: float,
                    mode: PhyMode) -> None:
@@ -651,7 +638,7 @@ class DcfMac:
             # Undecodable frame: defer with EIFS next time.
             self._use_eifs = True
             self.counters.incr("rx_corrupt")
-            self._maybe_start_ifs()
+            self._start_ifs(self)
             return
         frame = payload
         if self.sniffer is not None:
@@ -674,7 +661,7 @@ class DcfMac:
             # check rejects, and no earlier check has side effects), so
             # the call is skipped outright.
             if self.sim._now >= self.nav._until:
-                self._maybe_start_ifs()
+                self._start_ifs(self)
             return
         kind = frame.fc.type
         if kind == FrameType.CONTROL:
@@ -683,7 +670,7 @@ class DcfMac:
             self._receive_data(frame, snr_db, broadcast)
         else:
             self._receive_management(frame, snr_db, broadcast)
-        self._maybe_start_ifs()
+        self._start_ifs(self)
 
     # ------------------------------------------------------------- control rx
 
@@ -751,7 +738,7 @@ class DcfMac:
         state = self.radio._state
         if state is RadioState.TX or state is RadioState.SLEEP:
             return  # mid-transmission or dozed off: drop the response
-        self._cancel_access_timers()
+        self._freeze(self)
         self._tx_continuation = None
         self.radio.transmit(frame, frame.wire_size_bits(), self._basic_mode)
 
@@ -856,7 +843,7 @@ class DcfMac:
         if probe is not None:
             probe("retry", ctx.msdu)
         self._backoff_remaining = self.backoff.draw()
-        self._maybe_start_ifs()
+        self._start_ifs(self)
 
     def _complete_current(self, success: bool) -> None:
         ctx = self._current

@@ -26,9 +26,9 @@ retunes a radio funnels into :meth:`Medium.invalidate_links` /
 :meth:`Medium.invalidate_channels` / :meth:`Medium.attach`, each of
 which drops the compiled plans.  A plan additionally validates the
 *sender's* position identity and transmit power on every use, so a
-sender mutated behind the hooks still recompiles.  When ``cache_links``
-is off the medium falls back to the historical per-receiver loop
-(fresh propagation evaluation per frame, still bit-identical).
+sender mutated behind the hooks still recompiles.  Every model in
+:mod:`repro.phy.propagation` is a function of geometry (``Shadowing``
+freezes its per-link draw), so the plan is the only transmit path.
 
 Receive edges follow the simulator's kernel: each radio binds its
 ``transceiver.RADIO`` slots once (``repro.core.binding``), so on
@@ -107,8 +107,8 @@ class LinkCache:
 
     The cached receive power is the output of
     :meth:`~repro.phy.propagation.PropagationModel.received_power_watts`,
-    so cached and uncached runs (and pre-cache historical runs) produce
-    bit-identical link budgets; only the per-frame cost changes.
+    so cached runs and a fresh evaluation per frame (as before the cache)
+    produce bit-identical link budgets; only the per-frame cost changes.
     """
 
     __slots__ = ("_entries", "hits", "misses")
@@ -169,14 +169,6 @@ class Medium:
     propagation_delay:
         Whether to model the speed-of-light delay (on by default; a few
         hundred nanoseconds at WLAN scale, microseconds at WiMAX scale).
-    cache_links:
-        Memoize per-pair link budgets and compile per-sender fan-out
-        plans (on by default).  Disable to force a fresh
-        propagation-model evaluation per frame — results are
-        bit-identical either way (both paths go through
-        ``received_power_watts``); the knob exists for the determinism
-        tests and for exotic models whose loss varies with something
-        other than geometry.
     """
 
     #: Every N-th transmit prunes expired entries from the per-channel
@@ -186,13 +178,11 @@ class Medium:
 
     def __init__(self, sim: Simulator, propagation: PropagationModel,
                  reception_floor_dbm: float = -110.0,
-                 propagation_delay: bool = True,
-                 cache_links: bool = True):
+                 propagation_delay: bool = True):
         self.sim = sim
         self.propagation = propagation
         self.reception_floor_watts = dbm_to_watts(reception_floor_dbm)
         self.propagation_delay = propagation_delay
-        self.cache_links = cache_links
         self.links = LinkCache()
         self._radios: List[Radio] = []
         self._active: Dict[int, List[Transmission]] = {}
@@ -376,51 +366,28 @@ class Medium:
         self._gc_countdown -= 1
         if self._gc_countdown <= 0:
             self._gc_active()
-        if self.cache_links:
-            # Compiled fan-out: the floor cull and link-budget lookups
-            # happened at compile time, so the hot path is one call of
-            # the kernel's fan-out primitive over the flat plan.  The
-            # plan is validated against the sender's position identity
-            # and transmit power; every receiver-side topology change
-            # drops the plan via the invalidation hooks.
-            plan = self._plans.get(sender)
-            if plan is not None and plan[0] is sender._position \
-                    and plan[1] == power_watts:
-                self.plan_hits += 1
-            else:
-                plan = self._compile_plan(sender, channel, power_watts)
-                self.plan_misses += 1
-            # NOTE: a fully fused fan-out (one begins sweep + one ends
-            # sweep per frame) was prototyped and rejected: collapsing
-            # the per-receiver propagation-delay stagger onto a common
-            # instant aligns every contender's slot grid, which turns
-            # nanosecond-resolved near-ties into genuine collisions —
-            # delivery dropped ~19% on the dense macro.  The stagger is
-            # load-bearing contention physics, not ulp noise, so every
-            # receiver keeps its own edges.
-            sim._fan_out(sim, plan[2], transmission, duration)
-            return transmission
-        # Uncached fallback: fresh propagation evaluation per receiver
-        # per frame (bit-identical outcomes; see cache_links docs) — a
-        # plan compiled for this one frame, pushed by the same
-        # primitive.
-        floor = self.reception_floor_watts
-        propagation = self.propagation
-        model_delay = self.propagation_delay
-        entries = []
-        for receiver, begins, ends in self._channel_members(channel):
-            if receiver is sender:
-                continue
-            tx_pos = sender.position
-            rx_pos = receiver.position
-            rx_power = propagation.received_power_watts(
-                power_watts, tx_pos, rx_pos)
-            if rx_power < floor:
-                continue
-            delay = tx_pos.distance_to(rx_pos) / SPEED_OF_LIGHT \
-                if model_delay else 0.0
-            entries.append((begins, ends, rx_power, delay))
-        sim._fan_out(sim, entries, transmission, duration)
+        # Compiled fan-out: the floor cull and link-budget lookups
+        # happened at compile time, so the hot path is one call of the
+        # kernel's fan-out primitive over the flat plan.  The plan is
+        # validated against the sender's position identity and
+        # transmit power; every receiver-side topology change drops the
+        # plan via the invalidation hooks.
+        plan = self._plans.get(sender)
+        if plan is not None and plan[0] is sender._position \
+                and plan[1] == power_watts:
+            self.plan_hits += 1
+        else:
+            plan = self._compile_plan(sender, channel, power_watts)
+            self.plan_misses += 1
+        # NOTE: a fully fused fan-out (one begins sweep + one ends sweep
+        # per frame) was prototyped and rejected: collapsing the
+        # per-receiver propagation-delay stagger onto a common instant
+        # aligns every contender's slot grid, which turns
+        # nanosecond-resolved near-ties into genuine collisions —
+        # delivery dropped ~19% on the dense macro.  The stagger is
+        # load-bearing contention physics, not ulp noise, so every
+        # receiver keeps its own edges.
+        sim._fan_out(sim, plan[2], transmission, duration)
         return transmission
 
     # --- energy-only path (adversary / coexistence emitters) ----------------

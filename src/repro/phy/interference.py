@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from ..core.units import linear_to_db
 
 _INF = math.inf
-_log10 = math.log10
 
 
 class SinrTracker:
@@ -30,17 +29,23 @@ class SinrTracker:
 
     def __init__(self, signal_watts: float, noise_watts: float, start: float,
                  interference_watts: float = 0.0):
+        """Start a reception at ``start``.
+
+        The initial interference is what ``set_interference(start, x)``
+        would record: no time has elapsed, so no energy has accrued.
+        """
         if signal_watts < 0 or noise_watts < 0:
             raise ValueError("powers must be non-negative")
         self.signal_watts = signal_watts
         self.noise_watts = noise_watts
         self._start = start
         self._last_time = start
-        # Passing the initial interference here is equivalent to an
-        # immediate set_interference(start, x) — zero elapsed time, so
-        # no energy accrues — but saves a call on the lock fast path.
         self._current_interference = interference_watts
         self._energy = 0.0  # watt-seconds of interference so far
+
+    #: Start over for a new reception: a radio keeps one tracker and
+    #: re-initializes it on every lock.
+    reset = __init__
 
     def set_interference(self, now: float, power_watts: float) -> None:
         """Record that aggregate interference changed to ``power_watts``."""
@@ -60,12 +65,8 @@ class SinrTracker:
             self._current_interference
         denominator = self.noise_watts + mean_interference
         if denominator <= 0.0:
-            return linear_to_db(float("inf"))
-        # linear_to_db inlined (one call per decoded frame per receiver).
-        ratio = self.signal_watts / denominator
-        if ratio <= 0.0:
-            return -_INF
-        return 10.0 * _log10(ratio)
+            return _INF
+        return linear_to_db(self.signal_watts / denominator)
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,8 +11,8 @@ Every model implements :meth:`path_loss_db(tx, rx)`, the loss in dB;
 :meth:`received_power_watts` applies it to a transmit power in dB space.
 The frame hot loop does **not** call either per frame — the
 :class:`~repro.phy.channel.LinkCache` memoizes
-:meth:`received_power_watts` per radio pair, so cached, uncached and
-historical seeded runs are bit-identical.
+:meth:`received_power_watts` per radio pair, so a cached run is
+bit-identical to one that evaluates every link fresh per frame.
 """
 
 from __future__ import annotations

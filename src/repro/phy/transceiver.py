@@ -17,11 +17,12 @@ sets, so the hot path (every arrival edge of every frame, at every
 co-channel radio) does a single attribute load and call.
 
 :meth:`Radio.arrival_begins`, :meth:`Radio.arrival_ends` (with
-``_try_lock``, the capture test, ``_refresh_interference`` and the CCA
-tail) and :meth:`Radio._reception_complete` are the *reference* receive
-path; :data:`RADIO` is their binding table.  On a C-kernel simulator a
-plain radio binds itself through ``repro.core.binding.bind``
-to their compiled twins in ``repro.core._ckernel`` — the same statements
+``_try_lock``, the capture test, ``_refresh_interference`` and
+``_update_cca``) and :meth:`Radio._reception_complete` are the
+*reference* receive path; :data:`RADIO` is their binding table.  On a
+C-kernel simulator a plain radio binds itself through
+``repro.core.binding.bind`` to their compiled twins in
+``repro.core._ckernel`` — the same statements
 over the same ``__slots__``, the frame's (:class:`~repro.phy.channel.Transmission`),
 its ``PhyMode``'s and ``Modulation``'s and this radio's ``RadioConfig``,
 ``CaptureModel`` and trace sink (``TraceLog`` or ``TraceDigest``)
@@ -220,12 +221,7 @@ class Radio:
         # Transmitting aborts any in-progress reception (half duplex).
         if self._locked is not None:
             self._abort_locked()
-        # state-property setter inlined on the TX/RX hot transitions:
-        # these are always real state changes, so only the upcall check
-        # remains (KEEP IN SYNC with the state setter).
-        self._state = RadioState.TX
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.TX.value)
+        self.state = RadioState.TX
         self._update_cca()
         duration = self.standard.frame_airtime(size_bits, mode)
         self.medium.transmit(self, payload, size_bits, mode, duration,
@@ -260,9 +256,7 @@ class Radio:
                 f"{self.name}: energy burst needs a positive duration")
         if self._locked is not None:
             self._abort_locked()
-        self._state = RadioState.TX  # state setter inlined (see transmit)
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.TX.value)
+        self.state = RadioState.TX
         self._update_cca()
         self.medium.transmit_energy(
             self, duration,
@@ -280,9 +274,7 @@ class Radio:
             # this is the stale completion event draining out of the heap
             # (schedule_fast events cannot be cancelled, only outlived).
             return
-        self._state = RadioState.IDLE  # state setter inlined (TX -> IDLE)
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.IDLE.value)
+        self.state = RadioState.IDLE
         self._update_cca()
         self.on_tx_end()
 
@@ -341,15 +333,12 @@ class Radio:
                        power_watts: float) -> None:
         """A transmission's energy starts arriving at our antenna.
 
-        The hottest callback in any run (once per frame per co-channel
-        radio); ``_update_cca`` is inlined at the tail (KEEP IN SYNC).
-        Single-arrival edges skip the full table re-sum: ``sum([x])``
-        is ``0.0 + x``, which is bit-identical to ``x`` for the
-        non-negative powers the medium delivers, so the shortcut is
-        exact, not approximate.
+        The arrival is tracked whatever the state; a sleeping radio
+        senses nothing, so it stops there.  Otherwise the arrival may
+        capture the lock, interferes with it, or is locked onto, and
+        :meth:`_update_cca` takes the carrier-sense verdict after that.
         """
-        arrivals = self._arrivals
-        arrivals[transmission] = power_watts
+        self._arrivals[transmission] = power_watts
         state = self._state
         if state is RadioState.SLEEP:
             return
@@ -362,47 +351,20 @@ class Radio:
                 self._refresh_interference()
         elif state is RadioState.IDLE:
             self._try_lock(transmission, power_watts)
-        state = self._state
-        if state is RadioState.TX or state is RadioState.RX:
-            busy = True
-        elif len(arrivals) == 1:
-            busy = power_watts >= self._cca_threshold_watts
-        else:
-            busy = sum(arrivals.values()) >= self._cca_threshold_watts
-        if busy != self._cca_busy:
-            self._cca_busy = busy
-            if busy:
-                self.on_cca_busy()
-            else:
-                self.on_cca_idle()
+        self._update_cca()
 
     def arrival_ends(self, transmission: "Transmission") -> None:
         """A transmission's energy stops arriving (its airtime elapsed).
 
-        ``_update_cca`` inlined at the tail (KEEP IN SYNC).  An emptied
-        arrival table short-circuits the re-sum (``sum([])`` is exactly
-        ``0.0``).
+        The arrival leaves the table, a lock on another frame sees the
+        interference drop, and :meth:`_update_cca` takes the
+        carrier-sense verdict.
         """
-        arrivals = self._arrivals
-        arrivals.pop(transmission, None)
+        self._arrivals.pop(transmission, None)
         locked = self._locked
         if locked is not None and locked is not transmission:
             self._refresh_interference()
-        state = self._state
-        if state is RadioState.TX or state is RadioState.RX:
-            busy = True
-        elif state is RadioState.SLEEP:
-            busy = False
-        elif not arrivals:
-            busy = 0.0 >= self._cca_threshold_watts
-        else:
-            busy = sum(arrivals.values()) >= self._cca_threshold_watts
-        if busy != self._cca_busy:
-            self._cca_busy = busy
-            if busy:
-                self.on_cca_busy()
-            else:
-                self.on_cca_idle()
+        self._update_cca()
 
     def _try_lock(self, transmission: "Transmission",
                   power_watts: float) -> None:
@@ -434,20 +396,10 @@ class Radio:
         sim._arm(self._rx_timer, now + transmission.duration)
         self._locked = transmission
         self._locked_power = power_watts
-        # The pre-allocated tracker re-initialized in place, field for
-        # field as SinrTracker.__init__ sets it (KEEP IN SYNC): one lock
-        # per decoded frame per receiver, and the stores are all there is.
         tracker = self._tracker
-        tracker.signal_watts = power_watts
-        tracker.noise_watts = self._noise_watts
-        tracker._start = now
-        tracker._last_time = now
-        tracker._current_interference = interference
-        tracker._energy = 0.0
+        tracker.reset(power_watts, self._noise_watts, now, interference)
         self._locked_tracker = tracker
-        self._state = RadioState.RX  # state setter inlined (IDLE -> RX)
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.RX.value)
+        self.state = RadioState.RX
 
     def _refresh_interference(self) -> None:
         locked = self._locked
@@ -489,9 +441,7 @@ class Radio:
         tracker = self._locked_tracker
         self._locked = None
         self._locked_tracker = None
-        self._state = RadioState.IDLE  # state setter inlined (RX -> IDLE)
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.IDLE.value)
+        self.state = RadioState.IDLE
         now = self._sim._now
         snr_db = tracker.sinr_db(now)
         success = self.error_model.frame_survives(
@@ -518,31 +468,24 @@ class Radio:
     def cca_busy(self) -> bool:
         """Clear-channel assessment: is the medium busy right now?
 
-        KEEP IN SYNC with the flattened copies of this predicate in
-        :meth:`_update_cca` below and ``DcfMac._medium_idle`` — they
-        avoid the method-call layers on the per-arrival hot path.
+        The one definition of the busy verdict: transmitting or
+        receiving is busy, a sleeping radio senses nothing, and an idle
+        one compares the energy on its antenna with the CCA threshold.
+        :meth:`_update_cca` and ``DcfMac._medium_idle`` ask it.
         """
         state = self._state
         if state is RadioState.TX or state is RadioState.RX:
             return True
         if state is RadioState.SLEEP:
             return False
-        return sum(self._arrivals.values()) >= self._cca_threshold_watts
+        # An empty table sums to exactly 0 without calling sum().
+        arrivals = self._arrivals
+        return (sum(arrivals.values()) if arrivals else 0.0) \
+            >= self._cca_threshold_watts
 
     def _update_cca(self) -> None:
-        # cca_busy() inlined: this runs on every arrival edge.
-        # KEEP IN SYNC with cca_busy() and DcfMac._medium_idle.
-        state = self._state
-        if state is RadioState.TX or state is RadioState.RX:
-            busy = True
-        elif state is RadioState.SLEEP:
-            busy = False
-        else:
-            arrivals = self._arrivals
-            if not arrivals:
-                busy = 0.0 >= self._cca_threshold_watts
-            else:
-                busy = sum(arrivals.values()) >= self._cca_threshold_watts
+        """Take the busy verdict; on a flip, tell the MAC."""
+        busy = self.cca_busy()
         if busy == self._cca_busy:
             return
         self._cca_busy = busy

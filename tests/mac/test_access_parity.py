@@ -37,7 +37,7 @@ Skipped loudly without the extension (see ``conftest``); CI's
 compiled-kernel lane runs the file under ``-X dev``.
 """
 
-from types import MethodType
+from types import MethodType, ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,8 +187,10 @@ class World:
     def callback(self, callback):
         if callback is None:
             return None
-        return (self.owner(getattr(callback, "__self__", None)),
-                callback.__name__)
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, ModuleType):
+            owner = None    # a twin held unbound, like a plain function
+        return (self.owner(owner), callback.__name__)
 
     def describe(self, value):
         if isinstance(value, float):

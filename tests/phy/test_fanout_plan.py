@@ -1,14 +1,16 @@
 """Tests for the compiled arrival fan-out plans and their invalidation.
 
-The plan is a pure restructuring of ``Medium.transmit``'s per-receiver
-loop: every topology-change hook must rebuild it (asserted through the
-``plan_hits`` / ``plan_misses`` counters), and a planned run must stay
-bit-identical to the uncached per-receiver loop.
+The plan is a pure memoization of the per-receiver link budgets: every
+topology-change hook must rebuild it (asserted through the
+``plan_hits`` / ``plan_misses`` counters), and a run that keeps its
+plans must stay bit-identical to one that evaluates every link afresh
+for every frame (``FreshMedium``).
 """
 
 import pytest
 
 from repro.core import Position, Simulator
+from repro.core.units import SPEED_OF_LIGHT
 from repro.mobility.models import LinearMobility
 from repro.phy.channel import Medium
 from repro.phy.propagation import LogDistance
@@ -16,12 +18,23 @@ from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
 
 
-def _medium(sim, **kwargs):
-    return Medium(sim, LogDistance(DOT11B.band_hz, exponent=3.0), **kwargs)
+class FreshMedium(Medium):
+    """The reference for the plans: before each frame the sender's plan
+    and the whole ``LinkCache`` are dropped, so every frame is evaluated
+    fresh through the one transmit path."""
+
+    def transmit(self, sender, *args):
+        self._plans.pop(sender, None)
+        self.links.invalidate()
+        return super().transmit(sender, *args)
 
 
-def _cell(sim, receivers=3, **kwargs):
-    medium = _medium(sim, **kwargs)
+def _medium(sim, medium=Medium):
+    return medium(sim, LogDistance(DOT11B.band_hz, exponent=3.0))
+
+
+def _cell(sim, receivers=3):
+    medium = _medium(sim)
     tx = Radio("tx", medium, DOT11B, Position(0, 0, 0))
     rxs = [Radio(f"rx{i}", medium, DOT11B, Position(5.0 + i, 0, 0))
            for i in range(receivers)]
@@ -55,18 +68,17 @@ class TestPlanCompilation:
     def test_plan_goes_through_link_cache(self, sim):
         medium, tx, rxs = _cell(sim)
         tx.transmit(b"x", 800, MODE)
-        rx_power = medium._plans[tx][2][0][2]
-        expected = medium.propagation.received_power_watts(
-            tx.tx_power_watts, tx.position, rxs[0].position)
-        assert rx_power == expected  # bit-identical, not approx
+        plan = medium._plans[tx][2]
+        # Every entry against a direct per-receiver evaluation:
+        # bit-identical power and delay, not approx.
+        assert [(begins.__self__, ends.__self__, power, delay)
+                for begins, ends, power, delay in plan] == [
+            (rx, rx,
+             medium.propagation.received_power_watts(
+                 tx.tx_power_watts, tx.position, rx.position),
+             tx.position.distance_to(rx.position) / SPEED_OF_LIGHT)
+            for rx in rxs]
         assert medium.links.misses == len(rxs)
-
-    def test_uncached_medium_never_plans(self, sim):
-        medium, tx, _rxs = _cell(sim, cache_links=False)
-        tx.transmit(b"x", 800, MODE)
-        assert medium.plan_misses == 0
-        assert medium.plan_hits == 0
-        assert not medium._plans
 
 
 class TestPlanInvalidation:
@@ -147,9 +159,9 @@ class TestPlanInvalidation:
         assert medium.plan_misses == 2
 
 
-class TestPlannedVersusUncachedDeterminism:
+class TestPlannedVersusFreshDeterminism:
     def test_same_seed_same_arrivals(self):
-        """Planned and uncached runs must deliver identical per-arrival
+        """Planned and fresh runs must deliver identical per-arrival
         powers in identical order — the bit-identity contract."""
         arrivals = []
 
@@ -158,9 +170,9 @@ class TestPlannedVersusUncachedDeterminism:
                 arrivals.append((self.name, power))
                 Radio.arrival_begins(self, transmission, power)
 
-        def run(cache_links):
+        def run(medium):
             sim = Simulator(seed=3)
-            medium = _medium(sim, cache_links=cache_links)
+            medium = _medium(sim, medium)
             tx = Radio("tx", medium, DOT11B, Position(0, 0, 0))
             for i in range(4):
                 SpyRadio(f"rx{i}", medium, DOT11B, Position(10.0 + i, 0, 0))
@@ -168,9 +180,11 @@ class TestPlannedVersusUncachedDeterminism:
             for _ in range(5):
                 tx.transmit(b"payload", 800, MODE)
                 sim.run(until=sim.now + 0.01)
-            return list(arrivals)
+            return list(arrivals), medium.plan_hits
 
-        assert run(True) == run(False)
+        (planned, hits), (fresh, fresh_hits) = run(Medium), run(FreshMedium)
+        assert planned == fresh
+        assert hits > 0 and fresh_hits == 0  # no plan is ever reused
 
 
 class TestActiveListGc:

@@ -1,7 +1,5 @@
 """Tests for the PHY link-budget cache and its invalidation paths."""
 
-import functools
-
 import pytest
 
 from repro.campaign import run_job, runner
@@ -11,10 +9,12 @@ from repro.phy.channel import LinkCache, Medium
 from repro.phy.propagation import LogDistance
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
+from test_fanout_plan import FreshMedium
 
 
-def _medium(sim, **kwargs):
-    return Medium(sim, LogDistance(DOT11B.band_hz, exponent=3.0), **kwargs)
+
+def _medium(sim, medium=Medium):
+    return medium(sim, LogDistance(DOT11B.band_hz, exponent=3.0))
 
 
 class TestLinkCacheLookups:
@@ -107,10 +107,11 @@ class TestMobilityInvalidation:
         assert far < near
 
 
-class TestCachedVersusUncachedDeterminism:
+class TestCachedVersusFreshDeterminism:
     def test_same_seed_same_delivery(self):
-        """A full transmit/receive cycle with the cache on and off must
-        deliver identical payloads at identical powers."""
+        """A full transmit/receive cycle with the cache kept and dropped
+        before every frame must deliver identical payloads at identical
+        powers."""
         arrivals = []
 
         class SpyRadio(Radio):
@@ -120,9 +121,9 @@ class TestCachedVersusUncachedDeterminism:
                 arrivals.append(power)
                 Radio.arrival_begins(self, transmission, power)
 
-        def run(cache_links):
+        def run(medium):
             sim = Simulator(seed=3)
-            medium = _medium(sim, cache_links=cache_links)
+            medium = _medium(sim, medium)
             tx = Radio("tx", medium, DOT11B, Position(0, 0, 0))
             rx = SpyRadio("rx", medium, DOT11B, Position(12, 0, 0))
             arrivals.clear()
@@ -132,26 +133,27 @@ class TestCachedVersusUncachedDeterminism:
                 sim.run(until=sim.now + 0.01)
             return list(arrivals)
 
-        assert run(True) == run(False)
+        assert run(Medium) == run(FreshMedium)
 
     def test_whole_saturated_run_is_the_same_without_the_cache(
             self, spec_job, monkeypatch):
-        """The LinkCache is a pure memoization: disabling it must not
-        change a single delivered byte or executed event of a whole
-        20-station saturation run (``specs/dcf_saturation.toml``)."""
+        """The LinkCache is a pure memoization: dropping it before every
+        frame must not change a single delivered byte or executed event
+        of a whole 20-station saturation run
+        (``specs/dcf_saturation.toml``)."""
         cached = run_job(spec_job("dcf_saturation"))
-        monkeypatch.setattr(runner, "Medium",
-                            functools.partial(Medium, cache_links=False))
-        uncached = run_job(spec_job("dcf_saturation"))
+        monkeypatch.setattr(runner, "Medium", FreshMedium)
+        fresh = run_job(spec_job("dcf_saturation"))
 
         def outcome(stats):
             return {key: value for key, value in stats.items()
                     if not key.startswith(("link_cache", "fanout_"))}
 
-        assert outcome(cached) == outcome(uncached)
+        assert outcome(cached) == outcome(fresh)
         # And the caching worked: per-frame lookups hit the fan-out
         # plans, which the LinkCache warms (every pair looked up at
-        # least once, no thrashing); without it no plan is kept.
+        # least once, no thrashing); dropped before each frame, no plan
+        # is ever reused.
         assert cached["fanout_plan_hits"] > 10 * cached["fanout_plan_misses"]
         assert cached["link_cache_misses"] > 0
-        assert uncached["fanout_plan_hits"] == 0
+        assert fresh["fanout_plan_hits"] == 0

@@ -112,10 +112,51 @@ def test_every_backticked_repo_path_exists():
             for token in span[2].split():
                 token = token.rstrip(".,;:)")
                 if not REPO_PATH.fullmatch(token) \
-                        or token.startswith(ignored):
+                        or (token + "/").startswith(ignored):
                     continue
                 cited += 1
                 if not (REPO_ROOT / token).exists():
                     dangling.append(f"{where}: {token}")
     assert dangling == []
     assert cited > 0  # the scan sees the paths that do exist
+
+
+SYNC = "KEEP IN SYNC"
+TEST_PATH = re.compile(r"`(tests/[\w./-]+)`")
+
+
+def _paragraph(lines, index):
+    """The paragraph holding ``lines[index]``: the run of lines around
+    it up to one that is blank once comment marks are stripped."""
+    def blank(line):
+        return not line.strip().strip("#*/ ")
+    start = end = index
+    while start > 0 and not blank(lines[start - 1]):
+        start -= 1
+    while end + 1 < len(lines) and not blank(lines[end + 1]):
+        end += 1
+    return "\n".join(lines[start:end + 1])
+
+
+def test_every_keep_in_sync_names_its_test():
+    """A copy kept in step with another by hand is one a later change
+    forgets: each ``KEEP IN SYNC`` under ``src/`` cites, in backticks in
+    its own paragraph, an existing test that fails when the copies
+    part."""
+    marked = 0
+    unenforced = []
+    for path in sorted((REPO_ROOT / "src").rglob("*")):
+        if path.suffix not in (".py", ".c"):
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for index, line in enumerate(lines):
+            if SYNC not in line:
+                continue
+            marked += 1
+            cited = TEST_PATH.findall(_paragraph(lines, index))
+            if not cited or not all((REPO_ROOT / name).is_file()
+                                    for name in cited):
+                unenforced.append(
+                    f"{path.relative_to(REPO_ROOT)}:{index + 1}")
+    assert unenforced == []
+    assert marked > 0  # the scan sees the markers that do exist

@@ -210,6 +210,9 @@ def test_bind_serves_a_twin_to_exact_classes_on_the_compiled_kernel():
         assert station._ifs._callback.__func__ \
             is getattr(owner, "_ifs_expired")
         assert station.nav._on_expire is radio.on_cca_idle
+        # The MAC's own call sites take the radio's side.
+        assert station._start_ifs is getattr(owner, "_maybe_start_ifs")
+        assert station._freeze is getattr(owner, "_cancel_access_timers")
         assert radio.on_tx_end.__func__ is DcfMac.phy_tx_end
         # Out of scope stays Python: the access win, the response timer.
         assert station._countdown._callback.__func__ is DcfMac._access_won
@@ -358,6 +361,45 @@ def test_each_edge_of_each_corner_schedule_is_the_reference_s(corner):
             case = (name, options, schedule[:step], 1, tx, power)
             assert _radio_case("twin", *case) \
                 == _radio_case("reference", *case), (step, name)
+
+
+def _asleep_on_lock(world, rx):
+    """Arm ``rx``'s ``on_state_change`` to put it to sleep, once, as
+    it next locks a frame."""
+    note = rx.on_state_change
+
+    def state_change(value):
+        note(value)
+        if value == "rx":
+            rx.on_state_change = note
+            rx.sleep()
+    rx.on_state_change = state_change
+
+
+#: An ``on_state_change`` callback sends the radio to sleep inside
+#: ``arrival_begins``, after ``_try_lock`` or after the capture's
+#: ``_abort_locked`` and relock: schedule, frame, power.
+ASLEEP = {
+    "asleep on a lock": ([("poke", 1, _asleep_on_lock)], 0, phy_parity.LOCKED),
+    "asleep on a capture relock": (
+        [("begins", 1, 2, phy_parity.LOCKED), ("poke", 1, _asleep_on_lock)],
+        1, 6e-9),
+}
+
+
+@pytest.mark.parametrize("corner", sorted(ASLEEP))
+def test_a_radio_sent_to_sleep_inside_an_edge_senses_nothing(corner):
+    """The edge's CCA verdict is ``Radio.cca_busy``'s on the twin and on
+    the reference: a sleeping radio is not busy, whatever energy its
+    table holds."""
+    schedule, tx, power = ASLEEP[corner]
+    options = {"radios": 2, "capture": "on", "subclass_at": None}
+    case = ("arrival_begins", options, schedule, 1, tx, power)
+    twin = _radio_case("twin", *case)
+    assert twin == _radio_case("reference", *case)
+    _name, state, cca_busy, table = twin[0]["radios"][1][:4]
+    assert (state, cca_busy) == ("sleep", False)
+    assert table, "nothing on the air: the row tests nothing"
 
 
 @pytest.mark.parametrize("odd", sorted(ODD))
