@@ -1,6 +1,6 @@
 /* Compiled event kernel for repro.core.engine.
  *
- * Six things live here, each the C twin of a Python reference that
+ * Seven things live here, each the C twin of a Python reference that
  * stays in the tree and runs whenever the extension is not built or
  * ``kernel="python"`` is asked for:
  *
@@ -48,13 +48,21 @@
  *    ``nav.NAV``).  A
  *    plain ``DcfMac`` hands them to its radio's CCA and reception-end
  *    upcalls, its NAV and its IFS timer.  A frame addressed to the
- *    station or to a group, ``_access_won`` and the transmit path stay
- *    Python: C owns time and energy, Python owns the frames addressed
- *    to it.
+ *    station or to a group, ``_access_won`` and the building of the
+ *    frames a MAC sends stay Python: C owns time and energy, Python
+ *    owns the frames addressed to it.
+ * 6. ``transmit`` / ``_tx_complete`` — the transmit path of ``Radio``
+ *    (the TX state change, ``Medium.transmit``'s frame, plan check and
+ *    fan-out, the raw end entry; at that entry IDLE and
+ *    ``on_tx_end``), served as ``radio._transmit`` — what a
+ *    ``DcfMac`` sends through — and ``radio._tx_done``.  The airtime,
+ *    a plan miss (``_compile_plan``) and a medium not exactly
+ *    ``Medium`` or holding its own ``transmit`` (``MediumProbe``) are
+ *    Python's; so is ``Radio.transmit_energy``.
  *
- * 4 and 5 are exported under their references' ``__name__``: whatever
- * labels a heap entry or an upcall by its callback must not learn which
- * kernel ran.
+ * 4, 5 and 6 are exported under their references' ``__name__``:
+ * whatever labels a heap entry or an upcall by its callback must not
+ * learn which kernel ran.
  *
  * The queue is the one piece of simulation state the extension owns.
  * Everything else stays where the pure-Python code keeps it (the clock,
@@ -125,31 +133,36 @@
  *   an exact ``SinrTracker`` / ``CaptureModel`` / ``BerErrorModel`` /
  *   ``Modulation`` / ``Transmission`` / ``PhyMode`` / ``RadioConfig`` /
  *   ``TraceLog`` / ``TraceDigest``), and reads every field it reads on
- *   them by offset — no field by name beside it.  Anything else is handed to the Python
- *   method *before* the step in question has changed anything: the
- *   whole call for a non-float power, a foreign object, an off-type MAC
- *   field or a tail whose frame, mode or trace sink is not exactly its
- *   class, one step (``_try_lock`` — also for a frame, mode or config
+ *   them by offset — no field by name beside it; an exact ``Medium`` (no
+ *   ``__slots__``) is read through its instance dict.  Anything else is
+ *   handed to the Python method *before* the step in question has
+ *   changed anything: the whole call for a non-float power, a foreign
+ *   object, an off-type MAC field, a tail whose frame, mode or trace
+ *   sink is not exactly its class or a transmit whose mode or trace
+ *   sink is not (or that the reference refuses: TX, SLEEP, a foreign
+ *   mode), one step (``_try_lock`` — also for a frame, mode or config
  *   not exactly its class —, ``_refresh_interference``,
  *   ``should_capture``, ``sinr_db``, ``frame_survives``,
  *   ``packet_error_rate``, ``_update_cca``, ``Nav.set_until``,
- *   ``Counter.incr``) for an off-type field met after the first write;
+ *   ``Counter.incr``, ``Medium.transmit``, ``schedule_fast``) for an
+ *   off-type field met after the first write;
  *   the rare ``_abort_locked``, a fresh backoff draw
  *   (``_backoff_remaining is None``), ``_access_won`` and the trace
  *   record always run in Python.  So the exception a malformed input
  *   raises, and the state it leaves, are the reference's own.
  * - Upcalls (``on_cca_busy`` / ``on_cca_idle`` / ``on_state_change`` /
- *   ``on_rx_end`` / ``_on_expire``, the demux's ``_rate_factory`` and
- *   ``on_snr_measurement``) fire at the same points with the same state
- *   already written — the tail's idle edge *before* ``on_rx_end``, as
- *   in the reference; an exception from one propagates unchanged.  One
+ *   ``on_rx_end`` / ``on_tx_end`` / ``_on_expire``, the demux's
+ *   ``_rate_factory`` and ``on_snr_measurement``) fire at the same
+ *   points with the same state already written — the tail's idle
+ *   edge *before* ``on_rx_end``, as in the reference; an exception from one propagates unchanged.  One
  *   call is skipped by definition: a controller whose class inherits
  *   ``RateController.on_snr_measurement`` — the documented no-op —
  *   is not fed (``IdealSnr`` and every overriding class are).  No borrowed pointer is used across a call
  *   that can run Python: slots are re-read after it, and what must span
  *   it (the table, the upcall, the capture object, the frame, the
- *   tracker) is held by a strong reference.  A holder the tail re-reads
- *   after Python ran (the frame's mode, the trace sink) is checked again;
+ *   tracker) is held by a strong reference.  A holder the tail or a
+ *   transmit re-reads after Python ran (the frame's mode, the trace
+ *   sink; the medium, decided afresh) is checked again;
  *   one rebound meanwhile to another class is a TypeError, as a
  *   ``Radio._sim`` that is no ``Simulator`` is: the step is past handing
  *   off.
@@ -586,20 +599,28 @@ is_sim(PyObject *sim)
         && PyObject_TypeCheck(sim, sim_type);
 }
 
-/* ``sim._heap`` (borrowed) of a simulator this kernel serves; NULL with
- * TypeError for any other — a ``kernel="python"`` simulator keeps the
- * reference list, which only Python code pushes into. */
+/* ``sim._heap`` (borrowed) of a simulator this kernel serves; NULL (no
+ * error set; ``sim_queue``: TypeError) for any other — a
+ * ``kernel="python"`` simulator keeps the reference list, which only
+ * Python code pushes into. */
 static EventQueue *
-sim_queue(PyObject *sim)
+served_queue(PyObject *sim)
 {
     PyObject *heap = is_sim(sim) ? SLOT(sim, off_sim_heap) : NULL;
 
-    if (heap == NULL || Py_TYPE(heap) != &EventQueue_Type) {
+    return heap != NULL && Py_TYPE(heap) == &EventQueue_Type
+        ? (EventQueue *)heap : NULL;
+}
+
+static EventQueue *
+sim_queue(PyObject *sim)
+{
+    EventQueue *queue = served_queue(sim);
+
+    if (queue == NULL)
         PyErr_SetString(PyExc_TypeError, "expected a kernel='c' Simulator "
                         "(one whose _heap is a _ckernel.EventQueue)");
-        return NULL;
-    }
-    return (EventQueue *)heap;
+    return queue;
 }
 
 /* ``sim.<counter> += n`` for the exact-int bookkeeping counters. */
@@ -703,33 +724,24 @@ push_raw(EventQueue *queue, PyObject *time, PyObject *callback,
     return status;
 }
 
-static PyObject *
-ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* Push a compiled plan's arrival edges (engine._fan_out's loop): a raw
+ * ``begins(transmission, rx_power)`` entry at ``now + delay`` and a raw
+ * ``ends(transmission)`` entry at ``now + (delay + duration)`` per
+ * ``(begins, ends, rx_power, delay)`` entry, then ``sim._scheduled +=
+ * 2 * len(entries)``.  The caller holds ``now`` and the queue.  0 or
+ * -1. */
+static int
+fan_out(PyObject *sim, EventQueue *queue, PyObject *plan,
+        PyObject *transmission, PyObject *duration, PyObject *now)
 {
-    PyObject *sim, *transmission, *duration;
-    PyObject *now, *entries = NULL, *ends_args = NULL;
-    EventQueue *queue;
-    Py_ssize_t i, n = 0;
-    int failed = 1;
+    PyObject *entries, *ends_args = NULL;
+    Py_ssize_t i, n;
+    int status = -1;
 
-    if (nargs != 4 && nargs != 5) {
-        PyErr_SetString(PyExc_TypeError, "fan_out(sim, entries, "
-                        "transmission, duration[, start])");
-        return NULL;
-    }
-    sim = args[0];
-    transmission = args[2];
-    duration = args[3];
-    if ((queue = sim_queue(sim)) == NULL
-            || (now = nargs == 5 && args[4] != Py_None ? args[4]
-                : slot_get(sim, off_sim_now, "_now")) == NULL)
-        return NULL;
-    Py_INCREF(now);
-    Py_INCREF(queue);
-    entries = PySequence_Fast(args[1], "fan_out() needs a sequence of "
+    entries = PySequence_Fast(plan, "fan_out() needs a sequence of "
                               "(begins, ends, rx_power, delay) entries");
     if (entries == NULL)
-        goto done;
+        return -1;
     /* Every arrival_ends call takes the same arguments; one tuple. */
     if ((ends_args = PyTuple_Pack(1, transmission)) == NULL)
         goto done;
@@ -737,7 +749,7 @@ ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (i = 0; i < n; i++) {
         PyObject *entry = PySequence_Fast_GET_ITEM(entries, i);
         PyObject *delay, *begins_args, *tail;
-        int status;
+        int pushed;
 
         /* Plans hold tuples; anything else fails as unpacking would. */
         if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
@@ -752,29 +764,51 @@ ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                                    PyTuple_GET_ITEM(entry, 2));
         if (begins_args == NULL)
             goto done;
-        status = push_raw(queue, num_add(now, delay),
+        pushed = push_raw(queue, num_add(now, delay),
                           PyTuple_GET_ITEM(entry, 0), begins_args);
         Py_DECREF(begins_args);
-        if (status < 0)
+        if (pushed < 0)
             goto done;
         /* now + (delay + duration), NOT (now + delay) + duration: the
          * ulp between them reorders CCA edges. */
         if ((tail = num_add(delay, duration)) == NULL)
             goto done;
-        status = push_raw(queue, num_add(now, tail),
+        pushed = push_raw(queue, num_add(now, tail),
                           PyTuple_GET_ITEM(entry, 1), ends_args);
         Py_DECREF(tail);
-        if (status < 0)
+        if (pushed < 0)
             goto done;
     }
-    if (counter_add(sim, off_sim_scheduled, "_scheduled", 2 * n) == 0)
-        failed = 0;
+    status = counter_add(sim, off_sim_scheduled, "_scheduled", 2 * n);
 done:
     Py_XDECREF(ends_args);
-    Py_XDECREF(entries);
+    Py_DECREF(entries);
+    return status;
+}
+
+static PyObject *
+ck_fan_out(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *sim, *now;
+    EventQueue *queue;
+    int status;
+
+    if (nargs != 4 && nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "fan_out(sim, entries, "
+                        "transmission, duration[, start])");
+        return NULL;
+    }
+    sim = args[0];
+    if ((queue = sim_queue(sim)) == NULL
+            || (now = nargs == 5 && args[4] != Py_None ? args[4]
+                : slot_get(sim, off_sim_now, "_now")) == NULL)
+        return NULL;
+    Py_INCREF(now);
+    Py_INCREF(queue);
+    status = fan_out(sim, queue, args[1], args[2], args[3], now);
     Py_DECREF(queue);
     Py_DECREF(now);
-    if (failed)
+    if (status < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -788,11 +822,15 @@ static PyTypeObject *capture_type = NULL, *config_type = NULL;
 static PyTypeObject *tx_type = NULL, *phymode_type = NULL;
 static PyTypeObject *trace_type = NULL, *digest_type = NULL;
 static PyObject *st_idle, *st_rx, *st_tx, *st_sleep;  /* RadioState members */
-static PyObject *st_rx_value, *st_idle_value;         /* their .value */
+static PyObject *st_rx_value, *st_idle_value, *st_tx_value;  /* .value */
 static PyObject *builtin_sum;
 static PyObject *float_zero;
 /* The exact classes whose PER the reception tail computes itself. */
 static PyTypeObject *ber_type = NULL, *modulation_type = NULL;
+/* What the transmit twin sends through and times the frame with. */
+static PyTypeObject *medium_type = NULL;
+static PyObject *int_zero, *int_one;
+static PyObject *tx_ids;  /* Transmission._ids */
 
 static PyObject *s_now, *s_values, *s_should_capture;
 static PyObject *s_abort_locked, *s_try_lock, *s_refresh_interference;
@@ -805,6 +843,10 @@ static PyObject *s_phy_rx_end, *s_rx_verdict, *s_incr;
 static PyObject *s_rx_corrupt, *s_nav_updates, *s_set_until, *s_until;
 static PyObject *s_push, *s_pop, *s_next_seq, *s_arm, *s_fan_out;
 static PyObject *s_standard, *s_on_snr_measurement;
+static PyObject *s_transmit, *s_tx_complete, *s_sim, *s_plans;
+static PyObject *s_plan_hits, *s_plan_misses, *s_compile_plan;
+static PyObject *s_frame_airtime, *s_schedule_fast;
+static PyObject *s_trace_tx_start;
 
 static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
 static Py_ssize_t off_r_locked_power, off_r_locked_tracker, off_r_cca_busy;
@@ -813,10 +855,14 @@ static Py_ssize_t off_r_noise, off_r_config, off_r_decodable, off_r_sim;
 static Py_ssize_t off_r_rx_timer, off_r_tracker, off_r_on_cca_busy;
 static Py_ssize_t off_r_on_cca_idle, off_r_on_state_change;
 static Py_ssize_t off_r_on_rx_end, off_r_error_model, off_r_rng, off_r_trace;
+static Py_ssize_t off_r_medium, off_r_standard, off_r_position;
+static Py_ssize_t off_r_channel, off_r_tx_power, off_r_tx_modes;
+static Py_ssize_t off_r_tx_epoch, off_r_tx_done, off_r_on_tx_end;
 static Py_ssize_t off_s_signal, off_s_noise, off_s_start, off_s_last;
 static Py_ssize_t off_s_current, off_s_energy;
 static Py_ssize_t off_tx_mode, off_tx_duration, off_tx_size_bits;
 static Py_ssize_t off_tx_payload, off_pm_name, off_pm_modulation;
+static Py_ssize_t off_tx_id, off_tx_sender, off_tx_power, off_tx_start;
 static Py_ssize_t off_cap_enabled, off_cap_threshold, off_cfg_preamble;
 static Py_ssize_t off_tl_enabled, off_td_enabled;
 /* Modulation's (processing_gain_db, coding_gain_db, bits_per_symbol,
@@ -851,15 +897,24 @@ is_float(PyObject *value)
     return value != NULL && PyFloat_CheckExact(value);
 }
 
-/* Comparison with the exact-float fast path; 1/0/-1. */
+/* ``a >= b``, ``a == b`` or ``a < b`` with the exact-float fast path;
+ * 1/0/-1.  Not RichCompareBool: its identity test makes NaN equal
+ * itself. */
 static int
 num_cmp(PyObject *a, PyObject *b, int op)
 {
+    PyObject *result;
+    int truth;
+
     if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
         double da = PyFloat_AS_DOUBLE(a), db = PyFloat_AS_DOUBLE(b);
-        return op == Py_GE ? da >= db : da < db;
+        return op == Py_GE ? da >= db : op == Py_EQ ? da == db : da < db;
     }
-    return PyObject_RichCompareBool(a, b, op);
+    if ((result = PyObject_RichCompare(a, b, op)) == NULL)
+        return -1;
+    truth = PyObject_IsTrue(result);
+    Py_DECREF(result);
+    return truth;
 }
 
 /* units.linear_to_db: libm's log10 is what math.log10 calls for a
@@ -1243,17 +1298,21 @@ table_busy(PyObject *radio, PyObject *arrivals)
 
 /* Radio._update_cca: the verdict of Radio.cca_busy — TX and RX are
  * busy, a sleeping radio senses nothing, any other state asks the
- * table — then the flag flip and its upcall.  0 or -1. */
+ * table as it is now (the method asks one not exactly a dict) — then
+ * the flag flip and its upcall.  0 or -1. */
 static int
-cca_tail(PyObject *self, PyObject *arrivals)
+cca_tail(PyObject *self)
 {
     PyObject *state = SLOT(self, off_r_state), *was;
+    PyObject *arrivals = SLOT(self, off_r_arrivals);
     int busy, differs;
 
     if (state == st_tx || state == st_rx)
         busy = 1;
     else if (state == st_sleep)
         busy = 0;
+    else if (arrivals == NULL || !PyDict_CheckExact(arrivals))
+        return run_reference(self, s_update_cca, NULL, NULL);
     else if ((busy = table_busy(self, arrivals)) < 0)
         return -1;
     /* busy != self._cca_busy; identical objects — every edge that
@@ -1328,11 +1387,11 @@ ck_arrival_begins(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         else if (refresh_interference(self) < 0)
             goto done;
-        status = cca_tail(self, arrivals);
+        status = cca_tail(self);
     }
     else if (state != st_idle
              || try_lock(self, arrivals, transmission, power) == 0)
-        status = cca_tail(self, arrivals);
+        status = cca_tail(self);
 done:
     Py_DECREF(arrivals);
     if (status < 0)
@@ -1365,7 +1424,7 @@ ck_arrival_ends(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     locked = SLOT(self, off_r_locked);
     if (locked == Py_None || locked == transmission
             || refresh_interference(self) == 0)
-        status = cca_tail(self, arrivals);
+        status = cca_tail(self);
 done:
     Py_DECREF(arrivals);
     if (status < 0)
@@ -1581,10 +1640,10 @@ frame_survives(PyObject *self, PyObject *transmission, PyObject *snr)
     return verdict;
 }
 
-/* ``if self._trace.enabled: self._trace_rx_end(...)``; 0 or -1. */
+/* ``self._trace.enabled`` of the sink a compiled step began with; 1, 0
+ * or -1. */
 static int
-trace_rx_end(PyObject *self, PyObject *now, PyObject *transmission,
-             PyObject *success, PyObject *snr)
+trace_on(PyObject *self)
 {
     Py_ssize_t off = sink_enabled(SLOT(self, off_r_trace));
     PyObject *enabled;
@@ -1593,7 +1652,7 @@ trace_rx_end(PyObject *self, PyObject *now, PyObject *transmission,
     /* As ``still_exact``: a sink rebound since the step began. */
     if (off == 0) {
         PyErr_SetString(PyExc_TypeError, "Radio._trace was rebound during "
-                        "a reception tail; it must stay a TraceLog or a "
+                        "a compiled step; it must stay a TraceLog or a "
                         "TraceDigest");
         return -1;
     }
@@ -1603,6 +1662,16 @@ trace_rx_end(PyObject *self, PyObject *now, PyObject *transmission,
     Py_INCREF(enabled);
     traced = flag_is_true(enabled);
     Py_DECREF(enabled);
+    return traced;
+}
+
+/* ``if self._trace.enabled: self._trace_rx_end(...)``; 0 or -1. */
+static int
+trace_rx_end(PyObject *self, PyObject *now, PyObject *transmission,
+             PyObject *success, PyObject *snr)
+{
+    int traced = trace_on(self);
+
     if (traced <= 0)
         return traced;
     return discard(PyObject_CallMethodObjArgs(self, s_trace_rx_end, now,
@@ -1642,7 +1711,7 @@ rx_end_upcall(PyObject *self, PyObject *transmission, PyObject *success,
 static PyObject *
 ck_reception_complete(PyObject *module, PyObject *self)
 {
-    PyObject *transmission, *tracker, *arrivals;
+    PyObject *transmission, *tracker;
     PyObject *now = NULL, *snr = NULL, *success = NULL;
     int status = -1;
 
@@ -1674,10 +1743,7 @@ ck_reception_complete(PyObject *module, PyObject *self)
             || trace_rx_end(self, now, transmission, success, snr) < 0)
         goto done;
     /* Radio._update_cca: its idle upcall fires before on_rx_end. */
-    arrivals = SLOT(self, off_r_arrivals);
-    if ((arrivals == NULL || !PyDict_CheckExact(arrivals)
-            ? run_reference(self, s_update_cca, NULL, NULL)
-            : cca_tail(self, arrivals)) < 0)
+    if (cca_tail(self) < 0)
         goto done;
     status = rx_end_upcall(self, transmission, success, snr);
 done:
@@ -1687,6 +1753,220 @@ done:
     Py_DECREF(tracker);
     Py_DECREF(transmission);
     if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* --- the transmit path (C twins of Radio.transmit / _tx_complete) ---- */
+
+/* ``medium.<name> += 1`` in its instance dict; 0 or -1. */
+static int
+dict_incr(PyObject *dict, PyObject *name)
+{
+    PyObject *count = Py_XNewRef(PyDict_GetItemWithError(dict, name));
+    PyObject *bumped = NULL;
+    int status = -1;
+
+    if (count == NULL && !PyErr_Occurred())
+        PyErr_SetObject(PyExc_AttributeError, name);
+    if (count != NULL && (bumped = PyNumber_InPlaceAdd(count, int_one)))
+        status = PyDict_SetItem(dict, name, bumped);
+    Py_XDECREF(bumped);
+    Py_XDECREF(count);
+    return status;
+}
+
+/* ``self.medium.transmit(self, payload, size_bits, mode, duration,
+ * self.tx_power_watts)``.  On exactly a ``Medium`` of a compiled
+ * simulator with no ``transmit`` of its own (``MediumProbe`` wraps one
+ * in), its statements over its instance dict: the frame built by
+ * offset, its id the next of ``Transmission._ids``; the plan checked
+ * against the sender's position and power and counted, a miss compiled
+ * by ``_compile_plan``; the fan-out.  Any other medium's ``transmit``
+ * is called.  0 or -1. */
+static int
+medium_transmit(PyObject *self, PyObject *payload, PyObject *size_bits,
+                PyObject *mode, PyObject *duration)
+{
+    PyObject *medium, *power, *dict = NULL, *sim = NULL, *plans = NULL;
+    PyObject *now = NULL, *channel = NULL, *id, *tx = NULL, *plan = NULL;
+    PyObject *entries = NULL;
+    EventQueue *queue;
+    int status = -1, hit = 0;
+
+    if ((medium = Py_XNewRef(slot_get(self, off_r_medium, "medium"))) == NULL)
+        return -1;
+    if ((power = Py_XNewRef(slot_get(self, off_r_tx_power,
+                                     "tx_power_watts"))) == NULL)
+        goto done;
+    if (Py_TYPE(medium) == medium_type
+            && (dict = PyObject_GenericGetDict(medium, NULL)) != NULL) {
+        sim = Py_XNewRef(PyDict_GetItemWithError(dict, s_sim));
+        plans = Py_XNewRef(PyDict_GetItemWithError(dict, s_plans));
+    }
+    if (plans == NULL || !PyDict_CheckExact(plans) || !served_queue(sim)
+            || PyDict_GetItemWithError(dict, s_transmit) || PyErr_Occurred()) {
+        if (!PyErr_Occurred())
+            status = discard(PyObject_CallMethodObjArgs(
+                medium, s_transmit, self, payload, size_bits, mode, duration,
+                power, NULL));
+        goto done;
+    }
+    if ((now = Py_XNewRef(slot_get(sim, off_sim_now, "_now"))) == NULL
+            || (channel = Py_XNewRef(slot_get(self, off_r_channel,
+                                              "_channel_id"))) == NULL
+            || (id = PyIter_Next(tx_ids)) == NULL)
+        goto done;
+    if ((tx = tx_type->tp_alloc(tx_type, 0)) != NULL) {
+        slot_set(tx, off_tx_id, id);
+        slot_set(tx, off_tx_sender, self);
+        slot_set(tx, off_tx_payload, payload);
+        slot_set(tx, off_tx_size_bits, size_bits);
+        slot_set(tx, off_tx_mode, mode);
+        slot_set(tx, off_tx_power, power);
+        slot_set(tx, off_tx_start, now);
+        slot_set(tx, off_tx_duration, duration);
+    }
+    Py_DECREF(id);
+    /* A plan is the (position, power, entries) tuple _compile_plan
+     * stores; any other value is compiled over. */
+    plan = Py_XNewRef(PyDict_GetItemWithError(plans, self));
+    if (tx == NULL || PyErr_Occurred()
+            || (plan != NULL && PyTuple_CheckExact(plan)
+                && PyTuple_GET_SIZE(plan) == 3
+                && PyTuple_GET_ITEM(plan, 0) == SLOT(self, off_r_position)
+                && (hit = num_cmp(PyTuple_GET_ITEM(plan, 1), power, Py_EQ))
+                   < 0))
+        goto done;
+    if (!hit)
+        Py_XSETREF(plan, PyObject_CallMethodObjArgs(
+            medium, s_compile_plan, self, channel, power, NULL));
+    if (plan != NULL && dict_incr(dict, hit ? s_plan_hits : s_plan_misses) == 0
+            && (entries = PySequence_GetItem(plan, 2)) != NULL
+            && (queue = sim_queue(sim)) != NULL) {
+        Py_INCREF(queue);
+        status = fan_out(sim, queue, entries, tx, duration, now);
+        Py_DECREF(queue);
+    }
+done:
+    Py_XDECREF(entries);
+    Py_XDECREF(plan);
+    Py_XDECREF(tx);
+    Py_XDECREF(channel);
+    Py_XDECREF(now);
+    Py_XDECREF(plans);
+    Py_XDECREF(sim);
+    Py_XDECREF(dict);
+    Py_XDECREF(power);
+    Py_DECREF(medium);
+    return status;
+}
+
+/* ``self._sim.schedule_fast(duration, self._tx_done, self._tx_epoch)``:
+ * ``_scheduled += 1`` and the raw entry ``(now + duration, seq, None,
+ * _tx_done, (epoch,))``, or the method for a delay it rejects or a
+ * simulator this kernel does not serve.  0 or -1. */
+static int
+tx_end_entry(PyObject *self, PyObject *duration)
+{
+    PyObject *sim, *callback, *epoch, *args, *now;
+    EventQueue *queue;
+    double delay = is_float(duration) ? PyFloat_AS_DOUBLE(duration) : -1.0;
+    int status = -1;
+
+    if ((sim = slot_get(self, off_r_sim, "_sim")) == NULL
+            || (callback = slot_get(self, off_r_tx_done, "_tx_done")) == NULL
+            || (epoch = slot_get(self, off_r_tx_epoch, "_tx_epoch")) == NULL
+            || (args = PyTuple_Pack(1, epoch)) == NULL)
+        return -1;
+    Py_INCREF(sim);
+    Py_INCREF(callback);
+    if ((queue = served_queue(sim)) == NULL
+            || !(0.0 <= delay && delay < Py_HUGE_VAL))
+        status = discard(PyObject_CallMethodObjArgs(
+            sim, s_schedule_fast, duration, callback,
+            PyTuple_GET_ITEM(args, 0), NULL));
+    else if ((now = slot_get(sim, off_sim_now, "_now")) != NULL
+             && counter_add(sim, off_sim_scheduled, "_scheduled", 1) == 0) {
+        Py_INCREF(queue);
+        status = push_raw(queue, num_add(now, duration), callback, args);
+        Py_DECREF(queue);
+    }
+    Py_DECREF(callback);
+    Py_DECREF(sim);
+    Py_DECREF(args);
+    return status;
+}
+
+static PyObject *
+ck_transmit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *self, *mode, *state, *name, *names, *standard, *duration;
+    int known = 0, traced;
+
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "transmit(radio, payload, size_bits, mode)");
+        return NULL;
+    }
+    self = args[0];
+    mode = args[3];
+    /* The one guard: a radio, mode or trace sink not exactly its class,
+     * or a state or mode the reference refuses, is the reference's whole
+     * call, before anything is written. */
+    if (canonical_table(self) != NULL && Py_TYPE(mode) == phymode_type
+            && (state = SLOT(self, off_r_state)) != st_tx
+            && state != st_sleep && sink_enabled(SLOT(self, off_r_trace))
+            && (name = SLOT(mode, off_pm_name)) != NULL
+            && PyUnicode_CheckExact(name)
+            && (names = SLOT(self, off_r_tx_modes)) != NULL
+            && PyAnySet_CheckExact(names)
+            && (known = PySet_Contains(names, name)) < 0)
+        return NULL;
+    if (known <= 0)
+        return PyObject_VectorcallMethod(s_transmit, args, nargs, NULL);
+    /* Transmitting aborts any in-progress reception (half duplex). */
+    if ((SLOT(self, off_r_locked) != Py_None
+            && run_reference(self, s_abort_locked, NULL, NULL) < 0)
+            || set_state(self, st_tx, st_tx_value) < 0 || cca_tail(self) < 0
+            || (standard = slot_get(self, off_r_standard, "standard")) == NULL
+            || (duration = PyObject_CallMethodObjArgs(
+                    standard, s_frame_airtime, args[2], mode, NULL)) == NULL)
+        return NULL;
+    if (medium_transmit(self, args[1], args[2], mode, duration) < 0
+            || tx_end_entry(self, duration) < 0
+            || (traced = trace_on(self)) < 0
+            || (traced && discard(PyObject_CallMethodObjArgs(
+                    self, s_trace_tx_start, args[2], mode, NULL)) < 0))
+        Py_CLEAR(duration);
+    return duration;
+}
+
+static PyObject *
+ck_tx_complete(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *self, *current;
+    int differs;
+
+    if (nargs != 1 && nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_tx_complete(radio[, epoch])");
+        return NULL;
+    }
+    self = args[0];
+    if (canonical_table(self) == NULL)
+        return PyObject_VectorcallMethod(s_tx_complete, args, nargs, NULL);
+    /* epoch != self._tx_epoch: a power_off() mid-burst already tore the
+     * transmission down; its stale end drains out.  (Identical epochs
+     * are equal without a call, as in cca_tail.) */
+    if ((current = Py_XNewRef(slot_get(self, off_r_tx_epoch, "_tx_epoch")))
+            == NULL)
+        return NULL;
+    differs = PyObject_RichCompareBool(nargs == 2 ? args[1] : int_zero,
+                                       current, Py_NE);
+    Py_DECREF(current);
+    if (differs < 0 || (!differs && (
+            set_state(self, st_idle, st_idle_value) < 0 || cca_tail(self) < 0
+            || upcall(self, off_r_on_tx_end, "on_tx_end", NULL) < 0)))
         return NULL;
     Py_RETURN_NONE;
 }
@@ -2607,7 +2887,13 @@ static const struct slot_spec radio_slots[] = {
     {"on_cca_idle", &off_r_on_cca_idle},
     {"on_state_change", &off_r_on_state_change},
     {"on_rx_end", &off_r_on_rx_end}, {"error_model", &off_r_error_model},
-    {"_rng", &off_r_rng}, {"_trace", &off_r_trace}, {NULL, NULL}};
+    {"_rng", &off_r_rng}, {"_trace", &off_r_trace},
+    {"medium", &off_r_medium}, {"standard", &off_r_standard},
+    {"_position", &off_r_position}, {"_channel_id", &off_r_channel},
+    {"tx_power_watts", &off_r_tx_power},
+    {"_tx_mode_names", &off_r_tx_modes}, {"_tx_epoch", &off_r_tx_epoch},
+    {"_tx_done", &off_r_tx_done}, {"on_tx_end", &off_r_on_tx_end},
+    {NULL, NULL}};
 static const struct slot_spec tracker_slots[] = {
     {"signal_watts", &off_s_signal}, {"noise_watts", &off_s_noise},
     {"_start", &off_s_start}, {"_last_time", &off_s_last},
@@ -2616,6 +2902,8 @@ static const struct slot_spec tracker_slots[] = {
 static const struct slot_spec transmission_slots[] = {
     {"mode", &off_tx_mode}, {"duration", &off_tx_duration},
     {"size_bits", &off_tx_size_bits}, {"payload", &off_tx_payload},
+    {"id", &off_tx_id}, {"sender", &off_tx_sender},
+    {"power_watts", &off_tx_power}, {"start_time", &off_tx_start},
     {NULL, NULL}};
 static const struct slot_spec mode_slots[] = {
     {"name", &off_pm_name}, {"modulation", &off_pm_modulation},
@@ -2683,11 +2971,14 @@ static const struct member phy_set[] = {
     {"RadioConfig", KEEP(config_type), M_TYPE, config_slots},
     {"TraceLog", KEEP(trace_type), M_TYPE, tracelog_slots},
     {"TraceDigest", KEEP(digest_type), M_TYPE, digest_slots},
+    {"Transmission._ids", &tx_ids, M_OBJECT, NULL},
+    {"Medium", KEEP(medium_type), M_TYPE, NULL},
     {"IDLE", &st_idle, M_OBJECT, NULL},
     {"RX", &st_rx, M_OBJECT, NULL}, {"TX", &st_tx, M_OBJECT, NULL},
     {"SLEEP", &st_sleep, M_OBJECT, NULL},
     {"RX.value", &st_rx_value, M_OBJECT, NULL},
     {"IDLE.value", &st_idle_value, M_OBJECT, NULL},
+    {"TX.value", &st_tx_value, M_OBJECT, NULL},
     {NULL, NULL, 0, NULL}};
 static const struct member mac_set[] = {
     {"DcfMac", KEEP(mac_type), M_TYPE, mac_slots},
@@ -2806,6 +3097,12 @@ static PyMethodDef ck_methods[] = {
     {"_reception_complete", ck_reception_complete, METH_O,
      "_reception_complete(radio): compiled twin of\n"
      "Radio._reception_complete (repro.core.binding binds it)."},
+    {"transmit", (PyCFunction)(void (*)(void))ck_transmit, METH_FASTCALL,
+     "transmit(radio, payload, size_bits, mode): compiled twin of\n"
+     "Radio.transmit (repro.core.binding binds it)."},
+    {"_tx_complete", (PyCFunction)(void (*)(void))ck_tx_complete,
+     METH_FASTCALL,
+     "_tx_complete(radio, epoch=0): compiled twin of Radio._tx_complete."},
     {"_maybe_start_ifs", ck_maybe_start_ifs, METH_O,
      "_maybe_start_ifs(mac): compiled twin of DcfMac._maybe_start_ifs."},
     {"_cancel_access_timers", ck_cancel_access_timers, METH_O,
@@ -2859,7 +3156,13 @@ PyInit__ckernel(void)
         {&s_standard, "standard"},
         {&s_on_snr_measurement, "on_snr_measurement"}, {&s_push, "push"},
         {&s_pop, "pop"}, {&s_next_seq, "next_seq"}, {&s_arm, "arm"},
-        {&s_fan_out, "fan_out"}};
+        {&s_fan_out, "fan_out"}, {&s_transmit, "transmit"},
+        {&s_tx_complete, "_tx_complete"}, {&s_sim, "sim"},
+        {&s_plans, "_plans"}, {&s_plan_hits, "plan_hits"},
+        {&s_plan_misses, "plan_misses"}, {&s_compile_plan, "_compile_plan"},
+        {&s_frame_airtime, "frame_airtime"},
+        {&s_schedule_fast, "schedule_fast"},
+        {&s_trace_tx_start, "_trace_tx_start"}};
     size_t i;
 
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
@@ -2867,6 +3170,8 @@ PyInit__ckernel(void)
                 = PyUnicode_InternFromString(names[i].text)) == NULL)
             return NULL;
     if ((float_zero = PyFloat_FromDouble(0.0)) == NULL
+            || (int_zero = PyLong_FromLong(0)) == NULL
+            || (int_one = PyLong_FromLong(1)) == NULL
             || (builtin_sum = PyMapping_GetItemString(PyEval_GetBuiltins(),
                                                       "sum")) == NULL)
         return NULL;
@@ -2877,7 +3182,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 11) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 12) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

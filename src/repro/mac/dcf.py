@@ -35,7 +35,9 @@ its NAV, its IFS timer and its own call sites
 the corrupt and the overheard frame itself — both read the per-frame
 :attr:`~repro.mac.frames.Dot11Frame.rx_verdict` — and is this method for
 every frame addressed to the station: Python owns the frames addressed
-to it.  The busy verdict is :meth:`Radio.cca_busy
+to it.  Every frame the MAC sends goes through its radio's served
+``transmit`` (``radio._transmit``): on the compiled kernel a plain
+radio puts it on the air in C.  The busy verdict is :meth:`Radio.cca_busy
 <repro.phy.transceiver.Radio.cca_busy>`: its ``sum(arrivals.values())``
 is what the twins' C fold is held to (``_ckernel.table_fold``).  The transmit
 path sizes every fragment of an MSDU once, by arithmetic, as its context
@@ -617,7 +619,8 @@ class DcfMac:
                         continuation: Callable[[], None]) -> None:
         self._freeze(self)
         self._tx_continuation = continuation
-        self.radio.transmit(frame, bits, mode)
+        radio = self.radio
+        radio._transmit(radio, frame, bits, mode)
 
     # ------------------------------------------------------- PHY upcalls
 
@@ -735,12 +738,13 @@ class DcfMac:
         self._schedule_response(ack)
 
     def _transmit_response(self, frame: Dot11Frame) -> None:
-        state = self.radio._state
+        radio = self.radio
+        state = radio._state
         if state is RadioState.TX or state is RadioState.SLEEP:
             return  # mid-transmission or dozed off: drop the response
         self._freeze(self)
         self._tx_continuation = None
-        self.radio.transmit(frame, frame.wire_size_bits(), self._basic_mode)
+        radio._transmit(radio, frame, frame.wire_size_bits(), self._basic_mode)
 
     # ---------------------------------------------------------------- data rx
 

@@ -176,10 +176,6 @@ class ShardMedium(Medium):
                 f"t={sim._now!r} (lookahead violation)")
         transmission = Transmission(ghost, None, 0, ENERGY_ONLY, power,
                                     start, duration)
-        active = self._active.get(channel)
-        if active is None:
-            active = self._active[channel] = []
-        active.append(transmission)
         sim._fan_out(sim, plan[2], transmission, duration, start)
         self.boundary_injected += 1
         return transmission

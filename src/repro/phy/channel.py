@@ -35,7 +35,11 @@ Receive edges follow the simulator's kernel: each radio binds its
 ``kernel="c"`` a plain :class:`Radio`'s fan-out entries (its ``_edges``)
 and reception-end timer fire the compiled twins of ``arrival_begins`` /
 ``arrival_ends`` / ``_reception_complete``; otherwise the Python
-methods, their reference.
+methods, their reference.  So does the transmit side: there a plain
+radio's ``transmit`` twin runs :meth:`Medium.transmit`'s statements
+itself on a medium that is exactly this class and holds no
+``transmit`` of its own, compiling a missed plan through
+:meth:`Medium._compile_plan`; any other medium's ``transmit`` is called.
 """
 
 from __future__ import annotations
@@ -171,11 +175,6 @@ class Medium:
         hundred nanoseconds at WLAN scale, microseconds at WiMAX scale).
     """
 
-    #: Every N-th transmit prunes expired entries from the per-channel
-    #: active lists (amortized out of the hot path; the lists stay
-    #: bounded by live-transmissions + GC_STRIDE).
-    GC_STRIDE = 64
-
     def __init__(self, sim: Simulator, propagation: PropagationModel,
                  reception_floor_dbm: float = -110.0,
                  propagation_delay: bool = True):
@@ -185,8 +184,6 @@ class Medium:
         self.propagation_delay = propagation_delay
         self.links = LinkCache()
         self._radios: List[Radio] = []
-        self._active: Dict[int, List[Transmission]] = {}
-        self._gc_countdown = self.GC_STRIDE
         # Per-channel fan-out lists: ``(radio, arrival_begins,
         # arrival_ends)`` with the bound methods pre-resolved (attach
         # order preserved, so the arrival fan-out visits receivers in
@@ -291,30 +288,6 @@ class Medium:
         return [radio for radio, _begins, _ends
                 in self._channel_members(channel_id)]
 
-    def active_transmissions(self, channel_id: int) -> List[Transmission]:
-        """Transmissions currently on the air on a channel."""
-        now = self.sim.now
-        active = self._active.get(channel_id, [])
-        alive = [tx for tx in active if tx.end_time > now]
-        self._active[channel_id] = alive
-        return list(alive)
-
-    def _gc_active(self) -> None:
-        """Prune expired transmissions from every per-channel list.
-
-        Runs every :attr:`GC_STRIDE` transmits instead of on each one:
-        the lists only feed diagnostics (:meth:`active_transmissions`
-        prunes on read anyway), so the hot path should not pay a full
-        list scan per frame.  Between strides a list holds at most
-        live-transmissions + GC_STRIDE entries, so growth stays bounded.
-        """
-        self._gc_countdown = self.GC_STRIDE
-        now = self.sim._now
-        for channel_id, active in self._active.items():
-            alive = [tx for tx in active if tx.end_time > now]
-            if len(alive) != len(active):
-                self._active[channel_id] = alive
-
     # --- transmission fan-out ------------------------------------------------
 
     def _compile_plan(self, sender: Radio, channel: int, power_watts: float
@@ -359,13 +332,6 @@ class Medium:
         channel = sender._channel_id
         transmission = Transmission(sender, payload, size_bits, mode,
                                     power_watts, now, duration)
-        active = self._active.get(channel)
-        if active is None:
-            active = self._active[channel] = []
-        active.append(transmission)
-        self._gc_countdown -= 1
-        if self._gc_countdown <= 0:
-            self._gc_active()
         # Compiled fan-out: the floor cull and link-budget lookups
         # happened at compile time, so the hot path is one call of the
         # kernel's fan-out primitive over the flat plan.  The plan is

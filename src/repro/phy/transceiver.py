@@ -19,8 +19,12 @@ co-channel radio) does a single attribute load and call.
 :meth:`Radio.arrival_begins`, :meth:`Radio.arrival_ends` (with
 ``_try_lock``, the capture test, ``_refresh_interference`` and
 ``_update_cca``) and :meth:`Radio._reception_complete` are the
-*reference* receive path; :data:`RADIO` is their binding table.  On a
-C-kernel simulator a plain radio binds itself through
+*reference* receive path, :meth:`Radio.transmit` (with the plan-hit path
+of ``Medium.transmit``) and :meth:`Radio._tx_complete` the reference
+transmit path; :data:`RADIO` is their binding table.  A MAC sends
+through ``radio._transmit(radio, ...)`` and a transmission's end entry
+fires ``radio._tx_done``: the served ``transmit`` and ``_tx_complete``.
+On a C-kernel simulator a plain radio binds itself through
 ``repro.core.binding.bind`` to their compiled twins in
 ``repro.core._ckernel`` — the same statements
 over the same ``__slots__``, the frame's (:class:`~repro.phy.channel.Transmission`),
@@ -31,9 +35,13 @@ back to the method here: an aborted lock, an off-type field, an error
 model not exactly ``BerErrorModel``, the trace record, and any of those
 frames, modes or holders not exactly its class (``_try_lock`` for the
 frame, mode or config, the capture test for the capture model, the PER
-for the modulation, the whole tail for the frame, mode or trace sink).  A change to these methods changes what
-``tests/phy/test_edge_parity.py``, ``tests/phy/test_per_twin.py`` and
-``tests/test_slot_differential.py`` hold both to.
+for the modulation, the whole tail for the frame, mode or trace sink,
+the whole transmit for the mode, size or trace sink, and for a state or
+mode this method refuses; the medium's own ``transmit`` for a medium
+not exactly ``Medium`` or holding a ``transmit`` of its own, and
+``_compile_plan`` for a plan miss).  A change to these methods changes
+what ``tests/phy/test_edge_parity.py``, ``tests/phy/test_per_twin.py``
+and ``tests/test_slot_differential.py`` hold both to.
 ``sum(self._arrivals.values())`` here is the reference for every table
 sum there: the twins fold the values in C, in whichever way returns this
 interpreter's ``sum()`` bit for bit (``_ckernel.table_fold``;
@@ -92,7 +100,8 @@ class Radio:
                  "_noise_watts", "_cca_threshold_watts", "decodable_modes",
                  "_tx_mode_names", "_arrivals", "_locked", "_locked_power",
                  "_locked_tracker", "_cca_busy", "_sim", "_rng", "_trace",
-                 "_rx_timer", "_capture", "_tracker", "_tx_epoch")
+                 "_rx_timer", "_capture", "_tracker", "_tx_epoch",
+                 "_transmit", "_tx_done")
 
     def __init__(self, name: str, medium: "Medium", standard: PhyStandard,
                  position: Position, channel_id: int = 1,
@@ -141,6 +150,11 @@ class Radio:
         #: ``(radio, arrival_begins, arrival_ends)``: the medium's fan-out.
         self._edges = (self, slots["arrival_begins"], slots["arrival_ends"])
         self._rx_timer = Timer(medium.sim, slots["_reception_complete"])
+        #: What a MAC sends through, ``radio._transmit(radio, ...)``: the
+        #: served ``transmit`` held unbound (see ``DcfMac._start_ifs``).
+        self._transmit = slots["transmit"].__func__
+        #: What a transmission's end entry fires: the served ``_tx_complete``.
+        self._tx_done = slots["_tx_complete"]
         self._capture = self.config.capture
         # Pre-allocated SINR tracker, reset per lock (a radio locks at
         # most one frame at a time; the per-lock allocation showed up
@@ -226,12 +240,16 @@ class Radio:
         duration = self.standard.frame_airtime(size_bits, mode)
         self.medium.transmit(self, payload, size_bits, mode, duration,
                              self.tx_power_watts)
-        self._sim.schedule_fast(duration, self._tx_complete, self._tx_epoch)
+        self._sim.schedule_fast(duration, self._tx_done, self._tx_epoch)
+        if self._trace.enabled:
+            self._trace_tx_start(size_bits, mode)
+        return duration
+
+    def _trace_tx_start(self, size_bits: int, mode: PhyMode) -> None:
         trace = self._trace
-        if trace.enabled and trace.wants("phy-tx-start"):
+        if trace.wants("phy-tx-start"):
             trace.record(self._sim.now, self.name, "phy-tx-start",
                          bits=size_bits, mode=mode.name)
-        return duration
 
     def transmit_energy(self, duration: float,
                         power_watts: Optional[float] = None) -> float:
@@ -261,7 +279,7 @@ class Radio:
         self.medium.transmit_energy(
             self, duration,
             self.tx_power_watts if power_watts is None else power_watts)
-        self._sim.schedule_fast(duration, self._tx_complete, self._tx_epoch)
+        self._sim.schedule_fast(duration, self._tx_done, self._tx_epoch)
         trace = self._trace
         if trace.enabled and trace.wants("phy-energy-start"):
             trace.record(self._sim.now, self.name, "phy-energy-start",
@@ -505,14 +523,17 @@ class Radio:
                 f"state={self.state.value}>")
 
 
-#: What a medium delivers to a radio: receive edges and reception tail.
+#: What a medium delivers to a radio (receive edges, reception tail) and
+#: what a radio sends through (transmit, transmit end).
 RADIO = Table("Radio", "phy", {
     "Radio": Radio, "SinrTracker": SinrTracker, "CaptureModel": CaptureModel,
     "BerErrorModel": BerErrorModel, "Modulation": Modulation,
-    "Transmission": Transmission, "PhyMode": PhyMode,
+    "Transmission": Transmission, "Transmission._ids": Transmission._ids,
+    "PhyMode": PhyMode,
     "RadioConfig": RadioConfig, "TraceLog": TraceLog,
-    "TraceDigest": TraceDigest,
+    "TraceDigest": TraceDigest, "Medium": Medium,
     **{state.name: state for state in RadioState},
-    "RX.value": RadioState.RX.value, "IDLE.value": RadioState.IDLE.value},
+    **{f"{state.name}.value": state.value for state in RadioState}},
     lambda radio: (radio,), (Radio,),
-    ("arrival_begins", "arrival_ends", "_reception_complete"))
+    ("arrival_begins", "arrival_ends", "_reception_complete", "transmit",
+     "_tx_complete"))

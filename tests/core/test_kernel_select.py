@@ -85,13 +85,14 @@ class TestStaleExtension:
             resolve_kernel("c")
         assert not recwarn.list
 
-    def test_an_extension_from_before_the_shape_tallies_is_stale(self, stale):
-        # ABI 11's ``Simulator`` set carries the five ``SHAPE_COUNTS``
-        # slots its run loop writes back; an ABI 10 build would leave
-        # them at zero under the telemetry dispatch probe.
-        assert engine.KERNEL_ABI == 11
-        stale.KERNEL_ABI = 10
-        with pytest.warns(RuntimeWarning, match="ABI 10.*needs 11"):
+    def test_an_extension_from_before_the_transmit_twins_is_stale(self,
+                                                                  stale):
+        # ABI 12's "phy" set carries what the transmit twins read (the
+        # medium, the standard, the radio's transmit slots); an ABI 11
+        # build has no ``transmit`` for ``transceiver.RADIO`` to bind.
+        assert engine.KERNEL_ABI == 12
+        stale.KERNEL_ABI = 11
+        with pytest.warns(RuntimeWarning, match="ABI 11.*needs 12"):
             assert not ckernel_available()
 
     def test_an_extension_without_an_abi_is_stale_too(self, stale):

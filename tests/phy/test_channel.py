@@ -216,10 +216,3 @@ class TestIntrospection:
         assert snr > 0.0
         power = medium.link_rx_power_dbm(tx, rx)
         assert power < 0.0  # well below 1 mW after 20 m
-
-    def test_active_transmissions_listed(self, sim):
-        medium, tx, rx, _ = make_pair(sim)
-        tx.transmit("x", 80000, DOT11B.modes[0])
-        assert len(medium.active_transmissions(1)) == 1
-        sim.run(until=1.0)
-        assert medium.active_transmissions(1) == []

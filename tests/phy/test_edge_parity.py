@@ -5,8 +5,10 @@ On ``kernel="c"`` the medium delivers arrivals to
 ``_ckernel.arrival_begins`` / ``arrival_ends`` instead of the
 :class:`Radio` methods of those names, a plain radio's reception-end
 timer fires ``_ckernel._reception_complete`` instead of
-``Radio._reception_complete``, and timers and fan-outs are built by the
-extension's ``arm`` / ``fan_out``.  The claim is that nothing
+``Radio._reception_complete``, a frame sent as a MAC sends it (through
+``radio._transmit``) and its end entry run ``_ckernel.transmit`` /
+``_tx_complete``, and timers and fan-outs are built by the extension's
+``arm`` / ``fan_out``.  The claim is that nothing
 observable differs — not an upcall, a float, a heap entry or a random
 draw.  Two halves:
 
@@ -148,10 +150,10 @@ class World:
     """2-6 radios on one medium with every upcall logged."""
 
     def __init__(self, kernel, radios, capture, subclass_at,
-                 error_model="ber", traced=True):
+                 error_model="ber", traced=True, medium_class=Medium):
         self.sim = sim = Simulator(seed=11, kernel=kernel,
                                    trace=TraceLog(enabled=traced))
-        self.medium = medium = Medium(sim, FreeSpace(2.4e9))
+        self.medium = medium = medium_class(sim, FreeSpace(2.4e9))
         self.log = log = []
         self.first_id = next(Transmission._ids) + 1
         if capture == "odd":
@@ -255,7 +257,8 @@ class World:
                 "radios": radios, "log": list(self.log),
                 "trace": [(repr(record.time), record.source, record.event,
                            sorted(record.detail.items()))
-                          for record in sim.trace]}
+                          for record in sim.trace]
+                if isinstance(sim.trace, TraceLog) else sim.trace.hexdigest()}
 
 
 # --- the randomized schedule -------------------------------------------------
@@ -299,8 +302,9 @@ def _apply(world, op, step):
         elif op[0] == "ends":
             world.edges(radio)[1](world.pool[op[2]])
         elif op[0] == "transmit":
-            radio.transmit(f"data{step}", 400 * (1 + op[2]),
-                           DOT11B.modes[op[2]])
+            # As a MAC sends: through the transmit the radio was served.
+            radio._transmit(radio, f"data{step}", 400 * (1 + op[2]),
+                            DOT11B.modes[op[2]])
         elif op[0] == "energy":
             radio.transmit_energy(3e-4)
         elif op[0] == "run":

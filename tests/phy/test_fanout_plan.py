@@ -186,26 +186,3 @@ class TestPlannedVersusFreshDeterminism:
         assert planned == fresh
         assert hits > 0 and fresh_hits == 0  # no plan is ever reused
 
-
-class TestActiveListGc:
-    def test_active_list_growth_is_bounded(self, sim):
-        """The opportunistic GC moved off the per-transmit hot path; the
-        amortized sweep must still keep ``_active`` from growing without
-        bound."""
-        medium, tx, _rxs = _cell(sim)
-        bound = Medium.GC_STRIDE + 8
-        for _ in range(6 * Medium.GC_STRIDE):
-            tx.transmit(b"x", 800, MODE)
-            sim.run(until=sim.now + 0.05)  # frame fully ends
-            assert len(medium._active[tx.channel_id]) <= bound
-        # Nothing on the air at the end: the public view is empty and
-        # prunes the backing list entirely.
-        assert medium.active_transmissions(tx.channel_id) == []
-        assert medium._active[tx.channel_id] == []
-
-    def test_public_view_still_prunes_on_read(self, sim):
-        medium, tx, _rxs = _cell(sim)
-        tx.transmit(b"x", 80000, MODE)
-        assert len(medium.active_transmissions(tx.channel_id)) == 1
-        sim.run(until=1.0)
-        assert medium.active_transmissions(tx.channel_id) == []

@@ -18,6 +18,11 @@ alike fails too.
   three named states: each reason not to arm, each boundary met
   exactly, each field of the wrong type.  Every named state, and every
   edge of the edge suite's corner schedules, is also played by name.
+  A radio's transmit slots also meet a medium that is not the plain one
+  (a ``MediumProbe``'s wrap, a ``ShardMedium``) and a ``TraceDigest``
+  (``ARMED``), and each named send (``SENDS``: from IDLE, mid-lock, in
+  TX or asleep, a foreign mode, traced, a plan hit and a miss, a stale
+  end after ``power_off``) is held to its one right outcome as well.
 * A simulator's one slot, ``_queue``, is compared part by part across
   kernels: a ``kernel="python"`` simulator binds the reference, a
   ``kernel="c"`` one the twin.
@@ -47,17 +52,20 @@ from repro.core.binding import bind, tally
 from repro.core.engine import SIMULATOR, Timer, ckernel_available
 from repro.core.errors import SimulationError
 from repro.core.stats import Counter
-from repro.core.trace import TraceLog
+from repro.core.trace import TraceDigest, TraceLog
 from repro.mac.addresses import MacAddress
 from repro.mac.dcf import MAC, DcfMac
 from repro.mac.frames import (FrameControl, FrameType, make_ack, make_cts,
                               make_ps_poll, make_rts)
 from repro.mac.nav import NAV, Nav
+from repro.parallel.shard import ShardMedium
 from repro.phy.channel import Transmission
 from repro.phy.interference import CaptureModel
 from repro.phy.modulation import Modulation
 from repro.phy.standards import PhyMode
-from repro.phy.transceiver import RADIO, RadioConfig
+from repro.phy.transceiver import RADIO, Radio, RadioConfig
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.probes import MediumProbe
 
 sys.path[:0] = [str(pathlib.Path(__file__).resolve().parent / part)
                 for part in ("phy", "mac")]
@@ -197,6 +205,9 @@ def test_bind_serves_a_twin_to_exact_classes_on_the_compiled_kernel():
         assert radio._rx_timer._callback.__func__ \
             is getattr(owner, "_reception_complete")
         assert radio._rx_timer._callback.__self__ is radio
+        assert radio._tx_done.__func__ is getattr(owner, "_tx_complete")
+        assert radio._tx_done.__self__ is radio
+        assert radio._transmit is getattr(owner, "transmit")
     for station, compiled in ((mac, True), (subclass, False),
                               (odd_radio.macs[0], False),
                               (python.macs[0], False)):
@@ -214,6 +225,10 @@ def test_bind_serves_a_twin_to_exact_classes_on_the_compiled_kernel():
         assert station._start_ifs is getattr(owner, "_maybe_start_ifs")
         assert station._freeze is getattr(owner, "_cancel_access_timers")
         assert radio.on_tx_end.__func__ is DcfMac.phy_tx_end
+        # Its sends take its radio's side: a subclass MAC on a plain
+        # radio sends through the twin.
+        sender = ext if type(radio) is Radio and radio.sim._ext else Radio
+        assert radio._transmit is getattr(sender, "transmit")
         # Out of scope stays Python: the access win, the response timer.
         assert station._countdown._callback.__func__ is DcfMac._access_won
         assert station._response._callback.__func__ \
@@ -313,21 +328,75 @@ def test_every_simulator_slot_is_its_reference(name, data):
 
 # --- a radio: two copies of one compiled world -------------------------------
 
-def _radio_case(side, name, world_options, schedule, index, tx, power):
-    del READS[:]
+def _probe(world):
+    world.registry = MetricsRegistry()
+    MediumProbe(world.medium, world.registry).install()
+
+
+def _digest(world):
+    world.sim.trace = TraceDigest()
+    _radios(world, "_trace", lambda _old: world.sim.trace)
+
+
+def _shard(sim, propagation):
+    return ShardMedium(sim, propagation, export_channels={1})
+
+
+#: A world whose medium or trace sink is not the plain one: name ->
+#: (``World`` options, world -> None).
+ARMED = {
+    "a MediumProbe counts the frames": ({}, _probe),
+    "the medium is a ShardMedium": ({"medium_class": _shard}, None),
+    "the trace sink is a TraceDigest": ({}, _digest),
+}
+
+
+def _air(world):
+    """What the radios' snapshot leaves out: the medium's plan counters,
+    a shard's exports, a probe's metrics."""
+    registry = getattr(world, "registry", None)
+    return (world.medium.plan_hits, world.medium.plan_misses,
+            [tuple(map(repr, record))
+             for record in getattr(world.medium, "outbox", ())],
+            registry and [
+                (repr(key), [repr(getattr(metric, slot))
+                             for slot in type(metric).__slots__
+                             if slot not in ("key", "wall")])
+                for key, metric in registry._metrics.items()])
+
+
+def _radio_args(world, radio, name, tx, power):
+    frame = world.pool[tx]
+    return {"arrival_begins": (frame, power), "arrival_ends": (frame,),
+            "_reception_complete": (),
+            # A pool frame's payload, size and mode: foreign modes, bare
+            # energy, no bits and a negative size among them.
+            "transmit": (frame.payload, frame.size_bits, frame.mode),
+            # This transmission's epoch, or the one before a power_off().
+            "_tx_complete": (radio._tx_epoch - tx % 2,)}[name]
+
+
+def _radio_world(world_options, schedule):
     options = dict(world_options)
     odd = options.pop("odd", None)
-    world = phy_parity.World("c", **options)
+    extra, arm = ARMED.get(options.pop("armed", None), ({}, None))
+    world = phy_parity.World("c", **options, **extra)
     if odd is not None:
         ODD[odd](world)
+    if arm is not None:
+        arm(world)
     for step, op in enumerate(schedule):
         phy_parity._apply(world, op, step)
+    return world
+
+
+def _radio_case(side, name, world_options, schedule, index, tx, power):
+    del READS[:]
+    world = _radio_world(world_options, schedule)
     radio = world.radios[index % len(world.radios)]
-    args = {"arrival_begins": (world.pool[tx], power),
-            "arrival_ends": (world.pool[tx],),
-            "_reception_complete": ()}[name]
-    _call(name, side, radio, world.sim, args, world.log)
-    return world.snapshot(), list(READS)
+    result = _call(name, side, radio, world.sim,
+                   _radio_args(world, radio, name, tx, power), world.log)
+    return world.snapshot(), list(READS), _air(world), repr(result)
 
 
 @pytest.mark.parametrize("name", list(RADIO.slots))
@@ -337,7 +406,8 @@ def _radio_case(side, name, world_options, schedule, index, tx, power):
                [None, 1]), "capture": st.sampled_from(["on", "off", "odd"]),
            "error_model": st.sampled_from(["ber", "fixed", "subclass"]),
            "traced": st.booleans(),
-           "odd": st.sampled_from([None, None, *sorted(ODD)])}),
+           "odd": st.sampled_from([None, None, *sorted(ODD)]),
+           "armed": st.sampled_from([None, None, *sorted(ARMED)])}),
        schedule=st.lists(phy_parity.OPS, max_size=12),
        index=st.sampled_from([0, 0, 2]), tx=st.integers(0, 8),
        power=phy_parity.POWERS)
@@ -423,6 +493,96 @@ def test_a_subclass_holder_hands_each_step_to_the_reference(corner, odd):
             assert twin == _radio_case("reference", *case), (step, name)
             read.update(twin[1])
     assert read, "the subclass was never read: the row tests nothing"
+
+
+def _radio_row(side, name, armed, schedule, tx):
+    """Radio ``r1`` of a two-radio world after ``schedule``: what it and
+    the air were before the slot's call, and what they are after."""
+    del READS[:]
+    world = _radio_world({"radios": 2, "capture": "on", "subclass_at": None,
+                          "armed": armed}, schedule)
+    radio = world.radios[1]
+    before = world.snapshot(), _air(world)
+    result = _call(name, side, radio, world.sim,
+                   _radio_args(world, radio, name, tx, None), world.log)
+    return before, (world.snapshot(), list(READS), _air(world), repr(result))
+
+
+def _logged(before, after):
+    """The events the call logged: ``(source, event)`` pairs."""
+    return [entry[:2] for entry in after[0]["log"][len(before[0]["log"]):]]
+
+
+def _refused(before, after):
+    """The reference's SimulationError, nothing written."""
+    return _logged(before, after) == [("raised", "SimulationError")] \
+        and after[0]["radios"] == before[0]["radios"] \
+        and after[0]["heap"] == before[0]["heap"]
+
+
+def _plans(hits, misses):
+    return lambda before, after: (after[2][0] - before[1][0],
+                                  after[2][1] - before[1][1]) == (hits, misses)
+
+
+#: Named states of a radio's transmit slots: name -> (slot, armed world,
+#: schedule, pool frame, the one right outcome (before, after) -> bool).
+SENDS = {
+    "from IDLE, an empty table": (
+        "transmit", None, [], 0, lambda before, after: _logged(
+            before, after) == [("r1", "state"), ("r1", "cca-busy")]),
+    "from IDLE, energy over the CCA threshold": (
+        "transmit", None, [("begins", 1, 5, 2 * phy_parity.CCA)], 0,
+        lambda before, after: _logged(before, after) == [("r1", "state")]),
+    "during a locked reception": (
+        "transmit", None, [("begins", 1, 0, phy_parity.LOCKED)], 1,
+        lambda before, after: before[0]["radios"][1][4] == "pool0"
+        and after[0]["radios"][1][1:5] == ("tx", True, [("pool0", repr(
+            phy_parity.LOCKED))], None)),
+    "in TX": ("transmit", None, [("transmit", 1, 0)], 0, _refused),
+    "asleep": ("transmit", None, [("sleep", 1)], 0, _refused),
+    "with a mode outside the standard": ("transmit", None, [], 4, _refused),
+    "with a negative size": (
+        "transmit", None, [], 8, lambda before, after: _logged(
+            before, after)[-1:] == [("raised", "ConfigurationError")]),
+    "with no on_state_change": (
+        "transmit", None, [("poke", 1, lambda world, rx: setattr(
+            rx, "on_state_change", None))], 0,
+        lambda before, after: _logged(before, after) == [("r1", "cca-busy")]),
+    "traced into a TraceLog": (
+        "transmit", None, [], 0, lambda before, after:
+        [record[2] for record in after[0]["trace"]] == ["phy-tx-start"]),
+    "traced into a TraceDigest": (
+        "transmit", "the trace sink is a TraceDigest", [], 0,
+        lambda before, after: after[0]["trace"] != before[0]["trace"]),
+    "on a plan miss": ("transmit", None, [], 0, _plans(0, 1)),
+    "on a plan hit": (
+        "transmit", None, [("transmit", 1, 0), ("run", 2e-3)], 0,
+        _plans(1, 0)),
+    "through a MediumProbe": (
+        "transmit", "a MediumProbe counts the frames", [], 0,
+        lambda before, after: [values for key, values in after[2][3]
+                               if "'frames'" in key] == [["1"]]),
+    "through a ShardMedium": (
+        "transmit", "the medium is a ShardMedium", [], 0,
+        lambda before, after: len(after[2][2]) == len(before[1][2]) + 1),
+    "the burst ends": (
+        "_tx_complete", None, [("transmit", 1, 0)], 0,
+        lambda before, after: _logged(before, after) == [
+            ("r1", "state"), ("r1", "cca-idle"), ("r1", "tx-end")]),
+    "a stale end after power_off mid-burst": (
+        "_tx_complete", None, [("transmit", 1, 0), ("power_off", 1)], 1,
+        lambda before, after: after[0] == before[0]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(SENDS))
+def test_each_named_send_is_the_reference_s(row):
+    name, armed, schedule, tx, outcome = SENDS[row]
+    twin = _radio_row("twin", name, armed, schedule, tx)
+    reference = _radio_row("reference", name, armed, schedule, tx)
+    assert twin == reference
+    assert outcome(*reference), "the reference is not what the row names"
 
 
 # --- a MAC and its NAV: two copies of one compiled world ---------------------
