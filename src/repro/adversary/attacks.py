@@ -120,7 +120,10 @@ class FrameInjector:
             return
         frame = self._queue.popleft()
         self.counters.incr("injected")
-        radio.transmit(frame, frame.wire_size_bits(), self._basic_mode)
+        # Through the transmit the radio was served, as a DcfMac sends:
+        # the compiled twin for a plain radio on kernel="c".
+        radio._transmit(radio, frame, frame.wire_size_bits(),
+                        self._basic_mode)
 
     def _tx_end(self) -> None:
         # Half duplex: the next queued frame goes out only after this

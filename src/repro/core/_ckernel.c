@@ -104,10 +104,9 @@
  *
  * Bit-identity contract of the primitives, the edges, the tail and the
  * slots (KEEP IN SYNC with engine._arm / engine._fan_out and the Radio,
- * DcfMac and Nav methods; held slot by slot by
- * ``tests/test_slot_differential.py`` and scenario by scenario by
- * ``tests/phy/test_edge_parity.py``, ``tests/mac/test_access_parity.py``
- * and ``tests/core/test_kernel_parity.py``):
+ * DcfMac and Nav methods; held slot by slot, schedule by schedule and
+ * failure by failure by ``tests/test_slot_differential.py``, and run by
+ * run by ``tests/core/test_kernel_parity.py``):
  *
  * - The same statements in the same order: one seq per entry, drawn
  *   from the queue's counter (the one ``sim._next_seq`` is bound to) at

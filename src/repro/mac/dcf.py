@@ -31,7 +31,9 @@ model — which is exactly what benchmark E10 checks.
 ``repro.core._ckernel``, which a plain :class:`DcfMac` on a plain radio
 of a C-kernel simulator binds (:data:`MAC`) into its radio's upcalls,
 its NAV, its IFS timer and its own call sites
-(``tests/test_slot_differential.py``).  The ``phy_rx_end`` twin answers
+(``tests/test_slot_differential.py`` holds each twin to its method, slot
+by slot, schedule by schedule and failure by failure).  The
+``phy_rx_end`` twin answers
 the corrupt and the overheard frame itself — both read the per-frame
 :attr:`~repro.mac.frames.Dot11Frame.rx_verdict` — and is this method for
 every frame addressed to the station: Python owns the frames addressed

@@ -40,8 +40,8 @@ the whole transmit for the mode, size or trace sink, and for a state or
 mode this method refuses; the medium's own ``transmit`` for a medium
 not exactly ``Medium`` or holding a ``transmit`` of its own, and
 ``_compile_plan`` for a plan miss).  A change to these methods changes
-what ``tests/phy/test_edge_parity.py``, ``tests/phy/test_per_twin.py``
-and ``tests/test_slot_differential.py`` hold both to.
+what ``tests/test_slot_differential.py`` and ``tests/phy/test_per_twin.py``
+hold both to.
 ``sum(self._arrivals.values())`` here is the reference for every table
 sum there: the twins fold the values in C, in whichever way returns this
 interpreter's ``sum()`` bit for bit (``_ckernel.table_fold``;

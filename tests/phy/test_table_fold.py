@@ -27,7 +27,7 @@ NaNs an addition returns is its compiler's choice of operand order, for
 * what no fold answers reaches ``builtins.sum``: the result or the
   exception is the reference's own and the table is untouched;
 * a summation that agrees with neither fold selects ``"builtin"``, and
-  the edge and access parity suites pass in that state.
+  the parity suite's drawn schedules and corners pass in that state.
 
 Skipped loudly without the extension (see ``conftest``); CI's
 compiled-kernel lane runs the file under ``-X dev``.
@@ -253,16 +253,17 @@ def test_what_selection_cannot_swallow_leaves_the_choice_alone(ext, reselect):
 def test_the_parity_suites_pass_with_no_fold_selected():
     """An interpreter whose ``sum()`` is neither fold costs speed, never
     bits: with ``"builtin"`` forced, every compiled table sum is the
-    ``values()`` + ``builtins.sum`` call it was before, and the edge,
-    tail and access suites hold as they are."""
+    ``values()`` + ``builtins.sum`` call it was before, and the parity
+    suite's drawn schedules and corners hold as they are."""
+    suite = "tests/test_slot_differential.py::test_"
     script = (
         "import math, sys, pytest\n"
         "from repro.core import Simulator\n"
         "ext = Simulator(kernel='c')._ext\n"
         "assert ext.select_fold(math.fsum) == 'builtin'\n"
         "code = pytest.main(['-q', '-x', '-p', 'no:cacheprovider',\n"
-        "                    'tests/phy/test_edge_parity.py',\n"
-        "                    'tests/mac/test_access_parity.py'])\n"
+        f"    '{suite}drawn_schedules_run_alike_on_both_kernels',\n"
+        f"    '{suite}each_corner_is_the_reference_s'])\n"
         "assert ext.table_fold == 'builtin', ext.table_fold\n"
         "sys.exit(code)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

@@ -27,10 +27,9 @@ import pytest
 from repro.core.engine import ckernel_available
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SUITES = ("tests/test_slot_differential.py", "tests/phy/test_edge_parity.py",
-          "tests/phy/test_per_twin.py", "tests/mac/test_rx_demux.py",
-          "tests/mac/test_access_parity.py", "tests/core/test_event_queue.py",
-          "tests/core/test_kernel_parity.py", "tests/test_offset_reads.py")
+SUITES = ("tests/test_slot_differential.py", "tests/phy/test_per_twin.py",
+          "tests/core/test_event_queue.py", "tests/core/test_kernel_parity.py",
+          "tests/test_offset_reads.py")
 
 
 def _build_tool():

@@ -1,84 +1,643 @@
-"""Every compiled twin against its Python reference, slot by slot.
+"""Every compiled twin against its Python reference: the one parity
+suite for the run loop, the radio, the MAC and the NAV.
 
-``repro.core.binding``'s tables name every slot the extension serves:
-``engine.SIMULATOR``, ``transceiver.RADIO``, ``dcf.MAC`` and
-``nav.NAV``.  For each slot Hypothesis draws a state, the state is built
-twice, the slot's twin is called on one copy and its reference on the
-other, and everything either could touch is compared, repr-exact: every
-slot of every object, the upcalls, the heap entry by entry, RNG states,
-what was raised.  Where a named state has one right
-outcome (arm the IFS wait or not, and when; win access; draw a counter)
-the reference is held to it as well, so a change that moves both sides
-alike fails too.
+``repro.core.binding``'s tables name every slot the extension serves
+(``engine.SIMULATOR``, ``transceiver.RADIO``, ``dcf.MAC``, ``nav.NAV``).
+Two worlds hold them — radios on a medium (``RadioWorld``), stations and
+a bare radio on a medium (``MacWorld``) — and ``snapshot()`` everything
+the kernels must agree on, repr-exact: every slot, upcall, heap entry,
+RNG state and cached frame verdict.
 
-* A radio's or a MAC's state is a schedule prefix of the scenario-level
-  parity suites (``tests/phy/test_edge_parity.py``,
-  ``tests/mac/test_access_parity.py``, whose worlds and snapshots are
-  reused) on the compiled kernel, then — for a MAC — a base and up to
-  three named states: each reason not to arm, each boundary met
-  exactly, each field of the wrong type.  Every named state, and every
-  edge of the edge suite's corner schedules, is also played by name.
-  A radio's transmit slots also meet a medium that is not the plain one
-  (a ``MediumProbe``'s wrap, a ``ShardMedium``) and a ``TraceDigest``
-  (``ARMED``), and each named send (``SENDS``: from IDLE, mid-lock, in
-  TX or asleep, a foreign mode, traced, a plan hit and a miss, a stale
-  end after ``power_off``) is held to its one right outcome as well.
-* A simulator's one slot, ``_queue``, is compared part by part across
-  kernels: a ``kernel="python"`` simulator binds the reference, a
-  ``kernel="c"`` one the twin.
-* Every class a twin reads by offset off a frame or a holder —
-  ``Transmission``, ``PhyMode``, ``Modulation``, ``CaptureModel``,
-  ``RadioConfig``, ``TraceLog``, ``Counter`` — has a row whose world
-  holds a subclass instance instead (``ODD``, and the MAC's
-  ``STATES``).  Each subclass logs every by-name read of those fields
-  (``READS``), so a twin that read one by offset instead of handing the
-  step to the reference leaves a different log, not just equal state.
+* Drawn whole schedules (powers a few ulp around every threshold,
+  sends, reservations that nest, sleep, power loss, ``crash()``) run once
+  per kernel and are compared after every step; ``CORNERS`` are the
+  schedules a walk seldom reaches.
+* Each slot is called alone: a drawn or named state (a schedule prefix,
+  then for a MAC a base and ``STATES``: each reason not to arm, each
+  boundary met exactly, each field of the wrong type; ``SENDS``;
+  ``FRAMES``; every edge of a radio corner) is built twice and the twin
+  called on one copy, the reference on the other.  A simulator's
+  ``_queue`` is compared part by part across kernels.
+* A subclass of each class a twin reads by offset (``ODD``, and the
+  MAC's ``STATES``) logs its by-name reads (``READS``).
+* ``FAILURES``: whatever raises under the compiled loop — an upcall, a
+  PER, an expiry, a rate factory, a verdict, an entry or handle of the
+  wrong shape — leaves the reference's exception and state under each
+  of ``run()``'s bounds (``BOUNDS``), and the run goes on once mended.
 
-Skipped loudly without the extension (see ``conftest``); CI's
-compiled-kernel lane runs the file under ``-X dev``.
+Where a row has one right outcome (``EXPECTED``, a corner's or a
+failure's) the reference is held to it too, so a change that moves both
+sides alike fails as well.  Skipped loudly without the extension (see
+``conftest``); CI's compiled-kernel lane runs the file under ``-X dev``.
 """
 
 import dataclasses
-import pathlib
-import sys
+import math
 from fractions import Fraction
-from types import MethodType
+from types import MethodType, ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Simulator
+from repro.core import Position, Simulator
 from repro.core.binding import bind, tally
-from repro.core.engine import SIMULATOR, Timer, ckernel_available
+from repro.core.engine import (SHAPE_COUNTS, SIMULATOR, EventHandle, Timer,
+                               ckernel_available)
 from repro.core.errors import SimulationError
 from repro.core.stats import Counter
 from repro.core.trace import TraceDigest, TraceLog
-from repro.mac.addresses import MacAddress
-from repro.mac.dcf import MAC, DcfMac
-from repro.mac.frames import (FrameControl, FrameType, make_ack, make_cts,
-                              make_ps_poll, make_rts)
+from repro.core.units import dbm_to_watts
+from repro.mac.addresses import (BROADCAST, MacAddress, allocate_address,
+                                 reset_allocator)
+from repro.mac.backoff import BackoffWindow
+from repro.mac.dcf import MAC, DcfConfig, DcfMac, MacListener, _TxContext
+from repro.mac.frames import (Dot11Frame, FrameControl, FrameType, make_ack,
+                              make_cts, make_ps_poll, make_rts)
 from repro.mac.nav import NAV, Nav
+from repro.mac.queueing import DropTailQueue
+from repro.mac.rate_adapt import (FixedRate, IdealSnr, RateController,
+                                  fixed_rate_factory)
 from repro.parallel.shard import ShardMedium
-from repro.phy.channel import Transmission
+from repro.phy.channel import ENERGY_ONLY, Medium, Transmission
+from repro.phy.error_models import (BerErrorModel, FixedPerErrorModel,
+                                    SnrThresholdErrorModel)
 from repro.phy.interference import CaptureModel
 from repro.phy.modulation import Modulation
-from repro.phy.standards import PhyMode
+from repro.phy.propagation import FixedLoss, FreeSpace
+from repro.phy.standards import DOT11B, DOT11G, PhyMode
 from repro.phy.transceiver import RADIO, Radio, RadioConfig
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.probes import MediumProbe
-
-sys.path[:0] = [str(pathlib.Path(__file__).resolve().parent / part)
-                for part in ("phy", "mac")]
-import test_access_parity as mac_parity  # noqa: E402
-import test_edge_parity as phy_parity  # noqa: E402
-from test_access_parity import (BASIC, DIFS, EIFS, SLOT,  # noqa: E402
-                                STRANGER, OddFrame, World, _boom)
 
 pytestmark = pytest.mark.skipif(
     not ckernel_available(),
     reason="compiled kernel not built (run: python tools/build_kernel.py)")
 
+NOISE = DOT11B.noise_floor_watts            # preamble floor at 0 dB SNR
+CCA = dbm_to_watts(RadioConfig().cca_threshold_dbm)
+LOCKED = 3e-10                              # a comfortably decodable signal
+SLOT, DIFS, EIFS = DOT11B.slot_time, DOT11B.difs, DOT11B.eifs
+BASIC = DOT11B.modes[0]
+MULTICAST = MacAddress(0x01005E000001)
+#: Addresses no station of a ``MacWorld`` holds: third-party traffic.
+STRANGER = MacAddress(0x020000000063)
 BYSTANDER = MacAddress(STRANGER.value + 1)
+
+
+def _ulps(value, steps):
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+class Boom(Exception):
+    pass
+
+
+def _boom(*_args):
+    raise Boom("upcall failed")
+
+
+# --- radios on a medium ------------------------------------------------------
+
+class OddCapture:
+    """Not a ``CaptureModel``: the compiled edge has no arithmetic for
+    it and must ask ``should_capture``."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def should_capture(self, locked_power_watts, new_power_watts):
+        self._log.append(("capture?", repr(locked_power_watts),
+                          repr(new_power_watts)))
+        return new_power_watts >= 4.0 * locked_power_watts
+
+
+class OddWatts:
+    """A power that is not a float and keeps its type under ``sum``:
+    whatever holds one in its table must be summed by the reference."""
+
+    def __init__(self, watts):
+        self.watts = watts
+
+    def __add__(self, other):
+        return OddWatts(self.watts + getattr(other, "watts", other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.watts - other
+
+    def __ge__(self, other):
+        return self.watts >= other
+
+    def __repr__(self):
+        return f"OddWatts({self.watts!r})"
+
+
+class ListeningRadio(Radio):
+    """A subclass: must be served by its own Python edges on any kernel."""
+
+    __slots__ = ()
+
+    def arrival_begins(self, transmission, power_watts):
+        Radio.arrival_begins(self, transmission, power_watts)
+
+
+class LoggedBer(BerErrorModel):
+    """A ``BerErrorModel`` subclass: not the exact class, so the compiled
+    tail must call this method, not compute the PER itself."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def frame_survives(self, snr_db, size_bits, modulation, rng):
+        self._log.append(("survives?", repr(snr_db), size_bits))
+        return super().frame_survives(snr_db, size_bits, modulation, rng)
+
+
+class DeafModulation(Modulation):
+    """A subclass whose BER curve raises: the compiled tail hands its
+    PER to ``packet_error_rate``, which raises."""
+
+    def ber(self, snr_db):
+        raise Boom("no curve")
+
+
+def _error_model(kind, log):
+    return {"ber": BerErrorModel, "fixed": lambda: FixedPerErrorModel(0.4),
+            "threshold": lambda: SnrThresholdErrorModel(14.0),
+            "subclass": lambda: LoggedBer(log)}[kind]()
+
+
+class World:
+    """What every world shares: its simulator and heap, described
+    repr-exact; a world adds its radios or stations."""
+
+    macs = ()
+
+    def owner(self, obj):
+        for index, mac in enumerate(self.macs):
+            if obj is mac:
+                return f"mac{index}"
+            if obj is mac.nav:
+                return f"nav{index}"
+        return getattr(obj, "name", type(obj).__name__)
+
+    def callback(self, callback):
+        if callback is None:
+            return None
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, ModuleType):
+            owner = None    # a twin held unbound, like a plain function
+        return (self.owner(owner), callback.__name__)
+
+    def describe(self, value):
+        if isinstance(value, float):
+            return repr(value)
+        if value is None or isinstance(value, (bool, int, str)):
+            return value
+        if isinstance(value, Timer):
+            return ("Timer", value._armed, getattr(value, "_version", None),
+                    repr(value._time),
+                    self.callback(getattr(value, "_callback", None)))
+        if isinstance(value, tuple):
+            return tuple(map(self.describe, value))
+        if isinstance(value, Nav):
+            return ("Nav", repr(value._until),
+                    self.callback(value._on_expire),
+                    self.describe(value._timer))
+        if isinstance(value, Counter):
+            return sorted(value.as_dict().items())
+        if isinstance(value, BackoffWindow):
+            return (value.cw, value.stage, hash(value._rng.getstate()))
+        if isinstance(value, _TxContext):
+            return (len(value.msdu.payload),) + tuple(
+                getattr(value, slot) for slot in (
+                    "frag_index", "sequence", "use_rts", "attempts",
+                    "rts_attempts", "cts_received", "is_broadcast"))
+        if isinstance(value, DropTailQueue):
+            return len(value)
+        if isinstance(value, dict):          # _controllers, as inserted
+            return [(key, self.describe(item)) for key, item in value.items()]
+        if isinstance(value, RateController):
+            return (type(value).__name__, repr(getattr(value, "_snr_db", 0)))
+        if isinstance(value, Transmission):
+            return self.label(value)
+        if isinstance(value, EventHandle):
+            return ("EventHandle", self.callback(getattr(
+                value, "callback", None)))
+        if isinstance(value, Dot11Frame):    # and its verdict, once judged
+            return (repr(value), tuple(map(self.describe, vars(value).get(
+                "rx_verdict", ("not judged",)))))
+        if callable(value) and hasattr(value, "__name__"):
+            return self.callback(value)
+        return type(value).__name__
+
+    def label(self, transmission):
+        return None if transmission is None \
+            else f"air{transmission.id - self.first_id}"
+
+    def snapshot(self):
+        sim = self.sim
+        # Every entry, in pop order: (time, seq) is a total order, so pop
+        # order and depth are the queue contract — array layout is not
+        # (kernel="c" keeps structs in its own heap, not this list's).
+        return {"now": repr(getattr(sim, "_now", "deleted")),
+                "scheduled": sim._scheduled,
+                "cancelled": sim._cancelled_events,
+                "executed": sim._events_executed,
+                "tallies": [getattr(sim, name) for name in SHAPE_COUNTS],
+                "heap": [(repr(entry[0]), entry[1]) + self.describe(entry[2:])
+                         for entry in sorted(sim._heap,
+                                             key=lambda entry: entry[:2])],
+                "log": list(self.log)}
+
+
+class RadioWorld(World):
+    """2-6 radios on one medium with every upcall logged: four error
+    models (only an exact ``BerErrorModel`` is answered in C; its
+    arithmetic is ``tests/phy/test_per_twin.py``'s), capture on, off or
+    not a ``CaptureModel``, a ``Radio`` subclass, tracing on or off."""
+
+    def __init__(self, kernel, radios=2, capture="on", subclass_at=None,
+                 error_model="ber", traced=True, medium_class=Medium):
+        self.sim = sim = Simulator(seed=11, kernel=kernel,
+                                   trace=TraceLog(enabled=traced))
+        self.medium = medium = medium_class(sim, FreeSpace(2.4e9))
+        self.log = log = []
+        self.first_id = next(Transmission._ids) + 1
+        if capture == "odd":
+            capture_model = OddCapture(log)
+        else:
+            capture_model = CaptureModel(enabled=capture == "on",
+                                         threshold_db=10.0)
+        self.radios = []
+        for index in range(radios):
+            cls = ListeningRadio if index == subclass_at else Radio
+            radio = cls(f"r{index}", medium, DOT11B,
+                        Position(3.0 * index, 1.0 * (index % 2), 0.0),
+                        config=RadioConfig(capture=capture_model),
+                        error_model=_error_model(error_model, log))
+            self._wire(radio)
+            self.radios.append(radio)
+        mode = DOT11B.modes[0]
+        ghost = self.radios[0]
+        #: Transmissions the schedule delivers by hand: decodable ones
+        #: of three airtimes, a foreign PHY's, bare energy, and
+        #: decodable frames of no and of negative size (PER 0.0).
+        self.pool = [
+            Transmission(ghost, f"frame{index}", bits, tx_mode, 1e-3, 0.0,
+                         duration)
+            for index, (bits, tx_mode, duration) in enumerate((
+                (800, mode, 2e-4), (800, mode, 5e-4), (1600, mode, 9e-4),
+                (800, DOT11B.modes[1], 3e-4), (800, DOT11G.modes[0], 4e-4),
+                (0, ENERGY_ONLY, 6e-4), (0, ENERGY_ONLY, 1e-4),
+                (0, mode, 2.5e-4), (-8, mode, 3.5e-4)))]
+
+    def _wire(self, radio):
+        log, sim, name = self.log, self.sim, radio.name
+
+        def note(event):
+            return lambda *args: log.append(
+                (name, event, repr(sim.now)) + tuple(
+                    repr(arg) if isinstance(arg, float) else str(arg)
+                    for arg in args))
+
+        radio.on_cca_busy = note("cca-busy")
+        radio.on_cca_idle = note("cca-idle")
+        radio.on_tx_end = note("tx-end")
+        radio.on_state_change = note("state")
+        radio.on_rx_end = lambda payload, ok, snr, mode: log.append(
+            (name, "rx-end", repr(sim.now), str(payload), ok, repr(snr),
+             mode.name))
+
+    def edges(self, radio):
+        """The two callables the medium schedules for ``radio``."""
+        for member, begins, ends in self.medium._channel_members(
+                radio.channel_id):
+            if member is radio:
+                return begins, ends
+        raise AssertionError(f"{radio.name} is not on its own channel")
+
+    def label(self, transmission):
+        if transmission in self.pool:
+            return f"pool{self.pool.index(transmission)}"
+        return super().label(transmission)
+
+    def apply(self, op, step):
+        """Play one schedule op (the ``step``-th)."""
+        sim = self.sim
+        radio = self.radios[op[1] % len(self.radios)] if op[0] != "run" \
+            else None
+        try:
+            if op[0] == "poke":
+                op[2](self, radio)
+            elif op[0] == "begins":
+                self.edges(radio)[0](self.pool[op[2]], op[3])
+            elif op[0] == "ends":
+                self.edges(radio)[1](self.pool[op[2]])
+            elif op[0] == "transmit":
+                # As a MAC sends: through the transmit the radio was served.
+                radio._transmit(radio, f"data{step}", 400 * (1 + op[2]),
+                                DOT11B.modes[op[2]])
+            elif op[0] == "energy":
+                radio.transmit_energy(3e-4)
+            elif op[0] == "run":
+                sim.run(until=sim.now + op[1])
+            elif op[0] == "retune":
+                radio.channel_id = op[2]
+            else:
+                getattr(radio, op[0])()
+        except (SimulationError, TypeError, ValueError) as exc:
+            self.log.append(("raised", type(exc).__name__))
+
+    def snapshot(self):
+        sim = self.sim
+        radios = []
+        for radio in self.radios:
+            tracker = radio._tracker
+            radios.append((
+                radio.name, radio._state.value, radio._cca_busy,
+                [(self.label(tx), repr(power))
+                 for tx, power in radio._arrivals.items()],
+                self.label(radio._locked), repr(radio._locked_power),
+                radio._locked_tracker is tracker,
+                tuple(repr(getattr(tracker, slot))
+                      for slot in type(tracker).__slots__),
+                (radio._rx_timer._armed, radio._rx_timer._version,
+                 repr(radio._rx_timer._time)),
+                hash(radio._rng.getstate())))
+        return dict(super().snapshot(), radios=radios, trace=[
+            (repr(record.time), record.source, record.event,
+             sorted(record.detail.items())) for record in sim.trace]
+            if isinstance(sim.trace, TraceLog) else sim.trace.hexdigest())
+
+
+#: Receive powers on and a few ulp around each decision boundary: the
+#: preamble floor, the CCA threshold (alone, and as a sum of two), and
+#: the 10 dB and 4x capture margins over a ``LOCKED`` signal.
+THRESHOLD_POWERS = [
+    _ulps(anchor, steps)
+    for anchor in (NOISE, CCA, CCA / 2.0, LOCKED, LOCKED * 10.0,
+                   LOCKED * 4.0, LOCKED / 10.0)
+    for steps in (-3, -1, 0, 1, 3)]
+
+POWERS = st.one_of(
+    st.sampled_from(THRESHOLD_POWERS),
+    st.floats(min_value=1e-14, max_value=1e-6, allow_nan=False),
+    st.sampled_from([0.0, 0, 1]))   # exact zero, and ints: reference path
+
+RADIO_INDEX = st.integers(min_value=0, max_value=5)
+RADIO_OPS = st.one_of(
+    st.tuples(st.just("begins"), RADIO_INDEX, st.integers(0, 8), POWERS),
+    st.tuples(st.just("begins"), RADIO_INDEX, st.integers(0, 8), POWERS),
+    st.tuples(st.just("ends"), RADIO_INDEX, st.integers(0, 8)),
+    st.tuples(st.just("transmit"), RADIO_INDEX, st.integers(0, 3)),
+    st.tuples(st.just("energy"), RADIO_INDEX),
+    st.tuples(st.just("run"), st.sampled_from([1e-7, 5e-5, 2.5e-4, 2e-3])),
+    st.tuples(st.sampled_from(["sleep", "wake", "power_off"]), RADIO_INDEX),
+    st.tuples(st.just("retune"), RADIO_INDEX, st.sampled_from([1, 6])))
+
+
+# --- stations on a medium ----------------------------------------------------
+
+class WatchedMac(DcfMac):
+    """A subclass: must be served by its own Python methods on any
+    kernel."""
+
+    __slots__ = ()
+
+
+class WatchedRadio(Radio):
+    __slots__ = ()
+
+
+class OddFrame(Dot11Frame):
+    """A subclass: the compiled demux hands it, whole, to the method."""
+
+
+class Listening(FixedRate):
+    """Overrides ``on_snr_measurement``: hears every frame its peer is
+    heard sending, whichever kernel feeds it."""
+
+    def __init__(self, standard, log, name):
+        super().__init__(standard, standard.modes[-1])
+        self._log, self._name = log, name
+
+    def on_snr_measurement(self, snr_db):
+        self._log.append((self._name, "snr", repr(snr_db)))
+
+
+class Air(Medium):
+    """Remembers every payload put on the air, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.payloads = []
+
+    def transmit(self, sender, payload, *rest):
+        self.payloads.append(payload)
+        return super().transmit(sender, payload, *rest)
+
+
+class Upper(MacListener):
+    def __init__(self, log, sim, name):
+        self._log, self._sim, self._name = log, sim, name
+
+    def mac_receive(self, source, destination, payload, meta):
+        self._log.append((self._name, "receive", repr(self._sim.now),
+                          str(source), len(payload), repr(meta["snr_db"])))
+
+    def mac_tx_complete(self, msdu, success):
+        self._log.append((self._name, "tx-complete", repr(self._sim.now),
+                          len(msdu.payload), success))
+
+
+class MacWorld(World):
+    """2-5 saturable stations in mutual range, plus a bare radio that
+    only ever emits energy or third parties' frames: with or without
+    loss, RTS/CTS and fragmentation, one station a ``DcfMac`` subclass,
+    one on ``IdealSnr``, one on a controller that logs its SNR feed,
+    one with a sniffer."""
+
+    def __init__(self, kernel, stations=3, subclass_at=None, per=None,
+                 rts=False, radio_class=Radio, ideal_at=None,
+                 listening_at=None, sniffer_at=None):
+        reset_allocator()                    # same RNG stream names
+        self.sim = sim = Simulator(seed=23, kernel=kernel)
+        self.medium = medium = Air(sim, FixedLoss(50.0))
+        self.first_id = next(Transmission._ids) + 1
+        self.log = []
+        config = DcfConfig(rts_threshold_bytes=200 if rts else 2347,
+                           fragmentation_threshold_bytes=256)
+        self.macs = []
+        for index in range(stations):
+            radio = radio_class(
+                f"r{index}", medium, DOT11B, Position(float(index), 0.0, 0.0),
+                error_model=None if per is None else FixedPerErrorModel(per))
+            cls = WatchedMac if index == subclass_at else DcfMac
+            name = f"mac{index}"
+            factory = fixed_rate_factory("CCK-11")
+            if index == ideal_at:
+                factory = IdealSnr
+            elif index == listening_at:
+                factory = lambda standard, name=name: Listening(
+                    standard, self.log, name)
+            mac = cls(sim, radio, allocate_address(), config=config,
+                      rate_factory=factory)
+            mac.listener = Upper(self.log, sim, name)
+            if index == sniffer_at:
+                mac.sniffer = lambda frame, snr_db, name=name: \
+                    self.log.append((name, "sniffed", repr(frame),
+                                     repr(snr_db), repr(sim.now)))
+            self.macs.append(mac)
+        for mac in self.macs:
+            mac.bssid = self.macs[0].address     # where PS-Polls go
+        self.jammer = Radio("jam", medium, DOT11B, Position(0.5, 1.0, 0.0))
+
+    def hear(self, frame):
+        """The bare radio sends ``frame`` to whoever is in range."""
+        bits = frame.wire_size_bits() if isinstance(frame, Dot11Frame) else 400
+        self.jammer.transmit(frame, bits, BASIC)
+
+    def apply(self, op, step=None):
+        macs, sim = self.macs, self.sim
+        count = len(macs)
+        # Sleeping mid-TX, a second burst, and — from inside run() — an
+        # access won by a station whose radio was put to sleep raise.
+        try:
+            if op[0] == "send":
+                source = op[1] % count
+                target = (source + 1 + op[2] % (count - 1)) % count
+                macs[source].send(macs[target].address, bytes(op[3]))
+            elif op[0] in ("broadcast", "multicast"):
+                macs[op[1] % count].send(
+                    BROADCAST if op[0] == "broadcast" else MULTICAST,
+                    bytes(60))
+            elif op[0] == "ps_poll":
+                macs[op[1] % count].send_ps_poll(aid=1 + op[1])
+            elif op[0] == "null":
+                source = op[1] % count
+                macs[source].send_null(
+                    macs[(source + 1 + op[2] % (count - 1)) % count].address,
+                    power_management=bool(op[2] % 2))
+            elif op[0] == "energy":
+                self.jammer.transmit_energy(op[1], op[2])
+            elif op[0] == "foreign":
+                self.hear(("another", "MAC"))
+            elif op[0] in ("odd", "cts"):
+                self.hear(make_cts(STRANGER, op[1]) if op[0] == "cts"
+                          else OddFrame(
+                              fc=FrameControl(type=FrameType.DATA),
+                              duration_us=op[2],
+                              addr1=macs[op[1] % count].address,
+                              addr2=STRANGER, addr3=STRANGER, body=bytes(30)))
+            elif op[0] == "run":
+                sim.run(until=sim.now + op[1])
+            elif op[0] == "poke":
+                op[1](self)
+            elif op[0] == "crash":
+                macs[op[1] % count].crash()
+            else:
+                getattr(macs[op[1] % count].radio, op[0])()
+        except SimulationError as exc:
+            self.log.append(("raised", str(exc)))
+
+    def snapshot(self):
+        macs = [tuple((slot, self.describe(getattr(mac, slot)))
+                      for slot in DcfMac.__slots__) for mac in self.macs]
+        radios = [(radio.name, radio._state.value, radio._cca_busy,
+                   [(self.describe(tx), repr(power))
+                    for tx, power in radio._arrivals.items()],
+                   self.describe(radio._locked),
+                   self.callback(radio.on_cca_busy),
+                   self.callback(radio.on_cca_idle),
+                   self.describe(radio._rx_timer),
+                   hash(radio._rng.getstate()))
+                  for radio in [mac.radio for mac in self.macs]
+                  + [self.jammer]]
+        return dict(super().snapshot(), macs=macs, radios=radios,
+                    sent=[self.describe(payload)
+                          for payload in self.medium.payloads])
+
+
+STATION = st.integers(min_value=0, max_value=4)
+MAC_OPS = st.one_of(
+    st.tuples(st.just("send"), STATION, STATION,
+              st.sampled_from([40, 300, 700])),
+    st.tuples(st.just("send"), STATION, STATION,
+              st.sampled_from([40, 300, 700])),
+    st.tuples(st.sampled_from(["broadcast", "multicast", "ps_poll"]), STATION),
+    st.tuples(st.just("null"), STATION, STATION),
+    # A burst every radio senses, and one under every CCA threshold.
+    st.tuples(st.just("energy"), st.sampled_from([3e-5, 4e-4, 3e-3]),
+              st.sampled_from([1e-3, 1e-8])),
+    # From the bare radio: another MAC's payload, a Dot11Frame subclass
+    # for a station, and third parties' reservations (none, short, long:
+    # they nest).
+    st.tuples(st.just("foreign")),
+    st.tuples(st.just("odd"), STATION, st.sampled_from([0, 900])),
+    st.tuples(st.just("cts"), st.sampled_from([0, 120, 900, 4000])),
+    st.tuples(st.sampled_from(["sleep", "wake", "crash"]), STATION),
+    st.tuples(st.just("run"),
+              st.sampled_from([1e-6, 2e-5, 5e-5, 3e-4, 2e-3])),
+    st.tuples(st.just("run"),
+              st.sampled_from([1e-6, 2e-5, 5e-5, 3e-4, 2e-3])))
+
+WORLDS = {"radio": RadioWorld, "mac": MacWorld}
+
+#: What a drawn schedule plays on: world -> (its options, its ops).
+DRAWN = {
+    "radio": (st.fixed_dictionaries({
+        "radios": st.integers(2, 6),
+        "capture": st.sampled_from(["on", "off", "odd"]),
+        "subclass_at": st.sampled_from([None, 0, 1]),
+        "error_model": st.sampled_from(["ber", "ber", "fixed", "threshold",
+                                        "subclass"]),
+        "traced": st.booleans()}), RADIO_OPS),
+    # Where the special stations sit: all plain, or one of each kind.
+    "mac": (st.builds(
+        lambda roles, **options: dict(roles, **options), st.sampled_from([
+            {}, dict(subclass_at=0), dict(subclass_at=1, ideal_at=0),
+            dict(ideal_at=1, listening_at=0), dict(sniffer_at=0, ideal_at=2),
+            dict(subclass_at=3, ideal_at=2, listening_at=1, sniffer_at=0)]),
+        stations=st.integers(2, 5), per=st.sampled_from([None, None, 0.3]),
+        rts=st.booleans()), MAC_OPS),
+}
+
+
+def _play(name, kernel, options, schedule):
+    """``schedule`` played on a fresh world, then drained: the world's
+    snapshot after every op."""
+    world = WORLDS[name](kernel, **options)
+    frames = []
+    for step, op in enumerate(schedule + [("run", 5e-3)]):
+        world.apply(op, step)
+        frames.append(world.snapshot())
+    return frames
+
+
+def _same(reference, compiled, schedule):
+    for step, (expected, got) in enumerate(zip(reference, compiled)):
+        assert got == expected, f"diverged after step {step}: " \
+            f"{schedule[min(step, len(schedule) - 1)]}"
+
+
+@pytest.mark.parametrize("world, examples", [("mac", 120), ("radio", 150)])
+def test_drawn_schedules_run_alike_on_both_kernels(world, examples):
+    options, ops = DRAWN[world]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(options=options, schedule=st.lists(ops, min_size=1, max_size=40))
+    def play(options, schedule):
+        _same(_play(world, "python", options, schedule),
+              _play(world, "c", options, schedule), schedule)
+    play()
+
+
+# --- the slots each world binds ----------------------------------------------
 
 #: By-name reads of the fields the twins read by offset, on the logged
 #: subclasses below; emptied at the start of every case.
@@ -167,9 +726,9 @@ def _call(name, side, obj, sim, args, log):
 
 
 def test_bind_serves_a_twin_to_exact_classes_on_the_compiled_kernel():
-    plain = World("c", 2, subclass_at=1)
-    odd_radio = World("c", 2, radio_class=mac_parity.WatchedRadio)
-    python = World("python", 2)
+    plain = MacWorld("c", 2, subclass_at=1)
+    odd_radio = MacWorld("c", 2, radio_class=WatchedRadio)
+    python = MacWorld("python", 2)
     mac, subclass = plain.macs
     odd_nav = OddNav(plain.sim)
     cases = [(plain.sim, SIMULATOR, True), (python.sim, SIMULATOR, False),
@@ -343,7 +902,7 @@ def _shard(sim, propagation):
 
 
 #: A world whose medium or trace sink is not the plain one: name ->
-#: (``World`` options, world -> None).
+#: (``RadioWorld`` options, world -> None).
 ARMED = {
     "a MediumProbe counts the frames": ({}, _probe),
     "the medium is a ShardMedium": ({"medium_class": _shard}, None),
@@ -380,23 +939,28 @@ def _radio_world(world_options, schedule):
     options = dict(world_options)
     odd = options.pop("odd", None)
     extra, arm = ARMED.get(options.pop("armed", None), ({}, None))
-    world = phy_parity.World("c", **options, **extra)
+    world = RadioWorld("c", **options, **extra)
     if odd is not None:
         ODD[odd](world)
     if arm is not None:
         arm(world)
     for step, op in enumerate(schedule):
-        phy_parity._apply(world, op, step)
+        world.apply(op, step)
     return world
 
 
-def _radio_case(side, name, world_options, schedule, index, tx, power):
+def _radio_row(side, name, world_options, schedule, index, tx, power,
+               before=False):
+    """Radio ``index`` of a world after ``schedule``: what it and the air
+    are after the slot's call (and, ``before``, what they were)."""
     del READS[:]
     world = _radio_world(world_options, schedule)
     radio = world.radios[index % len(world.radios)]
+    seen = before and (world.snapshot(), _air(world))
     result = _call(name, side, radio, world.sim,
                    _radio_args(world, radio, name, tx, power), world.log)
-    return world.snapshot(), list(READS), _air(world), repr(result)
+    after = world.snapshot(), list(READS), _air(world), repr(result)
+    return (seen, after) if before else after
 
 
 @pytest.mark.parametrize("name", list(RADIO.slots))
@@ -408,68 +972,110 @@ def _radio_case(side, name, world_options, schedule, index, tx, power):
            "traced": st.booleans(),
            "odd": st.sampled_from([None, None, *sorted(ODD)]),
            "armed": st.sampled_from([None, None, *sorted(ARMED)])}),
-       schedule=st.lists(phy_parity.OPS, max_size=12),
+       schedule=st.lists(RADIO_OPS, max_size=12),
        index=st.sampled_from([0, 0, 2]), tx=st.integers(0, 8),
-       power=phy_parity.POWERS)
+       power=POWERS)
 def test_every_radio_slot_is_its_reference(name, world_options, schedule,
                                            index, tx, power):
     case = (name, world_options, schedule, index, tx, power)
-    assert _radio_case("twin", *case) == _radio_case("reference", *case)
+    assert _radio_row("twin", *case) == _radio_row("reference", *case)
 
 
-@pytest.mark.parametrize("corner", sorted(phy_parity.CORNERS))
-def test_each_edge_of_each_corner_schedule_is_the_reference_s(corner):
-    """The edge parity suite's corner schedules, cut before each of
-    their edges: that edge, and the reception tail, called alone."""
-    schedule = phy_parity.CORNERS[corner]
-    options = {"radios": 2, "capture": "on", "subclass_at": None}
+def _edge_cuts(schedule, options):
+    """Each edge of ``schedule`` and the reception tail, called alone on
+    the state the schedule leaves before that edge: the twin's outcomes."""
     for step, op in enumerate(schedule):
         calls = [("_reception_complete", 0, None)]
         if op[0] in ("begins", "ends"):
             calls.append((f"arrival_{op[0]}", op[2], (op + (None,))[3]))
         for name, tx, power in calls:
             case = (name, options, schedule[:step], 1, tx, power)
-            assert _radio_case("twin", *case) \
-                == _radio_case("reference", *case), (step, name)
+            twin = _radio_row("twin", *case)
+            assert twin == _radio_row("reference", *case), (step, name)
+            yield twin
 
 
-def _asleep_on_lock(world, rx):
-    """Arm ``rx``'s ``on_state_change`` to put it to sleep, once, as
-    it next locks a frame."""
-    note = rx.on_state_change
-
-    def state_change(value):
-        note(value)
-        if value == "rx":
-            rx.on_state_change = note
-            rx.sleep()
-    rx.on_state_change = state_change
+def _rx_ends(frames):
+    return [entry for entry in frames[-1]["log"] if entry[1] == "rx-end"]
 
 
-#: An ``on_state_change`` callback sends the radio to sleep inside
-#: ``arrival_begins``, after ``_try_lock`` or after the capture's
-#: ``_abort_locked`` and relock: schedule, frame, power.
-ASLEEP = {
-    "asleep on a lock": ([("poke", 1, _asleep_on_lock)], 0, phy_parity.LOCKED),
-    "asleep on a capture relock": (
-        [("begins", 1, 2, phy_parity.LOCKED), ("poke", 1, _asleep_on_lock)],
-        1, 6e-9),
+def _interference(frames, step):
+    """Radio ``r1``'s tracked interference after ``step``."""
+    return frames[step]["radios"][1][7][4]
+
+
+def _eifs_after_corrupt(frames):
+    waiting = dict(frames[5]["macs"][1])
+    assert waiting["counters"] == [("rx_corrupt", 1)]
+    assert waiting["_use_eifs"] is True
+    armed, at = waiting["_ifs"][1], float(waiting["_ifs"][3])
+    assert armed and at == pytest.approx(1e-4 + 4e-4 + EIFS, abs=1e-6)
+
+
+#: Schedules a walk seldom reaches: name -> (world, its options, the
+#: schedule, the one right outcome (frames) -> None, or None).
+CORNERS = {
+    # The locked frame's energy has left the table when a weaker burst
+    # arrives: sum - locked_power is negative and clamps to 0.0.
+    "negative interference clamps": ("radio", {}, [
+        ("begins", 1, 0, 3e-10), ("ends", 1, 0), ("begins", 1, 5, 1e-10),
+        ("run", 2e-3)], lambda frames: _interference(frames, 2) == "0.0"),
+    # Two half-threshold bursts sum to the CCA threshold exactly.
+    "a sum on the CCA line": ("radio", {}, [
+        ("begins", 1, 5, CCA / 2.0), ("begins", 1, 6, CCA / 2.0),
+        ("ends", 1, 5), ("ends", 1, 6)],
+        lambda frames: [entry[1] for entry in frames[-1]["log"]] == [
+            "cca-busy", "cca-idle"]),
+    # Capture: the abort runs in Python, the relock in C, mid-frame.
+    "capture relocks": ("radio", {}, [
+        ("begins", 1, 2, 3e-10), ("run", 1e-4), ("begins", 1, 1, 6e-9),
+        ("run", 1e-4), ("begins", 1, 5, 2e-10), ("ends", 1, 2),
+        ("run", 2e-3)], lambda frames: frames[2]["radios"][1][4] == "pool1"),
+    # A table whose builtins.sum is not a float: the lock, the
+    # interference refresh and the CCA verdict each defer to Python.
+    "a table that does not sum to a float": ("radio", {}, [
+        ("begins", 1, 5, OddWatts(1e-10)), ("begins", 1, 0, 3e-10),
+        ("begins", 1, 6, OddWatts(2e-10)), ("ends", 1, 5), ("run", 1e-3),
+        ("begins", 1, 4, 1e-6), ("ends", 1, 4), ("ends", 1, 6)],
+        lambda frames: frames[1]["radios"][1][4] == "pool0"   # it did lock
+        and _interference(frames, 3) != "0.0"),               # and refreshed
+    # The tail under interference that outlasts the frame: the SINR
+    # integrates a partial overlap and the radio stays CCA-busy.
+    "a tail under lasting interference": ("radio", {}, [
+        ("begins", 1, 0, LOCKED), ("run", 1e-4), ("begins", 1, 5, 2e-10),
+        ("ends", 1, 0), ("run", 2e-4), ("ends", 1, 5)],
+        lambda frames: 4.0 < float(_rx_ends(frames)[0][5]) < 5.0  # not 28.3
+        and len(_rx_ends(frames)) == 1
+        and frames[4]["radios"][1][1:3] == ("idle", True)),
+    # A table that is a dict subclass: the whole tail is the reference's.
+    "a table that is not a plain dict": ("radio", {}, [
+        ("begins", 1, 0, LOCKED), ("begins", 1, 5, 1e-10),
+        ("poke", 1, lambda world, rx: setattr(
+            rx, "_arrivals", type("Table", (dict,), {})(rx._arrivals))),
+        ("run", 1e-3)], lambda frames: len(_rx_ends(frames)) == 1),
+    # Station 0's frame reaches station 1 corrupt (PER 1) while a burst
+    # keeps the medium busy past the frame's end, so the wait is armed
+    # by the burst's idle edge — with _use_eifs already set.
+    "EIFS follows a corrupt frame once the air clears": (
+        "mac", {"stations": 2, "per": 1.0}, [
+            ("send", 0, 0, 40), ("run", 1e-4), ("send", 1, 0, 40),
+            ("energy", 4e-4, 1e-6), ("run", 4e-4 - 1e-6), ("run", 2e-6)],
+        _eifs_after_corrupt),
 }
 
 
-@pytest.mark.parametrize("corner", sorted(ASLEEP))
-def test_a_radio_sent_to_sleep_inside_an_edge_senses_nothing(corner):
-    """The edge's CCA verdict is ``Radio.cca_busy``'s on the twin and on
-    the reference: a sleeping radio is not busy, whatever energy its
-    table holds."""
-    schedule, tx, power = ASLEEP[corner]
-    options = {"radios": 2, "capture": "on", "subclass_at": None}
-    case = ("arrival_begins", options, schedule, 1, tx, power)
-    twin = _radio_case("twin", *case)
-    assert twin == _radio_case("reference", *case)
-    _name, state, cca_busy, table = twin[0]["radios"][1][:4]
-    assert (state, cca_busy) == ("sleep", False)
-    assert table, "nothing on the air: the row tests nothing"
+@pytest.mark.parametrize("corner", sorted(CORNERS))
+def test_each_corner_is_the_reference_s(corner):
+    """Played whole on both kernels and held to its outcome; a radio
+    corner is also cut before each of its edges: that edge, and the
+    reception tail, called alone."""
+    world, options, schedule, outcome = CORNERS[corner]
+    compiled = _play(world, "c", options, schedule)
+    _same(_play(world, "python", options, schedule), compiled, schedule)
+    assert outcome is None or outcome(compiled) in (None, True)
+    if world == "radio":
+        for _ in _edge_cuts(schedule, options):
+            pass
 
 
 @pytest.mark.parametrize("odd", sorted(ODD))
@@ -479,33 +1085,10 @@ def test_a_subclass_holder_hands_each_step_to_the_reference(corner, odd):
     """A corner schedule that locks, captures, refreshes and ends a
     reception, with one class the twins read by offset subclassed: each
     edge and tail, called alone, is the reference's, its reads too."""
-    schedule = phy_parity.CORNERS[corner]
-    options = {"radios": 2, "capture": "on", "subclass_at": None,
-               "odd": odd}
     read = set()
-    for step, op in enumerate(schedule):
-        calls = [("_reception_complete", 0, None)]
-        if op[0] in ("begins", "ends"):
-            calls.append((f"arrival_{op[0]}", op[2], (op + (None,))[3]))
-        for name, tx, power in calls:
-            case = (name, options, schedule[:step], 1, tx, power)
-            twin = _radio_case("twin", *case)
-            assert twin == _radio_case("reference", *case), (step, name)
-            read.update(twin[1])
+    for twin in _edge_cuts(CORNERS[corner][2], {"odd": odd}):
+        read.update(twin[1])
     assert read, "the subclass was never read: the row tests nothing"
-
-
-def _radio_row(side, name, armed, schedule, tx):
-    """Radio ``r1`` of a two-radio world after ``schedule``: what it and
-    the air were before the slot's call, and what they are after."""
-    del READS[:]
-    world = _radio_world({"radios": 2, "capture": "on", "subclass_at": None,
-                          "armed": armed}, schedule)
-    radio = world.radios[1]
-    before = world.snapshot(), _air(world)
-    result = _call(name, side, radio, world.sim,
-                   _radio_args(world, radio, name, tx, None), world.log)
-    return before, (world.snapshot(), list(READS), _air(world), repr(result))
 
 
 def _logged(before, after):
@@ -532,13 +1115,13 @@ SENDS = {
         "transmit", None, [], 0, lambda before, after: _logged(
             before, after) == [("r1", "state"), ("r1", "cca-busy")]),
     "from IDLE, energy over the CCA threshold": (
-        "transmit", None, [("begins", 1, 5, 2 * phy_parity.CCA)], 0,
+        "transmit", None, [("begins", 1, 5, 2 * CCA)], 0,
         lambda before, after: _logged(before, after) == [("r1", "state")]),
     "during a locked reception": (
-        "transmit", None, [("begins", 1, 0, phy_parity.LOCKED)], 1,
+        "transmit", None, [("begins", 1, 0, LOCKED)], 1,
         lambda before, after: before[0]["radios"][1][4] == "pool0"
         and after[0]["radios"][1][1:5] == ("tx", True, [("pool0", repr(
-            phy_parity.LOCKED))], None)),
+            LOCKED))], None)),
     "in TX": ("transmit", None, [("transmit", 1, 0)], 0, _refused),
     "asleep": ("transmit", None, [("sleep", 1)], 0, _refused),
     "with a mode outside the standard": ("transmit", None, [], 4, _refused),
@@ -579,8 +1162,9 @@ SENDS = {
 @pytest.mark.parametrize("row", sorted(SENDS))
 def test_each_named_send_is_the_reference_s(row):
     name, armed, schedule, tx, outcome = SENDS[row]
-    twin = _radio_row("twin", name, armed, schedule, tx)
-    reference = _radio_row("reference", name, armed, schedule, tx)
+    case = (name, {"armed": armed}, schedule, 1, tx, None)
+    twin = _radio_row("twin", *case, before=True)
+    reference = _radio_row("reference", *case, before=True)
     assert twin == reference
     assert outcome(*reference), "the reference is not what the row names"
 
@@ -672,6 +1256,13 @@ def _fresh(timer):
     return OddTimer(timer._sim, timer._callback)
 
 
+def _slots_in(elapsed):
+    """The clock ``elapsed`` slots past the countdown's anchor, as a run
+    to there leaves it."""
+    return lambda world, mac, frame: setattr(
+        world.sim, "_now", mac._countdown_anchor + elapsed * SLOT)
+
+
 #: Named states: name -> (base, poke(world, mac, frame)).
 STATES = {
     # Every reason ``_maybe_start_ifs`` has not to arm, and the one to.
@@ -690,6 +1281,9 @@ STATES = {
     "the NAV ends exactly now": (
         "waiting", lambda world, mac, frame: setattr(
             mac.nav, "_until", world.sim.now)),
+    "a longer reservation is running": (
+        "waiting", lambda world, mac, frame: mac.nav.set_until(
+            world.sim.now + 4000 * 1e-6)),
     "the NAV ends where the reservation does": (
         "waiting", lambda world, mac, frame: setattr(
             mac.nav, "_until", world.sim.now + frame.rx_verdict[2])),
@@ -706,6 +1300,12 @@ STATES = {
         "waiting", _set("mac._backoff_remaining", None)),
     "the clock on a slot boundary": (
         "on a slot boundary", lambda world, mac, frame: None),
+    # The freeze replays every slot boundary the clock has passed.
+    **{f"{elapsed} slots into the countdown": (
+        "counting down", _slots_in(elapsed)) for elapsed in (0.0, 0.5, 6.5)},
+    "the countdown's own event due now": (
+        "counting down", lambda world, mac, frame: setattr(
+            world.sim, "_now", mac._countdown._time)),
     # Fields of the wrong type: the reference's whole call.
     "_slot_time is a float subclass": (
         "counting down", _swap("mac._slot_time", OddFloat)),
@@ -797,6 +1397,13 @@ def _frozen(outcome):
     return mac["_backoff_remaining"], mac["_countdown"][1]
 
 
+def _nav(outcome):
+    """The NAV's deadline, whether its timer is armed, its version, and
+    the reservations counted."""
+    _, until, _, (_, armed, version, _, _) = outcome[3]
+    return until, armed, version, dict(outcome[1]).get("nav_updates")
+
+
 NOW = 1e-3      # where the "waiting" base leaves the clock
 
 #: What the reference must itself leave in a named state, not just what
@@ -827,8 +1434,25 @@ EXPECTED.update({
     # 7 - 3 slots: the boundary landing exactly on now counts (`<=`).
     ("_cancel_access_timers", "the clock on a slot boundary"): (
         _frozen, (4, False)),
+    ("_cancel_access_timers", "0.0 slots into the countdown"): (
+        _frozen, (7, False)),
+    ("_cancel_access_timers", "0.5 slots into the countdown"): (
+        _frozen, (7, False)),
+    ("_cancel_access_timers", "6.5 slots into the countdown"): (
+        _frozen, (1, False)),
+    ("_cancel_access_timers", "the countdown's own event due now"): (
+        _frozen, (0, False)),
+    # An overheard reservation is taken and counted, the NAV armed once;
+    # a shorter one inside it counts and changes nothing; ``time <=
+    # _until``: an equal end counts and is no extension — the timer is
+    # never armed.
+    ("phy_rx_end", "nothing holds it back"): (
+        _nav, (repr(NOW + 900 * 1e-6), True, 1, 1)),
+    ("phy_rx_end", "a longer reservation is running"): (
+        _nav, (repr(NOW + 4000 * 1e-6), True, 1, 1)),
+    ("phy_rx_end", "the NAV ends where the reservation does"): (
+        _nav, (repr(NOW + 900 * 1e-6), False, 0, 1)),
 })
-
 
 
 def test_every_expectation_names_a_slot_and_a_state():
@@ -859,9 +1483,9 @@ MAC_SLOTS = [(MAC, name) for name in MAC.slots] + [(NAV, "_fire")]
 def _mac_case(side, table, name, schedule, base, pokes, frame, success,
               snr, world_options=None):
     del READS[:]
-    world = World("c", 3, **(world_options or {}))
+    world = MacWorld("c", 3, **(world_options or {}))
     mac, frame = world.macs[0], FRAMES[frame](world)
-    steps = [lambda world, mac, frame, op=op: mac_parity._apply(world, op)
+    steps = [lambda world, mac, frame, op=op: world.apply(op)
              for op in schedule]
     if base is not None:
         steps.append(lambda world, mac, frame: BASES[base](world, mac))
@@ -897,15 +1521,16 @@ def test_each_named_state_is_the_reference_s(table, name, state):
             twin, reference = _both(table, name, [], base, [state], frame,
                                     success, 25.0)
             assert twin == reference, (frame, success)
-    if (name, state) in EXPECTED:
-        read, value = EXPECTED[name, state]
-        assert read(reference) == value, read.__doc__
+            if (success, frame) == (True, "a reservation") \
+                    and (name, state) in EXPECTED:
+                read, value = EXPECTED[name, state]
+                assert read(reference) == value, read.__doc__
 
 
 @pytest.mark.parametrize("table, name", MAC_SLOTS,
                          ids=[name for _, name in MAC_SLOTS])
 @settings(max_examples=150, deadline=None)
-@given(schedule=st.lists(mac_parity.OPS, max_size=8),
+@given(schedule=st.lists(MAC_OPS, max_size=8),
        base=st.sampled_from([None] + sorted(BASES)),
        pokes=st.lists(st.sampled_from(sorted(STATES)), max_size=3),
        frame=st.sampled_from(sorted(FRAMES)),
@@ -919,3 +1544,263 @@ def test_every_mac_slot_is_its_reference(table, name, schedule, base, pokes,
     twin, reference = _both(table, name, schedule, base, pokes, frame,
                             success, snr, world_options=world_options)
     assert twin == reference
+
+
+# --- the failure path --------------------------------------------------------
+
+def _deaf_frame(world):
+    mode = dataclasses.replace(
+        DOT11B.modes[0], modulation=DeafModulation("deaf", 1.0))
+    return Transmission(world.radios[0], "deaf", 800, mode, 1e-3, 0.0, 2e-4)
+
+
+def _radio(table, deliveries, tail=False, **upcalls):
+    """A radio row: ``upcalls`` set on ``r1``, ``deliveries`` (an edge
+    and its frame — a pool index, or built off the world — or a field to
+    set) scheduled to it, work due after them.  The first raise leaves
+    ``table`` (begins inserts before anything can raise); at a ``tail``,
+    the lock released, the radio IDLE short of its idle edge (taken just
+    before on_rx_end), and no draw (taken once the PER is known)."""
+    def setup(world):
+        rx, built = world.radios[1], {}
+        edges = dict(zip(("begins", "ends"), world.edges(rx)))
+        for name, value in upcalls.items():
+            setattr(rx, name, value)
+        for time, what, target, *rest in deliveries + [
+                (3e-3, "begins", 6, 1e-6), (4e-3, "ends", 6)]:
+            if what == "set":
+                world.sim.schedule_fast(time, setattr, rx, target, *rest)
+                continue
+            frame = world.pool[target] if isinstance(target, int) \
+                else built.setdefault(target, target(world))
+            world.sim.schedule_fast(time, edges[what], frame, *rest)
+
+        def mend():
+            world._wire(rx)
+            rx.error_model = BerErrorModel()
+            if rx._locked is not None and \
+                    not hasattr(rx._locked_tracker, "set_interference"):
+                rx._locked_tracker = rx._tracker
+        return mend
+
+    def outcome(before, raised, drained):
+        failing = raised[0][2]["radios"][1]
+        assert [label for label, _power in failing[3]] == table
+        if tail:
+            assert failing[1:3] == ("idle", True) and failing[4] is None
+            assert failing[-1] == before["radios"][1][-1]
+        assert drained["radios"][1][3] == [] and drained["heap"] == []
+    return "radio", setup, outcome
+
+
+def _dead_expiry():
+    """A MAC row: station 0 has a frame to send when its NAV, set, gets
+    an expiry that raises; mended, it contends again from one idle edge
+    and delivers."""
+    def setup(world):
+        mac = world.macs[0]
+        mac.send(world.macs[1].address, bytes(40))
+        mac._ifs.cancel()
+        mac.nav.set_until(2e-5)
+        on_expire, mac.nav._on_expire = mac.nav._on_expire, _boom
+
+        def mend():
+            mac.nav._on_expire = on_expire
+            mac._backoff_remaining = 3
+            mac.radio.on_cca_idle()
+        return mend
+
+    def outcome(before, raised, drained):
+        assert dict(dict(drained["macs"][0])["counters"])[
+            "msdu_delivered"] == 1
+    return "mac", setup, outcome
+
+
+def _overheard(frame, factory):
+    """A demux row: the bare radio sends ``frame()`` to three stations
+    whose station 0 builds controllers with ``factory``; it fails before
+    its NAV is reached, no controller inserted.  Mended, station 1 sends
+    to station 0 and delivers.  A frame with no verdict fails every
+    station; otherwise the spared stations took the reservation."""
+    def setup(world):
+        mac = world.macs[0]
+        kept = mac._rate_factory
+        mac._rate_factory = factory or kept
+        world.hear(frame())
+
+        def mend():
+            mac._rate_factory = kept
+            world.macs[1].send(mac.address, bytes(40))
+        return mend
+
+    def outcome(before, raised, drained):
+        failed = dict(raised[0][2]["macs"][0])
+        assert failed["nav"][1] == "0.0" and failed["counters"] == []
+        assert failed["_controllers"] == []
+        counters = [dict(dict(mac)["counters"]) for mac in drained["macs"]]
+        assert counters[1]["msdu_delivered"] == 1
+        assert len(raised) == 3 or min(
+            counters[1]["nav_updates"], counters[2]["nav_updates"]) >= 1
+    return "mac", setup, outcome
+
+
+class Duck:
+    """Anything with an ``EventHandle``'s attributes: the run loop's last
+    entry shape."""
+
+    def __init__(self, callback, args=("duck",), cancelled=False):
+        self._cancelled, self.callback, self.args = cancelled, callback, args
+
+
+class SimWorld(World):
+    """A bare simulator whose events note their firing, and what a row
+    made, field by field."""
+
+    def __init__(self, kernel):
+        self.sim = Simulator(kernel=kernel)
+        self.log, self.made = [], []
+
+    def note(self, *args):
+        self.log.append((repr(self.sim._now),) + args)
+
+    def snapshot(self):
+        return dict(super().snapshot(), made=[
+            [repr(getattr(obj, name, "missing")) for name in (
+                "_cancelled", "_fired", "_armed", "_version", "args")]
+            for obj in self.made])
+
+
+WORLDS["sim"] = SimWorld
+
+
+def _queued(make, *missing, mend=None):
+    """A run-loop row: what ``make(world)`` queues for 0.5 s between two
+    plain events — an entry's tail, pushed as it is, or an object that
+    queued itself — ``missing`` deleted off it; ``mend(world)``."""
+    def setup(world):
+        sim = world.sim
+        sim.schedule_fast_at(0.25, world.note, "before")
+        made = make(world)
+        if isinstance(made, tuple):
+            sim._push((0.5, sim._next_seq()) + made)
+            made = made[0]
+        for name in missing:
+            delattr(made, name)
+        world.made.append(made)
+        sim.schedule_fast_at(0.75, world.note, "after")
+        return lambda: mend and mend(world)
+    return "sim", setup, None
+
+
+def _timer(world):
+    timer = Timer(world.sim, world.note)
+    timer.schedule_at(0.5)
+    return timer
+
+
+#: What raises under ``sim.run()``: name -> (the exceptions run() raises
+#: in order, (world, setup(world) -> mend, the row's outcome (before,
+#: raised, drained) -> None, or None)).
+FAILURES = {
+    # An upcall or a model raising in a compiled edge or tail.
+    "on_cca_idle raises in arrival_ends": (
+        ["Boom"], _radio([], [(1e-3, "begins", 5, 1e-6),
+                              (2e-3, "ends", 5)], on_cca_idle=_boom)),
+    "on_state_change raises while locking": (["Boom"], _radio(
+        ["pool0"], [(1e-3, "begins", 0, 1e-9), (1.2e-3, "ends", 0)],
+        on_state_change=_boom)),
+    "a tracker that is not a SinrTracker": (["AttributeError"], _radio(
+        ["pool2", "pool5"], [
+            (1e-3, "begins", 2, 1e-9),
+            (1.1e-3, "set", "_locked_tracker", object()),
+            (1.2e-3, "begins", 5, 1e-10), (1.8e-3, "ends", 5),
+            (1.9e-3, "ends", 2)])),
+    "on_state_change raises at the tail": (["Boom"], _radio(
+        [], [(1e-3, "begins", 0, LOCKED), (1.1e-3, "set",
+             "on_state_change", _boom), (1.2e-3, "ends", 0)], tail=True)),
+    "a handed-off PER raises at the tail": (["Boom"], _radio(
+        [], [(1e-3, "begins", _deaf_frame, LOCKED),
+             (1.2e-3, "ends", _deaf_frame)], tail=True)),
+    # A carrier-sense slot: the NAV's expiry raising.
+    "the NAV's expiry raises": (["Boom"], _dead_expiry()),
+    # The demux: a raising rate factory, a frame whose verdict
+    # cannot be derived.
+    "the rate factory raises": (["Boom"], _overheard(
+        lambda: make_rts(STRANGER, BYSTANDER, 900), _boom)),
+    "a frame with no verdict": (["AttributeError"] * 3, _overheard(
+        lambda: make_cts("nobody", 900), None)),
+    # The run loop: entries, timers and handles of the wrong shape.
+    "a fast entry too short for its args": (
+        ["IndexError"], _queued(lambda world: (None, world.note))),
+    "a timer entry with no version": (["IndexError"], _queued(
+        lambda world: (Timer(world.sim, world.note),))),
+    "a timer whose _version is missing": (
+        ["AttributeError"], _queued(_timer, "_version")),
+    "a timer whose _callback is missing": (
+        ["AttributeError"], _queued(_timer, "_callback")),
+    **{f"a handle whose {field} is missing": (["AttributeError"], _queued(
+        lambda world: world.sim.schedule_at(0.5, world.note), field))
+       for field in ("_cancelled", "args")},
+    "a duck-typed handle is cancelled": ([], _queued(
+        lambda world: (Duck(world.note, cancelled=True),))),
+    "a duck-typed handle has list args": ([], _queued(
+        lambda world: (Duck(world.note, ["duck", 1]),))),
+    **{f"a duck-typed handle whose {field} is missing": (
+        ["AttributeError"], _queued(
+            lambda world: (Duck(world.note),), field))
+       for field in ("_cancelled", "callback", "args")},
+    # The run loop's own fields, and its re-entrancy guard.
+    "a callback runs the loop again": (["SimulationError"], _queued(
+        lambda world: world.sim.schedule_fast_at(0.5, world.sim.run))),
+    "the running flag is missing": (["AttributeError"], _queued(
+        lambda world: world.sim, "_running",
+        mend=lambda world: setattr(world.sim, "_running", False))),
+    "a callback deletes the clock": (["AttributeError"], _queued(
+        lambda world: world.sim.schedule_fast_at(
+            0.875, delattr, world.sim, "_now"),
+        mend=lambda world: setattr(world.sim, "_now", 0.875))),
+}
+
+
+#: The ``run()`` signatures a failure is raised under: a horizon, an
+#: event budget that never binds, both, neither.
+BOUNDS = {"until": {"until": 1.0}, "max_events": {"max_events": 10**6},
+          "both": {"until": 1.0, "max_events": 10**6}, "neither": {}}
+
+
+def _failure(kernel, row, bounds):
+    """``row`` under ``sim.run(**BOUNDS[bounds])``, run again after each
+    raise (mended after the first): the state before, what each raise
+    left, and the state once nothing raises."""
+    _kinds, (world, setup, _outcome) = FAILURES[row]
+    world = WORLDS[world](kernel)
+    mend = setup(world)
+    before = world.snapshot()
+    raised = []
+    for _ in range(4):
+        try:
+            world.sim.run(**BOUNDS[bounds])
+            break
+        except Exception as exc:
+            raised.append((type(exc).__name__,
+                           getattr(world.sim, "_running", None),
+                           world.snapshot()))
+            if len(raised) == 1:
+                mend()
+    return before, raised, world.snapshot()
+
+
+@pytest.mark.parametrize("bounds", list(BOUNDS))
+@pytest.mark.parametrize("row", sorted(FAILURES))
+def test_each_failure_fails_alike_and_the_run_goes_on(row, bounds):
+    kinds, (_world, _setup, outcome) = FAILURES[row]
+    compiled = _failure("c", row, bounds)
+    assert compiled == _failure("python", row, bounds)
+    before, raised, drained = compiled
+    assert [kind for kind, _running, _after in raised] == kinds
+    assert not any(running for _kind, running, _after in raised)
+    if raised and "radios" in before:
+        # The executed counter was flushed, and the run went on.
+        assert drained["executed"] > raised[-1][2]["executed"]
+    if outcome is not None:
+        outcome(before, raised, drained)
