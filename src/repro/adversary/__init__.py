@@ -5,7 +5,7 @@ deployments live in, on top of the existing PHY/MAC layers:
 
 * :mod:`~repro.adversary.emitters` — energy-only interference sources
   driven through the medium's energy path: barrage / duty-cycled /
-  sweeping / reactive jammers, plus coexistence profiles (a
+  reactive jammers, plus coexistence profiles (a
   Bluetooth-style frequency hopper, a broadband microwave-oven burst
   source).
 * :mod:`~repro.adversary.monitor` — monitor-mode promiscuous capture:
@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "attacks": ("CtsNavAttacker", "DeauthFlooder", "FrameInjector",
         "MAX_DURATION_US", "RogueAp"),
     "emitters": ("BluetoothHopper", "ConstantJammer", "Emitter",
-        "EnergySource", "MicrowaveOven", "PeriodicJammer", "ReactiveJammer",
-        "SweepingJammer"),
+        "EnergySource", "MicrowaveOven", "PeriodicJammer", "ReactiveJammer"),
     "monitor": ("CaptureLog", "CaptureRecord", "MonitorRadio"),
 })

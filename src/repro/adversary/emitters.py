@@ -14,7 +14,6 @@ The profiles:
 
 * :class:`ConstantJammer` — barrage noise, back-to-back bursts.
 * :class:`PeriodicJammer` — duty-cycled pulse jammer (on/period).
-* :class:`SweepingJammer` — hops a channel list, dwelling per channel.
 * :class:`ReactiveJammer` — carrier-senses with a real radio and stomps
   the tail of any transmission whose CCA edge it detects.
 * :class:`BluetoothHopper` — coexistence bystander reusing the
@@ -27,7 +26,7 @@ The profiles:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..core.engine import Simulator, Timer
 from ..core.errors import ConfigurationError
@@ -57,9 +56,7 @@ class EnergySource:
     ``position`` / ``_position``, ``_channel_id`` — without being an
     attached radio, so it never appears in any receiver list and adds
     no per-frame cost to the victims' traffic.  Moving invalidates its
-    cached link budgets; retuning drops only its own compiled fan-out
-    plan (:meth:`~repro.phy.channel.Medium.invalidate_plan`), so a
-    frequency hopper does not force a global plan flush per hop.
+    cached link budgets; its channel is fixed at construction.
     """
 
     __slots__ = ("name", "medium", "_position", "_channel_id",
@@ -87,13 +84,6 @@ class EnergySource:
     @property
     def channel_id(self) -> int:
         return self._channel_id
-
-    @channel_id.setter
-    def channel_id(self, value: int) -> None:
-        if value == self._channel_id:
-            return
-        self._channel_id = value
-        self.medium.invalidate_plan(self)
 
     def emit(self, duration: float) -> None:
         """Fan one energy burst out to the audible co-channel radios."""
@@ -241,41 +231,6 @@ class PeriodicJammer(Emitter):
             return
         self._burst(self.on_time)
         self._tick_timer.schedule(self.period)
-
-
-class SweepingJammer(Emitter):
-    """Multi-channel sweep: dwell on each channel in turn, jamming it.
-
-    Each dwell is one energy burst on the current channel followed by a
-    retune — the retune invalidates only this sender's compiled plan,
-    so sweeping across a busy band does not recompile the victims'.
-    """
-
-    def __init__(self, sim: Simulator, medium: Medium, position: Position,
-                 channels: Sequence[int] = (1, 6, 11),
-                 dwell: float = 2e-3, power_dbm: float = 20.0,
-                 name: str = "jam-sweep"):
-        if not channels:
-            raise ConfigurationError("sweep needs at least one channel")
-        if dwell <= 0.0:
-            raise ConfigurationError("dwell must be positive")
-        super().__init__(sim, medium, position, channel_id=channels[0],
-                         power_dbm=power_dbm, name=name)
-        self.channels = tuple(channels)
-        self.dwell = dwell
-        self._index = 0
-
-    def _begin(self) -> None:
-        self._tick()
-
-    def _tick(self) -> None:
-        if not self._active:
-            return
-        self.source.channel_id = self.channels[self._index]
-        self._index = (self._index + 1) % len(self.channels)
-        self.counters.incr("sweeps", 1 if self._index == 0 else 0)
-        self._burst(self.dwell)
-        self._tick_timer.schedule(self.dwell)
 
 
 class ReactiveJammer:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, \
+    Tuple
 
 from ..core.topology import Position
 from .tables import render_series, render_table

@@ -1,4 +1,4 @@
-"""Mesh evaluation metrics: hop counts, path stretch, per-link airtime.
+"""Mesh evaluation metrics: hop counts, path stretch, per-link load.
 
 The questions a mesh operator asks after a run:
 
@@ -11,9 +11,8 @@ The questions a mesh operator asks after a run:
   paths.  The connectivity graph is derived from node positions and the
   radio range, matching the disc propagation the mesh scenarios use.
 * **Which links carried the load?** — per-directed-link frame/byte
-  counts aggregated across nodes, plus an on-air time estimate so
-  relay-bottleneck analysis ("the first hop of a chain carries
-  everything") reads in seconds, not bytes.
+  counts aggregated across nodes ("the first hop of a chain carries
+  everything").
 """
 
 from __future__ import annotations
@@ -23,14 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.stats import Counter
 from ..core.topology import Position
-from ..phy.standards import PhyMode, PhyStandard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..routing.node import MeshNode
-
-#: 3-address data header + FCS, the fixed per-frame wire overhead used
-#: by the airtime estimate.
-DATA_FRAME_OVERHEAD_BYTES = 28
 
 
 def connectivity_graph(positions: Sequence[Position],
@@ -92,38 +86,3 @@ def per_link_load(nodes: Sequence["MeshNode"]) -> Dict[LinkKey, Counter]:
             links.setdefault((node.name, str(next_hop)),
                              Counter()).merge(counter)
     return links
-
-
-def per_link_airtime(nodes: Sequence["MeshNode"], standard: PhyStandard,
-                     mode: PhyMode) -> Dict[LinkKey, float]:
-    """Estimated on-air seconds per directed link.
-
-    An *estimate*: it prices every frame at the given PHY mode with the
-    fixed 3-address overhead, ignoring retries and rate adaptation —
-    the right lens for "which relay is the bottleneck", not a substitute
-    for :class:`~repro.analysis.airtime.AirtimeReport` when exact
-    airtime matters.
-    """
-    airtimes: Dict[LinkKey, float] = {}
-    for key, counter in per_link_load(nodes).items():
-        bits = (counter.get("bytes")
-                + counter.get("frames") * DATA_FRAME_OVERHEAD_BYTES) * 8
-        frames = counter.get("frames")
-        if frames == 0:
-            airtimes[key] = 0.0
-            continue
-        # Per-frame preamble overhead is inside frame_airtime; price the
-        # link as `frames` average-size frames.
-        per_frame_bits = bits / frames
-        airtimes[key] = frames * standard.frame_airtime(per_frame_bits, mode)
-    return airtimes
-
-
-def mesh_hop_histogram(nodes: Sequence["MeshNode"]) -> Dict[int, int]:
-    """Delivered-packet count by hop count, across the fleet."""
-    histogram: Dict[int, int] = {}
-    for node in nodes:
-        for sample in node.hop_counts.samples:
-            hops = int(sample)
-            histogram[hops] = histogram.get(hops, 0) + 1
-    return histogram

@@ -7,47 +7,12 @@ track the analytic curve within simulation noise.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence
-
-from ..core.stats import jain_fairness  # re-exported for convenience
 from ..phy.standards import PhyStandard
 
 __all__ = [
-    "aggregate_throughput_bps",
     "bianchi_saturation_throughput",
     "bianchi_tau",
-    "delay_percentiles",
-    "jain_fairness",
 ]
-
-
-def aggregate_throughput_bps(byte_counts: Sequence[int],
-                             window: float) -> float:
-    """Total goodput across flows over an observation window."""
-    if window <= 0:
-        raise ValueError(f"window must be positive: {window}")
-    return sum(byte_counts) * 8 / window
-
-
-def delay_percentiles(samples: Sequence[float],
-                      fractions: Sequence[float] = (0.5, 0.9, 0.99)
-                      ) -> Dict[float, float]:
-    """Interpolated percentiles of a delay sample set."""
-    if not samples:
-        return {fraction: math.nan for fraction in fractions}
-    ordered = sorted(samples)
-    result = {}
-    for fraction in fractions:
-        position = fraction * (len(ordered) - 1)
-        low, high = int(math.floor(position)), int(math.ceil(position))
-        if low == high:
-            result[fraction] = ordered[low]
-        else:
-            weight = position - low
-            result[fraction] = ordered[low] * (1 - weight) + \
-                ordered[high] * weight
-    return result
 
 
 def bianchi_tau(n: int, cw_min: int, retry_limit: int = 6) -> float:

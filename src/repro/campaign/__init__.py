@@ -18,9 +18,7 @@ into data:
 * :mod:`~repro.campaign.pool` — the fork-once worker pool with
   per-task timeouts.
 
-``tools/run_campaign.py`` is the command-line face;
-:mod:`repro.analysis.campaign` aggregates the result store into
-mean/CI ensemble tables and sweep curves.
+``tools/run_campaign.py`` is the command-line face.
 """
 
 from .._lazy import attach

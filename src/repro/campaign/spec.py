@@ -300,9 +300,9 @@ def validate_spec(raw: Any, source: Optional[str] = None) -> Dict[str, Any]:
     """
     raw = _typed(raw, "(root)", dict, source)
     if "differential" in raw:
-        raise SpecError("differential", "section removed: compare two "
-                        "stores with repro.analysis.campaign."
-                        "differential_gate", source=source)
+        raise SpecError("differential", "section removed: run the "
+                        "campaign once per mode.kernel and compare the "
+                        "two stores", source=source)
     _check_unknown(raw, "(root)", _TOP_LEVEL, source)
 
     campaign = _typed(raw.get("campaign", {}), "campaign", dict, source)

@@ -43,8 +43,8 @@ def row_line(row: Dict[str, Any]) -> str:
 
 def read_store(path: pathlib.Path) -> List[Dict[str, Any]]:
     """Parse a JSONL store back into row dicts (floats stay repr
-    strings — byte-compare callers never want them re-rounded; the
-    :mod:`repro.analysis.campaign` aggregators revive them)."""
+    strings — byte-compare callers never want them re-rounded;
+    ``float()`` revives them)."""
     return [json.loads(line)
             for line in pathlib.Path(path).read_text().splitlines() if line]
 

@@ -10,7 +10,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "IntegrityError", "LinkError", "ProtocolError", "ReplayError",
         "ReproError", "SchedulingError", "SecurityError", "SimulationError"),
     "rng": ("RngRegistry",),
-    "stats": ("Counter", "SampleStat", "TimeWeightedStat", "jain_fairness"),
+    "stats": ("Counter", "SampleStat", "TimeWeightedStat"),
     "topology": ("ORIGIN", "Position", "circle_layout", "grid_layout",
         "hexagonal_cell_centers", "line_layout", "nearest",
         "random_disc_layout"),

@@ -637,6 +637,47 @@ counter_add(PyObject *sim, Py_ssize_t off, const char *name, long long n)
     return slot_set_int(sim, off, value + n);
 }
 
+/* ``sim.<tally> += n`` on whatever the tally holds, as the Python
+ * loop's ``finally`` writes it. */
+static int
+tally_add(PyObject *sim, Py_ssize_t off, const char *name, long long n)
+{
+    PyObject *old = slot_get(sim, off, name), *add, *sum;
+
+    if (old == NULL || (add = PyLong_FromLongLong(n)) == NULL)
+        return -1;
+    Py_INCREF(old);
+    sum = PyNumber_InPlaceAdd(old, add);
+    Py_DECREF(old);
+    Py_DECREF(add);
+    if (sum == NULL)
+        return -1;
+    slot_set(sim, off, sum);
+    Py_DECREF(sum);
+    return 0;
+}
+
+/* The error just raised becomes the current one, with the fetched
+ * ``type``/``value``/``tb`` (if any) as its ``__context__``: what an
+ * exception raised in a ``finally`` does to the one in flight. */
+static void
+chain_fetched(PyObject *type, PyObject *value, PyObject *tb)
+{
+    PyObject *new_type, *new_value, *new_tb;
+
+    if (type == NULL)
+        return;
+    PyErr_NormalizeException(&type, &value, &tb);
+    if (tb != NULL)
+        PyException_SetTraceback(value, tb);
+    PyErr_Fetch(&new_type, &new_value, &new_tb);
+    PyErr_NormalizeException(&new_type, &new_value, &new_tb);
+    PyException_SetContext(new_value, value);  /* steals value */
+    Py_DECREF(type);
+    Py_XDECREF(tb);
+    PyErr_Restore(new_type, new_value, new_tb);
+}
+
 /* --- scheduling primitives (C twins of engine._arm / engine._fan_out) -- */
 
 /* Arm (or re-anchor) ``timer`` at absolute ``time``: the statements of
@@ -2585,14 +2626,6 @@ entry_target(const ck_entry *e, PyObject **callback, PyObject **cargs)
             return -1;
         }
     }
-    if (*cargs != NULL && !PyTuple_Check(*cargs)) {
-        /* callback(*args) accepts any iterable; normalize. */
-        Py_SETREF(*cargs, PySequence_Tuple(*cargs));
-        if (*cargs == NULL) {
-            Py_DECREF(*callback);
-            return -1;
-        }
-    }
     return shape;
 }
 
@@ -2684,13 +2717,20 @@ ck_run(PyObject *module, PyObject *args)
         if (shape >= 0)
             counts[shape] += 1;
         if (shape >= 0 && shape < DROPPED_TIMER) {
-            /* Advance the clock, fire. */
+            /* Advance the clock, fire: ``callback(*args)`` takes any
+             * iterable, and one that is not raises at the call, after
+             * the clock moved and the event counted. */
             slot_set(sim, off_sim_now, e.time_obj);
             if (!budget_is_inf)
                 budget -= 1.0;
-            status = discard(cargs == NULL
-                             ? PyObject_CallNoArgs(callback)
-                             : PyObject_Call(callback, cargs, NULL));
+            if (cargs != NULL && !PyTuple_Check(cargs))
+                Py_SETREF(cargs, PySequence_Tuple(cargs));
+            if (cargs == NULL && shape != FIRED_TIMER)
+                status = -1;
+            else
+                status = discard(cargs == NULL
+                                 ? PyObject_CallNoArgs(callback)
+                                 : PyObject_Call(callback, cargs, NULL));
             Py_DECREF(callback);
             Py_XDECREF(cargs);
         }
@@ -2714,22 +2754,30 @@ ck_run(PyObject *module, PyObject *args)
         }
     }
 
-    /* The Python loop's try/finally: drop the running flag and write
-     * the executed counter and the shape tallies back — the one store
-     * of each per run — even when a callback raised. */
+    /* The Python loop's try/finally, statement for statement: drop the
+     * running flag, add to the shape tallies and store the executed
+     * counter — the one store of each per run — even when a callback
+     * raised.  The first write that fails raises, with the exception in
+     * flight as its context, and the writes after it do not happen. */
     {
         PyObject *exc_type, *exc_value, *exc_tb;
+        int failed = 0;
+
         PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
         slot_set(sim, off_sim_running, Py_False);
-        for (i = 0; i < N_SHAPES; i++)
-            if (counter_add(sim, off_sim_shape[i], shape_names[i],
-                            counts[i]) < 0)
-                PyErr_Clear();
+        for (i = 0; i < N_SHAPES && !failed; i++)
+            failed = tally_add(sim, off_sim_shape[i], shape_names[i],
+                               counts[i]) < 0;
         executed += counts[FIRED_FAST] + counts[FIRED_TIMER]
             + counts[FIRED_HANDLE];
-        if (slot_set_int(sim, off_sim_executed, executed) < 0)
-            PyErr_Clear();
-        PyErr_Restore(exc_type, exc_value, exc_tb);
+        if (!failed)
+            failed = slot_set_int(sim, off_sim_executed, executed) < 0;
+        if (failed) {
+            chain_fetched(exc_type, exc_value, exc_tb);
+            status = -1;
+        }
+        else
+            PyErr_Restore(exc_type, exc_value, exc_tb);
     }
     Py_DECREF(queue);
     if (status < 0 || (value = slot_get(sim, off_sim_now, "_now")) == NULL)

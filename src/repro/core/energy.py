@@ -16,7 +16,7 @@ power-save mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from .engine import Simulator

@@ -520,14 +520,16 @@ class Simulator:
             return self._ext.run(self, until, max_events)
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        # Read before the flags are set: a bad budget or counter
+        # raises here and leaves the simulator runnable.
+        executed = start = self._events_executed
+        limit = _INF if max_events is None else start + max_events
         self._running = True
         self._stopped = False
         heap = self._heap
         pop = self._pop
         timer_class = Timer
         horizon = _INF if until is None else until
-        executed = start = self._events_executed
-        limit = _INF if max_events is None else start + max_events
         fast = timers = timer_drops = handle_drops = 0
         try:
             while heap and not self._stopped and executed < limit:

@@ -3,20 +3,20 @@
 Three kinds of measurement recur in wireless evaluation:
 
 * **Counters** — frames sent, collisions, retries.
-* **Sample statistics** — per-packet delay, jitter: mean/percentiles and
-  confidence intervals over independent samples.
+* **Sample statistics** — per-packet delay, jitter: mean and percentiles
+  over independent samples.
 * **Time-weighted statistics** — queue occupancy, medium busy fraction:
   values that persist over intervals, where the mean must weight each
   value by how long it was held.
 
 All three are implemented here, dependency-free, with Welford's online
-algorithm for numerically-stable variance.
+update for a numerically stable mean.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class Counter:
@@ -53,19 +53,17 @@ class Counter:
 
 
 class SampleStat:
-    """Online mean/variance/min/max plus retained samples for percentiles.
+    """Online mean/min/max plus retained samples for percentiles.
 
-    Welford's algorithm keeps the running moments stable; raw samples are
-    retained (optionally capped) so percentiles and confidence intervals
-    can be computed exactly for the sample sizes typical of a simulation
-    run.
+    Welford's update keeps the running mean stable; raw samples are
+    retained (optionally capped) so percentiles can be computed exactly
+    for the sample sizes typical of a simulation run.
     """
 
     def __init__(self, keep_samples: bool = True,
                  max_samples: Optional[int] = None):
         self._count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._keep = keep_samples
@@ -74,9 +72,7 @@ class SampleStat:
 
     def add(self, value: float) -> None:
         self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self._count
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -97,18 +93,6 @@ class SampleStat:
     @property
     def mean(self) -> float:
         return self._mean if self._count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (NaN until two samples exist)."""
-        if self._count < 2:
-            return math.nan
-        return self._m2 / (self._count - 1)
-
-    @property
-    def stdev(self) -> float:
-        variance = self.variance
-        return math.sqrt(variance) if variance == variance else math.nan
 
     @property
     def minimum(self) -> float:
@@ -134,47 +118,6 @@ class SampleStat:
             return ordered[low]
         weight = position - low
         return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-    def confidence_interval(self, confidence: float = 0.95) -> Tuple[float, float]:
-        """Normal-approximation CI for the mean (fine for n >= ~30)."""
-        if self._count < 2:
-            return (math.nan, math.nan)
-        z = _z_value(confidence)
-        half = z * self.stdev / math.sqrt(self._count)
-        return (self._mean - half, self._mean + half)
-
-
-def _z_value(confidence: float) -> float:
-    """Two-sided standard-normal quantile for common confidence levels."""
-    table = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
-    if confidence in table:
-        return table[confidence]
-    # Fall back to an Acklam-style rational approximation of the probit.
-    p = 1.0 - (1.0 - confidence) / 2.0
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    # Beasley-Springer-Moro approximation.
-    a = [-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00]
-    b = [-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00]
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    q = math.sqrt(-2.0 * math.log(1.0 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
 
 
 class TimeWeightedStat:
@@ -217,14 +160,3 @@ class TimeWeightedStat:
         if self._elapsed <= 0.0:
             return math.nan
         return self._weighted_sum / self._elapsed
-
-
-def jain_fairness(values: List[float]) -> float:
-    """Jain's fairness index: 1.0 = perfectly fair, 1/n = maximally unfair."""
-    if not values:
-        return math.nan
-    total = sum(values)
-    squares = sum(value * value for value in values)
-    if squares == 0.0:
-        return math.nan
-    return (total * total) / (len(values) * squares)

@@ -159,10 +159,6 @@ class TraceLog:
             result.append(record)
         return result
 
-    def events(self, event: str) -> List[TraceRecord]:
-        """Shorthand for :meth:`select` on event name only."""
-        return self.select(event=event)
-
     def format(self, limit: Optional[int] = None) -> str:
         """Render the (tail of the) trace as text."""
         records: Iterable[TraceRecord] = self._records

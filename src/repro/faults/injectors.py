@@ -23,7 +23,7 @@ streams).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.stats import Counter
 from ..core.topology import Position

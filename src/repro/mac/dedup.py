@@ -14,7 +14,7 @@ retries.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .addresses import MacAddress
 

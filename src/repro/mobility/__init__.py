@@ -1,8 +1,7 @@
-"""Mobility models: static, linear, random waypoint."""
+"""Mobility models: static, linear."""
 
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "models": ("LinearMobility", "MobilityModel", "RandomWaypoint",
-        "StaticMobility"),
+    "models": ("LinearMobility", "MobilityModel", "StaticMobility"),
 })

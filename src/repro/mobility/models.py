@@ -9,14 +9,11 @@ deployment.
 * :class:`StaticMobility` — placement only, no movement.
 * :class:`LinearMobility` — constant velocity (the "walk down the
   corridor" scenario driving rate-adaptation benches).
-* :class:`RandomWaypoint` — the classic ad-hoc evaluation model: pick a
-  random waypoint, walk to it at a random speed, pause, repeat.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, List, Optional, Protocol
 
 from ..core.engine import PeriodicTask, Simulator
 from ..core.errors import ConfigurationError
@@ -112,54 +109,3 @@ class LinearMobility(MobilityModel):
         if leftover <= 0 or arrived.distance_to(self._destination) == 0:
             return arrived
         return arrived.toward(self._destination, leftover)
-
-
-class RandomWaypoint(MobilityModel):
-    """Random waypoint within a rectangle.
-
-    Parameters follow the standard model: uniform waypoints in
-    ``[0, width] x [0, height]``, speeds uniform in
-    ``[min_speed, max_speed]``, exponential-free fixed ``pause``.
-    """
-
-    def __init__(self, sim: Simulator, target: Positioned, width: float,
-                 height: float, min_speed: float = 0.5,
-                 max_speed: float = 2.0, pause: float = 1.0,
-                 tick: float = 0.1, rng_name: Optional[str] = None):
-        super().__init__(sim, target, tick)
-        if width <= 0 or height <= 0:
-            raise ConfigurationError("area dimensions must be positive")
-        if not 0 < min_speed <= max_speed:
-            raise ConfigurationError("need 0 < min_speed <= max_speed")
-        self.width = width
-        self.height = height
-        self.min_speed = min_speed
-        self.max_speed = max_speed
-        self.pause = pause
-        name = rng_name if rng_name is not None else f"rwp.{id(target):x}"
-        self._rng = sim.rng.stream(name)
-        self._waypoint = self._draw_waypoint()
-        self._speed = self._draw_speed()
-        self._paused_until = 0.0
-
-    def _draw_waypoint(self) -> Position:
-        return Position(self._rng.uniform(0, self.width),
-                        self._rng.uniform(0, self.height))
-
-    def _draw_speed(self) -> float:
-        return self._rng.uniform(self.min_speed, self.max_speed)
-
-    def advance(self, dt: float) -> Position:
-        if self.sim.now < self._paused_until:
-            return self.target.position
-        current = self.target.position
-        remaining = current.distance_to(self._waypoint)
-        step = self._speed * dt
-        if step < remaining:
-            return current.toward(self._waypoint, step)
-        # Arrived: pause, then pick the next leg.
-        arrived = self._waypoint
-        self._paused_until = self.sim.now + self.pause
-        self._waypoint = self._draw_waypoint()
-        self._speed = self._draw_speed()
-        return arrived

@@ -14,7 +14,7 @@ Fig 1.10).  The ingredients live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.errors import ConfigurationError

@@ -136,8 +136,8 @@ class ShardMedium(Medium):
         """Fan a remote transmission out to the local co-channel radios.
 
         The record's ghost sender transmits through its compiled plan:
-        a hit when neither it nor any local radio moved, retuned,
-        attached or detached and its power is unchanged, else one
+        a hit when neither it nor any local radio moved, retuned or
+        attached and its power is unchanged, else one
         :meth:`Medium._compile_plan` (``plan_hits`` / ``plan_misses``
         and ``links`` count ghosts too).  The plan's entries are pushed
         by the kernel's ``fan_out`` from the record's start time — the

@@ -27,8 +27,8 @@ retunes a radio funnels into :meth:`Medium.invalidate_links` /
 which drops the compiled plans.  A plan additionally validates the
 *sender's* position identity and transmit power on every use, so a
 sender mutated behind the hooks still recompiles.  Every model in
-:mod:`repro.phy.propagation` is a function of geometry (``Shadowing``
-freezes its per-link draw), so the plan is the only transmit path.
+:mod:`repro.phy.propagation` is a function of geometry, so the plan is
+the only transmit path.
 
 Receive edges follow the simulator's kernel: each radio binds its
 ``transceiver.RADIO`` slots once (``repro.core.binding``), so on
@@ -202,8 +202,8 @@ class Medium:
         self.plan_hits = 0
         self.plan_misses = 0
         #: Cumulative count of plan-dropping topology changes (attach,
-        #: detach, retunes, moves, surgical per-sender drops).  All the
-        #: increments sit on cold invalidation paths.
+        #: retunes, moves).  All the increments sit on cold invalidation
+        #: paths.
         self.plan_invalidations = 0
 
     def attach(self, radio: Radio) -> None:
@@ -214,28 +214,6 @@ class Medium:
         self._by_channel.clear()
         self._plans.clear()
         self.plan_invalidations += 1
-
-    def detach(self, radio: Radio) -> None:
-        """Unregister a radio (teardown, or permanent crash).
-
-        Drops the radio from every fan-out surface: the per-channel
-        receiver lists, the compiled plans (*any* sender's plan may
-        carry this receiver's pre-resolved upcalls and receive power,
-        so the plans are cleared wholesale, not per sender), its own
-        plan, and its :class:`LinkCache` entries.  Arrival edges already
-        in the heap still fire at the detached radio — in-flight energy
-        drains normally; it simply receives no *new* transmissions.  A
-        detached radio may be re-attached later with :meth:`attach`.
-        """
-        try:
-            self._radios.remove(radio)
-        except ValueError:
-            raise ConfigurationError(
-                f"radio {radio.name} is not attached") from None
-        self._by_channel.clear()
-        self._plans.clear()
-        self.plan_invalidations += 1
-        self.links.invalidate(radio)
 
     def invalidate_channels(self) -> None:
         """Drop the per-channel radio lists (a radio retuned)."""
@@ -250,22 +228,6 @@ class Medium:
                 radio._edges for radio in self._radios
                 if radio._channel_id == channel_id]
         return members
-
-    def invalidate_plan(self, sender: Any) -> None:
-        """Drop one sender's compiled fan-out plan.
-
-        Plans are compiled for the channel the sender occupied at
-        compile time but validated per transmit only against the
-        sender's position identity and transmit power — a *receiver*
-        retune funnels through :meth:`invalidate_channels` (which drops
-        every plan), and :class:`~repro.phy.transceiver.Radio`'s own
-        retune path does the same.  Transmit-only senders (the
-        adversary layer's energy emitters) are not attached radios, so
-        their retunes invalidate surgically through this hook instead
-        of paying a global plan flush per frequency hop.
-        """
-        if self._plans.pop(sender, None) is not None:
-            self.plan_invalidations += 1
 
     def invalidate_links(self, radio: Optional[Radio] = None) -> None:
         """Invalidate cached link budgets (all, or one radio's links).
@@ -377,8 +339,8 @@ class Medium:
         transmit-only object exposing ``name``, ``position``,
         ``_position`` and ``_channel_id`` — see
         :class:`repro.adversary.emitters.EnergySource`.  Transmit-only
-        senders must call :meth:`invalidate_plan` when they retune and
-        :meth:`invalidate_links` when they move.
+        senders keep their channel and must call :meth:`invalidate_links`
+        when they move.
         """
         return self.transmit(sender, payload, 0, ENERGY_ONLY, duration,
                              power_watts)

@@ -1,11 +1,9 @@
 """Radio propagation (path-loss) models.
 
 A propagation model answers one question: given a transmit power and two
-positions, what power arrives at the receiver?  The classic trio is
-implemented — Friis free-space, log-distance with a configurable
-exponent, and two-ray ground reflection — plus a log-normal shadowing
-decorator that adds a per-link random (but frozen, hence reproducible)
-offset.
+positions, what power arrives at the receiver?  Friis free-space and
+log-distance with a configurable exponent are implemented, plus a fixed
+loss and a hard-edged range model for tests and disc-model scenarios.
 
 Every model implements :meth:`path_loss_db(tx, rx)`, the loss in dB;
 :meth:`received_power_watts` applies it to a transmit power in dB space.
@@ -18,8 +16,6 @@ bit-identical to one that evaluates every link fresh per frame.
 from __future__ import annotations
 
 import math
-import random
-from typing import Dict, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.topology import Position
@@ -102,70 +98,6 @@ class LogDistance(PropagationModel):
             distance / self.reference_distance)
 
 
-class TwoRayGround(PropagationModel):
-    """Two-ray ground reflection: free-space close in, d^4 beyond the
-    crossover distance ``d_c = 4 pi h_t h_r / lambda``.
-
-    Appropriate for km-scale outdoor links (the WiMAX substrate).
-    Antenna heights default to 1.5 m.
-    """
-
-    def __init__(self, frequency_hz: float, tx_height: float = 1.5,
-                 rx_height: float = 1.5, min_distance: float = 1.0):
-        if tx_height <= 0 or rx_height <= 0:
-            raise ConfigurationError("antenna heights must be positive")
-        self.tx_height = tx_height
-        self.rx_height = rx_height
-        self._free_space = FreeSpace(frequency_hz, min_distance=min_distance)
-        wavelength = frequency_to_wavelength(frequency_hz)
-        self.crossover = 4.0 * math.pi * tx_height * rx_height / wavelength
-
-    def path_loss_db(self, tx: Position, rx: Position) -> float:
-        distance = tx.distance_to(rx)
-        if distance <= self.crossover:
-            return self._free_space.path_loss_db(tx, rx)
-        # Beyond crossover: Pr = Pt * (ht hr)^2 / d^4  (antenna gains = 1).
-        loss_linear = (distance ** 4) / (
-            (self.tx_height * self.rx_height) ** 2)
-        return 10.0 * math.log10(loss_linear)
-
-
-class Shadowing(PropagationModel):
-    """Log-normal shadowing decorator.
-
-    Adds a zero-mean Gaussian offset (in dB, stdev ``sigma_db``) to an
-    underlying model.  The offset is drawn **once per unordered link**
-    and cached, which models static obstructions: the same wall
-    attenuates every frame between the same pair the same way, in both
-    directions, for the whole run.
-    """
-
-    def __init__(self, base: PropagationModel, sigma_db: float,
-                 rng: random.Random):
-        if sigma_db < 0:
-            raise ConfigurationError(f"sigma_db must be >= 0: {sigma_db}")
-        self.base = base
-        self.sigma_db = sigma_db
-        self._rng = rng
-        self._offsets: Dict[Tuple[Position, Position], float] = {}
-
-    def _link_key(self, tx: Position, rx: Position) -> Tuple[Position, Position]:
-        first = (tx.x, tx.y, tx.z)
-        second = (rx.x, rx.y, rx.z)
-        return (tx, rx) if first <= second else (rx, tx)
-
-    def _offset_for(self, key: Tuple[Position, Position]) -> float:
-        offset = self._offsets.get(key)
-        if offset is None:
-            offset = self._rng.gauss(0.0, self.sigma_db)
-            self._offsets[key] = offset
-        return offset
-
-    def path_loss_db(self, tx: Position, rx: Position) -> float:
-        key = self._link_key(tx, rx)
-        return self.base.path_loss_db(tx, rx) + self._offset_for(key)
-
-
 class FixedLoss(PropagationModel):
     """A constant path loss regardless of geometry.
 
@@ -204,9 +136,8 @@ def max_range_for_budget(model: PropagationModel, tx_power_dbm: float,
                          upper_bound_m: float = 1e6) -> float:
     """Binary-search the maximum distance at which the link budget closes.
 
-    Assumes loss is non-decreasing in distance along the +x axis (true
-    for every model above except per-link shadowing, for which this
-    returns the range of the particular sampled link).
+    Assumes loss is non-decreasing in distance along the +x axis, as it
+    is for every model above.
     """
     budget_db = tx_power_dbm - sensitivity_dbm
     origin = Position(0, 0, 0)

@@ -19,7 +19,7 @@ text: 802.11 (FHSS, 1/2 Mb/s), 802.11b (DSSS/CCK, up to 11 Mb/s),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core.errors import ConfigurationError

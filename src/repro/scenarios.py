@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from .core.engine import Simulator
@@ -121,36 +121,6 @@ def build_infrastructure_bss(sim: Simulator, station_count: int,
     if associate and station_count > 0:
         scenario.run_until_associated()
     return scenario
-
-
-@dataclass
-class AdhocNetwork:
-    """An IBSS of peer stations."""
-
-    sim: Simulator
-    medium: Medium
-    ibss: IndependentBss
-    stations: List[Station]
-
-
-def build_adhoc_network(sim: Simulator, station_count: int,
-                        standard: PhyStandard = DOT11B,
-                        radius_m: float = 15.0,
-                        path_loss_exponent: float = 3.0,
-                        mac_config: Optional[DcfConfig] = None,
-                        ) -> AdhocNetwork:
-    """Peer stations on a circle sharing one IBSS."""
-    medium = Medium(sim, LogDistance(standard.band_hz,
-                                     exponent=path_loss_exponent))
-    ibss = IndependentBss.start(sim)
-    stations = []
-    for index, position in enumerate(circle_layout(station_count, radius_m)):
-        station = Station(sim, medium, standard, position,
-                          name=f"peer{index}", adhoc=True,
-                          ibss_bssid=ibss.bssid, mac_config=mac_config)
-        ibss.join(station)
-        stations.append(station)
-    return AdhocNetwork(sim, medium, ibss, stations)
 
 
 @dataclass

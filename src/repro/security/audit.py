@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .handshake import WpsRegistrar, make_wps_pin, wps_pin_attack
 from .michael import MichaelCountermeasures

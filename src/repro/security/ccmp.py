@@ -12,8 +12,6 @@ field (L=2), and a 13-byte nonce of priority || transmitter address ||
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.errors import IntegrityError, ReplayError, SecurityError
 from .aes import Aes128, BLOCK_SIZE
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..core.errors import AuthenticationError, SecurityError
 

@@ -10,7 +10,6 @@ generations derive keys through the real PSK → 4-way-handshake path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 

@@ -23,8 +23,7 @@ wall-clock metrics (``wall=True``) live in a separate stream that
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "export": ("parse_jsonl", "render_table", "summary_table", "to_jsonl",
-        "to_prometheus"),
+    "export": ("parse_jsonl", "render_table", "summary_table", "to_jsonl"),
     "metrics": ("CounterMetric", "GaugeMetric", "HistogramMetric",
         "MetricsRegistry", "NULL_METRIC", "PeriodicSampler", "format_key",
         "make_key"),

@@ -1,6 +1,6 @@
 """Deterministic telemetry exporters.
 
-Three renderings of one registry:
+Two renderings of one registry:
 
 * :func:`to_jsonl` — the canonical stream.  Same recipe as
   :class:`~repro.parallel.executor.ArrivalLog` and
@@ -10,8 +10,6 @@ Three renderings of one registry:
   byte-identical ``stream="sim"`` exports — the CI determinism gate
   compares exactly this text.  ``stream="wall"`` renders only
   wall-clock-flagged metrics and is *never* byte-compared.
-* :func:`to_prometheus` — Prometheus text exposition for the future
-  ``--serve`` mode (and for eyeballing a dump with standard tooling).
 * :func:`summary_table` / :func:`render_table` — a columnar summary
   (one row per metric plus span rollups) and its aligned-ASCII form.
 
@@ -30,7 +28,7 @@ from typing import Any, Dict, List, Optional
 from .metrics import MetricKey, MetricsRegistry, format_key
 from .spans import SpanLog
 
-__all__ = ["to_jsonl", "to_prometheus", "summary_table", "render_table",
+__all__ = ["to_jsonl", "summary_table", "render_table",
            "parse_jsonl"]
 
 TELEMETRY_FORMAT_VERSION = 1
@@ -91,59 +89,6 @@ def parse_jsonl(text: str) -> List[Dict[str, Any]]:
     strings — byte-faithful round-trips matter more than types here;
     consumers like teleview convert on use)."""
     return [json.loads(line) for line in text.splitlines() if line]
-
-
-# --- Prometheus text exposition ------------------------------------------
-
-
-def _prom_name(key: MetricKey) -> str:
-    subsystem, name, _labels = key
-    raw = f"repro_{subsystem}_{name}"
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in raw)
-
-
-def _prom_labels(key: MetricKey) -> str:
-    labels = key[2]
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
-    return "{" + inner + "}"
-
-
-def to_prometheus(registry: MetricsRegistry,
-                  include_wall: bool = False) -> str:
-    """Prometheus-style text exposition of the final metric values."""
-    lines: List[str] = []
-    typed: set = set()
-    for metric in registry.metrics():
-        if metric.wall and not include_wall:
-            continue
-        name = _prom_name(metric.key)
-        labels = _prom_labels(metric.key)
-        if metric.kind == "histogram":
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            bases = [f'{k}="{v}"' for k, v in metric.key[2]]
-            for bound, count in zip(metric.bounds, metric.counts):
-                cumulative += count
-                parts = bases + [f'le="{bound!r}"']
-                lines.append(f"{name}_bucket{{{','.join(parts)}}} "
-                             f"{cumulative}")
-            parts = bases + ['le="+Inf"']
-            lines.append(f"{name}_bucket{{{','.join(parts)}}} "
-                         f"{metric.total}")
-            lines.append(f"{name}_sum{labels} {metric.sum!r}")
-            lines.append(f"{name}_count{labels} {metric.total}")
-        else:
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} {metric.kind}")
-            value = metric.value
-            rendered = repr(value) if isinstance(value, float) else value
-            lines.append(f"{name}{labels} {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 # --- columnar summary ------------------------------------------------------

@@ -34,8 +34,7 @@ add, and samples append to a ``deque(maxlen=...)`` so retention is O(1).
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import PeriodicTask, Simulator
 from ..core.errors import ConfigurationError

@@ -7,12 +7,6 @@ timestamp so the matching :class:`~repro.traffic.sink.TrafficSink` can
 compute delay, jitter, and loss without side channels.
 
 * :class:`CbrSource` — constant bit rate (periodic fixed-size packets).
-* :class:`PoissonSource` — exponential inter-arrivals.
-* :class:`OnOffSource` — bursty: exponential ON periods of CBR traffic
-  separated by exponential OFF periods.
-* :class:`BulkTransferSource` — "send N bytes as fast as the MAC
-  accepts them" (a saturating FTP-like source with window-limited
-  outstanding packets).
 * :class:`SaturatingSource` — keeps one MAC's queue non-empty forever
   (the saturation workload); it sends fixed payloads, not measurement
   packets.
@@ -23,7 +17,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable, Optional
 
-from ..core.engine import EventHandle, Simulator
+from ..core.engine import Simulator
 from ..core.errors import ConfigurationError
 from ..mac.dcf import MacListener
 
@@ -125,131 +119,6 @@ class CbrSource(_SourceBase):
             self._running = False
             return
         self.sim.schedule(self.interval, self._tick)
-
-
-class PoissonSource(_SourceBase):
-    """Poisson arrivals at ``rate_pps`` packets per second."""
-
-    def __init__(self, sim: Simulator, send: SendHook, packet_bytes: int,
-                 rate_pps: float, start: float = 0.0):
-        super().__init__(sim, send, packet_bytes)
-        if rate_pps <= 0:
-            raise ConfigurationError(f"rate must be positive: {rate_pps}")
-        self.rate_pps = rate_pps
-        self._rng = sim.rng.stream(f"poisson.{self.flow_id}")
-        self._running = True
-        sim.schedule(start + self._rng.expovariate(rate_pps), self._tick)
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self._emit()
-        self.sim.schedule(self._rng.expovariate(self.rate_pps), self._tick)
-
-
-class OnOffSource(_SourceBase):
-    """Bursty on/off source: CBR while ON, silent while OFF.
-
-    ON and OFF period lengths are exponentially distributed with the
-    given means; during ON, packets are emitted every ``interval``.
-    """
-
-    def __init__(self, sim: Simulator, send: SendHook, packet_bytes: int,
-                 interval: float, mean_on: float, mean_off: float,
-                 start: float = 0.0):
-        super().__init__(sim, send, packet_bytes)
-        if min(interval, mean_on, mean_off) <= 0:
-            raise ConfigurationError("interval/mean_on/mean_off must be > 0")
-        self.interval = interval
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self._rng = sim.rng.stream(f"onoff.{self.flow_id}")
-        self._running = True
-        self._on = False
-        self._phase_ends = 0.0
-        sim.schedule(start, self._start_on_phase)
-
-    def _start_on_phase(self) -> None:
-        if not self._running:
-            return
-        self._on = True
-        duration = self._rng.expovariate(1.0 / self.mean_on)
-        self._phase_ends = self.sim.now + duration
-        self.sim.schedule(duration, self._start_off_phase)
-        self._tick()
-
-    def _start_off_phase(self) -> None:
-        if not self._running:
-            return
-        self._on = False
-        self.sim.schedule(self._rng.expovariate(1.0 / self.mean_off),
-                          self._start_on_phase)
-
-    def _tick(self) -> None:
-        if not self._running or not self._on:
-            return
-        if self.sim.now > self._phase_ends:
-            return
-        self._emit()
-        self.sim.schedule(self.interval, self._tick)
-
-
-class BulkTransferSource(_SourceBase):
-    """Window-limited greedy transfer of ``total_bytes``.
-
-    Keeps ``window`` packets outstanding; a completion callback (wired
-    to the MAC's tx-complete hook by the caller) releases the next one.
-    This saturates the link without overflowing the MAC queue.
-    """
-
-    def __init__(self, sim: Simulator, send: SendHook, packet_bytes: int,
-                 total_bytes: int, window: int = 4, start: float = 0.0,
-                 on_complete: Optional[Callable[[float], None]] = None):
-        super().__init__(sim, send, packet_bytes)
-        if total_bytes < packet_bytes:
-            raise ConfigurationError("total_bytes smaller than one packet")
-        if window < 1:
-            raise ConfigurationError("window must be >= 1")
-        self.total_packets = (total_bytes + packet_bytes - 1) // packet_bytes
-        self.window = window
-        self.completed = 0
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-        self._on_complete = on_complete
-        self._running = True
-        sim.schedule(start, self._start)
-
-    def _start(self) -> None:
-        self.started_at = self.sim.now
-        for _ in range(min(self.window, self.total_packets)):
-            self._emit()
-
-    def packet_done(self) -> None:
-        """Call when one in-flight packet completes (ACKed or dropped)."""
-        if not self._running:
-            return
-        self.completed += 1
-        if self.completed >= self.total_packets:
-            self._running = False
-            self.finished_at = self.sim.now
-            if self._on_complete is not None and self.started_at is not None:
-                self._on_complete(self.finished_at - self.started_at)
-            return
-        if self.generated < self.total_packets:
-            self._emit()
-
-    @property
-    def done(self) -> bool:
-        return self.finished_at is not None
-
-    def throughput_bps(self) -> float:
-        """Goodput of the finished transfer (NaN while in flight)."""
-        if self.started_at is None or self.finished_at is None:
-            return float("nan")
-        elapsed = self.finished_at - self.started_at
-        if elapsed <= 0:
-            return float("inf")
-        return self.total_packets * self.packet_bytes * 8 / elapsed
 
 
 class SaturatingSource(MacListener):

@@ -20,7 +20,7 @@ delivery limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 from collections import deque

@@ -11,8 +11,7 @@ half-angle cone, or the link simply does not form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError, LinkError

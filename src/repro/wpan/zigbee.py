@@ -26,9 +26,9 @@ a mesh-topology PAN needs; it is imported when one is constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError, ProtocolError

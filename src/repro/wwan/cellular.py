@@ -24,9 +24,9 @@ Model pieces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.engine import PeriodicTask, Simulator
 from ..core.errors import ConfigurationError, ProtocolError

@@ -15,8 +15,8 @@ long before the DVB-S2 channel rate (~60 Mb/s) is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from ..core.engine import Simulator
 from ..core.errors import ConfigurationError, LinkError

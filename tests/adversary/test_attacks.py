@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ConfigurationError
 from repro.mac.frames import make_cts
 from repro.adversary.attacks import (

@@ -11,7 +11,6 @@ from repro.adversary.emitters import (
     MicrowaveOven,
     PeriodicJammer,
     ReactiveJammer,
-    SweepingJammer,
 )
 from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
@@ -74,6 +73,17 @@ class TestConstantJammer:
         assert edges(victim).idle == 1
 
 
+class TestEmitter:
+    def test_the_channel_is_fixed_at_construction(self, sim):
+        medium, _victim = build(sim)
+        jammer = ConstantJammer(sim, medium, Position(1, 0, 0),
+                                channel_id=6)
+        assert jammer.source.channel_id == 6
+        with pytest.raises(AttributeError):
+            jammer.source.channel_id = 1
+        assert jammer.source.channel_id == 6
+
+
 class TestPeriodicJammer:
     def test_duty_cycle(self, sim):
         medium, victim = build(sim)
@@ -109,25 +119,6 @@ class TestPeriodicJammer:
         with pytest.raises(ConfigurationError):
             PeriodicJammer(sim, medium, Position(1, 0, 0),
                            on_time=2e-3, period=1e-3)
-
-
-class TestSweepingJammer:
-    def test_sweep_hits_each_channel_in_turn(self, sim):
-        medium = Medium(sim, FixedLoss(50.0))
-        victims = {}
-        for channel in (1, 6, 11):
-            radio = Radio(f"v{channel}", medium, DOT11B, Position(0, 0, 0),
-                          channel_id=channel)
-            Edges().plug(radio)
-            victims[channel] = radio
-        jammer = SweepingJammer(sim, medium, Position(1, 0, 0),
-                                channels=(1, 6, 11), dwell=1e-3)
-        jammer.start()
-        sim.run(until=0.3)
-        per_channel = [edges(victims[ch]).busy for ch in (1, 6, 11)]
-        # 300 dwells over 3 channels: 100 visits each.
-        assert per_channel == [100, 100, 100]
-        assert jammer.counters.get("sweeps") == 100
 
 
 class TestReactiveJammer:

@@ -1,10 +1,7 @@
 """Monitor-mode capture: promiscuity, passivity, audit feed, determinism."""
 
-import pytest
-
 from repro.core import Position, Simulator
 from repro.mac.addresses import reset_allocator
-from repro.mac.frames import FrameType
 from repro.adversary.monitor import CaptureLog, MonitorRadio
 from repro.net.ap import AccessPoint
 from repro.net.station import Station

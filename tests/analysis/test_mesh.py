@@ -8,14 +8,11 @@ from repro import scenarios
 from repro.analysis.mesh import (
     aggregate_mesh_counters,
     connectivity_graph,
-    mesh_hop_histogram,
     path_stretch,
-    per_link_airtime,
     per_link_load,
     shortest_hop_count,
 )
 from repro.core.topology import Position
-from repro.phy.standards import DOT11B
 from repro.routing import StaticRouting
 from repro.traffic.generators import encode_packet
 from repro.traffic.sink import TrafficSink
@@ -92,17 +89,10 @@ class TestFleetAccounting:
             assert counter.get("frames") == 5
             assert counter.get("failures") == 0
 
-    def test_per_link_airtime_positive_and_ordered(self, ran_chain):
-        mode = DOT11B.mode_for_rate(DOT11B.basic_rate_bps)
-        airtime = per_link_airtime(ran_chain.nodes, DOT11B, mode)
-        assert len(airtime) == 3
-        for seconds in airtime.values():
-            assert seconds > 0
-        # Equal loads => equal airtime estimates per link.
-        assert len({round(s, 12) for s in airtime.values()}) == 1
-
     def test_hop_histogram_counts_deliveries(self, ran_chain):
-        assert mesh_hop_histogram(ran_chain.nodes) == {3: 5}
+        hops = [h for node in ran_chain.nodes
+                for h in node.hop_counts.samples]
+        assert {h: hops.count(h) for h in hops} == {3: 5}
 
     def test_stretch_of_the_chain_is_optimal(self, ran_chain):
         graph = connectivity_graph(

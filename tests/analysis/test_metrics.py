@@ -1,14 +1,10 @@
 """Tests for analysis metrics and table rendering."""
 
-import math
-
 import pytest
 
 from repro.analysis.metrics import (
-    aggregate_throughput_bps,
     bianchi_saturation_throughput,
     bianchi_tau,
-    delay_percentiles,
 )
 from repro.analysis.tables import render_series, render_table
 from repro.phy.standards import DOT11B
@@ -59,26 +55,6 @@ class TestBianchi:
         rts = bianchi_saturation_throughput(2, DOT11B, 100, 11e6,
                                             use_rts=True)
         assert basic > rts
-
-
-class TestSimpleMetrics:
-    def test_aggregate_throughput(self):
-        assert aggregate_throughput_bps([1000, 2000], window=2.0) == \
-            (3000 * 8) / 2.0
-
-    def test_aggregate_validation(self):
-        with pytest.raises(ValueError):
-            aggregate_throughput_bps([1], window=0.0)
-
-    def test_delay_percentiles(self):
-        samples = [float(value) for value in range(1, 101)]
-        result = delay_percentiles(samples, fractions=(0.5, 0.99))
-        assert result[0.5] == pytest.approx(50.5)
-        assert result[0.99] == pytest.approx(99.01)
-
-    def test_delay_percentiles_empty(self):
-        result = delay_percentiles([])
-        assert all(math.isnan(value) for value in result.values())
 
 
 class TestTables:

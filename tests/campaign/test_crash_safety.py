@@ -8,7 +8,6 @@ after the Nth manifest record, an honest SIGKILL stand-in with no
 flaky signal timing.
 """
 
-import pathlib
 import subprocess
 import sys
 

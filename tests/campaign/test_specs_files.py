@@ -5,16 +5,28 @@ These are the declarative conversions of the worked examples
 run here exactly as committed, so the files can never rot.
 """
 
+import statistics
+
 import pytest
 
-from repro.analysis.campaign import (differential_gate, ensemble_table,
-                                     sweep_curve)
 from repro.campaign import expand_grid, load_spec, run_campaign, runner
 from repro.campaign.spec import set_path
 from repro.core.engine import ckernel_available
 
 ALL_SPECS = ["hidden_terminal.toml", "jamming_duty.toml",
              "mesh_chain.toml"]
+
+
+def seed_means(rows, stat, axis=None):
+    """``[(axis value, seeds, mean of stat)]`` per sweep point, in grid
+    order (the store renders floats as repr strings)."""
+    points = {}
+    for row in rows:
+        assert row["status"] == "done"
+        points.setdefault(row["axes"].get(axis), []).append(
+            float(row["stats"][stat]))
+    return [(value, len(samples), statistics.fmean(samples))
+            for value, samples in points.items()]
 
 
 @pytest.mark.parametrize("name", ALL_SPECS)
@@ -29,22 +41,22 @@ def test_hidden_terminal_campaign(specs_dir, tmp_path):
     spec = load_spec(specs_dir / "hidden_terminal.toml")
     result = run_campaign(spec, tmp_path)
     assert result.ok and result.ran == 4
-    table = dict(ensemble_table(result.rows, stats=["rx_bytes"]))
-    rts_off = table["rts_threshold_bytes=2347"]["rx_bytes"]
-    rts_on = table["rts_threshold_bytes=256"]["rx_bytes"]
-    assert rts_off.n == 2 and rts_on.n == 2
+    (off, off_n, rts_off), (on, on_n, rts_on) = seed_means(
+        result.rows, "rx_bytes", "scenario.params.rts_threshold_bytes")
+    assert (off, off_n, on, on_n) == (2347, 2, 256, 2)
     # The paper's point: RTS/CTS rescues goodput between hidden senders.
-    assert rts_on.mean > rts_off.mean
+    assert rts_on > rts_off
 
 
 def test_jamming_duty_campaign_curve_decreases(specs_dir, tmp_path):
     spec = load_spec(specs_dir / "jamming_duty.toml")
     result = run_campaign(spec, tmp_path)
     assert result.ok and result.ran == 6
-    curve = sweep_curve(result.rows, "adversaries.0.on_time",
-                        "delivered_bytes")
-    assert [duty for duty, _ in curve] == [2e-4, 1e-3, 1.8e-3]
-    means = [point.mean for _, point in curve]
+    curve = seed_means(result.rows, "delivered_bytes",
+                       "adversaries.0.on_time")
+    assert [(duty, n) for duty, n, _ in curve] == [(2e-4, 2), (1e-3, 2),
+                                                   (1.8e-3, 2)]
+    means = [mean for _, _, mean in curve]
     # More jammer airtime, less goodput — the duty-cycle trade-off.
     assert means[0] > means[1] > means[2]
 
@@ -53,12 +65,10 @@ def test_mesh_chain_campaign(specs_dir, tmp_path):
     spec = load_spec(specs_dir / "mesh_chain.toml")
     result = run_campaign(spec, tmp_path)
     assert result.ok and result.ran == 3
-    table = ensemble_table(result.rows, stats=["pdr", "converged"])
-    label, summary = table[0]
-    assert label == "(all)"
-    assert summary["pdr"].n == 3
-    assert summary["pdr"].mean > 0.5
-    assert summary["converged"].mean == 4.0  # every node has full routes
+    [(_, seeds, pdr)] = seed_means(result.rows, "pdr")
+    assert seeds == 3 and pdr > 0.5
+    # Every node has full routes.
+    assert seed_means(result.rows, "converged") == [(None, 3, 4.0)]
 
 
 @pytest.mark.skipif(
@@ -83,7 +93,8 @@ def test_jamming_duty_is_identical_on_both_kernels(specs_dir, tmp_path,
         assert results[kernel].ok and results[kernel].ran == 6
     # Each half really ran on the kernel its spec names.
     assert kernels == ["python"] * 6 + ["c"] * 6
-    reference, candidate = results["python"].rows, results["c"].rows
-    tolerances = {stat: {"abs": 0.0} for stat in reference[0]["stats"]}
-    assert "events" in tolerances
-    differential_gate(reference, candidate, tolerances)
+    reference, candidate = ([(row["axes"], row["seed"], row["stats"])
+                             for row in results[kernel].rows]
+                            for kernel in ("python", "c"))
+    assert "events" in reference[0][2]
+    assert candidate == reference

@@ -129,6 +129,16 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run()
 
+    @pytest.mark.parametrize("budget", ["3", [3]], ids=["a string",
+                                                       "a list"])
+    def test_a_bad_budget_leaves_the_simulator_runnable(self, sim, budget):
+        fired = []
+        sim.schedule(0.1, fired.append, "x")
+        with pytest.raises(TypeError):
+            sim.run(max_events=budget)
+        sim.run()
+        assert fired == ["x"]
+
     def test_clear_cancels_everything(self, sim):
         fired = []
         sim.schedule(0.1, fired.append, "x")

@@ -10,7 +10,6 @@ from repro.core.stats import (
     Counter,
     SampleStat,
     TimeWeightedStat,
-    jain_fairness,
 )
 
 
@@ -34,13 +33,12 @@ class TestCounter:
 
 
 class TestSampleStat:
-    def test_mean_and_variance_match_statistics_module(self):
+    def test_mean_matches_statistics_module(self):
         data = [1.5, 2.0, 4.0, 8.0, 16.5, 0.25]
         stat = SampleStat()
         for value in data:
             stat.add(value)
         assert stat.mean == pytest.approx(statistics.mean(data))
-        assert stat.variance == pytest.approx(statistics.variance(data))
         assert stat.minimum == min(data)
         assert stat.maximum == max(data)
 
@@ -48,11 +46,6 @@ class TestSampleStat:
         stat = SampleStat()
         assert math.isnan(stat.mean)
         assert math.isnan(stat.minimum)
-
-    def test_single_sample_variance_nan(self):
-        stat = SampleStat()
-        stat.add(3.0)
-        assert math.isnan(stat.variance)
 
     def test_percentiles(self):
         stat = SampleStat()
@@ -68,13 +61,6 @@ class TestSampleStat:
         with pytest.raises(ValueError):
             stat.percentile(1.5)
 
-    def test_confidence_interval_contains_mean(self):
-        stat = SampleStat()
-        for value in range(100):
-            stat.add(float(value % 10))
-        low, high = stat.confidence_interval(0.95)
-        assert low < stat.mean < high
-
     def test_max_samples_cap(self):
         stat = SampleStat(max_samples=10)
         for value in range(100):
@@ -82,6 +68,26 @@ class TestSampleStat:
         # Moments still track everything even when samples are capped.
         assert stat.count == 100
         assert stat.mean == pytest.approx(49.5)
+
+    def test_max_samples_keeps_the_first(self):
+        stat = SampleStat(max_samples=3)
+        for value in (5.0, 1.0, 4.0, 2.0):
+            stat.add(value)
+        assert stat.samples == [5.0, 1.0, 4.0]
+        assert stat.minimum == 1.0
+
+    def test_samples_not_kept(self):
+        stat = SampleStat(keep_samples=False)
+        stat.add(2.0)
+        stat.add(4.0)
+        assert stat.samples == []
+        assert math.isnan(stat.percentile(0.5))
+        assert stat.mean == 3.0
+
+    def test_single_sample_is_every_percentile(self):
+        stat = SampleStat()
+        stat.add(7.0)
+        assert stat.percentile(0.0) == stat.percentile(0.9) == 7.0
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=2, max_size=200))
@@ -108,20 +114,3 @@ class TestTimeWeightedStat:
 
     def test_no_elapsed_time_is_nan(self):
         assert math.isnan(TimeWeightedStat().mean)
-
-
-class TestJainFairness:
-    def test_equal_shares_are_perfectly_fair(self):
-        assert jain_fairness([5.0, 5.0, 5.0, 5.0]) == pytest.approx(1.0)
-
-    def test_single_hog_is_maximally_unfair(self):
-        assert jain_fairness([10.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(jain_fairness([]))
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=1e3),
-                    min_size=1, max_size=50))
-    def test_bounds(self, values):
-        fairness = jain_fairness(values)
-        assert 1.0 / len(values) - 1e-9 <= fairness <= 1.0 + 1e-9

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import scenarios
-from repro.core import Position, Simulator
+from repro.core import Simulator
 from repro.core.errors import ConfigurationError
 from repro.faults import ChaosMonkey, FaultLog, FaultSchedule
 from repro.mac.addresses import reset_allocator

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
-from repro.core.errors import ConfigurationError
+from repro.core import Position
 from repro.faults import DegradedPropagation, LinkFader, inject_queue_pressure
 from repro.mac.addresses import allocate_address
 from repro.mac.dcf import DcfMac

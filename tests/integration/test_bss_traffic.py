@@ -1,11 +1,29 @@
 """End-to-end integration: traffic over a full infrastructure BSS."""
 
-import pytest
-
 from repro import scenarios
 from repro.core import Simulator
+from repro.core.topology import circle_layout
+from repro.net.bss import IndependentBss
+from repro.net.station import Station
+from repro.phy.channel import Medium
+from repro.phy.propagation import LogDistance
+from repro.phy.standards import DOT11B
 from repro.traffic.generators import CbrSource
 from repro.traffic.sink import TrafficSink
+
+
+def adhoc_peers(sim, count, radius_m, standard=DOT11B):
+    """Peer stations on a circle sharing one IBSS."""
+    medium = Medium(sim, LogDistance(standard.band_hz, exponent=3.0))
+    ibss = IndependentBss.start(sim)
+    stations = []
+    for index, position in enumerate(circle_layout(count, radius_m)):
+        station = Station(sim, medium, standard, position,
+                          name=f"peer{index}", adhoc=True,
+                          ibss_bssid=ibss.bssid)
+        ibss.join(station)
+        stations.append(station)
+    return stations
 
 
 class TestCbrOverBss:
@@ -69,9 +87,8 @@ class TestCbrOverBss:
 
 class TestAdhocTraffic:
     def test_peer_flows_without_infrastructure(self, sim):
-        net = scenarios.build_adhoc_network(sim, station_count=4,
-                                            radius_m=10.0)
-        a, b = net.stations[0], net.stations[2]
+        stations = adhoc_peers(sim, 4, radius_m=10.0)
+        a, b = stations[0], stations[2]
         sink = TrafficSink(sim)
         b.on_receive(sink)
         CbrSource(sim, lambda p: a.send(b.address, p),
@@ -82,10 +99,7 @@ class TestAdhocTraffic:
     def test_adhoc_delay_below_infrastructure(self, sim):
         """Ad-hoc is one hop; infrastructure relays through the AP."""
         from repro.phy.standards import DOT11G
-        adhoc = scenarios.build_adhoc_network(sim, station_count=2,
-                                              radius_m=10.0,
-                                              standard=DOT11G)
-        a, b = adhoc.stations
+        a, b = adhoc_peers(sim, 2, radius_m=10.0, standard=DOT11G)
         adhoc_sink = TrafficSink(sim)
         b.on_receive(adhoc_sink)
         src = CbrSource(sim, lambda p: a.send(b.address, p),

@@ -8,7 +8,6 @@ wires the two layers together the way the example application does.
 import pytest
 
 from repro import scenarios
-from repro.core import Simulator
 from repro.core.errors import IntegrityError
 from repro.security.suites import SecuritySuite, build_link_security
 

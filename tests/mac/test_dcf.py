@@ -1,14 +1,12 @@
 """Behavioural tests for the DCF MAC: the protocol exchanges themselves."""
 
-import pytest
-
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.mac.addresses import BROADCAST, allocate_address
 from repro.mac.dcf import DcfConfig, DcfMac, MacListener
 from repro.mac.rate_adapt import fixed_rate_factory
 from repro.phy.channel import Medium
 from repro.phy.error_models import FixedPerErrorModel
-from repro.phy.propagation import FixedLoss, RangePropagation
+from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
 

@@ -8,7 +8,7 @@ RTS/CTS reservation.
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.units import SPEED_OF_LIGHT
 from repro.mac.addresses import allocate_address
 from repro.mac.dcf import DcfConfig, DcfMac

@@ -2,7 +2,6 @@
 
 import zlib
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.mac.fcs import crc32, fcs_bytes, verify_fcs

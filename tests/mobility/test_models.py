@@ -6,7 +6,6 @@ from repro.core import Position
 from repro.core.errors import ConfigurationError
 from repro.mobility.models import (
     LinearMobility,
-    RandomWaypoint,
     StaticMobility,
 )
 
@@ -70,46 +69,23 @@ class TestLinear:
         sim.run(until=5.0)
         assert dot.position == frozen
 
+    def test_tick_validation(self, sim):
+        with pytest.raises(ConfigurationError):
+            LinearMobility(sim, Dot(), Position(1, 0, 0), speed_mps=1.0,
+                           tick=0.0)
+
+    def test_second_start_arms_no_second_task(self, sim):
+        dot = Dot()
+        mobility = LinearMobility(sim, dot, Position(10, 0, 0),
+                                  speed_mps=1.0, tick=0.5)
+        positions = []
+        mobility.on_move(positions.append)
+        mobility.start()
+        mobility.start()
+        sim.run(until=2.1)
+        assert len(positions) == 4
+        assert dot.position.x == pytest.approx(2.0)
+
     def test_speed_validation(self, sim):
         with pytest.raises(ConfigurationError):
             LinearMobility(sim, Dot(), Position(1, 0, 0), speed_mps=0.0)
-
-
-class TestRandomWaypoint:
-    def test_stays_inside_the_area(self, sim):
-        dot = Dot(Position(50, 50, 0))
-        RandomWaypoint(sim, dot, width=100.0, height=100.0,
-                       min_speed=5.0, max_speed=20.0, pause=0.1,
-                       tick=0.1, rng_name="rwp-test").start()
-        sim.run(until=60.0)
-        # Sample along the way by re-running in chunks.
-        assert 0.0 <= dot.position.x <= 100.0
-        assert 0.0 <= dot.position.y <= 100.0
-
-    def test_actually_moves(self, sim):
-        dot = Dot(Position(50, 50, 0))
-        RandomWaypoint(sim, dot, width=100.0, height=100.0,
-                       tick=0.1, rng_name="rwp-test2").start()
-        start = dot.position
-        sim.run(until=30.0)
-        assert dot.position.distance_to(start) > 1.0
-
-    def test_deterministic_with_named_stream(self):
-        from repro.core import Simulator
-
-        def run():
-            sim = Simulator(seed=5)
-            dot = Dot(Position(10, 10, 0))
-            RandomWaypoint(sim, dot, 100.0, 100.0, tick=0.1,
-                           rng_name="fixed").start()
-            sim.run(until=20.0)
-            return dot.position
-
-        assert run() == run()
-
-    def test_validation(self, sim):
-        with pytest.raises(ConfigurationError):
-            RandomWaypoint(sim, Dot(), width=0.0, height=10.0)
-        with pytest.raises(ConfigurationError):
-            RandomWaypoint(sim, Dot(), 10.0, 10.0, min_speed=5.0,
-                           max_speed=1.0)

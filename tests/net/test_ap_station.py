@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ProtocolError
 from repro.mac.addresses import BROADCAST
 from repro.net.ap import AccessPoint

@@ -14,9 +14,7 @@ helpers below wait on the disassociation hook rather than assuming the
 two views agree at the instant of the kick.
 """
 
-import pytest
-
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.engine import PeriodicTask
 from repro.net.ap import AccessPoint
 from repro.net.station import Station, StationState

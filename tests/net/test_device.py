@@ -1,8 +1,6 @@
 """Tests for the WirelessDevice base plumbing."""
 
-import pytest
-
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.mac.addresses import MacAddress
 from repro.net.device import WirelessDevice
 from repro.phy.channel import Medium

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ConfigurationError
 from repro.net.ap import AccessPoint
 from repro.net.bss import ExtendedServiceSet, IndependentBss, generate_ibss_bssid

@@ -3,7 +3,7 @@ PS-Poll, More Data)."""
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.energy import EnergyMeter
 from repro.core.errors import ProtocolError
 from repro.net.ap import AccessPoint

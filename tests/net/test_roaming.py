@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.mac.addresses import MacAddress
 from repro.mobility.models import LinearMobility
 from repro.net.roaming import BeaconTracker, RoamingPolicy

@@ -1,8 +1,6 @@
 """Tests for passive/active scanning and multi-channel discovery."""
 
-import pytest
-
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.net.ap import AccessPoint
 from repro.net.station import Station, StationState
 from repro.phy.channel import Medium

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ProtocolError
 from repro.net.ap import AccessPoint
 from repro.net.elements import AUTH_SHARED_KEY

@@ -205,7 +205,7 @@ _SLOT = st.integers(0, 7)
 def _ghost_scripts(draw):
     """Boundary records whose remote senders move, change power, switch
     channel or share a name, interleaved with local radios attaching,
-    detaching, moving and retuning."""
+    moving and retuning."""
     inject = st.tuples(
         st.just("inject"), st.sampled_from(["r0", "r1"]),
         st.sampled_from(_REMOTE_SPOTS), _CHANNELS,
@@ -213,7 +213,6 @@ def _ghost_scripts(draw):
         st.sampled_from([0.0, 1e-3, 2.7e-3]))
     local = st.one_of(
         st.tuples(st.just("attach"), st.sampled_from(_LOCAL_SPOTS), _CHANNELS),
-        st.tuples(st.just("detach"), _SLOT),
         st.tuples(st.just("move"), _SLOT, st.sampled_from(_LOCAL_SPOTS)),
         st.tuples(st.just("retune"), _SLOT, _CHANNELS))
     return draw(st.lists(st.one_of(inject, inject, local), min_size=1,
@@ -241,9 +240,7 @@ class TestGhostPlans:
                   channel_id=channel)
         elif radios:
             radio = radios[op[1] % len(radios)]
-            if op[0] == "detach":
-                medium.detach(radio)
-            elif op[0] == "move":
+            if op[0] == "move":
                 radio.position = Position(op[2][0], op[2][1], 0.0)
             else:
                 radio.channel_id = op[2]

@@ -11,7 +11,6 @@ from repro.core import Position, Simulator
 from repro.core.engine import ckernel_available
 from repro.core.errors import SimulationError
 from repro.phy.channel import Medium
-from repro.phy.error_models import SnrThresholdErrorModel
 from repro.phy.propagation import FixedLoss, LogDistance
 from repro.phy.standards import DOT11B, DOT11G
 from repro.phy.transceiver import Radio, RadioState

@@ -7,8 +7,6 @@ plans must stay bit-identical to one that evaluates every link afresh
 for every frame (``FreshMedium``).
 """
 
-import pytest
-
 from repro.core import Position, Simulator
 from repro.core.units import SPEED_OF_LIGHT
 from repro.mobility.models import LinearMobility

@@ -8,9 +8,7 @@ guards the negative-residue clamp in ``_refresh_interference``.
 
 import itertools
 
-import pytest
-
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.phy.channel import Medium, Transmission
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B

@@ -1,7 +1,5 @@
 """Tests for the PHY link-budget cache and its invalidation paths."""
 
-import pytest
-
 from repro.campaign import run_job, runner
 from repro.core import Position, Simulator
 from repro.mobility.models import LinearMobility

@@ -1,7 +1,5 @@
 """Tests for modulation BER curves."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

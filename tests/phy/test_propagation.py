@@ -1,7 +1,6 @@
 """Tests for propagation models."""
 
 import math
-import random
 
 import pytest
 
@@ -13,8 +12,6 @@ from repro.phy.propagation import (
     FreeSpace,
     LogDistance,
     RangePropagation,
-    Shadowing,
-    TwoRayGround,
     max_range_for_budget,
 )
 
@@ -71,58 +68,11 @@ class TestLogDistance:
             LogDistance(2.4e9, exponent=0.5)
 
 
-class TestTwoRayGround:
-    def test_free_space_below_crossover(self):
-        model = TwoRayGround(2.4e9, tx_height=2.0, rx_height=2.0)
-        free = FreeSpace(2.4e9)
-        close = model.crossover / 2.0
-        assert model.path_loss_db(A, at(close)) == \
-            pytest.approx(free.path_loss_db(A, at(close)))
-
-    def test_40db_per_decade_beyond_crossover(self):
-        model = TwoRayGround(2.4e9, tx_height=2.0, rx_height=2.0)
-        d = model.crossover * 2.0
-        near = model.path_loss_db(A, at(d))
-        far = model.path_loss_db(A, at(d * 10.0))
-        assert far - near == pytest.approx(40.0)
-
-    def test_bad_heights_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TwoRayGround(2.4e9, tx_height=0.0)
-
-
-class TestShadowing:
-    def test_offset_frozen_per_link(self):
-        model = Shadowing(FreeSpace(2.4e9), sigma_db=8.0,
-                          rng=random.Random(1))
-        first = model.path_loss_db(A, at(50.0))
-        second = model.path_loss_db(A, at(50.0))
-        assert first == second
-
-    def test_offset_symmetric(self):
-        model = Shadowing(FreeSpace(2.4e9), sigma_db=8.0,
-                          rng=random.Random(1))
-        forward = model.path_loss_db(A, at(50.0))
-        backward = model.path_loss_db(at(50.0), A)
-        assert forward == backward
-
-    def test_different_links_get_different_offsets(self):
-        model = Shadowing(FreeSpace(2.4e9), sigma_db=8.0,
-                          rng=random.Random(1))
-        base = FreeSpace(2.4e9)
-        offsets = {round(model.path_loss_db(A, at(d))
-                         - base.path_loss_db(A, at(d)), 6)
-                   for d in (10, 20, 30, 40, 50)}
-        assert len(offsets) > 1
-
-    def test_zero_sigma_equals_base(self):
-        model = Shadowing(FreeSpace(2.4e9), sigma_db=0.0,
-                          rng=random.Random(1))
-        assert model.path_loss_db(A, at(25.0)) == \
-            pytest.approx(FreeSpace(2.4e9).path_loss_db(A, at(25.0)))
-
-
 class TestRangePropagation:
+    def test_nonpositive_range_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RangePropagation(0.0)
+
     def test_disc_edge(self):
         model = RangePropagation(100.0)
         assert model.path_loss_db(A, at(100.0)) < math.inf
@@ -144,7 +94,6 @@ class TestReceivedPower:
     @pytest.mark.parametrize("model", [
         FreeSpace(2.4e9),
         LogDistance(2.4e9, exponent=3.2),
-        TwoRayGround(3.5e9),
         FixedLoss(42.0),
         RangePropagation(100.0),
     ], ids=lambda m: type(m).__name__)
@@ -159,18 +108,6 @@ class TestReceivedPower:
             assert watts == dbm_to_watts(watts_to_dbm(tx_power) - loss_db)
             assert watts == pytest.approx(
                 tx_power * 10.0 ** (-loss_db / 10.0), rel=1e-12)
-
-    def test_shadowing_power_includes_frozen_offset(self):
-        model = Shadowing(FreeSpace(2.4e9), sigma_db=8.0,
-                          rng=random.Random(1))
-        loss_db = model.path_loss_db(A, at(50.0))
-        watts = model.received_power_watts(0.1, A, at(50.0))
-        assert watts == pytest.approx(0.1 * 10.0 ** (-loss_db / 10.0),
-                                      rel=1e-12)
-        # The offset is frozen per unordered link: same value again,
-        # and the same in the other direction.
-        assert model.received_power_watts(0.1, A, at(50.0)) == watts
-        assert model.received_power_watts(0.1, at(50.0), A) == watts
 
     def test_received_power_uses_db_pipeline(self):
         # The cached/uncached contract: received_power_watts stays in
@@ -197,3 +134,22 @@ class TestMaxRange:
         near = max_range_for_budget(model, 10.0, -85.0)
         far = max_range_for_budget(model, 20.0, -85.0)
         assert far > near
+
+    @pytest.mark.parametrize("model, budget_db, expected", [
+        (LogDistance(2.4e9, exponent=3.0), 100.0, None),
+        (RangePropagation(250.0), 60.0, 250.0),
+        (FixedLoss(42.0), 60.0, 1e6),
+        (FixedLoss(42.0), 30.0, 0.0),
+    ], ids=["LogDistance", "RangePropagation", "FixedLoss-closes",
+            "FixedLoss-never-closes"])
+    def test_the_budget_closes_up_to_the_range_and_not_beyond(
+            self, model, budget_db, expected):
+        range_m = max_range_for_budget(model, tx_power_dbm=20.0,
+                                       sensitivity_dbm=20.0 - budget_db)
+        if expected is not None:
+            assert range_m == pytest.approx(expected, abs=1e-6)
+        if range_m > 0.0:
+            assert model.path_loss_db(A, at(range_m)) <= budget_db
+        if range_m < 1e6:
+            assert model.path_loss_db(A, at(range_m * (1 + 1e-9) + 1e-9)) \
+                > budget_db

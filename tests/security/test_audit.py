@@ -3,7 +3,6 @@
 import pytest
 
 from repro.security.audit import (
-    AttackReport,
     audit_ccmp,
     audit_open,
     audit_tkip,

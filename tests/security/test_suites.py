@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.errors import ConfigurationError, IntegrityError
 from repro.security.suites import (
-    LinkSecurity,
     SUITE_OVERHEAD,
     SecuritySuite,
     build_link_security,

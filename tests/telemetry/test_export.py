@@ -1,11 +1,11 @@
-"""Exporters: JSONL byte conventions, the sim/wall stream split,
-Prometheus text exposition, and the columnar summary."""
+"""Exporters: JSONL byte conventions, the sim/wall stream split and
+the columnar summary."""
 
 import json
 
 from repro.telemetry.export import (TELEMETRY_FORMAT_VERSION, parse_jsonl,
                                     render_table, summary_table,
-                                    to_jsonl, to_prometheus)
+                                    to_jsonl)
 from repro.telemetry.metrics import MetricsRegistry, make_key
 from repro.telemetry.spans import Span, SpanLog
 
@@ -77,22 +77,6 @@ class TestJsonl:
     def test_two_exports_of_same_registry_are_byte_identical(self):
         registry = _populated_registry()
         assert to_jsonl(registry) == to_jsonl(registry)
-
-
-class TestPrometheus:
-    def test_exposition_shape(self):
-        text = to_prometheus(_populated_registry())
-        assert "# TYPE repro_mac_frames counter" in text
-        assert 'repro_mac_frames{ap="a"} 3' in text
-        assert "repro_kernel_heap 17.5" in text
-        assert 'repro_medium_fanout_bucket{le="1.0"} 1' in text
-        assert 'repro_medium_fanout_bucket{le="+Inf"} 2' in text
-        assert "repro_medium_fanout_count 2" in text
-        assert "repro_parallel_busy" not in text  # wall excluded by default
-
-    def test_include_wall(self):
-        text = to_prometheus(_populated_registry(), include_wall=True)
-        assert "repro_parallel_busy 0.25" in text
 
 
 class TestSummary:

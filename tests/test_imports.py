@@ -198,8 +198,9 @@ def test_running_to_the_horizon_imports_nothing():
 
 #: ``__all__`` of every package at the last commit whose ``__init__``
 #: files imported eagerly, plus the names added since (``repro.traffic``'s
-#: saturation source and delivery counter).  Lazy re-export must not
-#: change it.
+#: saturation source and delivery counter) and minus the code no
+#: consumer ran, deleted since (``tools/reach.py`` measures that).  Lazy
+#: re-export must not change it.
 PUBLIC = {package: names.split() for package, names in {
     "repro": """
         Simulator __version__ adversary analysis core mac mobility net
@@ -209,20 +210,16 @@ PUBLIC = {package: names.split() for package, names in {
         BluetoothHopper CaptureLog CaptureRecord ConstantJammer
         CtsNavAttacker DeauthFlooder Emitter EnergySource FrameInjector
         MAX_DURATION_US MicrowaveOven MonitorRadio PeriodicJammer
-        ReactiveJammer RogueAp SweepingJammer
+        ReactiveJammer RogueAp
     """,
     "repro.analysis": """
-        AirtimeReport AttackImpact EnsembleStat Mismatch ReassociationProbe
-        SourceAirtime aggregate_impact aggregate_mesh_counters
-        aggregate_throughput_bps bianchi_saturation_throughput bianchi_tau
-        compare_stats connectivity_graph delay_percentiles differential_gate
-        duty_cycle_sweep ensemble ensemble_table format_value group_rows
-        jain_fairness mesh_hop_histogram path_stretch pdr_timeline
-        per_link_airtime per_link_load per_station_impact recovery_time
-        render_duty_curve render_ensemble_table render_impact_table
-        render_pdr_grid render_series render_sweep_curve render_table
-        route_repair_time shortest_hop_count spatial_pdr_grid
-        steady_state_pdr sweep_curve t_critical
+        AttackImpact ReassociationProbe aggregate_impact
+        aggregate_mesh_counters bianchi_saturation_throughput bianchi_tau
+        connectivity_graph duty_cycle_sweep format_value path_stretch
+        pdr_timeline per_link_load per_station_impact recovery_time
+        render_duty_curve render_impact_table render_pdr_grid
+        render_series render_table route_repair_time shortest_hop_count
+        spatial_pdr_grid steady_state_pdr
     """,
     "repro.campaign": """
         BUILDERS CampaignResult Job Manifest SCHEMA_DOC SpecError
@@ -237,7 +234,7 @@ PUBLIC = {package: names.split() for package, names in {
         ReproError RngRegistry SampleStat SchedulingError SecurityError
         SimulationError Simulator TimeWeightedStat TraceLog TraceRecord
         circle_layout ckernel_available default_kernel grid_layout
-        hexagonal_cell_centers jain_fairness line_layout nearest
+        hexagonal_cell_centers line_layout nearest
         random_disc_layout resolve_kernel units
     """,
     "repro.faults": """
@@ -256,7 +253,7 @@ PUBLIC = {package: names.split() for package, names in {
         make_null make_ps_poll make_rts reset_allocator verify_fcs
     """,
     "repro.mobility": """
-        LinearMobility MobilityModel RandomWaypoint StaticMobility
+        LinearMobility MobilityModel StaticMobility
     """,
     "repro.net": """
         AUTH_OPEN_SYSTEM AUTH_SHARED_KEY AccessPoint AssocRequestBody
@@ -276,8 +273,8 @@ PUBLIC = {package: names.split() for package, names in {
         DOT11_LEGACY ENERGY_ONLY ErrorModel FixedLoss FixedPerErrorModel
         FreeSpace LogDistance Medium Modulation PhyMode
         PhyStandard PropagationModel Radio RadioConfig RadioState
-        RangePropagation STANDARDS Shadowing SinrTracker
-        SnrThresholdErrorModel Transmission TwoRayGround get_standard
+        RangePropagation STANDARDS SinrTracker
+        SnrThresholdErrorModel Transmission get_standard
         max_range_for_budget q_function
     """,
     "repro.routing": """
@@ -305,12 +302,11 @@ PUBLIC = {package: names.split() for package, names in {
         KernelDispatchProbe MacFleetProbe MediumProbe MetricsRegistry
         NULL_METRIC PeriodicSampler RadioFleetProbe Span SpanLog Telemetry
         format_key make_key parse_jsonl record_fault_spans render_table
-        summary_table to_jsonl to_prometheus
+        summary_table to_jsonl
     """,
     "repro.traffic": """
-        BulkTransferSource CbrSource DeliveryCounter FlowStats HEADER_SIZE
-        OnOffSource PoissonSource SaturatingSource TrafficSink decode_packet
-        encode_packet
+        CbrSource DeliveryCounter FlowStats HEADER_SIZE SaturatingSource
+        TrafficSink decode_packet encode_packet
     """,
     "repro.wman": """
         BURST_PROFILES DL_FRACTION FRAME_TIME FRAMING_EFFICIENCY

@@ -3,9 +3,8 @@
 import pytest
 
 from repro import scenarios
-from repro.core import Simulator
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.phy.standards import DOT11A, DOT11B
+from repro.phy.standards import DOT11A
 
 
 class TestInfrastructureBuilder:
@@ -116,23 +115,6 @@ class TestInfrastructureBuilder:
         sim.schedule(0.02, lambda: bss.ap.deauthenticate(churner.address))
         scenarios.associate_all(sim, bss.stations, timeout=10.0)
         assert all(sta.associated for sta in bss.stations)
-
-
-class TestAdhocBuilder:
-    def test_peers_share_one_bssid(self, sim):
-        net = scenarios.build_adhoc_network(sim, station_count=4)
-        bssids = {sta.mac.bssid for sta in net.stations}
-        assert bssids == {net.ibss.bssid}
-        assert all(sta.adhoc for sta in net.stations)
-
-    def test_traffic_flows(self, sim):
-        net = scenarios.build_adhoc_network(sim, station_count=2,
-                                            standard=DOT11B)
-        inbox = []
-        net.stations[1].on_receive(lambda s, p, m: inbox.append(p))
-        net.stations[0].send(net.stations[1].address, b"peer to peer")
-        sim.run(until=1.0)
-        assert inbox == [b"peer to peer"]
 
 
 class TestHiddenTerminalBuilder:

@@ -22,7 +22,8 @@ RNG state and cached frame verdict.
   MAC's ``STATES``) logs its by-name reads (``READS``).
 * ``FAILURES``: whatever raises under the compiled loop — an upcall, a
   PER, an expiry, a rate factory, a verdict, an entry or handle of the
-  wrong shape — leaves the reference's exception and state under each
+  wrong shape, a bad ``run()`` argument, a tally its exit cannot write —
+  leaves the reference's exception, its context and state under each
   of ``run()``'s bounds (``BOUNDS``), and the run goes on once mended.
 
 Where a row has one right outcome (``EXPECTED``, a corner's or a
@@ -247,8 +248,9 @@ class World:
         return {"now": repr(getattr(sim, "_now", "deleted")),
                 "scheduled": sim._scheduled,
                 "cancelled": sim._cancelled_events,
-                "executed": sim._events_executed,
-                "tallies": [getattr(sim, name) for name in SHAPE_COUNTS],
+                "executed": getattr(sim, "_events_executed", "deleted"),
+                "tallies": [getattr(sim, name, "deleted")
+                            for name in SHAPE_COUNTS],
                 "heap": [(repr(entry[0]), entry[1]) + self.describe(entry[2:])
                          for entry in sorted(sim._heap,
                                              key=lambda entry: entry[:2])],
@@ -1673,7 +1675,7 @@ class SimWorld(World):
 WORLDS["sim"] = SimWorld
 
 
-def _queued(make, *missing, mend=None):
+def _queued(make, *missing, mend=None, outcome=None):
     """A run-loop row: what ``make(world)`` queues for 0.5 s between two
     plain events — an entry's tail, pushed as it is, or an object that
     queued itself — ``missing`` deleted off it; ``mend(world)``."""
@@ -1689,13 +1691,73 @@ def _queued(make, *missing, mend=None):
         world.made.append(made)
         sim.schedule_fast_at(0.75, world.note, "after")
         return lambda: mend and mend(world)
-    return "sim", setup, None
+    return "sim", setup, outcome
 
 
 def _timer(world):
     timer = Timer(world.sim, world.note)
     timer.schedule_at(0.5)
     return timer
+
+
+def _handle_args(args):
+    """A handle due at 0.5 s whose ``args`` is ``args``."""
+    def make(world):
+        handle = world.sim.schedule_at(0.5, world.note)
+        handle.args = args
+        return handle
+    return make
+
+
+def _tally(name, value, outcome, callback=None):
+    """A run-loop exit row: one fast event at 0.5 s (``callback``, or a
+    note) run with the tally ``name`` holding ``value``, or deleted for
+    ``value=None``; mended back to 0."""
+    def setup(world):
+        sim = world.sim
+        sim.schedule_fast_at(0.5, callback or world.note)
+        if value is None:
+            delattr(sim, name)
+        else:
+            setattr(sim, name, value)
+        return lambda: setattr(sim, name, 0)
+    return "sim", setup, outcome
+
+
+def _added_to(before, raised, drained):
+    assert drained["tallies"] == [1.5, 0, 0, 0, 0]
+
+
+def _skipped_writes(context, held="deleted"):
+    """The fast tally was added to; the writes after the timer tally
+    (``held``) were skipped, the executed counter's included; the
+    exception in flight, if any, is the context."""
+    def outcome(before, raised, drained):
+        _kind, _running, after, raised_context = raised[0]
+        assert after["tallies"] == [1, held, 0, 0, 0]
+        assert after["executed"] == 0 and raised_context == context
+    return outcome
+
+
+def _left_runnable(before, raised, drained):
+    """Nothing moved; the queued event fired on the next run."""
+    assert raised[0][2] == before
+    assert ("0.5", "queued") in drained["log"]
+
+
+def _counted_then_raised(before, raised, drained):
+    after = raised[0][2]
+    assert (after["now"], after["executed"]) == ("0.5", 2)
+    assert after["tallies"][:3] == [1, 0, 1]
+
+
+def _run_args(run_args, row, outcome):
+    """``row``, its first ``run()`` called with ``run_args`` instead."""
+    world, setup, _outcome = row
+    def first(world):
+        world.run_args = run_args
+        return setup(world)
+    return world, first, outcome
 
 
 #: What raises under ``sim.run()``: name -> (the exceptions run() raises
@@ -1759,6 +1821,28 @@ FAILURES = {
         lambda world: world.sim.schedule_fast_at(
             0.875, delattr, world.sim, "_now"),
         mend=lambda world: setattr(world.sim, "_now", 0.875))),
+    # Its arguments, read before the flags are set: the queued event
+    # fires on the next run.
+    "the event budget is not a number": (["TypeError"], _run_args(
+        {"max_events": "x"}, _queued(lambda world: world.sim.schedule_at(
+            0.5, world.note, "queued")), _left_runnable)),
+    "the executed counter is missing": (["AttributeError"], _queued(
+        lambda world: world.sim, "_events_executed",
+        mend=lambda world: setattr(world.sim, "_events_executed", 0))),
+    # A handle's args, made a tuple at the call: the clock has moved
+    # and the handle is counted when it raises.
+    "a handle whose args is not iterable": (["TypeError"], _queued(
+        _handle_args(5), outcome=_counted_then_raised)),
+    # Its exit writes each tally with += and stores the executed
+    # counter; the first write that fails raises, chained to the
+    # callback's exception, and skips the writes after it.
+    "a tally holds a float": ([], _tally("_fast_fired", 0.5, _added_to)),
+    "a tally is missing": (["AttributeError"], _tally(
+        "_timers_fired", None, _skipped_writes("NoneType"))),
+    "a tally cannot be added to": (["TypeError"], _tally(
+        "_timers_fired", "x", _skipped_writes("NoneType", "x"))),
+    "a callback raises and a tally is missing": (["AttributeError"], _tally(
+        "_timers_fired", None, _skipped_writes("Boom"), _boom)),
 }
 
 
@@ -1769,7 +1853,8 @@ BOUNDS = {"until": {"until": 1.0}, "max_events": {"max_events": 10**6},
 
 
 def _failure(kernel, row, bounds):
-    """``row`` under ``sim.run(**BOUNDS[bounds])``, run again after each
+    """``row`` under ``sim.run(**BOUNDS[bounds])`` (its first call with
+    the row's own ``run_args``, if it sets them), run again after each
     raise (mended after the first): the state before, what each raise
     left, and the state once nothing raises."""
     _kinds, (world, setup, _outcome) = FAILURES[row]
@@ -1777,16 +1862,18 @@ def _failure(kernel, row, bounds):
     mend = setup(world)
     before = world.snapshot()
     raised = []
+    run_args = getattr(world, "run_args", BOUNDS[bounds])
     for _ in range(4):
         try:
-            world.sim.run(**BOUNDS[bounds])
+            world.sim.run(**run_args)
             break
         except Exception as exc:
             raised.append((type(exc).__name__,
                            getattr(world.sim, "_running", None),
-                           world.snapshot()))
+                           world.snapshot(), type(exc.__context__).__name__))
             if len(raised) == 1:
                 mend()
+                run_args = BOUNDS[bounds]
     return before, raised, world.snapshot()
 
 
@@ -1797,8 +1884,8 @@ def test_each_failure_fails_alike_and_the_run_goes_on(row, bounds):
     compiled = _failure("c", row, bounds)
     assert compiled == _failure("python", row, bounds)
     before, raised, drained = compiled
-    assert [kind for kind, _running, _after in raised] == kinds
-    assert not any(running for _kind, running, _after in raised)
+    assert [kind for kind, _running, _after, _context in raised] == kinds
+    assert not any(running for _kind, running, _after, _context in raised)
     if raised and "radios" in before:
         # The executed counter was flushed, and the run went on.
         assert drained["executed"] > raised[-1][2]["executed"]

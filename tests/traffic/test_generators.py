@@ -4,11 +4,8 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.traffic.generators import (
-    BulkTransferSource,
     CbrSource,
     HEADER_SIZE,
-    OnOffSource,
-    PoissonSource,
     decode_packet,
     encode_packet,
 )
@@ -74,86 +71,28 @@ class TestCbr:
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
 
+    @pytest.mark.parametrize("build", [
+        lambda sim: CbrSource(sim, lambda p: True, 100, interval=0.0),
+        lambda sim: CbrSource(sim, lambda p: True, 100, interval=-0.1),
+        lambda sim: CbrSource(sim, lambda p: True, HEADER_SIZE - 1, 0.1),
+        lambda sim: CbrSource.at_rate(sim, lambda p: True, 100,
+                                      rate_bps=0.0),
+    ], ids=["zero interval", "negative interval", "packet under the header",
+            "zero rate"])
+    def test_validation(self, sim, build):
+        with pytest.raises(ConfigurationError):
+            build(sim)
+
+    def test_start_delays_the_first_packet(self, sim):
+        times = []
+        source = CbrSource(sim, lambda p: (times.append(decode_packet(p)[2]),
+                                           True)[1],
+                           packet_bytes=100, interval=0.1, start=0.25)
+        sim.run(until=0.5)
+        assert times == pytest.approx([0.25, 0.35, 0.45])
+        assert source.offered_bytes == 300
+
     def test_flow_ids_unique_across_sources(self, sim):
         a = CbrSource(sim, lambda p: True, 100, 0.1)
         b = CbrSource(sim, lambda p: True, 100, 0.1)
         assert a.flow_id != b.flow_id
-
-
-class TestPoisson:
-    def test_mean_rate_approximately_met(self, sim):
-        source = PoissonSource(sim, lambda p: True, packet_bytes=100,
-                               rate_pps=200.0)
-        sim.run(until=10.0)
-        assert source.generated == pytest.approx(2000, rel=0.15)
-
-    def test_interarrivals_vary(self, sim):
-        times = []
-        PoissonSource(sim, lambda p: (times.append(sim.now), True)[1],
-                      packet_bytes=100, rate_pps=100.0)
-        sim.run(until=2.0)
-        gaps = {round(b - a, 6) for a, b in zip(times, times[1:])}
-        assert len(gaps) > 10  # not periodic
-
-
-class TestOnOff:
-    def test_bursty_structure(self, sim):
-        times = []
-        OnOffSource(sim, lambda p: (times.append(sim.now), True)[1],
-                    packet_bytes=100, interval=0.01,
-                    mean_on=0.2, mean_off=0.5)
-        sim.run(until=20.0)
-        assert len(times) > 10
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        # There must exist long silences (OFF periods) between bursts.
-        assert max(gaps) > 0.1
-        assert min(gaps) == pytest.approx(0.01, abs=1e-6)
-
-    def test_parameter_validation(self, sim):
-        with pytest.raises(ConfigurationError):
-            OnOffSource(sim, lambda p: True, 100, 0.01, mean_on=0.0,
-                        mean_off=1.0)
-
-
-class TestBulkTransfer:
-    def test_transfer_completes_with_callback(self, sim):
-        inflight = []
-
-        def send(payload):
-            # Deliver after 1 ms, then notify the source.
-            sim.schedule(0.001, source.packet_done)
-            inflight.append(payload)
-            return True
-
-        durations = []
-        source = BulkTransferSource(sim, send, packet_bytes=1000,
-                                    total_bytes=50_000, window=4,
-                                    on_complete=durations.append)
-        sim.run(until=10.0)
-        assert source.done
-        assert source.completed == 50
-        assert len(durations) == 1
-        assert source.throughput_bps() > 0
-
-    def test_window_limits_outstanding(self, sim):
-        outstanding = []
-
-        def send(payload):
-            outstanding.append(payload)
-            return True
-
-        BulkTransferSource(sim, send, packet_bytes=1000,
-                           total_bytes=100_000, window=3)
-        sim.run(until=0.1)
-        assert len(outstanding) == 3  # nothing completed yet
-
-    def test_throughput_nan_until_done(self, sim):
-        import math
-        source = BulkTransferSource(sim, lambda p: True, packet_bytes=1000,
-                                    total_bytes=10_000)
-        assert math.isnan(source.throughput_bps())
-
-    def test_validation(self, sim):
-        with pytest.raises(ConfigurationError):
-            BulkTransferSource(sim, lambda p: True, packet_bytes=1000,
-                               total_bytes=10)

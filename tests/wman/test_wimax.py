@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import LinkError
 from repro.wman.wimax import (
     BURST_PROFILES,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ConfigurationError, ProtocolError
 from repro.wpan.bluetooth import (
     BluetoothDevice,
@@ -12,7 +12,6 @@ from repro.wpan.bluetooth import (
     MAX_ACTIVE_SLAVES,
     Piconet,
     ScatternetBridge,
-    SLOT_TIME,
 )
 
 

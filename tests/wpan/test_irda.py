@@ -4,15 +4,10 @@ import math
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ConfigurationError, LinkError
 from repro.core.units import kbps, mbps
-from repro.wpan.irda import (
-    IrdaDevice,
-    IrdaLink,
-    HALF_ANGLE_RAD,
-    MAX_RANGE_M,
-)
+from repro.wpan.irda import IrdaDevice, IrdaLink
 
 
 def facing_pair(distance=0.5, a_rate=mbps(4.0), b_rate=mbps(4.0)):

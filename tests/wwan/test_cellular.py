@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ConfigurationError, ProtocolError
 from repro.core.units import gbps, kbps, mbps
 from repro.wwan.cellular import (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Position, Simulator
+from repro.core import Position
 from repro.core.errors import ConfigurationError, LinkError
 from repro.wwan.satellite import (
     DVBS2_RATE_BPS,
