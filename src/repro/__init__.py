@@ -24,9 +24,16 @@ from ._lazy import attach
 
 __version__ = "1.0.0"
 
+#: The behaviour epoch: which rules made a stored result.  It moves, by
+#: one, with every deliberate change of what a seeded run computes —
+#: a stat, a trace or a telemetry stream — and with nothing else.  The
+#: committed pins record it (``tests/fixtures/pins.json``), and a
+#: campaign manifest refuses to resume under another one.
+BEHAVIOUR_EPOCH = 1
+
 __getattr__, __dir__, __all__ = attach(
     __name__, {"core": ("Simulator",)},
     submodules=("adversary", "analysis", "core", "mac", "mobility", "net",
                 "parallel", "phy", "routing", "scenarios", "security",
                 "traffic", "wman", "wpan", "wwan"))
-__all__.append("__version__")
+__all__ += ["BEHAVIOUR_EPOCH", "__version__"]

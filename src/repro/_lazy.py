@@ -13,9 +13,11 @@ under it, and none of them imports those modules to do so.  A package
 — and whatever *it* imports at module level — and nothing else, and
 binds the result in the package namespace so the next access is a plain
 attribute read.  The rule that keeps cold start proportional to use:
-packages re-export lazily, leaf modules import what they use eagerly
-at module level (so nothing is imported in the middle of a run), and a
-third-party import lives in the module that uses it.
+packages re-export lazily; a leaf module imports at module level what
+every path through it uses; an option-only family is imported where the
+option is taken, at build, in the parent — so nothing is imported in
+the middle of a run, and a forked worker imports no family its options
+take; and a third-party import lives in the module that uses it.
 """
 
 from __future__ import annotations

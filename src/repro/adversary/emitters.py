@@ -36,7 +36,6 @@ from ..core.units import dbm_to_watts
 from ..phy.channel import Medium
 from ..phy.standards import PhyStandard, DOT11B
 from ..phy.transceiver import Radio, RadioConfig, RadioState
-from ..wpan.bluetooth import SLOT_TIME as BT_SLOT_TIME
 
 #: Bluetooth hops its 1 MHz carrier over 79 channels; a 22 MHz DSSS
 #: victim channel therefore swallows 22 of them (the classic 2.4 GHz
@@ -340,8 +339,10 @@ class BluetoothHopper(Emitter):
             raise ConfigurationError("tx_probability must be in [0, 1]")
         super().__init__(sim, medium, position, channel_id=channel_id,
                          power_dbm=power_dbm, name=name)
+        from ..wpan.bluetooth import SLOT_TIME
         self.tx_probability = tx_probability
         self._overlap = BT_OVERLAP_CHANNELS / BT_HOP_CHANNELS
+        self._slot_time = SLOT_TIME
         self._rng = sim.rng.stream(f"bt.{name}")
 
     def _begin(self) -> None:
@@ -355,7 +356,7 @@ class BluetoothHopper(Emitter):
         if draw < self._overlap * self.tx_probability:
             self.counters.incr("hits")
             self._burst(BT_TX_TIME)
-        self._tick_timer.schedule(BT_SLOT_TIME)
+        self._tick_timer.schedule(self._slot_time)
 
 
 class MicrowaveOven(Emitter):

@@ -25,10 +25,11 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..parallel.executor import load_before_fork
 from .grid import Job, expand_grid, grid_sha1
 from .manifest import Manifest
 from .pool import iter_pooled, select_names
-from .runner import run_job
+from .runner import kernel_of, run_job
 from .store import StoreWriter
 
 __all__ = ["run_campaign", "CampaignResult"]
@@ -127,6 +128,12 @@ def run_campaign(spec: Dict[str, Any], out_dir: pathlib.Path, *,
                 return "error", f"{type(exc).__name__}: {exc}"
         return run
 
+    # Before the pool forks: its workers then inherit the kernel and the
+    # families each job's mode takes.
+    for job in pending:
+        load_before_fork(kernel_of(job.spec),
+                         check_invariants=job.spec["mode"]["invariants"],
+                         telemetry=job.spec["mode"]["telemetry"])
     crash_after = int(os.environ.get(CRASH_AFTER_ENV, 0) or 0)
     recorded = 0
     outcomes: Dict[str, Any] = {}

@@ -3,7 +3,8 @@
 One file per campaign, one JSON document per line — a header, then one
 record per finished job, keyed by content-addressed job sha1::
 
-    {"campaign": "hidden_terminal", "format": 2, "grid_sha1": "…"}
+    {"behaviour_epoch": 1, "campaign": "hidden_terminal", "format": 2,
+     "grid_sha1": "…"}
     {"key": "<job sha1>", "row": {…}, "status": "done"}
     {"error": "…", "key": "<job sha1>", "status": "failed"}
 
@@ -37,6 +38,7 @@ import os
 import pathlib
 from typing import Any, Dict, Optional
 
+from .. import BEHAVIOUR_EPOCH
 from .spec import SpecError
 
 __all__ = ["Manifest", "MANIFEST_FORMAT"]
@@ -76,7 +78,9 @@ class Manifest:
 
         ``fresh=True`` discards any previous state.  A manifest written
         for a *different* grid (edited spec: membership or order
-        changed) raises instead of silently mixing two campaigns —
+        changed), or by another behaviour epoch (:data:`repro.
+        BEHAVIOUR_EPOCH`: the code that made its rows computes
+        differently), raises instead of silently mixing two campaigns —
         content-addressed job keys make stale rows look deceptively
         valid otherwise.
         """
@@ -106,6 +110,12 @@ class Manifest:
             raise SpecError("(manifest)",
                             f"{path} has format {found!r}, "
                             f"this build reads {MANIFEST_FORMAT}")
+        epoch = header.get("behaviour_epoch", "(none recorded)")
+        if epoch != BEHAVIOUR_EPOCH:
+            raise SpecError("(manifest)",
+                            f"{path} was written by behaviour {epoch}, "
+                            f"this build is {BEHAVIOUR_EPOCH}; rerun with "
+                            f"fresh=True to discard the old state")
         if header.get("grid_sha1") != grid_sha1:
             raise SpecError("(manifest)",
                             f"{path} was written for a different grid "
@@ -160,6 +170,7 @@ class Manifest:
             # filesystem): the header is there whole or not at all.
             tmp = self.path.with_name(self.path.name + ".tmp")
             _write_synced(tmp, "w", {"format": MANIFEST_FORMAT,
+                                     "behaviour_epoch": BEHAVIOUR_EPOCH,
                                      "campaign": self.campaign,
                                      "grid_sha1": self.grid_sha1})
             os.replace(tmp, self.path)

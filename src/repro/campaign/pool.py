@@ -19,9 +19,6 @@ from __future__ import annotations
 
 import fnmatch
 import gc
-import multiprocessing
-import multiprocessing.connection
-import multiprocessing.util
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, \
     Optional, Sequence, Tuple
@@ -117,6 +114,8 @@ def iter_pooled(tasks: Sequence[Task], *, timeout: float = 0.0,
         for index, task in enumerate(tasks):
             yield index, "ok", task()
         return
+    import multiprocessing.connection
+    import multiprocessing.util
     ctx = multiprocessing.get_context("fork")
     # Everything is keyed by input *index*, never by any task-derived
     # name: the same work item may legitimately appear more than once

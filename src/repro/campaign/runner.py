@@ -61,9 +61,15 @@ def _simulator(spec: Dict[str, Any], seed: int) -> Simulator:
     that name for a tracing factory — reaches every part of a
     multi-simulator builder.
     """
-    kernel = spec["mode"]["kernel"]
     return Simulator(seed=seed, trace=TraceLog(enabled=False),
-                     kernel=None if kernel == "auto" else kernel)
+                     kernel=kernel_of(spec))
+
+
+def kernel_of(spec: Dict[str, Any]) -> Optional[str]:
+    """The ``kernel`` argument the spec's simulators take: ``"auto"``
+    defers to ``REPRO_KERNEL``, as ``Simulator(kernel=None)`` does."""
+    kernel = spec["mode"]["kernel"]
+    return None if kernel == "auto" else kernel
 
 
 def _arm(sim: Simulator, spec: Dict[str, Any], streams: Streams, medium,

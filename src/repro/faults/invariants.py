@@ -76,8 +76,8 @@ class InvariantChecker:
         #: heap monotonicity mean exactly what they mean single-process.
         #: The one *cross*-shard invariant (boundary records merge in
         #: pinned ``(time, shard, seq)`` order) cannot be seen from any
-        #: worker; the coordinator audits it via
-        #: :meth:`check_merge_order`.
+        #: worker; the round loop audits it on every sharded run
+        #: (:func:`repro.parallel.executor.check_merge_order`).
         self.shard = shard
         #: A routing table only has to be loop-free once it is
         #: *quiescent*: transient loops during convergence are expected
@@ -131,43 +131,6 @@ class InvariantChecker:
         self.violations.append(violation)
         if self.strict:
             raise InvariantViolation(str(violation))
-
-    @staticmethod
-    def check_merge_order(records, tail: Optional[dict] = None) -> None:
-        """Audit the sharded executor's cross-shard merge invariant.
-
-        ``records`` is one coordinator round's boundary batch; each
-        record's first three fields must be ``(time, shard, seq)``.
-        Two properties are enforced: the batch is sorted by that key
-        (the pinned merge order two byte-identical runs rely on), and —
-        across rounds, via the caller-held ``tail`` dict mapping shard
-        to its last ``(time, seq)`` — every shard's export stream is
-        strictly increasing.  Always strict: a violation means the
-        determinism contract is already broken, so it raises
-        :class:`~repro.core.errors.InvariantViolation` immediately.
-        """
-        previous = None
-        for record in records:
-            key = (record[0], record[1], record[2])
-            if previous is not None and key < previous:
-                raise InvariantViolation(
-                    f"cross-shard-merge-order: record {key!r} after "
-                    f"{previous!r} in one round's batch")
-            previous = key
-            if tail is not None:
-                shard = record[1]
-                mark = (record[0], record[2])
-                last = tail.get(shard)
-                # A shard's export stream must move strictly forward:
-                # time may repeat only with a fresh (larger) seq, and
-                # the seq counter itself never repeats or rewinds even
-                # when time advances.
-                if last is not None \
-                        and (mark[0] < last[0] or mark[1] <= last[1]):
-                    raise InvariantViolation(
-                        f"cross-shard-merge-order: shard {shard} export "
-                        f"{mark!r} not after previous {last!r}")
-                tail[shard] = mark
 
     def check_now(self) -> None:
         """Run every registered check once, immediately."""

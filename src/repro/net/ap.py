@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
 
 from ..core.engine import PeriodicTask
 from ..core.errors import ProtocolError
@@ -19,8 +19,6 @@ from ..mac.addresses import BROADCAST, MacAddress
 from ..mac.frames import Dot11Frame, ManagementSubtype
 from .device import WirelessDevice
 from .ds import DistributionSystem
-from ..security.shared_key_auth import SharedKeyAuthenticator
-from ..security.wep import WepCipher
 from .elements import (
     AssocRequestBody,
     AssocResponseBody,
@@ -33,6 +31,9 @@ from .elements import (
     STATUS_REFUSED,
     STATUS_SUCCESS,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - imported with a WEP key only
+    from ..security.shared_key_auth import SharedKeyAuthenticator
 
 #: Beacon interval expressed in time units of 1024 us (the standard's TU).
 DEFAULT_BEACON_INTERVAL_TU = 100
@@ -71,6 +72,8 @@ class AccessPoint(WirelessDevice):
             if wep_key is None:
                 raise ProtocolError(
                     "shared-key authentication requires a WEP key")
+            from ..security.shared_key_auth import SharedKeyAuthenticator
+            from ..security.wep import WepCipher
             self._shared_key_auth = SharedKeyAuthenticator(
                 WepCipher(wep_key),
                 rng=self.sim.rng.stream(f"skauth.{ssid}"))

@@ -20,7 +20,7 @@ missed intervals) tears the link down and triggers a rescan.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..core.engine import PeriodicTask, Timer
 from ..core.errors import FrameError, ProtocolError
@@ -29,8 +29,6 @@ from ..mac.addresses import BROADCAST, MacAddress
 from ..mac.frames import Dot11Frame, ManagementSubtype
 from .ap import TU_SECONDS
 from .device import WirelessDevice
-from ..security.shared_key_auth import SharedKeyClient
-from ..security.wep import WepCipher
 from .elements import (
     AssocRequestBody,
     AssocResponseBody,
@@ -41,6 +39,9 @@ from .elements import (
     STATUS_SUCCESS,
 )
 from .roaming import BeaconObservation, BeaconTracker, RoamingPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - imported with a WEP key only
+    from ..security.shared_key_auth import SharedKeyClient
 
 
 class StationState(Enum):
@@ -83,6 +84,8 @@ class Station(WirelessDevice):
             if wep_key is None:
                 raise ProtocolError(
                     "shared-key authentication requires a WEP key")
+            from ..security.shared_key_auth import SharedKeyClient
+            from ..security.wep import WepCipher
             self._shared_key_client = SharedKeyClient(WepCipher(wep_key))
         self.adhoc = adhoc
         if adhoc:

@@ -28,13 +28,13 @@ Determinism is layered:
   index, independent of shard placement and build order.
 * **Pinned merge order**: boundary records merge by
   ``(time, shard, seq)`` everywhere — in the round loop's batch
-  (audited by ``InvariantChecker.check_merge_order``) and in the
+  (audited by :func:`check_merge_order`) and in the
   canonical :class:`ArrivalLog`, whose SHA-1 is the two-runs-identical
   fingerprint CI byte-compares.
 
 **Shards are not processes.**  ``workers`` asks for logical shards:
-each has its own kernel, boundary medium, collectors and telemetry hub,
-and the round loop sees nothing else.  The shards are
+each has its own kernel, boundary medium, collectors and (with
+``telemetry``) telemetry hub, and the round loop sees nothing else.  The shards are
 hosted by ``min(shards, usable CPUs)`` worker processes (the affinity
 mask of the calling process; :func:`_place` balances them by weight
 with the partitioner's LPT packing), and a process runs the shards it
@@ -75,27 +75,27 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import mmap
-import multiprocessing
 import os
 import struct
 import traceback
 from time import perf_counter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from ..core.engine import Simulator
-from ..core.errors import ConfigurationError, SimulationError
+from ..core.engine import Simulator, ckernel_available, default_kernel
+from ..core.errors import (ConfigurationError, InvariantViolation,
+                           SimulationError)
 from ..core.trace import TraceLog
-from ..faults.invariants import InvariantChecker
 from ..mac.addresses import MacAddress
 from ..phy.channel import Medium
 from ..phy.propagation import PropagationModel
-from ..telemetry.export import to_jsonl
-from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.probes import Telemetry
 from .channel import Channel, channel_pair
 from .partition import CellSpec, ShardPlan, pack_lpt, partition_cells
 from .shard import BoundaryRecord, ShardMedium
+
+if TYPE_CHECKING:  # pragma: no cover - each is imported with its option
+    from ..faults.invariants import InvariantChecker
+    from ..telemetry.metrics import MetricsRegistry
 
 #: Base of the deterministic per-cell address blocks: locally
 #: administered, with a per-cell 16-bit block index in octets 4-5 and
@@ -229,6 +229,42 @@ def _build_cells(sim: Simulator, medium: Medium,
     return collectors
 
 
+def load_before_fork(kernel: Optional[str] = None, *,
+                     check_invariants: bool = False,
+                     telemetry: bool = False) -> None:
+    """Import here what a worker forked next will run — the compiled
+    kernel that ``Simulator(kernel=kernel)`` resolves to, the families
+    the options take — so that the worker inherits it and does not
+    import it.  Shard hosts (:func:`run_sharded`) and campaign workers
+    (``campaign.run_campaign``) both fork after this."""
+    if (default_kernel() if kernel is None else kernel) != "python":
+        ckernel_available()
+    if check_invariants:
+        from ..faults import invariants  # noqa: F401
+    if telemetry:
+        from ..telemetry import probes  # noqa: F401
+
+
+def _checker(sim: Simulator, medium: Medium,
+             shard: Optional[int] = None) -> InvariantChecker:
+    """A strict checker watching ``medium`` (``check_invariants``)."""
+    from ..faults.invariants import InvariantChecker
+    checker = InvariantChecker(sim, shard=shard)
+    checker.watch_medium(medium)
+    return checker
+
+
+def _hub(sim: Simulator, medium: Medium, interval: float):
+    """The hub of a run with ``telemetry`` on (off, none is built): the
+    kernel, ``medium`` and its radio fleet instrumented, not installed."""
+    from ..telemetry.probes import Telemetry
+    hub = Telemetry(sim, sample_interval=interval)
+    hub.instrument_kernel()
+    hub.instrument_medium(medium)
+    hub.instrument_radios(medium._radios)
+    return hub
+
+
 def run_single(cells, *, seed: int, horizon: float,
                propagation_factory: Callable[[], PropagationModel],
                reception_floor_dbm: float = -110.0,
@@ -246,33 +282,27 @@ def run_single(cells, *, seed: int, horizon: float,
     (see :mod:`repro.telemetry`) and adds ``telemetry_jsonl`` /
     ``telemetry_wall_jsonl`` streams to the result.  Sampler events
     ride the heap, so ``events`` grows — protocol outcomes do not.
+    Off, no hub is built and :mod:`repro.telemetry` is not imported.
     """
     ordered = tuple(sorted(cells, key=lambda cell: cell.name))
     sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
     medium = Medium(sim, propagation_factory(),
                     reception_floor_dbm=reception_floor_dbm,
                     propagation_delay=propagation_delay)
-    checker = None
-    if check_invariants:
-        checker = InvariantChecker(sim)
-        checker.watch_medium(medium)
+    checker = _checker(sim, medium) if check_invariants else None
     collectors = _build_cells(sim, medium, ordered, range(len(ordered)),
                               checker)
     if checker is not None:
         checker.install()
-    hub = Telemetry(sim, enabled=telemetry,
-                    sample_interval=telemetry_interval)
-    hub.instrument_kernel()
-    hub.instrument_medium(medium)
-    hub.instrument_radios(medium._radios)
-    hub.install()
+    hub = (_hub(sim, medium, telemetry_interval).install() if telemetry
+           else None)
     sim.run(until=horizon)
-    hub.finish()
     result = {
         "cells": {name: collectors[name]() for name in sorted(collectors)},
         "events": sim.events_executed,
     }
-    if telemetry:
+    if hub is not None:
+        hub.finish()
         result["telemetry_jsonl"] = hub.sim_jsonl()
         result["telemetry_wall_jsonl"] = hub.wall_jsonl()
     return result
@@ -280,13 +310,15 @@ def run_single(cells, *, seed: int, horizon: float,
 
 class _Shard:
     """One logical shard inside a worker process: its own kernel,
-    boundary medium, cells, invariant checker and telemetry hub —
-    nothing is shared with a shard hosted next to it."""
+    boundary medium and cells, and — when their options are on — its
+    own invariant checker and telemetry hub; nothing is shared with a
+    shard hosted next to it."""
 
     def __init__(self, index: int, seed: int):
         self.index = index
         self.sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
         self.medium: Optional[ShardMedium] = None
+        self.hub = None
         self.busy = 0.0
 
     def build(self, shard_cells, global_indices, export_channels,
@@ -299,26 +331,21 @@ class _Shard:
             reception_floor_dbm=reception_floor_dbm,
             propagation_delay=propagation_delay, shard=index,
             export_channels=export_channels)
-        checker = None
-        if check_invariants:
-            checker = InvariantChecker(sim, shard=index)
-            checker.watch_medium(medium)
+        checker = (_checker(sim, medium, shard=index)
+                   if check_invariants else None)
         self.collectors = _build_cells(sim, medium, shard_cells,
                                        global_indices, checker)
         if checker is not None:
             checker.install()
-        hub = self.hub = Telemetry(sim, enabled=telemetry,
-                                   sample_interval=telemetry_interval)
-        hub.instrument_kernel()
-        hub.instrument_medium(medium)
-        hub.instrument_radios(medium._radios)
-        self.advances = hub.registry.counter("parallel", "advances",
-                                             shard=index)
-        self.injected = hub.registry.counter(
-            "parallel", "boundary_injected", shard=index)
-        hub.sampler.add("parallel", "outbox_depth",
-                        lambda: float(len(medium.outbox)), shard=index)
-        hub.install()
+        if telemetry:
+            hub = self.hub = _hub(sim, medium, telemetry_interval)
+            self.advances = hub.registry.counter("parallel", "advances",
+                                                 shard=index)
+            self.injected = hub.registry.counter(
+                "parallel", "boundary_injected", shard=index)
+            hub.sampler.add("parallel", "outbox_depth",
+                            lambda: float(len(medium.outbox)), shard=index)
+            hub.install()
 
     def advance(self, bound: float, records: Sequence[Tuple]) -> Tuple:
         """Inject, run to the bound, and return this shard's fence: the
@@ -326,7 +353,7 @@ class _Shard:
         sim, medium = self.sim, self.medium
         for record in records:
             medium.inject_boundary(record)
-        if self.hub.enabled:
+        if self.hub is not None:
             self.advances.inc()
             self.injected.inc(len(records))
             segment_start = perf_counter()
@@ -342,8 +369,8 @@ class _Shard:
         stats = {name: collector()
                  for name, collector in self.collectors.items()}
         payload = None
-        if self.hub.enabled:
-            hub = self.hub
+        hub = self.hub
+        if hub is not None:
             hub.registry.gauge("parallel", "worker_busy_seconds", wall=True,
                                shard=self.index).set(self.busy)
             hub.registry.gauge("parallel", "worker_idle_seconds", wall=True,
@@ -369,6 +396,7 @@ class _Board:
     """
 
     def __init__(self, shard_count: int):
+        import mmap
         self._shards = shard_count
         self._layout = struct.Struct(
             f"=q{shard_count}d{shard_count}q{shard_count}q")
@@ -394,8 +422,42 @@ class _Board:
         self._map.close()
 
 
+def check_merge_order(records: Sequence[Tuple], tail: dict) -> None:
+    """Audit the cross-shard merge invariant of one round's batch.
+
+    Each record's first three fields must be ``(time, shard, seq)``.
+    Two properties are enforced: the batch is sorted by that key (the
+    pinned merge order two byte-identical runs rely on), and — across
+    rounds, via the caller-held ``tail`` dict mapping shard to its last
+    ``(time, seq)`` — every shard's export stream is strictly
+    increasing.  Always strict: a violation means the determinism
+    contract is already broken, so it raises
+    :class:`~repro.core.errors.InvariantViolation` immediately.
+    """
+    previous = None
+    for record in records:
+        key = (record[0], record[1], record[2])
+        if previous is not None and key < previous:
+            raise InvariantViolation(
+                f"cross-shard-merge-order: record {key!r} after "
+                f"{previous!r} in one round's batch")
+        previous = key
+        shard = record[1]
+        mark = (record[0], record[2])
+        last = tail.get(shard)
+        # A shard's export stream must move strictly forward: time may
+        # repeat only with a fresh (larger) seq, and the seq counter
+        # itself never repeats or rewinds even when time advances.
+        if last is not None and (mark[0] < last[0] or mark[1] <= last[1]):
+            raise InvariantViolation(
+                f"cross-shard-merge-order: shard {shard} export "
+                f"{mark!r} not after previous {last!r}")
+        tail[shard] = mark
+
+
 def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
-                horizon: float, coord: MetricsRegistry, board: _Board,
+                horizon: float, coord: Optional[MetricsRegistry],
+                board: _Board,
                 advance: Callable[[List[Tuple]], List[Tuple]],
                 log: ArrivalLog) -> Tuple[int, int, List[float]]:
     """The conservative round loop, wherever it runs.
@@ -404,17 +466,18 @@ def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
     shard order and returns the fences ``(shard, clock, events,
     outbox)`` in the same order: by direct call in a process that hosts
     every shard, over the wire otherwise.  Writes the fence and arrival
-    lines to ``log`` and the round metrics to ``coord``; returns the
-    round count, the boundary record count and the final clocks.
+    lines to ``log`` and, with telemetry on, the round metrics to
+    ``coord`` (``None`` otherwise); returns the round count, the
+    boundary record count and the final clocks.
     """
     shard_count = len(plan.shards)
-    round_counter = coord.counter("parallel", "rounds")
-    record_counter = coord.counter("parallel", "boundary_records")
-    batch_sizes = coord.histogram("parallel", "boundary_batch")
-    round_wall = coord.histogram(
-        "parallel", "round_wall_seconds", wall=True,
-        bounds=(0.0001, 0.001, 0.01, 0.1, 1.0, 10.0))
-    if coord.enabled:
+    if coord is not None:
+        round_counter = coord.counter("parallel", "rounds")
+        record_counter = coord.counter("parallel", "boundary_records")
+        batch_sizes = coord.histogram("parallel", "boundary_batch")
+        round_wall = coord.histogram(
+            "parallel", "round_wall_seconds", wall=True,
+            bounds=(0.0001, 0.001, 0.01, 0.1, 1.0, 10.0))
         # The lookahead windows are part of the partition, hence of the
         # sim-deterministic stream.
         for dst in range(shard_count):
@@ -431,7 +494,7 @@ def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
     rounds = boundary_records = 0
     while not all(done):
         rounds += 1
-        if coord.enabled:
+        if coord is not None:
             round_counter.inc()
             round_start = perf_counter()
         requests = []
@@ -462,7 +525,7 @@ def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
                 done[shard] = True
         if batch:
             batch.sort()
-            InvariantChecker.check_merge_order(batch, merge_tail)
+            check_merge_order(batch, merge_tail)
             boundary_records += len(batch)
             for record in batch:
                 # record[1] is the source shard, record[7] the channel.
@@ -471,7 +534,7 @@ def _run_rounds(plan: ShardPlan, incoming: Sequence[Mapping[int, float]],
                 log.arrival(record, live)
                 for dest in live:
                     pending[dest].append(record)
-        if coord.enabled:
+        if coord is not None:
             batch_sizes.observe(float(len(batch)))
             record_counter.inc(len(batch))
             round_wall.observe(perf_counter() - round_start)
@@ -774,6 +837,9 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
     if lookahead_override is not None:
         incoming = [{src: lookahead_override for src in sources}
                     for sources in incoming]
+    # What the fork and the workers need is imported here, before it.
+    import multiprocessing
+    load_before_fork(check_invariants=check_invariants, telemetry=telemetry)
     context = multiprocessing.get_context("fork")
     channels: List[Channel] = []
     processes = []
@@ -784,7 +850,10 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
         "shard_count": shard_count, "exact": True,
         "partition": plan.describe(),
     })
-    coord = MetricsRegistry(enabled=telemetry)
+    coord = None
+    if telemetry:
+        from ..telemetry.metrics import MetricsRegistry
+        coord = MetricsRegistry()
     coordinator_start = perf_counter()
     board = _Board(shard_count)
     loop = (plan, incoming, horizon, coord, board)
@@ -878,6 +947,7 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
         "plan": plan,
     }
     if telemetry:
+        from ..telemetry.export import to_jsonl
         coord.gauge("parallel", "coordinator_wall_seconds",
                     wall=True).set(perf_counter() - coordinator_start)
         result["telemetry_jsonl"] = _merge_telemetry(

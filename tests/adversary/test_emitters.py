@@ -5,7 +5,6 @@ import pytest
 from repro.core import Position, Simulator
 from repro.core.errors import ConfigurationError
 from repro.adversary.emitters import (
-    BT_SLOT_TIME,
     BluetoothHopper,
     ConstantJammer,
     MicrowaveOven,
@@ -16,6 +15,7 @@ from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
+from repro.wpan.bluetooth import SLOT_TIME as BT_SLOT_TIME
 
 
 class Edges:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.campaign import read_store, run_campaign, validate_spec
+from repro import BEHAVIOUR_EPOCH
+from repro.campaign import SpecError, read_store, run_campaign, validate_spec
 
 from .conftest import small_spec
 
@@ -92,6 +93,25 @@ def test_fresh_discards_manifest(tmp_path):
     run(tmp_path, "out", max_jobs=2)
     result = run(tmp_path, "out", fresh=True)
     assert result.ran == 4 and result.reused == 0
+
+
+def test_a_resume_under_another_behaviour_refuses_by_name(tmp_path,
+                                                         monkeypatch):
+    """Rows made by behaviour 0 must not be reused by this build: the
+    resume stops before running anything, and ``fresh=True`` starts
+    over."""
+    from repro.campaign import manifest
+    monkeypatch.setattr(manifest, "BEHAVIOUR_EPOCH", 0)
+    run(tmp_path, "out", max_jobs=2)
+    monkeypatch.undo()
+    path = tmp_path / "out" / "unit.manifest.json"
+    journal = path.read_bytes()
+    with pytest.raises(SpecError, match=(
+            f"written by behaviour 0, this build is {BEHAVIOUR_EPOCH}; "
+            f"rerun with fresh=True")):
+        run(tmp_path, "out")
+    assert path.read_bytes() == journal
+    assert run(tmp_path, "out", fresh=True).ran == 4
 
 
 def test_timeout_produces_failure_row(tmp_path):

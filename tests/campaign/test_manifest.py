@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import BEHAVIOUR_EPOCH
 from repro.campaign import Manifest, SpecError
 
 GRID = "g" * 40
@@ -39,7 +40,8 @@ def test_journal_is_a_header_then_one_line_per_record(tmp_path):
     path = journal(tmp_path, ("k1", {"x": 1}), ("k2", {"x": 2}))
     header, *records = [json.loads(line)
                         for line in path.read_text().splitlines()]
-    assert header == {"format": 2, "campaign": "c", "grid_sha1": GRID}
+    assert header == {"format": 2, "behaviour_epoch": BEHAVIOUR_EPOCH,
+                      "campaign": "c", "grid_sha1": GRID}
     assert [record["key"] for record in records] == ["k1", "k2"]
     assert path.read_bytes().endswith(b"\n")
 
@@ -100,6 +102,31 @@ def test_grid_change_is_detected(tmp_path):
     Manifest.open(path, "c", "a" * 40).record_done("k1", {})
     with pytest.raises(SpecError, match="different grid"):
         Manifest.open(path, "c", "b" * 40)
+
+
+@pytest.mark.parametrize("epoch, named", [(0, "0"), (None, "(none recorded)")])
+def test_another_behaviour_s_manifest_refuses_to_resume(tmp_path, epoch,
+                                                       named):
+    """Its rows were made by other rules: resuming would mix two
+    behaviours in one store.  A manifest that records no epoch predates
+    them and cannot say which rules made it."""
+    path = journal(tmp_path, ("k1", {"x": 1}))
+    header, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    if epoch is None:
+        del header["behaviour_epoch"]
+    else:
+        header["behaviour_epoch"] = epoch
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    before = path.read_bytes()
+    with pytest.raises(SpecError) as excinfo:
+        Manifest.open(path, "c", GRID)
+    assert str(excinfo.value).endswith(
+        f"{path} was written by behaviour {named}, this build is "
+        f"{BEHAVIOUR_EPOCH}; "
+        f"rerun with fresh=True to discard the old state")
+    assert path.read_bytes() == before
+    assert Manifest.open(path, "c", GRID, fresh=True).jobs == {}
 
 
 def test_fresh_starts_a_new_journal_over_the_old_one(tmp_path):

@@ -197,38 +197,6 @@ class TestShardMode:
         assert not violation.subject.startswith("shard")
 
 
-class TestMergeOrder:
-    def _record(self, time, shard, seq):
-        # Only the (time, shard, seq) merge-key prefix matters here.
-        return (time, shard, seq, "sender", 0.0, 0.0, 0.0, 1, 0.1, 1e-4)
-
-    def test_sorted_batch_passes_and_updates_tail(self):
-        tail = {}
-        batch = [self._record(0.1, 0, 0), self._record(0.1, 1, 0),
-                 self._record(0.2, 0, 1)]
-        InvariantChecker.check_merge_order(batch, tail)
-        assert tail == {0: (0.2, 1), 1: (0.1, 0)}
-
-    def test_unsorted_batch_is_caught(self):
-        batch = [self._record(0.2, 0, 0), self._record(0.1, 1, 0)]
-        with pytest.raises(InvariantViolation, match="merge"):
-            InvariantChecker.check_merge_order(batch, {})
-
-    def test_per_shard_seq_regression_across_rounds_is_caught(self):
-        tail = {}
-        InvariantChecker.check_merge_order([self._record(0.1, 0, 5)], tail)
-        with pytest.raises(InvariantViolation, match="merge"):
-            InvariantChecker.check_merge_order([self._record(0.2, 0, 5)],
-                                               tail)
-
-    def test_monotone_rounds_pass(self):
-        tail = {}
-        InvariantChecker.check_merge_order([self._record(0.1, 0, 0)], tail)
-        InvariantChecker.check_merge_order([self._record(0.1, 0, 1),
-                                            self._record(0.3, 1, 0)], tail)
-        assert tail == {0: (0.1, 1), 1: (0.3, 0)}
-
-
 class TestCounterParity:
     """scheduled - executed - cancelled must equal the live-heap census
     at quiescence, under either kernel implementation."""

@@ -354,7 +354,7 @@ class TestBoundaryCosts:
                 patch.setattr(BoundaryRecord, "__new__", counted_record)
                 rounds, records, _ = executor._run_rounds(
                     plan, [plan.incoming(index) for index in range(2)],
-                    horizon, MetricsRegistry(enabled=False), board,
+                    horizon, None, board,
                     lambda requests: [shards[index].advance(bound, batch)
                                       for index, bound, batch in requests],
                     ArrivalLog())
@@ -479,6 +479,37 @@ class TestArrivalLog:
                                  "clock": repr(clock),
                                  "events": 10 ** index})]
         assert log.to_jsonl().split("\n")[1:-1] == expected
+
+
+class TestMergeOrder:
+    def _record(self, time, shard, seq):
+        # Only the (time, shard, seq) merge-key prefix matters here.
+        return (time, shard, seq, "sender", 0.0, 0.0, 0.0, 1, 0.1, 1e-4)
+
+    def test_sorted_batch_passes_and_updates_tail(self):
+        tail = {}
+        batch = [self._record(0.1, 0, 0), self._record(0.1, 1, 0),
+                 self._record(0.2, 0, 1)]
+        executor.check_merge_order(batch, tail)
+        assert tail == {0: (0.2, 1), 1: (0.1, 0)}
+
+    def test_unsorted_batch_is_caught(self):
+        batch = [self._record(0.2, 0, 0), self._record(0.1, 1, 0)]
+        with pytest.raises(InvariantViolation, match="merge"):
+            executor.check_merge_order(batch, {})
+
+    def test_per_shard_seq_regression_across_rounds_is_caught(self):
+        tail = {}
+        executor.check_merge_order([self._record(0.1, 0, 5)], tail)
+        with pytest.raises(InvariantViolation, match="merge"):
+            executor.check_merge_order([self._record(0.2, 0, 5)], tail)
+
+    def test_monotone_rounds_pass(self):
+        tail = {}
+        executor.check_merge_order([self._record(0.1, 0, 0)], tail)
+        executor.check_merge_order([self._record(0.1, 0, 1),
+                                    self._record(0.3, 1, 0)], tail)
+        assert tail == {0: (0.1, 1), 1: (0.3, 0)}
 
 
 def _counting_build(ctx):

@@ -1,13 +1,14 @@
-"""A disabled telemetry hub costs O(1), counted, not timed.
+"""Telemetry off costs nothing in telemetry, counted, not timed.
 
-``specs/city_scale_1p.toml`` runs the single-process city oracle, which
-always builds a hub and, unarmed, leaves it disabled.  Run under
-``cProfile`` at the spec's horizon and at half of it, the Python calls
-into ``repro/telemetry/`` must be the same: what the hub costs is its
-construction and wiring, not a sample, a tick or a wrapper per event.
-The count is a pure function of the seed, so unlike the wall-clock
-perf tier (``tests/telemetry/test_overhead.py``) it cannot be moved by
-load on the machine.
+``specs/city_scale_1p.toml`` runs the single-process city oracle with
+``mode.telemetry`` off.  Run under ``cProfile``, it makes no Python call
+into ``repro/telemetry/``: no hub, registry or sampler is built, so
+there is nothing to construct, wire, sample or finish.  The same job
+armed, at a tenth of the horizon, is the control that shows the
+profile sees those calls when they happen.  The count is a pure
+function of the seed, so unlike the wall-clock perf tier
+(``tests/telemetry/test_overhead.py``) it cannot be moved by load on
+the machine.
 """
 
 import cProfile
@@ -18,7 +19,6 @@ import pytest
 
 from repro.campaign import run_job
 from repro.core.engine import ckernel_available
-from repro.parallel import executor  # noqa: F401  (imports the hub's modules)
 
 TELEMETRY = os.path.join("repro", "telemetry", "")
 
@@ -32,14 +32,14 @@ def _telemetry_calls(job):
 
 
 @pytest.mark.parametrize("kernel", ["python", "c"])
-def test_a_disabled_hub_costs_the_same_at_any_horizon(spec_job, kernel):
+def test_a_telemetry_off_run_calls_nothing_in_telemetry(spec_job, kernel):
     if kernel == "c" and not ckernel_available():
         pytest.skip("compiled kernel not built "
                     "(run: python tools/build_kernel.py)")
-    whole = spec_job("city_scale_1p", {"mode.kernel": kernel})
-    horizon = whole["scenario"]["horizon"]
-    half = spec_job("city_scale_1p", {"mode.kernel": kernel,
-                                      "scenario.horizon": horizon / 2})
-    calls = _telemetry_calls(whole)
-    assert calls, "no telemetry call was seen: the row tests nothing"
-    assert calls == _telemetry_calls(half)
+    off = spec_job("city_scale_1p", {"mode.kernel": kernel})
+    armed = spec_job("city_scale_1p", {
+        "mode.kernel": kernel, "mode.telemetry": True,
+        "scenario.horizon": off["scenario"]["horizon"] / 10})
+    assert _telemetry_calls(armed), \
+        "no call was seen armed: the profile tests nothing"
+    assert _telemetry_calls(off) == {}

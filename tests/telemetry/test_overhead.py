@@ -1,31 +1,34 @@
 """Opt-in perf tier: the telemetry overhead contract.
 
-Two claims, both best-of-N wall-clock with the A and B runs
-*interleaved* (A, B, A, B, ...): min-of-repeats discards scheduler
-noise, and interleaving cancels slow load/thermal drift that would
-bias two sequential timing blocks.
-
-* The *disabled* path is free: the single-process city oracle
-  (``specs/city_scale_1p.toml``), which always builds a (disabled) hub,
-  must run within 5% of the same job with the hub construction stubbed
-  out entirely.  This is the production posture CI smokes — the null
-  registry, null metrics and refusing sampler must cost nothing
-  measurable.
+* The *disabled* path is free, by construction rather than by a
+  clock: with telemetry off, neither executor builds a hub — no
+  ``Telemetry`` is constructed in the process or in a shard worker —
+  and a fresh interpreter that runs both never loads
+  :mod:`repro.telemetry`.  This is the production posture CI smokes.
 * The *enabled* path at the default 50 ms sampling interval is cheap:
   ``dcf_saturation`` under ``mode.telemetry`` — wraps, probes,
   sampling, span bookkeeping, the final edge sample — within 15% of
   the unarmed job (loose because CI machines are noisy;
-  ``python3 -m bench``'s ``telemetry.armed_ratio`` measures it).  The
-  final JSONL serialization is deliberately excluded — it is
-  O(records exported), not O(events simulated).
+  ``python3 -m bench``'s ``telemetry.armed_ratio`` measures it),
+  best-of-N wall-clock with the two runs *interleaved* (A, B, A, B,
+  ...): min-of-repeats discards scheduler noise, and interleaving
+  cancels slow load/thermal drift that would bias two sequential
+  timing blocks.  The final JSONL serialization is deliberately
+  excluded — it is O(records exported), not O(events simulated).
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from repro import scenarios
 from repro.campaign import run_job, runner
-from repro.parallel import executor
+from repro.parallel import run_sharded, run_single
+from repro.telemetry import probes
 
 pytestmark = pytest.mark.perf
 
@@ -49,37 +52,43 @@ def _interleaved_best(fn_a, fn_b, repeats=REPEATS):
     return best_a, best_b
 
 
-class _NullHub:
-    """The hub with every call stubbed out: what the run costs without
-    one."""
+#: Both executors with telemetry off, in a fresh interpreter; prints
+#: the ``repro.telemetry`` modules loaded afterwards.
+_BOTH_EXECUTORS_OFF = """
+import json, sys
+from repro import scenarios
+from repro.parallel import run_sharded, run_single
 
-    def __init__(self, *args, **kwargs):
-        pass
+cells = scenarios.build_city_cells(bss_count=2, stations_per_bss=2)
+options = dict(seed=3, horizon=0.05,
+               propagation_factory=scenarios.city_propagation)
+run_single(cells, **options)
+run_sharded(cells, workers=2, **options)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("repro.telemetry"))))
+"""
 
-    def _self(self, *args, **kwargs):
-        return self
 
-    instrument_kernel = instrument_medium = instrument_radios = _self
-    install = finish = _self
+def test_disabled_telemetry_is_free(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a telemetry hub was built with telemetry off")
 
+    # A shard worker forks from this process, so it refuses too.
+    monkeypatch.setattr(probes.Telemetry, "__init__", refuse)
+    cells = scenarios.build_city_cells(bss_count=2, stations_per_bss=2)
+    options = dict(seed=3, horizon=0.05,
+                   propagation_factory=scenarios.city_propagation)
+    assert run_single(cells, **options)["events"] > 0
+    assert run_sharded(cells, workers=2, **options)["events"] > 0
 
-def test_disabled_telemetry_is_free(spec_job, monkeypatch):
-    job = spec_job("city_scale_1p")
-    hub_class = executor.Telemetry
-
-    def _with_hub():
-        monkeypatch.setattr(executor, "Telemetry", hub_class)
-        run_job(job)
-
-    def _hub_free():
-        monkeypatch.setattr(executor, "Telemetry", _NullHub)
-        run_job(job)
-
-    baseline, stubbed = _interleaved_best(_with_hub, _hub_free)
-    assert baseline <= stubbed * 1.05, \
-        (f"disabled-telemetry path costs "
-         f"{(baseline / stubbed - 1) * 100:.1f}% over the "
-         f"hub-free run (budget 5%)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(scenarios.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", _BOTH_EXECUTORS_OFF],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_enabled_telemetry_overhead_is_bounded(spec_job, monkeypatch):

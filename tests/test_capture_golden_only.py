@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro import BEHAVIOUR_EPOCH
 from repro.campaign import runner
 from repro.campaign.pool import select_names
 from repro.core.engine import Simulator
@@ -51,6 +52,7 @@ class TestCapture:
             (tmp_path / "hidden_terminal_rts.stats.json").read_text())
         trace = (tmp_path / "hidden_terminal_rts.trace").read_text()
         assert stats["protocol_events"] == trace.count("\n") > 0
+        assert stats["behaviour_epoch"] == BEHAVIOUR_EPOCH
         assert "events" not in stats
         assert runner.Simulator is Simulator  # the tracing swap is undone
 

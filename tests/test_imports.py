@@ -2,11 +2,12 @@
 
 Packages re-export lazily (``repro._lazy``), so three things need
 pinning: the import *budget* (which ``repro.*`` modules an import
-loads — a deterministic, machine-independent cost counter), that no
-import is left for the *run* phase to pay, and that the public surface
-is exactly what it was when every ``__init__`` imported its whole
-family.  The first two need a fresh interpreter: this process has
-already imported everything.
+loads — a deterministic, machine-independent cost counter — and which
+other modules it adds), that no import is left for the *run* phase,
+nor one an option takes for a forked worker, and that the public
+surface is exactly what it was when every ``__init__`` imported its
+whole family.  The first two need a fresh interpreter: this process
+has already imported everything.
 """
 
 import ast
@@ -26,11 +27,18 @@ import repro
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 REPO_ROOT = SRC.parent
 
+_BASELINE = """
+import sys
+_started_with = set(sys.modules)
+"""
+
 _REPORT = """
 import json, sys
 print(json.dumps({
     "repro": sorted(m for m in sys.modules
                     if m == "repro" or m.startswith("repro.")),
+    "others": sorted(m for m in set(sys.modules) - _started_with
+                     if m.split(".")[0] not in ("json", "repro")),
     "networkx": "networkx" in sys.modules}))
 """
 
@@ -48,47 +56,56 @@ def fresh_interpreter(program: str) -> dict:
 
 
 def loaded_by(statements: str) -> dict:
-    return fresh_interpreter(statements + _REPORT)
+    """The ``repro.*`` modules loaded after ``statements`` in a fresh
+    interpreter, and the other modules they added (``others``)."""
+    return fresh_interpreter(_BASELINE + statements + _REPORT)
+
+
+#: Modules only a fork needs: a cold build path must not load them.
+FORK_ONLY = ("multiprocessing", "mmap")
+
+
+def fork_only_in(modules):
+    return [m for m in modules if m.split(".")[0] in FORK_ONLY]
 
 
 # --- the import budget -------------------------------------------------------
 
-#: What a scenario build or a campaign job must never pay for.
+#: What a scenario build or a campaign job must never pay for: the
+#: families no build path uses, and the four that only an option uses
+#: (a WEP key, a Bluetooth hopper, ``telemetry``, ``check_invariants``),
+#: which are imported where that option is taken.
 FORBIDDEN = ("repro.wman", "repro.wwan", "repro.analysis",
-             "repro.adversary.attacks", "repro.wpan.zigbee")
+             "repro.adversary.attacks", "repro.security", "repro.telemetry",
+             "repro.faults", "repro.wpan")
 
 #: Every ``repro.*`` module loaded by the ``repro`` imports of
 #: ``bench/workloads.py`` — all five benchmark workloads.  It was all
-#: 104 modules (plus networkx) while packages imported their families.
-#: A new name here is a new eager import edge: either the workloads
-#: really use the module (add it), or a leaf module or ``__init__``
-#: started importing something it should not.
+#: 104 modules (plus networkx) while packages imported their families,
+#: and 78 while the option-only families (``FORBIDDEN``'s last four)
+#: were imported eagerly.  A new name here is a new eager import edge:
+#: either the workloads really use the module (add it), or a leaf
+#: module or ``__init__`` started importing something it should not.
 WORKLOAD_MODULES = set("""
     repro repro._lazy repro.adversary repro.adversary.emitters
     repro.campaign repro.campaign.executor repro.campaign.grid
     repro.campaign.manifest repro.campaign.pool repro.campaign.runner
     repro.campaign.spec repro.campaign.store repro.core repro.core.binding
     repro.core.engine repro.core.errors repro.core.rng repro.core.stats
-    repro.core.topology repro.core.trace repro.core.units repro.faults
-    repro.faults.invariants repro.mac repro.mac.addresses
-    repro.mac.backoff repro.mac.dcf repro.mac.dedup repro.mac.fcs
-    repro.mac.fragmentation repro.mac.frames repro.mac.nav
+    repro.core.topology repro.core.trace repro.core.units repro.mac
+    repro.mac.addresses repro.mac.backoff repro.mac.dcf repro.mac.dedup
+    repro.mac.fcs repro.mac.fragmentation repro.mac.frames repro.mac.nav
     repro.mac.queueing repro.mac.rate_adapt repro.mobility
     repro.mobility.models repro.net repro.net.ap repro.net.bss
     repro.net.device repro.net.ds repro.net.elements repro.net.roaming
     repro.net.station repro.parallel repro.parallel.channel
-    repro.parallel.executor repro.parallel.partition
-    repro.parallel.shard repro.phy repro.phy.channel
-    repro.phy.error_models repro.phy.interference repro.phy.modulation
-    repro.phy.propagation repro.phy.standards repro.phy.transceiver
-    repro.routing repro.routing.dsdv repro.routing.node
-    repro.routing.packet repro.routing.protocol repro.scenarios
-    repro.security repro.security.michael repro.security.rc4
-    repro.security.shared_key_auth repro.security.wep repro.telemetry
-    repro.telemetry.export repro.telemetry.metrics
-    repro.telemetry.probes repro.telemetry.spans repro.traffic
-    repro.traffic.generators repro.traffic.sink repro.wpan
-    repro.wpan.bluetooth
+    repro.parallel.executor repro.parallel.partition repro.parallel.shard
+    repro.phy repro.phy.channel repro.phy.error_models
+    repro.phy.interference repro.phy.modulation repro.phy.propagation
+    repro.phy.standards repro.phy.transceiver repro.routing
+    repro.routing.dsdv repro.routing.node repro.routing.packet
+    repro.routing.protocol repro.scenarios repro.traffic
+    repro.traffic.generators repro.traffic.sink
 """.split())
 
 
@@ -104,14 +121,16 @@ class TestImportBudget:
         assert not loaded["networkx"]
 
     @pytest.mark.parametrize("statement, count", [
-        ("import repro.scenarios", 51),
-        ("from repro.campaign import run_job", 58),
+        ("import repro.scenarios", 46),
+        ("from repro.campaign import run_job", 51),
+        ("from repro.parallel import run_sharded", 22),
     ])
     def test_build_paths_skip_the_unused_families(self, statement, count):
         loaded = loaded_by(statement)
         assert not loaded["networkx"]
         assert forbidden_in(loaded["repro"]) == []
-        # Both are part of what the workloads import, so a newcomer is
+        assert fork_only_in(loaded["others"]) == []
+        # Each is part of what the workloads import, so a newcomer is
         # named here before the count below reports that there is one.
         assert sorted(set(loaded["repro"]) - WORKLOAD_MODULES) == []
         assert len(loaded["repro"]) == count
@@ -124,6 +143,7 @@ class TestImportBudget:
         assert imports
         loaded = loaded_by("\n".join(imports))
         assert not loaded["networkx"]
+        assert fork_only_in(loaded["others"]) == []
         assert sorted(set(loaded["repro"]) - WORKLOAD_MODULES) == []
         assert sorted(WORKLOAD_MODULES - set(loaded["repro"])) == []
 
@@ -194,16 +214,101 @@ def test_running_to_the_horizon_imports_nothing():
     assert fresh_interpreter(_RUN_PHASES) == []
 
 
+#: Every forked worker writes the modules it imported after the fork
+#: to ``reports`` when its body returns.
+_FORK_WATCH = """
+import json, os, sys, tempfile
+from repro.campaign import pool
+from repro.parallel import executor
+
+reports = tempfile.mkdtemp()
+inherited = set()
+os.register_at_fork(
+    after_in_child=lambda: inherited.update(sys.modules))
+
+
+def reporting(body):
+    def worker(*args):
+        try:
+            body(*args)
+        finally:
+            with open(os.path.join(reports, str(os.getpid())), "w") as out:
+                json.dump(sorted(set(sys.modules) - inherited), out)
+    return worker
+
+
+executor._worker_main = reporting(executor._worker_main)
+pool._worker = reporting(pool._worker)
+"""
+
+_FORKED_RUNS = {
+    # Two districts 10 km apart on one channel: coupled under free
+    # space, one shard each; hosted by a process per shard, then by one.
+    "sharded": """
+from repro import scenarios
+from repro.core.topology import Position
+from repro.parallel import CellSpec, run_sharded
+from repro.phy.propagation import FreeSpace
+from repro.phy.standards import DOT11B
+
+def free_space():
+    return FreeSpace(DOT11B.band_hz)
+
+cells = [CellSpec(name=f"d{index}", channel=1,
+                  center=Position(10_000.0 * index, 0.0, 0.0), radius_m=12.0,
+                  build=scenarios.saturated_cell(2), weight=2.0)
+         for index in range(2)]
+for cpus in (2, 1):
+    executor._usable_cpus = lambda cpus=cpus: cpus
+    result = run_sharded(cells, seed=3, horizon=0.01, workers=2,
+                         manual={"d0": 0, "d1": 1},
+                         propagation_factory=free_space,
+                         check_invariants=ON, telemetry=ON)
+    assert result["plan"].coupled and result["boundary_records"] > 0
+""",
+    "campaign": """
+from repro.campaign import run_campaign, validate_spec
+
+spec = validate_spec({
+    "campaign": {"name": "forked"},
+    "scenario": {"builder": "hidden_terminal", "horizon": 0.05, "seed": 1},
+    "traffic": {"kind": "saturate"},
+    "seeds": {"list": [1, 2]},
+    "mode": {"invariants": ON, "telemetry": ON}})
+result = run_campaign(spec, tempfile.mkdtemp(), jobs=2)
+assert result.ok and result.ran == 2
+""",
+}
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["options-off",
+                                                   "options-on"])
+@pytest.mark.parametrize("run, workers", [("sharded", 3), ("campaign", 2)],
+                         ids=["sharded", "campaign"])
+def test_a_forked_worker_imports_nothing(run, workers, on):
+    """A shard host or campaign worker inherits every module it runs:
+    what an option takes is imported in the parent, before the fork.
+    Each run has a fresh interpreter, so no earlier run has loaded a
+    module for it."""
+    program = (_FORK_WATCH + f"ON = {on}\n" + _FORKED_RUNS[run] + """
+imported = [json.load(open(os.path.join(reports, name)))
+            for name in sorted(os.listdir(reports))]
+print(json.dumps(imported))
+""")
+    assert fresh_interpreter(program) == [[]] * workers
+
+
 # --- the public surface ------------------------------------------------------
 
 #: ``__all__`` of every package at the last commit whose ``__init__``
 #: files imported eagerly, plus the names added since (``repro.traffic``'s
-#: saturation source and delivery counter) and minus the code no
-#: consumer ran, deleted since (``tools/reach.py`` measures that).  Lazy
-#: re-export must not change it.
+#: saturation source and delivery counter, ``repro.BEHAVIOUR_EPOCH``)
+#: and minus the code no consumer ran, deleted since (``tools/reach.py``
+#: measures that).  Lazy re-export must not change it.
 PUBLIC = {package: names.split() for package, names in {
     "repro": """
-        Simulator __version__ adversary analysis core mac mobility net
+        BEHAVIOUR_EPOCH Simulator __version__ adversary analysis core mac
+        mobility net
         parallel phy routing scenarios security traffic wman wpan wwan
     """,
     "repro.adversary": """

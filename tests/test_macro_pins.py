@@ -36,7 +36,13 @@ every slot to its reference, and an object that did not fails as
 
 Re-record them on purpose, after a deliberate behaviour change, with
 ``PYTHONPATH=src python tests/test_macro_pins.py [SPEC_NAME ...]``
-(no names: every spec; the other pins are kept).
+(no names: every spec; the other pins are kept).  ``pins.json`` also
+records the behaviour epoch it was recorded under
+(:data:`repro.BEHAVIOUR_EPOCH`), and a test fails while the two differ.
+A re-record refuses to overwrite a pin that moved under the epoch it
+was recorded by: a deliberate behaviour change bumps the epoch, so
+that a stored result can say which rules made it.  After a bump, only
+a re-record of every spec may write the new epoch.
 """
 
 import hashlib
@@ -47,6 +53,7 @@ from typing import Any, Dict, List
 
 import pytest
 
+from repro import BEHAVIOUR_EPOCH
 from repro.campaign import expand_grid, load_spec, runner
 from repro.campaign.pool import iter_pooled
 from repro.core import binding
@@ -62,8 +69,18 @@ PINS = REPO_ROOT / "tests" / "fixtures" / "pins.json"
 TIMEOUT_S = 60.0
 
 
+#: The key of ``pins.json`` that holds the epoch, not a pin.
+EPOCH = "behaviour_epoch"
+
+
+def pinned_epoch() -> Any:
+    return json.loads(PINS.read_text()).get(EPOCH)
+
+
 def load_pins() -> Dict[str, Dict[str, Any]]:
-    return json.loads(PINS.read_text())
+    """Pin key -> pin."""
+    return {key: pin for key, pin in json.loads(PINS.read_text()).items()
+            if key != EPOCH}
 
 
 def canonical(value: Any) -> Any:
@@ -274,6 +291,68 @@ def test_every_problem_names_the_job_and_the_stat():
         "FAILED demo/seed=8: RuntimeError: boom"]
 
 
+def test_the_pins_were_recorded_under_this_behaviour():
+    assert pinned_epoch() == BEHAVIOUR_EPOCH, (
+        f"pins.json was recorded under behaviour {pinned_epoch()}, this "
+        f"build is behaviour {BEHAVIOUR_EPOCH}: re-record the pins "
+        f"(PYTHONPATH=src python tests/test_macro_pins.py)")
+
+
+def refusals(outcomes: Dict[str, Any], pins: Dict[str, Dict[str, Any]],
+             recorded_under: Any) -> List[str]:
+    """Why a re-record must not overwrite ``pins`` with ``outcomes``:
+    a pinned job moved, and the pins were recorded under the behaviour
+    this build still is; or the epoch moved and the re-record would keep
+    a pin it did not re-run, which the new epoch would then claim.  A
+    job without a pin is new, not moved."""
+    if recorded_under != BEHAVIOUR_EPOCH:
+        kept = sorted(set(pins) - set(outcomes))
+        if not kept:
+            return []
+        return [f"KEPT {key}" for key in kept] + [
+            f"REFUSED: pins.json was recorded under behaviour "
+            f"{recorded_under}, this build is behaviour {BEHAVIOUR_EPOCH}; "
+            f"re-record every spec (no names), so that no pin of the old "
+            f"behaviour is labelled with the new one"]
+    moved = check({key: outcome for key, outcome in outcomes.items()
+                   if key in pins}, pins)
+    if not moved:
+        return []
+    return moved + [
+        f"REFUSED: these pins moved under behaviour {BEHAVIOUR_EPOCH}; a "
+        f"deliberate behaviour change bumps repro.BEHAVIOUR_EPOCH, and its "
+        f"CHANGES.md entry says why"]
+
+
+def test_a_moved_pin_is_not_re_recorded_under_its_own_behaviour():
+    pin = {"stats": {"rx": 2}, "trace": [_trace(10, "a")]}
+    same = ("ok", {**pin, "traced_stats": pin["stats"]})
+    moved = ("ok", {"stats": {"rx": 3}, "traced_stats": {"rx": 3},
+                    "trace": [_trace(11, "b")]})
+    pins = {"demo/seed=1": pin}
+    assert refusals({"demo/seed=1": moved}, pins, BEHAVIOUR_EPOCH) == [
+        "DRIFT demo/seed=1 rx: 2 -> 3",
+        "TRACE demo/seed=1 sim 0: first divergent window: records 0–11, "
+        "sim-time 0.0–end",
+        f"REFUSED: these pins moved under behaviour {BEHAVIOUR_EPOCH}; a "
+        f"deliberate behaviour change bumps repro.BEHAVIOUR_EPOCH, and its "
+        f"CHANGES.md entry says why"]
+    # A bumped epoch lets it through; so does a pin that did not move,
+    # and a job that has no pin yet.
+    assert refusals({"demo/seed=1": moved}, pins, BEHAVIOUR_EPOCH - 1) == []
+    assert refusals({"demo/seed=1": same, "demo/seed=2": moved}, pins,
+                    BEHAVIOUR_EPOCH) == []
+    # Under a bumped epoch, a partial re-record would label the pins it
+    # did not re-run with the new epoch: it is refused, by pin.
+    other = {"demo/seed=1": pin, "other/seed=1": pin}
+    assert refusals({"demo/seed=1": moved}, other, BEHAVIOUR_EPOCH - 1) == [
+        "KEPT other/seed=1",
+        f"REFUSED: pins.json was recorded under behaviour "
+        f"{BEHAVIOUR_EPOCH - 1}, this build is behaviour {BEHAVIOUR_EPOCH}; "
+        f"re-record every spec (no names), so that no pin of the old "
+        f"behaviour is labelled with the new one"]
+
+
 def test_every_pin_has_a_committed_job():
     jobs = [f"{spec['campaign']['name']}/{job.label}"
             for spec in map(load_spec, SPECS) for job in expand_grid(spec)]
@@ -296,7 +375,12 @@ def record(names: List[str]) -> None:
     jobs = jobs_of(SPECS)
     pins = {key: pin for key, pin in
             (load_pins() if PINS.exists() else {}).items() if key in jobs}
-    for key, (status, seen) in observe_all(jobs_of(paths)).items():
+    outcomes = observe_all(jobs_of(paths))
+    refused = refusals(outcomes, pins,
+                       pinned_epoch() if PINS.exists() else None)
+    if refused:
+        raise SystemExit("\n".join(refused))
+    for key, (status, seen) in outcomes.items():
         # Against itself, a job can only fail or change under tracing.
         problems = check({key: (status, seen)}, {key: seen})
         if problems:
@@ -305,7 +389,8 @@ def record(names: List[str]) -> None:
                                                    "telemetry")
                      if name in seen}
         print(f"recorded {key}")
-    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    PINS.write_text(json.dumps({EPOCH: BEHAVIOUR_EPOCH, **pins}, indent=2,
+                               sort_keys=True) + "\n")
     print(f"pins -> {PINS}")
 
 

@@ -6,7 +6,9 @@ tracing enabled and dumps each protocol event trace (repr-exact
 timestamps, one :func:`repro.core.trace.render` line per record) plus
 the seeded stats to a directory: ``<campaign>.trace`` and
 ``<campaign>.stats.json`` for a one-job spec, ``<campaign>/<job
-label>.*`` for a sweep.  Used two ways:
+label>.*`` for a sweep.  Every ``.stats.json`` names the behaviour epoch
+(``repro.BEHAVIOUR_EPOCH``) of the code that captured it, as
+``behaviour_epoch``.  Used two ways:
 
 * To explain a drift.  ``tests/test_macro_pins.py`` is the acceptance
   check: it pins every job's trace digest (a lone simulator's is the
@@ -71,6 +73,7 @@ def capture_specs(out_dir: pathlib.Path,
     by its stats only (``city_scale``'s arrival-log SHA-1 in them is
     the byte-level pin).
     """
+    from repro import BEHAVIOUR_EPOCH
     from repro.campaign import expand_grid, load_spec, runner
     from repro.campaign.spec import set_path
     from repro.core.trace import TraceLog, render
@@ -117,6 +120,7 @@ def capture_specs(out_dir: pathlib.Path,
                         # break ``diff -r``.
                         (out_dir / f"{stem}.telemetry.jsonl").write_text(
                             streams["telemetry_jsonl"])
+                stats["behaviour_epoch"] = BEHAVIOUR_EPOCH
                 (out_dir / f"{stem}.stats.json").write_text(
                     json.dumps(stats, indent=2, sort_keys=True) + "\n")
                 print(f"{stem:48s} "
