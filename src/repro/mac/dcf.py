@@ -205,9 +205,9 @@ class DcfMac:
         #: Promiscuous tap: called with every successfully decoded frame.
         self.sniffer: Optional[Callable[[Dot11Frame, float], None]] = None
         #: Frame-lifecycle telemetry hook (see repro.telemetry.spans):
-        #: called with (event, msdu) at enqueue/tx/retry/delivered/
-        #: dropped edges, and (event, frame) at rx.  One `is not None`
-        #: test per edge when unset — the zero-overhead contract.
+        #: called with (event, msdu) at the sender's enqueue/tx/retry/
+        #: delivered/dropped edges.  One `is not None` test per edge
+        #: when unset.
         self._frame_probe: Optional[Callable[[str, Any], None]] = None
         #: BSSID this MAC stamps into data/management frames (set by the
         #: association layer; defaults to our own address, i.e. IBSS-style).
@@ -753,9 +753,6 @@ class DcfMac:
     def _receive_data(self, frame: Dot11Frame, snr_db: float,
                       broadcast: bool) -> None:
         self.counters.incr("rx_data")
-        probe = self._frame_probe
-        if probe is not None:
-            probe("rx", frame)
         transmitter = frame.addr2
         if not broadcast:
             self._acknowledge(transmitter)

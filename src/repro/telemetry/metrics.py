@@ -19,16 +19,14 @@ idle time) are machine noise by definition; they live in a separate,
 clearly-marked stream that :mod:`tools.capture_golden` and the
 regression gates never look at.
 
-Performance contract
---------------------
+Cost
+----
 
-The :class:`~repro.core.trace.TraceLog` philosophy applies: a disabled
-registry must cost nothing.  ``MetricsRegistry(enabled=False)`` hands
-out shared null metrics whose mutators are no-ops, and
-``PeriodicSampler.install`` refuses to arm, so a simulator built in
-benchmark posture pays neither sampling events nor record allocation.
-Enabled-path costs are bounded: counters are one dict-free attribute
-add, and samples append to a ``deque(maxlen=...)`` so retention is O(1).
+A run with telemetry off builds no registry and no sampler at all, so
+it pays nothing here; ``tests/telemetry/test_disabled_cost.py`` counts
+that, and counts the Python calls an armed run makes into this package.
+Armed, counters are one attribute add, and samples append to a
+``deque(maxlen=SERIES_CAPACITY)`` so retention is O(1).
 """
 
 from __future__ import annotations
@@ -137,33 +135,6 @@ class HistogramMetric:
         return self.sum / self.total if self.total else 0.0
 
 
-class _NullMetric:
-    """Shared no-op stand-in handed out by a disabled registry.
-
-    Mutators accept the live metrics' signatures and do nothing, so
-    instrumented call sites need no ``if enabled`` guard of their own —
-    the enable check happened once, at handle-creation time.
-    """
-
-    __slots__ = ()
-
-    kind = "null"
-    value = 0
-    wall = False
-
-    def inc(self, amount: int = 1) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-NULL_METRIC = _NullMetric()
-
-
 class MetricsRegistry:
     """The ``(subsystem, name, labels)``-keyed metric namespace.
 
@@ -171,25 +142,24 @@ class MetricsRegistry:
     same object, so probes in different subsystems can share a series.
     Creation order is remembered and every exporter iterates it, which
     keeps exports byte-stable without a sort over heterogeneous keys.
+    Each sampled series keeps its last :attr:`SERIES_CAPACITY` rows.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    SERIES_CAPACITY = 100_000
+
+    def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Any] = {}
         self._order: List[MetricKey] = []
         # Per-series sample rows, appended by PeriodicSampler.
         self._series: Dict[MetricKey, Deque[Tuple[float, float]]] = {}
         self._series_order: List[MetricKey] = []
         self._series_wall: Dict[MetricKey, bool] = {}
-        self._series_capacity: Optional[int] = 100_000
         self.samples_dropped = 0
 
     # --- handles -----------------------------------------------------------
 
     def _get(self, factory: Callable[..., Any], subsystem: str, name: str,
              wall: bool, labels: Dict[str, Any], **kwargs: Any) -> Any:
-        if not self.enabled:
-            return NULL_METRIC
         key = make_key(subsystem, name, labels)
         metric = self._metrics.get(key)
         if metric is None:
@@ -214,19 +184,15 @@ class MetricsRegistry:
 
     # --- time series -------------------------------------------------------
 
-    def set_series_capacity(self, capacity: Optional[int]) -> None:
-        """Retention bound for *future* series (None = unbounded)."""
-        self._series_capacity = capacity
-
     def record_sample(self, key: MetricKey, time: float, value: float,
                       wall: bool = False) -> None:
         rows = self._series.get(key)
         if rows is None:
-            rows = deque(maxlen=self._series_capacity)
+            rows = deque(maxlen=self.SERIES_CAPACITY)
             self._series[key] = rows
             self._series_order.append(key)
             self._series_wall[key] = wall
-        if rows.maxlen is not None and len(rows) == rows.maxlen:
+        if len(rows) == rows.maxlen:
             self.samples_dropped += 1
         rows.append((time, value))
 
@@ -287,13 +253,11 @@ class PeriodicSampler:
     def add(self, subsystem: str, name: str, fn: Callable[[], float],
             wall: bool = False, **labels: Any) -> None:
         """Register a zero-argument callable to poll every interval."""
-        if not self.registry.enabled:
-            return
         self._probes.append((make_key(subsystem, name, labels), fn, wall))
 
     def install(self) -> "PeriodicSampler":
-        """Arm the sampling task (no-op when the registry is disabled)."""
-        if self.registry.enabled and self._task is None and self._probes:
+        """Arm the sampling task (no-op with nothing to sample)."""
+        if self._task is None and self._probes:
             self._task = PeriodicTask(self.sim, self.interval, self._sample,
                                       offset=self.interval)
         return self
@@ -314,8 +278,7 @@ class PeriodicSampler:
         instant — the horizon landing on a sampling boundary must not
         double the final row.
         """
-        if self.registry.enabled and self._probes \
-                and self.last_sample_time != self.sim._now:
+        if self._probes and self.last_sample_time != self.sim._now:
             self._sample()
 
     def _sample(self) -> None:

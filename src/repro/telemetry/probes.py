@@ -3,25 +3,25 @@
 Each probe wires one subsystem into a
 :class:`~repro.telemetry.metrics.MetricsRegistry` /
 :class:`~repro.telemetry.metrics.PeriodicSampler` pair.  The common
-contract: a probe installed against a *disabled* registry is a complete
-no-op (nothing wrapped, nothing sampled, nothing allocated), and an
-installed probe never mutates simulation state — it reads counters and
-gauges the subsystems already maintain, wraps a method with a
-pass-through that only counts, or rides the one-slot ``_frame_probe``
-hook.  Probes therefore cannot perturb seeded protocol outcomes; the
-only observable difference in an instrumented run is the sampler's own
-(read-only) events on the kernel heap.
+contract: an installed probe never mutates simulation state — it reads
+counters and gauges the subsystems already maintain, wraps a method
+with a pass-through that only counts, or rides the one-slot
+``_frame_probe`` hook.  Probes therefore cannot perturb seeded protocol
+outcomes; the only observable difference in an instrumented run is the
+sampler's own (read-only) events on the kernel heap.
 
 :class:`Telemetry` bundles the whole layer behind one object — a
 campaign job under ``mode.telemetry``, the benchmark's ``telemetry.*``
 service metrics and the parallel executor all construct exactly this.
+Telemetry off builds no hub, so there is no disabled posture here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.engine import SHAPE_COUNTS, Simulator, live_entries
+from ..core.errors import ConfigurationError
 from .export import summary_table, to_jsonl
 from .metrics import MetricsRegistry, PeriodicSampler
 from .spans import FrameSpanTracker, Span, SpanLog
@@ -47,7 +47,6 @@ class KernelDispatchProbe:
 
     def __init__(self, sim: Simulator, registry: MetricsRegistry):
         self.sim = sim
-        self._enabled = registry.enabled
         self._baseline: Optional[Tuple[int, ...]] = None
         self.dispatch_handle = registry.counter("kernel", "dispatch",
                                                 shape="handle")
@@ -64,7 +63,7 @@ class KernelDispatchProbe:
         return tuple(getattr(self.sim, name) for name in SHAPE_COUNTS)
 
     def install(self) -> "KernelDispatchProbe":
-        if self._enabled and self._baseline is None:
+        if self._baseline is None:
             self._baseline = self._counts()
         return self
 
@@ -114,9 +113,7 @@ class MediumProbe:
                  sampler: Optional[PeriodicSampler] = None):
         self.medium = medium
         self.registry = registry
-        self._enabled = registry.enabled
         self._installed = False
-        self._original: Optional[Callable] = None
         self.fanout = registry.histogram("medium", "fanout_width")
         self.energy_bursts = registry.counter("medium", "energy_bursts")
         if sampler is not None:
@@ -132,7 +129,7 @@ class MediumProbe:
                         lambda: float(medium.links.misses))
 
     def install(self) -> "MediumProbe":
-        if not self._enabled or self._installed:
+        if self._installed:
             return self
         medium = self.medium
         original = medium.transmit  # the bound class method
@@ -164,7 +161,6 @@ class MediumProbe:
             fanout.observe((sim._scheduled - before) // 2)
             return transmission
 
-        self._original = original
         medium.transmit = _transmit
         self._installed = True
         return self
@@ -172,7 +168,6 @@ class MediumProbe:
     def uninstall(self) -> None:
         if self._installed:
             del self.medium.transmit
-            self._original = None
             self._installed = False
 
 
@@ -186,10 +181,9 @@ class MacFleetProbe:
     contenders frozen by a busy medium right now.
     """
 
-    def __init__(self, macs: Iterable[Any], registry: MetricsRegistry,
-                 sampler: PeriodicSampler):
+    def __init__(self, macs: Iterable[Any], sampler: PeriodicSampler):
         self.macs = list(macs)
-        if not registry.enabled or not self.macs:
+        if not self.macs:
             return
         sampler.add("mac", "queue_depth_total", self._queue_total)
         sampler.add("mac", "queue_depth_max", self._queue_max)
@@ -235,10 +229,9 @@ class MacFleetProbe:
 class RadioFleetProbe:
     """Aggregate PHY-fleet gauge: incident arrivals."""
 
-    def __init__(self, radios: Iterable[Any], registry: MetricsRegistry,
-                 sampler: PeriodicSampler):
+    def __init__(self, radios: Iterable[Any], sampler: PeriodicSampler):
         self.radios = list(radios)
-        if not registry.enabled or not self.radios:
+        if not self.radios:
             return
         sampler.add("phy", "arrivals_incident", self._arrivals)
 
@@ -255,8 +248,6 @@ def record_fault_spans(fault_log: Any, spans: SpanLog,
     still down at the horizon yield open spans (outcome ``open``).
     Returns the number of spans recorded.
     """
-    if not spans.wants("downtime"):
-        return 0
     recorded = 0
     for target, start, end in fault_log.downtime_spans():
         if end is None:
@@ -273,13 +264,11 @@ def record_fault_spans(fault_log: Any, spans: SpanLog,
 class Telemetry:
     """The whole observability layer behind one object.
 
-    Construct with ``enabled=False`` for a null hub: every
-    ``instrument_*`` call and :meth:`install` short-circuits, metric
-    handles are the shared null metric, and the simulation runs the
-    byte-identical uninstrumented path.  Enabled, the hub owns one
-    registry, one sim-time sampler, one span log and one frame tracker;
-    :meth:`finish` takes the final edge sample, closes still-open frame
-    spans and (optionally) folds a fault log into downtime spans.
+    The hub owns one registry, one sim-time sampler, one span log and
+    one frame tracker; :meth:`finish` takes the final edge sample,
+    closes still-open frame spans and (optionally) folds a fault log
+    into downtime spans.  ``enabled`` is accepted only as true, for
+    callers that still pass it: telemetry off builds no hub.
 
     ``dispatch=True`` additionally books the run loop's per-shape
     dispatch and lazy-drop tallies (:class:`KernelDispatchProbe`) at
@@ -287,16 +276,14 @@ class Telemetry:
     """
 
     def __init__(self, sim: Simulator, enabled: bool = True,
-                 sample_interval: float = 0.05,
-                 span_capacity: Optional[int] = 65_536,
-                 series_capacity: Optional[int] = 100_000):
+                 sample_interval: float = 0.05):
+        if not enabled:
+            raise ConfigurationError("telemetry off builds no hub")
         self.sim = sim
-        self.enabled = enabled
-        self.registry = MetricsRegistry(enabled=enabled)
-        self.registry.set_series_capacity(series_capacity)
+        self.registry = MetricsRegistry()
         self.sampler = PeriodicSampler(sim, self.registry,
                                        interval=sample_interval)
-        self.spans = SpanLog(capacity=span_capacity, enabled=enabled)
+        self.spans = SpanLog()
         self.frames = FrameSpanTracker(self.spans)
         self._dispatch_probe: Optional[KernelDispatchProbe] = None
         self._medium_probes: List[MediumProbe] = []
@@ -306,8 +293,6 @@ class Telemetry:
     # --- wiring ------------------------------------------------------------
 
     def instrument_kernel(self, dispatch: bool = False) -> "Telemetry":
-        if not self.enabled:
-            return self
         _install_kernel_sampling(self.sim, self.sampler)
         if dispatch:
             self._dispatch_probe = KernelDispatchProbe(
@@ -315,33 +300,24 @@ class Telemetry:
         return self
 
     def instrument_medium(self, medium: Any) -> "Telemetry":
-        if not self.enabled:
-            return self
         self._medium_probes.append(
             MediumProbe(medium, self.registry, self.sampler).install())
         return self
 
-    def instrument_macs(self, macs: Iterable[Any],
-                        spans: bool = True) -> "Telemetry":
-        if not self.enabled:
-            return self
+    def instrument_macs(self, macs: Iterable[Any]) -> "Telemetry":
         macs = list(macs)
-        MacFleetProbe(macs, self.registry, self.sampler)
-        if spans:
-            for mac in macs:
-                self.frames.attach(mac)
+        MacFleetProbe(macs, self.sampler)
+        for mac in macs:
+            self.frames.attach(mac)
         return self
 
     def instrument_radios(self, radios: Iterable[Any]) -> "Telemetry":
-        if not self.enabled:
-            return self
-        RadioFleetProbe(radios, self.registry, self.sampler)
+        RadioFleetProbe(radios, self.sampler)
         return self
 
     def instrument_faults(self, fault_log: Any) -> "Telemetry":
         """Remember a fault log; :meth:`finish` folds it into spans."""
-        if self.enabled:
-            self._fault_logs.append(fault_log)
+        self._fault_logs.append(fault_log)
         return self
 
     def install(self) -> "Telemetry":
@@ -353,7 +329,7 @@ class Telemetry:
 
     def finish(self) -> "Telemetry":
         """Final edge sample + span closure (idempotent)."""
-        if not self.enabled or self._finished:
+        if self._finished:
             return self
         self._finished = True
         self.sampler.stop()

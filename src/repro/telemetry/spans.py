@@ -10,24 +10,22 @@ crashed MAC discarded (``DcfMac.crash()`` notifies nobody) never sees a
 terminal edge: its span stays open and is exported with outcome
 ``open`` at the horizon, like every frame still in flight then.
 
-The collection side follows the :class:`~repro.core.trace.TraceLog`
-philosophy: a :class:`SpanLog` is a bounded ring buffer
-(``deque(maxlen=...)``) with a per-span-type enable mask, and
-:meth:`SpanLog.wants` lets hot call sites skip even building the
-record.  The emission side rides the one-slot ``_frame_probe`` hook on
+The collection side is a :class:`SpanLog`, a ring buffer of the last
+``SpanLog.CAPACITY`` spans of every type; a reader picks the types it
+wants with :meth:`SpanLog.select`.  The
+emission side rides the one-slot ``_frame_probe`` hook on
 :class:`~repro.mac.dcf.DcfMac` — a single ``is not None`` test per
-lifecycle edge, nothing when telemetry is off.
+sender-side lifecycle edge, nothing when telemetry is off.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterator, List,
-                    Optional, Tuple)
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Span", "SpanLog", "FrameSpanTracker",
            "FRAME_ENQUEUE", "FRAME_TX", "FRAME_RETRY", "FRAME_DELIVERED",
-           "FRAME_DROPPED", "FRAME_RX"]
+           "FRAME_DROPPED"]
 
 #: Frame-lifecycle event names emitted by the DcfMac hook.
 FRAME_ENQUEUE = "enqueue"
@@ -35,7 +33,6 @@ FRAME_TX = "tx"
 FRAME_RETRY = "retry"
 FRAME_DELIVERED = "delivered"
 FRAME_DROPPED = "dropped"
-FRAME_RX = "rx"
 
 
 class Span:
@@ -66,47 +63,19 @@ class Span:
 
 
 class SpanLog:
-    """Bounded ring buffer of spans with a per-span-type enable mask."""
+    """Ring buffer of the last :attr:`CAPACITY` spans; ``dropped``
+    counts those the bound discarded."""
 
-    def __init__(self, capacity: Optional[int] = 65_536,
-                 enabled: bool = True):
-        self._spans: Deque[Span] = deque(maxlen=capacity)
-        self.enabled = enabled
-        self._type_mask: Optional[FrozenSet[str]] = None
-        self._dropped = 0
+    CAPACITY = 65_536
 
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._spans.maxlen
-
-    @property
-    def dropped(self) -> int:
-        """Spans discarded at the capacity bound."""
-        return self._dropped
-
-    # --- enable mask -------------------------------------------------------
-
-    def enable_only(self, *span_types: str) -> None:
-        """Record only the named span types."""
-        self._type_mask = frozenset(span_types)
-
-    def enable_all(self) -> None:
-        self._type_mask = None
-
-    def wants(self, span_type: str) -> bool:
-        """Hot-path pre-check: would :meth:`record` keep this type?"""
-        if not self.enabled:
-            return False
-        mask = self._type_mask
-        return mask is None or span_type in mask
-
-    # --- recording ---------------------------------------------------------
+    def __init__(self) -> None:
+        self._spans: Deque[Span] = deque(maxlen=self.CAPACITY)
+        self.dropped = 0
 
     def record(self, span: Span) -> None:
-        """Append a span (callers should have checked :meth:`wants`)."""
         spans = self._spans
-        if spans.maxlen is not None and len(spans) == spans.maxlen:
-            self._dropped += 1
+        if len(spans) == spans.maxlen:
+            self.dropped += 1
         spans.append(span)
 
     def __len__(self) -> int:
@@ -148,16 +117,14 @@ class FrameSpanTracker:
     Per-span attrs: ``first_tx`` (sim time of the first on-air
     attempt; None if the frame died queued), ``attempts`` (data
     transmissions), ``retries`` (response timeouts that led to a
-    retry).  Receiver-side ``rx`` events don't open spans — delivery
-    is the sender's span outcome — but are counted per MAC so the
-    export still shows who actually received.
+    retry).  Delivery is the sender's span outcome: the tracker sees
+    no receiver-side event.
     """
 
     def __init__(self, spans: SpanLog):
         self.spans = spans
         self._open: Dict[int, Tuple[Any, Span]] = {}
         self._detach: List[Callable[[], None]] = []
-        self.rx_frames: Dict[str, int] = {}
 
     def attach(self, mac: Any, name: Optional[str] = None) -> None:
         """Install this tracker as ``mac``'s frame probe."""
@@ -184,18 +151,13 @@ class FrameSpanTracker:
 
     def _dispatch(self, event: str, msdu: Any, label: str,
                   now: float) -> None:
-        if event is FRAME_RX or event == FRAME_RX:
-            self.rx_frames[label] = self.rx_frames.get(label, 0) + 1
-            return
-        if not self.spans.wants("frame"):
-            return
         if event == FRAME_ENQUEUE:
             self._open[id(msdu)] = (msdu, Span("frame", label, now, attrs={
                 "first_tx": None, "attempts": 0, "retries": 0}))
             return
         held = self._open.get(id(msdu))
         if held is None:
-            return  # enqueued before the tracker attached, or masked
+            return  # enqueued before the tracker attached
         span = held[1]
         if event == FRAME_TX:
             attrs = span.attrs

@@ -1,12 +1,12 @@
-"""Metrics primitives: registry keys, handle memoization, the disabled
-null path, histograms, and the kernel-driven periodic sampler."""
+"""Metrics primitives: registry keys, handle memoization, histograms,
+and the kernel-driven periodic sampler."""
 
 import pytest
 
 from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
-from repro.telemetry.metrics import (NULL_METRIC, MetricsRegistry,
-                                     PeriodicSampler, format_key, make_key)
+from repro.telemetry.metrics import (MetricsRegistry, PeriodicSampler,
+                                     format_key, make_key)
 
 
 class TestKeys:
@@ -33,17 +33,6 @@ class TestRegistry:
         registry.counter("mac", "frames")
         registry.gauge("kernel", "heap")  # re-fetch must not reorder
         assert [m.key[1] for m in registry.metrics()] == ["heap", "frames"]
-
-    def test_disabled_registry_hands_out_shared_null(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("mac", "frames")
-        assert counter is NULL_METRIC
-        assert registry.gauge("kernel", "heap") is NULL_METRIC
-        assert registry.histogram("medium", "fanout") is NULL_METRIC
-        counter.inc()
-        counter.inc(10)
-        assert counter.value == 0
-        assert len(registry) == 0
 
     def test_wall_flag_splits_streams(self):
         registry = MetricsRegistry()
@@ -90,16 +79,10 @@ class TestPeriodicSampler:
         # Registration order is the series creation order.
         assert [k[1] for k in registry.series_keys()] == ["heap", "now"]
 
-    def test_disabled_registry_never_arms(self):
-        sim = Simulator(seed=1)
-        sampler = PeriodicSampler(sim, MetricsRegistry(enabled=False),
-                                  interval=0.25)
-        sampler.add("kernel", "now", lambda: sim._now)
-        sampler.install()
-        assert not sampler.installed
-        before = sim._scheduled
-        sim.run(until=1.0)
-        assert sim._scheduled == before  # zero events injected
+    def test_nothing_to_sample_never_arms(self):
+        sampler = PeriodicSampler(Simulator(seed=1), MetricsRegistry())
+        sampler.install().sample_now()
+        assert not sampler.installed and sampler.samples_taken == 0
 
     def test_sample_now_skips_duplicate_at_boundary(self):
         sim = Simulator(seed=1)
@@ -123,10 +106,10 @@ class TestPeriodicSampler:
         key = make_key("kernel", "now", {})
         assert [t for t, _v in registry.series(key)] == [0.4, 0.8, 1.0]
 
-    def test_series_capacity_bounds_retention(self):
+    def test_series_capacity_bounds_retention(self, monkeypatch):
+        monkeypatch.setattr(MetricsRegistry, "SERIES_CAPACITY", 3)
         sim = Simulator(seed=1)
         registry = MetricsRegistry()
-        registry.set_series_capacity(3)
         sampler = PeriodicSampler(sim, registry, interval=0.1)
         sampler.add("kernel", "now", lambda: sim._now)
         sampler.install()

@@ -1,9 +1,10 @@
 """Probe layer: the kernel dispatch tallies and gauges, the medium transmit wrap,
-fleet gauges, downtime spans, and the Telemetry hub's null path."""
+fleet gauges, downtime spans, and the Telemetry hub's one posture."""
 
 import pytest
 
 from repro.core.engine import Simulator, Timer, ckernel_available
+from repro.core.errors import ConfigurationError
 from repro.core.topology import Position
 from repro.core.trace import TraceLog
 from repro.faults import FaultLog
@@ -22,7 +23,8 @@ from repro.telemetry.spans import SpanLog
 
 
 def _saturated_pair(seed=7, telemetry=True, interval=0.01):
-    """Two senders to one receiver, instrumented end to end."""
+    """Two senders to one receiver, instrumented end to end; with
+    ``telemetry=False`` no hub is built and ``hub`` is None."""
     sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
     medium = Medium(sim, FixedLoss(50.0))
     config = DcfConfig()
@@ -37,12 +39,14 @@ def _saturated_pair(seed=7, telemetry=True, interval=0.01):
         mac = DcfMac(sim, radio, allocate_address(), config=config,
                      rate_factory=factory)
         macs.append(mac)
-    hub = Telemetry(sim, enabled=telemetry, sample_interval=interval)
-    hub.instrument_kernel()
-    hub.instrument_medium(medium)
-    hub.instrument_macs(macs)
-    hub.instrument_radios(medium._radios)
-    hub.install()
+    hub = None
+    if telemetry:
+        hub = Telemetry(sim, sample_interval=interval)
+        hub.instrument_kernel()
+        hub.instrument_medium(medium)
+        hub.instrument_macs(macs)
+        hub.instrument_radios(medium._radios)
+        hub.install()
     payload = bytes(200)
     for mac in macs[1:]:
         for _ in range(3):
@@ -91,15 +95,14 @@ class TestKernelDispatchProbe:
         probe.uninstall()                           # idempotent
         assert probe.dispatch_handle.value == 1
 
-    def test_disabled_registry_never_installs(self):
+    def test_a_second_install_keeps_the_first_baseline(self):
         sim = Simulator(seed=3)
-        probe = KernelDispatchProbe(sim, MetricsRegistry(enabled=False))
-        probe.install()
+        probe = KernelDispatchProbe(sim, MetricsRegistry()).install()
         sim.schedule(0.1, lambda: None)
         sim.run()
+        probe.install()
         probe.uninstall()
-        assert "run" not in sim.__dict__
-        assert probe.dispatch_handle.value == 0
+        assert probe.dispatch_handle.value == 1
 
     @pytest.mark.parametrize("kernel", [
         "python", pytest.param("c", marks=pytest.mark.skipif(
@@ -166,28 +169,34 @@ class TestInstrumentedRun:
             reset_allocator()  # same addresses for both builds
             sim, medium, macs, hub = _saturated_pair(telemetry=telemetry)
             sim.run(until=0.2)
-            hub.finish()
+            if hub is not None:
+                hub.finish()
             return [(str(mac.address), dict(mac.counters.as_dict()))
                     for mac in macs]
 
         assert _deliveries(telemetry=False) == _deliveries(telemetry=True)
 
+    def test_a_receiver_s_probe_sees_no_event(self):
+        # Only sender-side edges reach a MAC's frame probe.
+        sim, medium, macs, hub = _saturated_pair()
+        events = []
+        macs[0]._frame_probe = lambda event, msdu: events.append(event)
+        sim.run(until=0.2)
+        assert macs[0].counters.get("rx_data") > 0 and events == []
 
-class TestNullHub:
-    def test_disabled_hub_is_inert(self):
+
+class TestHub:
+    def test_telemetry_off_builds_no_hub(self):
         sim, medium, macs, hub = _saturated_pair(telemetry=False)
-        assert len(hub.registry) == 0
-        assert not hub.sampler.installed
-        assert "transmit" not in medium.__dict__
-        assert "run" not in sim.__dict__
-        assert all(mac._frame_probe is None for mac in macs)
-        before = sim._scheduled
-        sim.run(until=0.05)
-        hub.finish()
-        # No sampler events were ever injected.
-        assert all(entry[2] is not None or entry[3].__name__ != "_sample"
-                   for entry in sim._heap)
-        assert len(hub.spans) == 0
+        assert hub is None and "transmit" not in medium.__dict__
+
+    def test_a_hub_refuses_to_be_built_off(self):
+        with pytest.raises(ConfigurationError, match="builds no hub"):
+            Telemetry(Simulator(seed=1), enabled=False)
+
+    def test_the_benchmark_s_call_builds_a_hub(self):
+        hub = Telemetry(Simulator(seed=1), enabled=True, sample_interval=0.05)
+        assert hub.sampler.interval == 0.05
 
     def test_finish_is_idempotent(self):
         sim, medium, macs, hub = _saturated_pair()
@@ -212,11 +221,3 @@ class TestFaultSpans:
         still_down = spans.select(outcome="open")
         assert [(s.subject, s.start, s.end) for s in still_down] \
             == [("ap1", 5.0, 8.0)]
-
-    def test_span_mask_short_circuits(self):
-        log = FaultLog()
-        log.append(FaultRecord(1.0, "crash", "ap0"))
-        spans = SpanLog()
-        spans.enable_only("frame")
-        assert record_fault_spans(log, spans, horizon=2.0) == 0
-        assert len(spans) == 0

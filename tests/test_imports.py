@@ -405,7 +405,7 @@ PUBLIC = {package: names.split() for package, names in {
     "repro.telemetry": """
         CounterMetric FrameSpanTracker GaugeMetric HistogramMetric
         KernelDispatchProbe MacFleetProbe MediumProbe MetricsRegistry
-        NULL_METRIC PeriodicSampler RadioFleetProbe Span SpanLog Telemetry
+        PeriodicSampler RadioFleetProbe Span SpanLog Telemetry
         format_key make_key parse_jsonl record_fault_spans render_table
         summary_table to_jsonl
     """,
