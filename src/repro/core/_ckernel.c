@@ -55,9 +55,9 @@
  *    (the TX state change, ``Medium.transmit``'s frame, plan check and
  *    fan-out, the raw end entry; at that entry IDLE and
  *    ``on_tx_end``), served as ``radio._transmit`` — what a
- *    ``DcfMac`` sends through — and ``radio._tx_done``.  The airtime,
- *    a plan miss (``_compile_plan``) and a medium not exactly
- *    ``Medium`` or holding its own ``transmit`` (``MediumProbe``) are
+ *    ``DcfMac`` sends through — and ``radio._tx_done``.  The airtime, a
+ *    plan miss (``_compile_plan``), the medium's ``observers`` and a
+ *    medium with a ``transmit`` of its own, by class or instance, are
  *    Python's; so is ``Radio.transmit_energy``.
  *
  * 4, 5 and 6 are exported under their references' ``__name__``:
@@ -132,7 +132,7 @@
  *   an exact ``SinrTracker`` / ``CaptureModel`` / ``BerErrorModel`` /
  *   ``Modulation`` / ``Transmission`` / ``PhyMode`` / ``RadioConfig`` /
  *   ``TraceLog`` / ``TraceDigest``), and reads every field it reads on
- *   them by offset — no field by name beside it; an exact ``Medium`` (no
+ *   them by offset — no field by name beside it; a ``Medium`` (no
  *   ``__slots__``) is read through its instance dict.  Anything else is
  *   handed to the Python method *before* the step in question has
  *   changed anything: the whole call for a non-float power, a foreign
@@ -886,7 +886,7 @@ static PyObject *s_standard, *s_on_snr_measurement;
 static PyObject *s_transmit, *s_tx_complete, *s_sim, *s_plans;
 static PyObject *s_plan_hits, *s_plan_misses, *s_compile_plan;
 static PyObject *s_frame_airtime, *s_schedule_fast;
-static PyObject *s_trace_tx_start;
+static PyObject *s_trace_tx_start, *s_observers;
 
 static Py_ssize_t off_r_arrivals, off_r_state, off_r_locked;
 static Py_ssize_t off_r_locked_power, off_r_locked_tracker, off_r_cca_busy;
@@ -1816,14 +1816,37 @@ dict_incr(PyObject *dict, PyObject *name)
     return status;
 }
 
+/* Each of ``medium.observers`` called as ``(tx, len(entries))``: 0 or -1. */
+static int
+notify_observers(PyObject *medium, PyObject *tx, PyObject *entries)
+{
+    PyObject *observers = PyObject_GetAttr(medium, s_observers);
+    PyObject *iter = observers ? PyObject_GetIter(observers) : NULL;
+    PyObject *observer, *width = NULL;
+    Py_ssize_t size;
+
+    while (iter != NULL && !PyErr_Occurred()
+           && (observer = PyIter_Next(iter)) != NULL) {
+        if (width == NULL && (size = PyObject_Size(entries)) >= 0)
+            width = PyLong_FromSsize_t(size);
+        if (width != NULL)
+            discard(PyObject_CallFunctionObjArgs(observer, tx, width, NULL));
+        Py_DECREF(observer);
+    }
+    Py_XDECREF(width);
+    Py_XDECREF(iter);
+    Py_XDECREF(observers);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
 /* ``self.medium.transmit(self, payload, size_bits, mode, duration,
- * self.tx_power_watts)``.  On exactly a ``Medium`` of a compiled
- * simulator with no ``transmit`` of its own (``MediumProbe`` wraps one
- * in), its statements over its instance dict: the frame built by
- * offset, its id the next of ``Transmission._ids``; the plan checked
- * against the sender's position and power and counted, a miss compiled
- * by ``_compile_plan``; the fan-out.  Any other medium's ``transmit``
- * is called.  0 or -1. */
+ * self.tx_power_watts)``.  On a ``Medium`` of a compiled simulator
+ * whose class does not override ``transmit`` and that holds no
+ * ``transmit`` of its own, its statements over its instance dict: the
+ * frame built by offset, its id the next of ``Transmission._ids``; the
+ * plan checked against the sender's position and power and counted, a
+ * miss compiled by ``_compile_plan``; the fan-out; the observers.  Any
+ * other medium's ``transmit`` is called.  0 or -1. */
 static int
 medium_transmit(PyObject *self, PyObject *payload, PyObject *size_bits,
                 PyObject *mode, PyObject *duration)
@@ -1839,7 +1862,9 @@ medium_transmit(PyObject *self, PyObject *payload, PyObject *size_bits,
     if ((power = Py_XNewRef(slot_get(self, off_r_tx_power,
                                      "tx_power_watts"))) == NULL)
         goto done;
-    if (Py_TYPE(medium) == medium_type
+    if (PyObject_TypeCheck(medium, medium_type)
+            && _PyType_Lookup(Py_TYPE(medium), s_transmit)
+               == _PyType_Lookup(medium_type, s_transmit)
             && (dict = PyObject_GenericGetDict(medium, NULL)) != NULL) {
         sim = Py_XNewRef(PyDict_GetItemWithError(dict, s_sim));
         plans = Py_XNewRef(PyDict_GetItemWithError(dict, s_plans));
@@ -1885,7 +1910,8 @@ medium_transmit(PyObject *self, PyObject *payload, PyObject *size_bits,
             && (entries = PySequence_GetItem(plan, 2)) != NULL
             && (queue = sim_queue(sim)) != NULL) {
         Py_INCREF(queue);
-        status = fan_out(sim, queue, entries, tx, duration, now);
+        if ((status = fan_out(sim, queue, entries, tx, duration, now)) == 0)
+            status = notify_observers(medium, tx, entries);
         Py_DECREF(queue);
     }
 done:
@@ -3209,7 +3235,8 @@ PyInit__ckernel(void)
         {&s_plan_misses, "plan_misses"}, {&s_compile_plan, "_compile_plan"},
         {&s_frame_airtime, "frame_airtime"},
         {&s_schedule_fast, "schedule_fast"},
-        {&s_trace_tx_start, "_trace_tx_start"}};
+        {&s_trace_tx_start, "_trace_tx_start"},
+        {&s_observers, "observers"}};
     size_t i;
 
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++)
@@ -3229,7 +3256,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 12) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 13) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

@@ -6,7 +6,8 @@ plus two extra duties at the shard boundary:
 
 * **Export**: every transmission on a channel some *other* shard can
   hear is appended to the outbox as a flat :class:`BoundaryRecord`
-  (start time, sender geometry, channel, power, duration).  The
+  (start time, sender geometry, channel, power, duration) by one of
+  the medium's ``observers``.  The
   coordinator drains outboxes at each fence and routes the records to
   the coupled destination shards.
 * **Inject**: records arriving from other shards are fanned out to the
@@ -100,8 +101,7 @@ class ShardMedium(Medium):
     export_channels:
         Channels whose transmissions must be exported — the partition
         plan's per-shard coupling surface.  Empty set = fully decoupled
-        shard: ``transmit`` stays byte-for-byte the base implementation
-        plus one set lookup.
+        shard: no export observer is registered.
     """
 
     def __init__(self, *args, shard: int = 0,
@@ -113,19 +113,18 @@ class ShardMedium(Medium):
         self._export_seq = itertools.count()
         self._ghosts: Dict[Tuple[str, int], _GhostSender] = {}
         self.boundary_injected = 0
+        if self.export_channels:
+            self.observers += (self._export,)
 
-    def transmit(self, sender, payload, size_bits, mode, duration,
-                 power_watts) -> Transmission:
-        transmission = super().transmit(sender, payload, size_bits, mode,
-                                        duration, power_watts)
+    def _export(self, transmission: Transmission, _width: int) -> None:
+        sender = transmission.sender
         if sender._channel_id in self.export_channels:
             pos = sender.position
             self.outbox.append(BoundaryRecord(
                 transmission.start_time, self.shard,
                 next(self._export_seq), sender.name,
                 pos.x, pos.y, pos.z, sender._channel_id,
-                power_watts, duration))
-        return transmission
+                transmission.power_watts, transmission.duration))
 
     def drain_outbox(self) -> List[BoundaryRecord]:
         """Hand the pending exports to the coordinator (fence time)."""

@@ -35,11 +35,12 @@ Receive edges follow the simulator's kernel: each radio binds its
 ``kernel="c"`` a plain :class:`Radio`'s fan-out entries (its ``_edges``)
 and reception-end timer fire the compiled twins of ``arrival_begins`` /
 ``arrival_ends`` / ``_reception_complete``; otherwise the Python
-methods, their reference.  So does the transmit side: there a plain
-radio's ``transmit`` twin runs :meth:`Medium.transmit`'s statements
-itself on a medium that is exactly this class and holds no
-``transmit`` of its own, compiling a missed plan through
-:meth:`Medium._compile_plan`; any other medium's ``transmit`` is called.
+methods, their reference.  So does the transmit side: a plain radio's
+``transmit`` twin runs :meth:`Medium.transmit` itself, a plan miss aside
+(:meth:`Medium._compile_plan`), unless the medium has a ``transmit`` of
+its own, by class or instance.  What watches the air (a shard's export,
+a telemetry probe) joins :attr:`Medium.observers`, which both sides call
+after the fan-out.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class Transmission:
         self.power_watts = power_watts
         self.start_time = start_time
         self.duration = duration
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Transmission #{self.id} from {self.sender.name} "
@@ -205,6 +202,8 @@ class Medium:
         #: retunes, moves).  All the increments sit on cold invalidation
         #: paths.
         self.plan_invalidations = 0
+        #: ``observer(transmission, width)``, called after each fan-out.
+        self.observers: Tuple[Any, ...] = ()
 
     def attach(self, radio: Radio) -> None:
         """Register a radio (called from the Radio constructor)."""
@@ -294,12 +293,6 @@ class Medium:
         channel = sender._channel_id
         transmission = Transmission(sender, payload, size_bits, mode,
                                     power_watts, now, duration)
-        # Compiled fan-out: the floor cull and link-budget lookups
-        # happened at compile time, so the hot path is one call of the
-        # kernel's fan-out primitive over the flat plan.  The plan is
-        # validated against the sender's position identity and
-        # transmit power; every receiver-side topology change drops the
-        # plan via the invalidation hooks.
         plan = self._plans.get(sender)
         if plan is not None and plan[0] is sender._position \
                 and plan[1] == power_watts:
@@ -307,15 +300,11 @@ class Medium:
         else:
             plan = self._compile_plan(sender, channel, power_watts)
             self.plan_misses += 1
-        # NOTE: a fully fused fan-out (one begins sweep + one ends sweep
-        # per frame) was prototyped and rejected: collapsing the
-        # per-receiver propagation-delay stagger onto a common instant
-        # aligns every contender's slot grid, which turns
-        # nanosecond-resolved near-ties into genuine collisions —
-        # delivery dropped ~19% on the dense macro.  The stagger is
-        # load-bearing contention physics, not ulp noise, so every
-        # receiver keeps its own edges.
+        # Every receiver keeps its own edges: fusing the propagation
+        # stagger costs +19 % collisions (ROADMAP item 7's dead ends).
         sim._fan_out(sim, plan[2], transmission, duration)
+        for observer in self.observers:
+            observer(transmission, len(plan[2]))
         return transmission
 
     # --- energy-only path (adversary / coexistence emitters) ----------------

@@ -38,7 +38,7 @@ frame, mode or config, the capture test for the capture model, the PER
 for the modulation, the whole tail for the frame, mode or trace sink,
 the whole transmit for the mode, size or trace sink, and for a state or
 mode this method refuses; the medium's own ``transmit`` for a medium
-not exactly ``Medium`` or holding a ``transmit`` of its own, and
+whose class overrides it or that holds its own, and
 ``_compile_plan`` for a plan miss).  A change to these methods changes
 what ``tests/test_slot_differential.py`` and ``tests/phy/test_per_twin.py``
 hold both to.

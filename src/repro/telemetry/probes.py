@@ -4,8 +4,8 @@ Each probe wires one subsystem into a
 :class:`~repro.telemetry.metrics.MetricsRegistry` /
 :class:`~repro.telemetry.metrics.PeriodicSampler` pair.  The common
 contract: an installed probe never mutates simulation state — it reads
-counters and gauges the subsystems already maintain, wraps a method
-with a pass-through that only counts, or rides the one-slot
+counters and gauges the subsystems already maintain, observes the
+medium's transmissions (``Medium.observers``), or rides the one-slot
 ``_frame_probe`` hook.  Probes therefore cannot perturb seeded protocol
 outcomes; the only observable difference in an instrumented run is the
 sampler's own (read-only) events on the kernel heap.
@@ -98,25 +98,45 @@ def _install_kernel_sampling(sim: Simulator,
 class MediumProbe:
     """Per-channel airtime/frame accounting and fan-out widths.
 
-    :meth:`install` wraps ``medium.transmit`` with a counting
-    pass-through, again as an instance attribute — and because
-    ``Radio.transmit`` dispatches through ``self.medium.transmit`` and
-    ``Medium.transmit_energy`` through ``self.transmit``, the one wrap
-    observes every frame *and* every energy burst.  Fan-out width is
-    recovered exactly from the kernel's scheduled-events counter (the
-    fan-out pushes two heap entries per audible receiver and nothing
-    else inside ``transmit`` schedules), so the probe needs no access
-    to the compiled plans.  Plan/link-cache hit rates ride the sampler.
+    :meth:`install` adds a counting observer to ``medium.observers``,
+    which both kernels call after the fan-out of every frame *and* every
+    energy burst, so an observed medium keeps the transmit path an
+    unobserved one takes.  One probe per medium: a second raises and
+    registers nothing.  Plan/link-cache hit rates ride the sampler.
     """
 
     def __init__(self, medium: Any, registry: MetricsRegistry,
                  sampler: Optional[PeriodicSampler] = None):
         self.medium = medium
         self.registry = registry
-        self._installed = False
+        self._sampler = sampler
         self.fanout = registry.histogram("medium", "fanout_width")
         self.energy_bursts = registry.counter("medium", "energy_bursts")
+        #: channel -> its (frames, airtime) counters, made on its first frame.
+        self._channels: Dict[int, Tuple[Any, Any]] = {}
+
+    def _observe(self, transmission: Any, width: int) -> None:
+        channel = transmission.sender._channel_id
+        counters = self._channels.get(channel)
+        if counters is None:
+            counter = self.registry.counter
+            counters = self._channels[channel] = (
+                counter("medium", "frames", channel=channel),
+                counter("medium", "airtime_seconds", channel=channel))
+        counters[0].value += 1
+        counters[1].value += transmission.duration
+        if transmission.size_bits == 0:
+            self.energy_bursts.value += 1
+        self.fanout.observe(width)
+
+    def install(self) -> "MediumProbe":
+        medium, sampler = self.medium, self._sampler
+        for observer in medium.observers:
+            if isinstance(getattr(observer, "__self__", None), MediumProbe):
+                raise ConfigurationError(f"{medium!r} is probed already")
+        medium.observers += (self._observe,)
         if sampler is not None:
+            self._sampler = None  # sampled once, however often installed
             sampler.add("medium", "plan_hits",
                         lambda: float(medium.plan_hits))
             sampler.add("medium", "plan_misses",
@@ -127,48 +147,13 @@ class MediumProbe:
                         lambda: float(medium.links.hits))
             sampler.add("medium", "link_cache_misses",
                         lambda: float(medium.links.misses))
-
-    def install(self) -> "MediumProbe":
-        if self._installed:
-            return self
-        medium = self.medium
-        original = medium.transmit  # the bound class method
-        sim = medium.sim
-        fanout = self.fanout
-        energy_bursts = self.energy_bursts
-        counter = self.registry.counter
-        # Per-channel handles, resolved lazily and memoized locally so
-        # the steady state is two dict hits per frame.
-        frames: Dict[int, Any] = {}
-        airtime: Dict[int, Any] = {}
-
-        def _transmit(sender: Any, payload: Any, size_bits: int, mode: Any,
-                      duration: float, power_watts: float) -> Any:
-            before = sim._scheduled
-            transmission = original(sender, payload, size_bits, mode,
-                                    duration, power_watts)
-            channel = sender._channel_id
-            frame_counter = frames.get(channel)
-            if frame_counter is None:
-                frame_counter = frames[channel] = counter(
-                    "medium", "frames", channel=channel)
-                airtime[channel] = counter(
-                    "medium", "airtime_seconds", channel=channel)
-            frame_counter.value += 1
-            airtime[channel].value += duration
-            if size_bits == 0:
-                energy_bursts.value += 1
-            fanout.observe((sim._scheduled - before) // 2)
-            return transmission
-
-        medium.transmit = _transmit
-        self._installed = True
         return self
 
     def uninstall(self) -> None:
-        if self._installed:
-            del self.medium.transmit
-            self._installed = False
+        observers = list(self.medium.observers)
+        if self._observe in observers:
+            observers.remove(self._observe)
+            self.medium.observers = tuple(observers)
 
 
 class MacFleetProbe:

@@ -85,14 +85,14 @@ class TestStaleExtension:
             resolve_kernel("c")
         assert not recwarn.list
 
-    def test_an_extension_from_before_the_transmit_twins_is_stale(self,
-                                                                  stale):
-        # ABI 12's "phy" set carries what the transmit twins read (the
-        # medium, the standard, the radio's transmit slots); an ABI 11
-        # build has no ``transmit`` for ``transceiver.RADIO`` to bind.
-        assert engine.KERNEL_ABI == 12
-        stale.KERNEL_ABI = 11
-        with pytest.warns(RuntimeWarning, match="ABI 11.*needs 12"):
+    def test_an_extension_from_before_the_transmit_observers_is_stale(
+            self, stale):
+        # ABI 13's transmit twin calls the medium's ``observers`` after
+        # the fan-out; an ABI 12 build would serve a probed medium and
+        # count nothing.
+        assert engine.KERNEL_ABI == 13
+        stale.KERNEL_ABI = 12
+        with pytest.warns(RuntimeWarning, match="ABI 12.*needs 13"):
             assert not ckernel_available()
 
     def test_an_extension_without_an_abi_is_stale_too(self, stale):

@@ -1,6 +1,7 @@
 """Tests for the sharded executor machinery (build context, boundary
 medium, arrival log, coordinator protocol)."""
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -319,6 +320,54 @@ def _steady_build(ctx):
     return lambda: {}
 
 
+def _framing_build(ctx):
+    """A cell whose radio sends a frame through the transmit it was
+    served, back to back, to a listener; with a co-channel cell on
+    another shard, every frame is a boundary record."""
+    sim, cell = ctx.sim, ctx.cell
+    radio = Radio(f"tx-{cell.name}", ctx.medium, DOT11B, cell.center,
+                  channel_id=cell.channel)
+    Radio(f"rx-{cell.name}", ctx.medium, DOT11B,
+          cell.center.translated(dx=5.0), channel_id=cell.channel)
+    mode = DOT11B.modes[-1]
+    sent = []
+
+    def send():
+        sent.append(radio._transmit(radio, f"frame{len(sent)}", 256, mode))
+        sim.schedule(sent[-1] + 1e-6, send)
+
+    sim.schedule(0.0, send)
+    return lambda: {"frames": len(sent)}
+
+
+def coupled_in_process(cells, horizon, instrument=lambda shard: None):
+    """Cells ``a`` and ``b`` as two coupled shards advanced by direct
+    call in this process, as a one-host worker does; ``instrument(shard)``
+    runs once each is built.  Returns (rounds, boundary records)."""
+    plan = partition_cells(cells, free_space(), workers=2,
+                           manual={"a": 0, "b": 1})
+    shards = []
+    for index, shard_cells in enumerate(plan.shards):
+        shard = executor._Shard(index, seed=4)
+        shard.build(shard_cells,
+                    [plan.index_of(cell.name) for cell in shard_cells],
+                    plan.export_channels[index], free_space, -110.0,
+                    True, False, False, 0.05)
+        instrument(shard)
+        shards.append(shard)
+    board = executor._Board(len(shards))
+    try:
+        rounds, records, _ = executor._run_rounds(
+            plan, [plan.incoming(index) for index in range(2)], horizon,
+            None, board,
+            lambda requests: [shards[index].advance(bound, batch)
+                              for index, bound, batch in requests],
+            ArrivalLog())
+    finally:
+        board.close()
+    return rounds, records
+
+
 class TestBoundaryCosts:
     """What the boundary path costs, counted on an in-process coupled
     run (the shards advanced by direct call, as a one-host worker does):
@@ -330,8 +379,6 @@ class TestBoundaryCosts:
              spec("b", x=100.0, build=_steady_build)]
 
     def _run(self, horizon):
-        plan = partition_cells(self.CELLS, free_space(), workers=2,
-                               manual={"a": 0, "b": 1})
         counts = {"link_budgets": 0, "pushes": 0, "fan_outs": 0,
                   "injections": 0, "records": 0}
         built = BoundaryRecord.__new__
@@ -340,26 +387,11 @@ class TestBoundaryCosts:
             counts["records"] += 1
             return built(cls, *fields)
 
-        shards = []
-        for index, cells in enumerate(plan.shards):
-            shard = executor._Shard(index, seed=4)
-            shard.build(cells, [plan.index_of(cell.name) for cell in cells],
-                        plan.export_channels[index], free_space, -110.0,
-                        True, False, False, 0.05)
-            self._count_injection(shard, counts)
-            shards.append(shard)
-        board = executor._Board(len(shards))
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(BoundaryRecord, "__new__", counted_record)
-                rounds, records, _ = executor._run_rounds(
-                    plan, [plan.incoming(index) for index in range(2)],
-                    horizon, None, board,
-                    lambda requests: [shards[index].advance(bound, batch)
-                                      for index, bound, batch in requests],
-                    ArrivalLog())
-        finally:
-            board.close()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BoundaryRecord, "__new__", counted_record)
+            rounds, records = coupled_in_process(
+                self.CELLS, horizon,
+                lambda shard: self._count_injection(shard, counts))
         return rounds, records, counts
 
     @staticmethod
@@ -602,6 +634,22 @@ class TestExecutors:
         assert result["events"] == 42
         assert result["arrival_log_sha1"] \
             == "7106bd92017064432cf537a1f699e4fa014f6079"
+
+    def test_exported_and_probed_frames_are_pinned(self):
+        # Each frame is seen by two observers of its medium: the shard's
+        # export and the telemetry probe.  Recorded while both replaced
+        # the medium's ``transmit``: neither stream may move by a byte.
+        cells = [spec("a", x=0.0, build=_framing_build),
+                 spec("b", x=100.0, build=_framing_build)]
+        result = run_sharded(cells, seed=2, horizon=2e-3, workers=2,
+                             propagation_factory=free_space,
+                             manual={"a": 0, "b": 1}, telemetry=True)
+        assert result["cells"] == {"a": {"frames": 10}, "b": {"frames": 10}}
+        assert result["boundary_records"] == 20
+        assert result["arrival_log_sha1"] \
+            == "5956e6399174b324833000005ca6f2ff47960f2b"
+        assert hashlib.sha1(result["telemetry_jsonl"].encode()).hexdigest() \
+            == "a5badd02efd67ebfc87ba9e1c30622342b90f823"
 
     def test_worker_exception_surfaces_with_shard_id(self):
         def broken(ctx):

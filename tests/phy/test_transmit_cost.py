@@ -12,9 +12,15 @@ overheard frames itself: under ``sys.setprofile`` a saturated lossy
 cell enters ``DcfMac.phy_rx_end`` for addressed frames only, so routing
 overheard frames back through the interpreter fails here by name, not
 by 15 % on a noisy box.
+
+Observing the air keeps a frame compiled: with telemetry armed, and on
+coupled shards that export every frame, no radio's frame enters the
+Python ``Medium.transmit`` on ``kernel="c"`` (under ``sys.setprofile``;
+the Python kernel enters it once per frame).
 """
 
 import cProfile
+import json
 import pstats
 import sys
 
@@ -33,6 +39,7 @@ from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
 
+from parallel.test_executor import _framing_build, coupled_in_process, spec
 from test_slot_differential import BASIC, BYSTANDER, STRANGER, MacWorld
 
 needs_the_extension = pytest.mark.skipif(
@@ -99,6 +106,56 @@ def test_a_sent_frame_costs_no_python_transmit_call(sender, spec_job):
     stats, calls = _profiled(send, spec_job, "c")
     assert calls == dict.fromkeys(TRANSMIT_PATH.values(), 0)
     assert stats == reference
+
+
+def _armed(spec_job, kernel, _monkeypatch):
+    """The ``dcf_saturation`` job with telemetry armed: its frames, as
+    its own ``medium/frames`` counters sum them."""
+    streams = {}
+    run_job(spec_job("dcf_saturation", {
+        "mode.kernel": kernel, "mode.telemetry": True}), streams)
+    return sum(record["value"] for record in map(
+        json.loads, streams["telemetry_jsonl"].splitlines())
+        if record["type"] == "metric"
+        and (record["subsystem"], record["name"]) == ("medium", "frames"))
+
+
+def _sharded(_spec_job, kernel, monkeypatch):
+    """Two coupled shards, each medium exporting its channel: the frames
+    their radios sent."""
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    built = []
+    coupled_in_process([spec("a", x=0.0, build=_framing_build),
+                        spec("b", x=100.0, build=_framing_build)], 2e-3,
+                       built.append)
+    return sum(collector()["frames"] for shard in built
+               for collector in shard.collectors.values())
+
+
+#: Observed runs: name -> (spec_job, kernel, monkeypatch) -> frames.
+OBSERVED = {"armed telemetry": _armed, "coupled shards": _sharded}
+
+KERNELS = ["python", pytest.param("c", marks=needs_the_extension)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("run", sorted(OBSERVED))
+def test_an_observed_frame_stays_compiled(run, kernel, spec_job,
+                                          monkeypatch):
+    entered, reference = [], Medium.transmit.__code__
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is reference \
+                and isinstance(frame.f_locals["sender"], Radio):
+            entered.append(frame.f_locals["payload"])
+
+    sys.setprofile(profile)
+    try:
+        frames = OBSERVED[run](spec_job, kernel, monkeypatch)
+    finally:
+        sys.setprofile(None)
+    assert frames > 0, "nothing was sent: the row tests nothing"
+    assert len(entered) == (frames if kernel == "python" else 0)
 
 
 def _demuxed(play):

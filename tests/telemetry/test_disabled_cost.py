@@ -7,7 +7,8 @@ there is nothing to construct, wire, sample or finish.  The same job
 armed, at a tenth of the horizon, is the control that shows the
 profile sees those calls when they happen.  Armed,
 ``specs/dcf_saturation.toml`` makes a pinned number of them, from wiring
-the hub to exporting its stream, with one transmit wrap per frame.
+the hub to exporting its stream, with one call of the medium probe's
+transmit observer per frame.
 Each count is a pure function of the seed, so unlike the wall-clock
 perf tier (``tests/telemetry/test_overhead.py``) it cannot be moved by
 load on the machine.
@@ -72,7 +73,7 @@ def test_an_armed_run_makes_a_counted_number_of_telemetry_calls(
         json.loads, streams["telemetry_jsonl"].splitlines())
         if record["type"] == "metric"
         and (record["subsystem"], record["name"]) == ("medium", "frames"))
-    assert frames > 0 and calls["_transmit"] == frames
+    assert frames > 0 and calls["_observe"] == frames
     assert calls["wants"] == 0
     pinned = ARMED_CALLS.get(sys.version_info[:2])
     if pinned is None:

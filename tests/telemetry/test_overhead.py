@@ -6,7 +6,7 @@
   and a fresh interpreter that runs both never loads
   :mod:`repro.telemetry`.  This is the production posture CI smokes.
 * The *enabled* path at the default 50 ms sampling interval is cheap:
-  ``dcf_saturation`` under ``mode.telemetry`` — wraps, probes,
+  ``dcf_saturation`` under ``mode.telemetry`` — observers, probes,
   sampling, span bookkeeping, the final edge sample — within 15% of
   the unarmed job (loose because CI machines are noisy;
   ``python3 -m bench``'s ``telemetry.armed_ratio`` measures it),

@@ -1,5 +1,8 @@
-"""Probe layer: the kernel dispatch tallies and gauges, the medium transmit wrap,
-fleet gauges, downtime spans, and the Telemetry hub's one posture."""
+"""Probe layer: the kernel dispatch tallies and gauges, the medium's
+transmit observer, fleet gauges, downtime spans, and the Telemetry hub's
+one posture."""
+
+import re
 
 import pytest
 
@@ -17,8 +20,8 @@ from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.probes import (KernelDispatchProbe, Telemetry,
-                                    record_fault_spans)
+from repro.telemetry.probes import (KernelDispatchProbe, MediumProbe,
+                                    Telemetry, record_fault_spans)
 from repro.telemetry.spans import SpanLog
 
 
@@ -143,13 +146,35 @@ class TestInstrumentedRun:
         # 3 radios on the channel: every transmit reaches the other 2.
         assert fanout.mean == pytest.approx(2.0)
 
-    def test_finish_restores_wrapped_methods(self):
+    def test_finish_unregisters_the_observer(self):
         sim, medium, macs, hub = _saturated_pair()
         sim.run(until=0.05)
-        assert "transmit" in medium.__dict__
+        probe, = hub._medium_probes
+        assert medium.observers == (probe._observe,)
         hub.finish()
+        assert medium.observers == ()
         assert "transmit" not in medium.__dict__
         assert all(mac._frame_probe is None for mac in macs)
+
+    def test_a_medium_takes_one_probe(self):
+        sim, medium, macs, hub = _saturated_pair()
+        probe, = hub._medium_probes
+        named = re.escape(repr(medium))
+        with pytest.raises(ConfigurationError, match=named):
+            hub.instrument_medium(medium)
+        for second in (probe, MediumProbe(medium, MetricsRegistry())):
+            with pytest.raises(ConfigurationError, match=named):
+                second.install()
+        sim.run(until=0.05)
+        hub.finish()
+        probe.uninstall()  # a second uninstall does nothing
+        assert medium.observers == ()
+        # The refused probes sample nothing: one point per sample.
+        assert len(hub.registry.series(("medium", "plan_hits", ()))) \
+            == len(hub.registry.series(("kernel", "heap_depth", ()))) > 0
+        # Every frame counted once: each transmit is one plan hit or miss.
+        frames = hub.registry.get("medium", "frames", channel=1).value
+        assert frames == medium.plan_hits + medium.plan_misses > 0
 
     def test_fleet_gauges_sample_series(self):
         sim, medium, macs, hub = _saturated_pair()

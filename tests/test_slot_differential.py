@@ -1110,6 +1110,26 @@ def _plans(hits, misses):
                                   after[2][1] - before[1][1]) == (hits, misses)
 
 
+def _observed(raises):
+    """A schedule op that adds a medium observer logging each call, and
+    raising after it when ``raises``."""
+    def observe(world, _radio):
+        def observer(transmission, width):
+            world.log.append(("observer", f"width {width}",
+                              world.label(transmission)))
+            if raises:
+                raise Boom("observer failed")
+        world.medium.observers += (observer,)
+    return ("poke", 0, observe)
+
+
+def _exported(before, after):
+    """One record exported, of the frame the observer after it saw."""
+    record, = after[2][2][len(before[1][2]):]
+    return _logged(before, after)[-1:] == [("observer", "width 1")] \
+        and record[3] == "'r1'" and record[7] == "1"
+
+
 #: Named states of a radio's transmit slots: name -> (slot, armed world,
 #: schedule, pool frame, the one right outcome (before, after) -> bool).
 SENDS = {
@@ -1151,6 +1171,16 @@ SENDS = {
     "through a ShardMedium": (
         "transmit", "the medium is a ShardMedium", [], 0,
         lambda before, after: len(after[2][2]) == len(before[1][2]) + 1),
+    "through a ShardMedium exporting its channel, observed after": (
+        "transmit", "the medium is a ShardMedium", [_observed(False)], 0,
+        _exported),
+    "through a medium whose observer raises": (
+        "transmit", None, [_observed(True)], 0,
+        lambda before, after: _logged(before, after)[-2:] == [
+            ("observer", "width 1"), ("raised", "Boom")]
+        # The fan-out's two entries; no end entry: the frame stays on.
+        and len(after[0]["heap"]) == len(before[0]["heap"]) + 2
+        and after[0]["radios"][1][1] == "tx"),
     "the burst ends": (
         "_tx_complete", None, [("transmit", 1, 0)], 0,
         lambda before, after: _logged(before, after) == [
