@@ -36,18 +36,19 @@
  *    ``on_rx_end`` — frame, mode, modulation and trace sink read by
  *    offset too.  A plain radio binds it to its reception-end timer.
  * 5. ``_maybe_start_ifs`` / ``_cancel_access_timers`` / ``_ifs_expired``
- *    / ``_fire`` / ``phy_rx_end`` — the carrier-sense slots of
- *    ``repro.mac.dcf.DcfMac`` and ``repro.mac.nav.Nav`` that are pure
- *    functions of MAC, NAV, radio and timer ``__slots__``, and the frame
- *    demux for the two verdicts that need nothing else: a corrupt frame
- *    (EIFS flag, ``rx_corrupt``) and one overheard by a third party (the
- *    transmitter's rate controller, the NAV, ``nav_updates``), read off
- *    the per-frame ``Dot11Frame.rx_verdict`` — the one field still read
- *    by name, a derivation cached in the frame's instance dict — and
- *    counted in the ``Counter``'s ``_counts`` by offset (``dcf.MAC``,
- *    ``nav.NAV``).  A
- *    plain ``DcfMac`` hands them to its radio's CCA and reception-end
- *    upcalls, its NAV and its IFS timer.  A frame addressed to the
+ *    / ``phy_rx_end`` — the carrier-sense slots of
+ *    ``repro.mac.dcf.DcfMac`` that are pure functions of MAC, NAV, radio
+ *    and timer ``__slots__``, and the frame demux for the two verdicts
+ *    that need nothing else: a corrupt frame (EIFS flag,
+ *    ``rx_corrupt``) and one overheard by a third party (the
+ *    transmitter's rate controller, ``Nav.set_until``,
+ *    ``nav_updates``), read off the per-frame ``Dot11Frame.rx_verdict``
+ *    — the one field still read by name, a derivation cached in the
+ *    frame's instance dict — and counted in the ``Counter``'s
+ *    ``_counts`` by offset (``dcf.MAC``).  A plain ``DcfMac`` hands them
+ *    to its radio's CCA and reception-end upcalls, its NAV's expiry and
+ *    its IFS timer (``Nav._fire`` itself stays Python: its twin paid
+ *    nothing measurable).  A frame addressed to the
  *    station or to a group, ``_access_won`` and the building of the
  *    frames a MAC sends stay Python: C owns time and energy, Python
  *    owns the frames addressed to it.
@@ -134,23 +135,31 @@
  *   ``TraceLog`` / ``TraceDigest``), and reads every field it reads on
  *   them by offset — no field by name beside it; a ``Medium`` (no
  *   ``__slots__``) is read through its instance dict.  Anything else is
- *   handed to the Python method *before* the step in question has
- *   changed anything: the whole call for a non-float power, a foreign
- *   object, an off-type MAC field, a tail whose frame, mode or trace
- *   sink is not exactly its class or a transmit whose mode or trace
- *   sink is not (or that the reference refuses: TX, SLEEP, a foreign
- *   mode), one step (``_try_lock`` — also for a frame, mode or config
- *   not exactly its class —, ``_refresh_interference``,
- *   ``should_capture``, ``sinr_db``, ``frame_survives``,
- *   ``packet_error_rate``, ``_update_cca``, ``Nav.set_until``,
- *   ``Counter.incr``, ``Medium.transmit``, ``schedule_fast``) for an
- *   off-type field met after the first write;
- *   the rare ``_abort_locked``, a fresh backoff draw
- *   (``_backoff_remaining is None``), ``_access_won`` and the trace
- *   record always run in Python.  So the exception a malformed input
- *   raises, and the state it leaves, are the reference's own.
+ *   handed to the Python reference *before* the step in question has
+ *   changed anything, by one exit, ``run_reference``: a vectorcall of
+ *   the object's own method of that name (a subclass's override is
+ *   what runs).  It takes a twin's whole call — for a wrong argument
+ *   count, a non-float power, a foreign object, an off-type MAC field,
+ *   a fresh backoff draw (``_backoff_remaining is None``), a tail whose
+ *   frame, mode or trace sink is not exactly its class or a transmit
+ *   whose mode or trace sink is not (or that the reference refuses: TX,
+ *   SLEEP, a foreign mode) — or one step (``_try_lock`` — also for a
+ *   frame, mode or config not exactly its class —,
+ *   ``_refresh_interference``, ``should_capture``, ``sinr_db``,
+ *   ``frame_survives``, ``packet_error_rate``, ``_update_cca``,
+ *   ``Nav.set_until``, ``Counter.incr``, ``Medium.transmit``,
+ *   ``schedule_fast``) for an off-type field met after the first write.
+ *   So the exception a malformed input raises, and the state it
+ *   leaves, are the reference's own.  (A table sum the fold cannot
+ *   take calls ``sum()``: a builtin, no method, see above.)
+ * - Python owns what has no twin, and the twins call it directly: the
+ *   rare ``_abort_locked``, ``_access_won``, the trace records
+ *   (``_trace_rx_end``, ``_trace_tx_start``), the airtime
+ *   (``frame_airtime``), a plan miss (``_compile_plan``),
+ *   ``rng.random``, ``on_snr_measurement``, the rate factory, the
+ *   upcalls and the medium's observers.
  * - Upcalls (``on_cca_busy`` / ``on_cca_idle`` / ``on_state_change`` /
- *   ``on_rx_end`` / ``on_tx_end`` / ``_on_expire``, the demux's
+ *   ``on_rx_end`` / ``on_tx_end``, the demux's
  *   ``_rate_factory`` and ``on_snr_measurement``) fire at the same
  *   points with the same state already written — the tail's idle
  *   edge *before* ``on_rx_end``, as in the reference; an exception from one propagates unchanged.  One
@@ -878,7 +887,7 @@ static PyObject *s_reception_complete, *s_update_cca, *s_trace_rx_end;
 static PyObject *s_sinr_db, *s_frame_survives, *s_packet_error_rate;
 static PyObject *s_random;
 static PyObject *s_maybe_start_ifs, *s_cancel_access_timers, *s_ifs_expired;
-static PyObject *s_access_won, *s_fire, *s_arrival_begins, *s_arrival_ends;
+static PyObject *s_access_won, *s_arrival_begins, *s_arrival_ends;
 static PyObject *s_phy_rx_end, *s_rx_verdict, *s_incr;
 static PyObject *s_rx_corrupt, *s_nav_updates, *s_set_until, *s_until;
 static PyObject *s_push, *s_pop, *s_next_seq, *s_arm, *s_fan_out;
@@ -975,13 +984,22 @@ discard(PyObject *result)
     return 0;
 }
 
-/* A rare or off-type step runs its Python reference method instead
- * (every call site is reached before the step mutates anything that
- * the method would mutate again).  0 or -1. */
-static int
-run_reference(PyObject *self, PyObject *name, PyObject *a, PyObject *b)
+/* The one way back to the Python reference: ``args[0].<name>(*args[1:])``,
+ * the method looked up on the object, so a subclass's override is what
+ * runs.  A twin's whole call (an off-type shape, a wrong argument
+ * count) and a step's (a rare or off-type field met after the first
+ * write; every call site is reached before the step mutates anything
+ * that the method would mutate again) come here and nowhere else.
+ * The result (new reference), or NULL. */
+static PyObject *
+run_reference(PyObject *name, PyObject *const *args, Py_ssize_t nargs)
 {
-    return discard(PyObject_CallMethodObjArgs(self, name, a, b, NULL));
+    if (nargs < 1) {
+        PyErr_Format(PyExc_TypeError, "%U() needs the object it serves",
+                     name);
+        return NULL;
+    }
+    return PyObject_VectorcallMethod(name, args, nargs, NULL);
 }
 
 /* Call a radio's upcall slot with a strong reference held (the slot
@@ -1114,7 +1132,7 @@ refresh_interference(PyObject *self)
     if (locked == Py_None)
         return 0;
     if (locked == NULL || arrivals == NULL || !PyDict_CheckExact(arrivals))
-        return run_reference(self, s_refresh_interference, NULL, NULL);
+        goto reference;
     /* Hashing the frame and summing the table may run Python. */
     Py_INCREF(locked);
     Py_INCREF(arrivals);
@@ -1128,13 +1146,13 @@ refresh_interference(PyObject *self)
             || !is_float(current = SLOT(tracker, off_s_current))
             || !is_float(last = SLOT(tracker, off_s_last))
             || !is_float(energy = SLOT(tracker, off_s_energy)))
-        return run_reference(self, s_refresh_interference, NULL, NULL);
+        goto reference;
     if (interference == 0.0 && PyFloat_AS_DOUBLE(current) == 0.0)
         return 0;  /* zero-rate segment either way */
     if ((now = radio_now(self)) == NULL)
         return -1;
     if (!PyFloat_CheckExact(now))
-        return run_reference(self, s_refresh_interference, NULL, NULL);
+        goto reference;
     /* SinrTracker.set_interference(now, interference); nothing below
      * can run Python, so the borrowed tracker and clock stay valid. */
     now_d = PyFloat_AS_DOUBLE(now);
@@ -1156,6 +1174,8 @@ refresh_interference(PyObject *self)
     Py_DECREF(value);
     slot_set(tracker, off_s_last, now);
     return 0;
+reference:
+    return discard(run_reference(s_refresh_interference, &self, 1));
 }
 
 /* CaptureModel.should_capture for an exact CaptureModel with a bool
@@ -1184,25 +1204,25 @@ capture_verdict(PyObject *capture, PyObject *locked_power, PyObject *power)
 static int
 should_capture(PyObject *self, PyObject *power)
 {
-    PyObject *capture = slot_get(self, off_r_capture, "_capture");
-    PyObject *locked_power, *verdict;
+    PyObject *args[3] = {slot_get(self, off_r_capture, "_capture"), NULL,
+                         power};
+    PyObject *verdict;
     int result;
 
-    if (capture == NULL
-            || (locked_power = slot_get(self, off_r_locked_power,
-                                        "_locked_power")) == NULL)
+    if (args[0] == NULL
+            || (args[1] = slot_get(self, off_r_locked_power,
+                                   "_locked_power")) == NULL)
         return -1;
-    Py_INCREF(capture);
-    Py_INCREF(locked_power);
-    result = capture_verdict(capture, locked_power, power);
+    Py_INCREF(args[0]);
+    Py_INCREF(args[1]);
+    result = capture_verdict(args[0], args[1], power);
     if (result == -2) {
-        verdict = PyObject_CallMethodObjArgs(capture, s_should_capture,
-                                             locked_power, power, NULL);
+        verdict = run_reference(s_should_capture, args, 3);
         result = verdict == NULL ? -1 : PyObject_IsTrue(verdict);
         Py_XDECREF(verdict);
     }
-    Py_DECREF(locked_power);
-    Py_DECREF(capture);
+    Py_DECREF(args[1]);
+    Py_DECREF(args[0]);
     return result;
 }
 
@@ -1254,7 +1274,7 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
     int status = preamble_decodable(self, transmission, power);
 
     if (status == -2)
-        return run_reference(self, s_try_lock, transmission, power);
+        goto reference;
     if (status <= 0)
         return status;
     if (PyDict_GET_SIZE(arrivals) != 1) {
@@ -1263,7 +1283,7 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
             return -1;
         if (!PyFloat_CheckExact(value)) {
             Py_DECREF(value);
-            return run_reference(self, s_try_lock, transmission, power);
+            goto reference;
         }
         interference = PyFloat_AS_DOUBLE(value) - PyFloat_AS_DOUBLE(power);
         Py_DECREF(value);
@@ -1275,14 +1295,12 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
     timer = SLOT(self, off_r_rx_timer);
     tracker = SLOT(self, off_r_tracker);
     noise = SLOT(self, off_r_noise);
-    now = radio_now(self);
-    if (now == NULL || !PyFloat_CheckExact(now) || !is_float(duration)
-            || timer == NULL || tracker == NULL || noise == NULL
-            || Py_TYPE(tracker) != sinr_type) {
-        if (now == NULL)
-            return -1;
-        return run_reference(self, s_try_lock, transmission, power);
-    }
+    if ((now = radio_now(self)) == NULL)
+        return -1;
+    if (!PyFloat_CheckExact(now) || !is_float(duration) || timer == NULL
+            || tracker == NULL || noise == NULL
+            || Py_TYPE(tracker) != sinr_type)
+        goto reference;
     /* The tail lands one airtime after the energy started arriving;
      * arming an exact float runs no Python, so the borrowed tracker,
      * noise and clock are still good below. */
@@ -1307,6 +1325,9 @@ try_lock(PyObject *self, PyObject *arrivals, PyObject *transmission,
         slot_set(self, off_r_locked_tracker, tracker);
     }
     return status < 0 ? -1 : set_state(self, st_rx, st_rx_value);
+reference:
+    return discard(run_reference(s_try_lock, (PyObject *[]){
+        self, transmission, power}, 3));
 }
 
 /* Radio.cca_busy's verdict on the table:
@@ -1352,7 +1373,7 @@ cca_tail(PyObject *self)
     else if (state == st_sleep)
         busy = 0;
     else if (arrivals == NULL || !PyDict_CheckExact(arrivals))
-        return run_reference(self, s_update_cca, NULL, NULL);
+        return discard(run_reference(s_update_cca, &self, 1));
     else if ((busy = table_busy(self, arrivals)) < 0)
         return -1;
     /* busy != self._cca_busy; identical objects — every edge that
@@ -1371,10 +1392,7 @@ cca_tail(PyObject *self)
 
 /* The table (borrowed) when ``self`` is an exact Radio in the shape
  * the C edges and tail handle; NULL (no error set) sends the whole call
- * to the reference, before anything was touched.  Here and in the
- * carrier-sense slots further down, that is the Python method of the
- * same name looked up on the object (``PyObject_CallMethod*(self,
- * name)``), so a subclass's override is what runs. */
+ * to the reference (``run_reference``), before anything was touched. */
 static PyObject *
 canonical_table(PyObject *self)
 {
@@ -1398,18 +1416,14 @@ ck_arrival_begins(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *self, *transmission, *power, *arrivals, *state;
     int status = -1;
 
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "arrival_begins(radio, transmission, power_watts)");
-        return NULL;
-    }
+    if (nargs != 3)
+        goto reference;
     self = args[0];
     transmission = args[1];
     power = args[2];
     arrivals = canonical_table(self);
     if (arrivals == NULL || !PyFloat_CheckExact(power))
-        return PyObject_CallMethodObjArgs(self, s_arrival_begins, transmission,
-                                          power, NULL);
+        goto reference;
     Py_INCREF(arrivals);
     if (PyDict_SetItem(arrivals, transmission, power) < 0)
         goto done;
@@ -1421,7 +1435,7 @@ ck_arrival_begins(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (capture < 0)
             goto done;
         if (capture) {
-            if (run_reference(self, s_abort_locked, NULL, NULL) < 0
+            if (discard(PyObject_CallMethodNoArgs(self, s_abort_locked)) < 0
                     || try_lock(self, arrivals, transmission, power) < 0)
                 goto done;
         }
@@ -1437,6 +1451,8 @@ done:
     if (status < 0)
         return NULL;
     Py_RETURN_NONE;
+reference:
+    return run_reference(s_arrival_begins, args, nargs);
 }
 
 static PyObject *
@@ -1445,15 +1461,10 @@ ck_arrival_ends(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *self, *transmission, *arrivals, *locked;
     int status = -1;
 
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "arrival_ends(radio, transmission)");
-        return NULL;
-    }
+    if (nargs != 2 || (arrivals = canonical_table(args[0])) == NULL)
+        return run_reference(s_arrival_ends, args, nargs);
     self = args[0];
     transmission = args[1];
-    if ((arrivals = canonical_table(self)) == NULL)
-        return PyObject_CallMethodOneArg(self, s_arrival_ends, transmission);
     Py_INCREF(arrivals);
     /* arrivals.pop(transmission, None) */
     if (PyDict_DelItem(arrivals, transmission) < 0) {
@@ -1492,7 +1503,7 @@ sinr_db(PyObject *tracker, PyObject *end)
     if (!PyFloat_CheckExact(end) || !is_float(signal) || !is_float(noise)
             || !is_float(start) || !is_float(last) || !is_float(current)
             || !is_float(energy))
-        return PyObject_CallMethodOneArg(tracker, s_sinr_db, end);
+        return run_reference(s_sinr_db, (PyObject *[]){tracker, end}, 2);
     end_d = PyFloat_AS_DOUBLE(end);
     last_d = PyFloat_AS_DOUBLE(last);
     current_d = PyFloat_AS_DOUBLE(current);
@@ -1606,8 +1617,8 @@ ber_frame_survives(PyObject *model, PyObject *snr, PyObject *size_bits,
     if (status < 0)
         return NULL;
     per = status == 0 ? PyFloat_FromDouble(computed)
-        : PyObject_CallMethodObjArgs(model, s_packet_error_rate, snr,
-                                     size_bits, modulation, NULL);
+        : run_reference(s_packet_error_rate,
+                        (PyObject *[]){model, snr, size_bits, modulation}, 4);
     if (per == NULL)
         return NULL;  /* a PER that raises draws no random number */
     if ((draw = PyObject_CallMethodNoArgs(rng, s_random)) != NULL) {
@@ -1648,35 +1659,32 @@ still_exact(PyObject *obj, Py_ssize_t off, PyTypeObject *type,
 static PyObject *
 frame_survives(PyObject *self, PyObject *transmission, PyObject *snr)
 {
-    PyObject *model, *method = NULL, *size_bits, *mode, *modulation, *rng;
+    /* (model, snr, size_bits, modulation, rng): the method's call. */
+    PyObject *args[5] = {NULL, snr, NULL, NULL, NULL}, *mode;
     PyObject *verdict = NULL;
 
-    if ((model = slot_get(self, off_r_error_model, "error_model")) == NULL)
+    if ((args[0] = slot_get(self, off_r_error_model, "error_model")) == NULL)
         return NULL;
-    Py_INCREF(model);
-    if ((Py_TYPE(model) == ber_type
-         || (method = PyObject_GetAttr(model, s_frame_survives)) != NULL)
-            && (size_bits = slot_get(transmission, off_tx_size_bits,
-                                     "size_bits")) != NULL
+    Py_INCREF(args[0]);
+    if ((args[2] = slot_get(transmission, off_tx_size_bits,
+                            "size_bits")) != NULL
             && (mode = still_exact(transmission, off_tx_mode, phymode_type,
                                    "Transmission.mode")) != NULL
-            && (modulation = slot_get(mode, off_pm_modulation,
-                                      "modulation")) != NULL
-            && (rng = slot_get(self, off_r_rng, "_rng")) != NULL) {
+            && (args[3] = slot_get(mode, off_pm_modulation,
+                                   "modulation")) != NULL
+            && (args[4] = slot_get(self, off_r_rng, "_rng")) != NULL) {
         /* Held: the PER's hand-off, a model and a draw can run Python. */
-        Py_INCREF(size_bits);
-        Py_INCREF(modulation);
-        Py_INCREF(rng);
-        verdict = method == NULL
-            ? ber_frame_survives(model, snr, size_bits, modulation, rng)
-            : PyObject_CallFunctionObjArgs(method, snr, size_bits,
-                                           modulation, rng, NULL);
-        Py_DECREF(rng);
-        Py_DECREF(modulation);
-        Py_DECREF(size_bits);
+        Py_INCREF(args[2]);
+        Py_INCREF(args[3]);
+        Py_INCREF(args[4]);
+        verdict = Py_TYPE(args[0]) == ber_type
+            ? ber_frame_survives(args[0], snr, args[2], args[3], args[4])
+            : run_reference(s_frame_survives, args, 5);
+        Py_DECREF(args[4]);
+        Py_DECREF(args[3]);
+        Py_DECREF(args[2]);
     }
-    Py_XDECREF(method);
-    Py_DECREF(model);
+    Py_DECREF(args[0]);
     return verdict;
 }
 
@@ -1756,7 +1764,7 @@ ck_reception_complete(PyObject *module, PyObject *self)
     int status = -1;
 
     if (canonical_table(self) == NULL || ber_type == NULL)
-        return PyObject_CallMethodNoArgs(self, s_reception_complete);
+        goto reference;
     transmission = SLOT(self, off_r_locked);
     if (transmission == Py_None)
         Py_RETURN_NONE;  /* the lock was aborted meanwhile */
@@ -1768,7 +1776,7 @@ ck_reception_complete(PyObject *module, PyObject *self)
             || Py_TYPE(transmission) != tx_type
             || exact_slot(transmission, off_tx_mode, phymode_type) == NULL
             || sink_enabled(SLOT(self, off_r_trace)) == 0)
-        return PyObject_CallMethodNoArgs(self, s_reception_complete);
+        goto reference;
     /* Both outlive the slots that are about to let go of them. */
     Py_INCREF(transmission);
     Py_INCREF(tracker);
@@ -1795,6 +1803,8 @@ done:
     if (status < 0)
         return NULL;
     Py_RETURN_NONE;
+reference:
+    return run_reference(s_reception_complete, &self, 1);
 }
 
 /* --- the transmit path (C twins of Radio.transmit / _tx_complete) ---- */
@@ -1872,9 +1882,8 @@ medium_transmit(PyObject *self, PyObject *payload, PyObject *size_bits,
     if (plans == NULL || !PyDict_CheckExact(plans) || !served_queue(sim)
             || PyDict_GetItemWithError(dict, s_transmit) || PyErr_Occurred()) {
         if (!PyErr_Occurred())
-            status = discard(PyObject_CallMethodObjArgs(
-                medium, s_transmit, self, payload, size_bits, mode, duration,
-                power, NULL));
+            status = discard(run_reference(s_transmit, (PyObject *[]){
+                medium, self, payload, size_bits, mode, duration, power}, 7));
         goto done;
     }
     if ((now = Py_XNewRef(slot_get(sim, off_sim_now, "_now"))) == NULL
@@ -1949,9 +1958,8 @@ tx_end_entry(PyObject *self, PyObject *duration)
     Py_INCREF(callback);
     if ((queue = served_queue(sim)) == NULL
             || !(0.0 <= delay && delay < Py_HUGE_VAL))
-        status = discard(PyObject_CallMethodObjArgs(
-            sim, s_schedule_fast, duration, callback,
-            PyTuple_GET_ITEM(args, 0), NULL));
+        status = discard(run_reference(s_schedule_fast, (PyObject *[]){
+            sim, duration, callback, epoch}, 4));
     else if ((now = slot_get(sim, off_sim_now, "_now")) != NULL
              && counter_add(sim, off_sim_scheduled, "_scheduled", 1) == 0) {
         Py_INCREF(queue);
@@ -1970,11 +1978,8 @@ ck_transmit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *self, *mode, *state, *name, *names, *standard, *duration;
     int known = 0, traced;
 
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "transmit(radio, payload, size_bits, mode)");
-        return NULL;
-    }
+    if (nargs != 4)
+        goto reference;
     self = args[0];
     mode = args[3];
     /* The one guard: a radio, mode or trace sink not exactly its class,
@@ -1990,10 +1995,10 @@ ck_transmit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             && (known = PySet_Contains(names, name)) < 0)
         return NULL;
     if (known <= 0)
-        return PyObject_VectorcallMethod(s_transmit, args, nargs, NULL);
+        goto reference;
     /* Transmitting aborts any in-progress reception (half duplex). */
     if ((SLOT(self, off_r_locked) != Py_None
-            && run_reference(self, s_abort_locked, NULL, NULL) < 0)
+            && discard(PyObject_CallMethodNoArgs(self, s_abort_locked)) < 0)
             || set_state(self, st_tx, st_tx_value) < 0 || cca_tail(self) < 0
             || (standard = slot_get(self, off_r_standard, "standard")) == NULL
             || (duration = PyObject_CallMethodObjArgs(
@@ -2006,6 +2011,8 @@ ck_transmit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     self, s_trace_tx_start, args[2], mode, NULL)) < 0))
         Py_CLEAR(duration);
     return duration;
+reference:
+    return run_reference(s_transmit, args, nargs);
 }
 
 static PyObject *
@@ -2014,13 +2021,9 @@ ck_tx_complete(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *self, *current;
     int differs;
 
-    if (nargs != 1 && nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "_tx_complete(radio[, epoch])");
-        return NULL;
-    }
+    if ((nargs != 1 && nargs != 2) || canonical_table(args[0]) == NULL)
+        return run_reference(s_tx_complete, args, nargs);
     self = args[0];
-    if (canonical_table(self) == NULL)
-        return PyObject_VectorcallMethod(s_tx_complete, args, nargs, NULL);
     /* epoch != self._tx_epoch: a power_off() mid-burst already tore the
      * transmission down; its stale end drains out.  (Identical epochs
      * are equal without a call, as in cca_tail.) */
@@ -2039,7 +2042,7 @@ ck_tx_complete(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* --- carrier-sense slots (C twins of DcfMac / Nav methods) ------------- */
 
-/* The "mac" and "nav" class sets (see resolve). */
+/* The "mac" class set (see resolve): the MAC and the NAV it reads. */
 static PyTypeObject *mac_type = NULL, *nav_type = NULL;
 static Py_ssize_t off_m_sim, off_m_radio, off_m_nav, off_m_current;
 static Py_ssize_t off_m_backoff_remaining, off_m_ifs, off_m_countdown;
@@ -2083,31 +2086,6 @@ small_int(PyObject *value, long long *out)
     return !overflow;
 }
 
-/* Nav._fire: the expiry upcall unless the NAV was extended meanwhile. */
-static PyObject *
-ck_nav_fire(PyObject *module, PyObject *self)
-{
-    PyObject *until, *on_expire, *now;
-    int status;
-
-    /* nav_type is NULL until the "nav" class set resolves: a twin
-     * called before that runs its reference. */
-    if (nav_type == NULL || Py_TYPE(self) != nav_type
-            || !is_float(until = SLOT(self, off_n_until))
-            || (on_expire = SLOT(self, off_n_on_expire)) == NULL
-            || (now = float_now(SLOT(self, off_n_sim))) == NULL)
-        return PyObject_CallMethodNoArgs(self, s_fire);
-    if (PyFloat_AS_DOUBLE(now) < PyFloat_AS_DOUBLE(until)
-            || on_expire == Py_None)
-        Py_RETURN_NONE;
-    Py_INCREF(on_expire);
-    status = discard(PyObject_CallNoArgs(on_expire));
-    Py_DECREF(on_expire);
-    if (status < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
 /* DcfMac._maybe_start_ifs: reads, then one arm. */
 static PyObject *
 ck_maybe_start_ifs(PyObject *module, PyObject *self)
@@ -2116,13 +2094,11 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
     PyObject *radio, *state, *arrivals, *use_eifs, *wait, *now, *deadline;
     int armed, pending, busy, status;
 
-    if (mac_type == NULL || Py_TYPE(self) != mac_type || radio_type == NULL)
-        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
-    ifs = SLOT(self, off_m_ifs);
-    if ((armed = timer_armed(ifs)) < 0)
-        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
-    if (!armed && (armed = timer_armed(SLOT(self, off_m_countdown))) < 0)
-        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+    if (mac_type == NULL || Py_TYPE(self) != mac_type || radio_type == NULL
+            || (armed = timer_armed(ifs = SLOT(self, off_m_ifs))) < 0
+            || (!armed
+                && (armed = timer_armed(SLOT(self, off_m_countdown))) < 0))
+        goto reference;
     if (armed)
         Py_RETURN_NONE;  /* already contending */
     current = SLOT(self, off_m_current);
@@ -2130,7 +2106,7 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
     continuation = SLOT(self, off_m_tx_continuation);
     if (current == NULL || awaiting == NULL || continuation == NULL
             || (pending = timer_armed(SLOT(self, off_m_pending_send))) < 0)
-        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+        goto reference;
     if (current == Py_None || awaiting != Py_None
             || continuation != Py_None || pending)
         Py_RETURN_NONE;  /* nothing to send, or mid-exchange */
@@ -2141,7 +2117,7 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
             || !is_float(until = SLOT(nav, off_n_until))
             || radio == NULL || Py_TYPE(radio) != radio_type
             || (state = SLOT(radio, off_r_state)) == NULL)
-        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+        goto reference;
     if (PyFloat_AS_DOUBLE(now) < PyFloat_AS_DOUBLE(until)
             || state != st_idle)
         Py_RETURN_NONE;  /* NAV reservation; TX/RX busy or asleep */
@@ -2152,7 +2128,7 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
             || (use_eifs != Py_True && use_eifs != Py_False)
             || !is_float(wait = SLOT(self, use_eifs == Py_True ? off_m_eifs
                                                                : off_m_difs)))
-        return PyObject_CallMethodNoArgs(self, s_maybe_start_ifs);
+        goto reference;
     /* Summing a table of foreign powers may run Python: the deadline
      * is taken first and the timer is held. */
     deadline = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
@@ -2167,6 +2143,8 @@ ck_maybe_start_ifs(PyObject *module, PyObject *self)
     if (status < 0)
         return NULL;
     Py_RETURN_NONE;
+reference:
+    return run_reference(s_maybe_start_ifs, &self, 1);
 }
 
 /* DcfMac._cancel_access_timers: two disarms and, for a running
@@ -2179,13 +2157,11 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
     long long remaining = 0;
     int ifs_armed, countdown_armed;
 
-    if (mac_type == NULL || Py_TYPE(self) != mac_type)
-        return PyObject_CallMethodNoArgs(self, s_cancel_access_timers);
-    ifs = SLOT(self, off_m_ifs);
-    countdown = SLOT(self, off_m_countdown);
-    if ((ifs_armed = timer_armed(ifs)) < 0
-            || (countdown_armed = timer_armed(countdown)) < 0)
-        return PyObject_CallMethodNoArgs(self, s_cancel_access_timers);
+    if (mac_type == NULL || Py_TYPE(self) != mac_type
+            || (ifs_armed = timer_armed(ifs = SLOT(self, off_m_ifs))) < 0
+            || (countdown_armed = timer_armed(
+                    countdown = SLOT(self, off_m_countdown))) < 0)
+        goto reference;
     if (!ifs_armed && !countdown_armed)
         Py_RETURN_NONE;
     now = float_now(sim = SLOT(self, off_m_sim));
@@ -2197,7 +2173,7 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
                 || !is_float(anchor = SLOT(self, off_m_anchor))
                 || !small_int(remaining_obj = SLOT(self, off_m_remaining),
                               &remaining))))
-        return PyObject_CallMethodNoArgs(self, s_cancel_access_timers);
+        goto reference;
     /* Nothing below runs Python: the borrowed fields stay valid. */
     if (ifs_armed) {
         slot_set(ifs, off_t_armed, Py_False);
@@ -2225,6 +2201,8 @@ ck_cancel_access_timers(PyObject *module, PyObject *self)
             return NULL;
     }
     Py_RETURN_NONE;
+reference:
+    return run_reference(s_cancel_access_timers, &self, 1);
 }
 
 /* DcfMac._ifs_expired: the countdown's one event at its last slot
@@ -2242,7 +2220,7 @@ ck_ifs_expired(PyObject *module, PyObject *self)
     if (mac_type == NULL || Py_TYPE(self) != mac_type
             || !small_int(remaining_obj = SLOT(self, off_m_backoff_remaining),
                           &remaining))
-        return PyObject_CallMethodNoArgs(self, s_ifs_expired);
+        goto reference;
     if (remaining <= 0) {
         slot_set(self, off_m_use_eifs, Py_False);
         if (discard(PyObject_CallMethodNoArgs(self, s_access_won)) < 0)
@@ -2253,7 +2231,7 @@ ck_ifs_expired(PyObject *module, PyObject *self)
     if (timer_armed(countdown) < 0
             || !is_float(slot = SLOT(self, off_m_slot_time))
             || (now = float_now(SLOT(self, off_m_sim))) == NULL)
-        return PyObject_CallMethodNoArgs(self, s_ifs_expired);
+        goto reference;
     slot_set(self, off_m_use_eifs, Py_False);
     slot_set(self, off_m_anchor, now);
     slot_set(self, off_m_remaining, remaining_obj);
@@ -2270,6 +2248,8 @@ ck_ifs_expired(PyObject *module, PyObject *self)
     if (status < 0)
         return NULL;
     Py_RETURN_NONE;
+reference:
+    return run_reference(s_ifs_expired, &self, 1);
 }
 
 /* --- the frame demux (C twin of DcfMac.phy_rx_end) ---------------------- */
@@ -2329,7 +2309,7 @@ counter_incr(PyObject *self, PyObject *name)
     if ((counts = counter_table(counters, name, &count)) != NULL)
         return counter_store(counts, name, count);
     Py_INCREF(counters);
-    status = discard(PyObject_CallMethodOneArg(counters, s_incr, name));
+    status = discard(run_reference(s_incr, (PyObject *[]){counters, name}, 2));
     Py_DECREF(counters);
     return status;
 }
@@ -2398,9 +2378,8 @@ extend_nav(PyObject *self, PyObject *reservation)
         return -1;
     }
     Py_INCREF(nav);
-    status = nav_canonical(nav)
-        ? nav_set_until(nav, time)
-        : discard(PyObject_CallMethodOneArg(nav, s_set_until, time));
+    status = nav_canonical(nav) ? nav_set_until(nav, time)
+        : discard(run_reference(s_set_until, (PyObject *[]){nav, time}, 2));
     Py_DECREF(nav);
     Py_DECREF(time);
     return status;
@@ -2476,11 +2455,8 @@ ck_phy_rx_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     long long count, receiver, address;
     int idle;
 
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError,
-                        "phy_rx_end(mac, payload, success, snr_db, mode)");
-        return NULL;
-    }
+    if (nargs != 5)
+        goto reference;
     self = args[0];
     payload = args[1];
     success = args[2];
@@ -2566,7 +2542,7 @@ error:
     return NULL;
 reference:
     Py_XDECREF(verdict);
-    return PyObject_VectorcallMethod(s_phy_rx_end, args, 5, NULL);
+    return run_reference(s_phy_rx_end, args, nargs);
 }
 
 /* --- the run loop ------------------------------------------------------ */
@@ -3057,10 +3033,8 @@ static const struct member mac_set[] = {
     {"DcfMac", KEEP(mac_type), M_TYPE, mac_slots},
     {"Dot11Frame", KEEP(frame_type), M_TYPE, NULL},
     {"Counter", KEEP(counter_type), M_TYPE, counter_slots},
-    {"_UNFED_SNR", &unfed_snr, M_OBJECT, NULL},
-    {NULL, NULL, 0, NULL}};
-static const struct member nav_set[] = {
     {"Nav", KEEP(nav_type), M_TYPE, nav_slots},
+    {"_UNFED_SNR", &unfed_snr, M_OBJECT, NULL},
     {NULL, NULL, 0, NULL}};
 #undef KEEP
 
@@ -3068,7 +3042,7 @@ static const struct {
     const char *name;
     const struct member *members;
 } class_sets[] = {{"kernel", kernel_set}, {"phy", phy_set},
-                  {"mac", mac_set}, {"nav", nav_set}};
+                  {"mac", mac_set}};
 
 /* Check ``value`` as ``m`` and resolve what it carries; 0 or -1. */
 static int
@@ -3139,8 +3113,8 @@ ck_queue(PyObject *module, PyObject *sim)
 static PyMethodDef ck_methods[] = {
     {"resolve", ck_resolve, METH_VARARGS,
      "resolve(name, members): resolve the class set a table's twins work\n"
-     "on (\"kernel\", \"phy\", \"mac\" or \"nav\"; members by the names\n"
-     "the twins read them by): slot offsets, the objects compared by\n"
+     "on (\"kernel\", \"phy\" or \"mac\"; members by the names the\n"
+     "twins read them by): slot offsets, the objects compared by\n"
      "identity. repro.core.binding calls it once per set."},
     {"_queue", ck_queue, METH_O,
      "_queue(sim): compiled twin of Simulator._queue."},
@@ -3183,8 +3157,6 @@ static PyMethodDef ck_methods[] = {
      "DcfMac._cancel_access_timers."},
     {"_ifs_expired", ck_ifs_expired, METH_O,
      "_ifs_expired(mac): compiled twin of DcfMac._ifs_expired."},
-    {"_fire", ck_nav_fire, METH_O,
-     "_fire(nav): compiled twin of Nav._fire."},
     {"phy_rx_end", (PyCFunction)(void (*)(void))ck_phy_rx_end, METH_FASTCALL,
      "phy_rx_end(mac, payload, success, snr_db, mode): compiled twin of\n"
      "DcfMac.phy_rx_end for corrupt and overheard frames; the method\n"
@@ -3220,7 +3192,7 @@ PyInit__ckernel(void)
         {&s_maybe_start_ifs, "_maybe_start_ifs"},
         {&s_cancel_access_timers, "_cancel_access_timers"},
         {&s_ifs_expired, "_ifs_expired"}, {&s_access_won, "_access_won"},
-        {&s_fire, "_fire"}, {&s_arrival_begins, "arrival_begins"},
+        {&s_arrival_begins, "arrival_begins"},
         {&s_arrival_ends, "arrival_ends"},
         {&s_phy_rx_end, "phy_rx_end"}, {&s_rx_verdict, "rx_verdict"},
         {&s_incr, "incr"},
@@ -3256,7 +3228,7 @@ PyInit__ckernel(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddStringConstant(module, "KERNEL_NAME", "c") < 0
-            || PyModule_AddIntConstant(module, "KERNEL_ABI", 13) < 0
+            || PyModule_AddIntConstant(module, "KERNEL_ABI", 14) < 0
             || PyModule_AddObjectRef(module, "EventQueue",
                                      (PyObject *)&EventQueue_Type) < 0
             || discard(ck_select_fold(module, builtin_sum)) < 0) {

@@ -1,8 +1,8 @@
 """One binding point between the Python reference and its compiled twins.
 
 Each layer declares the methods :mod:`repro.core._ckernel` can serve in a
-:class:`Table` (``engine.SIMULATOR``, ``transceiver.RADIO``, ``dcf.MAC``,
-``nav.NAV``); :func:`bind` alone picks a side, by one rule: the twin
+:class:`Table` (``engine.SIMULATOR``, ``transceiver.RADIO``,
+``dcf.MAC``); :func:`bind` alone picks a side, by one rule: the twin
 only on a ``kernel="c"`` simulator, and only while every object the
 twins read by offset is of exactly its class (a subclass may override
 anything).  Exactness is checked here, at bind, for the bound object and

@@ -74,7 +74,7 @@ KERNELS = ("auto", "python", "c")
 #: The extension interface this engine binds: bumped whenever
 #: ``_ckernel`` gains or changes an entry point the library calls, or a
 #: class set its ``resolve`` takes gains a member.
-KERNEL_ABI = 13
+KERNEL_ABI = 14
 
 #: What every run loop tallies per entry shape, one ``Simulator`` slot
 #: each: raw ``schedule_fast`` entries, timers and handles fired, then

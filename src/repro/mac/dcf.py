@@ -867,7 +867,7 @@ class DcfMac:
 #: and its IFS timer.
 MAC = Table("DcfMac", "mac", {
     "DcfMac": DcfMac, "Dot11Frame": Dot11Frame, "Counter": Counter,
-    "_UNFED_SNR": _UNFED_SNR},
+    "Nav": Nav, "_UNFED_SNR": _UNFED_SNR},
     lambda mac: (mac, mac.radio), (DcfMac, Radio),
     ("_maybe_start_ifs", "_cancel_access_timers", "_ifs_expired",
      "phy_rx_end"))

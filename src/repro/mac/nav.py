@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..core.binding import Table, bind
 from ..core.engine import Simulator, Timer
 
 
@@ -26,10 +25,10 @@ class Nav:
     expiry, so the timer churns on every overheard frame in a busy
     cell; it therefore rides on the kernel's reusable
     :class:`~repro.core.engine.Timer` (re-anchor without a fresh
-    :class:`~repro.core.engine.EventHandle` per update); on a C-kernel
-    simulator it fires ``_ckernel._fire`` (:data:`NAV`), :meth:`_fire`'s
-    twin, and the compiled frame demux repeats :meth:`set_until` for an
-    overheard reservation (``tests/test_slot_differential.py``).
+    :class:`~repro.core.engine.EventHandle` per update).  The timer fires
+    :meth:`_fire` on either kernel; on a C-kernel simulator the compiled
+    frame demux repeats :meth:`set_until` for an overheard reservation
+    (``tests/test_slot_differential.py``).
     """
 
     __slots__ = ("_sim", "_until", "_on_expire", "_timer")
@@ -39,7 +38,7 @@ class Nav:
         self._sim = sim
         self._until = 0.0
         self._on_expire = on_expire
-        self._timer = Timer(sim, bind(self, NAV, sim)["_fire"])
+        self._timer = Timer(sim, self._fire)
 
     @property
     def busy(self) -> bool:
@@ -77,8 +76,3 @@ class Nav:
     def _fire(self) -> None:
         if not self.busy and self._on_expire is not None:
             self._on_expire()
-
-
-#: What a NAV's timer fires.
-NAV = Table("Nav", "nav", {"Nav": Nav}, lambda nav: (nav,), (Nav,),
-            ("_fire",))

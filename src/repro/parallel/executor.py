@@ -254,11 +254,16 @@ def _checker(sim: Simulator, medium: Medium,
     return checker
 
 
-def _hub(sim: Simulator, medium: Medium, interval: float):
+#: Simulated seconds between two telemetry samples of a run with
+#: ``telemetry`` on.
+TELEMETRY_INTERVAL = 0.05
+
+
+def _hub(sim: Simulator, medium: Medium):
     """The hub of a run with ``telemetry`` on (off, none is built): the
     kernel, ``medium`` and its radio fleet instrumented, not installed."""
     from ..telemetry.probes import Telemetry
-    hub = Telemetry(sim, sample_interval=interval)
+    hub = Telemetry(sim, sample_interval=TELEMETRY_INTERVAL)
     hub.instrument_kernel()
     hub.instrument_medium(medium)
     hub.instrument_radios(medium._radios)
@@ -267,11 +272,8 @@ def _hub(sim: Simulator, medium: Medium, interval: float):
 
 def run_single(cells, *, seed: int, horizon: float,
                propagation_factory: Callable[[], PropagationModel],
-               reception_floor_dbm: float = -110.0,
-               propagation_delay: bool = True,
                check_invariants: bool = False,
-               telemetry: bool = False,
-               telemetry_interval: float = 0.05) -> Dict:
+               telemetry: bool = False) -> Dict:
     """Run every cell on one kernel — the differential reference.
 
     ``propagation_factory`` (not a model instance) keeps the signature
@@ -286,16 +288,13 @@ def run_single(cells, *, seed: int, horizon: float,
     """
     ordered = tuple(sorted(cells, key=lambda cell: cell.name))
     sim = Simulator(seed=seed, trace=TraceLog(enabled=False))
-    medium = Medium(sim, propagation_factory(),
-                    reception_floor_dbm=reception_floor_dbm,
-                    propagation_delay=propagation_delay)
+    medium = Medium(sim, propagation_factory())
     checker = _checker(sim, medium) if check_invariants else None
     collectors = _build_cells(sim, medium, ordered, range(len(ordered)),
                               checker)
     if checker is not None:
         checker.install()
-    hub = (_hub(sim, medium, telemetry_interval).install() if telemetry
-           else None)
+    hub = _hub(sim, medium).install() if telemetry else None
     sim.run(until=horizon)
     result = {
         "cells": {name: collectors[name]() for name in sorted(collectors)},
@@ -322,14 +321,11 @@ class _Shard:
         self.busy = 0.0
 
     def build(self, shard_cells, global_indices, export_channels,
-              propagation_factory, reception_floor_dbm: float,
-              propagation_delay: bool, check_invariants: bool,
-              telemetry: bool, telemetry_interval: float) -> None:
+              propagation_factory, check_invariants: bool,
+              telemetry: bool) -> None:
         sim, index = self.sim, self.index
         medium = self.medium = ShardMedium(
-            sim, propagation_factory(),
-            reception_floor_dbm=reception_floor_dbm,
-            propagation_delay=propagation_delay, shard=index,
+            sim, propagation_factory(), shard=index,
             export_channels=export_channels)
         checker = (_checker(sim, medium, shard=index)
                    if check_invariants else None)
@@ -338,7 +334,7 @@ class _Shard:
         if checker is not None:
             checker.install()
         if telemetry:
-            hub = self.hub = _hub(sim, medium, telemetry_interval)
+            hub = self.hub = _hub(sim, medium)
             self.advances = hub.registry.counter("parallel", "advances",
                                                  shard=index)
             self.injected = hub.registry.counter(
@@ -787,13 +783,9 @@ def _recv(channel: Channel, process, shards: Sequence[int], board: _Board):
 
 def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 propagation_factory: Callable[[], PropagationModel],
-                reception_floor_dbm: float = -110.0,
-                propagation_delay: bool = True,
                 check_invariants: bool = False,
                 manual: Optional[Mapping[str, int]] = None,
-                lookahead_override: Optional[float] = None,
-                telemetry: bool = False,
-                telemetry_interval: float = 0.05) -> Dict:
+                telemetry: bool = False) -> Dict:
     """Run the cells as ``workers`` logical shards, hosted by
     ``min(shards, usable CPUs)`` worker processes.
 
@@ -801,10 +793,6 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
     diagnostics: shard count, synchronization round count, boundary
     record count, the canonical arrival log (and its SHA-1 — the
     determinism fingerprint), and the :class:`ShardPlan`.
-
-    ``lookahead_override`` replaces every derived cross-shard lookahead
-    (test/diagnostics knob — an overstated value trips the boundary
-    lookahead-violation guard, which is exactly what its test does).
 
     ``telemetry=True`` instruments every worker (kernel/medium/radio
     probes plus per-shard round metrics) and the round loop itself
@@ -823,20 +811,9 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
     (per-cell stats) never change.
     """
     plan = partition_cells(cells, propagation_factory(), workers=workers,
-                           reception_floor_dbm=reception_floor_dbm,
                            manual=manual)
-    if plan.lookahead and not propagation_delay:
-        raise ConfigurationError(
-            "coupled shards require propagation_delay=True: the "
-            "conservative lookahead IS the minimum cross-shard "
-            "propagation delay, and without delay modelling boundary "
-            "arrivals would be instantaneous (no positive lookahead "
-            "exists)")
     shard_count = len(plan.shards)
     incoming = [plan.incoming(index) for index in range(shard_count)]
-    if lookahead_override is not None:
-        incoming = [{src: lookahead_override for src in sources}
-                    for sources in incoming]
     # What the fork and the workers need is imported here, before it.
     import multiprocessing
     load_before_fork(check_invariants=check_invariants, telemetry=telemetry)
@@ -872,9 +849,7 @@ def run_sharded(cells, *, seed: int, horizon: float, workers: int,
                 target=_worker_main,
                 args=(child_end, list(channels), specs,
                       loop if one_host else None, seed,
-                      propagation_factory, reception_floor_dbm,
-                      propagation_delay, check_invariants,
-                      telemetry, telemetry_interval),
+                      propagation_factory, check_invariants, telemetry),
                 daemon=True)
             try:
                 process.start()

@@ -90,9 +90,18 @@ class TestStaleExtension:
         # ABI 13's transmit twin calls the medium's ``observers`` after
         # the fan-out; an ABI 12 build would serve a probed medium and
         # count nothing.
-        assert engine.KERNEL_ABI == 13
         stale.KERNEL_ABI = 12
-        with pytest.warns(RuntimeWarning, match="ABI 12.*needs 13"):
+        with pytest.warns(RuntimeWarning,
+                          match=rf"ABI 12.*needs {engine.KERNEL_ABI}"):
+            assert not ckernel_available()
+
+    def test_an_extension_with_a_nav_twin_is_stale(self, stale):
+        # ABI 14 resolves the Nav in the "mac" class set.  An ABI 13
+        # build waits for a "nav" set nothing resolves any more, so its
+        # MAC twins would hand every step that reads the NAV to Python.
+        assert engine.KERNEL_ABI == 14
+        stale.KERNEL_ABI = 13
+        with pytest.warns(RuntimeWarning, match="ABI 13.*needs 14"):
             assert not ckernel_available()
 
     def test_an_extension_without_an_abi_is_stale_too(self, stale):

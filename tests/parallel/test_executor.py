@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import Simulator, ckernel_available
-from repro.core.errors import (ConfigurationError, InvariantViolation,
-                               SimulationError)
+from repro.core.errors import InvariantViolation, SimulationError
 from repro.core.topology import Position
 from repro.core.trace import TraceLog
 from repro.core.units import SPEED_OF_LIGHT
@@ -351,8 +350,7 @@ def coupled_in_process(cells, horizon, instrument=lambda shard: None):
         shard = executor._Shard(index, seed=4)
         shard.build(shard_cells,
                     [plan.index_of(cell.name) for cell in shard_cells],
-                    plan.export_channels[index], free_space, -110.0,
-                    True, False, False, 0.05)
+                    plan.export_channels[index], free_space, False, False)
         instrument(shard)
         shards.append(shard)
     board = executor._Board(len(shards))
@@ -602,14 +600,6 @@ class TestExecutors:
         assert first["arrival_log_sha1"] == second["arrival_log_sha1"]
         assert first["cells"] == second["cells"]
 
-    def test_coupled_without_propagation_delay_rejected(self):
-        cells = [spec("a", x=0.0), spec("b", x=100.0)]
-        with pytest.raises(ConfigurationError, match="propagation_delay"):
-            run_sharded(cells, seed=1, horizon=0.01, workers=2,
-                        propagation_factory=free_space,
-                        propagation_delay=False,
-                        manual={"a": 0, "b": 1})
-
     def test_coupled_pair_synchronizes_in_lookahead_rounds(self):
         cells = [spec("a", x=0.0, build=_counting_build),
                  spec("b", x=100.0, build=_counting_build)]
@@ -822,8 +812,10 @@ class TestPlacement:
     def test_results_do_not_depend_on_placement(self, name, telemetry,
                                                 monkeypatch):
         shard_count = len(self.PLANS[name][0])
+        # A sample every 2 us: patched before the workers fork.
+        monkeypatch.setattr(executor, "TELEMETRY_INTERVAL", 2e-6)
         runs = [self._run(name, cpus, monkeypatch, telemetry=telemetry,
-                          telemetry_interval=2e-6, check_invariants=True)
+                          check_invariants=True)
                 for cpus in (shard_count, 2, 1)]
         reference = runs[0]
         assert reference["shards"] == shard_count
@@ -956,11 +948,11 @@ class TestPlacementDifferential:
         for cpus in sorted({1, 2, shard_count}):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(executor, "_usable_cpus", lambda: cpus)
+                patch.setattr(executor, "TELEMETRY_INTERVAL", 2e-6)
                 runs.append(run_sharded(
                     cells, seed=seed, horizon=horizon, workers=len(cells),
                     propagation_factory=free_space, manual=manual,
-                    check_invariants=True, telemetry=telemetry,
-                    telemetry_interval=2e-6))
+                    check_invariants=True, telemetry=telemetry))
         reference = runs[0]
         assert reference["shards"] == shard_count
         for run in runs[1:]:

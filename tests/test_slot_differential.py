@@ -1,8 +1,8 @@
 """Every compiled twin against its Python reference: the one parity
-suite for the run loop, the radio, the MAC and the NAV.
+suite for the run loop, the radio and the MAC.
 
 ``repro.core.binding``'s tables name every slot the extension serves
-(``engine.SIMULATOR``, ``transceiver.RADIO``, ``dcf.MAC``, ``nav.NAV``).
+(``engine.SIMULATOR``, ``transceiver.RADIO``, ``dcf.MAC``).
 Two worlds hold them — radios on a medium (``RadioWorld``), stations and
 a bare radio on a medium (``MacWorld``) — and ``snapshot()`` everything
 the kernels must agree on, repr-exact: every slot, upcall, heap entry,
@@ -16,13 +16,16 @@ RNG state and cached frame verdict.
   then for a MAC a base and ``STATES``: each reason not to arm, each
   boundary met exactly, each field of the wrong type; ``SENDS``;
   ``FRAMES``; every edge of a radio corner) is built twice and the twin
-  called on one copy, the reference on the other.  A simulator's
-  ``_queue`` is compared part by part across kernels.
+  called on one copy, the reference on the other; the NAV's expiry
+  (``Nav._fire`` on both) reaches the twin ``_maybe_start_ifs`` on one
+  copy and the method on the other.  A simulator's ``_queue`` is
+  compared part by part across kernels.
 * A subclass of each class a twin reads by offset (``ODD``, and the
   MAC's ``STATES``) logs its by-name reads (``READS``).
 * ``FAILURES``: whatever raises under the compiled loop — an upcall, a
-  PER, an expiry, a rate factory, a verdict, an entry or handle of the
-  wrong shape, a bad ``run()`` argument, a tally its exit cannot write —
+  PER, a rate factory, a verdict, a twin called with the wrong argument
+  count, an entry or handle of the wrong shape, a bad ``run()``
+  argument, a tally its exit cannot write —
   leaves the reference's exception, its context and state under each
   of ``run()``'s bounds (``BOUNDS``), and the run goes on once mended.
 
@@ -54,7 +57,7 @@ from repro.mac.backoff import BackoffWindow
 from repro.mac.dcf import MAC, DcfConfig, DcfMac, MacListener, _TxContext
 from repro.mac.frames import (Dot11Frame, FrameControl, FrameType, make_ack,
                               make_cts, make_ps_poll, make_rts)
-from repro.mac.nav import NAV, Nav
+from repro.mac.nav import Nav
 from repro.mac.queueing import DropTailQueue
 from repro.mac.rate_adapt import (FixedRate, IdealSnr, RateController,
                                   fixed_rate_factory)
@@ -732,13 +735,11 @@ def test_bind_serves_a_twin_to_exact_classes_on_the_compiled_kernel():
     odd_radio = MacWorld("c", 2, radio_class=WatchedRadio)
     python = MacWorld("python", 2)
     mac, subclass = plain.macs
-    odd_nav = OddNav(plain.sim)
     cases = [(plain.sim, SIMULATOR, True), (python.sim, SIMULATOR, False),
              (mac, MAC, True), (subclass, MAC, False),
              (odd_radio.macs[0], MAC, False), (python.macs[0], MAC, False),
              (mac.radio, RADIO, True), (odd_radio.macs[0].radio, RADIO, False),
-             (python.macs[0].radio, RADIO, False), (subclass.nav, NAV, True),
-             (odd_nav, NAV, False), (python.macs[0].nav, NAV, False)]
+             (python.macs[0].radio, RADIO, False)]
     ext = plain.sim._ext
     for obj, table, compiled in cases:
         side, owner = ("twin", ext) if compiled else ("reference", type(obj))
@@ -794,9 +795,8 @@ def test_bind_serves_a_twin_to_exact_classes_on_the_compiled_kernel():
         assert station._countdown._callback.__func__ is DcfMac._access_won
         assert station._response._callback.__func__ \
             is DcfMac._response_timeout
-    # A NAV decides for itself: a subclass MAC's plain Nav is compiled.
-    assert subclass.nav._timer._callback.__func__ is ext._fire
-    assert python.macs[0].nav._timer._callback.__func__ is Nav._fire
+        # The NAV's timer fires its own method on either kernel.
+        assert station.nav._timer._callback.__func__ is Nav._fire
 
 
 # --- the simulator: one kernel against the other -----------------------------
@@ -1441,8 +1441,8 @@ NOW = 1e-3      # where the "waiting" base leaves the clock
 #: What the reference must itself leave in a named state, not just what
 #: its twin leaves (a change that moved both alike would pass every
 #: equality): (slot, state) -> (what to read off the outcome, its value).
-#: The IFS wait after ``_maybe_start_ifs``, or after ``_fire`` calling
-#: it: armed that long after now, or (None) not armed.
+#: The IFS wait after ``_maybe_start_ifs``, or after the NAV's expiry
+#: (``_fire``) calling it: armed that long after now, or (None) not armed.
 EXPECTED = {(slot, state): (_ifs, None if wait is None
                             else repr(NOW + wait))
             for slot in ("_maybe_start_ifs", "_fire")
@@ -1488,7 +1488,7 @@ EXPECTED.update({
 
 
 def test_every_expectation_names_a_slot_and_a_state():
-    assert {name for name, _ in EXPECTED} <= set(MAC.slots + NAV.slots)
+    assert {name for name, _ in EXPECTED} <= set(MAC_STEPS)
     assert {state for _, state in EXPECTED} <= set(STATES)
 
 
@@ -1509,11 +1509,25 @@ FRAMES = {
         world.macs[1].address, STRANGER, 300),
 }
 
-MAC_SLOTS = [(MAC, name) for name in MAC.slots] + [(NAV, "_fire")]
+#: What a MAC case calls: every slot of ``MAC``, and the NAV's expiry.
+MAC_STEPS = list(MAC.slots) + ["_fire"]
 
 
-def _mac_case(side, table, name, schedule, base, pokes, frame, success,
-              snr, world_options=None):
+def _expire(side, mac, sim, log):
+    """The NAV's timer firing: ``Nav._fire`` on both sides, its expiry
+    reaching the MAC's ``_maybe_start_ifs`` as ``side`` serves it."""
+    nav = mac.nav
+    on_expire = nav._on_expire
+    if side == "reference" and on_expire is not None:
+        nav._on_expire = mac._maybe_start_ifs
+    try:
+        _call("_fire", "reference", nav, sim, (), log)
+    finally:
+        nav._on_expire = on_expire
+
+
+def _mac_case(side, name, schedule, base, pokes, frame, success, snr,
+              world_options=None):
     del READS[:]
     world = MacWorld("c", 3, **(world_options or {}))
     mac, frame = world.macs[0], FRAMES[frame](world)
@@ -1527,8 +1541,10 @@ def _mac_case(side, table, name, schedule, base, pokes, frame, success,
         except (SimulationError, TypeError, AttributeError) as exc:
             world.log.append(("raised", str(exc)))
     args = (frame, success, snr, BASIC) if name == "phy_rx_end" else ()
-    _call(name, side, mac.nav if table is NAV else mac, world.sim, args,
-          world.log)
+    if name == "_fire":
+        _expire(side, mac, world.sim, world.log)
+    else:
+        _call(name, side, mac, world.sim, args, world.log)
     return (world.snapshot(), sorted(mac.counters._counts.items()),
             world.describe(frame), world.describe(mac.nav),
             repr(mac.nav._until), list(READS))
@@ -1540,9 +1556,8 @@ def _both(*case, **options):
 
 
 @pytest.mark.parametrize("state", sorted(STATES))
-@pytest.mark.parametrize("table, name", MAC_SLOTS,
-                         ids=[name for _, name in MAC_SLOTS])
-def test_each_named_state_is_the_reference_s(table, name, state):
+@pytest.mark.parametrize("name", MAC_STEPS)
+def test_each_named_state_is_the_reference_s(name, state):
     rx_end = name == "phy_rx_end"   # every frame from the first state
     base = STATES[state][0]
     if name == "_maybe_start_ifs" and base == "counting down":
@@ -1550,7 +1565,7 @@ def test_each_named_state_is_the_reference_s(table, name, state):
     for frame in sorted(FRAMES) if rx_end and state == "nothing holds it " \
             "back" else ["a reservation"]:
         for success in (True, False, 1, 0) if rx_end else (True,):
-            twin, reference = _both(table, name, [], base, [state], frame,
+            twin, reference = _both(name, [], base, [state], frame,
                                     success, 25.0)
             assert twin == reference, (frame, success)
             if (success, frame) == (True, "a reservation") \
@@ -1559,8 +1574,7 @@ def test_each_named_state_is_the_reference_s(table, name, state):
                 assert read(reference) == value, read.__doc__
 
 
-@pytest.mark.parametrize("table, name", MAC_SLOTS,
-                         ids=[name for _, name in MAC_SLOTS])
+@pytest.mark.parametrize("name", MAC_STEPS)
 @settings(max_examples=150, deadline=None)
 @given(schedule=st.lists(MAC_OPS, max_size=8),
        base=st.sampled_from([None] + sorted(BASES)),
@@ -1571,9 +1585,9 @@ def test_each_named_state_is_the_reference_s(table, name, state):
        world_options=st.sampled_from([
            {}, dict(ideal_at=0), dict(listening_at=0, sniffer_at=0),
            dict(per=0.3, rts=True)]))
-def test_every_mac_slot_is_its_reference(table, name, schedule, base, pokes,
+def test_every_mac_slot_is_its_reference(name, schedule, base, pokes,
                                          frame, success, snr, world_options):
-    twin, reference = _both(table, name, schedule, base, pokes, frame,
+    twin, reference = _both(name, schedule, base, pokes, frame,
                             success, snr, world_options=world_options)
     assert twin == reference
 
@@ -1674,6 +1688,31 @@ def _overheard(frame, factory):
         assert len(raised) == 3 or min(
             counters[1]["nav_updates"], counters[2]["nav_updates"]) >= 1
     return "mac", setup, outcome
+
+
+def _miscalled(world, served, args, reference):
+    """A twin row: at 1 ms the slot ``served(world)`` serves — twin or
+    method — is called with ``args(world)``, a wrong argument count; at
+    2 ms a plain event.  The raise is the reference's own ``TypeError``
+    (``reference``, its qualified name, opens the message), logged, so
+    both kernels' messages are compared too."""
+    def setup(world):
+        slot = served(world)
+
+        def call():
+            try:
+                slot(*args(world))
+            except TypeError as exc:
+                world.log.append(("raised", str(exc)))
+                raise
+        world.sim.schedule_fast(1e-3, call)
+        world.sim.schedule_fast(2e-3, world.log.append, ("after",))
+        return lambda: None
+
+    def outcome(before, raised, drained):
+        assert raised[0][2]["log"][-1][1].startswith(f"{reference}() ")
+        assert drained["log"][-1] == ("after",)
+    return world, setup, outcome
 
 
 class Duck:
@@ -1813,7 +1852,7 @@ FAILURES = {
     "a handed-off PER raises at the tail": (["Boom"], _radio(
         [], [(1e-3, "begins", _deaf_frame, LOCKED),
              (1.2e-3, "ends", _deaf_frame)], tail=True)),
-    # A carrier-sense slot: the NAV's expiry raising.
+    # A carrier-sense timer: the NAV's expiry raising.
     "the NAV's expiry raises": (["Boom"], _dead_expiry()),
     # The demux: a raising rate factory, a frame whose verdict
     # cannot be derived.
@@ -1821,6 +1860,24 @@ FAILURES = {
         lambda: make_rts(STRANGER, BYSTANDER, 900), _boom)),
     "a frame with no verdict": (["AttributeError"] * 3, _overheard(
         lambda: make_cts("nobody", 900), None)),
+    # A twin called with the wrong argument count: the reference's whole
+    # call, so its TypeError.
+    "arrival_begins is called without a power": (["TypeError"], _miscalled(
+        "radio", lambda world: world.edges(world.radios[1])[0],
+        lambda world: (world.pool[0],), "Radio.arrival_begins")),
+    "arrival_ends is called with two frames": (["TypeError"], _miscalled(
+        "radio", lambda world: world.edges(world.radios[1])[1],
+        lambda world: world.pool[:2], "Radio.arrival_ends")),
+    "transmit is called without a mode": (["TypeError"], _miscalled(
+        "radio", lambda world: world.radios[1]._transmit,
+        lambda world: (world.radios[1], "data", 800), "Radio.transmit")),
+    "_tx_complete is called with two epochs": (["TypeError"], _miscalled(
+        "radio", lambda world: world.radios[1]._tx_done,
+        lambda world: (0, 0), "Radio._tx_complete")),
+    "phy_rx_end is called without a mode": (["TypeError"], _miscalled(
+        "mac", lambda world: world.macs[0].radio.on_rx_end,
+        lambda world: (make_ack(STRANGER), True, 25.0),
+        "DcfMac.phy_rx_end")),
     # The run loop: entries, timers and handles of the wrong shape.
     "a fast entry too short for its args": (
         ["IndexError"], _queued(lambda world: (None, world.note))),
@@ -1921,3 +1978,14 @@ def test_each_failure_fails_alike_and_the_run_goes_on(row, bounds):
         assert drained["executed"] > raised[-1][2]["executed"]
     if outcome is not None:
         outcome(before, raised, drained)
+
+
+def test_a_twin_called_without_its_object_raises():
+    """No object, no method to hand the call to: a ``TypeError`` of the
+    extension's own, raised before anything is read."""
+    ext = Simulator(kernel="c")._ext
+    for name in ("arrival_begins", "arrival_ends", "transmit",
+                 "_tx_complete", "phy_rx_end"):
+        with pytest.raises(TypeError,
+                           match=rf"^{name}\(\) needs the object it serves$"):
+            getattr(ext, name)()
